@@ -120,6 +120,17 @@ impl Control {
         out
     }
 
+    /// Every branch condition in the tree, in pre-order.
+    pub(crate) fn conds(&self) -> Vec<Cond> {
+        let mut out = Vec::new();
+        self.visit(&mut |c| {
+            if let Control::If { cond, .. } = c {
+                out.push(*cond);
+            }
+        });
+        out
+    }
+
     fn visit(&self, f: &mut impl FnMut(&Control)) {
         f(self);
         match self {

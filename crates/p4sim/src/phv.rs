@@ -97,7 +97,7 @@ pub const DROP_PORT: u64 = u64::MAX;
 /// A packet's header vector: one 64-bit slot per field.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Phv {
-    slots: Vec<u64>,
+    slots: [u64; fields::FIELD_COUNT],
 }
 
 impl Default for Phv {
@@ -111,7 +111,7 @@ impl Phv {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            slots: vec![0; fields::FIELD_COUNT],
+            slots: [0; fields::FIELD_COUNT],
         }
     }
 

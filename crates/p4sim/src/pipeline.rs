@@ -362,13 +362,19 @@ impl Pipeline {
     /// Propagates interpreter errors.
     pub fn process_phv(&mut self, phv: &mut Phv) -> P4Result<PacketOutcome> {
         let mut outcome = PacketOutcome::default();
-        if let Some(mut hook) = self.fault_hook.take() {
+        if let Some(hook) = &mut self.fault_hook {
             hook.before_packet(self.packets_processed, &mut self.registers);
-            self.fault_hook = Some(hook);
             self.hook_touched = true;
         }
-        let control = self.control.clone();
-        self.exec_control(&control, phv, &mut outcome)?;
+        let mut exec = Exec {
+            target: &self.target,
+            actions: &self.actions,
+            tables: &self.tables,
+            fault_hook: self.fault_hook.as_deref(),
+            pkt: self.packets_processed,
+            registers: &mut self.registers,
+        };
+        exec.exec_control(&self.control, phv, &mut outcome)?;
         while outcome.recirculate_requested {
             outcome.recirculate_requested = false;
             if outcome.recirculations >= self.target.max_recirculations {
@@ -377,7 +383,7 @@ impl Pipeline {
                 break;
             }
             outcome.recirculations += 1;
-            self.exec_control(&control, phv, &mut outcome)?;
+            exec.exec_control(&self.control, phv, &mut outcome)?;
         }
         if phv.dropped() {
             outcome.dropped = true;
@@ -389,7 +395,23 @@ impl Pipeline {
         self.packets_processed += 1;
         Ok(outcome)
     }
+}
 
+/// One packet's view of a [`Pipeline`]. The program is immutable after
+/// `build`, so a packet borrows it — control tree, actions, matched
+/// entries and their action data are all used in place, never copied —
+/// and only the register file is `&mut`.
+struct Exec<'a> {
+    target: &'a TargetModel,
+    actions: &'a [ActionDef],
+    tables: &'a [Table],
+    fault_hook: Option<&'a dyn FaultHook>,
+    /// This packet's ordinal, as the fault hook counts them.
+    pkt: u64,
+    registers: &'a mut [Register],
+}
+
+impl Exec<'_> {
     fn charge(&self, outcome: &mut PacketOutcome, cost: u64) -> P4Result<()> {
         outcome.steps += cost;
         if outcome.steps > self.target.step_budget {
@@ -423,22 +445,16 @@ impl Pipeline {
                     kind: "table",
                     id: *tid,
                 })?;
-                let forced_miss = self
-                    .fault_hook
-                    .as_ref()
-                    .is_some_and(|h| h.force_miss(self.packets_processed, &table.def.name));
-                let hit = if forced_miss {
-                    None
-                } else {
-                    table.lookup(phv).cloned()
-                };
+                let forced_miss =
+                    self.fault_hook.is_some_and(|h| h.force_miss(self.pkt, &table.def.name));
+                let hit = if forced_miss { None } else { table.lookup(phv) };
                 outcome.tables_applied.push((*tid, hit.is_some()));
                 let invocation = match hit {
-                    Some(e) => Some((e.action, e.action_data)),
-                    None => table.def.default_action.clone(),
+                    Some(e) => Some((e.action, e.action_data.as_slice())),
+                    None => table.def.default_action.as_ref().map(|(a, d)| (*a, d.as_slice())),
                 };
                 if let Some((aid, data)) = invocation {
-                    self.exec_action(aid, &data, phv, outcome)?;
+                    self.exec_action(aid, data, phv, outcome)?;
                 }
                 Ok(true)
             }
@@ -452,9 +468,7 @@ impl Pipeline {
                 else_branch,
             } => {
                 self.charge(outcome, 1)?;
-                let a = self.eval(&cond.a, &[], phv)?;
-                let b = self.eval(&cond.b, &[], phv)?;
-                if cond.eval(a, b) {
+                if cond.eval(cond_operand(&cond.a, phv)?, cond_operand(&cond.b, phv)?) {
                     self.exec_control(then_branch, phv, outcome)
                 } else if let Some(e) = else_branch {
                     self.exec_control(e, phv, outcome)
@@ -478,14 +492,10 @@ impl Pipeline {
         phv: &mut Phv,
         outcome: &mut PacketOutcome,
     ) -> P4Result<()> {
-        let action = self
-            .actions
-            .get(aid)
-            .ok_or(P4Error::UnknownId {
-                kind: "action",
-                id: aid,
-            })?
-            .clone();
+        let action = self.actions.get(aid).ok_or(P4Error::UnknownId {
+            kind: "action",
+            id: aid,
+        })?;
         for p in &action.primitives {
             let cost = if matches!(p, Primitive::Msb { .. }) {
                 u64::from(self.target.msb_cost)
@@ -496,17 +506,6 @@ impl Pipeline {
             self.exec_primitive(aid, p, data, phv, outcome)?;
         }
         Ok(())
-    }
-
-    fn eval(&self, o: &Operand, data: &[u64], phv: &Phv) -> P4Result<u64> {
-        match o {
-            Operand::Const(v) => Ok(*v),
-            Operand::Field(f) => Ok(phv.get(*f)),
-            Operand::Data(n) => data.get(*n).copied().ok_or(P4Error::ActionDataOutOfBounds {
-                action: usize::MAX,
-                slot: *n,
-            }),
-        }
     }
 
     fn reg_index(&self, register: usize, index: u64) -> P4Result<usize> {
@@ -534,15 +533,9 @@ impl Pipeline {
         phv: &mut Phv,
         outcome: &mut PacketOutcome,
     ) -> P4Result<()> {
-        let fix_slot = |e: P4Error| match e {
-            P4Error::ActionDataOutOfBounds { slot, .. } => {
-                P4Error::ActionDataOutOfBounds { action: aid, slot }
-            }
-            other => other,
-        };
         macro_rules! ev {
             ($o:expr) => {
-                self.eval($o, data, phv).map_err(fix_slot)?
+                eval($o, aid, data, phv)?
             };
         }
         match p {
@@ -647,6 +640,27 @@ impl Pipeline {
             }
         }
         Ok(())
+    }
+}
+
+/// An action operand's value; `aid` names the action in the error for a missing data slot.
+fn eval(o: &Operand, aid: usize, data: &[u64], phv: &Phv) -> P4Result<u64> {
+    match o {
+        Operand::Const(v) => Ok(*v),
+        Operand::Field(f) => Ok(phv.get(*f)),
+        Operand::Data(n) => {
+            data.get(*n).copied().ok_or(P4Error::ActionDataOutOfBounds { action: aid, slot: *n })
+        }
+    }
+}
+
+/// A branch-condition operand. No action is running, so there is no
+/// action data to read: `ProgramBuilder::build` rejects such programs.
+fn cond_operand(o: &Operand, phv: &Phv) -> P4Result<u64> {
+    match o {
+        Operand::Const(v) => Ok(*v),
+        Operand::Field(f) => Ok(phv.get(*f)),
+        Operand::Data(_) => Err(P4Error::Invalid { what: "condition reads action data".into() }),
     }
 }
 

@@ -92,7 +92,8 @@ impl ProgramBuilder {
     /// - [`P4Error::UnsupportedOnTarget`] for primitives the target
     ///   cannot execute;
     /// - [`P4Error::Invalid`] for structural problems (repeated table on
-    ///   a path, default action data arity).
+    ///   a path, default action data arity, action data read by a
+    ///   direct action or a branch condition).
     pub fn build(self, target: TargetModel) -> P4Result<Pipeline> {
         // --- reference checks ---------------------------------------
         for a in &self.actions {
@@ -171,6 +172,19 @@ impl ProgramBuilder {
             }
         }
 
+        // Neither may a branch condition: it is evaluated between
+        // actions, where no entry's data is in scope.
+        for (i, cond) in self.control.conds().iter().enumerate() {
+            if matches!(cond.a, Operand::Data(_)) || matches!(cond.b, Operand::Data(_)) {
+                return Err(P4Error::Invalid {
+                    what: format!(
+                        "branch {i} of the control tree ({:?} {:?} {:?}) reads action data in its condition",
+                        cond.a, cond.op, cond.b
+                    ),
+                });
+            }
+        }
+
         Ok(Pipeline::from_parts(
             target,
             self.registers,
@@ -219,6 +233,7 @@ fn check_target(p: &Primitive, target: &TargetModel) -> P4Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{CmpOp, Cond};
     use crate::phv::fields;
     use crate::table::MatchKind;
 
@@ -357,6 +372,28 @@ mod tests {
             b.build(TargetModel::bmv2()),
             Err(P4Error::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn branch_condition_reading_action_data_rejected() {
+        let mut b = ProgramBuilder::new();
+        let noop = b.add_action(ActionDef::new("n", vec![]));
+        let on_len = Cond::new(Operand::Field(fields::PKT_LEN), CmpOp::Gt, Operand::Const(0));
+        b.set_control(Control::If {
+            cond: on_len,
+            then_branch: Box::new(Control::If {
+                cond: Cond::new(Operand::Const(1), CmpOp::Eq, Operand::Data(0)),
+                then_branch: Box::new(Control::ApplyAction(noop)),
+                else_branch: None,
+            }),
+            else_branch: None,
+        });
+        match b.build(TargetModel::bmv2()) {
+            Err(P4Error::Invalid { what }) => {
+                assert!(what.contains("branch 1") && what.contains("Data(0)"), "{what}");
+            }
+            other => panic!("expected the inner branch to be rejected, got {other:?}"),
+        }
     }
 
     #[test]
