@@ -29,9 +29,11 @@
 //! not margins — their alert streams are the behavioral contract.
 
 use crate::metrics::{Check, DetectorMetrics};
+use crate::state::{jopt_i64, opt_i64};
 use serde::Serialize;
 use stat4_core::{FrequencyDist, RunningStats};
 use std::any::Any;
+use telemetry::json::{jopt, ju, obj, opt_u64, req, req_arr, req_i64, req_str, req_u64, Json};
 use telemetry::Snapshot;
 
 /// One in Q16 fixed point — the firing threshold for scores.
@@ -132,6 +134,26 @@ pub trait Detector {
     /// Consumes one interval; `None` while the engine cannot yet form
     /// a verdict (seeding/calibration), a result afterwards.
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult>;
+
+    /// Everything [`Self::update`] reads or writes between intervals,
+    /// as JSON: a few integers, a ring, a Q16 or two. The engine owns
+    /// this form; a checkpoint stores it without looking inside. What
+    /// the constructor fixed (window capacity, season length, shifts)
+    /// is not written.
+    fn export_state(&self) -> Json;
+
+    /// Loads state written by [`Self::export_state`] into an engine
+    /// built from the same configuration, after which the two engines
+    /// answer every future `update` identically. The state may come
+    /// from disk, so it is checked, not trusted.
+    ///
+    /// # Errors
+    ///
+    /// What is missing, mistyped, or could not have been exported by
+    /// an engine of this configuration (a ring of another length, a
+    /// phase outside the season, a negative count). The engine is then
+    /// part-loaded and must be discarded.
+    fn import_state(&mut self, state: &Json) -> Result<(), String>;
 
     /// Typed access for callers that need an engine's extra state
     /// (e.g. the lifted SYN-flood engine's legacy alert stream).
@@ -343,26 +365,60 @@ impl Ensemble {
         }
     }
 
-    /// Overrides the combining weight of engine `name` for every
-    /// subsequent interval; `None` restores the engine's own weight.
-    /// Returns `false` — changing nothing — for an unknown engine or a
-    /// negative weight (a negative weight could zero or invert the
-    /// combined-score denominator).
-    pub fn set_weight_override(&mut self, name: &str, weight: Option<i64>) -> bool {
-        if weight.is_some_and(|w| w < 0) {
-            return false;
-        }
-        match self.engines.iter().position(|e| e.name() == name) {
-            Some(i) => {
-                self.weight_overrides[i] = weight;
-                true
-            }
-            None => false,
-        }
+    /// Which engine slot each override in `overrides` would land in.
+    ///
+    /// # Errors
+    ///
+    /// The first override that names an engine this ensemble does not
+    /// run, or carries a negative weight (which could zero or invert
+    /// the combined-score denominator).
+    pub fn check_weight_overrides(
+        &self,
+        overrides: &[(String, Option<i64>)],
+    ) -> Result<Vec<usize>, String> {
+        overrides
+            .iter()
+            .map(|(name, weight)| {
+                if let Some(w) = weight.filter(|w| *w < 0) {
+                    return Err(format!("weight override for {name:?} is negative ({w})"));
+                }
+                self.engines
+                    .iter()
+                    .position(|e| e.name() == name)
+                    .ok_or_else(|| format!("weight override names unknown engine {name:?}"))
+            })
+            .collect()
     }
 
-    /// Current weight overrides keyed by engine name (checkpoint
-    /// export).
+    /// Overrides the combining weights of the named engines for every
+    /// subsequent interval (`None` restores an engine's own weight),
+    /// all of them or — on the first one
+    /// [`Self::check_weight_overrides`] refuses — none.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::check_weight_overrides`]; nothing was changed.
+    pub fn set_weight_overrides(
+        &mut self,
+        overrides: &[(String, Option<i64>)],
+    ) -> Result<(), String> {
+        let slots = self.check_weight_overrides(overrides)?;
+        for (slot, (_, weight)) in slots.into_iter().zip(overrides) {
+            self.weight_overrides[slot] = *weight;
+        }
+        Ok(())
+    }
+
+    /// [`Self::set_weight_overrides`] for one engine.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::check_weight_overrides`]; nothing was changed.
+    pub fn set_weight_override(&mut self, name: &str, weight: Option<i64>) -> Result<(), String> {
+        self.set_weight_overrides(&[(name.to_string(), weight)])
+    }
+
+    /// Current weight overrides keyed by engine name.
     #[must_use]
     pub fn weight_overrides(&self) -> Vec<(&'static str, Option<i64>)> {
         self.engines
@@ -427,6 +483,83 @@ impl Ensemble {
         }
     }
 
+    /// The whole ensemble as JSON: per engine its
+    /// [`Detector::export_state`], metrics, fire count, first fire and
+    /// weight override, then the fired log. Only the fired log grows
+    /// over a run, and it grows with alerts, not with intervals.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        let engines = self.engines.iter().enumerate().map(|(i, e)| {
+            obj(vec![
+                ("name", Json::Str(e.name().to_string())),
+                ("state", e.export_state()),
+                ("metrics", self.metrics[i].export_state()),
+                ("fires", ju(self.fires[i])),
+                ("first_fired", jopt(self.first_fired[i])),
+                ("weight_override", jopt_i64(self.weight_overrides[i])),
+            ])
+        });
+        obj(vec![
+            ("engines", Json::Arr(engines.collect())),
+            (
+                "fired_log",
+                Json::Arr(self.fired_log.iter().map(fired_json).collect()),
+            ),
+        ])
+    }
+
+    /// Loads [`Self::export_state`]'s form into an ensemble built from
+    /// the same configuration (same engines, same order), after which
+    /// both answer every future [`Self::observe`] identically and
+    /// report identical summaries, metrics and fired logs.
+    ///
+    /// # Errors
+    ///
+    /// An engine the state lacks, an engine this ensemble does not run,
+    /// a negative weight override, a fired-log entry naming neither,
+    /// or whatever an engine's own [`Detector::import_state`] rejects.
+    /// The ensemble is then part-loaded and must be discarded.
+    pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let entries = req_arr(state, "engines", "ensemble")?;
+        let names = self.names();
+        for (i, entry) in entries.iter().enumerate() {
+            let name = req_str(entry, "name", &format!("ensemble.engines[{i}]"))?;
+            if !names.contains(&name.as_str()) {
+                return Err(format!("ensemble: unknown engine {name:?}"));
+            }
+        }
+        for (i, engine) in self.engines.iter_mut().enumerate() {
+            let name = engine.name();
+            let entry = entries
+                .get(i)
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .ok_or_else(|| format!("ensemble: engine {name:?} is missing at position {i}"))?;
+            let p = format!("ensemble.{name}");
+            engine.import_state(req(entry, "state", &p)?)?;
+            self.metrics[i] =
+                DetectorMetrics::import_state(req(entry, "metrics", &p)?, &format!("{p}.metrics"))?;
+            self.fires[i] = req_u64(entry, "fires", &p)?;
+            self.first_fired[i] = opt_u64(entry, "first_fired", &p)?;
+            self.weight_overrides[i] = opt_i64(entry, "weight_override", &p)?;
+            if self.weight_overrides[i].is_some_and(|w| w < 0) {
+                return Err(format!("{p}: negative weight override"));
+            }
+        }
+        if entries.len() != names.len() {
+            return Err(format!(
+                "ensemble: state holds {} engine(s), the ensemble runs {}",
+                entries.len(),
+                names.len()
+            ));
+        }
+        self.fired_log = req_arr(state, "fired_log", "ensemble")?
+            .iter()
+            .enumerate()
+            .map(|(i, f)| parse_fired(f, &format!("ensemble.fired_log[{i}]"), &names))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
     /// Per-engine summaries, in report order.
     #[must_use]
     pub fn summaries(&self) -> Vec<EngineSummary> {
@@ -459,6 +592,42 @@ impl Ensemble {
     }
 }
 
+/// One fired-log entry. `fired` is not written: only fired results
+/// enter the log.
+fn fired_json(r: &DetectionResult) -> Json {
+    obj(vec![
+        ("engine", Json::Str(r.engine.to_string())),
+        ("at", ju(r.at)),
+        ("epoch", ju(r.epoch)),
+        ("score", Json::Int(r.score)),
+        ("weight", Json::Int(r.weight)),
+        ("confidence", Json::Int(r.confidence)),
+        ("expected", Json::Int(r.expected)),
+        ("observed", Json::Int(r.observed)),
+    ])
+}
+
+/// Reads [`fired_json`]'s form; the engine name must be one of
+/// `names`, whose `'static` spelling the result then borrows.
+fn parse_fired(v: &Json, path: &str, names: &[&'static str]) -> Result<DetectionResult, String> {
+    let engine = req_str(v, "engine", path)?;
+    Ok(DetectionResult {
+        engine: names
+            .iter()
+            .copied()
+            .find(|n| *n == engine)
+            .ok_or_else(|| format!("{path}: unknown engine {engine:?}"))?,
+        at: req_u64(v, "at", path)?,
+        epoch: req_u64(v, "epoch", path)?,
+        score: req_i64(v, "score", path)?,
+        weight: req_i64(v, "weight", path)?,
+        confidence: req_i64(v, "confidence", path)?,
+        expected: req_i64(v, "expected", path)?,
+        observed: req_i64(v, "observed", path)?,
+        fired: true,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +657,13 @@ mod tests {
                 observed: 0,
                 fired: !gated && self.score >= Q16,
             })
+        }
+        fn export_state(&self) -> Json {
+            ju(self.seen)
+        }
+        fn import_state(&mut self, state: &Json) -> Result<(), String> {
+            self.seen = state.as_u64().ok_or("seen is not a count")?;
+            Ok(())
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -521,7 +697,7 @@ mod tests {
         let even = e.observe(&ctx_at(10, &kinds, &stats)).combined_q16;
         assert_eq!(even, Q16, "equal weights average to Q16");
 
-        assert!(e.set_weight_override("cold", Some(0)));
+        e.set_weight_override("cold", Some(0)).unwrap();
         let skewed = e.observe(&ctx_at(20, &kinds, &stats)).combined_q16;
         assert_eq!(skewed, 2 * Q16, "silenced engine no longer dilutes");
         assert_eq!(
@@ -529,12 +705,16 @@ mod tests {
             vec![("hot", None), ("cold", Some(0))]
         );
 
-        assert!(e.set_weight_override("cold", None));
+        e.set_weight_override("cold", None).unwrap();
         let restored = e.observe(&ctx_at(30, &kinds, &stats)).combined_q16;
         assert_eq!(restored, Q16);
 
-        assert!(!e.set_weight_override("missing", Some(1)));
-        assert!(!e.set_weight_override("cold", Some(-1)));
+        assert!(e.set_weight_override("missing", Some(1)).unwrap_err().contains("unknown engine"));
+        assert!(e.set_weight_override("cold", Some(-1)).unwrap_err().contains("negative"));
+        // A batch with one bad entry changes nothing, good entries included.
+        let batch = [("hot".to_string(), Some(7)), ("missing".to_string(), None)];
+        assert!(e.set_weight_overrides(&batch).is_err());
+        assert_eq!(e.weight_overrides(), vec![("hot", None), ("cold", None)]);
     }
 
     #[test]

@@ -56,6 +56,7 @@ use p4sim::pipeline::DigestRecord;
 use stat4_p4::binding;
 use stat4_p4::{CaseStudyHandles, DIGEST_IMBALANCE, DIGEST_SPIKE};
 use std::net::Ipv4Addr;
+use telemetry::json::{ju, obj, req_str, req_u64, Json};
 
 /// Where the controller is in the drill-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -611,6 +612,12 @@ impl ScorePhase {
             ScorePhase::Hosts => "hosts",
         }
     }
+
+    fn named(name: &str) -> Option<Self> {
+        [ScorePhase::Prefix, ScorePhase::Subnets, ScorePhase::Hosts]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
 }
 
 /// The replay-side drilldown ladder, driven by [`EnsembleVerdict`]s
@@ -678,6 +685,40 @@ impl ScoreDrilldown {
             cause,
             transactions: vec![tx],
         })
+    }
+
+    /// The ladder's position: phase, binding generation, quiet streak.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        obj(vec![
+            ("phase", Json::Str(self.phase.name().to_string())),
+            ("generation", ju(self.generation)),
+            ("quiet", ju(u64::from(self.quiet))),
+        ])
+    }
+
+    /// Loads [`Self::export_state`]'s form into a ladder built from
+    /// the same trigger config.
+    ///
+    /// # Errors
+    ///
+    /// A missing or mistyped member, an unknown phase name, or a quiet
+    /// streak the reset rule would already have cleared; `self` is
+    /// left untouched.
+    pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let p = "drilldown";
+        let name = req_str(state, "phase", p)?;
+        let phase =
+            ScorePhase::named(&name).ok_or_else(|| format!("{p}: unknown phase {name:?}"))?;
+        let generation = req_u64(state, "generation", p)?;
+        let quiet = u32::try_from(req_u64(state, "quiet", p)?)
+            .ok()
+            .filter(|q| *q < self.trigger.config.reset_after_quiet.max(1))
+            .ok_or_else(|| format!("{p}: \"quiet\" is not below the reset threshold"))?;
+        self.phase = phase;
+        self.generation = generation;
+        self.quiet = quiet;
+        Ok(())
     }
 }
 
@@ -1059,6 +1100,12 @@ mod tests {
                 observed: 90,
                 fired: self.score >= Q16,
             })
+        }
+        fn export_state(&self) -> Json {
+            Json::Null
+        }
+        fn import_state(&mut self, _: &Json) -> Result<(), String> {
+            Ok(())
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self

@@ -15,6 +15,7 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use stat4_core::Ewma;
 use std::any::Any;
+use telemetry::json::{ju, obj, req_bool, req_i64, req_u64, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +113,26 @@ impl Detector for AdaptiveEngine {
             observed: x,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        obj(vec![
+            ("level_acc", Json::Int(self.level.raw())),
+            ("level_seeded", Json::Bool(self.level.is_seeded())),
+            ("dev_acc", Json::Int(self.dev.raw())),
+            ("dev_seeded", Json::Bool(self.dev.is_seeded())),
+            ("seen", ju(self.seen)),
+        ])
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let p = "adaptive";
+        self.level
+            .restore(req_i64(state, "level_acc", p)?, req_bool(state, "level_seeded", p)?);
+        self.dev
+            .restore(req_i64(state, "dev_acc", p)?, req_bool(state, "dev_seeded", p)?);
+        self.seen = req_u64(state, "seen", p)?;
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn Any {

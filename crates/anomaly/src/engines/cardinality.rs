@@ -9,8 +9,10 @@
 //! `N·x > Xsum + k·σ(NX) + margin` check with a different x.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
+use crate::state::{restore_window, window_json};
 use stat4_core::WindowedDist;
 use std::any::Any;
+use telemetry::Json;
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -105,6 +107,14 @@ impl Detector for CardinalityEngine {
             observed: x,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        window_json(&self.window)
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        restore_window(&mut self.window, state, "cardinality")
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -13,8 +13,10 @@
 //! the engine returns `None` — it has no opinion.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
+use crate::state::{restore_window, window_json};
 use stat4_core::{CusumDetector, WindowedDist};
 use std::any::Any;
+use telemetry::json::{ju, obj, req, req_i64, req_u64, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +106,44 @@ impl Detector for CusumEngine {
             observed: x,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        let calibrated = self.inner.as_ref().map_or(Json::Null, |c| {
+            obj(vec![
+                ("target", Json::Int(c.target)),
+                ("slack", Json::Int(c.slack)),
+                ("threshold", Json::Int(c.threshold)),
+                ("statistic", Json::Int(c.statistic())),
+                ("alarms", ju(c.alarms)),
+            ])
+        });
+        obj(vec![
+            ("baseline", window_json(&self.baseline)),
+            ("calibrated", calibrated),
+        ])
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let p = "cusum";
+        restore_window(&mut self.baseline, req(state, "baseline", p)?, "cusum.baseline")?;
+        let c = req(state, "calibrated", p)?;
+        self.inner = if c.is_null() {
+            None
+        } else {
+            let cp = "cusum.calibrated";
+            let mut inner = CusumDetector::new(
+                req_i64(c, "target", cp)?,
+                req_i64(c, "slack", cp)?,
+                req_i64(c, "threshold", cp)?,
+            );
+            inner
+                .restore_statistic(req_i64(c, "statistic", cp)?)
+                .map_err(|e| format!("{cp}: {e}"))?;
+            inner.alarms = req_u64(c, "alarms", cp)?;
+            Some(inner)
+        };
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn Any {

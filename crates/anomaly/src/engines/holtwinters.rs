@@ -11,8 +11,10 @@
 //! instead of raw values.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
+use crate::state::{i64_arr, req_i64_arr};
 use stat4_core::HoltWinters;
 use std::any::Any;
+use telemetry::json::{ju, jus, obj, req_i64, req_u64, req_usize, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -124,6 +126,34 @@ impl Detector for HoltWintersEngine {
             observed: x,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        obj(vec![
+            ("level_q16", Json::Int(self.model.level_q16())),
+            ("trend_q16", Json::Int(self.model.trend_q16())),
+            ("season_q16", i64_arr(self.model.seasons_q16())),
+            ("seed", i64_arr(self.model.seed_values())),
+            ("phase", jus(self.model.phase())),
+            ("dev_q16", Json::Int(self.dev_q16)),
+            ("observed", ju(self.observed)),
+        ])
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let p = "holtwinters";
+        self.model
+            .restore(
+                req_i64(state, "level_q16", p)?,
+                req_i64(state, "trend_q16", p)?,
+                req_i64_arr(state, "season_q16", p)?,
+                req_i64_arr(state, "seed", p)?,
+                req_usize(state, "phase", p)?,
+            )
+            .map_err(|e| format!("{p}: {e}"))?;
+        self.dev_q16 = req_i64(state, "dev_q16", p)?;
+        self.observed = req_u64(state, "observed", p)?;
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -10,8 +10,10 @@
 //! lower tail belongs to the stalled engine.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
+use crate::state::{restore_window, window_json};
 use stat4_core::WindowedDist;
 use std::any::Any;
+use telemetry::json::{ju, obj, req, req_i64, req_u64, Json};
 
 /// The tumbling-window scales, in intervals.
 pub const SCALES: [u32; 3] = [1, 4, 16];
@@ -135,6 +137,43 @@ impl Detector for MultiScaleEngine {
             observed,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        Json::Arr(
+            self.scales
+                .iter()
+                .map(|s| {
+                    obj(vec![
+                        ("acc", Json::Int(s.acc)),
+                        ("count", ju(u64::from(s.count))),
+                        ("window", window_json(&s.window)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let scales = state.as_arr().unwrap_or(&[]);
+        if scales.len() != self.scales.len() {
+            return Err(format!(
+                "multiscale: state holds {} scale(s), the engine runs {}",
+                scales.len(),
+                self.scales.len()
+            ));
+        }
+        for (s, v) in self.scales.iter_mut().zip(scales) {
+            let p = format!("multiscale.scale{}", s.scale);
+            s.acc = req_i64(v, "acc", &p)?;
+            // A tumbling sum closes when `count` reaches `scale`.
+            s.count = u32::try_from(req_u64(v, "count", &p)?)
+                .ok()
+                .filter(|c| *c < s.scale)
+                .ok_or_else(|| format!("{p}: \"count\" is not below the scale"))?;
+            restore_window(&mut s.window, req(v, "window", &p)?, &format!("{p}.window"))?;
+        }
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn Any {

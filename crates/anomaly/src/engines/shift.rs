@@ -12,6 +12,7 @@
 use crate::detector::{DetectionResult, Detector, SignalContext, Q16};
 use crate::shift::{PercentileShiftDetector, ShiftConfig};
 use std::any::Any;
+use telemetry::Json;
 
 /// Trait adapter over [`PercentileShiftDetector`].
 #[derive(Debug)]
@@ -55,6 +56,14 @@ impl Detector for MedianShiftEngine {
             observed: ctx.median_len,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        self.inner.export_state()
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        self.inner.import_state(state, "median_shift")
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -12,6 +12,7 @@
 use crate::detector::{DetectionResult, Detector, SignalContext, Q16};
 use crate::stalled::{StalledFlowConfig, StalledFlowDetector};
 use std::any::Any;
+use telemetry::Json;
 
 /// Trait adapter over [`StalledFlowDetector`].
 #[derive(Debug)]
@@ -58,6 +59,14 @@ impl Detector for StalledEngine {
             observed: ctx.packets,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        self.inner.export_state()
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        self.inner.import_state(state, "stalled")
     }
 
     fn as_any(&self) -> &dyn Any {

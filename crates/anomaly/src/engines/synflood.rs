@@ -14,6 +14,7 @@ use crate::epoch::EpochSynFloodDetector;
 use crate::metrics::DetectorMetrics;
 use crate::synflood::SynFloodConfig;
 use std::any::Any;
+use telemetry::Json;
 
 /// Trait adapter over [`EpochSynFloodDetector`].
 #[derive(Debug)]
@@ -72,6 +73,14 @@ impl Detector for SynFloodEngine {
             observed: ctx.syns,
             fired,
         })
+    }
+
+    fn export_state(&self) -> Json {
+        self.inner.export_state()
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        self.inner.import_state(state, "synflood")
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -25,9 +25,11 @@
 
 use crate::alerts::Alert;
 use crate::metrics::{Check, DetectorMetrics};
+use crate::state::{alerts_json, req_alerts, restore_window, window_json};
 use crate::synflood::{SynFloodConfig, KIND_SYN};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
+use telemetry::json::{jopt, obj, opt_u64, req, Json};
 
 /// SYN-flood detector driven by per-interval merged aggregates.
 #[derive(Debug)]
@@ -130,6 +132,37 @@ impl EpochSynFloodDetector {
     #[must_use]
     pub fn rate_stats(&self) -> &stat4_core::running::RunningStats {
         self.syn_rate.stats()
+    }
+
+    /// The rate window, the alert stream so far, and the metrics.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        obj(vec![
+            ("syn_rate", window_json(&self.syn_rate)),
+            ("alerts", alerts_json(&self.alerts)),
+            ("detected_at", jopt(self.detected_at)),
+            ("metrics", self.metrics.export_state()),
+        ])
+    }
+
+    /// Reloads [`Self::export_state`]'s form into a detector built
+    /// from the same config.
+    ///
+    /// # Errors
+    ///
+    /// The first member that is missing, mistyped or inconsistent,
+    /// with its path under `path`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
+        restore_window(
+            &mut self.syn_rate,
+            req(state, "syn_rate", path)?,
+            &format!("{path}.syn_rate"),
+        )?;
+        self.alerts = req_alerts(state, "alerts", path)?;
+        self.detected_at = opt_u64(state, "detected_at", path)?;
+        self.metrics =
+            DetectorMetrics::import_state(req(state, "metrics", path)?, &format!("{path}.metrics"))?;
+        Ok(())
     }
 }
 

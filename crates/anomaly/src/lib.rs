@@ -40,6 +40,7 @@ pub mod metrics;
 pub mod polling;
 pub mod shift;
 pub mod stalled;
+mod state;
 pub mod synflood;
 
 pub use alerts::Alert;

@@ -14,6 +14,7 @@
 //! counted per check (`rate` / `share`) every time.
 
 use stat4_core::{Mergeable, Stat4Result};
+use telemetry::json::{jopt, ju, obj, opt_u64, req, req_bool, req_u64, Json};
 use telemetry::{Counter, LogLinearHistogram, Snapshot};
 
 /// Which Stat4 check raised an alert.
@@ -101,6 +102,41 @@ impl DetectorMetrics {
         self.episode_start
     }
 
+    /// Counters, the delay histogram and the open episode as JSON —
+    /// the part of a detector's state that is bookkeeping rather than
+    /// statistics, checkpointed with it so a resumed run's telemetry
+    /// equals an uninterrupted run's.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        obj(vec![
+            ("rate_fires", ju(self.rate_fires.get())),
+            ("share_fires", ju(self.share_fires.get())),
+            ("detection_delay", self.detection_delay.export_state()),
+            ("episode_start", jopt(self.episode_start)),
+            ("episode_alerted", Json::Bool(self.episode_alerted)),
+        ])
+    }
+
+    /// Reads back [`Self::export_state`]'s form; `path` names `state`
+    /// in error messages.
+    ///
+    /// # Errors
+    ///
+    /// A missing or mistyped member, or a histogram that does not add
+    /// up.
+    pub fn import_state(state: &Json, path: &str) -> Result<Self, String> {
+        let mut m = Self::new();
+        m.rate_fires.add(req_u64(state, "rate_fires", path)?);
+        m.share_fires.add(req_u64(state, "share_fires", path)?);
+        m.detection_delay.import_state(
+            req(state, "detection_delay", path)?,
+            &format!("{path}.detection_delay"),
+        )?;
+        m.episode_start = opt_u64(state, "episode_start", path)?;
+        m.episode_alerted = req_bool(state, "episode_alerted", path)?;
+        Ok(m)
+    }
+
     /// Exports the standard detector families into `snap`, labelled
     /// with `detector="<name>"`.
     pub fn export(&self, snap: &mut Snapshot, detector: &str) {
@@ -167,6 +203,24 @@ mod tests {
         m.fired(Check::Rate, 10);
         assert_eq!(m.rate_fires.get(), 1);
         assert!(m.detection_delay.is_empty());
+    }
+
+    #[test]
+    fn state_round_trips_mid_episode() {
+        let mut m = DetectorMetrics::new();
+        m.signal(100, true);
+        m.fired(Check::Rate, 300);
+        m.signal(400, false);
+        m.signal(500, true); // open, not yet alerted
+        let back = DetectorMetrics::import_state(&m.export_state(), "$").unwrap();
+        assert_eq!(back, m);
+        let mut a = m.clone();
+        let mut b = back;
+        a.fired(Check::Share, 700);
+        b.fired(Check::Share, 700);
+        assert_eq!(a, b, "the open episode's delay sample lands identically");
+        let err = DetectorMetrics::import_state(&Json::Null, "$.metrics").unwrap_err();
+        assert!(err.starts_with("$.metrics"), "{err}");
     }
 
     #[test]

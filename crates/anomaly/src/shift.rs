@@ -17,8 +17,10 @@
 //! machinery the paper already has.
 
 use crate::alerts::Alert;
-use stat4_core::percentile::{PercentileTracker, Quantile};
+use crate::state::{alerts_json, req_alerts, restore_window, window_json};
+use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
+use telemetry::json::{jopt, ju, jus, obj, opt_u64, req, req_sparse_u64, req_u64, sparse_u64, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +146,70 @@ impl PercentileShiftDetector {
     #[must_use]
     pub fn estimate(&self) -> Option<i64> {
         self.tracker.estimate()
+    }
+
+    /// The inner tracker (populated cells as `[index, count]` pairs,
+    /// the marker's walk position verbatim), the movement window, the
+    /// open interval's tallies, and the alerts. `last_moves` always
+    /// equals the marker's move count and is not written.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        let set = self.tracker.as_set();
+        let m = set.export_markers()[0];
+        obj(vec![
+            ("cells", sparse_u64(set.counts())),
+            ("total", ju(set.total())),
+            ("marker_pos", m.pos.map_or(Json::Null, jus)),
+            ("marker_low", ju(m.low)),
+            ("marker_high", ju(m.high)),
+            ("marker_moves", ju(m.moves)),
+            ("moves_window", window_json(&self.moves_window)),
+            ("moves_in_interval", ju(self.moves_in_interval)),
+            ("pkts_in_interval", ju(self.pkts_in_interval)),
+            ("current_interval", jopt(self.current_interval)),
+            ("alerts", alerts_json(&self.alerts)),
+            ("detected_at", jopt(self.detected_at)),
+        ])
+    }
+
+    /// Reloads [`Self::export_state`]'s form into a detector built
+    /// from the same config.
+    ///
+    /// # Errors
+    ///
+    /// The first member that is missing, mistyped or inconsistent
+    /// (a cell outside the domain, masses that do not add up), with
+    /// its path under `path`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
+        let cells = self.tracker.as_set().counts().len();
+        let counts = req_sparse_u64(state, "cells", path, cells)?;
+        let q = self.cfg.quantile;
+        let marker = MarkerRaw {
+            low_weight: q.low_weight(),
+            high_weight: q.high_weight(),
+            pos: opt_u64(state, "marker_pos", path)?
+                .map(|p| usize::try_from(p).map_err(|_| format!("{path}: \"marker_pos\" overflows usize")))
+                .transpose()?,
+            low: req_u64(state, "marker_low", path)?,
+            high: req_u64(state, "marker_high", path)?,
+            moves: req_u64(state, "marker_moves", path)?,
+        };
+        self.tracker
+            .restore(counts, req_u64(state, "total", path)?, marker)
+            .map_err(|e| format!("{path}: {e}"))?;
+        restore_window(
+            &mut self.moves_window,
+            req(state, "moves_window", path)?,
+            &format!("{path}.moves_window"),
+        )?;
+        // `observe` keeps this equal to the marker's own count.
+        self.last_moves = marker.moves;
+        self.moves_in_interval = req_u64(state, "moves_in_interval", path)?;
+        self.pkts_in_interval = req_u64(state, "pkts_in_interval", path)?;
+        self.current_interval = opt_u64(state, "current_interval", path)?;
+        self.alerts = req_alerts(state, "alerts", path)?;
+        self.detected_at = opt_u64(state, "detected_at", path)?;
+        Ok(())
     }
 }
 

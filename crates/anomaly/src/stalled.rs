@@ -8,7 +8,9 @@
 //! the mirror image of the spike check (`N·x < Xsum − k·σ(NX)`).
 
 use crate::alerts::Alert;
+use crate::state::{alerts_json, req_alerts, restore_window, window_json};
 use stat4_core::window::WindowedDist;
+use telemetry::json::{jopt, obj, opt_u64, req, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -138,6 +140,32 @@ impl StalledFlowDetector {
     #[must_use]
     pub fn stats(&self) -> &stat4_core::running::RunningStats {
         self.window.stats()
+    }
+
+    /// The activity window, the interval it is in, and the alerts.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        obj(vec![
+            ("window", window_json(&self.window)),
+            ("current_interval", jopt(self.current_interval)),
+            ("alerts", alerts_json(&self.alerts)),
+            ("detected_at", jopt(self.detected_at)),
+        ])
+    }
+
+    /// Reloads [`Self::export_state`]'s form into a detector built
+    /// from the same config.
+    ///
+    /// # Errors
+    ///
+    /// The first member that is missing, mistyped or inconsistent,
+    /// with its path under `path`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
+        restore_window(&mut self.window, req(state, "window", path)?, &format!("{path}.window"))?;
+        self.current_interval = opt_u64(state, "current_interval", path)?;
+        self.alerts = req_alerts(state, "alerts", path)?;
+        self.detected_at = opt_u64(state, "detected_at", path)?;
+        Ok(())
     }
 }
 

@@ -3,8 +3,8 @@
 //! At a configurable epoch cadence the coordinator serializes its full
 //! deterministic state — the per-shard tracker sets (via the raw
 //! export/import constructors in `stat4-core`), the supervisor's
-//! degraded-mode bookkeeping, the delivered-signal log the detection
-//! ensemble replays on resume, alert provenance verbatim, and the
+//! degraded-mode bookkeeping, the detection ensemble's and drilldown
+//! ladder's exported state, alert provenance verbatim, and the
 //! lifecycle generation plus the optional data-plane shadow registers —
 //! into one versioned JSON document guarded by an FNV-1a 64 checksum.
 //!
@@ -21,26 +21,33 @@
 //! ordinal first and returns the first checkpoint whose magic, version
 //! and checksum all validate, reporting every rejected file — a torn
 //! or rotted newest checkpoint falls back to its predecessor instead
-//! of wedging recovery.
+//! of wedging recovery. [`load_latest_with`] adds a caller's own check
+//! to that rule, which is how resume also falls back past a file whose
+//! bytes are intact but whose state no detector could have exported.
 //!
-//! **Why a signal log instead of serialized engines.** The detection
-//! ensemble and the drilldown ladder are path-dependent objects with
-//! private state spread over eight engines. Rather than chase every
-//! field, the checkpoint stores the exact per-interval inputs they
-//! observed ([`ContextEntry`]); [`Checkpoint::rebuild_detection`]
-//! replays them (with any committed weight overrides re-applied at
-//! their original positions) through fresh instances. Detection is a
-//! pure function of that input sequence, so the rebuilt state — engine
-//! internals, fired log, metrics, ladder phase — is bit-identical to
-//! the state at checkpoint time.
+//! **Every detector owns its export.** A checkpoint does not know what
+//! is inside an engine: [`anomaly::Ensemble::export_state`] and
+//! [`anomaly::ScoreDrilldown::export_state`] hand over JSON values,
+//! the payload carries them as the `ensemble` and `drill` members, and
+//! [`Checkpoint::rebuild_detection`] hands them back to fresh
+//! instances built from the run's config. The cost of a checkpoint is
+//! therefore the size of the state, not the length of the run: every
+//! member is bounded by configuration except `provenance`, the
+//! ensemble's `fired_log` and the lifted detectors' `alerts`, which
+//! are the run's output and grow with alerts raised, and `incidents`,
+//! which grows with shards lost.
+//!
+//! **The checksum covers the payload bytes as written.** [`serialize`]
+//! renders the payload once, hashes those bytes and splices them after
+//! the header; [`parse`] hashes the byte span the `payload` member
+//! occupies in the file before it interprets any field. Neither side
+//! renders a second time, and a reader never trusts its own renderer
+//! to reproduce what a writer wrote.
 
 use crate::provenance::AlertProvenanceRecord;
-use crate::snapshot::{
-    ju, jus, obj, opt_u64, parse_record, record_json, req, req_arr, req_i64, req_str, req_u64,
-    req_usize,
-};
+use crate::snapshot::{parse_record, record_json};
 use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
-use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SignalValues};
+use anomaly::{Ensemble, ScoreDrilldown};
 use faultinject::{CkptCorruption, FaultSchedule};
 use p4sim::PipelineState;
 use stat4_core::freq::FrequencyDist;
@@ -50,13 +57,17 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::render;
+use telemetry::json::{
+    ju, jus, obj, opt_u64, render, req, req_arr, req_i64, req_str, req_u64, req_usize,
+};
 use telemetry::Json;
 
 /// First bytes of every checkpoint document.
 pub const MAGIC: &str = "stat4-replay-ckpt";
-/// Current checkpoint format version; parsers reject anything newer.
-pub const VERSION: u64 = 1;
+/// Current checkpoint format version; parsers reject anything else.
+/// Version 1 stored the log of every interval the detectors had seen
+/// and replayed it on resume; version 2 stores the detectors' state.
+pub const VERSION: u64 = 2;
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -190,38 +201,6 @@ impl ShardStateRaw {
     }
 }
 
-/// One delivered epoch report: everything the detection ensemble read
-/// for that interval. The scalar signals plus the two merged trackers
-/// the [`SignalContext`] borrows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContextEntry {
-    /// The scalar signal values.
-    pub signals: SignalValues,
-    /// Merged kind-distribution domain minimum at that epoch.
-    pub kinds_min: i64,
-    /// Merged kind-distribution counts at that epoch.
-    pub kinds_counts: Vec<u64>,
-    /// Merged length-moment `N`.
-    pub len_n: u64,
-    /// Merged length-moment `Xsum`.
-    pub len_xsum: i64,
-    /// Merged length-moment `Xsumsq`.
-    pub len_xsumsq: i64,
-}
-
-/// A committed ensemble weight override, positioned by how many epoch
-/// reports the ensemble had observed when it was applied — replaying
-/// the log applies it at exactly the same point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OverrideEntry {
-    /// Ensemble observations made before this override took effect.
-    pub after_observes: u64,
-    /// Engine name.
-    pub engine: String,
-    /// Q16 weight, or `None` to restore the engine's own weight.
-    pub weight: Option<i64>,
-}
-
 /// Everything needed to continue a replay bit-identically from an
 /// epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,11 +247,11 @@ pub struct Checkpoint {
     pub shards: Vec<Option<ShardStateRaw>>,
     /// Every quarantine incident so far, in occurrence order.
     pub incidents: Vec<ShardIncident>,
-    /// Every delivered epoch report, in delivery order — the ensemble
-    /// warm-replay log.
-    pub context_log: Vec<ContextEntry>,
-    /// Committed weight overrides, in commit order.
-    pub overrides: Vec<OverrideEntry>,
+    /// [`Ensemble::export_state`] at the drain point: engine states,
+    /// metrics, fire counts, weight overrides, the fired log.
+    pub ensemble: Json,
+    /// [`ScoreDrilldown::export_state`] at the drain point.
+    pub drill: Json,
     /// Alert provenance records, restored verbatim.
     pub provenance: Vec<AlertProvenanceRecord>,
     /// Reconfiguration generation at the checkpoint.
@@ -285,52 +264,21 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Rebuilds the detection ensemble and the drilldown ladder by
-    /// replaying the delivered-signal log (with committed weight
-    /// overrides re-applied at their original positions) through fresh
-    /// instances. Returns the pair plus the restored override layer.
-    #[must_use]
-    pub fn rebuild_detection(&self, cfg: &ReplayConfig) -> (Ensemble, ScoreDrilldown) {
+    /// Rebuilds the detection ensemble and the drilldown ladder: fresh
+    /// instances from `cfg`, loaded with the exported state. Constant
+    /// in run length.
+    ///
+    /// # Errors
+    ///
+    /// What [`Ensemble::import_state`] or
+    /// [`ScoreDrilldown::import_state`] rejects: state that no
+    /// detector built from `cfg` could have exported.
+    pub fn rebuild_detection(&self, cfg: &ReplayConfig) -> Result<(Ensemble, ScoreDrilldown), String> {
         let mut ensemble = build_ensemble(cfg);
+        ensemble.import_state(&self.ensemble)?;
         let mut drill = ScoreDrilldown::new(cfg.ensemble.trigger);
-        let mut next_override = 0usize;
-        for (i, entry) in self.context_log.iter().enumerate() {
-            while let Some(o) = self.overrides.get(next_override) {
-                if o.after_observes as usize > i {
-                    break;
-                }
-                let _ = ensemble.set_weight_override(&o.engine, o.weight);
-                next_override += 1;
-            }
-            let kinds = FrequencyDist::from_raw_counts(entry.kinds_min, entry.kinds_counts.clone())
-                .expect("validated kind log entry");
-            let len_stats =
-                RunningStats::from_raw(entry.len_n, entry.len_xsum, entry.len_xsumsq);
-            let s = &entry.signals;
-            let ctx = SignalContext {
-                at: s.at,
-                epoch: s.epoch,
-                interval_ns: s.interval_ns,
-                spanned: s.spanned,
-                packets: s.packets,
-                syns: s.syns,
-                len_sum: s.len_sum,
-                distinct_sources: s.distinct_sources,
-                median_len: s.median_len,
-                kinds: &kinds,
-                len_stats: &len_stats,
-            };
-            let verdict = ensemble.observe(&ctx);
-            // The ladder's phase/generation/quiet counters advance on
-            // every verdict; the outcome itself was recorded in the
-            // provenance log at first firing, which resumes verbatim.
-            let _ = drill.observe(&verdict);
-        }
-        while let Some(o) = self.overrides.get(next_override) {
-            let _ = ensemble.set_weight_override(&o.engine, o.weight);
-            next_override += 1;
-        }
-        (ensemble, drill)
+        drill.import_state(&self.drill)?;
+        Ok((ensemble, drill))
     }
 }
 
@@ -338,24 +286,6 @@ impl Checkpoint {
 
 fn jb(v: bool) -> Json {
     Json::Bool(v)
-}
-
-fn jopt_i64(v: Option<i64>) -> Json {
-    v.map_or(Json::Null, Json::Int)
-}
-
-fn signals_json(s: &SignalValues) -> Json {
-    obj(vec![
-        ("at", ju(s.at)),
-        ("epoch", ju(s.epoch)),
-        ("interval_ns", ju(s.interval_ns)),
-        ("spanned", Json::Int(s.spanned)),
-        ("packets", Json::Int(s.packets)),
-        ("syns", Json::Int(s.syns)),
-        ("len_sum", Json::Int(s.len_sum)),
-        ("distinct_sources", Json::Int(s.distinct_sources)),
-        ("median_len", Json::Int(s.median_len)),
-    ])
 }
 
 fn u64_arr(v: &[u64]) -> Json {
@@ -477,39 +407,8 @@ fn payload_json(c: &Checkpoint) -> Json {
             "incidents",
             Json::Arr(c.incidents.iter().map(incident_json).collect()),
         ),
-        (
-            "context_log",
-            Json::Arr(
-                c.context_log
-                    .iter()
-                    .map(|e| {
-                        obj(vec![
-                            ("signals", signals_json(&e.signals)),
-                            ("kinds_min", Json::Int(e.kinds_min)),
-                            ("kinds_counts", u64_arr(&e.kinds_counts)),
-                            ("len_n", ju(e.len_n)),
-                            ("len_xsum", Json::Int(e.len_xsum)),
-                            ("len_xsumsq", Json::Int(e.len_xsumsq)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "overrides",
-            Json::Arr(
-                c.overrides
-                    .iter()
-                    .map(|o| {
-                        obj(vec![
-                            ("after_observes", ju(o.after_observes)),
-                            ("engine", Json::Str(o.engine.clone())),
-                            ("weight", jopt_i64(o.weight)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("ensemble", c.ensemble.clone()),
+        ("drill", c.drill.clone()),
         (
             "provenance",
             Json::Arr(c.provenance.iter().map(record_json).collect()),
@@ -524,35 +423,19 @@ fn payload_json(c: &Checkpoint) -> Json {
 }
 
 /// Serializes a checkpoint into its on-disk document: magic, version,
-/// checksum over the canonical payload rendering, then the payload.
+/// checksum, then the payload. The payload is rendered once; the
+/// checksum is taken over those bytes and they are spliced in as
+/// written.
 #[must_use]
 pub fn serialize(c: &Checkpoint) -> String {
-    let payload = payload_json(c);
-    let body = render(&payload);
+    let body = render(&payload_json(c));
     let sum = fnv1a64(body.as_bytes());
-    render(&obj(vec![
-        ("magic", Json::Str(MAGIC.to_string())),
-        ("version", ju(VERSION)),
-        ("checksum", Json::Str(format!("{sum:016x}"))),
-        ("payload", payload),
-    ]))
+    format!(
+        "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"checksum\":\"{sum:016x}\",\"payload\":{body}}}"
+    )
 }
 
 // ---- parse ----------------------------------------------------------
-
-fn parse_signals(v: &Json, path: &str) -> Result<SignalValues, String> {
-    Ok(SignalValues {
-        at: req_u64(v, "at", path)?,
-        epoch: req_u64(v, "epoch", path)?,
-        interval_ns: req_u64(v, "interval_ns", path)?,
-        spanned: req_i64(v, "spanned", path)?,
-        packets: req_i64(v, "packets", path)?,
-        syns: req_i64(v, "syns", path)?,
-        len_sum: req_i64(v, "len_sum", path)?,
-        distinct_sources: req_i64(v, "distinct_sources", path)?,
-        median_len: req_i64(v, "median_len", path)?,
-    })
-}
 
 fn req_u64_arr(v: &Json, key: &str, path: &str) -> Result<Vec<u64>, String> {
     req_arr(v, key, path)?
@@ -653,15 +536,16 @@ fn parse_pipeline(v: &Json, path: &str) -> Result<PipelineState, String> {
 }
 
 /// Parses a checkpoint document, validating magic, version and
-/// checksum before any field is interpreted.
+/// checksum before any field is interpreted. The checksum is taken
+/// over the bytes the `payload` member occupies in `text`.
 ///
 /// # Errors
 ///
-/// A description of the first structural problem: bad magic, an
-/// unsupported version, a checksum mismatch (the torn-write signal), or
-/// a missing/mistyped field with its path.
+/// A description of the first structural problem: bad magic, a version
+/// this build does not read (older or newer), a checksum mismatch (the
+/// torn-write signal), or a missing/mistyped field with its path.
 pub fn parse(text: &str) -> Result<Checkpoint, String> {
-    let doc = Json::parse(text)?;
+    let (doc, spans) = Json::parse_with_member_spans(text)?;
     let magic = req_str(&doc, "magic", "$")?;
     if magic != MAGIC {
         return Err(format!("not a checkpoint: magic {magic:?}"));
@@ -672,9 +556,21 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
             "checkpoint version {version} is newer than supported {VERSION}"
         ));
     }
+    if version < VERSION {
+        return Err(format!(
+            "checkpoint version {version} was written before detector-state checkpoints \
+             (version {VERSION}); re-run from the start"
+        ));
+    }
     let want = req_str(&doc, "checksum", "$")?;
-    let payload = req(&doc, "payload", "$")?;
-    let got = format!("{:016x}", fnv1a64(render(payload).as_bytes()));
+    let members = doc.as_obj().unwrap_or(&[]);
+    let (payload, span) = members
+        .iter()
+        .zip(&spans)
+        .find(|((key, _), _)| key == "payload")
+        .map(|((_, value), span)| (value, span.clone()))
+        .ok_or_else(|| String::from("$: missing \"payload\""))?;
+    let got = format!("{:016x}", fnv1a64(&text.as_bytes()[span]));
     if got != want {
         return Err(format!(
             "checksum mismatch: payload hashes to {got}, header says {want}"
@@ -706,42 +602,6 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         .enumerate()
         .map(|(i, v)| parse_incident(v, &format!("{pp}.incidents[{i}]")))
         .collect::<Result<Vec<_>, _>>()?;
-    let context_log = req_arr(p, "context_log", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let ep = format!("{pp}.context_log[{i}]");
-            Ok(ContextEntry {
-                signals: parse_signals(req(e, "signals", &ep)?, &format!("{ep}.signals"))?,
-                kinds_min: req_i64(e, "kinds_min", &ep)?,
-                kinds_counts: req_u64_arr(e, "kinds_counts", &ep)?,
-                len_n: req_u64(e, "len_n", &ep)?,
-                len_xsum: req_i64(e, "len_xsum", &ep)?,
-                len_xsumsq: req_i64(e, "len_xsumsq", &ep)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let overrides = req_arr(p, "overrides", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, o)| {
-            let op = format!("{pp}.overrides[{i}]");
-            let w = req(o, "weight", &op)?;
-            let weight = if w.is_null() {
-                None
-            } else {
-                Some(
-                    w.as_i64()
-                        .ok_or_else(|| format!("{op}: \"weight\" is neither null nor an integer"))?,
-                )
-            };
-            Ok(OverrideEntry {
-                after_observes: req_u64(o, "after_observes", &op)?,
-                engine: req_str(o, "engine", &op)?,
-                weight,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     let provenance = req_arr(p, "provenance", pp)?
         .iter()
         .enumerate()
@@ -774,8 +634,8 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         alive,
         shards,
         incidents,
-        context_log,
-        overrides,
+        ensemble: req(p, "ensemble", pp)?.clone(),
+        drill: req(p, "drill", pp)?.clone(),
         provenance,
         generation: req_u64(p, "generation", pp)?,
         swaps_committed: req_u64(p, "swaps_committed", pp)?,
@@ -805,10 +665,26 @@ pub fn write_checkpoint(
     c: &Checkpoint,
     faults: &FaultSchedule,
 ) -> Result<PathBuf, String> {
+    write_serialized(dir, c.checkpoint_ordinal, serialize(c), faults)
+}
+
+/// [`write_checkpoint`] from the [`serialize`]d `document` of
+/// checkpoint `ordinal` on — for a caller that times or sizes the
+/// serialization apart from the disk work.
+///
+/// # Errors
+///
+/// Any I/O failure, labelled with the path it hit.
+pub fn write_serialized(
+    dir: &Path,
+    ordinal: u64,
+    document: String,
+    faults: &FaultSchedule,
+) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-    let mut bytes = serialize(c).into_bytes();
-    match faults.ckpt_corruption(c.checkpoint_ordinal) {
+    let mut bytes = document.into_bytes();
+    match faults.ckpt_corruption(ordinal) {
         Some(CkptCorruption::Truncate { keep }) => {
             let keep = usize::try_from(keep).unwrap_or(usize::MAX).min(bytes.len());
             bytes.truncate(keep);
@@ -819,8 +695,8 @@ pub fn write_checkpoint(
         }
         _ => {}
     }
-    let final_path = dir.join(file_name(c.checkpoint_ordinal));
-    let tmp_path = dir.join(format!(".tmp-{}", file_name(c.checkpoint_ordinal)));
+    let final_path = dir.join(file_name(ordinal));
+    let tmp_path = dir.join(format!(".tmp-{}", file_name(ordinal)));
     {
         let mut f = std::fs::File::create(&tmp_path)
             .map_err(|e| format!("cannot create {}: {e}", tmp_path.display()))?;
@@ -852,6 +728,22 @@ pub fn write_checkpoint(
 ///
 /// When the directory is unreadable or no checkpoint in it validates.
 pub fn load_latest(dir: &Path) -> Result<(Checkpoint, Vec<String>), String> {
+    load_latest_with(dir, |_| Ok(())).map(|(c, (), rejected)| (c, rejected))
+}
+
+/// [`load_latest`] with one more condition on "validates": `accept`
+/// must also take the parsed checkpoint, and what it makes of it (the
+/// restored state, typically) is returned alongside. A file that
+/// parses but that `accept` refuses joins the rejected trail like a
+/// torn one, and the scan moves on to its predecessor.
+///
+/// # Errors
+///
+/// When the directory is unreadable or no checkpoint in it validates.
+pub fn load_latest_with<T>(
+    dir: &Path,
+    mut accept: impl FnMut(&Checkpoint) -> Result<T, String>,
+) -> Result<(Checkpoint, T, Vec<String>), String> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read checkpoint dir {}: {e}", dir.display()))?;
     let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
@@ -875,9 +767,10 @@ pub fn load_latest(dir: &Path) -> Result<(Checkpoint, Vec<String>), String> {
     for (_, path) in &candidates {
         let attempt = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| parse(&text));
+            .and_then(|text| parse(&text))
+            .and_then(|c| accept(&c).map(|made| (c, made)));
         match attempt {
-            Ok(c) => return Ok((c, rejected)),
+            Ok((c, made)) => return Ok((c, made, rejected)),
             Err(e) => rejected.push(format!("{}: {e}", path.display())),
         }
     }
@@ -902,6 +795,31 @@ mod tests {
             s.ingest(&frame);
         }
         s
+    }
+
+    /// An ensemble a few intervals into a run, with a committed weight
+    /// override.
+    fn sample_ensemble() -> Ensemble {
+        let cfg = ReplayConfig::default();
+        let mut ensemble = build_ensemble(&cfg);
+        ensemble.set_weight_override("cusum", Some(0)).unwrap();
+        let s = sample_state();
+        for epoch in 0..3u64 {
+            ensemble.observe(&anomaly::SignalContext {
+                at: (epoch + 1) * 10_000_000,
+                epoch,
+                interval_ns: 10_000_000,
+                spanned: 1,
+                packets: 200,
+                syns: 10,
+                len_sum: 12_000,
+                distinct_sources: 40,
+                median_len: 60,
+                kinds: &s.kinds,
+                len_stats: &s.len_stats,
+            });
+        }
+        ensemble
     }
 
     fn sample_checkpoint() -> Checkpoint {
@@ -931,29 +849,8 @@ mod tests {
                 epoch: 4,
                 kind: IncidentKind::Panicked(String::from("injected fault")),
             }],
-            context_log: vec![ContextEntry {
-                signals: SignalValues {
-                    at: 10_000_000,
-                    epoch: 0,
-                    interval_ns: 10_000_000,
-                    spanned: 1,
-                    packets: 200,
-                    syns: 10,
-                    len_sum: 12_000,
-                    distinct_sources: 40,
-                    median_len: 60,
-                },
-                kinds_min: 0,
-                kinds_counts: vec![100, 50, 30, 10, 10],
-                len_n: 200,
-                len_xsum: 12_000,
-                len_xsumsq: 800_000,
-            }],
-            overrides: vec![OverrideEntry {
-                after_observes: 1,
-                engine: String::from("cusum"),
-                weight: Some(0),
-            }],
+            ensemble: sample_ensemble().export_state(),
+            drill: ScoreDrilldown::new(ReplayConfig::default().ensemble.trigger).export_state(),
             provenance: Vec::new(),
             generation: 2,
             swaps_committed: 2,
@@ -1000,11 +897,46 @@ mod tests {
     }
 
     #[test]
-    fn newer_versions_are_refused() {
+    fn other_versions_are_refused_in_both_directions() {
         let text = serialize(&sample_checkpoint());
-        let bumped = text.replace("\"version\":1", "\"version\":999");
-        let err = parse(&bumped).unwrap_err();
+        let current = format!("\"version\":{VERSION}");
+        assert!(text.contains(&current));
+        let err = parse(&text.replace(&current, "\"version\":999")).unwrap_err();
         assert!(err.contains("newer than supported"), "{err}");
+        for old in [0, 1] {
+            let err = parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap_err();
+            assert!(
+                err.contains("before detector-state checkpoints") && err.contains("re-run"),
+                "version {old}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_is_over_the_payload_bytes_as_written() {
+        let text = serialize(&sample_checkpoint());
+        // The same payload value spelled with other bytes (a space the
+        // renderer never writes) is a different file: nothing on the
+        // read side renders the payload back into canonical form.
+        let spaced = text.replacen("\"payload\":{", "\"payload\":{ ", 1);
+        assert!(parse(&spaced).unwrap_err().contains("checksum mismatch"));
+        // Bytes outside the payload's span are not covered by it.
+        let padded = text.replacen("\"payload\":{", "\"payload\": {", 1);
+        assert_eq!(parse(&padded).unwrap(), sample_checkpoint());
+    }
+
+    #[test]
+    fn rebuild_imports_the_exported_detection_state() {
+        let cfg = ReplayConfig::default();
+        let c = sample_checkpoint();
+        let (ensemble, drill) = c.rebuild_detection(&cfg).expect("own export imports");
+        assert_eq!(ensemble.export_state(), c.ensemble);
+        assert_eq!(drill.export_state(), c.drill);
+        assert_eq!(ensemble.summaries(), sample_ensemble().summaries());
+
+        let mut bad = c.clone();
+        bad.drill = Json::Null;
+        assert!(bad.rebuild_detection(&cfg).unwrap_err().contains("drilldown"));
     }
 
     #[test]
@@ -1026,6 +958,37 @@ mod tests {
         assert_eq!(loaded, good);
         assert_eq!(rejected.len(), 1);
         assert!(rejected[0].contains("ckpt-000004"), "{rejected:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loader_falls_back_past_an_old_format_and_a_refused_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("stat4-ckpt-old-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = FaultSchedule::none();
+        let good = sample_checkpoint();
+        write_checkpoint(&dir, &good, &faults).unwrap();
+        // #4: intact, but the caller's own check refuses it.
+        let mut refused = good.clone();
+        refused.checkpoint_ordinal = 4;
+        refused.drill = Json::Null;
+        write_checkpoint(&dir, &refused, &faults).unwrap();
+        // #5: a file a version-1 build left behind.
+        let v1 = serialize(&good).replace(&format!("\"version\":{VERSION}"), "\"version\":1");
+        std::fs::write(dir.join(file_name(5)), v1).unwrap();
+
+        let (loaded, rejected) = load_latest(&dir).expect("plain load takes #4");
+        assert_eq!(loaded, refused);
+        assert_eq!(rejected.len(), 1);
+        assert!(rejected[0].contains("ckpt-000005") && rejected[0].contains("re-run"), "{rejected:?}");
+
+        let cfg = ReplayConfig::default();
+        let (loaded, (ensemble, _), rejected) =
+            load_latest_with(&dir, |c| c.rebuild_detection(&cfg)).expect("fallback to #3");
+        assert_eq!(loaded, good);
+        assert_eq!(ensemble.export_state(), good.ensemble);
+        assert_eq!(rejected.len(), 2);
+        assert!(rejected[1].contains("ckpt-000004") && rejected[1].contains("drilldown"), "{rejected:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -833,11 +833,12 @@ pub fn run_replay_lifecycle(
 ///
 /// Loads the newest valid checkpoint from `plan.checkpoint_dir`
 /// (falling back past torn or corrupted files, which the checksum
-/// rejects), validates it against `cfg` and `schedule`, rebuilds the
+/// rejects, and past intact files whose state does not restore),
+/// validates it against `cfg` and `schedule`, rebuilds the
 /// coordinator — shard trackers through their raw constructors, the
-/// detection ensemble and drilldown ladder by replaying the
-/// checkpoint's delivered-signal log, provenance verbatim — and runs
-/// the remaining epochs. The fault schedule is reparsed from the
+/// detection ensemble and drilldown ladder by importing the state
+/// they exported, provenance verbatim — and runs the remaining
+/// epochs. The fault schedule is reparsed from the
 /// spec/seed stored in the checkpoint, so injected chaos continues
 /// exactly where it left off; the completed run's [`RunSnapshot`] is
 /// bit-identical to an uninterrupted run's (`tests/lifecycle.rs`).
@@ -850,8 +851,11 @@ pub fn run_replay_lifecycle(
 ///   with the schedule's length;
 /// - the stored fault spec no longer parses;
 /// - the checkpoint carries data-plane register state but the plan
-///   supplies no `initial_program` to restore it into;
-/// - a stored shard state fails its tracker-geometry validation.
+///   supplies no `initial_program` to restore it into.
+///
+/// A stored shard or detector state that fails validation is not an
+/// error by itself: that checkpoint joins the fallback trail
+/// (`checkpoint_fallback` events) and its predecessor is tried.
 pub fn resume_from_checkpoint(
     schedule: &Schedule,
     cfg: &ReplayConfig,
@@ -861,7 +865,22 @@ pub fn resume_from_checkpoint(
         .checkpoint_dir
         .as_deref()
         .ok_or_else(|| String::from("resume requires a checkpoint directory in the plan"))?;
-    let (c, fallbacks) = ckpt::load_latest(dir)?;
+    // A checkpoint is input from disk: it counts as loaded only once
+    // every shard and every detector has taken its state back.
+    let (c, (states, ensemble, drill), fallbacks) = ckpt::load_latest_with(dir, |c| {
+        let states = c
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, raw)| {
+                raw.as_ref()
+                    .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let (ensemble, drill) = c.rebuild_detection(cfg)?;
+        Ok((states, ensemble, drill))
+    })?;
     if c.cfg_shards != cfg.shards || c.cfg_batch != cfg.batch {
         return Err(format!(
             "checkpoint was taken with shards={}, batch={}; run configured with shards={}, \
@@ -888,16 +907,6 @@ pub fn resume_from_checkpoint(
         FaultSchedule::parse(&c.faults_spec, c.fault_seed)
             .map_err(|e| format!("stored fault spec {:?}: {e}", c.faults_spec))?
     };
-    let states = c
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(s, raw)| {
-            raw.as_ref()
-                .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
-                .transpose()
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     let shadow = match (&c.pipeline, &plan.initial_program) {
         (Some(state), Some(program)) => {
             let mut p = program.clone();
@@ -913,7 +922,6 @@ pub fn resume_from_checkpoint(
         }
         (None, p) => p.clone(),
     };
-    let (ensemble, drill) = c.rebuild_detection(cfg);
     // Checkpoints written after this resume embed the stored spec, not
     // whatever the caller had in the plan.
     let mut plan = plan.clone();
@@ -935,8 +943,6 @@ pub fn resume_from_checkpoint(
         incidents: c.incidents.clone(),
         ensemble,
         drill,
-        context_log: c.context_log.clone(),
-        overrides: c.overrides.clone(),
         provenance: c.provenance.clone(),
         generation: c.generation,
         swaps_committed: c.swaps_committed,

@@ -39,14 +39,12 @@
 //! snapshot surface: recovery must be able to prove bit-identity of
 //! the outcome, so lifecycle chatter gets its own document.
 
-use crate::ckpt::{ContextEntry, OverrideEntry};
 use crate::provenance::AlertProvenanceRecord;
-use crate::snapshot::{obj, opt_u64, req_arr, req_str, req_u64};
 use crate::{ShardIncident, ShardState};
 use anomaly::{Ensemble, ScoreDrilldown};
 use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOptions};
 use std::path::PathBuf;
-use telemetry::json::render;
+use telemetry::json::{obj, opt_u64, render, req_arr, req_str, req_u64};
 use telemetry::Json;
 
 /// Symbolic budgets for in-line swap vetting — same reduced settings
@@ -231,21 +229,7 @@ pub(crate) fn vet_swap(
             req.expected_generation, generation
         ));
     }
-    let engines: Vec<&'static str> = ensemble
-        .weight_overrides()
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect();
-    for (name, weight) in &req.weights {
-        if !engines.iter().any(|e| e == name) {
-            return Err(format!("weight override names unknown engine {name:?}"));
-        }
-        if let Some(w) = weight {
-            if *w < 0 {
-                return Err(format!("weight override for {name:?} is negative ({w})"));
-            }
-        }
-    }
+    ensemble.check_weight_overrides(&req.weights)?;
     let opts = vet_options();
     let mut parts: Vec<String> = Vec::new();
     let mut next: Option<Pipeline> = None;
@@ -361,8 +345,6 @@ pub(crate) struct ResumeState {
     pub(crate) incidents: Vec<ShardIncident>,
     pub(crate) ensemble: Ensemble,
     pub(crate) drill: ScoreDrilldown,
-    pub(crate) context_log: Vec<ContextEntry>,
-    pub(crate) overrides: Vec<OverrideEntry>,
     pub(crate) provenance: Vec<AlertProvenanceRecord>,
     pub(crate) generation: u64,
     pub(crate) swaps_committed: u64,
@@ -396,8 +378,6 @@ impl ResumeState {
             incidents: Vec::new(),
             ensemble: crate::build_ensemble(cfg),
             drill: ScoreDrilldown::new(cfg.ensemble.trigger),
-            context_log: Vec::new(),
-            overrides: Vec::new(),
             provenance: Vec::new(),
             generation: 0,
             swaps_committed: 0,
@@ -416,9 +396,10 @@ impl ResumeState {
 pub struct LifecycleEvent {
     /// Epoch ordinal (index into the run's interval sequence).
     pub epoch: u64,
-    /// Stable machine tag: `checkpoint_written`, `checkpoint_fallback`,
-    /// `killed`, `swap_committed`, `swap_rejected`,
-    /// `stale_swap_rejected`, `resumed`, `shed_level`.
+    /// Stable machine tag: `checkpoint_written`, `checkpoint_error`,
+    /// `checkpoint_fallback`, `killed`, `swap_committed`,
+    /// `swap_rejected`, `stale_swap_rejected`, `swap_error`, `resumed`,
+    /// `shed_level`.
     pub kind: String,
     /// Human-readable specifics.
     pub detail: String,
@@ -442,6 +423,10 @@ pub struct LifecycleReport {
     /// Swap requests rejected this run (vet failures + stale
     /// duplicates).
     pub swaps_rejected: u64,
+    /// Swap requests that passed vetting and then could not be
+    /// applied — vetting and commit disagree, which is a bug in one of
+    /// them; the request was not committed.
+    pub swap_errors: u64,
     /// Checkpoint ordinal this run resumed from, if it did.
     pub resumed_from: Option<u64>,
 }
@@ -492,6 +477,10 @@ impl LifecycleReport {
                 Json::Int(i64::try_from(self.swaps_rejected).unwrap_or(i64::MAX)),
             ),
             (
+                "swap_errors",
+                Json::Int(i64::try_from(self.swap_errors).unwrap_or(i64::MAX)),
+            ),
+            (
                 "resumed_from",
                 self.resumed_from.map_or(Json::Null, |o| {
                     Json::Int(i64::try_from(o).unwrap_or(i64::MAX))
@@ -525,6 +514,7 @@ impl LifecycleReport {
             checkpoints_written: req_u64(&doc, "checkpoints_written", "$")?,
             swaps_committed: req_u64(&doc, "swaps_committed", "$")?,
             swaps_rejected: req_u64(&doc, "swaps_rejected", "$")?,
+            swap_errors: req_u64(&doc, "swap_errors", "$")?,
             resumed_from: opt_u64(&doc, "resumed_from", "$")?,
         })
     }
@@ -581,6 +571,7 @@ mod tests {
             checkpoints_written: 3,
             swaps_committed: 1,
             swaps_rejected: 2,
+            swap_errors: 1,
             resumed_from: Some(1),
             ..LifecycleReport::default()
         };

@@ -329,6 +329,9 @@ fn print_lifecycle(report: &LifecycleReport) {
             "checkpoint_error" => {
                 println!("lifecycle: checkpoint error at epoch {}: {}", ev.epoch, ev.detail)
             }
+            "swap_error" => {
+                println!("lifecycle: SWAP ERROR at epoch {}: {}", ev.epoch, ev.detail)
+            }
             _ => {}
         }
     }

@@ -176,6 +176,12 @@ pub struct ReplayTelemetry {
     pub checkpoints_written: Counter,
     /// Time serializing and durably writing each checkpoint, ns.
     pub ckpt_write_ns: LogLinearHistogram,
+    /// The serializing share of `ckpt_write_ns` (state export and the
+    /// one render), ns — apart from the disk, so a codec change and a
+    /// slow disk do not look the same.
+    pub ckpt_serialize_ns: LogLinearHistogram,
+    /// Size of each checkpoint document, bytes.
+    pub ckpt_bytes: LogLinearHistogram,
     /// Drain-point reconfiguration requests committed.
     pub swaps_committed: Counter,
     /// Drain-point reconfiguration requests rejected (vet failures and
@@ -230,6 +236,8 @@ impl ReplayTelemetry {
             queue_capacity: 0,
             checkpoints_written: Counter::new(),
             ckpt_write_ns: LogLinearHistogram::default(),
+            ckpt_serialize_ns: LogLinearHistogram::default(),
+            ckpt_bytes: LogLinearHistogram::default(),
             swaps_committed: Counter::new(),
             swaps_rejected: Counter::new(),
             telemetry_shed: Counter::new(),
@@ -478,6 +486,18 @@ impl ReplayTelemetry {
             &[],
             &self.ckpt_write_ns,
         );
+        snap.push_histogram(
+            "replay_ckpt_serialize_ns",
+            "state export and render share of each checkpoint write",
+            &[],
+            &self.ckpt_serialize_ns,
+        );
+        snap.push_histogram(
+            "replay_ckpt_bytes",
+            "size of each checkpoint document",
+            &[],
+            &self.ckpt_bytes,
+        );
         snap.push_counter(
             "replay_swaps_committed_total",
             "drain-point reconfiguration requests committed",
@@ -627,6 +647,8 @@ mod tests {
         let mut t = ReplayTelemetry::new(1);
         t.checkpoints_written.add(2);
         t.ckpt_write_ns.record(40_000);
+        t.ckpt_serialize_ns.record(9_000);
+        t.ckpt_bytes.record(110_000);
         t.swaps_committed.inc();
         t.swaps_rejected.add(3);
         t.telemetry_shed.add(5);
@@ -636,7 +658,9 @@ mod tests {
         assert_eq!(snap.counter_sum("replay_swaps_rejected_total"), 3);
         assert_eq!(snap.counter_sum("replay_telemetry_shed_epochs_total"), 5);
         let text = telemetry::render_prometheus(&snap);
-        assert!(text.contains("replay_ckpt_write_ns"));
+        for family in ["replay_ckpt_write_ns", "replay_ckpt_serialize_ns", "replay_ckpt_bytes"] {
+            assert!(text.contains(&format!("{family}_count 1")), "{family} missing: {text}");
+        }
         telemetry::check_prometheus(&text).expect("valid exposition");
     }
 

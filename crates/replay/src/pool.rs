@@ -45,14 +45,14 @@
 //! `tests/pool.rs` and `tests/pool_teardown.rs` hold the engine to
 //! bit-identical outcomes and leak-free teardown.
 
-use crate::ckpt::{self, Checkpoint, ContextEntry, OverrideEntry, ShardStateRaw};
+use crate::ckpt::{self, Checkpoint, ShardStateRaw};
 use crate::lifecycle::{self, LifecyclePlan, LifecycleReport, ResumeState};
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
     merge_surviving_entries, next_alive, panic_message, EnsembleReport, IncidentKind, ReplayConfig,
     ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardState,
 };
-use anomaly::{SignalContext, SignalValues, SynFloodEngine};
+use anomaly::{SignalContext, SynFloodEngine};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use p4sim::Pipeline;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -279,12 +279,6 @@ pub(crate) fn run(
     let mut shadow: Option<Pipeline> = r.shadow.or_else(|| plan.initial_program.clone());
     let mut generation: u64 = r.generation;
     let mut swaps_committed_total: u64 = r.swaps_committed;
-    // The ensemble warm-replay log: kept only when checkpoints can be
-    // written (it is checkpoint payload, nothing else reads it).
-    let collect_log = plan.checkpoint_dir.is_some();
-    let mut context_log: Vec<ContextEntry> = r.context_log;
-    let mut overrides: Vec<OverrideEntry> = r.overrides;
-    let mut observes: u64 = context_log.len() as u64;
     let mut shed = lifecycle::ShedController::new(plan.shed);
     let mut report = LifecycleReport::default();
     if let Some(from) = r.resumed_from {
@@ -402,26 +396,43 @@ pub(crate) fn run(
                                 .map(|s| s.as_ref().map(ShardStateRaw::of))
                                 .collect(),
                             incidents: incidents.clone(),
-                            context_log: context_log.clone(),
-                            overrides: overrides.clone(),
+                            ensemble: ensemble.export_state(),
+                            drill: drill.export_state(),
                             provenance: provenance.clone(),
                             generation,
                             swaps_committed: swaps_committed_total,
                             pipeline: shadow.as_ref().map(Pipeline::export_state),
                         };
-                        match ckpt::write_checkpoint(dir, &c, faults) {
+                        let document = ckpt::serialize(&c);
+                        let (bytes, serialize_ns) = (document.len() as u64, elapsed_ns(t0));
+                        let written =
+                            ckpt::write_serialized(dir, c.checkpoint_ordinal, document, faults);
+                        let write_ns = elapsed_ns(t0);
+                        match written {
                             Ok(path) => {
                                 telemetry.checkpoints_written.inc();
                                 report.checkpoints_written += 1;
                                 report.push(
                                     k64,
                                     "checkpoint_written",
-                                    format!("{} (resumes at ordinal {k})", path.display()),
+                                    format!(
+                                        "{} ({bytes} bytes, serialized in {} us, on disk after \
+                                         {} us; resumes at ordinal {k})",
+                                        path.display(),
+                                        serialize_ns / 1_000,
+                                        write_ns / 1_000,
+                                    ),
                                 );
                             }
                             Err(e) => report.push(k64, "checkpoint_error", e),
                         }
-                        telemetry.ckpt_write_ns.record(elapsed_ns(t0));
+                        // One sample each per checkpoint: the codec's
+                        // share (export + render) apart from the
+                        // total, which the two fsyncs dominate on a
+                        // slow disk.
+                        telemetry.ckpt_serialize_ns.record(serialize_ns);
+                        telemetry.ckpt_bytes.record(bytes);
+                        telemetry.ckpt_write_ns.record(write_ns);
                         next_ckpt_ordinal += 1;
                     }
                 }
@@ -444,16 +455,22 @@ pub(crate) fn run(
                 for req in plan.swaps.iter().filter(|s| s.at_epoch == k64) {
                     match lifecycle::vet_swap(req, generation, shadow.as_ref(), &ensemble) {
                         Ok(vetted) => {
+                            // `vet_swap` ran the same check, so a
+                            // refusal here means vetting and commit
+                            // disagree. Nothing has changed yet (the
+                            // overrides are all-or-nothing and go
+                            // first): say so loudly, commit nothing.
+                            if let Err(e) = ensemble.set_weight_overrides(&req.weights) {
+                                report.swap_errors += 1;
+                                report.push(
+                                    k64,
+                                    "swap_error",
+                                    format!("vetted swap could not be applied, not committed: {e}"),
+                                );
+                                continue;
+                            }
                             if let Some(next) = vetted.shadow {
                                 shadow = Some(next);
-                            }
-                            for (name, w) in &req.weights {
-                                let _ = ensemble.set_weight_override(name, *w);
-                                overrides.push(OverrideEntry {
-                                    after_observes: observes,
-                                    engine: name.clone(),
-                                    weight: *w,
-                                });
                             }
                             generation += 1;
                             swaps_committed_total += 1;
@@ -756,20 +773,6 @@ pub(crate) fn run(
                         kinds: &merged.kinds,
                         len_stats: &merged.len_stats,
                     };
-                    // The warm-replay log records exactly what the
-                    // ensemble just observed: the scalar signals plus
-                    // the two merged trackers the context borrows.
-                    if collect_log {
-                        context_log.push(ContextEntry {
-                            signals: SignalValues::capture(&ctx),
-                            kinds_min: merged.kinds.min_value(),
-                            kinds_counts: merged.kinds.counts().to_vec(),
-                            len_n: merged.len_stats.n(),
-                            len_xsum: merged.len_stats.xsum(),
-                            len_xsumsq: merged.len_stats.xsumsq(),
-                        });
-                    }
-                    observes += 1;
                     let verdict = ensemble.observe(&ctx);
                     any_fired = !verdict.fired.is_empty();
                     if let Some(outcome) = drill.observe(&verdict) {

@@ -16,7 +16,10 @@ use anomaly::{
     Alert, AlertProvenance, DetectionResult, EngineAtFire, RebindTransaction, SignalValues,
     TriggerCause,
 };
-use telemetry::json::render;
+use telemetry::json::{
+    jopt, js, ju, jus, obj, opt_u64, render, req, req_arr, req_bool, req_i64, req_str, req_u64,
+    req_usize,
+};
 use telemetry::Json;
 
 /// One alert flattened to `(kind, at, value)` — enough to reconstruct
@@ -33,34 +36,7 @@ pub struct AlertSnap {
 
 impl AlertSnap {
     fn of(a: &Alert) -> Self {
-        let (kind, at, value) = match a {
-            Alert::TrafficSpike { at, interval_count } => (
-                "traffic_spike",
-                *at,
-                i64::try_from(*interval_count).unwrap_or(i64::MAX),
-            ),
-            Alert::TrafficImbalance { at, group } => (
-                "traffic_imbalance",
-                *at,
-                i64::try_from(*group).unwrap_or(i64::MAX),
-            ),
-            Alert::Pinpointed { at, dest } => {
-                ("pinpointed", *at, i64::from(u32::from(*dest)))
-            }
-            Alert::SynFlood { at, syn_count } => (
-                "syn_flood",
-                *at,
-                i64::try_from(*syn_count).unwrap_or(i64::MAX),
-            ),
-            Alert::ActivityDrop { at, interval_value } => {
-                ("activity_drop", *at, *interval_value)
-            }
-            Alert::CompositionDrift { at, kind } => (
-                "composition_drift",
-                *at,
-                i64::try_from(*kind).unwrap_or(i64::MAX),
-            ),
-        };
+        let (kind, at, value) = a.flatten();
         Self {
             kind: kind.to_string(),
             at,
@@ -225,26 +201,6 @@ impl RunSnapshot {
 }
 
 // ---- render ---------------------------------------------------------
-
-pub(crate) fn ju(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-pub(crate) fn jus(v: usize) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-pub(crate) fn js(v: &str) -> Json {
-    Json::Str(v.to_string())
-}
-
-pub(crate) fn jopt(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, ju)
-}
-
-pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
 
 fn cause_json(c: &TriggerCause) -> Json {
     match c {
@@ -463,58 +419,6 @@ pub fn render_snapshot_json(s: &RunSnapshot) -> String {
 }
 
 // ---- parse ----------------------------------------------------------
-
-pub(crate) fn req<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a Json, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{path}: missing \"{key}\""))
-}
-
-pub(crate) fn req_u64(v: &Json, key: &str, path: &str) -> Result<u64, String> {
-    req(v, key, path)?
-        .as_u64()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
-}
-
-pub(crate) fn req_usize(v: &Json, key: &str, path: &str) -> Result<usize, String> {
-    usize::try_from(req_u64(v, key, path)?)
-        .map_err(|_| format!("{path}: \"{key}\" overflows usize"))
-}
-
-pub(crate) fn req_i64(v: &Json, key: &str, path: &str) -> Result<i64, String> {
-    req(v, key, path)?
-        .as_i64()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not an integer"))
-}
-
-pub(crate) fn req_str(v: &Json, key: &str, path: &str) -> Result<String, String> {
-    Ok(req(v, key, path)?
-        .as_str()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a string"))?
-        .to_string())
-}
-
-fn req_bool(v: &Json, key: &str, path: &str) -> Result<bool, String> {
-    req(v, key, path)?
-        .as_bool()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a boolean"))
-}
-
-pub(crate) fn req_arr<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a [Json], String> {
-    req(v, key, path)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not an array"))
-}
-
-pub(crate) fn opt_u64(v: &Json, key: &str, path: &str) -> Result<Option<u64>, String> {
-    let field = req(v, key, path)?;
-    if field.is_null() {
-        return Ok(None);
-    }
-    field
-        .as_u64()
-        .map(Some)
-        .ok_or_else(|| format!("{path}: \"{key}\" is neither null nor a non-negative integer"))
-}
 
 fn parse_cause(v: &Json, path: &str) -> Result<TriggerCause, String> {
     match req_str(v, "kind", path)?.as_str() {

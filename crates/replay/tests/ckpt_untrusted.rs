@@ -1,0 +1,242 @@
+//! A checkpoint file is untrusted input. Whatever bytes are in it,
+//! `parse` → `ShardStateRaw::restore` → `rebuild_detection` never
+//! panics, a document that is accepted is the document that was
+//! written, and a file whose checksum is right but whose detector
+//! state no detector could have exported is a counted fallback on
+//! resume, not a crash and not a silently different run.
+
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
+use faultinject::FaultSchedule;
+use replay::ckpt::{self, Checkpoint};
+use replay::{
+    render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan, ReplayConfig,
+};
+use telemetry::Json;
+use workloads::{Schedule, SynFloodWorkload};
+
+const CHAOS: &str = "shard_crash=1@3,ctrl_loss=0.30";
+const SEED: u64 = 7;
+
+fn flood() -> Schedule {
+    let (s, _) = SynFloodWorkload {
+        background_cps: 500,
+        flood_pps: 20_000,
+        flood_start: 150_000_000,
+        duration: 400_000_000,
+        seed: 11,
+        ..SynFloodWorkload::default()
+    }
+    .generate();
+    s
+}
+
+fn cfg() -> ReplayConfig {
+    ReplayConfig {
+        shards: 2,
+        ..ReplayConfig::default()
+    }
+}
+
+fn plan(dir: &Path, kill_at_epoch: Option<u64>) -> LifecyclePlan {
+    LifecyclePlan {
+        checkpoint_dir: Some(dir.to_path_buf()),
+        checkpoint_every: 2,
+        kill_at_epoch,
+        faults_spec: String::from(CHAOS),
+        ..LifecyclePlan::none()
+    }
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("replay-untrusted-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A chaos run killed at epoch `kill_at`, leaving its checkpoints
+/// (#0 at epoch 2, #1 at epoch 4, ...) in `dir`.
+fn killed_run(dir: &Path, kill_at: u64) {
+    let faults = FaultSchedule::parse(CHAOS, SEED).unwrap();
+    let (_, report) = run_replay_lifecycle(&flood(), &cfg(), &faults, &plan(dir, Some(kill_at)));
+    assert_eq!(report.checkpoints_written, kill_at / 2);
+}
+
+/// The newest checkpoint a real chaos run wrote, as bytes and parsed —
+/// late enough that detectors have fired and provenance exists.
+fn real_checkpoint() -> &'static (String, Checkpoint) {
+    static REAL: OnceLock<(String, Checkpoint)> = OnceLock::new();
+    REAL.get_or_init(|| {
+        let dir = fresh_dir("corpus");
+        killed_run(&dir, 31);
+        let text = std::fs::read_to_string(dir.join(ckpt::file_name(14))).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let parsed = ckpt::parse(&text).expect("a freshly written checkpoint parses");
+        assert!(
+            !parsed.provenance.is_empty(),
+            "corpus checkpoint predates the first alert"
+        );
+        (text, parsed)
+    })
+}
+
+/// Pushes `bytes` through everything resume does with a file's
+/// content. Returns whether the document was accepted.
+fn digest(bytes: &[u8]) -> bool {
+    let (_, original) = real_checkpoint();
+    // `load_latest` reads with `read_to_string`, which refuses invalid
+    // UTF-8 before the parser runs. The lossy form lets the parser
+    // see that damage instead of being spared it.
+    let lossy = String::from_utf8_lossy(bytes);
+    let Ok(c) = ckpt::parse(&lossy) else {
+        return false;
+    };
+    assert_eq!(
+        &c, original,
+        "an accepted document is the one that was written"
+    );
+    for shard in c.shards.iter().flatten() {
+        shard.restore().expect("the written shard state restores");
+    }
+    c.rebuild_detection(&cfg())
+        .expect("the written detection state imports");
+    true
+}
+
+#[test]
+fn the_written_document_is_accepted() {
+    assert!(digest(real_checkpoint().0.as_bytes()));
+}
+
+/// Truncation at every byte of the first and last KiB (the header,
+/// the start of the payload, the closing braces) and at every 97th
+/// byte between: a torn write is rejected wherever it tears.
+#[test]
+fn no_prefix_of_a_checkpoint_is_accepted() {
+    let text = real_checkpoint().0.as_bytes();
+    let dense = 1024.min(text.len() / 2);
+    let cuts = (0..dense)
+        .chain((dense..text.len() - dense).step_by(97))
+        .chain(text.len() - dense..text.len());
+    for cut in cuts {
+        assert!(!digest(&text[..cut]), "the {cut}-byte prefix was accepted");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_are_rejected_without_a_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        at in 0usize..1_000_000,
+    ) {
+        prop_assert!(!digest(&bytes));
+        // The same garbage over a window of the real document.
+        let mut doc = real_checkpoint().0.clone().into_bytes();
+        let at = at % doc.len();
+        let end = (at + bytes.len()).min(doc.len());
+        let before = doc[at..end].to_vec();
+        doc[at..end].copy_from_slice(&bytes[..end - at]);
+        prop_assert!(!digest(&doc) || doc[at..end] == before[..]);
+    }
+
+    #[test]
+    fn a_single_flipped_bit_is_never_absorbed(at in 0usize..1_000_000, bit in 0u32..8) {
+        let mut doc = real_checkpoint().0.clone().into_bytes();
+        let at = at % doc.len();
+        doc[at] ^= 1 << bit;
+        // Accepted or not, `digest` has already held it to the
+        // original; a flip inside the payload can never be accepted.
+        let accepted = digest(&doc);
+        let payload_from = real_checkpoint().0.find("\"payload\":").unwrap() + "\"payload\":".len();
+        prop_assert!(!(accepted && at >= payload_from && at < doc.len() - 1));
+    }
+}
+
+/// `v[path[0]][path[1]]...`, members by key and array items by decimal
+/// index.
+fn at<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(v, |v, step| match v {
+        Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == step).expect(step).1,
+        Json::Arr(items) => &mut items[step.parse::<usize>().expect(step)],
+        other => panic!("{step}: cannot index {other:?}"),
+    })
+}
+
+/// The semantic half: the bytes are intact (`serialize` seals the
+/// tampered checkpoint with a correct checksum), the state is not.
+/// `rebuild_detection` refuses it, and a resume that finds such a file
+/// newest falls back to its predecessor, says so, and still finishes
+/// byte-identical to the uninterrupted run.
+#[test]
+fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
+    type Tamper = fn(&mut Json);
+    let cases: [(&str, Tamper); 5] = [
+        ("wrong ring length", |e| {
+            match at(e, &["engines", "0", "state", "syn_rate", "ring"]) {
+                Json::Arr(ring) => {
+                    ring.pop();
+                }
+                _ => unreachable!(),
+            }
+        }),
+        ("season phase >= season_len", |e| {
+            *at(e, &["engines", "4", "state", "phase"]) = Json::Int(16);
+        }),
+        ("negative count", |e| {
+            *at(e, &["engines", "6", "state", "1", "count"]) = Json::Int(-2);
+        }),
+        ("unknown engine name", |e| {
+            *at(e, &["engines", "7", "name"]) = Json::Str("entropy".into());
+        }),
+        ("missing engine", |e| match at(e, &["engines"]) {
+            Json::Arr(engines) => {
+                engines.remove(2);
+            }
+            _ => unreachable!(),
+        }),
+    ];
+
+    let s = flood();
+    let faults = FaultSchedule::parse(CHAOS, SEED).unwrap();
+    let (full, _) = run_replay_lifecycle(&s, &cfg(), &faults, &LifecyclePlan::none());
+    let full = render_outcome_json(&full);
+
+    for (i, (what, tamper)) in cases.into_iter().enumerate() {
+        let dir = fresh_dir(&format!("semantic-{i}"));
+        killed_run(&dir, 9); // checkpoints #0..#3; #3 resumes at epoch 8
+        let newest = dir.join(ckpt::file_name(3));
+        let mut c = ckpt::parse(&std::fs::read_to_string(&newest).unwrap()).unwrap();
+        c.rebuild_detection(&cfg())
+            .expect("the untampered checkpoint rebuilds");
+        tamper(&mut c.ensemble);
+        let sealed = ckpt::serialize(&c);
+        assert_eq!(
+            ckpt::parse(&sealed).expect("the checksum is valid"),
+            c,
+            "{what}"
+        );
+        let err = c.rebuild_detection(&cfg()).expect_err(what);
+        std::fs::write(&newest, sealed).unwrap();
+
+        let (resumed, report) = resume_from_checkpoint(&s, &cfg(), &plan(&dir, None))
+            .unwrap_or_else(|e| panic!("{what}: resume failed instead of falling back: {e}"));
+        assert_eq!(report.resumed_from, Some(2), "{what}");
+        let fallback = report
+            .events
+            .iter()
+            .find(|e| e.kind == "checkpoint_fallback")
+            .unwrap_or_else(|| panic!("{what}: no checkpoint_fallback in {:?}", report.events));
+        assert!(
+            fallback.detail.contains("ckpt-000003") && fallback.detail.contains(&err),
+            "{what}: {}",
+            fallback.detail
+        );
+        assert_eq!(render_outcome_json(&resumed), full, "{what}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

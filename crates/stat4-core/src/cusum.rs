@@ -24,6 +24,7 @@
 //! division *at the controller*, never in the data plane, matching the
 //! paper's division of labour).
 
+use crate::error::{Stat4Error, Stat4Result};
 use crate::running::RunningStats;
 use serde::{Deserialize, Serialize};
 
@@ -94,6 +95,24 @@ impl CusumDetector {
     /// Resets the accumulated statistic (not the calibration).
     pub fn reset(&mut self) {
         self.s = 0;
+    }
+
+    /// Reloads the accumulated statistic exported by
+    /// [`Self::statistic`] (the calibration and alarm count are public
+    /// fields).
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::InvalidState`] for a negative statistic, which
+    /// [`Self::observe`] can never leave behind.
+    pub fn restore_statistic(&mut self, s: i64) -> Stat4Result<()> {
+        if s < 0 {
+            return Err(Stat4Error::InvalidState {
+                what: "negative CUSUM statistic",
+            });
+        }
+        self.s = s;
+        Ok(())
     }
 }
 
@@ -252,5 +271,22 @@ mod tests {
                 prop_assert!(!c.observe(50 + 5 + d));
             }
         }
+    }
+
+    #[test]
+    fn restored_statistic_continues_the_same_walk() {
+        let mut live = CusumDetector::new(10, 1, 20);
+        for x in [12, 15, 9, 14] {
+            live.observe(x);
+        }
+        let mut back = CusumDetector::new(10, 1, 20);
+        back.alarms = live.alarms;
+        back.restore_statistic(live.statistic()).unwrap();
+        assert_eq!(back, live);
+        for x in [18, 30, 11] {
+            assert_eq!(back.observe(x), live.observe(x));
+        }
+        assert_eq!(back, live);
+        assert!(back.restore_statistic(-1).is_err());
     }
 }

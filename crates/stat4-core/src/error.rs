@@ -48,6 +48,12 @@ pub enum Stat4Error {
         /// Which configuration aspect differed.
         what: &'static str,
     },
+    /// Raw state handed to a `restore` (a checkpoint import) breaks an
+    /// invariant the live tracker maintains.
+    InvalidState {
+        /// Which invariant the raw state breaks.
+        what: &'static str,
+    },
 }
 
 /// Convenience alias used throughout the crate.
@@ -74,6 +80,7 @@ impl fmt::Display for Stat4Error {
             Stat4Error::MergeMismatch { what } => {
                 write!(f, "cannot merge trackers with different {what}")
             }
+            Stat4Error::InvalidState { what } => write!(f, "inconsistent raw state: {what}"),
         }
     }
 }

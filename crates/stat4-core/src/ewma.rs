@@ -102,6 +102,13 @@ impl Ewma {
         (x - avg).abs() > (avg >> band_shift.min(63)).abs()
     }
 
+    /// Reloads the accumulator exported by [`Self::raw`] and
+    /// [`Self::is_seeded`], keeping the configured shift.
+    pub fn restore(&mut self, acc: i64, seeded: bool) {
+        self.acc = acc;
+        self.seeded = seeded;
+    }
+
     /// Resets to the unseeded state.
     pub fn reset(&mut self) {
         self.acc = 0;
@@ -233,5 +240,19 @@ mod tests {
             let diff = (e.value() as f64 - f).abs();
             prop_assert!(diff <= 2.0, "fixed {} float {f}", e.value());
         }
+    }
+
+    #[test]
+    fn restored_accumulator_continues_the_same_average() {
+        let mut live = Ewma::new(3);
+        for x in [100, 140, 90] {
+            live.update(x);
+        }
+        let mut back = Ewma::new(3);
+        back.restore(live.raw(), live.is_seeded());
+        assert_eq!(back, live);
+        back.update(77);
+        live.update(77);
+        assert_eq!(back, live);
     }
 }

@@ -158,6 +158,59 @@ impl HoltWinters {
         })
     }
 
+    /// Every per-phase seasonal offset (Q16), phase 0 first.
+    #[must_use]
+    pub fn seasons_q16(&self) -> &[i64] {
+        &self.season_q16
+    }
+
+    /// Raw values buffered so far for the seeding season (a full
+    /// season's worth once seeded).
+    #[must_use]
+    pub fn seed_values(&self) -> &[i64] {
+        &self.seed_buf
+    }
+
+    /// Phase of the next observation.
+    #[must_use]
+    pub fn phase(&self) -> usize {
+        self.phase
+    }
+
+    /// Reloads learned state exported through the accessors above (and
+    /// [`Self::level_q16`] / [`Self::trend_q16`]) from a smoother of
+    /// the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::InvalidState`] if there is not one offset per
+    /// phase, the seed buffer is longer than a season, or the phase is
+    /// not inside the season; `self` is left untouched.
+    pub fn restore(
+        &mut self,
+        level_q16: i64,
+        trend_q16: i64,
+        season_q16: Vec<i64>,
+        seed_buf: Vec<i64>,
+        phase: usize,
+    ) -> Stat4Result<()> {
+        let what = if season_q16.len() != self.season_len {
+            "seasonal offsets do not match the season length"
+        } else if seed_buf.len() > self.season_len {
+            "seed buffer longer than a season"
+        } else if phase >= self.season_len {
+            "season phase outside the season"
+        } else {
+            self.level_q16 = level_q16;
+            self.trend_q16 = trend_q16;
+            self.season_q16 = season_q16;
+            self.seed_buf = seed_buf;
+            self.phase = phase;
+            return Ok(());
+        };
+        Err(Stat4Error::InvalidState { what })
+    }
+
     /// Drops all learned state, keeping the configuration.
     pub fn reset(&mut self) {
         self.level_q16 = 0;
@@ -342,5 +395,40 @@ mod tests {
                 prop_assert_eq!(rebuilt, v << 16);
             }
         }
+    }
+
+    #[test]
+    fn restore_is_exact_mid_seed_and_mid_season() {
+        for fed in [0usize, 3, 4, 11] {
+            let mut live = HoltWinters::new(4, 2, 4, 2).unwrap();
+            for i in 0..fed {
+                live.observe(100 + (i as i64 * 37) % 50);
+            }
+            let mut back = HoltWinters::new(4, 2, 4, 2).unwrap();
+            back.restore(
+                live.level_q16(),
+                live.trend_q16(),
+                live.seasons_q16().to_vec(),
+                live.seed_values().to_vec(),
+                live.phase(),
+            )
+            .unwrap();
+            assert_eq!(back, live, "after {fed} observations");
+            for x in [120, 90, 140, 101, 99] {
+                assert_eq!(back.observe(x), live.observe(x));
+            }
+            assert_eq!(back, live);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_state_outside_the_season() {
+        let fresh = HoltWinters::new(4, 2, 4, 2).unwrap();
+        let mut hw = fresh.clone();
+        let invalid = |r: Stat4Result<()>| matches!(r, Err(Stat4Error::InvalidState { .. }));
+        assert!(invalid(hw.restore(0, 0, vec![0; 3], vec![], 0)));
+        assert!(invalid(hw.restore(0, 0, vec![0; 4], vec![1; 5], 0)));
+        assert!(invalid(hw.restore(0, 0, vec![0; 4], vec![1; 4], 4)));
+        assert_eq!(hw, fresh, "a failed restore changes nothing");
     }
 }

@@ -649,6 +649,37 @@ impl PercentileTracker {
     pub fn as_set(&self) -> &PercentileSet {
         &self.set
     }
+
+    /// Reloads counters and the marker's walk position exported from a
+    /// tracker of the same domain and quantile (through
+    /// [`Self::as_set`]: `counts`, `total`, `export_markers`), with the
+    /// mass invariants a checkpoint import cannot take on trust.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`PercentileSet::from_raw`] rejects, plus
+    /// [`Stat4Error::InvalidState`] when the marker tracks another
+    /// quantile, the counters do not add up to `total`, or the masses
+    /// around the marker do not; `self` is left untouched.
+    pub fn restore(&mut self, counts: Vec<u64>, total: u64, marker: MarkerRaw) -> Stat4Result<()> {
+        let tracked = self.set.quantile(0).map(|q| (q.low_weight(), q.high_weight()));
+        let sum: u128 = counts.iter().map(|&c| u128::from(c)).sum();
+        let around = marker.pos.and_then(|p| counts.get(p)).map_or(0, |&at| {
+            u128::from(marker.low) + u128::from(at) + u128::from(marker.high)
+        });
+        let what = if tracked != Some((marker.low_weight, marker.high_weight)) {
+            "marker tracks a different quantile"
+        } else if sum != u128::from(total) {
+            "percentile counters do not add up to the total"
+        } else if around != u128::from(total) {
+            "masses around the marker do not add up to the total"
+        } else {
+            let (min, max) = self.set.domain();
+            self.set = PercentileSet::from_raw(min, max, counts, total, &[marker])?;
+            return Ok(());
+        };
+        Err(Stat4Error::InvalidState { what })
+    }
 }
 
 impl crate::merge::Mergeable for PercentileTracker {
@@ -814,6 +845,38 @@ mod tests {
         )
         .unwrap();
         assert_eq!(restored, s);
+    }
+
+    #[test]
+    fn tracker_restore_is_exact_and_checks_the_masses() {
+        let mut live = PercentileTracker::median(0, 63).unwrap();
+        for v in [5, 9, 9, 40, 41, 12, 9, 63, 0, 33] {
+            live.observe(v).unwrap();
+        }
+        let raw = |t: &PercentileTracker| {
+            let set = t.as_set();
+            (set.counts().to_vec(), set.total(), set.export_markers()[0])
+        };
+        let mut back = PercentileTracker::median(0, 63).unwrap();
+        let (counts, total, marker) = raw(&live);
+        back.restore(counts, total, marker).unwrap();
+        assert_eq!(back, live);
+        for v in [1, 62, 30] {
+            back.observe(v).unwrap();
+            live.observe(v).unwrap();
+        }
+        assert_eq!((back.estimate(), back.moves()), (live.estimate(), live.moves()));
+
+        let (counts, total, marker) = raw(&live);
+        let fresh = PercentileTracker::median(0, 63).unwrap();
+        let mut t = fresh.clone();
+        let invalid = |r: Stat4Result<()>| matches!(r, Err(Stat4Error::InvalidState { .. }));
+        assert!(invalid(t.restore(counts.clone(), total + 1, marker)));
+        assert!(invalid(t.restore(counts.clone(), total, MarkerRaw { low: marker.low + 1, ..marker })));
+        assert!(invalid(t.restore(counts.clone(), total, MarkerRaw { pos: None, ..marker })));
+        assert!(invalid(t.restore(counts.clone(), total, MarkerRaw { low_weight: 9, ..marker })));
+        assert!(t.restore(counts[1..].to_vec(), total - counts[0], marker).is_err());
+        assert_eq!(t, fresh, "a failed restore changes nothing");
     }
 
     #[test]

@@ -143,6 +143,56 @@ impl WindowedDist {
         (0..self.filled).map(move |i| self.ring[(start + i) % cap])
     }
 
+    /// The raw ring slots, in slot order (not age order) — with
+    /// [`Self::head`], [`Self::len`], [`Self::stats`] and
+    /// [`Self::current`] the complete state [`Self::restore`] reloads.
+    #[must_use]
+    pub fn ring(&self) -> &[i64] {
+        &self.ring
+    }
+
+    /// The next slot to be written.
+    #[must_use]
+    pub fn head(&self) -> usize {
+        self.head
+    }
+
+    /// Reloads state exported from a window of the same capacity, as a
+    /// crash-recovery checkpoint does. The moments are taken verbatim
+    /// rather than recomputed from the ring: they saturate, so they
+    /// are a function of the window's whole history.
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::InvalidState`] if the ring is not `capacity()`
+    /// slots, `head` or `filled` point outside it, a part-filled ring
+    /// does not have its head at the fill mark, or the moments count a
+    /// different number of values than the ring holds; `self` is left
+    /// untouched.
+    pub fn restore(
+        &mut self,
+        ring: Vec<i64>,
+        head: usize,
+        filled: usize,
+        stats: RunningStats,
+        current: i64,
+    ) -> Stat4Result<()> {
+        let cap = self.ring.len();
+        let what = if ring.len() != cap {
+            "window ring length differs from the configured capacity"
+        } else if head >= cap || filled > cap {
+            "window head or fill mark outside the ring"
+        } else if filled < cap && head != filled {
+            "part-filled window whose head is not at the fill mark"
+        } else if stats.n() != filled as u64 {
+            "window moments count a different number of values than the ring holds"
+        } else {
+            *self = Self { ring, head, filled, stats, current };
+            return Ok(());
+        };
+        Err(Stat4Error::InvalidState { what })
+    }
+
     /// Clears the window and the open accumulator.
     pub fn reset(&mut self) {
         self.ring.fill(0);
@@ -281,5 +331,45 @@ mod tests {
                 .collect();
             prop_assert_eq!(w.iter().collect::<Vec<_>>(), expect);
         }
+    }
+
+    #[test]
+    fn restore_is_exact_before_and_after_wraparound() {
+        for closes in [0usize, 3, 5, 12] {
+            let mut live = WindowedDist::new(5).unwrap();
+            for i in 0..closes {
+                live.accumulate(10 + (i as i64 * 7) % 13);
+                live.close_interval();
+            }
+            live.accumulate(4);
+            let mut back = WindowedDist::new(5).unwrap();
+            back.restore(live.ring().to_vec(), live.head(), live.len(), live.stats().clone(), live.current())
+                .unwrap();
+            assert_eq!(back, live, "after {closes} closes");
+            for w in [&mut live, &mut back] {
+                w.accumulate(9);
+                w.close_interval();
+            }
+            assert_eq!(back, live);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_state_no_live_window_can_hold() {
+        let mut live = WindowedDist::new(4).unwrap();
+        for v in [1, 2] {
+            live.accumulate(v);
+            live.close_interval();
+        }
+        let stats = live.stats().clone();
+        let fresh = WindowedDist::new(4).unwrap();
+        let mut w = fresh.clone();
+        let invalid = |r: Stat4Result<()>| matches!(r, Err(Stat4Error::InvalidState { .. }));
+        assert!(invalid(w.restore(vec![1, 2, 0], 2, 2, stats.clone(), 0)), "wrong ring length");
+        assert!(invalid(w.restore(vec![1, 2, 0, 0], 4, 2, stats.clone(), 0)), "head outside");
+        assert!(invalid(w.restore(vec![1, 2, 0, 0], 2, 5, stats.clone(), 0)), "overfull");
+        assert!(invalid(w.restore(vec![1, 2, 0, 0], 1, 2, stats.clone(), 0)), "head off the fill mark");
+        assert!(invalid(w.restore(vec![1, 2, 0, 0], 3, 3, stats, 0)), "moments count differs");
+        assert_eq!(w, fresh, "a failed restore changes nothing");
     }
 }

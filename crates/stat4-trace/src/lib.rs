@@ -338,6 +338,7 @@ pub fn lifecycle_story(report: &LifecycleReport) -> String {
             "swap_committed" => format!("swap committed ({})", ev.detail),
             "swap_rejected" => format!("swap REJECTED: {}", ev.detail),
             "stale_swap_rejected" => format!("stale swap rejected: {}", ev.detail),
+            "swap_error" => format!("swap ERROR: {}", ev.detail),
             "shed_level" => format!("telemetry shed level changed ({})", ev.detail),
             other => format!("{other}: {}", ev.detail),
         };
@@ -355,6 +356,13 @@ pub fn lifecycle_story(report: &LifecycleReport) -> String {
             None => String::new(),
         },
     );
+    if report.swap_errors > 0 {
+        let _ = writeln!(
+            out,
+            "  {} vetted swap(s) could NOT be applied: vetting and commit disagree",
+            report.swap_errors
+        );
+    }
     out
 }
 

@@ -111,3 +111,46 @@ fn clean_run_explain_reports_full_lineage() {
         "clean run has no incidents: {story}"
     );
 }
+
+/// The lifecycle view answers "what did each checkpoint cost" from the
+/// report alone: every `checkpoint written` line carries the document
+/// size and the serialize / on-disk times the coordinator measured.
+#[test]
+fn lifecycle_story_shows_each_checkpoints_size_and_cost() {
+    let dir = std::env::temp_dir().join(format!("stat4-trace-ckpt-cost-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = replay::LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 10,
+        ..replay::LifecyclePlan::none()
+    };
+    let cfg = ReplayConfig {
+        shards: 2,
+        ..ReplayConfig::default()
+    };
+    let (out, report) = replay::run_replay_lifecycle(&flood(), &cfg, &FaultSchedule::none(), &plan);
+    assert!(report.checkpoints_written >= 2, "{report:?}");
+
+    let story = stat4_trace::lifecycle_story(
+        &replay::LifecycleReport::parse(&report.to_json()).expect("own rendering parses"),
+    );
+    let lines: Vec<&str> = story.lines().filter(|l| l.contains("checkpoint written")).collect();
+    assert_eq!(lines.len() as u64, report.checkpoints_written, "{story}");
+    for (ordinal, line) in lines.iter().enumerate() {
+        let file = dir.join(replay::ckpt::file_name(ordinal as u64));
+        let bytes = std::fs::metadata(&file).expect("the named file exists").len();
+        assert!(line.contains(&format!("({bytes} bytes, serialized in ")), "{line}");
+        assert!(line.contains(" us, on disk after ") && line.contains(" us; resumes at"), "{line}");
+    }
+
+    // The same two quantities as one-sample-per-checkpoint histograms.
+    let snap = out.telemetry.snapshot();
+    let text = telemetry::render_prometheus(&snap);
+    for family in ["replay_ckpt_serialize_ns", "replay_ckpt_bytes", "replay_ckpt_write_ns"] {
+        assert!(
+            text.contains(&format!("{family}_count {}", report.checkpoints_written)),
+            "{family}: one sample per checkpoint"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -15,22 +15,38 @@ use std::fmt::Write as _;
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_json_string(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a double-quoted JSON string literal. Runs
+/// of bytes that need no escape (the whole string, for every key and
+/// almost every value this repo writes) are copied in one `push_str`;
+/// every byte that does need one is ASCII, so splitting there keeps
+/// the runs valid UTF-8.
+pub(crate) fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
+    out.push('"');
 }
 
 /// Escapes a Prometheus label value (backslash, quote, newline).

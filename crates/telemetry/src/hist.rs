@@ -14,6 +14,7 @@
 //! barriers via [`Mergeable`]: cellwise count addition, which is
 //! bit-identical to single-shard recording for any traffic partition.
 
+use crate::json::{jopt, ju, obj, opt_u64, req_sparse_u64, req_str, req_u64, sparse_u64, Json};
 use stat4_core::isqrt::{log_linear_bucket, log_linear_bucket_count, log_linear_lower_bound};
 use stat4_core::{Mergeable, Stat4Error, Stat4Result};
 
@@ -158,6 +159,58 @@ impl LogLinearHistogram {
     }
 }
 
+impl LogLinearHistogram {
+    /// The full recorded state as JSON: non-empty buckets as
+    /// `[index, count]` pairs plus the four scalars (the `u128` sum as
+    /// a decimal string). [`Self::import_state`] reads it back exactly.
+    #[must_use]
+    pub fn export_state(&self) -> Json {
+        obj(vec![
+            ("buckets", sparse_u64(&self.buckets)),
+            ("count", ju(self.count)),
+            ("sum", Json::Str(self.sum.to_string())),
+            ("min", jopt(self.min())),
+            ("max", jopt(self.max())),
+        ])
+    }
+
+    /// Replaces the recorded state with one written by
+    /// [`Self::export_state`] from a histogram of the same resolution.
+    /// `path` names `state` in error messages.
+    ///
+    /// # Errors
+    ///
+    /// A missing or mistyped member, a bucket index outside this
+    /// histogram, bucket counts that do not add up to `count`, or
+    /// extrema that contradict it; `self` is left untouched.
+    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
+        let buckets = req_sparse_u64(state, "buckets", path, self.buckets.len())?;
+        let total: u128 = buckets.iter().map(|&c| u128::from(c)).sum();
+        let count = req_u64(state, "count", path)?;
+        if total != u128::from(count) {
+            return Err(format!("{path}: buckets hold {total} samples, \"count\" says {count}"));
+        }
+        let sum = req_str(state, "sum", path)?
+            .parse::<u128>()
+            .map_err(|_| format!("{path}: \"sum\" is not a decimal integer"))?;
+        let (min, max) = (opt_u64(state, "min", path)?, opt_u64(state, "max", path)?);
+        let extrema_fit = match (min, max) {
+            (None, None) => count == 0,
+            (Some(lo), Some(hi)) => count > 0 && lo <= hi,
+            _ => false,
+        };
+        if !extrema_fit {
+            return Err(format!("{path}: \"min\"/\"max\" contradict a count of {count}"));
+        }
+        self.buckets = buckets;
+        self.count = count;
+        self.sum = sum;
+        self.min = min.unwrap_or(u64::MAX);
+        self.max = max.unwrap_or(0);
+        Ok(())
+    }
+}
+
 impl Mergeable for LogLinearHistogram {
     /// Cellwise count addition — bit-identical to single-shard
     /// recording of the combined sample stream.
@@ -235,6 +288,36 @@ mod tests {
                 assert_eq!(lo, p + 1, "bucket {idx} not contiguous");
             }
             prev_hi = Some(hi);
+        }
+    }
+
+    #[test]
+    fn state_round_trips_exactly_and_rejects_inconsistency() {
+        let mut h = LogLinearHistogram::default();
+        let empty = h.export_state();
+        for v in [0u64, 7, 7, 10_000_000, u64::MAX / 3] {
+            h.record(v);
+        }
+        let state = h.export_state();
+        let mut back = LogLinearHistogram::default();
+        back.import_state(&state, "$").unwrap();
+        assert_eq!(back, h);
+        assert_eq!(back.export_state(), state);
+        back.import_state(&empty, "$").unwrap();
+        assert_eq!(back, LogLinearHistogram::default());
+
+        let text = crate::json::render(&state);
+        for (from, to) in [
+            ("\"count\":5", "\"count\":6"),
+            ("[0,1]", "[9999,1]"),
+            ("\"min\":0", "\"min\":null"),
+            ("\"sum\":\"", "\"sum\":\"x"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text, "{from} must hit");
+            let err = back.import_state(&Json::parse(&bad).unwrap(), "$.h").unwrap_err();
+            assert!(err.starts_with("$.h"), "{err}");
+            assert_eq!(back, LogLinearHistogram::default(), "a failed import changes nothing");
         }
     }
 }

@@ -1,11 +1,13 @@
-//! A minimal hand-rolled JSON value parser.
+//! A minimal hand-rolled JSON value tree: parser, renderer and the
+//! field helpers every codec in the workspace is written with.
 //!
 //! The workspace builds offline and the vendored `serde` stub carries
-//! no serialisation machinery, so everything that *writes* JSON in this
-//! repo does it by hand ([`crate::expo`]). This module is the matching
-//! *reader*: enough of RFC 8259 to round-trip the documents the suite
-//! emits (trace files, run snapshots, metric exports) back into a
-//! typed tree that validators and inspectors can walk.
+//! no serialisation machinery, so JSON is read and written by hand.
+//! This module holds enough of RFC 8259 to round-trip the documents
+//! the suite emits (trace files, run snapshots, checkpoints, metric
+//! exports) through a typed tree: [`Json::parse`] reads, [`render`]
+//! writes, and [`obj`] / [`ju`] / [`req_u64`] and friends build and
+//! take apart one struct's worth of members.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
 //! as [`Json::Int`], so `u64`/`i64` fields survive a render → parse
@@ -13,7 +15,9 @@
 //! preserve document order, which lets golden tests compare
 //! field-for-field.
 
+use crate::expo::write_json_string;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Maximum nesting depth accepted before the parser bails — guards the
 /// recursive descent against stack exhaustion on adversarial input.
@@ -45,9 +49,23 @@ impl Json {
     ///
     /// A human-readable message with the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
+        Self::parse_with_member_spans(text).map(|(v, _)| v)
+    }
+
+    /// [`Self::parse`], also returning the byte range of `text` that
+    /// each member value of a top-level object occupies, in member
+    /// order (empty for any other document). A reader that guards a
+    /// member with a checksum hashes those bytes as they were written
+    /// instead of rendering the parsed value again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn parse_with_member_spans(text: &str) -> Result<(Json, Vec<Range<usize>>), String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            top_spans: Vec::new(),
         };
         p.skip_ws();
         let v = p.value(0)?;
@@ -55,7 +73,7 @@ impl Json {
         if p.pos != p.bytes.len() {
             return Err(format!("byte {}: trailing data after document", p.pos));
         }
-        Ok(v)
+        Ok((v, p.top_spans))
     }
 
     /// Member lookup on an object (first match, document order).
@@ -141,6 +159,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Value byte ranges of the depth-0 object's members.
+    top_spans: Vec<Range<usize>>,
 }
 
 impl Parser<'_> {
@@ -209,7 +229,11 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let v = self.value(depth + 1)?;
+            if depth == 0 {
+                self.top_spans.push(start..self.pos);
+            }
             members.push((key, v));
             self.skip_ws();
             match self.peek() {
@@ -366,7 +390,10 @@ fn utf8_width(b: u8) -> usize {
     }
 }
 
-/// Writes `v` back out as compact JSON (test helper / debugging aid).
+/// Writes `v` out as compact JSON — the one renderer behind every
+/// document the workspace writes. Integers and strings, which are
+/// nearly all of a checkpoint or snapshot, are appended in place with
+/// no `fmt` machinery and no temporary per value or key.
 #[must_use]
 pub fn render(v: &Json) -> String {
     let mut out = String::new();
@@ -374,17 +401,35 @@ pub fn render(v: &Json) -> String {
     out
 }
 
+/// Appends the decimal form of `i`, byte-identical to `format!("{i}")`.
+fn write_int(out: &mut String, i: i64) {
+    // 20 bytes hold u64::MAX; the sign is pushed separately.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
 fn write_value(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Json::Int(i) => write_int(out, *i),
         Json::Float(f) => {
             let _ = write!(out, "{f}");
         }
-        Json::Str(s) => out.push_str(&crate::expo::json_string(s)),
+        Json::Str(s) => write_json_string(out, s),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -401,13 +446,172 @@ fn write_value(out: &mut String, v: &Json) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&crate::expo::json_string(k));
+                write_json_string(out, k);
                 out.push(':');
                 write_value(out, item);
             }
             out.push('}');
         }
     }
+}
+
+// ---- building and taking apart one struct's members -------------------
+
+/// A `u64` as a JSON integer (saturating at `i64::MAX`, the tree's
+/// integer width).
+#[must_use]
+pub fn ju(v: u64) -> Json {
+    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
+/// A `usize` as a JSON integer.
+#[must_use]
+pub fn jus(v: usize) -> Json {
+    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
+/// A string value.
+#[must_use]
+pub fn js(v: &str) -> Json {
+    Json::Str(v.to_string())
+}
+
+/// An optional `u64`: `null` when absent.
+#[must_use]
+pub fn jopt(v: Option<u64>) -> Json {
+    v.map_or(Json::Null, ju)
+}
+
+/// A mostly-zero counter array as `[index, count]` pairs, zeros left
+/// out; [`req_sparse_u64`] reads it back.
+#[must_use]
+pub fn sparse_u64(cells: &[u64]) -> Json {
+    let live = cells.iter().enumerate().filter(|(_, &c)| c > 0);
+    Json::Arr(live.map(|(i, &c)| Json::Arr(vec![jus(i), ju(c)])).collect())
+}
+
+/// An object from `(key, value)` pairs, in the order given.
+#[must_use]
+pub fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Member `key` of object `v`. `path` names `v` in error messages
+/// (`$.payload.shards[1]`), as in every `req_*` helper below.
+///
+/// # Errors
+///
+/// The member is missing (or `v` is not an object).
+pub fn req<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a Json, String> {
+    v.get(key)
+        .ok_or_else(|| format!("{path}: missing \"{key}\""))
+}
+
+/// Member `key` as a `u64`.
+///
+/// # Errors
+///
+/// Missing, or not a non-negative integer.
+pub fn req_u64(v: &Json, key: &str, path: &str) -> Result<u64, String> {
+    req(v, key, path)?
+        .as_u64()
+        .ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
+}
+
+/// Member `key` as a `usize`.
+///
+/// # Errors
+///
+/// Missing, not a non-negative integer, or too large for `usize`.
+pub fn req_usize(v: &Json, key: &str, path: &str) -> Result<usize, String> {
+    usize::try_from(req_u64(v, key, path)?)
+        .map_err(|_| format!("{path}: \"{key}\" overflows usize"))
+}
+
+/// Member `key` as an `i64`.
+///
+/// # Errors
+///
+/// Missing, or not an integer.
+pub fn req_i64(v: &Json, key: &str, path: &str) -> Result<i64, String> {
+    req(v, key, path)?
+        .as_i64()
+        .ok_or_else(|| format!("{path}: \"{key}\" is not an integer"))
+}
+
+/// Member `key` as an owned string.
+///
+/// # Errors
+///
+/// Missing, or not a string.
+pub fn req_str(v: &Json, key: &str, path: &str) -> Result<String, String> {
+    Ok(req(v, key, path)?
+        .as_str()
+        .ok_or_else(|| format!("{path}: \"{key}\" is not a string"))?
+        .to_string())
+}
+
+/// Member `key` as a `bool`.
+///
+/// # Errors
+///
+/// Missing, or not a boolean.
+pub fn req_bool(v: &Json, key: &str, path: &str) -> Result<bool, String> {
+    req(v, key, path)?
+        .as_bool()
+        .ok_or_else(|| format!("{path}: \"{key}\" is not a boolean"))
+}
+
+/// Member `key` as an array slice.
+///
+/// # Errors
+///
+/// Missing, or not an array.
+pub fn req_arr<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a [Json], String> {
+    req(v, key, path)?
+        .as_arr()
+        .ok_or_else(|| format!("{path}: \"{key}\" is not an array"))
+}
+
+/// Member `key`, written by [`sparse_u64`], as the dense array of
+/// `len` cells it came from.
+///
+/// # Errors
+///
+/// Missing, an item that is not an `[index, count]` pair, or an index
+/// at or past `len`.
+pub fn req_sparse_u64(v: &Json, key: &str, path: &str, len: usize) -> Result<Vec<u64>, String> {
+    let mut cells = vec![0u64; len];
+    for pair in req_arr(v, key, path)? {
+        let item = pair.as_arr().unwrap_or(&[]);
+        let (Some(i), Some(c)) = (
+            item.first().and_then(Json::as_u64),
+            item.get(1).and_then(Json::as_u64),
+        ) else {
+            return Err(format!("{path}: an item of \"{key}\" is not an [index, count] pair"));
+        };
+        *usize::try_from(i)
+            .ok()
+            .and_then(|i| cells.get_mut(i))
+            .ok_or_else(|| format!("{path}: \"{key}\" index {i} is outside its {len} cells"))? = c;
+    }
+    Ok(cells)
+}
+
+/// Member `key` as an optional `u64` (`null` reads as `None`).
+///
+/// # Errors
+///
+/// Missing, or neither `null` nor a non-negative integer.
+pub fn opt_u64(v: &Json, key: &str, path: &str) -> Result<Option<u64>, String> {
+    let field = req(v, key, path)?;
+    if field.is_null() {
+        return Ok(None);
+    }
+    field
+        .as_u64()
+        .map(Some)
+        .ok_or_else(|| format!("{path}: \"{key}\" is neither null nor a non-negative integer"))
 }
 
 #[cfg(test)]
@@ -483,5 +687,69 @@ mod tests {
         let v = Json::parse(doc).unwrap();
         assert_eq!(render(&v), doc);
         assert_eq!(Json::parse(&render(&v)).unwrap(), v);
+    }
+
+    #[test]
+    fn integer_path_is_byte_identical_to_fmt() {
+        let mut sweep = vec![0, -1, 1, 9, 10, -10, i64::MIN, i64::MAX, i64::MIN + 1];
+        // SplitMix64 sweep over every magnitude: shift a full-width
+        // draw right by 0..=63 bits, both signs.
+        let mut x: u64 = 0x5eed;
+        for i in 0..4096u32 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            sweep.push((z >> (i % 64)) as i64);
+            sweep.push(((z >> (i % 64)) as i64).wrapping_neg());
+        }
+        for i in sweep {
+            assert_eq!(render(&Json::Int(i)), format!("{i}"));
+        }
+    }
+
+    #[test]
+    fn string_path_matches_the_escaping_writer() {
+        for s in ["", "plain_key", "a\"b\\c\nd\re\tf\u{1}g\u{1f}h", "λ 🦀 \u{7f}", "\"", "\\\\"] {
+            let rendered = render(&Json::Str(s.to_string()));
+            assert_eq!(rendered, crate::expo::json_string(s));
+            assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(s));
+        }
+        assert_eq!(render(&Json::Str("a\u{1}\n".into())), "\"a\\u0001\\n\"");
+    }
+
+    #[test]
+    fn member_spans_cover_each_top_level_value_as_written() {
+        let doc = r#" {"a": [1, {"n":2}] ,"b":"x,y" , "c":{ "d":null }} "#;
+        let (v, spans) = Json::parse_with_member_spans(doc).unwrap();
+        let texts: Vec<&str> = spans.iter().map(|r| &doc[r.clone()]).collect();
+        assert_eq!(texts, vec![r#"[1, {"n":2}]"#, r#""x,y""#, r#"{ "d":null }"#]);
+        assert_eq!(v.as_obj().unwrap().len(), spans.len());
+        // Nested objects contribute nothing; neither do non-objects.
+        assert!(Json::parse_with_member_spans("[{\"a\":1}]").unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn field_helpers_name_the_path_and_the_key() {
+        let v = obj(vec![("n", ju(7)), ("s", js("x")), ("none", jopt(None)), ("neg", Json::Int(-1))]);
+        assert_eq!(req_u64(&v, "n", "$").unwrap(), 7);
+        assert_eq!(req_usize(&v, "n", "$").unwrap(), 7);
+        assert_eq!(req_str(&v, "s", "$").unwrap(), "x");
+        assert_eq!(opt_u64(&v, "none", "$").unwrap(), None);
+        assert_eq!(opt_u64(&v, "n", "$").unwrap(), Some(7));
+        let err = req_u64(&v, "neg", "$.at").unwrap_err();
+        assert!(err.contains("$.at") && err.contains("\"neg\""), "{err}");
+        assert!(req(&v, "gone", "$").unwrap_err().contains("missing \"gone\""));
+        assert!(req_arr(&v, "n", "$").is_err() && req_bool(&v, "n", "$").is_err());
+        assert_eq!(ju(u64::MAX), Json::Int(i64::MAX));
+
+        let cells = [0u64, 3, 0, 0, 9];
+        let v = obj(vec![("cells", sparse_u64(&cells))]);
+        assert_eq!(render(&v), r#"{"cells":[[1,3],[4,9]]}"#);
+        assert_eq!(req_sparse_u64(&v, "cells", "$", 5).unwrap(), cells);
+        assert!(req_sparse_u64(&v, "cells", "$", 4).unwrap_err().contains("outside its 4 cells"));
+        let bad = obj(vec![("cells", Json::Arr(vec![ju(1)]))]);
+        assert!(req_sparse_u64(&bad, "cells", "$", 5).unwrap_err().contains("pair"));
     }
 }
