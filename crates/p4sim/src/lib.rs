@@ -78,10 +78,7 @@ pub use parser::parse_frame;
 pub use phv::{FieldId, Phv};
 pub use pipeline::{PacketOutcome, Pipeline, PipelineState, RegMerge};
 pub use program::ProgramBuilder;
-pub use replay::{
-    apply_register_delta, merge_registers, EpochReport, PipelineDelta, RegisterDelta,
-    ShardedPipeline,
-};
+pub use replay::{apply_register_delta, merge_registers, PipelineDelta, RegisterDelta};
 pub use resources::ResourceReport;
 pub use runtime::{RuntimeRequest, RuntimeResponse};
 pub use table::{Entry, MatchKind, MatchValue, TableDef};

@@ -1,22 +1,21 @@
-//! Sharded multi-pipeline replay: N identical pipelines, each owning
-//! its own register file, fed disjoint slices of a trace in parallel
-//! and periodically reduced into a single merged register view.
+//! Reducing per-pipe register files into one view.
 //!
 //! Real switches process packets on multiple pipes whose register files
 //! are physically separate; any whole-switch statistic is a *merge* of
-//! per-pipe state. This module makes that structure explicit for the
-//! simulator:
+//! per-pipe state. This module is that reduce step for the simulator,
+//! over plain [`Pipeline`]s (who runs them, and on which threads, is
+//! the caller's business):
 //!
-//! - [`ShardedPipeline`] clones a template program into `N` shards and
-//!   processes per-shard work lists on `N` OS threads
-//!   ([`ShardedPipeline::process_epoch`]), batched to amortise
-//!   per-packet dispatch;
-//! - [`merge_registers`] reduces one shard's register file into
+//! - [`merge_registers`] reduces one pipeline's register file into
 //!   another's cell by cell under each register's **declared merge
 //!   policy** ([`crate::pipeline::RegMerge`]): wrapping addition masked
 //!   to the register width (the arithmetic a fixed-width hardware
-//!   register performs), saturating addition, maximum, or — for
-//!   registers declared [`RegMerge::None`] — keep the destination.
+//!   register performs), saturating addition, maximum, or, for
+//!   registers declared [`RegMerge::None`], keep the destination;
+//! - [`apply_register_delta`] is its sparse counterpart: it folds only
+//!   the cells a pipeline touched since its last
+//!   [`Pipeline::take_register_delta`] into a view that already holds
+//!   the previous fold.
 //!
 //! A cellwise merge is the correct reduce exactly when register state
 //! commutes with any traffic partition under its policy: counters,
@@ -32,22 +31,7 @@
 //! uses).
 
 use crate::error::{P4Error, P4Result};
-use crate::metrics::PipelineMetrics;
-use crate::pipeline::{DigestRecord, Pipeline, RegMerge};
-use stat4_core::Mergeable;
-use telemetry::Snapshot;
-
-/// What one shard did during one [`ShardedPipeline::process_epoch`]
-/// call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EpochReport {
-    /// Packets processed.
-    pub packets: u64,
-    /// Packets dropped by the program.
-    pub dropped: u64,
-    /// Digests emitted, in processing order.
-    pub digests: Vec<DigestRecord>,
-}
+use crate::pipeline::{Pipeline, RegMerge};
 
 /// The changed cells of one register since the last delta take:
 /// `(cell index, value at the window open, value now)`.
@@ -190,230 +174,6 @@ pub fn merge_registers(dst: &mut Pipeline, src: &Pipeline) -> P4Result<()> {
     Ok(())
 }
 
-/// Renders a `join` panic payload as a string: panics raised with a
-/// message literal or a `format!` land as `&str` / `String`; anything
-/// else gets a placeholder.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload.downcast_ref::<&str>().map_or_else(
-        || {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic payload".to_owned())
-        },
-        |s| (*s).to_owned(),
-    )
-}
-
-/// Test hook: lets the supervision test below make one worker panic
-/// mid-epoch. Keyed on (shard, batch) so concurrently running tests
-/// with ordinary batch sizes never trip it; 0 means "off".
-#[cfg(test)]
-static PANIC_ON: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-#[cfg(test)]
-fn maybe_injected_panic(shard: usize, batch: usize) {
-    if batch == tests::PANIC_BATCH && shard + 1 == PANIC_ON.load(std::sync::atomic::Ordering::SeqCst)
-    {
-        panic!("injected shard fault for supervision test");
-    }
-}
-
-#[cfg(not(test))]
-#[inline]
-fn maybe_injected_panic(_shard: usize, _batch: usize) {}
-
-/// `N` clones of one pipeline program, each with a private register
-/// file, processed in parallel.
-#[derive(Debug)]
-pub struct ShardedPipeline {
-    shards: Vec<Pipeline>,
-    metrics: Vec<PipelineMetrics>,
-    batch: usize,
-}
-
-impl ShardedPipeline {
-    /// Default packets-per-batch for [`Self::process_epoch`].
-    pub const DEFAULT_BATCH: usize = 256;
-
-    /// Clones `template` into `shards` independent pipelines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn new(template: &Pipeline, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        Self {
-            shards: vec![template.clone(); shards],
-            metrics: (0..shards)
-                .map(|_| PipelineMetrics::for_pipeline(template))
-                .collect(),
-            batch: Self::DEFAULT_BATCH,
-        }
-    }
-
-    /// Overrides the batch size (packets processed per inner loop
-    /// iteration before the per-batch bookkeeping).
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to shard `i`'s pipeline.
-    #[must_use]
-    pub fn shard(&self, i: usize) -> Option<&Pipeline> {
-        self.shards.get(i)
-    }
-
-    /// Mutable access to shard `i`'s pipeline (e.g. for per-shard table
-    /// programming before replay).
-    pub fn shard_mut(&mut self, i: usize) -> Option<&mut Pipeline> {
-        self.shards.get_mut(i)
-    }
-
-    /// Consumes the sharded pipeline and hands the per-shard pipelines
-    /// back to the caller, index = shard id — the handoff at the end
-    /// of a replay, when ownership of the register files moves to
-    /// whatever merges, checkpoints or inspects them next. Snapshot
-    /// [`Self::metrics`] first if you still need the per-shard metric
-    /// sets; they are dropped here.
-    #[must_use]
-    pub fn into_shards(self) -> Vec<Pipeline> {
-        self.shards
-    }
-
-    /// Processes one epoch of pre-split work: `work[i]` is shard `i`'s
-    /// time-ordered `(timestamp_ns, frame)` list for this epoch. Each
-    /// shard runs on its own OS thread against its own register file;
-    /// the call returns when every shard has drained its list (the
-    /// barrier after which state may be merged).
-    ///
-    /// Frames enter at ingress port 0, mirroring a single-port replay
-    /// tap.
-    ///
-    /// # Errors
-    ///
-    /// [`P4Error::Invalid`] if `work.len() != num_shards()`; otherwise
-    /// the first interpreter error any shard hit. A shard worker that
-    /// *panics* (rather than returning an error) is contained: every
-    /// other shard still drains its list, and the call reports the
-    /// dead shard as [`P4Error::ShardPanicked`] with the captured
-    /// panic message instead of aborting the whole process.
-    pub fn process_epoch(&mut self, work: &[Vec<(u64, &[u8])>]) -> P4Result<Vec<EpochReport>> {
-        if work.len() != self.shards.len() {
-            return Err(P4Error::Invalid {
-                what: format!(
-                    "epoch work lists ({}) != shards ({})",
-                    work.len(),
-                    self.shards.len()
-                ),
-            });
-        }
-        let batch = self.batch;
-        let mut results: Vec<P4Result<EpochReport>> = Vec::with_capacity(work.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(self.metrics.iter_mut())
-                .zip(work)
-                .enumerate()
-                .map(|(shard, ((pipe, metrics), list))| {
-                    scope.spawn(move || -> P4Result<EpochReport> {
-                        maybe_injected_panic(shard, batch);
-                        let started = std::time::Instant::now();
-                        let mut report = EpochReport::default();
-                        for chunk in list.chunks(batch) {
-                            for (ts, frame) in chunk {
-                                let (_, outcome) = pipe.process_frame(frame, 0, *ts)?;
-                                metrics.record(&outcome);
-                                report.packets += 1;
-                                report.dropped += u64::from(outcome.dropped);
-                                report.digests.extend(outcome.digests);
-                            }
-                        }
-                        metrics
-                            .epoch_ns
-                            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                        metrics.observe_pipeline(pipe);
-                        Ok(report)
-                    })
-                })
-                .collect();
-            for (shard, h) in handles.into_iter().enumerate() {
-                results.push(h.join().unwrap_or_else(|payload| {
-                    Err(P4Error::ShardPanicked {
-                        shard,
-                        message: panic_message(payload.as_ref()),
-                    })
-                }));
-            }
-        });
-        results.into_iter().collect()
-    }
-
-    /// The merged register view: shard 0's pipeline with every other
-    /// shard's register file added in ([`merge_registers`]). Correct
-    /// for additive register state; see the module docs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`merge_registers`] errors (impossible for shards
-    /// cloned from one template unless a caller reshaped a register).
-    pub fn merged(&self) -> P4Result<Pipeline> {
-        let mut merged = self.shards[0].clone();
-        for shard in &self.shards[1..] {
-            merge_registers(&mut merged, shard)?;
-        }
-        Ok(merged)
-    }
-
-    /// Per-shard metric sets, index = shard id.
-    #[must_use]
-    pub fn metrics(&self) -> &[PipelineMetrics] {
-        &self.metrics
-    }
-
-    /// The cross-shard fold of the per-shard metric sets, with
-    /// occupancy re-polled from the merged register view so the gauges
-    /// reflect merged (not summed per-shard) state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::merged`] errors.
-    pub fn merged_metrics(&self) -> P4Result<PipelineMetrics> {
-        let merged_pipe = self.merged()?;
-        let mut merged = PipelineMetrics::for_pipeline(&merged_pipe);
-        for m in &self.metrics {
-            merged.merge_from(m).map_err(|e| P4Error::Invalid {
-                what: format!("metric merge: {e}"),
-            })?;
-        }
-        merged.observe_pipeline(&merged_pipe);
-        Ok(merged)
-    }
-
-    /// Renders every shard's metric set (labelled `shard="<i>"`) into
-    /// one snapshot; sum the per-shard counters (or use
-    /// [`Self::merged_metrics`]) for whole-switch totals.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::new();
-        for (i, m) in self.metrics.iter().enumerate() {
-            m.export(&mut snap, Some(i));
-        }
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,33 +254,40 @@ mod tests {
             .collect()
     }
 
-    fn split(trace: &[(u64, bytes::Bytes)], shards: usize) -> Vec<Vec<(u64, &[u8])>> {
-        let mut work: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); shards];
-        for (i, (t, f)) in trace.iter().enumerate() {
-            work[i % shards].push((*t, &f[..]));
+    /// `shards` copies of the counting program, frame `i` of `trace`
+    /// processed by copy `i % shards`, serially.
+    fn sharded(trace: &[(u64, bytes::Bytes)], shards: usize) -> Vec<Pipeline> {
+        let mut pipes = vec![counting_pipeline(); shards];
+        run(&mut pipes, trace);
+        pipes
+    }
+
+    fn run(pipes: &mut [Pipeline], trace: &[(u64, bytes::Bytes)]) {
+        let shards = pipes.len();
+        for (i, (ts, frame)) in trace.iter().enumerate() {
+            pipes[i % shards].process_frame(frame, 0, *ts).unwrap();
         }
-        work
+    }
+
+    /// The first pipeline with every other one's register file folded
+    /// in.
+    fn merged(pipes: &[Pipeline]) -> Pipeline {
+        let mut merged = pipes[0].clone();
+        for p in &pipes[1..] {
+            merge_registers(&mut merged, p).unwrap();
+        }
+        merged
     }
 
     #[test]
     fn sharded_registers_merge_to_sequential() {
         let trace = frames(500);
-        // Sequential baseline.
-        let mut seq = ShardedPipeline::new(&counting_pipeline(), 1);
-        seq.process_epoch(&split(&trace, 1)).unwrap();
-        let seq_regs = seq.merged().unwrap();
-
+        let seq = merged(&sharded(&trace, 1));
         for shards in [2usize, 4, 8] {
-            let mut sharded = ShardedPipeline::new(&counting_pipeline(), shards);
-            let reports = sharded.process_epoch(&split(&trace, shards)).unwrap();
-            assert_eq!(
-                reports.iter().map(|r| r.packets).sum::<u64>(),
-                trace.len() as u64
-            );
-            let merged = sharded.merged().unwrap();
+            let merged = merged(&sharded(&trace, shards));
             assert_eq!(
                 merged.registers(),
-                seq_regs.registers(),
+                seq.registers(),
                 "{shards} shards: merged register file must equal sequential"
             );
             assert_eq!(merged.packets_processed(), trace.len() as u64);
@@ -533,27 +300,13 @@ mod tests {
         // to one cell — merged modular sums must equal the sequential
         // modular sum. Use a tiny synthetic trace processed repeatedly.
         let trace = frames(64);
-        let work1 = split(&trace, 1);
-        let work4 = split(&trace, 4);
-        let mut seq = ShardedPipeline::new(&counting_pipeline(), 1);
-        let mut sharded = ShardedPipeline::new(&counting_pipeline(), 4);
+        let mut seq = vec![counting_pipeline(); 1];
+        let mut four = vec![counting_pipeline(); 4];
         for _ in 0..40 {
-            seq.process_epoch(&work1).unwrap();
-            sharded.process_epoch(&work4).unwrap();
+            run(&mut seq, &trace);
+            run(&mut four, &trace);
         }
-        assert_eq!(
-            sharded.merged().unwrap().registers(),
-            seq.merged().unwrap().registers()
-        );
-    }
-
-    #[test]
-    fn epoch_work_shape_checked() {
-        let mut s = ShardedPipeline::new(&counting_pipeline(), 2);
-        assert!(matches!(
-            s.process_epoch(&[Vec::new()]),
-            Err(P4Error::Invalid { .. })
-        ));
+        assert_eq!(merged(&four).registers(), merged(&seq).registers());
     }
 
     #[test]
@@ -569,122 +322,29 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn metrics_follow_the_shards() {
-        let trace = frames(500);
-        let mut sharded = ShardedPipeline::new(&counting_pipeline(), 4);
-        sharded.process_epoch(&split(&trace, 4)).unwrap();
-
-        let per_shard: u64 = sharded.metrics().iter().map(|m| m.packets.get()).sum();
-        assert_eq!(per_shard, trace.len() as u64);
-
-        let merged = sharded.merged_metrics().unwrap();
-        assert_eq!(merged.packets.get(), trace.len() as u64);
-        assert_eq!(merged.steps_per_packet.count(), trace.len() as u64);
-        assert_eq!(merged.drops.get(), 0);
-        // Occupancy came from the *merged* register view, not the sum
-        // of per-shard polls: 13 distinct dst low bytes → 13 cells in
-        // each register.
-        assert_eq!(merged.register_occupancy[0].get(), 13);
-        assert_eq!(merged.register_occupancy[1].get(), 13);
-
-        let snap = sharded.snapshot();
-        assert_eq!(snap.counter_sum("p4_packets_total"), trace.len() as u64);
-        let text = telemetry::render_prometheus(&snap);
-        telemetry::check_prometheus(&text).expect("valid exposition");
-    }
-
-    /// Batch-size sentinel that arms [`maybe_injected_panic`]; no
-    /// other test uses this batch size, so the global hook cannot
-    /// misfire on concurrently running tests.
-    pub(super) const PANIC_BATCH: usize = 7777;
-
-    #[test]
-    fn worker_panic_is_contained_and_reported() {
-        let trace = frames(200);
-        let work = split(&trace, 4);
-        let mut sharded = ShardedPipeline::new(&counting_pipeline(), 4).with_batch(PANIC_BATCH);
-
-        PANIC_ON.store(2 + 1, std::sync::atomic::Ordering::SeqCst);
-        let err = sharded.process_epoch(&work).unwrap_err();
-        PANIC_ON.store(0, std::sync::atomic::Ordering::SeqCst);
-
-        match &err {
-            P4Error::ShardPanicked { shard, message } => {
-                assert_eq!(*shard, 2);
-                assert!(
-                    message.contains("injected shard fault"),
-                    "captured message: {message:?}"
-                );
-            }
-            other => panic!("expected ShardPanicked, got {other:?}"),
-        }
-        assert!(err.to_string().contains("shard 2 worker panicked"));
-
-        // The supervisor contained the panic: the pool is still
-        // usable, and the healthy shards' state was not poisoned.
-        let reports = sharded.process_epoch(&work).unwrap();
-        assert_eq!(reports.len(), 4);
-        assert!(sharded.merged().is_ok());
-    }
-
-    #[test]
-    fn panic_payloads_render_as_messages() {
-        for (thunk, want) in [
-            (Box::new(|| panic!("plain literal")) as Box<dyn FnOnce() + Send>, "plain literal"),
-            (Box::new(|| panic!("formatted {}", 7)), "formatted 7"),
-            (Box::new(|| std::panic::panic_any(42u32)), "non-string panic payload"),
-        ] {
-            let payload = std::thread::spawn(thunk).join().unwrap_err();
-            assert_eq!(panic_message(payload.as_ref()), want);
-        }
-    }
-
-    #[test]
-    fn into_shards_hands_off_register_state() {
-        let trace = frames(500);
-        let mut sharded = ShardedPipeline::new(&counting_pipeline(), 4);
-        sharded.process_epoch(&split(&trace, 4)).unwrap();
-        let merged_before = sharded.merged().unwrap();
-
-        let shards = sharded.into_shards();
-        assert_eq!(shards.len(), 4);
-        let mut merged_after = shards[0].clone();
-        for s in &shards[1..] {
-            merge_registers(&mut merged_after, s).unwrap();
-        }
-        assert_eq!(merged_after.registers(), merged_before.registers());
-        assert_eq!(merged_after.packets_processed(), trace.len() as u64);
-    }
-
     /// Delta-applied coordinator state stays bit-identical to a full
     /// re-merge across several epochs, including a 16-bit register that
     /// wraps (Sum is modular, so the delta is exact even under wrap).
     #[test]
     fn register_delta_equals_full_merge() {
         let trace = frames(400);
-        let work = split(&trace, 4);
-        let mut sharded = ShardedPipeline::new(&counting_pipeline(), 4);
+        let mut pipes = vec![counting_pipeline(); 4];
 
         // Rebuild: full merge once, then re-base every shard's journal.
-        sharded.process_epoch(&work).unwrap();
-        let mut acc = sharded.merged().unwrap();
-        for i in 0..sharded.num_shards() {
-            sharded.shard_mut(i).unwrap().discard_register_delta();
+        run(&mut pipes, &trace);
+        let mut acc = merged(&pipes);
+        for p in &mut pipes {
+            p.discard_register_delta();
         }
 
         for _ in 0..3 {
-            sharded.process_epoch(&work).unwrap();
-            for i in 0..sharded.num_shards() {
-                let d = sharded
-                    .shard_mut(i)
-                    .unwrap()
-                    .take_register_delta()
-                    .expect("no fault hooks installed");
+            run(&mut pipes, &trace);
+            for p in &mut pipes {
+                let d = p.take_register_delta().expect("no fault hooks installed");
                 assert!(d.touched_cells() > 0, "traffic touched cells");
                 apply_register_delta(&mut acc, &d).unwrap();
             }
-            let full = sharded.merged().unwrap();
+            let full = merged(&pipes);
             assert_eq!(acc.registers(), full.registers());
             assert_eq!(acc.packets_processed(), full.packets_processed());
         }
@@ -728,20 +388,6 @@ mod tests {
         assert!(
             p.take_register_delta().is_some(),
             "hook removed and journals re-based: clean again"
-        );
-    }
-
-    #[test]
-    fn batch_size_does_not_change_state() {
-        let trace = frames(300);
-        let work = split(&trace, 4);
-        let mut small = ShardedPipeline::new(&counting_pipeline(), 4).with_batch(1);
-        let mut large = ShardedPipeline::new(&counting_pipeline(), 4).with_batch(4096);
-        small.process_epoch(&work).unwrap();
-        large.process_epoch(&work).unwrap();
-        assert_eq!(
-            small.merged().unwrap().registers(),
-            large.merged().unwrap().registers()
         );
     }
 }

@@ -37,7 +37,7 @@
 //! accumulator's interval fields before applying deltas; the result is
 //! bit-identical to the fresh fold the rebuild path computes.
 
-use crate::{merge_surviving_entries, ReplayConfig, ShardIncident, ShardState};
+use crate::{merge_surviving, ReplayConfig, ShardIncident, ShardState};
 
 /// What one barrier merge did — feeds the `merge_delta_bytes` /
 /// `merge_skipped_registers` / `merge_rebuilds` telemetry.
@@ -72,8 +72,7 @@ impl BarrierMerger {
     /// Merges the surviving shards for one epoch barrier. `entries`
     /// are `(shard index, state)` pairs for every *populated* slot;
     /// `alive` is indexed by shard index and may be flipped off by the
-    /// rebuild path's quarantine handling, exactly as
-    /// [`merge_surviving_entries`] did.
+    /// rebuild path's quarantine handling ([`merge_surviving`]).
     pub(crate) fn merge(
         &mut self,
         entries: &mut [(usize, &mut ShardState)],
@@ -108,7 +107,7 @@ impl BarrierMerger {
             stats.rebuilt = true;
             let ro: Vec<(usize, &ShardState)> =
                 entries.iter().map(|(s, st)| (*s, &**st)).collect();
-            let merged = merge_surviving_entries(&ro, alive, cfg, epoch_idx, incidents);
+            let merged = merge_surviving(&ro, alive, cfg, epoch_idx, incidents);
             drop(ro);
             for (s, state) in entries.iter_mut() {
                 if alive[*s] {

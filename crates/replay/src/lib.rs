@@ -18,15 +18,22 @@
 //!
 //! - **Sharding** — [`workloads::shard`] hashes each frame's flow
 //!   5-tuple, so splitting is deterministic and flow-affine.
-//! - **Worker pool** — one OS thread per shard, spawned **once per
-//!   run** and fed through bounded per-shard channels ([`mod@pool`]
-//!   internals): each detector interval (epoch) the coordinator moves
-//!   the shard's state plus the interval's frame list to the worker,
-//!   pre-partitions the *next* interval while the workers ingest, and
-//!   recycles the frame buffers run-long. The original engine — which
-//!   re-spawned a `std::thread::scope` worker set every interval — is
-//!   kept as [`reference`] and is the conformance baseline the pool is
-//!   tested bit-identical against (`tests/pool.rs`).
+//! - **Coordinator and executors** — what an epoch means is written
+//!   once, in the crate-private `coordinator` module: the fault plan,
+//!   the barrier merge, the report-loss carry, detection, drill-down,
+//!   provenance and quarantine bookkeeping, plus the state they need
+//!   between intervals (which is also what a checkpoint holds). An
+//!   *executor* owns only routing and threads. The production one is
+//!   the worker pool ([`mod@pool`] internals): one OS thread per shard,
+//!   spawned **once per run** and fed through bounded per-shard
+//!   channels; each epoch it moves the shard's state plus the
+//!   interval's frame list to the worker, pre-partitions the *next*
+//!   interval while the workers ingest, and recycles the frame buffers
+//!   run-long. [`reference`] is the other: serial partitioning and a
+//!   `std::thread::scope` worker set per interval, kept as the
+//!   baseline the pool is tested bit-identical against
+//!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
+//!   kill, hot swaps, shedding) is [`lifecycle`]'s.
 //! - **Epochs** — time is cut into detector intervals; each epoch,
 //!   every surviving worker ingests its slice of the interval in
 //!   batches, then all replies join at the coordinator's barrier.
@@ -60,6 +67,7 @@
 
 mod barrier;
 pub mod ckpt;
+mod coordinator;
 pub mod lifecycle;
 pub mod metrics;
 mod pool;
@@ -84,7 +92,9 @@ use anomaly::{
     Ensemble, EnsembleConfig, HoltWintersEngine, MedianShiftEngine, MultiScaleEngine,
     StalledEngine, SynFloodEngine,
 };
+use coordinator::EpochCoordinator;
 use faultinject::FaultSchedule;
+use lifecycle::RunLifecycle;
 use packet::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::hll::HyperLogLog;
@@ -644,8 +654,14 @@ pub fn run_replay(schedule: &Schedule, cfg: &ReplayConfig) -> ReplayOutcome {
     run_replay_with_faults(schedule, cfg, &FaultSchedule::none())
 }
 
-/// The next surviving shard after `home` in ring order, if any.
-pub(crate) fn next_alive(alive: &[bool], home: usize) -> Option<usize> {
+/// Where a frame whose flow hashes to `home` goes: its home shard if
+/// alive, else the next survivor in ring order (the controller's
+/// repartitioning), else nowhere: the frame is lost.
+#[inline]
+pub(crate) fn route_target(alive: &[bool], home: usize) -> Option<usize> {
+    if alive[home] {
+        return Some(home);
+    }
     (1..alive.len())
         .map(|d| (home + d) % alive.len())
         .find(|&s| alive[s])
@@ -696,7 +712,8 @@ pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -
     }
 }
 
-/// Folds every surviving shard into a fresh merged view. A shard whose
+/// Folds every surviving shard of `entries` (`(shard index, state)`
+/// for each state that is home) into a fresh merged view. A shard whose
 /// state will not merge (geometry mismatch — impossible when all
 /// states come from one config, but treated as pipe corruption rather
 /// than a reason to kill the run) is quarantined instead of panicking.
@@ -708,21 +725,6 @@ pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -
 /// O(shards²) copies of the full tracker set every epoch; validate-
 /// then-merge keeps the same quarantine behaviour with zero clones.
 pub(crate) fn merge_surviving(
-    shards: &[ShardState],
-    alive: &mut [bool],
-    cfg: &ReplayConfig,
-    epoch_idx: u64,
-    incidents: &mut Vec<ShardIncident>,
-) -> ShardState {
-    let entries: Vec<(usize, &ShardState)> = shards.iter().enumerate().collect();
-    merge_surviving_entries(&entries, alive, cfg, epoch_idx, incidents)
-}
-
-/// [`merge_surviving`] over an explicit `(shard index, state)` list —
-/// the pool engine owns its states in `Option` slots, so it hands in
-/// references to whichever slots are populated rather than a
-/// contiguous slice.
-pub(crate) fn merge_surviving_entries(
     entries: &[(usize, &ShardState)],
     alive: &mut [bool],
     cfg: &ReplayConfig,
@@ -791,11 +793,11 @@ pub(crate) fn merge_surviving_entries(
 /// surviving shards, coverage and every incident. With an empty
 /// schedule the behaviour is bit-identical to [`run_replay`].
 ///
-/// Since the worker-pool rewrite this runs on the persistent pool
-/// engine ([`mod@pool`]); [`reference::run_replay_with_faults`] keeps
-/// the original per-epoch thread-scope engine as the conformance
-/// baseline — outcomes (merged state, alerts, health, telemetry
-/// counter sums) are bit-identical between the two.
+/// This runs on the persistent worker pool ([`mod@pool`]);
+/// [`reference::run_replay_with_faults`] is the same coordinator under
+/// the spawn-per-epoch executor, the conformance baseline — outcomes
+/// (merged state, alerts, health, telemetry counter sums) are
+/// bit-identical between the two.
 ///
 /// # Panics
 ///
@@ -806,7 +808,7 @@ pub fn run_replay_with_faults(
     cfg: &ReplayConfig,
     faults: &FaultSchedule,
 ) -> ReplayOutcome {
-    pool::run(schedule, cfg, faults, &LifecyclePlan::none(), None).0
+    run_replay_lifecycle(schedule, cfg, faults, &LifecyclePlan::none()).0
 }
 
 /// [`run_replay_with_faults`] with the full lifecycle layer active:
@@ -826,7 +828,12 @@ pub fn run_replay_lifecycle(
     faults: &FaultSchedule,
     plan: &LifecyclePlan,
 ) -> (ReplayOutcome, LifecycleReport) {
-    pool::run(schedule, cfg, faults, plan, None)
+    pool::run(
+        schedule,
+        faults,
+        EpochCoordinator::fresh(cfg),
+        RunLifecycle::fresh(plan),
+    )
 }
 
 /// Continues a checkpointed replay to completion.
@@ -834,13 +841,14 @@ pub fn run_replay_lifecycle(
 /// Loads the newest valid checkpoint from `plan.checkpoint_dir`
 /// (falling back past torn or corrupted files, which the checksum
 /// rejects, and past intact files whose state does not restore),
-/// validates it against `cfg` and `schedule`, rebuilds the
+/// validates it against `cfg` and `schedule`, restores the
 /// coordinator — shard trackers through their raw constructors, the
 /// detection ensemble and drilldown ladder by importing the state
-/// they exported, provenance verbatim — and runs the remaining
-/// epochs. The fault schedule is reparsed from the
-/// spec/seed stored in the checkpoint, so injected chaos continues
-/// exactly where it left off; the completed run's [`RunSnapshot`] is
+/// they exported, provenance verbatim, the alive map and report-loss
+/// carry after checking they describe a state a run could have been
+/// in — and runs the remaining epochs. The fault schedule is reparsed
+/// from the spec/seed stored in the checkpoint, so injected chaos
+/// continues exactly where it left off; the completed run's [`RunSnapshot`] is
 /// bit-identical to an uninterrupted run's (`tests/lifecycle.rs`).
 ///
 /// # Errors
@@ -853,8 +861,8 @@ pub fn run_replay_lifecycle(
 /// - the checkpoint carries data-plane register state but the plan
 ///   supplies no `initial_program` to restore it into.
 ///
-/// A stored shard or detector state that fails validation is not an
-/// error by itself: that checkpoint joins the fallback trail
+/// A stored shard, detector or coordinator state that fails validation
+/// is not an error by itself: that checkpoint joins the fallback trail
 /// (`checkpoint_fallback` events) and its predecessor is tried.
 pub fn resume_from_checkpoint(
     schedule: &Schedule,
@@ -865,22 +873,28 @@ pub fn resume_from_checkpoint(
         .checkpoint_dir
         .as_deref()
         .ok_or_else(|| String::from("resume requires a checkpoint directory in the plan"))?;
-    // A checkpoint is input from disk: it counts as loaded only once
-    // every shard and every detector has taken its state back.
-    let (c, (states, ensemble, drill), fallbacks) = ckpt::load_latest_with(dir, |c| {
-        let states = c
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, raw)| {
-                raw.as_ref()
-                    .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
-                    .transpose()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let (ensemble, drill) = c.rebuild_detection(cfg)?;
-        Ok((states, ensemble, drill))
+    // A checkpoint is input from disk. One taken by another run
+    // (other shard count, batch, interval or schedule) is the caller's
+    // mistake and ends the resume; one of this run that the
+    // coordinator cannot take back is a damaged file, and the scan
+    // moves on to its predecessor.
+    let (c, coord, fallbacks) = ckpt::load_latest_with(dir, |c| match same_run(c, cfg, schedule) {
+        Err(other_run) => Ok(Err(other_run)),
+        Ok(()) => EpochCoordinator::restore(c, cfg).map(Ok),
     })?;
+    let coord = coord?;
+    let faults = if c.faults_spec.is_empty() {
+        FaultSchedule::none()
+    } else {
+        FaultSchedule::parse(&c.faults_spec, c.fault_seed)
+            .map_err(|e| format!("stored fault spec {:?}: {e}", c.faults_spec))?
+    };
+    let life = RunLifecycle::resumed(plan, &c, fallbacks)?;
+    Ok(pool::run(schedule, &faults, coord, life))
+}
+
+/// Whether checkpoint `c` was taken by a run of `schedule` under `cfg`.
+fn same_run(c: &Checkpoint, cfg: &ReplayConfig, schedule: &Schedule) -> Result<(), String> {
     if c.cfg_shards != cfg.shards || c.cfg_batch != cfg.batch {
         return Err(format!(
             "checkpoint was taken with shards={}, batch={}; run configured with shards={}, \
@@ -901,56 +915,7 @@ pub fn resume_from_checkpoint(
             schedule.len()
         ));
     }
-    let faults = if c.faults_spec.is_empty() {
-        FaultSchedule::none()
-    } else {
-        FaultSchedule::parse(&c.faults_spec, c.fault_seed)
-            .map_err(|e| format!("stored fault spec {:?}: {e}", c.faults_spec))?
-    };
-    let shadow = match (&c.pipeline, &plan.initial_program) {
-        (Some(state), Some(program)) => {
-            let mut p = program.clone();
-            p.restore_state(state)
-                .map_err(|e| format!("cannot restore data-plane state: {e}"))?;
-            Some(p)
-        }
-        (Some(_), None) => {
-            return Err(String::from(
-                "checkpoint carries data-plane state; supply the program via the plan's \
-                 initial_program",
-            ))
-        }
-        (None, p) => p.clone(),
-    };
-    // Checkpoints written after this resume embed the stored spec, not
-    // whatever the caller had in the plan.
-    let mut plan = plan.clone();
-    plan.faults_spec = c.faults_spec.clone();
-    let resume = lifecycle::ResumeState {
-        next_ordinal: c.next_ordinal,
-        next_checkpoint_ordinal: c.checkpoint_ordinal + 1,
-        packets: c.packets,
-        epochs: c.epochs,
-        packets_rerouted: c.packets_rerouted,
-        reports_dropped: c.reports_dropped,
-        carried_syns: c.carried_syns,
-        carried_packets: c.carried_packets,
-        carried_len_sum: c.carried_len_sum,
-        carried_epochs: c.carried_epochs,
-        carried_from: c.carried_from.clone(),
-        alive: c.alive.clone(),
-        states,
-        incidents: c.incidents.clone(),
-        ensemble,
-        drill,
-        provenance: c.provenance.clone(),
-        generation: c.generation,
-        swaps_committed: c.swaps_committed,
-        shadow,
-        resumed_from: Some(c.checkpoint_ordinal),
-        fallbacks,
-    };
-    Ok(pool::run(schedule, cfg, &faults, &plan, Some(resume)))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1132,10 +1097,11 @@ mod tests {
         let cfg_a = ReplayConfig::default();
         let mut cfg_b = cfg_a;
         cfg_b.detector.kinds = cfg_a.detector.kinds + 4;
-        let shards = vec![ShardState::new(&cfg_a), ShardState::new(&cfg_b)];
+        let shards = [ShardState::new(&cfg_a), ShardState::new(&cfg_b)];
+        let entries: Vec<(usize, &ShardState)> = shards.iter().enumerate().collect();
         let mut alive = vec![true, true];
         let mut incidents = Vec::new();
-        let merged = merge_surviving(&shards, &mut alive, &cfg_a, 7, &mut incidents);
+        let merged = merge_surviving(&entries, &mut alive, &cfg_a, 7, &mut incidents);
         assert!(alive[0] && !alive[1]);
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].shard, 1);

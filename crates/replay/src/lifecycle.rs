@@ -4,7 +4,9 @@
 //! The pool's epoch barrier is a natural *drain point*: at the top of
 //! each loop iteration every shard state is home with the coordinator
 //! and no epoch is in flight. This module defines what may happen
-//! there:
+//! there (`RunLifecycle::drain_point`, which the pool calls before
+//! every epoch) and holds the state only that needs: generation,
+//! shadow program, checkpoint ordinals, the shed ladder, the report.
 //!
 //! - **Hot swaps** ([`SwapRequest`]) — replace the compiled data-plane
 //!   program, rewrite binding tables, and/or override ensemble engine
@@ -39,13 +41,17 @@
 //! snapshot surface: recovery must be able to prove bit-identity of
 //! the outcome, so lifecycle chatter gets its own document.
 
-use crate::provenance::AlertProvenanceRecord;
-use crate::{ShardIncident, ShardState};
-use anomaly::{Ensemble, ScoreDrilldown};
+use crate::ckpt::{self, Checkpoint};
+use crate::coordinator::{elapsed_ns, EpochCoordinator};
+use anomaly::Ensemble;
+use faultinject::FaultSchedule;
 use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOptions};
-use std::path::PathBuf;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 use telemetry::json::{obj, opt_u64, render, req_arr, req_str, req_u64};
 use telemetry::Json;
+use workloads::Schedule;
 
 /// Symbolic budgets for in-line swap vetting — same reduced settings
 /// the drilldown ladder uses for per-transaction rebind checks: big
@@ -326,64 +332,260 @@ impl LifecyclePlan {
     }
 }
 
-/// State handed to `pool::run` when continuing from a checkpoint —
-/// everything the run loop would otherwise initialise fresh.
-pub(crate) struct ResumeState {
-    pub(crate) next_ordinal: usize,
-    pub(crate) next_checkpoint_ordinal: u64,
-    pub(crate) packets: u64,
-    pub(crate) epochs: u64,
-    pub(crate) packets_rerouted: u64,
-    pub(crate) reports_dropped: u64,
-    pub(crate) carried_syns: i64,
-    pub(crate) carried_packets: i64,
-    pub(crate) carried_len_sum: i64,
-    pub(crate) carried_epochs: i64,
-    pub(crate) carried_from: Vec<u64>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) states: Vec<Option<ShardState>>,
-    pub(crate) incidents: Vec<ShardIncident>,
-    pub(crate) ensemble: Ensemble,
-    pub(crate) drill: ScoreDrilldown,
-    pub(crate) provenance: Vec<AlertProvenanceRecord>,
-    pub(crate) generation: u64,
-    pub(crate) swaps_committed: u64,
-    pub(crate) shadow: Option<Pipeline>,
-    /// Ordinal of the checkpoint this resume loaded; `None` marks a
-    /// fresh (non-resumed) run.
-    pub(crate) resumed_from: Option<u64>,
-    /// Fallback notes from the checkpoint loader (rejected newer
-    /// files), surfaced as events.
-    pub(crate) fallbacks: Vec<String>,
+// ---- drain point ----------------------------------------------------
+
+/// The lifecycle layer's state for one run: what the drain point reads
+/// and writes between epochs, beside the coordinator.
+pub(crate) struct RunLifecycle<'p> {
+    plan: &'p LifecyclePlan,
+    /// The fault spec every checkpoint of this run embeds. A resumed
+    /// run keeps the stored one, not whatever the caller's plan holds.
+    faults_spec: String,
+    /// Epoch ordinal the run starts (or resumes) at.
+    pub(crate) start_ordinal: usize,
+    next_ckpt_ordinal: u64,
+    /// The data plane as the running generation programmed it. The
+    /// generation itself is `report.generation`.
+    shadow: Option<Pipeline>,
+    /// Swaps committed since the run first started, across resumes.
+    swaps_committed: u64,
+    pub(crate) shed: ShedController,
+    pub(crate) report: LifecycleReport,
 }
 
-impl ResumeState {
-    /// The initial state of a fresh run — what `pool::run` used to
-    /// build inline before resume existed.
-    pub(crate) fn fresh(cfg: &crate::ReplayConfig) -> Self {
+impl<'p> RunLifecycle<'p> {
+    /// Generation 0 of a run that starts at the first epoch.
+    pub(crate) fn fresh(plan: &'p LifecyclePlan) -> Self {
         Self {
-            next_ordinal: 0,
-            next_checkpoint_ordinal: 0,
-            packets: 0,
-            epochs: 0,
-            packets_rerouted: 0,
-            reports_dropped: 0,
-            carried_syns: 0,
-            carried_packets: 0,
-            carried_len_sum: 0,
-            carried_epochs: 0,
-            carried_from: Vec::new(),
-            alive: vec![true; cfg.shards],
-            states: (0..cfg.shards).map(|_| Some(ShardState::new(cfg))).collect(),
-            incidents: Vec::new(),
-            ensemble: crate::build_ensemble(cfg),
-            drill: ScoreDrilldown::new(cfg.ensemble.trigger),
-            provenance: Vec::new(),
-            generation: 0,
+            plan,
+            faults_spec: plan.faults_spec.clone(),
+            start_ordinal: 0,
+            next_ckpt_ordinal: 0,
+            shadow: plan.initial_program.clone(),
             swaps_committed: 0,
-            shadow: None,
-            resumed_from: None,
-            fallbacks: Vec::new(),
+            shed: ShedController::new(plan.shed),
+            report: LifecycleReport::default(),
+        }
+    }
+
+    /// Where checkpoint `c` left off. `fallbacks` are the loader's notes
+    /// on newer files it had to pass over.
+    ///
+    /// # Errors
+    ///
+    /// The checkpoint carries data-plane registers and the plan has no
+    /// `initial_program` to restore them into, or they do not fit it.
+    pub(crate) fn resumed(
+        plan: &'p LifecyclePlan,
+        c: &Checkpoint,
+        fallbacks: Vec<String>,
+    ) -> Result<Self, String> {
+        let shadow = match (&c.pipeline, &plan.initial_program) {
+            (Some(state), Some(program)) => {
+                let mut p = program.clone();
+                p.restore_state(state)
+                    .map_err(|e| format!("cannot restore data-plane state: {e}"))?;
+                Some(p)
+            }
+            (Some(_), None) => {
+                return Err(String::from(
+                    "checkpoint carries data-plane state; supply the program via the plan's \
+                     initial_program",
+                ))
+            }
+            (None, p) => p.clone(),
+        };
+        let from = c.checkpoint_ordinal;
+        let at = c.next_ordinal;
+        let mut report = LifecycleReport {
+            generation: c.generation,
+            resumed_from: Some(from),
+            ..LifecycleReport::default()
+        };
+        report.push(
+            at as u64,
+            "resumed",
+            format!("from checkpoint {from} at epoch ordinal {at}"),
+        );
+        for note in fallbacks {
+            report.push(at as u64, "checkpoint_fallback", note);
+        }
+        Ok(Self {
+            plan,
+            faults_spec: c.faults_spec.clone(),
+            start_ordinal: at,
+            next_ckpt_ordinal: from + 1,
+            shadow,
+            swaps_committed: c.swaps_committed,
+            shed: ShedController::new(plan.shed),
+            report,
+        })
+    }
+
+    /// The drain point before epoch ordinal `k`: every surviving state
+    /// is home and no epoch is in flight, the only place persistence or
+    /// configuration may change. `Break` means the plan kills the run
+    /// here.
+    pub(crate) fn drain_point(
+        &mut self,
+        k: usize,
+        coord: &mut EpochCoordinator,
+        schedule: &Schedule,
+        faults: &FaultSchedule,
+    ) -> ControlFlow<()> {
+        let k64 = k as u64;
+        // Written *before* the kill check so a killed run's directory
+        // looks exactly like a crashed run's. `k != start_ordinal`
+        // skips the vacuous checkpoint of the state just loaded (or,
+        // fresh, of an empty run).
+        if let Some(dir) = self.plan.checkpoint_dir.as_deref() {
+            if self.plan.checkpoint_every > 0
+                && k64.is_multiple_of(self.plan.checkpoint_every)
+                && k != self.start_ordinal
+            {
+                self.write_checkpoint(k, dir, coord, schedule, faults);
+            }
+        }
+        // Cooperative kill: stop with a clean teardown, the crash model
+        // recovery tests resume from.
+        if self.plan.kill_at_epoch == Some(k64) {
+            self.report.push(
+                k64,
+                "killed",
+                format!("stopped at drain point before epoch ordinal {k}"),
+            );
+            return ControlFlow::Break(());
+        }
+        let plan = self.plan;
+        for req in plan.swaps.iter().filter(|s| s.at_epoch == k64) {
+            self.swap(k64, req, coord, faults);
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn write_checkpoint(
+        &mut self,
+        k: usize,
+        dir: &Path,
+        coord: &mut EpochCoordinator,
+        schedule: &Schedule,
+        faults: &FaultSchedule,
+    ) {
+        let k64 = k as u64;
+        let t0 = Instant::now();
+        let c = Checkpoint {
+            next_ordinal: k,
+            checkpoint_ordinal: self.next_ckpt_ordinal,
+            schedule_packets: schedule.len() as u64,
+            faults_spec: self.faults_spec.clone(),
+            fault_seed: faults.seed(),
+            generation: self.report.generation,
+            swaps_committed: self.swaps_committed,
+            pipeline: self.shadow.as_ref().map(Pipeline::export_state),
+            ..coord.checkpoint()
+        };
+        let document = ckpt::serialize(&c);
+        let (bytes, serialize_ns) = (document.len() as u64, elapsed_ns(t0));
+        let written = ckpt::write_serialized(dir, c.checkpoint_ordinal, document, faults);
+        let write_ns = elapsed_ns(t0);
+        match written {
+            Ok(path) => {
+                coord.telemetry.checkpoints_written.inc();
+                self.report.checkpoints_written += 1;
+                self.report.push(
+                    k64,
+                    "checkpoint_written",
+                    format!(
+                        "{} ({bytes} bytes, serialized in {} us, on disk after {} us; resumes \
+                         at ordinal {k})",
+                        path.display(),
+                        serialize_ns / 1_000,
+                        write_ns / 1_000,
+                    ),
+                );
+            }
+            Err(e) => self.report.push(k64, "checkpoint_error", e),
+        }
+        // One sample each per checkpoint: the codec's share (export +
+        // render) apart from the total, which the two fsyncs dominate
+        // on a slow disk.
+        coord.telemetry.ckpt_serialize_ns.record(serialize_ns);
+        coord.telemetry.ckpt_bytes.record(bytes);
+        coord.telemetry.ckpt_write_ns.record(write_ns);
+        self.next_ckpt_ordinal += 1;
+    }
+
+    /// Vets `req` against the running configuration, then commits it
+    /// atomically or rejects it leaving everything untouched.
+    fn swap(
+        &mut self,
+        k64: u64,
+        req: &SwapRequest,
+        coord: &mut EpochCoordinator,
+        faults: &FaultSchedule,
+    ) {
+        let generation = self.report.generation;
+        match vet_swap(req, generation, self.shadow.as_ref(), &coord.ensemble) {
+            Ok(vetted) => {
+                // `vet_swap` ran the same check, so a refusal here
+                // means vetting and commit disagree. Nothing has
+                // changed yet (the overrides are all-or-nothing and go
+                // first): say so loudly, commit nothing.
+                if let Err(e) = coord.ensemble.set_weight_overrides(&req.weights) {
+                    self.report.swap_errors += 1;
+                    self.report.push(
+                        k64,
+                        "swap_error",
+                        format!("vetted swap could not be applied, not committed: {e}"),
+                    );
+                    return;
+                }
+                if let Some(next) = vetted.shadow {
+                    self.shadow = Some(next);
+                }
+                self.report.generation += 1;
+                self.swaps_committed += 1;
+                coord.telemetry.swaps_committed.inc();
+                self.report.swaps_committed += 1;
+                self.report.push(
+                    k64,
+                    "swap_committed",
+                    format!("generation {}: {}", generation + 1, vetted.detail),
+                );
+                // Control-channel duplication: the storm fault
+                // redelivers the request just committed. Its expected
+                // generation is now stale, so the duplicate vets to
+                // rejection: commits are idempotent.
+                if faults.duplicate_reconfig(self.swaps_committed) {
+                    if let Err(e) =
+                        vet_swap(req, generation + 1, self.shadow.as_ref(), &coord.ensemble)
+                    {
+                        coord.telemetry.swaps_rejected.inc();
+                        self.report.swaps_rejected += 1;
+                        self.report.push(k64, "stale_swap_rejected", e);
+                    }
+                }
+            }
+            Err(e) => {
+                coord.telemetry.swaps_rejected.inc();
+                self.report.swaps_rejected += 1;
+                let kind = if req.expected_generation == generation {
+                    "swap_rejected"
+                } else {
+                    "stale_swap_rejected"
+                };
+                self.report.push(k64, kind, e);
+            }
+        }
+    }
+
+    /// Feeds the shed ladder the worst queue wait of epoch ordinal `k`.
+    /// A level change takes effect next epoch: this one's spans are
+    /// already committed.
+    pub(crate) fn observe_queue_wait(&mut self, k: usize, worst_queue_wait_ns: u64) {
+        if let Some(level) = self.shed.observe(worst_queue_wait_ns) {
+            self.report
+                .push(k as u64, "shed_level", level.as_str().to_string());
         }
     }
 }

@@ -1,27 +1,25 @@
-//! The original per-epoch thread-scope replay engine, kept as the
-//! **conformance baseline** for the persistent worker pool.
+//! The spawn-per-epoch executor, kept as the **conformance baseline**
+//! for the persistent worker pool.
 //!
-//! This is the engine the crate shipped before the pool rewrite: every
-//! detector interval it partitions the interval's frames serially on
-//! the coordinator, spawns one scoped thread per surviving shard,
-//! joins them all, merges, and tears the scope down again. Spawn/join
-//! per interval is exactly the overhead the pool removes — but the
-//! outcome (merged state, alerts, health, telemetry counter sums) is a
-//! pure function of the schedule and fault schedule, so the pool is
-//! required to reproduce it bit for bit. `tests/pool.rs` asserts that
-//! equivalence and `crates/bench` measures the speedup against this
-//! module.
-//!
-//! Nothing here is deprecated API surface: it exists so the comparison
-//! target is the real former engine, not a reconstruction.
+//! An executor decides where frames go and which thread ingests them;
+//! the crate's `EpochCoordinator` decides everything else, and both
+//! engines use the same one. So this module holds only what it is a
+//! reference *for*, done the plainest way: every epoch it flow-hashes the
+//! interval's frames serially on the coordinator thread
+//! ([`workloads::shard::shard_of`], no pre-hash, no speculation, no
+//! buffer pool), spawns one scoped thread per surviving shard that
+//! borrows the shard's state where it sits, and joins them all. The
+//! pool must deliver the same frames to the same shards and report a
+//! dead worker the same way; `tests/pool.rs` holds it to that, and the
+//! benchmark harness checks every rep against this engine's snapshot.
 
-use crate::provenance::{AlertProvenanceRecord, LineageSources};
+use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
 use crate::{
-    build_ensemble, merge_surviving, next_alive, panic_message, EnsembleReport, IncidentKind,
-    ReplayConfig, ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardState,
+    panic_message, route_target, IncidentKind, ReplayConfig, ReplayOutcome, ShedController,
+    ShedPolicy,
 };
-use anomaly::{ScoreDrilldown, SignalContext, SynFloodEngine};
-use faultinject::{FaultSchedule, ShardFaultKind};
+use faultinject::FaultSchedule;
+use std::time::Instant;
 use workloads::Schedule;
 
 /// [`crate::run_replay`] on the reference engine — no faults.
@@ -34,11 +32,9 @@ pub fn run_replay(schedule: &Schedule, cfg: &ReplayConfig) -> ReplayOutcome {
     run_replay_with_faults(schedule, cfg, &FaultSchedule::none())
 }
 
-/// The pre-pool [`crate::run_replay_with_faults`]: per-epoch scoped
-/// worker threads, serial coordinator-side partitioning, no
-/// pipelining. Semantics documented on the crate-level function; this
-/// body is the behavioural specification the pool engine is tested
-/// against.
+/// [`crate::run_replay_with_faults`] on the reference engine: per-epoch
+/// scoped worker threads, serial coordinator-side partitioning, no
+/// pipelining. Semantics are documented on the crate-level function.
 ///
 /// # Panics
 ///
@@ -49,141 +45,58 @@ pub fn run_replay_with_faults(
     cfg: &ReplayConfig,
     faults: &FaultSchedule,
 ) -> ReplayOutcome {
-    assert!(cfg.shards >= 1, "need at least one shard");
-    let interval = cfg.detector.interval_ns.max(1);
+    let mut coord = EpochCoordinator::fresh(cfg);
     let batch = cfg.batch.max(1);
+    // This engine sheds nothing.
+    let full_detail = ShedController::new(ShedPolicy::default());
+    let started = Instant::now();
 
-    let mut shards: Vec<ShardState> = (0..cfg.shards).map(|_| ShardState::new(cfg)).collect();
-    let mut alive: Vec<bool> = vec![true; cfg.shards];
-    let mut incidents: Vec<ShardIncident> = Vec::new();
-    let mut ensemble = build_ensemble(cfg);
-    let mut telemetry = ReplayTelemetry::new(cfg.shards);
-    let mut packets: u64 = 0;
-    let mut epochs: u64 = 0;
-    let mut packets_rerouted: u64 = 0;
-    let mut reports_dropped: u64 = 0;
-    // Counts from intervals whose epoch report was lost; folded into
-    // the next delivered report (switch registers are cumulative). The
-    // delivered report spans `carried_epochs + 1` intervals, so the
-    // engines observe the per-interval average — otherwise a run of
-    // dropped reports would masquerade as a spike. HLL registers are
-    // not carried: a dropped interval's distinct-source registers wash
-    // at its barrier.
-    let mut carried_syns: i64 = 0;
-    let mut carried_packets: i64 = 0;
-    let mut carried_len_sum: i64 = 0;
-    let mut carried_epochs: i64 = 0;
-    // Epoch ordinals of the carried (dropped) reports — alert lineage.
-    let mut carried_from: Vec<u64> = Vec::new();
-    // Drilldown ladder fed by every delivered verdict; each trigger
-    // yields one provenance record (identical to the pool engine).
-    let mut drill = ScoreDrilldown::new(cfg.ensemble.trigger);
-    let mut provenance: Vec<AlertProvenanceRecord> = Vec::new();
-
-    // Incremental barrier merger — same delta path as the pool engine,
-    // so conformance covers the sparse merge on both sides.
-    let mut merger = crate::barrier::BarrierMerger::new();
-
-    let started = std::time::Instant::now();
-
-    // Cut the schedule into epochs (one detector interval each). The
-    // schedule is time-sorted, so each epoch is a contiguous run.
-    let mut i = 0;
-    while i < schedule.len() {
-        let epoch_idx = schedule[i].0 / interval;
-        let mut j = i;
-        while j < schedule.len() && schedule[j].0 / interval == epoch_idx {
-            j += 1;
-        }
-        let epoch_frames = &schedule[i..j];
-        i = j;
-        let incidents_before = incidents.len();
+    for (epoch_idx, range) in coord.epoch_ranges(schedule) {
+        let epoch_frames = &schedule[range];
 
         // Deterministic flow-affine split of this epoch's frames.
         // Frames whose home shard was quarantined in an earlier epoch
         // reroute to the next survivor in ring order (the controller's
         // repartitioning); with no survivors at all they are lost.
         let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); cfg.shards];
-        let mut epoch_rerouted: u64 = 0;
+        let mut rerouted: u64 = 0;
         for (_, frame) in epoch_frames {
             let home = workloads::shard::shard_of(frame, cfg.shards);
-            let target = if alive[home] {
-                Some(home)
-            } else {
-                next_alive(&alive, home)
-            };
-            if let Some(t) = target {
+            if let Some(t) = route_target(&coord.alive, home) {
                 if t != home {
-                    epoch_rerouted += 1;
+                    rerouted += 1;
                 }
                 work[t].push(frame);
             }
         }
-        packets_rerouted += epoch_rerouted;
-
-        // Scheduled faults for this epoch. Crashes are handled here on
-        // the supervisor side — the shard is quarantined before its
-        // thread would spawn, so its slice of this interval is lost.
-        let mut recover_started: Option<std::time::Instant> = None;
-        let plan: Vec<Option<ShardFaultKind>> = (0..cfg.shards)
-            .map(|s| {
-                if alive[s] {
-                    faults.shard_fault(epoch_idx, s)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (s, fault) in plan.iter().enumerate() {
-            let Some(kind) = fault else { continue };
-            telemetry.faults_injected.inc();
-            if *kind == ShardFaultKind::Crash {
-                recover_started.get_or_insert_with(std::time::Instant::now);
-                alive[s] = false;
-                incidents.push(ShardIncident {
-                    shard: s,
-                    epoch: epoch_idx,
-                    kind: IncidentKind::Crashed,
-                });
-            }
-        }
+        let mut open = coord.open_epoch(epoch_idx, epoch_frames.len(), rerouted, faults);
 
         // One thread per surviving shard; the scope end is the epoch
         // barrier. Each thread updates its own ShardMetrics
         // (single-owner, no atomics) at batch granularity and reports
         // its busy time so barrier idle time can be attributed after
         // the join. A failed join quarantines the shard instead of
-        // propagating the panic.
-        telemetry.trace.begin("ingest", epoch_idx);
-        let epoch_started = std::time::Instant::now();
+        // propagating the panic; its state stays where it was, dead.
+        coord.telemetry.trace.begin("ingest", epoch_idx);
+        let epoch_started = Instant::now();
         let results: Vec<(usize, Result<u64, String>)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (s, (((state, m), tracer), list)) in shards
+            for (s, (((state, m), tracer), list)) in coord
+                .states
                 .iter_mut()
-                .zip(telemetry.shards.iter_mut())
-                .zip(telemetry.shard_traces.iter_mut())
+                .zip(coord.telemetry.shards.iter_mut())
+                .zip(coord.telemetry.shard_traces.iter_mut())
                 .zip(&work)
                 .enumerate()
             {
-                if !alive[s] {
+                let (Some(state), true) = (state.as_mut(), coord.alive[s]) else {
                     continue;
-                }
-                let fault = plan[s];
+                };
+                let fault = open.faults[s];
                 let handle = scope.spawn(move || {
-                    match fault {
-                        // Before any ingest (and before the span
-                        // opens), so the quarantined state is a clean
-                        // epoch boundary.
-                        Some(ShardFaultKind::Panic) => {
-                            panic!("injected fault: shard {s} panicked at epoch {epoch_idx}")
-                        }
-                        Some(ShardFaultKind::Stall { ns }) => {
-                            std::thread::sleep(std::time::Duration::from_nanos(ns));
-                        }
-                        _ => {}
-                    }
+                    fire_on_worker(fault, s, epoch_idx);
                     tracer.begin("ingest", epoch_idx);
-                    let busy = std::time::Instant::now();
+                    let busy = Instant::now();
                     for chunk in list.chunks(batch) {
                         for frame in chunk {
                             state.ingest(frame);
@@ -192,7 +105,7 @@ pub fn run_replay_with_faults(
                         m.batches.inc();
                         m.batch_size.record(chunk.len() as u64);
                     }
-                    let ns = u64::try_from(busy.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    let ns = elapsed_ns(busy);
                     m.ingest_ns.add(ns);
                     tracer.end("ingest", epoch_idx);
                     ns
@@ -204,192 +117,18 @@ pub fn run_replay_with_faults(
                 .map(|(s, h)| (s, h.join().map_err(panic_message)))
                 .collect()
         });
-        let epoch_wall = u64::try_from(epoch_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        telemetry.trace.end("ingest", epoch_idx);
-        for (s, r) in &results {
+        let epoch_wall = elapsed_ns(epoch_started);
+        coord.telemetry.trace.end("ingest", epoch_idx);
+        for (s, r) in results {
             match r {
-                Ok(busy) => {
-                    telemetry.shards[*s]
-                        .barrier_wait_ns
-                        .record(epoch_wall.saturating_sub(*busy));
-                }
-                Err(msg) => {
-                    recover_started.get_or_insert_with(std::time::Instant::now);
-                    alive[*s] = false;
-                    incidents.push(ShardIncident {
-                        shard: *s,
-                        epoch: epoch_idx,
-                        kind: IncidentKind::Panicked(msg.clone()),
-                    });
-                }
+                Ok(busy) => coord.telemetry.shards[s]
+                    .barrier_wait_ns
+                    .record(epoch_wall.saturating_sub(busy)),
+                Err(msg) => coord.quarantine(&mut open, s, IncidentKind::Panicked(msg)),
             }
         }
-        packets += epoch_frames.len() as u64;
-        epochs += 1;
-
-        // Barrier work: fold surviving shard state into a fresh global
-        // view and (unless this epoch's report is lost) let the
-        // central detector judge the merged aggregates.
-        telemetry.trace.begin("merge", epoch_idx);
-        let merge_started = std::time::Instant::now();
-        let mut entries: Vec<(usize, &mut ShardState)> =
-            shards.iter_mut().enumerate().collect();
-        let merge_stats = merger.merge(&mut entries, &mut alive, cfg, epoch_idx, &mut incidents);
-        drop(entries);
-        let merged = merger.merged();
-        let merge_ns = u64::try_from(merge_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        telemetry.trace.end("merge", epoch_idx);
-        telemetry.merge_ns.record(merge_ns);
-        telemetry.merge_delta_bytes.add(merge_stats.delta_bytes);
-        telemetry
-            .merge_skipped_registers
-            .add(merge_stats.skipped_registers);
-        if merge_stats.rebuilt {
-            telemetry.merge_rebuilds.inc();
-        }
-        let at = (epoch_idx + 1) * interval;
-        let mut any_fired = false;
-        if faults.drop_epoch_report(epoch_idx) {
-            reports_dropped += 1;
-            telemetry.reports_dropped.inc();
-            telemetry.trace.instant("report_dropped", epoch_idx);
-            carried_syns += merged.syn_in_interval;
-            carried_packets += merged.packets_in_interval;
-            carried_len_sum += merged.len_sum_in_interval;
-            carried_epochs += 1;
-            carried_from.push(epoch_idx);
-        } else {
-            telemetry.trace.begin("detect", epoch_idx);
-            let span = carried_epochs + 1;
-            let ctx = SignalContext {
-                at,
-                epoch: epoch_idx,
-                interval_ns: interval,
-                spanned: span,
-                packets: (merged.packets_in_interval + carried_packets) / span,
-                syns: (merged.syn_in_interval + carried_syns) / span,
-                len_sum: (merged.len_sum_in_interval + carried_len_sum) / span,
-                distinct_sources: i64::try_from(merged.src_hll.estimate()).unwrap_or(i64::MAX),
-                median_len: crate::median_len_signal(
-                    &merged.len_median,
-                    &mut telemetry.median_fallbacks,
-                ),
-                kinds: &merged.kinds,
-                len_stats: &merged.len_stats,
-            };
-            let verdict = ensemble.observe(&ctx);
-            any_fired = !verdict.fired.is_empty();
-            if let Some(outcome) = drill.observe(&verdict) {
-                if !outcome.transactions.is_empty() {
-                    telemetry.trace.instant("rebind", epoch_idx);
-                }
-                let delivered: Vec<usize> = alive
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, a)| *a)
-                    .map(|(s, _)| s)
-                    .collect();
-                provenance.push(AlertProvenanceRecord::capture(
-                    provenance.len() as u64,
-                    &ctx,
-                    &verdict,
-                    outcome,
-                    LineageSources {
-                        delivered_shards: delivered,
-                        carried_from: &carried_from,
-                        rerouted_frames: epoch_rerouted,
-                        incidents: &incidents,
-                    },
-                ));
-            }
-            telemetry.trace.end("detect", epoch_idx);
-            carried_syns = 0;
-            carried_packets = 0;
-            carried_len_sum = 0;
-            carried_epochs = 0;
-            carried_from.clear();
-        }
-        if any_fired {
-            telemetry.trace.instant("alert", epoch_idx);
-        }
-        // Actual wall time of the whole epoch (spawn through merge and
-        // detection) — see the pool engine for the double-count this
-        // replaces.
-        telemetry
-            .epoch_ns
-            .record(u64::try_from(epoch_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        telemetry.epochs.inc();
-
-        // Quarantine bookkeeping: recovery is complete once the
-        // surviving state is re-merged, so the time-to-recover clock
-        // runs from the first failure this epoch to here.
-        let new_incidents = incidents.len() - incidents_before;
-        if new_incidents > 0 {
-            telemetry.shards_quarantined.add(new_incidents as u64);
-            telemetry.trace.instant("quarantine", epoch_idx);
-            let t0 = recover_started.unwrap_or(merge_started);
-            let spent = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for _ in 0..new_incidents {
-                telemetry.recover_ns.record(spent);
-            }
-        }
-
-        for (i, (s, m)) in shards
-            .iter_mut()
-            .zip(telemetry.shards.iter_mut())
-            .enumerate()
-        {
-            telemetry.shard_traces[i].begin("close_interval", epoch_idx);
-            m.syn_packets
-                .add(crate::closed_interval_syns(s.syn_in_interval, &mut telemetry.syn_clamps));
-            s.close_interval();
-            telemetry.shard_traces[i].end("close_interval", epoch_idx);
-        }
+        coord.close_epoch(open, faults, epoch_started, &full_detail);
     }
 
-    let elapsed = started.elapsed();
-    telemetry.elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    let syn_engine = ensemble
-        .engine::<SynFloodEngine>("synflood")
-        .expect("ensemble always carries the SYN-flood engine");
-    let alerts = syn_engine.alerts().to_vec();
-    let detected_at = syn_engine.detected_at();
-    telemetry.alerts.add(alerts.len() as u64);
-    telemetry.detector = syn_engine.metrics().clone();
-    telemetry.engines = ensemble
-        .metrics_by_name()
-        .into_iter()
-        .map(|(n, m)| (n.to_string(), m))
-        .collect();
-    let report = EnsembleReport {
-        engines: ensemble.summaries(),
-        fired: ensemble.fired_log.clone(),
-    };
-
-    let final_epoch = schedule.last().map_or(0, |(t, _)| t / interval);
-    let merged = merge_surviving(&shards, &mut alive, cfg, final_epoch, &mut incidents);
-    let health = ReplayHealth {
-        shards_configured: cfg.shards,
-        shards_alive: alive.iter().filter(|a| **a).count(),
-        packets_offered: packets,
-        packets_ingested: merged.packets,
-        packets_lost: packets.saturating_sub(merged.packets),
-        packets_rerouted,
-        reports_dropped,
-        incidents,
-    };
-    telemetry.packets_lost.add(health.packets_lost);
-    telemetry.packets_rerouted.add(health.packets_rerouted);
-    ReplayOutcome {
-        merged,
-        alerts,
-        detected_at,
-        packets,
-        epochs,
-        elapsed,
-        health,
-        ensemble: report,
-        provenance,
-        telemetry,
-    }
+    coord.finish(schedule, started)
 }

@@ -169,36 +169,97 @@ fn at<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
 
 /// The semantic half: the bytes are intact (`serialize` seals the
 /// tampered checkpoint with a correct checksum), the state is not.
-/// `rebuild_detection` refuses it, and a resume that finds such a file
-/// newest falls back to its predecessor, says so, and still finishes
-/// byte-identical to the uninterrupted run.
+/// Either `rebuild_detection` refuses it (no detector could have
+/// exported that state) or the coordinator does (its own fields are
+/// ones the epoch loop would index or divide by). A resume that finds
+/// such a file newest falls back to its predecessor, says so, and
+/// still finishes byte-identical to the uninterrupted run.
 #[test]
 fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
-    type Tamper = fn(&mut Json);
-    let cases: [(&str, Tamper); 5] = [
-        ("wrong ring length", |e| {
-            match at(e, &["engines", "0", "state", "syn_rate", "ring"]) {
+    /// What to damage, and the reason the fallback must give when it
+    /// is the coordinator that refuses (`None`: `rebuild_detection`
+    /// refuses, and its error is the reason).
+    type Case = (&'static str, fn(&mut Checkpoint), Option<&'static str>);
+    let cases: [Case; 12] = [
+        (
+            "wrong ring length",
+            |c| match at(&mut c.ensemble, &["engines", "0", "state", "syn_rate", "ring"]) {
                 Json::Arr(ring) => {
                     ring.pop();
                 }
                 _ => unreachable!(),
-            }
-        }),
-        ("season phase >= season_len", |e| {
-            *at(e, &["engines", "4", "state", "phase"]) = Json::Int(16);
-        }),
-        ("negative count", |e| {
-            *at(e, &["engines", "6", "state", "1", "count"]) = Json::Int(-2);
-        }),
-        ("unknown engine name", |e| {
-            *at(e, &["engines", "7", "name"]) = Json::Str("entropy".into());
-        }),
-        ("missing engine", |e| match at(e, &["engines"]) {
-            Json::Arr(engines) => {
-                engines.remove(2);
-            }
-            _ => unreachable!(),
-        }),
+            },
+            None,
+        ),
+        (
+            "season phase >= season_len",
+            |c| *at(&mut c.ensemble, &["engines", "4", "state", "phase"]) = Json::Int(16),
+            None,
+        ),
+        (
+            "negative count",
+            |c| *at(&mut c.ensemble, &["engines", "6", "state", "1", "count"]) = Json::Int(-2),
+            None,
+        ),
+        (
+            "unknown engine name",
+            |c| *at(&mut c.ensemble, &["engines", "7", "name"]) = Json::Str("entropy".into()),
+            None,
+        ),
+        (
+            "missing engine",
+            |c| match at(&mut c.ensemble, &["engines"]) {
+                Json::Arr(engines) => {
+                    engines.remove(2);
+                }
+                _ => unreachable!(),
+            },
+            None,
+        ),
+        // The coordinator's own fields. Each of these panicked the
+        // resume (a division by zero, an index out of bounds, an
+        // `expect`) before `EpochCoordinator::restore` checked them.
+        (
+            "carried_epochs = -1",
+            |c| {
+                c.carried_epochs = -1;
+                c.carried_from.clear();
+            },
+            Some("carried_epochs is -1"),
+        ),
+        (
+            "carried_epochs disagrees with carried_from",
+            |c| c.carried_epochs += 1,
+            Some("carried_from lists"),
+        ),
+        (
+            "negative carried_syns",
+            |c| c.carried_syns = -5,
+            Some("carried_syns is negative"),
+        ),
+        (
+            "no alive flags",
+            |c| c.alive.clear(),
+            Some("0 alive flag(s)"),
+        ),
+        (
+            "alive shard without state",
+            |c| {
+                c.alive[0] = true;
+                c.shards[0] = None;
+            },
+            Some("shard 0 is marked alive but its state is absent"),
+        ),
+        (
+            "shards truncated to one entry",
+            |c| c.shards.truncate(1),
+            Some("1 shard slot(s)"),
+        ),
+        (
+            "negative carried_len_sum",
+            |c| c.carried_len_sum = -1,
+            Some("carried_len_sum is negative"),
+        ),
     ];
 
     let s = flood();
@@ -206,21 +267,25 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
     let (full, _) = run_replay_lifecycle(&s, &cfg(), &faults, &LifecyclePlan::none());
     let full = render_outcome_json(&full);
 
-    for (i, (what, tamper)) in cases.into_iter().enumerate() {
+    for (i, (what, tamper, coordinator_says)) in cases.into_iter().enumerate() {
         let dir = fresh_dir(&format!("semantic-{i}"));
         killed_run(&dir, 9); // checkpoints #0..#3; #3 resumes at epoch 8
         let newest = dir.join(ckpt::file_name(3));
         let mut c = ckpt::parse(&std::fs::read_to_string(&newest).unwrap()).unwrap();
         c.rebuild_detection(&cfg())
             .expect("the untampered checkpoint rebuilds");
-        tamper(&mut c.ensemble);
+        tamper(&mut c);
         let sealed = ckpt::serialize(&c);
         assert_eq!(
             ckpt::parse(&sealed).expect("the checksum is valid"),
             c,
             "{what}"
         );
-        let err = c.rebuild_detection(&cfg()).expect_err(what);
+        let err = match (c.rebuild_detection(&cfg()), coordinator_says) {
+            (Err(e), None) => e,
+            (Ok(_), Some(reason)) => reason.to_string(),
+            (r, _) => panic!("{what}: rebuild_detection gave {:?}", r.map(|_| ())),
+        };
         std::fs::write(&newest, sealed).unwrap();
 
         let (resumed, report) = resume_from_checkpoint(&s, &cfg(), &plan(&dir, None))
