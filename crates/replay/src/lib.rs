@@ -26,17 +26,19 @@
 //!   *executor* owns only routing and threads. The production one is
 //!   the worker pool ([`mod@pool`] internals): one OS thread per shard,
 //!   spawned **once per run** and fed through bounded per-shard
-//!   channels; each epoch it moves the shard's state plus the
-//!   interval's frame list to the worker, pre-partitions the *next*
-//!   interval while the workers ingest, and recycles the frame buffers
-//!   run-long. [`reference`] is the other: serial partitioning and a
+//!   channels; for an epoch long enough to pay for the hand-off it
+//!   moves the shard's state plus the interval's frame list to the
+//!   worker and pre-partitions the *next* interval while the workers
+//!   ingest, a short epoch it ingests on the coordinator's own thread,
+//!   and the frame lists are the run's either way.
+//!   [`reference`] is the other: serial partitioning and a
 //!   `std::thread::scope` worker set per interval, kept as the
 //!   baseline the pool is tested bit-identical against
 //!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
 //!   kill, hot swaps, shedding) is [`lifecycle`]'s.
 //! - **Epochs** — time is cut into detector intervals; each epoch,
-//!   every surviving worker ingests its slice of the interval in
-//!   batches, then all replies join at the coordinator's barrier.
+//!   every surviving shard's slice of the interval is ingested in
+//!   batches, then everything joins at the coordinator's barrier.
 //! - **Merge** — shard state folds into a global [`ShardState`] via
 //!   [`stat4_core::Mergeable`]: `RunningStats` / `FrequencyDist` /
 //!   `CountMinSketch` merge by summing (order-free, bit-identical to a
@@ -380,8 +382,8 @@ impl ShardState {
         self.ingest_meta(&parse_frame(frame));
     }
 
-    /// Ingests one already-parsed frame. The pool's worker hot path
-    /// parses a whole batch into [`FrameMeta`]s once and replays the
+    /// Ingests one already-parsed frame. The pool's hot path parses a
+    /// whole batch into [`FrameMeta`]s once and replays the
     /// flat buffer through here, touching no frame bytes twice.
     pub fn ingest_meta(&mut self, m: &FrameMeta) {
         let _ = self.kinds.observe(m.kind);

@@ -491,9 +491,10 @@ fn main() {
     };
 
     println!(
-        "replayed {} packets over {} epochs on {} shard(s) in {:.1} ms ({:.0} pkt/s)",
+        "replayed {} packets over {} epochs ({} inline) on {} shard(s) in {:.1} ms ({:.0} pkt/s)",
         out.packets,
         out.epochs,
+        out.telemetry.epochs_inline.get(),
         opts.shards,
         out.elapsed.as_secs_f64() * 1e3,
         out.throughput_pps(),

@@ -36,12 +36,13 @@ pub struct ShardMetrics {
     /// slowest shard — the straggler signal.
     pub barrier_wait_ns: LogLinearHistogram,
     /// Nanoseconds each dispatched epoch sat in this shard's bounded
-    /// queue before the worker dequeued it (pool engine; empty on the
+    /// queue before the worker dequeued it (pool engine; no sample for
+    /// an epoch the coordinator ingested inline, and empty on the
     /// reference engine, which has no queues).
     pub queue_wait_ns: LogLinearHistogram,
     /// Epochs in flight in this shard's queue at each dispatch —
-    /// backpressure signal (pool engine; empty on the reference
-    /// engine).
+    /// backpressure signal (pool engine, dispatched epochs only; empty
+    /// on the reference engine).
     pub queue_depth: LogLinearHistogram,
 }
 
@@ -103,6 +104,10 @@ pub struct ReplayTelemetry {
     pub shards: Vec<ShardMetrics>,
     /// Closed epochs.
     pub epochs: Counter,
+    /// Of those, the ones the pool's coordinator ingested itself
+    /// because they were too short to pay for a hand-off to the
+    /// workers; the rest were dispatched. Zero on the reference engine.
+    pub epochs_inline: Counter,
     /// Alerts the central detector raised.
     pub alerts: Counter,
     /// Wall time of each epoch (dispatch → merged, detected verdict),
@@ -166,8 +171,9 @@ pub struct ReplayTelemetry {
     /// `unwrap_or`).
     pub syn_clamps: Counter,
     /// Portion of each epoch's partition time that overlapped worker
-    /// ingest — the pool's pipelining win; zero on the reference
-    /// engine, which partitions serially between barriers.
+    /// ingest — the pool's pipelining win; a 0 sample for an epoch
+    /// ingested inline, and empty on the reference engine, which
+    /// partitions serially between barriers.
     pub overlap_ns: LogLinearHistogram,
     /// Bound of the per-shard dispatch queues (0 = unqueued reference
     /// engine).
@@ -195,7 +201,8 @@ pub struct ReplayTelemetry {
     /// One bounded tracer per shard, sharing the coordinator's time
     /// origin — workers record their ingest/queue-wait spans into
     /// their own buffer (handed off through the dispatch channel on
-    /// the pool engine; borrowed in-scope on the reference engine).
+    /// the pool engine, or written in place for an inline epoch;
+    /// borrowed in-scope on the reference engine).
     /// [`Self::merged_trace`] folds them with the coordinator's.
     pub shard_traces: Vec<Tracer>,
     /// Total wall time of the replay, ns.
@@ -214,6 +221,7 @@ impl ReplayTelemetry {
         Self {
             shards: (0..shards).map(|_| ShardMetrics::new()).collect(),
             epochs: Counter::new(),
+            epochs_inline: Counter::new(),
             alerts: Counter::new(),
             epoch_ns: LogLinearHistogram::default(),
             merge_ns: LogLinearHistogram::default(),
@@ -359,6 +367,12 @@ impl ReplayTelemetry {
             "closed detector intervals",
             &[],
             self.epochs.get(),
+        );
+        snap.push_counter(
+            "replay_epochs_inline_total",
+            "closed intervals the pool's coordinator ingested without a hand-off",
+            &[],
+            self.epochs_inline.get(),
         );
         snap.push_counter(
             "replay_alerts_total",

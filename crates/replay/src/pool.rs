@@ -12,18 +12,24 @@
 //! - **Workers spawn once per run.** One OS thread per shard lives for
 //!   the whole replay inside a single `std::thread::scope`, fed
 //!   through a bounded [`sync_channel`] of capacity
-//!   [`QUEUE_CAPACITY`]. An epoch is a message, not a thread.
-//! - **State ping-pongs, never copies.** Each epoch the pool *moves*
-//!   the shard's [`ShardState`] out of its coordinator slot, with its
-//!   frame list, to the worker and puts it back from the reply —
-//!   pointer handoffs through the channel, zero clones. Merging
-//!   therefore still happens on the coordinator thread.
+//!   [`QUEUE_CAPACITY`].
+//! - **A hand-off has to pay for itself.** A large epoch is a message:
+//!   the pool *moves* each shard's [`ShardState`] out of its
+//!   coordinator slot, with its frame list, to the worker and puts it
+//!   back from the reply — pointer handoffs through the channel, zero
+//!   clones. A small epoch (at most [`INLINE_MAX_FRAMES`] frames, no
+//!   fault to fire on a worker) is not worth the two wake-ups per shard
+//!   that costs, so the coordinator ingests it itself, shard by shard,
+//!   into the states where they are parked. Both run [`ingest_epoch`];
+//!   the choice is made per epoch from the epoch's length, and
+//!   `ReplayTelemetry::epochs_inline` counts how often it fell this
+//!   way. Merging happens on the coordinator thread either way.
 //! - **Partitioning is a parallel pre-stage.** Flow hashing — the
 //!   expensive, alive-map-independent half of partitioning — runs once
 //!   up front over the whole schedule on scoped threads
 //!   ([`workloads::shard::assignments_parallel`]). The cheap routing
 //!   pass (home → survivor, quarantine reroutes) for interval *k+1*
-//!   runs while the workers ingest interval *k*.
+//!   runs while the workers ingest a dispatched interval *k*.
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
@@ -32,20 +38,23 @@
 //!   then the speculative partition is discarded and rebuilt from the
 //!   actual map, so every frame still lands where the reference's
 //!   serial partition puts it.
-//! - **Buffers are pooled.** Frame lists return (cleared) in each
-//!   reply and recycle through a spare pool; steady state circulates
-//!   ~2× shards buffers for the whole run instead of reallocating
-//!   `shards` fresh `Vec`s per interval.
+//! - **Nothing is allocated per epoch.** Each shard has two frame
+//!   lists for the whole run, this epoch's and the next one's, which
+//!   trade places at every epoch; a dispatched list comes home
+//!   (cleared) in the reply. The reply slots and the predicted alive
+//!   map are reused the same way. `tests/pool_allocs.rs` holds the
+//!   pool to that.
 //!
 //! Supervision, seen from here: a shard the coordinator's fault plan
-//! crashed is not dispatched (its state stays parked in its slot); an
-//! injected panic unwinds the worker, the pool notices the reply
-//! channel disconnect, joins the dead thread for its payload and
-//! reports it with [`EpochCoordinator::quarantine`] (the state died
-//! with the worker: a dead pipe's registers are unreadable).
-//! `tests/pool.rs` and `tests/pool_teardown.rs` hold the pool to
-//! outcomes bit-identical to the reference's and to leak-free
-//! teardown.
+//! crashed is not ingested (its state stays parked in its slot); an
+//! epoch with a panic or stall scheduled is always dispatched, so the
+//! fault fires on a worker and never on the coordinator. An injected
+//! panic unwinds the worker, the pool notices the reply channel
+//! disconnect, joins the dead thread for its payload and reports it
+//! with [`EpochCoordinator::quarantine`] (the state died with the
+//! worker: a dead pipe's registers are unreadable). `tests/pool.rs`
+//! and `tests/pool_teardown.rs` hold the pool to outcomes bit-identical
+//! to the reference's on both paths and to leak-free teardown.
 
 use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
 use crate::lifecycle::{LifecycleReport, RunLifecycle};
@@ -53,6 +62,7 @@ use crate::{
     panic_message, route_target, IncidentKind, ReplayOutcome, ShardMetrics, ShardState,
 };
 use faultinject::{FaultSchedule, ShardFaultKind};
+use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 use telemetry::Tracer;
@@ -68,6 +78,32 @@ pub(crate) const QUEUE_CAPACITY: usize = 2;
 /// order-preserving, so any thread count yields the same assignment
 /// (`assignments_parallel` falls back to serial for short schedules).
 const PARTITION_THREADS: usize = 4;
+
+/// Longest epoch, in frames over all shards, that the coordinator
+/// ingests itself instead of handing it to the workers.
+///
+/// A hand-off is a `sync_channel` round-trip: two futex wake-ups and
+/// two context switches per shard. Measured on the benchmark's
+/// `sparse_2shard` (≈120-frame epochs, two workers) it left 12.7 µs
+/// per epoch that no stage accounts for, ≈6 µs per round-trip with
+/// coordinator and workers on one CPU, and 11–46 µs per round-trip when
+/// they sit on two vCPUs and the wake-up crosses the hypervisor
+/// (benchmark/README.md § "One CPU": 70 and 140 ms per rep against 48).
+/// A frame costs ≈63 ns to parse and ingest (20.6 + 42.3), so the
+/// serial cost of an inline epoch is at most 256 × 63 ns ≈ 16 µs
+/// whatever the shard count: less than two hand-offs on the cheapest
+/// machine measured, and an epoch hands off once per shard. The bound
+/// is on the epoch and not on a shard's slice for that reason, and
+/// because the epoch's length is known before routing.
+///
+/// A threshold sweep (per shard, two shards) shows where the cliff is:
+/// 96 frames reads 6.8 M frames/s on `sparse_2shard`, 128 reads 8.3 M,
+/// no bound at all reads 8.3 M. So the bound has to clear the sparse
+/// generator's 60–180-frame epochs, and it must stay far below the
+/// dense generator's 12 000, where the workers' parallel ingest is the
+/// point of the pool. Between ≈256 and a few thousand frames per epoch
+/// nothing in the benchmark decides it (ROADMAP item 4).
+const INLINE_MAX_FRAMES: usize = 256;
 
 /// One epoch's work order for a shard: its state, its routed frame
 /// slice, and any fault scheduled to fire on the worker.
@@ -94,13 +130,37 @@ enum Dispatch<'a> {
     Shutdown,
 }
 
-/// A routed epoch produced speculatively for interval k+1 while k is
-/// in flight, valid only if `assumed_alive` still matches reality when
-/// k+1 dispatches.
+/// The routing of the epoch about to run: one frame list per shard,
+/// filled for interval k+1 while k is in flight and valid only if
+/// `assumed_alive` still matches reality when k+1 starts.
 struct RoutedEpoch<'a> {
     work: Vec<Vec<&'a bytes::Bytes>>,
     rerouted: u64,
+    /// Empty until something has been routed: no run's alive map.
     assumed_alive: Vec<bool>,
+}
+
+impl<'a> RoutedEpoch<'a> {
+    /// Routes `range` into the per-shard lists under `assumed_alive`:
+    /// home shard if alive, else the next survivor in ring order, else
+    /// the frame is lost. Whatever the lists held is discarded, reroute
+    /// count included — a speculative route that is not used must not
+    /// leak into health accounting.
+    fn route(&mut self, schedule: &'a Schedule, homes: &[usize], range: Range<usize>) {
+        for list in &mut self.work {
+            list.clear();
+        }
+        self.rerouted = 0;
+        for idx in range {
+            let home = homes[idx];
+            if let Some(t) = route_target(&self.assumed_alive, home) {
+                if t != home {
+                    self.rerouted += 1;
+                }
+                self.work[t].push(&schedule[idx].1);
+            }
+        }
+    }
 }
 
 /// Worker → coordinator reply: the state and (cleared) frame buffer
@@ -113,11 +173,40 @@ struct Reply<'a> {
     tracer: Tracer,
 }
 
-/// What a worker did with one epoch.
+/// What one shard's epoch came to, on either path.
 struct Ingested {
     frames: u64,
     busy_ns: u64,
-    queue_wait_ns: u64,
+    /// `None` for an inline epoch: nothing was queued.
+    queue_wait_ns: Option<u64>,
+}
+
+/// One shard's share of one epoch, on whichever thread holds the state:
+/// a worker for a dispatched epoch, the coordinator for an inline one.
+/// Each batch's headers are parsed once into `metas` (the caller's, so
+/// it is allocated once per thread), then the trackers replay the metas
+/// without touching the frame bytes again. Returns the busy time, which
+/// is also the `ingest` span on the shard's `tracer`.
+fn ingest_epoch(
+    state: &mut ShardState,
+    frames: &[&bytes::Bytes],
+    batch: usize,
+    metas: &mut Vec<crate::FrameMeta>,
+    tracer: &mut Tracer,
+    epoch_idx: u64,
+) -> u64 {
+    tracer.begin("ingest", epoch_idx);
+    let busy = Instant::now();
+    for chunk in frames.chunks(batch) {
+        metas.clear();
+        metas.extend(chunk.iter().map(|f| crate::parse_frame(f)));
+        for m in metas.iter() {
+            state.ingest_meta(m);
+        }
+    }
+    let busy_ns = elapsed_ns(busy);
+    tracer.end("ingest", epoch_idx);
+    busy_ns
 }
 
 /// The persistent per-shard worker: block on the queue, run one epoch,
@@ -127,9 +216,6 @@ struct Ingested {
 /// both channel ends — the reply-channel disconnect is how the
 /// supervisor notices.
 fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Reply<'a>>) {
-    // Flat parsed-batch buffer, reused for the worker's whole life:
-    // each batch's headers are parsed once into it, then the trackers
-    // replay the metas without touching the frame bytes again.
     let mut metas: Vec<crate::FrameMeta> = Vec::new();
     while let Ok(Dispatch::Epoch(mut work)) = rx.recv() {
         let queue_wait_ns = elapsed_ns(work.sent_at);
@@ -141,17 +227,14 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
         tracer.begin_at("queue_wait", work.epoch_idx, sent_ns);
         tracer.end("queue_wait", work.epoch_idx);
         fire_on_worker(work.fault, shard, work.epoch_idx);
-        tracer.begin("ingest", work.epoch_idx);
-        let busy = Instant::now();
-        for chunk in work.frames.chunks(work.batch) {
-            metas.clear();
-            metas.extend(chunk.iter().map(|f| crate::parse_frame(f)));
-            for m in &metas {
-                work.state.ingest_meta(m);
-            }
-        }
-        let busy_ns = elapsed_ns(busy);
-        tracer.end("ingest", work.epoch_idx);
+        let busy_ns = ingest_epoch(
+            &mut work.state,
+            &work.frames,
+            work.batch,
+            &mut metas,
+            &mut tracer,
+            work.epoch_idx,
+        );
         let frames = work.frames.len() as u64;
         work.frames.clear();
         let reply = Reply {
@@ -160,7 +243,7 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
             ingested: Ingested {
                 frames,
                 busy_ns,
-                queue_wait_ns,
+                queue_wait_ns: Some(queue_wait_ns),
             },
             tracer,
         };
@@ -170,44 +253,7 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
     }
 }
 
-/// Routes one epoch's frames into per-shard work lists under `alive`:
-/// home shard if alive, else the next survivor in ring order, else the
-/// frame is lost. Buffers come from (and eventually return to) the
-/// spare pool. Returns the lists and the reroute count — the caller
-/// commits the count only when the routing is actually used (a
-/// discarded speculative route must not leak into health accounting).
-fn route<'a>(
-    schedule: &'a Schedule,
-    homes: &[usize],
-    range: std::ops::Range<usize>,
-    alive: &[bool],
-    spare: &mut Vec<Vec<&'a bytes::Bytes>>,
-    shards: usize,
-) -> (Vec<Vec<&'a bytes::Bytes>>, u64) {
-    let mut work: Vec<Vec<&'a bytes::Bytes>> =
-        (0..shards).map(|_| spare.pop().unwrap_or_default()).collect();
-    let mut rerouted = 0u64;
-    for idx in range {
-        let home = homes[idx];
-        if let Some(t) = route_target(alive, home) {
-            if t != home {
-                rerouted += 1;
-            }
-            work[t].push(&schedule[idx].1);
-        }
-    }
-    (work, rerouted)
-}
-
-/// Returns an epoch's buffers to the spare pool, cleared.
-fn recycle<'a>(work: Vec<Vec<&'a bytes::Bytes>>, spare: &mut Vec<Vec<&'a bytes::Bytes>>) {
-    for mut buf in work {
-        buf.clear();
-        spare.push(buf);
-    }
-}
-
-/// Folds one shard's reply into its metric set. The reference engine
+/// Folds one shard's epoch into its metric set. The reference engine
 /// records per chunk on the shard thread; the pool reconstructs the
 /// same records from the counts: `full` whole batches plus one
 /// remainder batch is exactly what `chunks(batch)` yields, and
@@ -223,17 +269,19 @@ fn record_ingest(m: &mut ShardMetrics, r: &Ingested, batch: u64, epoch_wall: u64
         if rem > 0 {
             m.batch_size.record(rem);
         }
-        m.queue_wait_ns.record(r.queue_wait_ns);
+        if let Some(waited) = r.queue_wait_ns {
+            m.queue_wait_ns.record(waited);
+        }
         m.barrier_wait_ns.record(epoch_wall.saturating_sub(r.busy_ns));
     }
 }
 
 /// Runs `coord` over the rest of `schedule` on the persistent worker
 /// pool, with `life` given every drain point. This function is the
-/// executor: routing, dispatch, collection. What an epoch *means* is
-/// [`EpochCoordinator::close_epoch`], which the reference engine calls
-/// too, so the two agree by construction wherever their executors
-/// deliver the same frames to the same shards.
+/// executor: routing, then dispatch and collection or inline ingest.
+/// What an epoch *means* is [`EpochCoordinator::close_epoch`], which
+/// the reference engine calls too, so the two agree by construction
+/// wherever their executors deliver the same frames to the same shards.
 pub(crate) fn run(
     schedule: &Schedule,
     faults: &FaultSchedule,
@@ -270,10 +318,18 @@ pub(crate) fn run(
                 handles.push(Some(scope.spawn(move || worker_loop(s, &rx_d, &tx_r))));
             }
 
-            // Run-long buffer pool (~2× shards lists in steady state).
-            let mut spare: Vec<Vec<&bytes::Bytes>> = Vec::new();
+            // Everything below lives for the run and is reused every
+            // epoch: this epoch's frame lists and the next one's, the
+            // per-shard results, the coordinator's parse buffer.
+            let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); shards];
+            let mut next = RoutedEpoch {
+                work: vec![Vec::new(); shards],
+                rerouted: 0,
+                assumed_alive: Vec::with_capacity(shards),
+            };
+            let mut results: Vec<(usize, Result<Ingested, String>)> = Vec::with_capacity(shards);
+            let mut metas: Vec<crate::FrameMeta> = Vec::new();
             let mut in_flight: Vec<u64> = vec![0; shards];
-            let mut speculative: Option<RoutedEpoch> = None;
 
             for (k, (epoch_idx, range)) in ranges.iter().enumerate().skip(life.start_ordinal) {
                 let epoch_idx = *epoch_idx;
@@ -290,43 +346,66 @@ pub(crate) fn run(
 
                 // (A) This epoch's routing: the speculative partition
                 // if its predicted alive map held, else a fresh pass.
-                let (mut work, rerouted) = match speculative.take() {
-                    Some(spec) if spec.assumed_alive == coord.alive => (spec.work, spec.rerouted),
-                    other => {
-                        if let Some(spec) = other {
-                            recycle(spec.work, &mut spare);
-                        }
-                        let t0 = Instant::now();
-                        let routed =
-                            route(schedule, &homes, range.clone(), &coord.alive, &mut spare, shards);
-                        if hists_on {
-                            coord.telemetry.partition_ns.record(elapsed_ns(t0));
-                        }
-                        routed
+                // Either way the lists of the epoch before, all home
+                // and empty, become the next epoch's.
+                if next.assumed_alive != coord.alive {
+                    let t0 = Instant::now();
+                    next.assumed_alive.clone_from(&coord.alive);
+                    next.route(schedule, &homes, range.clone());
+                    if hists_on {
+                        coord.telemetry.partition_ns.record(elapsed_ns(t0));
                     }
-                };
+                }
+                std::mem::swap(&mut work, &mut next.work);
 
                 // (B) The fault plan; a crash quarantines its shard
                 // before dispatch.
-                let mut open = coord.open_epoch(epoch_idx, range.len(), rerouted, faults);
+                let mut open = coord.open_epoch(epoch_idx, range.len(), next.rerouted, faults);
 
-                // (C) Dispatch to every surviving worker: move the
-                // state, the frame list and the shard's span recorder
-                // through the bounded queue. An empty recorder keeps
-                // the slot meanwhile (and for good, if the worker dies
-                // with the real one).
+                // (C) Ingest. A short epoch with nothing to fire on a
+                // worker stays here: each surviving shard's list goes
+                // into its parked state, in shard order. Any other is
+                // dispatched to every surviving worker: the state, the
+                // frame list and the shard's span recorder move through
+                // the bounded queue, and an empty recorder keeps the
+                // slot meanwhile (and for good, if the worker dies with
+                // the real one). A crashed shard's slice is dropped.
+                let inline = range.len() <= INLINE_MAX_FRAMES
+                    && !open.faults.iter().any(|f| {
+                        matches!(f, Some(ShardFaultKind::Panic | ShardFaultKind::Stall { .. }))
+                    });
                 if traces_on {
                     coord.telemetry.trace.begin("ingest", epoch_idx);
                 }
                 let epoch_started = Instant::now();
+                if inline {
+                    coord.telemetry.epochs_inline.inc();
+                }
                 for s in 0..shards {
-                    let frames = std::mem::take(&mut work[s]);
-                    if coord.alive[s] {
+                    if !coord.alive[s] {
+                        work[s].clear();
+                    } else if inline {
+                        let busy_ns = ingest_epoch(
+                            coord.states[s].as_mut().expect("alive shard holds its state"),
+                            &work[s],
+                            batch,
+                            &mut metas,
+                            &mut coord.telemetry.shard_traces[s],
+                            epoch_idx,
+                        );
+                        let ingested = Ingested {
+                            frames: work[s].len() as u64,
+                            busy_ns,
+                            queue_wait_ns: None,
+                        };
+                        work[s].clear();
+                        results.push((s, Ok(ingested)));
+                    } else {
                         let msg = Dispatch::Epoch(EpochWork {
                             epoch_idx,
                             fault: open.faults[s],
                             state: coord.states[s].take().expect("alive shard holds its state"),
-                            frames,
+                            frames: std::mem::take(&mut work[s]),
                             batch,
                             sent_at: Instant::now(),
                             tracer: std::mem::replace(
@@ -341,8 +420,6 @@ pub(crate) fn run(
                         if hists_on {
                             coord.telemetry.shards[s].queue_depth.record(in_flight[s]);
                         }
-                    } else {
-                        recycle(vec![frames], &mut spare);
                     }
                 }
 
@@ -352,71 +429,66 @@ pub(crate) fn run(
                 // k: deterministic, so only organic failures miss).
                 let mut spec_route_ns = None;
                 if let Some((_, next_range)) = ranges.get(k + 1) {
-                    let mut pred = coord.alive.clone();
+                    next.assumed_alive.clone_from(&coord.alive);
                     for (s, fault) in open.faults.iter().enumerate() {
                         if matches!(fault, Some(ShardFaultKind::Panic)) {
-                            pred[s] = false;
+                            next.assumed_alive[s] = false;
                         }
                     }
                     let t0 = Instant::now();
-                    let (w, r) =
-                        route(schedule, &homes, next_range.clone(), &pred, &mut spare, shards);
+                    next.route(schedule, &homes, next_range.clone());
                     let dur = elapsed_ns(t0);
                     if hists_on {
                         coord.telemetry.partition_ns.record(dur);
                     }
                     spec_route_ns = Some(dur);
-                    speculative = Some(RoutedEpoch {
-                        work: w,
-                        rerouted: r,
-                        assumed_alive: pred,
-                    });
                 }
 
-                // (E) Collect replies in shard order. A disconnected
-                // reply channel means the worker died: join it for the
-                // panic payload (its state is gone).
-                let mut results: Vec<(usize, Result<Ingested, String>)> =
-                    Vec::with_capacity(shards);
-                if traces_on {
-                    coord.telemetry.trace.begin("barrier", epoch_idx);
-                }
-                for s in 0..shards {
-                    // Dispatched above iff alive: nothing since has
-                    // touched the alive map.
-                    if !coord.alive[s] {
-                        continue;
+                // (E) Collect what was dispatched, in shard order. A
+                // disconnected reply channel means the worker died:
+                // join it for the panic payload (its state is gone).
+                if !inline {
+                    if traces_on {
+                        coord.telemetry.trace.begin("barrier", epoch_idx);
                     }
-                    in_flight[s] -= 1;
-                    match from_worker[s].recv() {
-                        Ok(reply) => {
-                            coord.states[s] = Some(reply.state);
-                            coord.telemetry.shard_traces[s] = reply.tracer;
-                            recycle(vec![reply.frames], &mut spare);
-                            results.push((s, Ok(reply.ingested)));
+                    for s in 0..shards {
+                        // Dispatched above iff alive: nothing since has
+                        // touched the alive map.
+                        if !coord.alive[s] {
+                            continue;
                         }
-                        Err(_) => {
-                            let h = handles[s].take().expect("dead worker joined once");
-                            let msg = match h.join() {
-                                Err(payload) => panic_message(payload),
-                                Ok(()) => String::from("shard worker exited without a reply"),
-                            };
-                            results.push((s, Err(msg)));
+                        in_flight[s] -= 1;
+                        match from_worker[s].recv() {
+                            Ok(reply) => {
+                                coord.states[s] = Some(reply.state);
+                                coord.telemetry.shard_traces[s] = reply.tracer;
+                                work[s] = reply.frames;
+                                results.push((s, Ok(reply.ingested)));
+                            }
+                            Err(_) => {
+                                let h = handles[s].take().expect("dead worker joined once");
+                                let msg = match h.join() {
+                                    Err(payload) => panic_message(payload),
+                                    Ok(()) => String::from("shard worker exited without a reply"),
+                                };
+                                results.push((s, Err(msg)));
+                            }
                         }
                     }
-                }
-                if traces_on {
-                    coord.telemetry.trace.end("barrier", epoch_idx);
+                    if traces_on {
+                        coord.telemetry.trace.end("barrier", epoch_idx);
+                    }
                 }
                 let epoch_wall = elapsed_ns(epoch_started);
                 if traces_on {
                     coord.telemetry.trace.end("ingest", epoch_idx);
                 }
                 let mut worst_queue_wait_ns = 0u64;
-                for (s, r) in results {
+                for (s, r) in results.drain(..) {
                     match r {
                         Ok(r) => {
-                            worst_queue_wait_ns = worst_queue_wait_ns.max(r.queue_wait_ns);
+                            worst_queue_wait_ns =
+                                worst_queue_wait_ns.max(r.queue_wait_ns.unwrap_or(0));
                             let m = &mut coord.telemetry.shards[s];
                             record_ingest(m, &r, batch as u64, epoch_wall, hists_on);
                         }
@@ -427,9 +499,11 @@ pub(crate) fn run(
                 // (F) The barrier: merge, detect, wash.
                 coord.close_epoch(open, faults, epoch_started, &life.shed);
                 if let (Some(dur), true) = (spec_route_ns, hists_on) {
-                    // The k+1 routing ran inside k's ingest window;
-                    // anything beyond the wall was coordinator-bound.
-                    coord.telemetry.overlap_ns.record(dur.min(epoch_wall));
+                    // The k+1 routing ran inside k's ingest window, if
+                    // workers were ingesting; anything beyond the wall
+                    // was coordinator-bound.
+                    let overlapped = if inline { 0 } else { dur.min(epoch_wall) };
+                    coord.telemetry.overlap_ns.record(overlapped);
                 }
                 life.observe_queue_wait(k, worst_queue_wait_ns);
             }

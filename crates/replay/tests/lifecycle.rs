@@ -104,6 +104,69 @@ fn kill_and_resume_is_byte_identical_across_shard_counts() {
     }
 }
 
+/// The pool ingests short epochs on the coordinator and hands long ones
+/// to the workers; a checkpoint must not care which. Quiet background
+/// (epochs of a few dozen frames) up to 150 ms, ≈1 000-frame epochs
+/// after: a run killed in the quiet stretch resumes into inline epochs
+/// and then crosses into dispatched ones, a run killed in the burst
+/// resumes into dispatched ones only, and both end where the
+/// uninterrupted run does.
+#[test]
+fn kill_and_resume_is_byte_identical_on_either_side_of_the_inline_bound() {
+    let (s, _) = SynFloodWorkload {
+        background_cps: 500,
+        flood_pps: 100_000,
+        flood_start: 150_000_000,
+        duration: 300_000_000,
+        seed: 11,
+        ..SynFloodWorkload::default()
+    }
+    .generate();
+    let cfg = cfg(2);
+    let (full, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &LifecyclePlan::none());
+    let inline = full.telemetry.epochs_inline.get();
+    assert!(0 < inline && inline < full.epochs, "{inline} of {} inline", full.epochs);
+
+    for (kill_at, in_quiet_stretch) in [(9u64, true), (22, false)] {
+        let dir = fresh_dir(&format!("straddle-{kill_at}"));
+        let plan = LifecyclePlan {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 4,
+            kill_at_epoch: Some(kill_at),
+            faults_spec: String::from(CHAOS),
+            ..LifecyclePlan::none()
+        };
+        let (killed, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &plan);
+        assert_eq!(killed.epochs, kill_at);
+        assert_eq!(
+            killed.telemetry.epochs_inline.get() == killed.epochs,
+            in_quiet_stretch,
+            "kill at {kill_at}: which side of the burst the kill fell on"
+        );
+
+        let resume_plan = LifecyclePlan {
+            checkpoint_dir: Some(dir.clone()),
+            ..LifecyclePlan::none()
+        };
+        let (resumed, report) = resume_from_checkpoint(&s, &cfg, &resume_plan)
+            .unwrap_or_else(|e| panic!("kill at {kill_at}: resume failed: {e}"));
+        assert!(report.resumed_from.is_some());
+        // Telemetry starts over at a resume: these count its epochs only.
+        let t = &resumed.telemetry;
+        assert!(t.epochs_inline.get() < t.epochs.get(), "the resumed run dispatched the burst");
+        if in_quiet_stretch {
+            // Resumed at the checkpoint of ordinal 8; the burst starts at 15.
+            assert!(t.epochs_inline.get() >= 7, "{} inline", t.epochs_inline.get());
+        }
+        assert_eq!(
+            render_outcome_json(&resumed),
+            render_outcome_json(&full),
+            "kill at {kill_at}: resumed snapshot differs from the uninterrupted run"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A swap whose proposed program provably diverges from the running
 /// one must be rejected at the drain point with the configuration —
 /// and the run's outcome — untouched.

@@ -61,6 +61,26 @@ fn prometheus_exposition_passes_the_checker() {
 }
 
 #[test]
+fn inline_epoch_counter_is_exported_in_both_formats() {
+    // Which path an epoch took is answerable from a run's artifacts:
+    // every epoch of this flood is short enough to be ingested inline.
+    let out = run(2);
+    let snap = out.telemetry.snapshot();
+    assert_eq!(out.telemetry.epochs_inline.get(), out.epochs);
+    assert_eq!(snap.counter_sum("replay_epochs_inline_total"), out.epochs);
+    assert_eq!(snap.counter_sum("replay_epochs_total"), out.epochs);
+    let text = render_prometheus(&snap);
+    check_prometheus(&text).unwrap_or_else(|errs| {
+        panic!("exposition rejected:\n{}", errs.join("\n"));
+    });
+    assert!(
+        text.contains(&format!("replay_epochs_inline_total {}", out.epochs)),
+        "inline counter missing from the exposition"
+    );
+    assert!(render_json(&snap).contains("\"name\":\"replay_epochs_inline_total\""));
+}
+
+#[test]
 fn detector_metrics_flow_through_to_the_snapshot() {
     let out = run(2);
     assert!(out.detected_at.is_some(), "flood must be detected");

@@ -11,9 +11,18 @@
 //! rather than recording per chunk — must match field for field.
 //! Wall-clock fields (ingest/barrier/epoch timings, elapsed) are the
 //! only permitted difference.
+//!
+//! The pool has two ways to get an epoch ingested: it hands a long one
+//! to the workers and ingests a short one (≤ 256 frames, no fault to
+//! fire on a worker) on the coordinator. Every epoch of
+//! [`small_flood`] is short; [`straddling_flood`] has both kinds, and
+//! `epochs_inline` says which way each run went.
 
 use faultinject::FaultSchedule;
-use replay::{reference, run_replay, run_replay_with_faults, ReplayConfig, ReplayOutcome};
+use replay::{
+    reference, run_replay, run_replay_with_faults, IncidentKind, ReplayConfig, ReplayOutcome,
+    ShardIncident,
+};
 use workloads::{Schedule, SynFloodWorkload};
 
 fn small_flood() -> Schedule {
@@ -22,6 +31,22 @@ fn small_flood() -> Schedule {
         flood_pps: 20_000,
         flood_start: 150_000_000,
         duration: 400_000_000,
+        seed: 11,
+        ..SynFloodWorkload::default()
+    }
+    .generate();
+    s
+}
+
+/// Quiet background, then a burst: epochs of a few dozen frames up to
+/// 150 ms and of ≈1 000 after, so one run crosses the pool's inline
+/// bound in both directions of size.
+fn straddling_flood() -> Schedule {
+    let (s, _) = SynFloodWorkload {
+        background_cps: 500,
+        flood_pps: 100_000,
+        flood_start: 150_000_000,
+        duration: 300_000_000,
         seed: 11,
         ..SynFloodWorkload::default()
     }
@@ -170,25 +195,128 @@ fn pool_matches_reference_across_batch_sizes() {
     }
 }
 
+/// One run, both paths: the quiet stretch is ingested inline and the
+/// burst is dispatched, and the outcome is the reference engine's at
+/// every shard count and batch size.
 #[test]
-fn pool_matches_reference_under_chaos_seeds() {
-    // The CI canned schedule plus a nastier mix: a crash, an injected
-    // worker panic (exact captured message must round-trip), a stall,
-    // and report loss — across several seeds.
+fn pool_matches_reference_when_epochs_straddle_the_inline_bound() {
+    let s = straddling_flood();
+    for shards in [1usize, 2, 4, 8] {
+        for batch in [1usize, 7, 64] {
+            let cfg = ReplayConfig {
+                shards,
+                batch,
+                ..ReplayConfig::default()
+            };
+            let ctx = format!("{shards} shards, batch {batch}");
+            let pool = run_replay(&s, &cfg);
+            let refr = reference::run_replay(&s, &cfg);
+            assert_outcomes_identical(&pool, &refr, &ctx);
+            let inline = pool.telemetry.epochs_inline.get();
+            assert!(
+                0 < inline && inline < pool.epochs,
+                "{ctx}: {inline} of {} epochs inline, wanted both paths taken",
+                pool.epochs
+            );
+            assert_eq!(refr.telemetry.epochs_inline.get(), 0, "{ctx}: reference");
+        }
+    }
+}
+
+/// A panic or a stall scheduled on a short epoch still fires on a
+/// worker: that epoch is dispatched, the coordinator (this thread) is
+/// not unwound, and the quarantine reads as the reference engine's.
+#[test]
+fn faults_on_short_epochs_fire_on_a_worker() {
     let s = small_flood();
     let cfg = ReplayConfig {
         shards: 4,
         ..ReplayConfig::default()
     };
-    for spec in [
-        "shard_crash=1@3,ctrl_loss=0.30",
-        "shard_panic=2@4",
-        "shard_crash=1@3,shard_panic=2@5,shard_stall=0@2:1000000,ctrl_loss=0.30",
+    let clean = run_replay(&s, &cfg);
+    assert_eq!(
+        clean.telemetry.epochs_inline.get(),
+        clean.epochs,
+        "every epoch of this schedule is under the inline bound"
+    );
+
+    let faults = FaultSchedule::parse("shard_panic=2@4,shard_stall=0@7:1000000", 0).unwrap();
+    let pool = run_replay_with_faults(&s, &cfg, &faults);
+    let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+    assert_outcomes_identical(&pool, &refr, "panic and stall on short epochs");
+    assert_eq!(
+        pool.health.incidents,
+        [ShardIncident {
+            shard: 2,
+            epoch: 4,
+            kind: IncidentKind::Panicked(String::from(
+                "injected fault: shard 2 panicked at epoch 4"
+            )),
+        }]
+    );
+    assert_eq!(
+        pool.telemetry.epochs_inline.get(),
+        pool.epochs - 2,
+        "the two faulted epochs, and only those, were dispatched"
+    );
+    let dispatches: Vec<u64> = pool
+        .telemetry
+        .shards
+        .iter()
+        .map(|m| m.queue_depth.count())
+        .collect();
+    assert_eq!(dispatches, [2, 2, 1, 2], "shard 2 was dead by the second");
+}
+
+/// A crash is the coordinator's (the shard is quarantined as the epoch
+/// opens, before either path), so a short epoch with one stays inline
+/// and loses that shard's slice of it, no more.
+#[test]
+fn a_crash_on_a_short_epoch_loses_exactly_its_slice() {
+    let s = small_flood();
+    let cfg = ReplayConfig {
+        shards: 4,
+        ..ReplayConfig::default()
+    };
+    let faults = FaultSchedule::parse("shard_crash=1@3", 0).unwrap();
+    let pool = run_replay_with_faults(&s, &cfg, &faults);
+    let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+    assert_outcomes_identical(&pool, &refr, "crash on a short epoch");
+    assert_eq!(pool.telemetry.epochs_inline.get(), pool.epochs);
+
+    // What shard 1 held is gone with it: its history (epochs 0 to 2)
+    // and its slice of epoch 3. Everything after reroutes.
+    let interval = cfg.detector.interval_ns;
+    let gone = s
+        .iter()
+        .filter(|(t, frame)| t / interval <= 3 && workloads::shard::shard_of(frame, 4) == 1)
+        .count() as u64;
+    assert!(gone > 0);
+    assert_eq!(pool.health.packets_lost, gone);
+}
+
+#[test]
+fn pool_matches_reference_under_chaos_seeds() {
+    // The CI canned schedule plus a nastier mix: a crash, an injected
+    // worker panic (exact captured message must round-trip), a stall,
+    // and report loss — across several seeds.
+    // The last spec puts the same mix on the burst of the straddling
+    // schedule, where the faulted epochs are long ones.
+    let (small, straddling) = (small_flood(), straddling_flood());
+    let cfg = ReplayConfig {
+        shards: 4,
+        ..ReplayConfig::default()
+    };
+    for (s, spec) in [
+        (&small, "shard_crash=1@3,ctrl_loss=0.30"),
+        (&small, "shard_panic=2@4"),
+        (&small, "shard_crash=1@3,shard_panic=2@5,shard_stall=0@2:1000000,ctrl_loss=0.30"),
+        (&straddling, "shard_crash=1@17,shard_panic=2@20,shard_stall=0@16:1000000,ctrl_loss=0.30"),
     ] {
         for seed in [0u64, 42, 1234] {
             let faults = FaultSchedule::parse(spec, seed).unwrap();
-            let pool = run_replay_with_faults(&s, &cfg, &faults);
-            let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+            let pool = run_replay_with_faults(s, &cfg, &faults);
+            let refr = reference::run_replay_with_faults(s, &cfg, &faults);
             assert_outcomes_identical(&pool, &refr, &format!("spec {spec:?} seed {seed}"));
         }
     }
@@ -223,7 +351,7 @@ fn pool_matches_reference_on_empty_schedule() {
 
 #[test]
 fn pool_reports_queue_and_pipeline_telemetry() {
-    let s = small_flood();
+    let s = straddling_flood();
     let cfg = ReplayConfig {
         shards: 4,
         ..ReplayConfig::default()
@@ -231,16 +359,17 @@ fn pool_reports_queue_and_pipeline_telemetry() {
     let out = run_replay(&s, &cfg);
     let t = &out.telemetry;
     assert_eq!(t.queue_capacity, 2, "double-buffered dispatch queues");
+    let inline = t.epochs_inline.get();
     for (s_idx, m) in t.shards.iter().enumerate() {
         assert_eq!(
-            m.queue_depth.count(),
+            m.queue_depth.count() + inline,
             out.epochs,
-            "shard {s_idx}: one dispatch per epoch"
+            "shard {s_idx}: one dispatch per epoch that was not ingested inline"
         );
         assert_eq!(
-            m.queue_wait_ns.count(),
+            m.queue_wait_ns.count() + inline,
             out.epochs,
-            "shard {s_idx}: one dequeue per epoch"
+            "shard {s_idx}: one dequeue per dispatched epoch"
         );
         // Collect-before-dispatch keeps at most one epoch in flight.
         assert_eq!(m.queue_depth.max(), Some(1), "shard {s_idx}: queue depth");

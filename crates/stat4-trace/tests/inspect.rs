@@ -9,10 +9,14 @@ use stat4_trace::{explain, flame, flame_rows, timeline, thread_name};
 use telemetry::{check_trace, parse_trace, COORDINATOR_TID};
 use workloads::{Schedule, SynFloodWorkload};
 
+/// The flood's epochs are ≈1 000 frames: long enough that the pool
+/// hands them to its workers, so the trace has the coordinator's
+/// `barrier` spans and the workers' `queue_wait` spans in it (the quiet
+/// epochs before it are ingested on the coordinator, with neither).
 fn flood() -> Schedule {
     let (s, _) = SynFloodWorkload {
         background_cps: 500,
-        flood_pps: 20_000,
+        flood_pps: 100_000,
         flood_start: 150_000_000,
         duration: 400_000_000,
         seed: 11,
