@@ -29,12 +29,11 @@
 //! not margins — their alert streams are the behavioral contract.
 
 use crate::metrics::{Check, DetectorMetrics};
-use crate::state::{jopt_i64, opt_i64};
 use serde::Serialize;
 use stat4_core::{FrequencyDist, RunningStats};
 use std::any::Any;
-use telemetry::json::{jopt, ju, obj, opt_u64, req, req_arr, req_i64, req_str, req_u64, Json};
-use telemetry::Snapshot;
+use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
+use telemetry::{json_struct, Snapshot};
 
 /// One in Q16 fixed point — the firing threshold for scores.
 pub const Q16: i64 = 1 << 16;
@@ -121,6 +120,65 @@ pub struct DetectionResult {
     pub fired: bool,
 }
 
+/// A fired [`DetectionResult`] with an owned engine name: the one JSON
+/// form of a fired-log entry, in run snapshots and in
+/// [`Ensemble::export_state`] alike. `fired` is not a member: only
+/// fired results are logged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FiredSnap {
+    /// Engine that fired.
+    pub engine: String,
+    /// Interval end (ns).
+    pub at: u64,
+    /// Interval ordinal.
+    pub epoch: u64,
+    /// Q16 score.
+    pub score: i64,
+    /// Ensemble weight, Q16.
+    pub weight: i64,
+    /// Confidence, Q16.
+    pub confidence: i64,
+    /// Expected signal value.
+    pub expected: i64,
+    /// Observed signal value.
+    pub observed: i64,
+}
+
+json_struct!(FiredSnap { engine, at, epoch, score, weight, confidence, expected, observed });
+
+impl From<&DetectionResult> for FiredSnap {
+    fn from(r: &DetectionResult) -> Self {
+        Self {
+            engine: r.engine.to_string(),
+            at: r.at,
+            epoch: r.epoch,
+            score: r.score,
+            weight: r.weight,
+            confidence: r.confidence,
+            expected: r.expected,
+            observed: r.observed,
+        }
+    }
+}
+
+impl FiredSnap {
+    /// The result this entry was taken from, its engine name borrowed
+    /// from `names`; `None` when the entry names none of them.
+    fn to_result(&self, names: &[&'static str]) -> Option<DetectionResult> {
+        Some(DetectionResult {
+            engine: names.iter().copied().find(|n| *n == self.engine)?,
+            at: self.at,
+            epoch: self.epoch,
+            score: self.score,
+            weight: self.weight,
+            confidence: self.confidence,
+            expected: self.expected,
+            observed: self.observed,
+            fired: true,
+        })
+    }
+}
+
 /// A pluggable anomaly detection engine over merged interval state.
 pub trait Detector {
     /// Stable engine name (telemetry label, report key).
@@ -185,6 +243,18 @@ pub struct SignalValues {
     pub median_len: i64,
 }
 
+json_struct!(SignalValues {
+    at,
+    epoch,
+    interval_ns,
+    spanned,
+    packets,
+    syns,
+    len_sum,
+    distinct_sources,
+    median_len
+});
+
 impl SignalValues {
     /// Captures the scalar view of `ctx`.
     #[must_use]
@@ -235,6 +305,36 @@ pub enum TriggerCause {
     },
 }
 
+/// Tagged by `kind`; the other members are the variant's.
+impl ToJson for TriggerCause {
+    fn to_json(&self) -> Json {
+        match self {
+            TriggerCause::EnginesFired(names) => obj(vec![
+                ("kind", "engines_fired".to_json()),
+                ("engines", names.to_json()),
+            ]),
+            TriggerCause::CombinedScore { combined_q16, threshold_q16 } => obj(vec![
+                ("kind", "combined_score".to_json()),
+                ("combined_q16", combined_q16.to_json()),
+                ("threshold_q16", threshold_q16.to_json()),
+            ]),
+        }
+    }
+}
+
+impl FromJson for TriggerCause {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        match field::<String>(v, "kind", at)?.as_str() {
+            "engines_fired" => Ok(TriggerCause::EnginesFired(field(v, "engines", at)?)),
+            "combined_score" => Ok(TriggerCause::CombinedScore {
+                combined_q16: field(v, "combined_q16", at)?,
+                threshold_q16: field(v, "threshold_q16", at)?,
+            }),
+            other => Err(at.err(format_args!("unknown cause kind {other:?}"))),
+        }
+    }
+}
+
 /// One engine's state at the moment an alert fired, with owned
 /// strings so provenance survives JSON round trips field-for-field.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -257,6 +357,17 @@ pub struct EngineAtFire {
     /// Did the engine's gated verdict fire?
     pub fired: bool,
 }
+
+json_struct!(EngineAtFire {
+    engine,
+    score,
+    threshold_q16,
+    confidence,
+    weight,
+    expected,
+    observed,
+    fired
+});
 
 impl EngineAtFire {
     /// Snapshot of one engine's result.
@@ -293,6 +404,8 @@ pub struct AlertProvenance {
     /// What pulled the trigger.
     pub cause: TriggerCause,
 }
+
+json_struct!(AlertProvenance { at, epoch, signals, combined_q16, engines, cause });
 
 impl AlertProvenance {
     /// Assembles provenance from the interval's signals, the verdict
@@ -491,20 +604,18 @@ impl Ensemble {
     pub fn export_state(&self) -> Json {
         let engines = self.engines.iter().enumerate().map(|(i, e)| {
             obj(vec![
-                ("name", Json::Str(e.name().to_string())),
+                ("name", e.name().to_json()),
                 ("state", e.export_state()),
-                ("metrics", self.metrics[i].export_state()),
-                ("fires", ju(self.fires[i])),
-                ("first_fired", jopt(self.first_fired[i])),
-                ("weight_override", jopt_i64(self.weight_overrides[i])),
+                ("metrics", self.metrics[i].to_json()),
+                ("fires", self.fires[i].to_json()),
+                ("first_fired", self.first_fired[i].to_json()),
+                ("weight_override", self.weight_overrides[i].to_json()),
             ])
         });
+        let fired_log: Vec<FiredSnap> = self.fired_log.iter().map(FiredSnap::from).collect();
         obj(vec![
             ("engines", Json::Arr(engines.collect())),
-            (
-                "fired_log",
-                Json::Arr(self.fired_log.iter().map(fired_json).collect()),
-            ),
+            ("fired_log", fired_log.to_json()),
         ])
     }
 
@@ -520,12 +631,15 @@ impl Ensemble {
     /// or whatever an engine's own [`Detector::import_state`] rejects.
     /// The ensemble is then part-loaded and must be discarded.
     pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let entries = req_arr(state, "engines", "ensemble")?;
+        let root = At::Root("ensemble");
+        let entries = field_with(state, "engines", root, |v, at| {
+            v.as_arr().ok_or_else(|| at.err("not an array"))
+        })?;
         let names = self.names();
         for (i, entry) in entries.iter().enumerate() {
-            let name = req_str(entry, "name", &format!("ensemble.engines[{i}]"))?;
+            let name: String = field(entry, "name", At::Idx(&At::Key(&root, "engines"), i))?;
             if !names.contains(&name.as_str()) {
-                return Err(format!("ensemble: unknown engine {name:?}"));
+                return Err(root.err(format_args!("unknown engine {name:?}")));
             }
         }
         for (i, engine) in self.engines.iter_mut().enumerate() {
@@ -533,30 +647,32 @@ impl Ensemble {
             let entry = entries
                 .get(i)
                 .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .ok_or_else(|| format!("ensemble: engine {name:?} is missing at position {i}"))?;
-            let p = format!("ensemble.{name}");
-            engine.import_state(req(entry, "state", &p)?)?;
-            self.metrics[i] =
-                DetectorMetrics::import_state(req(entry, "metrics", &p)?, &format!("{p}.metrics"))?;
-            self.fires[i] = req_u64(entry, "fires", &p)?;
-            self.first_fired[i] = opt_u64(entry, "first_fired", &p)?;
-            self.weight_overrides[i] = opt_i64(entry, "weight_override", &p)?;
+                .ok_or_else(|| root.err(format_args!("engine {name:?} is missing at position {i}")))?;
+            let at = At::Key(&root, name);
+            field_with(entry, "state", at, |s, _| engine.import_state(s))?;
+            self.metrics[i] = field(entry, "metrics", at)?;
+            self.fires[i] = field(entry, "fires", at)?;
+            self.first_fired[i] = field(entry, "first_fired", at)?;
+            self.weight_overrides[i] = field(entry, "weight_override", at)?;
             if self.weight_overrides[i].is_some_and(|w| w < 0) {
-                return Err(format!("{p}: negative weight override"));
+                return Err(at.err("negative weight override"));
             }
         }
         if entries.len() != names.len() {
-            return Err(format!(
-                "ensemble: state holds {} engine(s), the ensemble runs {}",
+            return Err(root.err(format_args!(
+                "state holds {} engine(s), the ensemble runs {}",
                 entries.len(),
                 names.len()
-            ));
+            )));
         }
-        self.fired_log = req_arr(state, "fired_log", "ensemble")?
-            .iter()
-            .enumerate()
-            .map(|(i, f)| parse_fired(f, &format!("ensemble.fired_log[{i}]"), &names))
-            .collect::<Result<_, _>>()?;
+        self.fired_log = field_with(state, "fired_log", root, |log, at| {
+            let entries = Vec::<FiredSnap>::from_json(log, at)?;
+            let result = |(i, f): (usize, &FiredSnap)| {
+                f.to_result(&names)
+                    .ok_or_else(|| At::Idx(&at, i).err(format_args!("unknown engine {:?}", f.engine)))
+            };
+            entries.iter().enumerate().map(result).collect()
+        })?;
         Ok(())
     }
 
@@ -592,42 +708,6 @@ impl Ensemble {
     }
 }
 
-/// One fired-log entry. `fired` is not written: only fired results
-/// enter the log.
-fn fired_json(r: &DetectionResult) -> Json {
-    obj(vec![
-        ("engine", Json::Str(r.engine.to_string())),
-        ("at", ju(r.at)),
-        ("epoch", ju(r.epoch)),
-        ("score", Json::Int(r.score)),
-        ("weight", Json::Int(r.weight)),
-        ("confidence", Json::Int(r.confidence)),
-        ("expected", Json::Int(r.expected)),
-        ("observed", Json::Int(r.observed)),
-    ])
-}
-
-/// Reads [`fired_json`]'s form; the engine name must be one of
-/// `names`, whose `'static` spelling the result then borrows.
-fn parse_fired(v: &Json, path: &str, names: &[&'static str]) -> Result<DetectionResult, String> {
-    let engine = req_str(v, "engine", path)?;
-    Ok(DetectionResult {
-        engine: names
-            .iter()
-            .copied()
-            .find(|n| *n == engine)
-            .ok_or_else(|| format!("{path}: unknown engine {engine:?}"))?,
-        at: req_u64(v, "at", path)?,
-        epoch: req_u64(v, "epoch", path)?,
-        score: req_i64(v, "score", path)?,
-        weight: req_i64(v, "weight", path)?,
-        confidence: req_i64(v, "confidence", path)?,
-        expected: req_i64(v, "expected", path)?,
-        observed: req_i64(v, "observed", path)?,
-        fired: true,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,7 +739,7 @@ mod tests {
             })
         }
         fn export_state(&self) -> Json {
-            ju(self.seen)
+            self.seen.to_json()
         }
         fn import_state(&mut self, state: &Json) -> Result<(), String> {
             self.seen = state.as_u64().ok_or("seen is not a count")?;

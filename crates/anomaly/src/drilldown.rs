@@ -56,7 +56,7 @@ use p4sim::pipeline::DigestRecord;
 use stat4_p4::binding;
 use stat4_p4::{CaseStudyHandles, DIGEST_IMBALANCE, DIGEST_SPIKE};
 use std::net::Ipv4Addr;
-use telemetry::json::{ju, obj, req_str, req_u64, Json};
+use telemetry::json::{field, obj, At, Json, ToJson};
 
 /// Where the controller is in the drill-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -586,6 +586,8 @@ pub struct RebindTransaction {
     pub cause: TriggerCause,
 }
 
+telemetry::json_struct!(RebindTransaction { generation, epoch, at, from_phase, to_phase, binds, cause });
+
 /// What one triggering verdict did to the drilldown ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrillOutcome {
@@ -691,9 +693,9 @@ impl ScoreDrilldown {
     #[must_use]
     pub fn export_state(&self) -> Json {
         obj(vec![
-            ("phase", Json::Str(self.phase.name().to_string())),
-            ("generation", ju(self.generation)),
-            ("quiet", ju(u64::from(self.quiet))),
+            ("phase", self.phase.name().to_json()),
+            ("generation", self.generation.to_json()),
+            ("quiet", self.quiet.to_json()),
         ])
     }
 
@@ -706,15 +708,15 @@ impl ScoreDrilldown {
     /// streak the reset rule would already have cleared; `self` is
     /// left untouched.
     pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let p = "drilldown";
-        let name = req_str(state, "phase", p)?;
-        let phase =
-            ScorePhase::named(&name).ok_or_else(|| format!("{p}: unknown phase {name:?}"))?;
-        let generation = req_u64(state, "generation", p)?;
-        let quiet = u32::try_from(req_u64(state, "quiet", p)?)
-            .ok()
-            .filter(|q| *q < self.trigger.config.reset_after_quiet.max(1))
-            .ok_or_else(|| format!("{p}: \"quiet\" is not below the reset threshold"))?;
+        let at = At::Root("drilldown");
+        let name: String = field(state, "phase", at)?;
+        let phase = ScorePhase::named(&name)
+            .ok_or_else(|| at.err(format_args!("unknown phase {name:?}")))?;
+        let generation = field(state, "generation", at)?;
+        let quiet: u32 = field(state, "quiet", at)?;
+        if quiet >= self.trigger.config.reset_after_quiet.max(1) {
+            return Err(at.err("\"quiet\" is not below the reset threshold"));
+        }
         self.phase = phase;
         self.generation = generation;
         self.quiet = quiet;

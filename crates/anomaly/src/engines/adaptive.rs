@@ -15,7 +15,7 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use stat4_core::Ewma;
 use std::any::Any;
-use telemetry::json::{ju, obj, req_bool, req_i64, req_u64, Json};
+use telemetry::json::{field, obj, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -117,21 +117,21 @@ impl Detector for AdaptiveEngine {
 
     fn export_state(&self) -> Json {
         obj(vec![
-            ("level_acc", Json::Int(self.level.raw())),
-            ("level_seeded", Json::Bool(self.level.is_seeded())),
-            ("dev_acc", Json::Int(self.dev.raw())),
-            ("dev_seeded", Json::Bool(self.dev.is_seeded())),
-            ("seen", ju(self.seen)),
+            ("level_acc", self.level.raw().to_json()),
+            ("level_seeded", self.level.is_seeded().to_json()),
+            ("dev_acc", self.dev.raw().to_json()),
+            ("dev_seeded", self.dev.is_seeded().to_json()),
+            ("seen", self.seen.to_json()),
         ])
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let p = "adaptive";
+        let at = At::Root("adaptive");
         self.level
-            .restore(req_i64(state, "level_acc", p)?, req_bool(state, "level_seeded", p)?);
+            .restore(field(state, "level_acc", at)?, field(state, "level_seeded", at)?);
         self.dev
-            .restore(req_i64(state, "dev_acc", p)?, req_bool(state, "dev_seeded", p)?);
-        self.seen = req_u64(state, "seen", p)?;
+            .restore(field(state, "dev_acc", at)?, field(state, "dev_seeded", at)?);
+        self.seen = field(state, "seen", at)?;
         Ok(())
     }
 

@@ -12,7 +12,7 @@ use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, Sign
 use crate::state::{restore_window, window_json};
 use stat4_core::WindowedDist;
 use std::any::Any;
-use telemetry::Json;
+use telemetry::json::{At, Json};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +114,7 @@ impl Detector for CardinalityEngine {
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        restore_window(&mut self.window, state, "cardinality")
+        restore_window(&mut self.window, state, At::Root("cardinality"))
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -16,7 +16,7 @@ use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, Sign
 use crate::state::{restore_window, window_json};
 use stat4_core::{CusumDetector, WindowedDist};
 use std::any::Any;
-use telemetry::json::{ju, obj, req, req_i64, req_u64, Json};
+use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -111,11 +111,11 @@ impl Detector for CusumEngine {
     fn export_state(&self) -> Json {
         let calibrated = self.inner.as_ref().map_or(Json::Null, |c| {
             obj(vec![
-                ("target", Json::Int(c.target)),
-                ("slack", Json::Int(c.slack)),
-                ("threshold", Json::Int(c.threshold)),
-                ("statistic", Json::Int(c.statistic())),
-                ("alarms", ju(c.alarms)),
+                ("target", c.target.to_json()),
+                ("slack", c.slack.to_json()),
+                ("threshold", c.threshold.to_json()),
+                ("statistic", c.statistic().to_json()),
+                ("alarms", c.alarms.to_json()),
             ])
         });
         obj(vec![
@@ -125,24 +125,23 @@ impl Detector for CusumEngine {
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let p = "cusum";
-        restore_window(&mut self.baseline, req(state, "baseline", p)?, "cusum.baseline")?;
-        let c = req(state, "calibrated", p)?;
-        self.inner = if c.is_null() {
-            None
-        } else {
-            let cp = "cusum.calibrated";
+        let at = At::Root("cusum");
+        field_with(state, "baseline", at, |w, at| restore_window(&mut self.baseline, w, at))?;
+        self.inner = field_with(state, "calibrated", at, |c, at| {
+            if c.is_null() {
+                return Ok(None);
+            }
             let mut inner = CusumDetector::new(
-                req_i64(c, "target", cp)?,
-                req_i64(c, "slack", cp)?,
-                req_i64(c, "threshold", cp)?,
+                field(c, "target", at)?,
+                field(c, "slack", at)?,
+                field(c, "threshold", at)?,
             );
             inner
-                .restore_statistic(req_i64(c, "statistic", cp)?)
-                .map_err(|e| format!("{cp}: {e}"))?;
-            inner.alarms = req_u64(c, "alarms", cp)?;
-            Some(inner)
-        };
+                .restore_statistic(field(c, "statistic", at)?)
+                .map_err(|e| at.err(e))?;
+            inner.alarms = field(c, "alarms", at)?;
+            Ok(Some(inner))
+        })?;
         Ok(())
     }
 

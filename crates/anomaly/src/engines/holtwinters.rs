@@ -11,10 +11,9 @@
 //! instead of raw values.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::{i64_arr, req_i64_arr};
 use stat4_core::HoltWinters;
 use std::any::Any;
-use telemetry::json::{ju, jus, obj, req_i64, req_u64, req_usize, Json};
+use telemetry::json::{field, obj, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -130,29 +129,29 @@ impl Detector for HoltWintersEngine {
 
     fn export_state(&self) -> Json {
         obj(vec![
-            ("level_q16", Json::Int(self.model.level_q16())),
-            ("trend_q16", Json::Int(self.model.trend_q16())),
-            ("season_q16", i64_arr(self.model.seasons_q16())),
-            ("seed", i64_arr(self.model.seed_values())),
-            ("phase", jus(self.model.phase())),
-            ("dev_q16", Json::Int(self.dev_q16)),
-            ("observed", ju(self.observed)),
+            ("level_q16", self.model.level_q16().to_json()),
+            ("trend_q16", self.model.trend_q16().to_json()),
+            ("season_q16", self.model.seasons_q16().to_json()),
+            ("seed", self.model.seed_values().to_json()),
+            ("phase", self.model.phase().to_json()),
+            ("dev_q16", self.dev_q16.to_json()),
+            ("observed", self.observed.to_json()),
         ])
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let p = "holtwinters";
+        let at = At::Root("holtwinters");
         self.model
             .restore(
-                req_i64(state, "level_q16", p)?,
-                req_i64(state, "trend_q16", p)?,
-                req_i64_arr(state, "season_q16", p)?,
-                req_i64_arr(state, "seed", p)?,
-                req_usize(state, "phase", p)?,
+                field(state, "level_q16", at)?,
+                field(state, "trend_q16", at)?,
+                field(state, "season_q16", at)?,
+                field(state, "seed", at)?,
+                field(state, "phase", at)?,
             )
-            .map_err(|e| format!("{p}: {e}"))?;
-        self.dev_q16 = req_i64(state, "dev_q16", p)?;
-        self.observed = req_u64(state, "observed", p)?;
+            .map_err(|e| at.err(e))?;
+        self.dev_q16 = field(state, "dev_q16", at)?;
+        self.observed = field(state, "observed", at)?;
         Ok(())
     }
 

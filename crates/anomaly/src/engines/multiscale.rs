@@ -13,7 +13,7 @@ use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, Sign
 use crate::state::{restore_window, window_json};
 use stat4_core::WindowedDist;
 use std::any::Any;
-use telemetry::json::{ju, obj, req, req_i64, req_u64, Json};
+use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// The tumbling-window scales, in intervals.
 pub const SCALES: [u32; 3] = [1, 4, 16];
@@ -145,8 +145,8 @@ impl Detector for MultiScaleEngine {
                 .iter()
                 .map(|s| {
                     obj(vec![
-                        ("acc", Json::Int(s.acc)),
-                        ("count", ju(u64::from(s.count))),
+                        ("acc", s.acc.to_json()),
+                        ("count", s.count.to_json()),
                         ("window", window_json(&s.window)),
                     ])
                 })
@@ -164,14 +164,15 @@ impl Detector for MultiScaleEngine {
             ));
         }
         for (s, v) in self.scales.iter_mut().zip(scales) {
-            let p = format!("multiscale.scale{}", s.scale);
-            s.acc = req_i64(v, "acc", &p)?;
+            let name = format!("multiscale.scale{}", s.scale);
+            let at = At::Root(&name);
+            s.acc = field(v, "acc", at)?;
             // A tumbling sum closes when `count` reaches `scale`.
-            s.count = u32::try_from(req_u64(v, "count", &p)?)
-                .ok()
-                .filter(|c| *c < s.scale)
-                .ok_or_else(|| format!("{p}: \"count\" is not below the scale"))?;
-            restore_window(&mut s.window, req(v, "window", &p)?, &format!("{p}.window"))?;
+            s.count = field(v, "count", at)?;
+            if s.count >= s.scale {
+                return Err(at.err("\"count\" is not below the scale"));
+            }
+            field_with(v, "window", at, |w, at| restore_window(&mut s.window, w, at))?;
         }
         Ok(())
     }

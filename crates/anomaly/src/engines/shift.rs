@@ -12,7 +12,7 @@
 use crate::detector::{DetectionResult, Detector, SignalContext, Q16};
 use crate::shift::{PercentileShiftDetector, ShiftConfig};
 use std::any::Any;
-use telemetry::Json;
+use telemetry::json::{At, Json};
 
 /// Trait adapter over [`PercentileShiftDetector`].
 #[derive(Debug)]
@@ -63,7 +63,7 @@ impl Detector for MedianShiftEngine {
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        self.inner.import_state(state, "median_shift")
+        self.inner.import_state(state, At::Root("median_shift"))
     }
 
     fn as_any(&self) -> &dyn Any {

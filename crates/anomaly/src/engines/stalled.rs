@@ -12,7 +12,7 @@
 use crate::detector::{DetectionResult, Detector, SignalContext, Q16};
 use crate::stalled::{StalledFlowConfig, StalledFlowDetector};
 use std::any::Any;
-use telemetry::Json;
+use telemetry::json::{At, Json};
 
 /// Trait adapter over [`StalledFlowDetector`].
 #[derive(Debug)]
@@ -66,7 +66,7 @@ impl Detector for StalledEngine {
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        self.inner.import_state(state, "stalled")
+        self.inner.import_state(state, At::Root("stalled"))
     }
 
     fn as_any(&self) -> &dyn Any {

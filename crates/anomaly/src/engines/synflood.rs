@@ -14,7 +14,7 @@ use crate::epoch::EpochSynFloodDetector;
 use crate::metrics::DetectorMetrics;
 use crate::synflood::SynFloodConfig;
 use std::any::Any;
-use telemetry::Json;
+use telemetry::json::{At, Json};
 
 /// Trait adapter over [`EpochSynFloodDetector`].
 #[derive(Debug)]
@@ -80,7 +80,7 @@ impl Detector for SynFloodEngine {
     }
 
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        self.inner.import_state(state, "synflood")
+        self.inner.import_state(state, At::Root("synflood"))
     }
 
     fn as_any(&self) -> &dyn Any {

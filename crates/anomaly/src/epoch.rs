@@ -25,11 +25,11 @@
 
 use crate::alerts::Alert;
 use crate::metrics::{Check, DetectorMetrics};
-use crate::state::{alerts_json, req_alerts, restore_window, window_json};
+use crate::state::{restore_window, window_json};
 use crate::synflood::{SynFloodConfig, KIND_SYN};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
-use telemetry::json::{jopt, obj, opt_u64, req, Json};
+use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// SYN-flood detector driven by per-interval merged aggregates.
 #[derive(Debug)]
@@ -139,9 +139,9 @@ impl EpochSynFloodDetector {
     pub fn export_state(&self) -> Json {
         obj(vec![
             ("syn_rate", window_json(&self.syn_rate)),
-            ("alerts", alerts_json(&self.alerts)),
-            ("detected_at", jopt(self.detected_at)),
-            ("metrics", self.metrics.export_state()),
+            ("alerts", self.alerts.to_json()),
+            ("detected_at", self.detected_at.to_json()),
+            ("metrics", self.metrics.to_json()),
         ])
     }
 
@@ -151,17 +151,12 @@ impl EpochSynFloodDetector {
     /// # Errors
     ///
     /// The first member that is missing, mistyped or inconsistent,
-    /// with its path under `path`; the detector must then be discarded.
-    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
-        restore_window(
-            &mut self.syn_rate,
-            req(state, "syn_rate", path)?,
-            &format!("{path}.syn_rate"),
-        )?;
-        self.alerts = req_alerts(state, "alerts", path)?;
-        self.detected_at = opt_u64(state, "detected_at", path)?;
-        self.metrics =
-            DetectorMetrics::import_state(req(state, "metrics", path)?, &format!("{path}.metrics"))?;
+    /// with its path under `at`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, at: At<'_>) -> Result<(), String> {
+        field_with(state, "syn_rate", at, |w, at| restore_window(&mut self.syn_rate, w, at))?;
+        self.alerts = field(state, "alerts", at)?;
+        self.detected_at = field(state, "detected_at", at)?;
+        self.metrics = field(state, "metrics", at)?;
         Ok(())
     }
 }

@@ -47,8 +47,8 @@ pub use alerts::Alert;
 pub use backoff::RetryPolicy;
 pub use detector::{
     confidence_q16, ratio_q16, AlertProvenance, DetectionResult, Detector, EngineAtFire,
-    EngineSummary, Ensemble, EnsembleVerdict, SignalContext, SignalValues, TriggerCause, Q16,
-    SCORE_CAP,
+    EngineSummary, Ensemble, EnsembleVerdict, FiredSnap, SignalContext, SignalValues, TriggerCause,
+    Q16, SCORE_CAP,
 };
 pub use engines::{
     AdaptiveEngine, AdaptiveEngineConfig, CardinalityEngine, CardinalityEngineConfig,
@@ -65,4 +65,5 @@ pub use epoch::EpochSynFloodDetector;
 pub use polling::PollingController;
 pub use shift::PercentileShiftDetector;
 pub use stalled::StalledFlowDetector;
+pub use state::AlertSnap;
 pub use synflood::SynFloodDetector;

@@ -14,7 +14,6 @@
 //! counted per check (`rate` / `share`) every time.
 
 use stat4_core::{Mergeable, Stat4Result};
-use telemetry::json::{jopt, ju, obj, opt_u64, req, req_bool, req_u64, Json};
 use telemetry::{Counter, LogLinearHistogram, Snapshot};
 
 /// Which Stat4 check raised an alert.
@@ -39,6 +38,18 @@ pub struct DetectorMetrics {
     episode_start: Option<u64>,
     episode_alerted: bool,
 }
+
+// Counters, the delay histogram and the open episode: the part of a
+// detector's state that is bookkeeping rather than statistics,
+// checkpointed with it so a resumed run's telemetry equals an
+// uninterrupted run's.
+telemetry::json_struct!(DetectorMetrics {
+    rate_fires,
+    share_fires,
+    detection_delay,
+    episode_start,
+    episode_alerted
+});
 
 impl Default for DetectorMetrics {
     fn default() -> Self {
@@ -102,41 +113,6 @@ impl DetectorMetrics {
         self.episode_start
     }
 
-    /// Counters, the delay histogram and the open episode as JSON —
-    /// the part of a detector's state that is bookkeeping rather than
-    /// statistics, checkpointed with it so a resumed run's telemetry
-    /// equals an uninterrupted run's.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
-        obj(vec![
-            ("rate_fires", ju(self.rate_fires.get())),
-            ("share_fires", ju(self.share_fires.get())),
-            ("detection_delay", self.detection_delay.export_state()),
-            ("episode_start", jopt(self.episode_start)),
-            ("episode_alerted", Json::Bool(self.episode_alerted)),
-        ])
-    }
-
-    /// Reads back [`Self::export_state`]'s form; `path` names `state`
-    /// in error messages.
-    ///
-    /// # Errors
-    ///
-    /// A missing or mistyped member, or a histogram that does not add
-    /// up.
-    pub fn import_state(state: &Json, path: &str) -> Result<Self, String> {
-        let mut m = Self::new();
-        m.rate_fires.add(req_u64(state, "rate_fires", path)?);
-        m.share_fires.add(req_u64(state, "share_fires", path)?);
-        m.detection_delay.import_state(
-            req(state, "detection_delay", path)?,
-            &format!("{path}.detection_delay"),
-        )?;
-        m.episode_start = opt_u64(state, "episode_start", path)?;
-        m.episode_alerted = req_bool(state, "episode_alerted", path)?;
-        Ok(m)
-    }
-
     /// Exports the standard detector families into `snap`, labelled
     /// with `detector="<name>"`.
     pub fn export(&self, snap: &mut Snapshot, detector: &str) {
@@ -178,6 +154,7 @@ impl Mergeable for DetectorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::json::{At, FromJson, Json, ToJson};
 
     #[test]
     fn one_delay_sample_per_episode() {
@@ -212,14 +189,14 @@ mod tests {
         m.fired(Check::Rate, 300);
         m.signal(400, false);
         m.signal(500, true); // open, not yet alerted
-        let back = DetectorMetrics::import_state(&m.export_state(), "$").unwrap();
+        let back = DetectorMetrics::from_json(&m.to_json(), At::Root("$")).unwrap();
         assert_eq!(back, m);
         let mut a = m.clone();
         let mut b = back;
         a.fired(Check::Share, 700);
         b.fired(Check::Share, 700);
         assert_eq!(a, b, "the open episode's delay sample lands identically");
-        let err = DetectorMetrics::import_state(&Json::Null, "$.metrics").unwrap_err();
+        let err = DetectorMetrics::from_json(&Json::Null, At::Root("$.metrics")).unwrap_err();
         assert!(err.starts_with("$.metrics"), "{err}");
     }
 

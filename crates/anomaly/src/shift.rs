@@ -17,10 +17,10 @@
 //! machinery the paper already has.
 
 use crate::alerts::Alert;
-use crate::state::{alerts_json, req_alerts, restore_window, window_json};
+use crate::state::{restore_window, window_json};
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
-use telemetry::json::{jopt, ju, jus, obj, opt_u64, req, req_sparse_u64, req_u64, sparse_u64, Json};
+use telemetry::json::{field, field_with, from_sparse_u64, obj, sparse_u64, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -158,17 +158,17 @@ impl PercentileShiftDetector {
         let m = set.export_markers()[0];
         obj(vec![
             ("cells", sparse_u64(set.counts())),
-            ("total", ju(set.total())),
-            ("marker_pos", m.pos.map_or(Json::Null, jus)),
-            ("marker_low", ju(m.low)),
-            ("marker_high", ju(m.high)),
-            ("marker_moves", ju(m.moves)),
+            ("total", set.total().to_json()),
+            ("marker_pos", m.pos.to_json()),
+            ("marker_low", m.low.to_json()),
+            ("marker_high", m.high.to_json()),
+            ("marker_moves", m.moves.to_json()),
             ("moves_window", window_json(&self.moves_window)),
-            ("moves_in_interval", ju(self.moves_in_interval)),
-            ("pkts_in_interval", ju(self.pkts_in_interval)),
-            ("current_interval", jopt(self.current_interval)),
-            ("alerts", alerts_json(&self.alerts)),
-            ("detected_at", jopt(self.detected_at)),
+            ("moves_in_interval", self.moves_in_interval.to_json()),
+            ("pkts_in_interval", self.pkts_in_interval.to_json()),
+            ("current_interval", self.current_interval.to_json()),
+            ("alerts", self.alerts.to_json()),
+            ("detected_at", self.detected_at.to_json()),
         ])
     }
 
@@ -179,36 +179,30 @@ impl PercentileShiftDetector {
     ///
     /// The first member that is missing, mistyped or inconsistent
     /// (a cell outside the domain, masses that do not add up), with
-    /// its path under `path`; the detector must then be discarded.
-    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
+    /// its path under `at`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, at: At<'_>) -> Result<(), String> {
         let cells = self.tracker.as_set().counts().len();
-        let counts = req_sparse_u64(state, "cells", path, cells)?;
+        let counts = field_with(state, "cells", at, |c, at| from_sparse_u64(c, at, cells))?;
         let q = self.cfg.quantile;
         let marker = MarkerRaw {
             low_weight: q.low_weight(),
             high_weight: q.high_weight(),
-            pos: opt_u64(state, "marker_pos", path)?
-                .map(|p| usize::try_from(p).map_err(|_| format!("{path}: \"marker_pos\" overflows usize")))
-                .transpose()?,
-            low: req_u64(state, "marker_low", path)?,
-            high: req_u64(state, "marker_high", path)?,
-            moves: req_u64(state, "marker_moves", path)?,
+            pos: field(state, "marker_pos", at)?,
+            low: field(state, "marker_low", at)?,
+            high: field(state, "marker_high", at)?,
+            moves: field(state, "marker_moves", at)?,
         };
         self.tracker
-            .restore(counts, req_u64(state, "total", path)?, marker)
-            .map_err(|e| format!("{path}: {e}"))?;
-        restore_window(
-            &mut self.moves_window,
-            req(state, "moves_window", path)?,
-            &format!("{path}.moves_window"),
-        )?;
+            .restore(counts, field(state, "total", at)?, marker)
+            .map_err(|e| at.err(e))?;
+        field_with(state, "moves_window", at, |w, at| restore_window(&mut self.moves_window, w, at))?;
         // `observe` keeps this equal to the marker's own count.
         self.last_moves = marker.moves;
-        self.moves_in_interval = req_u64(state, "moves_in_interval", path)?;
-        self.pkts_in_interval = req_u64(state, "pkts_in_interval", path)?;
-        self.current_interval = opt_u64(state, "current_interval", path)?;
-        self.alerts = req_alerts(state, "alerts", path)?;
-        self.detected_at = opt_u64(state, "detected_at", path)?;
+        self.moves_in_interval = field(state, "moves_in_interval", at)?;
+        self.pkts_in_interval = field(state, "pkts_in_interval", at)?;
+        self.current_interval = field(state, "current_interval", at)?;
+        self.alerts = field(state, "alerts", at)?;
+        self.detected_at = field(state, "detected_at", at)?;
         Ok(())
     }
 }

@@ -8,9 +8,9 @@
 //! the mirror image of the spike check (`N·x < Xsum − k·σ(NX)`).
 
 use crate::alerts::Alert;
-use crate::state::{alerts_json, req_alerts, restore_window, window_json};
+use crate::state::{restore_window, window_json};
 use stat4_core::window::WindowedDist;
-use telemetry::json::{jopt, obj, opt_u64, req, Json};
+use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -147,9 +147,9 @@ impl StalledFlowDetector {
     pub fn export_state(&self) -> Json {
         obj(vec![
             ("window", window_json(&self.window)),
-            ("current_interval", jopt(self.current_interval)),
-            ("alerts", alerts_json(&self.alerts)),
-            ("detected_at", jopt(self.detected_at)),
+            ("current_interval", self.current_interval.to_json()),
+            ("alerts", self.alerts.to_json()),
+            ("detected_at", self.detected_at.to_json()),
         ])
     }
 
@@ -159,12 +159,12 @@ impl StalledFlowDetector {
     /// # Errors
     ///
     /// The first member that is missing, mistyped or inconsistent,
-    /// with its path under `path`; the detector must then be discarded.
-    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
-        restore_window(&mut self.window, req(state, "window", path)?, &format!("{path}.window"))?;
-        self.current_interval = opt_u64(state, "current_interval", path)?;
-        self.alerts = req_alerts(state, "alerts", path)?;
-        self.detected_at = opt_u64(state, "detected_at", path)?;
+    /// with its path under `at`; the detector must then be discarded.
+    pub fn import_state(&mut self, state: &Json, at: At<'_>) -> Result<(), String> {
+        field_with(state, "window", at, |w, at| restore_window(&mut self.window, w, at))?;
+        self.current_interval = field(state, "current_interval", at)?;
+        self.alerts = field(state, "alerts", at)?;
+        self.detected_at = field(state, "detected_at", at)?;
         Ok(())
     }
 }

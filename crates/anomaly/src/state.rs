@@ -1,103 +1,77 @@
-//! JSON forms of the state several detectors share — history windows,
-//! alert lists, integer rings — so each engine's
+//! JSON forms of the state several detectors share (history windows,
+//! alert lists), so each engine's
 //! [`Detector::export_state`](crate::detector::Detector::export_state)
 //! is a list of members and its `import_state` the same list read
-//! back. Every reader takes the `path` of the value it is handed and
-//! puts it in front of what it rejects.
+//! back through [`telemetry::json::field`]. Every reader takes the
+//! [`At`] of the value it is handed and puts it in front of what it
+//! rejects.
 
 use crate::alerts::Alert;
 use stat4_core::{RunningStats, WindowedDist};
-use telemetry::json::{ju, jus, obj, req, req_arr, req_i64, req_str, req_u64, req_usize, Json};
-
-pub(crate) fn i64_arr(values: &[i64]) -> Json {
-    Json::Arr(values.iter().map(|&x| Json::Int(x)).collect())
-}
-
-pub(crate) fn req_i64_arr(v: &Json, key: &str, path: &str) -> Result<Vec<i64>, String> {
-    req_arr(v, key, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            x.as_i64()
-                .ok_or_else(|| format!("{path}: {key}[{i}] is not an integer"))
-        })
-        .collect()
-}
-
-pub(crate) fn jopt_i64(v: Option<i64>) -> Json {
-    v.map_or(Json::Null, Json::Int)
-}
-
-pub(crate) fn opt_i64(v: &Json, key: &str, path: &str) -> Result<Option<i64>, String> {
-    let field = req(v, key, path)?;
-    if field.is_null() {
-        return Ok(None);
-    }
-    field
-        .as_i64()
-        .map(Some)
-        .ok_or_else(|| format!("{path}: \"{key}\" is neither null nor an integer"))
-}
+use telemetry::json::{field, obj, At, FromJson, Json, ToJson};
 
 /// A history window: the ring in slot order, where the next value
 /// lands, how many slots are live, the open interval's accumulator and
 /// the three moments verbatim.
 pub(crate) fn window_json(w: &WindowedDist) -> Json {
     obj(vec![
-        ("ring", i64_arr(w.ring())),
-        ("head", jus(w.head())),
-        ("filled", jus(w.len())),
-        ("current", Json::Int(w.current())),
-        ("n", ju(w.stats().n())),
-        ("xsum", Json::Int(w.stats().xsum())),
-        ("xsumsq", Json::Int(w.stats().xsumsq())),
+        ("ring", w.ring().to_json()),
+        ("head", w.head().to_json()),
+        ("filled", w.len().to_json()),
+        ("current", w.current().to_json()),
+        ("n", w.stats().n().to_json()),
+        ("xsum", w.stats().xsum().to_json()),
+        ("xsumsq", w.stats().xsumsq().to_json()),
     ])
 }
 
 /// Reloads `w` (built from the engine's config, which fixes the
 /// capacity) from [`window_json`]'s form.
-pub(crate) fn restore_window(w: &mut WindowedDist, v: &Json, path: &str) -> Result<(), String> {
-    let stats = RunningStats::from_raw(
-        req_u64(v, "n", path)?,
-        req_i64(v, "xsum", path)?,
-        req_i64(v, "xsumsq", path)?,
-    );
+pub(crate) fn restore_window(w: &mut WindowedDist, v: &Json, at: At<'_>) -> Result<(), String> {
+    let stats =
+        RunningStats::from_raw(field(v, "n", at)?, field(v, "xsum", at)?, field(v, "xsumsq", at)?);
     w.restore(
-        req_i64_arr(v, "ring", path)?,
-        req_usize(v, "head", path)?,
-        req_usize(v, "filled", path)?,
+        field(v, "ring", at)?,
+        field(v, "head", at)?,
+        field(v, "filled", at)?,
         stats,
-        req_i64(v, "current", path)?,
+        field(v, "current", at)?,
     )
-    .map_err(|e| format!("{path}: {e}"))
+    .map_err(|e| at.err(e))
 }
 
-/// An alert list in the flattened `(kind, at, value)` schema.
-pub(crate) fn alerts_json(alerts: &[Alert]) -> Json {
-    Json::Arr(
-        alerts
-            .iter()
-            .map(|a| {
-                let (kind, at, value) = a.flatten();
-                obj(vec![
-                    ("kind", Json::Str(kind.to_string())),
-                    ("at", ju(at)),
-                    ("value", Json::Int(value)),
-                ])
-            })
-            .collect(),
-    )
+/// An alert flattened to `(kind, at, value)` with an owned tag: the
+/// one JSON form of an alert, in run snapshots and in the lifted
+/// detectors' exported state alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AlertSnap {
+    /// Variant tag (`"syn_flood"`, `"traffic_spike"`, ...).
+    pub kind: String,
+    /// Detection time (ns).
+    pub at: u64,
+    /// The variant's payload value (count, group, address, ...).
+    pub value: i64,
 }
 
-pub(crate) fn req_alerts(v: &Json, key: &str, path: &str) -> Result<Vec<Alert>, String> {
-    req_arr(v, key, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let ap = format!("{path}.{key}[{i}]");
-            let kind = req_str(a, "kind", &ap)?;
-            Alert::unflatten(&kind, req_u64(a, "at", &ap)?, req_i64(a, "value", &ap)?)
-                .ok_or_else(|| format!("{ap}: not a {kind:?} alert this build knows"))
-        })
-        .collect()
+telemetry::json_struct!(AlertSnap { kind, at, value });
+
+impl From<&Alert> for AlertSnap {
+    fn from(a: &Alert) -> Self {
+        let (kind, at, value) = a.flatten();
+        Self { kind: kind.to_string(), at, value }
+    }
+}
+
+impl ToJson for Alert {
+    fn to_json(&self) -> Json {
+        AlertSnap::from(self).to_json()
+    }
+}
+
+impl FromJson for Alert {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        let AlertSnap { kind, at: when, value } = AlertSnap::from_json(v, at)?;
+        Alert::unflatten(&kind, when, value)
+            .ok_or_else(|| at.err(format_args!("not a {kind:?} alert this build knows")))
+    }
 }

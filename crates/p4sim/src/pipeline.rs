@@ -11,6 +11,7 @@ use crate::table::Table;
 use crate::target::TargetModel;
 use serde::{Deserialize, Serialize};
 use stat4_core::delta::DirtyJournal;
+use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
 
 /// How one register's per-shard state folds into a whole-switch view
 /// during sharded replay (`crate::replay::merge_registers`), and the
@@ -140,6 +141,34 @@ pub struct PipelineState {
     pub registers: Vec<(String, Vec<u64>)>,
     /// Packets processed when the state was captured.
     pub packets_processed: u64,
+}
+
+/// A register is written as a `{"name", "cells"}` object, which a pair
+/// has no field names for, so both halves are spelled out.
+impl ToJson for PipelineState {
+    fn to_json(&self) -> Json {
+        let register = |(name, cells): &(String, Vec<u64>)| {
+            obj(vec![("name", name.to_json()), ("cells", cells.to_json())])
+        };
+        obj(vec![
+            ("registers", Json::Arr(self.registers.iter().map(register).collect())),
+            ("packets_processed", self.packets_processed.to_json()),
+        ])
+    }
+}
+
+impl FromJson for PipelineState {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        let registers = field_with(v, "registers", at, |list, at| {
+            let list = list.as_arr().ok_or_else(|| at.err("not an array"))?;
+            let register = |(i, r)| {
+                let at = At::Idx(&at, i);
+                Ok((field(r, "name", at)?, field(r, "cells", at)?))
+            };
+            list.iter().enumerate().map(register).collect::<Result<_, String>>()
+        })?;
+        Ok(Self { registers, packets_processed: field(v, "packets_processed", at)? })
+    }
 }
 
 /// A complete program instance: static definition plus mutable state.

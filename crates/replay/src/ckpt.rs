@@ -25,10 +25,18 @@
 //! to that rule, which is how resume also falls back past a file whose
 //! bytes are intact but whose state no detector could have exported.
 //!
-//! **Every detector owns its export.** A checkpoint does not know what
-//! is inside an engine: [`anomaly::Ensemble::export_state`] and
-//! [`anomaly::ScoreDrilldown::export_state`] hand over JSON values,
-//! the payload carries them as the `ensemble` and `drill` members, and
+//! **The payload is [`Checkpoint`]'s field list.** [`Checkpoint`] and
+//! [`ShardStateRaw`] get both halves of their codec from one
+//! `json_struct!` line beside the struct, and every type inside them
+//! has its own pair beside its own definition (the provenance records
+//! in [`crate::provenance`], an incident's checkpoint form below,
+//! `PipelineState` in `p4sim`, `MarkerRaw` beside the trait in
+//! `telemetry::json`), so [`serialize`] and [`parse`] here are the
+//! header, the checksum and one call each. A checkpoint does not know
+//! what is inside an engine: [`anomaly::Ensemble::export_state`] and
+//! [`anomaly::ScoreDrilldown::export_state`] hand over JSON values
+//! written with the same pair, the payload carries them as the
+//! `ensemble` and `drill` members, and
 //! [`Checkpoint::rebuild_detection`] hands them back to fresh
 //! instances built from the run's config. The cost of a checkpoint is
 //! therefore the size of the state, not the length of the run: every
@@ -45,7 +53,6 @@
 //! to reproduce what a writer wrote.
 
 use crate::provenance::AlertProvenanceRecord;
-use crate::snapshot::{parse_record, record_json};
 use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
 use anomaly::{Ensemble, ScoreDrilldown};
 use faultinject::{CkptCorruption, FaultSchedule};
@@ -57,10 +64,8 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::{
-    ju, jus, obj, opt_u64, render, req, req_arr, req_i64, req_str, req_u64, req_usize,
-};
-use telemetry::Json;
+use telemetry::json::{field, obj, render, At, FromJson, ToJson};
+use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
 pub const MAGIC: &str = "stat4-replay-ckpt";
@@ -127,6 +132,29 @@ pub struct ShardStateRaw {
     /// Frame-length sum of the open interval.
     pub len_sum_in_interval: i64,
 }
+
+json_struct!(ShardStateRaw {
+    kinds_min,
+    kinds_counts,
+    len_n,
+    len_xsum,
+    len_xsumsq,
+    sk_rows,
+    sk_width_log2,
+    sk_cells,
+    sk_total,
+    pc_min,
+    pc_max,
+    pc_counts,
+    pc_total,
+    pc_markers,
+    hll_precision,
+    hll_registers,
+    packets,
+    syn_in_interval,
+    packets_in_interval,
+    len_sum_in_interval
+});
 
 impl ShardStateRaw {
     /// Captures the raw form of `s`.
@@ -263,6 +291,35 @@ pub struct Checkpoint {
     pub pipeline: Option<PipelineState>,
 }
 
+json_struct!(Checkpoint {
+    next_ordinal,
+    checkpoint_ordinal,
+    cfg_shards,
+    cfg_batch,
+    cfg_interval_ns,
+    schedule_packets,
+    faults_spec,
+    fault_seed,
+    packets,
+    epochs,
+    packets_rerouted,
+    reports_dropped,
+    carried_syns,
+    carried_packets,
+    carried_len_sum,
+    carried_epochs,
+    carried_from,
+    alive,
+    shards,
+    incidents,
+    ensemble,
+    drill,
+    provenance,
+    generation,
+    swaps_committed,
+    pipeline
+});
+
 impl Checkpoint {
     /// Rebuilds the detection ensemble and the drilldown ladder: fresh
     /// instances from `cfg`, loaded with the exported state. Constant
@@ -282,145 +339,39 @@ impl Checkpoint {
     }
 }
 
-// ---- render ---------------------------------------------------------
-
-fn jb(v: bool) -> Json {
-    Json::Bool(v)
+/// An incident as a checkpoint holds it (a snapshot holds
+/// [`crate::provenance::IncidentRef`]s): `kind` is the variant's tag,
+/// `msg` its message (empty for a crash).
+impl ToJson for ShardIncident {
+    fn to_json(&self) -> Json {
+        let (kind, msg) = match &self.kind {
+            IncidentKind::Crashed => ("crashed", ""),
+            IncidentKind::Panicked(m) => ("panicked", m.as_str()),
+            IncidentKind::MergeFailed(m) => ("merge_failed", m.as_str()),
+        };
+        obj(vec![
+            ("shard", self.shard.to_json()),
+            ("epoch", self.epoch.to_json()),
+            ("kind", kind.to_json()),
+            ("msg", msg.to_json()),
+        ])
+    }
 }
 
-fn u64_arr(v: &[u64]) -> Json {
-    Json::Arr(v.iter().map(|&x| ju(x)).collect())
+impl FromJson for ShardIncident {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        let msg = field(v, "msg", at)?;
+        let kind = match field::<String>(v, "kind", at)?.as_str() {
+            "crashed" => IncidentKind::Crashed,
+            "panicked" => IncidentKind::Panicked(msg),
+            "merge_failed" => IncidentKind::MergeFailed(msg),
+            other => return Err(at.err(format_args!("unknown incident kind {other:?}"))),
+        };
+        Ok(Self { shard: field(v, "shard", at)?, epoch: field(v, "epoch", at)?, kind })
+    }
 }
 
-fn shard_json(s: &ShardStateRaw) -> Json {
-    obj(vec![
-        ("kinds_min", Json::Int(s.kinds_min)),
-        ("kinds_counts", u64_arr(&s.kinds_counts)),
-        ("len_n", ju(s.len_n)),
-        ("len_xsum", Json::Int(s.len_xsum)),
-        ("len_xsumsq", Json::Int(s.len_xsumsq)),
-        ("sk_rows", jus(s.sk_rows)),
-        ("sk_width_log2", ju(u64::from(s.sk_width_log2))),
-        ("sk_cells", u64_arr(&s.sk_cells)),
-        ("sk_total", ju(s.sk_total)),
-        ("pc_min", Json::Int(s.pc_min)),
-        ("pc_max", Json::Int(s.pc_max)),
-        ("pc_counts", u64_arr(&s.pc_counts)),
-        ("pc_total", ju(s.pc_total)),
-        (
-            "pc_markers",
-            Json::Arr(
-                s.pc_markers
-                    .iter()
-                    .map(|m| {
-                        obj(vec![
-                            ("low_weight", ju(u64::from(m.low_weight))),
-                            ("high_weight", ju(u64::from(m.high_weight))),
-                            (
-                                "pos",
-                                m.pos.map_or(Json::Null, jus),
-                            ),
-                            ("low", ju(m.low)),
-                            ("high", ju(m.high)),
-                            ("moves", ju(m.moves)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("hll_precision", ju(u64::from(s.hll_precision))),
-        (
-            "hll_registers",
-            Json::Arr(s.hll_registers.iter().map(|&r| ju(u64::from(r))).collect()),
-        ),
-        ("packets", ju(s.packets)),
-        ("syn_in_interval", Json::Int(s.syn_in_interval)),
-        ("packets_in_interval", Json::Int(s.packets_in_interval)),
-        ("len_sum_in_interval", Json::Int(s.len_sum_in_interval)),
-    ])
-}
-
-fn incident_json(i: &ShardIncident) -> Json {
-    let (kind, msg) = match &i.kind {
-        IncidentKind::Crashed => ("crashed", String::new()),
-        IncidentKind::Panicked(m) => ("panicked", m.clone()),
-        IncidentKind::MergeFailed(m) => ("merge_failed", m.clone()),
-    };
-    obj(vec![
-        ("shard", jus(i.shard)),
-        ("epoch", ju(i.epoch)),
-        ("kind", Json::Str(kind.to_string())),
-        ("msg", Json::Str(msg)),
-    ])
-}
-
-fn pipeline_json(p: &PipelineState) -> Json {
-    obj(vec![
-        (
-            "registers",
-            Json::Arr(
-                p.registers
-                    .iter()
-                    .map(|(name, cells)| {
-                        obj(vec![
-                            ("name", Json::Str(name.clone())),
-                            ("cells", u64_arr(cells)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("packets_processed", ju(p.packets_processed)),
-    ])
-}
-
-fn payload_json(c: &Checkpoint) -> Json {
-    obj(vec![
-        ("next_ordinal", jus(c.next_ordinal)),
-        ("checkpoint_ordinal", ju(c.checkpoint_ordinal)),
-        ("cfg_shards", jus(c.cfg_shards)),
-        ("cfg_batch", jus(c.cfg_batch)),
-        ("cfg_interval_ns", ju(c.cfg_interval_ns)),
-        ("schedule_packets", ju(c.schedule_packets)),
-        ("faults_spec", Json::Str(c.faults_spec.clone())),
-        ("fault_seed", ju(c.fault_seed)),
-        ("packets", ju(c.packets)),
-        ("epochs", ju(c.epochs)),
-        ("packets_rerouted", ju(c.packets_rerouted)),
-        ("reports_dropped", ju(c.reports_dropped)),
-        ("carried_syns", Json::Int(c.carried_syns)),
-        ("carried_packets", Json::Int(c.carried_packets)),
-        ("carried_len_sum", Json::Int(c.carried_len_sum)),
-        ("carried_epochs", Json::Int(c.carried_epochs)),
-        ("carried_from", u64_arr(&c.carried_from)),
-        ("alive", Json::Arr(c.alive.iter().map(|&a| jb(a)).collect())),
-        (
-            "shards",
-            Json::Arr(
-                c.shards
-                    .iter()
-                    .map(|s| s.as_ref().map_or(Json::Null, shard_json))
-                    .collect(),
-            ),
-        ),
-        (
-            "incidents",
-            Json::Arr(c.incidents.iter().map(incident_json).collect()),
-        ),
-        ("ensemble", c.ensemble.clone()),
-        ("drill", c.drill.clone()),
-        (
-            "provenance",
-            Json::Arr(c.provenance.iter().map(record_json).collect()),
-        ),
-        ("generation", ju(c.generation)),
-        ("swaps_committed", ju(c.swaps_committed)),
-        (
-            "pipeline",
-            c.pipeline.as_ref().map_or(Json::Null, pipeline_json),
-        ),
-    ])
-}
+// ---- document ------------------------------------------------------
 
 /// Serializes a checkpoint into its on-disk document: magic, version,
 /// checksum, then the payload. The payload is rendered once; the
@@ -428,111 +379,11 @@ fn payload_json(c: &Checkpoint) -> Json {
 /// written.
 #[must_use]
 pub fn serialize(c: &Checkpoint) -> String {
-    let body = render(&payload_json(c));
+    let body = render(&c.to_json());
     let sum = fnv1a64(body.as_bytes());
     format!(
         "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"checksum\":\"{sum:016x}\",\"payload\":{body}}}"
     )
-}
-
-// ---- parse ----------------------------------------------------------
-
-fn req_u64_arr(v: &Json, key: &str, path: &str) -> Result<Vec<u64>, String> {
-    req_arr(v, key, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| {
-            x.as_u64()
-                .ok_or_else(|| format!("{path}: {key}[{i}] is not a non-negative integer"))
-        })
-        .collect()
-}
-
-fn parse_shard(v: &Json, path: &str) -> Result<ShardStateRaw, String> {
-    let pc_markers = req_arr(v, "pc_markers", path)?
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let mp = format!("{path}.pc_markers[{i}]");
-            Ok(MarkerRaw {
-                low_weight: u32::try_from(req_u64(m, "low_weight", &mp)?)
-                    .map_err(|_| format!("{mp}: \"low_weight\" overflows u32"))?,
-                high_weight: u32::try_from(req_u64(m, "high_weight", &mp)?)
-                    .map_err(|_| format!("{mp}: \"high_weight\" overflows u32"))?,
-                pos: opt_u64(m, "pos", &mp)?
-                    .map(|p| {
-                        usize::try_from(p).map_err(|_| format!("{mp}: \"pos\" overflows usize"))
-                    })
-                    .transpose()?,
-                low: req_u64(m, "low", &mp)?,
-                high: req_u64(m, "high", &mp)?,
-                moves: req_u64(m, "moves", &mp)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let hll_registers = req_arr(v, "hll_registers", path)?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.as_u64()
-                .and_then(|x| u8::try_from(x).ok())
-                .ok_or_else(|| format!("{path}: hll_registers[{i}] is not a register rank"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ShardStateRaw {
-        kinds_min: req_i64(v, "kinds_min", path)?,
-        kinds_counts: req_u64_arr(v, "kinds_counts", path)?,
-        len_n: req_u64(v, "len_n", path)?,
-        len_xsum: req_i64(v, "len_xsum", path)?,
-        len_xsumsq: req_i64(v, "len_xsumsq", path)?,
-        sk_rows: req_usize(v, "sk_rows", path)?,
-        sk_width_log2: u32::try_from(req_u64(v, "sk_width_log2", path)?)
-            .map_err(|_| format!("{path}: \"sk_width_log2\" overflows u32"))?,
-        sk_cells: req_u64_arr(v, "sk_cells", path)?,
-        sk_total: req_u64(v, "sk_total", path)?,
-        pc_min: req_i64(v, "pc_min", path)?,
-        pc_max: req_i64(v, "pc_max", path)?,
-        pc_counts: req_u64_arr(v, "pc_counts", path)?,
-        pc_total: req_u64(v, "pc_total", path)?,
-        pc_markers,
-        hll_precision: u32::try_from(req_u64(v, "hll_precision", path)?)
-            .map_err(|_| format!("{path}: \"hll_precision\" overflows u32"))?,
-        hll_registers,
-        packets: req_u64(v, "packets", path)?,
-        syn_in_interval: req_i64(v, "syn_in_interval", path)?,
-        packets_in_interval: req_i64(v, "packets_in_interval", path)?,
-        len_sum_in_interval: req_i64(v, "len_sum_in_interval", path)?,
-    })
-}
-
-fn parse_incident(v: &Json, path: &str) -> Result<ShardIncident, String> {
-    let msg = req_str(v, "msg", path)?;
-    let kind = match req_str(v, "kind", path)?.as_str() {
-        "crashed" => IncidentKind::Crashed,
-        "panicked" => IncidentKind::Panicked(msg),
-        "merge_failed" => IncidentKind::MergeFailed(msg),
-        other => return Err(format!("{path}: unknown incident kind {other:?}")),
-    };
-    Ok(ShardIncident {
-        shard: req_usize(v, "shard", path)?,
-        epoch: req_u64(v, "epoch", path)?,
-        kind,
-    })
-}
-
-fn parse_pipeline(v: &Json, path: &str) -> Result<PipelineState, String> {
-    let registers = req_arr(v, "registers", path)?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let rp = format!("{path}.registers[{i}]");
-            Ok((req_str(r, "name", &rp)?, req_u64_arr(r, "cells", &rp)?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(PipelineState {
-        registers,
-        packets_processed: req_u64(v, "packets_processed", path)?,
-    })
 }
 
 /// Parses a checkpoint document, validating magic, version and
@@ -546,11 +397,12 @@ fn parse_pipeline(v: &Json, path: &str) -> Result<PipelineState, String> {
 /// torn-write signal), or a missing/mistyped field with its path.
 pub fn parse(text: &str) -> Result<Checkpoint, String> {
     let (doc, spans) = Json::parse_with_member_spans(text)?;
-    let magic = req_str(&doc, "magic", "$")?;
+    let root = At::Root("$");
+    let magic: String = field(&doc, "magic", root)?;
     if magic != MAGIC {
         return Err(format!("not a checkpoint: magic {magic:?}"));
     }
-    let version = req_u64(&doc, "version", "$")?;
+    let version: u64 = field(&doc, "version", root)?;
     if version > VERSION {
         return Err(format!(
             "checkpoint version {version} is newer than supported {VERSION}"
@@ -562,85 +414,22 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
              (version {VERSION}); re-run from the start"
         ));
     }
-    let want = req_str(&doc, "checksum", "$")?;
+    let want: String = field(&doc, "checksum", root)?;
+    let at = At::Key(&root, "payload");
     let members = doc.as_obj().unwrap_or(&[]);
     let (payload, span) = members
         .iter()
         .zip(&spans)
         .find(|((key, _), _)| key == "payload")
         .map(|((_, value), span)| (value, span.clone()))
-        .ok_or_else(|| String::from("$: missing \"payload\""))?;
+        .ok_or_else(|| at.err("missing"))?;
     let got = format!("{:016x}", fnv1a64(&text.as_bytes()[span]));
     if got != want {
         return Err(format!(
             "checksum mismatch: payload hashes to {got}, header says {want}"
         ));
     }
-    let p = payload;
-    let pp = "$.payload";
-    let alive = req_arr(p, "alive", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            a.as_bool()
-                .ok_or_else(|| format!("{pp}: alive[{i}] is not a boolean"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let shards = req_arr(p, "shards", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if s.is_null() {
-                Ok(None)
-            } else {
-                parse_shard(s, &format!("{pp}.shards[{i}]")).map(Some)
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let incidents = req_arr(p, "incidents", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| parse_incident(v, &format!("{pp}.incidents[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let provenance = req_arr(p, "provenance", pp)?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| parse_record(r, &format!("{pp}.provenance[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let pipe = req(p, "pipeline", pp)?;
-    let pipeline = if pipe.is_null() {
-        None
-    } else {
-        Some(parse_pipeline(pipe, &format!("{pp}.pipeline"))?)
-    };
-    Ok(Checkpoint {
-        next_ordinal: req_usize(p, "next_ordinal", pp)?,
-        checkpoint_ordinal: req_u64(p, "checkpoint_ordinal", pp)?,
-        cfg_shards: req_usize(p, "cfg_shards", pp)?,
-        cfg_batch: req_usize(p, "cfg_batch", pp)?,
-        cfg_interval_ns: req_u64(p, "cfg_interval_ns", pp)?,
-        schedule_packets: req_u64(p, "schedule_packets", pp)?,
-        faults_spec: req_str(p, "faults_spec", pp)?,
-        fault_seed: req_u64(p, "fault_seed", pp)?,
-        packets: req_u64(p, "packets", pp)?,
-        epochs: req_u64(p, "epochs", pp)?,
-        packets_rerouted: req_u64(p, "packets_rerouted", pp)?,
-        reports_dropped: req_u64(p, "reports_dropped", pp)?,
-        carried_syns: req_i64(p, "carried_syns", pp)?,
-        carried_packets: req_i64(p, "carried_packets", pp)?,
-        carried_len_sum: req_i64(p, "carried_len_sum", pp)?,
-        carried_epochs: req_i64(p, "carried_epochs", pp)?,
-        carried_from: req_u64_arr(p, "carried_from", pp)?,
-        alive,
-        shards,
-        incidents,
-        ensemble: req(p, "ensemble", pp)?.clone(),
-        drill: req(p, "drill", pp)?.clone(),
-        provenance,
-        generation: req_u64(p, "generation", pp)?,
-        swaps_committed: req_u64(p, "swaps_committed", pp)?,
-        pipeline,
-    })
+    Checkpoint::from_json(payload, at)
 }
 
 // ---- disk -----------------------------------------------------------
@@ -784,6 +573,8 @@ pub fn load_latest_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anomaly::{Alert, TriggerCause};
+    use std::fmt::Debug;
 
     fn sample_state() -> ShardState {
         let cfg = ReplayConfig::default();
@@ -832,7 +623,7 @@ mod tests {
             cfg_interval_ns: 10_000_000,
             schedule_packets: 400,
             faults_spec: String::from("ctrl_loss=0.30"),
-            fault_seed: 9,
+            fault_seed: u64::MAX - 3,
             packets: 400,
             epochs: 7,
             packets_rerouted: 12,
@@ -842,16 +633,16 @@ mod tests {
             carried_len_sum: 2_400,
             carried_epochs: 1,
             carried_from: vec![6],
-            alive: vec![true, false],
-            shards: vec![Some(ShardStateRaw::of(&s)), None],
+            alive: vec![false, true],
+            shards: vec![None, Some(ShardStateRaw::of(&s))],
             incidents: vec![ShardIncident {
-                shard: 1,
+                shard: 0,
                 epoch: 4,
                 kind: IncidentKind::Panicked(String::from("injected fault")),
             }],
             ensemble: sample_ensemble().export_state(),
             drill: ScoreDrilldown::new(ReplayConfig::default().ensemble.trigger).export_state(),
-            provenance: Vec::new(),
+            provenance: crate::snapshot::tests::sample_snapshot().provenance,
             generation: 2,
             swaps_committed: 2,
             pipeline: Some(PipelineState {
@@ -869,13 +660,148 @@ mod tests {
         assert_eq!(restored, s);
     }
 
+    /// What every codec owes: the value comes back equal from its own
+    /// rendering, and renders to the same bytes again.
+    fn round_trips<T: ToJson + FromJson + PartialEq + Debug>(x: &T) {
+        let text = render(&x.to_json());
+        let tree = Json::parse(&text).expect("own rendering parses");
+        let back = T::from_json(&tree, At::Root("$")).expect("own form reads back");
+        assert_eq!(&back, x);
+        assert_eq!(render(&back.to_json()), text, "re-render is byte-identical");
+    }
+
+    /// One sample of every type that has the pair, from the three
+    /// documents down to their leaves.
     #[test]
-    fn checkpoint_serialization_round_trips_byte_identically() {
+    fn every_codec_round_trips() {
         let c = sample_checkpoint();
-        let text = serialize(&c);
-        let parsed = parse(&text).expect("own rendering parses");
-        assert_eq!(parsed, c);
-        assert_eq!(serialize(&parsed), text, "re-render is byte-identical");
+        round_trips(&c);
+        let shard = c.shards[1].as_ref().unwrap();
+        round_trips(shard);
+        round_trips(&shard.pc_markers[0]);
+        round_trips(c.pipeline.as_ref().unwrap());
+        for kind in [
+            IncidentKind::Crashed,
+            IncidentKind::Panicked(String::from("boom \"quoted\"")),
+            IncidentKind::MergeFailed(String::from("bad geometry")),
+        ] {
+            round_trips(&ShardIncident { shard: 3, epoch: 7, kind });
+        }
+        let ensemble = sample_ensemble();
+        round_trips(&ensemble.metrics[0]);
+        round_trips(&ensemble.metrics[0].detection_delay);
+        round_trips(&ensemble.metrics[0].rate_fires);
+
+        let snap = crate::snapshot::tests::sample_snapshot();
+        round_trips(&snap);
+        round_trips(&snap.alerts[0]);
+        round_trips(&snap.health);
+        round_trips(&snap.health.incidents[0]);
+        round_trips(&snap.ensemble);
+        round_trips(&snap.ensemble.engines[0]);
+        round_trips(&snap.ensemble.fired[0]);
+        round_trips(&snap.merged);
+        let record = &snap.provenance[0];
+        round_trips(record);
+        round_trips(&record.provenance);
+        round_trips(&record.provenance.signals);
+        round_trips(&record.provenance.engines[0]);
+        round_trips(&record.provenance.cause);
+        round_trips(&record.lineage);
+        round_trips(&record.drilldown[0]);
+        round_trips(&record.drilldown[0].cause);
+        round_trips(&TriggerCause::EnginesFired(Vec::new()));
+        round_trips(&Alert::Pinpointed { at: 3, dest: std::net::Ipv4Addr::new(10, 0, 1, 2) });
+
+        let report = crate::lifecycle::tests::sample_report();
+        round_trips(&report);
+        round_trips(&report.events[0]);
+
+        round_trips(&vec![Some(u64::MAX), None, Some(0), Some(1 << 63)]);
+        round_trips(&vec![i64::MIN, i64::MAX]);
+    }
+
+    /// `v[path[0]][path[1]]...`, members by key and items by index.
+    fn member<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        path.iter().fold(v, |v, step| match v {
+            Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == step).expect(step).1,
+            Json::Arr(items) => &mut items[step.parse::<usize>().expect(step)],
+            other => panic!("{step}: cannot index {other:?}"),
+        })
+    }
+
+    /// A tampered payload under a header that is right for it, spelled
+    /// here on its own so the header's form is pinned too.
+    fn framed(payload: &Json) -> String {
+        let body = render(payload);
+        let sum = fnv1a64(body.as_bytes());
+        format!(
+            r#"{{"magic":"stat4-replay-ckpt","version":2,"checksum":"{sum:016x}","payload":{body}}}"#
+        )
+    }
+
+    #[test]
+    fn a_refused_payload_names_the_full_path_and_the_reason() {
+        let good = sample_checkpoint().to_json();
+        assert_eq!(framed(&good), serialize(&sample_checkpoint()));
+        let marker = ["shards", "1", "pc_markers", "0"];
+        type Tamper = fn(&mut Json);
+        let cases: [(&[&str], Tamper, &str); 9] = [
+            (
+                &marker,
+                |m| match m {
+                    Json::Obj(members) => members.retain(|(k, _)| k != "pos"),
+                    _ => unreachable!(),
+                },
+                "$.payload.shards[1].pc_markers[0].pos: missing",
+            ),
+            (
+                &["shards", "1", "pc_markers", "0", "pos"],
+                |v| *v = Json::Int(-1),
+                "$.payload.shards[1].pc_markers[0].pos: not a non-negative integer",
+            ),
+            (
+                &["shards", "1", "len_xsum"],
+                |v| *v = Json::Str("x".into()),
+                "$.payload.shards[1].len_xsum: not an integer",
+            ),
+            (
+                &["shards", "1", "sk_width_log2"],
+                |v| *v = Json::Int(1 << 32),
+                "$.payload.shards[1].sk_width_log2: overflows u32",
+            ),
+            (
+                &["shards", "1", "hll_registers", "3"],
+                |v| *v = Json::Int(256),
+                "$.payload.shards[1].hll_registers[3]: overflows u8",
+            ),
+            (
+                &["alive", "0"],
+                |v| *v = Json::Int(0),
+                "$.payload.alive[0]: not a boolean",
+            ),
+            (
+                &["incidents", "0", "kind"],
+                |v| *v = Json::Str("vanished".into()),
+                "$.payload.incidents[0]: unknown incident kind \"vanished\"",
+            ),
+            (
+                &["pipeline", "registers", "0", "cells", "1"],
+                |v| *v = Json::Null,
+                "$.payload.pipeline.registers[0].cells[1]: not a non-negative integer",
+            ),
+            (
+                &["provenance", "0", "drilldown", "0", "cause", "kind"],
+                |v| *v = Json::Str("whim".into()),
+                "$.payload.provenance[0].drilldown[0].cause: unknown cause kind \"whim\"",
+            ),
+        ];
+        for (path, tamper, want) in cases {
+            let mut bad = good.clone();
+            tamper(member(&mut bad, path));
+            assert_ne!(bad, good, "{path:?}: the tamper must hit");
+            assert_eq!(parse(&framed(&bad)).unwrap_err(), want);
+        }
     }
 
     #[test]

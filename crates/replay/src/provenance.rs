@@ -13,11 +13,13 @@
 //! Everything here derives only from merged state and deterministic
 //! supervisor events, so provenance is part of the pool-vs-reference
 //! bit-identity surface (`tests/pool.rs`) and survives the JSON round
-//! trip in [`crate::snapshot`] field-for-field.
+//! trip field-for-field: each type's form is its field list, declared
+//! beside it, and a run snapshot and a checkpoint carry the same one.
 
 use crate::{IncidentKind, ShardIncident};
 use anomaly::{AlertProvenance, DrillOutcome, EnsembleVerdict, RebindTransaction, SignalContext,
     SignalValues};
+use telemetry::json_struct;
 
 /// A quarantine event referenced from an alert's lineage, with the
 /// incident kind rendered as a stable string so records round-trip
@@ -31,6 +33,8 @@ pub struct IncidentRef {
     /// `"crashed"`, `"panicked: <msg>"` or `"merge_failed: <msg>"`.
     pub detail: String,
 }
+
+json_struct!(IncidentRef { shard, epoch, detail });
 
 impl From<&ShardIncident> for IncidentRef {
     fn from(i: &ShardIncident) -> Self {
@@ -70,6 +74,15 @@ pub struct EpochLineage {
     pub quarantined: Vec<IncidentRef>,
 }
 
+json_struct!(EpochLineage {
+    epoch,
+    delivered_shards,
+    carried_epochs,
+    spanned,
+    rerouted_frames,
+    quarantined
+});
+
 /// The supervisor-side facts [`AlertProvenanceRecord::capture`] folds
 /// into a lineage — what the run knew at the detect site, before any
 /// provenance shaping.
@@ -99,6 +112,8 @@ pub struct AlertProvenanceRecord {
     /// is at host granularity).
     pub drilldown: Vec<RebindTransaction>,
 }
+
+json_struct!(AlertProvenanceRecord { id, provenance, lineage, drilldown });
 
 impl AlertProvenanceRecord {
     /// Captures one record at the detect site. Both replay engines

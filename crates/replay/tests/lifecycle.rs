@@ -56,13 +56,16 @@ fn chaos(spec: &str) -> FaultSchedule {
 /// The acceptance criterion: kill at an epoch ordinal, resume from the
 /// newest checkpoint, and the deterministic run snapshot must be
 /// byte-identical to the uninterrupted run's — across shard counts,
-/// under chaos.
+/// under chaos. The last case's seed is above `i64::MAX`: the resumed
+/// run rebuilds its fault schedule from the seed the checkpoint
+/// stored, so the checkpoint must store all 64 bits of it.
 #[test]
 fn kill_and_resume_is_byte_identical_across_shard_counts() {
     let s = small_flood();
-    for shards in [1usize, 2, 4, 8] {
+    for (shards, seed) in [(1usize, SEED), (2, SEED), (4, SEED), (8, SEED), (4, u64::MAX - 3)] {
         let cfg = cfg(shards);
-        let dir = fresh_dir(&format!("resume-{shards}"));
+        let dir = fresh_dir(&format!("resume-{shards}-{seed}"));
+        let chaos = |spec: &str| FaultSchedule::parse(spec, seed).unwrap();
 
         let (full, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &LifecyclePlan::none());
 
@@ -98,7 +101,7 @@ fn kill_and_resume_is_byte_identical_across_shard_counts() {
         assert_eq!(
             render_outcome_json(&resumed),
             render_outcome_json(&full),
-            "{shards} shard(s): resumed snapshot differs from the uninterrupted run"
+            "{shards} shard(s), seed {seed}: resumed snapshot differs from the uninterrupted run"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

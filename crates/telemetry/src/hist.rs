@@ -14,7 +14,7 @@
 //! barriers via [`Mergeable`]: cellwise count addition, which is
 //! bit-identical to single-shard recording for any traffic partition.
 
-use crate::json::{jopt, ju, obj, opt_u64, req_sparse_u64, req_str, req_u64, sparse_u64, Json};
+use crate::json::{field, field_with, from_sparse_u64, obj, sparse_u64, At, FromJson, Json, ToJson};
 use stat4_core::isqrt::{log_linear_bucket, log_linear_bucket_count, log_linear_lower_bound};
 use stat4_core::{Mergeable, Stat4Error, Stat4Result};
 
@@ -159,55 +159,50 @@ impl LogLinearHistogram {
     }
 }
 
-impl LogLinearHistogram {
-    /// The full recorded state as JSON: non-empty buckets as
-    /// `[index, count]` pairs plus the four scalars (the `u128` sum as
-    /// a decimal string). [`Self::import_state`] reads it back exactly.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
+/// The full recorded state: non-empty buckets as `[index, count]`
+/// pairs plus the four scalars (the `u128` sum as a decimal string).
+impl ToJson for LogLinearHistogram {
+    fn to_json(&self) -> Json {
         obj(vec![
             ("buckets", sparse_u64(&self.buckets)),
-            ("count", ju(self.count)),
-            ("sum", Json::Str(self.sum.to_string())),
-            ("min", jopt(self.min())),
-            ("max", jopt(self.max())),
+            ("count", self.count.to_json()),
+            ("sum", self.sum.to_string().to_json()),
+            ("min", self.min().to_json()),
+            ("max", self.max().to_json()),
         ])
     }
+}
 
-    /// Replaces the recorded state with one written by
-    /// [`Self::export_state`] from a histogram of the same resolution.
-    /// `path` names `state` in error messages.
-    ///
-    /// # Errors
-    ///
-    /// A missing or mistyped member, a bucket index outside this
-    /// histogram, bucket counts that do not add up to `count`, or
-    /// extrema that contradict it; `self` is left untouched.
-    pub fn import_state(&mut self, state: &Json, path: &str) -> Result<(), String> {
-        let buckets = req_sparse_u64(state, "buckets", path, self.buckets.len())?;
-        let total: u128 = buckets.iter().map(|&c| u128::from(c)).sum();
-        let count = req_u64(state, "count", path)?;
-        if total != u128::from(count) {
-            return Err(format!("{path}: buckets hold {total} samples, \"count\" says {count}"));
+/// Reads the state back exactly, into a histogram of the default
+/// resolution (the document does not carry one, and every histogram
+/// whose state is stored is built by `default()`). Refused: a bucket
+/// index outside the histogram, bucket counts that do not add up to
+/// `count`, extrema that contradict it.
+impl FromJson for LogLinearHistogram {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        let mut h = Self::default();
+        h.buckets = field_with(v, "buckets", at, |b, at| from_sparse_u64(b, at, h.buckets.len()))?;
+        let total: u128 = h.buckets.iter().map(|&c| u128::from(c)).sum();
+        h.count = field(v, "count", at)?;
+        if total != u128::from(h.count) {
+            return Err(at.err(format_args!("buckets hold {total} samples, \"count\" says {}", h.count)));
         }
-        let sum = req_str(state, "sum", path)?
-            .parse::<u128>()
-            .map_err(|_| format!("{path}: \"sum\" is not a decimal integer"))?;
-        let (min, max) = (opt_u64(state, "min", path)?, opt_u64(state, "max", path)?);
+        h.sum = field_with(v, "sum", at, |s, at| {
+            let digits = s.as_str().and_then(|s| s.parse::<u128>().ok());
+            digits.ok_or_else(|| at.err("not a decimal integer in a string"))
+        })?;
+        let (min, max): (Option<u64>, Option<u64>) = (field(v, "min", at)?, field(v, "max", at)?);
         let extrema_fit = match (min, max) {
-            (None, None) => count == 0,
-            (Some(lo), Some(hi)) => count > 0 && lo <= hi,
+            (None, None) => h.count == 0,
+            (Some(lo), Some(hi)) => h.count > 0 && lo <= hi,
             _ => false,
         };
         if !extrema_fit {
-            return Err(format!("{path}: \"min\"/\"max\" contradict a count of {count}"));
+            return Err(at.err(format_args!("\"min\"/\"max\" contradict a count of {}", h.count)));
         }
-        self.buckets = buckets;
-        self.count = count;
-        self.sum = sum;
-        self.min = min.unwrap_or(u64::MAX);
-        self.max = max.unwrap_or(0);
-        Ok(())
+        h.min = min.unwrap_or(u64::MAX);
+        h.max = max.unwrap_or(0);
+        Ok(h)
     }
 }
 
@@ -293,31 +288,30 @@ mod tests {
 
     #[test]
     fn state_round_trips_exactly_and_rejects_inconsistency() {
+        let root = At::Root("$");
         let mut h = LogLinearHistogram::default();
-        let empty = h.export_state();
-        for v in [0u64, 7, 7, 10_000_000, u64::MAX / 3] {
+        let empty = h.to_json();
+        assert_eq!(LogLinearHistogram::from_json(&empty, root).unwrap(), h);
+        for v in [0u64, 7, 7, 10_000_000, u64::MAX / 3, u64::MAX - 1] {
             h.record(v);
         }
-        let state = h.export_state();
-        let mut back = LogLinearHistogram::default();
-        back.import_state(&state, "$").unwrap();
+        let state = h.to_json();
+        let back = LogLinearHistogram::from_json(&state, root).unwrap();
         assert_eq!(back, h);
-        assert_eq!(back.export_state(), state);
-        back.import_state(&empty, "$").unwrap();
-        assert_eq!(back, LogLinearHistogram::default());
+        assert_eq!(back.to_json(), state);
 
         let text = crate::json::render(&state);
         for (from, to) in [
-            ("\"count\":5", "\"count\":6"),
+            ("\"count\":6", "\"count\":7"),
             ("[0,1]", "[9999,1]"),
             ("\"min\":0", "\"min\":null"),
             ("\"sum\":\"", "\"sum\":\"x"),
         ] {
             let bad = text.replace(from, to);
             assert_ne!(bad, text, "{from} must hit");
-            let err = back.import_state(&Json::parse(&bad).unwrap(), "$.h").unwrap_err();
+            let at = At::Key(&root, "h");
+            let err = LogLinearHistogram::from_json(&Json::parse(&bad).unwrap(), at).unwrap_err();
             assert!(err.starts_with("$.h"), "{err}");
-            assert_eq!(back, LogLinearHistogram::default(), "a failed import changes nothing");
         }
     }
 }

@@ -1,17 +1,26 @@
-//! A minimal hand-rolled JSON value tree: parser, renderer and the
-//! field helpers every codec in the workspace is written with.
+//! A minimal JSON value tree (parser and renderer) and the one codec
+//! every document in the workspace is written and read with.
 //!
 //! The workspace builds offline and the vendored `serde` stub carries
-//! no serialisation machinery, so JSON is read and written by hand.
-//! This module holds enough of RFC 8259 to round-trip the documents
-//! the suite emits (trace files, run snapshots, checkpoints, metric
-//! exports) through a typed tree: [`Json::parse`] reads, [`render`]
-//! writes, and [`obj`] / [`ju`] / [`req_u64`] and friends build and
-//! take apart one struct's worth of members.
+//! no serialisation machinery. What stands in for it is a trait pair,
+//! [`ToJson`] and [`FromJson`], with impls for the integers, `bool`,
+//! `String`, `Option`, `Vec` and [`Json`] itself, and [`json_struct!`],
+//! which writes both impls for a struct from one list of its fields.
+//! An impl lives beside the type it is for (`anomaly`, `p4sim`,
+//! `replay`); only where the JSON form is not the field list (a tagged
+//! enum, a list of pairs) is it written out, with [`obj`] and
+//! [`field`]. A reader carries its position as an [`At`], so an error
+//! names the full path of what it refused.
+//!
+//! Underneath is enough of RFC 8259 to round-trip the documents the
+//! suite emits (trace files, run snapshots, checkpoints, metric
+//! exports) through a typed tree: [`Json::parse`] reads and [`render`]
+//! writes.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
-//! as [`Json::Int`], so `u64`/`i64` fields survive a render → parse
-//! round trip bit-for-bit instead of drowning in `f64`. Object members
+//! as [`Json::Int`] (past `i64::MAX`, as [`Json::UInt`]), so `u64`/`i64`
+//! fields survive a render → parse round trip bit-for-bit instead of
+//! drowning in `f64`. Object members
 //! preserve document order, which lets golden tests compare
 //! field-for-field.
 
@@ -32,6 +41,9 @@ pub enum Json {
     Bool(bool),
     /// A number with no fractional/exponent part that fits `i64`.
     Int(i64),
+    /// An integer past `i64`: `i64::MAX < n ≤ u64::MAX`. Never holds
+    /// a value `Int` could, so each integer has one form.
+    UInt(u64),
     /// Any other number.
     Float(f64),
     /// A string.
@@ -94,20 +106,23 @@ impl Json {
         }
     }
 
-    /// The value as `u64` (a non-negative [`Json::Int`]).
+    /// The value as `u64` (a non-negative [`Json::Int`], or a
+    /// [`Json::UInt`]).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(v) => u64::try_from(*v).ok(),
+            Json::UInt(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as `f64` (either number form).
+    /// The value as `f64` (any number form).
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(v) => Some(*v as f64),
+            Json::UInt(v) => Some(*v as f64),
             Json::Float(v) => Some(*v),
             _ => None,
         }
@@ -276,10 +291,13 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..end)
             .ok_or_else(|| format!("byte {}: truncated \\u escape", self.pos))?;
-        let s = std::str::from_utf8(slice)
-            .map_err(|_| format!("byte {}: non-ASCII \\u escape", self.pos))?;
-        let v = u16::from_str_radix(s, 16)
-            .map_err(|_| format!("byte {}: bad \\u escape {s:?}", self.pos))?;
+        // Four hex digits and nothing else: `from_str_radix` alone
+        // would also take a sign.
+        let v = std::str::from_utf8(slice)
+            .ok()
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|s| u16::from_str_radix(s, 16).ok())
+            .ok_or_else(|| format!("byte {}: \\u escape is not four hex digits", self.pos))?;
         self.pos = end;
         Ok(v)
     }
@@ -373,10 +391,17 @@ impl Parser<'_> {
             if let Ok(v) = s.parse::<i64>() {
                 return Ok(Json::Int(v));
             }
+            if let Ok(v) = s.parse::<u64>() {
+                return Ok(Json::UInt(v));
+            }
         }
+        // `1e400` parses to infinity, which `render` could only write
+        // as `inf`: not a document this parser reads back.
         s.parse::<f64>()
+            .ok()
+            .filter(|f| f.is_finite())
             .map(Json::Float)
-            .map_err(|_| format!("byte {start}: unparseable number {s:?}"))
+            .ok_or_else(|| format!("byte {start}: unparseable or non-finite number {s:?}"))
     }
 }
 
@@ -426,6 +451,10 @@ fn write_value(out: &mut String, v: &Json) {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Int(i) => write_int(out, *i),
+        // The two rare forms go through `fmt`.
+        Json::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Json::Float(f) => {
             let _ = write!(out, "{f}");
         }
@@ -455,39 +484,57 @@ fn write_value(out: &mut String, v: &Json) {
     }
 }
 
-// ---- building and taking apart one struct's members -------------------
+// ---- the codec: one struct's JSON form is its field list ---------------
 
-/// A `u64` as a JSON integer (saturating at `i64::MAX`, the tree's
-/// integer width).
-#[must_use]
-pub fn ju(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+/// A value that has a JSON form.
+pub trait ToJson {
+    /// The value as a tree; [`render`] writes it out.
+    fn to_json(&self) -> Json;
 }
 
-/// A `usize` as a JSON integer.
-#[must_use]
-pub fn jus(v: usize) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+/// A value that can be read back from its JSON form. The document may
+/// come from disk, so every impl checks what it is handed.
+pub trait FromJson: Sized {
+    /// Reads `v`, which sits at `at` in its document.
+    ///
+    /// # Errors
+    ///
+    /// `at` and what is wrong there: `$.payload.shards[1].pc_markers[0].pos:
+    /// not a non-negative integer`.
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String>;
 }
 
-/// A string value.
-#[must_use]
-pub fn js(v: &str) -> Json {
-    Json::Str(v.to_string())
+/// Where a value sits in its document, as a chain of borrowed links
+/// back to the root. A link is a few words on the reader's stack; the
+/// path is formatted only when an error is built, so reading a
+/// 40 000-cell checkpoint that is well formed formats nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum At<'a> {
+    /// The document itself, under the name errors call it (`$`,
+    /// `ensemble`, `cusum`).
+    Root(&'a str),
+    /// A member of the object at the parent path.
+    Key(&'a At<'a>, &'a str),
+    /// An item of the array at the parent path.
+    Idx(&'a At<'a>, usize),
 }
 
-/// An optional `u64`: `null` when absent.
-#[must_use]
-pub fn jopt(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, ju)
+impl At<'_> {
+    /// The error for this place: its path, then `why`.
+    #[must_use]
+    pub fn err(&self, why: impl std::fmt::Display) -> String {
+        format!("{self}: {why}")
+    }
 }
 
-/// A mostly-zero counter array as `[index, count]` pairs, zeros left
-/// out; [`req_sparse_u64`] reads it back.
-#[must_use]
-pub fn sparse_u64(cells: &[u64]) -> Json {
-    let live = cells.iter().enumerate().filter(|(_, &c)| c > 0);
-    Json::Arr(live.map(|(i, &c)| Json::Arr(vec![jus(i), ju(c)])).collect())
+impl std::fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            At::Root(name) => f.write_str(name),
+            At::Key(parent, key) => write!(f, "{parent}.{key}"),
+            At::Idx(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
 }
 
 /// An object from `(key, value)` pairs, in the order given.
@@ -496,122 +543,233 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Member `key` of object `v`. `path` names `v` in error messages
-/// (`$.payload.shards[1]`), as in every `req_*` helper below.
+/// Member `key` of the object `v` (which sits at `at`), handed with
+/// its own path to `read`. Every member is read through here, so a
+/// missing one is reported one way.
 ///
 /// # Errors
 ///
-/// The member is missing (or `v` is not an object).
-pub fn req<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a Json, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{path}: missing \"{key}\""))
+/// The member is missing (or `v` is not an object), or `read` refuses
+/// it.
+pub fn field_with<'a, T>(
+    v: &'a Json,
+    key: &str,
+    at: At<'_>,
+    read: impl FnOnce(&'a Json, At<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let at = At::Key(&at, key);
+    read(v.get(key).ok_or_else(|| at.err("missing"))?, at)
 }
 
-/// Member `key` as a `u64`.
+/// Member `key` of the object `v` as a `T`.
 ///
 /// # Errors
 ///
-/// Missing, or not a non-negative integer.
-pub fn req_u64(v: &Json, key: &str, path: &str) -> Result<u64, String> {
-    req(v, key, path)?
-        .as_u64()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a non-negative integer"))
+/// As [`field_with`] reading through [`FromJson::from_json`].
+pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> {
+    field_with(v, key, at, T::from_json)
 }
 
-/// Member `key` as a `usize`.
-///
-/// # Errors
-///
-/// Missing, not a non-negative integer, or too large for `usize`.
-pub fn req_usize(v: &Json, key: &str, path: &str) -> Result<usize, String> {
-    usize::try_from(req_u64(v, key, path)?)
-        .map_err(|_| format!("{path}: \"{key}\" overflows usize"))
+/// Both halves of the codec for a struct whose JSON form is its field
+/// list: an object with one member per listed field, named after it,
+/// in the order listed, read back by name. Every field must be listed
+/// (the reader builds `Self` from the list) and must itself have the
+/// pair.
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::json::obj(vec![
+                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),+
+                ])
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
+                Ok(Self {
+                    $($field: $crate::json::field(v, stringify!($field), at)?),+
+                })
+            }
+        }
+    };
 }
 
-/// Member `key` as an `i64`.
-///
-/// # Errors
-///
-/// Missing, or not an integer.
-pub fn req_i64(v: &Json, key: &str, path: &str) -> Result<i64, String> {
-    req(v, key, path)?
-        .as_i64()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not an integer"))
+// `stat4-core` sits below this crate and cannot name the trait, so
+// the one tracker type that is checkpointed whole has its pair here.
+json_struct!(stat4_core::percentile::MarkerRaw { low_weight, high_weight, pos, low, high, moves });
+
+// The integer impls are `#[inline]`: they are not generic, so without
+// the hint each of a checkpoint's ~40 000 cells would cost a call
+// across the crate boundary from the array loop that is.
+
+impl ToJson for u64 {
+    /// Exact over the whole range: the one place it is decided how a
+    /// `u64` is written. Up to `i64::MAX` it is the `Int` it always
+    /// was; above, a `UInt`, which renders as the same bare digits.
+    #[inline]
+    fn to_json(&self) -> Json {
+        i64::try_from(*self).map_or_else(|_| Json::UInt(*self), Json::Int)
+    }
 }
 
-/// Member `key` as an owned string.
-///
-/// # Errors
-///
-/// Missing, or not a string.
-pub fn req_str(v: &Json, key: &str, path: &str) -> Result<String, String> {
-    Ok(req(v, key, path)?
-        .as_str()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a string"))?
-        .to_string())
+impl FromJson for u64 {
+    #[inline]
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        v.as_u64().ok_or_else(|| at.err("not a non-negative integer"))
+    }
 }
 
-/// Member `key` as a `bool`.
-///
-/// # Errors
-///
-/// Missing, or not a boolean.
-pub fn req_bool(v: &Json, key: &str, path: &str) -> Result<bool, String> {
-    req(v, key, path)?
-        .as_bool()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not a boolean"))
+/// The narrower unsigned integers go through `u64` and add a range
+/// check on the way back.
+macro_rules! json_unsigned {
+    ($($ty:ty),+) => {$(
+        impl ToJson for $ty {
+            #[inline]
+            fn to_json(&self) -> Json {
+                // Lossless: no supported `usize` is wider than 64 bits.
+                (*self as u64).to_json()
+            }
+        }
+        impl FromJson for $ty {
+            #[inline]
+            fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+                <$ty>::try_from(u64::from_json(v, at)?)
+                    .map_err(|_| at.err(concat!("overflows ", stringify!($ty))))
+            }
+        }
+    )+};
+}
+json_unsigned!(u8, u32, usize);
+
+impl ToJson for i64 {
+    #[inline]
+    fn to_json(&self) -> Json {
+        Json::Int(*self)
+    }
 }
 
-/// Member `key` as an array slice.
-///
-/// # Errors
-///
-/// Missing, or not an array.
-pub fn req_arr<'a>(v: &'a Json, key: &str, path: &str) -> Result<&'a [Json], String> {
-    req(v, key, path)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"{key}\" is not an array"))
+impl FromJson for i64 {
+    #[inline]
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        v.as_i64().ok_or_else(|| at.err("not an integer"))
+    }
 }
 
-/// Member `key`, written by [`sparse_u64`], as the dense array of
-/// `len` cells it came from.
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| at.err("not a boolean"))
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        Ok(v.as_str().ok_or_else(|| at.err("not a string"))?.to_string())
+    }
+}
+
+/// A subtree carried as it is (a detector's exported state inside a
+/// checkpoint, which does not look inside).
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
+
+impl FromJson for Json {
+    fn from_json(v: &Json, _: At<'_>) -> Result<Self, String> {
+        Ok(v.clone())
+    }
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        T::from_json(v, at).map(Some)
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        let items = v.as_arr().ok_or_else(|| at.err("not an array"))?;
+        // A plain loop into a vector of the known length: collecting
+        // `Result`s grows by doubling and costs a call per item.
+        let mut out = Vec::with_capacity(items.len());
+        for (i, x) in items.iter().enumerate() {
+            out.push(T::from_json(x, At::Idx(&at, i))?);
+        }
+        Ok(out)
+    }
+}
+
+/// A mostly-zero counter array as `[index, count]` pairs, zeros left
+/// out; [`from_sparse_u64`] reads it back.
+#[must_use]
+pub fn sparse_u64(cells: &[u64]) -> Json {
+    let live = cells.iter().enumerate().filter(|(_, &c)| c > 0);
+    Json::Arr(live.map(|(i, &c)| Json::Arr(vec![i.to_json(), c.to_json()])).collect())
+}
+
+/// [`sparse_u64`]'s form back as the dense array of `len` cells it
+/// came from.
 ///
 /// # Errors
 ///
-/// Missing, an item that is not an `[index, count]` pair, or an index
-/// at or past `len`.
-pub fn req_sparse_u64(v: &Json, key: &str, path: &str, len: usize) -> Result<Vec<u64>, String> {
+/// Not an array of `[index, count]` pairs, or an index at or past
+/// `len`.
+pub fn from_sparse_u64(v: &Json, at: At<'_>, len: usize) -> Result<Vec<u64>, String> {
     let mut cells = vec![0u64; len];
-    for pair in req_arr(v, key, path)? {
-        let item = pair.as_arr().unwrap_or(&[]);
-        let (Some(i), Some(c)) = (
-            item.first().and_then(Json::as_u64),
-            item.get(1).and_then(Json::as_u64),
-        ) else {
-            return Err(format!("{path}: an item of \"{key}\" is not an [index, count] pair"));
+    let pairs = v.as_arr().ok_or_else(|| at.err("not an array"))?;
+    for (n, pair) in pairs.iter().enumerate() {
+        let at = At::Idx(&at, n);
+        let [i, c] = pair.as_arr().unwrap_or(&[]) else {
+            return Err(at.err("not an [index, count] pair"));
         };
-        *usize::try_from(i)
-            .ok()
-            .and_then(|i| cells.get_mut(i))
-            .ok_or_else(|| format!("{path}: \"{key}\" index {i} is outside its {len} cells"))? = c;
+        let (i, c) = (usize::from_json(i, at)?, u64::from_json(c, at)?);
+        *cells
+            .get_mut(i)
+            .ok_or_else(|| at.err(format_args!("index {i} is outside its {len} cells")))? = c;
     }
     Ok(cells)
-}
-
-/// Member `key` as an optional `u64` (`null` reads as `None`).
-///
-/// # Errors
-///
-/// Missing, or neither `null` nor a non-negative integer.
-pub fn opt_u64(v: &Json, key: &str, path: &str) -> Result<Option<u64>, String> {
-    let field = req(v, key, path)?;
-    if field.is_null() {
-        return Ok(None);
-    }
-    field
-        .as_u64()
-        .map(Some)
-        .ok_or_else(|| format!("{path}: \"{key}\" is neither null nor a non-negative integer"))
 }
 
 #[cfg(test)]
@@ -668,6 +826,7 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{'a':1}", "[1]]",
+            "\"\\u+041\"", "\"\\u00g1\"", "1e400", "[-1e999]",
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.contains("byte"), "{bad:?} -> {err}");
@@ -730,26 +889,80 @@ mod tests {
         assert!(Json::parse_with_member_spans("[{\"a\":1}]").unwrap().1.is_empty());
     }
 
-    #[test]
-    fn field_helpers_name_the_path_and_the_key() {
-        let v = obj(vec![("n", ju(7)), ("s", js("x")), ("none", jopt(None)), ("neg", Json::Int(-1))]);
-        assert_eq!(req_u64(&v, "n", "$").unwrap(), 7);
-        assert_eq!(req_usize(&v, "n", "$").unwrap(), 7);
-        assert_eq!(req_str(&v, "s", "$").unwrap(), "x");
-        assert_eq!(opt_u64(&v, "none", "$").unwrap(), None);
-        assert_eq!(opt_u64(&v, "n", "$").unwrap(), Some(7));
-        let err = req_u64(&v, "neg", "$.at").unwrap_err();
-        assert!(err.contains("$.at") && err.contains("\"neg\""), "{err}");
-        assert!(req(&v, "gone", "$").unwrap_err().contains("missing \"gone\""));
-        assert!(req_arr(&v, "n", "$").is_err() && req_bool(&v, "n", "$").is_err());
-        assert_eq!(ju(u64::MAX), Json::Int(i64::MAX));
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        n: u64,
+        small: u8,
+        name: String,
+        maybe: Option<usize>,
+        list: Vec<i64>,
+        on: bool,
+    }
+    json_struct!(Probe { n, small, name, maybe, list, on });
 
+    const ROOT: At<'static> = At::Root("$");
+
+    #[test]
+    fn a_struct_is_written_in_listed_order_and_read_back_by_name() {
+        let p = Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true };
+        let text = render(&p.to_json());
+        assert_eq!(text, r#"{"n":7,"small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#);
+        assert_eq!(Probe::from_json(&Json::parse(&text).unwrap(), ROOT).unwrap(), p);
+        let shuffled = r#"{"on":true,"list":[-1,2],"extra":0,"maybe":null,"name":"x","small":9,"n":7}"#;
+        assert_eq!(Probe::from_json(&Json::parse(shuffled).unwrap(), ROOT).unwrap(), p);
+    }
+
+    #[test]
+    fn errors_name_the_full_path_and_the_reason() {
+        let good = r#"{"n":7,"small":9,"name":"x","maybe":4,"list":[-1,2],"on":true}"#;
+        let at = At::Key(&ROOT, "probe");
+        for (from, to, want) in [
+            ("\"n\":7", "\"m\":7", "$.probe.n: missing"),
+            ("\"n\":7", "\"n\":-7", "$.probe.n: not a non-negative integer"),
+            ("\"n\":7", "\"n\":7.5", "$.probe.n: not a non-negative integer"),
+            ("\"small\":9", "\"small\":256", "$.probe.small: overflows u8"),
+            ("\"name\":\"x\"", "\"name\":1", "$.probe.name: not a string"),
+            ("\"maybe\":4", "\"maybe\":\"4\"", "$.probe.maybe: not a non-negative integer"),
+            ("[-1,2]", "[-1,null]", "$.probe.list[1]: not an integer"),
+            ("[-1,2]", "{}", "$.probe.list: not an array"),
+            ("\"on\":true", "\"on\":1", "$.probe.on: not a boolean"),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good, "{from} must hit");
+            assert_eq!(Probe::from_json(&Json::parse(&bad).unwrap(), at).unwrap_err(), want);
+        }
+        assert_eq!(u32::from_json(&Json::Int(1 << 32), ROOT).unwrap_err(), "$: overflows u32");
+        assert_eq!(Probe::from_json(&Json::Null, ROOT).unwrap_err(), "$.n: missing");
+    }
+
+    #[test]
+    fn a_u64_round_trips_exactly_or_is_refused() {
+        let edge = i64::MAX as u64;
+        for v in [0, 7, edge, edge + 1, u64::MAX - 3, u64::MAX] {
+            let text = render(&v.to_json());
+            assert_eq!(u64::from_json(&Json::parse(&text).unwrap(), ROOT), Ok(v), "{text}");
+        }
+        // Bare digits on both sides of `i64::MAX`, one tree form each.
+        assert_eq!(edge.to_json(), Json::Int(i64::MAX));
+        assert_eq!(render(&edge.to_json()), "9223372036854775807");
+        assert_eq!(Json::parse("9223372036854775808").unwrap(), Json::UInt(edge + 1));
+        assert_eq!(render(&u64::MAX.to_json()), "18446744073709551615");
+        // Past `u64::MAX` a token is a float, which no integer reads.
+        for refused in ["18446744073709551616", "-1", "7.0", "\"7\"", "null"] {
+            let v = Json::parse(refused).unwrap();
+            assert!(u64::from_json(&v, ROOT).is_err(), "{refused}");
+        }
+        assert!(i64::from_json(&u64::MAX.to_json(), ROOT).is_err());
+    }
+
+    #[test]
+    fn sparse_cells_round_trip_and_are_bounded_by_their_length() {
         let cells = [0u64, 3, 0, 0, 9];
-        let v = obj(vec![("cells", sparse_u64(&cells))]);
-        assert_eq!(render(&v), r#"{"cells":[[1,3],[4,9]]}"#);
-        assert_eq!(req_sparse_u64(&v, "cells", "$", 5).unwrap(), cells);
-        assert!(req_sparse_u64(&v, "cells", "$", 4).unwrap_err().contains("outside its 4 cells"));
-        let bad = obj(vec![("cells", Json::Arr(vec![ju(1)]))]);
-        assert!(req_sparse_u64(&bad, "cells", "$", 5).unwrap_err().contains("pair"));
+        let v = sparse_u64(&cells);
+        assert_eq!(render(&v), "[[1,3],[4,9]]");
+        assert_eq!(from_sparse_u64(&v, ROOT, 5).unwrap(), cells);
+        assert_eq!(from_sparse_u64(&v, ROOT, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
+        let bad = Json::parse("[[1,3],[4]]").unwrap();
+        assert_eq!(from_sparse_u64(&bad, ROOT, 5).unwrap_err(), "$[1]: not an [index, count] pair");
     }
 }

@@ -6,6 +6,7 @@
 //! Stat4 trackers use at epoch barriers. For *shared* (multi-writer)
 //! metrics see [`crate::registry`].
 
+use crate::json::{At, FromJson, Json, ToJson};
 use stat4_core::{Mergeable, Stat4Result};
 
 /// A monotonically increasing event count.
@@ -35,6 +36,19 @@ impl Counter {
     #[must_use]
     pub fn get(&self) -> u64 {
         self.value
+    }
+}
+
+/// A counter's JSON form is its count.
+impl ToJson for Counter {
+    fn to_json(&self) -> Json {
+        self.value.to_json()
+    }
+}
+
+impl FromJson for Counter {
+    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
+        u64::from_json(v, at).map(|value| Self { value })
     }
 }
 
