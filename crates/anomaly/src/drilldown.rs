@@ -530,40 +530,6 @@ impl Default for EnsembleTriggerConfig {
     }
 }
 
-/// Decides whether a verdict warrants drilling down, and why.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleTrigger {
-    /// The policy in force.
-    pub config: EnsembleTriggerConfig,
-}
-
-impl EnsembleTrigger {
-    /// A trigger under `config`.
-    #[must_use]
-    pub fn new(config: EnsembleTriggerConfig) -> Self {
-        Self { config }
-    }
-
-    /// `Some(cause)` when the verdict should pull the trigger: any
-    /// engine's gated fire wins, else the combined weighted score
-    /// crossing the configured threshold.
-    #[must_use]
-    pub fn decide(&self, v: &crate::detector::EnsembleVerdict) -> Option<TriggerCause> {
-        if !v.fired.is_empty() {
-            return Some(TriggerCause::EnginesFired(
-                v.fired.iter().map(|r| r.engine.to_string()).collect(),
-            ));
-        }
-        if v.combined_q16 >= self.config.combined_threshold_q16 {
-            return Some(TriggerCause::CombinedScore {
-                combined_q16: v.combined_q16,
-                threshold_q16: self.config.combined_threshold_q16,
-            });
-        }
-        None
-    }
-}
-
 /// One drilldown rebind, recorded as alert provenance. Mirrors the
 /// acked batch transactions [`DrilldownController`] sends over the
 /// control channel, as a deterministic structural record (what was
@@ -622,15 +588,16 @@ impl ScorePhase {
     }
 }
 
-/// The replay-side drilldown ladder, driven by [`EnsembleVerdict`]s
-/// instead of switch digests: prefix → subnets → hosts, one rebind
-/// transaction per triggering interval, resetting to the prefix after
-/// a configurable quiet streak. Pure and deterministic — state is a
+/// The replay-side drilldown ladder, driven by
+/// [`crate::detector::EnsembleVerdict`]s instead of switch digests:
+/// prefix → subnets → hosts, one rebind transaction per triggering
+/// interval, resetting to the prefix after a configurable quiet
+/// streak. Pure and deterministic — state is a
 /// function of the verdict stream alone, so pool and reference replay
 /// engines produce bit-identical transaction logs.
 #[derive(Debug, Clone)]
 pub struct ScoreDrilldown {
-    trigger: EnsembleTrigger,
+    config: EnsembleTriggerConfig,
     phase: ScorePhase,
     generation: u64,
     quiet: u32,
@@ -641,19 +608,37 @@ impl ScoreDrilldown {
     #[must_use]
     pub fn new(config: EnsembleTriggerConfig) -> Self {
         Self {
-            trigger: EnsembleTrigger::new(config),
+            config,
             phase: ScorePhase::Prefix,
             generation: 0,
             quiet: 0,
         }
     }
 
+    /// `Some(cause)` when the verdict should pull the trigger: any
+    /// engine's gated fire wins, else the combined weighted score
+    /// crossing the configured threshold.
+    fn decide(&self, v: &crate::detector::EnsembleVerdict) -> Option<TriggerCause> {
+        if !v.fired.is_empty() {
+            return Some(TriggerCause::EnginesFired(
+                v.fired.iter().map(|r| r.engine.to_string()).collect(),
+            ));
+        }
+        if v.combined_q16 >= self.config.combined_threshold_q16 {
+            return Some(TriggerCause::CombinedScore {
+                combined_q16: v.combined_q16,
+                threshold_q16: self.config.combined_threshold_q16,
+            });
+        }
+        None
+    }
+
     /// Feeds one interval verdict. Returns the trigger cause and any
     /// rebind transaction it produced; `None` on quiet intervals.
     pub fn observe(&mut self, v: &crate::detector::EnsembleVerdict) -> Option<DrillOutcome> {
-        let Some(cause) = self.trigger.decide(v) else {
+        let Some(cause) = self.decide(v) else {
             self.quiet += 1;
-            if self.quiet >= self.trigger.config.reset_after_quiet {
+            if self.quiet >= self.config.reset_after_quiet {
                 self.phase = ScorePhase::Prefix;
                 self.quiet = 0;
             }
@@ -661,8 +646,8 @@ impl ScoreDrilldown {
         };
         self.quiet = 0;
         let (next, binds) = match self.phase {
-            ScorePhase::Prefix => (ScorePhase::Subnets, self.trigger.config.subnet_binds),
-            ScorePhase::Subnets => (ScorePhase::Hosts, self.trigger.config.host_binds),
+            ScorePhase::Prefix => (ScorePhase::Subnets, self.config.subnet_binds),
+            ScorePhase::Subnets => (ScorePhase::Hosts, self.config.host_binds),
             ScorePhase::Hosts => {
                 // Already at host granularity: the alert is attributed
                 // to the standing bindings, no rebind needed.
@@ -714,7 +699,7 @@ impl ScoreDrilldown {
             .ok_or_else(|| at.err(format_args!("unknown phase {name:?}")))?;
         let generation = field(state, "generation", at)?;
         let quiet: u32 = field(state, "quiet", at)?;
-        if quiet >= self.trigger.config.reset_after_quiet.max(1) {
+        if quiet >= self.config.reset_after_quiet.max(1) {
             return Err(at.err("\"quiet\" is not below the reset threshold"));
         }
         self.phase = phase;

@@ -59,7 +59,7 @@ pub use metrics::{Check, DetectorMetrics};
 pub use classify::DriftMonitor;
 pub use drilldown::{
     DrillOutcome, DrilldownController, DrilldownPhase, DrilldownReport, DrilldownStats,
-    EnsembleTrigger, EnsembleTriggerConfig, RebindTransaction, ScoreDrilldown,
+    EnsembleTriggerConfig, RebindTransaction, ScoreDrilldown,
 };
 pub use epoch::EpochSynFloodDetector;
 pub use polling::PollingController;

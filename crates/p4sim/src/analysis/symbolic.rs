@@ -5,8 +5,8 @@
 //! this program do to *this* packet"; this module answers "what does it
 //! do to *every* packet", up to a path budget, by running the same
 //! control tree over a bounded 64-bit bit-vector expression domain.
-//! Every PHV field starts as an opaque [`SymExpr::Input`], every
-//! register cell as an opaque [`SymExpr::RegInit`], and each primitive
+//! Every PHV field starts as an opaque `SymExpr::Input`, every
+//! register cell as an opaque `SymExpr::RegInit`, and each primitive
 //! builds expressions with *exactly* the interpreter's semantics
 //! (wrapping add/sub/mul, shifts saturating to zero at 64, the
 //! multiply-shift hash, `msb(0) = 0`).
@@ -1351,7 +1351,6 @@ fn error_kind(e: &P4Error) -> &'static str {
         P4Error::EntryNotFound { .. } => "entry-not-found",
         P4Error::ActionDataOutOfBounds { .. } => "action-data-out-of-bounds",
         P4Error::Invalid { .. } => "invalid",
-        P4Error::ShardPanicked { .. } => "shard-panicked",
     }
 }
 

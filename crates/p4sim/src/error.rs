@@ -65,15 +65,6 @@ pub enum P4Error {
         /// Description.
         what: String,
     },
-    /// A shard worker thread panicked during sharded replay. The other
-    /// shards completed (or failed) normally; this shard's register
-    /// state is whatever the panic left behind and must be discarded.
-    ShardPanicked {
-        /// Shard index whose worker died.
-        shard: usize,
-        /// The captured panic message, if it was a string.
-        message: String,
-    },
 }
 
 /// Convenience alias.
@@ -111,9 +102,6 @@ impl fmt::Display for P4Error {
                 write!(f, "action {action}: action-data slot {slot} not provided")
             }
             P4Error::Invalid { what } => write!(f, "invalid program: {what}"),
-            P4Error::ShardPanicked { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
-            }
         }
     }
 }

@@ -16,7 +16,6 @@
 
 use crate::barrier::BarrierMerger;
 use crate::ckpt::{Checkpoint, ShardStateRaw};
-use crate::lifecycle::ShedController;
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
     build_ensemble, closed_interval_syns, median_len_signal, merge_surviving, EnsembleReport,
@@ -27,7 +26,6 @@ use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodEngine};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::ops::Range;
 use std::time::Instant;
-use telemetry::Tracer;
 use workloads::Schedule;
 
 #[inline]
@@ -314,30 +312,22 @@ impl EpochCoordinator {
     /// merge, then either carry a lost report forward or let the
     /// ensemble judge the merged interval and the ladder drill down,
     /// then quarantine bookkeeping and the interval wash on every shard.
-    /// `started` is when the executor began dispatching the epoch;
-    /// `shed` says how much telemetry detail may still be recorded.
+    /// `started` is when the executor began dispatching the epoch.
     pub(crate) fn close_epoch(
         &mut self,
         open: OpenEpoch,
         faults: &FaultSchedule,
         started: Instant,
-        shed: &ShedController,
     ) {
         let epoch_idx = open.epoch_idx;
         let interval = self.interval();
-        let (traces_on, hists_on) = (shed.allow_traces(), shed.allow_histograms());
         let t = &mut self.telemetry;
-        let mut mark = |what: fn(&mut Tracer, &'static str, u64), name| {
-            if traces_on {
-                what(&mut t.trace, name, epoch_idx);
-            }
-        };
         self.epochs += 1;
 
         // Merging is serialized on the coordinator under every
         // executor. A state that will not fold is quarantined by the
         // merger, never propagated.
-        mark(Tracer::begin, "merge");
+        t.trace.begin("merge", epoch_idx);
         let merge_started = Instant::now();
         let mut entries: Vec<(usize, &mut ShardState)> = self
             .states
@@ -355,10 +345,8 @@ impl EpochCoordinator {
         drop(entries);
         let merged = self.merger.merged();
         let merge_ns = elapsed_ns(merge_started);
-        mark(Tracer::end, "merge");
-        if hists_on {
-            t.merge_ns.record(merge_ns);
-        }
+        t.trace.end("merge", epoch_idx);
+        t.merge_ns.record(merge_ns);
         t.merge_delta_bytes.add(stats.delta_bytes);
         t.merge_skipped_registers.add(stats.skipped_registers);
         if stats.rebuilt {
@@ -368,14 +356,14 @@ impl EpochCoordinator {
         if faults.drop_epoch_report(epoch_idx) {
             self.reports_dropped += 1;
             t.reports_dropped.inc();
-            mark(Tracer::instant, "report_dropped");
+            t.trace.instant("report_dropped", epoch_idx);
             self.carried_syns += merged.syn_in_interval;
             self.carried_packets += merged.packets_in_interval;
             self.carried_len_sum += merged.len_sum_in_interval;
             self.carried_epochs += 1;
             self.carried_from.push(epoch_idx);
         } else {
-            mark(Tracer::begin, "detect");
+            t.trace.begin("detect", epoch_idx);
             let span = self.carried_epochs + 1;
             let ctx = SignalContext {
                 at: (epoch_idx + 1) * interval,
@@ -393,7 +381,7 @@ impl EpochCoordinator {
             let verdict = self.ensemble.observe(&ctx);
             if let Some(outcome) = self.drill.observe(&verdict) {
                 if !outcome.transactions.is_empty() {
-                    mark(Tracer::instant, "rebind");
+                    t.trace.instant("rebind", epoch_idx);
                 }
                 let delivered = (0..self.cfg.shards).filter(|&s| self.alive[s]).collect();
                 self.provenance.push(AlertProvenanceRecord::capture(
@@ -409,9 +397,9 @@ impl EpochCoordinator {
                     },
                 ));
             }
-            mark(Tracer::end, "detect");
+            t.trace.end("detect", epoch_idx);
             if !verdict.fired.is_empty() {
-                mark(Tracer::instant, "alert");
+                t.trace.instant("alert", epoch_idx);
             }
             self.carried_syns = 0;
             self.carried_packets = 0;
@@ -419,12 +407,10 @@ impl EpochCoordinator {
             self.carried_epochs = 0;
             self.carried_from.clear();
         }
-        if hists_on {
-            // Wall time of the whole epoch, dispatch through merge and
-            // detection: one clock reading, so no sample can exceed
-            // what the run's own wall clock measured.
-            t.epoch_ns.record(elapsed_ns(started));
-        }
+        // Wall time of the whole epoch, dispatch through merge and
+        // detection: one clock reading, so no sample can exceed what
+        // the run's own wall clock measured.
+        t.epoch_ns.record(elapsed_ns(started));
         t.epochs.inc();
 
         // Recovery is complete once the surviving state is re-merged,
@@ -433,7 +419,7 @@ impl EpochCoordinator {
         let new_incidents = self.incidents.len() - open.incidents_before;
         if new_incidents > 0 {
             t.shards_quarantined.add(new_incidents as u64);
-            mark(Tracer::instant, "quarantine");
+            t.trace.instant("quarantine", epoch_idx);
             let spent = elapsed_ns(open.recover_started.unwrap_or(merge_started));
             for _ in 0..new_incidents {
                 t.recover_ns.record(spent);
@@ -445,15 +431,11 @@ impl EpochCoordinator {
         // state that is home. A parked dead state carries zero here.
         for (s, slot) in self.states.iter_mut().enumerate() {
             let Some(state) = slot else { continue };
-            if traces_on {
-                t.shard_traces[s].begin("close_interval", epoch_idx);
-            }
+            t.shard_traces[s].begin("close_interval", epoch_idx);
             let syns = closed_interval_syns(state.syn_in_interval, &mut t.syn_clamps);
             t.shards[s].syn_packets.add(syns);
             state.close_interval();
-            if traces_on {
-                t.shard_traces[s].end("close_interval", epoch_idx);
-            }
+            t.shard_traces[s].end("close_interval", epoch_idx);
         }
     }
 
@@ -556,10 +538,6 @@ mod tests {
 
     const INTERVAL: u64 = 10_000_000;
 
-    fn full_detail() -> ShedController {
-        ShedController::new(crate::ShedPolicy::default())
-    }
-
     fn two_shards() -> ReplayConfig {
         let mut cfg = ReplayConfig {
             shards: 2,
@@ -596,7 +574,7 @@ mod tests {
                 state.ingest_meta(&FrameMeta { kind, len, dst: 7, src });
             }
         }
-        c.close_epoch(open, faults, Instant::now(), &full_detail());
+        c.close_epoch(open, faults, Instant::now());
     }
 
     fn carry(c: &EpochCoordinator) -> (i64, i64, i64, i64, &[u64]) {
@@ -690,7 +668,7 @@ mod tests {
         let open = c.open_epoch(6, 0, 0, &faults);
         assert_eq!(open.faults, [None, Some(ShardFaultKind::Crash)]);
         assert_eq!(c.alive, [true, false]);
-        c.close_epoch(open, &faults, Instant::now(), &full_detail());
+        c.close_epoch(open, &faults, Instant::now());
         assert_eq!(
             c.incidents,
             [ShardIncident { shard: 1, epoch: 6, kind: IncidentKind::Crashed }]

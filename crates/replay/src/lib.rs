@@ -24,18 +24,18 @@
 //!   provenance and quarantine bookkeeping, plus the state they need
 //!   between intervals (which is also what a checkpoint holds). An
 //!   *executor* owns only routing and threads. The production one is
-//!   the worker pool ([`mod@pool`] internals): one OS thread per shard,
+//!   the worker pool (the private `pool` module): one OS thread per shard,
 //!   spawned **once per run** and fed through bounded per-shard
 //!   channels; for an epoch long enough to pay for the hand-off it
 //!   moves the shard's state plus the interval's frame list to the
 //!   worker and pre-partitions the *next* interval while the workers
 //!   ingest, a short epoch it ingests on the coordinator's own thread,
 //!   and the frame lists are the run's either way.
-//!   [`reference`] is the other: serial partitioning and a
+//!   [`mod@reference`] is the other: serial partitioning and a
 //!   `std::thread::scope` worker set per interval, kept as the
 //!   baseline the pool is tested bit-identical against
 //!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
-//!   kill, hot swaps, shedding) is [`lifecycle`]'s.
+//!   kill, hot swaps) is [`lifecycle`]'s.
 //! - **Epochs** — time is cut into detector intervals; each epoch,
 //!   every surviving shard's slice of the interval is ingested in
 //!   batches, then everything joins at the coordinator's barrier.
@@ -78,10 +78,7 @@ pub mod reference;
 pub mod snapshot;
 
 pub use ckpt::Checkpoint;
-pub use lifecycle::{
-    LifecycleEvent, LifecyclePlan, LifecycleReport, ShedController, ShedLevel, ShedPolicy,
-    SwapRequest,
-};
+pub use lifecycle::{LifecycleEvent, LifecyclePlan, LifecycleReport, SwapRequest};
 pub use metrics::{ReplayTelemetry, ShardMetrics};
 pub use provenance::{AlertProvenanceRecord, EpochLineage, IncidentRef};
 pub use snapshot::{parse_outcome_json, render_outcome_json, RunSnapshot};
@@ -788,14 +785,14 @@ pub(crate) fn merge_surviving(
 ///   average of the span it covers — the controller's best rate
 ///   estimate from a multi-interval register delta, which keeps a run
 ///   of lost reports from masquerading as a spike.
-/// - **Merge failures** are quarantined per [`merge_surviving`], never
+/// - **Merge failures** are quarantined per `merge_surviving`, never
 ///   propagated.
 ///
 /// The run always completes: the returned [`ReplayHealth`] reports
 /// surviving shards, coverage and every incident. With an empty
 /// schedule the behaviour is bit-identical to [`run_replay`].
 ///
-/// This runs on the persistent worker pool ([`mod@pool`]);
+/// This runs on the persistent worker pool (`pool`);
 /// [`reference::run_replay_with_faults`] is the same coordinator under
 /// the spawn-per-epoch executor, the conformance baseline — outcomes
 /// (merged state, alerts, health, telemetry counter sums) are

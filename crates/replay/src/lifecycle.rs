@@ -1,12 +1,12 @@
-//! Replay-pool lifecycle: drain-swap-resume reconfiguration, crash
-//! recovery plumbing, and overload shedding.
+//! Replay-pool lifecycle: drain-swap-resume reconfiguration and crash
+//! recovery plumbing.
 //!
 //! The pool's epoch barrier is a natural *drain point*: at the top of
 //! each loop iteration every shard state is home with the coordinator
 //! and no epoch is in flight. This module defines what may happen
 //! there (`RunLifecycle::drain_point`, which the pool calls before
 //! every epoch) and holds the state only that needs: generation,
-//! shadow program, checkpoint ordinals, the shed ladder, the report.
+//! shadow program, checkpoint ordinals, the report.
 //!
 //! - **Hot swaps** ([`SwapRequest`]) — replace the compiled data-plane
 //!   program, rewrite binding tables, and/or override ensemble engine
@@ -29,12 +29,6 @@
 //!   recovery test resumes from (the checkpoint directory then looks
 //!   exactly as it would after a real mid-run death, because
 //!   checkpoints are written *before* the kill check).
-//! - **Shedding** ([`ShedController`]) — when epoch queue-wait climbs
-//!   past watermarks the coordinator sheds telemetry detail in a strict
-//!   ladder: trace spans first, then histogram records. Counters and
-//!   alerts are never shed, and nothing on the [`crate::RunSnapshot`]
-//!   surface is affected, so an overloaded run still reports correct
-//!   outcomes — it just explains itself less verbosely.
 //!
 //! Everything the lifecycle does is reported out of band in a
 //! [`LifecycleReport`], never inside [`crate::ReplayOutcome`]'s
@@ -63,122 +57,6 @@ pub(crate) fn vet_options() -> SymbolicOptions {
         path_budget: 512,
         samples: 16,
         ..SymbolicOptions::default()
-    }
-}
-
-// ---- shedding -------------------------------------------------------
-
-/// How much telemetry the coordinator is currently recording.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ShedLevel {
-    /// Everything: trace spans, histograms, counters.
-    Full,
-    /// Trace spans shed; histograms and counters still recorded.
-    NoTraces,
-    /// Trace spans and histogram records shed; only counters (and
-    /// alerts, which are outcome data, not telemetry) remain.
-    CountersOnly,
-}
-
-impl ShedLevel {
-    /// Stable tag for event logs.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShedLevel::Full => "full",
-            ShedLevel::NoTraces => "no_traces",
-            ShedLevel::CountersOnly => "counters_only",
-        }
-    }
-}
-
-/// Queue-wait watermarks driving the shed ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShedPolicy {
-    /// Worst per-epoch queue wait above which trace spans shed.
-    pub high_ns: u64,
-    /// Worst per-epoch queue wait above which histograms shed too.
-    pub critical_ns: u64,
-    /// Consecutive epochs below `high_ns` before stepping one level
-    /// back down (hysteresis against flapping).
-    pub calm_epochs: u32,
-}
-
-impl Default for ShedPolicy {
-    /// Defaults are far above anything a healthy in-process run sees
-    /// (worst observed queue waits are microseconds; injected stalls
-    /// are ≤ a few ms), so shedding only engages under genuine
-    /// overload.
-    fn default() -> Self {
-        Self {
-            high_ns: 50_000_000,
-            critical_ns: 500_000_000,
-            calm_epochs: 3,
-        }
-    }
-}
-
-/// Watermark-driven shed state machine. Escalation is immediate (one
-/// bad epoch is enough — by the time queue wait is visible the backlog
-/// already exists); de-escalation needs `calm_epochs` consecutive
-/// quiet epochs and steps down one level at a time.
-#[derive(Debug, Clone)]
-pub struct ShedController {
-    policy: ShedPolicy,
-    level: ShedLevel,
-    calm_streak: u32,
-}
-
-impl ShedController {
-    /// A controller starting at [`ShedLevel::Full`].
-    #[must_use]
-    pub fn new(policy: ShedPolicy) -> Self {
-        Self {
-            policy,
-            level: ShedLevel::Full,
-            calm_streak: 0,
-        }
-    }
-
-    /// Current level.
-    #[must_use]
-    pub fn level(&self) -> ShedLevel {
-        self.level
-    }
-
-    /// May trace spans be recorded right now?
-    #[must_use]
-    pub fn allow_traces(&self) -> bool {
-        self.level == ShedLevel::Full
-    }
-
-    /// May histogram values be recorded right now?
-    #[must_use]
-    pub fn allow_histograms(&self) -> bool {
-        self.level != ShedLevel::CountersOnly
-    }
-
-    /// Feeds one epoch's worst shard queue wait; returns the new level
-    /// when it changed.
-    pub fn observe(&mut self, worst_queue_wait_ns: u64) -> Option<ShedLevel> {
-        let before = self.level;
-        if worst_queue_wait_ns >= self.policy.critical_ns {
-            self.level = ShedLevel::CountersOnly;
-            self.calm_streak = 0;
-        } else if worst_queue_wait_ns >= self.policy.high_ns {
-            self.level = self.level.max(ShedLevel::NoTraces);
-            self.calm_streak = 0;
-        } else {
-            self.calm_streak += 1;
-            if self.calm_streak >= self.policy.calm_epochs && self.level != ShedLevel::Full {
-                self.level = match self.level {
-                    ShedLevel::CountersOnly => ShedLevel::NoTraces,
-                    _ => ShedLevel::Full,
-                };
-                self.calm_streak = 0;
-            }
-        }
-        (self.level != before).then_some(self.level)
     }
 }
 
@@ -319,13 +197,10 @@ pub struct LifecyclePlan {
     /// The fault spec string the run was started with, embedded in
     /// checkpoints so resume can rebuild the exact schedule.
     pub faults_spec: String,
-    /// Overload-shedding watermarks.
-    pub shed: ShedPolicy,
 }
 
 impl LifecyclePlan {
-    /// The inert plan: no checkpoints, no kill, no swaps, default
-    /// shedding watermarks (which a healthy run never reaches).
+    /// The inert plan: no checkpoints, no kill, no swaps.
     #[must_use]
     pub fn none() -> Self {
         Self::default()
@@ -349,7 +224,6 @@ pub(crate) struct RunLifecycle<'p> {
     shadow: Option<Pipeline>,
     /// Swaps committed since the run first started, across resumes.
     swaps_committed: u64,
-    pub(crate) shed: ShedController,
     pub(crate) report: LifecycleReport,
 }
 
@@ -363,7 +237,6 @@ impl<'p> RunLifecycle<'p> {
             next_ckpt_ordinal: 0,
             shadow: plan.initial_program.clone(),
             swaps_committed: 0,
-            shed: ShedController::new(plan.shed),
             report: LifecycleReport::default(),
         }
     }
@@ -417,7 +290,6 @@ impl<'p> RunLifecycle<'p> {
             next_ckpt_ordinal: from + 1,
             shadow,
             swaps_committed: c.swaps_committed,
-            shed: ShedController::new(plan.shed),
             report,
         })
     }
@@ -578,16 +450,6 @@ impl<'p> RunLifecycle<'p> {
             }
         }
     }
-
-    /// Feeds the shed ladder the worst queue wait of epoch ordinal `k`.
-    /// A level change takes effect next epoch: this one's spans are
-    /// already committed.
-    pub(crate) fn observe_queue_wait(&mut self, k: usize, worst_queue_wait_ns: u64) {
-        if let Some(level) = self.shed.observe(worst_queue_wait_ns) {
-            self.report
-                .push(k as u64, "shed_level", level.as_str().to_string());
-        }
-    }
 }
 
 // ---- report ---------------------------------------------------------
@@ -600,8 +462,7 @@ pub struct LifecycleEvent {
     pub epoch: u64,
     /// Stable machine tag: `checkpoint_written`, `checkpoint_error`,
     /// `checkpoint_fallback`, `killed`, `swap_committed`,
-    /// `swap_rejected`, `stale_swap_rejected`, `swap_error`, `resumed`,
-    /// `shed_level`.
+    /// `swap_rejected`, `stale_swap_rejected`, `swap_error`, `resumed`.
     pub kind: String,
     /// Human-readable specifics.
     pub detail: String,
@@ -675,46 +536,6 @@ impl LifecycleReport {
 pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn shed_escalates_immediately_and_calms_with_hysteresis() {
-        let mut c = ShedController::new(ShedPolicy {
-            high_ns: 100,
-            critical_ns: 1_000,
-            calm_epochs: 2,
-        });
-        assert!(c.allow_traces() && c.allow_histograms());
-        assert_eq!(c.observe(500), Some(ShedLevel::NoTraces));
-        assert!(!c.allow_traces() && c.allow_histograms());
-        assert_eq!(c.observe(5_000), Some(ShedLevel::CountersOnly));
-        assert!(!c.allow_traces() && !c.allow_histograms());
-        // One calm epoch is not enough; two step down one level only.
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(0), Some(ShedLevel::NoTraces));
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(0), Some(ShedLevel::Full));
-        assert!(c.allow_traces() && c.allow_histograms());
-    }
-
-    #[test]
-    fn shed_never_de_escalates_past_full_or_flaps_on_spikes() {
-        let mut c = ShedController::new(ShedPolicy {
-            high_ns: 100,
-            critical_ns: 1_000,
-            calm_epochs: 3,
-        });
-        for _ in 0..10 {
-            assert_eq!(c.observe(0), None, "calm controller stays at full");
-        }
-        c.observe(200);
-        // A calm streak interrupted by another spike restarts.
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(200), None, "still shedding");
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(0), None);
-        assert_eq!(c.observe(0), Some(ShedLevel::Full));
-    }
-
     /// Every member set; an input of `ckpt`'s generic round-trip test.
     pub(crate) fn sample_report() -> LifecycleReport {
         let mut r = LifecycleReport {
@@ -727,7 +548,7 @@ pub(crate) mod tests {
             ..LifecycleReport::default()
         };
         r.push(4, "swap_committed", String::from("program verified equivalent"));
-        r.push(5, "shed_level", String::from("no_traces"));
+        r.push(5, "killed", String::from("stopped at drain point before epoch ordinal 5"));
         r
     }
 

@@ -44,7 +44,8 @@
 //! Zero is rejected for `--shards`, `--interval-ms` and `--batch` with
 //! a specific message: a zero interval would spin the epoch cutter on
 //! one timestamp forever and a zero batch would divide by zero in the
-//! dispatcher, so they fail loudly at the door instead.
+//! dispatcher, so they fail loudly at the door instead. So does an
+//! interval whose nanosecond value does not fit a `u64`.
 
 use anomaly::synflood::SynFloodConfig;
 use anomaly::EnsembleConfig;
@@ -209,6 +210,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err(String::from(
             "--interval-ms 0 would spin forever cutting zero-length epochs; \
              use an interval of at least 1 ms",
+        ));
+    }
+    if opts.interval_ms.checked_mul(1_000_000).is_none() {
+        return Err(format!(
+            "--interval-ms {} does not fit 64 bits of nanoseconds; \
+             the largest accepted interval is {} ms",
+            opts.interval_ms,
+            u64::MAX / 1_000_000
         ));
     }
     if opts.batch == 0 {
@@ -665,6 +674,32 @@ mod tests {
         let err = parse(&["--interval-ms", "0"]).unwrap_err();
         assert!(err.contains("--interval-ms 0"), "got: {err}");
         assert!(err.contains("at least 1 ms"), "actionable: {err}");
+    }
+
+    #[test]
+    fn interval_beyond_u64_nanoseconds_rejected_in_both_spellings() {
+        // Regression: the ms → ns multiply was unchecked, so 2^58 ms
+        // wrapped to a zero-nanosecond interval in release (a division
+        // by zero in the stalled-flow detector) and any value past the
+        // largest accepted one panicked a debug build.
+        let largest = u64::MAX / 1_000_000;
+        let beyond = (largest + 1).to_string();
+        for args in [
+            &["--interval-ms", &beyond][..],
+            &["synflood", "2", &beyond],
+            &["--interval-ms", "288230376151711744"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("--interval-ms"), "got: {err}");
+            assert!(
+                err.contains(&format!("largest accepted interval is {largest} ms")),
+                "got: {err}"
+            );
+        }
+        let fits = largest.to_string();
+        for args in [&["--interval-ms", &fits][..], &["synflood", "2", &fits]] {
+            assert_eq!(parse(args).unwrap().interval_ms, largest);
+        }
     }
 
     #[test]

@@ -193,9 +193,6 @@ pub struct ReplayTelemetry {
     /// Drain-point reconfiguration requests rejected (vet failures and
     /// stale duplicates).
     pub swaps_rejected: Counter,
-    /// Epochs that ran with telemetry detail shed (trace spans or
-    /// histograms suppressed under queue-wait overload).
-    pub telemetry_shed: Counter,
     /// Epoch lifecycle events recorded by the coordinator (bounded).
     pub trace: Tracer,
     /// One bounded tracer per shard, sharing the coordinator's time
@@ -248,7 +245,6 @@ impl ReplayTelemetry {
             ckpt_bytes: LogLinearHistogram::default(),
             swaps_committed: Counter::new(),
             swaps_rejected: Counter::new(),
-            telemetry_shed: Counter::new(),
             trace,
             shard_traces: (0..shards)
                 .map(|s| Tracer::for_shard(Self::TRACE_CAPACITY, s as u32, origin))
@@ -524,12 +520,6 @@ impl ReplayTelemetry {
             &[],
             self.swaps_rejected.get(),
         );
-        snap.push_counter(
-            "replay_telemetry_shed_epochs_total",
-            "epochs run with telemetry detail shed under overload",
-            &[],
-            self.telemetry_shed.get(),
-        );
         let merged_trace = self.merged_trace();
         snap.push_counter(
             "replay_trace_events_total",
@@ -665,12 +655,10 @@ mod tests {
         t.ckpt_bytes.record(110_000);
         t.swaps_committed.inc();
         t.swaps_rejected.add(3);
-        t.telemetry_shed.add(5);
         let snap = t.snapshot();
         assert_eq!(snap.counter_sum("replay_checkpoints_written_total"), 2);
         assert_eq!(snap.counter_sum("replay_swaps_committed_total"), 1);
         assert_eq!(snap.counter_sum("replay_swaps_rejected_total"), 3);
-        assert_eq!(snap.counter_sum("replay_telemetry_shed_epochs_total"), 5);
         let text = telemetry::render_prometheus(&snap);
         for family in ["replay_ckpt_write_ns", "replay_ckpt_serialize_ns", "replay_ckpt_bytes"] {
             assert!(text.contains(&format!("{family}_count 1")), "{family} missing: {text}");

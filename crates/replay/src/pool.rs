@@ -258,22 +258,20 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
 /// same records from the counts: `full` whole batches plus one
 /// remainder batch is exactly what `chunks(batch)` yields, and
 /// `record_n` is bit-identical to repeated `record`s.
-fn record_ingest(m: &mut ShardMetrics, r: &Ingested, batch: u64, epoch_wall: u64, hists_on: bool) {
+fn record_ingest(m: &mut ShardMetrics, r: &Ingested, batch: u64, epoch_wall: u64) {
     let full = r.frames / batch;
     let rem = r.frames % batch;
     m.packets.add(r.frames);
     m.batches.add(full + u64::from(rem > 0));
     m.ingest_ns.add(r.busy_ns);
-    if hists_on {
-        m.batch_size.record_n(batch, full);
-        if rem > 0 {
-            m.batch_size.record(rem);
-        }
-        if let Some(waited) = r.queue_wait_ns {
-            m.queue_wait_ns.record(waited);
-        }
-        m.barrier_wait_ns.record(epoch_wall.saturating_sub(r.busy_ns));
+    m.batch_size.record_n(batch, full);
+    if rem > 0 {
+        m.batch_size.record(rem);
     }
+    if let Some(waited) = r.queue_wait_ns {
+        m.queue_wait_ns.record(waited);
+    }
+    m.barrier_wait_ns.record(epoch_wall.saturating_sub(r.busy_ns));
 }
 
 /// Runs `coord` over the rest of `schedule` on the persistent worker
@@ -337,13 +335,6 @@ pub(crate) fn run(
                     break;
                 }
 
-                // Telemetry shedding is sampled once per epoch so every
-                // span opened this epoch also closes this epoch.
-                let (traces_on, hists_on) = (life.shed.allow_traces(), life.shed.allow_histograms());
-                if !traces_on {
-                    coord.telemetry.telemetry_shed.inc();
-                }
-
                 // (A) This epoch's routing: the speculative partition
                 // if its predicted alive map held, else a fresh pass.
                 // Either way the lists of the epoch before, all home
@@ -352,9 +343,7 @@ pub(crate) fn run(
                     let t0 = Instant::now();
                     next.assumed_alive.clone_from(&coord.alive);
                     next.route(schedule, &homes, range.clone());
-                    if hists_on {
-                        coord.telemetry.partition_ns.record(elapsed_ns(t0));
-                    }
+                    coord.telemetry.partition_ns.record(elapsed_ns(t0));
                 }
                 std::mem::swap(&mut work, &mut next.work);
 
@@ -374,9 +363,7 @@ pub(crate) fn run(
                     && !open.faults.iter().any(|f| {
                         matches!(f, Some(ShardFaultKind::Panic | ShardFaultKind::Stall { .. }))
                     });
-                if traces_on {
-                    coord.telemetry.trace.begin("ingest", epoch_idx);
-                }
+                coord.telemetry.trace.begin("ingest", epoch_idx);
                 let epoch_started = Instant::now();
                 if inline {
                     coord.telemetry.epochs_inline.inc();
@@ -417,9 +404,7 @@ pub(crate) fn run(
                             .send(msg)
                             .expect("dispatch to a live worker cannot fail");
                         in_flight[s] += 1;
-                        if hists_on {
-                            coord.telemetry.shards[s].queue_depth.record(in_flight[s]);
-                        }
+                        coord.telemetry.shards[s].queue_depth.record(in_flight[s]);
                     }
                 }
 
@@ -438,9 +423,7 @@ pub(crate) fn run(
                     let t0 = Instant::now();
                     next.route(schedule, &homes, next_range.clone());
                     let dur = elapsed_ns(t0);
-                    if hists_on {
-                        coord.telemetry.partition_ns.record(dur);
-                    }
+                    coord.telemetry.partition_ns.record(dur);
                     spec_route_ns = Some(dur);
                 }
 
@@ -448,9 +431,7 @@ pub(crate) fn run(
                 // disconnected reply channel means the worker died:
                 // join it for the panic payload (its state is gone).
                 if !inline {
-                    if traces_on {
-                        coord.telemetry.trace.begin("barrier", epoch_idx);
-                    }
+                    coord.telemetry.trace.begin("barrier", epoch_idx);
                     for s in 0..shards {
                         // Dispatched above iff alive: nothing since has
                         // touched the alive map.
@@ -475,37 +456,29 @@ pub(crate) fn run(
                             }
                         }
                     }
-                    if traces_on {
-                        coord.telemetry.trace.end("barrier", epoch_idx);
-                    }
+                    coord.telemetry.trace.end("barrier", epoch_idx);
                 }
                 let epoch_wall = elapsed_ns(epoch_started);
-                if traces_on {
-                    coord.telemetry.trace.end("ingest", epoch_idx);
-                }
-                let mut worst_queue_wait_ns = 0u64;
+                coord.telemetry.trace.end("ingest", epoch_idx);
                 for (s, r) in results.drain(..) {
                     match r {
                         Ok(r) => {
-                            worst_queue_wait_ns =
-                                worst_queue_wait_ns.max(r.queue_wait_ns.unwrap_or(0));
                             let m = &mut coord.telemetry.shards[s];
-                            record_ingest(m, &r, batch as u64, epoch_wall, hists_on);
+                            record_ingest(m, &r, batch as u64, epoch_wall);
                         }
                         Err(msg) => coord.quarantine(&mut open, s, IncidentKind::Panicked(msg)),
                     }
                 }
 
                 // (F) The barrier: merge, detect, wash.
-                coord.close_epoch(open, faults, epoch_started, &life.shed);
-                if let (Some(dur), true) = (spec_route_ns, hists_on) {
+                coord.close_epoch(open, faults, epoch_started);
+                if let Some(dur) = spec_route_ns {
                     // The k+1 routing ran inside k's ingest window, if
                     // workers were ingesting; anything beyond the wall
                     // was coordinator-bound.
                     let overlapped = if inline { 0 } else { dur.min(epoch_wall) };
                     coord.telemetry.overlap_ns.record(overlapped);
                 }
-                life.observe_queue_wait(k, worst_queue_wait_ns);
             }
 
             // Teardown: wake every worker with a shutdown marker (dead

@@ -14,10 +14,7 @@
 //! benchmark harness checks every rep against this engine's snapshot.
 
 use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
-use crate::{
-    panic_message, route_target, IncidentKind, ReplayConfig, ReplayOutcome, ShedController,
-    ShedPolicy,
-};
+use crate::{panic_message, route_target, IncidentKind, ReplayConfig, ReplayOutcome};
 use faultinject::FaultSchedule;
 use std::time::Instant;
 use workloads::Schedule;
@@ -47,8 +44,6 @@ pub fn run_replay_with_faults(
 ) -> ReplayOutcome {
     let mut coord = EpochCoordinator::fresh(cfg);
     let batch = cfg.batch.max(1);
-    // This engine sheds nothing.
-    let full_detail = ShedController::new(ShedPolicy::default());
     let started = Instant::now();
 
     for (epoch_idx, range) in coord.epoch_ranges(schedule) {
@@ -127,7 +122,7 @@ pub fn run_replay_with_faults(
                 Err(msg) => coord.quarantine(&mut open, s, IncidentKind::Panicked(msg)),
             }
         }
-        coord.close_epoch(open, faults, epoch_started, &full_detail);
+        coord.close_epoch(open, faults, epoch_started);
     }
 
     coord.finish(schedule, started)

@@ -52,7 +52,61 @@ fn per_shard_packet_counters_sum_to_outcome_packets() {
 #[test]
 fn prometheus_exposition_passes_the_checker() {
     let out = run(2);
-    let text = render_prometheus(&out.telemetry.snapshot());
+    let snap = out.telemetry.snapshot();
+    // Every family a run exports: a series that appears or vanishes
+    // is a change to the exposition's contract and has to be made here
+    // too.
+    let mut families: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
+    families.sort_unstable();
+    assert_eq!(
+        families,
+        [
+            "anomaly_detection_delay_ns",
+            "anomaly_detector_fires_total",
+            "replay_alerts_total",
+            "replay_checkpoints_written_total",
+            "replay_ckpt_bytes",
+            "replay_ckpt_serialize_ns",
+            "replay_ckpt_write_ns",
+            "replay_elapsed_ns",
+            "replay_epoch_ns",
+            "replay_epochs_inline_total",
+            "replay_epochs_total",
+            "replay_faults_injected_total",
+            "replay_median_fallbacks_total",
+            "replay_merge_delta_bytes_total",
+            "replay_merge_ns",
+            "replay_merge_rebuilds_total",
+            "replay_merge_skipped_registers_total",
+            "replay_overlap_ns",
+            "replay_packets_lost_total",
+            "replay_packets_rerouted_total",
+            "replay_packets_total",
+            "replay_partition_ns",
+            "replay_prepartition_ns_total",
+            "replay_queue_capacity",
+            "replay_recover_ns",
+            "replay_reports_dropped_total",
+            "replay_shard_barrier_wait_ns",
+            "replay_shard_batch_size",
+            "replay_shard_batches_total",
+            "replay_shard_ingest_ns_total",
+            "replay_shard_ingest_pps",
+            "replay_shard_packets_total",
+            "replay_shard_queue_depth",
+            "replay_shard_queue_depth_max",
+            "replay_shard_queue_wait_ns",
+            "replay_shard_syn_packets_total",
+            "replay_shard_trace_dropped_total",
+            "replay_shards_quarantined_total",
+            "replay_swaps_committed_total",
+            "replay_swaps_rejected_total",
+            "replay_syn_clamps_total",
+            "replay_trace_dropped_total",
+            "replay_trace_events_total",
+        ]
+    );
+    let text = render_prometheus(&snap);
     let summary = check_prometheus(&text).unwrap_or_else(|errs| {
         panic!("exposition rejected:\n{}", errs.join("\n"));
     });

@@ -461,6 +461,55 @@ fn epoch_ns_is_wall_time_and_dominates_merge_ns() {
     }
 }
 
+/// Every histogram that takes one sample per epoch holds exactly one
+/// per epoch, under faults too: nothing decides at run time whether a
+/// sample is recorded. The schedule has inline and dispatched epochs,
+/// the crash leaves three survivors, and the stalled epoch is
+/// dispatched whatever its length.
+#[test]
+fn sample_counts_are_identities_under_faults() {
+    let s = straddling_flood();
+    let cfg = ReplayConfig {
+        shards: 4,
+        ..ReplayConfig::default()
+    };
+    let faults =
+        FaultSchedule::parse("shard_crash=1@3,shard_stall=0@16:1000000,ctrl_loss=0.30", 42)
+            .unwrap();
+    let pool = run_replay_with_faults(&s, &cfg, &faults);
+    let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+    assert!(pool.health.reports_dropped > 0, "the loss rate dropped some report");
+    for (engine, out) in [("pool", &pool), ("reference", &refr)] {
+        let t = &out.telemetry;
+        assert_eq!(t.epoch_ns.count(), out.epochs, "{engine}: one sample per epoch");
+        assert_eq!(t.merge_ns.count(), out.epochs, "{engine}: one merge per epoch");
+        assert!(
+            t.epoch_ns.sum() <= u128::from(t.elapsed_ns),
+            "{engine}: the epochs ({}) fit inside the run ({})",
+            t.epoch_ns.sum(),
+            t.elapsed_ns
+        );
+    }
+    // The pool's own series. Neither fault changes the alive map behind
+    // the speculative router's back (the crash lands before epoch 4 is
+    // routed), so routing still runs once per epoch.
+    let t = &pool.telemetry;
+    assert_eq!(t.partition_ns.count(), pool.epochs);
+    let inline = t.epochs_inline.get();
+    assert!(0 < inline && inline < pool.epochs, "both ingest paths ran");
+    for (shard, m) in t.shards.iter().enumerate() {
+        if shard == 1 {
+            assert_eq!(m.queue_depth.count(), 0, "crashed before the first dispatched epoch");
+        } else {
+            assert_eq!(
+                m.queue_depth.count() + inline,
+                pool.epochs,
+                "shard {shard}: one dispatch per epoch that was not ingested inline"
+            );
+        }
+    }
+}
+
 /// Steady-state barriers ship sparse deltas; quarantines force full
 /// rebuilds. Both paths must stay bit-identical across engines — and
 /// the delta telemetry itself is deterministic (journals depend only

@@ -116,31 +116,6 @@ impl CusumDetector {
     }
 }
 
-/// Two-sided CUSUM built from two one-sided detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TwoSidedCusum {
-    /// Upper-shift detector.
-    pub upper: CusumDetector,
-    /// Lower-shift detector (operates on negated samples).
-    pub lower: CusumDetector,
-}
-
-impl TwoSidedCusum {
-    /// Creates a symmetric two-sided detector.
-    #[must_use]
-    pub fn new(target: i64, slack: i64, threshold: i64) -> Self {
-        Self {
-            upper: CusumDetector::new(target, slack, threshold),
-            lower: CusumDetector::new(-target, slack, threshold),
-        }
-    }
-
-    /// Feeds one sample; returns `(upper_alarm, lower_alarm)`.
-    pub fn observe(&mut self, x: i64) -> (bool, bool) {
-        (self.upper.observe(x), self.lower.observe(-x))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,22 +169,6 @@ mod tests {
         assert_eq!(c.target, s.xsum() / 10);
         assert!(c.slack >= 1);
         assert!(c.threshold >= 4);
-    }
-
-    #[test]
-    fn two_sided_detects_both_directions() {
-        let mut c = TwoSidedCusum::new(100, 3, 40);
-        let mut up = false;
-        for _ in 0..100 {
-            up |= c.observe(110).0;
-        }
-        assert!(up, "upper shift detected");
-        let mut c = TwoSidedCusum::new(100, 3, 40);
-        let mut down = false;
-        for _ in 0..100 {
-            down |= c.observe(90).1;
-        }
-        assert!(down, "lower shift detected");
     }
 
     proptest! {

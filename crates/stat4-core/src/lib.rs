@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 
-pub mod check;
 pub mod cusum;
 pub mod delta;
 pub mod error;
@@ -69,8 +68,7 @@ pub mod sketch;
 pub mod square;
 pub mod window;
 
-pub use check::{OutlierCheck, RateCheck, Verdict};
-pub use cusum::{CusumDetector, TwoSidedCusum};
+pub use cusum::CusumDetector;
 pub use delta::{
     DeltaMergeable, DirtyJournal, FreqDelta, HllDelta, PercentileDelta, RunningDelta,
     SketchDelta,

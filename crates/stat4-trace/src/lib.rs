@@ -339,7 +339,6 @@ pub fn lifecycle_story(report: &LifecycleReport) -> String {
             "swap_rejected" => format!("swap REJECTED: {}", ev.detail),
             "stale_swap_rejected" => format!("stale swap rejected: {}", ev.detail),
             "swap_error" => format!("swap ERROR: {}", ev.detail),
-            "shed_level" => format!("telemetry shed level changed ({})", ev.detail),
             other => format!("{other}: {}", ev.detail),
         };
         let _ = writeln!(out, "  epoch {:>4}  {line}", ev.epoch);

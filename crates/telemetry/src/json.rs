@@ -4,7 +4,7 @@
 //! The workspace builds offline and the vendored `serde` stub carries
 //! no serialisation machinery. What stands in for it is a trait pair,
 //! [`ToJson`] and [`FromJson`], with impls for the integers, `bool`,
-//! `String`, `Option`, `Vec` and [`Json`] itself, and [`json_struct!`],
+//! `String`, `Option`, `Vec` and [`Json`] itself, and [`crate::json_struct!`],
 //! which writes both impls for a struct from one list of its fields.
 //! An impl lives beside the type it is for (`anomaly`, `p4sim`,
 //! `replay`); only where the JSON form is not the field list (a tagged

@@ -8,17 +8,12 @@
 //!
 //! ## Layers
 //!
-//! - **Value types** ([`metrics`], [`hist`]) — plain [`Counter`],
-//!   [`Gauge`] and [`LogLinearHistogram`] structs. Updates are branch-
-//!   light integer arithmetic with **no allocation and no locking**, so
-//!   they can sit on per-packet hot paths. All of them implement
+//! - **Value types** ([`metrics`], [`hist`]) — plain [`Counter`] and
+//!   [`LogLinearHistogram`] structs, each owned by one thread. Updates
+//!   are branch-light integer arithmetic with **no allocation and no
+//!   locking**, so they can sit on per-packet hot paths. Both implement
 //!   [`stat4_core::Mergeable`]: per-shard metric sets fold at the same
 //!   epoch barriers as the Stat4 trackers themselves.
-//! - **Shared registry** ([`registry`]) — named metric families backed
-//!   by atomics ([`SharedCounter`], [`SharedGauge`],
-//!   [`SharedHistogram`]). Registration takes a lock once (cold path);
-//!   the returned handles update with relaxed atomic adds (lock-free
-//!   hot path) and can be cloned freely across threads.
 //! - **Tracer** ([`trace`]) — a bounded buffer of begin/end/instant
 //!   events for epoch lifecycle (split → ingest → barrier → merge →
 //!   detect), cheap enough to leave on.
@@ -41,9 +36,8 @@
 //!
 //! Metric names follow Prometheus conventions:
 //! `<layer>_<what>_<unit>[_total]`, e.g. `replay_shard_packets_total`,
-//! `p4sim_stage_latency_ns`, `anomaly_detection_delay_ns`. Per-shard
-//! series carry a `shard="<i>"` label; per-stage series a
-//! `table="<name>"` label.
+//! `replay_epoch_ns`, `replay_recover_ns`. Per-shard series carry a
+//! `shard="<i>"` label.
 #![forbid(unsafe_code)]
 
 
@@ -52,7 +46,6 @@ pub mod expo;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
@@ -62,7 +55,6 @@ pub use check::{
 pub use expo::{json_string, render_json, render_prometheus};
 pub use hist::LogLinearHistogram;
 pub use json::Json;
-pub use metrics::{Counter, Gauge};
-pub use registry::{Registry, SharedCounter, SharedGauge, SharedHistogram};
+pub use metrics::Counter;
 pub use snapshot::{HistogramSnapshot, Metric, MetricKind, Sample, SampleValue, Snapshot};
 pub use trace::{MergedTrace, TraceEvent, TracePhase, Tracer, COORDINATOR_TID};

@@ -1,10 +1,9 @@
-//! Plain counter and gauge value types.
+//! The plain counter value type.
 //!
-//! These are the per-shard building blocks: single-owner structs whose
-//! updates are one integer add — no atomics, no locks, no allocation —
+//! This is the per-shard building block: a single-owner struct whose
+//! update is one integer add — no atomics, no locks, no allocation —
 //! and whose cross-shard reduction is the same [`Mergeable`] fold the
-//! Stat4 trackers use at epoch barriers. For *shared* (multi-writer)
-//! metrics see [`crate::registry`].
+//! Stat4 trackers use at epoch barriers.
 
 use crate::json::{At, FromJson, Json, ToJson};
 use stat4_core::{Mergeable, Stat4Result};
@@ -61,47 +60,6 @@ impl Mergeable for Counter {
     }
 }
 
-/// A point-in-time signed value (occupancy, queue depth, …).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge {
-    value: i64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&mut self, v: i64) {
-        self.value = v;
-    }
-
-    /// Adjusts the value by `d`.
-    pub fn add(&mut self, d: i64) {
-        self.value = self.value.saturating_add(d);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.value
-    }
-}
-
-impl Mergeable for Gauge {
-    /// Gauges merge by addition: per-shard occupancies and depths are
-    /// partitions of a whole, so the global gauge is their sum. (A
-    /// "latest wins" gauge has no shard-order-free merge and would
-    /// violate the conformance rules; don't put one in a merged set.)
-    fn merge_from(&mut self, other: &Self) -> Stat4Result<()> {
-        self.add(other.value);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +82,5 @@ mod tests {
         b.add(32);
         a.merge_from(&b).unwrap();
         assert_eq!(a.get(), 42);
-
-        let mut g = Gauge::new();
-        g.set(-5);
-        let mut h = Gauge::new();
-        h.set(8);
-        g.merge_from(&h).unwrap();
-        assert_eq!(g.get(), 3);
     }
 }
