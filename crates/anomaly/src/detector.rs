@@ -23,10 +23,10 @@
 //! forecaster, *before* warm-up gating. `fired` is the production
 //! (gated) verdict; during warm-up an engine can score above Q16
 //! without firing, which is exactly the gap the detection-delay
-//! histogram measures. Engines lifted from the pre-trait detectors
-//! (SYN flood, shift, stalled) report a saturated score (`2·Q16` on
-//! fire, `0` otherwise) because their inner detectors expose booleans,
-//! not margins — their alert streams are the behavioral contract.
+//! histogram measures. The three Table 1 detectors (SYN flood, shift,
+//! stalled) report a saturated score (`2·Q16` on fire, `0` otherwise)
+//! because their checks are booleans, not margins — their alert
+//! streams are the behavioral contract.
 
 use crate::metrics::{Check, DetectorMetrics};
 use serde::Serialize;
@@ -70,7 +70,7 @@ pub fn confidence_q16(score: i64) -> i64 {
 /// intervals it covers (≥ 1). `distinct_sources` is the HyperLogLog
 /// estimate for the delivered interval only (registers wash every
 /// interval). `kinds` and `len_stats` are cumulative since the start
-/// of the replay, as in the pre-trait detector.
+/// of the replay.
 #[derive(Debug, Clone, Copy)]
 pub struct SignalContext<'a> {
     /// End of the interval (ns).
@@ -118,6 +118,31 @@ pub struct DetectionResult {
     pub observed: i64,
     /// Gated production verdict: did the engine alert?
     pub fired: bool,
+}
+
+impl DetectionResult {
+    /// The verdict of a check that is a boolean, not a margin (the
+    /// three Table 1 detectors): a saturated score on fire, zero
+    /// otherwise, at the trait's default weight.
+    pub(crate) fn saturated(
+        engine: &'static str,
+        ctx: &SignalContext<'_>,
+        fired: bool,
+        expected: i64,
+        observed: i64,
+    ) -> Self {
+        Self {
+            engine,
+            at: ctx.at,
+            epoch: ctx.epoch,
+            score: if fired { 2 * Q16 } else { 0 },
+            weight: Q16,
+            confidence: if fired { Q16 } else { 0 },
+            expected,
+            observed,
+            fired,
+        }
+    }
 }
 
 /// A fired [`DetectionResult`] with an owned engine name: the one JSON
@@ -214,7 +239,7 @@ pub trait Detector {
     fn import_state(&mut self, state: &Json) -> Result<(), String>;
 
     /// Typed access for callers that need an engine's extra state
-    /// (e.g. the lifted SYN-flood engine's legacy alert stream).
+    /// (e.g. the SYN-flood detector's alert stream).
     fn as_any(&self) -> &dyn Any;
 }
 

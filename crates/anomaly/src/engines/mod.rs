@@ -1,9 +1,12 @@
 //! The ensemble's engines: one statistical check each.
 //!
-//! Three engines *lift* the pre-trait detectors behind
-//! [`crate::detector::Detector`] without changing their behavior (the
+//! The three Table 1 detectors implement
+//! [`crate::detector::Detector`] themselves
+//! ([`crate::synflood::SynFloodDetector`],
+//! [`crate::stalled::StalledFlowDetector`],
+//! [`crate::shift::PercentileShiftDetector`]; the
 //! behavior-preservation suite pins their alert streams bit-for-bit);
-//! five are new, each covering a signal the seed detectors cannot see.
+//! the five in this module each cover a signal those cannot see.
 //!
 //! | engine        | signal                    | catches                      |
 //! |---------------|---------------------------|------------------------------|
@@ -21,21 +24,15 @@ pub mod cardinality;
 pub mod cusum;
 pub mod holtwinters;
 pub mod multiscale;
-pub mod shift;
-pub mod stalled;
-pub mod synflood;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveEngineConfig};
 pub use cardinality::{CardinalityEngine, CardinalityEngineConfig};
 pub use cusum::{CusumEngine, CusumEngineConfig};
 pub use holtwinters::{HoltWintersEngine, HoltWintersEngineConfig};
 pub use multiscale::{MultiScaleEngine, MultiScaleEngineConfig};
-pub use shift::MedianShiftEngine;
-pub use stalled::StalledEngine;
-pub use synflood::SynFloodEngine;
 
-/// Engine configuration for the five new engines (the lifted three
-/// reuse their detectors' own configs).
+/// Configuration for the five engines of this module (the three Table 1
+/// detectors take their own configs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EnsembleConfig {
     /// CUSUM change-point engine.

@@ -25,7 +25,8 @@
 //! Detection is organised as a pluggable ensemble: every engine
 //! implements [`detector::Detector`] over a shared per-interval
 //! [`detector::SignalContext`], and [`detector::Ensemble`] combines
-//! their Q16 scores. See [`engines`] for the catalogue.
+//! their Q16 scores. [`synflood`], [`stalled`] and [`shift`] are
+//! engines themselves; see [`engines`] for the catalogue.
 #![forbid(unsafe_code)]
 
 
@@ -35,7 +36,6 @@ pub mod classify;
 pub mod detector;
 pub mod drilldown;
 pub mod engines;
-pub mod epoch;
 pub mod metrics;
 pub mod polling;
 pub mod shift;
@@ -53,7 +53,7 @@ pub use detector::{
 pub use engines::{
     AdaptiveEngine, AdaptiveEngineConfig, CardinalityEngine, CardinalityEngineConfig,
     CusumEngine, CusumEngineConfig, EnsembleConfig, HoltWintersEngine, HoltWintersEngineConfig,
-    MedianShiftEngine, MultiScaleEngine, MultiScaleEngineConfig, StalledEngine, SynFloodEngine,
+    MultiScaleEngine, MultiScaleEngineConfig,
 };
 pub use metrics::{Check, DetectorMetrics};
 pub use classify::DriftMonitor;
@@ -61,7 +61,6 @@ pub use drilldown::{
     DrillOutcome, DrilldownController, DrilldownPhase, DrilldownReport, DrilldownStats,
     EnsembleTriggerConfig, RebindTransaction, ScoreDrilldown,
 };
-pub use epoch::EpochSynFloodDetector;
 pub use polling::PollingController;
 pub use shift::PercentileShiftDetector;
 pub use stalled::StalledFlowDetector;

@@ -17,9 +17,11 @@
 //! machinery the paper already has.
 
 use crate::alerts::Alert;
+use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::state::{restore_window, window_json};
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
+use std::any::Any;
 use telemetry::json::{field, field_with, from_sparse_u64, obj, sparse_u64, At, Json, ToJson};
 
 /// Configuration.
@@ -147,13 +149,30 @@ impl PercentileShiftDetector {
     pub fn estimate(&self) -> Option<i64> {
         self.tracker.estimate()
     }
+}
 
-    /// The inner tracker (populated cells as `[index, count]` pairs,
+/// The ensemble's `median_shift` engine. Signal binding: the canonical
+/// merged median frame length, fed once per interval, so a shift in
+/// the length distribution sends the marker walking after the
+/// migrating estimate and the movement band fires. Constant-size
+/// traffic keeps the estimate pinned and the engine silent, which is
+/// what keeps it orthogonal to the volume engines.
+impl Detector for PercentileShiftDetector {
+    fn name(&self) -> &'static str {
+        "median_shift"
+    }
+
+    fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
+        let fired = self.observe(ctx.at, ctx.median_len).is_some();
+        let expected = self.estimate().unwrap_or(0);
+        Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.median_len))
+    }
+
+    /// The tracker (populated cells as `[index, count]` pairs,
     /// the marker's walk position verbatim), the movement window, the
     /// open interval's tallies, and the alerts. `last_moves` always
     /// equals the marker's move count and is not written.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
+    fn export_state(&self) -> Json {
         let set = self.tracker.as_set();
         let m = set.export_markers()[0];
         obj(vec![
@@ -172,15 +191,8 @@ impl PercentileShiftDetector {
         ])
     }
 
-    /// Reloads [`Self::export_state`]'s form into a detector built
-    /// from the same config.
-    ///
-    /// # Errors
-    ///
-    /// The first member that is missing, mistyped or inconsistent
-    /// (a cell outside the domain, masses that do not add up), with
-    /// its path under `at`; the detector must then be discarded.
-    pub fn import_state(&mut self, state: &Json, at: At<'_>) -> Result<(), String> {
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let at = At::Root("median_shift");
         let cells = self.tracker.as_set().counts().len();
         let counts = field_with(state, "cells", at, |c, at| from_sparse_u64(c, at, cells))?;
         let q = self.cfg.quantile;
@@ -204,6 +216,10 @@ impl PercentileShiftDetector {
         self.alerts = field(state, "alerts", at)?;
         self.detected_at = field(state, "detected_at", at)?;
         Ok(())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 

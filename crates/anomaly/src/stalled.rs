@@ -8,8 +8,10 @@
 //! the mirror image of the spike check (`N·x < Xsum − k·σ(NX)`).
 
 use crate::alerts::Alert;
+use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::state::{restore_window, window_json};
 use stat4_core::window::WindowedDist;
+use std::any::Any;
 use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// Configuration.
@@ -141,10 +143,31 @@ impl StalledFlowDetector {
     pub fn stats(&self) -> &stat4_core::running::RunningStats {
         self.window.stats()
     }
+}
+
+/// The ensemble's `stalled` engine. Signal binding: per-interval
+/// merged packet count as the activity measure, fed as one bulk record
+/// at the interval end via [`StalledFlowDetector::observe_activity_n`].
+/// The window therefore closes interval `e`'s value when interval
+/// `e+1` reports — a one-interval judgement lag inherited from the
+/// timestamp-driven design.
+impl Detector for StalledFlowDetector {
+    fn name(&self) -> &'static str {
+        "stalled"
+    }
+
+    fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
+        let before = self.alerts.len();
+        let n = u64::try_from(ctx.packets.max(0)).unwrap_or(0);
+        self.observe_activity_n(ctx.at, n);
+        let fired = self.alerts.len() > before;
+        let stats = self.stats();
+        let expected = stats.xsum() / (stats.n().max(1) as i64);
+        Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.packets))
+    }
 
     /// The activity window, the interval it is in, and the alerts.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
+    fn export_state(&self) -> Json {
         obj(vec![
             ("window", window_json(&self.window)),
             ("current_interval", self.current_interval.to_json()),
@@ -153,19 +176,17 @@ impl StalledFlowDetector {
         ])
     }
 
-    /// Reloads [`Self::export_state`]'s form into a detector built
-    /// from the same config.
-    ///
-    /// # Errors
-    ///
-    /// The first member that is missing, mistyped or inconsistent,
-    /// with its path under `at`; the detector must then be discarded.
-    pub fn import_state(&mut self, state: &Json, at: At<'_>) -> Result<(), String> {
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let at = At::Root("stalled");
         field_with(state, "window", at, |w, at| restore_window(&mut self.window, w, at))?;
         self.current_interval = field(state, "current_interval", at)?;
         self.alerts = field(state, "alerts", at)?;
         self.detected_at = field(state, "detected_at", at)?;
         Ok(())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 

@@ -41,7 +41,7 @@ pub(crate) fn restore_window(w: &mut WindowedDist, v: &Json, at: At<'_>) -> Resu
 }
 
 /// An alert flattened to `(kind, at, value)` with an owned tag: the
-/// one JSON form of an alert, in run snapshots and in the lifted
+/// one JSON form of an alert, in run snapshots and in the
 /// detectors' exported state alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertSnap {

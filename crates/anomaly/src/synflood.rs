@@ -1,22 +1,43 @@
 //! SYN-flood detection (paper Table 1: "SYN flood — protect servers,
 //! SYN rate over time").
 //!
-//! Two complementary Stat4 checks, both integer-only:
+//! [`SynFloodDetector`] consumes one observation per closed interval —
+//! the merged SYN count of the interval and the merged cumulative kind
+//! distribution — and runs two complementary Stat4 checks, both
+//! integer-only:
 //!
-//! 1. **SYN share**: the frequency distribution of packet kinds; the
-//!    SYN count becoming an upper outlier among kind frequencies
-//!    signals a flood regardless of absolute rate.
-//! 2. **SYN rate**: a windowed distribution of SYNs per interval with
-//!    the mean + k·σ spike check — the same machinery as the
+//! 1. **SYN rate**: the per-interval SYN count feeds a [`WindowedDist`]
+//!    with the mean + k·σ spike test — the same machinery as the
 //!    case-study rate monitor, bound to a different value of interest.
+//! 2. **SYN share**: the [`FrequencyDist`] of packet kinds is tested
+//!    for the SYN cell being an upper outlier
+//!    (`n·f > Xsum + k·σ(NX) + margin·n`), which signals a flood
+//!    regardless of absolute rate.
 //!
-//! This module is the *software-side* twin of what `stat4-p4` programs
-//! express in the pipeline; the `syn_flood` example wires the same
-//! logic in-switch.
+//! It judges intervals, not packets, because the sharded replay engine
+//! has no totally-ordered packet stream: packets are processed by N
+//! independent shard pipelines and only the *merged* statistics exist
+//! at the epoch barrier. Every input is a pure function of merged
+//! (order-free) shard state, so the verdicts are *shard-count invariant
+//! by construction*: a 1-shard and an 8-shard replay hand the detector
+//! bit-identical aggregates and therefore produce identical alert
+//! sequences. That is the property the cross-shard conformance suite
+//! asserts.
+//!
+//! The detector is the ensemble's `synflood` engine: its
+//! [`Detector::update`] forwards the context's span-averaged SYN
+//! estimate and cumulative kind composition to
+//! [`SynFloodDetector::observe_interval`], and the alert stream it
+//! keeps (`alerts`, `detected_at`, `metrics`) is the replay outcome's.
 
 use crate::alerts::Alert;
+use crate::detector::{DetectionResult, Detector, SignalContext};
+use crate::metrics::{Check, DetectorMetrics};
+use crate::state::{restore_window, window_json};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
+use std::any::Any;
+use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// Configuration of the detector.
 #[derive(Debug, Clone, Copy)]
@@ -49,114 +70,102 @@ impl Default for SynFloodConfig {
     }
 }
 
-/// Streaming SYN-flood detector.
+/// Kind cell used for SYN packets in the share distribution.
+pub const KIND_SYN: i64 = 1;
+
+/// SYN-flood detector driven by per-interval merged aggregates.
 #[derive(Debug)]
 pub struct SynFloodDetector {
     cfg: SynFloodConfig,
-    kind_freq: FrequencyDist,
     syn_rate: WindowedDist,
-    current_interval: Option<u64>,
-    /// Alerts raised so far.
+    /// Alerts raised so far, in interval order.
     pub alerts: Vec<Alert>,
     /// Set once the first alert fires (detection time).
     pub detected_at: Option<u64>,
-    /// Fire counts and detection-delay histogram (pure bookkeeping;
-    /// the alert sequence is unchanged by telemetry).
-    pub metrics: crate::metrics::DetectorMetrics,
+    /// Fire counts and detection-delay histogram. Pure bookkeeping: the
+    /// alert sequence is unchanged by telemetry, so the conformance
+    /// guarantees are untouched.
+    pub metrics: DetectorMetrics,
 }
-
-/// Kind cell used for SYN packets in the share distribution.
-pub const KIND_SYN: i64 = 1;
 
 impl SynFloodDetector {
     /// Creates a detector.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero window/kinds).
+    /// Panics if the configuration is degenerate (zero window).
     #[must_use]
     pub fn new(cfg: SynFloodConfig) -> Self {
         Self {
-            kind_freq: FrequencyDist::new(0, cfg.kinds - 1).expect("valid kind domain"),
             syn_rate: WindowedDist::new(cfg.window).expect("non-empty window"),
-            current_interval: None,
             alerts: Vec::new(),
             detected_at: None,
-            metrics: crate::metrics::DetectorMetrics::new(),
+            metrics: DetectorMetrics::new(),
             cfg,
         }
     }
 
-    /// Feeds one packet: its arrival time, kind cell (0-based,
-    /// [`KIND_SYN`] for pure SYNs) — returns any alert raised by this
-    /// packet.
-    pub fn observe(&mut self, at: u64, kind: i64) -> Option<Alert> {
-        // --- interval roll-over for the rate check -------------------
-        let ivl = at / self.cfg.interval_ns;
-        match self.current_interval {
-            None => self.current_interval = Some(ivl),
-            Some(cur) if cur != ivl => {
-                let closed = self.syn_rate.current();
-                let spike = self.syn_rate.is_spike_margined(
-                    closed,
-                    self.cfg.k,
-                    self.cfg.min_intervals,
-                    3, // +12.5% of the mean
-                    4,
-                );
-                // Warm-up-ungated signal drives the detection-delay
-                // episode clock.
-                let raw = self.syn_rate.is_spike_margined(closed, self.cfg.k, 1, 3, 4);
-                self.metrics.signal(at, raw || self.share_outlier());
-                self.syn_rate.close_interval();
-                self.current_interval = Some(ivl);
-                if spike {
-                    self.metrics.fired(crate::metrics::Check::Rate, at);
-                    let alert = Alert::SynFlood {
-                        at,
-                        syn_count: closed as u64,
-                    };
-                    self.detected_at.get_or_insert(at);
-                    self.alerts.push(alert.clone());
-                    // Also record the packet below, but report now.
-                    self.record(kind);
-                    return Some(alert);
-                }
-            }
-            _ => {}
+    /// Feeds one closed interval: its end time, the merged SYN count of
+    /// the interval, and the merged cumulative kind distribution.
+    /// Returns the alerts raised by this interval (at most one per
+    /// check).
+    pub fn observe_interval(
+        &mut self,
+        at: u64,
+        syn_in_interval: i64,
+        kind_freq: &FrequencyDist,
+    ) -> Vec<Alert> {
+        let mut raised = Vec::new();
+
+        // --- rate check ----------------------------------------------
+        self.syn_rate.accumulate(syn_in_interval);
+        let spike = self.syn_rate.is_spike_margined(
+            syn_in_interval,
+            self.cfg.k,
+            self.cfg.min_intervals,
+            3, // +12.5% of the mean
+            4,
+        );
+        let share = self.share_outlier(kind_freq);
+        // Raw (warm-up-ungated) signal drives the detection-delay
+        // episode clock: "first anomalous epoch" per the case study.
+        let raw_anomalous =
+            self.syn_rate.is_spike_margined(syn_in_interval, self.cfg.k, 1, 3, 4) || share;
+        self.metrics.signal(at, raw_anomalous);
+        self.syn_rate.close_interval();
+        if spike {
+            self.metrics.fired(Check::Rate, at);
+            raised.push(Alert::SynFlood {
+                at,
+                syn_count: syn_in_interval as u64,
+            });
         }
-        self.record(kind);
 
         // --- share check ---------------------------------------------
-        if kind == KIND_SYN && self.share_outlier() {
-            self.metrics.fired(crate::metrics::Check::Share, at);
-            let alert = Alert::SynFlood {
+        if share {
+            self.metrics.fired(Check::Share, at);
+            raised.push(Alert::SynFlood {
                 at,
-                syn_count: self.kind_freq.frequency(KIND_SYN),
-            };
+                syn_count: kind_freq.frequency(KIND_SYN),
+            });
+        }
+
+        if !raised.is_empty() {
             self.detected_at.get_or_insert(at);
-            self.alerts.push(alert.clone());
-            return Some(alert);
+            self.alerts.extend(raised.iter().cloned());
         }
-        None
+        raised
     }
 
-    fn record(&mut self, kind: i64) {
-        let _ = self.kind_freq.observe(kind.clamp(0, self.cfg.kinds - 1));
-        if kind == KIND_SYN {
-            self.syn_rate.accumulate(1);
-        }
-    }
-
-    fn share_outlier(&self) -> bool {
-        let f = self.kind_freq.frequency(KIND_SYN);
-        let n = self.kind_freq.n_distinct();
+    fn share_outlier(&self, kind_freq: &FrequencyDist) -> bool {
+        let f = kind_freq.frequency(KIND_SYN);
+        let n = kind_freq.n_distinct();
         if n < 4 {
             return false;
         }
         let nf = u128::from(n) * u128::from(f);
-        let bound = u128::from(self.kind_freq.xsum())
-            + u128::from(self.cfg.k) * u128::from(self.kind_freq.sd_nx())
+        let bound = u128::from(kind_freq.xsum())
+            + u128::from(self.cfg.k) * u128::from(kind_freq.sd_nx())
             + u128::from(self.cfg.share_margin) * u128::from(n);
         nf > bound
     }
@@ -165,6 +174,42 @@ impl SynFloodDetector {
     #[must_use]
     pub fn rate_stats(&self) -> &stat4_core::running::RunningStats {
         self.syn_rate.stats()
+    }
+}
+
+impl Detector for SynFloodDetector {
+    fn name(&self) -> &'static str {
+        "synflood"
+    }
+
+    fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
+        let fired = !self.observe_interval(ctx.at, ctx.syns, ctx.kinds).is_empty();
+        let stats = self.rate_stats();
+        let expected = stats.xsum() / (stats.n().max(1) as i64);
+        Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.syns))
+    }
+
+    /// The rate window, the alert stream so far, and the metrics.
+    fn export_state(&self) -> Json {
+        obj(vec![
+            ("syn_rate", window_json(&self.syn_rate)),
+            ("alerts", self.alerts.to_json()),
+            ("detected_at", self.detected_at.to_json()),
+            ("metrics", self.metrics.to_json()),
+        ])
+    }
+
+    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+        let at = At::Root("synflood");
+        field_with(state, "syn_rate", at, |w, at| restore_window(&mut self.syn_rate, w, at))?;
+        self.alerts = field(state, "alerts", at)?;
+        self.detected_at = field(state, "detected_at", at)?;
+        self.metrics = field(state, "metrics", at)?;
+        Ok(())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -184,6 +229,34 @@ mod tests {
         }
     }
 
+    /// Replays a schedule through the detector exactly as the
+    /// replay engine does: aggregate per interval, observe at each
+    /// interval close.
+    fn run_epoch(schedule: &workloads::Schedule, cfg: SynFloodConfig) -> SynFloodDetector {
+        let mut det = SynFloodDetector::new(cfg);
+        let mut kinds = FrequencyDist::new(0, cfg.kinds - 1).unwrap();
+        let mut cur: Option<u64> = None;
+        let mut syns: i64 = 0;
+        for (t, frame) in schedule {
+            let ivl = t / cfg.interval_ns;
+            if let Some(c) = cur {
+                if c != ivl {
+                    det.observe_interval((c + 1) * cfg.interval_ns, syns, &kinds);
+                    syns = 0;
+                    cur = Some(ivl);
+                }
+            } else {
+                cur = Some(ivl);
+            }
+            let k = kind_of(frame);
+            let _ = kinds.observe(k.clamp(0, cfg.kinds - 1));
+            if k == KIND_SYN {
+                syns += 1;
+            }
+        }
+        det
+    }
+
     #[test]
     fn detects_flood_not_background() {
         let w = SynFloodWorkload {
@@ -195,10 +268,7 @@ mod tests {
             ..SynFloodWorkload::default()
         };
         let (schedule, _victim) = w.generate();
-        let mut det = SynFloodDetector::new(SynFloodConfig::default());
-        for (t, frame) in &schedule {
-            det.observe(*t, kind_of(frame));
-        }
+        let det = run_epoch(&schedule, SynFloodConfig::default());
         let at = det.detected_at.expect("flood must be detected");
         assert!(
             at >= w.flood_start,
@@ -222,22 +292,79 @@ mod tests {
             ..SynFloodWorkload::default()
         };
         let (schedule, _) = w.generate();
-        let mut det = SynFloodDetector::new(SynFloodConfig::default());
-        for (t, frame) in &schedule {
-            det.observe(*t, kind_of(frame));
-        }
+        let det = run_epoch(&schedule, SynFloodConfig::default());
         assert!(det.detected_at.is_none(), "alerts: {:?}", det.alerts);
     }
 
     #[test]
+    fn identical_aggregates_identical_alerts() {
+        // The conformance property in miniature: two detectors fed the
+        // same per-interval aggregates raise the same alerts.
+        let w = SynFloodWorkload {
+            background_cps: 500,
+            flood_pps: 50_000,
+            flood_start: 300_000_000,
+            duration: 700_000_000,
+            seed: 9,
+            ..SynFloodWorkload::default()
+        };
+        let (schedule, _) = w.generate();
+        let a = run_epoch(&schedule, SynFloodConfig::default());
+        let b = run_epoch(&schedule, SynFloodConfig::default());
+        assert_eq!(a.alerts, b.alerts);
+        assert_eq!(a.detected_at, b.detected_at);
+    }
+
+    #[test]
+    fn metrics_track_fires_and_delay() {
+        let w = SynFloodWorkload {
+            background_cps: 500,
+            flood_pps: 50_000,
+            flood_start: 400_000_000,
+            duration: 900_000_000,
+            seed: 4,
+            ..SynFloodWorkload::default()
+        };
+        let (schedule, _) = w.generate();
+        let det = run_epoch(&schedule, SynFloodConfig::default());
+        assert_eq!(
+            det.metrics.fires(),
+            det.alerts.len() as u64,
+            "every alert is counted by exactly one check"
+        );
+        assert!(det.metrics.fires() > 0);
+        // The flood episode produced at least one delay sample, and the
+        // delay cannot precede the raw signal.
+        assert!(det.metrics.detection_delay.count() >= 1);
+        assert!(
+            det.metrics.detection_delay.max().unwrap() <= 200_000_000,
+            "delay {:?} implausibly long",
+            det.metrics.detection_delay.max()
+        );
+    }
+
+    #[test]
+    fn quiet_traffic_no_fires() {
+        let w = SynFloodWorkload {
+            background_cps: 500,
+            flood_pps: 50_000,
+            flood_start: 2_000_000_000,
+            duration: 900_000_000,
+            seed: 4,
+            ..SynFloodWorkload::default()
+        };
+        let (schedule, _) = w.generate();
+        let det = run_epoch(&schedule, SynFloodConfig::default());
+        assert_eq!(det.metrics.fires(), 0);
+        assert!(det.metrics.detection_delay.is_empty());
+    }
+
+    #[test]
     fn rate_stats_populated() {
-        let mut det = SynFloodDetector::new(SynFloodConfig {
-            interval_ns: 1_000,
-            min_intervals: 2,
-            ..SynFloodConfig::default()
-        });
-        for i in 0..100u64 {
-            det.observe(i * 100, if i % 3 == 0 { KIND_SYN } else { 0 });
+        let mut det = SynFloodDetector::new(SynFloodConfig::default());
+        let kinds = FrequencyDist::new(0, 7).unwrap();
+        for i in 0..20u64 {
+            det.observe_interval(i * 10_000_000, 5, &kinds);
         }
         assert!(det.rate_stats().n() > 0);
     }

@@ -9,8 +9,8 @@ use anomaly::stalled::StalledFlowConfig;
 use anomaly::synflood::{SynFloodConfig, KIND_SYN};
 use anomaly::{
     AdaptiveEngine, CardinalityEngine, CusumEngine, Detector, Ensemble, EnsembleConfig,
-    HoltWintersEngine, MedianShiftEngine, MultiScaleEngine, ScoreDrilldown, SignalContext,
-    StalledEngine, SynFloodEngine, Q16,
+    HoltWintersEngine, MultiScaleEngine, PercentileShiftDetector, ScoreDrilldown, SignalContext,
+    StalledFlowDetector, SynFloodDetector, Q16,
 };
 use stat4_core::{FrequencyDist, RunningStats};
 use telemetry::json::render;
@@ -117,12 +117,12 @@ fn stream(seed: u64, intervals: u64, episodes: bool) -> Vec<Interval> {
 fn engines() -> Vec<Box<dyn Detector>> {
     let cfg = EnsembleConfig::default();
     vec![
-        Box::new(SynFloodEngine::new(SynFloodConfig::default())),
-        Box::new(StalledEngine::new(StalledFlowConfig {
+        Box::new(SynFloodDetector::new(SynFloodConfig::default())),
+        Box::new(StalledFlowDetector::new(StalledFlowConfig {
             interval_ns: INTERVAL_NS,
             ..StalledFlowConfig::default()
         })),
-        Box::new(MedianShiftEngine::new(ShiftConfig {
+        Box::new(PercentileShiftDetector::new(ShiftConfig {
             domain: (0, 2047),
             interval_ns: INTERVAL_NS,
             ..ShiftConfig::default()
@@ -243,10 +243,10 @@ fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
         assert_eq!(resumed.summaries(), live.summaries());
         assert_eq!(resumed.metrics_by_name(), live.metrics_by_name());
         let alerts = |e: &Ensemble| {
-            e.engine::<SynFloodEngine>("synflood")
+            e.engine::<SynFloodDetector>("synflood")
                 .unwrap()
-                .alerts()
-                .to_vec()
+                .alerts
+                .clone()
         };
         assert_eq!(alerts(&resumed), alerts(&live));
         assert!(!alerts(&live).is_empty());

@@ -1,9 +1,14 @@
-//! Shared helpers for the `repro_*` experiment binaries and the
-//! criterion benches.
+//! Shared helpers for the `repro_*` and `ablation_*` experiment
+//! binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! `DESIGN.md`'s experiment index) and prints a paper-vs-measured
-//! comparison; `EXPERIMENTS.md` records the outcomes.
+//! Each `repro_*` binary regenerates one table or figure of the paper
+//! (see `DESIGN.md`'s experiment index) and prints a paper-vs-measured
+//! comparison, each `ablation_*` binary prints the table behind one
+//! design choice; `EXPERIMENTS.md` records the outcomes.
+
+use p4sim::phv::fields::PAYLOAD_VALUE;
+use p4sim::{ActionDef, Control, Operand, Phv, Pipeline, Primitive, ProgramBuilder, TargetModel};
+use stat4_p4::scratch::SD;
 
 /// Exact running median over a bounded integer domain, backed by a
 /// Fenwick (binary indexed) tree: `insert` and `median` are both
@@ -147,6 +152,53 @@ pub fn median_error_run(
         }
     }
     (before, after)
+}
+
+/// The squaring ablation's two IR programs, each `SD = PAYLOAD_VALUE²`
+/// in one action: the runtime `Mul` primitive (bmv2 only) and the
+/// 16-bit unrolled shift-add multiplier (legal on the multiply-less
+/// target).
+///
+/// # Panics
+///
+/// Panics if either program fails validation on its target.
+#[must_use]
+pub fn squaring_pipelines() -> [(&'static str, Pipeline); 2] {
+    let build = |name: &str, prims, target| {
+        let mut b = ProgramBuilder::new();
+        let a = b.add_action(ActionDef::new(name, prims));
+        b.set_control(Control::ApplyAction(a));
+        b.build(target).expect("valid program")
+    };
+    let mul = vec![Primitive::Mul {
+        dst: SD,
+        a: Operand::Field(PAYLOAD_VALUE),
+        b: Operand::Field(PAYLOAD_VALUE),
+    }];
+    let unrolled =
+        stat4_p4::fragments::mul_unrolled_primitives(PAYLOAD_VALUE, PAYLOAD_VALUE, SD, 16);
+    [
+        ("runtime_mul", build("mul", mul, TargetModel::bmv2())),
+        ("unrolled_16bit", build("mul_unrolled", unrolled, TargetModel::tofino_like())),
+    ]
+}
+
+/// Runs one packet per input through `pipe` with the input in
+/// `PAYLOAD_VALUE`; returns the wrapping sum of the `SD` outputs and
+/// the interpreter steps consumed.
+///
+/// # Panics
+///
+/// Panics if the program faults on an input.
+pub fn run_unary(pipe: &mut Pipeline, inputs: &[u64]) -> (u64, u64) {
+    let (mut acc, mut steps) = (0u64, 0u64);
+    for &x in inputs {
+        let mut phv = Phv::new();
+        phv.set(PAYLOAD_VALUE, x);
+        steps += pipe.process_phv(&mut phv).expect("program runs").steps;
+        acc = acc.wrapping_add(phv.get(SD));
+    }
+    (acc, steps)
 }
 
 #[cfg(test)]

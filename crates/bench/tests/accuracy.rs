@@ -21,8 +21,12 @@
 //! ≤ 1%, except early in our simulations, when distributions are
 //! sparse": tight bounds after the distribution fills in (N/2 samples),
 //! loose sanity bounds on the sparse warm-up phase.
+//!
+//! The last case pins the one count `ablation_cost` prints that no
+//! other test does (the one-step bound is
+//! `percentile::tests::one_step_per_packet_bound`).
 
-use bench::{max_f64, median_error_run, percentile_f64};
+use bench::{max_f64, median_error_run, percentile_f64, run_unary, squaring_pipelines};
 use stat4_core::isqrt::{approx_error_percent, approx_isqrt, refined_error_percent};
 
 // ---------------------------------------------------------------- Table 2
@@ -120,4 +124,22 @@ fn table3_median_tracker_within_bounds() {
         // so sanity-bound it loosely rather than pinning a noisy value.
         assert!(b90 <= 50.0, "N={n}: warm-up p90 error {b90:.2}%");
     }
+}
+
+// ---------------------------------------------------------- ablation_cost
+
+/// The squaring table's step column: on the table's own 64 packets the
+/// unrolled multiplier computes what runtime `Mul` computes (its
+/// exactness on chosen pairs is `fragments::tests::unrolled_mul_is_exact`)
+/// and pays 1 + 6 steps per unrolled bit where `Mul` pays one.
+#[test]
+fn unrolled_squarer_agrees_with_mul_at_97_times_the_steps() {
+    let packets: Vec<u64> = (1..65u64).map(|i| i.wrapping_mul(2_654_435_761) % 60_000).collect();
+    let [(_, mut mul), (_, mut unrolled)] = squaring_pipelines();
+    let (mul_sum, mul_steps) = run_unary(&mut mul, &packets);
+    let (unrolled_sum, unrolled_steps) = run_unary(&mut unrolled, &packets);
+    assert_eq!(mul_sum, packets.iter().map(|x| x * x).sum::<u64>());
+    assert_eq!(unrolled_sum, mul_sum);
+    assert_eq!(mul_steps, 64);
+    assert_eq!(unrolled_steps, 64 * (1 + 6 * 16));
 }

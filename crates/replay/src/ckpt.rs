@@ -41,7 +41,7 @@
 //! instances built from the run's config. The cost of a checkpoint is
 //! therefore the size of the state, not the length of the run: every
 //! member is bounded by configuration except `provenance`, the
-//! ensemble's `fired_log` and the lifted detectors' `alerts`, which
+//! ensemble's `fired_log` and the Table 1 detectors' `alerts`, which
 //! are the run's output and grow with alerts raised, and `incidents`,
 //! which grows with shards lost.
 //!

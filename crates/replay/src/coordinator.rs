@@ -22,7 +22,7 @@ use crate::{
     IncidentKind, ReplayConfig, ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident,
     ShardState,
 };
-use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodEngine};
+use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::ops::Range;
 use std::time::Instant;
@@ -446,14 +446,14 @@ impl EpochCoordinator {
         let final_epoch = schedule.last().map_or(0, |(t, _)| t / self.interval());
         let mut telemetry = self.telemetry;
         telemetry.elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let syn_engine = self
+        let syn = self
             .ensemble
-            .engine::<SynFloodEngine>("synflood")
-            .expect("ensemble always carries the SYN-flood engine");
-        let alerts = syn_engine.alerts().to_vec();
-        let detected_at = syn_engine.detected_at();
+            .engine::<SynFloodDetector>("synflood")
+            .expect("ensemble always carries the SYN-flood detector");
+        let alerts = syn.alerts.clone();
+        let detected_at = syn.detected_at;
         telemetry.alerts.add(alerts.len() as u64);
-        telemetry.detector = syn_engine.metrics().clone();
+        telemetry.detector = syn.metrics.clone();
         telemetry.engines = self
             .ensemble
             .metrics_by_name()

@@ -45,7 +45,7 @@
 //!   sequential run), while `PercentileSet` markers — which are
 //!   path-dependent and *not* mergeable — are rebuilt canonically from
 //!   the merged counts (a deterministic function of the counts alone).
-//! - **Detection** — [`anomaly::EpochSynFloodDetector`] runs only on
+//! - **Detection** — [`anomaly::SynFloodDetector`] runs only on
 //!   merged aggregates, so its verdicts are shard-count invariant *by
 //!   construction*: a 1-shard and an 8-shard replay hand it
 //!   bit-identical inputs.
@@ -88,8 +88,8 @@ use anomaly::stalled::StalledFlowConfig;
 use anomaly::synflood::{SynFloodConfig, KIND_SYN};
 use anomaly::{
     AdaptiveEngine, Alert, CardinalityEngine, CusumEngine, DetectionResult, EngineSummary,
-    Ensemble, EnsembleConfig, HoltWintersEngine, MedianShiftEngine, MultiScaleEngine,
-    StalledEngine, SynFloodEngine,
+    Ensemble, EnsembleConfig, HoltWintersEngine, MultiScaleEngine, PercentileShiftDetector,
+    StalledFlowDetector, SynFloodDetector,
 };
 use coordinator::EpochCoordinator;
 use faultinject::FaultSchedule;
@@ -176,8 +176,7 @@ pub fn parse_frame(frame: &[u8]) -> FrameMeta {
 }
 
 /// Classifies a frame into the kind cells above ([`KIND_SYN`] for pure
-/// TCP SYNs). Mirrors the streaming detector's classification so both
-/// engines see the same composition.
+/// TCP SYNs).
 #[must_use]
 pub fn kind_of(frame: &[u8]) -> i64 {
     parse_frame(frame).kind
@@ -193,9 +192,9 @@ pub struct ReplayConfig {
     /// Detector configuration; `interval_ns` doubles as the epoch
     /// length.
     pub detector: SynFloodConfig,
-    /// Configuration for the new statistical engines (CUSUM,
-    /// Holt-Winters, cardinality, multi-scale, adaptive). The lifted
-    /// engines take theirs from `detector` / `interval_ns`.
+    /// Configuration for the `anomaly::engines` engines (CUSUM,
+    /// Holt-Winters, cardinality, multi-scale, adaptive). The stalled
+    /// and median-shift detectors take their interval from `detector`.
     pub ensemble: EnsembleConfig,
 }
 
@@ -211,23 +210,23 @@ impl Default for ReplayConfig {
 }
 
 /// Builds the detection ensemble a replay run drives on merged
-/// interval state: the three lifted detectors (SYN flood, stalled
-/// flows, median shift) plus the five new engines, in report order.
+/// interval state: the three Table 1 detectors (SYN flood, stalled
+/// flows, median shift) plus the five `anomaly::engines`, in report
+/// order.
 ///
-/// The SYN-flood engine wraps the exact pre-trait
-/// [`anomaly::EpochSynFloodDetector`] under `cfg.detector`, so
-/// [`ReplayOutcome::alerts`] / `detected_at` are bit-identical to the
-/// pre-ensemble engine by construction.
+/// [`ReplayOutcome::alerts`] / `detected_at` are the
+/// [`anomaly::SynFloodDetector`]'s own alert stream under
+/// `cfg.detector`.
 #[must_use]
 pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
     let interval_ns = cfg.detector.interval_ns;
     Ensemble::new(vec![
-        Box::new(SynFloodEngine::new(cfg.detector)),
-        Box::new(StalledEngine::new(StalledFlowConfig {
+        Box::new(SynFloodDetector::new(cfg.detector)),
+        Box::new(StalledFlowDetector::new(StalledFlowConfig {
             interval_ns,
             ..StalledFlowConfig::default()
         })),
-        Box::new(MedianShiftEngine::new(ShiftConfig {
+        Box::new(PercentileShiftDetector::new(ShiftConfig {
             domain: (0, MAX_LEN),
             interval_ns,
             ..ShiftConfig::default()

@@ -1,11 +1,11 @@
-//! Behavior preservation: lifting the epoch SYN-flood, stalled-flow
-//! and median-shift detectors behind the `Detector` trait must not
+//! Behavior preservation: running the SYN-flood, stalled-flow and
+//! median-shift detectors as `Detector`s of the ensemble must not
 //! change a single alert. The goldens below were captured by running
-//! the pre-refactor engine (commit with `EpochSynFloodDetector` wired
-//! directly into the replay loop) on fixed workloads; the refactored
-//! ensemble must reproduce them bit for bit — same alert timestamps,
-//! same SYN counts, same first-detection time — under the pool engine,
-//! the reference engine, and a chaos schedule with report loss.
+//! the pre-ensemble engine (the SYN-flood detector wired directly
+//! into the replay loop) on fixed workloads; the ensemble must
+//! reproduce them bit for bit — same alert timestamps, same SYN
+//! counts, same first-detection time — under the pool engine, the
+//! reference engine, and a chaos schedule with report loss.
 
 use anomaly::Alert;
 use faultinject::FaultSchedule;

@@ -296,7 +296,7 @@ pub fn approx_square_fragment(b: &mut ProgramBuilder, src: FieldId, dst: FieldId
 
 /// Exact multiplication `dst = a × b` for `b < 2^bits`, fully unrolled
 /// into constant-distance shifts and masked adds — legal on targets
-/// without a runtime multiplier. `5·bits` primitives. Clobbers `TMP`
+/// without a runtime multiplier. `1 + 6·bits` primitives. Clobbers `TMP`
 /// and `MUL_A`.
 ///
 /// Per bit `i`: `t = (b >> i) & 1; mask = 0 − t; dst += (a << i) & mask`.

@@ -1,25 +1,16 @@
 //! SYN-flood detection (paper Table 1): legitimate TCP traffic, then a
-//! storm of spoofed SYNs at one server; the detector flags the flood
-//! via the SYN share of the packet-kind frequency distribution and the
-//! SYN rate window — both integer-only Stat4 checks.
+//! storm of spoofed SYNs at one server, replayed through the detection
+//! ensemble. The SYN-flood detector flags the flood via the SYN share
+//! of the packet-kind frequency distribution and the SYN rate window —
+//! both integer-only Stat4 checks — at the close of the first interval
+//! that contains it.
 //!
 //! ```text
 //! cargo run --example syn_flood --release
 //! ```
 
-use anomaly::synflood::{SynFloodConfig, SynFloodDetector, KIND_SYN};
-use packet::{EthernetFrame, Ipv4Packet, TcpSegment};
+use replay::{run_replay, ReplayConfig};
 use workloads::SynFloodWorkload;
-
-fn kind_of(frame: &[u8]) -> i64 {
-    let eth = EthernetFrame::new_checked(frame).expect("frame");
-    let ip = Ipv4Packet::new_checked(eth.payload()).expect("ip");
-    match TcpSegment::new_checked(ip.payload()) {
-        Ok(t) if t.syn() && !t.ack() => KIND_SYN,
-        Ok(_) => 0,
-        Err(_) => 2,
-    }
-}
 
 fn main() {
     let workload = SynFloodWorkload {
@@ -38,21 +29,26 @@ fn main() {
         workload.flood_start as f64 / 1e9
     );
 
-    let mut detector = SynFloodDetector::new(SynFloodConfig::default());
-    for (t, frame) in &schedule {
-        if let Some(alert) = detector.observe(*t, kind_of(frame)) {
-            println!("ALERT at t = {:.3}s: {alert:?}", alert.at() as f64 / 1e9);
-            break;
+    let outcome = run_replay(&schedule, &ReplayConfig::default());
+    for engine in &outcome.ensemble.engines {
+        if let Some(at) = engine.first_fired_at {
+            println!(
+                "engine {:>12}: first fired at t = {:.3}s ({} fires)",
+                engine.name,
+                at as f64 / 1e9,
+                engine.fires
+            );
         }
     }
-    match detector.detected_at {
+    match outcome.detected_at {
         Some(at) => {
+            println!("ALERT at t = {:.3}s: {:?}", at as f64 / 1e9, outcome.alerts[0]);
+            assert!(at >= workload.flood_start, "no false positives");
             let lag_ms = (at - workload.flood_start) as f64 / 1e6;
             println!(
-                "flood detected {lag_ms:.1} ms after onset ({} alerts total would follow)",
-                detector.alerts.len()
+                "flood detected {lag_ms:.1} ms after onset ({} alerts in total)",
+                outcome.alerts.len()
             );
-            assert!(at >= workload.flood_start, "no false positives");
         }
         None => {
             println!("flood NOT detected");
