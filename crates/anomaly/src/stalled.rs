@@ -150,7 +150,9 @@ impl StalledFlowDetector {
 /// at the interval end via [`StalledFlowDetector::observe_activity_n`].
 /// The window therefore closes interval `e`'s value when interval
 /// `e+1` reports — a one-interval judgement lag inherited from the
-/// timestamp-driven design.
+/// timestamp-driven design. A report that spans several intervals
+/// (the ones before it were dropped) carries their average, and each
+/// of them is fed that average: a lost report is not a quiet interval.
 impl Detector for StalledFlowDetector {
     fn name(&self) -> &'static str {
         "stalled"
@@ -159,7 +161,10 @@ impl Detector for StalledFlowDetector {
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
         let before = self.alerts.len();
         let n = u64::try_from(ctx.packets.max(0)).unwrap_or(0);
-        self.observe_activity_n(ctx.at, n);
+        let spanned = u64::try_from(ctx.spanned).unwrap_or(1).max(1);
+        for back in (0..spanned).rev() {
+            self.observe_activity_n(ctx.at.saturating_sub(back * self.cfg.interval_ns), n);
+        }
         let fired = self.alerts.len() > before;
         let stats = self.stats();
         let expected = stats.xsum() / (stats.n().max(1) as i64);
@@ -272,6 +277,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ensemble's path: one report per interval carrying 38–42
+    /// packets, except that `skipped`'s report is lost and the next one
+    /// spans both intervals with their average.
+    fn run_reports(skipped: Option<u64>) -> StalledFlowDetector {
+        let (kinds, len_stats) = (
+            stat4_core::FrequencyDist::new(0, 7).unwrap(),
+            stat4_core::RunningStats::new(),
+        );
+        let mut det = StalledFlowDetector::new(cfg());
+        for epoch in (0..40u64).filter(|e| Some(*e) != skipped) {
+            let spanned = if epoch > 0 && Some(epoch - 1) == skipped { 2 } else { 1 };
+            det.update(&SignalContext {
+                at: (epoch + 1) * 1_000_000,
+                epoch,
+                interval_ns: 1_000_000,
+                spanned,
+                packets: 38 + (epoch % 5) as i64,
+                syns: 0,
+                len_sum: 0,
+                distinct_sources: 0,
+                median_len: 0,
+                kinds: &kinds,
+                len_stats: &len_stats,
+            });
+        }
+        det
+    }
+
+    /// A dropped report is not an interval of zero activity: the
+    /// spanning report's average stands in for the interval it covers.
+    #[test]
+    fn skipped_report_is_not_a_quiet_interval() {
+        assert!(run_reports(None).alerts.is_empty());
+        let det = run_reports(Some(20));
+        assert!(det.alerts.is_empty(), "alerts: {:?}", det.alerts);
+        assert_eq!(det.stats().n(), 32, "every interval closed, the skipped one too");
+        assert!(det.stats().xsum() >= 32 * 38, "none of them at zero");
     }
 
     #[test]

@@ -126,6 +126,26 @@ fn different_seed_perturbs_the_run_differently() {
     assert_ne!(a.health.reports_dropped, b.health.reports_dropped);
 }
 
+/// A lost report is not a stall: the intervals a spanning report
+/// covers reach the stalled-flow detector at the span's average, never
+/// at zero, so report loss alone gives it nothing to fire on.
+#[test]
+fn report_loss_does_not_read_as_a_stall() {
+    let s = small_flood();
+    let cfg = four_shards();
+    let stalled_fires = |out: &replay::ReplayOutcome| out.ensemble.engine("stalled").unwrap().fires;
+    let clean = run_replay(&s, &cfg);
+    let faults = FaultSchedule::parse("ctrl_loss=0.10", 42).unwrap();
+    let lossy = run_replay_with_faults(&s, &cfg, &faults);
+    assert!(lossy.health.reports_dropped > 0);
+    assert!(
+        stalled_fires(&lossy) <= stalled_fires(&clean),
+        "{} fire(s) under loss, {} without",
+        stalled_fires(&lossy),
+        stalled_fires(&clean)
+    );
+}
+
 #[test]
 fn empty_fault_schedule_matches_unfaulted_run() {
     let s = small_flood();
