@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use telemetry::json_string;
 
 /// How serious a finding is (see the module docs for the policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -215,26 +216,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,10 +253,5 @@ mod tests {
         let json = d.to_json();
         assert!(json.contains("\"code\":\"S4L005\""));
         assert!(json.contains("\"severity\":\"error\""));
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -30,7 +30,7 @@ pub mod stages;
 pub mod symbolic;
 pub mod tdg;
 
-pub use diag::{json_string, Diagnostic, LintCode, Severity};
+pub use diag::{Diagnostic, LintCode, Severity};
 pub use range::{analyze_ranges, Interval, RangeSummary};
 pub use stages::{allocate, StageAllocation, StageUse};
 pub use symbolic::{
@@ -39,10 +39,10 @@ pub use symbolic::{
     MergeReport, RebindReport, SymbolicOptions, Witness,
 };
 pub use tdg::{DepKind, NodeKind, TableDepGraph, TdgEdge, TdgNode};
+pub use telemetry::json_string;
 
-use crate::action::{Operand, Primitive};
 use crate::pipeline::Pipeline;
-use crate::target::TargetModel;
+use crate::target::{TargetModel, TargetRule};
 use std::fmt;
 
 /// Everything the verifier found out about one program/target pair.
@@ -172,57 +172,31 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-fn is_runtime(o: &Operand) -> bool {
-    !matches!(o, Operand::Const(_))
-}
-
 /// Re-checks the build-time target gates (the same rules
 /// `ProgramBuilder::build` enforces) so a program built for one target
 /// can be linted against another.
 fn target_legality(p: &Pipeline, target: &TargetModel, diags: &mut Vec<Diagnostic>) {
     for action in p.actions() {
         for (i, prim) in action.primitives.iter().enumerate() {
-            let ctx = format!("action `{}`, primitive #{i}", action.name);
-            match prim {
-                Primitive::Mul { a, b, .. } => {
-                    let runtime = usize::from(is_runtime(a)) + usize::from(is_runtime(b));
-                    if runtime == 2 && !target.allow_runtime_mul {
-                        diags.push(Diagnostic::new(
-                            LintCode::RuntimeMul,
-                            Severity::Error,
-                            ctx,
-                            format!(
-                                "multiplication of two runtime values is unsupported on `{}`; use the unrolled shift-add fragment",
-                                target.name
-                            ),
-                        ));
-                    } else if runtime >= 1
-                        && !target.allow_runtime_mul
-                        && !target.allow_const_mul
-                    {
-                        diags.push(Diagnostic::new(
-                            LintCode::RuntimeMul,
-                            Severity::Error,
-                            ctx,
-                            format!("multiplication is unsupported on `{}`", target.name),
-                        ));
-                    }
+            let Some(rule) = target.forbids(prim) else {
+                continue;
+            };
+            let (code, advice) = match rule {
+                TargetRule::RuntimeMul => {
+                    (LintCode::RuntimeMul, "; use the unrolled shift-add fragment")
                 }
-                Primitive::Shl { amount, .. } | Primitive::Shr { amount, .. }
-                    if is_runtime(amount) && !target.allow_dynamic_shift =>
-                {
-                    diags.push(Diagnostic::new(
-                        LintCode::DynamicShift,
-                        Severity::Error,
-                        ctx,
-                        format!(
-                            "shift by a runtime distance is unsupported on `{}`; shifters take the distance at configuration time",
-                            target.name
-                        ),
-                    ));
-                }
-                _ => {}
-            }
+                TargetRule::AnyMul => (LintCode::RuntimeMul, ""),
+                TargetRule::DynamicShift => (
+                    LintCode::DynamicShift,
+                    "; shifters take the distance at configuration time",
+                ),
+            };
+            diags.push(Diagnostic::new(
+                code,
+                Severity::Error,
+                format!("action `{}`, primitive #{i}", action.name),
+                format!("{} is unsupported on `{}`{advice}", rule.what(), target.name),
+            ));
         }
     }
 }
@@ -305,7 +279,7 @@ pub fn verify_against(p: &Pipeline, target: &TargetModel) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ActionDef;
+    use crate::action::{ActionDef, Operand, Primitive};
     use crate::control::Control;
     use crate::phv::fields;
     use crate::program::ProgramBuilder;

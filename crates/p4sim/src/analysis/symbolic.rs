@@ -42,7 +42,7 @@
 //! diagnostic (`S4L014`), never a silent cap.
 
 use crate::action::{Operand, Primitive};
-use crate::analysis::diag::{json_string, Diagnostic, LintCode, Severity};
+use crate::analysis::diag::{Diagnostic, LintCode, Severity};
 use crate::analysis::verify_against;
 use crate::control::{CmpOp, Control};
 use crate::error::P4Error;
@@ -52,6 +52,7 @@ use crate::runtime::{RuntimeRequest, RuntimeResponse};
 use crate::table::MatchValue;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use telemetry::json_string;
 
 // ---------------------------------------------------------------------
 // Expression domain

@@ -7,7 +7,7 @@
 //! bite: a program using runtime multiplication builds fine for bmv2 and
 //! is rejected for the Tofino-like target.
 
-use crate::action::{ActionDef, Operand, Primitive};
+use crate::action::{ActionDef, Operand};
 use crate::control::Control;
 use crate::error::{P4Error, P4Result};
 use crate::pipeline::{Pipeline, RegMerge, Register};
@@ -106,7 +106,12 @@ impl ProgramBuilder {
                         });
                     }
                 }
-                check_target(p, &target)?;
+                if let Some(rule) = target.forbids(p) {
+                    return Err(P4Error::UnsupportedOnTarget {
+                        what: rule.what(),
+                        target: target.name,
+                    });
+                }
             }
         }
         for t in self.control.tables() {
@@ -195,44 +200,10 @@ impl ProgramBuilder {
     }
 }
 
-fn is_runtime(o: &Operand) -> bool {
-    !matches!(o, Operand::Const(_))
-}
-
-fn check_target(p: &Primitive, target: &TargetModel) -> P4Result<()> {
-    match p {
-        Primitive::Mul { a, b, .. } => {
-            let runtime_operands = usize::from(is_runtime(a)) + usize::from(is_runtime(b));
-            if runtime_operands == 2 && !target.allow_runtime_mul {
-                return Err(P4Error::UnsupportedOnTarget {
-                    what: "multiplication of two runtime values",
-                    target: target.name,
-                });
-            }
-            if runtime_operands >= 1 && !target.allow_runtime_mul && !target.allow_const_mul {
-                return Err(P4Error::UnsupportedOnTarget {
-                    what: "multiplication",
-                    target: target.name,
-                });
-            }
-            Ok(())
-        }
-        Primitive::Shl { amount, .. } | Primitive::Shr { amount, .. } => {
-            if is_runtime(amount) && !target.allow_dynamic_shift {
-                return Err(P4Error::UnsupportedOnTarget {
-                    what: "shift by a runtime distance",
-                    target: target.name,
-                });
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Primitive;
     use crate::control::{CmpOp, Cond};
     use crate::phv::fields;
     use crate::table::MatchKind;

@@ -8,6 +8,7 @@
 //! a [`TargetModel`] at build time, so choosing the hardware preset
 //! forces the same design decisions the paper describes.
 
+use crate::action::{Operand, Primitive};
 use serde::{Deserialize, Serialize};
 
 /// Capabilities and costs of a deployment target.
@@ -98,6 +99,56 @@ impl TargetModel {
             registers_per_stage: 8,
             single_register_access: true,
             seu_headroom_bits: 0,
+        }
+    }
+}
+
+/// Which of a target's arithmetic rules a primitive breaks. The builder
+/// refuses such a program and the verifier lints it; both ask
+/// [`TargetModel::forbids`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TargetRule {
+    /// `Mul` of two runtime values without `allow_runtime_mul`.
+    RuntimeMul,
+    /// Any `Mul` with a runtime operand on a target that also lacks
+    /// `allow_const_mul`.
+    AnyMul,
+    /// `Shl` / `Shr` by a runtime distance without
+    /// `allow_dynamic_shift`.
+    DynamicShift,
+}
+
+impl TargetRule {
+    /// The forbidden operation, as error messages and lints name it.
+    pub(crate) const fn what(self) -> &'static str {
+        match self {
+            Self::RuntimeMul => "multiplication of two runtime values",
+            Self::AnyMul => "multiplication",
+            Self::DynamicShift => "shift by a runtime distance",
+        }
+    }
+}
+
+impl TargetModel {
+    /// The rule `p` breaks on this target, if any.
+    pub(crate) fn forbids(&self, p: &Primitive) -> Option<TargetRule> {
+        let runtime = |o: &Operand| !matches!(o, Operand::Const(_));
+        match p {
+            Primitive::Mul { a, b, .. } if !self.allow_runtime_mul => {
+                if runtime(a) && runtime(b) {
+                    Some(TargetRule::RuntimeMul)
+                } else if (runtime(a) || runtime(b)) && !self.allow_const_mul {
+                    Some(TargetRule::AnyMul)
+                } else {
+                    None
+                }
+            }
+            Primitive::Shl { amount, .. } | Primitive::Shr { amount, .. }
+                if runtime(amount) && !self.allow_dynamic_shift =>
+            {
+                Some(TargetRule::DynamicShift)
+            }
+            _ => None,
         }
     }
 }

@@ -240,8 +240,6 @@ pub struct Checkpoint {
     pub checkpoint_ordinal: u64,
     /// Shards the run was configured with.
     pub cfg_shards: usize,
-    /// Batch size the run was configured with.
-    pub cfg_batch: usize,
     /// Detector interval the run was configured with.
     pub cfg_interval_ns: u64,
     /// Frames in the schedule (resume sanity check).
@@ -295,7 +293,6 @@ json_struct!(Checkpoint {
     next_ordinal,
     checkpoint_ordinal,
     cfg_shards,
-    cfg_batch,
     cfg_interval_ns,
     schedule_packets,
     faults_spec,
@@ -619,7 +616,6 @@ mod tests {
             next_ordinal: 7,
             checkpoint_ordinal: 3,
             cfg_shards: 2,
-            cfg_batch: 256,
             cfg_interval_ns: 10_000_000,
             schedule_packets: 400,
             faults_spec: String::from("ctrl_loss=0.30"),
@@ -802,6 +798,21 @@ mod tests {
             assert_ne!(bad, good, "{path:?}: the tamper must hit");
             assert_eq!(parse(&framed(&bad)).unwrap_err(), want);
         }
+    }
+
+    #[test]
+    fn a_checkpoint_that_still_carries_cfg_batch_loads() {
+        // Files written before the batch knob was deleted have one
+        // member more; version 2 still reads them, to the same value.
+        let mut payload = sample_checkpoint().to_json();
+        let Json::Obj(members) = &mut payload else {
+            unreachable!("a checkpoint renders as an object")
+        };
+        let at = members.iter().position(|(k, _)| k == "cfg_shards").unwrap() + 1;
+        members.insert(at, (String::from("cfg_batch"), Json::Int(256)));
+        let text = framed(&payload);
+        assert!(text.contains("\"cfg_shards\":2,\"cfg_batch\":256,"), "{text}");
+        assert_eq!(parse(&text).unwrap(), sample_checkpoint());
     }
 
     #[test]

@@ -208,7 +208,6 @@ impl EpochCoordinator {
             next_ordinal: 0,
             checkpoint_ordinal: 0,
             cfg_shards: self.cfg.shards,
-            cfg_batch: self.cfg.batch,
             cfg_interval_ns: self.cfg.detector.interval_ns,
             schedule_packets: 0,
             faults_spec: String::new(),

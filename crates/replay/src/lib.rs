@@ -1,6 +1,6 @@
 //! # replay
 //!
-//! A batched, multi-threaded packet-replay engine that shards traffic
+//! A multi-threaded packet-replay engine that shards traffic
 //! across N worker pipelines — the software model of a multi-pipe
 //! switch running the paper's Stat4 programs, one pipeline per ingress
 //! pipe, with the control plane periodically folding per-pipe state
@@ -37,8 +37,8 @@
 //!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
 //!   kill, hot swaps) is [`lifecycle`]'s.
 //! - **Epochs** — time is cut into detector intervals; each epoch,
-//!   every surviving shard's slice of the interval is ingested in
-//!   batches, then everything joins at the coordinator's barrier.
+//!   every surviving shard's slice of the interval is ingested frame
+//!   by frame, then everything joins at the coordinator's barrier.
 //! - **Merge** — shard state folds into a global [`ShardState`] via
 //!   [`stat4_core::Mergeable`]: `RunningStats` / `FrequencyDist` /
 //!   `CountMinSketch` merge by summing (order-free, bit-identical to a
@@ -122,12 +122,10 @@ pub const MAX_LEN: i64 = 2047;
 pub const SRC_HLL_PRECISION: u32 = 10;
 
 /// Everything the trackers need from one frame, parsed in a single
-/// header pass. The worker hot path parses each frame **once** into a
-/// `FrameMeta`, batches the metas in a flat reusable buffer, and feeds
-/// the trackers from the batch ([`ShardState::ingest_meta`]) — the
-/// zero-copy replacement for the old per-tracker re-parse
-/// (`kind_of` + private dst/src key extractors walked the same headers
-/// three times per frame).
+/// header pass. The hot path ([`ShardState::ingest`]) parses each frame
+/// **once** into a `FrameMeta` and feeds every tracker from it
+/// ([`ShardState::ingest_meta`]): one header walk per frame, not one
+/// per tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameMeta {
     /// Packet kind cell ([`KIND_SYN`], [`KIND_TCP`], ...).
@@ -187,8 +185,6 @@ pub fn kind_of(frame: &[u8]) -> i64 {
 pub struct ReplayConfig {
     /// Number of worker shards (≥ 1).
     pub shards: usize,
-    /// Frames per batch inside a shard thread.
-    pub batch: usize,
     /// Detector configuration; `interval_ns` doubles as the epoch
     /// length.
     pub detector: SynFloodConfig,
@@ -202,7 +198,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         Self {
             shards: 1,
-            batch: 256,
             detector: SynFloodConfig::default(),
             ensemble: EnsembleConfig::default(),
         }
@@ -372,15 +367,15 @@ impl ShardState {
         }
     }
 
-    /// Ingests one frame (parse + observe; convenience over
-    /// [`Self::ingest_meta`]).
+    /// Ingests one frame: one header parse, then
+    /// [`Self::ingest_meta`]. Both replay engines feed a shard by this
+    /// call and no other.
     pub fn ingest(&mut self, frame: &[u8]) {
         self.ingest_meta(&parse_frame(frame));
     }
 
-    /// Ingests one already-parsed frame. The pool's hot path parses a
-    /// whole batch into [`FrameMeta`]s once and replays the
-    /// flat buffer through here, touching no frame bytes twice.
+    /// Ingests one already-parsed frame: every tracker update, no
+    /// frame bytes touched.
     pub fn ingest_meta(&mut self, m: &FrameMeta) {
         let _ = self.kinds.observe(m.kind);
         self.len_stats.push(m.len);
@@ -758,7 +753,7 @@ pub(crate) fn merge_surviving(
 ///
 /// Each detector interval is one *epoch*: the interval's frames are
 /// split by flow hash, every surviving shard ingests its slice on its
-/// own thread (in `cfg.batch`-sized batches), the threads join, shard
+/// own thread, the threads join, shard
 /// state is folded into a fresh merged view, and the detector consumes
 /// the merged aggregates. Per-shard state persists across epochs; only
 /// the merged view is rebuilt.
@@ -853,7 +848,7 @@ pub fn run_replay_lifecycle(
 ///
 /// - the plan has no checkpoint directory, or no checkpoint in it
 ///   validates;
-/// - the checkpoint disagrees with `cfg` (shards, batch, interval) or
+/// - the checkpoint disagrees with `cfg` (shards, interval) or
 ///   with the schedule's length;
 /// - the stored fault spec no longer parses;
 /// - the checkpoint carries data-plane register state but the plan
@@ -872,7 +867,7 @@ pub fn resume_from_checkpoint(
         .as_deref()
         .ok_or_else(|| String::from("resume requires a checkpoint directory in the plan"))?;
     // A checkpoint is input from disk. One taken by another run
-    // (other shard count, batch, interval or schedule) is the caller's
+    // (other shard count, interval or schedule) is the caller's
     // mistake and ends the resume; one of this run that the
     // coordinator cannot take back is a damaged file, and the scan
     // moves on to its predecessor.
@@ -893,11 +888,10 @@ pub fn resume_from_checkpoint(
 
 /// Whether checkpoint `c` was taken by a run of `schedule` under `cfg`.
 fn same_run(c: &Checkpoint, cfg: &ReplayConfig, schedule: &Schedule) -> Result<(), String> {
-    if c.cfg_shards != cfg.shards || c.cfg_batch != cfg.batch {
+    if c.cfg_shards != cfg.shards {
         return Err(format!(
-            "checkpoint was taken with shards={}, batch={}; run configured with shards={}, \
-             batch={}",
-            c.cfg_shards, c.cfg_batch, cfg.shards, cfg.batch
+            "checkpoint was taken with shards={}; run configured with shards={}",
+            c.cfg_shards, cfg.shards
         ));
     }
     if c.cfg_interval_ns != cfg.detector.interval_ns {
@@ -977,29 +971,6 @@ mod tests {
         );
         let at = out.detected_at.expect("flood must be detected");
         assert!(at >= 150_000_000, "no false positive: {at}");
-    }
-
-    #[test]
-    fn batch_size_does_not_change_outcome() {
-        let s = small_flood();
-        let a = run_replay(
-            &s,
-            &ReplayConfig {
-                shards: 4,
-                batch: 1,
-                ..ReplayConfig::default()
-            },
-        );
-        let b = run_replay(
-            &s,
-            &ReplayConfig {
-                shards: 4,
-                batch: 4096,
-                ..ReplayConfig::default()
-            },
-        );
-        assert_eq!(a.merged, b.merged);
-        assert_eq!(a.alerts, b.alerts);
     }
 
     #[test]

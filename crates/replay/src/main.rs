@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! replay [synflood|mix] [shards] [interval_ms]
-//!        [--shards N] [--interval-ms M] [--batch B]
+//!        [--shards N] [--interval-ms M]
 //!        [--faults SPEC] [--seed N]
 //!        [--metrics-out PATH] [--metrics-format prom|json]
 //!        [--trace-out PATH] [--snapshot-out PATH]
@@ -27,7 +27,10 @@
 //! `(spec, seed)` pair always replays bit-identically. `--faults @FILE`
 //! loads the spec from FILE instead: one entry (or comma-joined group)
 //! per line, `#` comments allowed, and a malformed line is rejected
-//! with its file, line number and reason.
+//! with its file, line number and reason. Either way a spec the
+//! replay engine cannot act on is refused: a shard fault aimed at a
+//! shard the run does not have, or a `netsim` / `p4sim` fault domain
+//! (`seu`, `table_miss`, `link_flap`, `ctrl_dup`, `ctrl_delay_ns`).
 //!
 //! Lifecycle flags: `--checkpoint-dir D --checkpoint-every N` writes a
 //! crash-consistent checkpoint into D every N epochs;
@@ -41,11 +44,10 @@
 //! rejects. `--lifecycle-out PATH` writes the lifecycle event report
 //! as JSON for `stat4-trace explain`.
 //!
-//! Zero is rejected for `--shards`, `--interval-ms` and `--batch` with
-//! a specific message: a zero interval would spin the epoch cutter on
-//! one timestamp forever and a zero batch would divide by zero in the
-//! dispatcher, so they fail loudly at the door instead. So does an
-//! interval whose nanosecond value does not fit a `u64`.
+//! Zero is rejected for `--shards` and `--interval-ms` with a specific
+//! message: a zero interval would spin the epoch cutter on one
+//! timestamp forever, so it fails loudly at the door instead. So does
+//! an interval whose nanosecond value does not fit a `u64`.
 
 use anomaly::synflood::SynFloodConfig;
 use anomaly::EnsembleConfig;
@@ -62,7 +64,7 @@ use workloads::{
 };
 
 const USAGE: &str = "usage: replay [synflood|mix|seasonal|scan|cardinality] [shards] [interval_ms]\n\
-     \x20             [--shards N] [--interval-ms M] [--batch B]\n\
+     \x20             [--shards N] [--interval-ms M]\n\
      \x20             [--faults SPEC|@FILE] [--seed N]\n\
      \x20             [--checkpoint-dir DIR] [--checkpoint-every N]\n\
      \x20             [--kill-at-epoch K] [--resume] [--swap-demo E]\n\
@@ -81,7 +83,6 @@ struct Options {
     workload: String,
     shards: usize,
     interval_ms: u64,
-    batch: usize,
     faults: Option<String>,
     seed: u64,
     checkpoint_dir: Option<String>,
@@ -102,7 +103,6 @@ impl Default for Options {
             workload: String::from("synflood"),
             shards: 4,
             interval_ms: 10,
-            batch: 256,
             faults: None,
             seed: 0,
             checkpoint_dir: None,
@@ -127,7 +127,7 @@ enum MetricsFormat {
 
 /// Parses the argument list, or explains what is wrong with it. Pure
 /// (no printing, no exiting) so the validation — notably the zero
-/// rejections for `--shards` / `--interval-ms` / `--batch` — is unit
+/// rejections for `--shards` / `--interval-ms` — is unit
 /// testable; `main` turns `Err` into the usage exit.
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -151,10 +151,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--interval-ms" => {
                 let v = flag_value("--interval-ms")?;
                 opts.interval_ms = parse_num("--interval-ms", &v)?;
-            }
-            "--batch" => {
-                let v = flag_value("--batch")?;
-                opts.batch = parse_num("--batch", &v)? as usize;
             }
             "--faults" => opts.faults = Some(flag_value("--faults")?),
             "--seed" => {
@@ -220,12 +216,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             u64::MAX / 1_000_000
         ));
     }
-    if opts.batch == 0 {
-        return Err(String::from(
-            "--batch 0 would divide by zero in the dispatcher; \
-             use a batch of at least 1 frame",
-        ));
-    }
     if opts.resume && opts.checkpoint_dir.is_none() {
         return Err(String::from(
             "--resume needs --checkpoint-dir to know where the checkpoints live",
@@ -275,6 +265,36 @@ fn faults_from_file(path: &str, text: &str) -> Result<String, String> {
         ));
     }
     Ok(entries.join(","))
+}
+
+/// Parses a `--faults` spec into the run's schedule, refusing the
+/// well-formed entries the replay engine would silently ignore: a
+/// shard fault aimed at a shard this run does not have, and the fault
+/// domains only `netsim` and `p4sim` consult. Pure, like
+/// [`faults_from_file`], whose joined output goes through here too.
+fn replay_faults(spec: &str, seed: u64, shards: usize) -> Result<FaultSchedule, String> {
+    let schedule = FaultSchedule::parse(spec, seed).map_err(|e| e.to_string())?;
+    for entry in spec.split(',').map(str::trim) {
+        let key = entry.split_once('=').map_or(entry, |(key, _)| key);
+        if matches!(
+            key,
+            "seu" | "table_miss" | "link_flap" | "ctrl_dup" | "ctrl_delay" | "ctrl_delay_ns"
+        ) {
+            return Err(format!(
+                "bad fault spec: `{entry}`: `{key}` is a netsim / p4sim fault domain; \
+                 replay consumes shard_*, ctrl_loss, ckpt_corrupt, reconfig_storm"
+            ));
+        }
+        let one = FaultSpec::parse(entry).map_err(|e| e.to_string())?;
+        if let Some(f) = one.shard_faults.iter().find(|f| f.shard >= shards) {
+            return Err(format!(
+                "bad fault spec: `{entry}`: no shard {} in a run of {shards} shard(s) \
+                 (shards are numbered from 0)",
+                f.shard
+            ));
+        }
+    }
+    Ok(schedule)
 }
 
 /// Builds the `--swap-demo` request pair: an equivalent recompile that
@@ -434,7 +454,6 @@ fn main() {
     let schedule = generate(&opts.workload);
     let cfg = ReplayConfig {
         shards: opts.shards,
-        batch: opts.batch,
         detector: SynFloodConfig {
             interval_ns: opts.interval_ms * 1_000_000,
             ..SynFloodConfig::default()
@@ -464,7 +483,7 @@ fn main() {
         other => other.clone(),
     };
     let faults = match &faults_spec {
-        Some(spec) => match FaultSchedule::parse(spec, opts.seed) {
+        Some(spec) => match replay_faults(spec, opts.seed, opts.shards) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("replay: {e}");
@@ -644,14 +663,13 @@ mod tests {
         assert_eq!(opts.interval_ms, 5);
 
         let opts = parse(&[
-            "--shards", "8", "--interval-ms", "20", "--batch", "64", "--faults",
-            "shard_crash=1@3", "--seed", "9", "--metrics-out", "m.json", "--metrics-format",
-            "prom", "--trace-out", "t.json", "--snapshot-out", "run.json",
+            "--shards", "8", "--interval-ms", "20", "--faults", "shard_crash=1@3", "--seed", "9",
+            "--metrics-out", "m.json", "--metrics-format", "prom", "--trace-out", "t.json",
+            "--snapshot-out", "run.json",
         ])
         .unwrap();
         assert_eq!(opts.shards, 8);
         assert_eq!(opts.interval_ms, 20);
-        assert_eq!(opts.batch, 64);
         assert_eq!(opts.faults.as_deref(), Some("shard_crash=1@3"));
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
@@ -700,12 +718,6 @@ mod tests {
         for args in [&["--interval-ms", &fits][..], &["synflood", "2", &fits]] {
             assert_eq!(parse(args).unwrap().interval_ms, largest);
         }
-    }
-
-    #[test]
-    fn zero_batch_rejected_with_specific_message() {
-        let err = parse(&["--batch", "0"]).unwrap_err();
-        assert!(err.contains("--batch 0"), "got: {err}");
     }
 
     #[test]
@@ -777,11 +789,12 @@ mod tests {
 
     #[test]
     fn fault_file_joins_valid_lines() {
-        let text = "# chaos suite\nshard_crash=1@3\n\nctrl_loss=0.30, ctrl_dup=0.10\n";
+        let text = "# chaos suite\nshard_crash=1@3\n\nctrl_loss=0.30, reconfig_storm=0.10\n";
         let spec = faults_from_file("suite.txt", text).unwrap();
-        assert_eq!(spec, "shard_crash=1@3,ctrl_loss=0.30,ctrl_dup=0.10");
-        // The joined form must itself parse as a schedule.
-        FaultSchedule::parse(&spec, 7).unwrap();
+        assert_eq!(spec, "shard_crash=1@3,ctrl_loss=0.30,reconfig_storm=0.10");
+        // The joined form must itself parse as a schedule the replay
+        // engine acts on in full.
+        replay_faults(&spec, 7, 2).unwrap();
     }
 
     #[test]
@@ -804,6 +817,59 @@ mod tests {
         let err = faults_from_file("suite.txt", "shard_crash=1@3,,ctrl_loss=0.1\n").unwrap_err();
         assert!(err.contains("suite.txt:1"), "got: {err}");
         assert!(err.contains("stray comma"), "got: {err}");
+    }
+
+    #[test]
+    fn fault_aimed_at_a_missing_shard_rejected() {
+        // Regression: `shard_crash=7@3` on four shards ran faultless
+        // and exited 0.
+        for (spec, entry) in [
+            ("shard_crash=7@3", "`shard_crash=7@3`"),
+            ("ctrl_loss=0.1, shard_stall=4@2:1ms", "`shard_stall=4@2:1ms`"),
+            ("shard_panic=4@0", "`shard_panic=4@0`"),
+        ] {
+            let err = replay_faults(spec, 0, 4).unwrap_err();
+            assert!(err.contains("4 shard(s)"), "names the shard count: {err}");
+            assert!(err.contains(entry), "names the entry: {err}");
+        }
+        // The same door for a file's joined lines.
+        let joined = faults_from_file("suite.txt", "ctrl_loss=0.30\nshard_crash=7@3\n").unwrap();
+        assert!(replay_faults(&joined, 0, 4).is_err());
+        replay_faults(&joined, 0, 8).unwrap();
+        replay_faults("shard_crash=3@3,shard_panic=0@1,shard_stall=2@4:250us", 0, 4).unwrap();
+    }
+
+    #[test]
+    fn foreign_fault_domains_rejected_by_name() {
+        // Regression: these parsed and did nothing (`FaultSchedule`
+        // answers them to `netsim` and `p4sim` only).
+        for (entry, key) in [
+            ("seu=r:0:1@5", "seu"),
+            ("table_miss=fwd@10..20", "table_miss"),
+            ("link_flap=@5ms..9ms", "link_flap"),
+            ("ctrl_dup=0.5", "ctrl_dup"),
+            ("ctrl_delay_ns=4ms", "ctrl_delay_ns"),
+            ("ctrl_delay=4ms", "ctrl_delay"),
+        ] {
+            let spec = format!("ctrl_loss=0.30,{entry}");
+            FaultSchedule::parse(&spec, 0).expect("the grammar knows the key");
+            let err = replay_faults(&spec, 0, 4).unwrap_err();
+            assert!(err.contains(&format!("`{entry}`")), "names the entry: {err}");
+            assert!(
+                err.contains(&format!("`{key}` is a netsim / p4sim fault domain")),
+                "names the domain: {err}"
+            );
+            assert!(err.contains("replay consumes shard_*, ctrl_loss"), "actionable: {err}");
+        }
+        // Every key the engine does consult passes.
+        replay_faults(
+            "shard_crash=1@3,shard_panic=0@9,shard_stall=2@4:1ms,ctrl_loss=0.30,\
+             ckpt_corrupt=1,reconfig_storm=0.5",
+            0,
+            4,
+        )
+        .unwrap();
+        assert!(replay_faults("", 0, 4).unwrap().is_empty());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! same epoch barriers as the Stat4 state itself.
 //!
 //! Each shard thread owns one [`ShardMetrics`] — plain counters and
-//! log-linear histograms, updated with per-batch granularity so the
-//! per-packet hot path stays allocation- and timing-free. Like
+//! log-linear histograms, updated once per epoch so the per-packet
+//! hot path stays allocation- and timing-free. Like
 //! [`crate::ShardState`], the sets implement
 //! [`stat4_core::Mergeable`]; the merged view
 //! ([`ReplayTelemetry::merged_shard`]) is a pure fold of the per-shard
@@ -26,10 +26,6 @@ pub struct ShardMetrics {
     pub packets: Counter,
     /// SYN frames ingested (folded in at each epoch barrier).
     pub syn_packets: Counter,
-    /// Batches processed.
-    pub batches: Counter,
-    /// Frames per batch.
-    pub batch_size: LogLinearHistogram,
     /// Nanoseconds spent ingesting (excludes barrier waits).
     pub ingest_ns: Counter,
     /// Nanoseconds spent idle at the epoch barrier waiting for the
@@ -40,10 +36,6 @@ pub struct ShardMetrics {
     /// an epoch the coordinator ingested inline, and empty on the
     /// reference engine, which has no queues).
     pub queue_wait_ns: LogLinearHistogram,
-    /// Epochs in flight in this shard's queue at each dispatch —
-    /// backpressure signal (pool engine, dispatched epochs only; empty
-    /// on the reference engine).
-    pub queue_depth: LogLinearHistogram,
 }
 
 impl Default for ShardMetrics {
@@ -59,12 +51,9 @@ impl ShardMetrics {
         Self {
             packets: Counter::new(),
             syn_packets: Counter::new(),
-            batches: Counter::new(),
-            batch_size: LogLinearHistogram::default(),
             ingest_ns: Counter::new(),
             barrier_wait_ns: LogLinearHistogram::default(),
             queue_wait_ns: LogLinearHistogram::default(),
-            queue_depth: LogLinearHistogram::default(),
         }
     }
 
@@ -87,12 +76,9 @@ impl Mergeable for ShardMetrics {
     fn merge_from(&mut self, other: &Self) -> Stat4Result<()> {
         self.packets.merge_from(&other.packets)?;
         self.syn_packets.merge_from(&other.syn_packets)?;
-        self.batches.merge_from(&other.batches)?;
-        self.batch_size.merge_from(&other.batch_size)?;
         self.ingest_ns.merge_from(&other.ingest_ns)?;
         self.barrier_wait_ns.merge_from(&other.barrier_wait_ns)?;
         self.queue_wait_ns.merge_from(&other.queue_wait_ns)?;
-        self.queue_depth.merge_from(&other.queue_depth)?;
         Ok(())
     }
 }
@@ -170,14 +156,6 @@ pub struct ReplayTelemetry {
     /// clamped to 0 for the detectors (previously swallowed by
     /// `unwrap_or`).
     pub syn_clamps: Counter,
-    /// Portion of each epoch's partition time that overlapped worker
-    /// ingest — the pool's pipelining win; a 0 sample for an epoch
-    /// ingested inline, and empty on the reference engine, which
-    /// partitions serially between barriers.
-    pub overlap_ns: LogLinearHistogram,
-    /// Bound of the per-shard dispatch queues (0 = unqueued reference
-    /// engine).
-    pub queue_capacity: u64,
     /// Crash-consistent checkpoints written at epoch drain points.
     pub checkpoints_written: Counter,
     /// Time serializing and durably writing each checkpoint, ns.
@@ -237,8 +215,6 @@ impl ReplayTelemetry {
             merge_rebuilds: Counter::new(),
             median_fallbacks: Counter::new(),
             syn_clamps: Counter::new(),
-            overlap_ns: LogLinearHistogram::default(),
-            queue_capacity: 0,
             checkpoints_written: Counter::new(),
             ckpt_write_ns: LogLinearHistogram::default(),
             ckpt_serialize_ns: LogLinearHistogram::default(),
@@ -295,12 +271,6 @@ impl ReplayTelemetry {
                 s.syn_packets.get(),
             );
             snap.push_counter(
-                "replay_shard_batches_total",
-                "batches processed per shard",
-                &labels,
-                s.batches.get(),
-            );
-            snap.push_counter(
                 "replay_shard_ingest_ns_total",
                 "busy ingest nanoseconds per shard",
                 &labels,
@@ -313,12 +283,6 @@ impl ReplayTelemetry {
                 s.ingest_pps() as i64,
             );
             snap.push_histogram(
-                "replay_shard_batch_size",
-                "frames per batch",
-                &labels,
-                &s.batch_size,
-            );
-            snap.push_histogram(
                 "replay_shard_barrier_wait_ns",
                 "idle time at the epoch barrier per shard",
                 &labels,
@@ -329,18 +293,6 @@ impl ReplayTelemetry {
                 "time dispatched epochs sat in the shard's queue",
                 &labels,
                 &s.queue_wait_ns,
-            );
-            snap.push_histogram(
-                "replay_shard_queue_depth",
-                "epochs in flight in the shard's queue at dispatch",
-                &labels,
-                &s.queue_depth,
-            );
-            snap.push_gauge(
-                "replay_shard_queue_depth_max",
-                "deepest the shard's dispatch queue got",
-                &labels,
-                i64::try_from(s.queue_depth.max().unwrap_or(0)).unwrap_or(i64::MAX),
             );
             if let Some(t) = self.shard_traces.get(i) {
                 snap.push_counter(
@@ -472,18 +424,6 @@ impl ReplayTelemetry {
             &[],
             self.syn_clamps.get(),
         );
-        snap.push_histogram(
-            "replay_overlap_ns",
-            "partition time overlapped with worker ingest per epoch",
-            &[],
-            &self.overlap_ns,
-        );
-        snap.push_gauge(
-            "replay_queue_capacity",
-            "bound of the per-shard dispatch queues (0 = unqueued engine)",
-            &[],
-            i64::try_from(self.queue_capacity).unwrap_or(i64::MAX),
-        );
         snap.push_counter(
             "replay_checkpoints_written_total",
             "crash-consistent checkpoints written at epoch drain points",
@@ -550,11 +490,11 @@ mod tests {
         let mut t = ReplayTelemetry::new(3);
         for (i, s) in t.shards.iter_mut().enumerate() {
             s.packets.add(10 * (i as u64 + 1));
-            s.batch_size.record(256);
+            s.queue_wait_ns.record(256);
         }
         let m = t.merged_shard();
         assert_eq!(m.packets.get(), 60);
-        assert_eq!(m.batch_size.count(), 3);
+        assert_eq!(m.queue_wait_ns.count(), 3);
     }
 
     #[test]
@@ -676,25 +616,18 @@ mod tests {
     fn pool_series_render_in_snapshot() {
         let mut t = ReplayTelemetry::new(2);
         t.shards[0].queue_wait_ns.record(900);
-        t.shards[0].queue_depth.record(1);
-        t.shards[1].queue_depth.record(2);
+        t.shards[1].queue_wait_ns.record(700);
         t.partition_ns.record(12_000);
-        t.overlap_ns.record(9_000);
-        t.queue_capacity = 2;
         let snap = t.snapshot();
         let text = telemetry::render_prometheus(&snap);
         for name in [
             "replay_shard_queue_wait_ns",
-            "replay_shard_queue_depth",
-            "replay_shard_queue_depth_max",
             "replay_partition_ns",
-            "replay_overlap_ns",
-            "replay_queue_capacity",
         ] {
             assert!(text.contains(name), "{name} missing from exposition");
         }
         telemetry::check_prometheus(&text).expect("valid exposition");
-        // The merged set folds the queue histograms too.
-        assert_eq!(t.merged_shard().queue_depth.count(), 2);
+        // The merged set folds the queue histogram too.
+        assert_eq!(t.merged_shard().queue_wait_ns.count(), 2);
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! - **Workers spawn once per run.** One OS thread per shard lives for
 //!   the whole replay inside a single `std::thread::scope`, fed
-//!   through a bounded [`sync_channel`] of capacity
-//!   [`QUEUE_CAPACITY`].
+//!   through a [`sync_channel`] of capacity 1: the coordinator collects
+//!   every reply of epoch *k* before it dispatches *k+1*, so a queue
+//!   never holds more than one epoch and a send never blocks.
 //! - **A hand-off has to pay for itself.** A large epoch is a message:
 //!   the pool *moves* each shard's [`ShardState`] out of its
 //!   coordinator slot, with its frame list, to the worker and puts it
@@ -68,12 +69,6 @@ use std::time::Instant;
 use telemetry::Tracer;
 use workloads::Schedule;
 
-/// Bound of each shard's dispatch queue: one epoch in flight plus the
-/// shutdown marker, so the coordinator never blocks on a send. Depth
-/// beyond 1 would let epoch k+1 start before k's merge — the detector
-/// is sequential, so the pipeline ends at the barrier by design.
-pub(crate) const QUEUE_CAPACITY: usize = 2;
-
 /// Scoped threads for the up-front flow-hash pass. Hashing is pure and
 /// order-preserving, so any thread count yields the same assignment
 /// (`assignments_parallel` falls back to serial for short schedules).
@@ -102,7 +97,7 @@ const PARTITION_THREADS: usize = 4;
 /// generator's 60–180-frame epochs, and it must stay far below the
 /// dense generator's 12 000, where the workers' parallel ingest is the
 /// point of the pool. Between ≈256 and a few thousand frames per epoch
-/// nothing in the benchmark decides it (ROADMAP item 4).
+/// nothing in the benchmark decides it (ROADMAP item 1).
 const INLINE_MAX_FRAMES: usize = 256;
 
 /// One epoch's work order for a shard: its state, its routed frame
@@ -112,22 +107,11 @@ struct EpochWork<'a> {
     fault: Option<ShardFaultKind>,
     state: ShardState,
     frames: Vec<&'a bytes::Bytes>,
-    batch: usize,
     /// Dispatch timestamp, for the queue-wait histogram.
     sent_at: Instant,
     /// The shard's span recorder, handed off with the state — threads
     /// never share a tracer. Dies with the worker on a panic.
     tracer: Tracer,
-}
-
-/// Coordinator → worker messages. The size skew between the variants
-/// is deliberate: an `EpochWork` lives in at most one channel slot per
-/// shard at a time (queue depth ≤ 1 by construction), so boxing it
-/// would add a per-epoch allocation to save nothing.
-#[allow(clippy::large_enum_variant)]
-enum Dispatch<'a> {
-    Epoch(EpochWork<'a>),
-    Shutdown,
 }
 
 /// The routing of the epoch about to run: one frame list per shard,
@@ -164,8 +148,8 @@ impl<'a> RoutedEpoch<'a> {
 }
 
 /// Worker → coordinator reply: the state and (cleared) frame buffer
-/// come home, plus the numbers [`record_ingest`] rebuilds the
-/// per-batch metrics from.
+/// come home, plus the numbers [`record_ingest`] folds into the
+/// shard's metrics.
 struct Reply<'a> {
     state: ShardState,
     frames: Vec<&'a bytes::Bytes>,
@@ -183,26 +167,19 @@ struct Ingested {
 
 /// One shard's share of one epoch, on whichever thread holds the state:
 /// a worker for a dispatched epoch, the coordinator for an inline one.
-/// Each batch's headers are parsed once into `metas` (the caller's, so
-/// it is allocated once per thread), then the trackers replay the metas
-/// without touching the frame bytes again. Returns the busy time, which
-/// is also the `ingest` span on the shard's `tracer`.
+/// Every frame goes through [`ShardState::ingest`], the call the
+/// reference engine makes too. Returns the busy time, which is also the
+/// `ingest` span on the shard's `tracer`.
 fn ingest_epoch(
     state: &mut ShardState,
     frames: &[&bytes::Bytes],
-    batch: usize,
-    metas: &mut Vec<crate::FrameMeta>,
     tracer: &mut Tracer,
     epoch_idx: u64,
 ) -> u64 {
     tracer.begin("ingest", epoch_idx);
     let busy = Instant::now();
-    for chunk in frames.chunks(batch) {
-        metas.clear();
-        metas.extend(chunk.iter().map(|f| crate::parse_frame(f)));
-        for m in metas.iter() {
-            state.ingest_meta(m);
-        }
+    for frame in frames {
+        state.ingest(frame);
     }
     let busy_ns = elapsed_ns(busy);
     tracer.end("ingest", epoch_idx);
@@ -210,14 +187,13 @@ fn ingest_epoch(
 }
 
 /// The persistent per-shard worker: block on the queue, run one epoch,
-/// reply, repeat until shutdown or coordinator disconnect. An injected
+/// reply, repeat until the coordinator drops its end. An injected
 /// panic fires before any ingest (same clean-epoch-boundary guarantee
 /// as the reference engine) and unwinds through this loop, dropping
 /// both channel ends — the reply-channel disconnect is how the
 /// supervisor notices.
-fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Reply<'a>>) {
-    let mut metas: Vec<crate::FrameMeta> = Vec::new();
-    while let Ok(Dispatch::Epoch(mut work)) = rx.recv() {
+fn worker_loop<'a>(shard: usize, rx: &Receiver<EpochWork<'a>>, tx: &SyncSender<Reply<'a>>) {
+    while let Ok(mut work) = rx.recv() {
         let queue_wait_ns = elapsed_ns(work.sent_at);
         let mut tracer = work.tracer;
         // The queue-wait span opens at the instant the coordinator
@@ -227,14 +203,7 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
         tracer.begin_at("queue_wait", work.epoch_idx, sent_ns);
         tracer.end("queue_wait", work.epoch_idx);
         fire_on_worker(work.fault, shard, work.epoch_idx);
-        let busy_ns = ingest_epoch(
-            &mut work.state,
-            &work.frames,
-            work.batch,
-            &mut metas,
-            &mut tracer,
-            work.epoch_idx,
-        );
+        let busy_ns = ingest_epoch(&mut work.state, &work.frames, &mut tracer, work.epoch_idx);
         let frames = work.frames.len() as u64;
         work.frames.clear();
         let reply = Reply {
@@ -253,21 +222,10 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<Dispatch<'a>>, tx: &SyncSender<Re
     }
 }
 
-/// Folds one shard's epoch into its metric set. The reference engine
-/// records per chunk on the shard thread; the pool reconstructs the
-/// same records from the counts: `full` whole batches plus one
-/// remainder batch is exactly what `chunks(batch)` yields, and
-/// `record_n` is bit-identical to repeated `record`s.
-fn record_ingest(m: &mut ShardMetrics, r: &Ingested, batch: u64, epoch_wall: u64) {
-    let full = r.frames / batch;
-    let rem = r.frames % batch;
+/// Folds one shard's epoch into its metric set.
+fn record_ingest(m: &mut ShardMetrics, r: &Ingested, epoch_wall: u64) {
     m.packets.add(r.frames);
-    m.batches.add(full + u64::from(rem > 0));
     m.ingest_ns.add(r.busy_ns);
-    m.batch_size.record_n(batch, full);
-    if rem > 0 {
-        m.batch_size.record(rem);
-    }
     if let Some(waited) = r.queue_wait_ns {
         m.queue_wait_ns.record(waited);
     }
@@ -287,8 +245,6 @@ pub(crate) fn run(
     mut life: RunLifecycle<'_>,
 ) -> (ReplayOutcome, LifecycleReport) {
     let shards = coord.cfg.shards;
-    let batch = coord.cfg.batch.max(1);
-    coord.telemetry.queue_capacity = QUEUE_CAPACITY as u64;
     let started = Instant::now();
 
     if !schedule.is_empty() {
@@ -305,20 +261,20 @@ pub(crate) fn run(
         let trace_origin = coord.telemetry.trace.origin();
 
         std::thread::scope(|scope| {
-            let mut to_worker: Vec<SyncSender<Dispatch<'_>>> = Vec::with_capacity(shards);
+            let mut to_worker: Vec<SyncSender<EpochWork<'_>>> = Vec::with_capacity(shards);
             let mut from_worker: Vec<Receiver<Reply<'_>>> = Vec::with_capacity(shards);
             let mut handles = Vec::with_capacity(shards);
             for s in 0..shards {
-                let (tx_d, rx_d) = sync_channel::<Dispatch<'_>>(QUEUE_CAPACITY);
-                let (tx_r, rx_r) = sync_channel::<Reply<'_>>(QUEUE_CAPACITY);
+                let (tx_d, rx_d) = sync_channel::<EpochWork<'_>>(1);
+                let (tx_r, rx_r) = sync_channel::<Reply<'_>>(1);
                 to_worker.push(tx_d);
                 from_worker.push(rx_r);
                 handles.push(Some(scope.spawn(move || worker_loop(s, &rx_d, &tx_r))));
             }
 
             // Everything below lives for the run and is reused every
-            // epoch: this epoch's frame lists and the next one's, the
-            // per-shard results, the coordinator's parse buffer.
+            // epoch: this epoch's frame lists and the next one's, and
+            // the per-shard results.
             let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); shards];
             let mut next = RoutedEpoch {
                 work: vec![Vec::new(); shards],
@@ -326,8 +282,6 @@ pub(crate) fn run(
                 assumed_alive: Vec::with_capacity(shards),
             };
             let mut results: Vec<(usize, Result<Ingested, String>)> = Vec::with_capacity(shards);
-            let mut metas: Vec<crate::FrameMeta> = Vec::new();
-            let mut in_flight: Vec<u64> = vec![0; shards];
 
             for (k, (epoch_idx, range)) in ranges.iter().enumerate().skip(life.start_ordinal) {
                 let epoch_idx = *epoch_idx;
@@ -375,8 +329,6 @@ pub(crate) fn run(
                         let busy_ns = ingest_epoch(
                             coord.states[s].as_mut().expect("alive shard holds its state"),
                             &work[s],
-                            batch,
-                            &mut metas,
                             &mut coord.telemetry.shard_traces[s],
                             epoch_idx,
                         );
@@ -388,23 +340,20 @@ pub(crate) fn run(
                         work[s].clear();
                         results.push((s, Ok(ingested)));
                     } else {
-                        let msg = Dispatch::Epoch(EpochWork {
+                        let msg = EpochWork {
                             epoch_idx,
                             fault: open.faults[s],
                             state: coord.states[s].take().expect("alive shard holds its state"),
                             frames: std::mem::take(&mut work[s]),
-                            batch,
                             sent_at: Instant::now(),
                             tracer: std::mem::replace(
                                 &mut coord.telemetry.shard_traces[s],
                                 Tracer::for_shard(0, s as u32, trace_origin),
                             ),
-                        });
+                        };
                         to_worker[s]
                             .send(msg)
                             .expect("dispatch to a live worker cannot fail");
-                        in_flight[s] += 1;
-                        coord.telemetry.shards[s].queue_depth.record(in_flight[s]);
                     }
                 }
 
@@ -412,7 +361,6 @@ pub(crate) fn run(
                 // the workers ingest interval k, against the alive map
                 // predicted after k (current minus injected panics at
                 // k: deterministic, so only organic failures miss).
-                let mut spec_route_ns = None;
                 if let Some((_, next_range)) = ranges.get(k + 1) {
                     next.assumed_alive.clone_from(&coord.alive);
                     for (s, fault) in open.faults.iter().enumerate() {
@@ -422,9 +370,7 @@ pub(crate) fn run(
                     }
                     let t0 = Instant::now();
                     next.route(schedule, &homes, next_range.clone());
-                    let dur = elapsed_ns(t0);
-                    coord.telemetry.partition_ns.record(dur);
-                    spec_route_ns = Some(dur);
+                    coord.telemetry.partition_ns.record(elapsed_ns(t0));
                 }
 
                 // (E) Collect what was dispatched, in shard order. A
@@ -438,7 +384,6 @@ pub(crate) fn run(
                         if !coord.alive[s] {
                             continue;
                         }
-                        in_flight[s] -= 1;
                         match from_worker[s].recv() {
                             Ok(reply) => {
                                 coord.states[s] = Some(reply.state);
@@ -462,33 +407,20 @@ pub(crate) fn run(
                 coord.telemetry.trace.end("ingest", epoch_idx);
                 for (s, r) in results.drain(..) {
                     match r {
-                        Ok(r) => {
-                            let m = &mut coord.telemetry.shards[s];
-                            record_ingest(m, &r, batch as u64, epoch_wall);
-                        }
+                        Ok(r) => record_ingest(&mut coord.telemetry.shards[s], &r, epoch_wall),
                         Err(msg) => coord.quarantine(&mut open, s, IncidentKind::Panicked(msg)),
                     }
                 }
 
                 // (F) The barrier: merge, detect, wash.
                 coord.close_epoch(open, faults, epoch_started);
-                if let Some(dur) = spec_route_ns {
-                    // The k+1 routing ran inside k's ingest window, if
-                    // workers were ingesting; anything beyond the wall
-                    // was coordinator-bound.
-                    let overlapped = if inline { 0 } else { dur.min(epoch_wall) };
-                    coord.telemetry.overlap_ns.record(overlapped);
-                }
             }
 
-            // Teardown: wake every worker with a shutdown marker (dead
-            // workers' queues are disconnected, ignore), then join.
-            // Panicked workers were joined at quarantine time, so every
-            // remaining join is a clean exit and the scope ends with no
-            // unjoined threads to re-panic on.
-            for tx in &to_worker {
-                let _ = tx.send(Dispatch::Shutdown);
-            }
+            // Teardown: dropping the dispatch ends wakes every worker
+            // out of its `recv`, then join. Panicked workers were
+            // joined at quarantine time, so every remaining join is a
+            // clean exit and the scope ends with no unjoined threads to
+            // re-panic on.
             drop(to_worker);
             for h in &mut handles {
                 if let Some(h) = h.take() {

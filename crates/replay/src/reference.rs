@@ -43,7 +43,6 @@ pub fn run_replay_with_faults(
     faults: &FaultSchedule,
 ) -> ReplayOutcome {
     let mut coord = EpochCoordinator::fresh(cfg);
-    let batch = cfg.batch.max(1);
     let started = Instant::now();
 
     for (epoch_idx, range) in coord.epoch_ranges(schedule) {
@@ -68,7 +67,7 @@ pub fn run_replay_with_faults(
 
         // One thread per surviving shard; the scope end is the epoch
         // barrier. Each thread updates its own ShardMetrics
-        // (single-owner, no atomics) at batch granularity and reports
+        // (single-owner, no atomics) once per epoch and reports
         // its busy time so barrier idle time can be attributed after
         // the join. A failed join quarantines the shard instead of
         // propagating the panic; its state stays where it was, dead.
@@ -92,15 +91,11 @@ pub fn run_replay_with_faults(
                     fire_on_worker(fault, s, epoch_idx);
                     tracer.begin("ingest", epoch_idx);
                     let busy = Instant::now();
-                    for chunk in list.chunks(batch) {
-                        for frame in chunk {
-                            state.ingest(frame);
-                        }
-                        m.packets.add(chunk.len() as u64);
-                        m.batches.inc();
-                        m.batch_size.record(chunk.len() as u64);
+                    for frame in list {
+                        state.ingest(frame);
                     }
                     let ns = elapsed_ns(busy);
+                    m.packets.add(list.len() as u64);
                     m.ingest_ns.add(ns);
                     tracer.end("ingest", epoch_idx);
                     ns

@@ -78,23 +78,17 @@ fn prometheus_exposition_passes_the_checker() {
             "replay_merge_ns",
             "replay_merge_rebuilds_total",
             "replay_merge_skipped_registers_total",
-            "replay_overlap_ns",
             "replay_packets_lost_total",
             "replay_packets_rerouted_total",
             "replay_packets_total",
             "replay_partition_ns",
             "replay_prepartition_ns_total",
-            "replay_queue_capacity",
             "replay_recover_ns",
             "replay_reports_dropped_total",
             "replay_shard_barrier_wait_ns",
-            "replay_shard_batch_size",
-            "replay_shard_batches_total",
             "replay_shard_ingest_ns_total",
             "replay_shard_ingest_pps",
             "replay_shard_packets_total",
-            "replay_shard_queue_depth",
-            "replay_shard_queue_depth_max",
             "replay_shard_queue_wait_ns",
             "replay_shard_syn_packets_total",
             "replay_shard_trace_dropped_total",

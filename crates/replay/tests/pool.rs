@@ -6,9 +6,8 @@
 //! "Bit-identical" is literal: merged tracker state compares with
 //! `==`, alert sequences and quarantine incidents (including captured
 //! panic-message strings) compare with `==`, and the deterministic
-//! telemetry counters — per-shard packet/SYN/batch counters and the
-//! batch-size histogram, which the pool reconstructs from counts
-//! rather than recording per chunk — must match field for field.
+//! telemetry counters (per-shard packet and SYN counts) must match
+//! field for field.
 //! Wall-clock fields (ingest/barrier/epoch timings, elapsed) are the
 //! only permitted difference.
 //!
@@ -71,8 +70,7 @@ fn assert_outcomes_identical(pool: &ReplayOutcome, refr: &ReplayOutcome, ctx: &s
         "{ctx}: alert provenance (signals, lineage, drilldown transactions)"
     );
 
-    // Deterministic telemetry: per-shard counters and the batch-size
-    // histogram must be bit-identical (the histogram type derives Eq).
+    // Deterministic telemetry: per-shard counters must be identical.
     assert_eq!(
         pool.telemetry.shards.len(),
         refr.telemetry.shards.len(),
@@ -87,8 +85,6 @@ fn assert_outcomes_identical(pool: &ReplayOutcome, refr: &ReplayOutcome, ctx: &s
     {
         assert_eq!(p.packets, r.packets, "{ctx}: shard {s} packets");
         assert_eq!(p.syn_packets, r.syn_packets, "{ctx}: shard {s} syn_packets");
-        assert_eq!(p.batches, r.batches, "{ctx}: shard {s} batches");
-        assert_eq!(p.batch_size, r.batch_size, "{ctx}: shard {s} batch_size histogram");
         assert_eq!(
             p.barrier_wait_ns.count(),
             r.barrier_wait_ns.count(),
@@ -180,46 +176,28 @@ fn ensemble_report_is_identical_across_shard_counts() {
     }
 }
 
-#[test]
-fn pool_matches_reference_across_batch_sizes() {
-    let s = small_flood();
-    for batch in [1usize, 7, 256, 4096] {
-        let cfg = ReplayConfig {
-            shards: 4,
-            batch,
-            ..ReplayConfig::default()
-        };
-        let pool = run_replay(&s, &cfg);
-        let refr = reference::run_replay(&s, &cfg);
-        assert_outcomes_identical(&pool, &refr, &format!("batch {batch}"));
-    }
-}
-
 /// One run, both paths: the quiet stretch is ingested inline and the
 /// burst is dispatched, and the outcome is the reference engine's at
-/// every shard count and batch size.
+/// every shard count.
 #[test]
 fn pool_matches_reference_when_epochs_straddle_the_inline_bound() {
     let s = straddling_flood();
     for shards in [1usize, 2, 4, 8] {
-        for batch in [1usize, 7, 64] {
-            let cfg = ReplayConfig {
-                shards,
-                batch,
-                ..ReplayConfig::default()
-            };
-            let ctx = format!("{shards} shards, batch {batch}");
-            let pool = run_replay(&s, &cfg);
-            let refr = reference::run_replay(&s, &cfg);
-            assert_outcomes_identical(&pool, &refr, &ctx);
-            let inline = pool.telemetry.epochs_inline.get();
-            assert!(
-                0 < inline && inline < pool.epochs,
-                "{ctx}: {inline} of {} epochs inline, wanted both paths taken",
-                pool.epochs
-            );
-            assert_eq!(refr.telemetry.epochs_inline.get(), 0, "{ctx}: reference");
-        }
+        let cfg = ReplayConfig {
+            shards,
+            ..ReplayConfig::default()
+        };
+        let ctx = format!("{shards} shards");
+        let pool = run_replay(&s, &cfg);
+        let refr = reference::run_replay(&s, &cfg);
+        assert_outcomes_identical(&pool, &refr, &ctx);
+        let inline = pool.telemetry.epochs_inline.get();
+        assert!(
+            0 < inline && inline < pool.epochs,
+            "{ctx}: {inline} of {} epochs inline, wanted both paths taken",
+            pool.epochs
+        );
+        assert_eq!(refr.telemetry.epochs_inline.get(), 0, "{ctx}: reference");
     }
 }
 
@@ -263,9 +241,12 @@ fn faults_on_short_epochs_fire_on_a_worker() {
         .telemetry
         .shards
         .iter()
-        .map(|m| m.queue_depth.count())
+        .map(|m| m.queue_wait_ns.count())
         .collect();
-    assert_eq!(dispatches, [2, 2, 1, 2], "shard 2 was dead by the second");
+    // A queue wait is recorded from the worker's reply. Shard 2 was
+    // dispatched epoch 4 and panicked before replying, so that dispatch
+    // left no record, and it was dead by epoch 7.
+    assert_eq!(dispatches, [2, 2, 0, 2]);
 }
 
 /// A crash is the coordinator's (the shard is quarantined as the epoch
@@ -358,21 +339,13 @@ fn pool_reports_queue_and_pipeline_telemetry() {
     };
     let out = run_replay(&s, &cfg);
     let t = &out.telemetry;
-    assert_eq!(t.queue_capacity, 2, "double-buffered dispatch queues");
     let inline = t.epochs_inline.get();
     for (s_idx, m) in t.shards.iter().enumerate() {
         assert_eq!(
-            m.queue_depth.count() + inline,
-            out.epochs,
-            "shard {s_idx}: one dispatch per epoch that was not ingested inline"
-        );
-        assert_eq!(
             m.queue_wait_ns.count() + inline,
             out.epochs,
-            "shard {s_idx}: one dequeue per dispatched epoch"
+            "shard {s_idx}: one dequeue per epoch that was not ingested inline"
         );
-        // Collect-before-dispatch keeps at most one epoch in flight.
-        assert_eq!(m.queue_depth.max(), Some(1), "shard {s_idx}: queue depth");
     }
     // Partition work: one initial route plus one speculative route per
     // remaining epoch (faultless runs never mispredict) — exactly one
@@ -380,15 +353,11 @@ fn pool_reports_queue_and_pipeline_telemetry() {
     // warm-up counter, not the per-epoch histogram.
     assert_eq!(t.partition_ns.count(), out.epochs);
     assert!(t.prepartition_ns.get() > 0, "warm-up hash pass recorded");
-    // Every epoch except the last overlapped the next epoch's routing.
-    assert_eq!(t.overlap_ns.count(), out.epochs - 1);
 
     // The reference engine reports none of this.
     let refr = reference::run_replay(&s, &cfg);
-    assert_eq!(refr.telemetry.queue_capacity, 0);
-    assert_eq!(refr.telemetry.merged_shard().queue_depth.count(), 0);
+    assert_eq!(refr.telemetry.merged_shard().queue_wait_ns.count(), 0);
     assert_eq!(refr.telemetry.partition_ns.count(), 0);
-    assert_eq!(refr.telemetry.overlap_ns.count(), 0);
 }
 
 /// The point of the pool: on a many-epoch workload, not paying the
@@ -499,12 +468,12 @@ fn sample_counts_are_identities_under_faults() {
     assert!(0 < inline && inline < pool.epochs, "both ingest paths ran");
     for (shard, m) in t.shards.iter().enumerate() {
         if shard == 1 {
-            assert_eq!(m.queue_depth.count(), 0, "crashed before the first dispatched epoch");
+            assert_eq!(m.queue_wait_ns.count(), 0, "crashed before the first dispatched epoch");
         } else {
             assert_eq!(
-                m.queue_depth.count() + inline,
+                m.queue_wait_ns.count() + inline,
                 pool.epochs,
-                "shard {shard}: one dispatch per epoch that was not ingested inline"
+                "shard {shard}: one dequeue per epoch that was not ingested inline"
             );
         }
     }

@@ -61,17 +61,9 @@ impl LogLinearHistogram {
 
     /// Records one sample. Allocation-free.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[log_linear_bucket(v, self.mantissa_bits)] += n;
-        self.count += n;
-        self.sum += u128::from(v) * u128::from(n);
+        self.buckets[log_linear_bucket(v, self.mantissa_bits)] += 1;
+        self.count += 1;
+        self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
