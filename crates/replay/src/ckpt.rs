@@ -12,7 +12,9 @@
 //! same directory, fsynced, then atomically renamed into place (and the
 //! directory fsynced, best effort). A crash mid-write therefore leaves
 //! either the previous checkpoint set intact or a stray temp file the
-//! loader ignores — never a half-written `ckpt-*.json`. The
+//! loader ignores — never a half-written `ckpt-*.json`. A write that
+//! fails without a crash (a full disk, a rename refused) removes its
+//! temp file before it reports the error. The
 //! `ckpt_corrupt` fault domain injects torn writes / bit rot *after*
 //! the checksum is computed, so the loader's validation path is
 //! testable.
@@ -45,12 +47,17 @@
 //! are the run's output and grow with alerts raised, and `incidents`,
 //! which grows with shards lost.
 //!
-//! **The checksum covers the payload bytes as written.** [`serialize`]
-//! renders the payload once, hashes those bytes and splices them after
-//! the header; [`parse`] hashes the byte span the `payload` member
-//! occupies in the file before it interprets any field. Neither side
-//! renders a second time, and a reader never trusts its own renderer
-//! to reproduce what a writer wrote.
+//! **The checksum covers the payload bytes as written, where they are
+//! written.** [`serialize`] fills one buffer in one pass: the header
+//! with a placeholder for the checksum, then the payload streamed
+//! behind it by `ToJson::write_json` (no `Json` node per cell; only
+//! the `ensemble` and `drill` members, which arrive as trees, are
+//! walked as trees), then the hash of the payload's span of that
+//! buffer patched over the placeholder. [`parse`] hashes the byte span
+//! the `payload` member occupies in the file before it interprets any
+//! field. Nothing is rendered twice or copied behind a header, and a
+//! reader never trusts its own renderer to reproduce what a writer
+//! wrote.
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
@@ -64,7 +71,7 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::{field, obj, render, At, FromJson, ToJson};
+use telemetry::json::{field, obj, At, FromJson, ToJson};
 use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
@@ -371,16 +378,21 @@ impl FromJson for ShardIncident {
 // ---- document ------------------------------------------------------
 
 /// Serializes a checkpoint into its on-disk document: magic, version,
-/// checksum, then the payload. The payload is rendered once; the
-/// checksum is taken over those bytes and they are spliced in as
-/// written.
+/// checksum, then the payload. One buffer, written once: the header
+/// goes in with sixteen zeros where the checksum belongs, the payload
+/// is streamed behind it, and the checksum of those bytes, taken where
+/// they lie, is written over the zeros.
 #[must_use]
 pub fn serialize(c: &Checkpoint) -> String {
-    let body = render(&c.to_json());
-    let sum = fnv1a64(body.as_bytes());
-    format!(
-        "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"checksum\":\"{sum:016x}\",\"payload\":{body}}}"
-    )
+    let mut out = format!("{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"checksum\":\"");
+    let sum_at = out.len();
+    out.push_str("0000000000000000\",\"payload\":");
+    let payload_at = out.len();
+    c.write_json(&mut out);
+    let sum = fnv1a64(&out.as_bytes()[payload_at..]);
+    out.replace_range(sum_at..sum_at + 16, &format!("{sum:016x}"));
+    out.push('}');
+    out
 }
 
 /// Parses a checkpoint document, validating magic, version and
@@ -483,21 +495,29 @@ pub fn write_serialized(
     }
     let final_path = dir.join(file_name(ordinal));
     let tmp_path = dir.join(format!(".tmp-{}", file_name(ordinal)));
-    {
+    let place = || {
         let mut f = std::fs::File::create(&tmp_path)
             .map_err(|e| format!("cannot create {}: {e}", tmp_path.display()))?;
         f.write_all(&bytes)
             .map_err(|e| format!("cannot write {}: {e}", tmp_path.display()))?;
         f.sync_all()
             .map_err(|e| format!("cannot fsync {}: {e}", tmp_path.display()))?;
+        drop(f);
+        std::fs::rename(&tmp_path, &final_path).map_err(|e| {
+            format!(
+                "cannot rename {} to {}: {e}",
+                tmp_path.display(),
+                final_path.display()
+            )
+        })
+    };
+    if let Err(e) = place() {
+        // A disk that is full must not gain one partial file per
+        // attempt. Best effort: what is reported is what stopped the
+        // write.
+        let _ = std::fs::remove_file(&tmp_path);
+        return Err(e);
     }
-    std::fs::rename(&tmp_path, &final_path).map_err(|e| {
-        format!(
-            "cannot rename {} to {}: {e}",
-            tmp_path.display(),
-            final_path.display()
-        )
-    })?;
     // Durability of the rename itself; failure here degrades the
     // guarantee, never correctness, so it is best effort.
     if let Ok(d) = std::fs::File::open(dir) {
@@ -572,6 +592,7 @@ mod tests {
     use super::*;
     use anomaly::{Alert, TriggerCause};
     use std::fmt::Debug;
+    use telemetry::json::render;
 
     fn sample_state() -> ShardState {
         let cfg = ReplayConfig::default();
@@ -660,6 +681,9 @@ mod tests {
     /// rendering, and renders to the same bytes again.
     fn round_trips<T: ToJson + FromJson + PartialEq + Debug>(x: &T) {
         let text = render(&x.to_json());
+        let mut streamed = String::new();
+        x.write_json(&mut streamed);
+        assert_eq!(streamed, text, "write_json and the rendered tree are the same bytes");
         let tree = Json::parse(&text).expect("own rendering parses");
         let back = T::from_json(&tree, At::Root("$")).expect("own form reads back");
         assert_eq!(&back, x);
@@ -926,6 +950,25 @@ mod tests {
         assert_eq!(ensemble.export_state(), good.ensemble);
         assert_eq!(rejected.len(), 2);
         assert!(rejected[1].contains("ckpt-000004") && rejected[1].contains("drilldown"), "{rejected:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_names_the_path_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("stat4-ckpt-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where checkpoint 0 belongs: the temp file is
+        // written and synced, then the rename over it is refused.
+        std::fs::create_dir_all(dir.join(file_name(0))).unwrap();
+        let mut c = sample_checkpoint();
+        c.checkpoint_ordinal = 0;
+        let err = write_checkpoint(&dir, &c, &FaultSchedule::none()).unwrap_err();
+        assert!(err.contains("cannot rename") && err.contains("ckpt-000000.json"), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(left, vec![file_name(0)], "only the obstacle remains");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,7 +43,7 @@ use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOpt
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use telemetry::json::{render, At, FromJson, ToJson};
+use telemetry::json::{At, FromJson, ToJson};
 use telemetry::{json_struct, Json};
 use workloads::Schedule;
 
@@ -378,9 +378,9 @@ impl<'p> RunLifecycle<'p> {
             }
             Err(e) => self.report.push(k64, "checkpoint_error", e),
         }
-        // One sample each per checkpoint: the codec's share (export +
-        // render) apart from the total, which the two fsyncs dominate
-        // on a slow disk.
+        // One sample each per checkpoint: the codec's share (export,
+        // write, checksum) apart from the total, which the two fsyncs
+        // dominate on a slow disk.
         coord.telemetry.ckpt_serialize_ns.record(serialize_ns);
         coord.telemetry.ckpt_bytes.record(bytes);
         coord.telemetry.ckpt_write_ns.record(write_ns);
@@ -519,7 +519,9 @@ impl LifecycleReport {
     /// format, consumed by `stat4-trace explain`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        render(&ToJson::to_json(self))
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// Parses a document produced by [`Self::to_json`].

@@ -16,7 +16,7 @@ use crate::provenance::{AlertProvenanceRecord, IncidentRef};
 use crate::ReplayOutcome;
 use anomaly::synflood::KIND_SYN;
 pub use anomaly::{AlertSnap, FiredSnap};
-use telemetry::json::{render, At, FromJson, ToJson};
+use telemetry::json::{At, FromJson, ToJson};
 use telemetry::{json_struct, Json};
 
 /// [`crate::ReplayHealth`] with incidents rendered as [`IncidentRef`]s.
@@ -175,7 +175,9 @@ pub fn render_outcome_json(out: &ReplayOutcome) -> String {
 /// Renders an already-captured snapshot.
 #[must_use]
 pub fn render_snapshot_json(s: &RunSnapshot) -> String {
-    render(&s.to_json())
+    let mut out = String::new();
+    s.write_json(&mut out);
+    out
 }
 
 /// Parses a document written by [`render_outcome_json`] back into the

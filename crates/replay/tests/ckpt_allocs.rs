@@ -1,0 +1,95 @@
+//! What `ckpt::serialize` allocates: the buffer, not the cells.
+//!
+//! A checkpoint is streamed into one `String`. Serializing the newest
+//! checkpoint of a short killed run on two shards (38 928 cells,
+//! 83 337 bytes) makes 20 allocations: the header, the 11 doublings
+//! that take the buffer from its 53 bytes to 106 kB, the checksum's
+//! sixteen digits, and 7 for the one `ShardIncident`, whose
+//! hand-written `to_json` is written through the tree it builds (four
+//! keys, the kind, two lists). On four shards there are twice the cells
+//! in 161 979 bytes and the count is 21: one more doubling. While
+//! `serialize` built the `Json` tree and rendered it, the same two
+//! calls made 446 and 517: a `String` per key and a list per array,
+//! the lists 32 bytes a cell.
+//!
+//! The counting allocator is `counting/mod.rs`, shared with
+//! `pool_allocs.rs`.
+
+mod counting;
+
+use counting::count;
+use faultinject::FaultSchedule;
+use replay::ckpt::{self, Checkpoint};
+use replay::{run_replay_lifecycle, LifecyclePlan, ReplayConfig};
+use workloads::SynFloodWorkload;
+
+/// The newest checkpoint of the run `engine_golden` records
+/// `checkpoint.json` from (`replay synflood --faults
+/// shard_crash=1@3,ctrl_loss=0.30 --seed 42 --checkpoint-every 2
+/// --kill-at-epoch 5`), on `shards` shards.
+fn newest_checkpoint(shards: usize) -> Checkpoint {
+    let spec = "shard_crash=1@3,ctrl_loss=0.30";
+    let (schedule, _) = SynFloodWorkload {
+        background_cps: 500,
+        flood_pps: 50_000,
+        flood_start: 400_000_000,
+        duration: 900_000_000,
+        seed: 4,
+        ..SynFloodWorkload::default()
+    }
+    .generate();
+    let cfg = ReplayConfig {
+        shards,
+        ..ReplayConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("replay-ckpt-allocs-{}-{shards}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        kill_at_epoch: Some(5),
+        faults_spec: String::from(spec),
+        ..LifecyclePlan::none()
+    };
+    let faults = FaultSchedule::parse(spec, 42).unwrap();
+    let (_, report) = run_replay_lifecycle(&schedule, &cfg, &faults, &plan);
+    assert_eq!(report.checkpoints_written, 2);
+    let (newest, rejected) = ckpt::load_latest(&dir).expect("the killed run left checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(rejected.is_empty(), "{rejected:?}");
+    newest
+}
+
+/// The code reads 20 on two shards (module doc); a tree reads in the
+/// hundreds, a temporary per cell in the tens of thousands.
+const TWO_SHARD_CEILING: u64 = 24;
+
+#[test]
+fn serialize_allocates_for_the_buffer_and_nothing_per_cell() {
+    let (two, four) = (newest_checkpoint(2), newest_checkpoint(4));
+    let cells = |c: &Checkpoint| -> usize {
+        let per_shard = |s: &ckpt::ShardStateRaw| {
+            s.kinds_counts.len() + s.sk_cells.len() + s.pc_counts.len() + s.hll_registers.len()
+        };
+        c.shards.iter().flatten().map(per_shard).sum()
+    };
+    assert_eq!(cells(&four), 2 * cells(&two), "twice the shards, twice the cells");
+    assert!(cells(&two) > 30_000, "{} cells", cells(&two));
+
+    let (doc2, allocs2) = count(|| ckpt::serialize(&two));
+    let (doc4, allocs4) = count(|| ckpt::serialize(&four));
+    assert_eq!(ckpt::parse(&doc2).as_ref(), Ok(&two));
+    assert_eq!(ckpt::parse(&doc4).as_ref(), Ok(&four));
+    assert!(
+        allocs2 <= TWO_SHARD_CEILING,
+        "{allocs2} allocations for {} bytes on two shards; the ceiling is {TWO_SHARD_CEILING}",
+        doc2.len()
+    );
+    // Twice the cells is at most two more doublings of the buffer.
+    assert!(
+        allocs4 <= allocs2 + 2,
+        "{allocs4} allocations for {} bytes on four shards against {allocs2} for {} on two",
+        doc4.len(),
+        doc2.len()
+    );
+}

@@ -17,71 +17,14 @@
 //! wrapped single buffers in a `Vec` to recycle them and built its
 //! work, result and prediction lists afresh every epoch, this read 30.
 //!
-//! The counting allocator lives here, in an integration-test crate, as
-//! in `crates/stat4-p4/tests/alloc_budget.rs`.
+//! The counting allocator is `counting/mod.rs`, shared with
+//! `ckpt_allocs.rs`.
 
+mod counting;
+
+use counting::count;
 use replay::{run_replay, ReplayConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use workloads::SeasonalDriftWorkload;
-
-/// Allocations made by any thread while `COUNTING` is set: the pool's
-/// workers count with the coordinator, so an allocation cannot leave
-/// the budget by moving to another thread. This file holds one test,
-/// so nothing else in the process allocates meanwhile.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-struct Counting;
-
-fn record() {
-    // `Relaxed`: a statistic, read after the threads it counts are joined.
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters are atomics
-// in statics, so touching them neither allocates nor re-enters the
-// allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
-        // SAFETY: the caller's `layout` obligations pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-        // with `layout`; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations the process made while `f` ran.
-fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let out = f();
-    COUNTING.store(false, Ordering::Relaxed);
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
 
 const MS: u64 = 1_000_000;
 

@@ -15,7 +15,9 @@
 //! Underneath is enough of RFC 8259 to round-trip the documents the
 //! suite emits (trace files, run snapshots, checkpoints, metric
 //! exports) through a typed tree: [`Json::parse`] reads and [`render`]
-//! writes.
+//! writes. A typed value is written without the tree:
+//! [`ToJson::write_json`] appends its text to a buffer, the same bytes
+//! [`render`] gives for its tree.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
 //! as [`Json::Int`] (past `i64::MAX`, as [`Json::UInt`]), so `u64`/`i64`
@@ -75,6 +77,7 @@ impl Json {
     /// As [`Self::parse`].
     pub fn parse_with_member_spans(text: &str) -> Result<(Json, Vec<Range<usize>>), String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             top_spans: Vec::new(),
@@ -172,6 +175,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes, which is what the scanner looks at.
     bytes: &'a [u8],
     pos: usize,
     /// Value byte ranges of the depth-0 object's members.
@@ -306,64 +311,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(format!("byte {}: unterminated string", self.pos));
+            // Everything up to the next quote or backslash is copied as
+            // it lies: both are ASCII, so the run ends on a character
+            // boundary of text that is already valid UTF-8.
+            let run = self.pos;
+            let len = self.bytes[run..].iter().position(|&b| b == b'"' || b == b'\\');
+            let Some(len) = len else {
+                return Err(format!("byte {}: unterminated string", self.bytes.len()));
+            };
+            out.push_str(&self.text[run..run + len]);
+            self.pos = run + len + 1;
+            if self.bytes[run + len] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(format!("byte {}: truncated escape", self.pos));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(format!("byte {}: truncated escape", self.pos));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                0x10000
-                                    + ((u32::from(hi) - 0xD800) << 10)
-                                    + (u32::from(lo).wrapping_sub(0xDC00))
-                            } else {
-                                u32::from(hi)
-                            };
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!(
-                                "byte {}: unknown escape \\{}",
-                                self.pos - 1,
-                                other as char
-                            ))
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let mut cp = u32::from(hi);
+                    // A high surrogate takes the low one behind it.
+                    // Followed by any other escape it stands alone
+                    // (U+FFFD below) and that escape is read for itself.
+                    if (0xD800..0xDC00).contains(&hi) && self.bytes[self.pos..].starts_with(b"\\u") {
+                        let resume = self.pos;
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if (0xDC00..0xE000).contains(&lo) {
+                            cp = 0x10000 + ((cp - 0xD800) << 10) + (u32::from(lo) - 0xDC00);
+                        } else {
+                            self.pos = resume;
                         }
                     }
+                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-borrow the underlying UTF-8 for multi-byte
-                    // characters instead of decoding by hand.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| format!("byte {start}: truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| format!("byte {start}: invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                other => {
+                    return Err(format!(
+                        "byte {}: unknown escape \\{}",
+                        self.pos - 1,
+                        other as char
+                    ))
                 }
             }
         }
@@ -371,13 +368,21 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits_from = self.pos;
+        // The digits' value, exact while there are at most 18 of them
+        // (10^18 - 1 fits an `i64` with room); not read past that.
+        let mut magnitude: i64 = 0;
         let mut integral = true;
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(i64::from(b - b'0'));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     integral = false;
                     self.pos += 1;
@@ -385,8 +390,14 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("byte {start}: invalid number"))?;
+        // Nearly every number of a checkpoint: a short integer, decided
+        // by the scan. Anything else is left to `str::parse`, which
+        // draws the same lines it always drew (a lone `-`, 19 and 20
+        // digits, a run of leading zeros longer than this).
+        if integral && (1..=18).contains(&(self.pos - digits_from)) {
+            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
+        }
+        let s = &self.text[start..self.pos];
         if integral {
             if let Ok(v) = s.parse::<i64>() {
                 return Ok(Json::Int(v));
@@ -405,20 +416,9 @@ impl Parser<'_> {
     }
 }
 
-/// Byte length of the UTF-8 sequence starting with lead byte `b`.
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-/// Writes `v` out as compact JSON — the one renderer behind every
-/// document the workspace writes. Integers and strings, which are
-/// nearly all of a checkpoint or snapshot, are appended in place with
-/// no `fmt` machinery and no temporary per value or key.
+/// Writes the tree `v` out as compact JSON. A typed value does not
+/// need the tree: [`ToJson::write_json`] writes the same bytes from
+/// the value itself.
 #[must_use]
 pub fn render(v: &Json) -> String {
     let mut out = String::new();
@@ -426,35 +426,51 @@ pub fn render(v: &Json) -> String {
     out
 }
 
-/// Appends the decimal form of `i`, byte-identical to `format!("{i}")`.
-fn write_int(out: &mut String, i: i64) {
-    // 20 bytes hold u64::MAX; the sign is pushed separately.
+/// Appends the decimal form of `u`, byte-identical to `format!("{u}")`.
+/// One digit is decided on the spot: that is every `0` of a register
+/// array, which is nearly all of a checkpoint. Only that much is
+/// inlined into an array's loop; the rest is a call.
+#[inline]
+fn write_uint(out: &mut String, u: u64) {
+    if u < 10 {
+        out.push(char::from(b'0' + u as u8));
+    } else {
+        write_digits(out, u);
+    }
+}
+
+fn write_digits(out: &mut String, u: u64) {
+    // 20 bytes hold u64::MAX.
     let mut buf = [0u8; 20];
     let mut at = buf.len();
-    let mut rest = i.unsigned_abs();
-    loop {
+    let mut rest = u;
+    while rest > 0 {
         at -= 1;
         buf[at] = b'0' + (rest % 10) as u8;
         rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    if i < 0 {
-        out.push('-');
     }
     out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
+/// Appends the decimal form of `i`, byte-identical to `format!("{i}")`.
+#[inline]
+fn write_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_uint(out, i.unsigned_abs());
+}
+
+/// The one writer of a tree; integers and strings, which are nearly
+/// all of any document, are appended in place with no `fmt` machinery
+/// and no temporary per value or key.
 fn write_value(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Bool(b) => b.write_json(out),
         Json::Int(i) => write_int(out, *i),
-        // The two rare forms go through `fmt`.
-        Json::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
+        Json::UInt(u) => write_uint(out, *u),
+        // The one rare form goes through `fmt`.
         Json::Float(f) => {
             let _ = write!(out, "{f}");
         }
@@ -486,10 +502,24 @@ fn write_value(out: &mut String, v: &Json) {
 
 // ---- the codec: one struct's JSON form is its field list ---------------
 
-/// A value that has a JSON form.
+/// A value that has a JSON form, as a tree and as text.
 pub trait ToJson {
     /// The value as a tree; [`render`] writes it out.
     fn to_json(&self) -> Json;
+
+    /// Appends the value's JSON text to `out`: the bytes
+    /// `render(&self.to_json())` would give, which is what the default
+    /// does. A hand-written impl is therefore right without this
+    /// method. Override it where the tree is the cost and not the
+    /// point, by writing the text straight from the value: the leaf
+    /// impls below and [`crate::json_struct!`] do, so a struct of such
+    /// fields (a 39 000-cell checkpoint) is written in one pass with no
+    /// node built per cell. An override must keep the two forms
+    /// byte-identical; `replay`'s `every_codec_round_trips` checks
+    /// every type it visits.
+    fn write_json(&self, out: &mut String) {
+        write_value(out, &self.to_json());
+    }
 }
 
 /// A value that can be read back from its JSON form. The document may
@@ -574,21 +604,34 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// list: an object with one member per listed field, named after it,
 /// in the order listed, read back by name. Every field must be listed
 /// (the reader builds `Self` from the list) and must itself have the
-/// pair.
+/// pair. The one list gives the tree, the text ([`ToJson::write_json`],
+/// each field streamed behind its key) and the reader.
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::json::obj(vec![
-                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),+
+                    (stringify!($first), $crate::json::ToJson::to_json(&self.$first)),
+                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),*
                 ])
+            }
+            fn write_json(&self, out: &mut String) {
+                // A field name is an identifier: nothing in it to escape.
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::json::ToJson::write_json(&self.$first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    $crate::json::ToJson::write_json(&self.$field, out);
+                )*
+                out.push('}');
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
                 Ok(Self {
-                    $($field: $crate::json::field(v, stringify!($field), at)?),+
+                    $first: $crate::json::field(v, stringify!($first), at)?,
+                    $($field: $crate::json::field(v, stringify!($field), at)?),*
                 })
             }
         }
@@ -611,6 +654,11 @@ impl ToJson for u64 {
     fn to_json(&self) -> Json {
         i64::try_from(*self).map_or_else(|_| Json::UInt(*self), Json::Int)
     }
+
+    #[inline]
+    fn write_json(&self, out: &mut String) {
+        write_uint(out, *self);
+    }
 }
 
 impl FromJson for u64 {
@@ -630,6 +678,10 @@ macro_rules! json_unsigned {
                 // Lossless: no supported `usize` is wider than 64 bits.
                 (*self as u64).to_json()
             }
+            #[inline]
+            fn write_json(&self, out: &mut String) {
+                write_uint(out, *self as u64);
+            }
         }
         impl FromJson for $ty {
             #[inline]
@@ -647,6 +699,11 @@ impl ToJson for i64 {
     fn to_json(&self) -> Json {
         Json::Int(*self)
     }
+
+    #[inline]
+    fn write_json(&self, out: &mut String) {
+        write_int(out, *self);
+    }
 }
 
 impl FromJson for i64 {
@@ -660,6 +717,10 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
@@ -672,11 +733,19 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_json_string(out, self);
+    }
 }
 
 impl ToJson for String {
     fn to_json(&self) -> Json {
         self.as_str().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
@@ -692,6 +761,11 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    /// The tree it already is, written without the clone.
+    fn write_json(&self, out: &mut String) {
+        write_value(out, self);
+    }
 }
 
 impl FromJson for Json {
@@ -704,6 +778,13 @@ impl FromJson for Json {
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         self.as_ref().map_or(Json::Null, T::to_json)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
+        }
     }
 }
 
@@ -720,11 +801,26 @@ impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(T::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            x.write_json(out);
+        }
+        out.push(']');
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -794,6 +890,33 @@ mod tests {
         assert_eq!(v.as_u64(), Some(u64::MAX / 2));
         let v = Json::parse(&format!("{}", i64::MIN)).unwrap();
         assert_eq!(v.as_i64(), Some(i64::MIN));
+        // Both sides of every line the number reader draws: 18 digits
+        // against 19, `i64::MAX`, `u64::MAX`, and what a sign or a run
+        // of zeros in front does to each.
+        let zeros = "0".repeat(25);
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("007", Json::Int(7)),
+            ("-007", Json::Int(-7)),
+            ("999999999999999999", Json::Int(999_999_999_999_999_999)),
+            ("-999999999999999999", Json::Int(-999_999_999_999_999_999)),
+            ("1000000000000000000", Json::Int(1_000_000_000_000_000_000)),
+            ("-1000000000000000000", Json::Int(-1_000_000_000_000_000_000)),
+            ("0999999999999999999", Json::Int(999_999_999_999_999_999)),
+            ("9223372036854775807", Json::Int(i64::MAX)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
+            ("9223372036854775808", Json::UInt(1 << 63)),
+            ("18446744073709551615", Json::UInt(u64::MAX)),
+            ("018446744073709551615", Json::UInt(u64::MAX)),
+            ("18446744073709551616", Json::Float(18_446_744_073_709_551_616.0)),
+            ("-9223372036854775809", Json::Float(-9_223_372_036_854_775_809.0)),
+            (&format!("{zeros}1"), Json::Int(1)),
+            (&format!("-{zeros}1"), Json::Int(-1)),
+            ("[12,-3]", Json::Arr(vec![Json::Int(12), Json::Int(-3)])),
+        ] {
+            assert_eq!(Json::parse(text), Ok(want), "{text}");
+        }
     }
 
     #[test]
@@ -814,6 +937,31 @@ mod tests {
         let rendered = crate::expo::json_string(original);
         let v = Json::parse(&rendered).unwrap();
         assert_eq!(v.as_str(), Some(original));
+        // What is read is what lies between the quotes, escape by
+        // escape: multi-byte text on both sides of an escape, escapes
+        // back to back, a control character that arrives unescaped, an
+        // escaped pair, and a surrogate with no partner.
+        for (text, want) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""λ\"🦀\\é""#, "λ\"🦀\\é"),
+            (r#""\\\\\"\"""#, "\\\\\"\""),
+            (r#""\/\b\f\n\r\t""#, "/\u{8}\u{c}\n\r\t"),
+            ("\"a\u{1}b\nc\"", "a\u{1}b\nc"),
+            (r#""\u0041\u00e9\u03bb""#, "Aéλ"),
+            (r#""\ud83e\udd80""#, "🦀"),
+            (r#""x\ud800""#, "x\u{fffd}"),
+            (r#""\udc00y""#, "\u{fffd}y"),
+            (r#""\ud800 \udc00""#, "\u{fffd} \u{fffd}"),
+            // A high surrogate before an escape that is no low one:
+            // this overflowed (a panic in a debug build, U+2441 in a
+            // release one) until the pair was checked.
+            (r#""\ud800\u0041""#, "\u{fffd}A"),
+            (r#""\ud800\ud83e\udd80""#, "\u{fffd}🦀"),
+            (r#""\ud800\ue000""#, "\u{fffd}\u{e000}"),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
+        }
     }
 
     #[test]
@@ -827,6 +975,12 @@ mod tests {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{'a':1}", "[1]]",
             "\"\\u+041\"", "\"\\u00g1\"", "1e400", "[-1e999]",
+            // Numbers: a sign with nothing to sign, two signs, a sign
+            // or a point where a digit belongs.
+            "-", "[-]", "--1", "+1", "1-2", "1+", "-e", ".5", "1e", "1.5.2", "[1,-]",
+            // Strings: cut inside an escape, an escape that is none.
+            "\"\\", "\"abc\\", "\"\\x\"", "\"\\u", "\"\\u12", "\"\\u12\"", "\"\\ud800\\u12\"",
+            "\"\\ud800\\", "\"λ", "\"λ\\",
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.contains("byte"), "{bad:?} -> {err}");
@@ -910,6 +1064,56 @@ mod tests {
         assert_eq!(Probe::from_json(&Json::parse(&text).unwrap(), ROOT).unwrap(), p);
         let shuffled = r#"{"on":true,"list":[-1,2],"extra":0,"maybe":null,"name":"x","small":9,"n":7}"#;
         assert_eq!(Probe::from_json(&Json::parse(shuffled).unwrap(), ROOT).unwrap(), p);
+    }
+
+    /// `write_json` against the rendered tree, and what both must read.
+    fn streams_as<T: ToJson + ?Sized>(x: &T, want: &str) {
+        let mut out = String::from("<");
+        x.write_json(&mut out);
+        assert_eq!(out, format!("<{want}"), "appended behind what was there");
+        assert_eq!(render(&x.to_json()), want);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Lone {
+        only: Option<u8>,
+    }
+    json_struct!(Lone { only });
+
+    #[test]
+    fn write_json_is_the_rendered_tree_at_the_leaf_edges() {
+        streams_as(&0u64, "0");
+        streams_as(&9u64, "9");
+        streams_as(&10u64, "10");
+        streams_as(&(i64::MAX as u64), "9223372036854775807");
+        streams_as(&u64::MAX, "18446744073709551615");
+        assert_eq!(u64::MAX.to_json(), Json::UInt(u64::MAX));
+        streams_as(&usize::MAX, &usize::MAX.to_string());
+        streams_as(&u32::MAX, "4294967295");
+        streams_as(&u8::MAX, "255");
+        streams_as(&0i64, "0");
+        streams_as(&-9i64, "-9");
+        streams_as(&i64::MIN, "-9223372036854775808");
+        streams_as(&i64::MAX, "9223372036854775807");
+        streams_as(&true, "true");
+        streams_as(&false, "false");
+        streams_as(&None::<u64>, "null");
+        streams_as(&Some(7u8), "7");
+        streams_as(&Vec::<u64>::new(), "[]");
+        streams_as(&vec![0u64], "[0]");
+        streams_as(&[0u8, 10, 255][..], "[0,10,255]");
+        streams_as(&vec![Some(-1i64), None], "[-1,null]");
+        streams_as("", r#""""#);
+        streams_as("a\"b\\c\nd\u{1}e λ 🦀", r#""a\"b\\c\nd\u0001e λ 🦀""#);
+        streams_as(&String::from("é"), r#""é""#);
+        // One field: no comma anywhere, braces balanced.
+        streams_as(&Lone { only: None }, r#"{"only":null}"#);
+        streams_as(&Lone { only: Some(3) }, r#"{"only":3}"#);
+        let p = Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true };
+        streams_as(&p, r#"{"n":7,"small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#);
+        // A tree writes itself, floats and nesting included.
+        let tree = Json::parse(r#"{"k":[1,-2,3.5,"s",null,true,{"n":{}},18446744073709551615]}"#).unwrap();
+        streams_as(&tree, &render(&tree));
     }
 
     #[test]
