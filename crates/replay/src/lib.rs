@@ -28,11 +28,11 @@
 //!   spawned **once per run** and fed through bounded per-shard
 //!   channels; for an epoch long enough to pay for the hand-off it
 //!   moves the shard's state plus the interval's frame list to the
-//!   worker and pre-partitions the *next* interval while the workers
+//!   worker and hashes and routes the *next* interval while the workers
 //!   ingest, a short epoch it ingests on the coordinator's own thread,
 //!   and the frame lists are the run's either way.
-//!   [`mod@reference`] is the other: serial partitioning and a
-//!   `std::thread::scope` worker set per interval, kept as the
+//!   [`mod@reference`] is the other: the same routing step with nothing
+//!   overlapped and a `std::thread::scope` worker set per interval, kept as the
 //!   baseline the pool is tested bit-identical against
 //!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
 //!   kill, hot swaps) is [`lifecycle`]'s.
@@ -660,6 +660,38 @@ pub(crate) fn route_target(alive: &[bool], home: usize) -> Option<usize> {
         .find(|&s| alive[s])
 }
 
+/// The routing step of both executors: hashes each of an epoch's
+/// `frames` to its home shard ([`workloads::shard::shard_of`], which
+/// reads nothing on one shard) and pushes it onto the list of that
+/// home's [`route_target`] under `alive`, or nowhere if every shard is
+/// dead. Whatever `lists` held is discarded. Returns how many frames
+/// went to a survivor of their home.
+///
+/// `targets` is scratch the caller may keep between epochs: the alive
+/// map is resolved once per home here, not once per frame, so a frame
+/// whose home is dead costs an index and not a ring search.
+pub(crate) fn route_epoch<'a>(
+    frames: &'a [(u64, bytes::Bytes)],
+    alive: &[bool],
+    targets: &mut Vec<Option<usize>>,
+    lists: &mut [Vec<&'a bytes::Bytes>],
+) -> u64 {
+    targets.clear();
+    targets.extend((0..alive.len()).map(|home| route_target(alive, home)));
+    for list in lists.iter_mut() {
+        list.clear();
+    }
+    let mut rerouted = 0;
+    for (_, frame) in frames {
+        let home = workloads::shard::shard_of(frame, alive.len());
+        if let Some(t) = targets[home] {
+            rerouted += u64::from(t != home);
+            lists[t].push(frame);
+        }
+    }
+    rerouted
+}
+
 /// Renders a caught panic payload (best effort: `&str` and `String`
 /// payloads, which covers every `panic!` with a message).
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -926,6 +958,40 @@ mod tests {
         }
         .generate();
         s
+    }
+
+    /// [`route_target`] per frame is the definition of routing;
+    /// [`route_epoch`] resolves it once per home instead. For every
+    /// alive map of one to five shards, all dead included, the table
+    /// is `route_target` home by home and every frame lies where the
+    /// per-frame definition puts it, in input order.
+    #[test]
+    fn route_epoch_is_route_target_for_every_alive_map() {
+        let frames = &small_flood()[..512];
+        for shards in 1..=5usize {
+            for map in 0..1u32 << shards {
+                let alive: Vec<bool> = (0..shards).map(|s| (map >> s) & 1 == 1).collect();
+                // Stale on purpose: what the buffers held is discarded.
+                let mut targets = vec![Some(usize::MAX); 7];
+                let mut lists = vec![vec![&frames[0].1]; shards];
+                let rerouted = route_epoch(frames, &alive, &mut targets, &mut lists);
+
+                let by_definition: Vec<_> =
+                    (0..shards).map(|home| route_target(&alive, home)).collect();
+                assert_eq!(targets, by_definition, "{alive:?}");
+                let mut expect = vec![Vec::new(); shards];
+                let mut expect_rerouted = 0;
+                for (_, f) in frames {
+                    let home = workloads::shard::shard_of(f, shards);
+                    if let Some(t) = route_target(&alive, home) {
+                        expect_rerouted += u64::from(t != home);
+                        expect[t].push(f);
+                    }
+                }
+                assert_eq!(lists, expect, "{alive:?}");
+                assert_eq!(rerouted, expect_rerouted, "{alive:?}");
+            }
+        }
     }
 
     #[test]

@@ -127,17 +127,13 @@ pub struct ReplayTelemetry {
     /// Time from detecting a shard failure to having re-merged the
     /// surviving state, per quarantine incident, ns.
     pub recover_ns: LogLinearHistogram,
-    /// Time spent flow-hash partitioning each epoch's frames into
-    /// per-shard work lists (the pre-partition stage), ns. One sample
-    /// per closed epoch — the warm-up partition of epoch 0's frames,
-    /// which happens before any epoch runs, lands in
-    /// [`Self::prepartition_ns`] instead.
+    /// Time the pool spent hashing and routing each epoch's frames into
+    /// per-shard work lists, ns: one sample per epoch that ran,
+    /// recorded when the epoch is taken and holding all routing time
+    /// spent on it (a speculative pass its alive-map prediction then
+    /// discarded included). A route made for an epoch the run is
+    /// killed before leaves no sample. Empty on the reference engine.
     pub partition_ns: LogLinearHistogram,
-    /// Time spent on the warm-up partition before the first epoch
-    /// (pool engine; zero on the reference engine). Kept out of
-    /// `partition_ns` so that histogram's sample count equals the
-    /// closed-epoch count.
-    pub prepartition_ns: Counter,
     /// Bytes of sparse delta state shipped across all epoch-barrier
     /// merges (what a control channel would carry; full rebuild merges
     /// contribute nothing here).
@@ -209,7 +205,6 @@ impl ReplayTelemetry {
             reports_dropped: Counter::new(),
             recover_ns: LogLinearHistogram::default(),
             partition_ns: LogLinearHistogram::default(),
-            prepartition_ns: Counter::new(),
             merge_delta_bytes: Counter::new(),
             merge_skipped_registers: Counter::new(),
             merge_rebuilds: Counter::new(),
@@ -384,15 +379,9 @@ impl ReplayTelemetry {
         );
         snap.push_histogram(
             "replay_partition_ns",
-            "time flow-hash partitioning each epoch into shard work lists",
+            "time hashing and routing each epoch into shard work lists",
             &[],
             &self.partition_ns,
-        );
-        snap.push_counter(
-            "replay_prepartition_ns_total",
-            "time spent on the warm-up partition before the first epoch",
-            &[],
-            self.prepartition_ns.get(),
         );
         snap.push_counter(
             "replay_merge_delta_bytes_total",

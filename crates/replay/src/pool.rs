@@ -5,9 +5,9 @@
 //! detection, quarantine bookkeeping) is the
 //! [`EpochCoordinator`]'s, shared with the [`reference`](crate::reference)
 //! executor. That one spawns and joins a `std::thread::scope` worker
-//! set every detector interval and flow-hashes every frame of the
-//! interval serially between barriers. This one removes both costs
-//! while delivering the same frames to the same shards:
+//! set every detector interval and routes the interval's frames
+//! between barriers, with nothing else running. This one removes both
+//! costs while delivering the same frames to the same shards:
 //!
 //! - **Workers spawn once per run.** One OS thread per shard lives for
 //!   the whole replay inside a single `std::thread::scope`, fed
@@ -25,26 +25,31 @@
 //!   the choice is made per epoch from the epoch's length, and
 //!   `ReplayTelemetry::epochs_inline` counts how often it fell this
 //!   way. Merging happens on the coordinator thread either way.
-//! - **Partitioning is a parallel pre-stage.** Flow hashing — the
-//!   expensive, alive-map-independent half of partitioning — runs once
-//!   up front over the whole schedule on scoped threads
-//!   ([`workloads::shard::assignments_parallel`]). The cheap routing
-//!   pass (home → survivor, quarantine reroutes) for interval *k+1*
-//!   runs while the workers ingest a dispatched interval *k*.
+//! - **A frame is hashed when it is routed.** There is no pass over
+//!   the trace before the first epoch and no table of home shards:
+//!   [`route_epoch`], the routing step the reference calls too, hashes
+//!   each frame of one epoch and pushes it onto its shard's list, and
+//!   on one shard [`workloads::shard::shard_of`] answers without
+//!   reading the frame. Interval *k+1* is routed while the workers
+//!   ingest a dispatched interval *k*; the hash is then the
+//!   coordinator's serial share of a frame (≈17–19 ns against the
+//!   workers' ≈55 ns ÷ shards, DESIGN.md §5g).
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
 //!   faults are deterministic, so the prediction only misses on
 //!   organic failures (a worker dying on its own, a merge mismatch) —
-//!   then the speculative partition is discarded and rebuilt from the
-//!   actual map, so every frame still lands where the reference's
-//!   serial partition puts it.
+//!   then the speculative lists are discarded and that one epoch is
+//!   hashed and routed again under the actual map, so every frame
+//!   still lands where the reference puts it.
 //! - **Nothing is allocated per epoch.** Each shard has two frame
 //!   lists for the whole run, this epoch's and the next one's, which
 //!   trade places at every epoch; a dispatched list comes home
-//!   (cleared) in the reply. The reply slots and the predicted alive
-//!   map are reused the same way. `tests/pool_allocs.rs` holds the
-//!   pool to that.
+//!   (cleared) in the reply. The reply slots, the predicted alive
+//!   map and the per-home target table are reused the same way.
+//!   `tests/pool_allocs.rs` holds the pool to that, and
+//!   `tests/pool_bytes.rs` to holding nothing per frame of the trace
+//!   beyond those lists.
 //!
 //! Supervision, seen from here: a shard the coordinator's fault plan
 //! crashed is not ingested (its state stays parked in its slot); an
@@ -60,19 +65,13 @@
 use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
 use crate::lifecycle::{LifecycleReport, RunLifecycle};
 use crate::{
-    panic_message, route_target, IncidentKind, ReplayOutcome, ShardMetrics, ShardState,
+    panic_message, route_epoch, IncidentKind, ReplayOutcome, ShardMetrics, ShardState,
 };
 use faultinject::{FaultSchedule, ShardFaultKind};
-use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 use telemetry::Tracer;
 use workloads::Schedule;
-
-/// Scoped threads for the up-front flow-hash pass. Hashing is pure and
-/// order-preserving, so any thread count yields the same assignment
-/// (`assignments_parallel` falls back to serial for short schedules).
-const PARTITION_THREADS: usize = 4;
 
 /// Longest epoch, in frames over all shards, that the coordinator
 /// ingests itself instead of handing it to the workers.
@@ -120,30 +119,24 @@ struct EpochWork<'a> {
 struct RoutedEpoch<'a> {
     work: Vec<Vec<&'a bytes::Bytes>>,
     rerouted: u64,
+    /// All the time spent routing this epoch, a discarded speculative
+    /// pass included: the epoch's `partition_ns` sample once it runs.
+    route_ns: u64,
     /// Empty until something has been routed: no run's alive map.
     assumed_alive: Vec<bool>,
+    /// [`route_epoch`]'s per-home scratch.
+    targets: Vec<Option<usize>>,
 }
 
 impl<'a> RoutedEpoch<'a> {
-    /// Routes `range` into the per-shard lists under `assumed_alive`:
-    /// home shard if alive, else the next survivor in ring order, else
-    /// the frame is lost. Whatever the lists held is discarded, reroute
-    /// count included — a speculative route that is not used must not
-    /// leak into health accounting.
-    fn route(&mut self, schedule: &'a Schedule, homes: &[usize], range: Range<usize>) {
-        for list in &mut self.work {
-            list.clear();
-        }
-        self.rerouted = 0;
-        for idx in range {
-            let home = homes[idx];
-            if let Some(t) = route_target(&self.assumed_alive, home) {
-                if t != home {
-                    self.rerouted += 1;
-                }
-                self.work[t].push(&schedule[idx].1);
-            }
-        }
+    /// Routes `frames` into the per-shard lists under `assumed_alive`.
+    /// Whatever the lists held is discarded, reroute count included: a
+    /// speculative route that is not used must not leak into health
+    /// accounting. Its time is kept, because it was spent on this epoch.
+    fn route(&mut self, frames: &'a [(u64, bytes::Bytes)]) {
+        let t0 = Instant::now();
+        self.rerouted = route_epoch(frames, &self.assumed_alive, &mut self.targets, &mut self.work);
+        self.route_ns += elapsed_ns(t0);
     }
 }
 
@@ -248,15 +241,6 @@ pub(crate) fn run(
     let started = Instant::now();
 
     if !schedule.is_empty() {
-        // Parallel pre-partition stage: hash every frame's flow once,
-        // up front. Assignments depend only on frame bytes; the
-        // alive-dependent routing stays per-epoch (and overlapped).
-        // This warm-up pass happens before any epoch runs, so it is
-        // counted apart from the per-epoch `partition_ns` histogram,
-        // which holds exactly one sample per epoch.
-        let hash_started = Instant::now();
-        let homes = workloads::shard::assignments_parallel(schedule, shards, PARTITION_THREADS);
-        coord.telemetry.prepartition_ns.add(elapsed_ns(hash_started));
         let ranges = coord.epoch_ranges(schedule);
         let trace_origin = coord.telemetry.trace.origin();
 
@@ -279,7 +263,9 @@ pub(crate) fn run(
             let mut next = RoutedEpoch {
                 work: vec![Vec::new(); shards],
                 rerouted: 0,
+                route_ns: 0,
                 assumed_alive: Vec::with_capacity(shards),
+                targets: Vec::with_capacity(shards),
             };
             let mut results: Vec<(usize, Result<Ingested, String>)> = Vec::with_capacity(shards);
 
@@ -289,16 +275,18 @@ pub(crate) fn run(
                     break;
                 }
 
-                // (A) This epoch's routing: the speculative partition
-                // if its predicted alive map held, else a fresh pass.
-                // Either way the lists of the epoch before, all home
-                // and empty, become the next epoch's.
+                // (A) This epoch's routing: the speculative lists if
+                // their predicted alive map held, else a fresh pass.
+                // The epoch is taken here, so here is where its routing
+                // time becomes a sample: one per epoch that runs, none
+                // for a route the run is killed before using. Either
+                // way the lists of the epoch before, all home and
+                // empty, become the next epoch's.
                 if next.assumed_alive != coord.alive {
-                    let t0 = Instant::now();
                     next.assumed_alive.clone_from(&coord.alive);
-                    next.route(schedule, &homes, range.clone());
-                    coord.telemetry.partition_ns.record(elapsed_ns(t0));
+                    next.route(&schedule[range.clone()]);
                 }
+                coord.telemetry.partition_ns.record(std::mem::take(&mut next.route_ns));
                 std::mem::swap(&mut work, &mut next.work);
 
                 // (B) The fault plan; a crash quarantines its shard
@@ -357,10 +345,11 @@ pub(crate) fn run(
                     }
                 }
 
-                // (D) Pipelined pre-partition: route interval k+1 while
-                // the workers ingest interval k, against the alive map
-                // predicted after k (current minus injected panics at
-                // k: deterministic, so only organic failures miss).
+                // (D) Pipelined routing: hash and route interval k+1
+                // while the workers ingest interval k, against the
+                // alive map predicted after k (current minus injected
+                // panics at k: deterministic, so only organic failures
+                // miss).
                 if let Some((_, next_range)) = ranges.get(k + 1) {
                     next.assumed_alive.clone_from(&coord.alive);
                     for (s, fault) in open.faults.iter().enumerate() {
@@ -368,9 +357,7 @@ pub(crate) fn run(
                             next.assumed_alive[s] = false;
                         }
                     }
-                    let t0 = Instant::now();
-                    next.route(schedule, &homes, next_range.clone());
-                    coord.telemetry.partition_ns.record(elapsed_ns(t0));
+                    next.route(&schedule[next_range.clone()]);
                 }
 
                 // (E) Collect what was dispatched, in shard order. A

@@ -4,17 +4,18 @@
 //! An executor decides where frames go and which thread ingests them;
 //! the crate's `EpochCoordinator` decides everything else, and both
 //! engines use the same one. So this module holds only what it is a
-//! reference *for*, done the plainest way: every epoch it flow-hashes the
-//! interval's frames serially on the coordinator thread
-//! ([`workloads::shard::shard_of`], no pre-hash, no speculation, no
-//! buffer pool), spawns one scoped thread per surviving shard that
+//! reference *for*, done the plainest way: every epoch it routes the
+//! interval's frames under the alive map as it stands, with nothing
+//! else running (the pool's own routing step, `route_epoch`, into
+//! fresh lists: no speculation, no overlap with ingest, no buffer
+//! pool), spawns one scoped thread per surviving shard that
 //! borrows the shard's state where it sits, and joins them all. The
 //! pool must deliver the same frames to the same shards and report a
 //! dead worker the same way; `tests/pool.rs` holds it to that, and the
 //! benchmark harness checks every rep against this engine's snapshot.
 
 use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
-use crate::{panic_message, route_target, IncidentKind, ReplayConfig, ReplayOutcome};
+use crate::{panic_message, route_epoch, IncidentKind, ReplayConfig, ReplayOutcome};
 use faultinject::FaultSchedule;
 use std::time::Instant;
 use workloads::Schedule;
@@ -53,16 +54,7 @@ pub fn run_replay_with_faults(
         // reroute to the next survivor in ring order (the controller's
         // repartitioning); with no survivors at all they are lost.
         let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); cfg.shards];
-        let mut rerouted: u64 = 0;
-        for (_, frame) in epoch_frames {
-            let home = workloads::shard::shard_of(frame, cfg.shards);
-            if let Some(t) = route_target(&coord.alive, home) {
-                if t != home {
-                    rerouted += 1;
-                }
-                work[t].push(frame);
-            }
-        }
+        let rerouted = route_epoch(epoch_frames, &coord.alive, &mut Vec::new(), &mut work);
         let mut open = coord.open_epoch(epoch_idx, epoch_frames.len(), rerouted, faults);
 
         // One thread per surviving shard; the scope end is the epoch

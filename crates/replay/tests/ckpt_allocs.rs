@@ -76,8 +76,8 @@ fn serialize_allocates_for_the_buffer_and_nothing_per_cell() {
     assert_eq!(cells(&four), 2 * cells(&two), "twice the shards, twice the cells");
     assert!(cells(&two) > 30_000, "{} cells", cells(&two));
 
-    let (doc2, allocs2) = count(|| ckpt::serialize(&two));
-    let (doc4, allocs4) = count(|| ckpt::serialize(&four));
+    let (doc2, allocs2, _) = count(|| ckpt::serialize(&two));
+    let (doc4, allocs4, _) = count(|| ckpt::serialize(&four));
     assert_eq!(ckpt::parse(&doc2).as_ref(), Ok(&two));
     assert_eq!(ckpt::parse(&doc4).as_ref(), Ok(&four));
     assert!(

@@ -142,6 +142,12 @@ fn kill_and_resume_is_byte_identical_on_either_side_of_the_inline_bound() {
         let (killed, _) = run_replay_lifecycle(&s, &cfg, &chaos(CHAOS), &plan);
         assert_eq!(killed.epochs, kill_at);
         assert_eq!(
+            killed.telemetry.partition_ns.count(),
+            kill_at,
+            "kill at {kill_at}: a routing sample per epoch that ran, and none for epoch \
+             {kill_at}, routed while its predecessor was ingested and never taken"
+        );
+        assert_eq!(
             killed.telemetry.epochs_inline.get() == killed.epochs,
             in_quiet_stretch,
             "kill at {kill_at}: which side of the burst the kill fell on"
@@ -157,6 +163,7 @@ fn kill_and_resume_is_byte_identical_on_either_side_of_the_inline_bound() {
         // Telemetry starts over at a resume: these count its epochs only.
         let t = &resumed.telemetry;
         assert!(t.epochs_inline.get() < t.epochs.get(), "the resumed run dispatched the burst");
+        assert_eq!(t.partition_ns.count(), t.epochs.get(), "a routing sample per resumed epoch");
         if in_quiet_stretch {
             // Resumed at the checkpoint of ordinal 8; the burst starts at 15.
             assert!(t.epochs_inline.get() >= 7, "{} inline", t.epochs_inline.get());

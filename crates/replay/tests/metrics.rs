@@ -82,7 +82,6 @@ fn prometheus_exposition_passes_the_checker() {
             "replay_packets_rerouted_total",
             "replay_packets_total",
             "replay_partition_ns",
-            "replay_prepartition_ns_total",
             "replay_recover_ns",
             "replay_reports_dropped_total",
             "replay_shard_barrier_wait_ns",

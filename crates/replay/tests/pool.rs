@@ -19,7 +19,8 @@
 
 use faultinject::FaultSchedule;
 use replay::{
-    reference, run_replay, run_replay_with_faults, IncidentKind, ReplayConfig, ReplayOutcome,
+    ckpt, reference, resume_from_checkpoint, run_replay, run_replay_lifecycle,
+    run_replay_with_faults, IncidentKind, LifecyclePlan, ReplayConfig, ReplayOutcome,
     ShardIncident,
 };
 use workloads::{Schedule, SynFloodWorkload};
@@ -347,17 +348,66 @@ fn pool_reports_queue_and_pipeline_telemetry() {
             "shard {s_idx}: one dequeue per epoch that was not ingested inline"
         );
     }
-    // Partition work: one initial route plus one speculative route per
-    // remaining epoch (faultless runs never mispredict) — exactly one
-    // sample per epoch. The up-front hash pass lands in the dedicated
-    // warm-up counter, not the per-epoch histogram.
+    // Routing: every epoch is hashed and routed once, the first when
+    // it starts and the rest while the epoch before is ingested, and
+    // its time is sampled when the epoch is taken. Exactly one sample
+    // per epoch; nothing is hashed before the first one.
     assert_eq!(t.partition_ns.count(), out.epochs);
-    assert!(t.prepartition_ns.get() > 0, "warm-up hash pass recorded");
 
     // The reference engine reports none of this.
     let refr = reference::run_replay(&s, &cfg);
     assert_eq!(refr.telemetry.merged_shard().queue_wait_ns.count(), 0);
     assert_eq!(refr.telemetry.partition_ns.count(), 0);
+}
+
+/// One routing sample per epoch that ran, also when a prediction
+/// misses. Injected faults are predicted, so the miss has to be
+/// organic: a checkpoint whose shard 1 came back with a kind domain one
+/// cell too wide restores (the state is consistent in itself), and the
+/// first barrier after the resume finds it will not merge and
+/// quarantines it. The epoch after was routed meanwhile with shard 1
+/// alive; those lists are discarded and the epoch routed again, and
+/// both passes are its one sample.
+#[test]
+fn a_missed_prediction_is_still_one_routing_sample_per_epoch() {
+    let s = small_flood();
+    let cfg = ReplayConfig {
+        shards: 2,
+        ..ReplayConfig::default()
+    };
+    let none = FaultSchedule::none();
+    let dir = std::env::temp_dir().join(format!("replay-pool-mispredict-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        kill_at_epoch: Some(3),
+        ..LifecyclePlan::none()
+    };
+    let _ = run_replay_lifecycle(&s, &cfg, &none, &plan);
+    let (mut c, _) = ckpt::load_latest(&dir).expect("the killed run left a checkpoint");
+    c.shards[1].as_mut().expect("shard 1 was alive").kinds_counts.push(0);
+    ckpt::write_checkpoint(&dir, &c, &none).unwrap();
+
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        ..LifecyclePlan::none()
+    };
+    let (out, _) = resume_from_checkpoint(&s, &cfg, &plan).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        matches!(
+            out.health.incidents[..],
+            [ShardIncident { shard: 1, kind: IncidentKind::MergeFailed(_), .. }]
+        ),
+        "{:?}",
+        out.health.incidents
+    );
+    assert!(out.health.packets_rerouted > 0, "the epochs after the quarantine were rerouted");
+    // Telemetry starts over at a resume: these count its epochs only.
+    let t = &out.telemetry;
+    assert!(t.epochs.get() > 1 && t.epochs.get() < out.epochs);
+    assert_eq!(t.partition_ns.count(), t.epochs.get());
 }
 
 /// The point of the pool: on a many-epoch workload, not paying the

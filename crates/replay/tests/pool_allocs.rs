@@ -49,7 +49,7 @@ fn an_inline_epoch_allocates_nothing_in_the_pool() {
             shards: 2,
             ..ReplayConfig::default()
         };
-        let (out, allocs) = count(|| run_replay(&schedule, &cfg));
+        let (out, allocs, _) = count(|| run_replay(&schedule, &cfg));
         assert_eq!(out.epochs, epochs);
         assert_eq!(out.telemetry.epochs_inline.get(), epochs, "a sparse run is all inline");
         assert!(out.ensemble.fired.is_empty(), "no alert: {:?}", out.ensemble.fired);

@@ -68,12 +68,21 @@ pub fn flow_key(frame: &[u8]) -> u64 {
 /// range reduction of its flow key — uniform without division or
 /// modulo.
 ///
+/// With one shard the frame is not read: `(key × 1) >> 64` is 0 for
+/// every 64-bit key, so the answer is known without the hash. This is
+/// that arithmetic identity and not a second policy; every caller
+/// ([`assignments`], [`split`], both replay executors) stops hashing
+/// on one shard through it.
+///
 /// # Panics
 ///
 /// Panics if `shards` is zero.
 #[must_use]
 pub fn shard_of(frame: &[u8], shards: usize) -> usize {
     assert!(shards >= 1, "need at least one shard");
+    if shards == 1 {
+        return 0;
+    }
     let wide = u128::from(flow_key(frame)) * (shards as u128);
     (wide >> 64) as usize
 }
@@ -94,10 +103,8 @@ pub fn split(schedule: &Schedule, shards: usize) -> Vec<Schedule> {
     out
 }
 
-/// The home shard of every frame in `frames`, in input order — the
-/// hash half of [`split`], decoupled from list building so callers
-/// (the replay engine's pre-partition stage) can apply their own
-/// routing policy (quarantine reroutes) over the assignments.
+/// The home shard of every frame in `frames`, in input order: the
+/// hash half of [`split`] without the list building.
 ///
 /// # Panics
 ///
@@ -106,46 +113,6 @@ pub fn split(schedule: &Schedule, shards: usize) -> Vec<Schedule> {
 pub fn assignments(frames: &[(u64, bytes::Bytes)], shards: usize) -> Vec<usize> {
     assert!(shards >= 1, "need at least one shard");
     frames.iter().map(|(_, f)| shard_of(f, shards)).collect()
-}
-
-/// [`assignments`] computed on up to `max_threads` scoped threads.
-///
-/// The flow hash is a pure per-frame function, so the input is cut
-/// into contiguous chunks, hashed in parallel, and re-concatenated in
-/// chunk order — the result is bit-identical to the sequential
-/// [`assignments`] for every thread count. Falls back to the
-/// sequential path when the input is small or `max_threads <= 1`
-/// (thread spawn costs more than it saves on short epochs).
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-#[must_use]
-pub fn assignments_parallel(
-    frames: &[(u64, bytes::Bytes)],
-    shards: usize,
-    max_threads: usize,
-) -> Vec<usize> {
-    assert!(shards >= 1, "need at least one shard");
-    /// Below this many frames per thread, parallel hashing cannot
-    /// amortise the spawn cost.
-    const MIN_FRAMES_PER_THREAD: usize = 4096;
-    let threads = max_threads.min(frames.len() / MIN_FRAMES_PER_THREAD);
-    if threads <= 1 {
-        return assignments(frames, shards);
-    }
-    let chunk = frames.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(frames.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = frames
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || assignments(part, shards)))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("assignment hashing must not panic"));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -199,8 +166,9 @@ mod tests {
     #[test]
     fn same_flow_same_shard() {
         let s = sample_schedule();
-        // Group frames by exact 5-tuple key and check shard agreement.
-        for shards in [2usize, 4, 8] {
+        // The shard is the widening-multiply reduction of the key; at
+        // one shard, where the key is never computed, that is 0.
+        for shards in [1usize, 2, 4, 8] {
             for (_, frame) in &s {
                 let k = flow_key(frame);
                 let expect = ((u128::from(k) * shards as u128) >> 64) as usize;
@@ -228,11 +196,7 @@ mod tests {
         let s = sample_schedule();
         let parts = split(&s, 1);
         assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].len(), s.len());
-        for ((t1, f1), (t2, f2)) in parts[0].iter().zip(&s) {
-            assert_eq!(t1, t2);
-            assert_eq!(f1, f2);
-        }
+        assert_eq!(parts[0], s);
     }
 
     #[test]
@@ -258,35 +222,49 @@ mod tests {
     #[test]
     fn assignments_agree_with_split() {
         let s = sample_schedule();
-        for shards in [1usize, 2, 4, 8] {
-            let homes = assignments(&s, shards);
-            assert_eq!(homes.len(), s.len());
-            for ((_, frame), home) in s.iter().zip(&homes) {
+        for shards in [1usize, 2, 3, 4, 8] {
+            let assigned = assignments(&s, shards);
+            assert_eq!(assigned.len(), s.len());
+            for ((_, frame), home) in s.iter().zip(&assigned) {
                 assert!(*home < shards);
                 assert_eq!(*home, shard_of(frame, shards));
             }
         }
     }
 
+    /// Which shard a frame lands on is pinned by checkpoints already
+    /// on disk and by the replay goldens: the constants below were
+    /// recorded before the up-front hash pass was deleted and must not
+    /// move with any change to how often the hash runs.
     #[test]
-    fn parallel_assignments_bit_identical_to_sequential() {
+    fn flow_hash_is_pinned() {
+        use packet::builder::PacketBuilder;
+        use std::net::Ipv4Addr;
+        let (src, dst) = (Ipv4Addr::new(10, 1, 2, 3), Ipv4Addr::new(10, 9, 8, 7));
+        let tcp = PacketBuilder::tcp_syn(src, dst, 4321, 80).build();
+        let udp = PacketBuilder::udp(src, dst, 4321, 53).build();
+        let icmp = PacketBuilder::ipv4(src, dst, 1).payload(&[8, 0, 0, 0]).build();
+        let mut arp = tcp.clone();
+        arp[12..14].copy_from_slice(&[0x08, 0x06]);
+        assert_eq!(
+            [flow_key(&tcp), flow_key(&udp), flow_key(&icmp), flow_key(&arp)],
+            [
+                0xa4d8_4af5_91c4_d118,
+                0x1497_1f7f_1dcf_d46e,
+                0x80e2_e653_b795_0a52,
+                0x904c_58aa_fb8e_aac9,
+            ],
+            "TCP, UDP, ICMP (ports zero), non-IPv4 (whole frame)"
+        );
         let s = sample_schedule();
-        let seq = assignments(&s, 8);
-        for threads in [0usize, 1, 2, 3, 7, 64] {
-            assert_eq!(
-                assignments_parallel(&s, 8, threads),
-                seq,
-                "{threads} threads must not change the partition"
-            );
-        }
-        // Force the parallel path even on a short trace by lowering the
-        // effective per-thread size: a long synthetic repeat.
-        let mut long = Schedule::new();
-        while long.len() < 20_000 {
-            long.extend(s.iter().cloned());
-        }
-        let seq_long = assignments(&long, 4);
-        assert_eq!(assignments_parallel(&long, 4, 4), seq_long);
+        let first: Vec<usize> = s[..32].iter().map(|(_, f)| shard_of(f, 4)).collect();
+        assert_eq!(
+            first,
+            [
+                3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0,
+                3, 0, 2, 2, 2
+            ]
+        );
     }
 
     #[test]
