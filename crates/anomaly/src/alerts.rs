@@ -1,10 +1,9 @@
 //! Alert types shared by the detectors.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// An anomaly surfaced by a detector, timestamped in simulation time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Alert {
     /// Traffic rate exceeded mean + k·σ of the recent-interval window.
     TrafficSpike {

@@ -29,7 +29,6 @@
 //! streams are the behavioral contract.
 
 use crate::metrics::{Check, DetectorMetrics};
-use serde::Serialize;
 use stat4_core::{FrequencyDist, RunningStats};
 use std::any::Any;
 use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
@@ -98,7 +97,7 @@ pub struct SignalContext<'a> {
 }
 
 /// One engine's verdict for one interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectionResult {
     /// Engine that produced this result.
     pub engine: &'static str,
@@ -246,7 +245,7 @@ pub trait Detector {
 /// An owned snapshot of the scalar fields of a [`SignalContext`] —
 /// what every engine saw for one interval, detached from the borrowed
 /// cumulative state so it can ride inside an [`AlertProvenance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalValues {
     /// Interval end (ns).
     pub at: u64,
@@ -315,7 +314,7 @@ pub struct EnsembleVerdict {
 }
 
 /// Why a drilldown (or any alert-consumer) acted on a verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TriggerCause {
     /// One or more engines' gated verdicts fired; names in report
     /// order.
@@ -362,7 +361,7 @@ impl FromJson for TriggerCause {
 
 /// One engine's state at the moment an alert fired, with owned
 /// strings so provenance survives JSON round trips field-for-field.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineAtFire {
     /// Engine name.
     pub engine: String,
@@ -414,7 +413,7 @@ impl EngineAtFire {
 /// The full statistical provenance of one alert: the signals every
 /// engine read, each engine's score against its threshold at fire
 /// time, the combined score, and what pulled the trigger.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertProvenance {
     /// Interval end (ns).
     pub at: u64,
@@ -449,7 +448,7 @@ impl AlertProvenance {
 }
 
 /// Per-engine summary for reports (shard-count invariant).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSummary {
     /// Engine name.
     pub name: &'static str,

@@ -534,7 +534,7 @@ impl Default for EnsembleTriggerConfig {
 /// acked batch transactions [`DrilldownController`] sends over the
 /// control channel, as a deterministic structural record (what was
 /// rebound, when, why) rather than the wire messages themselves.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebindTransaction {
     /// Binding generation the transaction installs.
     pub generation: u64,

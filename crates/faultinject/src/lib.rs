@@ -4,16 +4,17 @@
 //! because the control loop is slow and lossy; this crate supplies the
 //! lossiness. A [`FaultSpec`] declares *what* can fail (control-channel
 //! loss/duplication/jitter, link flaps, shard stalls/panics/crashes,
-//! register bit flips, table misses) and a [`FaultSchedule`] pairs the
-//! spec with a seed to decide *when* each individual fault fires.
+//! checkpoint corruption, swap redelivery) and a [`FaultSchedule`]
+//! pairs the spec with a seed to decide *when* each individual fault
+//! fires.
 //!
 //! # Determinism model
 //!
 //! Every probabilistic decision is a **stateless hash** of
 //! `(seed, domain, ordinal)` rather than a draw from a sequential RNG
 //! stream. The ordinal is a stable identifier of the decision point —
-//! a control-message sequence number, an `(epoch, shard)` pair, a
-//! packet index — so the answer to "does control message #17 get
+//! a control-message sequence number, an epoch, a checkpoint-write
+//! ordinal — so the answer to "does control message #17 get
 //! dropped?" depends only on the seed and the number 17, never on how
 //! many other decisions were made before it or on which thread asked.
 //! Two runs of the same seeded schedule therefore make bit-identical
@@ -21,9 +22,9 @@
 //! what lets the cross-layer conformance suite assert byte-identical
 //! outcomes across reruns.
 //!
-//! Deterministic *scheduled* faults (a crash of shard 1 at epoch 3, an
-//! SEU in cell 12 of `syn_count` at packet 40 000) are listed
-//! explicitly in the spec and do not consult the seed at all.
+//! Deterministic *scheduled* faults (a crash of shard 1 at epoch 3, a
+//! corrupted third checkpoint write) are listed explicitly in the spec
+//! and do not consult the seed at all.
 //!
 //! # Spec grammar
 //!
@@ -38,8 +39,6 @@
 //! shard_crash=1@3             shard 1 crashes at epoch 3
 //! shard_panic=0@2             shard 0 panics at epoch 2
 //! shard_stall=2@4:1500000     shard 2 stalls 1.5ms at epoch 4
-//! seu=syn_count:12:7@40000    flip bit 7 of cell 12 before packet 40000
-//! table_miss=binding@100..200 table `binding` misses for packets 100..200
 //! ckpt_corrupt=2              corrupt the 3rd checkpoint write (0-based)
 //! reconfig_storm=0.5          redeliver each committed swap w.p. 0.5
 //! ```
@@ -51,9 +50,7 @@ mod schedule;
 mod spec;
 
 pub use schedule::{domains, CkptCorruption, FaultSchedule};
-pub use spec::{
-    FaultSpec, LinkFlap, SeuFault, ShardFault, ShardFaultKind, SpecError, TableMissWindow,
-};
+pub use spec::{FaultSpec, LinkFlap, ShardFault, ShardFaultKind, SpecError};
 
 /// SplitMix64 finalizer: the core bijective mixer behind every seeded
 /// decision in this crate. Public so layers that need an extra derived

@@ -1,6 +1,6 @@
 //! Seeded, order-independent fault decisions over a [`FaultSpec`].
 
-use crate::spec::{FaultSpec, SeuFault, ShardFaultKind, TableMissWindow};
+use crate::spec::{FaultSpec, ShardFaultKind};
 use crate::splitmix64;
 
 /// Decision domains: each kind of question hashes under its own domain
@@ -121,7 +121,9 @@ impl FaultSchedule {
         if self.spec.ctrl_delay_ns == 0 {
             return 0;
         }
-        self.mix(domains::CTRL_DELAY, seq) % (self.spec.ctrl_delay_ns + 1)
+        let h = self.mix(domains::CTRL_DELAY, seq);
+        // At `u64::MAX` the range is every value the hash takes.
+        self.spec.ctrl_delay_ns.checked_add(1).map_or(h, |n| h % n)
     }
 
     /// Is the data-plane link down (flapping) at simulation time `now_ns`?
@@ -188,20 +190,6 @@ impl FaultSchedule {
     pub fn duplicate_reconfig(&self, ordinal: u64) -> bool {
         self.spec.reconfig_storm > 0.0
             && self.unit(domains::RECONFIG_STORM, ordinal) < self.spec.reconfig_storm
-    }
-
-    // ---- p4sim ------------------------------------------------------
-
-    /// SEU events scheduled for the pipeline, in spec order.
-    #[must_use]
-    pub fn seu_events(&self) -> &[SeuFault] {
-        &self.spec.seus
-    }
-
-    /// Forced table-miss windows.
-    #[must_use]
-    pub fn table_miss_windows(&self) -> &[TableMissWindow] {
-        &self.spec.table_miss
     }
 }
 
@@ -332,7 +320,35 @@ mod tests {
             assert!(!s.drop_epoch_report(i));
             assert_eq!(s.shard_fault(i, i as usize), None);
         }
-        assert!(s.seu_events().is_empty());
-        assert!(s.table_miss_windows().is_empty());
+    }
+
+    /// Every decision method answers at the edges of its ordinal range
+    /// under a spec whose values sit at the edges of theirs, without
+    /// overflowing.
+    #[test]
+    fn every_decision_answers_at_edge_ordinals() {
+        let max = u64::MAX;
+        let s = sched(
+            &format!(
+                "ctrl_loss=1,ctrl_dup=1,ctrl_delay_ns={max},link_flap=@0..{max},\
+                 shard_crash={max}@{max},ckpt_corrupt={max},reconfig_storm=1"
+            ),
+            max,
+        );
+        for ord in [0, 1, max] {
+            assert!(s.drop_control(ord));
+            assert!(s.duplicate_control(ord));
+            assert_eq!(s.control_extra_delay_ns(ord), s.mix(domains::CTRL_DELAY, ord));
+            assert_eq!(s.link_down_at(ord), ord < max);
+            assert!(s.drop_epoch_report(ord));
+            let crash = (ord == max).then_some(ShardFaultKind::Crash);
+            assert_eq!(s.shard_fault(ord, ord as usize), crash);
+            assert_eq!(s.ckpt_corruption(ord).is_some(), ord == max);
+            assert!(s.duplicate_reconfig(ord));
+        }
+        let below = sched(&format!("ctrl_delay_ns={}", max - 1), 3);
+        for ord in [0, 1, max] {
+            assert!(below.control_extra_delay_ns(ord) < max);
+        }
     }
 }

@@ -29,33 +29,6 @@ pub struct ShardFault {
     pub kind: ShardFaultKind,
 }
 
-/// One scheduled single-event-upset: flip `bit` of `cell` in register
-/// `register` just before packet `at_packet` is processed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeuFault {
-    /// Register name as declared in the program.
-    pub register: String,
-    /// Cell index within the register array.
-    pub cell: usize,
-    /// Bit position to flip (0 = LSB).
-    pub bit: u8,
-    /// 0-based index of the packet before which the flip lands.
-    pub at_packet: u64,
-}
-
-/// A window of forced misses on one table: every lookup of `table`
-/// while the pipeline's packet counter is in `[from_packet, to_packet)`
-/// misses regardless of installed entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableMissWindow {
-    /// Table name as declared in the program.
-    pub table: String,
-    /// First affected packet index (inclusive).
-    pub from_packet: u64,
-    /// First unaffected packet index (exclusive).
-    pub to_packet: u64,
-}
-
 /// A link-flap window: data-plane frames sent while the simulation
 /// clock is in `[from_ns, to_ns)` are silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +60,6 @@ pub struct FaultSpec {
     pub link_flaps: Vec<LinkFlap>,
     /// Scheduled shard faults.
     pub shard_faults: Vec<ShardFault>,
-    /// Scheduled register bit flips.
-    pub seus: Vec<SeuFault>,
-    /// Forced table-miss windows.
-    pub table_miss: Vec<TableMissWindow>,
     /// Checkpoint-write ordinals (0-based) whose bytes are corrupted on
     /// the way to disk — the torn-write / bit-rot model. Whether a
     /// given ordinal is truncated or bit-flipped is a seeded decision
@@ -220,58 +189,6 @@ impl FaultSpec {
                         kind: ShardFaultKind::Stall { ns },
                     });
                 }
-                "seu" => {
-                    // register:cell:bit@packet
-                    let (head, pkt) = val
-                        .split_once('@')
-                        .ok_or_else(|| err(entry, "expected `<reg>:<cell>:<bit>@<packet>`"))?;
-                    let mut parts = head.split(':');
-                    let (reg, cell, bit) = match (parts.next(), parts.next(), parts.next(), parts.next())
-                    {
-                        (Some(r), Some(c), Some(b), None) => (r, c, b),
-                        _ => return Err(err(entry, "expected `<reg>:<cell>:<bit>@<packet>`")),
-                    };
-                    let cell = cell
-                        .parse()
-                        .map_err(|_| err(entry, format_args!("`{cell}` is not a cell index")))?;
-                    let bit: u8 = bit
-                        .parse()
-                        .map_err(|_| err(entry, format_args!("`{bit}` is not a bit position")))?;
-                    if bit > 63 {
-                        return Err(err(entry, format_args!("bit {bit} outside 0..=63")));
-                    }
-                    let at_packet = pkt
-                        .parse()
-                        .map_err(|_| err(entry, format_args!("`{pkt}` is not a packet index")))?;
-                    out.seus.push(SeuFault {
-                        register: reg.to_string(),
-                        cell,
-                        bit,
-                        at_packet,
-                    });
-                }
-                "table_miss" => {
-                    let (table, range) = val
-                        .split_once('@')
-                        .ok_or_else(|| err(entry, "expected `<table>@<from>..<to>`"))?;
-                    let (from, to) = range
-                        .split_once("..")
-                        .ok_or_else(|| err(entry, "expected `<table>@<from>..<to>`"))?;
-                    let from_packet = from
-                        .parse()
-                        .map_err(|_| err(entry, format_args!("`{from}` is not a packet index")))?;
-                    let to_packet = to
-                        .parse()
-                        .map_err(|_| err(entry, format_args!("`{to}` is not a packet index")))?;
-                    if from_packet >= to_packet {
-                        return Err(err(entry, "miss window is empty"));
-                    }
-                    out.table_miss.push(TableMissWindow {
-                        table: table.to_string(),
-                        from_packet,
-                        to_packet,
-                    });
-                }
                 "ckpt_corrupt" => {
                     let ordinal = val.parse().map_err(|_| {
                         err(entry, format_args!("`{val}` is not a checkpoint ordinal"))
@@ -285,8 +202,7 @@ impl FaultSpec {
                         format_args!(
                             "unknown fault key `{other}` (known: ctrl_loss, ctrl_dup, \
                              ctrl_delay_ns, link_flap, shard_crash, shard_panic, \
-                             shard_stall, seu, table_miss, ckpt_corrupt, \
-                             reconfig_storm)"
+                             shard_stall, ckpt_corrupt, reconfig_storm)"
                         ),
                     ))
                 }
@@ -304,8 +220,6 @@ impl FaultSpec {
             && self.ctrl_delay_ns == 0
             && self.link_flaps.is_empty()
             && self.shard_faults.is_empty()
-            && self.seus.is_empty()
-            && self.table_miss.is_empty()
             && self.ckpt_corrupt.is_empty()
             && self.reconfig_storm == 0.0
     }
@@ -327,8 +241,7 @@ mod tests {
         let s = FaultSpec::parse(
             "ctrl_loss=0.30, ctrl_dup=0.05, ctrl_delay_ns=250us, \
              link_flap=@5ms..9ms, shard_crash=1@3, shard_panic=0@2, \
-             shard_stall=2@4:1500000, seu=syn_count:12:7@40000, \
-             table_miss=binding@100..200",
+             shard_stall=2@4:1500000",
         )
         .unwrap();
         assert!((s.ctrl_loss - 0.30).abs() < 1e-12);
@@ -347,14 +260,6 @@ mod tests {
             s.shard_faults[2],
             ShardFault { shard: 2, epoch: 4, kind: ShardFaultKind::Stall { ns: 1_500_000 } }
         );
-        assert_eq!(
-            s.seus,
-            vec![SeuFault { register: "syn_count".into(), cell: 12, bit: 7, at_packet: 40_000 }]
-        );
-        assert_eq!(
-            s.table_miss,
-            vec![TableMissWindow { table: "binding".into(), from_packet: 100, to_packet: 200 }]
-        );
         assert!(!s.is_empty());
     }
 
@@ -366,10 +271,7 @@ mod tests {
             "nonsense=1",
             "shard_crash=1",
             "shard_stall=1@2",
-            "seu=reg:0:64@5",
-            "seu=reg:0@5",
             "link_flap=@9ms..5ms",
-            "table_miss=t@5..5",
             "ctrl_delay_ns=4x",
             "justakey",
             "ckpt_corrupt=soon",
@@ -377,6 +279,14 @@ mod tests {
         ] {
             let e = FaultSpec::parse(bad).unwrap_err();
             assert!(e.to_string().contains("bad fault spec"), "{bad}: {e}");
+        }
+        // `seu` and `table_miss` are not fault keys: no layer reads a
+        // data-plane fault, and the known-keys list names neither.
+        for gone in ["seu=syn_count:12:7@40000", "table_miss=binding@100..200"] {
+            let e = FaultSpec::parse(gone).unwrap_err().to_string();
+            assert!(e.contains("unknown fault key"), "{gone}: {e}");
+            let known = &e[e.find("(known:").expect("lists known keys")..];
+            assert!(!known.contains("seu") && !known.contains("table_miss"), "{known}");
         }
     }
 
@@ -400,8 +310,9 @@ mod tests {
 
     #[test]
     fn repeated_event_keys_accumulate() {
-        let s = FaultSpec::parse("shard_crash=0@1,shard_crash=1@1,seu=a:0:1@2,seu=b:0:1@3").unwrap();
+        let s = FaultSpec::parse("shard_crash=0@1,shard_crash=1@1,ckpt_corrupt=2,ckpt_corrupt=3")
+            .unwrap();
         assert_eq!(s.shard_faults.len(), 2);
-        assert_eq!(s.seus.len(), 2);
+        assert_eq!(s.ckpt_corrupt, vec![2, 3]);
     }
 }

@@ -292,6 +292,9 @@ impl Simulation {
                         .get(&(source, dst))
                         .copied()
                         .unwrap_or(0);
+                    // Saturating: a jitter bound near `u64::MAX` is a
+                    // valid spec and delivers at the end of time.
+                    let due = self.now.saturating_add(delay).saturating_add(extra_delay);
                     let jitter = self.faults.control_extra_delay_ns(ord);
                     if jitter > 0 {
                         self.fault_stats.control_jittered += 1;
@@ -302,7 +305,7 @@ impl Simulation {
                         self.fault_stats.control_duplicated += 1;
                         let dup_jitter = self.faults.control_extra_delay_ns(u64::MAX - ord);
                         self.push(
-                            self.now + delay + extra_delay + dup_jitter,
+                            due.saturating_add(dup_jitter),
                             EventKind::Control {
                                 node: dst,
                                 from: source,
@@ -311,7 +314,7 @@ impl Simulation {
                         );
                     }
                     self.push(
-                        self.now + delay + extra_delay + jitter,
+                        due.saturating_add(jitter),
                         EventKind::Control {
                             node: dst,
                             from: source,
@@ -520,6 +523,8 @@ mod tests {
             fn on_start(&mut self, ctx: &mut NodeCtx) {
                 ctx.send_control(self.dst, ControlMsg::Tick);
                 ctx.send_control_delayed(self.dst, ControlMsg::Tick, 5_000);
+                // Past the end of time: saturates, does not wrap to 989.
+                ctx.send_control_delayed(self.dst, ControlMsg::Tick, u64::MAX - 10);
             }
             fn as_any(&self) -> &dyn std::any::Any {
                 self
@@ -549,7 +554,7 @@ mod tests {
         let s = sim.add_node(Box::new(Sender { dst: r }));
         sim.connect_control(s, r, 1_000);
         sim.run();
-        assert_eq!(at.lock().as_slice(), &[1_000, 6_000]);
+        assert_eq!(at.lock().as_slice(), &[1_000, 6_000, u64::MAX]);
     }
 
     #[test]

@@ -172,3 +172,18 @@ fn reordering_actually_occurs_under_jitter() {
     }
     assert!(seen_reorder, "jitter produced no reordering");
 }
+
+#[test]
+fn jitter_bound_at_u64_max_draws_over_every_u64() {
+    // `ctrl_delay_ns` takes any u64; at the top the jitter is the whole
+    // hash, drawn over every u64, and a delivery time past the end
+    // saturates instead of overflowing.
+    let spec = format!("ctrl_dup=1,ctrl_delay_ns={}", u64::MAX);
+    let out = run(&spec, 7);
+    assert_eq!(out, run(&spec, 7), "still deterministic");
+    assert_eq!(out.registers.iter().sum::<u64>(), 300, "the data plane is untouched");
+    assert_eq!(out.digests.len(), 600, "every digest and its duplicate arrive");
+    assert_eq!(out.stats.control_duplicated, 300);
+    assert!(out.digests.iter().all(|(at, _)| *at >= MILLIS));
+    assert!(out.digests.iter().any(|(at, _)| *at > u64::MAX / 2), "jitter spans the range");
+}

@@ -17,11 +17,10 @@
 //! analyser charges it `TargetModel::msb_cost` sequential steps.
 
 use crate::phv::FieldId;
-use serde::{Deserialize, Serialize};
 
 /// A value source for a primitive: a literal, a PHV field, or a slot of
 /// the matched table entry's action data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
     /// Compile-time constant.
     Const(u64),
@@ -33,7 +32,7 @@ pub enum Operand {
 }
 
 /// One data-plane instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Primitive {
     /// `dst = src`.
     Set {
@@ -325,7 +324,7 @@ impl Primitive {
 
 /// A named sequence of primitives, invokable from tables or directly
 /// from the control.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionDef {
     /// Human-readable name for reports.
     pub name: String,

@@ -21,12 +21,11 @@
 //!   (action data installed by the controller at runtime, a possible
 //!   but not certain wrap). Recorded and countable, never fatal.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use telemetry::json_string;
 
 /// How serious a finding is (see the module docs for the policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Not disproven, recorded for audit; never fatal.
     Info,
@@ -47,7 +46,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable lint codes. The numeric part never changes meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
     /// `S4L001` — `Mul` of two runtime values on a target without a
     /// runtime multiplier (the paper's division/multiply discipline).
@@ -146,7 +145,7 @@ impl fmt::Display for LintCode {
 }
 
 /// One finding of the static verifier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable lint code.
     pub code: LintCode,

@@ -202,9 +202,8 @@ fn target_legality(p: &Pipeline, target: &TargetModel, diags: &mut Vec<Diagnosti
 }
 
 /// Checks that every register leaves room for the target's SEU-recovery
-/// guard bits: the saturating recovery path (see [`crate::fault`])
-/// detects a bit flip by the value exceeding the register's width mask,
-/// which is only possible when `width_bits + seu_headroom_bits` still
+/// guard bits: a saturating recovery path detects a bit flip by the
+/// value exceeding the register's width mask, which is only possible when `width_bits + seu_headroom_bits` still
 /// fits the 64-bit cell. Targets with `seu_headroom_bits == 0` demand
 /// no hardening and are never flagged.
 fn seu_headroom(p: &Pipeline, target: &TargetModel, diags: &mut Vec<Diagnostic>) {

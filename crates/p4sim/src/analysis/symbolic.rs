@@ -343,13 +343,12 @@ pub fn phv_from_witness(w: &Witness) -> Phv {
     phv
 }
 
-/// Clones `p`, removes any fault hook, and installs the witness's
-/// register state (matched by name; extra cells are ignored, and values
-/// are masked to the register's declared width).
+/// Clones `p` and installs the witness's register state (matched by
+/// name; extra cells are ignored, and values are masked to the
+/// register's declared width).
 #[must_use]
 pub fn apply_witness(p: &Pipeline, w: &Witness) -> Pipeline {
     let mut q = p.clone();
-    q.set_fault_hook(None);
     for (name, cells) in &w.registers {
         if let Some(reg) = q.registers.iter_mut().find(|r| &r.name == name) {
             let mask = reg.mask();
@@ -1318,8 +1317,7 @@ pub struct Observed {
     pub registers: Vec<(String, Vec<u64>)>,
 }
 
-/// Replays a witness through a clone of `p` (fault hook removed) and
-/// returns what an external observer would see.
+/// Replays a witness through a clone of `p` and returns what an external observer would see.
 ///
 /// # Errors
 ///
@@ -1948,7 +1946,6 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
     let ctx = "rebind transaction".to_string();
     let mut diags = Vec::new();
     let mut cand = p.clone();
-    cand.set_fault_hook(None);
     if let RuntimeResponse::Error(msg) = cand.runtime(req) {
         diags.push(Diagnostic::new(
             LintCode::UnsafeRebind,

@@ -7,10 +7,9 @@
 //! once per packet.
 
 use crate::action::Operand;
-use serde::{Deserialize, Serialize};
 
 /// Comparison operator for branch conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -27,7 +26,7 @@ pub enum CmpOp {
 }
 
 /// A branch condition `a op b` over operands (unsigned comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cond {
     /// Left operand.
     pub a: Operand,
@@ -59,7 +58,7 @@ impl Cond {
 }
 
 /// One node of the control tree.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Control {
     /// Do nothing (the default; also what `Seq(vec![])` means).
     #[default]

@@ -52,7 +52,6 @@ pub mod analysis;
 pub mod action;
 pub mod control;
 pub mod error;
-pub mod fault;
 pub mod parser;
 pub mod phv;
 pub mod pipeline;
@@ -71,7 +70,6 @@ pub use analysis::{
 };
 pub use control::{Cond, Control};
 pub use error::{P4Error, P4Result};
-pub use fault::{FaultHook, MissWindow, ScheduledFaults, SeuEvent, SeuRecovery};
 pub use parser::parse_frame;
 pub use phv::{FieldId, Phv};
 pub use pipeline::{PacketOutcome, Pipeline, PipelineState, RegMerge};

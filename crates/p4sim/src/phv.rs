@@ -7,10 +7,8 @@
 //! agree on the layout. Scratch metadata slots `M0..M15` hold
 //! intermediate values inside action chains, mirroring P4 user metadata.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a field in the PHV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub u16);
 
 /// Well-known fields populated by the parser plus standard metadata.
@@ -95,7 +93,7 @@ pub mod fields {
 pub const DROP_PORT: u64 = u64::MAX;
 
 /// A packet's header vector: one 64-bit slot per field.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phv {
     slots: [u64; fields::FIELD_COUNT],
 }

@@ -4,12 +4,10 @@
 use crate::action::{ActionDef, Operand, Primitive};
 use crate::control::Control;
 use crate::error::{P4Error, P4Result};
-use crate::fault::FaultHook;
 use crate::parser::parse_frame;
 use crate::phv::{fields, Phv, DROP_PORT};
 use crate::table::Table;
 use crate::target::TargetModel;
-use serde::{Deserialize, Serialize};
 use stat4_core::delta::DirtyJournal;
 use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
 
@@ -17,7 +15,7 @@ use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
 /// during sharded replay (`crate::replay::merge_registers`), and the
 /// algebra the merge-soundness check (`S4L015`) verifies the register's
 /// update function against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RegMerge {
     /// Cellwise wrapping addition masked to the register width — the
     /// arithmetic a fixed-width hardware register performs. Correct for
@@ -50,7 +48,7 @@ impl RegMerge {
 }
 
 /// A stateful register array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Register {
     /// Name for reports.
     pub name: String,
@@ -59,12 +57,10 @@ pub struct Register {
     /// Cell storage.
     pub cells: Vec<u64>,
     /// Declared cross-shard merge policy (see [`RegMerge`]).
-    #[serde(default)]
     pub merge: RegMerge,
     /// Cells written since the last [`Pipeline::take_register_delta`]
     /// — the changed-register-span journal behind sparse cross-shard
-    /// merges. Bookkeeping, not identity: excluded from eq and serde.
-    #[serde(skip, default)]
+    /// merges. Bookkeeping, not identity: excluded from eq.
     pub(crate) journal: DirtyJournal,
 }
 
@@ -101,7 +97,7 @@ impl Register {
 }
 
 /// A digest pushed to the controller during packet processing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestRecord {
     /// Application-defined digest kind.
     pub id: u16,
@@ -110,7 +106,7 @@ pub struct DigestRecord {
 }
 
 /// What happened to one packet.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PacketOutcome {
     /// Egress port, if forwarded.
     pub egress: Option<u64>,
@@ -119,7 +115,6 @@ pub struct PacketOutcome {
     /// Extra pipeline passes the packet consumed.
     pub recirculations: u32,
     /// Set while a pass is executing when the next pass was requested.
-    #[serde(skip)]
     recirculate_requested: bool,
     /// Digests emitted (push alerts to the controller).
     pub digests: Vec<DigestRecord>,
@@ -135,7 +130,7 @@ pub struct PacketOutcome {
 /// tree) is deliberately not captured: a restore target is a fresh
 /// build of the same program, and [`Pipeline::restore_state`] verifies
 /// the register file lines up before touching anything.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineState {
     /// `(register name, cells)` in declaration order.
     pub registers: Vec<(String, Vec<u64>)>,
@@ -180,13 +175,8 @@ pub struct Pipeline {
     pub(crate) tables: Vec<Table>,
     pub(crate) control: Control,
     pub(crate) packets_processed: u64,
-    pub(crate) fault_hook: Option<Box<dyn FaultHook>>,
     /// `packets_processed` at the last [`Self::take_register_delta`].
     pub(crate) taken_packets: u64,
-    /// Set when a fault hook has run: hooks mutate registers directly
-    /// (bypassing the journal), so pending deltas are unreliable and
-    /// the next take must signal "full merge required".
-    pub(crate) hook_touched: bool,
 }
 
 impl Pipeline {
@@ -204,22 +194,8 @@ impl Pipeline {
             tables,
             control,
             packets_processed: 0,
-            fault_hook: None,
             taken_packets: 0,
-            hook_touched: false,
         }
-    }
-
-    /// Installs (or with `None`, removes) a fault-injection hook. The
-    /// hook sees every subsequent packet; see [`crate::fault`].
-    pub fn set_fault_hook(&mut self, hook: Option<Box<dyn FaultHook>>) {
-        self.fault_hook = hook;
-    }
-
-    /// The installed fault hook, if any (telemetry reads its counters).
-    #[must_use]
-    pub fn fault_hook(&self) -> Option<&dyn FaultHook> {
-        self.fault_hook.as_deref()
     }
 
     /// The target this program was validated against.
@@ -310,22 +286,18 @@ impl Pipeline {
     /// [`crate::replay::PipelineDelta`] — the changed-register spans
     /// since the last take — and re-bases them.
     ///
-    /// Returns `None` when the delta cannot be trusted: a fault hook is
-    /// installed or has run since the last take. Hooks mutate the
-    /// register file directly ([`crate::fault::FaultHook::before_packet`]
-    /// takes `&mut [Register]`), bypassing the journal, so the only
-    /// sound answer is "do a full merge this round". The journals are
-    /// re-based either way, so a later fault-free window deltas cleanly
-    /// after one full rebuild.
-    pub fn take_register_delta(&mut self) -> Option<crate::replay::PipelineDelta> {
-        let tainted = self.hook_touched || self.fault_hook.is_some();
-        self.hook_touched = false;
+    /// The delta holds every write a packet or the controller made since
+    /// the last take: both write registers only through
+    /// `Register::write_cell`, which journals. [`Self::restore_state`]
+    /// re-bases the journals, so a consumer full-merges once after a
+    /// restore.
+    pub fn take_register_delta(&mut self) -> crate::replay::PipelineDelta {
         let packets_base = self.taken_packets;
         self.taken_packets = self.packets_processed;
         let mut regs = Vec::new();
         for (i, r) in self.registers.iter_mut().enumerate() {
             let touched = r.journal.take();
-            if !tainted && !touched.is_empty() {
+            if !touched.is_empty() {
                 let cells = touched
                     .into_iter()
                     .map(|(idx, base)| (idx, base, r.cells[idx as usize]))
@@ -333,20 +305,17 @@ impl Pipeline {
                 regs.push(crate::replay::RegisterDelta { register: i, cells });
             }
         }
-        if tainted {
-            return None;
-        }
-        Some(crate::replay::PipelineDelta {
+        crate::replay::PipelineDelta {
             regs,
             packets_base,
             packets_cur: self.packets_processed,
-        })
+        }
     }
 
     /// Drops pending journal entries and re-bases, without building the
     /// delta — what a coordinator does right after a full merge.
     pub fn discard_register_delta(&mut self) {
-        let _ = self.take_register_delta();
+        self.take_register_delta();
     }
 
     /// Read-only table access.
@@ -391,16 +360,10 @@ impl Pipeline {
     /// Propagates interpreter errors.
     pub fn process_phv(&mut self, phv: &mut Phv) -> P4Result<PacketOutcome> {
         let mut outcome = PacketOutcome::default();
-        if let Some(hook) = &mut self.fault_hook {
-            hook.before_packet(self.packets_processed, &mut self.registers);
-            self.hook_touched = true;
-        }
         let mut exec = Exec {
             target: &self.target,
             actions: &self.actions,
             tables: &self.tables,
-            fault_hook: self.fault_hook.as_deref(),
-            pkt: self.packets_processed,
             registers: &mut self.registers,
         };
         exec.exec_control(&self.control, phv, &mut outcome)?;
@@ -434,9 +397,6 @@ struct Exec<'a> {
     target: &'a TargetModel,
     actions: &'a [ActionDef],
     tables: &'a [Table],
-    fault_hook: Option<&'a dyn FaultHook>,
-    /// This packet's ordinal, as the fault hook counts them.
-    pkt: u64,
     registers: &'a mut [Register],
 }
 
@@ -474,9 +434,7 @@ impl Exec<'_> {
                     kind: "table",
                     id: *tid,
                 })?;
-                let forced_miss =
-                    self.fault_hook.is_some_and(|h| h.force_miss(self.pkt, &table.def.name));
-                let hit = if forced_miss { None } else { table.lookup(phv) };
+                let hit = table.lookup(phv);
                 outcome.tables_applied.push((*tid, hit.is_some()));
                 let invocation = match hit {
                     Some(e) => Some((e.action, e.action_data.as_slice())),
@@ -970,46 +928,6 @@ mod tests {
         let mut phv0 = Phv::new();
         p.process_phv(&mut phv0).unwrap();
         assert_eq!(phv0.get(M1_TEST), 0, "msb(0) = 0");
-    }
-
-    #[test]
-    fn fault_hook_seu_flip_corrupts_register_before_packet() {
-        use crate::fault::{ScheduledFaults, SeuEvent, SeuRecovery};
-        let mut p = counting_pipeline();
-        p.set_fault_hook(Some(Box::new(ScheduledFaults::new(
-            vec![SeuEvent { register: "counters".into(), cell: 3, bit: 10, at_packet: 1 }],
-            vec![],
-            SeuRecovery::None,
-        ))));
-        // Packet 0: no fault yet, counts 100 into cell 3.
-        p.process_phv(&mut phv_to(0x0a01_0203, 100)).unwrap();
-        assert_eq!(p.registers()[0].cells[3], 100);
-        // Packet 1: flip bit 10 first, then count 60 more.
-        p.process_phv(&mut phv_to(0x0a01_0203, 60)).unwrap();
-        assert_eq!(p.registers()[0].cells[3], (100 ^ (1 << 10)) + 60);
-        // Cloning the pipeline clones the hook.
-        let _ = p.clone();
-    }
-
-    #[test]
-    fn fault_hook_forced_miss_runs_default_action() {
-        use crate::fault::{MissWindow, ScheduledFaults, SeuRecovery};
-        let mut p = counting_pipeline();
-        p.set_fault_hook(Some(Box::new(ScheduledFaults::new(
-            vec![],
-            vec![MissWindow { table: "bind".into(), from_packet: 0, to_packet: 1 }],
-            SeuRecovery::None,
-        ))));
-        // Packet 0 is inside the miss window: matching traffic is not
-        // counted, the default action still forwards.
-        let out = p.process_phv(&mut phv_to(0x0a01_0203, 100)).unwrap();
-        assert_eq!(out.tables_applied, vec![(0, false)]);
-        assert_eq!(out.egress, Some(1));
-        assert_eq!(p.registers()[0].cells[3], 0);
-        // Packet 1 is past the window: normal hit.
-        let out = p.process_phv(&mut phv_to(0x0a01_0203, 100)).unwrap();
-        assert_eq!(out.tables_applied, vec![(0, true)]);
-        assert_eq!(p.registers()[0].cells[3], 100);
     }
 
     #[test]

@@ -32,12 +32,11 @@ use crate::phv::FieldId;
 use crate::pipeline::Pipeline;
 use crate::table::MatchKind;
 use crate::target::TargetModel;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// One pipeline stage's footprint in the allocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageFootprint {
     /// Match-action tables hosted: `(name, ...)`.
     pub tables: Vec<String>,
@@ -48,7 +47,7 @@ pub struct StageFootprint {
 }
 
 /// The analyser's findings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceReport {
     /// Bytes of register state, per register: `(name, bytes)`.
     pub registers: Vec<(String, usize)>,

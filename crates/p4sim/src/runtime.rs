@@ -11,10 +11,9 @@
 use crate::error::P4Error;
 use crate::pipeline::Pipeline;
 use crate::table::{Entry, MatchValue};
-use serde::{Deserialize, Serialize};
 
 /// A control-plane operation on a running pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeRequest {
     /// Insert a table entry.
     InsertEntry {
@@ -95,7 +94,7 @@ pub enum RuntimeRequest {
 }
 
 /// Reply to a [`RuntimeRequest`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeResponse {
     /// Operation succeeded with no payload.
     Ok,

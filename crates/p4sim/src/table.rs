@@ -3,10 +3,9 @@
 
 use crate::error::{P4Error, P4Result};
 use crate::phv::{FieldId, Phv};
-use serde::{Deserialize, Serialize};
 
 /// How a key component matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchKind {
     /// Exact-value match.
     Exact,
@@ -22,7 +21,7 @@ pub enum MatchKind {
 }
 
 /// One key component of a table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchValue {
     /// Matches exactly this value.
     Exact(u64),
@@ -94,7 +93,7 @@ impl MatchValue {
 
 /// A table entry: key components, priority (higher wins among ternary /
 /// range candidates), the action to run and its runtime parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// One component per table key.
     pub key: Vec<MatchValue>,
@@ -107,7 +106,7 @@ pub struct Entry {
 }
 
 /// Static definition of a table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDef {
     /// Human-readable name for reports.
     pub name: String,
@@ -123,7 +122,7 @@ pub struct TableDef {
 }
 
 /// A table definition plus its current entries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// The static definition.
     pub def: TableDef,

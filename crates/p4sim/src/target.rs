@@ -9,10 +9,9 @@
 //! forces the same design decisions the paper describes.
 
 use crate::action::{Operand, Primitive};
-use serde::{Deserialize, Serialize};
 
 /// Capabilities and costs of a deployment target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetModel {
     /// Target name for error messages and reports.
     pub name: &'static str,
@@ -49,13 +48,13 @@ pub struct TargetModel {
     /// lives in exactly one stage's stateful ALU; false for software
     /// targets like bmv2).
     pub single_register_access: bool,
-    /// Guard bits the SEU-recovery saturation path reserves *above*
+    /// Guard bits an SEU-recovery saturation path reserves *above*
     /// each register's declared width: a flip that lands in the guard
     /// range is detected (value exceeds the width mask) and clamped
-    /// (see `fault::SeuRecovery::Saturate`). Registers declared so
-    /// wide that `width_bits + seu_headroom_bits > 64` leave the
-    /// recovery nothing to detect with — the `S4L012` lint. Both
-    /// standard presets set 0 (no SEU hardening demanded).
+    /// to the mask. Registers declared so wide that
+    /// `width_bits + seu_headroom_bits > 64` leave the recovery nothing
+    /// to detect with — the `S4L012` lint. Both standard presets set 0
+    /// (no SEU hardening demanded).
     pub seu_headroom_bits: u32,
 }
 

@@ -286,7 +286,7 @@ pub struct ShardState {
 /// Equality over the observable statistics only — the delta baseline
 /// (`taken_packets`, plus each tracker's internal dirty journal) is
 /// bookkeeping, invisible to the conformance surface exactly as it is
-/// invisible to serde.
+/// to the checkpoint codec.
 impl PartialEq for ShardState {
     fn eq(&self, other: &Self) -> bool {
         self.kinds == other.kinds

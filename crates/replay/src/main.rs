@@ -29,8 +29,8 @@
 //! per line, `#` comments allowed, and a malformed line is rejected
 //! with its file, line number and reason. Either way a spec the
 //! replay engine cannot act on is refused: a shard fault aimed at a
-//! shard the run does not have, or a `netsim` / `p4sim` fault domain
-//! (`seu`, `table_miss`, `link_flap`, `ctrl_dup`, `ctrl_delay_ns`).
+//! shard the run does not have, or a `netsim` fault domain
+//! (`link_flap`, `ctrl_dup`, `ctrl_delay_ns`).
 //!
 //! Lifecycle flags: `--checkpoint-dir D --checkpoint-every N` writes a
 //! crash-consistent checkpoint into D every N epochs;
@@ -270,18 +270,15 @@ fn faults_from_file(path: &str, text: &str) -> Result<String, String> {
 /// Parses a `--faults` spec into the run's schedule, refusing the
 /// well-formed entries the replay engine would silently ignore: a
 /// shard fault aimed at a shard this run does not have, and the fault
-/// domains only `netsim` and `p4sim` consult. Pure, like
+/// domains only `netsim` consults. Pure, like
 /// [`faults_from_file`], whose joined output goes through here too.
 fn replay_faults(spec: &str, seed: u64, shards: usize) -> Result<FaultSchedule, String> {
     let schedule = FaultSchedule::parse(spec, seed).map_err(|e| e.to_string())?;
     for entry in spec.split(',').map(str::trim) {
         let key = entry.split_once('=').map_or(entry, |(key, _)| key);
-        if matches!(
-            key,
-            "seu" | "table_miss" | "link_flap" | "ctrl_dup" | "ctrl_delay" | "ctrl_delay_ns"
-        ) {
+        if matches!(key, "link_flap" | "ctrl_dup" | "ctrl_delay" | "ctrl_delay_ns") {
             return Err(format!(
-                "bad fault spec: `{entry}`: `{key}` is a netsim / p4sim fault domain; \
+                "bad fault spec: `{entry}`: `{key}` is a netsim fault domain; \
                  replay consumes shard_*, ctrl_loss, ckpt_corrupt, reconfig_storm"
             ));
         }
@@ -842,10 +839,8 @@ mod tests {
     #[test]
     fn foreign_fault_domains_rejected_by_name() {
         // Regression: these parsed and did nothing (`FaultSchedule`
-        // answers them to `netsim` and `p4sim` only).
+        // answers them to `netsim` only).
         for (entry, key) in [
-            ("seu=r:0:1@5", "seu"),
-            ("table_miss=fwd@10..20", "table_miss"),
             ("link_flap=@5ms..9ms", "link_flap"),
             ("ctrl_dup=0.5", "ctrl_dup"),
             ("ctrl_delay_ns=4ms", "ctrl_delay_ns"),
@@ -856,10 +851,16 @@ mod tests {
             let err = replay_faults(&spec, 0, 4).unwrap_err();
             assert!(err.contains(&format!("`{entry}`")), "names the entry: {err}");
             assert!(
-                err.contains(&format!("`{key}` is a netsim / p4sim fault domain")),
+                err.contains(&format!("`{key}` is a netsim fault domain")),
                 "names the domain: {err}"
             );
             assert!(err.contains("replay consumes shard_*, ctrl_loss"), "actionable: {err}");
+        }
+        // `seu` and `table_miss` are not in the grammar at all.
+        for gone in ["seu=r:0:1@5", "table_miss=fwd@10..20"] {
+            let err = FaultSchedule::parse(gone, 0).unwrap_err().to_string();
+            assert!(err.contains("unknown fault key"), "{gone}: {err}");
+            assert!(replay_faults(gone, 0, 4).is_err());
         }
         // Every key the engine does consult passes.
         replay_faults(

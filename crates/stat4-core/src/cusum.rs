@@ -26,10 +26,9 @@
 
 use crate::error::{Stat4Error, Stat4Result};
 use crate::running::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// One-sided (upper) integer CUSUM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CusumDetector {
     /// Reference level subtracted from every sample.
     pub target: i64,

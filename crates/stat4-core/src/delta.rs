@@ -41,7 +41,7 @@
 //! its accumulator matched the pre-reset fold must rebuild.
 //!
 //! Dirty state is deliberately **invisible**: it is excluded from
-//! `PartialEq` and from serde on every tracker, so journaled and
+//! `PartialEq` and from the codec on every tracker, so journaled and
 //! journal-free instances of equal register state compare equal and
 //! checkpoint formats are unchanged (a restored tracker starts with an
 //! empty journal, i.e. "nothing to ship until the next rebuild").

@@ -23,10 +23,8 @@
 //! One subtraction, one shift, one addition per update — the same
 //! register budget as the paper's counters.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-point EWMA with `α = 2^−shift`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ewma {
     /// Fixed-point accumulator (`avg << shift`).
     acc: i64,

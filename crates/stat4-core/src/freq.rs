@@ -20,11 +20,10 @@ use crate::delta::{DeltaMergeable, DirtyJournal, FreqDelta};
 use crate::error::{Stat4Error, Stat4Result};
 use crate::isqrt::approx_isqrt;
 use crate::running::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// A bounded-domain frequency distribution with O(1) updates of
 /// `N`, `Xsum` and `Xsumsq`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrequencyDist {
     min: i64,
     max: i64,
@@ -36,8 +35,7 @@ pub struct FrequencyDist {
     /// Sum of squared frequencies (`Xsumsq = Σ f_i²`).
     sumsq: u128,
     /// Buckets touched since the last `take_delta`; not part of the
-    /// distribution's identity (excluded from eq and serde).
-    #[serde(skip, default)]
+    /// distribution's identity (excluded from eq).
     journal: DirtyJournal,
 }
 

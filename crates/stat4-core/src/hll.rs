@@ -23,16 +23,14 @@
 use crate::delta::{DeltaMergeable, DirtyJournal, HllDelta};
 use crate::error::{Stat4Error, Stat4Result};
 use crate::merge::Mergeable;
-use serde::{Deserialize, Serialize};
 
 /// A HyperLogLog sketch with `2^precision` one-byte registers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HyperLogLog {
     precision: u32,
     registers: Vec<u8>,
     /// Registers that rose since the last `take_delta`; not part of the
-    /// sketch's identity (excluded from eq and serde).
-    #[serde(skip, default)]
+    /// sketch's identity (excluded from eq).
     journal: DirtyJournal,
 }
 

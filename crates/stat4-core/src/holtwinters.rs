@@ -17,10 +17,9 @@
 //! controller, never per packet).
 
 use crate::error::{Stat4Error, Stat4Result};
-use serde::{Deserialize, Serialize};
 
 /// One observation's forecast decomposition, in Q16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Forecast {
     /// What the model expected for this interval (Q16).
     pub forecast_q16: i64,
@@ -29,7 +28,7 @@ pub struct Forecast {
 }
 
 /// Additive Holt-Winters smoother over Q16 fixed point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoltWinters {
     season_len: usize,
     alpha_shift: u32,

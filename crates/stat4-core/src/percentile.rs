@@ -25,14 +25,13 @@
 
 use crate::delta::{DeltaMergeable, DirtyJournal, PercentileDelta};
 use crate::error::{Stat4Error, Stat4Result};
-use serde::{Deserialize, Serialize};
 
 /// A quantile expressed as the integer balance ratio `low : high` the
 /// marker must maintain — the form in which P4 can test it without
 /// division.
 ///
 /// The median is `1:1`; the 90th percentile is `9:1`; the 10th is `1:9`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Quantile {
     /// Weight of the mass below the marker.
     low_weight: u32,
@@ -116,7 +115,7 @@ fn gcd(mut a: u32, mut b: u32) -> u32 {
 
 /// One percentile marker: estimate position plus the two combined-mass
 /// registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Marker {
     q: Quantile,
     /// Index of the current estimate within the counts array; `None`
@@ -219,7 +218,7 @@ impl Marker {
 /// (one step per packet), so a crash-recovery checkpoint must carry
 /// them verbatim — rebuilding from the counters would land on the
 /// canonical quantile instead of the cell the live walk occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkerRaw {
     /// Weight of the mass below the marker (see [`Quantile`]).
     pub low_weight: u32,
@@ -239,7 +238,7 @@ pub struct MarkerRaw {
 /// A frequency-counter array with any number of percentile markers
 /// tracked over it — the register layout a Stat4 switch allocates per
 /// monitored distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PercentileSet {
     min: i64,
     max: i64,
@@ -247,11 +246,9 @@ pub struct PercentileSet {
     total: u64,
     markers: Vec<Marker>,
     /// Cells touched since the last `take_delta`; not part of the
-    /// tracker's identity (excluded from eq and serde).
-    #[serde(skip, default)]
+    /// tracker's identity (excluded from eq).
     journal: DirtyJournal,
     /// `total` at the last `take_delta` — the delta's total baseline.
-    #[serde(skip, default)]
     taken_total: u64,
 }
 
@@ -584,7 +581,7 @@ impl crate::merge::Mergeable for PercentileSet {
 }
 
 /// Convenience wrapper tracking a single quantile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PercentileTracker {
     set: PercentileSet,
 }

@@ -25,7 +25,6 @@
 
 use crate::delta::{DeltaMergeable, RunningDelta};
 use crate::isqrt::approx_isqrt;
-use serde::{Deserialize, Serialize};
 
 /// Online tracker for `N`, `Xsum`, `Xsumsq` and the derived `NX`-domain
 /// statistics of a stream of integer values.
@@ -40,22 +39,18 @@ use serde::{Deserialize, Serialize};
 /// itself is checked in debug builds and saturates in release builds —
 /// matching how a fixed-width P4 register would wrap-or-clamp rather than
 /// trap.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     n: u64,
     sum: i64,
     sumsq: i64,
     /// Memoised standard deviation, invalidated on every push.
-    #[serde(skip)]
     sd_cache: Option<u64>,
     /// Accumulator values at the last `take_delta` — the baseline the
     /// next delta is computed against. Like `sd_cache`, derived
-    /// bookkeeping: excluded from eq and serde.
-    #[serde(skip)]
+    /// bookkeeping: excluded from eq.
     taken_n: u64,
-    #[serde(skip)]
     taken_sum: i64,
-    #[serde(skip)]
     taken_sumsq: i64,
 }
 

@@ -12,11 +12,10 @@
 //! that typical values land in the target range.
 
 use crate::error::{Stat4Error, Stat4Result};
-use serde::{Deserialize, Serialize};
 
 /// A data-plane-legal affine quantiser: `scaled = (raw − baseline) >> shift`,
 /// clamped to `[0, max_scaled]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Subtracted before shifting (the paper's "relative to a baseline").
     pub baseline: i64,

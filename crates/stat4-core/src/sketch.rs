@@ -22,7 +22,6 @@
 //!   the accuracy gap.
 
 use crate::delta::{DeltaMergeable, DirtyJournal, SketchDelta};
-use serde::{Deserialize, Serialize};
 
 /// Per-row multiply-shift hash constants (odd, from the golden-ratio
 /// family), modelling independent CRC polynomials. Public so the
@@ -51,7 +50,7 @@ pub fn row_hash(salt: u64, width_log2: u32, key: u64) -> u64 {
 }
 
 /// A count-min sketch over `u64` keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountMinSketch {
     rows: usize,
     /// Column mask (`width − 1`; width is a power of two so indexing is
@@ -62,11 +61,9 @@ pub struct CountMinSketch {
     /// Total increments (the stream length `N` in the error bound).
     total: u64,
     /// Cells touched since the last `take_delta` (dirty state is not
-    /// part of the sketch's identity: excluded from eq and serde).
-    #[serde(skip, default)]
+    /// part of the sketch's identity: excluded from eq).
     journal: DirtyJournal,
     /// `total` at the last `take_delta` — the delta's total baseline.
-    #[serde(skip, default)]
     taken_total: u64,
 }
 

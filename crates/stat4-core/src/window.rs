@@ -14,11 +14,10 @@
 
 use crate::error::{Stat4Error, Stat4Result};
 use crate::running::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// A sliding window of the most recent `capacity` interval values with
 /// constant-work maintenance of `N`, `Xsum`, `Xsumsq`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedDist {
     ring: Vec<i64>,
     /// Next slot to write (== oldest slot once the ring is full).

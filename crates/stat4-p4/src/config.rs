@@ -7,10 +7,8 @@
 //! fields of [`Stat4Config`], fixed when a program is emitted — the same
 //! point in the lifecycle as a P4 compile.
 
-use serde::{Deserialize, Serialize};
-
 /// Sizing of the Stat4 register block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stat4Config {
     /// `STAT_COUNTER_NUM`: distributions tracked simultaneously.
     pub counter_num: usize,

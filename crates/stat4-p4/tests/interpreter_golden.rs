@@ -4,8 +4,8 @@
 //! The symbolic-differential property next door holds the symbolic
 //! executor to the interpreter; nothing there holds the interpreter to
 //! *itself across commits*. This test does: a fixed-seed spike trace
-//! runs through every built-in program, and three error/fault cases run
-//! through hand-built ones, and everything observable — steps, the
+//! runs through every built-in program, and two error cases run through
+//! hand-built ones, and everything observable — steps, the
 //! ordered digests, the applied-table trace, `export_state()`, and for
 //! the error cases the exact `P4Error` plus the register cells at the
 //! moment it was returned — is rendered as text and compared with
@@ -22,9 +22,8 @@ use p4sim::control::CmpOp;
 use p4sim::phv::fields;
 use p4sim::program::ProgramBuilder;
 use p4sim::{
-    parse_frame, ActionDef, Cond, Control, Entry, MatchKind, MatchValue, MissWindow, Operand,
-    P4Error, Phv, Pipeline, Primitive, RuntimeRequest, ScheduledFaults, SeuEvent, SeuRecovery,
-    TableDef, TargetModel,
+    parse_frame, ActionDef, Cond, Control, Entry, MatchKind, MatchValue, Operand, P4Error, Phv,
+    Pipeline, Primitive, RuntimeRequest, TableDef, TargetModel,
 };
 use stat4_p4::binding::bind_prefix;
 use stat4_p4::lint::builtin_pipelines;
@@ -251,42 +250,6 @@ fn render_register_oob_case(out: &mut String) {
     out.push('\n');
 }
 
-/// The case study under one SEU and one forced-miss window: the
-/// applied-table trace of every packet around the faults, and the cells.
-fn render_fault_case(out: &mut String, trace: &Schedule) {
-    let mut p = CaseStudyApp::build(CaseStudyParams::default())
-        .expect("case study builds")
-        .pipeline;
-    p.set_fault_hook(Some(Box::new(ScheduledFaults::new(
-        vec![SeuEvent {
-            register: "rate_state".into(),
-            cell: 1,
-            bit: 12,
-            at_packet: 40,
-        }],
-        vec![MissWindow {
-            table: "rate_binding".into(),
-            from_packet: 60,
-            to_packet: 90,
-        }],
-        SeuRecovery::None,
-    ))));
-    writeln!(out, "case scheduled_faults").unwrap();
-    let mut steps = 0u64;
-    for (i, (t, frame)) in trace.iter().take(2_000).enumerate() {
-        let o = p
-            .process_frame(frame, 1, *t)
-            .unwrap_or_else(|e| panic!("faulted case study: frame {i}: {e}"))
-            .1;
-        steps += o.steps;
-        if (30..120).contains(&i) {
-            writeln!(out, "frame {i} steps {} tables {:?}", o.steps, o.tables_applied).unwrap();
-        }
-    }
-    writeln!(out, "steps {steps}").unwrap();
-    render_state(out, &p);
-}
-
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interpreter.golden")
 }
@@ -301,7 +264,6 @@ fn interpreter_behaviour_matches_golden() {
     render_trace_run(&mut got, "casestudy (bmv2, drill-down bound)", drill_bound_case_study(), &trace);
     render_step_budget_case(&mut got);
     render_register_oob_case(&mut got);
-    render_fault_case(&mut got, &trace);
 
     let path = golden_path();
     if std::env::var_os("GOLDEN_RECORD").is_some() {

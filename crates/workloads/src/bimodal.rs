@@ -13,10 +13,9 @@
 
 use crate::rng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One mode of the distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mode {
     /// Centre of the mode.
     pub mean: i64,
