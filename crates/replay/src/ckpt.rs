@@ -48,16 +48,14 @@
 //! which grows with shards lost.
 //!
 //! **The checksum covers the payload bytes as written, where they are
-//! written.** [`serialize`] fills one buffer in one pass: the header
-//! with a placeholder for the checksum, then the payload streamed
-//! behind it by `ToJson::write_json` (no `Json` node per cell; only
-//! the `ensemble` and `drill` members, which arrive as trees, are
-//! walked as trees), then the hash of the payload's span of that
-//! buffer patched over the placeholder. [`parse`] hashes the byte span
-//! the `payload` member occupies in the file before it interprets any
-//! field. Nothing is rendered twice or copied behind a header, and a
-//! reader never trusts its own renderer to reproduce what a writer
-//! wrote.
+//! written, and neither side builds a tree** (bar the `ensemble` and
+//! `drill` members, trees by type). [`serialize`] fills one buffer in
+//! one pass: the header with a placeholder for the checksum, the
+//! payload streamed behind it by `ToJson::write_json`, then the hash of
+//! its span over the placeholder. [`parse`] reads the payload from the
+//! lexer's tokens (`FromJson::read_json`) and hashes the span the lexer
+//! reports before it trusts a field. A reader never trusts its own
+//! renderer to reproduce what a writer wrote.
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
@@ -71,7 +69,7 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::{field, obj, At, FromJson, ToJson};
+use telemetry::json::{field, obj, At, FromJson, Lexer, ToJson};
 use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
@@ -395,9 +393,10 @@ pub fn serialize(c: &Checkpoint) -> String {
     out
 }
 
-/// Parses a checkpoint document, validating magic, version and
-/// checksum before any field is interpreted. The checksum is taken
-/// over the bytes the `payload` member occupies in `text`.
+/// Parses a checkpoint document, validating magic, version and the
+/// payload bytes' checksum before any field is trusted. A file as
+/// [`serialize`] writes it is read in one pass; any other as a tree,
+/// which orders the verdicts: syntax, magic, version, checksum, fields.
 ///
 /// # Errors
 ///
@@ -405,8 +404,28 @@ pub fn serialize(c: &Checkpoint) -> String {
 /// this build does not read (older or newer), a checksum mismatch (the
 /// torn-write signal), or a missing/mistyped field with its path.
 pub fn parse(text: &str) -> Result<Checkpoint, String> {
-    let (doc, spans) = Json::parse_with_member_spans(text)?;
     let root = At::Root("$");
+    let at = At::Key(&root, "payload");
+    // The members in `serialize`'s order; the payload hashed where it was read.
+    let sealed = || {
+        let mut lx = Lexer::new(text);
+        let Ok(Json::Obj(_)) = lx.value() else { return None };
+        let mut member = |key: &str| match lx.next_key() {
+            Ok(Some(k)) if k == key => lx.value().ok(),
+            _ => None,
+        };
+        let head = [member("magic")?, member("version")?, member("checksum")?];
+        let [Json::Str(magic), version, Json::Str(want)] = head else { return None };
+        (magic == MAGIC && version == VERSION.to_json() && lx.next_key().ok()?? == "payload").then_some(())?;
+        let from = lx.pos();
+        let c = Checkpoint::read_json(&mut lx, at).ok()?;
+        let sum = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
+        (sum == want && lx.next_key() == Ok(None) && lx.finish().is_ok()).then_some(c)
+    };
+    if let Some(c) = sealed() {
+        return Ok(c);
+    }
+    let doc = Json::parse(text)?;
     let magic: String = field(&doc, "magic", root)?;
     if magic != MAGIC {
         return Err(format!("not a checkpoint: magic {magic:?}"));
@@ -424,15 +443,16 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         ));
     }
     let want: String = field(&doc, "checksum", root)?;
-    let at = At::Key(&root, "payload");
-    let members = doc.as_obj().unwrap_or(&[]);
-    let (payload, span) = members
-        .iter()
-        .zip(&spans)
-        .find(|((key, _), _)| key == "payload")
-        .map(|((_, value), span)| (value, span.clone()))
-        .ok_or_else(|| at.err("missing"))?;
-    let got = format!("{:016x}", fnv1a64(&text.as_bytes()[span]));
+    let payload = doc.get("payload").ok_or_else(|| at.err("missing"))?;
+    // The first `payload` member's bytes, where the lexer finds them.
+    let mut lx = Lexer::new(text);
+    lx.value()?;
+    while lx.next_key()?.is_some_and(|key| key != "payload") {
+        drop(lx.tree()?);
+    }
+    let from = lx.pos();
+    drop(lx.tree()?);
+    let got = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
     if got != want {
         return Err(format!(
             "checksum mismatch: payload hashes to {got}, header says {want}"
@@ -560,6 +580,8 @@ pub fn load_latest_with<T>(
             .strip_prefix("ckpt-")
             .and_then(|s| s.strip_suffix(".json"))
             .and_then(|s| s.parse::<u64>().ok())
+            // `u64::from_str` takes `+1` and `1` too: only `file_name`'s form.
+            .filter(|&ord| name == file_name(ord))
         else {
             continue;
         };
@@ -753,11 +775,36 @@ mod tests {
     /// A tampered payload under a header that is right for it, spelled
     /// here on its own so the header's form is pinned too.
     fn framed(payload: &Json) -> String {
-        let body = render(payload);
+        sealed(&render(payload))
+    }
+
+    /// The payload text `body` under a header that is right for it.
+    fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
             r#"{{"magic":"stat4-replay-ckpt","version":2,"checksum":"{sum:016x}","payload":{body}}}"#
         )
+    }
+
+    #[test]
+    fn a_deep_member_under_a_good_checksum_is_refused_by_the_nesting_guard() {
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let unknown = render(&sample_checkpoint().to_json()).replacen('{', &format!("{{\"zzz\":{deep},"), 1);
+        let mut c = sample_checkpoint();
+        c.ensemble = Json::Null;
+        let ensemble = render(&c.to_json()).replacen("\"ensemble\":null", &format!("\"ensemble\":{deep}"), 1);
+        for body in [unknown, ensemble] {
+            assert!(body.contains(&deep));
+            let err = parse(&sealed(&body)).unwrap_err();
+            assert!(err.contains("nesting deeper than 256"), "{err}");
+        }
+        // At the guard's edge: a member of the payload sits two deep in
+        // the file, so 254 brackets around a value are the most it takes.
+        for (brackets, taken) in [(254, true), (255, false)] {
+            let nested = "[".repeat(brackets) + "0" + &"]".repeat(brackets);
+            let body = render(&sample_checkpoint().to_json()).replacen('{', &format!("{{\"zzz\":{nested},"), 1);
+            assert_eq!(parse(&sealed(&body)).is_ok(), taken, "{brackets} brackets");
+        }
     }
 
     #[test]
@@ -950,6 +997,26 @@ mod tests {
         assert_eq!(ensemble.export_state(), good.ensemble);
         assert_eq!(rejected.len(), 2);
         assert!(rejected[1].contains("ckpt-000004") && rejected[1].contains("drilldown"), "{rejected:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_loader_takes_only_the_names_it_writes() {
+        let dir = std::env::temp_dir().join(format!("stat4-ckpt-names-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let good = sample_checkpoint();
+        write_checkpoint(&dir, &good, &FaultSchedule::none()).unwrap();
+        // Names `u64::from_str` reads as ordinal 4, newer than #3, each
+        // holding a checkpoint that validates: no writer made them.
+        let mut stray = good.clone();
+        stray.checkpoint_ordinal = 4;
+        stray.next_ordinal = 9;
+        for name in ["ckpt-+4.json", "ckpt-4.json", "ckpt-0000004.json"] {
+            std::fs::write(dir.join(name), serialize(&stray)).unwrap();
+        }
+        let (loaded, rejected) = load_latest(&dir).expect("#3 loads");
+        assert_eq!(loaded, good);
+        assert!(rejected.is_empty(), "{rejected:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

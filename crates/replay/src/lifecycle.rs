@@ -43,8 +43,8 @@ use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOpt
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use telemetry::json::{At, FromJson, ToJson};
-use telemetry::{json_struct, Json};
+use telemetry::json::{read, At, ToJson};
+use telemetry::json_struct;
 use workloads::Schedule;
 
 /// Symbolic budgets for in-line swap vetting — same reduced settings
@@ -530,7 +530,7 @@ impl LifecycleReport {
     ///
     /// A description of the first missing or mistyped field.
     pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?, At::Root("$"))
+        read(text, At::Root("$"))
     }
 }
 

@@ -16,8 +16,8 @@ use crate::provenance::{AlertProvenanceRecord, IncidentRef};
 use crate::ReplayOutcome;
 use anomaly::synflood::KIND_SYN;
 pub use anomaly::{AlertSnap, FiredSnap};
-use telemetry::json::{At, FromJson, ToJson};
-use telemetry::{json_struct, Json};
+use telemetry::json::{read, At, ToJson};
+use telemetry::json_struct;
 
 /// [`crate::ReplayHealth`] with incidents rendered as [`IncidentRef`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -188,7 +188,7 @@ pub fn render_snapshot_json(s: &RunSnapshot) -> String {
 /// A description of the first structural problem (JSON syntax, missing
 /// field, wrong type), prefixed with the offending path.
 pub fn parse_outcome_json(text: &str) -> Result<RunSnapshot, String> {
-    RunSnapshot::from_json(&Json::parse(text)?, At::Root("$"))
+    read(text, At::Root("$"))
 }
 
 #[cfg(test)]

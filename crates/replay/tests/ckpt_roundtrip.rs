@@ -2,12 +2,22 @@
 //! counts, chaos seeds, and kill points — parses back and re-renders
 //! byte-identically. The serialized form IS the canonical form; any
 //! drift between writer and parser shows up here as a one-byte diff.
+//!
+//! And the streamed read of every type inside a checkpoint is held to
+//! the tree read, on what `write_json` writes and on that damaged.
 
 use proptest::prelude::*;
 
 use faultinject::FaultSchedule;
-use replay::ckpt;
-use replay::{run_replay_lifecycle, LifecyclePlan, ReplayConfig};
+use p4sim::PipelineState;
+use replay::ckpt::{self, Checkpoint, ShardStateRaw};
+use replay::{
+    run_replay_lifecycle, AlertProvenanceRecord, LifecyclePlan, ReplayConfig, ShardIncident,
+};
+use stat4_core::percentile::MarkerRaw;
+use std::fmt::Debug;
+use telemetry::json::{read, render, At, FromJson, Lexer, ToJson};
+use telemetry::Json;
 use workloads::{Schedule, SynFloodWorkload};
 
 fn tiny_flood(seed: u64) -> Schedule {
@@ -70,4 +80,131 @@ proptest! {
         prop_assert_eq!(files as u64, report.checkpoints_written);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+const ROOT: At<'static> = At::Root("$");
+
+/// The streamed read held to the tree's: `read` gives the `Ok` value or
+/// the error `T::from_json(&Json::parse(s)?)` gives, and the one pass
+/// alone, with no tree to fall back on, accepts what the tree accepts,
+/// to the same value.
+fn reads_as_tree<T: FromJson + PartialEq + Debug>(s: &str) {
+    let tree = Json::parse(s).and_then(|v| T::from_json(&v, ROOT));
+    assert_eq!(read::<T>(s, ROOT), tree, "{s:?}");
+    let mut lx = Lexer::new(s);
+    let pass = T::read_json(&mut lx, ROOT).and_then(|v| lx.finish().map(|()| v));
+    assert_eq!(pass.ok(), tree.ok(), "the one pass over {s:?}");
+}
+
+/// `x` as `write_json` writes it, which must read back equal; then that
+/// text cut and with one bit flipped at every `step`th byte (and at
+/// each of the first and last 64), and with its members rotated.
+fn holds_for<T: ToJson + FromJson + PartialEq + Debug>(x: &T, step: usize) {
+    let mut good = String::new();
+    x.write_json(&mut good);
+    assert_eq!(read::<T>(&good, ROOT).as_ref(), Ok(x));
+    reads_as_tree::<T>(&good);
+    let n = good.len();
+    let at = (0..n.min(64))
+        .chain((64..n).step_by(step))
+        .chain(n.saturating_sub(64)..n);
+    for i in at {
+        if let Some(cut) = good.get(..i) {
+            reads_as_tree::<T>(cut);
+        }
+        let mut bytes = good.clone().into_bytes();
+        bytes[i] ^= 1 << (i % 8);
+        if let Ok(flipped) = String::from_utf8(bytes) {
+            reads_as_tree::<T>(&flipped);
+        }
+    }
+    if let Json::Obj(mut members) = Json::parse(&good).unwrap() {
+        for _ in 0..members.len() {
+            members.rotate_left(1);
+            reads_as_tree::<T>(&render(&Json::Obj(members.clone())));
+        }
+    }
+}
+
+#[test]
+fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
+    let cfg = ReplayConfig {
+        shards: 2,
+        ..ReplayConfig::default()
+    };
+    let spec = "shard_crash=1@3,ctrl_loss=0.25";
+    let dir = std::env::temp_dir().join(format!("replay-ckpt-stream-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 2,
+        kill_at_epoch: Some(21),
+        faults_spec: String::from(spec),
+        ..LifecyclePlan::none()
+    };
+    let (_, report) = run_replay_lifecycle(
+        &tiny_flood(1),
+        &cfg,
+        &FaultSchedule::parse(spec, 3).unwrap(),
+        &plan,
+    );
+    assert_eq!(report.checkpoints_written, 10);
+    let (c, _) = ckpt::load_latest(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        !c.provenance.is_empty() && !c.incidents.is_empty(),
+        "alerts and a lost shard"
+    );
+
+    let shard = c.shards.iter().flatten().next().unwrap();
+    holds_for(&c, 997);
+    holds_for(shard, 499);
+    holds_for(&shard.pc_markers[0], 1);
+    holds_for(&c.incidents[0], 1);
+    holds_for(&c.provenance[0], 7);
+    holds_for(
+        &PipelineState {
+            registers: vec![(String::from("r"), vec![1, 0, u64::MAX])],
+            packets_processed: 7,
+        },
+        1,
+    );
+    holds_for(&c.shards, 997);
+    holds_for(&c.provenance, 31);
+
+    // The first of two members wins, whatever the second holds; an
+    // unknown member, a stray `cfg_batch` among them, is checked and
+    // left.
+    let good = render(&c.to_json());
+    let tail = &good[1..];
+    for head in [
+        r#"{"packets":1,"#,
+        r#"{"packets":"x","#,
+        r#"{"cfg_batch":256,"#,
+        r#"{"zzz":{"a":[1,{"b":null}],"c":"\u00e9"},"#,
+        r#"{"shards":[],"#,
+        r#"{"ensemble":[1,2],"#,
+        r#"{"zzz":[1,"#,
+    ] {
+        reads_as_tree::<Checkpoint>(&format!("{head}{tail}"));
+    }
+    for (from, to) in [
+        ("\"cfg_shards\":2,", "\"cfg_shards\":2,\"cfg_batch\":256,"),
+        ("\"alive\":[", "\"alive\":[ "),
+    ] {
+        let variant = good.replacen(from, to, 1);
+        assert_ne!(variant, good, "{from} must hit");
+        assert_eq!(read::<Checkpoint>(&variant, ROOT).as_ref(), Ok(&c));
+        reads_as_tree::<Checkpoint>(&variant);
+    }
+    reads_as_tree::<ShardStateRaw>(&render(&shard.to_json()).replacen(
+        '{',
+        r#"{"hll_registers":[256],"#,
+        1,
+    ));
+    reads_as_tree::<MarkerRaw>(
+        r#"{"low_weight":1,"high_weight":1,"pos":0,"low":0,"high":0,"moves":0,"pos":-1}"#,
+    );
+    reads_as_tree::<ShardIncident>(r#"{"shard":0,"epoch":3,"kind":"crashed","msg":"","kind":7}"#);
+    reads_as_tree::<Vec<AlertProvenanceRecord>>("[]");
 }

@@ -2,7 +2,7 @@
 //! (`pool_allocs.rs`, `pool_bytes.rs`, `ckpt_allocs.rs`), as in
 //! `crates/stat4-p4/tests/alloc_budget.rs`. It has to be the test
 //! binary's global allocator, so it lives with the integration tests
-//! and each of those files, which holds one test, includes it.
+//! and each of those files, whose tests run one at a time, includes it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// bytes they asked for (a `realloc` counts what it grows by): the
 /// pool's workers count with the coordinator, so an allocation cannot
 /// leave the budget by moving to another thread. A file that includes
-/// this holds one test, so nothing else in the process allocates
-/// meanwhile.
+/// this holds one test, or runs its tests in turn under one lock, so
+/// nothing else in the process allocates meanwhile.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);

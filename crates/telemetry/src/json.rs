@@ -14,21 +14,20 @@
 //!
 //! Underneath is enough of RFC 8259 to round-trip the documents the
 //! suite emits (trace files, run snapshots, checkpoints, metric
-//! exports) through a typed tree: [`Json::parse`] reads and [`render`]
-//! writes. A typed value is written without the tree:
-//! [`ToJson::write_json`] appends its text to a buffer, the same bytes
-//! [`render`] gives for its tree.
+//! exports): a [`Lexer`] pulls a document's tokens, [`Json::parse`]
+//! builds a tree from them and [`render`] writes one. A typed value
+//! needs no tree: [`ToJson::write_json`] writes the bytes [`render`]
+//! would, and [`read`] reads it from the tokens.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
 //! as [`Json::Int`] (past `i64::MAX`, as [`Json::UInt`]), so `u64`/`i64`
 //! fields survive a render → parse round trip bit-for-bit instead of
-//! drowning in `f64`. Object members
-//! preserve document order, which lets golden tests compare
-//! field-for-field.
+//! drowning in `f64`. Object members preserve document order, which
+//! lets golden tests compare field-for-field.
 
 use crate::expo::write_json_string;
+use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::ops::Range;
 
 /// Maximum nesting depth accepted before the parser bails — guards the
 /// recursive descent against stack exhaustion on adversarial input.
@@ -63,32 +62,8 @@ impl Json {
     ///
     /// A human-readable message with the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
-        Self::parse_with_member_spans(text).map(|(v, _)| v)
-    }
-
-    /// [`Self::parse`], also returning the byte range of `text` that
-    /// each member value of a top-level object occupies, in member
-    /// order (empty for any other document). A reader that guards a
-    /// member with a checksum hashes those bytes as they were written
-    /// instead of rendering the parsed value again.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::parse`].
-    pub fn parse_with_member_spans(text: &str) -> Result<(Json, Vec<Range<usize>>), String> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            top_spans: Vec::new(),
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("byte {}: trailing data after document", p.pos));
-        }
-        Ok((v, p.top_spans))
+        let mut lx = Lexer::new(text);
+        lx.tree().and_then(|v| lx.finish().map(|()| v))
     }
 
     /// Member lookup on an object (first match, document order).
@@ -174,22 +149,47 @@ impl Json {
     }
 }
 
-struct Parser<'a> {
+/// A pull lexer over one document, the one place its grammar, messages
+/// and nesting guard are written. [`Self::value`] reads a token; in a
+/// container, [`Self::next_key`] and [`Self::next_item`] read up to the
+/// next entry or past the end. A value spans [`Self::pos`] before it to
+/// `pos()` after it.
+pub struct Lexer<'a> {
     text: &'a str,
     /// `text`'s bytes, which is what the scanner looks at.
     bytes: &'a [u8],
     pos: usize,
-    /// Value byte ranges of the depth-0 object's members.
-    top_spans: Vec<Range<usize>>,
+    /// Containers open around the next value.
+    depth: usize,
+    /// A container was just opened: no comma before its first entry.
+    fresh: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Lexer<'a> {
+    /// A lexer at the first value of `text`.
+    pub fn new(text: &'a str) -> Self {
+        let mut lx = Self { text, bytes: text.as_bytes(), pos: 0, depth: 0, fresh: false };
+        lx.skip_ws();
+        lx
+    }
+
+    /// The byte offset of the next token.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    pub fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("byte {}: trailing data after document", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                _ => break,
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
@@ -206,24 +206,101 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
+    /// The next value's token: a scalar whole; a container's opening as
+    /// an empty [`Json::Obj`] or [`Json::Arr`], its entries to follow.
+    pub fn value(&mut self) -> Result<Json, String> {
+        if self.depth > MAX_DEPTH {
             return Err(format!("byte {}: nesting deeper than {MAX_DEPTH}", self.pos));
         }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(format!(
-                "byte {}: unexpected character {:?}",
-                self.pos, other as char
-            )),
-            None => Err(format!("byte {}: unexpected end of input", self.pos)),
+        let open = match self.peek() {
+            Some(b'{') => Json::Obj(Vec::new()),
+            Some(b'[') => Json::Arr(Vec::new()),
+            Some(b'"') => return self.string().map(|s| Json::Str(s.into_owned())),
+            Some(b't') => return self.literal("true", Json::Bool(true)),
+            Some(b'f') => return self.literal("false", Json::Bool(false)),
+            Some(b'n') => return self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => return self.number(),
+            Some(c) => return Err(format!("byte {}: unexpected character {:?}", self.pos, c as char)),
+            None => return Err(format!("byte {}: unexpected end of input", self.pos)),
+        };
+        (self.pos, self.depth, self.fresh) = (self.pos + 1, self.depth + 1, true);
+        Ok(open)
+    }
+
+    /// The key of the open object's next member, its value due next;
+    /// `None` past the object's `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
         }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Whether the open array's next item is due; `false` past its `]`.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
+
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b) if b == close => {
+                (self.pos, self.depth) = (self.pos + 1, self.depth - 1);
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(format!("byte {}: expected ',' or '{}'", self.pos, close as char)),
+        }
+    }
+
+    /// The next value if it is up to 18 digits with no sign, point or
+    /// exponent: nearly every number of a checkpoint, decided by the
+    /// scan with no token built. Else `None`, and nothing is read.
+    #[inline]
+    fn digits(&mut self) -> Option<u64> {
+        let (bytes, mut end, mut v) = (self.bytes, self.pos, 0u64);
+        while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            end += 1;
+        }
+        let short = (1..=18).contains(&(end - self.pos)) && self.depth <= MAX_DEPTH;
+        let whole = !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if short && whole {
+            self.pos = end;
+        }
+        (short && whole).then_some(v)
+    }
+
+    /// Reads a `null` if one is due.
+    fn null(&mut self) -> bool {
+        let hit = self.depth <= MAX_DEPTH && self.bytes[self.pos..].starts_with(b"null");
+        self.pos += if hit { 4 } else { 0 };
+        hit
+    }
+
+    /// The next value as a tree: what [`Json::parse`] builds.
+    pub fn tree(&mut self) -> Result<Json, String> {
+        let mut v = self.value()?;
+        match &mut v {
+            Json::Obj(members) => while let Some(key) = self.next_key()? {
+                members.push((key.into_owned(), self.tree()?));
+            },
+            Json::Arr(items) => while self.next_item()? { items.push(self.tree()?) },
+            _ => {}
+        }
+        Ok(v)
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -232,61 +309,6 @@ impl Parser<'_> {
             Ok(v)
         } else {
             Err(format!("byte {}: expected {word:?}", self.pos))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let start = self.pos;
-            let v = self.value(depth + 1)?;
-            if depth == 0 {
-                self.top_spans.push(start..self.pos);
-            }
-            members.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("byte {}: expected ',' or '}}'", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("byte {}: expected ',' or ']'", self.pos)),
-            }
         }
     }
 
@@ -307,11 +329,13 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Borrowed from the text up to the first escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
+        let (from, text) = (self.pos, self.text);
         let mut out = String::new();
         loop {
-            // Everything up to the next quote or backslash is copied as
+            // Everything up to the next quote or backslash is taken as
             // it lies: both are ASCII, so the run ends on a character
             // boundary of text that is already valid UTF-8.
             let run = self.pos;
@@ -319,10 +343,13 @@ impl Parser<'_> {
             let Some(len) = len else {
                 return Err(format!("byte {}: unterminated string", self.bytes.len()));
             };
-            out.push_str(&self.text[run..run + len]);
             self.pos = run + len + 1;
+            if self.bytes[run + len] == b'"' && run == from {
+                return Ok(Cow::Borrowed(&text[run..run + len]));
+            }
+            out.push_str(&text[run..run + len]);
             if self.bytes[run + len] == b'"' {
-                return Ok(out);
+                return Ok(Cow::Owned(out));
             }
             let Some(esc) = self.peek() else {
                 return Err(format!("byte {}: truncated escape", self.pos));
@@ -367,44 +394,23 @@ impl Parser<'_> {
     }
 
     fn number(&mut self) -> Result<Json, String> {
+        if let Some(v) = self.digits() {
+            return Ok(Json::Int(v as i64));
+        }
+        // Anything else is left to `str::parse`, which draws the same
+        // lines it always drew (a lone `-`, 19 and 20 digits, a run of
+        // leading zeros): only a `[-]digits` token is an integer.
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
+        self.pos += 1;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        let digits_from = self.pos;
-        // The digits' value, exact while there are at most 18 of them
-        // (10^18 - 1 fits an `i64` with room); not read past that.
-        let mut magnitude: i64 = 0;
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {
-                    magnitude = magnitude.wrapping_mul(10).wrapping_add(i64::from(b - b'0'));
-                    self.pos += 1;
-                }
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        // Nearly every number of a checkpoint: a short integer, decided
-        // by the scan. Anything else is left to `str::parse`, which
-        // draws the same lines it always drew (a lone `-`, 19 and 20
-        // digits, a run of leading zeros longer than this).
-        if integral && (1..=18).contains(&(self.pos - digits_from)) {
-            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
-        }
         let s = &self.text[start..self.pos];
-        if integral {
-            if let Ok(v) = s.parse::<i64>() {
-                return Ok(Json::Int(v));
-            }
-            if let Ok(v) = s.parse::<u64>() {
-                return Ok(Json::UInt(v));
-            }
+        if let Ok(v) = s.parse::<i64>() {
+            return Ok(Json::Int(v));
+        }
+        if let Ok(v) = s.parse::<u64>() {
+            return Ok(Json::UInt(v));
         }
         // `1e400` parses to infinity, which `render` could only write
         // as `inf`: not a document this parser reads back.
@@ -532,6 +538,24 @@ pub trait FromJson: Sized {
     /// `at` and what is wrong there: `$.payload.shards[1].pc_markers[0].pos:
     /// not a non-negative integer`.
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String>;
+
+    /// Reads the value `lx` is at as [`Self::from_json`] reads its tree,
+    /// which the default builds. The leaf impls and [`crate::json_struct!`]
+    /// read the tokens instead. An override accepts what the tree reader
+    /// does, to the same value, but may name another problem first.
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        Self::from_json(&lx.tree()?, at)
+    }
+}
+
+/// Reads the document `text` as a `T` in one pass over its tokens. A
+/// refused one is read again as a tree, for the error (syntax first)
+/// that `T::from_json(&Json::parse(text)?, at)` gives.
+pub fn read<T: FromJson>(text: &str, at: At<'_>) -> Result<T, String> {
+    let mut lx = Lexer::new(text);
+    T::read_json(&mut lx, at)
+        .and_then(|v| lx.finish().map(|()| v))
+        .or_else(|_| T::from_json(&Json::parse(text)?, at))
 }
 
 /// Where a value sits in its document, as a chain of borrowed links
@@ -608,6 +632,29 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// each field streamed behind its key) and the reader.
 #[macro_export]
 macro_rules! json_struct {
+    (@read $ty:ty { $($field:ident),+ }) => {
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
+                Ok(Self { $($field: $crate::json::field(v, stringify!($field), at)?),+ })
+            }
+            fn read_json(lx: &mut $crate::json::Lexer<'_>, at: $crate::json::At<'_>) -> Result<Self, String> {
+                use $crate::json::At;
+                // The first member of each name is read, as `field` finds
+                // it in the tree; any other member is only checked.
+                let $crate::Json::Obj(_) = lx.value()? else { return Err(at.err("not an object")) };
+                $(let mut $field = None;)+
+                while let Some(key) = lx.next_key()? {
+                    match &*key {
+                        $(stringify!($field) if $field.is_none() => {
+                            $field = Some($crate::json::FromJson::read_json(lx, At::Key(&at, stringify!($field)))?);
+                        })+
+                        _ => drop(lx.tree()?),
+                    }
+                }
+                Ok(Self { $($field: $field.ok_or_else(|| At::Key(&at, stringify!($field)).err("missing"))?),+ })
+            }
+        }
+    };
     ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
@@ -627,14 +674,7 @@ macro_rules! json_struct {
                 out.push('}');
             }
         }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
-                Ok(Self {
-                    $first: $crate::json::field(v, stringify!($first), at)?,
-                    $($field: $crate::json::field(v, stringify!($field), at)?),*
-                })
-            }
-        }
+        $crate::json_struct!(@read $ty { $first $(, $field)* });
     };
 }
 
@@ -666,6 +706,11 @@ impl FromJson for u64 {
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
         v.as_u64().ok_or_else(|| at.err("not a non-negative integer"))
     }
+
+    #[inline]
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        lx.digits().map_or_else(|| Self::from_json(&lx.value()?, at), Ok)
+    }
 }
 
 /// The narrower unsigned integers go through `u64` and add a range
@@ -689,6 +734,11 @@ macro_rules! json_unsigned {
                 <$ty>::try_from(u64::from_json(v, at)?)
                     .map_err(|_| at.err(concat!("overflows ", stringify!($ty))))
             }
+            #[inline]
+            fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+                <$ty>::try_from(u64::read_json(lx, at)?)
+                    .map_err(|_| at.err(concat!("overflows ", stringify!($ty))))
+            }
         }
     )+};
 }
@@ -710,6 +760,12 @@ impl FromJson for i64 {
     #[inline]
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
         v.as_i64().ok_or_else(|| at.err("not an integer"))
+    }
+
+    #[inline]
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        // At most 18 digits: the `u64` is an `i64` too.
+        lx.digits().map_or_else(|| Self::from_json(&lx.value()?, at), |v| Ok(v as i64))
     }
 }
 
@@ -753,6 +809,11 @@ impl FromJson for String {
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
         Ok(v.as_str().ok_or_else(|| at.err("not a string"))?.to_string())
     }
+
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let Json::Str(s) = lx.value()? else { return Err(at.err("not a string")) };
+        Ok(s)
+    }
 }
 
 /// A subtree carried as it is (a detector's exported state inside a
@@ -771,6 +832,10 @@ impl ToJson for Json {
 impl FromJson for Json {
     fn from_json(v: &Json, _: At<'_>) -> Result<Self, String> {
         Ok(v.clone())
+    }
+
+    fn read_json(lx: &mut Lexer<'_>, _: At<'_>) -> Result<Self, String> {
+        lx.tree()
     }
 }
 
@@ -794,6 +859,10 @@ impl<T: FromJson> FromJson for Option<T> {
             return Ok(None);
         }
         T::from_json(v, at).map(Some)
+    }
+
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        if lx.null() { Ok(None) } else { T::read_json(lx, at).map(Some) }
     }
 }
 
@@ -832,6 +901,15 @@ impl<T: FromJson> FromJson for Vec<T> {
         let mut out = Vec::with_capacity(items.len());
         for (i, x) in items.iter().enumerate() {
             out.push(T::from_json(x, At::Idx(&at, i))?);
+        }
+        Ok(out)
+    }
+
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let Json::Arr(_) = lx.value()? else { return Err(at.err("not an array")) };
+        let mut out = Vec::new();
+        while lx.next_item()? {
+            out.push(T::read_json(lx, At::Idx(&at, out.len()))?);
         }
         Ok(out)
     }
@@ -1032,17 +1110,6 @@ mod tests {
         assert_eq!(render(&Json::Str("a\u{1}\n".into())), "\"a\\u0001\\n\"");
     }
 
-    #[test]
-    fn member_spans_cover_each_top_level_value_as_written() {
-        let doc = r#" {"a": [1, {"n":2}] ,"b":"x,y" , "c":{ "d":null }} "#;
-        let (v, spans) = Json::parse_with_member_spans(doc).unwrap();
-        let texts: Vec<&str> = spans.iter().map(|r| &doc[r.clone()]).collect();
-        assert_eq!(texts, vec![r#"[1, {"n":2}]"#, r#""x,y""#, r#"{ "d":null }"#]);
-        assert_eq!(v.as_obj().unwrap().len(), spans.len());
-        // Nested objects contribute nothing; neither do non-objects.
-        assert!(Json::parse_with_member_spans("[{\"a\":1}]").unwrap().1.is_empty());
-    }
-
     #[derive(Debug, PartialEq)]
     struct Probe {
         n: u64,
@@ -1168,5 +1235,107 @@ mod tests {
         assert_eq!(from_sparse_u64(&v, ROOT, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
         let bad = Json::parse("[[1,3],[4]]").unwrap();
         assert_eq!(from_sparse_u64(&bad, ROOT, 5).unwrap_err(), "$[1]: not an [index, count] pair");
+    }
+
+    /// The streamed read held to the tree's: [`read`] gives the `Ok`
+    /// value or the error `T::from_json(&Json::parse(s)?)` gives, and
+    /// the one pass alone, with no tree to fall back on, accepts what
+    /// the tree accepts, to the same value.
+    fn reads_as_tree<T: FromJson + PartialEq + std::fmt::Debug>(s: &str) {
+        let tree = Json::parse(s).and_then(|v| T::from_json(&v, ROOT));
+        assert_eq!(read::<T>(s, ROOT), tree, "{s:?}");
+        let mut lx = Lexer::new(s);
+        let pass = T::read_json(&mut lx, ROOT).and_then(|v| lx.finish().map(|()| v));
+        assert_eq!(pass.ok(), tree.ok(), "the one pass over {s:?}");
+    }
+
+    /// `good` cut at every character, with every bit flipped that
+    /// leaves it UTF-8, and with its members rotated and reversed.
+    fn damaged(good: &str) -> Vec<String> {
+        let mut out: Vec<String> = (0..good.len()).filter_map(|cut| good.get(..cut)).map(String::from).collect();
+        for (i, bit) in (0..good.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
+            let mut bytes = good.as_bytes().to_vec();
+            bytes[i] ^= 1 << bit;
+            out.extend(String::from_utf8(bytes));
+        }
+        let Json::Obj(mut members) = Json::parse(good).unwrap() else { return out };
+        for _ in 0..members.len() {
+            members.rotate_left(1);
+            out.push(render(&Json::Obj(members.clone())));
+            out.push(render(&Json::Obj(members.iter().rev().cloned().collect())));
+        }
+        out
+    }
+
+    #[test]
+    fn the_streamed_read_is_the_tree_read() {
+        let probes = [
+            Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true },
+            Probe {
+                n: u64::MAX,
+                small: 0,
+                name: "a\"b\\c\nλ 🦀\u{1}".into(),
+                maybe: Some(usize::MAX),
+                list: vec![i64::MIN, i64::MAX, 0, 999_999_999_999_999_999],
+                on: false,
+            },
+            Probe { n: 1 << 63, small: 255, name: String::new(), maybe: Some(0), list: Vec::new(), on: true },
+        ];
+        for p in &probes {
+            let mut good = String::new();
+            p.write_json(&mut good);
+            // The round trip: what `write_json` writes reads back equal.
+            assert_eq!(read::<Probe>(&good, ROOT).as_ref(), Ok(p));
+            reads_as_tree::<Probe>(&good);
+            for bad in damaged(&good) {
+                reads_as_tree::<Probe>(&bad);
+            }
+        }
+        // The first of two members wins, whatever the second holds;
+        // unknown members, a stray `cfg_batch` among them, are checked
+        // and left.
+        let rest = r#""small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#;
+        for head in [
+            r#"{"n":1,"n":2,"#,
+            r#"{"n":1,"n":"two","#,
+            r#"{"n":"one","n":2,"#,
+            r#"{"n":1,"n":[1,"#,
+            r#"{"n":1,"maybe":4,"maybe":{},"#,
+            r#"{"extra":{"deep":[1,{"x":null}],"s":"A"},"n":1,"#,
+            r#"{"cfg_batch":256,"n":1,"#,
+            r#"{"n":1,"cfg_batch":1e400,"#,
+            r#"{"n":1,"maybe":{},"#,
+            r#"{"#,
+            r#" { "n" : 1 , "#,
+        ] {
+            reads_as_tree::<Probe>(&format!("{head}{rest}"));
+        }
+        for s in ["", "null", "[]", "{}", "7", r#"{"n":7}"#, r#"{"n":7,}"#, "{\"n\":7} x"] {
+            reads_as_tree::<Probe>(s);
+        }
+        // The leaves on their own, at and past each line they draw.
+        for s in [
+            "[1,null,3]", "[]", "[ 1 , 2 ]", "[1,", "[1,]", "[,1]", "[null]", "[-1]", "[-0]", "[007]",
+            "[999999999999999999]", "[1000000000000000000]", "[18446744073709551615]",
+            "[18446744073709551616]", "[256]", "[1.5]", "[1e2]", "[1-2]", "[\"1\"]", "[true]", "[{}]",
+            "[[]]", "[nul]", "[nullx]", "{\"a\":1}",
+        ] {
+            reads_as_tree::<Vec<Option<u64>>>(s);
+            reads_as_tree::<Vec<i64>>(s);
+            reads_as_tree::<Vec<u8>>(s);
+            reads_as_tree::<Vec<String>>(s);
+            reads_as_tree::<Option<Vec<bool>>>(s);
+            reads_as_tree::<Json>(s);
+        }
+    }
+
+    #[test]
+    fn a_deep_unknown_member_is_refused_by_the_nesting_guard() {
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let text = format!(r#"{{"extra":{deep},"n":7,"small":9,"name":"x","maybe":null,"list":[],"on":true}}"#);
+        let err = read::<Probe>(&text, ROOT).unwrap_err();
+        assert!(err.contains("nesting deeper than 256"), "{err}");
+        let mut lx = Lexer::new(&text);
+        assert!(Probe::read_json(&mut lx, ROOT).unwrap_err().contains("nesting"));
     }
 }
