@@ -13,10 +13,17 @@
 //! [`Primitive::Msb`] (most-significant-bit position) deserves a note:
 //! the paper implements it "using a sequence of ifs, which is a costly
 //! operation", or alternatively a TCAM longest-prefix match. It is kept
-//! as one primitive so the interpreter is fast, but the resource
-//! analyser charges it `TargetModel::msb_cost` sequential steps.
+//! as one primitive so the interpreter is fast, but it costs
+//! `TargetModel::msb_cost` sequential steps ([`Primitive::cost`]).
+//!
+//! What each primitive *means* is written once, in `exec_primitive`,
+//! over a value domain: the interpreter runs it on `u64`, the symbolic
+//! executor on expressions and the range analysis on intervals, so the
+//! three cannot disagree about an operation, only about a domain.
 
-use crate::phv::FieldId;
+use crate::error::P4Result;
+use crate::phv::{fields, FieldId, DROP_PORT};
+use crate::target::TargetModel;
 
 /// A value source for a primitive: a literal, a PHV field, or a slot of
 /// the matched table entry's action data.
@@ -141,7 +148,7 @@ pub enum Primitive {
     },
     /// `dst = position of the most significant set bit of src` (0 when
     /// `src == 0`). Models the paper's if-cascade / TCAM-LPM MSB scan;
-    /// charged `msb_cost` sequential steps by the analyser.
+    /// costs `msb_cost` sequential steps.
     Msb {
         /// Destination field.
         dst: FieldId,
@@ -221,17 +228,13 @@ impl Primitive {
         }
     }
 
-    /// The fields this primitive reads.
-    #[must_use]
-    pub fn src_fields(&self) -> Vec<FieldId> {
-        let mut out = Vec::new();
-        let mut push = |o: &Operand| {
-            if let Operand::Field(f) = o {
-                out.push(*f);
-            }
-        };
+    /// Every operand this primitive reads, in evaluation order.
+    fn operands(&self) -> Vec<&Operand> {
         match self {
-            Primitive::Set { src, .. } | Primitive::Not { src, .. } => push(src),
+            Primitive::Set { src, .. }
+            | Primitive::Not { src, .. }
+            | Primitive::Msb { src, .. }
+            | Primitive::Hash { src, .. } => vec![src],
             Primitive::Add { a, b, .. }
             | Primitive::Sub { a, b, .. }
             | Primitive::And { a, b, .. }
@@ -239,29 +242,26 @@ impl Primitive {
             | Primitive::Xor { a, b, .. }
             | Primitive::Mul { a, b, .. }
             | Primitive::Min { a, b, .. }
-            | Primitive::Max { a, b, .. } => {
-                push(a);
-                push(b);
-            }
+            | Primitive::Max { a, b, .. } => vec![a, b],
             Primitive::Shl { src, amount, .. } | Primitive::Shr { src, amount, .. } => {
-                push(src);
-                push(amount);
+                vec![src, amount]
             }
-            Primitive::Msb { src, .. } | Primitive::Hash { src, .. } => push(src),
-            Primitive::RegRead { index, .. } => push(index),
-            Primitive::RegWrite { index, src, .. } => {
-                push(index);
-                push(src);
-            }
-            Primitive::Digest { values, .. } => {
-                for v in values {
-                    push(v);
-                }
-            }
-            Primitive::Forward { port } => push(port),
-            Primitive::Drop => {}
+            Primitive::RegRead { index, .. } => vec![index],
+            Primitive::RegWrite { index, src, .. } => vec![index, src],
+            Primitive::Digest { values, .. } => values.iter().collect(),
+            Primitive::Forward { port } => vec![port],
+            Primitive::Drop => Vec::new(),
         }
-        out
+    }
+
+    /// The fields this primitive reads.
+    #[must_use]
+    pub fn src_fields(&self) -> Vec<FieldId> {
+        let field = |o: &Operand| match o {
+            Operand::Field(f) => Some(*f),
+            _ => None,
+        };
+        self.operands().into_iter().filter_map(field).collect()
     }
 
     /// The register this primitive accesses, with `true` for writes.
@@ -277,49 +277,198 @@ impl Primitive {
     /// Highest action-data slot referenced, if any.
     #[must_use]
     pub fn max_data_slot(&self) -> Option<usize> {
-        let mut max: Option<usize> = None;
-        let mut see = |o: &Operand| {
-            if let Operand::Data(n) = o {
-                max = Some(max.map_or(*n, |m| m.max(*n)));
-            }
+        let slot = |o: &Operand| match o {
+            Operand::Data(n) => Some(*n),
+            _ => None,
         };
-        match self {
-            Primitive::Set { src, .. }
-            | Primitive::Not { src, .. }
-            | Primitive::Msb { src, .. }
-            | Primitive::Hash { src, .. } => {
-                see(src);
-            }
-            Primitive::Add { a, b, .. }
-            | Primitive::Sub { a, b, .. }
-            | Primitive::And { a, b, .. }
-            | Primitive::Or { a, b, .. }
-            | Primitive::Xor { a, b, .. }
-            | Primitive::Mul { a, b, .. }
-            | Primitive::Min { a, b, .. }
-            | Primitive::Max { a, b, .. } => {
-                see(a);
-                see(b);
-            }
-            Primitive::Shl { src, amount, .. } | Primitive::Shr { src, amount, .. } => {
-                see(src);
-                see(amount);
-            }
-            Primitive::RegRead { index, .. } => see(index),
-            Primitive::RegWrite { index, src, .. } => {
-                see(index);
-                see(src);
-            }
-            Primitive::Digest { values, .. } => {
-                for v in values {
-                    see(v);
-                }
-            }
-            Primitive::Forward { port } => see(port),
-            Primitive::Drop => {}
-        }
-        max
+        self.operands().into_iter().filter_map(slot).max()
     }
+
+    /// Sequential steps this primitive costs on `target`: `Msb` is the
+    /// paper's if-cascade and costs `msb_cost`, everything else one.
+    /// The interpreter charges it, the symbolic executor charges it,
+    /// and the resource analysis builds its chains from it.
+    #[must_use]
+    #[inline]
+    pub fn cost(&self, target: &TargetModel) -> u64 {
+        if matches!(self, Primitive::Msb { .. }) {
+            u64::from(target.msb_cost)
+        } else {
+            1
+        }
+    }
+}
+
+/// The ten binary ALU operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Alu {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    Mul,
+    Min,
+    Max,
+}
+
+impl Alu {
+    /// `a op b` on 64-bit words: wrapping like P4 `bit<64>` arithmetic,
+    /// and a shift by 64 or more yields 0. Always inlined, so that an
+    /// interpreter arm with a constant `self` is the bare operation.
+    #[inline(always)]
+    pub(crate) fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Alu::Add => a.wrapping_add(b),
+            Alu::Sub => a.wrapping_sub(b),
+            Alu::And => a & b,
+            Alu::Or => a | b,
+            Alu::Xor => a ^ b,
+            Alu::Shl | Alu::Shr if b >= 64 => 0,
+            Alu::Shl => a << b,
+            Alu::Shr => a >> b,
+            Alu::Mul => a.wrapping_mul(b),
+            Alu::Min => a.min(b),
+            Alu::Max => a.max(b),
+        }
+    }
+}
+
+/// Position of the most significant set bit of `v` (`msb(0) = 0`).
+#[inline]
+pub(crate) fn msb(v: u64) -> u64 {
+    if v == 0 {
+        0
+    } else {
+        63 - u64::from(v.leading_zeros())
+    }
+}
+
+/// The multiply-shift hash of `key` into `[0, 2^w)`, `w` being
+/// `width_log2` clamped to `[1, 63]`.
+#[inline]
+pub(crate) fn hash(key: u64, salt: u64, width_log2: u32) -> u64 {
+    let w = width_log2.clamp(1, 63);
+    let mask = (1u64 << w) - 1;
+    (key.wrapping_mul(salt | 1) >> (64 - w - 1)) & mask
+}
+
+/// A value domain the primitives execute over. [`exec_primitive`] says
+/// what each primitive means in these terms, once; the interpreter
+/// instantiates it at `u64`, the symbolic executor at its expression
+/// DAG and the range analysis at intervals. Each method that produces
+/// a value writes it to `dst`.
+pub(crate) trait Domain {
+    /// One value of the domain.
+    type V;
+    /// The value of an operand (reading a missing action-data slot is
+    /// an error).
+    fn operand(&mut self, o: &Operand) -> P4Result<Self::V>;
+    /// `dst = a op b`.
+    fn alu(&mut self, op: Alu, dst: FieldId, a: Self::V, b: Self::V);
+    /// `dst = !v`.
+    fn not(&mut self, dst: FieldId, v: Self::V);
+    /// `dst = msb(v)`.
+    fn msb(&mut self, dst: FieldId, v: Self::V);
+    /// `dst = hash(key)`.
+    fn hash(&mut self, dst: FieldId, key: Self::V, salt: u64, width_log2: u32);
+    /// `dst = v`.
+    fn set(&mut self, dst: FieldId, v: Self::V);
+    /// Bounds-checks an index into `register` and hands it back.
+    fn reg_index(&mut self, register: usize, index: Self::V) -> P4Result<Self::V>;
+    /// `dst = register[index]`, the index already checked.
+    fn reg_read(&mut self, dst: FieldId, register: usize, index: Self::V);
+    /// `register[index] = v` masked to the register width, the index
+    /// already checked.
+    fn reg_write(&mut self, register: usize, index: Self::V, v: Self::V);
+    /// Emits a digest carrying `values`.
+    fn digest(&mut self, id: u16, values: Vec<Self::V>);
+}
+
+/// Executes one primitive over `d`: the one place a primitive's meaning
+/// is written. Operands are evaluated left to right. A register access
+/// evaluates and bounds-checks its index first, so a `RegWrite` to a
+/// bad index fails before its value is read.
+#[inline]
+pub(crate) fn exec_primitive<D: Domain>(d: &mut D, p: &Primitive) -> P4Result<()> {
+    // Inlined so that each arm's `op` is a constant.
+    #[inline(always)]
+    fn alu<D: Domain>(d: &mut D, op: Alu, dst: FieldId, a: &Operand, b: &Operand) -> P4Result<()> {
+        let a = d.operand(a)?;
+        let b = d.operand(b)?;
+        d.alu(op, dst, a, b);
+        Ok(())
+    }
+    match p {
+        Primitive::Set { dst, src } => {
+            let v = d.operand(src)?;
+            d.set(*dst, v);
+        }
+        Primitive::Add { dst, a, b } => alu(d, Alu::Add, *dst, a, b)?,
+        Primitive::Sub { dst, a, b } => alu(d, Alu::Sub, *dst, a, b)?,
+        Primitive::And { dst, a, b } => alu(d, Alu::And, *dst, a, b)?,
+        Primitive::Or { dst, a, b } => alu(d, Alu::Or, *dst, a, b)?,
+        Primitive::Xor { dst, a, b } => alu(d, Alu::Xor, *dst, a, b)?,
+        Primitive::Shl { dst, src, amount } => alu(d, Alu::Shl, *dst, src, amount)?,
+        Primitive::Shr { dst, src, amount } => alu(d, Alu::Shr, *dst, src, amount)?,
+        Primitive::Mul { dst, a, b } => alu(d, Alu::Mul, *dst, a, b)?,
+        Primitive::Min { dst, a, b } => alu(d, Alu::Min, *dst, a, b)?,
+        Primitive::Max { dst, a, b } => alu(d, Alu::Max, *dst, a, b)?,
+        Primitive::Not { dst, src } => {
+            let v = d.operand(src)?;
+            d.not(*dst, v);
+        }
+        Primitive::Msb { dst, src } => {
+            let v = d.operand(src)?;
+            d.msb(*dst, v);
+        }
+        Primitive::Hash {
+            dst,
+            src,
+            salt,
+            width_log2,
+        } => {
+            let key = d.operand(src)?;
+            d.hash(*dst, key, *salt, *width_log2);
+        }
+        Primitive::RegRead {
+            dst,
+            register,
+            index,
+        } => {
+            let i = d.operand(index)?;
+            let i = d.reg_index(*register, i)?;
+            d.reg_read(*dst, *register, i);
+        }
+        Primitive::RegWrite {
+            register,
+            index,
+            src,
+        } => {
+            let i = d.operand(index)?;
+            let i = d.reg_index(*register, i)?;
+            let v = d.operand(src)?;
+            d.reg_write(*register, i, v);
+        }
+        Primitive::Digest { id, values } => {
+            let mut vals = Vec::with_capacity(values.len());
+            for o in values {
+                vals.push(d.operand(o)?);
+            }
+            d.digest(*id, vals);
+        }
+        Primitive::Forward { port } => {
+            let v = d.operand(port)?;
+            d.set(fields::EGRESS_PORT, v);
+        }
+        Primitive::Drop => {
+            let v = d.operand(&Operand::Const(DROP_PORT))?;
+            d.set(fields::EGRESS_PORT, v);
+        }
+    }
+    Ok(())
 }
 
 /// A named sequence of primitives, invokable from tables or directly

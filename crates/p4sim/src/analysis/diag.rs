@@ -15,8 +15,8 @@
 //!   register touched twice on one packet path of a single-access
 //!   target, arithmetic that *provably* truncates or overflows.
 //! - [`Severity::Warning`] — the program runs but a worst-case bound is
-//!   violated (e.g. the longest dependency chain exceeds the target's
-//!   step budget). `--deny warnings` promotes these to failures.
+//!   violated (e.g. the worst-case path exceeds the target's step
+//!   budget). `--deny warnings` promotes these to failures.
 //! - [`Severity::Info`] — the analysis could not *prove* a bound
 //!   (action data installed by the controller at runtime, a possible
 //!   but not certain wrap). Recorded and countable, never fatal.
@@ -68,8 +68,8 @@ pub enum LintCode {
     /// `S4L006` — a register store could not be *proven* to fit the
     /// register width (emitted as info with the primitive chain).
     WidthUnproven,
-    /// `S4L007` — the worst-case sequential dependency chain exceeds
-    /// the target's per-packet step budget.
+    /// `S4L007` — the steps the interpreter charges a packet on the
+    /// worst-case path exceed the target's per-packet step budget.
     StepBudget,
     /// `S4L008` — a register index can (or provably does) fall outside
     /// the register's cell range.
@@ -213,6 +213,23 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
+}
+
+/// How many of `diags` have severity `s`.
+pub(crate) fn count(diags: &[Diagnostic], s: Severity) -> usize {
+    diags.iter().filter(|d| d.severity == s).count()
+}
+
+/// The severity policy every report applies: no errors, and no warnings
+/// either when `deny_warnings` is set. Info findings never fail.
+pub(crate) fn passes(diags: &[Diagnostic], deny_warnings: bool) -> bool {
+    count(diags, Severity::Error) == 0 && (!deny_warnings || count(diags, Severity::Warning) == 0)
+}
+
+/// `diags` as the members of a JSON array.
+pub(crate) fn json_list(diags: &[Diagnostic]) -> String {
+    let v: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
+    v.join(",")
 }
 
 #[cfg(test)]

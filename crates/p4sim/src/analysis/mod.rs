@@ -61,9 +61,11 @@ pub struct VerifyReport {
     /// What the range analysis could prove.
     pub range: RangeSummary,
     /// Longest sequential dependency chain over any execution path
-    /// (`Msb` charged at the target's cost).
+    /// (`Msb` charged at the target's cost): the resource figure.
     pub worst_chain_steps: u64,
-    /// The target's per-packet step budget the chain is checked against.
+    /// The target's per-packet step budget. `S4L007` checks it against
+    /// the steps the interpreter charges on the worst path, not the
+    /// chain.
     pub step_budget: u64,
 }
 
@@ -87,20 +89,19 @@ impl VerifyReport {
     }
 
     fn count(&self, s: Severity) -> usize {
-        self.diagnostics.iter().filter(|d| d.severity == s).count()
+        diag::count(&self.diagnostics, s)
     }
 
     /// Whether the program is clean: no errors, and no warnings either
     /// when `deny_warnings` is set. Info findings never fail a lint.
     #[must_use]
     pub fn passes(&self, deny_warnings: bool) -> bool {
-        self.errors() == 0 && (!deny_warnings || self.warnings() == 0)
+        diag::passes(&self.diagnostics, deny_warnings)
     }
 
     /// Renders the report as a JSON object (no external deps).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let diags: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
         format!(
             concat!(
                 "{{\"target\":{},\"nodes\":{},\"edges\":{},",
@@ -125,7 +126,7 @@ impl VerifyReport {
             self.range.proven_fits,
             self.range.modular_accumulators,
             self.range.unproven,
-            diags.join(",")
+            diag::json_list(&self.diagnostics)
         )
     }
 }
@@ -247,14 +248,14 @@ pub fn verify_against(p: &Pipeline, target: &TargetModel) -> VerifyReport {
     let allocation = allocate(p, &tdg, target, &mut diags);
     let range = analyze_ranges(p, &mut diags);
 
-    let worst_chain_steps = crate::resources::worst_path_steps(p, target);
-    if worst_chain_steps > target.step_budget {
+    let worst_steps = crate::resources::worst_packet_steps(p, target);
+    if worst_steps > target.step_budget {
         diags.push(Diagnostic::new(
             LintCode::StepBudget,
             Severity::Warning,
             format!("target `{}`", target.name),
             format!(
-                "worst-case sequential chain is {worst_chain_steps} steps but the target budgets {} per packet",
+                "the worst-case path executes {worst_steps} steps but the target budgets {} per packet",
                 target.step_budget
             ),
         ));
@@ -270,7 +271,7 @@ pub fn verify_against(p: &Pipeline, target: &TargetModel) -> VerifyReport {
         edge_count: tdg.edges.len(),
         allocation,
         range,
-        worst_chain_steps,
+        worst_chain_steps: crate::resources::worst_path_steps(p, target),
         step_budget: target.step_budget,
     }
 }

@@ -40,8 +40,9 @@
 //! unconstrained.
 
 use super::diag::{Diagnostic, LintCode, Severity};
-use crate::action::{Operand, Primitive};
+use crate::action::{exec_primitive, msb, Alu, Domain, Operand, Primitive};
 use crate::control::{CmpOp, Cond, Control};
+use crate::error::P4Result;
 use crate::phv::{fields, FieldId};
 use crate::pipeline::Pipeline;
 use std::collections::HashMap;
@@ -135,14 +136,6 @@ fn ones_cover(x: u128) -> u128 {
     }
 }
 
-fn msb_index(x: u128) -> u128 {
-    if x == 0 {
-        0
-    } else {
-        u128::from(127 - x.leading_zeros())
-    }
-}
-
 /// An abstract value: interval, provenance chain, and — for the
 /// modular-accumulator tolerance — the register whose (width-bounded)
 /// read the value additively derives from.
@@ -222,22 +215,6 @@ struct Analyzer<'p> {
     recirculates: bool,
 }
 
-fn has_recirculate(c: &Control) -> bool {
-    match c {
-        Control::Recirculate => true,
-        Control::Seq(children) => children.iter().any(has_recirculate),
-        Control::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            has_recirculate(then_branch)
-                || else_branch.as_deref().is_some_and(has_recirculate)
-        }
-        _ => false,
-    }
-}
-
 impl Analyzer<'_> {
     fn initial(&self, f: FieldId) -> AbsVal {
         if self.recirculates || f.0 < fields::M0.0 {
@@ -253,32 +230,8 @@ impl Analyzer<'_> {
         state.get(&f).cloned().unwrap_or_else(|| self.initial(f))
     }
 
-    fn operand(&self, state: &State, op: &Operand, data: &DataBounds) -> AbsVal {
-        match op {
-            Operand::Const(c) => AbsVal::of(Interval::exact(*c)),
-            Operand::Field(f) => self.field(state, *f),
-            Operand::Data(n) => match data.get(*n).copied().flatten() {
-                Some((lo, hi)) => AbsVal {
-                    iv: Interval::new(lo, hi),
-                    acc: None,
-                    chain: vec![format!("data[{n}]")],
-                },
-                None => AbsVal {
-                    iv: Interval::full(),
-                    acc: None,
-                    chain: vec![format!("data[{n}] (controller-installed, unbounded)")],
-                },
-            },
-        }
-    }
-
     fn reg_mask(&self, r: usize) -> u128 {
-        let w = self.p.registers()[r].width_bits;
-        if w >= 64 {
-            U64M
-        } else {
-            (1u128 << w) - 1
-        }
+        u128::from(self.p.registers()[r].mask())
     }
 
     fn check_index(&mut self, idx: &AbsVal, r: usize, ctx: &str) {
@@ -339,288 +292,25 @@ impl Analyzer<'_> {
         }
     }
 
-    #[allow(clippy::too_many_lines)] // one arm per primitive, mirroring the interpreter
+    /// Runs an action's primitives over `state`. `Forward` and `Drop`
+    /// are skipped, which leaves the egress port unconstrained: sound,
+    /// since it only over-approximates, and no check bounds the port.
     fn eval_action(&mut self, state: &mut State, action_id: usize, data: &DataBounds, ctx: &str) {
-        let Some(action) = self.p.actions().get(action_id) else {
+        let p = self.p;
+        let Some(action) = p.actions().get(action_id) else {
             return;
         };
-        let primitives = action.primitives.clone();
-        for (i, prim) in primitives.iter().enumerate() {
-            let pctx = format!("{ctx}, primitive #{i}");
-            match prim {
-                Primitive::Set { dst, src } => {
-                    let mut v = self.operand(state, src, data);
-                    push_chain(&mut v.chain, format!("Set -> f{}", dst.0));
-                    state.insert(*dst, v);
-                }
-                Primitive::Add { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let raw = Interval {
-                        lo: va.iv.lo + vb.iv.lo,
-                        hi: va.iv.hi + vb.iv.hi,
-                    };
-                    // Wrapping add is P4 idiom (negative encodings);
-                    // never diagnosed, interval widens.
-                    let acc = match (va.acc, vb.acc) {
-                        (Some(r), None) | (None, Some(r)) => Some(r),
-                        (Some(r1), Some(r2)) if r1 == r2 => Some(r1),
-                        _ => None,
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Add -> f{}", dst.0));
-                    state.insert(
-                        *dst,
-                        AbsVal {
-                            iv: raw.normalized(),
-                            acc,
-                            chain,
-                        },
-                    );
-                }
-                Primitive::Sub { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    // Wrapping sub builds masks (`0 - t`); never
-                    // diagnosed.
-                    let iv = if va.iv.lo >= vb.iv.hi {
-                        Interval {
-                            lo: va.iv.lo - vb.iv.hi,
-                            hi: va.iv.hi - vb.iv.lo,
-                        }
-                    } else {
-                        Interval::full()
-                    };
-                    let acc = va.acc;
-                    let chain = merged_chain(&va, &vb, format!("Sub -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc, chain });
-                }
-                Primitive::Mul { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let raw = Interval {
-                        lo: va.iv.lo.saturating_mul(vb.iv.lo),
-                        hi: va.iv.hi.saturating_mul(vb.iv.hi),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Mul -> f{}", dst.0));
-                    self.check_word(LintCode::MulOverflow, raw, &chain, &pctx, "product");
-                    state.insert(
-                        *dst,
-                        AbsVal {
-                            iv: raw.normalized(),
-                            acc: None,
-                            chain,
-                        },
-                    );
-                }
-                Primitive::And { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let iv = Interval {
-                        lo: 0,
-                        hi: va.iv.hi.min(vb.iv.hi),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("And -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Or { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let iv = Interval {
-                        lo: va.iv.lo.max(vb.iv.lo),
-                        hi: ones_cover(va.iv.hi.max(vb.iv.hi)),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Or -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Xor { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let iv = Interval {
-                        lo: 0,
-                        hi: ones_cover(va.iv.hi.max(vb.iv.hi)),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Xor -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Not { dst, src } => {
-                    let v = self.operand(state, src, data);
-                    let iv = Interval {
-                        lo: U64M - v.iv.hi.min(U64M),
-                        hi: U64M - v.iv.lo.min(U64M),
-                    };
-                    let mut chain = v.chain;
-                    push_chain(&mut chain, format!("Not -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Shl { dst, src, amount } => {
-                    let v = self.operand(state, src, data);
-                    let am = self.operand(state, amount, data);
-                    let chain = merged_chain(&v, &am, format!("Shl -> f{}", dst.0));
-                    let iv = if am.iv.lo >= 64 {
-                        // Every distance is out of range: the
-                        // interpreter yields 0.
-                        Interval::exact(0)
-                    } else {
-                        let klo = u32::try_from(am.iv.lo).unwrap_or(63);
-                        let raw = if am.iv.hi >= 64 {
-                            // Some distances wrap to 0, others shift
-                            // by up to the maximal in-range 63.
-                            Interval {
-                                lo: 0,
-                                hi: v.iv.hi << 63,
-                            }
-                        } else {
-                            let khi = u32::try_from(am.iv.hi).unwrap_or(63);
-                            Interval {
-                                lo: v.iv.lo << klo,
-                                hi: v.iv.hi << khi,
-                            }
-                        };
-                        self.check_word(LintCode::ShiftOverflow, raw, &chain, &pctx, "shifted value");
-                        raw.normalized()
-                    };
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Shr { dst, src, amount } => {
-                    let v = self.operand(state, src, data);
-                    let am = self.operand(state, amount, data);
-                    let chain = merged_chain(&v, &am, format!("Shr -> f{}", dst.0));
-                    let iv = if am.iv.lo >= 64 {
-                        Interval::exact(0)
-                    } else {
-                        let klo = u32::try_from(am.iv.lo).unwrap_or(63);
-                        let lo = if am.iv.hi >= 64 {
-                            0
-                        } else {
-                            v.iv.lo >> u32::try_from(am.iv.hi).unwrap_or(63)
-                        };
-                        Interval {
-                            lo,
-                            hi: v.iv.hi >> klo,
-                        }
-                    };
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Min { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let iv = Interval {
-                        lo: va.iv.lo.min(vb.iv.lo),
-                        hi: va.iv.hi.min(vb.iv.hi),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Min -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Max { dst, a, b } => {
-                    let va = self.operand(state, a, data);
-                    let vb = self.operand(state, b, data);
-                    let iv = Interval {
-                        lo: va.iv.lo.max(vb.iv.lo),
-                        hi: va.iv.hi.max(vb.iv.hi),
-                    };
-                    let chain = merged_chain(&va, &vb, format!("Max -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Msb { dst, src } => {
-                    let v = self.operand(state, src, data);
-                    let iv = Interval {
-                        lo: msb_index(v.iv.lo),
-                        hi: msb_index(v.iv.hi),
-                    };
-                    let mut chain = v.chain;
-                    push_chain(&mut chain, format!("Msb -> f{}", dst.0));
-                    state.insert(*dst, AbsVal { iv, acc: None, chain });
-                }
-                Primitive::Hash {
-                    dst, width_log2, ..
-                } => {
-                    // The interpreter clamps the width to [1, 63].
-                    let w = (*width_log2).clamp(1, 63);
-                    let iv = Interval {
-                        lo: 0,
-                        hi: (1u128 << w) - 1,
-                    };
-                    state.insert(
-                        *dst,
-                        AbsVal {
-                            iv,
-                            acc: None,
-                            chain: vec![format!("Hash -> f{}", dst.0)],
-                        },
-                    );
-                }
-                Primitive::RegRead {
-                    dst,
-                    register,
-                    index,
-                } => {
-                    let idx = self.operand(state, index, data);
-                    self.check_index(&idx, *register, &pctx);
-                    let name = self.p.registers()[*register].name.clone();
-                    state.insert(
-                        *dst,
-                        AbsVal {
-                            iv: Interval {
-                                lo: 0,
-                                hi: self.reg_mask(*register),
-                            },
-                            acc: Some(*register),
-                            chain: vec![format!("RegRead[{name}] -> f{}", dst.0)],
-                        },
-                    );
-                }
-                Primitive::RegWrite {
-                    register,
-                    index,
-                    src,
-                } => {
-                    let idx = self.operand(state, index, data);
-                    self.check_index(&idx, *register, &pctx);
-                    let v = self.operand(state, src, data);
-                    let mask = self.reg_mask(*register);
-                    let name = self.p.registers()[*register].name.clone();
-                    let width = self.p.registers()[*register].width_bits;
-                    self.stats.register_writes += 1;
-                    if v.iv.hi <= mask {
-                        self.stats.proven_fits += 1;
-                    } else if v.acc == Some(*register) {
-                        // Read-modify-write of the same register: an
-                        // intentional modular counter.
-                        self.stats.modular_accumulators += 1;
-                    } else if v.iv.lo > mask {
-                        self.stats.unproven += 1;
-                        self.diags.push(
-                            Diagnostic::new(
-                                LintCode::WidthTruncation,
-                                Severity::Error,
-                                pctx.clone(),
-                                format!(
-                                    "store into `{name}` ({width} bits) provably truncates: value in [{}, {}]",
-                                    v.iv.lo, v.iv.hi
-                                ),
-                            )
-                            .with_chain(v.chain.clone()),
-                        );
-                    } else {
-                        self.stats.unproven += 1;
-                        self.diags.push(
-                            Diagnostic::new(
-                                LintCode::WidthUnproven,
-                                Severity::Info,
-                                pctx.clone(),
-                                format!(
-                                    "store into `{name}` ({width} bits) not proven to fit: value in [{}, {}]",
-                                    v.iv.lo, v.iv.hi
-                                ),
-                            )
-                            .with_chain(v.chain.clone()),
-                        );
-                    }
-                }
-                Primitive::Digest { .. }
-                | Primitive::Forward { .. }
-                | Primitive::Drop => {}
+        for (i, prim) in action.primitives.iter().enumerate() {
+            if matches!(prim, Primitive::Forward { .. } | Primitive::Drop) {
+                continue;
             }
+            let mut d = Abstract {
+                an: self,
+                state,
+                data,
+                ctx: format!("{ctx}, primitive #{i}"),
+            };
+            exec_primitive(&mut d, prim).expect("interval transfer functions cannot fail");
         }
     }
 
@@ -705,48 +395,25 @@ impl Analyzer<'_> {
         }
     }
 
-    fn negate(op: CmpOp) -> CmpOp {
-        match op {
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Le,
-            CmpOp::Ge => CmpOp::Lt,
-        }
-    }
-
     /// Applies `cond` (or its negation) to a branch-entry state.
     fn refine(&self, state: &mut State, cond: &Cond, taken: bool) {
         let (f, op, c) = match (&cond.a, &cond.b) {
             (Operand::Field(f), Operand::Const(c)) => (*f, cond.op, u128::from(*c)),
-            (Operand::Const(c), Operand::Field(f)) => {
-                // `c op f` mirrored to `f op' c`.
-                let mirrored = match cond.op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => other,
-                };
-                (*f, mirrored, u128::from(*c))
-            }
+            (Operand::Const(c), Operand::Field(f)) => (*f, cond.op.mirror(), u128::from(*c)),
             _ => return,
         };
-        let op = if taken { op } else { Self::negate(op) };
+        let op = if taken { op } else { op.negate() };
         let mut v = self.field(state, f);
         v.iv = Self::constrain(v.iv, op, c);
         state.insert(f, v);
     }
 
-    fn join_states(a: &State, b: &State, init: &dyn Fn(FieldId) -> AbsVal) -> State {
+    fn join_states(&self, a: &State, b: &State) -> State {
         let mut out = State::new();
         let keys: std::collections::BTreeSet<FieldId> =
             a.keys().chain(b.keys()).copied().collect();
         for k in keys {
-            let va = a.get(&k).cloned().unwrap_or_else(|| init(k));
-            let vb = b.get(&k).cloned().unwrap_or_else(|| init(k));
-            out.insert(k, va.join(&vb));
+            out.insert(k, self.field(a, k).join(&self.field(b, k)));
         }
         out
     }
@@ -794,17 +461,9 @@ impl Analyzer<'_> {
                     results.push(s);
                 }
                 if let Some(first) = results.first() {
-                    let recirc = self.recirculates;
-                    let init = move |f: FieldId| {
-                        if recirc || f.0 < fields::M0.0 {
-                            AbsVal::of(Interval::full())
-                        } else {
-                            AbsVal::of(Interval::exact(0))
-                        }
-                    };
                     let mut joined = first.clone();
                     for s in &results[1..] {
-                        joined = Self::join_states(&joined, s, &init);
+                        joined = self.join_states(&joined, s);
                     }
                     *state = joined;
                 }
@@ -822,18 +481,214 @@ impl Analyzer<'_> {
                 if let Some(e) = else_branch {
                     self.walk(e, &mut else_state);
                 }
-                let recirc = self.recirculates;
-                let init = move |f: FieldId| {
-                    if recirc || f.0 < fields::M0.0 {
-                        AbsVal::of(Interval::full())
-                    } else {
-                        AbsVal::of(Interval::exact(0))
-                    }
-                };
-                *state = Self::join_states(&then_state, &else_state, &init);
+                *state = self.join_states(&then_state, &else_state);
             }
         }
     }
+}
+
+/// The range analysis's domain: one primitive of one action, over
+/// intervals with provenance.
+struct Abstract<'a, 'p> {
+    an: &'a mut Analyzer<'p>,
+    state: &'a mut State,
+    data: &'a DataBounds,
+    /// Where a finding is anchored: `action …, primitive #i`.
+    ctx: String,
+}
+
+impl Abstract<'_, '_> {
+    /// Writes `v` to `dst`, with `kind -> f<dst>` appended to its chain.
+    fn put(&mut self, dst: FieldId, kind: &str, mut v: AbsVal) {
+        push_chain(&mut v.chain, format!("{kind} -> f{}", dst.0));
+        self.state.insert(dst, v);
+    }
+}
+
+impl Domain for Abstract<'_, '_> {
+    type V = AbsVal;
+
+    fn operand(&mut self, o: &Operand) -> P4Result<AbsVal> {
+        Ok(match o {
+            Operand::Const(c) => AbsVal::of(Interval::exact(*c)),
+            Operand::Field(f) => self.an.field(self.state, *f),
+            Operand::Data(n) => match self.data.get(*n).copied().flatten() {
+                Some((lo, hi)) => AbsVal {
+                    iv: Interval::new(lo, hi),
+                    acc: None,
+                    chain: vec![format!("data[{n}]")],
+                },
+                None => AbsVal {
+                    iv: Interval::full(),
+                    acc: None,
+                    chain: vec![format!("data[{n}] (controller-installed, unbounded)")],
+                },
+            },
+        })
+    }
+
+    fn alu(&mut self, op: Alu, dst: FieldId, a: AbsVal, b: AbsVal) {
+        let (x, y) = (a.iv, b.iv);
+        let chain = merged_chain(&a, &b, format!("{op:?} -> f{}", dst.0));
+        let iv = match op {
+            // Wrapping add/sub is P4 idiom (negative encodings, `0 - t`
+            // masks): never diagnosed, the interval just widens.
+            Alu::Add => Interval {
+                lo: x.lo + y.lo,
+                hi: x.hi + y.hi,
+            }
+            .normalized(),
+            Alu::Sub if x.lo >= y.hi => Interval {
+                lo: x.lo - y.hi,
+                hi: x.hi - y.lo,
+            },
+            Alu::Sub => Interval::full(),
+            Alu::Mul => {
+                let raw = Interval {
+                    lo: x.lo.saturating_mul(y.lo),
+                    hi: x.hi.saturating_mul(y.hi),
+                };
+                self.an.check_word(LintCode::MulOverflow, raw, &chain, &self.ctx, "product");
+                raw.normalized()
+            }
+            Alu::And => Interval {
+                lo: 0,
+                hi: x.hi.min(y.hi),
+            },
+            Alu::Or => Interval {
+                lo: x.lo.max(y.lo),
+                hi: ones_cover(x.hi.max(y.hi)),
+            },
+            Alu::Xor => Interval {
+                lo: 0,
+                hi: ones_cover(x.hi.max(y.hi)),
+            },
+            // Every distance is out of range: the shift yields 0.
+            Alu::Shl | Alu::Shr if y.lo >= 64 => Interval::exact(0),
+            Alu::Shl => {
+                // Distances past 63 yield 0; the rest shift by at most 63.
+                let raw = if y.hi >= 64 {
+                    Interval {
+                        lo: 0,
+                        hi: x.hi << 63,
+                    }
+                } else {
+                    Interval {
+                        lo: x.lo << y.lo,
+                        hi: x.hi << y.hi,
+                    }
+                };
+                self.an.check_word(LintCode::ShiftOverflow, raw, &chain, &self.ctx, "shifted value");
+                raw.normalized()
+            }
+            Alu::Shr => Interval {
+                lo: if y.hi >= 64 { 0 } else { x.lo >> y.hi },
+                hi: x.hi >> y.lo,
+            },
+            Alu::Min => Interval {
+                lo: x.lo.min(y.lo),
+                hi: x.hi.min(y.hi),
+            },
+            Alu::Max => Interval {
+                lo: x.lo.max(y.lo),
+                hi: x.hi.max(y.hi),
+            },
+        };
+        // A value additively derived from one register's read stays a
+        // candidate modular accumulator for that register.
+        let acc = match (op, a.acc, b.acc) {
+            (Alu::Add, Some(r), None) | (Alu::Add, None, Some(r)) => Some(r),
+            (Alu::Add, Some(r1), Some(r2)) if r1 == r2 => Some(r1),
+            (Alu::Sub, acc, _) => acc,
+            _ => None,
+        };
+        self.state.insert(dst, AbsVal { iv, acc, chain });
+    }
+
+    fn not(&mut self, dst: FieldId, v: AbsVal) {
+        let iv = Interval {
+            lo: U64M - v.iv.hi.min(U64M),
+            hi: U64M - v.iv.lo.min(U64M),
+        };
+        self.put(dst, "Not", AbsVal { iv, acc: None, chain: v.chain });
+    }
+
+    fn msb(&mut self, dst: FieldId, v: AbsVal) {
+        // `msb` is monotone, so the endpoints bound it.
+        let at = |x: u128| u128::from(msb(u64::try_from(x).unwrap_or(u64::MAX)));
+        let iv = Interval {
+            lo: at(v.iv.lo),
+            hi: at(v.iv.hi),
+        };
+        self.put(dst, "Msb", AbsVal { iv, acc: None, chain: v.chain });
+    }
+
+    fn hash(&mut self, dst: FieldId, _key: AbsVal, _salt: u64, width_log2: u32) {
+        // `action::hash` clamps the width to [1, 63].
+        let hi = (1u128 << width_log2.clamp(1, 63)) - 1;
+        self.put(dst, "Hash", AbsVal::of(Interval { lo: 0, hi }));
+    }
+
+    fn set(&mut self, dst: FieldId, v: AbsVal) {
+        self.put(dst, "Set", v);
+    }
+
+    fn reg_index(&mut self, register: usize, index: AbsVal) -> P4Result<AbsVal> {
+        self.an.check_index(&index, register, &self.ctx);
+        Ok(index)
+    }
+
+    fn reg_read(&mut self, dst: FieldId, register: usize, _index: AbsVal) {
+        let v = AbsVal {
+            iv: Interval {
+                lo: 0,
+                hi: self.an.reg_mask(register),
+            },
+            acc: Some(register),
+            chain: Vec::new(),
+        };
+        let kind = format!("RegRead[{}]", self.an.p.registers()[register].name);
+        self.put(dst, &kind, v);
+    }
+
+    fn reg_write(&mut self, register: usize, _index: AbsVal, v: AbsVal) {
+        let mask = self.an.reg_mask(register);
+        let reg = &self.an.p.registers()[register];
+        let (name, width) = (&reg.name, reg.width_bits);
+        let stats = &mut self.an.stats;
+        stats.register_writes += 1;
+        if v.iv.hi <= mask {
+            stats.proven_fits += 1;
+            return;
+        }
+        if v.acc == Some(register) {
+            // Read-modify-write of the same register: an intentional
+            // modular counter.
+            stats.modular_accumulators += 1;
+            return;
+        }
+        stats.unproven += 1;
+        let (code, severity, verdict) = if v.iv.lo > mask {
+            (LintCode::WidthTruncation, Severity::Error, "provably truncates")
+        } else {
+            (LintCode::WidthUnproven, Severity::Info, "not proven to fit")
+        };
+        self.an.diags.push(
+            Diagnostic::new(
+                code,
+                severity,
+                self.ctx.clone(),
+                format!(
+                    "store into `{name}` ({width} bits) {verdict}: value in [{}, {}]",
+                    v.iv.lo, v.iv.hi
+                ),
+            )
+            .with_chain(v.chain),
+        );
+    }
+
+    /// Digests bound nothing the analysis checks.
+    fn digest(&mut self, _id: u16, _values: Vec<AbsVal>) {}
 }
 
 /// Runs the range analysis, appending findings to `diags`.
@@ -843,7 +698,7 @@ pub fn analyze_ranges(p: &Pipeline, diags: &mut Vec<Diagnostic>) -> RangeSummary
         p,
         diags: Vec::new(),
         stats: RangeSummary::default(),
-        recirculates: has_recirculate(p.control()),
+        recirculates: p.control().recirculates(),
     };
     let mut state = State::new();
     let control = p.control().clone();

@@ -7,9 +7,9 @@
 //! control tree over a bounded 64-bit bit-vector expression domain.
 //! Every PHV field starts as an opaque `SymExpr::Input`, every
 //! register cell as an opaque `SymExpr::RegInit`, and each primitive
-//! builds expressions with *exactly* the interpreter's semantics
-//! (wrapping add/sub/mul, shifts saturating to zero at 64, the
-//! multiply-shift hash, `msb(0) = 0`).
+//! builds expressions through the same `action::exec_primitive` the
+//! interpreter runs; constants fold through the interpreter's own
+//! `Alu::apply`, `msb` and `hash`.
 //!
 //! Three checks consume the executor:
 //!
@@ -41,16 +41,17 @@
 //! the full 2^64 input space. Exceeding the path budget is itself a
 //! diagnostic (`S4L014`), never a silent cap.
 
-use crate::action::{Operand, Primitive};
-use crate::analysis::diag::{Diagnostic, LintCode, Severity};
+use crate::action::{exec_primitive, hash, msb, Alu, Domain, Operand};
+use crate::analysis::diag::{self, Diagnostic, LintCode, Severity};
 use crate::analysis::verify_against;
 use crate::control::{CmpOp, Control};
-use crate::error::P4Error;
-use crate::phv::{fields, FieldId, Phv, DROP_PORT};
+use crate::error::{P4Error, P4Result};
+use crate::phv::{fields, FieldId, Phv};
 use crate::pipeline::{DigestRecord, Pipeline};
 use crate::runtime::{RuntimeRequest, RuntimeResponse};
 use crate::table::MatchValue;
 use std::collections::{HashMap, HashSet};
+use std::mem::discriminant;
 use std::rc::Rc;
 use telemetry::json_string;
 
@@ -59,20 +60,6 @@ use telemetry::json_string;
 // ---------------------------------------------------------------------
 
 type E = Rc<SymExpr>;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BinOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Mul,
-    Min,
-    Max,
-}
 
 /// A 64-bit symbolic value. Shared subterms are `Rc`-linked so the
 /// expression graph stays a DAG even when paths fork.
@@ -85,7 +72,7 @@ enum SymExpr {
     /// The pre-packet value of `register[index]`.
     RegInit { register: usize, index: E },
     /// A binary ALU operation with interpreter semantics.
-    Bin { op: BinOp, a: E, b: E },
+    Bin { op: Alu, a: E, b: E },
     /// Bitwise not.
     Not(E),
     /// Most-significant-bit position (`msb(0) = 0`).
@@ -116,93 +103,24 @@ fn as_const(e: &E) -> Option<u64> {
     }
 }
 
-fn bin_apply(op: BinOp, a: u64, b: u64) -> u64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if b >= 64 {
-                0
-            } else {
-                a << b
-            }
-        }
-        BinOp::Shr => {
-            if b >= 64 {
-                0
-            } else {
-                a >> b
-            }
-        }
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-    }
-}
-
-fn bin(op: BinOp, a: E, b: E) -> E {
+fn bin(op: Alu, a: E, b: E) -> E {
     if let (Some(x), Some(y)) = (as_const(&a), as_const(&b)) {
-        return c64(bin_apply(op, x, y));
+        return c64(op.apply(x, y));
     }
     Rc::new(SymExpr::Bin { op, a, b })
 }
 
-fn not_e(e: E) -> E {
+/// `f(e)` folded when `e` is a constant, else the node `node(e)`.
+fn unary(e: E, f: impl FnOnce(u64) -> u64, node: impl FnOnce(E) -> SymExpr) -> E {
     match as_const(&e) {
-        Some(v) => c64(!v),
-        None => Rc::new(SymExpr::Not(e)),
-    }
-}
-
-fn msb_val(s: u64) -> u64 {
-    if s == 0 {
-        0
-    } else {
-        63 - u64::from(s.leading_zeros())
-    }
-}
-
-fn msb_e(e: E) -> E {
-    match as_const(&e) {
-        Some(v) => c64(msb_val(v)),
-        None => Rc::new(SymExpr::Msb(e)),
-    }
-}
-
-fn hash_val(key: u64, salt: u64, width_log2: u32) -> u64 {
-    let w = width_log2.clamp(1, 63);
-    let mask = (1u64 << w) - 1;
-    (key.wrapping_mul(salt | 1) >> (64 - w - 1)) & mask
-}
-
-fn hash_e(src: E, salt: u64, width_log2: u32) -> E {
-    match as_const(&src) {
-        Some(v) => c64(hash_val(v, salt, width_log2)),
-        None => Rc::new(SymExpr::Hash {
-            src,
-            salt,
-            width_log2,
-        }),
-    }
-}
-
-fn cmp_apply(op: CmpOp, a: u64, b: u64) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
+        Some(v) => c64(f(v)),
+        None => Rc::new(node(e)),
     }
 }
 
 fn ite(c: SymCond, t: E, f: E) -> E {
     if let (Some(x), Some(y)) = (as_const(&c.a), as_const(&c.b)) {
-        return if cmp_apply(c.op, x, y) { t } else { f };
+        return if c.op.eval(x, y) { t } else { f };
     }
     if Rc::ptr_eq(&t, &f) {
         return t;
@@ -263,20 +181,18 @@ fn eval_expr(e: &E, env: &SymEnv, memo: &mut Memo) -> Result<u64, P4Error> {
                     size: cells.len() as u64,
                 })?
         }
-        SymExpr::Bin { op, a, b } => {
-            bin_apply(*op, eval_expr(a, env, memo)?, eval_expr(b, env, memo)?)
-        }
+        SymExpr::Bin { op, a, b } => op.apply(eval_expr(a, env, memo)?, eval_expr(b, env, memo)?),
         SymExpr::Not(x) => !eval_expr(x, env, memo)?,
-        SymExpr::Msb(x) => msb_val(eval_expr(x, env, memo)?),
+        SymExpr::Msb(x) => msb(eval_expr(x, env, memo)?),
         SymExpr::Hash {
             src,
             salt,
             width_log2,
-        } => hash_val(eval_expr(src, env, memo)?, *salt, *width_log2),
+        } => hash(eval_expr(src, env, memo)?, *salt, *width_log2),
         SymExpr::Ite { c, t, f } => {
             let ca = eval_expr(&c.a, env, memo)?;
             let cb = eval_expr(&c.b, env, memo)?;
-            if cmp_apply(c.op, ca, cb) {
+            if c.op.eval(ca, cb) {
                 eval_expr(t, env, memo)?
             } else {
                 eval_expr(f, env, memo)?
@@ -535,13 +451,15 @@ fn register_shapes(p: &Pipeline) -> Vec<(String, usize, u64)> {
         .collect()
 }
 
+/// Seed of the pseudo-random witness corpus.
+const WITNESS_SEED: u64 = 0x5744_7431_0151_0c4e;
+
 fn random_witnesses(
     domain: &InputDomain,
     shapes: &[(String, usize, u64)],
     samples: usize,
-    seed: u64,
 ) -> Vec<Witness> {
-    let mut rng = SplitMix64(seed ^ 0x5717_a7a1_ca5e_0bad);
+    let mut rng = SplitMix64(WITNESS_SEED ^ 0x5717_a7a1_ca5e_0bad);
     let mut out = Vec::with_capacity(samples);
     for _ in 0..samples {
         let mut w = Witness::default();
@@ -608,16 +526,6 @@ impl SymState {
 
     fn live(&self) -> bool {
         self.err.is_none() && !self.pass_done
-    }
-
-    fn charge(&mut self, p: &Pipeline, cost: u64) -> Result<(), P4Error> {
-        self.steps += cost;
-        if self.steps > p.target().step_budget {
-            return Err(P4Error::StepBudgetExhausted {
-                budget: p.target().step_budget,
-            });
-        }
-        Ok(())
     }
 
     fn get_field(&self, f: FieldId) -> E {
@@ -765,7 +673,7 @@ impl<'a> Exec<'a> {
                 .into_iter()
                 .map(|mut s| {
                     if s.live() {
-                        match s.charge(self.p, 1) {
+                        match self.p.target().charge(&mut s.steps, 1) {
                             Ok(()) => s.recirc_requested = true,
                             Err(e) => s.err = Some(e),
                         }
@@ -788,7 +696,7 @@ impl<'a> Exec<'a> {
                         out.push(s);
                         continue;
                     }
-                    if let Err(e) = s.charge(self.p, 1) {
+                    if let Err(e) = self.p.target().charge(&mut s.steps, 1) {
                         s.err = Some(e);
                         out.push(s);
                         continue;
@@ -811,10 +719,10 @@ impl<'a> Exec<'a> {
                         b: eb.clone(),
                     };
                     let decided = if let (Some(x), Some(y)) = (as_const(&ea), as_const(&eb)) {
-                        Some(cmp_apply(cond.op, x, y))
+                        Some(cond.op.eval(x, y))
                     } else if self.env.is_some() {
                         match (self.geval(&ea), self.geval(&eb)) {
-                            (Ok(x), Ok(y)) => Some(cmp_apply(cond.op, x, y)),
+                            (Ok(x), Ok(y)) => Some(cond.op.eval(x, y)),
                             (Err(e), _) | (_, Err(e)) => {
                                 s.err = Some(e);
                                 out.push(s);
@@ -879,7 +787,7 @@ impl<'a> Exec<'a> {
         if !s.live() {
             return vec![s];
         }
-        if let Err(e) = s.charge(self.p, 1) {
+        if let Err(e) = self.p.target().charge(&mut s.steps, 1) {
             s.err = Some(e);
             return vec![s];
         }
@@ -991,199 +899,107 @@ impl<'a> Exec<'a> {
         if !s.live() {
             return s;
         }
-        let Some(action) = self.p.actions().get(aid) else {
+        let p = self.p;
+        let Some(action) = p.actions().get(aid) else {
             s.err = Some(P4Error::UnknownId {
                 kind: "action",
                 id: aid,
             });
             return s;
         };
-        let action = action.clone();
         for prim in &action.primitives {
-            let cost = if matches!(prim, Primitive::Msb { .. }) {
-                u64::from(self.p.target().msb_cost)
-            } else {
-                1
-            };
-            if let Err(e) = s.charge(self.p, cost) {
-                s.err = Some(e);
-                return s;
-            }
-            if let Err(e) = self.exec_primitive(&mut s, aid, prim, data) {
+            let run = p.target().charge(&mut s.steps, prim.cost(p.target())).and_then(|()| {
+                exec_primitive(&mut Sym { ex: self, s: &mut s, aid, data }, prim)
+            });
+            if let Err(e) = run {
                 s.err = Some(e);
                 return s;
             }
         }
         s
     }
+}
 
-    /// Bounds-checks a register index where possible: always in guided
-    /// mode (mirroring the interpreter's eager check), and for
-    /// constant-folded indices even while enumerating — which is what
-    /// catches a rebind whose base address points past the register
-    /// without needing any witness at all.
-    fn check_reg_index(&mut self, register: usize, idx: &E) -> Result<(), P4Error> {
-        let size = self.p.registers()[register].cells.len() as u64;
-        let concrete = match as_const(idx) {
-            Some(v) => Some(v),
-            None if self.env.is_some() => Some(self.geval(idx)?),
-            None => None,
-        };
-        if let Some(i) = concrete {
-            if i >= size {
-                return Err(P4Error::RegisterOutOfBounds {
-                    register,
-                    index: i,
-                    size,
-                });
-            }
-        }
-        Ok(())
+/// The symbolic executor's domain: one action invocation on one path,
+/// over the expression DAG.
+struct Sym<'e, 'a> {
+    ex: &'e mut Exec<'a>,
+    s: &'e mut SymState,
+    aid: usize,
+    data: &'e [u64],
+}
+
+impl Domain for Sym<'_, '_> {
+    type V = E;
+
+    fn operand(&mut self, o: &Operand) -> P4Result<E> {
+        self.s.operand_expr(o, self.data, self.aid)
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn exec_primitive(
-        &mut self,
-        s: &mut SymState,
-        aid: usize,
-        p: &Primitive,
-        data: &[u64],
-    ) -> Result<(), P4Error> {
-        macro_rules! ev {
-            ($o:expr) => {
-                s.operand_expr($o, data, aid)?
-            };
-        }
-        match p {
-            Primitive::Set { dst, src } => {
-                let v = ev!(src);
-                s.set_field(*dst, v);
-            }
-            Primitive::Add { dst, a, b } => {
-                let v = bin(BinOp::Add, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Sub { dst, a, b } => {
-                let v = bin(BinOp::Sub, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::And { dst, a, b } => {
-                let v = bin(BinOp::And, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Or { dst, a, b } => {
-                let v = bin(BinOp::Or, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Xor { dst, a, b } => {
-                let v = bin(BinOp::Xor, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Not { dst, src } => {
-                let v = not_e(ev!(src));
-                s.set_field(*dst, v);
-            }
-            Primitive::Shl { dst, src, amount } => {
-                let v = bin(BinOp::Shl, ev!(src), ev!(amount));
-                s.set_field(*dst, v);
-            }
-            Primitive::Shr { dst, src, amount } => {
-                let v = bin(BinOp::Shr, ev!(src), ev!(amount));
-                s.set_field(*dst, v);
-            }
-            Primitive::Mul { dst, a, b } => {
-                let v = bin(BinOp::Mul, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Min { dst, a, b } => {
-                let v = bin(BinOp::Min, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Max { dst, a, b } => {
-                let v = bin(BinOp::Max, ev!(a), ev!(b));
-                s.set_field(*dst, v);
-            }
-            Primitive::Msb { dst, src } => {
-                let v = msb_e(ev!(src));
-                s.set_field(*dst, v);
-            }
-            Primitive::Hash {
-                dst,
-                src,
-                salt,
-                width_log2,
-            } => {
-                let v = hash_e(ev!(src), *salt, *width_log2);
-                s.set_field(*dst, v);
-            }
-            Primitive::RegRead {
-                dst,
+    fn alu(&mut self, op: Alu, dst: FieldId, a: E, b: E) {
+        self.s.set_field(dst, bin(op, a, b));
+    }
+
+    fn not(&mut self, dst: FieldId, v: E) {
+        self.s.set_field(dst, unary(v, |x| !x, SymExpr::Not));
+    }
+
+    fn msb(&mut self, dst: FieldId, v: E) {
+        self.s.set_field(dst, unary(v, msb, SymExpr::Msb));
+    }
+
+    fn hash(&mut self, dst: FieldId, key: E, salt: u64, width_log2: u32) {
+        let node = |src| SymExpr::Hash {
+            src,
+            salt,
+            width_log2,
+        };
+        self.s.set_field(dst, unary(key, |k| hash(k, salt, width_log2), node));
+    }
+
+    fn set(&mut self, dst: FieldId, v: E) {
+        self.s.set_field(dst, v);
+    }
+
+    /// Checks the index where it is known: always in guided mode (as the
+    /// interpreter does), and for a constant-folded index even while
+    /// enumerating, which is what catches a rebind whose base address
+    /// points past the register without needing any witness at all.
+    fn reg_index(&mut self, register: usize, idx: E) -> P4Result<E> {
+        let size = self.ex.p.registers()[register].cells.len() as u64;
+        let known = match as_const(&idx) {
+            Some(v) => Some(v),
+            None if self.ex.env.is_some() => Some(self.ex.geval(&idx)?),
+            None => None,
+        };
+        match known {
+            Some(index) if index >= size => Err(P4Error::RegisterOutOfBounds {
                 register,
                 index,
-            } => {
-                let idx = ev!(index);
-                self.check_reg_index(*register, &idx)?;
-                let v = s.reg_select(*register, &idx);
-                s.set_field(*dst, v);
-            }
-            Primitive::RegWrite {
-                register,
-                index,
-                src,
-            } => {
-                // Interpreter order: resolve (and bounds-check) the
-                // index first, then the value.
-                let idx = ev!(index);
-                self.check_reg_index(*register, &idx)?;
-                let v = ev!(src);
-                let mask = self.p.registers()[*register].mask();
-                let masked = bin(BinOp::And, v, c64(mask));
-                s.writes[*register].push((idx, masked));
-            }
-            Primitive::Digest { id, values } => {
-                let mut vals = Vec::with_capacity(values.len());
-                for v in values {
-                    vals.push(ev!(v));
-                }
-                s.digests.push((*id, vals));
-            }
-            Primitive::Forward { port } => {
-                let v = ev!(port);
-                s.set_field(fields::EGRESS_PORT, v);
-            }
-            Primitive::Drop => {
-                s.set_field(fields::EGRESS_PORT, c64(DROP_PORT));
-            }
+                size,
+            }),
+            _ => Ok(idx),
         }
-        Ok(())
+    }
+
+    fn reg_read(&mut self, dst: FieldId, register: usize, idx: E) {
+        let v = self.s.reg_select(register, &idx);
+        self.s.set_field(dst, v);
+    }
+
+    fn reg_write(&mut self, register: usize, idx: E, v: E) {
+        let mask = self.ex.p.registers()[register].mask();
+        self.s.writes[register].push((idx, bin(Alu::And, v, c64(mask))));
+    }
+
+    fn digest(&mut self, id: u16, values: Vec<E>) {
+        self.s.digests.push((id, values));
     }
 }
 
 // ---------------------------------------------------------------------
 // Path-derived witnesses
 // ---------------------------------------------------------------------
-
-fn negate(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Le,
-        CmpOp::Ge => CmpOp::Lt,
-    }
-}
-
-/// `a op b  ⇔  b mirror(op) a`.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq | CmpOp::Ne => op,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
 
 /// A value satisfying `v op c`, when one exists.
 fn solve_target(op: CmpOp, c: u64) -> Option<u64> {
@@ -1217,11 +1033,11 @@ fn derive_witness(p: &Pipeline, s: &SymState, domain: &InputDomain) -> Witness {
                 let (var, op, c) = if let Some(c) = as_const(&cond.b) {
                     (&cond.a, cond.op, c)
                 } else if let Some(c) = as_const(&cond.a) {
-                    (&cond.b, mirror(cond.op), c)
+                    (&cond.b, cond.op.mirror(), c)
                 } else {
                     continue;
                 };
-                let eff = if *taken { op } else { negate(op) };
+                let eff = if *taken { op } else { op.negate() };
                 let Some(v) = solve_target(eff, c) else {
                     continue;
                 };
@@ -1339,26 +1155,12 @@ pub fn run_witness(p: &Pipeline, w: &Witness) -> Result<Observed, P4Error> {
     })
 }
 
-fn error_kind(e: &P4Error) -> &'static str {
-    match e {
-        P4Error::UnknownId { .. } => "unknown-id",
-        P4Error::UnsupportedOnTarget { .. } => "unsupported-on-target",
-        P4Error::RegisterOutOfBounds { .. } => "register-out-of-bounds",
-        P4Error::StepBudgetExhausted { .. } => "step-budget-exhausted",
-        P4Error::KeyShapeMismatch { .. } => "key-shape-mismatch",
-        P4Error::TableFull { .. } => "table-full",
-        P4Error::EntryNotFound { .. } => "entry-not-found",
-        P4Error::ActionDataOutOfBounds { .. } => "action-data-out-of-bounds",
-        P4Error::Invalid { .. } => "invalid",
-    }
-}
-
 fn divergence_detail(
     ra: &Result<Observed, P4Error>,
     rb: &Result<Observed, P4Error>,
 ) -> Option<String> {
     match (ra, rb) {
-        (Err(x), Err(y)) => (error_kind(x) != error_kind(y))
+        (Err(x), Err(y)) => (discriminant(x) != discriminant(y))
             .then(|| format!("error kinds differ: `{x}` vs `{y}`")),
         (Err(x), Ok(_)) => Some(format!("first build faults (`{x}`), second completes")),
         (Ok(_), Err(y)) => Some(format!("second build faults (`{y}`), first completes")),
@@ -1405,10 +1207,9 @@ pub struct SymbolicOptions {
     /// Maximum number of enumerated paths per program; exceeding it
     /// emits `S4L014`, never a silent cap.
     pub path_budget: usize,
-    /// Pseudo-random witnesses added to the corpus.
+    /// Pseudo-random witnesses added to the corpus (drawn from one
+    /// fixed seed, so every run sees the same corpus).
     pub samples: usize,
-    /// PRNG seed for the random corpus (deterministic by default).
-    pub seed: u64,
     /// Input domain; inferred from the programs when `None`.
     pub domain: Option<InputDomain>,
     /// Origin values per register cell in the merge-soundness check.
@@ -1423,26 +1224,11 @@ impl Default for SymbolicOptions {
         Self {
             path_budget: 4096,
             samples: 64,
-            seed: 0x5744_7431_0151_0c4e,
             domain: None,
             merge_origins: 6,
             merge_witnesses: 24,
         }
     }
-}
-
-fn count_sev(diags: &[Diagnostic], s: Severity) -> usize {
-    diags.iter().filter(|d| d.severity == s).count()
-}
-
-fn passes_diags(diags: &[Diagnostic], deny_warnings: bool) -> bool {
-    count_sev(diags, Severity::Error) == 0
-        && (!deny_warnings || count_sev(diags, Severity::Warning) == 0)
-}
-
-fn diags_json(diags: &[Diagnostic]) -> String {
-    let v: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    v.join(",")
 }
 
 /// A concrete input on which two builds disagree.
@@ -1481,7 +1267,7 @@ impl EquivReport {
     /// Lint outcome under the standard severity policy.
     #[must_use]
     pub fn passes(&self, deny_warnings: bool) -> bool {
-        passes_diags(&self.diagnostics, deny_warnings)
+        diag::passes(&self.diagnostics, deny_warnings)
     }
 
     /// Renders the report as a JSON object.
@@ -1505,7 +1291,7 @@ impl EquivReport {
             self.witnesses,
             self.equivalent(),
             ce,
-            diags_json(&self.diagnostics)
+            diag::json_list(&self.diagnostics)
         )
     }
 }
@@ -1560,7 +1346,7 @@ pub fn check_equivalence(a: &Pipeline, b: &Pipeline, opts: &SymbolicOptions) -> 
             w.normalize();
             add(w);
         }
-        for w in random_witnesses(&domain, &common_shapes, opts.samples, opts.seed) {
+        for w in random_witnesses(&domain, &common_shapes, opts.samples) {
             add(w);
         }
     }
@@ -1656,7 +1442,7 @@ impl MergeReport {
     /// Lint outcome under the standard severity policy.
     #[must_use]
     pub fn passes(&self, deny_warnings: bool) -> bool {
-        passes_diags(&self.diagnostics, deny_warnings)
+        diag::passes(&self.diagnostics, deny_warnings)
     }
 
     /// Renders the report as a JSON object.
@@ -1686,7 +1472,7 @@ impl MergeReport {
             self.witnesses,
             self.origin_pairs,
             ces.join(","),
-            diags_json(&self.diagnostics)
+            diag::json_list(&self.diagnostics)
         )
     }
 }
@@ -1773,7 +1559,6 @@ pub fn check_merge_soundness(p: &Pipeline, opts: &SymbolicOptions) -> MergeRepor
         &domain,
         &register_shapes(p),
         opts.samples,
-        opts.seed,
     ));
     rest.retain(|w| !seen.contains(w));
     let room = cap.saturating_sub(corpus.len()).max(4);
@@ -1915,7 +1700,7 @@ impl RebindReport {
     /// True when the transaction may be applied.
     #[must_use]
     pub fn passes(&self) -> bool {
-        count_sev(&self.diagnostics, Severity::Error) == 0
+        diag::passes(&self.diagnostics, false)
     }
 
     /// Renders the report as a JSON object (the vetted pipeline is
@@ -1928,7 +1713,7 @@ impl RebindReport {
             self.truncated,
             self.witnesses,
             self.passes(),
-            diags_json(&self.diagnostics)
+            diag::json_list(&self.diagnostics)
         )
     }
 }
@@ -1985,10 +1770,10 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
         .domain
         .clone()
         .unwrap_or_else(|| InputDomain::infer(&[&cand]));
-    let mut reported: HashSet<&'static str> = HashSet::new();
+    let mut reported = HashSet::new();
     for s in &states {
         let Some(e) = &s.err else { continue };
-        if !reported.insert(error_kind(e)) {
+        if !reported.insert(discriminant(e)) {
             continue;
         }
         let w = derive_witness(&cand, s, &domain);
@@ -2029,12 +1814,11 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
         &domain,
         &register_shapes(&cand),
         opts.samples,
-        opts.seed,
     ));
     let witnesses = corpus.len();
     for w in &corpus {
         if let Err(e) = run_witness(&cand, w) {
-            if reported.insert(error_kind(&e)) {
+            if reported.insert(discriminant(&e)) {
                 diags.push(Diagnostic::new(
                     LintCode::UnsafeRebind,
                     Severity::Error,
@@ -2048,7 +1832,7 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
         }
     }
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
-    let ok = count_sev(&diags, Severity::Error) == 0;
+    let ok = diag::passes(&diags, false);
     RebindReport {
         paths,
         truncated: ex.truncated,
@@ -2085,7 +1869,7 @@ pub fn check_agreement(p: &Pipeline, w: &Witness) -> Result<(), String> {
 
     match (&concrete, &s.err) {
         (Err(ce), Some(se)) => {
-            return if error_kind(ce) == error_kind(se) {
+            return if discriminant(ce) == discriminant(se) {
                 Ok(())
             } else {
                 Err(format!(
@@ -2183,7 +1967,7 @@ pub fn enumerate_paths(p: &Pipeline, opts: &SymbolicOptions) -> (usize, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ActionDef;
+    use crate::action::{ActionDef, Primitive};
     use crate::control::Cond;
     use crate::pipeline::RegMerge;
     use crate::program::ProgramBuilder;

@@ -46,13 +46,48 @@ impl Cond {
     /// Evaluates with already-resolved operand values.
     #[must_use]
     pub fn eval(&self, a: u64, b: u64) -> bool {
-        match self.op {
+        self.op.eval(a, b)
+    }
+}
+
+impl CmpOp {
+    /// `a op b`, unsigned.
+    #[must_use]
+    pub(crate) fn eval(self, a: u64, b: u64) -> bool {
+        match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
             CmpOp::Lt => a < b,
             CmpOp::Le => a <= b,
             CmpOp::Gt => a > b,
             CmpOp::Ge => a >= b,
+        }
+    }
+
+    /// The operator of the negated comparison: `!(a op b)` is
+    /// `a op.negate() b`.
+    #[must_use]
+    pub(crate) fn negate(self) -> Self {
+        match self {
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::Le,
+            CmpOp::Ge => CmpOp::Lt,
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b` is
+    /// `b op.mirror() a`.
+    #[must_use]
+    pub(crate) fn mirror(self) -> Self {
+        match self {
+            CmpOp::Eq | CmpOp::Ne => self,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
         }
     }
 }
@@ -128,6 +163,13 @@ impl Control {
             }
         });
         out
+    }
+
+    /// True if some path requests another pipeline pass.
+    pub(crate) fn recirculates(&self) -> bool {
+        let mut found = false;
+        self.visit(&mut |c| found |= matches!(c, Control::Recirculate));
+        found
     }
 
     fn visit(&self, f: &mut impl FnMut(&Control)) {

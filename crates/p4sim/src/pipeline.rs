@@ -1,11 +1,11 @@
 //! The pipeline interpreter: executes a validated program packet by
 //! packet against register state.
 
-use crate::action::{ActionDef, Operand, Primitive};
+use crate::action::{exec_primitive, hash, msb, ActionDef, Alu, Domain, Operand};
 use crate::control::Control;
 use crate::error::{P4Error, P4Result};
 use crate::parser::parse_frame;
-use crate::phv::{fields, Phv, DROP_PORT};
+use crate::phv::{fields, FieldId, Phv};
 use crate::table::Table;
 use crate::target::TargetModel;
 use stat4_core::delta::DirtyJournal;
@@ -397,20 +397,10 @@ struct Exec<'a> {
     target: &'a TargetModel,
     actions: &'a [ActionDef],
     tables: &'a [Table],
-    registers: &'a mut [Register],
+    registers: &'a mut Vec<Register>,
 }
 
 impl Exec<'_> {
-    fn charge(&self, outcome: &mut PacketOutcome, cost: u64) -> P4Result<()> {
-        outcome.steps += cost;
-        if outcome.steps > self.target.step_budget {
-            return Err(P4Error::StepBudgetExhausted {
-                budget: self.target.step_budget,
-            });
-        }
-        Ok(())
-    }
-
     fn exec_control(
         &mut self,
         c: &Control,
@@ -429,7 +419,7 @@ impl Exec<'_> {
                 Ok(true)
             }
             Control::ApplyTable(tid) => {
-                self.charge(outcome, 1)?;
+                self.target.charge(&mut outcome.steps, 1)?;
                 let table = self.tables.get(*tid).ok_or(P4Error::UnknownId {
                     kind: "table",
                     id: *tid,
@@ -454,7 +444,7 @@ impl Exec<'_> {
                 then_branch,
                 else_branch,
             } => {
-                self.charge(outcome, 1)?;
+                self.target.charge(&mut outcome.steps, 1)?;
                 if cond.eval(cond_operand(&cond.a, phv)?, cond_operand(&cond.b, phv)?) {
                     self.exec_control(then_branch, phv, outcome)
                 } else if let Some(e) = else_branch {
@@ -465,7 +455,7 @@ impl Exec<'_> {
             }
             Control::Exit => Ok(false),
             Control::Recirculate => {
-                self.charge(outcome, 1)?;
+                self.target.charge(&mut outcome.steps, 1)?;
                 outcome.recirculate_requested = true;
                 Ok(true)
             }
@@ -483,25 +473,76 @@ impl Exec<'_> {
             kind: "action",
             id: aid,
         })?;
+        let mut d = Concrete {
+            aid,
+            data,
+            phv,
+            registers: self.registers,
+            digests: &mut outcome.digests,
+        };
         for p in &action.primitives {
-            let cost = if matches!(p, Primitive::Msb { .. }) {
-                u64::from(self.target.msb_cost)
-            } else {
-                1
-            };
-            self.charge(outcome, cost)?;
-            self.exec_primitive(aid, p, data, phv, outcome)?;
+            self.target.charge(&mut outcome.steps, p.cost(self.target))?;
+            exec_primitive(&mut d, p)?;
         }
         Ok(())
     }
+}
 
-    fn reg_index(&self, register: usize, index: u64) -> P4Result<usize> {
+/// The interpreter's domain: one action invocation on one packet, over
+/// `u64`.
+struct Concrete<'a> {
+    /// The running action, named in the error for a missing data slot.
+    aid: usize,
+    data: &'a [u64],
+    phv: &'a mut Phv,
+    /// A thin pointer, not a slice: with `exec_primitive` inlined into
+    /// `exec_action`, a slice's extra register spills the target to the
+    /// stack, and the step charge reloads it for every primitive.
+    registers: &'a mut Vec<Register>,
+    digests: &'a mut Vec<DigestRecord>,
+}
+
+impl Domain for Concrete<'_> {
+    type V = u64;
+
+    fn operand(&mut self, o: &Operand) -> P4Result<u64> {
+        match o {
+            Operand::Const(v) => Ok(*v),
+            Operand::Field(f) => Ok(self.phv.get(*f)),
+            Operand::Data(n) => self.data.get(*n).copied().ok_or(P4Error::ActionDataOutOfBounds {
+                action: self.aid,
+                slot: *n,
+            }),
+        }
+    }
+
+    fn alu(&mut self, op: Alu, dst: FieldId, a: u64, b: u64) {
+        self.phv.set(dst, op.apply(a, b));
+    }
+
+    fn not(&mut self, dst: FieldId, v: u64) {
+        self.phv.set(dst, !v);
+    }
+
+    fn msb(&mut self, dst: FieldId, v: u64) {
+        self.phv.set(dst, msb(v));
+    }
+
+    fn hash(&mut self, dst: FieldId, key: u64, salt: u64, width_log2: u32) {
+        self.phv.set(dst, hash(key, salt, width_log2));
+    }
+
+    fn set(&mut self, dst: FieldId, v: u64) {
+        self.phv.set(dst, v);
+    }
+
+    fn reg_index(&mut self, register: usize, index: u64) -> P4Result<u64> {
         let reg = self.registers.get(register).ok_or(P4Error::UnknownId {
             kind: "register",
             id: register,
         })?;
         if (index as usize) < reg.cells.len() {
-            Ok(index as usize)
+            Ok(index)
         } else {
             Err(P4Error::RegisterOutOfBounds {
                 register,
@@ -511,133 +552,16 @@ impl Exec<'_> {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn exec_primitive(
-        &mut self,
-        aid: usize,
-        p: &Primitive,
-        data: &[u64],
-        phv: &mut Phv,
-        outcome: &mut PacketOutcome,
-    ) -> P4Result<()> {
-        macro_rules! ev {
-            ($o:expr) => {
-                eval($o, aid, data, phv)?
-            };
-        }
-        match p {
-            Primitive::Set { dst, src } => {
-                let v = ev!(src);
-                phv.set(*dst, v);
-            }
-            Primitive::Add { dst, a, b } => {
-                let v = ev!(a).wrapping_add(ev!(b));
-                phv.set(*dst, v);
-            }
-            Primitive::Sub { dst, a, b } => {
-                let v = ev!(a).wrapping_sub(ev!(b));
-                phv.set(*dst, v);
-            }
-            Primitive::And { dst, a, b } => {
-                let v = ev!(a) & ev!(b);
-                phv.set(*dst, v);
-            }
-            Primitive::Or { dst, a, b } => {
-                let v = ev!(a) | ev!(b);
-                phv.set(*dst, v);
-            }
-            Primitive::Xor { dst, a, b } => {
-                let v = ev!(a) ^ ev!(b);
-                phv.set(*dst, v);
-            }
-            Primitive::Not { dst, src } => {
-                let v = !ev!(src);
-                phv.set(*dst, v);
-            }
-            Primitive::Shl { dst, src, amount } => {
-                let s = ev!(src);
-                let n = ev!(amount);
-                phv.set(*dst, if n >= 64 { 0 } else { s << n });
-            }
-            Primitive::Shr { dst, src, amount } => {
-                let s = ev!(src);
-                let n = ev!(amount);
-                phv.set(*dst, if n >= 64 { 0 } else { s >> n });
-            }
-            Primitive::Mul { dst, a, b } => {
-                let v = ev!(a).wrapping_mul(ev!(b));
-                phv.set(*dst, v);
-            }
-            Primitive::Min { dst, a, b } => {
-                let v = ev!(a).min(ev!(b));
-                phv.set(*dst, v);
-            }
-            Primitive::Max { dst, a, b } => {
-                let v = ev!(a).max(ev!(b));
-                phv.set(*dst, v);
-            }
-            Primitive::Msb { dst, src } => {
-                let s = ev!(src);
-                let v = if s == 0 { 0 } else { 63 - u64::from(s.leading_zeros()) };
-                phv.set(*dst, v);
-            }
-            Primitive::Hash {
-                dst,
-                src,
-                salt,
-                width_log2,
-            } => {
-                let key = ev!(src);
-                let w = (*width_log2).clamp(1, 63);
-                let mask = (1u64 << w) - 1;
-                let v = (key.wrapping_mul(*salt | 1) >> (64 - w - 1)) & mask;
-                phv.set(*dst, v);
-            }
-            Primitive::RegRead {
-                dst,
-                register,
-                index,
-            } => {
-                let i = self.reg_index(*register, ev!(index))?;
-                let v = self.registers[*register].cells[i];
-                phv.set(*dst, v);
-            }
-            Primitive::RegWrite {
-                register,
-                index,
-                src,
-            } => {
-                let i = self.reg_index(*register, ev!(index))?;
-                let v = ev!(src);
-                self.registers[*register].write_cell(i, v);
-            }
-            Primitive::Digest { id, values } => {
-                let mut vals = Vec::with_capacity(values.len());
-                for v in values {
-                    vals.push(ev!(v));
-                }
-                outcome.digests.push(DigestRecord { id: *id, values: vals });
-            }
-            Primitive::Forward { port } => {
-                let p = ev!(port);
-                phv.set(fields::EGRESS_PORT, p);
-            }
-            Primitive::Drop => {
-                phv.set(fields::EGRESS_PORT, DROP_PORT);
-            }
-        }
-        Ok(())
+    fn reg_read(&mut self, dst: FieldId, register: usize, index: u64) {
+        self.phv.set(dst, self.registers[register].cells[index as usize]);
     }
-}
 
-/// An action operand's value; `aid` names the action in the error for a missing data slot.
-fn eval(o: &Operand, aid: usize, data: &[u64], phv: &Phv) -> P4Result<u64> {
-    match o {
-        Operand::Const(v) => Ok(*v),
-        Operand::Field(f) => Ok(phv.get(*f)),
-        Operand::Data(n) => {
-            data.get(*n).copied().ok_or(P4Error::ActionDataOutOfBounds { action: aid, slot: *n })
-        }
+    fn reg_write(&mut self, register: usize, index: u64, v: u64) {
+        self.registers[register].write_cell(index as usize, v);
+    }
+
+    fn digest(&mut self, id: u16, values: Vec<u64>) {
+        self.digests.push(DigestRecord { id, values });
     }
 }
 
@@ -654,8 +578,8 @@ fn cond_operand(o: &Operand, phv: &Phv) -> P4Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Primitive;
     use crate::control::{CmpOp, Cond};
-    use crate::phv::FieldId;
     use crate::program::ProgramBuilder;
     use crate::table::{Entry, MatchKind, MatchValue, TableDef};
 

@@ -28,6 +28,7 @@
 use crate::action::ActionDef;
 use crate::analysis::tdg::{paths, table_actions, table_reads, table_writes, Item};
 use crate::analysis::{allocate, TableDepGraph};
+use crate::control::Control;
 use crate::phv::FieldId;
 use crate::pipeline::Pipeline;
 use crate::table::MatchKind;
@@ -151,11 +152,6 @@ fn action_chain_steps(a: &ActionDef, target: &TargetModel) -> u64 {
     let n = a.primitives.len();
     let mut cp = vec![0u64; n];
     for i in 0..n {
-        let cost = if matches!(a.primitives[i], crate::action::Primitive::Msb { .. }) {
-            u64::from(target.msb_cost)
-        } else {
-            1
-        };
         let reads: HashSet<FieldId> = a.primitives[i].src_fields().into_iter().collect();
         let writes = a.primitives[i].dst_field();
         let reg = a.primitives[i].register_access();
@@ -178,45 +174,55 @@ fn action_chain_steps(a: &ActionDef, target: &TargetModel) -> u64 {
                 best = best.max(cp[j]);
             }
         }
-        cp[i] = best + cost;
+        cp[i] = best + a.primitives[i].cost(target);
     }
     cp.into_iter().max().unwrap_or(0)
 }
 
-/// Worst-case chain steps contributed by a path item.
-fn item_chain_steps(p: &Pipeline, item: Item, target: &TargetModel) -> u64 {
-    match item {
-        Item::Table(t) => {
-            let worst = table_actions(p, t)
-                .into_iter()
-                .filter_map(|a| p.actions().get(a))
-                .map(|a| action_chain_steps(a, target))
-                .max()
-                .unwrap_or(0);
-            // +1 for the match itself.
-            worst + 1
+/// The most expensive execution path through `c`: a table apply costs
+/// one step for the match plus its costliest action, an action costs
+/// `action(a)`, and a branch or a recirculation request `control`.
+fn worst_path(p: &Pipeline, c: &Control, control: u64, action: &dyn Fn(&ActionDef) -> u64) -> u64 {
+    let act = |a: usize| p.actions().get(a).map_or(0, action);
+    match c {
+        Control::Nop | Control::Exit => 0,
+        Control::Seq(children) => children.iter().map(|c| worst_path(p, c, control, action)).sum(),
+        Control::ApplyTable(t) => 1 + table_actions(p, *t).into_iter().map(act).max().unwrap_or(0),
+        Control::ApplyAction(a) => act(*a),
+        Control::If {
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            let other = else_branch.as_ref().map_or(0, |e| worst_path(p, e, control, action));
+            control + worst_path(p, then_branch, control, action).max(other)
         }
-        Item::Action(a) => p
-            .actions()
-            .get(a)
-            .map(|a| action_chain_steps(a, target))
-            .unwrap_or(0),
+        Control::Recirculate => control,
     }
 }
 
 /// Longest sequential dependency chain (in interpreter steps, `Msb`
-/// charged at the target's cost) over any execution path. Shared with
-/// the static verifier's step-budget check.
+/// charged at the target's cost) over any execution path: the paper's
+/// "12 sequential steps" figure.
 pub(crate) fn worst_path_steps(p: &Pipeline, target: &TargetModel) -> u64 {
-    paths(p.control())
-        .iter()
-        .map(|path| {
-            path.iter()
-                .map(|i| item_chain_steps(p, *i, target))
-                .sum::<u64>()
-        })
-        .max()
-        .unwrap_or(0)
+    worst_path(p, p.control(), 0, &|a| action_chain_steps(a, target))
+}
+
+/// Steps the interpreter charges a packet on the most expensive path:
+/// every primitive at its [`Primitive::cost`](crate::action::Primitive::cost),
+/// one per table apply, branch and recirculation, and every pass again
+/// when the program recirculates. This sum, not the dependency chain,
+/// is what a target's `step_budget` bounds.
+pub(crate) fn worst_packet_steps(p: &Pipeline, target: &TargetModel) -> u64 {
+    let pass = worst_path(p, p.control(), 1, &|a| {
+        a.primitives.iter().map(|q| q.cost(target)).sum()
+    });
+    let passes = if p.control().recirculates() {
+        1 + u64::from(target.max_recirculations)
+    } else {
+        1
+    };
+    pass * passes
 }
 
 /// Analyses a built pipeline.

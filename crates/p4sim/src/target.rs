@@ -9,6 +9,7 @@
 //! forces the same design decisions the paper describes.
 
 use crate::action::{Operand, Primitive};
+use crate::error::{P4Error, P4Result};
 
 /// Capabilities and costs of a deployment target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +130,19 @@ impl TargetRule {
 }
 
 impl TargetModel {
+    /// Adds `cost` to a packet's step count, failing once the count
+    /// passes `step_budget`. The interpreter and the symbolic executor
+    /// both charge through here.
+    pub(crate) fn charge(&self, steps: &mut u64, cost: u64) -> P4Result<()> {
+        *steps += cost;
+        if *steps > self.step_budget {
+            return Err(P4Error::StepBudgetExhausted {
+                budget: self.step_budget,
+            });
+        }
+        Ok(())
+    }
+
     /// The rule `p` breaks on this target, if any.
     pub(crate) fn forbids(&self, p: &Primitive) -> Option<TargetRule> {
         let runtime = |o: &Operand| !matches!(o, Operand::Const(_));

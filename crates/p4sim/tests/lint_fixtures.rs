@@ -226,6 +226,36 @@ fn step_budget_is_s4l007_warning() {
     assert!(!report.passes(true), "--deny warnings rejects it");
 }
 
+/// The step budget bounds the steps the interpreter charges, not the
+/// dependency chain. Twenty independent `Set`s form a chain one step
+/// long but cost twenty steps, and a budget of ten refuses every packet:
+/// `S4L007` must say so, while the chain stays the resource figure.
+#[test]
+fn independent_steps_past_the_budget_are_s4l007() {
+    let mut b = ProgramBuilder::new();
+    let sets = (0..20u16)
+        .map(|i| Primitive::Set {
+            dst: fields::scratch(i),
+            src: Operand::Const(1),
+        })
+        .collect();
+    let a = b.add_action(ActionDef::new("fill", sets));
+    b.set_control(Control::ApplyAction(a));
+    let target = TargetModel {
+        step_budget: 10,
+        ..TargetModel::bmv2()
+    };
+    let mut p = b.build(target).unwrap();
+
+    let err = p.process_phv(&mut Phv::new()).expect_err("20 steps exceed a budget of 10");
+    assert!(matches!(err, p4sim::P4Error::StepBudgetExhausted { budget: 10 }));
+
+    let report = verify(&p);
+    assert_eq!(report.worst_chain_steps, 1, "the chain is unchanged");
+    assert!(has(&report, LintCode::StepBudget, Severity::Warning), "{report}");
+    assert!(!report.passes(true));
+}
+
 /// An index that provably misses the register is an error; the hash
 /// fragment's width-bounded index is proven fine.
 #[test]

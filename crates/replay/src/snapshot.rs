@@ -1,5 +1,5 @@
 //! Deterministic JSON snapshot of a [`ReplayOutcome`], written and read
-//! through `telemetry::json`'s [`ToJson`]/[`FromJson`] pair.
+//! through `telemetry::json`'s [`ToJson`]/[`FromJson`](telemetry::json::FromJson) pair.
 //!
 //! [`RunSnapshot`] mirrors every deterministic field of an outcome
 //! (alerts, health, ensemble report, alert provenance, merged-state

@@ -55,7 +55,6 @@ fn parse_args() -> Result<Options, String> {
                     ))
                 }
             },
-            "--deny-warnings" => opts.deny_warnings = true,
             "--json" => opts.json = true,
             "--verbose" | "-v" => opts.verbose = true,
             "--equiv" => opts.equiv = true,
