@@ -583,7 +583,8 @@ impl Ensemble {
     /// Feeds one interval to every engine and combines the results.
     pub fn observe(&mut self, ctx: &SignalContext<'_>) -> EnsembleVerdict {
         let mut fired = Vec::new();
-        let mut results = Vec::new();
+        // Sized once: at most one result per engine.
+        let mut results = Vec::with_capacity(self.engines.len());
         let mut weighted: i128 = 0;
         let mut weights: i128 = 0;
         for (i, engine) in self.engines.iter_mut().enumerate() {

@@ -296,12 +296,9 @@ impl Pipeline {
         self.taken_packets = self.packets_processed;
         let mut regs = Vec::new();
         for (i, r) in self.registers.iter_mut().enumerate() {
-            let touched = r.journal.take();
-            if !touched.is_empty() {
-                let cells = touched
-                    .into_iter()
-                    .map(|(idx, base)| (idx, base, r.cells[idx as usize]))
-                    .collect();
+            if !r.journal.is_empty() {
+                let mut cells = Vec::new();
+                r.journal.drain_cells_into(&r.cells, &mut cells);
                 regs.push(crate::replay::RegisterDelta { register: i, cells });
             }
         }

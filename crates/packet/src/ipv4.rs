@@ -136,6 +136,10 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 
     /// The L4 payload (bytes between header and `total_len`).
     #[must_use]
+    // Offered to every codegen unit: `replay::parse_frame` calls this
+    // per frame, and where the instance landed in another unit it was
+    // an out-of-line call (2.6 % of `dense_1shard`'s frame rate).
+    #[inline]
     pub fn payload(&self) -> &[u8] {
         &self.b()[self.header_len()..self.total_len()]
     }

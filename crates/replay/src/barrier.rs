@@ -37,7 +37,7 @@
 //! accumulator's interval fields before applying deltas; the result is
 //! bit-identical to the fresh fold the rebuild path computes.
 
-use crate::{merge_surviving, ReplayConfig, ShardIncident, ShardState};
+use crate::{merge_surviving, ReplayConfig, ShardDelta, ShardIncident, ShardState};
 
 /// What one barrier merge did — feeds the `merge_delta_bytes` /
 /// `merge_skipped_registers` / `merge_rebuilds` telemetry.
@@ -52,6 +52,17 @@ pub(crate) struct BarrierStats {
     pub rebuilt: bool,
 }
 
+/// The states of `states` that are home and `alive`.
+fn surviving<'a>(
+    states: &'a mut [Option<ShardState>],
+    alive: &'a [bool],
+) -> impl Iterator<Item = &'a mut ShardState> {
+    states
+        .iter_mut()
+        .zip(alive)
+        .filter_map(|(state, &a)| state.as_mut().filter(|_| a))
+}
+
 /// Incremental cross-shard merger: owns the merged view between
 /// barriers and folds per-shard deltas into it.
 #[derive(Debug)]
@@ -59,6 +70,10 @@ pub(crate) struct BarrierMerger {
     acc: Option<ShardState>,
     /// Alive map the accumulator was built over.
     acc_alive: Vec<bool>,
+    /// Every shard's delta is taken into this one buffer and applied
+    /// from it, so the delta path allocates nothing once the buffer has
+    /// grown to an epoch's working set.
+    delta: ShardDelta,
 }
 
 impl BarrierMerger {
@@ -66,16 +81,17 @@ impl BarrierMerger {
         Self {
             acc: None,
             acc_alive: Vec::new(),
+            delta: ShardDelta::default(),
         }
     }
 
-    /// Merges the surviving shards for one epoch barrier. `entries`
-    /// are `(shard index, state)` pairs for every *populated* slot;
-    /// `alive` is indexed by shard index and may be flipped off by the
-    /// rebuild path's quarantine handling ([`merge_surviving`]).
+    /// Merges the surviving shards for one epoch barrier. `states` are
+    /// the coordinator's slots, indexed by shard; `alive` may be flipped
+    /// off by the rebuild path's quarantine handling
+    /// ([`merge_surviving`]).
     pub(crate) fn merge(
         &mut self,
-        entries: &mut [(usize, &mut ShardState)],
+        states: &mut [Option<ShardState>],
         alive: &mut [bool],
         cfg: &ReplayConfig,
         epoch_idx: u64,
@@ -89,31 +105,22 @@ impl BarrierMerger {
             acc.packets_in_interval = 0;
             acc.len_sum_in_interval = 0;
             acc.src_hll.reset();
-            for (s, state) in entries.iter_mut() {
-                if !alive[*s] {
-                    continue;
-                }
-                let delta = state.take_delta();
+            let delta = &mut self.delta;
+            for state in surviving(states, alive) {
+                state.take_delta_into(delta);
                 stats.delta_bytes += delta.wire_bytes();
                 stats.skipped_registers +=
                     state.register_cells().saturating_sub(delta.touched_registers());
                 // Geometry is immutable after construction and was
                 // validated when the accumulator was (re)built, so a
                 // mismatch here is unreachable.
-                acc.apply_delta(&delta)
+                acc.apply_delta(delta)
                     .expect("delta from a validated shard cannot mismatch");
             }
         } else {
             stats.rebuilt = true;
-            let ro: Vec<(usize, &ShardState)> =
-                entries.iter().map(|(s, st)| (*s, &**st)).collect();
-            let merged = merge_surviving(&ro, alive, cfg, epoch_idx, incidents);
-            drop(ro);
-            for (s, state) in entries.iter_mut() {
-                if alive[*s] {
-                    state.discard_delta();
-                }
-            }
+            let merged = merge_surviving(states, alive, cfg, epoch_idx, incidents);
+            surviving(states, alive).for_each(ShardState::discard_delta);
             self.acc = Some(merged);
             // Captured *after* the merge: the rebuild itself may have
             // quarantined a mismatching shard.

@@ -52,7 +52,8 @@ pub(crate) fn fire_on_worker(fault: Option<ShardFaultKind>, shard: usize, epoch_
 pub(crate) struct OpenEpoch {
     pub(crate) epoch_idx: u64,
     /// Per shard, the fault to fire on its worker this epoch (`None`
-    /// for a shard that was already dead).
+    /// for a shard that was already dead). The coordinator's buffer,
+    /// lent for the epoch.
     pub(crate) faults: Vec<Option<ShardFaultKind>>,
     rerouted: u64,
     incidents_before: usize,
@@ -95,6 +96,9 @@ pub(crate) struct EpochCoordinator {
     carried_epochs: i64,
     /// Epoch ordinals of the carried (dropped) reports: alert lineage.
     carried_from: Vec<u64>,
+    /// The run's one fault-plan buffer: an open epoch holds it as
+    /// [`OpenEpoch::faults`] and its close hands it back.
+    fault_plan: Vec<Option<ShardFaultKind>>,
     pub(crate) telemetry: ReplayTelemetry,
 }
 
@@ -124,6 +128,7 @@ impl EpochCoordinator {
             carried_len_sum: 0,
             carried_epochs: 0,
             carried_from: Vec::new(),
+            fault_plan: Vec::new(),
             telemetry: ReplayTelemetry::new(cfg.shards),
         }
     }
@@ -194,6 +199,7 @@ impl EpochCoordinator {
             carried_len_sum: c.carried_len_sum,
             carried_epochs: c.carried_epochs,
             carried_from: c.carried_from.clone(),
+            fault_plan: Vec::new(),
             telemetry: ReplayTelemetry::new(cfg.shards),
         })
     }
@@ -287,12 +293,17 @@ impl EpochCoordinator {
     ) -> OpenEpoch {
         self.packets += frames as u64;
         self.packets_rerouted += rerouted;
-        let alive = &self.alive;
-        let plan = (0..self.cfg.shards)
-            .map(|s| alive[s].then(|| faults.shard_fault(epoch_idx, s)).flatten());
+        let mut plan = std::mem::take(&mut self.fault_plan);
+        plan.clear();
+        plan.extend(
+            self.alive
+                .iter()
+                .enumerate()
+                .map(|(s, &alive)| alive.then(|| faults.shard_fault(epoch_idx, s)).flatten()),
+        );
         let mut open = OpenEpoch {
             epoch_idx,
-            faults: plan.collect(),
+            faults: plan,
             rerouted,
             incidents_before: self.incidents.len(),
             recover_started: None,
@@ -328,20 +339,13 @@ impl EpochCoordinator {
         // merger, never propagated.
         t.trace.begin("merge", epoch_idx);
         let merge_started = Instant::now();
-        let mut entries: Vec<(usize, &mut ShardState)> = self
-            .states
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, st)| st.as_mut().map(|st| (s, st)))
-            .collect();
         let stats = self.merger.merge(
-            &mut entries,
+            &mut self.states,
             &mut self.alive,
             &self.cfg,
             epoch_idx,
             &mut self.incidents,
         );
-        drop(entries);
         let merged = self.merger.merged();
         let merge_ns = elapsed_ns(merge_started);
         t.trace.end("merge", epoch_idx);
@@ -436,6 +440,7 @@ impl EpochCoordinator {
             state.close_interval();
             t.shard_traces[s].end("close_interval", epoch_idx);
         }
+        self.fault_plan = open.faults;
     }
 
     /// Ends the run: the final merged view, the health summary and the
@@ -464,14 +469,8 @@ impl EpochCoordinator {
             fired: self.ensemble.fired_log.clone(),
         };
 
-        let entries: Vec<(usize, &ShardState)> = self
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(s, st)| st.as_ref().map(|st| (s, st)))
-            .collect();
         let merged = merge_surviving(
-            &entries,
+            &self.states,
             &mut self.alive,
             &self.cfg,
             final_epoch,

@@ -306,8 +306,8 @@ impl Eq for ShardState {}
 /// Everything one shard mutated since its last delta window opened —
 /// the sparse payload the epoch barrier ships instead of the full
 /// tracker set. Built by [`ShardState::take_delta`], applied by
-/// [`ShardState::apply_delta`].
-#[derive(Debug, Clone)]
+/// [`ShardState::apply_delta`]; `Default` is the empty delta.
+#[derive(Debug, Clone, Default)]
 pub struct ShardDelta {
     kinds: FreqDelta,
     len_stats: RunningDelta,
@@ -397,19 +397,25 @@ impl ShardState {
     /// epoch's delta carries exactly that epoch's contribution.
     #[must_use]
     pub fn take_delta(&mut self) -> ShardDelta {
-        let packets_delta = self.packets - self.taken_packets;
+        let mut delta = ShardDelta::default();
+        self.take_delta_into(&mut delta);
+        delta
+    }
+
+    /// [`Self::take_delta`] into a delta the caller keeps between
+    /// windows: whatever `delta` held is replaced, and its buffers are
+    /// reused, so a steady barrier allocates nothing for its deltas.
+    pub(crate) fn take_delta_into(&mut self, delta: &mut ShardDelta) {
+        self.kinds.take_delta_into(&mut delta.kinds);
+        self.len_stats.take_delta_into(&mut delta.len_stats);
+        self.dst_sketch.take_delta_into(&mut delta.dst_sketch);
+        self.len_median.take_delta_into(&mut delta.len_median);
+        self.src_hll.take_delta_into(&mut delta.src_hll);
+        delta.packets_delta = self.packets - self.taken_packets;
         self.taken_packets = self.packets;
-        ShardDelta {
-            kinds: self.kinds.take_delta(),
-            len_stats: self.len_stats.take_delta(),
-            dst_sketch: self.dst_sketch.take_delta(),
-            len_median: self.len_median.take_delta(),
-            src_hll: self.src_hll.take_delta(),
-            packets_delta,
-            syn_in_interval: self.syn_in_interval,
-            packets_in_interval: self.packets_in_interval,
-            len_sum_in_interval: self.len_sum_in_interval,
-        }
+        delta.syn_in_interval = self.syn_in_interval;
+        delta.packets_in_interval = self.packets_in_interval;
+        delta.len_sum_in_interval = self.len_sum_in_interval;
     }
 
     /// Applies a delta taken from a merge-compatible shard. Absent
@@ -737,11 +743,12 @@ pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -
     }
 }
 
-/// Folds every surviving shard of `entries` (`(shard index, state)`
-/// for each state that is home) into a fresh merged view. A shard whose
-/// state will not merge (geometry mismatch — impossible when all
-/// states come from one config, but treated as pipe corruption rather
-/// than a reason to kill the run) is quarantined instead of panicking.
+/// Folds every surviving shard of `states` (the coordinator's slots,
+/// indexed by shard; `None` while a state is away or lost) into a fresh
+/// merged view. A shard whose state will not merge (geometry mismatch —
+/// impossible when all states come from one config, but treated as pipe
+/// corruption rather than a reason to kill the run) is quarantined
+/// instead of panicking.
 ///
 /// Geometry is validated **before** any tracker is touched
 /// ([`ShardState::merge_mismatch`]), so the merge itself runs in place
@@ -750,17 +757,17 @@ pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -
 /// O(shards²) copies of the full tracker set every epoch; validate-
 /// then-merge keeps the same quarantine behaviour with zero clones.
 pub(crate) fn merge_surviving(
-    entries: &[(usize, &ShardState)],
+    states: &[Option<ShardState>],
     alive: &mut [bool],
     cfg: &ReplayConfig,
     epoch_idx: u64,
     incidents: &mut Vec<ShardIncident>,
 ) -> ShardState {
     let mut merged = ShardState::new(cfg);
-    for &(s, state) in entries {
-        if !alive[s] {
+    for (s, state) in states.iter().enumerate() {
+        let (Some(state), true) = (state, alive[s]) else {
             continue;
-        }
+        };
         if let Some(what) = merged.merge_mismatch(state) {
             alive[s] = false;
             incidents.push(ShardIncident {
@@ -1132,11 +1139,10 @@ mod tests {
         let cfg_a = ReplayConfig::default();
         let mut cfg_b = cfg_a;
         cfg_b.detector.kinds = cfg_a.detector.kinds + 4;
-        let shards = [ShardState::new(&cfg_a), ShardState::new(&cfg_b)];
-        let entries: Vec<(usize, &ShardState)> = shards.iter().enumerate().collect();
+        let shards = [Some(ShardState::new(&cfg_a)), Some(ShardState::new(&cfg_b))];
         let mut alive = vec![true, true];
         let mut incidents = Vec::new();
-        let merged = merge_surviving(&entries, &mut alive, &cfg_a, 7, &mut incidents);
+        let merged = merge_surviving(&shards, &mut alive, &cfg_a, 7, &mut incidents);
         assert!(alive[0] && !alive[1]);
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].shard, 1);

@@ -32,8 +32,8 @@
 //!   on one shard [`workloads::shard::shard_of`] answers without
 //!   reading the frame. Interval *k+1* is routed while the workers
 //!   ingest a dispatched interval *k*; the hash is then the
-//!   coordinator's serial share of a frame (≈17–19 ns against the
-//!   workers' ≈55 ns ÷ shards, DESIGN.md §5g).
+//!   coordinator's serial share of a frame (≈14 ns against the
+//!   workers' ≈50 ns ÷ shards, DESIGN.md §5g).
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
@@ -83,12 +83,13 @@ use workloads::Schedule;
 /// coordinator and workers on one CPU, and 11–46 µs per round-trip when
 /// they sit on two vCPUs and the wake-up crosses the hypervisor
 /// (benchmark/README.md § "One CPU": 70 and 140 ms per rep against 48).
-/// A frame costs ≈63 ns to parse and ingest (20.6 + 42.3), so the
-/// serial cost of an inline epoch is at most 256 × 63 ns ≈ 16 µs
-/// whatever the shard count: less than two hand-offs on the cheapest
-/// machine measured, and an epoch hands off once per shard. The bound
-/// is on the epoch and not on a shard's slice for that reason, and
-/// because the epoch's length is known before routing.
+/// A frame costs ≈50 ns to parse and ingest (13.5 + 36.3, traced
+/// `sparse_2shard` on a 2-vCPU guest), so the serial cost of an inline
+/// epoch is at most 256 × 50 ns ≈ 13 µs whatever the shard count: less
+/// than two hand-offs on the cheapest machine measured, and an epoch
+/// hands off once per shard. The bound is on the epoch and not on a
+/// shard's slice for that reason, and because the epoch's length is
+/// known before routing.
 ///
 /// A threshold sweep (per shard, two shards) shows where the cliff is:
 /// 96 frames reads 6.8 M frames/s on `sparse_2shard`, 128 reads 8.3 M,

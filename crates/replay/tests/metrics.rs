@@ -4,9 +4,11 @@
 //! checker — the same checks CI runs against the CLI's `--metrics-out`
 //! output.
 
-use replay::{run_replay, ReplayConfig};
-use telemetry::{check_prometheus, render_json, render_prometheus, MetricKind, SampleValue};
-use workloads::{Schedule, SynFloodWorkload};
+use replay::{run_replay, ReplayConfig, ReplayTelemetry};
+use telemetry::{
+    check_prometheus, render_json, render_prometheus, MetricKind, SampleValue, TracePhase, Tracer,
+};
+use workloads::{Schedule, SeasonalDriftWorkload, SynFloodWorkload};
 
 fn flood() -> Schedule {
     let (s, _) = SynFloodWorkload {
@@ -200,4 +202,83 @@ fn json_rendering_contains_every_family_once() {
     let opens = json.matches('{').count();
     let closes = json.matches('}').count();
     assert_eq!(opens, closes);
+}
+
+/// The spans a quiet, all-inline epoch records on each tracer, in
+/// order, each as a begin and an end.
+const COORDINATOR_SPANS: [&str; 3] = ["ingest", "merge", "detect"];
+const SHARD_SPANS: [&str; 2] = ["ingest", "close_interval"];
+
+/// What a tracer recording `spans` every epoch of `ordinals` holds
+/// with no cap.
+fn inventory(spans: &[&'static str], ordinals: &[u64]) -> Vec<(&'static str, TracePhase, u64)> {
+    ordinals
+        .iter()
+        .flat_map(|&e| {
+            spans
+                .iter()
+                .flat_map(move |&n| [(n, TracePhase::Begin, e), (n, TracePhase::End, e)])
+        })
+        .collect()
+}
+
+fn recorded(t: &Tracer) -> Vec<(&'static str, TracePhase, u64)> {
+    t.events()
+        .iter()
+        .map(|e| (e.name, e.phase, e.epoch))
+        .collect()
+}
+
+#[test]
+fn a_sparse_run_traces_its_span_inventory_up_to_the_cap() {
+    // Sparse 120-frame epochs on two shards, at a flat rate so no
+    // engine fires and no instant joins the spans: 300 epochs stay
+    // under every tracer's cap (6 coordinator events and 4 per shard
+    // an epoch), 1 100 pass all three. A full buffer drops events
+    // without reading the clock, and must still drop exactly the ones
+    // past the cap.
+    const MS: u64 = 1_000_000;
+    let cap = ReplayTelemetry::TRACE_CAPACITY;
+    for epochs in [300u64, 1_100] {
+        let schedule = SeasonalDriftWorkload {
+            duration: epochs * 10 * MS,
+            drift_start: epochs * 10 * MS,
+            seed: 3,
+            high_rate: 120,
+            low_rate: 120,
+            ..SeasonalDriftWorkload::default()
+        }
+        .generate();
+        let cfg = ReplayConfig {
+            shards: 2,
+            ..ReplayConfig::default()
+        };
+        let out = run_replay(&schedule, &cfg);
+        assert_eq!(out.epochs, epochs);
+        assert_eq!(out.telemetry.epochs_inline.get(), epochs, "a sparse run is all inline");
+        assert!(out.ensemble.fired.is_empty(), "no alert: {:?}", out.ensemble.fired);
+        let interval = cfg.detector.interval_ns;
+        let mut ordinals: Vec<u64> = schedule.iter().map(|(t, _)| t / interval).collect();
+        ordinals.dedup();
+
+        let t = &out.telemetry;
+        let tracers = std::iter::once((&t.trace, &COORDINATOR_SPANS[..]))
+            .chain(t.shard_traces.iter().map(|s| (s, &SHARD_SPANS[..])));
+        let mut past_cap = 0;
+        for (tracer, spans) in tracers {
+            let want = inventory(spans, &ordinals);
+            let held = want.len().min(cap);
+            if epochs > 1_024 {
+                assert_eq!(tracer.events().len(), cap, "tid {}", tracer.tid());
+            }
+            assert_eq!(recorded(tracer), want[..held], "tid {}", tracer.tid());
+            assert_eq!(tracer.dropped(), (want.len() - held) as u64);
+            past_cap += (want.len() - held) as u64;
+        }
+        assert_eq!(past_cap > 0, epochs > 1_024);
+        assert_eq!(
+            t.snapshot().counter_sum("replay_trace_dropped_total"),
+            past_cap
+        );
+    }
 }

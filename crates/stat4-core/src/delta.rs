@@ -25,6 +25,11 @@
 //!    a fresh rebuild would have produced (absent register saturation —
 //!    the same caveat [`crate::merge`] documents for full merges).
 //!
+//! Nothing in a steady delta step needs to allocate. A journal keeps
+//! its buffers when it is drained ([`DirtyJournal::drain`]), and
+//! [`DeltaMergeable::take_delta_into`] refills a delta the caller keeps
+//! between windows; `take_delta` is that call on a fresh delta.
+//!
 //! Every journal entry carries the cell's **base** value (its value
 //! when first touched after a take) together with the current value,
 //! so the delta is self-describing: `apply` adds `cur − base` (or, for
@@ -54,8 +59,10 @@ use crate::merge::Mergeable;
 /// hits on the same hot cell cost one bit test after the first.
 ///
 /// The bitmap grows lazily to the highest index marked (a
-/// deserialized/`Default` journal starts empty), and `take`/`clear`
-/// scrub only the touched bits — O(touched), never O(domain).
+/// deserialized/`Default` journal starts empty), and `drain`/`clear`
+/// scrub only the touched bits — O(touched), never O(domain). Both
+/// buffers keep their capacity across windows, so a journal that has
+/// seen its working set once allocates nothing more.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyJournal {
     bits: Vec<u64>,
@@ -91,25 +98,37 @@ impl DirtyJournal {
         self.touched.len()
     }
 
-    /// True when no cell was touched since the last take/clear.
+    /// True when no cell was touched since the last drain/clear.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
 
-    /// Drains the journal, returning the `(index, base)` records and
-    /// scrubbing exactly the touched bits.
-    pub fn take(&mut self) -> Vec<(u32, u64)> {
+    /// Drains the journal: yields the `(index, base)` records in
+    /// first-touch order, scrubbing exactly the touched bits. The record
+    /// buffer keeps its capacity for the next window.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, (u32, u64)> {
         for &(idx, _) in &self.touched {
             let i = idx as usize;
             self.bits[i / 64] &= !(1u64 << (i % 64));
         }
-        std::mem::take(&mut self.touched)
+        self.touched.drain(..)
     }
 
-    /// Drops all records (same bit scrubbing as [`take`](Self::take)).
+    /// Drains the journal into `out` as `(index, base, current)` cells,
+    /// each `current` read from `values`, the register file this journal
+    /// covers. Whatever `out` held is replaced; it keeps its capacity.
+    pub fn drain_cells_into(&mut self, values: &[u64], out: &mut Vec<CellDelta>) {
+        out.clear();
+        out.extend(
+            self.drain()
+                .map(|(idx, base)| (idx, base, values[idx as usize])),
+        );
+    }
+
+    /// Drops all records (same bit scrubbing as [`drain`](Self::drain)).
     pub fn clear(&mut self) {
-        self.take();
+        self.drain();
     }
 }
 
@@ -125,7 +144,7 @@ fn cell_bytes(entries: usize) -> u64 {
 }
 
 /// Delta of a [`crate::sketch::CountMinSketch`] window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SketchDelta {
     pub(crate) cells: Vec<CellDelta>,
     pub(crate) total_base: u64,
@@ -150,7 +169,7 @@ impl SketchDelta {
 /// not shipped: the receiver updates them incrementally from the count
 /// increments, exactly as a full merge recomputes them from the merged
 /// counts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FreqDelta {
     pub(crate) cells: Vec<CellDelta>,
 }
@@ -172,7 +191,7 @@ impl FreqDelta {
 /// Delta of a [`crate::percentile::PercentileSet`] window. Markers are
 /// never shipped — the receiver rebuilds them from its merged counts,
 /// the same canonicalisation a full merge performs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PercentileDelta {
     pub(crate) cells: Vec<CellDelta>,
     pub(crate) total_base: u64,
@@ -197,7 +216,7 @@ impl PercentileDelta {
 /// rose, with their current rank. Registers only rise between resets,
 /// so no base is needed — the receiver maxes the rank in, which is
 /// idempotent and order-free.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HllDelta {
     pub(crate) regs: Vec<(u32, u8)>,
 }
@@ -219,7 +238,7 @@ impl HllDelta {
 /// Delta of a [`crate::running::RunningStats`] window: the change of
 /// the three accumulators since the last take, in `i128` so any
 /// mutator mix (push/absorb/replace/remove) is representable exactly.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunningDelta {
     pub(crate) dn: i128,
     pub(crate) dsum: i128,
@@ -254,12 +273,21 @@ impl RunningDelta {
 /// - `apply_delta` does **not** record into the receiver's own journal
 ///   (an accumulator is a sink, not a source).
 pub trait DeltaMergeable: Mergeable {
-    /// The delta payload this tracker ships.
-    type Delta;
+    /// The delta payload this tracker ships; `Default` is the empty
+    /// delta.
+    type Delta: Default;
 
-    /// Drains the journal into a delta and re-bases it, so the next
-    /// take covers only mutations from this point on.
-    fn take_delta(&mut self) -> Self::Delta;
+    /// Drains the journal into `delta` and re-bases it, so the next
+    /// take covers only mutations from this point on. Whatever `delta`
+    /// held is replaced, and its buffers are reused.
+    fn take_delta_into(&mut self, delta: &mut Self::Delta);
+
+    /// [`Self::take_delta_into`] a fresh delta.
+    fn take_delta(&mut self) -> Self::Delta {
+        let mut delta = Self::Delta::default();
+        self.take_delta_into(&mut delta);
+        delta
+    }
 
     /// Applies a delta taken from a merge-compatible tracker.
     ///
@@ -294,31 +322,39 @@ mod tests {
         j.mark(3, 999); // later touch: base must stay 10
         j.mark(70, 0); // forces bitmap growth past one word
         assert_eq!(j.len(), 2);
-        let taken = j.take();
+        let taken: Vec<_> = j.drain().collect();
         assert_eq!(taken, vec![(3, 10), (70, 0)]);
         assert!(j.is_empty());
         // Bits were scrubbed: marking again re-records.
         j.mark(3, 42);
-        assert_eq!(j.take(), vec![(3, 42)]);
+        assert_eq!(j.drain().collect::<Vec<_>>(), vec![(3, 42)]);
     }
 
     /// The full protocol check for one tracker: merge a baseline into
     /// an accumulator, mutate the source, and require delta-apply to
     /// land bit-identically on a from-scratch full merge of the mutated
-    /// source.
+    /// source. Every take is repeated on a clone of the source by
+    /// `take_delta_into` on one buffer kept across the windows (it first
+    /// holds the baseline's delta), which must equal the fresh delta.
     macro_rules! assert_delta_matches_full {
         ($fresh:expr, $src:ident, $mutate:block) => {{
             let mut acc_delta = $fresh;
             acc_delta.merge_from(&$src).expect("baseline merge");
+            let mut reused = $src.clone().take_delta();
             $src.discard_delta();
             $mutate
+            let mut twin = $src.clone();
             let d = $src.take_delta();
+            twin.take_delta_into(&mut reused);
+            prop_assert_eq!(&reused, &d);
             acc_delta.apply_delta(&d).expect("delta applies");
             let mut acc_full = $fresh;
             acc_full.merge_from(&$src).expect("full merge");
             prop_assert_eq!(&acc_delta, &acc_full);
             // A drained journal ships nothing more.
             let empty = $src.take_delta();
+            twin.take_delta_into(&mut reused);
+            prop_assert_eq!(&reused, &empty);
             let mut acc_again = acc_delta.clone();
             acc_again.apply_delta(&empty).expect("empty delta applies");
             prop_assert_eq!(&acc_again, &acc_delta);
@@ -440,11 +476,16 @@ mod tests {
             let mut acc = FrequencyDist::new(0, 15).unwrap();
             acc.merge_from(&src).unwrap();
             src.discard_delta();
+            // One buffer for every window, refilled by `take_delta_into`
+            // on a clone: it must read what a fresh `take_delta` reads.
+            let mut reused = FreqDelta::default();
             for round in &rounds {
                 for v in round {
                     src.observe(*v).unwrap();
                 }
+                src.clone().take_delta_into(&mut reused);
                 let d = src.take_delta();
+                prop_assert_eq!(&reused, &d);
                 acc.apply_delta(&d).unwrap();
                 let mut full = FrequencyDist::new(0, 15).unwrap();
                 full.merge_from(&src).unwrap();

@@ -298,14 +298,9 @@ impl FrequencyDist {
 impl DeltaMergeable for FrequencyDist {
     type Delta = FreqDelta;
 
-    fn take_delta(&mut self) -> FreqDelta {
-        let cells = self
-            .journal
-            .take()
-            .into_iter()
-            .map(|(idx, base)| (idx, base, self.counts[idx as usize]))
-            .collect();
-        FreqDelta { cells }
+    fn take_delta_into(&mut self, delta: &mut FreqDelta) {
+        self.journal
+            .drain_cells_into(&self.counts, &mut delta.cells);
     }
 
     /// Applies the count increments cellwise and updates the moments

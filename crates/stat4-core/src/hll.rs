@@ -19,6 +19,15 @@
 //! and idempotent — any partition of a stream folds back to the
 //! sequential register file exactly, so sharded replay stays
 //! bit-identical at every shard count.
+//!
+//! The two sums the estimator reads (the Q32 harmonic sum and the count
+//! of zero registers) are kept beside the registers. [`HyperLogLog::new`],
+//! `reset`, `merge_from` and [`HyperLogLog::from_registers`] set them,
+//! and `apply_delta` updates them per risen register, so on a sketch
+//! that has not observed since then — a coordinator's accumulator, which
+//! only ever resets and applies deltas — [`HyperLogLog::estimate`] is
+//! O(1). `observe` only marks them stale, and the estimate of a sketch
+//! that has observed since scans the `2^precision` registers.
 
 use crate::delta::{DeltaMergeable, DirtyJournal, HllDelta};
 use crate::error::{Stat4Error, Stat4Result};
@@ -32,10 +41,30 @@ pub struct HyperLogLog {
     /// Registers that rose since the last `take_delta`; not part of the
     /// sketch's identity (excluded from eq).
     journal: DirtyJournal,
+    /// `Σ 2^-reg` in Q32 and the zero-register count, both functions of
+    /// `registers` and valid unless `sums_stale`; derived, so not part
+    /// of identity or of the codec.
+    harmonic_q32: u64,
+    zeros: u64,
+    /// Set by `observe`, which raises registers without keeping the sums.
+    sums_stale: bool,
 }
 
-/// Equality is over the register file only — the dirty journal is
-/// bookkeeping, not identity.
+/// `2^-rank` in Q32. A rank is at most 61, so the shift is in range.
+#[inline]
+fn inv_pow2_q32(rank: u8) -> u64 {
+    (1u64 << 32) >> u32::from(rank)
+}
+
+/// The harmonic sum and zero count of `registers`, by a full scan.
+fn scan_sums(registers: &[u8]) -> (u64, u64) {
+    registers.iter().fold((0, 0), |(harmonic, zeros), &r| {
+        (harmonic + inv_pow2_q32(r), zeros + u64::from(r == 0))
+    })
+}
+
+/// Equality is over the register file only — the dirty journal and the
+/// cached sums are bookkeeping, not identity.
 impl PartialEq for HyperLogLog {
     fn eq(&self, other: &Self) -> bool {
         self.precision == other.precision && self.registers == other.registers
@@ -81,6 +110,32 @@ fn ln_ratio_q16(num: u64, den: u64) -> u64 {
     u64::from(k) * LN2_Q16 + series
 }
 
+/// [`HyperLogLog::estimate`] of a file of `m` registers with harmonic
+/// sum `harmonic_q32` (Q32) and `zeros` zero registers.
+#[must_use]
+fn estimate_from_sums(m: u64, harmonic_q32: u64, zeros: u64) -> u64 {
+    if harmonic_q32 == 0 {
+        // Every register saturated: report the estimator's ceiling.
+        return u64::MAX;
+    }
+    // α in Q16: the small-m constants, then 0.7213/(1 + 1.079/m).
+    let alpha_q16: u128 = match m {
+        16 => 44_102,
+        32 => 45_675,
+        64 => 46_461,
+        _ => (47_273u128 * 1000 * m as u128) / (1000 * m as u128 + 1079),
+    };
+    let raw = (((alpha_q16 * (m as u128) * (m as u128)) << 32)
+        / (harmonic_q32 as u128))
+        >> 16;
+    if zeros > 0 && raw * 2 <= 5 * m as u128 {
+        // Linear counting: m · ln(m / V).
+        (m * ln_ratio_q16(m, zeros)) >> 16
+    } else {
+        raw.min(u64::MAX as u128) as u64
+    }
+}
+
 impl HyperLogLog {
     /// Creates a sketch with `2^precision` registers. The standard
     /// error is `1.04 / sqrt(2^precision)` — precision 10 (1 KiB of
@@ -96,11 +151,21 @@ impl HyperLogLog {
                 max: 16,
             });
         }
-        Ok(Self {
+        Ok(Self::with_registers(precision, vec![0; 1 << precision]))
+    }
+
+    /// A sketch over a checked register file, with its sums computed
+    /// and an empty journal.
+    fn with_registers(precision: u32, registers: Vec<u8>) -> Self {
+        let (harmonic_q32, zeros) = scan_sums(&registers);
+        Self {
             precision,
-            registers: vec![0; 1 << precision],
+            registers,
             journal: DirtyJournal::new(),
-        })
+            harmonic_q32,
+            zeros,
+            sums_stale: false,
+        }
     }
 
     /// Rebuilds a sketch from a previously exported register file
@@ -121,11 +186,7 @@ impl HyperLogLog {
         {
             return Err(Stat4Error::InvalidDomain { min: 4, max: 16 });
         }
-        Ok(Self {
-            precision,
-            registers,
-            journal: DirtyJournal::new(),
-        })
+        Ok(Self::with_registers(precision, registers))
     }
 
     /// Register-file precision (log2 of the register count).
@@ -157,13 +218,24 @@ impl HyperLogLog {
         if rank > self.registers[idx] {
             self.journal.mark(idx, u64::from(self.registers[idx]));
             self.registers[idx] = rank;
+            self.sums_stale = true;
+        }
+    }
+
+    /// The harmonic sum and zero count: the kept ones, or a scan if
+    /// `observe` has raised a register since they were last set.
+    fn sums(&self) -> (u64, u64) {
+        if self.sums_stale {
+            scan_sums(&self.registers)
+        } else {
+            (self.harmonic_q32, self.zeros)
         }
     }
 
     /// Registers still at zero (drives the linear-counting regime).
     #[must_use]
     pub fn zero_registers(&self) -> u64 {
-        self.registers.iter().filter(|r| **r == 0).count() as u64
+        self.sums().1
     }
 
     /// Raw register file (oldest-fashioned debugging aid and the
@@ -179,36 +251,12 @@ impl HyperLogLog {
     /// small-range linear-counting correction `m·ln(m/V)` when the raw
     /// estimate is below `5m/2` and some register is still zero. All
     /// arithmetic is integer: Q32 harmonic sum, Q16 α, Q16 series log.
+    /// O(1) unless the sketch has observed since its sums were last set
+    /// (module doc).
     #[must_use]
     pub fn estimate(&self) -> u64 {
-        let m = self.registers.len() as u64;
-        // Σ 2^-reg in Q32; reg ≤ 61 so the shift is always in range.
-        let harmonic_q32: u64 = self
-            .registers
-            .iter()
-            .map(|r| (1u64 << 32) >> u32::from(*r))
-            .sum();
-        if harmonic_q32 == 0 {
-            // Every register saturated: report the estimator's ceiling.
-            return u64::MAX;
-        }
-        // α in Q16: the small-m constants, then 0.7213/(1 + 1.079/m).
-        let alpha_q16: u128 = match m {
-            16 => 44_102,
-            32 => 45_675,
-            64 => 46_461,
-            _ => (47_273u128 * 1000 * m as u128) / (1000 * m as u128 + 1079),
-        };
-        let raw = (((alpha_q16 * (m as u128) * (m as u128)) << 32)
-            / (harmonic_q32 as u128))
-            >> 16;
-        let zeros = self.zero_registers();
-        if zeros > 0 && raw * 2 <= 5 * m as u128 {
-            // Linear counting: m · ln(m / V).
-            (m * ln_ratio_q16(m, zeros)) >> 16
-        } else {
-            raw.min(u64::MAX as u128) as u64
-        }
+        let (harmonic_q32, zeros) = self.sums();
+        estimate_from_sums(self.registers.len() as u64, harmonic_q32, zeros)
     }
 
     /// Clears every register, as the switch does when the controller
@@ -217,26 +265,29 @@ impl HyperLogLog {
     pub fn reset(&mut self) {
         self.registers.fill(0);
         self.journal.clear();
+        let m = self.registers.len() as u64;
+        (self.harmonic_q32, self.zeros, self.sums_stale) = (m << 32, m, false);
     }
 }
 
 impl DeltaMergeable for HyperLogLog {
     type Delta = HllDelta;
 
-    fn take_delta(&mut self) -> HllDelta {
-        let regs = self
-            .journal
-            .take()
-            .into_iter()
-            // Registers only rise between resets, so the current rank
-            // alone is the delta: max-merge needs no base.
-            .map(|(idx, _base)| (idx, self.registers[idx as usize]))
-            .collect();
-        HllDelta { regs }
+    fn take_delta_into(&mut self, delta: &mut HllDelta) {
+        let registers = &self.registers;
+        delta.regs.clear();
+        // Registers only rise between resets, so the current rank alone
+        // is the delta: max-merge needs no base.
+        delta.regs.extend(
+            self.journal
+                .drain()
+                .map(|(idx, _base)| (idx, registers[idx as usize])),
+        );
     }
 
     /// Maxes the risen registers in — commutative, associative and
-    /// idempotent like the full merge, hence exact unconditionally.
+    /// idempotent like the full merge, hence exact unconditionally — and
+    /// moves the kept sums by each register that rose.
     fn apply_delta(&mut self, delta: &HllDelta) -> Stat4Result<()> {
         for &(idx, rank) in &delta.regs {
             let r = self
@@ -245,7 +296,13 @@ impl DeltaMergeable for HyperLogLog {
                 .ok_or(Stat4Error::MergeMismatch {
                     what: "hyperloglog precisions",
                 })?;
-            *r = (*r).max(rank);
+            if rank > *r {
+                if !self.sums_stale {
+                    self.harmonic_q32 = self.harmonic_q32 - inv_pow2_q32(*r) + inv_pow2_q32(rank);
+                    self.zeros -= u64::from(*r == 0);
+                }
+                *r = rank;
+            }
         }
         Ok(())
     }
@@ -261,6 +318,8 @@ impl Mergeable for HyperLogLog {
         for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             *a = (*a).max(*b);
         }
+        (self.harmonic_q32, self.zeros) = scan_sums(&self.registers);
+        self.sums_stale = false;
         Ok(())
     }
 }
@@ -289,6 +348,73 @@ mod tests {
             m * (m / zeros).ln()
         } else {
             raw
+        }
+    }
+
+    /// The harmonic sum and zero count by a scan of `registers()`, as
+    /// the estimator computed them on every call before it kept them.
+    fn full_scan(h: &HyperLogLog) -> (u64, u64) {
+        let harmonic = h
+            .registers()
+            .iter()
+            .map(|r| (1u64 << 32) >> u32::from(*r))
+            .sum();
+        let zeros = h.registers().iter().filter(|r| **r == 0).count() as u64;
+        (harmonic, zeros)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of every mutation at the smallest, the
+        /// replay's and the largest precision: after each step the
+        /// estimate and the zero count read what a full scan reads, and
+        /// so do the kept sums whenever they are not stale. One step
+        /// saturates every register through `apply_delta`, where the
+        /// harmonic sum is 0 and the estimate is the ceiling.
+        #[test]
+        fn kept_sums_match_a_full_scan(
+            precision_idx in 0usize..3,
+            ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..24),
+        ) {
+            let p = [4u32, 10, 16][precision_idx];
+            let max_rank = 64 - p + 1;
+            let mut h = HyperLogLog::new(p).unwrap();
+            let mut other = HyperLogLog::new(p).unwrap();
+            let mut delta = HllDelta::default();
+            let burst = |t: &mut HyperLogLog, x: u64| {
+                for k in 0..=x % 32 {
+                    t.observe(x ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                }
+            };
+            for &(op, x) in &ops {
+                match op {
+                    0 => burst(&mut h, x),
+                    1 => {
+                        burst(&mut other, x);
+                        other.take_delta_into(&mut delta);
+                        h.apply_delta(&delta).unwrap();
+                    }
+                    2 => h.merge_from(&other).unwrap(),
+                    3 => h.reset(),
+                    4 => h = HyperLogLog::from_registers(p, h.registers().to_vec()).unwrap(),
+                    _ => {
+                        // Every register to a rank whose 2^-rank is 0 in Q32.
+                        delta.regs.clear();
+                        delta.regs.extend((0..1u32 << p).map(|i| {
+                            (i, (33 + (x.wrapping_add(u64::from(i))) % u64::from(max_rank - 32)) as u8)
+                        }));
+                        h.apply_delta(&delta).unwrap();
+                        prop_assert_eq!(h.estimate(), u64::MAX);
+                    }
+                }
+                let (harmonic, zeros) = full_scan(&h);
+                prop_assert_eq!(h.estimate(), estimate_from_sums(1 << p, harmonic, zeros));
+                prop_assert_eq!(h.zero_registers(), zeros);
+                if !h.sums_stale {
+                    prop_assert_eq!((h.harmonic_q32, h.zeros), (harmonic, zeros));
+                }
+            }
         }
     }
 

@@ -488,20 +488,12 @@ impl PercentileSet {
 impl DeltaMergeable for PercentileSet {
     type Delta = PercentileDelta;
 
-    fn take_delta(&mut self) -> PercentileDelta {
-        let cells = self
-            .journal
-            .take()
-            .into_iter()
-            .map(|(idx, base)| (idx, base, self.counts[idx as usize]))
-            .collect();
-        let total_base = self.taken_total;
+    fn take_delta_into(&mut self, delta: &mut PercentileDelta) {
+        self.journal
+            .drain_cells_into(&self.counts, &mut delta.cells);
+        delta.total_base = self.taken_total;
+        delta.total_cur = self.total;
         self.taken_total = self.total;
-        PercentileDelta {
-            cells,
-            total_base,
-            total_cur: self.total,
-        }
     }
 
     /// Applies the count increments cellwise, then **rebuilds every

@@ -287,8 +287,8 @@ impl crate::merge::Mergeable for RunningStats {
 impl DeltaMergeable for RunningStats {
     type Delta = RunningDelta;
 
-    fn take_delta(&mut self) -> RunningDelta {
-        let d = RunningDelta {
+    fn take_delta_into(&mut self, delta: &mut RunningDelta) {
+        *delta = RunningDelta {
             dn: i128::from(self.n) - i128::from(self.taken_n),
             dsum: i128::from(self.sum) - i128::from(self.taken_sum),
             dsumsq: i128::from(self.sumsq) - i128::from(self.taken_sumsq),
@@ -296,7 +296,6 @@ impl DeltaMergeable for RunningStats {
         self.taken_n = self.n;
         self.taken_sum = self.sum;
         self.taken_sumsq = self.sumsq;
-        d
     }
 
     /// Adds the accumulator changes, clamping at the register bounds

@@ -227,20 +227,11 @@ impl CountMinSketch {
 impl DeltaMergeable for CountMinSketch {
     type Delta = SketchDelta;
 
-    fn take_delta(&mut self) -> SketchDelta {
-        let cells = self
-            .journal
-            .take()
-            .into_iter()
-            .map(|(idx, base)| (idx, base, self.cells[idx as usize]))
-            .collect();
-        let total_base = self.taken_total;
+    fn take_delta_into(&mut self, delta: &mut SketchDelta) {
+        self.journal.drain_cells_into(&self.cells, &mut delta.cells);
+        delta.total_base = self.taken_total;
+        delta.total_cur = self.total;
         self.taken_total = self.total;
-        SketchDelta {
-            cells,
-            total_base,
-            total_cur: self.total,
-        }
     }
 
     fn apply_delta(&mut self, delta: &SketchDelta) -> crate::error::Stat4Result<()> {

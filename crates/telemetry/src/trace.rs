@@ -126,7 +126,16 @@ impl Tracer {
             .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
     }
 
-    fn push_at(&mut self, name: &'static str, epoch: u64, phase: TracePhase, at_ns: u64) {
+    /// Records an event stamped `at_ns(self)`, or counts it dropped if
+    /// the buffer is full. The cap is checked first, so a dropped event
+    /// reads no clock.
+    fn push(
+        &mut self,
+        name: &'static str,
+        epoch: u64,
+        phase: TracePhase,
+        at_ns: impl FnOnce(&Self) -> u64,
+    ) {
         if self.events.len() >= self.capacity {
             self.dropped += 1;
             return;
@@ -137,7 +146,7 @@ impl Tracer {
         // backwards on clock jitter.
         let floor = self.events.last().map_or(0, |e| e.at_ns);
         self.events.push(TraceEvent {
-            at_ns: at_ns.max(floor),
+            at_ns: at_ns(self).max(floor),
             epoch,
             name,
             phase,
@@ -145,31 +154,26 @@ impl Tracer {
         });
     }
 
-    fn push(&mut self, name: &'static str, epoch: u64, phase: TracePhase) {
-        let at_ns = self.now_ns();
-        self.push_at(name, epoch, phase, at_ns);
-    }
-
     /// Records a span opening.
     pub fn begin(&mut self, name: &'static str, epoch: u64) {
-        self.push(name, epoch, TracePhase::Begin);
+        self.push(name, epoch, TracePhase::Begin, Self::now_ns);
     }
 
     /// Records a span opening at an explicit origin-relative
     /// timestamp (e.g. the instant an epoch was *queued*, captured on
     /// another thread before this tracer saw it).
     pub fn begin_at(&mut self, name: &'static str, epoch: u64, at_ns: u64) {
-        self.push_at(name, epoch, TracePhase::Begin, at_ns);
+        self.push(name, epoch, TracePhase::Begin, |_| at_ns);
     }
 
     /// Records a span closing.
     pub fn end(&mut self, name: &'static str, epoch: u64) {
-        self.push(name, epoch, TracePhase::End);
+        self.push(name, epoch, TracePhase::End, Self::now_ns);
     }
 
     /// Records a point event.
     pub fn instant(&mut self, name: &'static str, epoch: u64) {
-        self.push(name, epoch, TracePhase::Instant);
+        self.push(name, epoch, TracePhase::Instant, Self::now_ns);
     }
 
     /// The recorded events, in order.
