@@ -50,8 +50,6 @@ pub struct SynFloodConfig {
     pub k: u32,
     /// Minimum closed intervals before rate alerts.
     pub min_intervals: usize,
-    /// Number of packet kinds tracked by the share check.
-    pub kinds: i64,
     /// Extra absolute margin for the share check (see the case-study
     /// `imbalance_margin` rationale).
     pub share_margin: u64,
@@ -64,7 +62,6 @@ impl Default for SynFloodConfig {
             window: 64,
             k: 2,
             min_intervals: 10,
-            kinds: 8,
             share_margin: 16,
         }
     }
@@ -229,12 +226,15 @@ mod tests {
         }
     }
 
+    /// Kind cells, as many as a replay shard has.
+    const KINDS: i64 = 8;
+
     /// Replays a schedule through the detector exactly as the
     /// replay engine does: aggregate per interval, observe at each
     /// interval close.
     fn run_epoch(schedule: &workloads::Schedule, cfg: SynFloodConfig) -> SynFloodDetector {
         let mut det = SynFloodDetector::new(cfg);
-        let mut kinds = FrequencyDist::new(0, cfg.kinds - 1).unwrap();
+        let mut kinds = FrequencyDist::new(0, KINDS - 1).unwrap();
         let mut cur: Option<u64> = None;
         let mut syns: i64 = 0;
         for (t, frame) in schedule {
@@ -249,7 +249,7 @@ mod tests {
                 cur = Some(ivl);
             }
             let k = kind_of(frame);
-            let _ = kinds.observe(k.clamp(0, cfg.kinds - 1));
+            let _ = kinds.observe(k.clamp(0, KINDS - 1));
             if k == KIND_SYN {
                 syns += 1;
             }

@@ -13,8 +13,7 @@
 //!
 //! The delta path is only sound while the accumulator reflects exactly
 //! the set of shards it was built from. The merger falls back to a
-//! full rebuild — the old fold, preserving its quarantine semantics
-//! bit for bit — whenever:
+//! full rebuild (the fold of every survivor) whenever:
 //!
 //! - it has no accumulator yet (first barrier, or first barrier after
 //!   a checkpoint resume — restored trackers re-base their journals,
@@ -37,7 +36,7 @@
 //! accumulator's interval fields before applying deltas; the result is
 //! bit-identical to the fresh fold the rebuild path computes.
 
-use crate::{merge_surviving, ReplayConfig, ShardDelta, ShardIncident, ShardState};
+use crate::{merge_surviving, ReplayConfig, ShardDelta, ShardState};
 
 /// What one barrier merge did — feeds the `merge_delta_bytes` /
 /// `merge_skipped_registers` / `merge_rebuilds` telemetry.
@@ -86,16 +85,12 @@ impl BarrierMerger {
     }
 
     /// Merges the surviving shards for one epoch barrier. `states` are
-    /// the coordinator's slots, indexed by shard; `alive` may be flipped
-    /// off by the rebuild path's quarantine handling
-    /// ([`merge_surviving`]).
+    /// the coordinator's slots, indexed by shard.
     pub(crate) fn merge(
         &mut self,
         states: &mut [Option<ShardState>],
-        alive: &mut [bool],
+        alive: &[bool],
         cfg: &ReplayConfig,
-        epoch_idx: u64,
-        incidents: &mut Vec<ShardIncident>,
     ) -> BarrierStats {
         let mut stats = BarrierStats::default();
         if let Some(acc) = self.acc.as_mut().filter(|_| self.acc_alive == alive) {
@@ -111,19 +106,12 @@ impl BarrierMerger {
                 stats.delta_bytes += delta.wire_bytes();
                 stats.skipped_registers +=
                     state.register_cells().saturating_sub(delta.touched_registers());
-                // Geometry is immutable after construction and was
-                // validated when the accumulator was (re)built, so a
-                // mismatch here is unreachable.
-                acc.apply_delta(delta)
-                    .expect("delta from a validated shard cannot mismatch");
+                acc.apply_delta(delta).expect("one geometry merges");
             }
         } else {
             stats.rebuilt = true;
-            let merged = merge_surviving(states, alive, cfg, epoch_idx, incidents);
+            self.acc = Some(merge_surviving(states, alive, cfg));
             surviving(states, alive).for_each(ShardState::discard_delta);
-            self.acc = Some(merged);
-            // Captured *after* the merge: the rebuild itself may have
-            // quarantined a mismatching shard.
             self.acc_alive = alive.to_vec();
         }
         stats

@@ -25,7 +25,8 @@
 //! or rotted newest checkpoint falls back to its predecessor instead
 //! of wedging recovery. [`load_latest_with`] adds a caller's own check
 //! to that rule, which is how resume also falls back past a file whose
-//! bytes are intact but whose state no detector could have exported.
+//! bytes are intact but whose state no detector could have exported,
+//! or no shard could have held at a drain point.
 //!
 //! **The payload is [`Checkpoint`]'s field list.** [`Checkpoint`] and
 //! [`ShardStateRaw`] get both halves of their codec from one
@@ -349,7 +350,6 @@ impl ToJson for ShardIncident {
         let (kind, msg) = match &self.kind {
             IncidentKind::Crashed => ("crashed", ""),
             IncidentKind::Panicked(m) => ("panicked", m.as_str()),
-            IncidentKind::MergeFailed(m) => ("merge_failed", m.as_str()),
         };
         obj(vec![
             ("shard", self.shard.to_json()),
@@ -366,7 +366,6 @@ impl FromJson for ShardIncident {
         let kind = match field::<String>(v, "kind", at)?.as_str() {
             "crashed" => IncidentKind::Crashed,
             "panicked" => IncidentKind::Panicked(msg),
-            "merge_failed" => IncidentKind::MergeFailed(msg),
             other => return Err(at.err(format_args!("unknown incident kind {other:?}"))),
         };
         Ok(Self { shard: field(v, "shard", at)?, epoch: field(v, "epoch", at)?, kind })
@@ -725,7 +724,6 @@ mod tests {
         for kind in [
             IncidentKind::Crashed,
             IncidentKind::Panicked(String::from("boom \"quoted\"")),
-            IncidentKind::MergeFailed(String::from("bad geometry")),
         ] {
             round_trips(&ShardIncident { shard: 3, epoch: 7, kind });
         }

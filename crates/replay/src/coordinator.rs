@@ -18,9 +18,8 @@ use crate::barrier::BarrierMerger;
 use crate::ckpt::{Checkpoint, ShardStateRaw};
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
-    build_ensemble, closed_interval_syns, median_len_signal, merge_surviving, EnsembleReport,
-    IncidentKind, ReplayConfig, ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident,
-    ShardState,
+    build_ensemble, median_len_signal, merge_surviving, EnsembleReport, IncidentKind, ReplayConfig,
+    ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardState,
 };
 use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
 use faultinject::{FaultSchedule, ShardFaultKind};
@@ -135,8 +134,12 @@ impl EpochCoordinator {
 
     /// The coordinator `c` was exported from, for a run under `cfg`. A
     /// checkpoint is input from disk and its checksum is no secret, so
-    /// every field the epoch loop indexes or divides by is checked, and
-    /// every shard and detector must take its state back.
+    /// every field the epoch loop indexes or divides by is checked,
+    /// every shard and detector must take its state back, and every
+    /// shard state must be one a run holds at a drain point
+    /// ([`ShardState::check_drained`]). This is the one door through
+    /// which a state not built by [`ShardState::new`] enters, so no
+    /// barrier checks again.
     ///
     /// # Errors
     ///
@@ -177,7 +180,11 @@ impl EpochCoordinator {
         }
         let states = c.shards.iter().enumerate().map(|(s, raw)| {
             raw.as_ref()
-                .map(|r| r.restore().map_err(|e| format!("shard {s}: {e}")))
+                .map(|r| {
+                    r.restore()
+                        .and_then(|state| state.check_drained(cfg).map(|()| state))
+                        .map_err(|e| format!("shard {s}: {e}"))
+                })
                 .transpose()
         });
         let (ensemble, drill) = c.rebuild_detection(cfg)?;
@@ -335,17 +342,10 @@ impl EpochCoordinator {
         self.epochs += 1;
 
         // Merging is serialized on the coordinator under every
-        // executor. A state that will not fold is quarantined by the
-        // merger, never propagated.
+        // executor.
         t.trace.begin("merge", epoch_idx);
         let merge_started = Instant::now();
-        let stats = self.merger.merge(
-            &mut self.states,
-            &mut self.alive,
-            &self.cfg,
-            epoch_idx,
-            &mut self.incidents,
-        );
+        let stats = self.merger.merge(&mut self.states, &self.alive, &self.cfg);
         let merged = self.merger.merged();
         let merge_ns = elapsed_ns(merge_started);
         t.trace.end("merge", epoch_idx);
@@ -418,12 +418,12 @@ impl EpochCoordinator {
 
         // Recovery is complete once the surviving state is re-merged,
         // so the time-to-recover clock runs from the first failure of
-        // this epoch to here.
-        let new_incidents = self.incidents.len() - open.incidents_before;
-        if new_incidents > 0 {
+        // this epoch (every one went through `quarantine`) to here.
+        if let Some(failed_at) = open.recover_started {
+            let new_incidents = self.incidents.len() - open.incidents_before;
             t.shards_quarantined.add(new_incidents as u64);
             t.trace.instant("quarantine", epoch_idx);
-            let spent = elapsed_ns(open.recover_started.unwrap_or(merge_started));
+            let spent = elapsed_ns(failed_at);
             for _ in 0..new_incidents {
                 t.recover_ns.record(spent);
             }
@@ -432,10 +432,12 @@ impl EpochCoordinator {
         // Fold the closed interval's SYN counts and reset the
         // per-interval fields (counters and HLL registers) of every
         // state that is home. A parked dead state carries zero here.
+        // A state counts up from the zero it was built or restored
+        // with, so its count is never negative.
         for (s, slot) in self.states.iter_mut().enumerate() {
             let Some(state) = slot else { continue };
             t.shard_traces[s].begin("close_interval", epoch_idx);
-            let syns = closed_interval_syns(state.syn_in_interval, &mut t.syn_clamps);
+            let syns = state.syn_in_interval.unsigned_abs();
             t.shards[s].syn_packets.add(syns);
             state.close_interval();
             t.shard_traces[s].end("close_interval", epoch_idx);
@@ -445,9 +447,8 @@ impl EpochCoordinator {
 
     /// Ends the run: the final merged view, the health summary and the
     /// detectors' results. `started` is when the run began.
-    pub(crate) fn finish(mut self, schedule: &Schedule, started: Instant) -> ReplayOutcome {
+    pub(crate) fn finish(self, started: Instant) -> ReplayOutcome {
         let elapsed = started.elapsed();
-        let final_epoch = schedule.last().map_or(0, |(t, _)| t / self.interval());
         let mut telemetry = self.telemetry;
         telemetry.elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let syn = self
@@ -469,13 +470,7 @@ impl EpochCoordinator {
             fired: self.ensemble.fired_log.clone(),
         };
 
-        let merged = merge_surviving(
-            &self.states,
-            &mut self.alive,
-            &self.cfg,
-            final_epoch,
-            &mut self.incidents,
-        );
+        let merged = merge_surviving(&self.states, &self.alive, &self.cfg);
         let health = ReplayHealth {
             shards_configured: self.cfg.shards,
             shards_alive: self.alive.iter().filter(|a| **a).count(),

@@ -112,6 +112,20 @@ pub const KIND_UDP: i64 = 2;
 pub const KIND_QUIC: i64 = 3;
 /// Kind cell for everything else (non-IPv4, parse failures).
 pub const KIND_OTHER: i64 = 4;
+/// Cells of a shard's kind distribution, `0..KIND_CELLS`: fixed, like
+/// a Stat4 program's register sizes, so every shard of every run has
+/// the same kind domain.
+pub const KIND_CELLS: i64 = 8;
+
+// Every kind `parse_frame` yields is a cell of the kind domain.
+const _: () = {
+    let kinds = [KIND_TCP, KIND_SYN, KIND_UDP, KIND_QUIC, KIND_OTHER];
+    let mut i = 0;
+    while i < kinds.len() {
+        assert!(0 <= kinds[i] && kinds[i] < KIND_CELLS);
+        i += 1;
+    }
+};
 
 /// Largest frame length tracked by the length percentile domain.
 pub const MAX_LEN: i64 = 2047;
@@ -345,15 +359,13 @@ impl ShardDelta {
 }
 
 impl ShardState {
-    /// Creates an empty state for the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the detector's kind domain is degenerate.
+    /// Creates an empty state. Every tracker's geometry is a constant
+    /// of this crate, so no configuration changes it and every shard
+    /// of every run can merge with every other; `_cfg` is not read.
     #[must_use]
-    pub fn new(cfg: &ReplayConfig) -> Self {
+    pub fn new(_cfg: &ReplayConfig) -> Self {
         Self {
-            kinds: FrequencyDist::new(0, cfg.detector.kinds - 1).expect("valid kind domain"),
+            kinds: FrequencyDist::new(0, KIND_CELLS - 1).expect("valid kind domain"),
             len_stats: RunningStats::new(),
             dst_sketch: CountMinSketch::new(4, 12),
             len_median: PercentileSet::new(0, MAX_LEN, &[Quantile::percentile(50).unwrap()])
@@ -376,6 +388,11 @@ impl ShardState {
 
     /// Ingests one already-parsed frame: every tracker update, no
     /// frame bytes touched.
+    ///
+    /// A meta from [`parse_frame`] has its kind in `0..KIND_CELLS`
+    /// (asserted at compile time) and its length in `0..=MAX_LEN`, so
+    /// the two `observe` errors dropped here can only be a hand-built
+    /// meta's, whose kind or length then goes uncounted.
     pub fn ingest_meta(&mut self, m: &FrameMeta) {
         let _ = self.kinds.observe(m.kind);
         self.len_stats.push(m.len);
@@ -493,37 +510,29 @@ impl ShardState {
         self.src_hll.reset();
     }
 
-    /// Why [`merge_from`](Self::merge_from) would fail for `other`, or
-    /// `None` if the two states are merge-compatible. Mirrors each
-    /// tracker's own geometry check (same order, same `what` strings),
-    /// so callers can validate up front and then merge in place —
-    /// without the trial-clone a fallible in-place merge would need to
-    /// stay atomic.
-    #[must_use]
-    pub fn merge_mismatch(&self, other: &Self) -> Option<&'static str> {
-        if self.kinds.min_value() != other.kinds.min_value()
-            || self.kinds.max_value() != other.kinds.max_value()
-        {
-            return Some("frequency domains");
+    /// Whether this is a state [`Self::new`] could have become at a
+    /// drain point, where a run checkpoints: a fresh state's tracker
+    /// geometry, checked by [`Self::merge_from`] into one, and the open
+    /// interval washed by [`Self::close_interval`].
+    ///
+    /// # Errors
+    ///
+    /// The first field no drained state of a run holds.
+    pub(crate) fn check_drained(&self, cfg: &ReplayConfig) -> Result<(), String> {
+        Self::new(cfg).merge_from(self).map_err(|e| e.to_string())?;
+        for (name, v) in [
+            ("syn_in_interval", self.syn_in_interval),
+            ("packets_in_interval", self.packets_in_interval),
+            ("len_sum_in_interval", self.len_sum_in_interval),
+        ] {
+            if v != 0 {
+                return Err(format!("{name} is {v} at a drain point, not 0"));
+            }
         }
-        if self.dst_sketch.rows() != other.dst_sketch.rows()
-            || self.dst_sketch.width_log2() != other.dst_sketch.width_log2()
-        {
-            return Some("sketch geometries");
+        match self.src_hll.registers().iter().position(|&r| r != 0) {
+            Some(i) => Err(format!("source HLL register {i} is set at a drain point")),
+            None => Ok(()),
         }
-        if self.len_median.domain() != other.len_median.domain() {
-            return Some("percentile domains");
-        }
-        if self.len_median.marker_count() != other.len_median.marker_count()
-            || (0..self.len_median.marker_count())
-                .any(|i| self.len_median.quantile(i) != other.len_median.quantile(i))
-        {
-            return Some("quantile sets");
-        }
-        if self.src_hll.precision() != other.src_hll.precision() {
-            return Some("hyperloglog precisions");
-        }
-        None
     }
 }
 
@@ -535,8 +544,6 @@ pub enum IncidentKind {
     Panicked(String),
     /// A scheduled crash stopped the shard cleanly but permanently.
     Crashed,
-    /// The shard's state would not fold into the merged view.
-    MergeFailed(String),
 }
 
 /// One quarantine event: `shard` left the run at `epoch`.
@@ -728,62 +735,20 @@ pub(crate) fn median_len_signal(
     }
 }
 
-/// The closed interval's SYN count as the detectors' u64 signal. The
-/// counter is i64 (carried-forward arithmetic can in principle go
-/// negative on a corrupted pipe); a negative value used to be silently
-/// flattened to 0 by `unwrap_or` — now the clamp is counted in
-/// `syn_clamps`.
-pub(crate) fn closed_interval_syns(syns: i64, clamps: &mut telemetry::Counter) -> u64 {
-    match u64::try_from(syns) {
-        Ok(v) => v,
-        Err(_) => {
-            clamps.inc();
-            0
-        }
-    }
-}
-
 /// Folds every surviving shard of `states` (the coordinator's slots,
 /// indexed by shard; `None` while a state is away or lost) into a fresh
-/// merged view. A shard whose state will not merge (geometry mismatch —
-/// impossible when all states come from one config, but treated as pipe
-/// corruption rather than a reason to kill the run) is quarantined
-/// instead of panicking.
-///
-/// Geometry is validated **before** any tracker is touched
-/// ([`ShardState::merge_mismatch`]), so the merge itself runs in place
-/// on the accumulating view. The previous implementation merged into a
-/// trial clone per shard to stay atomic under a mid-merge mismatch —
-/// O(shards²) copies of the full tracker set every epoch; validate-
-/// then-merge keeps the same quarantine behaviour with zero clones.
+/// merged view. Every state is [`ShardState::new`]'s or one a restore
+/// admitted ([`ShardState::check_drained`]), so every merge is of one
+/// geometry into the same.
 pub(crate) fn merge_surviving(
     states: &[Option<ShardState>],
-    alive: &mut [bool],
+    alive: &[bool],
     cfg: &ReplayConfig,
-    epoch_idx: u64,
-    incidents: &mut Vec<ShardIncident>,
 ) -> ShardState {
     let mut merged = ShardState::new(cfg);
-    for (s, state) in states.iter().enumerate() {
-        let (Some(state), true) = (state, alive[s]) else {
-            continue;
-        };
-        if let Some(what) = merged.merge_mismatch(state) {
-            alive[s] = false;
-            incidents.push(ShardIncident {
-                shard: s,
-                epoch: epoch_idx,
-                // Same rendering as Stat4Error::MergeMismatch, which
-                // the trial-merge path used to surface.
-                kind: IncidentKind::MergeFailed(format!(
-                    "cannot merge trackers with different {what}"
-                )),
-            });
-            continue;
-        }
-        merged
-            .merge_from(state)
-            .expect("validated merge cannot fail");
+    let surviving = states.iter().zip(alive).filter_map(|(s, &a)| s.as_ref().filter(|_| a));
+    for state in surviving {
+        merged.merge_from(state).expect("one geometry merges");
     }
     merged
 }
@@ -791,13 +756,13 @@ pub(crate) fn merge_surviving(
 /// [`run_replay`] under a seeded fault schedule, supervised.
 ///
 /// Each detector interval is one *epoch*: the interval's frames are
-/// split by flow hash, every surviving shard ingests its slice on its
-/// own thread, the threads join, shard
-/// state is folded into a fresh merged view, and the detector consumes
-/// the merged aggregates. Per-shard state persists across epochs; only
-/// the merged view is rebuilt.
+/// split by flow hash, every surviving shard ingests its slice, what
+/// each shard changed is folded into the merged view at the barrier
+/// (rebuilt from every survivor after a quarantine), and the detector
+/// consumes the merged aggregates. Per-shard state persists across
+/// epochs.
 ///
-/// The supervisor consults `faults` at three points:
+/// The supervisor consults `faults` at two points:
 ///
 /// - **Shard faults** ([`FaultSchedule::shard_fault`]). A `Stall`
 ///   sleeps the shard thread (state survives; only wall-clock timings
@@ -818,12 +783,12 @@ pub(crate) fn merge_surviving(
 ///   average of the span it covers — the controller's best rate
 ///   estimate from a multi-interval register delta, which keeps a run
 ///   of lost reports from masquerading as a spike.
-/// - **Merge failures** are quarantined per `merge_surviving`, never
-///   propagated.
 ///
-/// The run always completes: the returned [`ReplayHealth`] reports
-/// surviving shards, coverage and every incident. With an empty
-/// schedule the behaviour is bit-identical to [`run_replay`].
+/// A merge cannot fail: every shard state is a fresh one, or one a
+/// resume checked ([`resume_from_checkpoint`]). The run always
+/// completes: the returned [`ReplayHealth`] reports surviving shards,
+/// coverage and every incident. With an empty schedule the behaviour
+/// is bit-identical to [`run_replay`].
 ///
 /// This runs on the persistent worker pool (`pool`);
 /// [`reference::run_replay_with_faults`] is the same coordinator under
@@ -874,8 +839,9 @@ pub fn run_replay_lifecycle(
 /// (falling back past torn or corrupted files, which the checksum
 /// rejects, and past intact files whose state does not restore),
 /// validates it against `cfg` and `schedule`, restores the
-/// coordinator — shard trackers through their raw constructors, the
-/// detection ensemble and drilldown ladder by importing the state
+/// coordinator — shard trackers through their raw constructors, each
+/// shard then checked to be one a fresh state could have become at a
+/// drain point ([`ShardState::check_drained`]), the detection ensemble and drilldown ladder by importing the state
 /// they exported, provenance verbatim, the alive map and report-loss
 /// carry after checking they describe a state a run could have been
 /// in — and runs the remaining epochs. The fault schedule is reparsed
@@ -1132,31 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_mismatch_quarantines_instead_of_panicking() {
-        // Regression for the old `expect("uniform shard geometry")`
-        // sites: a shard whose state will not fold is quarantined and
-        // reported, not a process abort.
-        let cfg_a = ReplayConfig::default();
-        let mut cfg_b = cfg_a;
-        cfg_b.detector.kinds = cfg_a.detector.kinds + 4;
-        let shards = [Some(ShardState::new(&cfg_a)), Some(ShardState::new(&cfg_b))];
-        let mut alive = vec![true, true];
-        let mut incidents = Vec::new();
-        let merged = merge_surviving(&shards, &mut alive, &cfg_a, 7, &mut incidents);
-        assert!(alive[0] && !alive[1]);
-        assert_eq!(incidents.len(), 1);
-        assert_eq!(incidents[0].shard, 1);
-        assert_eq!(incidents[0].epoch, 7);
-        assert!(
-            matches!(incidents[0].kind, IncidentKind::MergeFailed(_)),
-            "{:?}",
-            incidents[0].kind
-        );
-        // The survivor's (empty) state still merged cleanly.
-        assert_eq!(merged.packets, 0);
-    }
-
-    #[test]
     fn coverage_is_finite_on_zero_interval_runs() {
         // Regression: coverage() used to divide packets_ingested by
         // packets_offered unguarded, so a zero-interval (empty) run
@@ -1169,48 +1110,6 @@ mod tests {
         let out = run_replay(&Schedule::new(), &ReplayConfig::default());
         assert!(out.health.coverage().is_finite());
         assert_eq!(out.health.coverage(), 1.0);
-    }
-
-    #[test]
-    fn merge_mismatch_mirrors_merge_from() {
-        // The up-front geometry check must agree with the fallible
-        // merge on every mismatch axis, or the in-place merge loses
-        // its "validated merge cannot fail" invariant.
-        let cfg = ReplayConfig::default();
-        let base = ShardState::new(&cfg);
-        assert_eq!(base.merge_mismatch(&base.clone()), None);
-
-        let mut wide_kinds = cfg;
-        wide_kinds.detector.kinds += 4;
-        let other = ShardState::new(&wide_kinds);
-        assert_eq!(base.merge_mismatch(&other), Some("frequency domains"));
-        let err = base.clone().merge_from(&other).unwrap_err();
-        assert_eq!(err.to_string(), "cannot merge trackers with different frequency domains");
-
-        let mut narrow_sketch = base.clone();
-        narrow_sketch.dst_sketch = CountMinSketch::new(2, 12);
-        assert_eq!(base.merge_mismatch(&narrow_sketch), Some("sketch geometries"));
-        assert!(base.clone().merge_from(&narrow_sketch).is_err());
-
-        let mut short_domain = base.clone();
-        short_domain.len_median =
-            PercentileSet::new(0, MAX_LEN - 1, &[Quantile::percentile(50).unwrap()]).unwrap();
-        assert_eq!(base.merge_mismatch(&short_domain), Some("percentile domains"));
-        assert!(base.clone().merge_from(&short_domain).is_err());
-
-        let mut other_quantiles = base.clone();
-        other_quantiles.len_median =
-            PercentileSet::new(0, MAX_LEN, &[Quantile::percentile(90).unwrap()]).unwrap();
-        assert_eq!(base.merge_mismatch(&other_quantiles), Some("quantile sets"));
-        assert!(base.clone().merge_from(&other_quantiles).is_err());
-
-        let mut other_precision = base.clone();
-        other_precision.src_hll = HyperLogLog::new(SRC_HLL_PRECISION + 2).unwrap();
-        assert_eq!(
-            base.merge_mismatch(&other_precision),
-            Some("hyperloglog precisions")
-        );
-        assert!(base.clone().merge_from(&other_precision).is_err());
     }
 
     #[test]
@@ -1293,7 +1192,7 @@ mod tests {
     }
 
     #[test]
-    fn median_fallback_and_syn_clamp_are_counted() {
+    fn median_fallback_is_counted() {
         let mut fallbacks = telemetry::Counter::new();
         let empty = PercentileSet::new(0, MAX_LEN, &[Quantile::percentile(50).unwrap()]).unwrap();
         assert_eq!(median_len_signal(&empty, &mut fallbacks), 0);
@@ -1302,12 +1201,6 @@ mod tests {
         one.observe(42).unwrap();
         assert_eq!(median_len_signal(&one, &mut fallbacks), 42);
         assert_eq!(fallbacks.get(), 1, "a real estimate adds nothing");
-
-        let mut clamps = telemetry::Counter::new();
-        assert_eq!(closed_interval_syns(17, &mut clamps), 17);
-        assert_eq!(clamps.get(), 0);
-        assert_eq!(closed_interval_syns(-3, &mut clamps), 0);
-        assert_eq!(clamps.get(), 1, "negative SYN count is a counted clamp");
     }
 
     #[test]

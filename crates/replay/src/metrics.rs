@@ -112,8 +112,8 @@ pub struct ReplayTelemetry {
     pub engines: Vec<(String, DetectorMetrics)>,
     /// Shard faults the supervisor injected (stalls, panics, crashes).
     pub faults_injected: Counter,
-    /// Shards quarantined by the supervisor (panic, crash, or merge
-    /// failure) — each shard counts at most once.
+    /// Shards quarantined by the supervisor (a panic or a crash) —
+    /// each shard counts at most once.
     pub shards_quarantined: Counter,
     /// Frames never reflected in the merged view: slices of shards
     /// that died mid-epoch plus the discarded history of quarantined
@@ -148,10 +148,6 @@ pub struct ReplayTelemetry {
     /// Median-length estimates that came back empty and were reported
     /// as 0 to the detectors (previously swallowed by `unwrap_or`).
     pub median_fallbacks: Counter,
-    /// Closed-interval SYN counts outside the u64 range that were
-    /// clamped to 0 for the detectors (previously swallowed by
-    /// `unwrap_or`).
-    pub syn_clamps: Counter,
     /// Crash-consistent checkpoints written at epoch drain points.
     pub checkpoints_written: Counter,
     /// Time serializing and durably writing each checkpoint, ns.
@@ -209,7 +205,6 @@ impl ReplayTelemetry {
             merge_skipped_registers: Counter::new(),
             merge_rebuilds: Counter::new(),
             median_fallbacks: Counter::new(),
-            syn_clamps: Counter::new(),
             checkpoints_written: Counter::new(),
             ckpt_write_ns: LogLinearHistogram::default(),
             ckpt_serialize_ns: LogLinearHistogram::default(),
@@ -349,7 +344,7 @@ impl ReplayTelemetry {
         );
         snap.push_counter(
             "replay_shards_quarantined_total",
-            "shards quarantined after a panic, crash or merge failure",
+            "shards quarantined after a panic or crash",
             &[],
             self.shards_quarantined.get(),
         );
@@ -406,12 +401,6 @@ impl ReplayTelemetry {
             "empty median estimates reported to the detectors as 0",
             &[],
             self.median_fallbacks.get(),
-        );
-        snap.push_counter(
-            "replay_syn_clamps_total",
-            "out-of-range closed-interval SYN counts clamped to 0",
-            &[],
-            self.syn_clamps.get(),
         );
         snap.push_counter(
             "replay_checkpoints_written_total",

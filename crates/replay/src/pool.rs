@@ -37,11 +37,12 @@
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
-//!   faults are deterministic, so the prediction only misses on
-//!   organic failures (a worker dying on its own, a merge mismatch) —
-//!   then the speculative lists are discarded and that one epoch is
-//!   hashed and routed again under the actual map, so every frame
-//!   still lands where the reference puts it.
+//!   faults are deterministic, so the prediction only misses when a
+//!   worker dies on its own. Then the speculative lists are discarded
+//!   and that one epoch is hashed and routed again under the actual
+//!   map (as the first epoch of a run or a resume is, which nothing
+//!   routed ahead), so every frame still lands where the reference
+//!   puts it.
 //! - **Nothing is allocated per epoch.** Each shard has two frame
 //!   lists for the whole run, this epoch's and the next one's, which
 //!   trade places at every epoch; a dispatched list comes home
@@ -418,5 +419,5 @@ pub(crate) fn run(
         });
     }
 
-    (coord.finish(schedule, started), life.report)
+    (coord.finish(started), life.report)
 }

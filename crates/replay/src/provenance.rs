@@ -30,7 +30,7 @@ pub struct IncidentRef {
     pub shard: usize,
     /// Epoch at which it was quarantined.
     pub epoch: u64,
-    /// `"crashed"`, `"panicked: <msg>"` or `"merge_failed: <msg>"`.
+    /// `"crashed"` or `"panicked: <msg>"`.
     pub detail: String,
 }
 
@@ -41,7 +41,6 @@ impl From<&ShardIncident> for IncidentRef {
         let detail = match &i.kind {
             IncidentKind::Crashed => String::from("crashed"),
             IncidentKind::Panicked(msg) => format!("panicked: {msg}"),
-            IncidentKind::MergeFailed(msg) => format!("merge_failed: {msg}"),
         };
         Self {
             shard: i.shard,
@@ -158,10 +157,6 @@ mod tests {
             (
                 IncidentKind::Panicked(String::from("boom")),
                 "panicked: boom",
-            ),
-            (
-                IncidentKind::MergeFailed(String::from("bad geometry")),
-                "merge_failed: bad geometry",
             ),
         ];
         for (kind, want) in cases {

@@ -112,5 +112,5 @@ pub fn run_replay_with_faults(
         coord.close_epoch(open, faults, epoch_started);
     }
 
-    coord.finish(schedule, started)
+    coord.finish(started)
 }

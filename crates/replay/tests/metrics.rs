@@ -96,7 +96,6 @@ fn prometheus_exposition_passes_the_checker() {
             "replay_shards_quarantined_total",
             "replay_swaps_committed_total",
             "replay_swaps_rejected_total",
-            "replay_syn_clamps_total",
             "replay_trace_dropped_total",
             "replay_trace_events_total",
         ]

@@ -480,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_mismatched_precision_rejected() {
+    fn merge_of_another_precision_rejected() {
         let mut a = HyperLogLog::new(10).unwrap();
         let b = HyperLogLog::new(12).unwrap();
         assert!(matches!(

@@ -96,7 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn freq_merge_mismatched_domain_rejected() {
+    fn freq_merge_of_another_domain_rejected() {
         let mut a = FrequencyDist::new(0, 10).unwrap();
         let b = FrequencyDist::new(0, 11).unwrap();
         assert!(matches!(
@@ -106,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_merge_mismatched_geometry_rejected() {
+    fn sketch_merge_of_another_geometry_rejected() {
         let mut a = CountMinSketch::new(4, 8);
         let b = CountMinSketch::new(3, 8);
         let c = CountMinSketch::new(4, 9);
@@ -121,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn percentile_merge_mismatched_quantiles_rejected() {
+    fn percentile_merge_of_other_quantiles_rejected() {
         let mut a = PercentileSet::new(0, 100, &[Quantile::median()]).unwrap();
         let b = PercentileSet::new(0, 100, &[Quantile::percentile(90).unwrap()]).unwrap();
         assert!(matches!(
