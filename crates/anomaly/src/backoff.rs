@@ -1,20 +1,26 @@
-//! Bounded exponential backoff with deterministic jitter and an
-//! overall deadline — the retry policy behind every control-path
-//! transaction (drilldown rebinds, replay drain-swap requests).
+//! Bounded exponential backoff with deterministic jitter — the retry
+//! delay of the drilldown controller's rebind transactions.
 //!
-//! Three properties matter on a faulty control channel:
+//! Two properties matter on a faulty control channel:
 //!
-//! - **bounded exponent**: the per-attempt delay is `base << attempt`
+//! - **bounded exponent**: the per-attempt delay is `BASE_NS << attempt`
 //!   but the exponent is capped, so a long outage retries at a steady
 //!   ceiling instead of backing off into silence;
 //! - **deterministic jitter**: each retry adds up to 25% extra delay,
 //!   derived by SplitMix64 from `(seed, attempt)` — de-synchronising
 //!   concurrent retriers (the thundering-herd fix) while keeping every
 //!   run a pure function of its seed, like all fault decisions in this
-//!   workspace;
-//! - **deadline**: beyond a total elapsed budget the transaction gives
-//!   up regardless of the attempt counter, so a wedged peer cannot pin
-//!   a retry loop forever.
+//!   workspace.
+
+/// First-retry delay in nanoseconds (10 ms): comfortably more than one
+/// control-channel round trip.
+const BASE_NS: u64 = 10_000_000;
+/// Cap on the backoff exponent: attempt `k` waits
+/// `BASE_NS << min(k, MAX_SHIFT)` before jitter (a 640 ms ceiling).
+const MAX_SHIFT: u32 = 6;
+/// Jitter amplitude as a right-shift of the un-jittered delay: attempt
+/// `k` adds `uniform[0, delay >> JITTER_SHIFT]`, up to 25%.
+const JITTER_SHIFT: u32 = 2;
 
 /// SplitMix64 finalizer (the workspace-standard mixer), inlined so this
 /// crate keeps its dependency set unchanged.
@@ -26,151 +32,56 @@ const fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A retry policy: capped exponential backoff, seeded jitter, deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First-retry delay in nanoseconds.
-    pub base_ns: u64,
-    /// Cap on the backoff exponent: attempt `k` waits
-    /// `base_ns << min(k, max_shift)` before jitter.
-    pub max_shift: u32,
-    /// Jitter amplitude as a right-shift of the un-jittered delay:
-    /// attempt `k` adds `uniform[0, delay >> jitter_shift]`. Shift 2 is
-    /// up-to-25% jitter; `u64::BITS` or more disables jitter entirely.
-    pub jitter_shift: u32,
-    /// Total elapsed budget in nanoseconds; a transaction older than
-    /// this gives up on its next timeout. Zero means no deadline.
-    pub deadline_ns: u64,
-    /// Jitter seed; runs with equal seeds retry at equal times.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// The drilldown default: 10 ms base doubling to a 640 ms ceiling,
-    /// 25% jitter, 10 s overall budget.
-    #[must_use]
-    pub const fn control_default(seed: u64) -> Self {
-        Self {
-            base_ns: 10_000_000,
-            max_shift: 6,
-            jitter_shift: 2,
-            deadline_ns: 10_000_000_000,
-            seed,
-        }
-    }
-
-    /// Delay before re-send number `attempt` (0-based), jitter
-    /// included. Saturates instead of overflowing.
-    #[must_use]
-    pub fn delay_ns(&self, attempt: u32) -> u64 {
-        let shift = attempt.min(self.max_shift).min(63);
-        let base = self.base_ns.saturating_shl(shift);
-        base.saturating_add(self.jitter_ns(attempt, base))
-    }
-
-    fn jitter_ns(&self, attempt: u32, base: u64) -> u64 {
-        if self.jitter_shift >= u64::BITS {
-            return 0;
-        }
-        let amplitude = base >> self.jitter_shift;
-        if amplitude == 0 {
-            return 0;
-        }
-        let h = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x2545_f491_4f6c_dd1d));
-        match amplitude.checked_add(1) {
-            Some(m) => h % m,
-            None => h,
-        }
-    }
-
-    /// Has a transaction first sent `elapsed_ns` ago exhausted its
-    /// deadline?
-    #[must_use]
-    pub fn past_deadline(&self, elapsed_ns: u64) -> bool {
-        self.deadline_ns > 0 && elapsed_ns >= self.deadline_ns
-    }
-}
-
-/// `u64` has no `saturating_shl`; provide the one this module needs.
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> Self {
-        if self == 0 {
-            0
-        } else if shift >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << shift
-        }
-    }
+/// Delay before re-send number `attempt` (0-based), jitter included;
+/// runs with equal `seed`s retry at equal times.
+#[must_use]
+pub fn delay_ns(seed: u64, attempt: u32) -> u64 {
+    let base = BASE_NS << attempt.min(MAX_SHIFT);
+    let h = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x2545_f491_4f6c_dd1d));
+    base + h % ((base >> JITTER_SHIFT) + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn policy() -> RetryPolicy {
-        RetryPolicy {
-            base_ns: 1_000,
-            max_shift: 4,
-            jitter_shift: 2,
-            deadline_ns: 1_000_000,
-            seed: 9,
-        }
-    }
-
     #[test]
     fn exponent_is_capped() {
-        let p = RetryPolicy { jitter_shift: u32::MAX, ..policy() };
-        assert_eq!(p.delay_ns(0), 1_000);
-        assert_eq!(p.delay_ns(1), 2_000);
-        assert_eq!(p.delay_ns(4), 16_000);
-        assert_eq!(p.delay_ns(5), 16_000, "capped at max_shift");
-        assert_eq!(p.delay_ns(u32::MAX), 16_000);
+        // 10 ms doubling to a 640 ms ceiling, plus at most 25% jitter.
+        let floors_ms = [
+            (0, 10),
+            (1, 20),
+            (5, 320),
+            (6, 640),
+            (7, 640),
+            (40, 640),
+            (u32::MAX, 640),
+        ];
+        for (attempt, floor_ms) in floors_ms {
+            let floor = floor_ms * 1_000_000;
+            let d = delay_ns(9, attempt);
+            assert!(
+                (floor..=floor + floor / 4).contains(&d),
+                "attempt {attempt}: {d}"
+            );
+        }
     }
 
     #[test]
     fn jitter_is_bounded_deterministic_and_nontrivial() {
-        let p = policy();
-        let q = policy();
         let mut varied = false;
         for attempt in 0..64 {
-            let base = 1_000u64 << attempt.min(4);
-            let d = p.delay_ns(attempt);
+            let base = BASE_NS << attempt.min(MAX_SHIFT);
+            let d = delay_ns(9, attempt);
             assert!(d >= base, "jitter is additive");
             assert!(d <= base + (base >> 2), "jitter ≤ 25%");
-            assert_eq!(d, q.delay_ns(attempt), "same seed, same delay");
+            assert_eq!(d, delay_ns(9, attempt), "same seed, same delay");
             varied |= d != base;
         }
         assert!(varied, "jitter actually fires");
-        let other = RetryPolicy { seed: 10, ..policy() };
         assert!(
-            (0..64).any(|a| other.delay_ns(a) != p.delay_ns(a)),
+            (0..64).any(|a| delay_ns(10, a) != delay_ns(9, a)),
             "different seeds de-synchronise"
         );
-    }
-
-    #[test]
-    fn deadline_applies_only_when_set() {
-        let p = policy();
-        assert!(!p.past_deadline(999_999));
-        assert!(p.past_deadline(1_000_000));
-        let unbounded = RetryPolicy { deadline_ns: 0, ..policy() };
-        assert!(!unbounded.past_deadline(u64::MAX));
-    }
-
-    #[test]
-    fn huge_shifts_saturate_instead_of_overflowing() {
-        let p = RetryPolicy {
-            base_ns: u64::MAX / 2,
-            max_shift: 63,
-            jitter_shift: 0,
-            deadline_ns: 0,
-            seed: 0,
-        };
-        assert_eq!(p.delay_ns(40), u64::MAX);
     }
 }

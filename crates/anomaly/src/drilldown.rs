@@ -32,10 +32,10 @@
 //!   applied in full or lost in full, never half-applied;
 //! - the batch carries a tag; the switch's [`ControlMsg::Response`]
 //!   acks it;
-//! - a timer re-sends the transaction while it is unacked, under the
-//!   controller's [`RetryPolicy`]: capped exponential backoff with
-//!   deterministic jitter plus an overall give-up deadline
-//!   ([`DrilldownController::retry`]);
+//! - a timer re-sends the transaction while it is unacked, with capped
+//!   exponential backoff and deterministic jitter
+//!   ([`crate::backoff::delay_ns`]), and gives up after
+//!   [`MAX_RETRIES`] re-sends;
 //! - re-sends are idempotent: the batch starts from a table clear and
 //!   stamps the binding *generation*, so applying it twice converges
 //!   to the same switch state;
@@ -47,11 +47,10 @@
 //! digest, so chaos runs can assert the loop actually healed.
 
 use crate::alerts::Alert;
-use crate::backoff::RetryPolicy;
+use crate::backoff;
 use crate::detector::TriggerCause;
 use netsim::control::ControlMsg;
 use netsim::node::{Node, NodeCtx, NodeId};
-use netsim::SimTime;
 use p4sim::pipeline::DigestRecord;
 use stat4_p4::binding;
 use stat4_p4::{CaseStudyHandles, DIGEST_IMBALANCE, DIGEST_SPIKE};
@@ -124,9 +123,6 @@ pub struct DrilldownStats {
     pub timeouts: u64,
     /// Transactions abandoned after exhausting the retry budget.
     pub gave_up: u64,
-    /// Subset of `gave_up` abandoned for blowing the overall deadline
-    /// rather than the attempt counter.
-    pub deadline_giveups: u64,
     /// Imbalance digests rejected for carrying an older generation.
     pub stale_digests: u64,
     /// Rebind transactions rejected by the static safety gate
@@ -162,10 +158,10 @@ impl DrilldownStats {
             self.acks,
         );
         snap.push_counter(
-            "drilldown_deadline_giveups_total",
-            "transactions abandoned for blowing the overall retry deadline",
+            "drilldown_gave_up_total",
+            "transactions abandoned after exhausting the retry budget",
             &[],
-            self.deadline_giveups,
+            self.gave_up,
         );
         snap.push_counter(
             "drilldown_stale_digests_total",
@@ -188,9 +184,17 @@ struct PendingRebind {
     outstanding: Option<u64>,
     /// Re-send attempts so far.
     attempt: u32,
-    /// When the transaction was first sent, for the overall deadline.
-    first_sent_at: SimTime,
 }
+
+/// Re-sends allowed per transaction before giving up. With the
+/// backoff's 10 ms doubling to 640 ms, a never-acked transaction gives
+/// up at its ninth timeout, 2.55 s after the first send (3.19 s with
+/// all jitter at its 25% maximum).
+pub const MAX_RETRIES: u32 = 8;
+
+/// Retry jitter seed; each transaction jitters on `RETRY_SEED ^
+/// generation`.
+const RETRY_SEED: u64 = 0x0064_7269_6c6c;
 
 /// The controller node.
 pub struct DrilldownController {
@@ -205,13 +209,6 @@ pub struct DrilldownController {
     pub report: DrilldownReport,
     /// Reliability counters (retries, acks, stale digests).
     pub stats: DrilldownStats,
-    /// Retry policy for rebind transactions: capped exponential
-    /// backoff with deterministic jitter and an overall deadline
-    /// ([`RetryPolicy`]). The base delay should comfortably exceed one
-    /// control-channel round trip.
-    pub retry: RetryPolicy,
-    /// Re-sends allowed per transaction before giving up.
-    pub max_retries: u32,
     next_tag: u64,
     /// Current binding generation; imbalance digests stamped with an
     /// older generation were in flight across a rebind and are ignored.
@@ -236,8 +233,6 @@ impl DrilldownController {
             alerts: Vec::new(),
             report: DrilldownReport::default(),
             stats: DrilldownStats::default(),
-            retry: RetryPolicy::control_default(0x0064_7269_6c6c),
-            max_retries: 8,
             next_tag: 1,
             generation: 0,
             pending: None,
@@ -288,16 +283,11 @@ impl DrilldownController {
         });
         reqs.extend(binds);
         if let Some(shadow) = &self.shadow {
-            // Reduced budgets: the gate's teeth are the constant-folded
-            // bounds check and the concrete witness replays, neither of
-            // which needs an exhaustive path sweep.
-            let opts = p4sim::SymbolicOptions {
-                path_budget: 512,
-                samples: 16,
-                ..p4sim::SymbolicOptions::default()
-            };
-            let report =
-                p4sim::vet_rebind(shadow, &p4sim::RuntimeRequest::Batch(reqs.clone()), &opts);
+            let report = p4sim::vet_rebind(
+                shadow,
+                &p4sim::RuntimeRequest::Batch(reqs.clone()),
+                &p4sim::SymbolicOptions::reduced(),
+            );
             if !report.passes() {
                 self.stats.rebinds_rejected += 1;
                 return None;
@@ -324,7 +314,6 @@ impl DrilldownController {
             reqs,
             outstanding: None,
             attempt: 0,
-            first_sent_at: ctx.now,
         });
         self.send_transaction(ctx);
     }
@@ -356,11 +345,8 @@ impl DrilldownController {
         self.stats.requests_sent += 1;
         // Each transaction jitters on its own stream so back-to-back
         // rebinds don't retry in lockstep.
-        let policy = RetryPolicy {
-            seed: self.retry.seed ^ p.generation,
-            ..self.retry
-        };
-        ctx.set_timer(policy.delay_ns(p.attempt), p.generation);
+        let delay = backoff::delay_ns(RETRY_SEED ^ p.generation, p.attempt);
+        ctx.set_timer(delay, p.generation);
         self.pending = Some(p);
     }
 
@@ -470,13 +456,7 @@ impl Node for DrilldownController {
             return;
         }
         self.stats.timeouts += 1;
-        if self.retry.past_deadline(ctx.now.saturating_sub(p.first_sent_at)) {
-            self.stats.deadline_giveups += 1;
-            self.stats.gave_up += 1;
-            self.pending = None;
-            return;
-        }
-        if p.attempt >= self.max_retries {
+        if p.attempt >= MAX_RETRIES {
             self.stats.gave_up += 1;
             self.pending = None;
             return;
@@ -993,6 +973,56 @@ mod tests {
             ctl.stats
         );
         assert_eq!(ctl.stats.gave_up, 0, "{:?}", ctl.stats);
+    }
+
+    /// A rebind the switch never acks is re-sent `MAX_RETRIES` times,
+    /// then abandoned at the next timeout, and telemetry says so.
+    #[test]
+    fn unacked_rebind_gives_up_at_the_retry_limit() {
+        let app = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
+        let mut sim = Simulation::new();
+        // The "switch" swallows every request: no response ever comes.
+        let switch = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
+        let controller = sim.add_node(Box::new(DrilldownController::new(
+            app.handles(),
+            switch,
+            DrilldownTopology {
+                net: 10,
+                subnets: 4,
+                hosts_per_subnet: 4,
+            },
+        )));
+        sim.connect_control(switch, controller, 2 * MILLIS);
+        let digest = DigestRecord {
+            id: DIGEST_SPIKE,
+            values: vec![1],
+        };
+        let msg = ControlMsg::Digest {
+            digest,
+            emitted_at: 0,
+        };
+        sim.inject_control(0, controller, switch, msg);
+        sim.run();
+
+        let ctl = sim.node_as::<DrilldownController>(controller).unwrap();
+        let s = ctl.stats;
+        assert_eq!(s.rebinds, 1, "{s:?}");
+        assert_eq!(s.requests_sent, 1 + u64::from(MAX_RETRIES), "{s:?}");
+        assert_eq!(s.retries, u64::from(MAX_RETRIES), "{s:?}");
+        assert_eq!(s.timeouts, u64::from(MAX_RETRIES) + 1, "{s:?}");
+        assert_eq!((s.gave_up, s.acks), (1, 0), "{s:?}");
+        // The give-up timeout is the run's last event. The nine delays
+        // (10 ms doubling to 640 ms) sum to 2 550 ms before jitter, and
+        // jitter adds at most 25%.
+        let floor = 2_550 * MILLIS;
+        assert!(
+            (floor..=floor + floor / 4).contains(&sim.now()),
+            "gave up at {} ns",
+            sim.now()
+        );
+        let mut snap = telemetry::Snapshot::new();
+        s.export(&mut snap);
+        assert_eq!(snap.counter_sum("drilldown_gave_up_total"), 1);
     }
 
     /// Two chaos runs with one seed are bit-identical; the timeline is

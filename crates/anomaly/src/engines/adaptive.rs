@@ -17,40 +17,22 @@ use stat4_core::Ewma;
 use std::any::Any;
 use telemetry::json::{field, obj, At, Json, ToJson};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveEngineConfig {
-    /// Level EWMA smoothing (`α = 2^-level_shift`).
-    pub level_shift: u32,
-    /// Deviation EWMA smoothing.
-    pub dev_shift: u32,
-    /// Band width in deviation multiples (the "2" in 2σ).
-    pub k: i64,
-    /// Relative margin shift on the level (3 = 12.5%).
-    pub margin_shift: u32,
-    /// Margin floor in raw signal units.
-    pub margin_floor: i64,
-    /// Intervals before the engine may fire.
-    pub warmup_intervals: u64,
-}
-
-impl Default for AdaptiveEngineConfig {
-    fn default() -> Self {
-        Self {
-            level_shift: 3,
-            dev_shift: 3,
-            k: 2,
-            margin_shift: 3,
-            margin_floor: 8,
-            warmup_intervals: 10,
-        }
-    }
-}
+/// Level EWMA smoothing (`α = 2^-LEVEL_SHIFT`).
+const LEVEL_SHIFT: u32 = 3;
+/// Deviation EWMA smoothing.
+const DEV_SHIFT: u32 = 3;
+/// Band width in deviation multiples (the "2" in 2σ).
+const K: i64 = 2;
+/// Relative margin shift on the level (3 = 12.5%).
+const MARGIN_SHIFT: u32 = 3;
+/// Margin floor in raw signal units.
+const MARGIN_FLOOR: i64 = 8;
+/// Intervals before the engine may fire.
+const WARMUP_INTERVALS: u64 = 10;
 
 /// Two-sided adaptive EWMA band over per-interval mean frame length.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
-    cfg: AdaptiveEngineConfig,
     level: Ewma,
     dev: Ewma,
     seen: u64,
@@ -58,17 +40,12 @@ pub struct AdaptiveEngine {
 
 impl AdaptiveEngine {
     /// Creates an unseeded engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range EWMA shift.
     #[must_use]
-    pub fn new(cfg: AdaptiveEngineConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            level: Ewma::new(cfg.level_shift),
-            dev: Ewma::new(cfg.dev_shift),
+            level: Ewma::new(LEVEL_SHIFT),
+            dev: Ewma::new(DEV_SHIFT),
             seen: 0,
-            cfg,
         }
     }
 
@@ -76,6 +53,12 @@ impl AdaptiveEngine {
     #[must_use]
     pub fn level(&self) -> i64 {
         self.level.value()
+    }
+}
+
+impl Default for AdaptiveEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -94,10 +77,10 @@ impl Detector for AdaptiveEngine {
         }
         let lv = self.level.value();
         let d = (x - lv).abs();
-        let margin = (lv.abs() >> self.cfg.margin_shift).max(self.cfg.margin_floor);
-        let band = self.cfg.k * self.dev.value() + margin;
+        let margin = (lv.abs() >> MARGIN_SHIFT).max(MARGIN_FLOOR);
+        let band = K * self.dev.value() + margin;
         let score = ratio_q16(d, band.max(1));
-        let fired = self.seen > self.cfg.warmup_intervals && d > band;
+        let fired = self.seen > WARMUP_INTERVALS && d > band;
         // Band first, then learn, so an outlier cannot hide inside the
         // band it just widened.
         self.level.update(x);

@@ -14,53 +14,31 @@ use stat4_core::WindowedDist;
 use std::any::Any;
 use telemetry::json::{At, Json};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CardinalityEngineConfig {
-    /// Window capacity in intervals.
-    pub window: usize,
-    /// σ multiplier.
-    pub k: u32,
-    /// Minimum closed intervals before alerts.
-    pub min_intervals: usize,
-    /// Relative margin shift (2 = 25%: HLL estimates carry ±3.3%
-    /// noise at precision 10, so the band needs more headroom than
-    /// exact counters get).
-    pub margin_shift: u32,
-    /// Margin floor (absolute, in the NX domain).
-    pub margin_floor: u64,
-}
-
-impl Default for CardinalityEngineConfig {
-    fn default() -> Self {
-        Self {
-            window: 64,
-            k: 2,
-            min_intervals: 10,
-            margin_shift: 2,
-            margin_floor: 8,
-        }
-    }
-}
+/// Window capacity in intervals.
+const WINDOW: usize = 64;
+/// σ multiplier.
+const K: u32 = 2;
+/// Minimum closed intervals before alerts.
+const MIN_INTERVALS: usize = 10;
+/// Relative margin shift (2 = 25%: HLL estimates carry ±3.3% noise at
+/// precision 10, so the band needs more headroom than exact counters
+/// get).
+const MARGIN_SHIFT: u32 = 2;
+/// Margin floor (absolute, in the NX domain).
+const MARGIN_FLOOR: u64 = 8;
 
 /// Margined spike band over per-interval distinct-source estimates.
 #[derive(Debug)]
 pub struct CardinalityEngine {
-    cfg: CardinalityEngineConfig,
     window: WindowedDist,
 }
 
 impl CardinalityEngine {
     /// Creates an engine with an empty history window.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-capacity window.
     #[must_use]
-    pub fn new(cfg: CardinalityEngineConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            window: WindowedDist::new(cfg.window).expect("non-empty window"),
-            cfg,
+            window: WindowedDist::new(WINDOW).expect("non-empty window"),
         }
     }
 
@@ -68,6 +46,12 @@ impl CardinalityEngine {
     #[must_use]
     pub fn window(&self) -> &WindowedDist {
         &self.window
+    }
+}
+
+impl Default for CardinalityEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -79,19 +63,15 @@ impl Detector for CardinalityEngine {
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
         let x = ctx.distinct_sources;
         self.window.accumulate(x);
-        let fired = self.window.is_spike_margined(
-            x,
-            self.cfg.k,
-            self.cfg.min_intervals,
-            self.cfg.margin_shift,
-            self.cfg.margin_floor,
-        );
+        let fired = self
+            .window
+            .is_spike_margined(x, K, MIN_INTERVALS, MARGIN_SHIFT, MARGIN_FLOOR);
         let stats = self.window.stats();
         let n = stats.n() as i64;
-        let margin = stats.relative_margin(self.cfg.margin_shift, self.cfg.margin_floor);
+        let margin = stats.relative_margin(MARGIN_SHIFT, MARGIN_FLOOR);
         let bound = stats
             .xsum()
-            .saturating_add(self.cfg.k as i64 * stats.sd_nx() as i64)
+            .saturating_add(K as i64 * stats.sd_nx() as i64)
             .saturating_add(margin as i64);
         let score = ratio_q16(n.saturating_mul(x), bound);
         let expected = stats.xsum() / n.max(1);

@@ -6,7 +6,7 @@
 //! excess over `target + slack` across intervals and fires once the
 //! sum crosses a threshold — the low-and-slow port scan detector.
 //!
-//! Calibration is self-serve: the first `warmup_intervals` delivered
+//! Calibration is self-serve: the first `WARMUP_INTERVALS` delivered
 //! reports feed a [`WindowedDist`] baseline, then
 //! [`CusumDetector::from_stats`] freezes `target`/`slack`/`threshold`
 //! from its moments (the one division at the controller). Until then
@@ -18,48 +18,28 @@ use stat4_core::{CusumDetector, WindowedDist};
 use std::any::Any;
 use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CusumEngineConfig {
-    /// Delivered intervals used to calibrate target/slack/threshold.
-    pub warmup_intervals: usize,
-    /// Slack in half-σ units (1 = the textbook σ/2).
-    pub slack_halves: i64,
-    /// Threshold in σ units (textbook 4–5; higher = fewer false
-    /// alarms on bursty integer-noise baselines).
-    pub threshold_sigmas: i64,
-}
-
-impl Default for CusumEngineConfig {
-    fn default() -> Self {
-        Self {
-            warmup_intervals: 32,
-            slack_halves: 1,
-            threshold_sigmas: 8,
-        }
-    }
-}
+/// Delivered intervals used to calibrate target/slack/threshold.
+const WARMUP_INTERVALS: usize = 32;
+/// Slack in half-σ units (1 = the textbook σ/2).
+const SLACK_HALVES: i64 = 1;
+/// Threshold in σ units (textbook 4–5; higher = fewer false alarms on
+/// bursty integer-noise baselines).
+const THRESHOLD_SIGMAS: i64 = 8;
 
 /// Self-calibrating CUSUM over per-interval SYN counts.
 #[derive(Debug)]
 pub struct CusumEngine {
-    cfg: CusumEngineConfig,
     baseline: WindowedDist,
     inner: Option<CusumDetector>,
 }
 
 impl CusumEngine {
     /// Creates an uncalibrated engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup_intervals` is zero.
     #[must_use]
-    pub fn new(cfg: CusumEngineConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            baseline: WindowedDist::new(cfg.warmup_intervals).expect("non-zero warmup"),
+            baseline: WindowedDist::new(WARMUP_INTERVALS).expect("non-zero warmup"),
             inner: None,
-            cfg,
         }
     }
 
@@ -67,6 +47,12 @@ impl CusumEngine {
     #[must_use]
     pub fn calibration(&self) -> Option<&CusumDetector> {
         self.inner.as_ref()
+    }
+}
+
+impl Default for CusumEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -80,11 +66,11 @@ impl Detector for CusumEngine {
         let Some(c) = self.inner.as_mut() else {
             self.baseline.accumulate(x);
             self.baseline.close_interval();
-            if self.baseline.len() >= self.cfg.warmup_intervals {
+            if self.baseline.len() >= WARMUP_INTERVALS {
                 self.inner = Some(CusumDetector::from_stats(
                     self.baseline.stats(),
-                    self.cfg.slack_halves,
-                    self.cfg.threshold_sigmas,
+                    SLACK_HALVES,
+                    THRESHOLD_SIGMAS,
                 ));
             }
             return None;

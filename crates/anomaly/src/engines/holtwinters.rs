@@ -15,50 +15,29 @@ use stat4_core::HoltWinters;
 use std::any::Any;
 use telemetry::json::{field, obj, At, Json, ToJson};
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HoltWintersEngineConfig {
-    /// Intervals per season (must divide the workload's period for a
-    /// clean fit, but any value ≥ 2 is legal).
-    pub season_len: usize,
-    /// Level smoothing `α = 2^-alpha_shift`.
-    pub alpha_shift: u32,
-    /// Trend smoothing `β = 2^-beta_shift`.
-    pub beta_shift: u32,
-    /// Season smoothing `γ = 2^-gamma_shift`.
-    pub gamma_shift: u32,
-    /// Residual-deviation EWMA smoothing (`2^-dev_shift`).
-    pub dev_shift: u32,
-    /// Band width in deviation multiples.
-    pub k: i64,
-    /// Relative margin shift on the level (3 = 12.5%).
-    pub margin_shift: u32,
-    /// Margin floor in raw signal units.
-    pub margin_floor: i64,
-    /// Seasons after seeding before the engine may fire.
-    pub warm_seasons: u64,
-}
-
-impl Default for HoltWintersEngineConfig {
-    fn default() -> Self {
-        Self {
-            season_len: 16,
-            alpha_shift: 2,
-            beta_shift: 4,
-            gamma_shift: 2,
-            dev_shift: 2,
-            k: 2,
-            margin_shift: 3,
-            margin_floor: 8,
-            warm_seasons: 2,
-        }
-    }
-}
+/// Intervals per season (must divide the workload's period for a clean
+/// fit, but any value ≥ 2 is legal).
+const SEASON_LEN: usize = 16;
+/// Level smoothing `α = 2^-ALPHA_SHIFT`.
+const ALPHA_SHIFT: u32 = 2;
+/// Trend smoothing `β = 2^-BETA_SHIFT`.
+const BETA_SHIFT: u32 = 4;
+/// Season smoothing `γ = 2^-GAMMA_SHIFT`.
+const GAMMA_SHIFT: u32 = 2;
+/// Residual-deviation EWMA smoothing (`2^-DEV_SHIFT`).
+const DEV_SHIFT: u32 = 2;
+/// Band width in deviation multiples.
+const K: i64 = 2;
+/// Relative margin shift on the level (3 = 12.5%).
+const MARGIN_SHIFT: u32 = 3;
+/// Margin floor in raw signal units.
+const MARGIN_FLOOR: i64 = 8;
+/// Seasons after seeding before the engine may fire.
+const WARM_SEASONS: u64 = 2;
 
 /// Seasonal forecast-residual band over per-interval packet counts.
 #[derive(Debug)]
 pub struct HoltWintersEngine {
-    cfg: HoltWintersEngineConfig,
     model: HoltWinters,
     /// EWMA of |residual| in Q16.
     dev_q16: i64,
@@ -68,23 +47,13 @@ pub struct HoltWintersEngine {
 
 impl HoltWintersEngine {
     /// Creates an unseeded engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate season length or smoothing shift.
     #[must_use]
-    pub fn new(cfg: HoltWintersEngineConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            model: HoltWinters::new(
-                cfg.season_len,
-                cfg.alpha_shift,
-                cfg.beta_shift,
-                cfg.gamma_shift,
-            )
-            .expect("valid Holt-Winters config"),
+            model: HoltWinters::new(SEASON_LEN, ALPHA_SHIFT, BETA_SHIFT, GAMMA_SHIFT)
+                .expect("valid Holt-Winters config"),
             dev_q16: 0,
             observed: 0,
-            cfg,
         }
     }
 
@@ -92,6 +61,12 @@ impl HoltWintersEngine {
     #[must_use]
     pub fn model(&self) -> &HoltWinters {
         &self.model
+    }
+}
+
+impl Default for HoltWintersEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -105,15 +80,14 @@ impl Detector for HoltWintersEngine {
         let forecast = self.model.observe(x)?;
         self.observed += 1;
         let r = forecast.residual_q16.abs();
-        let margin =
-            (self.model.level_q16().abs() >> self.cfg.margin_shift).max(self.cfg.margin_floor << 16);
-        let band = self.cfg.k * self.dev_q16 + margin;
+        let margin = (self.model.level_q16().abs() >> MARGIN_SHIFT).max(MARGIN_FLOOR << 16);
+        let band = K * self.dev_q16 + margin;
         let score = ratio_q16(r, band.max(1));
-        let warm = self.observed > self.cfg.warm_seasons * self.cfg.season_len as u64;
+        let warm = self.observed > WARM_SEASONS * SEASON_LEN as u64;
         let fired = warm && r > band;
         // Band first, then learn: the residual that fired must not
         // have widened its own band.
-        self.dev_q16 += (r - self.dev_q16) >> self.cfg.dev_shift;
+        self.dev_q16 += (r - self.dev_q16) >> DEV_SHIFT;
         Some(DetectionResult {
             engine: "holtwinters",
             at: ctx.at,

@@ -18,6 +18,9 @@
 //! | `cardinality` | distinct sources/interval | spoofed-source sweeps        |
 //! | `multiscale`  | packets at scales 1/4/16  | slow swells under the band   |
 //! | `adaptive`    | mean frame length (EWMA)  | size regime changes          |
+//!
+//! Like a Stat4 program's, each engine's tuning is fixed: constants
+//! beside the code that reads them, not configuration.
 
 pub mod adaptive;
 pub mod cardinality;
@@ -25,26 +28,15 @@ pub mod cusum;
 pub mod holtwinters;
 pub mod multiscale;
 
-pub use adaptive::{AdaptiveEngine, AdaptiveEngineConfig};
-pub use cardinality::{CardinalityEngine, CardinalityEngineConfig};
-pub use cusum::{CusumEngine, CusumEngineConfig};
-pub use holtwinters::{HoltWintersEngine, HoltWintersEngineConfig};
-pub use multiscale::{MultiScaleEngine, MultiScaleEngineConfig};
+pub use adaptive::AdaptiveEngine;
+pub use cardinality::CardinalityEngine;
+pub use cusum::CusumEngine;
+pub use holtwinters::HoltWintersEngine;
+pub use multiscale::MultiScaleEngine;
 
-/// Configuration for the five engines of this module (the three Table 1
-/// detectors take their own configs).
+/// Configuration of the ensemble around the engines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EnsembleConfig {
-    /// CUSUM change-point engine.
-    pub cusum: CusumEngineConfig,
-    /// Holt-Winters seasonal forecaster.
-    pub holtwinters: HoltWintersEngineConfig,
-    /// HyperLogLog cardinality band.
-    pub cardinality: CardinalityEngineConfig,
-    /// Multi-scale volume bands.
-    pub multiscale: MultiScaleEngineConfig,
-    /// Adaptive 2σ EWMA band.
-    pub adaptive: AdaptiveEngineConfig,
     /// Drilldown trigger policy (per-engine fires + combined score).
     pub trigger: crate::drilldown::EnsembleTriggerConfig,
 }

@@ -18,32 +18,17 @@ use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 /// The tumbling-window scales, in intervals.
 pub const SCALES: [u32; 3] = [1, 4, 16];
 
-/// Configuration (shared by all scales).
-#[derive(Debug, Clone, Copy)]
-pub struct MultiScaleEngineConfig {
-    /// Per-scale history window, in closed sums.
-    pub window: usize,
-    /// σ multiplier.
-    pub k: u32,
-    /// Minimum closed sums per scale before alerts.
-    pub min_intervals: usize,
-    /// Relative margin shift (3 = 12.5%).
-    pub margin_shift: u32,
-    /// Margin floor (absolute, in the NX domain).
-    pub margin_floor: u64,
-}
-
-impl Default for MultiScaleEngineConfig {
-    fn default() -> Self {
-        Self {
-            window: 32,
-            k: 2,
-            min_intervals: 8,
-            margin_shift: 3,
-            margin_floor: 4,
-        }
-    }
-}
+/// Per-scale history window, in closed sums (this tuning is shared by
+/// all scales).
+const WINDOW: usize = 32;
+/// σ multiplier.
+const K: u32 = 2;
+/// Minimum closed sums per scale before alerts.
+const MIN_INTERVALS: usize = 8;
+/// Relative margin shift (3 = 12.5%).
+const MARGIN_SHIFT: u32 = 3;
+/// Margin floor (absolute, in the NX domain).
+const MARGIN_FLOOR: u64 = 4;
 
 #[derive(Debug)]
 struct ScaleState {
@@ -56,18 +41,13 @@ struct ScaleState {
 /// Tumbling-window spike bands at [`SCALES`].
 #[derive(Debug)]
 pub struct MultiScaleEngine {
-    cfg: MultiScaleEngineConfig,
     scales: Vec<ScaleState>,
 }
 
 impl MultiScaleEngine {
     /// Creates an engine with empty windows at every scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-capacity window.
     #[must_use]
-    pub fn new(cfg: MultiScaleEngineConfig) -> Self {
+    pub fn new() -> Self {
         Self {
             scales: SCALES
                 .iter()
@@ -75,11 +55,16 @@ impl MultiScaleEngine {
                     scale: *s,
                     acc: 0,
                     count: 0,
-                    window: WindowedDist::new(cfg.window).expect("non-empty window"),
+                    window: WindowedDist::new(WINDOW).expect("non-empty window"),
                 })
                 .collect(),
-            cfg,
         }
+    }
+}
+
+impl Default for MultiScaleEngine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -104,19 +89,15 @@ impl Detector for MultiScaleEngine {
             s.acc = 0;
             s.count = 0;
             s.window.accumulate(v);
-            fired |= s.window.is_spike_margined(
-                v,
-                self.cfg.k,
-                self.cfg.min_intervals,
-                self.cfg.margin_shift,
-                self.cfg.margin_floor,
-            );
+            fired |= s
+                .window
+                .is_spike_margined(v, K, MIN_INTERVALS, MARGIN_SHIFT, MARGIN_FLOOR);
             let stats = s.window.stats();
             let n = stats.n() as i64;
-            let margin = stats.relative_margin(self.cfg.margin_shift, self.cfg.margin_floor);
+            let margin = stats.relative_margin(MARGIN_SHIFT, MARGIN_FLOOR);
             let bound = stats
                 .xsum()
-                .saturating_add(self.cfg.k as i64 * stats.sd_nx() as i64)
+                .saturating_add(K as i64 * stats.sd_nx() as i64)
                 .saturating_add(margin as i64);
             let score = ratio_q16(n.saturating_mul(v), bound);
             if score > best_score {

@@ -44,16 +44,14 @@ mod state;
 pub mod synflood;
 
 pub use alerts::Alert;
-pub use backoff::RetryPolicy;
 pub use detector::{
     confidence_q16, ratio_q16, AlertProvenance, DetectionResult, Detector, EngineAtFire,
     EngineSummary, Ensemble, EnsembleVerdict, FiredSnap, SignalContext, SignalValues, TriggerCause,
     Q16, SCORE_CAP,
 };
 pub use engines::{
-    AdaptiveEngine, AdaptiveEngineConfig, CardinalityEngine, CardinalityEngineConfig,
-    CusumEngine, CusumEngineConfig, EnsembleConfig, HoltWintersEngine, HoltWintersEngineConfig,
-    MultiScaleEngine, MultiScaleEngineConfig,
+    AdaptiveEngine, CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine,
+    MultiScaleEngine,
 };
 pub use metrics::{Check, DetectorMetrics};
 pub use classify::DriftMonitor;

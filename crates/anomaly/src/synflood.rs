@@ -42,30 +42,28 @@ use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 /// Configuration of the detector.
 #[derive(Debug, Clone, Copy)]
 pub struct SynFloodConfig {
-    /// Interval length (ns) for the rate check.
+    /// Interval length (ns): the replay's epoch length. The detector
+    /// judges the intervals it is handed and never reads it.
     pub interval_ns: u64,
-    /// Window capacity in intervals.
-    pub window: usize,
-    /// σ multiplier.
-    pub k: u32,
-    /// Minimum closed intervals before rate alerts.
-    pub min_intervals: usize,
-    /// Extra absolute margin for the share check (see the case-study
-    /// `imbalance_margin` rationale).
-    pub share_margin: u64,
 }
 
 impl Default for SynFloodConfig {
     fn default() -> Self {
         Self {
             interval_ns: 10_000_000, // 10 ms
-            window: 64,
-            k: 2,
-            min_intervals: 10,
-            share_margin: 16,
         }
     }
 }
+
+/// Window capacity in intervals.
+const WINDOW: usize = 64;
+/// σ multiplier.
+const K: u32 = 2;
+/// Minimum closed intervals before rate alerts.
+const MIN_INTERVALS: usize = 10;
+/// Extra absolute margin for the share check (see the case-study
+/// `imbalance_margin` rationale).
+const SHARE_MARGIN: u64 = 16;
 
 /// Kind cell used for SYN packets in the share distribution.
 pub const KIND_SYN: i64 = 1;
@@ -73,7 +71,6 @@ pub const KIND_SYN: i64 = 1;
 /// SYN-flood detector driven by per-interval merged aggregates.
 #[derive(Debug)]
 pub struct SynFloodDetector {
-    cfg: SynFloodConfig,
     syn_rate: WindowedDist,
     /// Alerts raised so far, in interval order.
     pub alerts: Vec<Alert>,
@@ -87,18 +84,13 @@ pub struct SynFloodDetector {
 
 impl SynFloodDetector {
     /// Creates a detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate (zero window).
     #[must_use]
-    pub fn new(cfg: SynFloodConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            syn_rate: WindowedDist::new(cfg.window).expect("non-empty window"),
+            syn_rate: WindowedDist::new(WINDOW).expect("non-empty window"),
             alerts: Vec::new(),
             detected_at: None,
             metrics: DetectorMetrics::new(),
-            cfg,
         }
     }
 
@@ -118,16 +110,15 @@ impl SynFloodDetector {
         self.syn_rate.accumulate(syn_in_interval);
         let spike = self.syn_rate.is_spike_margined(
             syn_in_interval,
-            self.cfg.k,
-            self.cfg.min_intervals,
+            K,
+            MIN_INTERVALS,
             3, // +12.5% of the mean
             4,
         );
-        let share = self.share_outlier(kind_freq);
+        let share = Self::share_outlier(kind_freq);
         // Raw (warm-up-ungated) signal drives the detection-delay
         // episode clock: "first anomalous epoch" per the case study.
-        let raw_anomalous =
-            self.syn_rate.is_spike_margined(syn_in_interval, self.cfg.k, 1, 3, 4) || share;
+        let raw_anomalous = self.syn_rate.is_spike_margined(syn_in_interval, K, 1, 3, 4) || share;
         self.metrics.signal(at, raw_anomalous);
         self.syn_rate.close_interval();
         if spike {
@@ -154,7 +145,7 @@ impl SynFloodDetector {
         raised
     }
 
-    fn share_outlier(&self, kind_freq: &FrequencyDist) -> bool {
+    fn share_outlier(kind_freq: &FrequencyDist) -> bool {
         let f = kind_freq.frequency(KIND_SYN);
         let n = kind_freq.n_distinct();
         if n < 4 {
@@ -162,8 +153,8 @@ impl SynFloodDetector {
         }
         let nf = u128::from(n) * u128::from(f);
         let bound = u128::from(kind_freq.xsum())
-            + u128::from(self.cfg.k) * u128::from(kind_freq.sd_nx())
-            + u128::from(self.cfg.share_margin) * u128::from(n);
+            + u128::from(K) * u128::from(kind_freq.sd_nx())
+            + u128::from(SHARE_MARGIN) * u128::from(n);
         nf > bound
     }
 
@@ -171,6 +162,12 @@ impl SynFloodDetector {
     #[must_use]
     pub fn rate_stats(&self) -> &stat4_core::running::RunningStats {
         self.syn_rate.stats()
+    }
+}
+
+impl Default for SynFloodDetector {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -233,7 +230,7 @@ mod tests {
     /// replay engine does: aggregate per interval, observe at each
     /// interval close.
     fn run_epoch(schedule: &workloads::Schedule, cfg: SynFloodConfig) -> SynFloodDetector {
-        let mut det = SynFloodDetector::new(cfg);
+        let mut det = SynFloodDetector::new();
         let mut kinds = FrequencyDist::new(0, KINDS - 1).unwrap();
         let mut cur: Option<u64> = None;
         let mut syns: i64 = 0;
@@ -361,7 +358,7 @@ mod tests {
 
     #[test]
     fn rate_stats_populated() {
-        let mut det = SynFloodDetector::new(SynFloodConfig::default());
+        let mut det = SynFloodDetector::new();
         let kinds = FrequencyDist::new(0, 7).unwrap();
         for i in 0..20u64 {
             det.observe_interval(i * 10_000_000, 5, &kinds);

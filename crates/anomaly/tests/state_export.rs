@@ -6,7 +6,7 @@
 
 use anomaly::shift::ShiftConfig;
 use anomaly::stalled::StalledFlowConfig;
-use anomaly::synflood::{SynFloodConfig, KIND_SYN};
+use anomaly::synflood::KIND_SYN;
 use anomaly::{
     AdaptiveEngine, CardinalityEngine, CusumEngine, Detector, Ensemble, EnsembleConfig,
     HoltWintersEngine, MultiScaleEngine, PercentileShiftDetector, ScoreDrilldown, SignalContext,
@@ -115,9 +115,8 @@ fn stream(seed: u64, intervals: u64, episodes: bool) -> Vec<Interval> {
 
 /// The eight engines as `replay::build_ensemble` configures them.
 fn engines() -> Vec<Box<dyn Detector>> {
-    let cfg = EnsembleConfig::default();
     vec![
-        Box::new(SynFloodDetector::new(SynFloodConfig::default())),
+        Box::new(SynFloodDetector::new()),
         Box::new(StalledFlowDetector::new(StalledFlowConfig {
             interval_ns: INTERVAL_NS,
             ..StalledFlowConfig::default()
@@ -127,11 +126,11 @@ fn engines() -> Vec<Box<dyn Detector>> {
             interval_ns: INTERVAL_NS,
             ..ShiftConfig::default()
         })),
-        Box::new(CusumEngine::new(cfg.cusum)),
-        Box::new(HoltWintersEngine::new(cfg.holtwinters)),
-        Box::new(CardinalityEngine::new(cfg.cardinality)),
-        Box::new(MultiScaleEngine::new(cfg.multiscale)),
-        Box::new(AdaptiveEngine::new(cfg.adaptive)),
+        Box::new(CusumEngine::new()),
+        Box::new(HoltWintersEngine::new()),
+        Box::new(CardinalityEngine::new()),
+        Box::new(MultiScaleEngine::new()),
+        Box::new(AdaptiveEngine::new()),
     ]
 }
 

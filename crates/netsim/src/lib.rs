@@ -40,7 +40,7 @@ pub use control::{ControlMsg, RecordingController};
 pub use host::{SinkHost, TrafficGen, TrafficSource};
 pub use node::{Emission, Node, NodeCtx, NodeId};
 pub use sim::{FaultStats, Simulation};
-pub use switch::{P4SwitchNode, SwitchTimings};
+pub use switch::P4SwitchNode;
 
 /// Nanoseconds — the simulator's time unit.
 pub type SimTime = u64;

@@ -190,15 +190,6 @@ impl Simulation {
         self.now
     }
 
-    /// Mutable access to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is invalid.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node {
-        self.nodes[id].as_mut()
-    }
-
     /// Downcasts a node to its concrete type for inspection.
     #[must_use]
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {

@@ -6,26 +6,15 @@ use crate::{SimTime, MICROS};
 use bytes::Bytes;
 use p4sim::{Pipeline, RuntimeRequest};
 
-/// Latency model of the switch's slow paths. (Pipeline traversal
-/// latency is folded into link delays at topology construction.)
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchTimings {
-    /// Fixed cost of handling one runtime request.
-    pub runtime_base: SimTime,
-    /// Additional cost *per register cell* of bulk reads — the paper:
-    /// "reading thousands of registers takes several milliseconds", i.e.
-    /// on the order of microseconds per cell.
-    pub per_cell_read: SimTime,
-}
-
-impl Default for SwitchTimings {
-    fn default() -> Self {
-        Self {
-            runtime_base: 50 * MICROS,
-            per_cell_read: 2 * MICROS,
-        }
-    }
-}
+/// Fixed cost of handling one runtime request: with
+/// [`PER_CELL_READ`], the latency model of the switch's slow paths.
+/// (Pipeline traversal latency is folded into link delays at topology
+/// construction.)
+const RUNTIME_BASE: SimTime = 50 * MICROS;
+/// Additional cost *per register cell* of bulk reads — the paper:
+/// "reading thousands of registers takes several milliseconds", i.e.
+/// on the order of microseconds per cell.
+const PER_CELL_READ: SimTime = 2 * MICROS;
 
 /// A P4 switch attached to the simulation: forwards frames through its
 /// pipeline, pushes digests to its controller, and answers runtime
@@ -35,8 +24,6 @@ pub struct P4SwitchNode {
     pub pipeline: Pipeline,
     /// Controller to receive digests and responses.
     pub controller: Option<NodeId>,
-    /// Latency model.
-    pub timings: SwitchTimings,
     /// Frames whose processing returned an error (dropped); counted for
     /// observability.
     pub process_errors: u64,
@@ -45,13 +32,12 @@ pub struct P4SwitchNode {
 }
 
 impl P4SwitchNode {
-    /// Wraps a pipeline with default timings and no controller.
+    /// Wraps a pipeline with no controller.
     #[must_use]
     pub fn new(pipeline: Pipeline) -> Self {
         Self {
             pipeline,
             controller: None,
-            timings: SwitchTimings::default(),
             process_errors: 0,
             digests_sent: 0,
         }
@@ -63,21 +49,14 @@ impl P4SwitchNode {
         self.controller = Some(controller);
         self
     }
+}
 
-    /// Overrides the latency model.
-    #[must_use]
-    pub fn with_timings(mut self, timings: SwitchTimings) -> Self {
-        self.timings = timings;
-        self
-    }
-
-    fn read_cost(&self, req: &RuntimeRequest) -> SimTime {
-        match req {
-            RuntimeRequest::ReadRegisterRange { len, .. } => self.timings.per_cell_read * *len,
-            RuntimeRequest::ReadRegister { .. } => self.timings.per_cell_read,
-            RuntimeRequest::Batch(reqs) => reqs.iter().map(|r| self.read_cost(r)).sum(),
-            _ => 0,
-        }
+fn read_cost(req: &RuntimeRequest) -> SimTime {
+    match req {
+        RuntimeRequest::ReadRegisterRange { len, .. } => PER_CELL_READ * *len,
+        RuntimeRequest::ReadRegister { .. } => PER_CELL_READ,
+        RuntimeRequest::Batch(reqs) => reqs.iter().map(read_cost).sum(),
+        _ => 0,
     }
 }
 
@@ -114,7 +93,7 @@ impl Node for P4SwitchNode {
 
     fn on_control(&mut self, ctx: &mut NodeCtx, from: NodeId, msg: ControlMsg) {
         if let ControlMsg::Request { tag, req } = msg {
-            let extra = self.timings.runtime_base + self.read_cost(&req);
+            let extra = RUNTIME_BASE + read_cost(&req);
             let resp = self.pipeline.runtime(&req);
             ctx.send_control_delayed(from, ControlMsg::Response { tag, resp }, extra);
         }
@@ -234,9 +213,7 @@ mod tests {
         let done_at = Arc::new(AtomicU64::new(0));
         let mut sim = Simulation::new();
         // Add switch first (id 0), asker second.
-        let sw_node = P4SwitchNode::new(fwd_pipeline());
-        let timings = sw_node.timings;
-        let sw = sim.add_node(Box::new(sw_node));
+        let sw = sim.add_node(Box::new(P4SwitchNode::new(fwd_pipeline())));
         let asker = sim.add_node(Box::new(Asker {
             sw,
             done_at: done_at.clone(),
@@ -245,8 +222,8 @@ mod tests {
         sim.connect_control(sw, asker, chan);
         sim.run();
         let expect = chan // request travels
-            + timings.runtime_base
-            + 4 * timings.per_cell_read
+            + RUNTIME_BASE
+            + 4 * PER_CELL_READ
             + chan; // response travels
         assert_eq!(done_at.load(Ordering::SeqCst), expect);
     }

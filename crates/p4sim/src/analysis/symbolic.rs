@@ -1231,6 +1231,23 @@ impl Default for SymbolicOptions {
     }
 }
 
+impl SymbolicOptions {
+    /// The reduced budgets a running control loop vets with (a
+    /// drilldown rebind, a drain-point swap): big enough to cover every
+    /// path of the case-study program, small enough to run at an epoch
+    /// barrier. The gate's teeth are the constant-folded bounds check
+    /// and the concrete witness replays, neither of which needs an
+    /// exhaustive path sweep.
+    #[must_use]
+    pub fn reduced() -> Self {
+        Self {
+            path_budget: 512,
+            samples: 16,
+            ..Self::default()
+        }
+    }
+}
+
 /// A concrete input on which two builds disagree.
 #[derive(Debug, Clone)]
 pub struct Counterexample {

@@ -77,12 +77,6 @@ impl ProgramBuilder {
         self.control = control;
     }
 
-    /// Number of actions declared so far.
-    #[must_use]
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
     /// Validates against `target` and produces the runnable pipeline.
     ///
     /// # Errors

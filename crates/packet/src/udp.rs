@@ -90,11 +90,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
         b[2..4].copy_from_slice(&dst.to_be_bytes());
     }
 
-    /// Sets the length field.
-    pub fn set_len_field(&mut self, len: u16) {
-        self.buffer.as_mut()[4..6].copy_from_slice(&len.to_be_bytes());
-    }
-
     /// Computes and writes the checksum for the pseudo-header, mapping
     /// an all-zero result to 0xffff per RFC 768.
     pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {

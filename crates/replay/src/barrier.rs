@@ -96,10 +96,7 @@ impl BarrierMerger {
         if let Some(acc) = self.acc.as_mut().filter(|_| self.acc_alive == alive) {
             // Interval-scoped fields start fresh each epoch; the
             // shards' current values are this epoch's contributions.
-            acc.syn_in_interval = 0;
-            acc.packets_in_interval = 0;
-            acc.len_sum_in_interval = 0;
-            acc.src_hll.reset();
+            acc.close_interval();
             let delta = &mut self.delta;
             for state in surviving(states, alive) {
                 state.take_delta_into(delta);

@@ -199,12 +199,10 @@ pub fn kind_of(frame: &[u8]) -> i64 {
 pub struct ReplayConfig {
     /// Number of worker shards (≥ 1).
     pub shards: usize,
-    /// Detector configuration; `interval_ns` doubles as the epoch
-    /// length.
+    /// `interval_ns` is the epoch length; the stalled and median-shift
+    /// detectors take their interval from it too.
     pub detector: SynFloodConfig,
-    /// Configuration for the `anomaly::engines` engines (CUSUM,
-    /// Holt-Winters, cardinality, multi-scale, adaptive). The stalled
-    /// and median-shift detectors take their interval from `detector`.
+    /// The ensemble's drilldown trigger policy.
     pub ensemble: EnsembleConfig,
 }
 
@@ -224,13 +222,12 @@ impl Default for ReplayConfig {
 /// order.
 ///
 /// [`ReplayOutcome::alerts`] / `detected_at` are the
-/// [`anomaly::SynFloodDetector`]'s own alert stream under
-/// `cfg.detector`.
+/// [`anomaly::SynFloodDetector`]'s own alert stream.
 #[must_use]
 pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
     let interval_ns = cfg.detector.interval_ns;
     Ensemble::new(vec![
-        Box::new(SynFloodDetector::new(cfg.detector)),
+        Box::new(SynFloodDetector::new()),
         Box::new(StalledFlowDetector::new(StalledFlowConfig {
             interval_ns,
             ..StalledFlowConfig::default()
@@ -240,11 +237,11 @@ pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
             interval_ns,
             ..ShiftConfig::default()
         })),
-        Box::new(CusumEngine::new(cfg.ensemble.cusum)),
-        Box::new(HoltWintersEngine::new(cfg.ensemble.holtwinters)),
-        Box::new(CardinalityEngine::new(cfg.ensemble.cardinality)),
-        Box::new(MultiScaleEngine::new(cfg.ensemble.multiscale)),
-        Box::new(AdaptiveEngine::new(cfg.ensemble.adaptive)),
+        Box::new(CusumEngine::new()),
+        Box::new(HoltWintersEngine::new()),
+        Box::new(CardinalityEngine::new()),
+        Box::new(MultiScaleEngine::new()),
+        Box::new(AdaptiveEngine::new()),
     ])
 }
 
@@ -841,8 +838,9 @@ pub fn run_replay_lifecycle(
 /// validates it against `cfg` and `schedule`, restores the
 /// coordinator — shard trackers through their raw constructors, each
 /// shard then checked to be one a fresh state could have become at a
-/// drain point ([`ShardState::check_drained`]), the detection ensemble and drilldown ladder by importing the state
-/// they exported, provenance verbatim, the alive map and report-loss
+/// drain point (`ShardState::check_drained`), the detection ensemble
+/// and drilldown ladder by importing the state they exported,
+/// provenance verbatim, the alive map and report-loss
 /// carry after checking they describe a state a run could have been
 /// in — and runs the remaining epochs. The fault schedule is reparsed
 /// from the spec/seed stored in the checkpoint, so injected chaos

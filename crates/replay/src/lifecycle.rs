@@ -47,19 +47,6 @@ use telemetry::json::{read, At, ToJson};
 use telemetry::json_struct;
 use workloads::Schedule;
 
-/// Symbolic budgets for in-line swap vetting — same reduced settings
-/// the drilldown ladder uses for per-transaction rebind checks: big
-/// enough to cover every path of the case-study program, small enough
-/// to run at an epoch barrier.
-#[must_use]
-pub(crate) fn vet_options() -> SymbolicOptions {
-    SymbolicOptions {
-        path_budget: 512,
-        samples: 16,
-        ..SymbolicOptions::default()
-    }
-}
-
 // ---- swaps ----------------------------------------------------------
 
 /// A drain-point reconfiguration request: any combination of a new
@@ -114,7 +101,7 @@ pub(crate) fn vet_swap(
         ));
     }
     ensemble.check_weight_overrides(&req.weights)?;
-    let opts = vet_options();
+    let opts = SymbolicOptions::reduced();
     let mut parts: Vec<String> = Vec::new();
     let mut next: Option<Pipeline> = None;
     if let Some(proposed) = &req.program {

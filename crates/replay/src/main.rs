@@ -453,7 +453,6 @@ fn main() {
         shards: opts.shards,
         detector: SynFloodConfig {
             interval_ns: opts.interval_ms * 1_000_000,
-            ..SynFloodConfig::default()
         },
         ensemble: EnsembleConfig::default(),
     };

@@ -142,10 +142,7 @@ fn interval_length_does_not_break_conformance() {
     for interval_ns in [5_000_000u64, 20_000_000] {
         let cfg1 = ReplayConfig {
             shards: 1,
-            detector: SynFloodConfig {
-                interval_ns,
-                ..SynFloodConfig::default()
-            },
+            detector: SynFloodConfig { interval_ns },
             ..ReplayConfig::default()
         };
         let cfg8 = ReplayConfig {

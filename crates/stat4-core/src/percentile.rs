@@ -433,12 +433,6 @@ impl PercentileSet {
         self.markers.get(i).map(|m| m.q)
     }
 
-    /// Number of markers.
-    #[must_use]
-    pub fn marker_count(&self) -> usize {
-        self.markers.len()
-    }
-
     /// Total observations recorded.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -626,11 +620,6 @@ impl PercentileTracker {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.set.total()
-    }
-
-    /// Access to the underlying set (e.g. for `rebalance_full`).
-    pub fn as_set_mut(&mut self) -> &mut PercentileSet {
-        &mut self.set
     }
 
     /// Read-only access to the underlying set.

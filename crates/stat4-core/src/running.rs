@@ -109,13 +109,6 @@ impl RunningStats {
         self.sumsq
     }
 
-    /// Alias for [`Self::xsum`] making call sites read like the paper:
-    /// "the mean of NX is exactly Xsum".
-    #[must_use]
-    pub fn mean_nx(&self) -> i64 {
-        self.sum
-    }
-
     /// Adds a new value `x` to the distribution: `N += 1`,
     /// `Xsum += x`, `Xsumsq += x²`. Constant work.
     pub fn push(&mut self, x: i64) {

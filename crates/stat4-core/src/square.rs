@@ -80,17 +80,6 @@ pub fn approx_square_u64(x: u64) -> u64 {
     u64::try_from(approx_square(x)).unwrap_or(u64::MAX)
 }
 
-/// Relative underestimation error of [`approx_square`] in percent.
-#[must_use]
-pub fn approx_square_error_percent(x: u64) -> f64 {
-    if x == 0 {
-        return 0.0;
-    }
-    let truth = (x as u128) * (x as u128);
-    let approx = approx_square(x);
-    ((truth - approx) as f64 / truth as f64) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -189,13 +189,6 @@ impl EchoApp {
             sd_reg,
         })
     }
-
-    /// Encodes a value of interest as the frame payload the parser
-    /// expects (8 bytes, big-endian two's complement).
-    #[must_use]
-    pub fn encode_value(v: i64) -> [u8; 8] {
-        (v as u64).to_be_bytes()
-    }
 }
 
 #[cfg(test)]
