@@ -88,7 +88,7 @@ pub struct SignalContext<'a> {
     pub len_sum: i64,
     /// Distinct source addresses this interval (HLL estimate).
     pub distinct_sources: i64,
-    /// Canonical median frame length over the whole replay so far.
+    /// Exact median frame length over the whole replay so far.
     pub median_len: i64,
     /// Cumulative packet-kind composition.
     pub kinds: &'a FrequencyDist,
@@ -263,7 +263,7 @@ pub struct SignalValues {
     pub len_sum: i64,
     /// Distinct source addresses this interval (HLL estimate).
     pub distinct_sources: i64,
-    /// Canonical median frame length so far.
+    /// Exact median frame length so far.
     pub median_len: i64,
 }
 

@@ -151,7 +151,7 @@ impl PercentileShiftDetector {
     }
 }
 
-/// The ensemble's `median_shift` engine. Signal binding: the canonical
+/// The ensemble's `median_shift` engine. Signal binding: the exact
 /// merged median frame length, fed once per interval, so a shift in
 /// the length distribution sends the marker walking after the
 /// migrating estimate and the movement band fires. Constant-size

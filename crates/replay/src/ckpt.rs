@@ -2,7 +2,10 @@
 //!
 //! At a configurable epoch cadence the coordinator serializes its full
 //! deterministic state — the per-shard tracker sets (via the raw
-//! export/import constructors in `stat4-core`), the supervisor's
+//! export/import constructors in `stat4-core`; a shard's length
+//! distribution is its counts alone, because counts are merged and the
+//! quantile is read exactly, and the marker walk is the paper's
+//! per-packet tracker, which no shard runs), the supervisor's
 //! degraded-mode bookkeeping, the detection ensemble's and drilldown
 //! ladder's exported state, alert provenance verbatim, and the
 //! lifecycle generation plus the optional data-plane shadow registers —
@@ -33,8 +36,7 @@
 //! `json_struct!` line beside the struct, and every type inside them
 //! has its own pair beside its own definition (the provenance records
 //! in [`crate::provenance`], an incident's checkpoint form below,
-//! `PipelineState` in `p4sim`, `MarkerRaw` beside the trait in
-//! `telemetry::json`), so [`serialize`] and [`parse`] here are the
+//! `PipelineState` in `p4sim`), so [`serialize`] and [`parse`] here are the
 //! header, the checksum and one call each. A checkpoint does not know
 //! what is inside an engine: [`anomaly::Ensemble::export_state`] and
 //! [`anomaly::ScoreDrilldown::export_state`] hand over JSON values
@@ -65,7 +67,7 @@ use faultinject::{CkptCorruption, FaultSchedule};
 use p4sim::PipelineState;
 use stat4_core::freq::FrequencyDist;
 use stat4_core::hll::HyperLogLog;
-use stat4_core::percentile::{MarkerRaw, PercentileSet};
+use stat4_core::percentile::{Quantile, QuantileCounts};
 use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
@@ -77,8 +79,11 @@ use telemetry::{json_struct, Json};
 pub const MAGIC: &str = "stat4-replay-ckpt";
 /// Current checkpoint format version; parsers reject anything else.
 /// Version 1 stored the log of every interval the detectors had seen
-/// and replayed it on resume; version 2 stores the detectors' state.
-pub const VERSION: u64 = 2;
+/// and replayed it on resume; version 2 stores the detectors' state;
+/// version 3 stores a shard's length distribution as counts alone, with
+/// no walked marker and no total beside them.
+pub const VERSION: u64 = 3;
+
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -119,12 +124,8 @@ pub struct ShardStateRaw {
     pub pc_min: i64,
     /// Percentile domain maximum.
     pub pc_max: i64,
-    /// Percentile cell counts.
+    /// Frame-length cell counts; their sum is the total.
     pub pc_counts: Vec<u64>,
-    /// Percentile total observations.
-    pub pc_total: u64,
-    /// Percentile markers, path-dependent state included.
-    pub pc_markers: Vec<MarkerRaw>,
     /// HLL precision.
     pub hll_precision: u32,
     /// HLL registers.
@@ -152,8 +153,6 @@ json_struct!(ShardStateRaw {
     pc_min,
     pc_max,
     pc_counts,
-    pc_total,
-    pc_markers,
     hll_precision,
     hll_registers,
     packets,
@@ -179,8 +178,6 @@ impl ShardStateRaw {
             pc_min: s.len_median.domain().0,
             pc_max: s.len_median.domain().1,
             pc_counts: s.len_median.counts().to_vec(),
-            pc_total: s.len_median.total(),
-            pc_markers: s.len_median.export_markers(),
             hll_precision: s.src_hll.precision(),
             hll_registers: s.src_hll.registers().to_vec(),
             packets: s.packets,
@@ -196,7 +193,7 @@ impl ShardStateRaw {
     ///
     /// A description of the first tracker whose raw state is
     /// inconsistent (wrong cell-array length, out-of-range register,
-    /// degenerate quantile weights).
+    /// length counts that sum past `u64::MAX`).
     pub fn restore(&self) -> Result<ShardState, String> {
         if !(1..=64).contains(&self.sk_rows) || self.sk_width_log2 >= 28 {
             return Err(String::from("sketch geometry out of range"));
@@ -214,14 +211,13 @@ impl ShardStateRaw {
                 self.sk_cells.clone(),
                 self.sk_total,
             ),
-            len_median: PercentileSet::from_raw(
+            len_median: QuantileCounts::from_counts(
                 self.pc_min,
                 self.pc_max,
+                &[Quantile::median()],
                 self.pc_counts.clone(),
-                self.pc_total,
-                &self.pc_markers,
             )
-            .map_err(|e| format!("length median: {e}"))?,
+            .map_err(|e| format!("length counts: {e}"))?,
             src_hll: HyperLogLog::from_registers(self.hll_precision, self.hll_registers.clone())
                 .map_err(|e| format!("source HLL: {e}"))?,
             packets: self.packets,
@@ -436,10 +432,11 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         ));
     }
     if version < VERSION {
-        return Err(format!(
-            "checkpoint version {version} was written before detector-state checkpoints \
-             (version {VERSION}); re-run from the start"
-        ));
+        let why = match version {
+            2 => "was written before shards kept length counts alone",
+            _ => "was written before detector-state checkpoints",
+        };
+        return Err(format!("checkpoint version {version} {why}; re-run from the start"));
     }
     let want: String = field(&doc, "checksum", root)?;
     let payload = doc.get("payload").ok_or_else(|| at.err("missing"))?;
@@ -719,7 +716,6 @@ mod tests {
         round_trips(&c);
         let shard = c.shards[1].as_ref().unwrap();
         round_trips(shard);
-        round_trips(&shard.pc_markers[0]);
         round_trips(c.pipeline.as_ref().unwrap());
         for kind in [
             IncidentKind::Crashed,
@@ -780,7 +776,7 @@ mod tests {
     fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
-            r#"{{"magic":"stat4-replay-ckpt","version":2,"checksum":"{sum:016x}","payload":{body}}}"#
+            r#"{{"magic":"stat4-replay-ckpt","version":3,"checksum":"{sum:016x}","payload":{body}}}"#
         )
     }
 
@@ -809,21 +805,20 @@ mod tests {
     fn a_refused_payload_names_the_full_path_and_the_reason() {
         let good = sample_checkpoint().to_json();
         assert_eq!(framed(&good), serialize(&sample_checkpoint()));
-        let marker = ["shards", "1", "pc_markers", "0"];
         type Tamper = fn(&mut Json);
         let cases: [(&[&str], Tamper, &str); 9] = [
             (
-                &marker,
+                &["shards", "1"],
                 |m| match m {
-                    Json::Obj(members) => members.retain(|(k, _)| k != "pos"),
+                    Json::Obj(members) => members.retain(|(k, _)| k != "pc_counts"),
                     _ => unreachable!(),
                 },
-                "$.payload.shards[1].pc_markers[0].pos: missing",
+                "$.payload.shards[1].pc_counts: missing",
             ),
             (
-                &["shards", "1", "pc_markers", "0", "pos"],
+                &["shards", "1", "pc_counts", "5"],
                 |v| *v = Json::Int(-1),
-                "$.payload.shards[1].pc_markers[0].pos: not a non-negative integer",
+                "$.payload.shards[1].pc_counts[5]: not a non-negative integer",
             ),
             (
                 &["shards", "1", "len_xsum"],
@@ -909,12 +904,13 @@ mod tests {
         assert!(text.contains(&current));
         let err = parse(&text.replace(&current, "\"version\":999")).unwrap_err();
         assert!(err.contains("newer than supported"), "{err}");
-        for old in [0, 1] {
+        for (old, lacks) in [
+            (0, "before detector-state checkpoints"),
+            (1, "before detector-state checkpoints"),
+            (2, "before shards kept length counts alone"),
+        ] {
             let err = parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap_err();
-            assert!(
-                err.contains("before detector-state checkpoints") && err.contains("re-run"),
-                "version {old}: {err}"
-            );
+            assert!(err.contains(lacks) && err.contains("re-run"), "version {old}: {err}");
         }
     }
 
@@ -995,6 +991,31 @@ mod tests {
         assert_eq!(ensemble.export_state(), good.ensemble);
         assert_eq!(rejected.len(), 2);
         assert!(rejected[1].contains("ckpt-000004") && rejected[1].contains("drilldown"), "{rejected:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
+        let dir = std::env::temp_dir().join(format!("stat4-ckpt-v2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let good = sample_checkpoint();
+        write_checkpoint(&dir, &good, &FaultSchedule::none()).unwrap();
+        // #4: a file a version-2 build left behind, under a valid
+        // checksum. The version is refused before any member is read.
+        let mut newer = good.clone();
+        newer.checkpoint_ordinal = 4;
+        let v2 = serialize(&newer).replacen(&format!("\"version\":{VERSION}"), "\"version\":2", 1);
+        std::fs::write(dir.join(file_name(4)), v2).unwrap();
+
+        let (loaded, rejected) = load_latest(&dir).expect("fallback to #3");
+        assert_eq!(loaded, good);
+        let [refusal] = rejected.as_slice() else { panic!("{rejected:?}") };
+        assert!(
+            refusal.contains("ckpt-000004")
+                && refusal.contains("checkpoint version 2 was written before shards kept length counts alone")
+                && refusal.contains("re-run"),
+            "{refusal}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@
 //!            ┌── shard 0: ShardState ──┐
 //! schedule ──┤   shard 1: ShardState   ├── epoch barrier ── merge ──▶
 //!   (split   │   ...                   │   (Σ sums, Σ cells,         central
-//!   by flow  └── shard N-1 ────────────┘    canonical markers)       detector
+//!   by flow  └── shard N-1 ────────────┘    exact median)            detector
 //!   5-tuple)
 //! ```
 //!
@@ -41,10 +41,11 @@
 //!   by frame, then everything joins at the coordinator's barrier.
 //! - **Merge** — shard state folds into a global [`ShardState`] via
 //!   [`stat4_core::Mergeable`]: `RunningStats` / `FrequencyDist` /
-//!   `CountMinSketch` merge by summing (order-free, bit-identical to a
-//!   sequential run), while `PercentileSet` markers — which are
-//!   path-dependent and *not* mergeable — are rebuilt canonically from
-//!   the merged counts (a deterministic function of the counts alone).
+//!   `CountMinSketch` and the length counts merge by summing
+//!   (order-free, bit-identical to a sequential run). Counts are merged
+//!   and the quantile is read exactly; the marker walk is the paper's
+//!   per-packet tracker, and no shard walks one: the median handed to
+//!   the detectors is read off the merged counts once per epoch.
 //! - **Detection** — [`anomaly::SynFloodDetector`] runs only on
 //!   merged aggregates, so its verdicts are shard-count invariant *by
 //!   construction*: a 1-shard and an 8-shard replay hand it
@@ -97,7 +98,7 @@ use lifecycle::RunLifecycle;
 use packet::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::hll::HyperLogLog;
-use stat4_core::percentile::{PercentileSet, Quantile};
+use stat4_core::percentile::{Quantile, QuantileCounts};
 use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use stat4_core::delta::{FreqDelta, HllDelta, PercentileDelta, RunningDelta, SketchDelta};
@@ -275,9 +276,9 @@ pub struct ShardState {
     /// Per-destination volume sketch (merged cellwise; plain —
     /// non-conservative — updates so the merge is exact).
     pub dst_sketch: CountMinSketch,
-    /// Median frame length (counts merge exactly; markers rebuild
-    /// canonically from the merged counts).
-    pub len_median: PercentileSet,
+    /// Frame-length counts, the median read off them exactly (counts
+    /// merge by addition; no marker is walked).
+    pub len_median: QuantileCounts,
     /// Distinct source addresses in the current (open) interval
     /// (registers merge across shards, wash at each epoch barrier).
     pub src_hll: HyperLogLog,
@@ -365,7 +366,7 @@ impl ShardState {
             kinds: FrequencyDist::new(0, KIND_CELLS - 1).expect("valid kind domain"),
             len_stats: RunningStats::new(),
             dst_sketch: CountMinSketch::new(4, 12),
-            len_median: PercentileSet::new(0, MAX_LEN, &[Quantile::percentile(50).unwrap()])
+            len_median: QuantileCounts::new(0, MAX_LEN, &[Quantile::median()])
                 .expect("valid length domain"),
             src_hll: HyperLogLog::new(SRC_HLL_PRECISION).expect("valid HLL precision"),
             packets: 0,
@@ -714,13 +715,14 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The merged median frame length handed to the detectors. An empty
-/// merged state (every shard quarantined) has no median; that used to
+/// The merged median frame length handed to the detectors, read off
+/// the merged counts here, once per epoch. An empty merged state
+/// (every shard quarantined) has no median; that used to
 /// be silently flattened to 0 by `unwrap_or` — now the fallback is
 /// still 0 (the detectors need *a* number) but the incident is counted
 /// in `median_fallbacks` so a degraded signal is visible.
 pub(crate) fn median_len_signal(
-    len_median: &PercentileSet,
+    len_median: &QuantileCounts,
     fallbacks: &mut telemetry::Counter,
 ) -> i64 {
     match len_median.estimate(0) {
@@ -992,8 +994,27 @@ mod tests {
         assert_eq!(out.merged.len_stats, direct.len_stats);
         assert_eq!(out.merged.kinds, direct.kinds);
         assert_eq!(out.merged.dst_sketch, direct.dst_sketch);
-        // Percentile *counts* agree too; only the marker path differs.
-        assert_eq!(out.merged.len_median.total(), direct.len_median.total());
+        assert_eq!(out.merged.len_median, direct.len_median);
+    }
+
+    /// The median the detectors read is the exact median of every
+    /// ingested frame's clamped length, at any shard count.
+    #[test]
+    fn merged_median_is_the_exact_median() {
+        let (mix, _) = workloads::PacketMixWorkload {
+            packets: 20_000,
+            ..workloads::PacketMixWorkload::default()
+        }
+        .generate();
+        for (label, s) in [("small_flood", small_flood()), ("mix", mix)] {
+            let lens: Vec<i64> = s.iter().map(|(_, f)| parse_frame(f).len).collect();
+            let exact = stat4_core::oracle::median(&lens);
+            assert!(exact.is_some(), "{label}");
+            for shards in [1, 2, 4] {
+                let out = run_replay(&s, &ReplayConfig { shards, ..ReplayConfig::default() });
+                assert_eq!(out.merged.len_median.estimate(0), exact, "{label} at {shards} shard(s)");
+            }
+        }
     }
 
     #[test]
@@ -1192,7 +1213,7 @@ mod tests {
     #[test]
     fn median_fallback_is_counted() {
         let mut fallbacks = telemetry::Counter::new();
-        let empty = PercentileSet::new(0, MAX_LEN, &[Quantile::percentile(50).unwrap()]).unwrap();
+        let empty = QuantileCounts::new(0, MAX_LEN, &[Quantile::median()]).unwrap();
         assert_eq!(median_len_signal(&empty, &mut fallbacks), 0);
         assert_eq!(fallbacks.get(), 1, "empty estimate is a counted incident");
         let mut one = empty.clone();

@@ -85,7 +85,8 @@ use workloads::Schedule;
 /// they sit on two vCPUs and the wake-up crosses the hypervisor
 /// (benchmark/README.md § "One CPU": 70 and 140 ms per rep against 48).
 /// A frame costs ≈50 ns to parse and ingest (13.5 + 36.3, traced
-/// `sparse_2shard` on a 2-vCPU guest), so the serial cost of an inline
+/// `sparse_2shard` on a 2-vCPU guest; ingest ≈6 ns less since a shard
+/// counts frame lengths and walks no marker), so the serial cost of an inline
 /// epoch is at most 256 × 50 ns ≈ 13 µs whatever the shard count: less
 /// than two hand-offs on the cheapest machine measured, and an epoch
 /// hands off once per shard. The bound is on the epoch and not on a

@@ -84,7 +84,7 @@ pub struct MergedSnap {
     pub syn_total: u64,
     /// Frame-length observations.
     pub len_n: u64,
-    /// Canonical median frame length.
+    /// Exact median frame length.
     pub median_len: i64,
 }
 

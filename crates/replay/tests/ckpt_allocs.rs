@@ -3,12 +3,12 @@
 //!
 //! A checkpoint is streamed into one `String`. Serializing the newest
 //! checkpoint of a short killed run on two shards (38 928 cells,
-//! 83 337 bytes) makes 20 allocations: the header, the 11 doublings
+//! 83 139 bytes) makes 20 allocations: the header, the 11 doublings
 //! that take the buffer from its 53 bytes to 106 kB, the checksum's
 //! sixteen digits, and 7 for the one `ShardIncident`, whose
 //! hand-written `to_json` is written through the tree it builds (four
 //! keys, the kind, two lists). On four shards there are twice the cells
-//! in 161 979 bytes and the count is 21: one more doubling. While
+//! in 161 585 bytes and the count is 21: one more doubling. While
 //! `serialize` built the `Json` tree and rendered it, the same two
 //! calls made 446 and 517: a `String` per key and a list per array,
 //! the lists 32 bytes a cell.
@@ -16,9 +16,10 @@
 //! What `ckpt::parse` allocates: the values, not a tree. The same two
 //! documents are read in one pass over their tokens, into the vectors
 //! and strings of the `Checkpoint` (each vector grown by doubling) and
-//! the `ensemble` and `drill` members, which are trees by type: 470
-//! allocations and 332 202 bytes asked for on two shards, 538 and
-//! 629 674 on four. While `parse` built the whole document's tree
+//! the `ensemble` and `drill` members, which are trees by type: 468
+//! allocations and 331 658 bytes asked for on two shards, 534 and
+//! 628 746 on four (470 and 538 while each shard also held a walked
+//! length marker, a list of its own). While `parse` built the whole document's tree
 //! first, it made 907 and 1 051 allocations for 1 613 097 and
 //! 3 161 713 bytes, a 32-byte node per cell.
 //!

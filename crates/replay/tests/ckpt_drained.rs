@@ -5,7 +5,8 @@
 //! no other shard state, because no barrier after it checks again. A
 //! file that holds one, sealed under a valid checksum, is a counted
 //! fallback naming what is wrong, and the run resumed from its
-//! predecessor is the uninterrupted run.
+//! predecessor is the uninterrupted run. So is a shard state that is
+//! not even consistent in itself.
 
 use std::path::Path;
 
@@ -44,10 +45,13 @@ fn resume_plan(dir: &Path) -> LifecyclePlan {
     }
 }
 
+/// What to damage in shard 0 of a checkpoint, and the reason the
+/// fallback must give.
+type Case = (&'static str, fn(&mut ShardStateRaw), &'static str);
+
 #[test]
 fn a_shard_no_drain_point_holds_is_refused_at_restore() {
-    type Case = (&'static str, fn(&mut ShardStateRaw), &'static str);
-    let cases: [Case; 9] = [
+    let cases: [Case; 8] = [
         (
             "a negative SYN count",
             |r| r.syn_in_interval = -1_000_000,
@@ -90,11 +94,6 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
             "different percentile domains",
         ),
         (
-            "another quantile",
-            |r| r.pc_markers[0].low_weight = 9,
-            "different quantile sets",
-        ),
-        (
             "another HLL precision",
             |r| {
                 r.hll_precision += 1;
@@ -103,7 +102,31 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
             "different hyperloglog precisions",
         ),
     ];
+    each_falls_back("drained", &cases, true);
+}
 
+/// A shard's total is the sum of its length counts; counts that sum past
+/// `u64::MAX` have none, and the shard is refused where it is read.
+#[test]
+fn length_counts_that_sum_past_u64_max_are_refused_at_restore() {
+    let cases: [Case; 1] = [(
+        "length counts summing past u64::MAX",
+        |r| {
+            let populated = r.pc_counts.iter().position(|&c| c > 0).expect("frames were counted");
+            r.pc_counts[populated] = u64::MAX;
+            r.pc_counts[populated + 1] += 1;
+        },
+        "length counts: inconsistent raw state: counts sum past u64::MAX",
+    )];
+    each_falls_back("overflow", &cases, false);
+}
+
+/// Seals each tampered copy of checkpoint #1 of a killed run in its
+/// place and resumes: the resume falls back to #0, names `reason` for
+/// shard 0, and finishes as the uninterrupted run. `restores` is
+/// whether the tampered raw state is consistent in itself, so that it
+/// is the drain-point check that refuses it.
+fn each_falls_back(tag: &str, cases: &[Case], restores: bool) {
     let s = small_flood();
     let full = run_replay(&s, &cfg());
     assert!(
@@ -113,7 +136,7 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
     let full = render_outcome_json(&full);
 
     // Checkpoints #0 (resumes at epoch ordinal 2) and #1 (at 4).
-    let dir = std::env::temp_dir().join(format!("replay-drained-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("replay-drained-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let none = FaultSchedule::none();
     let killed = LifecyclePlan {
@@ -140,9 +163,7 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
         let mut c = intact.clone();
         let shard = c.shards[0].as_mut().expect("shard 0 is alive");
         tamper(shard);
-        shard
-            .restore()
-            .unwrap_or_else(|e| panic!("{what}: the raw state is consistent in itself: {e}"));
+        assert_eq!(shard.restore().is_ok(), restores, "{what}: {:?}", shard.restore().err());
         // Sealed as a run seals it: the checksum is valid.
         ckpt::write_checkpoint(&dir, &c, &none).unwrap();
 

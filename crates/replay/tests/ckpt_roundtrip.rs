@@ -14,7 +14,6 @@ use replay::ckpt::{self, Checkpoint, ShardStateRaw};
 use replay::{
     run_replay_lifecycle, AlertProvenanceRecord, LifecyclePlan, ReplayConfig, ShardIncident,
 };
-use stat4_core::percentile::MarkerRaw;
 use std::fmt::Debug;
 use telemetry::json::{read, render, At, FromJson, Lexer, ToJson};
 use telemetry::Json;
@@ -159,7 +158,6 @@ fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
     let shard = c.shards.iter().flatten().next().unwrap();
     holds_for(&c, 997);
     holds_for(shard, 499);
-    holds_for(&shard.pc_markers[0], 1);
     holds_for(&c.incidents[0], 1);
     holds_for(&c.provenance[0], 7);
     holds_for(
@@ -202,9 +200,6 @@ fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
         r#"{"hll_registers":[256],"#,
         1,
     ));
-    reads_as_tree::<MarkerRaw>(
-        r#"{"low_weight":1,"high_weight":1,"pos":0,"low":0,"high":0,"moves":0,"pos":-1}"#,
-    );
     reads_as_tree::<ShardIncident>(r#"{"shard":0,"epoch":3,"kind":"crashed","msg":"","kind":7}"#);
     reads_as_tree::<Vec<AlertProvenanceRecord>>("[]");
 }

@@ -8,10 +8,11 @@
 //! - `RunningStats`, `FrequencyDist`, and `CountMinSketch` merge by
 //!   summing, so any partition of the input folds back to the
 //!   sequential state exactly.
-//! - `PercentileSet` markers are path-dependent and non-mergeable; the
-//!   merge rule instead rebuilds them canonically from the merged
-//!   counts. The counts are partition-invariant, so the rebuilt markers
-//!   are too — every shard count yields the same estimate.
+//! - The length distribution is kept as counts, which merge by summing
+//!   too. Counts are merged and the quantile is read exactly; the marker
+//!   walk is the paper's per-packet tracker, and no shard walks one. The
+//!   median read off partition-invariant counts is itself invariant —
+//!   every shard count yields the same estimate.
 //! - The central detector consumes only merged aggregates, so identical
 //!   aggregates force identical alerts.
 
@@ -118,8 +119,7 @@ fn mix_stable_composition_stays_quiet() {
 
 #[test]
 fn percentile_estimate_is_shard_count_invariant() {
-    // The documented non-mergeability fallback in action: the median
-    // marker is rebuilt from merged counts, so its estimate cannot
+    // The median is read off the merged counts, so its estimate cannot
     // depend on how the trace was partitioned.
     let s = mix_schedule();
     let reference = run(&s, 1);

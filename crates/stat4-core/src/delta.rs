@@ -188,9 +188,9 @@ impl FreqDelta {
     }
 }
 
-/// Delta of a [`crate::percentile::PercentileSet`] window. Markers are
-/// never shipped — the receiver rebuilds them from its merged counts,
-/// the same canonicalisation a full merge performs.
+/// Delta of a [`crate::percentile::QuantileCounts`] window: counts
+/// only. Counts are merged and the quantile is read exactly; the marker
+/// walk is the paper's per-packet tracker, and no delta carries one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PercentileDelta {
     pub(crate) cells: Vec<CellDelta>,
@@ -310,7 +310,7 @@ mod tests {
     use super::*;
     use crate::freq::FrequencyDist;
     use crate::hll::HyperLogLog;
-    use crate::percentile::{PercentileSet, Quantile};
+    use crate::percentile::{Quantile, QuantileCounts};
     use crate::running::RunningStats;
     use crate::sketch::CountMinSketch;
     use proptest::prelude::*;
@@ -414,12 +414,12 @@ mod tests {
             after in proptest::collection::vec(0i64..128, 0..150),
         ) {
             let quantiles = [Quantile::median(), Quantile::percentile(90).unwrap()];
-            let mut src = PercentileSet::new(0, 127, &quantiles).unwrap();
+            let mut src = QuantileCounts::new(0, 127, &quantiles).unwrap();
             for v in &before {
                 src.observe(*v).unwrap();
             }
             assert_delta_matches_full!(
-                PercentileSet::new(0, 127, &quantiles).unwrap(),
+                QuantileCounts::new(0, 127, &quantiles).unwrap(),
                 src,
                 {
                     for v in &after {

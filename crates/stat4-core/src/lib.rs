@@ -83,7 +83,7 @@ pub use isqrt::{
     log_linear_lower_bound, msb_decompose,
 };
 pub use merge::Mergeable;
-pub use percentile::{MarkerRaw, PercentileTracker, Quantile};
+pub use percentile::{MarkerRaw, PercentileTracker, Quantile, QuantileCounts};
 pub use running::RunningStats;
 pub use scale::Scale;
 pub use sketch::CountMinSketch;

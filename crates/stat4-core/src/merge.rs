@@ -12,33 +12,24 @@
 //! | [`RunningStats`](crate::running::RunningStats) | `N`, `Xsum`, `Xsumsq` add | bit-identical to the sequential run (absent saturation) |
 //! | [`FrequencyDist`](crate::freq::FrequencyDist) | cellwise count add, moments recomputed | bit-identical |
 //! | [`CountMinSketch`](crate::sketch::CountMinSketch) | cellwise row add (same salts/width) | bit-identical for plain updates |
-//! | [`PercentileSet`](crate::percentile::PercentileSet) | counts add; markers **rebuilt** | counts bit-identical; marker is the *canonical* exact quantile, not the path-dependent sequential marker |
+//! | [`QuantileCounts`](crate::percentile::QuantileCounts) | cellwise count add; quantiles read off the merged counts | bit-identical; each quantile exact at nearest rank |
 //!
-//! The first three are *order-free*: their state is a sum over per-value
+//! All four are *order-free*: their state is a sum over per-value
 //! contributions, so any partition of the input stream across shards
 //! merges back to exactly the state a single sequential pass would hold.
 //! (`CountMinSketch::update_conservative` is the exception — conservative
 //! update is order-dependent by design, so merged conservative sketches
 //! keep the ≥-truth guarantee but not bit-equality; see the sketch docs.)
 //!
-//! Percentile markers are genuinely **not** mergeable: a marker's
-//! position encodes the path it walked (one step per packet), and two
-//! shards' markers cannot be combined into the marker a sequential run
-//! would have produced. The documented fallback is implemented by
-//! [`PercentileSet`](crate::percentile::PercentileSet)'s `Mergeable`
-//! impl: the per-cell counters merge exactly, and each marker is then
-//! *rebuilt* from the merged counters — placed at the canonical exact
-//! quantile (the fixpoint a loop-capable rebalance reaches from the
-//! lowest populated cell). The rebuilt marker differs from a sequential
-//! marker by at most the sequential marker's own lag (paper Table 3),
-//! and — crucially for conformance testing — it is a deterministic
-//! function of the merged counters alone, so any shard count yields the
-//! same merged marker. The `moves` counter is canonicalised too (it
-//! becomes the rebuild's step count): per-shard walk histories are
-//! partition-dependent, so summing them would make the merged state
-//! depend on *how* the traffic was split — exactly what the conformance
-//! suite forbids. The marker-work anomaly signal remains available on
-//! the live per-shard trackers, which never merge in place.
+//! Counts are merged and the quantile is read exactly; the marker walk
+//! is the paper's per-packet tracker. A walked marker
+//! ([`PercentileSet`](crate::percentile::PercentileSet)) encodes the path
+//! it took, one step per packet, and two shards' markers cannot be
+//! combined into the one a sequential run would hold, so it has no merge
+//! rule. A distribution that is merged is kept as
+//! [`QuantileCounts`](crate::percentile::QuantileCounts), whose quantile
+//! is a function of the merged counts alone, the same for any shard
+//! count.
 //!
 //! Full-state merges are O(state size) however sparse the interval's
 //! traffic was. The [`crate::delta`] module layers sparse merging on
@@ -53,9 +44,8 @@ use crate::error::Stat4Result;
 /// In-place merge of another shard's state into `self`.
 ///
 /// Implementations must be **commutative and associative** on the state
-/// observable through the type's public API (up to the documented
-/// percentile-marker rebuild), so that folding any number of shards in
-/// any order produces one well-defined global state.
+/// observable through the type's public API, so that folding any number
+/// of shards in any order produces one well-defined global state.
 pub trait Mergeable {
     /// Absorbs `other` into `self`.
     ///
@@ -72,7 +62,7 @@ mod tests {
     use super::*;
     use crate::error::Stat4Error;
     use crate::freq::FrequencyDist;
-    use crate::percentile::{PercentileSet, Quantile};
+    use crate::percentile::{Quantile, QuantileCounts};
     use crate::running::RunningStats;
     use crate::sketch::CountMinSketch;
     use proptest::prelude::*;
@@ -122,8 +112,8 @@ mod tests {
 
     #[test]
     fn percentile_merge_of_other_quantiles_rejected() {
-        let mut a = PercentileSet::new(0, 100, &[Quantile::median()]).unwrap();
-        let b = PercentileSet::new(0, 100, &[Quantile::percentile(90).unwrap()]).unwrap();
+        let mut a = QuantileCounts::new(0, 100, &[Quantile::median()]).unwrap();
+        let b = QuantileCounts::new(0, 100, &[Quantile::percentile(90).unwrap()]).unwrap();
         assert!(matches!(
             a.merge_from(&b),
             Err(Stat4Error::MergeMismatch { .. })
@@ -189,17 +179,17 @@ mod tests {
             prop_assert_eq!(&merged, &seq);
         }
 
-        /// Merged percentile counts are exact and the rebuilt marker is
-        /// shard-count-invariant: merging 2 parts and merging 4 parts of
-        /// the same stream land the marker on the same cell.
+        /// Merged quantile counts equal the sequential counts, so every
+        /// quantile read off them is the sequential one, at 2 and 4
+        /// shards alike.
         #[test]
-        fn percentile_merge_counts_exact_marker_canonical(
+        fn percentile_merge_counts_exact_quantiles_invariant(
             values in proptest::collection::vec(0i64..=63, 1..300),
         ) {
             let quantiles = [Quantile::median(), Quantile::percentile(90).unwrap()];
             let build = |ways: usize| {
-                let mut parts: Vec<PercentileSet> = (0..ways)
-                    .map(|_| PercentileSet::new(0, 63, &quantiles).unwrap())
+                let mut parts: Vec<QuantileCounts> = (0..ways)
+                    .map(|_| QuantileCounts::new(0, 63, &quantiles).unwrap())
                     .collect();
                 for (i, v) in values.iter().enumerate() {
                     parts[i % ways].observe(*v).unwrap();
@@ -210,25 +200,15 @@ mod tests {
                 }
                 merged
             };
-            let two = build(2);
-            let four = build(4);
-            let mut seq = PercentileSet::new(0, 63, &quantiles).unwrap();
+            let mut seq = QuantileCounts::new(0, 63, &quantiles).unwrap();
             for v in &values {
                 seq.observe(*v).unwrap();
             }
-            // Counters merge exactly.
-            prop_assert_eq!(two.total(), seq.total());
-            for v in 0..=63 {
-                prop_assert_eq!(two.frequency(v), seq.frequency(v));
-                prop_assert_eq!(four.frequency(v), seq.frequency(v));
-            }
-            // The rebuilt marker is a function of the merged counts
-            // alone — identical across shard counts.
+            prop_assert_eq!(&build(2), &seq);
+            prop_assert_eq!(&build(4), &seq);
             for i in 0..quantiles.len() {
-                prop_assert_eq!(two.estimate(i), four.estimate(i));
+                prop_assert_eq!(build(4).estimate(i), seq.estimate(i));
             }
-            prop_assert!(two.masses_consistent());
-            prop_assert!(four.masses_consistent());
         }
     }
 }

@@ -22,9 +22,18 @@
 //! regenerates that table; [`PercentileSet::rebalance_full`] exists for
 //! the lag ablation (what an unconstrained, loop-capable tracker would
 //! do).
+//!
+//! Counts are merged and the quantile is read exactly; the marker walk
+//! is the paper's per-packet tracker. A walked marker encodes the path
+//! it took and cannot be merged, so [`PercentileSet`] is not mergeable.
+//! Where shards' distributions are folded (the replay),
+//! [`QuantileCounts`] keeps only the counts, which merge by addition, and
+//! reads each quantile off them at nearest rank when it is asked for:
+//! controller-side work, outside P4's rules.
 
 use crate::delta::{DeltaMergeable, DirtyJournal, PercentileDelta};
 use crate::error::{Stat4Error, Stat4Result};
+use crate::merge::Mergeable;
 
 /// A quantile expressed as the integer balance ratio `low : high` the
 /// marker must maintain — the form in which P4 can test it without
@@ -113,6 +122,15 @@ fn gcd(mut a: u32, mut b: u32) -> u32 {
     a.max(1)
 }
 
+/// Cells of the inclusive domain `[min, max]`.
+fn domain_cells(min: i64, max: i64) -> Stat4Result<usize> {
+    let size = i128::from(max) - i128::from(min) + 1;
+    if min > max || size > (1i128 << 32) {
+        return Err(Stat4Error::InvalidDomain { min, max });
+    }
+    Ok(size as usize)
+}
+
 /// One percentile marker: estimate position plus the two combined-mass
 /// registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,41 +201,16 @@ impl Marker {
             false
         }
     }
-
-    /// Rebuilds this marker from scratch over `counts`: seed at the
-    /// lowest populated cell, then rebalance to the fixpoint. The
-    /// landing cell is the *canonical* exact quantile — a deterministic
-    /// function of the counters alone, unlike the path-dependent cell a
-    /// one-step-per-packet marker occupies. `moves` is likewise reset to
-    /// the rebuild's own step count, so the *whole* marker is a pure
-    /// function of the counters — per-shard walk histories are
-    /// partition-dependent and must not survive a merge (the conformance
-    /// suite asserts merged state is shard-count invariant).
-    fn rebuild(&mut self, counts: &[u64], total: u64) {
-        self.moves = 0;
-        if total == 0 {
-            self.pos = None;
-            self.low = 0;
-            self.high = 0;
-            return;
-        }
-        let start = counts
-            .iter()
-            .position(|&c| c > 0)
-            .expect("total > 0 implies a populated cell");
-        self.pos = Some(start);
-        self.low = 0;
-        self.high = total - counts[start];
-        while self.rebalance_step(counts) {}
-    }
 }
 
 /// The raw register state of one percentile marker, as exported by
 /// [`PercentileSet::export_markers`] and reloaded through
 /// [`PercentileSet::from_raw`]. Marker positions are path-dependent
 /// (one step per packet), so a crash-recovery checkpoint must carry
-/// them verbatim — rebuilding from the counters would land on the
-/// canonical quantile instead of the cell the live walk occupies.
+/// them verbatim — the exact quantile of the counters is another cell
+/// than the one the live walk occupies. Only the `median_shift`
+/// engine's tracker still carries a marker through a checkpoint: the
+/// replay's shards count, and their checkpoints hold counts alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkerRaw {
     /// Weight of the mass below the marker (see [`Quantile`]).
@@ -237,34 +230,15 @@ pub struct MarkerRaw {
 
 /// A frequency-counter array with any number of percentile markers
 /// tracked over it — the register layout a Stat4 switch allocates per
-/// monitored distribution.
-#[derive(Debug, Clone)]
+/// monitored distribution. It is not mergeable: see the module doc.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PercentileSet {
     min: i64,
     max: i64,
     counts: Vec<u64>,
     total: u64,
     markers: Vec<Marker>,
-    /// Cells touched since the last `take_delta`; not part of the
-    /// tracker's identity (excluded from eq).
-    journal: DirtyJournal,
-    /// `total` at the last `take_delta` — the delta's total baseline.
-    taken_total: u64,
 }
-
-/// Equality is over counters, total and markers only — the dirty
-/// journal is bookkeeping, not identity.
-impl PartialEq for PercentileSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.min == other.min
-            && self.max == other.max
-            && self.counts == other.counts
-            && self.total == other.total
-            && self.markers == other.markers
-    }
-}
-
-impl Eq for PercentileSet {}
 
 impl PercentileSet {
     /// Creates an empty tracker over the inclusive domain `[min, max]`
@@ -274,28 +248,19 @@ impl PercentileSet {
     ///
     /// [`Stat4Error::InvalidDomain`] for an empty or oversized domain.
     pub fn new(min: i64, max: i64, quantiles: &[Quantile]) -> Stat4Result<Self> {
-        if min > max {
-            return Err(Stat4Error::InvalidDomain { min, max });
-        }
-        let size = (max as i128) - (min as i128) + 1;
-        if size > (1i128 << 32) {
-            return Err(Stat4Error::InvalidDomain { min, max });
-        }
         Ok(Self {
             min,
             max,
-            counts: vec![0; size as usize],
+            counts: vec![0; domain_cells(min, max)?],
             total: 0,
             markers: quantiles.iter().copied().map(Marker::new).collect(),
-            journal: DirtyJournal::new(),
-            taken_total: 0,
         })
     }
 
     /// Rebuilds a tracker from previously exported raw state
     /// ([`counts`], [`total`], [`export_markers`]), as a crash-recovery
-    /// checkpoint does. Unlike a merge, markers are restored verbatim,
-    /// preserving the path-dependent walk position.
+    /// checkpoint does. Markers are restored verbatim, preserving the
+    /// path-dependent walk position.
     ///
     /// [`counts`]: PercentileSet::counts
     /// [`total`]: PercentileSet::total
@@ -313,11 +278,7 @@ impl PercentileSet {
         total: u64,
         markers: &[MarkerRaw],
     ) -> Stat4Result<Self> {
-        if min > max {
-            return Err(Stat4Error::InvalidDomain { min, max });
-        }
-        let size = (max as i128) - (min as i128) + 1;
-        if size > (1i128 << 32) || counts.len() != size as usize {
+        if counts.len() != domain_cells(min, max)? {
             return Err(Stat4Error::InvalidDomain { min, max });
         }
         let markers = markers
@@ -341,9 +302,6 @@ impl PercentileSet {
             counts,
             total,
             markers,
-            journal: DirtyJournal::new(),
-            // Restored state ships nothing until the next rebuild.
-            taken_total: total,
         })
     }
 
@@ -388,7 +346,6 @@ impl PercentileSet {
         for m in &mut self.markers {
             m.record(idx);
         }
-        self.journal.mark(idx, self.counts[idx]);
         self.counts[idx] += 1;
         self.total += 1;
         for m in &mut self.markers {
@@ -465,8 +422,7 @@ impl PercentileSet {
         })
     }
 
-    /// Clears all counters and markers (and re-bases the dirty journal:
-    /// a reset tracker has nothing to ship).
+    /// Clears all counters and markers.
     pub fn reset(&mut self) {
         self.counts.fill(0);
         self.total = 0;
@@ -474,36 +430,153 @@ impl PercentileSet {
             let q = m.q;
             *m = Marker::new(q);
         }
-        self.journal.clear();
-        self.taken_total = 0;
     }
 }
 
-impl DeltaMergeable for PercentileSet {
+/// A frequency-counter array and the quantiles read off it exactly.
+/// [`Self::observe`] bumps one cell and takes no marker step, counts
+/// merge by addition, and [`Self::estimate`] scans them where the
+/// quantile is read: the data plane bins and the controller reads the
+/// percentile off the bins, as P4TG's histogram monitoring does.
+#[derive(Debug, Clone)]
+pub struct QuantileCounts {
+    min: i64,
+    max: i64,
+    counts: Vec<u64>,
+    total: u64,
+    quantiles: Vec<Quantile>,
+    /// Cells touched since the last `take_delta`; not part of the
+    /// tracker's identity (excluded from eq).
+    journal: DirtyJournal,
+    /// `total` at the last `take_delta` — the delta's total baseline.
+    taken_total: u64,
+}
+
+/// Equality is over the domain, counters and quantiles — the dirty
+/// journal is bookkeeping, not identity.
+impl PartialEq for QuantileCounts {
+    fn eq(&self, other: &Self) -> bool {
+        (self.min, self.max, self.total) == (other.min, other.max, other.total)
+            && self.counts == other.counts
+            && self.quantiles == other.quantiles
+    }
+}
+
+impl Eq for QuantileCounts {}
+
+impl QuantileCounts {
+    /// Empty counts over the inclusive domain `[min, max]`, answering
+    /// `quantiles`.
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::InvalidDomain`] for an empty or oversized domain.
+    pub fn new(min: i64, max: i64, quantiles: &[Quantile]) -> Stat4Result<Self> {
+        Self::from_counts(min, max, quantiles, vec![0; domain_cells(min, max)?])
+    }
+
+    /// Counts exported through [`Self::counts`], as a checkpoint holds
+    /// them. The total is their sum, so it cannot disagree with them.
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::InvalidDomain`] for a bad domain or a counts array
+    /// of the wrong length; [`Stat4Error::InvalidState`] when the counts
+    /// sum past `u64::MAX`.
+    pub fn from_counts(min: i64, max: i64, quantiles: &[Quantile], counts: Vec<u64>) -> Stat4Result<Self> {
+        if counts.len() != domain_cells(min, max)? {
+            return Err(Stat4Error::InvalidDomain { min, max });
+        }
+        let what = "counts sum past u64::MAX";
+        let total = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        let total = total.ok_or(Stat4Error::InvalidState { what })?;
+        Ok(Self {
+            min,
+            max,
+            counts,
+            total,
+            quantiles: quantiles.to_vec(),
+            journal: DirtyJournal::new(),
+            // Restored counts ship nothing until the next take.
+            taken_total: total,
+        })
+    }
+
+    /// Records one occurrence of `value`: one cell, no marker step.
+    ///
+    /// # Errors
+    ///
+    /// [`Stat4Error::ValueOutOfDomain`] if outside the domain.
+    #[inline]
+    pub fn observe(&mut self, value: i64) -> Stat4Result<()> {
+        if value < self.min || value > self.max {
+            return Err(Stat4Error::ValueOutOfDomain { value, min: self.min, max: self.max });
+        }
+        let idx = (value - self.min) as usize;
+        self.journal.mark(idx, self.counts[idx]);
+        self.counts[idx] += 1;
+        self.total += 1;
+        Ok(())
+    }
+
+    /// The `i`-th configured quantile at nearest rank: the smallest
+    /// value whose cumulative count `cum` meets `(a+b)·cum ≥ a·total`
+    /// for the quantile's weights `a : b` — the cell a loop-capable
+    /// marker walk from the lowest populated cell would settle on.
+    /// `None` before the first observation or for no such quantile.
+    #[must_use]
+    pub fn estimate(&self, i: usize) -> Option<i64> {
+        let q = self.quantiles.get(i)?;
+        if self.total == 0 {
+            return None;
+        }
+        let (a, b) = (u128::from(q.low_weight), u128::from(q.high_weight));
+        // `cum ≥ ⌈a·total / (a+b)⌉`, which fits a `u64` as `a < a+b`.
+        let rank = (a * u128::from(self.total)).div_ceil(a + b) as u64;
+        let mut cum = 0u64;
+        let at = self.counts.iter().position(|&c| {
+            cum = cum.saturating_add(c);
+            cum >= rank
+        });
+        Some(self.min + at.unwrap_or(self.counts.len() - 1) as i64)
+    }
+
+    /// Raw per-cell counts — the checkpoint export counterpart of
+    /// [`Self::from_counts`].
+    #[must_use]
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Total observations recorded.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Inclusive domain bounds.
+    #[must_use]
+    pub fn domain(&self) -> (i64, i64) {
+        (self.min, self.max)
+    }
+}
+
+impl DeltaMergeable for QuantileCounts {
     type Delta = PercentileDelta;
 
     fn take_delta_into(&mut self, delta: &mut PercentileDelta) {
-        self.journal
-            .drain_cells_into(&self.counts, &mut delta.cells);
+        self.journal.drain_cells_into(&self.counts, &mut delta.cells);
         delta.total_base = self.taken_total;
         delta.total_cur = self.total;
         self.taken_total = self.total;
     }
 
-    /// Applies the count increments cellwise, then **rebuilds every
-    /// marker** from the merged counters — the same canonicalisation
-    /// [`crate::merge::Mergeable::merge_from`] performs. Because the
-    /// rebuilt marker is a pure function of `(counts, total)`, the
-    /// delta-applied tracker is bit-identical to a full merge no matter
-    /// how many delta windows it absorbed.
+    /// Adds the count increments cellwise. Nothing else is kept, so the
+    /// delta-applied counts equal a full merge's.
     fn apply_delta(&mut self, delta: &PercentileDelta) -> Stat4Result<()> {
         for &(idx, base, cur) in &delta.cells {
-            let c = self
-                .counts
-                .get_mut(idx as usize)
-                .ok_or(Stat4Error::MergeMismatch {
-                    what: "percentile domains",
-                })?;
+            let what = "percentile domains";
+            let c = self.counts.get_mut(idx as usize).ok_or(Stat4Error::MergeMismatch { what })?;
             *c = if cur >= base {
                 c.saturating_add(cur - base)
             } else {
@@ -516,52 +589,25 @@ impl DeltaMergeable for PercentileSet {
         } else {
             self.total.saturating_sub(tb - tc)
         };
-        for m in &mut self.markers {
-            m.rebuild(&self.counts, self.total);
-        }
         Ok(())
     }
 }
 
-impl crate::merge::Mergeable for PercentileSet {
-    /// The documented non-mergeability fallback for percentile markers
-    /// (see [`crate::merge`]): the per-cell counters merge exactly
-    /// (cellwise addition — they are plain frequency registers), but a
-    /// marker's position encodes the path it walked, one step per
-    /// packet, and two such paths cannot be combined into the position
-    /// a sequential marker would hold. Each marker is therefore
-    /// **rebuilt** from the merged counters at the canonical exact
-    /// quantile. The rebuilt estimate differs from a sequential
-    /// tracker's by at most the sequential marker's own lag (paper
-    /// Table 3 bounds it), and is identical for every shard count by
-    /// construction. `moves` counters are likewise canonicalised — they
-    /// become the rebuild's own step count, because per-shard walk
-    /// histories are partition-dependent; a merged tracker is a pure
-    /// function of its merged counters, nothing else.
+impl Mergeable for QuantileCounts {
+    /// Cellwise addition: counts are plain frequency registers, so any
+    /// partition of a stream merges back to the sequential counts, and
+    /// every quantile read off them is shard-count invariant.
     fn merge_from(&mut self, other: &Self) -> Stat4Result<()> {
-        if self.min != other.min || self.max != other.max {
-            return Err(Stat4Error::MergeMismatch {
-                what: "percentile domains",
-            });
+        if (self.min, self.max) != (other.min, other.max) {
+            return Err(Stat4Error::MergeMismatch { what: "percentile domains" });
         }
-        if self.markers.len() != other.markers.len()
-            || self
-                .markers
-                .iter()
-                .zip(&other.markers)
-                .any(|(a, b)| a.q != b.q)
-        {
-            return Err(Stat4Error::MergeMismatch {
-                what: "quantile sets",
-            });
+        if self.quantiles != other.quantiles {
+            return Err(Stat4Error::MergeMismatch { what: "quantile sets" });
         }
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c = c.saturating_add(*o);
         }
         self.total = self.total.saturating_add(other.total);
-        for m in &mut self.markers {
-            m.rebuild(&self.counts, self.total);
-        }
         Ok(())
     }
 }
@@ -657,14 +703,6 @@ impl PercentileTracker {
             return Ok(());
         };
         Err(Stat4Error::InvalidState { what })
-    }
-}
-
-impl crate::merge::Mergeable for PercentileTracker {
-    /// Delegates to [`PercentileSet`]'s counts-merge + marker-rebuild
-    /// fallback.
-    fn merge_from(&mut self, other: &Self) -> Stat4Result<()> {
-        self.set.merge_from(&other.set)
     }
 }
 
@@ -808,8 +846,7 @@ mod tests {
         let qs = [Quantile::median(), Quantile::percentile(90).unwrap()];
         let mut s = PercentileSet::new(0, 50, &qs).unwrap();
         // An asymmetric stream leaves the markers mid-walk, away from
-        // the canonical rebuilt position — exactly what a checkpoint
-        // must preserve.
+        // the exact quantile — exactly what a checkpoint must preserve.
         s.observe(0).unwrap();
         for _ in 0..40 {
             s.observe(50).unwrap();
@@ -898,6 +935,39 @@ mod tests {
         assert!(s.masses_consistent());
     }
 
+    /// Nearest rank in integers: the smallest value `v` with
+    /// `100·#{x ≤ v} ≥ p·n`, `None` for no values.
+    fn nearest_rank(values: &[i64], p: u32) -> Option<i64> {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        let rank = (u64::from(p) * sorted.len() as u64).div_ceil(100).max(1);
+        sorted.get(rank as usize - 1).copied()
+    }
+
+    #[test]
+    fn counts_answer_nothing_empty_and_one_cell_populated() {
+        let qs: Vec<Quantile> = (1..=99).map(|p| Quantile::percentile(p).unwrap()).collect();
+        let mut c = QuantileCounts::new(-5, 60, &qs).unwrap();
+        assert!((0..=qs.len()).all(|i| c.estimate(i).is_none()), "nothing observed");
+        for _ in 0..7 {
+            c.observe(42).unwrap();
+        }
+        assert!((0..qs.len()).all(|i| c.estimate(i) == Some(42)));
+        assert_eq!(c.estimate(qs.len()), None, "no such quantile");
+        assert!(c.observe(61).is_err() && c.observe(-6).is_err());
+        assert_eq!(c.total(), 7);
+    }
+
+    #[test]
+    fn counts_summing_past_u64_max_are_refused() {
+        let q = [Quantile::median()];
+        let over = QuantileCounts::from_counts(0, 2, &q, vec![u64::MAX, 0, 1]);
+        assert!(matches!(over, Err(Stat4Error::InvalidState { .. })), "{over:?}");
+        assert!(QuantileCounts::from_counts(0, 2, &q, vec![0; 4]).is_err());
+        let full = QuantileCounts::from_counts(0, 2, &q, vec![u64::MAX - 1, 0, 1]).unwrap();
+        assert_eq!((full.total(), full.estimate(0)), (u64::MAX, Some(0)));
+    }
+
     #[test]
     fn moves_counts_marker_movement() {
         let mut t = PercentileTracker::median(0, 100).unwrap();
@@ -909,6 +979,24 @@ mod tests {
     }
 
     proptest! {
+        /// The counts answer every percentile at its nearest rank,
+        /// computed in integers, and the median at `oracle::median`'s
+        /// (its float rank `0.5·n` is exact).
+        #[test]
+        fn counts_estimate_is_nearest_rank(
+            values in proptest::collection::vec(-20i64..=40, 0..300),
+        ) {
+            let qs: Vec<Quantile> = (1..=99).map(|p| Quantile::percentile(p).unwrap()).collect();
+            let mut c = QuantileCounts::new(-20, 40, &qs).unwrap();
+            for v in &values {
+                c.observe(*v).unwrap();
+            }
+            for p in 1..=99 {
+                prop_assert_eq!(c.estimate(p as usize - 1), nearest_rank(&values, p), "p{}", p);
+            }
+            prop_assert_eq!(c.estimate(49), oracle::median(&values));
+        }
+
         /// Register invariant after any observation sequence.
         #[test]
         fn masses_always_consistent(values in proptest::collection::vec(0i64..=50, 0..400)) {

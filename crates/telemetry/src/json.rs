@@ -535,7 +535,7 @@ pub trait FromJson: Sized {
     ///
     /// # Errors
     ///
-    /// `at` and what is wrong there: `$.payload.shards[1].pc_markers[0].pos:
+    /// `at` and what is wrong there: `$.payload.shards[1].pc_counts[5]:
     /// not a non-negative integer`.
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String>;
 
@@ -677,10 +677,6 @@ macro_rules! json_struct {
         $crate::json_struct!(@read $ty { $first $(, $field)* });
     };
 }
-
-// `stat4-core` sits below this crate and cannot name the trait, so
-// the one tracker type that is checkpointed whole has its pair here.
-json_struct!(stat4_core::percentile::MarkerRaw { low_weight, high_weight, pos, low, high, moves });
 
 // The integer impls are `#[inline]`: they are not generic, so without
 // the hint each of a checkpoint's ~40 000 cells would cost a call
