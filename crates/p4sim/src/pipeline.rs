@@ -578,6 +578,7 @@ mod tests {
     use crate::action::Primitive;
     use crate::control::{CmpOp, Cond};
     use crate::program::ProgramBuilder;
+    use crate::runtime::RuntimeRequest;
     use crate::table::{Entry, MatchKind, MatchValue, TableDef};
 
     const M1_TEST: FieldId = fields::scratch(1);
@@ -690,6 +691,40 @@ mod tests {
         let before = wrong.registers().to_vec();
         assert!(wrong.restore_state(&state).is_err());
         assert_eq!(wrong.registers(), &before[..], "rejected restore is a no-op");
+    }
+
+    /// A restored register's journal covers its whole file: writing its
+    /// first and last cell ships what a fresh pipeline's does after a
+    /// full merge of the same state.
+    #[test]
+    fn restored_journal_covers_the_whole_register() {
+        let build = || {
+            let mut b = ProgramBuilder::new();
+            b.add_register("wide", 64, 71);
+            let noop = b.add_action(ActionDef::new("noop", vec![]));
+            b.set_control(Control::ApplyAction(noop));
+            b.build(TargetModel::bmv2()).unwrap()
+        };
+        let write = |p: &mut Pipeline, index: u64, value: u64| {
+            let req = RuntimeRequest::WriteRegister { register: 0, index, value };
+            assert_eq!(p.runtime(&req), crate::runtime::RuntimeResponse::Ok);
+        };
+        let mut live = build();
+        for i in 0..71 {
+            write(&mut live, i, i * 3 + 1);
+        }
+        let mut restored = build();
+        restored.restore_state(&live.export_state()).unwrap();
+        let mut merged = build();
+        crate::replay::merge_registers(&mut merged, &restored).unwrap();
+        merged.discard_register_delta();
+        for p in [&mut restored, &mut merged] {
+            write(p, 0, 9);
+            write(p, 70, 11);
+        }
+        let d = restored.take_register_delta();
+        assert_eq!(d.regs[0].cells, vec![(0, 1, 9), (70, 211, 11)]);
+        assert_eq!(d, merged.take_register_delta());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl ProgramBuilder {
             width_bits: width_bits.min(64),
             cells: vec![0; size],
             merge: RegMerge::Sum,
-            journal: stat4_core::delta::DirtyJournal::new(),
+            journal: stat4_core::delta::DirtyJournal::over(size),
         });
         self.registers.len() - 1
     }

@@ -187,21 +187,18 @@ impl ShardStateRaw {
         }
     }
 
-    /// Rebuilds the live state, validating every tracker's geometry.
+    /// Rebuilds the live state, validating every tracker's geometry and
+    /// that the trackers agree on what the shard saw.
     ///
     /// # Errors
     ///
     /// A description of the first tracker whose raw state is
-    /// inconsistent (wrong cell-array length, out-of-range register,
-    /// length counts that sum past `u64::MAX`).
+    /// inconsistent (wrong cell-array length, out-of-range register or
+    /// geometry, length counts that sum past `u64::MAX`, a sketch row
+    /// that does not sum to its total), or of the first disagreement
+    /// between trackers on the frames the shard saw.
     pub fn restore(&self) -> Result<ShardState, String> {
-        if !(1..=64).contains(&self.sk_rows) || self.sk_width_log2 >= 28 {
-            return Err(String::from("sketch geometry out of range"));
-        }
-        if self.sk_cells.len() != self.sk_rows << self.sk_width_log2 {
-            return Err(String::from("sketch cell array length mismatch"));
-        }
-        Ok(ShardState {
+        let state = ShardState {
             kinds: FrequencyDist::from_raw_counts(self.kinds_min, self.kinds_counts.clone())
                 .map_err(|e| format!("kind distribution: {e}"))?,
             len_stats: RunningStats::from_raw(self.len_n, self.len_xsum, self.len_xsumsq),
@@ -210,7 +207,8 @@ impl ShardStateRaw {
                 self.sk_width_log2,
                 self.sk_cells.clone(),
                 self.sk_total,
-            ),
+            )
+            .map_err(|e| format!("destination sketch: {e}"))?,
             len_median: QuantileCounts::from_counts(
                 self.pc_min,
                 self.pc_max,
@@ -227,7 +225,49 @@ impl ShardStateRaw {
             // Restored trackers re-base their delta journals at the
             // restored values, so the delta baseline matches.
             taken_packets: self.packets,
-        })
+        };
+        Self::check_agreement(&state)?;
+        Ok(state)
+    }
+
+    /// A shard feeds every frame to every tracker, so its trackers agree
+    /// on what it saw: the kind total, the length moments' `n`, the
+    /// length-count total, the sketch total and `packets` are one count,
+    /// and the length moments are those of the length counts.
+    fn check_agreement(s: &ShardState) -> Result<(), String> {
+        let seen = [
+            ("kinds", s.kinds.xsum()),
+            ("length moments", s.len_stats.n()),
+            ("length counts", s.len_median.total()),
+            ("destination sketch", s.dst_sketch.total()),
+        ];
+        if let Some((name, n)) = seen.iter().find(|&&(_, n)| n != s.packets) {
+            return Err(format!(
+                "trackers disagree on the frames seen: {name} counted {n}, packets is {}",
+                s.packets
+            ));
+        }
+        // `RunningStats::push` saturates at the `i64` bounds; on a
+        // non-negative domain, the only one a shard holds, that is the
+        // exact moment clamped. Neither `i128` sum can overflow on
+        // counts that sum to a `u64`, bar a tampered domain minimum.
+        let (min, _) = s.len_median.domain();
+        let moments = s.len_median.counts().iter().zip(0i128..).try_fold(
+            (0i128, 0i128),
+            |(sum, sumsq), (&c, i)| {
+                let (c, v) = (i128::from(c), i128::from(min) + i);
+                let sum = sum.checked_add(c.checked_mul(v)?)?;
+                Some((sum, sumsq.checked_add(c.checked_mul(v.checked_mul(v)?)?)?))
+            },
+        );
+        let clamp = |m: i128| m.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+        let (xsum, xsumsq) = (s.len_stats.xsum(), s.len_stats.xsumsq());
+        match moments {
+            Some((sum, sumsq)) if (clamp(sum), clamp(sumsq)) == (xsum, xsumsq) => Ok(()),
+            _ => Err(format!(
+                "length moments (xsum {xsum}, xsumsq {xsumsq}) are not those of the length counts"
+            )),
+        }
     }
 }
 

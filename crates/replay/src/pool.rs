@@ -33,7 +33,7 @@
 //!   reading the frame. Interval *k+1* is routed while the workers
 //!   ingest a dispatched interval *k*; the hash is then the
 //!   coordinator's serial share of a frame (≈14 ns against the
-//!   workers' ≈50 ns ÷ shards, DESIGN.md §5g).
+//!   workers' ≈45 ns ÷ shards, DESIGN.md §5g).
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
@@ -84,10 +84,12 @@ use workloads::Schedule;
 /// coordinator and workers on one CPU, and 11–46 µs per round-trip when
 /// they sit on two vCPUs and the wake-up crosses the hypervisor
 /// (benchmark/README.md § "One CPU": 70 and 140 ms per rep against 48).
-/// A frame costs ≈50 ns to parse and ingest (13.5 + 36.3, traced
-/// `sparse_2shard` on a 2-vCPU guest; ingest ≈6 ns less since a shard
-/// counts frame lengths and walks no marker), so the serial cost of an inline
-/// epoch is at most 256 × 50 ns ≈ 13 µs whatever the shard count: less
+/// A frame costs ≈45 ns to parse and ingest (parse ≈14 + ingest ≈25–33,
+/// traced `dense_1shard` on a 2-vCPU guest in its fast phase; ingest fell
+/// ≈6 ns when a shard stopped walking a length marker and ≈9 more when
+/// its five tracker updates compiled into one call-free kernel), so the
+/// serial cost of an inline epoch is at most 256 × 45 ns ≈ 12 µs
+/// whatever the shard count: less
 /// than two hand-offs on the cheapest machine measured, and an epoch
 /// hands off once per shard. The bound is on the epoch and not on a
 /// shard's slice for that reason, and because the epoch's length is

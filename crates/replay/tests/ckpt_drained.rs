@@ -121,6 +121,45 @@ fn length_counts_that_sum_past_u64_max_are_refused_at_restore() {
     each_falls_back("overflow", &cases, false);
 }
 
+/// A shard feeds every frame to every tracker. A sketch row that does
+/// not sum to the sketch's total, a geometry no sketch has, a kind
+/// domain that ends past `i64::MAX`, or trackers that disagree on what
+/// the shard saw are no shard's state, and each is refused where it is
+/// read: none panics the resume, and none is taken.
+#[test]
+fn a_shard_whose_trackers_disagree_is_refused_at_restore() {
+    let row_sums = "destination sketch: inconsistent raw state: a row does not sum to the total";
+    let cases: [Case; 7] = [
+        (
+            "nine sketch rows",
+            |r| {
+                r.sk_rows = 9;
+                r.sk_cells.resize(9 << r.sk_width_log2, 0);
+            },
+            "destination sketch: inconsistent raw state: rows out of range",
+        ),
+        ("a sketch total of u64::MAX", |r| r.sk_total = u64::MAX, row_sums),
+        ("a sketch total 1000 high", |r| r.sk_total += 1000, row_sums),
+        ("a sketch total of 0", |r| r.sk_total = 0, row_sums),
+        (
+            "a kind domain ending past i64::MAX",
+            |r| r.kinds_min = i64::MAX,
+            "kind distribution: invalid domain",
+        ),
+        (
+            "no length moments",
+            |r| r.len_n = 0,
+            "trackers disagree on the frames seen: length moments counted 0, packets is",
+        ),
+        (
+            "a length sum one high",
+            |r| r.len_xsum += 1,
+            "are not those of the length counts",
+        ),
+    ];
+    each_falls_back("disagree", &cases, false);
+}
+
 /// Seals each tampered copy of checkpoint #1 of a killed run in its
 /// place and resumes: the resume falls back to #0, names `reason` for
 /// shard 0, and finishes as the uninterrupted run. `restores` is

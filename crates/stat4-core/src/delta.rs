@@ -25,6 +25,10 @@
 //!    a fresh rebuild would have produced (absent register saturation —
 //!    the same caveat [`crate::merge`] documents for full merges).
 //!
+//! Each journal is sized with the register file it covers
+//! ([`DirtyJournal::over`]), so a tracker update marks a cell with one
+//! bit test on a word that already exists; no journal grows.
+//!
 //! Nothing in a steady delta step needs to allocate. A journal keeps
 //! its buffers when it is drained ([`DirtyJournal::drain`]), and
 //! [`DeltaMergeable::take_delta_into`] refills a delta the caller keeps
@@ -49,7 +53,8 @@
 //! `PartialEq` and from the codec on every tracker, so journaled and
 //! journal-free instances of equal register state compare equal and
 //! checkpoint formats are unchanged (a restored tracker starts with an
-//! empty journal, i.e. "nothing to ship until the next rebuild").
+//! empty journal over its whole register file, i.e. "nothing to ship
+//! until the next rebuild").
 
 use crate::error::Stat4Result;
 use crate::merge::Mergeable;
@@ -58,36 +63,45 @@ use crate::merge::Mergeable;
 /// one `(index, base value)` record per cell per window, so repeated
 /// hits on the same hot cell cost one bit test after the first.
 ///
-/// The bitmap grows lazily to the highest index marked (a
-/// deserialized/`Default` journal starts empty), and `drain`/`clear`
-/// scrub only the touched bits — O(touched), never O(domain). Both
-/// buffers keep their capacity across windows, so a journal that has
-/// seen its working set once allocates nothing more.
-#[derive(Debug, Clone, Default)]
+/// The bitmap is sized with the register file it covers
+/// ([`DirtyJournal::over`]): every register file has a fixed size, so
+/// marking never grows it. `drain`/`clear` scrub only the touched
+/// bits — O(touched), never O(domain). The record buffer keeps its
+/// capacity across windows, so a journal that has seen its working set
+/// once allocates nothing more.
+#[derive(Debug, Clone)]
 pub struct DirtyJournal {
     bits: Vec<u64>,
     touched: Vec<(u32, u64)>,
 }
 
 impl DirtyJournal {
-    /// Fresh, empty journal.
+    /// An empty journal over a register file of `cells` cells.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn over(cells: usize) -> Self {
+        Self {
+            bits: vec![0; cells.div_ceil(64)],
+            touched: Vec::new(),
+        }
     }
 
     /// Records the first touch of `idx` this window with its pre-write
     /// value `base`; later touches of the same cell are no-ops (the
     /// base stays the value the cell had when the window opened).
-    #[inline]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is past the register file the journal was sized
+    /// with.
+    // Always inlined: each per-packet tracker update marks, and
+    // `replay::ShardState::ingest_meta` is call-free only if this is
+    // inlined into every one of them.
+    #[inline(always)]
     pub fn mark(&mut self, idx: usize, base: u64) {
-        let word = idx / 64;
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
+        let word = &mut self.bits[idx / 64];
         let bit = 1u64 << (idx % 64);
-        if self.bits[word] & bit == 0 {
-            self.bits[word] |= bit;
+        if *word & bit == 0 {
+            *word |= bit;
             self.touched.push((idx as u32, base));
         }
     }
@@ -312,15 +326,15 @@ mod tests {
     use crate::hll::HyperLogLog;
     use crate::percentile::{Quantile, QuantileCounts};
     use crate::running::RunningStats;
-    use crate::sketch::CountMinSketch;
+    use crate::sketch::{row_hash, CountMinSketch, ROW_SALTS};
     use proptest::prelude::*;
 
     #[test]
     fn journal_records_first_touch_base_only() {
-        let mut j = DirtyJournal::new();
+        let mut j = DirtyJournal::over(71);
         j.mark(3, 10);
         j.mark(3, 999); // later touch: base must stay 10
-        j.mark(70, 0); // forces bitmap growth past one word
+        j.mark(70, 0); // the last cell, in the bitmap's second word
         assert_eq!(j.len(), 2);
         let taken: Vec<_> = j.drain().collect();
         assert_eq!(taken, vec![(3, 10), (70, 0)]);
@@ -492,6 +506,82 @@ mod tests {
                 prop_assert_eq!(&acc, &full);
             }
         }
+    }
+
+    /// Full-merges `restored` into `fresh`, then `touch`es both: a
+    /// restored tracker's journal covers its whole file, so both ship
+    /// the same delta, and it is not empty.
+    fn assert_restored_journal_covers<T>(mut restored: T, mut fresh: T, touch: impl Fn(&mut T))
+    where
+        T: DeltaMergeable,
+        T::Delta: PartialEq + std::fmt::Debug,
+    {
+        fresh.merge_from(&restored).unwrap();
+        fresh.discard_delta();
+        touch(&mut restored);
+        touch(&mut fresh);
+        let d = restored.take_delta();
+        assert_ne!(d, T::Delta::default());
+        assert_eq!(d, fresh.take_delta());
+    }
+
+    /// Each restoring constructor sizes its journal with the register
+    /// file: touching the first and the last cell of a restored tracker
+    /// (the last in the bitmap's second word or later) ships exactly what
+    /// a fresh tracker's does after a full merge of the restored state.
+    #[test]
+    fn restored_journals_cover_the_whole_file() {
+        let counts: Vec<u64> = (0..70).map(|i| i % 4).collect();
+        let restored = FrequencyDist::from_raw_counts(-5, counts.clone()).unwrap();
+        let fresh = FrequencyDist::new(-5, 64).unwrap();
+        assert_restored_journal_covers(restored, fresh, |t| {
+            t.observe(-5).unwrap();
+            t.observe(64).unwrap();
+        });
+
+        let q = [Quantile::median()];
+        let restored = QuantileCounts::from_counts(-5, 64, &q, counts).unwrap();
+        let fresh = QuantileCounts::new(-5, 64, &q).unwrap();
+        assert_restored_journal_covers(restored, fresh, |t| {
+            t.observe(-5).unwrap();
+            t.observe(64).unwrap();
+        });
+
+        let (rows, w) = (3, 5);
+        let mut live = CountMinSketch::new(rows, w);
+        for k in 0..200u64 {
+            live.update(k * 7919, k % 3 + 1);
+        }
+        let restored = CountMinSketch::from_raw(rows, w, live.cells().to_vec(), live.total()).unwrap();
+        let hits = |row: usize, col: u64| {
+            (0u64..).find(|&k| row_hash(ROW_SALTS[row], w, k) == col).unwrap()
+        };
+        let (first, last) = (hits(0, 0), hits(rows - 1, (1 << w) - 1));
+        assert_restored_journal_covers(restored, CountMinSketch::new(rows, w), |t| {
+            t.update(first, 1);
+            t.update(last, 1);
+        });
+
+        // Registers 0 and the last are zero, so the keys that land on
+        // them raise them.
+        let p = 6;
+        let m = 1usize << p;
+        let lands = |reg: usize| {
+            (0u64..)
+                .find(|&k| {
+                    let mut h = HyperLogLog::new(p).unwrap();
+                    h.observe(k);
+                    h.registers()[reg] > 0
+                })
+                .unwrap()
+        };
+        let (first, last) = (lands(0), lands(m - 1));
+        let regs: Vec<u8> = (0..m).map(|i| if i == 0 || i == m - 1 { 0 } else { (i % 5) as u8 }).collect();
+        let restored = HyperLogLog::from_registers(p, regs).unwrap();
+        assert_restored_journal_covers(restored, HyperLogLog::new(p).unwrap(), |t| {
+            t.observe(first);
+            t.observe(last);
+        });
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl FrequencyDist {
             n_distinct: 0,
             total: 0,
             sumsq: 0,
-            journal: DirtyJournal::new(),
+            journal: DirtyJournal::over(size as usize),
         })
     }
 
@@ -87,14 +87,16 @@ impl FrequencyDist {
     ///
     /// # Errors
     ///
-    /// [`Stat4Error::InvalidDomain`] if `counts` is empty or wider than
-    /// 2³² cells.
+    /// [`Stat4Error::InvalidDomain`] if `counts` is empty, wider than
+    /// 2³² cells, or would end past `i64::MAX`.
     #[doc(hidden)]
     pub fn from_raw_counts(min: i64, counts: Vec<u64>) -> Stat4Result<Self> {
         if counts.is_empty() || counts.len() > (1usize << 32) {
             return Err(Stat4Error::InvalidDomain { min, max: min });
         }
-        let max = min + (counts.len() as i64 - 1);
+        let max = min
+            .checked_add(counts.len() as i64 - 1)
+            .ok_or(Stat4Error::InvalidDomain { min, max: i64::MAX })?;
         let mut n_distinct = 0u64;
         let mut total = 0u64;
         let mut sumsq = 0u128;
@@ -105,6 +107,7 @@ impl FrequencyDist {
             total = total.saturating_add(f);
             sumsq = sumsq.saturating_add(u128::from(f) * u128::from(f));
         }
+        let journal = DirtyJournal::over(counts.len());
         Ok(Self {
             min,
             max,
@@ -112,7 +115,7 @@ impl FrequencyDist {
             n_distinct,
             total,
             sumsq,
-            journal: DirtyJournal::new(),
+            journal,
         })
     }
 
@@ -150,6 +153,10 @@ impl FrequencyDist {
     /// [`Stat4Error::ValueOutOfDomain`] if `value` lies outside the
     /// configured domain. (A pipeline would simply not match such a
     /// packet; host code gets an explicit error.)
+    // Always inlined: `replay::ShardState::ingest_meta` calls this per
+    // frame, and with plain `#[inline]` LLVM's cost model took the call
+    // back out of line as soon as that crate had a second caller.
+    #[inline(always)]
     pub fn observe(&mut self, value: i64) -> Stat4Result<()> {
         let idx = self.index(value).ok_or(Stat4Error::ValueOutOfDomain {
             value,

@@ -155,13 +155,14 @@ impl HyperLogLog {
     }
 
     /// A sketch over a checked register file, with its sums computed
-    /// and an empty journal.
+    /// and an empty journal over the whole file.
     fn with_registers(precision: u32, registers: Vec<u8>) -> Self {
         let (harmonic_q32, zeros) = scan_sums(&registers);
+        let journal = DirtyJournal::over(registers.len());
         Self {
             precision,
             registers,
-            journal: DirtyJournal::new(),
+            journal,
             harmonic_q32,
             zeros,
             sums_stale: false,
@@ -204,6 +205,10 @@ impl HyperLogLog {
     /// Observes one key: the data-plane path. Hash, take the top
     /// `precision` bits as the register index, count the leading zeros
     /// of the rest, keep the max — all P4-expressible.
+    // Always inlined: `replay::ShardState::ingest_meta` calls this per
+    // frame, and with plain `#[inline]` LLVM's cost model took the call
+    // back out of line as soon as that crate had a second caller.
+    #[inline(always)]
     pub fn observe(&mut self, key: u64) {
         let h = mix64(key);
         let idx = (h >> (64 - self.precision)) as usize;

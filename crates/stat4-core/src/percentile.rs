@@ -490,13 +490,14 @@ impl QuantileCounts {
         let what = "counts sum past u64::MAX";
         let total = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
         let total = total.ok_or(Stat4Error::InvalidState { what })?;
+        let journal = DirtyJournal::over(counts.len());
         Ok(Self {
             min,
             max,
             counts,
             total,
             quantiles: quantiles.to_vec(),
-            journal: DirtyJournal::new(),
+            journal,
             // Restored counts ship nothing until the next take.
             taken_total: total,
         })
@@ -507,7 +508,10 @@ impl QuantileCounts {
     /// # Errors
     ///
     /// [`Stat4Error::ValueOutOfDomain`] if outside the domain.
-    #[inline]
+    // Always inlined: `replay::ShardState::ingest_meta` calls this per
+    // frame, and with plain `#[inline]` LLVM's cost model took the call
+    // back out of line as soon as that crate had a second caller.
+    #[inline(always)]
     pub fn observe(&mut self, value: i64) -> Stat4Result<()> {
         if value < self.min || value > self.max {
             return Err(Stat4Error::ValueOutOfDomain { value, min: self.min, max: self.max });

@@ -111,6 +111,10 @@ impl RunningStats {
 
     /// Adds a new value `x` to the distribution: `N += 1`,
     /// `Xsum += x`, `Xsumsq += x²`. Constant work.
+    // Always inlined: `replay::ShardState::ingest_meta` calls this per
+    // frame, and with plain `#[inline]` LLVM's cost model took the call
+    // back out of line as soon as that crate had a second caller.
+    #[inline(always)]
     pub fn push(&mut self, x: i64) {
         self.n = self.n.saturating_add(1);
         self.sum = self.sum.saturating_add(x);

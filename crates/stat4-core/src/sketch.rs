@@ -22,6 +22,7 @@
 //!   the accuracy gap.
 
 use crate::delta::{DeltaMergeable, DirtyJournal, SketchDelta};
+use crate::error::{Stat4Error, Stat4Result};
 
 /// Per-row multiply-shift hash constants (odd, from the golden-ratio
 /// family), modelling independent CRC polynomials. Public so the
@@ -53,9 +54,8 @@ pub fn row_hash(salt: u64, width_log2: u32, key: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
     rows: usize,
-    /// Column mask (`width − 1`; width is a power of two so indexing is
-    /// an AND, never a modulo).
-    mask: u64,
+    /// Log2 of the row width: a power of two, so a column is a mask
+    /// and a row base a shift, never a modulo or a multiply.
     width_log2: u32,
     cells: Vec<u64>,
     /// Total increments (the stream length `N` in the error bound).
@@ -72,7 +72,6 @@ pub struct CountMinSketch {
 impl PartialEq for CountMinSketch {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
-            && self.mask == other.mask
             && self.width_log2 == other.width_log2
             && self.cells == other.cells
             && self.total == other.total
@@ -80,6 +79,33 @@ impl PartialEq for CountMinSketch {
 }
 
 impl Eq for CountMinSketch {}
+
+/// Why `rows × 2^width_log2` is not a sketch geometry, or `None` if it
+/// is: `rows` in `1..=8` (the salt table / realistic stage budget) and
+/// `width_log2 < 28`.
+fn geometry_error(rows: usize, width_log2: u32) -> Option<&'static str> {
+    if !(1..=ROW_SALTS.len()).contains(&rows) {
+        Some("rows out of range")
+    } else if width_log2 >= 28 {
+        Some("width too large")
+    } else {
+        None
+    }
+}
+
+/// The cell `key` hashes to in each of the first `rows` rows, in row
+/// order: row `r`'s is `(r << width_log2) | row_hash(ROW_SALTS[r],
+/// width_log2, key)`. The one index definition `update`, `estimate` and
+/// `update_conservative` share; the row base is a shift, never a
+/// multiply, and the salts are walked, never indexed.
+#[inline(always)]
+fn row_cells(rows: usize, width_log2: u32, key: u64) -> impl Iterator<Item = usize> {
+    let salts: &'static [u64; 8] = &ROW_SALTS;
+    salts[..rows]
+        .iter()
+        .enumerate()
+        .map(move |(r, &salt)| (r << width_log2) | row_hash(salt, width_log2, key) as usize)
+}
 
 impl CountMinSketch {
     /// Creates a sketch of `rows × 2^width_log2` counters.
@@ -90,47 +116,56 @@ impl CountMinSketch {
     /// stage budget) or `width_log2` ≥ 28.
     #[must_use]
     pub fn new(rows: usize, width_log2: u32) -> Self {
-        assert!((1..=ROW_SALTS.len()).contains(&rows), "rows out of range");
-        assert!(width_log2 < 28, "width too large");
-        let width = 1usize << width_log2;
+        if let Some(what) = geometry_error(rows, width_log2) {
+            panic!("{what}");
+        }
+        let cells = rows << width_log2;
         Self {
             rows,
-            mask: (width - 1) as u64,
             width_log2,
-            cells: vec![0; rows * width],
+            cells: vec![0; cells],
             total: 0,
-            journal: DirtyJournal::new(),
+            journal: DirtyJournal::over(cells),
             taken_total: 0,
         }
     }
 
     /// Rebuilds a sketch from a previously exported cell array and
     /// increment total (`cells()`, `total()`), as a crash-recovery
-    /// checkpoint does. Geometry is validated the same way [`new`]
-    /// validates it, plus the cell count must match `rows × 2^width_log2`.
+    /// checkpoint does. The geometry must be one [`new`] accepts, the
+    /// cell count `rows × 2^width_log2`, and every row must sum to
+    /// `total` — what a sketch fed plain [`update`]s and merges holds.
     ///
     /// [`new`]: CountMinSketch::new
+    /// [`update`]: CountMinSketch::update
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an out-of-range geometry or a cell array of the wrong
-    /// length.
-    #[must_use]
-    pub fn from_raw(rows: usize, width_log2: u32, cells: Vec<u64>, total: u64) -> Self {
-        assert!((1..=ROW_SALTS.len()).contains(&rows), "rows out of range");
-        assert!(width_log2 < 28, "width too large");
+    /// [`Stat4Error::InvalidState`] naming the first of these the raw
+    /// state breaks.
+    pub fn from_raw(rows: usize, width_log2: u32, cells: Vec<u64>, total: u64) -> Stat4Result<Self> {
+        if let Some(what) = geometry_error(rows, width_log2) {
+            return Err(Stat4Error::InvalidState { what });
+        }
         let width = 1usize << width_log2;
-        assert_eq!(cells.len(), rows * width, "cell array length mismatch");
-        Self {
+        if cells.len() != rows * width {
+            return Err(Stat4Error::InvalidState { what: "cell array length mismatch" });
+        }
+        for row in cells.chunks_exact(width) {
+            if row.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(total) {
+                return Err(Stat4Error::InvalidState { what: "a row does not sum to the total" });
+            }
+        }
+        let journal = DirtyJournal::over(cells.len());
+        Ok(Self {
             rows,
-            mask: (width - 1) as u64,
             width_log2,
             cells,
             total,
-            journal: DirtyJournal::new(),
+            journal,
             // Restored state ships nothing until the next rebuild.
             taken_total: total,
-        }
+        })
     }
 
     /// Raw cell array in row-major order — the checkpoint export
@@ -140,17 +175,13 @@ impl CountMinSketch {
         &self.cells
     }
 
-    /// The row/column cell index for `key` in `row`.
-    #[inline]
-    fn index(&self, row: usize, key: u64) -> usize {
-        let h = row_hash(ROW_SALTS[row], self.width_log2, key);
-        row * (self.mask as usize + 1) + h as usize
-    }
-
     /// Plain update: add `amount` to every row.
+    // Always inlined: `replay::ShardState::ingest_meta` calls this per
+    // frame, and with plain `#[inline]` LLVM's cost model took the call
+    // back out of line as soon as that crate had a second caller.
+    #[inline(always)]
     pub fn update(&mut self, key: u64, amount: u64) {
-        for r in 0..self.rows {
-            let i = self.index(r, key);
+        for i in row_cells(self.rows, self.width_log2, key) {
             self.journal.mark(i, self.cells[i]);
             self.cells[i] = self.cells[i].saturating_add(amount);
         }
@@ -161,8 +192,7 @@ impl CountMinSketch {
     /// `min + amount`.
     pub fn update_conservative(&mut self, key: u64, amount: u64) {
         let new_min = self.estimate(key).saturating_add(amount);
-        for r in 0..self.rows {
-            let i = self.index(r, key);
+        for i in row_cells(self.rows, self.width_log2, key) {
             if self.cells[i] < new_min {
                 self.journal.mark(i, self.cells[i]);
                 self.cells[i] = new_min;
@@ -174,8 +204,8 @@ impl CountMinSketch {
     /// Point estimate: the row minimum (never underestimates).
     #[must_use]
     pub fn estimate(&self, key: u64) -> u64 {
-        (0..self.rows)
-            .map(|r| self.cells[self.index(r, key)])
+        row_cells(self.rows, self.width_log2, key)
+            .map(|i| self.cells[i])
             .min()
             .unwrap_or(0)
     }
@@ -360,14 +390,15 @@ mod tests {
             s.update(k * 31, (k % 3) + 1);
         }
         let restored =
-            CountMinSketch::from_raw(s.rows(), s.width_log2(), s.cells().to_vec(), s.total());
+            CountMinSketch::from_raw(s.rows(), s.width_log2(), s.cells().to_vec(), s.total())
+                .unwrap();
         assert_eq!(restored, s);
     }
 
     #[test]
-    #[should_panic(expected = "cell array length mismatch")]
     fn from_raw_rejects_bad_length() {
-        let _ = CountMinSketch::from_raw(2, 4, vec![0; 3], 0);
+        let what = "cell array length mismatch";
+        assert_eq!(CountMinSketch::from_raw(2, 4, vec![0; 3], 0), Err(Stat4Error::InvalidState { what }));
     }
 
     #[test]
@@ -392,6 +423,54 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cells a key hits are row `r`'s `r·2^w + row_hash(ROW_SALTS[r],
+        /// w, key)`: `update` raises exactly those by `amount`, `estimate`
+        /// is their minimum, and `update_conservative` raises only the
+        /// hit cells below `minimum + amount`, to it (for `amount` 1, the
+        /// rows at the minimum).
+        #[test]
+        fn a_key_hits_row_hash_cells(
+            rows in 1usize..=8,
+            w_at in 0usize..5,
+            prior in proptest::collection::vec((any::<u64>(), 1u64..1000), 0..40),
+            key in any::<u64>(),
+            amount in 1u64..1000,
+        ) {
+            let w = [0u32, 1, 5, 12, 16][w_at];
+            let mut before = CountMinSketch::new(rows, w);
+            for &(k, a) in &prior {
+                before.update(k, a);
+            }
+            before.discard_delta();
+            let hit: Vec<usize> = (0..rows)
+                .map(|r| r * (1 << w) + row_hash(ROW_SALTS[r], w, key) as usize)
+                .collect();
+
+            let mut plain = before.clone();
+            plain.update(key, amount);
+            let mut raised: Vec<(usize, u64)> = plain
+                .take_delta()
+                .cells
+                .iter()
+                .map(|&(i, base, cur)| (i as usize, cur - base))
+                .collect();
+            raised.sort_unstable();
+            prop_assert_eq!(raised, hit.iter().map(|&i| (i, amount)).collect::<Vec<_>>());
+            let min = hit.iter().map(|&i| plain.cells()[i]).min().unwrap();
+            prop_assert_eq!(plain.estimate(key), min);
+
+            let min = before.estimate(key);
+            prop_assert_eq!(min, hit.iter().map(|&i| before.cells()[i]).min().unwrap());
+            let mut cons = before.clone();
+            cons.update_conservative(key, amount);
+            for (i, (&was, &now)) in before.cells().iter().zip(cons.cells()).enumerate() {
+                let rises = hit.contains(&i) && was < min + amount;
+                prop_assert_eq!(now, if rises { min + amount } else { was }, "cell {}", i);
+            }
+        }
+
         /// CM guarantee under arbitrary streams, both update policies.
         #[test]
         fn overestimate_only(
