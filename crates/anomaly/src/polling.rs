@@ -7,7 +7,7 @@
 //! is inevitable between when a traffic change is theoretically
 //! detectable and when the system is actually able to detect the
 //! change: this delay is inversely proportional to the generated
-//! overhead." The `repro_architecture` binary pits this controller
+//! overhead." `repro architecture` pits this controller
 //! against the push-based one and measures exactly that trade-off.
 //!
 //! The polled state is the same rate window the in-switch detector

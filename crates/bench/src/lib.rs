@@ -1,10 +1,15 @@
-//! Shared helpers for the `repro_*` and `ablation_*` experiment
-//! binaries.
+//! The paper's artefacts and the ablations, each a function that prints
+//! one table; the `repro` binary runs one by name.
 //!
-//! Each `repro_*` binary regenerates one table or figure of the paper
-//! (see `DESIGN.md`'s experiment index) and prints a paper-vs-measured
-//! comparison, each `ablation_*` binary prints the table behind one
-//! design choice; `EXPERIMENTS.md` records the outcomes.
+//! [`paper`] regenerates the paper's tables and figures (see
+//! `DESIGN.md`'s experiment index) as paper-vs-measured comparisons,
+//! [`ablation`] prints the table behind each design choice, and
+//! `EXPERIMENTS.md` holds every output, checked byte for byte by
+//! `tests/experiments_golden.rs`. The helpers below are shared with the
+//! asserted accuracy tests.
+
+pub mod ablation;
+pub mod paper;
 
 use p4sim::phv::fields::PAYLOAD_VALUE;
 use p4sim::{ActionDef, Control, Operand, Phv, Pipeline, Primitive, ProgramBuilder, TargetModel};
@@ -181,6 +186,20 @@ pub fn squaring_pipelines() -> [(&'static str, Pipeline); 2] {
         ("runtime_mul", build("mul", mul, TargetModel::bmv2())),
         ("unrolled_16bit", build("mul_unrolled", unrolled, TargetModel::tofino_like())),
     ]
+}
+
+/// Figure 2's shift-based square root as an IR program on bmv2:
+/// `SD = approx_isqrt(PAYLOAD_VALUE)`.
+///
+/// # Panics
+///
+/// Panics if the program fails validation.
+#[must_use]
+pub fn isqrt_pipeline() -> Pipeline {
+    let mut b = ProgramBuilder::new();
+    let frag = stat4_p4::fragments::isqrt_fragment(&mut b, PAYLOAD_VALUE, SD);
+    b.set_control(frag);
+    b.build(TargetModel::bmv2()).expect("valid program")
 }
 
 /// Runs one packet per input through `pipe` with the input in

@@ -1,6 +1,6 @@
 //! Asserted accuracy tests for the paper's Table 2 and Table 3 — the
-//! checked counterparts of the print-only `repro_table2` /
-//! `repro_table3` binaries (which keep the full human-readable sweep).
+//! checked bounds beside `repro table2` / `table3` (which print the full
+//! human-readable sweep, pinned in EXPERIMENTS.md by `experiments_golden`).
 //!
 //! Two layers of claims are pinned:
 //!
@@ -22,7 +22,7 @@
 //! sparse": tight bounds after the distribution fills in (N/2 samples),
 //! loose sanity bounds on the sparse warm-up phase.
 //!
-//! The last case pins the one count `ablation_cost` prints that no
+//! The last case pins the one count `repro cost` prints that no
 //! other test does (the one-step bound is
 //! `percentile::tests::one_step_per_packet_bound`).
 
@@ -57,7 +57,7 @@ fn table2_refined_sqrt_meets_paper_bounds() {
 #[test]
 fn table2_switch_approx_within_documented_envelope() {
     // (lo, hi, p50 bound, p90 bound, max bound) — the measured envelope
-    // of the shift-based data-plane approximation (repro_table2 prints
+    // of the shift-based data-plane approximation (`repro table2` prints
     // the exact values); the sweep is exhaustive and deterministic.
     let rows: [(u64, u64, f64, f64, f64); 4] = [
         (1, 10, 6.5, 30.0, 42.5),
@@ -126,7 +126,7 @@ fn table3_median_tracker_within_bounds() {
     }
 }
 
-// ---------------------------------------------------------- ablation_cost
+// ------------------------------------------------------------ repro cost
 
 /// The squaring table's step column: on the table's own 64 packets the
 /// unrolled multiplier computes what runtime `Mul` computes (its

@@ -15,7 +15,7 @@
 //! band check, CUSUM trades a little detection latency on huge spikes
 //! for the ability to catch *small sustained* shifts the band never
 //! sees (a spike of +0.5σ per interval is invisible to a 2σ band but
-//! accumulates linearly in S); the `ablation_cusum` binary quantifies
+//! accumulates linearly in S); `repro cusum` quantifies
 //! the trade.
 //!
 //! The `target`/`slack` parameters are either fixed by the controller

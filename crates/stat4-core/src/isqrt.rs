@@ -16,7 +16,7 @@
 //! The result interpolates between consecutive powers `2^k`, e.g.
 //! `√106 ≈ 10` (the paper's worked example). Accuracy improves quickly
 //! with magnitude — see the paper's Table 2 and this crate's
-//! `repro_table2` binary: the median error is ≈3% for `y ∈ [1,10]` and
+//! `repro table2` artefact: the median error is ≈3% for `y ∈ [1,10]` and
 //! below 0.05% for `y ∈ [100, 1000]`.
 //!
 //! In an actual pipeline the MSB scan is realised either as a cascade of
@@ -231,7 +231,7 @@ pub fn approx_error_percent(y: u64) -> f64 {
 /// `x ← (x + y·2³²/x) / 2`, driving the error below the Q16
 /// quantisation step — comfortably inside the paper's Table 2 claims
 /// for the upper decades, which no integer-*output* variant of the
-/// Figure 2 algorithm can reach (see `repro_table2`). It models the
+/// Figure 2 algorithm can reach (see `repro table2`). It models the
 /// paper's split: coarse σ in-switch for threshold checks, precise σ
 /// recomputed from the exported `N`/`Xsum`/`Xsumsq` sums when the
 /// controller investigates an alert.
@@ -343,7 +343,7 @@ mod tests {
     /// example (sqrt(3) ~= 1, a 42% error) exceeds its row maximum of
     /// 20%. We therefore assert the *measured* bands of the published
     /// algorithm (shape preserved: rapid decay then plateau); the
-    /// `repro_table2` binary prints measured-vs-paper side by side.
+    /// `repro table2` prints measured-vs-paper side by side.
     #[test]
     fn table2_error_bands() {
         let band = |lo: u64, hi: u64| -> (f64, f64) {

@@ -3,7 +3,7 @@
 //! Nothing here is data-plane-legal; these functions are the *host-side*
 //! oracle of the paper's validation experiment (Sec. 3, Fig. 5): the host
 //! recomputes every statistic in software and compares with what the
-//! switch reports. They are also used by the `repro_*` binaries to grade
+//! switch reports. They are also used by the `repro` binary to grade
 //! the approximation errors of Tables 2 and 3.
 
 /// Exact arithmetic mean of `values`.

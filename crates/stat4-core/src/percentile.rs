@@ -18,7 +18,7 @@
 //!
 //! The one-step-per-packet rule bounds the estimation error by the
 //! marker's lag; the paper's Table 3 quantifies it (≤1% once the
-//! distribution stops being sparse). The `repro_table3` binary
+//! distribution stops being sparse). `repro table3`
 //! regenerates that table; [`PercentileSet::rebalance_full`] exists for
 //! the lag ablation (what an unconstrained, loop-capable tracker would
 //! do).

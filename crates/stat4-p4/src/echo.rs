@@ -6,7 +6,7 @@
 //! `Xsumsq`, `σ²(NX)` and `σ(NX)` back (here: as a digest; bmv2 used a
 //! reply frame). The host recomputes everything in software and
 //! compares — the integration test `validation_echo` and the
-//! `repro_validation` binary replicate the paper's 10 000-packet run.
+//! `repro validation` replicate the paper's 10 000-packet run.
 
 use crate::config::Stat4Config;
 use crate::fragments::{

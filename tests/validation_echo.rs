@@ -1,6 +1,6 @@
 //! Integration test: the paper's Sec. 3 validation experiment at
 //! reduced scale (the full 10 000-packet run lives in
-//! `repro_validation`). Host → switch → digest → controller, with the
+//! `repro validation`). Host → switch → digest → controller, with the
 //! host-side oracle checking every digest bit for bit.
 
 use netsim::host::{TraceGen, TrafficSource};
