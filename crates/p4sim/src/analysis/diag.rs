@@ -1,4 +1,5 @@
-//! Diagnostics: stable lint codes, severities, human and JSON output.
+//! Diagnostics: stable lint codes, severities, human and JSON output
+//! (each type's [`ToJson`] impl beside it).
 //!
 //! Every finding the static verifier can produce carries a [`LintCode`]
 //! that is stable across releases (tests and CI pin against them), a
@@ -22,7 +23,8 @@
 //!   but not certain wrap). Recorded and countable, never fatal.
 
 use std::fmt;
-use telemetry::json_string;
+use telemetry::json::{Json, ToJson};
+use telemetry::json_struct;
 
 /// How serious a finding is (see the module docs for the policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,6 +44,13 @@ impl fmt::Display for Severity {
             Severity::Warning => "warning",
             Severity::Error => "error",
         })
+    }
+}
+
+/// Written as its name: `"info"`, `"warning"` or `"error"`.
+impl ToJson for Severity {
+    fn to_json(&self) -> Json {
+        self.to_string().to_json()
     }
 }
 
@@ -144,6 +153,13 @@ impl fmt::Display for LintCode {
     }
 }
 
+/// Written as its stable code string.
+impl ToJson for LintCode {
+    fn to_json(&self) -> Json {
+        self.code().to_json()
+    }
+}
+
 /// One finding of the static verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -160,6 +176,8 @@ pub struct Diagnostic {
     /// value, oldest first (bounded; long chains keep the tail).
     pub chain: Vec<String>,
 }
+
+json_struct!(@write Diagnostic { code, severity, context, message, chain });
 
 impl Diagnostic {
     /// Builds a diagnostic without a primitive chain.
@@ -184,20 +202,6 @@ impl Diagnostic {
     pub fn with_chain(mut self, chain: Vec<String>) -> Self {
         self.chain = chain;
         self
-    }
-
-    /// Renders the diagnostic as a JSON object (no external deps).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let chain: Vec<String> = self.chain.iter().map(|c| json_string(c)).collect();
-        format!(
-            "{{\"code\":{},\"severity\":{},\"context\":{},\"message\":{},\"chain\":[{}]}}",
-            json_string(self.code.code()),
-            json_string(&self.severity.to_string()),
-            json_string(&self.context),
-            json_string(&self.message),
-            chain.join(",")
-        )
     }
 }
 
@@ -224,12 +228,6 @@ pub(crate) fn count(diags: &[Diagnostic], s: Severity) -> usize {
 /// either when `deny_warnings` is set. Info findings never fail.
 pub(crate) fn passes(diags: &[Diagnostic], deny_warnings: bool) -> bool {
     count(diags, Severity::Error) == 0 && (!deny_warnings || count(diags, Severity::Warning) == 0)
-}
-
-/// `diags` as the members of a JSON array.
-pub(crate) fn json_list(diags: &[Diagnostic]) -> String {
-    let v: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    v.join(",")
 }
 
 #[cfg(test)]
@@ -266,7 +264,7 @@ mod tests {
         let text = d.to_string();
         assert!(text.contains("S4L005 error"));
         assert!(text.contains("via Shl"));
-        let json = d.to_json();
+        let json = telemetry::json::write(&d);
         assert!(json.contains("\"code\":\"S4L005\""));
         assert!(json.contains("\"severity\":\"error\""));
     }

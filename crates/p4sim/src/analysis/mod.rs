@@ -39,10 +39,13 @@ pub use symbolic::{
     MergeReport, RebindReport, SymbolicOptions, Witness,
 };
 pub use tdg::{DepKind, NodeKind, TableDepGraph, TdgEdge, TdgNode};
-pub use telemetry::json_string;
+/// The codec every report here is written with, for crates that do
+/// not depend on `telemetry` (the `stat4-lint` binary).
+pub use telemetry::json;
 
 use crate::pipeline::Pipeline;
 use crate::target::{TargetModel, TargetRule};
+use json::{obj, Json, ToJson};
 use std::fmt;
 
 /// Everything the verifier found out about one program/target pair.
@@ -98,36 +101,26 @@ impl VerifyReport {
     pub fn passes(&self, deny_warnings: bool) -> bool {
         diag::passes(&self.diagnostics, deny_warnings)
     }
+}
 
-    /// Renders the report as a JSON object (no external deps).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"target\":{},\"nodes\":{},\"edges\":{},",
-                "\"depth\":{},\"fits\":{},",
-                "\"errors\":{},\"warnings\":{},\"infos\":{},",
-                "\"worst_chain_steps\":{},\"step_budget\":{},",
-                "\"range\":{{\"register_writes\":{},\"proven_fits\":{},",
-                "\"modular_accumulators\":{},\"unproven\":{}}},",
-                "\"diagnostics\":[{}]}}"
-            ),
-            json_string(&self.target),
-            self.node_count,
-            self.edge_count,
-            self.allocation.depth,
-            self.allocation.fits,
-            self.errors(),
-            self.warnings(),
-            self.infos(),
-            self.worst_chain_steps,
-            self.step_budget,
-            self.range.register_writes,
-            self.range.proven_fits,
-            self.range.modular_accumulators,
-            self.range.unproven,
-            diag::json_list(&self.diagnostics)
-        )
+/// Graph sizes under short names, the allocation's depth and fit, and
+/// the finding counts beside the findings.
+impl ToJson for VerifyReport {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("target", self.target.to_json()),
+            ("nodes", self.node_count.to_json()),
+            ("edges", self.edge_count.to_json()),
+            ("depth", self.allocation.depth.to_json()),
+            ("fits", self.allocation.fits.to_json()),
+            ("errors", self.errors().to_json()),
+            ("warnings", self.warnings().to_json()),
+            ("infos", self.infos().to_json()),
+            ("worst_chain_steps", self.worst_chain_steps.to_json()),
+            ("step_budget", self.step_budget.to_json()),
+            ("range", self.range.to_json()),
+            ("diagnostics", self.diagnostics.to_json()),
+        ])
     }
 }
 
@@ -440,7 +433,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("verify against `tofino-like`"));
         assert!(text.contains("S4L001"));
-        let json = report.to_json();
+        let json = json::write(&report);
         assert!(json.contains("\"target\":\"tofino-like\""));
         assert!(json.contains("\"code\":\"S4L001\""));
         assert!(json.starts_with('{') && json.ends_with('}'));

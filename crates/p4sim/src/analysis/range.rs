@@ -205,6 +205,13 @@ pub struct RangeSummary {
     pub unproven: usize,
 }
 
+telemetry::json_struct!(@write RangeSummary {
+    register_writes,
+    proven_fits,
+    modular_accumulators,
+    unproven
+});
+
 /// Per-slot action-data bounds known at analysis time.
 type DataBounds = Vec<Option<(u64, u64)>>;
 

@@ -47,13 +47,14 @@ use crate::analysis::verify_against;
 use crate::control::{CmpOp, Control};
 use crate::error::{P4Error, P4Result};
 use crate::phv::{fields, FieldId, Phv};
-use crate::pipeline::{DigestRecord, Pipeline};
+use crate::pipeline::{register_json, DigestRecord, Pipeline};
 use crate::runtime::{RuntimeRequest, RuntimeResponse};
 use crate::table::MatchValue;
 use std::collections::{HashMap, HashSet};
 use std::mem::discriminant;
 use std::rc::Rc;
-use telemetry::json_string;
+use telemetry::json::{self, obj, Json, ToJson};
+use telemetry::json_struct;
 
 // ---------------------------------------------------------------------
 // Expression domain
@@ -224,28 +225,17 @@ impl Witness {
         self.fields.dedup_by_key(|&mut (f, _)| f);
         self.registers.sort_by(|a, b| a.0.cmp(&b.0));
     }
+}
 
-    /// Renders the witness as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let fs: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(f, v)| format!("[{},{v}]", f.0))
-            .collect();
-        let rs: Vec<String> = self
-            .registers
-            .iter()
-            .map(|(n, cells)| {
-                let c: Vec<String> = cells.iter().map(u64::to_string).collect();
-                format!("{{\"name\":{},\"cells\":[{}]}}", json_string(n), c.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"fields\":[{}],\"registers\":[{}]}}",
-            fs.join(","),
-            rs.join(",")
-        )
+/// `{"fields":[[field, value], …],"registers":[{"name","cells"}, …]}`.
+impl ToJson for Witness {
+    fn to_json(&self) -> Json {
+        let field =
+            |&(f, v): &(FieldId, u64)| Json::Arr(vec![u64::from(f.0).to_json(), v.to_json()]);
+        obj(vec![
+            ("fields", Json::Arr(self.fields.iter().map(field).collect())),
+            ("registers", Json::Arr(self.registers.iter().map(register_json).collect())),
+        ])
     }
 }
 
@@ -1257,6 +1247,8 @@ pub struct Counterexample {
     pub detail: String,
 }
 
+json_struct!(@write Counterexample { witness, detail });
+
 /// Result of a differential equivalence check.
 #[derive(Debug, Clone)]
 pub struct EquivReport {
@@ -1286,30 +1278,20 @@ impl EquivReport {
     pub fn passes(&self, deny_warnings: bool) -> bool {
         diag::passes(&self.diagnostics, deny_warnings)
     }
+}
 
-    /// Renders the report as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let ce = self.counterexample.as_ref().map_or_else(
-            || "null".to_string(),
-            |c| {
-                format!(
-                    "{{\"witness\":{},\"detail\":{}}}",
-                    c.witness.to_json(),
-                    json_string(&c.detail)
-                )
-            },
-        );
-        format!(
-            "{{\"paths_a\":{},\"paths_b\":{},\"truncated\":{},\"witnesses\":{},\"equivalent\":{},\"counterexample\":{},\"diagnostics\":[{}]}}",
-            self.paths_a,
-            self.paths_b,
-            self.truncated,
-            self.witnesses,
-            self.equivalent(),
-            ce,
-            diag::json_list(&self.diagnostics)
-        )
+/// The fields with the verdict, `equivalent`, before the counterexample.
+impl ToJson for EquivReport {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("paths_a", self.paths_a.to_json()),
+            ("paths_b", self.paths_b.to_json()),
+            ("truncated", self.truncated.to_json()),
+            ("witnesses", self.witnesses.to_json()),
+            ("equivalent", self.equivalent().to_json()),
+            ("counterexample", self.counterexample.to_json()),
+            ("diagnostics", self.diagnostics.to_json()),
+        ])
     }
 }
 
@@ -1384,7 +1366,7 @@ pub fn check_equivalence(a: &Pipeline, b: &Pipeline, opts: &SymbolicOptions) -> 
                 ),
                 format!(
                     "the two builds diverge on a concrete packet: {detail} (witness {})",
-                    w.to_json()
+                    json::write(w)
                 ),
             ));
             counterexample = Some(Counterexample {
@@ -1438,6 +1420,16 @@ pub struct MergeCounterexample {
     pub witness: Witness,
 }
 
+json_struct!(@write MergeCounterexample {
+    register,
+    cell,
+    origin_a,
+    origin_b,
+    merged_then_processed,
+    processed_then_merged,
+    witness
+});
+
 /// Result of the merge-soundness check.
 #[derive(Debug, Clone)]
 pub struct MergeReport {
@@ -1455,42 +1447,20 @@ pub struct MergeReport {
     pub diagnostics: Vec<Diagnostic>,
 }
 
+json_struct!(@write MergeReport {
+    checked,
+    exempt,
+    witnesses,
+    origin_pairs,
+    counterexamples,
+    diagnostics
+});
+
 impl MergeReport {
     /// Lint outcome under the standard severity policy.
     #[must_use]
     pub fn passes(&self, deny_warnings: bool) -> bool {
         diag::passes(&self.diagnostics, deny_warnings)
-    }
-
-    /// Renders the report as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let ex: Vec<String> = self.exempt.iter().map(|n| json_string(n)).collect();
-        let ces: Vec<String> = self
-            .counterexamples
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"register\":{},\"cell\":{},\"origin_a\":{},\"origin_b\":{},\"merged_then_processed\":{},\"processed_then_merged\":{},\"witness\":{}}}",
-                    json_string(&c.register),
-                    c.cell,
-                    c.origin_a,
-                    c.origin_b,
-                    c.merged_then_processed,
-                    c.processed_then_merged,
-                    c.witness.to_json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"checked\":{},\"exempt\":[{}],\"witnesses\":{},\"origin_pairs\":{},\"counterexamples\":[{}],\"diagnostics\":[{}]}}",
-            self.checked,
-            ex.join(","),
-            self.witnesses,
-            self.origin_pairs,
-            ces.join(","),
-            diag::json_list(&self.diagnostics)
-        )
     }
 }
 
@@ -1719,19 +1689,19 @@ impl RebindReport {
     pub fn passes(&self) -> bool {
         diag::passes(&self.diagnostics, false)
     }
+}
 
-    /// Renders the report as a JSON object (the vetted pipeline is
-    /// omitted).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"paths\":{},\"truncated\":{},\"witnesses\":{},\"passes\":{},\"diagnostics\":[{}]}}",
-            self.paths,
-            self.truncated,
-            self.witnesses,
-            self.passes(),
-            diag::json_list(&self.diagnostics)
-        )
+/// The fields with the verdict, `passes`; the vetted pipeline is left
+/// out.
+impl ToJson for RebindReport {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("paths", self.paths.to_json()),
+            ("truncated", self.truncated.to_json()),
+            ("witnesses", self.witnesses.to_json()),
+            ("passes", self.passes().to_json()),
+            ("diagnostics", self.diagnostics.to_json()),
+        ])
     }
 }
 
@@ -1801,7 +1771,7 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
                 ctx.clone(),
                 format!(
                     "post-rebind program faults on a concrete packet: {ce} (witness {})",
-                    w.to_json()
+                    json::write(&w)
                 ),
             )),
             Ok(_) => diags.push(Diagnostic::new(
@@ -1842,7 +1812,7 @@ pub fn vet_rebind(p: &Pipeline, req: &RuntimeRequest, opts: &SymbolicOptions) ->
                     ctx.clone(),
                     format!(
                         "post-rebind program faults on a concrete packet: {e} (witness {})",
-                        w.to_json()
+                        json::write(w)
                     ),
                 ));
             }
@@ -2109,7 +2079,7 @@ mod tests {
             ..SymbolicOptions::default()
         };
         let report = check_equivalence(&a, &b, &opts);
-        assert!(report.equivalent(), "{}", report.to_json());
+        assert!(report.equivalent(), "{}", json::write(&report));
         assert!(report.passes(true));
         assert!(report.paths_a >= 2, "hit and miss paths at minimum");
         assert!(!report.truncated);
@@ -2140,7 +2110,7 @@ mod tests {
             ..SymbolicOptions::default()
         };
         let report = check_equivalence(&exact, &truncating, &opts);
-        assert!(report.equivalent(), "{}", report.to_json());
+        assert!(report.equivalent(), "{}", json::write(&report));
     }
 
     #[test]
@@ -2181,7 +2151,7 @@ mod tests {
         let p = counting_pipeline();
         let report = check_merge_soundness(&p, &SymbolicOptions::default());
         assert_eq!(report.checked, 1);
-        assert!(report.counterexamples.is_empty(), "{}", report.to_json());
+        assert!(report.counterexamples.is_empty(), "{}", json::write(&report));
         assert!(report.origin_pairs > 0, "the counter cell must be exercised");
     }
 
@@ -2263,7 +2233,7 @@ mod tests {
             },
         };
         let report = vet_rebind(&p, &req, &SymbolicOptions::default());
-        assert!(report.passes(), "{}", report.to_json());
+        assert!(report.passes(), "{}", json::write(&report));
         let vetted = report.vetted.as_ref().unwrap();
         assert_eq!(vetted.tables()[0].entries().len(), 2);
     }
@@ -2287,7 +2257,7 @@ mod tests {
             },
         };
         let report = vet_rebind(&p, &req, &SymbolicOptions::default());
-        assert!(!report.passes(), "{}", report.to_json());
+        assert!(!report.passes(), "{}", json::write(&report));
         assert!(report.vetted.is_none());
         assert!(report.diagnostics.iter().any(|d| {
             d.code == LintCode::UnsafeRebind
@@ -2365,7 +2335,55 @@ mod tests {
     #[test]
     fn witness_json_is_stable() {
         let w = witness(vec![(fields::PKT_LEN, 3)]);
-        assert_eq!(w.to_json(), "{\"fields\":[[1,3]],\"registers\":[]}");
+        assert_eq!(json::write(&w), "{\"fields\":[[1,3]],\"registers\":[]}");
+    }
+
+    /// A witness with register state, as S4L013/S4L016 messages quote it.
+    fn pinned_witness() -> Witness {
+        let mut w = witness(vec![(FieldId(7), u64::MAX), (fields::PKT_LEN, 3)]);
+        w.registers = vec![("rate_window".into(), vec![0, 5, 1 << 40]), ("a\"b".into(), Vec::new())];
+        w.normalize();
+        w
+    }
+
+    #[test]
+    fn witness_with_registers_is_pinned_byte_for_byte() {
+        assert_eq!(
+            json::write(&pinned_witness()),
+            r#"{"fields":[[1,3],[7,18446744073709551615]],"registers":[{"name":"a\"b","cells":[]},{"name":"rate_window","cells":[0,5,1099511627776]}]}"#
+        );
+    }
+
+    #[test]
+    fn equiv_report_with_a_counterexample_is_pinned_byte_for_byte() {
+        let report = EquivReport {
+            paths_a: 3,
+            paths_b: 4,
+            truncated: true,
+            witnesses: 17,
+            counterexample: Some(Counterexample {
+                witness: pinned_witness(),
+                detail: "register `rate_window` differs".into(),
+            }),
+            diagnostics: vec![Diagnostic::new(
+                LintCode::TargetDivergence,
+                Severity::Error,
+                "targets `bmv2` vs `tofino-like`",
+                "diverge\non a packet",
+            )
+            .with_chain(vec!["Shl -> f1".into(), "RegWrite r".into()])],
+        };
+        assert_eq!(
+            json::write(&report),
+            concat!(
+                r#"{"paths_a":3,"paths_b":4,"truncated":true,"witnesses":17,"equivalent":false,"#,
+                r#""counterexample":{"witness":{"fields":[[1,3],[7,18446744073709551615]],"#,
+                r#""registers":[{"name":"a\"b","cells":[]},{"name":"rate_window","cells":[0,5,1099511627776]}]},"#,
+                r#""detail":"register `rate_window` differs"},"#,
+                r#""diagnostics":[{"code":"S4L013","severity":"error","context":"targets `bmv2` vs `tofino-like`","#,
+                r#""message":"diverge\non a packet","chain":["Shl -> f1","RegWrite r"]}]}"#
+            )
+        );
     }
 }
 

@@ -138,15 +138,19 @@ pub struct PipelineState {
     pub packets_processed: u64,
 }
 
+/// A named register's cells as a `{"name", "cells"}` object, which a
+/// pair has no field names for: how a checkpoint and a witness list
+/// register contents.
+pub(crate) fn register_json((name, cells): &(String, Vec<u64>)) -> Json {
+    obj(vec![("name", name.to_json()), ("cells", cells.to_json())])
+}
+
 /// A register is written as a `{"name", "cells"}` object, which a pair
 /// has no field names for, so both halves are spelled out.
 impl ToJson for PipelineState {
     fn to_json(&self) -> Json {
-        let register = |(name, cells): &(String, Vec<u64>)| {
-            obj(vec![("name", name.to_json()), ("cells", cells.to_json())])
-        };
         obj(vec![
-            ("registers", Json::Arr(self.registers.iter().map(register).collect())),
+            ("registers", Json::Arr(self.registers.iter().map(register_json).collect())),
             ("packets_processed", self.packets_processed.to_json()),
         ])
     }

@@ -6,7 +6,7 @@
 //! checked against hardware-like limits — the seeded corpus CI pins
 //! `stat4-lint` against.
 
-use p4sim::analysis::{allocate, replay_divergence, TableDepGraph};
+use p4sim::analysis::{allocate, json, replay_divergence, TableDepGraph};
 use p4sim::phv::fields;
 use p4sim::{
     check_equivalence, check_merge_soundness, verify, verify_against, vet_rebind, ActionDef, Cond,
@@ -45,7 +45,7 @@ fn runtime_mul_is_s4l001_on_hardware() {
     let report = verify_against(&p, &TargetModel::tofino_like());
     assert!(has(&report, LintCode::RuntimeMul, Severity::Error), "{report}");
     assert!(!report.passes(false));
-    assert!(report.to_json().contains("\"code\":\"S4L001\""));
+    assert!(json::write(&report).contains("\"code\":\"S4L001\""));
 
     // The same program is clean against its own (software) target.
     assert!(verify(&p).passes(false));
@@ -308,7 +308,7 @@ fn missing_seu_headroom_is_s4l012_warning() {
     };
     let report = verify_against(&p, &hardened);
     assert!(has(&report, LintCode::SeuHeadroom, Severity::Warning), "{report}");
-    assert!(report.to_json().contains("\"code\":\"S4L012\""));
+    assert!(json::write(&report).contains("\"code\":\"S4L012\""));
     let flagged: Vec<_> = report
         .diagnostics
         .iter()
@@ -399,7 +399,7 @@ fn cross_target_rewrite_divergence_is_s4l013() {
     assert!(!report.equivalent());
     assert!(!report.passes(false));
     assert!(has_diag(&report.diagnostics, LintCode::TargetDivergence, Severity::Error));
-    assert!(report.to_json().contains("\"code\":\"S4L013\""));
+    assert!(json::write(&report).contains("\"code\":\"S4L013\""));
 
     // The counterexample is a real packet: replaying it concretely
     // reproduces the divergence the symbolic pass claimed.
@@ -456,7 +456,7 @@ fn path_budget_exhaustion_is_s4l014_warning() {
     let report = check_equivalence(&a, &b, &opts);
     assert!(report.truncated, "budget of 16 cannot cover 256 paths");
     assert!(has_diag(&report.diagnostics, LintCode::PathBudget, Severity::Warning));
-    assert!(report.to_json().contains("\"code\":\"S4L014\""));
+    assert!(json::write(&report).contains("\"code\":\"S4L014\""));
     assert!(report.passes(false), "budget exhaustion alone is a warning");
     assert!(!report.passes(true), "--deny warnings rejects the partial proof");
 }
@@ -488,7 +488,7 @@ fn non_additive_update_under_sum_merge_is_s4l015() {
     let unsound = check_merge_soundness(&build(RegMerge::Sum), &opts);
     assert!(!unsound.passes(false));
     assert!(has_diag(&unsound.diagnostics, LintCode::MergeUnsound, Severity::Error));
-    assert!(unsound.to_json().contains("\"code\":\"S4L015\""));
+    assert!(json::write(&unsound).contains("\"code\":\"S4L015\""));
     assert!(
         !unsound.counterexamples.is_empty(),
         "violation ships the two origin packets"
@@ -638,7 +638,7 @@ fn out_of_range_rebind_is_s4l016() {
     );
     assert!(!bad.passes());
     assert!(has_diag(&bad.diagnostics, LintCode::UnsafeRebind, Severity::Error));
-    assert!(bad.to_json().contains("\"code\":\"S4L016\""));
+    assert!(json::write(&bad).contains("\"code\":\"S4L016\""));
     assert!(bad.vetted.is_none(), "rejected rebind must not advance the model");
 }
 

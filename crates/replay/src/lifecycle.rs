@@ -43,7 +43,7 @@ use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOpt
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use telemetry::json::{read, At, ToJson};
+use telemetry::json::{read, At};
 use telemetry::json_struct;
 use workloads::Schedule;
 
@@ -502,16 +502,8 @@ impl LifecycleReport {
         });
     }
 
-    /// Renders the report as a JSON document (the `--lifecycle-out`
-    /// format, consumed by `stat4-trace explain`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    /// Parses a document produced by [`Self::to_json`].
+    /// Parses a document `json::write` wrote (the `--lifecycle-out`
+    /// format, consumed by `stat4-trace lifecycle`).
     ///
     /// # Errors
     ///

@@ -72,6 +72,15 @@ const USAGE: &str = "usage: replay [synflood|mix|seasonal|scan|cardinality] [sha
      \x20             [--metrics-out PATH] [--metrics-format prom|json]\n\
      \x20             [--trace-out PATH] [--snapshot-out PATH]";
 
+/// The most shards a run accepts. A shard is one worker thread and
+/// about 100 KB of tracker state, so 1024 shards take ~120 MB and 1024
+/// threads: more than the cores of any host the replay runs on, past
+/// which a shard only adds a thread to wait at the barrier. A larger
+/// count is a typo, and past some size the run cannot have it at all:
+/// `u64::MAX` shards overflow the shard array's allocation, and 100 000
+/// threads exceed what a process may spawn.
+const MAX_SHARDS: usize = 1024;
+
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2);
@@ -127,8 +136,8 @@ enum MetricsFormat {
 
 /// Parses the argument list, or explains what is wrong with it. Pure
 /// (no printing, no exiting) so the validation — notably the zero
-/// rejections for `--shards` / `--interval-ms` — is unit
-/// testable; `main` turns `Err` into the usage exit.
+/// rejections for `--shards` / `--interval-ms` and the [`MAX_SHARDS`]
+/// bound — is unit testable; `main` turns `Err` into the usage exit.
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut positional = 0;
@@ -200,6 +209,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.shards == 0 {
         return Err(String::from(
             "--shards 0 makes no sense: the engine needs at least one shard",
+        ));
+    }
+    if opts.shards > MAX_SHARDS {
+        return Err(format!(
+            "--shards {} is more than the {MAX_SHARDS} a run accepts: \
+             each shard is a worker thread and its own tracker state",
+            opts.shards
         ));
     }
     if opts.interval_ms == 0 {
@@ -576,7 +592,7 @@ fn main() {
     }
     print_lifecycle(&lifecycle);
     if let Some(path) = &opts.lifecycle_out {
-        write_or_die(path, &lifecycle.to_json(), "lifecycle report");
+        write_or_die(path, &telemetry::json::write(&lifecycle), "lifecycle report");
         println!(
             "lifecycle: {} event(s) written to {path}",
             lifecycle.events.len()
@@ -723,6 +739,28 @@ mod tests {
         // Zero via the positional form is caught by the same gate.
         let err = parse(&["synflood", "0"]).unwrap_err();
         assert!(err.contains("at least one shard"), "got: {err}");
+    }
+
+    #[test]
+    fn shards_beyond_the_limit_rejected_in_both_spellings() {
+        // Regression: `u64::MAX` shards panicked allocating the shard
+        // array and 100 000 aborted spawning their threads.
+        let beyond = (MAX_SHARDS + 1).to_string();
+        let huge = u64::MAX.to_string();
+        for args in [
+            &["--shards", &beyond][..],
+            &["synflood", &beyond],
+            &["--shards", &huge],
+            &["synflood", &huge],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("--shards"), "got: {err}");
+            assert!(err.contains(&format!("more than the {MAX_SHARDS} a run accepts")), "got: {err}");
+        }
+        let most = MAX_SHARDS.to_string();
+        for args in [&["--shards", &most][..], &["synflood", &most]] {
+            assert_eq!(parse(args).unwrap().shards, MAX_SHARDS);
+        }
     }
 
     #[test]

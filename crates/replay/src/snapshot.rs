@@ -1,5 +1,5 @@
 //! Deterministic JSON snapshot of a [`ReplayOutcome`], written and read
-//! through `telemetry::json`'s [`ToJson`]/[`FromJson`](telemetry::json::FromJson) pair.
+//! through `telemetry::json`'s [`ToJson`](telemetry::json::ToJson)/[`FromJson`](telemetry::json::FromJson) pair.
 //!
 //! [`RunSnapshot`] mirrors every deterministic field of an outcome
 //! (alerts, health, ensemble report, alert provenance, merged-state
@@ -16,7 +16,7 @@ use crate::provenance::{AlertProvenanceRecord, IncidentRef};
 use crate::ReplayOutcome;
 use anomaly::synflood::KIND_SYN;
 pub use anomaly::{AlertSnap, FiredSnap};
-use telemetry::json::{read, At, ToJson};
+use telemetry::json::{self, read, At};
 use telemetry::json_struct;
 
 /// [`crate::ReplayHealth`] with incidents rendered as [`IncidentRef`]s.
@@ -169,15 +169,7 @@ impl RunSnapshot {
 /// Renders the deterministic snapshot of `out` as a JSON document.
 #[must_use]
 pub fn render_outcome_json(out: &ReplayOutcome) -> String {
-    render_snapshot_json(&RunSnapshot::of(out))
-}
-
-/// Renders an already-captured snapshot.
-#[must_use]
-pub fn render_snapshot_json(s: &RunSnapshot) -> String {
-    let mut out = String::new();
-    s.write_json(&mut out);
-    out
+    json::write(&RunSnapshot::of(out))
 }
 
 /// Parses a document written by [`render_outcome_json`] back into the
@@ -311,7 +303,7 @@ pub(crate) mod tests {
         let mut snap = sample_snapshot();
         snap.detected_at = None;
         snap.ensemble.engines[0].first_fired_at = None;
-        let text = render_snapshot_json(&snap);
+        let text = json::write(&snap);
         assert!(text.contains("\"detected_at\":null"));
         let parsed = parse_outcome_json(&text).expect("parses");
         assert_eq!(parsed, snap);
@@ -320,7 +312,7 @@ pub(crate) mod tests {
     #[test]
     fn parse_reports_the_offending_path() {
         let snap = sample_snapshot();
-        let text = render_snapshot_json(&snap);
+        let text = json::write(&snap);
         let broken = text.replace("\"combined_q16\":80000", "\"combined_q17\":80000");
         let err = parse_outcome_json(&broken).expect_err("missing field must fail");
         assert!(err.contains("combined_q16"), "unhelpful error: {err}");

@@ -248,5 +248,5 @@ fn documents_match_recorded_bytes() {
     report.push(6, "checkpoint_written", String::from("ckpt-000002.json (169099 bytes)\n"));
     report.push(7, "swap_rejected", String::from("register `rate_window` differs: λ ≠ µ"));
     report.push(9, "shed_level", String::from("no_traces"));
-    assert_recorded_bytes("lifecycle_report.json", &report.to_json());
+    assert_recorded_bytes("lifecycle_report.json", &telemetry::json::write(&report));
 }

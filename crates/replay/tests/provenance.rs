@@ -154,6 +154,6 @@ fn golden_snapshot_round_trips_field_for_field() {
     assert_eq!(parsed, snap, "snapshot did not survive the round trip");
 
     // And rendering the parsed snapshot again is byte-stable.
-    let text2 = replay::snapshot::render_snapshot_json(&parsed);
+    let text2 = telemetry::json::write(&parsed);
     assert_eq!(text, text2, "re-render is not byte-identical");
 }

@@ -15,6 +15,8 @@
 //! every algorithm shipped in both a software and a hardware
 //! formulation (`S4L013`/`S4L014`); `--merge-sound` runs the `S4L015`
 //! merge-soundness check over every built-in app's registers.
+//! `--json` prints one document: a `programs` member, then `equiv` and
+//! `merge` members when those suites run.
 //!
 //! Exit status is non-zero when any program has an error-severity
 //! finding, or any warning-severity finding under `--deny warnings`.
@@ -24,6 +26,7 @@
 
 use std::process::ExitCode;
 
+use p4sim::analysis::json::{self, obj, Json, ToJson};
 use p4sim::Severity;
 use stat4_p4::lint::{builtin_suite, equiv_suite, merge_suite};
 
@@ -67,7 +70,7 @@ fn parse_args() -> Result<Options, String> {
                      --deny warnings  treat warning-severity findings as fatal\n  \
                      --equiv          also run the symbolic cross-target equivalence suite (S4L013/S4L014)\n  \
                      --merge-sound    also run the register merge-soundness suite (S4L015)\n  \
-                     --json           emit machine-readable JSON\n  \
+                     --json           emit one JSON document: `programs`, and `equiv`/`merge` when run\n  \
                      --verbose, -v    also show info-severity notes"
                 );
                 std::process::exit(0);
@@ -99,73 +102,39 @@ fn main() -> ExitCode {
         }
     };
 
+    let deny = opts.deny_warnings;
     let suite = builtin_suite();
     let equiv = opts.equiv.then(equiv_suite);
     let merge = opts.merge_sound.then(merge_suite);
-    let mut failed = 0usize;
+    let failed = suite.iter().filter(|e| !e.report.passes(deny)).count()
+        + equiv.iter().flatten().filter(|e| !e.passes(deny)).count()
+        + merge.iter().flatten().filter(|e| !e.report.passes(deny)).count();
 
     if opts.json {
-        let programs: Vec<String> = suite
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"name\":{},\"pass\":{},\"report\":{}}}",
-                    p4sim::analysis::json_string(e.name),
-                    e.report.passes(opts.deny_warnings),
-                    e.report.to_json()
-                )
-            })
-            .collect();
-        failed += suite
-            .iter()
-            .filter(|e| !e.report.passes(opts.deny_warnings))
-            .count();
-        let programs = format!("[{}]", programs.join(","));
-        if equiv.is_none() && merge.is_none() {
-            // Backwards-compatible shape: a bare per-program array.
-            println!("{programs}");
-        } else {
-            let mut sections = vec![format!("\"programs\":{programs}")];
-            if let Some(eq) = &equiv {
-                let entries: Vec<String> = eq
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"name\":{},\"expect_divergence\":{},\"pass\":{},\"report\":{}}}",
-                            p4sim::analysis::json_string(e.name),
-                            e.expect_divergence,
-                            e.passes(opts.deny_warnings),
-                            e.report.to_json()
-                        )
-                    })
-                    .collect();
-                failed += eq.iter().filter(|e| !e.passes(opts.deny_warnings)).count();
-                sections.push(format!("\"equiv\":[{}]", entries.join(",")));
-            }
-            if let Some(ms) = &merge {
-                let entries: Vec<String> = ms
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"name\":{},\"pass\":{},\"report\":{}}}",
-                            p4sim::analysis::json_string(e.name),
-                            e.report.passes(opts.deny_warnings),
-                            e.report.to_json()
-                        )
-                    })
-                    .collect();
-                failed += ms
-                    .iter()
-                    .filter(|e| !e.report.passes(opts.deny_warnings))
-                    .count();
-                sections.push(format!("\"merge\":[{}]", entries.join(",")));
-            }
-            println!("{{{}}}", sections.join(","));
+        let entry = |name: &str, pass: bool, report: Json| {
+            obj(vec![("name", name.to_json()), ("pass", pass.to_json()), ("report", report)])
+        };
+        let programs = suite.iter().map(|e| entry(e.name, e.report.passes(deny), e.report.to_json()));
+        let mut doc = vec![("programs", Json::Arr(programs.collect()))];
+        if let Some(eq) = &equiv {
+            let entries = eq.iter().map(|e| {
+                obj(vec![
+                    ("name", e.name.to_json()),
+                    ("expect_divergence", e.expect_divergence.to_json()),
+                    ("pass", e.passes(deny).to_json()),
+                    ("report", e.report.to_json()),
+                ])
+            });
+            doc.push(("equiv", Json::Arr(entries.collect())));
         }
+        if let Some(ms) = &merge {
+            let entries = ms.iter().map(|e| entry(e.name, e.report.passes(deny), e.report.to_json()));
+            doc.push(("merge", Json::Arr(entries.collect())));
+        }
+        println!("{}", json::render(&obj(doc)));
     } else {
         for e in &suite {
-            let pass = e.report.passes(opts.deny_warnings);
-            let verdict = if pass { "ok" } else { "FAIL" };
+            let verdict = if e.report.passes(deny) { "ok" } else { "FAIL" };
             println!(
                 "{verdict:4} {:45} [{}] {} stage(s), {} error(s), {} warning(s), {} note(s)",
                 e.name,
@@ -176,15 +145,11 @@ fn main() -> ExitCode {
                 e.report.infos()
             );
             print_diags(&e.report.diagnostics, opts.verbose);
-            if !pass {
-                failed += 1;
-            }
         }
         if let Some(eq) = &equiv {
             println!("-- cross-target equivalence (symbolic) --");
             for e in eq {
-                let pass = e.passes(opts.deny_warnings);
-                let verdict = if pass { "ok" } else { "FAIL" };
+                let verdict = if e.passes(deny) { "ok" } else { "FAIL" };
                 let outcome = if e.report.equivalent() {
                     "equivalent"
                 } else if e.expect_divergence {
@@ -199,16 +164,12 @@ fn main() -> ExitCode {
                 if !e.expect_divergence {
                     print_diags(&e.report.diagnostics, opts.verbose);
                 }
-                if !pass {
-                    failed += 1;
-                }
             }
         }
         if let Some(ms) = &merge {
             println!("-- register merge soundness --");
             for e in ms {
-                let pass = e.report.passes(opts.deny_warnings);
-                let verdict = if pass { "ok" } else { "FAIL" };
+                let verdict = if e.report.passes(deny) { "ok" } else { "FAIL" };
                 println!(
                     "{verdict:4} {:45} {} register(s) checked, {} exempt, {} origin pair(s), {} witness(es)",
                     e.name,
@@ -218,16 +179,13 @@ fn main() -> ExitCode {
                     e.report.witnesses
                 );
                 print_diags(&e.report.diagnostics, opts.verbose);
-                if !pass {
-                    failed += 1;
-                }
             }
         }
         let total =
             suite.len() + equiv.as_ref().map_or(0, Vec::len) + merge.as_ref().map_or(0, Vec::len);
         println!(
             "{total} check(s) run, {failed} failed{}",
-            if opts.deny_warnings {
+            if deny {
                 " (warnings denied)"
             } else {
                 ""

@@ -5,9 +5,9 @@
 //! findings into the same two documents: the `--json` one tools read and
 //! the `--verbose` text people read. This test runs the binary over all
 //! 22 checks (the 12 built-in programs, the 4 equivalence pairs and the
-//! 6 merge-soundness programs) in both forms and compares the bytes with
-//! `tests/golden/lint.golden`. A refactor of any of the three analyses
-//! must leave them unmoved.
+//! 6 merge-soundness programs) in both forms, and over the 12 programs
+//! alone as JSON, and compares the bytes with `tests/golden/lint.golden`.
+//! A refactor of any of the three analyses must leave them unmoved.
 //!
 //! A change that means to alter the output re-records the file with
 //! `GOLDEN_RECORD=1 cargo test -p stat4-p4 --test lint_golden` and
@@ -16,9 +16,12 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const RUNS: [&[&str]; 2] = [
+const RUNS: [&[&str]; 3] = [
     &["--json", "--equiv", "--merge-sound"],
     &["--verbose", "--equiv", "--merge-sound"],
+    // The built-in programs alone: the same document, with `programs`
+    // its only member.
+    &["--json"],
 ];
 
 fn golden_path() -> PathBuf {

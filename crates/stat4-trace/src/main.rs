@@ -143,7 +143,7 @@ mod tests {
         report.swaps_committed = 1;
         report.generation = 1;
         let path = std::env::temp_dir().join("stat4-trace-lifecycle-test.json");
-        std::fs::write(&path, report.to_json()).unwrap();
+        std::fs::write(&path, telemetry::json::write(&report)).unwrap();
         let out = call(&["lifecycle", path.to_str().unwrap()]).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("swap committed"), "{out}");

@@ -136,7 +136,7 @@ fn lifecycle_story_shows_each_checkpoints_size_and_cost() {
     assert!(report.checkpoints_written >= 2, "{report:?}");
 
     let story = stat4_trace::lifecycle_story(
-        &replay::LifecycleReport::parse(&report.to_json()).expect("own rendering parses"),
+        &replay::LifecycleReport::parse(&telemetry::json::write(&report)).expect("own rendering parses"),
     );
     let lines: Vec<&str> = story.lines().filter(|l| l.contains("checkpoint written")).collect();
     assert_eq!(lines.len() as u64, report.checkpoints_written, "{story}");

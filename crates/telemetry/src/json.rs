@@ -5,12 +5,18 @@
 //! no serialisation machinery. What stands in for it is a trait pair,
 //! [`ToJson`] and [`FromJson`], with impls for the integers, `bool`,
 //! `String`, `Option`, `Vec` and [`Json`] itself, and [`crate::json_struct!`],
-//! which writes both impls for a struct from one list of its fields.
-//! An impl lives beside the type it is for (`anomaly`, `p4sim`,
-//! `replay`); only where the JSON form is not the field list (a tagged
-//! enum, a list of pairs) is it written out, with [`obj`] and
-//! [`field`]. A reader carries its position as an [`At`], so an error
-//! names the full path of what it refused.
+//! which writes both impls for a struct from one list of its fields
+//! (or only the writer, for a report nothing reads back). An impl
+//! lives beside the type it is for (`anomaly`, `p4sim`, `replay`,
+//! the metric and trace types here); only where the JSON form is not
+//! the field list (a tagged enum, a list of pairs, a computed or
+//! renamed member) is it written out, with [`obj`] and [`field`], or,
+//! where the text is written with no tree, with one member list that
+//! `obj_of` and `write_obj` take. [`write()`] and [`read()`] turn a
+//! whole document to and from text.
+//! This module is the only code that writes JSON punctuation. A
+//! reader carries its position as an [`At`], so an error names the
+//! full path of what it refused.
 //!
 //! Underneath is enough of RFC 8259 to round-trip the documents the
 //! suite emits (trace files, run snapshots, checkpoints, metric
@@ -25,7 +31,6 @@
 //! drowning in `f64`. Object members preserve document order, which
 //! lets golden tests compare field-for-field.
 
-use crate::expo::write_json_string;
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -467,6 +472,36 @@ fn write_int(out: &mut String, i: i64) {
     write_uint(out, i.unsigned_abs());
 }
 
+/// Appends `s` to `out` as a double-quoted JSON string literal. Runs
+/// of bytes that need no escape (the whole string, for every key and
+/// almost every value this repo writes) are copied in one `push_str`;
+/// every byte that does need one is ASCII, so splitting there keeps
+/// the runs valid UTF-8.
+fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
+    out.push('"');
+}
+
 /// The one writer of a tree; integers and strings, which are nearly
 /// all of any document, are appended in place with no `fmt` machinery
 /// and no temporary per value or key.
@@ -558,6 +593,15 @@ pub fn read<T: FromJson>(text: &str, at: At<'_>) -> Result<T, String> {
         .or_else(|_| T::from_json(&Json::parse(text)?, at))
 }
 
+/// The document `v` as text: [`read`]'s mirror, and how every document
+/// the workspace emits is written.
+#[must_use]
+pub fn write<T: ToJson + ?Sized>(v: &T) -> String {
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
+}
+
 /// Where a value sits in its document, as a chain of borrowed links
 /// back to the root. A link is a few words on the reader's stack; the
 /// path is formatted only when an error is built, so reading a
@@ -597,6 +641,33 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// One member of an object whose value is not written yet.
+pub(crate) type Member<'a> = (&'a str, &'a dyn ToJson);
+
+/// An object from [`Member`]s, in the order given: the tree of the
+/// text [`write_obj`] writes from the same members.
+#[must_use]
+pub(crate) fn obj_of<'a>(members: impl IntoIterator<Item = Member<'a>>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v.to_json())).collect())
+}
+
+/// Appends the object [`obj_of`] builds from `members`, with no tree:
+/// each value is written by its own [`ToJson::write_json`]. An impl
+/// whose form is not its field list gives one member list to both, so
+/// its tree and its text cannot disagree.
+pub(crate) fn write_obj<'a>(out: &mut String, members: impl IntoIterator<Item = Member<'a>>) {
+    out.push('{');
+    for (i, (k, v)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_string(out, k);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
 /// Member `key` of the object `v` (which sits at `at`), handed with
 /// its own path to `read`. Every member is read through here, so a
 /// missing one is reported one way.
@@ -630,6 +701,11 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// (the reader builds `Self` from the list) and must itself have the
 /// pair. The one list gives the tree, the text ([`ToJson::write_json`],
 /// each field streamed behind its key) and the reader.
+///
+/// `json_struct!(@write Ty { .. })` gives the writer alone, for a
+/// report that is emitted and never read back; its fields need only
+/// [`ToJson`], and a field left out of the list is left out of the
+/// document.
 #[macro_export]
 macro_rules! json_struct {
     (@read $ty:ty { $($field:ident),+ }) => {
@@ -655,7 +731,7 @@ macro_rules! json_struct {
             }
         }
     };
-    ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
+    (@write $ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::json::obj(vec![
@@ -674,6 +750,9 @@ macro_rules! json_struct {
                 out.push('}');
             }
         }
+    };
+    ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
+        $crate::json_struct!(@write $ty { $first $(, $field)* });
         $crate::json_struct!(@read $ty { $first $(, $field)* });
     };
 }
@@ -765,6 +844,19 @@ impl FromJson for i64 {
     }
 }
 
+/// A histogram's sum. The text keeps every digit; a tree holds a value
+/// past `u64::MAX` only as the nearest `f64`, so there alone the two
+/// forms differ.
+impl ToJson for u128 {
+    fn to_json(&self) -> Json {
+        u64::try_from(*self).map_or(Json::Float(*self as f64), |u| u.to_json())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
@@ -809,6 +901,17 @@ impl FromJson for String {
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
         let Json::Str(s) = lx.value()? else { return Err(at.err("not a string")) };
         Ok(s)
+    }
+}
+
+/// A borrowed value writes what it points at (a `&'static str` name).
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -1008,7 +1111,7 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let original = "a\"b\\c\nd\te\u{1}f λ 🦀";
-        let rendered = crate::expo::json_string(original);
+        let rendered = write(original);
         let v = Json::parse(&rendered).unwrap();
         assert_eq!(v.as_str(), Some(original));
         // What is read is what lies between the quotes, escape by
@@ -1036,6 +1139,14 @@ mod tests {
         ] {
             assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
         }
+    }
+
+    #[test]
+    fn strings_are_written_escaped() {
+        assert_eq!(write("a\"b"), "\"a\\\"b\"");
+        assert_eq!(write("a\\b"), "\"a\\\\b\"");
+        assert_eq!(write("a\nb"), "\"a\\nb\"");
+        assert_eq!(write("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
@@ -1100,7 +1211,7 @@ mod tests {
     fn string_path_matches_the_escaping_writer() {
         for s in ["", "plain_key", "a\"b\\c\nd\re\tf\u{1}g\u{1f}h", "λ 🦀 \u{7f}", "\"", "\\\\"] {
             let rendered = render(&Json::Str(s.to_string()));
-            assert_eq!(rendered, crate::expo::json_string(s));
+            assert_eq!(rendered, write(s));
             assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(s));
         }
         assert_eq!(render(&Json::Str("a\u{1}\n".into())), "\"a\\u0001\\n\"");
@@ -1154,6 +1265,11 @@ mod tests {
         streams_as(&usize::MAX, &usize::MAX.to_string());
         streams_as(&u32::MAX, "4294967295");
         streams_as(&u8::MAX, "255");
+        streams_as(&1108u128, "1108");
+        streams_as(&u128::from(u64::MAX), "18446744073709551615");
+        // Past `u64::MAX` only the text is exact.
+        assert_eq!(write(&(u128::from(u64::MAX) + 1)), "18446744073709551616");
+        streams_as(&"borrowed", r#""borrowed""#);
         streams_as(&0i64, "0");
         streams_as(&-9i64, "-9");
         streams_as(&i64::MIN, "-9223372036854775808");

@@ -18,8 +18,10 @@
 //!   events for epoch lifecycle (split → ingest → barrier → merge →
 //!   detect), cheap enough to leave on.
 //! - **Exposition** ([`expo`]) — renders a [`Snapshot`] in Prometheus
-//!   text format or as a JSON document; [`check`] validates Prometheus
-//!   output (used by CI against the real replay binary).
+//!   text format; [`render_json`] writes it as a JSON document through
+//!   [`json`], the one codec every document is written and read with;
+//!   [`check`] validates Prometheus output (used by CI against the real
+//!   replay binary).
 //!
 //! ## Histogram bucketing = the paper's Figure 2 decomposition
 //!
@@ -52,9 +54,11 @@ pub mod trace;
 pub use check::{
     check_prometheus, check_trace, parse_trace, PromSummary, TraceDoc, TraceRecord, TraceSummary,
 };
-pub use expo::{json_string, render_json, render_prometheus};
+pub use expo::render_prometheus;
 pub use hist::LogLinearHistogram;
 pub use json::Json;
 pub use metrics::Counter;
-pub use snapshot::{HistogramSnapshot, Metric, MetricKind, Sample, SampleValue, Snapshot};
+pub use snapshot::{
+    render_json, Bucket, HistogramSnapshot, Metric, MetricKind, Sample, SampleValue, Snapshot,
+};
 pub use trace::{MergedTrace, TraceEvent, TracePhase, Tracer, COORDINATOR_TID};

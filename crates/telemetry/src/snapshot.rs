@@ -2,12 +2,15 @@
 //! metric families.
 //!
 //! A [`Snapshot`] is what crosses the boundary between the
-//! instrumented layers and the renderers in [`crate::expo`]: layers
-//! build one from their (plain or shared) metric values, renderers turn
-//! it into Prometheus text or JSON without knowing where the numbers
-//! came from.
+//! instrumented layers and the renderers: layers build one from their
+//! (plain or shared) metric values, [`crate::expo`] turns it into
+//! Prometheus text and [`render_json`] into JSON, without knowing where
+//! the numbers came from. The JSON form of each type is its
+//! [`ToJson`] impl below it.
 
 use crate::hist::LogLinearHistogram;
+use crate::json::{self, obj_of, write_obj, Json, ToJson};
+use crate::json_struct;
 
 /// Prometheus-style metric kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,19 +35,42 @@ impl MetricKind {
     }
 }
 
+/// Written as its `# TYPE` keyword.
+impl ToJson for MetricKind {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// One histogram bucket: the samples at or below `le`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bucket {
+    /// Inclusive upper bound.
+    pub le: u64,
+    /// Samples at or below `le`.
+    pub cumulative: u64,
+}
+
+json_struct!(@write Bucket { le, cumulative });
+
 /// A rendered histogram: cumulative counts at inclusive upper bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// `(le, cumulative_count)` pairs, ascending in `le`; only the
-    /// non-empty buckets of the source histogram appear (plus their
-    /// cumulative semantics, the `+Inf` bucket is implicit via
-    /// [`Self::count`]).
-    pub buckets: Vec<(u64, u64)>,
+    /// Ascending in `le`; only the non-empty buckets of the source
+    /// histogram appear (plus their cumulative semantics, the `+Inf`
+    /// bucket is implicit via [`Self::count`]).
+    pub buckets: Vec<Bucket>,
     /// Total samples.
     pub count: u64,
     /// Sum of all samples.
     pub sum: u128,
 }
+
+json_struct!(@write HistogramSnapshot { count, sum, buckets });
 
 impl From<&LogLinearHistogram> for HistogramSnapshot {
     fn from(h: &LogLinearHistogram) -> Self {
@@ -52,7 +78,7 @@ impl From<&LogLinearHistogram> for HistogramSnapshot {
         let mut cum = 0u64;
         for (idx, c) in h.nonzero_buckets() {
             cum += c;
-            buckets.push((h.bucket_range(idx).1, cum));
+            buckets.push(Bucket { le: h.bucket_range(idx).1, cumulative: cum });
         }
         Self {
             buckets,
@@ -73,6 +99,27 @@ pub enum SampleValue {
     Histogram(HistogramSnapshot),
 }
 
+impl SampleValue {
+    fn reading(&self) -> &dyn ToJson {
+        match self {
+            SampleValue::Counter(v) => v,
+            SampleValue::Gauge(v) => v,
+            SampleValue::Histogram(h) => h,
+        }
+    }
+}
+
+/// Written as the reading alone: the family's kind says which.
+impl ToJson for SampleValue {
+    fn to_json(&self) -> Json {
+        self.reading().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.reading().write_json(out);
+    }
+}
+
 /// One labelled series of a metric family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
@@ -80,6 +127,30 @@ pub struct Sample {
     pub labels: Vec<(String, String)>,
     /// The reading.
     pub value: SampleValue,
+}
+
+/// A sample's labels, written as the object they stand for.
+struct Labels<'a>(&'a [(String, String)]);
+
+impl ToJson for Labels<'_> {
+    fn to_json(&self) -> Json {
+        obj_of(self.0.iter().map(|(k, v)| (k.as_str(), v as &dyn ToJson)))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, self.0.iter().map(|(k, v)| (k.as_str(), v as &dyn ToJson)));
+    }
+}
+
+/// `{"labels":{…},"value":…}`.
+impl ToJson for Sample {
+    fn to_json(&self) -> Json {
+        obj_of([("labels", &Labels(&self.labels) as &dyn ToJson), ("value", &self.value)])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, [("labels", &Labels(&self.labels) as &dyn ToJson), ("value", &self.value)]);
+    }
 }
 
 /// A named metric family with its samples.
@@ -95,11 +166,23 @@ pub struct Metric {
     pub samples: Vec<Sample>,
 }
 
+json_struct!(@write Metric { name, kind, help, samples });
+
 /// A point-in-time collection of metric families.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// The families, in push order.
     pub metrics: Vec<Metric>,
+}
+
+json_struct!(@write Snapshot { metrics });
+
+/// Renders the snapshot as one JSON document:
+/// `{"metrics":[{"name","kind","help","samples":[{"labels","value"}]}]}`.
+/// Histogram values expand to `{"count","sum","buckets":[{"le","cumulative"}]}`.
+#[must_use]
+pub fn render_json(snap: &Snapshot) -> String {
+    json::write(snap)
 }
 
 /// True iff `name` is a legal Prometheus metric name.
@@ -217,8 +300,38 @@ impl Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Two labelled counters, an unlabelled gauge and a histogram.
+    pub(crate) fn sample_snapshot() -> Snapshot {
+        let mut snap = Snapshot::new();
+        snap.push_counter("pkts_total", "packets seen", &[("shard", "0")], 42);
+        snap.push_counter("pkts_total", "packets seen", &[("shard", "1")], 58);
+        snap.push_gauge("occupancy", "cells in use", &[], 17);
+        let mut h = LogLinearHistogram::new(2);
+        for v in [3u64, 5, 100, 1000] {
+            h.record(v);
+        }
+        snap.push_histogram("lat_ns", "latency", &[("stage", "ingest")], &h);
+        snap
+    }
+
+    #[test]
+    fn json_document_is_pinned_byte_for_byte() {
+        let snap = sample_snapshot();
+        let want = concat!(
+            r#"{"metrics":[{"name":"pkts_total","kind":"counter","help":"packets seen","samples":["#,
+            r#"{"labels":{"shard":"0"},"value":42},{"labels":{"shard":"1"},"value":58}]},"#,
+            r#"{"name":"occupancy","kind":"gauge","help":"cells in use","samples":[{"labels":{},"value":17}]},"#,
+            r#"{"name":"lat_ns","kind":"histogram","help":"latency","samples":[{"labels":{"stage":"ingest"},"#,
+            r#""value":{"count":4,"sum":1108,"buckets":[{"le":3,"cumulative":1},{"le":5,"cumulative":2},"#,
+            r#"{"le":111,"cumulative":3},{"le":1023,"cumulative":4}]}}]}]}"#
+        );
+        assert_eq!(render_json(&snap), want);
+        // The tree the streamed text skips is the same document.
+        assert_eq!(json::render(&snap.to_json()), want);
+    }
 
     #[test]
     fn families_group_and_sum() {
@@ -256,10 +369,10 @@ mod tests {
         let hs = HistogramSnapshot::from(&h);
         assert_eq!(hs.count, 4);
         assert_eq!(hs.sum, 104);
-        let cums: Vec<u64> = hs.buckets.iter().map(|(_, c)| *c).collect();
+        let cums: Vec<u64> = hs.buckets.iter().map(|b| b.cumulative).collect();
         assert!(cums.windows(2).all(|w| w[0] <= w[1]), "monotone: {cums:?}");
         assert_eq!(*cums.last().unwrap(), 4);
-        let les: Vec<u64> = hs.buckets.iter().map(|(le, _)| *le).collect();
+        let les: Vec<u64> = hs.buckets.iter().map(|b| b.le).collect();
         assert!(les.windows(2).all(|w| w[0] < w[1]), "ascending: {les:?}");
     }
 

@@ -20,6 +20,7 @@
 //! traced — that's what the histograms are for; traces capture the
 //! epoch-granularity control flow.
 
+use crate::json::{self, obj_of, write_obj, Json, Member, ToJson};
 use std::time::Instant;
 
 /// Thread id used for the coordinator's own tracer. Shard tracers use
@@ -50,6 +51,17 @@ impl TracePhase {
     }
 }
 
+/// Written as its [`TracePhase::code`].
+impl ToJson for TracePhase {
+    fn to_json(&self) -> Json {
+        self.code().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.code().write_json(out);
+    }
+}
+
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -63,6 +75,31 @@ pub struct TraceEvent {
     pub phase: TracePhase,
     /// Recording thread: shard index, or [`COORDINATOR_TID`].
     pub tid: u32,
+}
+
+impl TraceEvent {
+    /// The Chrome-trace event object: `ph` is the phase code, `ts` is
+    /// in ns, and every event has the one `pid` 0.
+    fn members(&self) -> [Member<'_>; 6] {
+        [
+            ("name", &self.name),
+            ("ph", &self.phase),
+            ("ts", &self.at_ns),
+            ("pid", &0u8),
+            ("tid", &self.tid),
+            ("epoch", &self.epoch),
+        ]
+    }
+}
+
+impl ToJson for TraceEvent {
+    fn to_json(&self) -> Json {
+        obj_of(self.members())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, self.members());
+    }
 }
 
 /// A bounded event recorder.
@@ -187,32 +224,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Renders the buffer as a JSON array of Chrome-trace-style event
-    /// objects (`{"name","ph","ts","tid","epoch"}`, `ts` in ns).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&render_event(e));
-        }
-        out.push(']');
-        out
-    }
-}
-
-fn render_event(e: &TraceEvent) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{},\"epoch\":{}}}",
-        crate::expo::json_string(e.name),
-        e.phase.code(),
-        e.at_ns,
-        e.tid,
-        e.epoch
-    )
 }
 
 /// Every thread's trace buffers folded into one causally-ordered
@@ -260,18 +271,21 @@ impl MergedTrace {
     /// ignored there) and by [`crate::check::check_trace`].
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&render_event(e));
-        }
-        out.push_str(&format!(
-            "],\"dropped\":{},\"threads\":{}}}",
-            self.dropped, self.threads
-        ));
-        out
+        json::write(self)
+    }
+
+    fn members(&self) -> [Member<'_>; 3] {
+        [("traceEvents", &self.events), ("dropped", &self.dropped), ("threads", &self.threads)]
+    }
+}
+
+impl ToJson for MergedTrace {
+    fn to_json(&self) -> Json {
+        obj_of(self.members())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, self.members());
     }
 }
 
@@ -301,18 +315,6 @@ mod tests {
         }
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut t = Tracer::new(4);
-        t.begin("merge", 7);
-        let j = t.to_json();
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"name\":\"merge\""));
-        assert!(j.contains("\"ph\":\"B\""));
-        assert!(j.contains("\"epoch\":7"));
-        assert!(j.contains(&format!("\"tid\":{COORDINATOR_TID}")));
     }
 
     #[test]
@@ -373,6 +375,36 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"dropped\":1"));
         assert!(json.contains("\"threads\":3"));
+        assert!(json.contains("\"name\":\"ingest\",\"ph\":\"B\""));
+        assert!(json.contains("\"tid\":1,\"epoch\":0"));
+        assert!(json.contains(&format!("\"tid\":{COORDINATOR_TID}")));
+    }
+
+    #[test]
+    fn chrome_document_is_pinned_byte_for_byte() {
+        let event = |at_ns, epoch, name, phase, tid| TraceEvent { at_ns, epoch, name, phase, tid };
+        let merged = MergedTrace {
+            events: vec![
+                event(0, 0, "barrier", TracePhase::Begin, COORDINATOR_TID),
+                event(5, 0, "ingest", TracePhase::Begin, 1),
+                event(1_000_000_007, 0, "ingest", TracePhase::End, 1),
+                event(1_000_000_008, 0, "barrier", TracePhase::End, COORDINATOR_TID),
+                event(u64::MAX, 41, "alert", TracePhase::Instant, COORDINATOR_TID),
+            ],
+            dropped: 3,
+            threads: 2,
+        };
+        let want = concat!(
+            r#"{"traceEvents":[{"name":"barrier","ph":"B","ts":0,"pid":0,"tid":4294967295,"epoch":0},"#,
+            r#"{"name":"ingest","ph":"B","ts":5,"pid":0,"tid":1,"epoch":0},"#,
+            r#"{"name":"ingest","ph":"E","ts":1000000007,"pid":0,"tid":1,"epoch":0},"#,
+            r#"{"name":"barrier","ph":"E","ts":1000000008,"pid":0,"tid":4294967295,"epoch":0},"#,
+            r#"{"name":"alert","ph":"i","ts":18446744073709551615,"pid":0,"tid":4294967295,"epoch":41}],"#,
+            r#""dropped":3,"threads":2}"#
+        );
+        assert_eq!(merged.to_chrome_json(), want);
+        // The tree the streamed text skips is the same document.
+        assert_eq!(json::render(&merged.to_json()), want);
     }
 
     #[test]
