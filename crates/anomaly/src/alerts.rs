@@ -82,7 +82,7 @@ impl Alert {
     /// The inverse of [`Self::flatten`]; `None` for an unknown tag or
     /// a payload the variant cannot hold.
     #[must_use]
-    pub fn unflatten(kind: &str, at: u64, value: i64) -> Option<Self> {
+    pub(crate) fn unflatten(kind: &str, at: u64, value: i64) -> Option<Self> {
         Some(match kind {
             "traffic_spike" => Alert::TrafficSpike { at, interval_count: u64::try_from(value).ok()? },
             "traffic_imbalance" => Alert::TrafficImbalance { at, group: u64::try_from(value).ok()? },

@@ -38,12 +38,12 @@ use telemetry::{json_struct, Snapshot};
 pub const Q16: i64 = 1 << 16;
 
 /// Scores saturate at 16 in Q16 so weighted sums cannot overflow.
-pub const SCORE_CAP: i64 = 16 * Q16;
+pub(crate) const SCORE_CAP: i64 = 16 * Q16;
 
 /// `num/den` in Q16, clamped to `[0, SCORE_CAP]`; `den ≤ 0` maps to
 /// the cap (an exhausted bound means any observation is past it).
 #[must_use]
-pub fn ratio_q16(num: i64, den: i64) -> i64 {
+pub(crate) fn ratio_q16(num: i64, den: i64) -> i64 {
     if num <= 0 {
         return 0;
     }
@@ -57,7 +57,7 @@ pub fn ratio_q16(num: i64, den: i64) -> i64 {
 /// Confidence convention: how far past the threshold the score sits,
 /// saturating at one (Q16).
 #[must_use]
-pub fn confidence_q16(score: i64) -> i64 {
+pub(crate) fn confidence_q16(score: i64) -> i64 {
     (score - Q16).clamp(0, Q16)
 }
 
@@ -109,7 +109,7 @@ pub struct DetectionResult {
     pub score: i64,
     /// Engine weight in Q16 for the ensemble combiner.
     pub weight: i64,
-    /// [`confidence_q16`] of the score.
+    /// `confidence_q16` of the score.
     pub confidence: i64,
     /// What the engine expected for its signal (raw units).
     pub expected: i64,
@@ -370,7 +370,7 @@ pub struct EngineAtFire {
     /// The firing threshold the score is normalised against (Q16 by
     /// the crate's score convention).
     pub threshold_q16: i64,
-    /// [`confidence_q16`] of the score.
+    /// `confidence_q16` of the score.
     pub confidence: i64,
     /// Ensemble weight, Q16.
     pub weight: i64,
@@ -553,16 +553,6 @@ impl Ensemble {
     /// As [`Self::check_weight_overrides`]; nothing was changed.
     pub fn set_weight_override(&mut self, name: &str, weight: Option<i64>) -> Result<(), String> {
         self.set_weight_overrides(&[(name.to_string(), weight)])
-    }
-
-    /// Current weight overrides keyed by engine name.
-    #[must_use]
-    pub fn weight_overrides(&self) -> Vec<(&'static str, Option<i64>)> {
-        self.engines
-            .iter()
-            .zip(&self.weight_overrides)
-            .map(|(e, w)| (e.name(), *w))
-            .collect()
     }
 
     /// Engine names in report order.
@@ -805,10 +795,7 @@ mod tests {
         e.set_weight_override("cold", Some(0)).unwrap();
         let skewed = e.observe(&ctx_at(20, &kinds, &stats)).combined_q16;
         assert_eq!(skewed, 2 * Q16, "silenced engine no longer dilutes");
-        assert_eq!(
-            e.weight_overrides(),
-            vec![("hot", None), ("cold", Some(0))]
-        );
+        assert_eq!(e.weight_overrides, vec![None, Some(0)]);
 
         e.set_weight_override("cold", None).unwrap();
         let restored = e.observe(&ctx_at(30, &kinds, &stats)).combined_q16;
@@ -819,7 +806,7 @@ mod tests {
         // A batch with one bad entry changes nothing, good entries included.
         let batch = [("hot".to_string(), Some(7)), ("missing".to_string(), None)];
         assert!(e.set_weight_overrides(&batch).is_err());
-        assert_eq!(e.weight_overrides(), vec![("hot", None), ("cold", None)]);
+        assert_eq!(e.weight_overrides, vec![None, None]);
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!   acks it;
 //! - a timer re-sends the transaction while it is unacked, with capped
 //!   exponential backoff and deterministic jitter
-//!   ([`crate::backoff::delay_ns`]), and gives up after
-//!   [`MAX_RETRIES`] re-sends;
+//!   (`crate::backoff::delay_ns`), and gives up after
+//!   `MAX_RETRIES` re-sends;
 //! - re-sends are idempotent: the batch starts from a table clear and
 //!   stamps the binding *generation*, so applying it twice converges
 //!   to the same switch state;
@@ -190,7 +190,7 @@ struct PendingRebind {
 /// backoff's 10 ms doubling to 640 ms, a never-acked transaction gives
 /// up at its ninth timeout, 2.55 s after the first send (3.19 s with
 /// all jitter at its 25% maximum).
-pub const MAX_RETRIES: u32 = 8;
+pub(crate) const MAX_RETRIES: u32 = 8;
 
 /// Retry jitter seed; each transaction jitters on `RETRY_SEED ^
 /// generation`.
@@ -214,17 +214,30 @@ pub struct DrilldownController {
     /// older generation were in flight across a rebind and are ignored.
     generation: u64,
     pending: Option<PendingRebind>,
-    /// Shadow copy of the switch pipeline used to statically vet every
-    /// rebind transaction before it is sent (see
-    /// [`Self::with_shadow_model`]). `None` disables the gate.
-    shadow: Option<p4sim::Pipeline>,
+    /// Shadow copy of the switch pipeline every rebind transaction is
+    /// statically vetted on before it is sent (see [`Self::new`]).
+    shadow: p4sim::Pipeline,
 }
 
 impl DrilldownController {
-    /// Creates a controller driving `switch` (whose pipeline is the
-    /// case-study app described by `handles`).
+    /// Creates a controller driving `switch`, whose pipeline is the
+    /// case-study app described by `handles`; `shadow` is a copy of that
+    /// pipeline as the switch starts.
+    ///
+    /// The shadow arms the static rebind-safety gate: every rebind
+    /// transaction is first applied to it and symbolically vetted
+    /// (`S4L016`). A transaction whose post-state can fault (e.g. a
+    /// binding whose action data indexes a register out of bounds) is
+    /// rejected and never sent. The shadow tracks binding-table
+    /// structure, not per-packet register contents, which is all the
+    /// static check reads.
     #[must_use]
-    pub fn new(handles: CaseStudyHandles, switch: NodeId, topo: DrilldownTopology) -> Self {
+    pub fn new(
+        handles: CaseStudyHandles,
+        shadow: p4sim::Pipeline,
+        switch: NodeId,
+        topo: DrilldownTopology,
+    ) -> Self {
         Self {
             handles,
             switch,
@@ -236,21 +249,8 @@ impl DrilldownController {
             next_tag: 1,
             generation: 0,
             pending: None,
-            shadow: None,
+            shadow,
         }
-    }
-
-    /// Arms the static rebind-safety gate: every rebind transaction is
-    /// first applied to `shadow` (a copy of the switch's pipeline) and
-    /// symbolically vetted (`S4L016`) — a transaction whose post-state
-    /// can fault (e.g. a binding whose action data indexes a register
-    /// out of bounds) is rejected and never sent. The shadow tracks
-    /// binding-table structure, not per-packet register contents, which
-    /// is all the static check reads.
-    #[must_use]
-    pub fn with_shadow_model(mut self, shadow: p4sim::Pipeline) -> Self {
-        self.shadow = Some(shadow);
-        self
     }
 
     /// Current binding generation.
@@ -263,13 +263,13 @@ impl DrilldownController {
     /// bindings, reset the distribution, bump the generation register,
     /// install `binds`.
     ///
-    /// With a shadow model armed, the whole batch is vetted with
-    /// [`p4sim::vet_rebind`] first; a rejected transaction increments
+    /// The whole batch is vetted with [`p4sim::vet_rebind`] on the
+    /// shadow model first; a rejected transaction increments
     /// [`DrilldownStats::rebinds_rejected`], leaves the generation
     /// untouched, and returns `None` — nothing reaches the control
     /// channel. On acceptance the shadow advances to the vetted
     /// post-rebind pipeline and the new generation is committed.
-    pub fn prepare_rebind(
+    pub(crate) fn prepare_rebind(
         &mut self,
         binds: Vec<p4sim::RuntimeRequest>,
     ) -> Option<Vec<p4sim::RuntimeRequest>> {
@@ -282,18 +282,17 @@ impl DrilldownController {
             value: generation,
         });
         reqs.extend(binds);
-        if let Some(shadow) = &self.shadow {
-            let report = p4sim::vet_rebind(
-                shadow,
-                &p4sim::RuntimeRequest::Batch(reqs.clone()),
-                &p4sim::SymbolicOptions::reduced(),
-            );
-            if !report.passes() {
-                self.stats.rebinds_rejected += 1;
-                return None;
-            }
-            self.shadow = report.vetted;
-        }
+        let report = p4sim::vet_rebind(
+            &self.shadow,
+            &p4sim::RuntimeRequest::Batch(reqs.clone()),
+            &p4sim::SymbolicOptions::reduced(),
+        );
+        // A report carries its vetted pipeline exactly when it passes.
+        let Some(vetted) = report.vetted else {
+            self.stats.rebinds_rejected += 1;
+            return None;
+        };
+        self.shadow = vetted;
         self.generation = generation;
         self.stats.rebinds += 1;
         Some(reqs)
@@ -725,9 +724,7 @@ mod tests {
         let (schedule, truth) = workload.generate();
         let app = CaseStudyApp::build(params).unwrap();
         let handles = app.handles();
-        // The shadow model for the static rebind gate: a second build
-        // of the same app, matching the switch's startup state.
-        let shadow = CaseStudyApp::build(params).unwrap().pipeline;
+        let shadow = app.pipeline.clone();
 
         let mut sim = Simulation::new();
         let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(
@@ -740,14 +737,14 @@ mod tests {
         let controller = sim.add_node(Box::new(
             DrilldownController::new(
                 handles,
+                shadow,
                 switch,
                 DrilldownTopology {
                     net: 10,
                     subnets: 6,
                     hosts_per_subnet: 6,
                 },
-            )
-            .with_shadow_model(shadow),
+            ),
         ));
         sim.node_as_mut::<P4SwitchNode>(switch).unwrap().controller = Some(controller);
 
@@ -800,14 +797,14 @@ mod tests {
         let handles = app.handles();
         let mut ctl = DrilldownController::new(
             handles,
+            app.pipeline,
             0,
             DrilldownTopology {
                 net: 10,
                 subnets: 4,
                 hosts_per_subnet: 4,
             },
-        )
-        .with_shadow_model(app.pipeline);
+        );
 
         // A sane rebind passes the gate and advances the generation.
         let good = binding::bind_prefix_h(&handles, Ipv4Addr::new(10, 0, 0, 0), 24, 0, 0);
@@ -879,9 +876,10 @@ mod tests {
             schedule,
         )))));
         let sink = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
-        let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline)));
+        let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline.clone())));
         let controller = sim.add_node(Box::new(DrilldownController::new(
             handles,
+            app.pipeline,
             switch,
             DrilldownTopology {
                 net: 10,
@@ -936,9 +934,10 @@ mod tests {
             schedule,
         )))));
         let sink = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
-        let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline)));
+        let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline.clone())));
         let controller = sim.add_node(Box::new(DrilldownController::new(
             handles,
+            app.pipeline,
             switch,
             DrilldownTopology {
                 net: 10,
@@ -985,6 +984,7 @@ mod tests {
         let switch = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
         let controller = sim.add_node(Box::new(DrilldownController::new(
             app.handles(),
+            app.pipeline,
             switch,
             DrilldownTopology {
                 net: 10,
@@ -1056,9 +1056,10 @@ mod tests {
                 schedule,
             )))));
             let sink = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
-            let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline)));
+            let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline.clone())));
             let controller = sim.add_node(Box::new(DrilldownController::new(
                 handles,
+                app.pipeline,
                 switch,
                 DrilldownTopology {
                     net: 10,

@@ -16,7 +16,7 @@ use std::any::Any;
 use telemetry::json::{field, field_with, obj, At, Json, ToJson};
 
 /// The tumbling-window scales, in intervals.
-pub const SCALES: [u32; 3] = [1, 4, 16];
+pub(crate) const SCALES: [u32; 3] = [1, 4, 16];
 
 /// Per-scale history window, in closed sums (this tuning is shared by
 /// all scales).
@@ -38,7 +38,7 @@ struct ScaleState {
     window: WindowedDist,
 }
 
-/// Tumbling-window spike bands at [`SCALES`].
+/// Tumbling-window spike bands at `SCALES`.
 #[derive(Debug)]
 pub struct MultiScaleEngine {
     scales: Vec<ScaleState>,

@@ -31,7 +31,7 @@
 
 
 pub mod alerts;
-pub mod backoff;
+pub(crate) mod backoff;
 pub mod classify;
 pub mod detector;
 pub mod drilldown;
@@ -45,9 +45,8 @@ pub mod synflood;
 
 pub use alerts::Alert;
 pub use detector::{
-    confidence_q16, ratio_q16, AlertProvenance, DetectionResult, Detector, EngineAtFire,
-    EngineSummary, Ensemble, EnsembleVerdict, FiredSnap, SignalContext, SignalValues, TriggerCause,
-    Q16, SCORE_CAP,
+    AlertProvenance, DetectionResult, Detector, EngineAtFire, EngineSummary, Ensemble,
+    EnsembleVerdict, FiredSnap, SignalContext, SignalValues, TriggerCause, Q16,
 };
 pub use engines::{
     AdaptiveEngine, CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine,

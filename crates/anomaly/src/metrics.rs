@@ -107,12 +107,6 @@ impl DetectorMetrics {
         self.rate_fires.get() + self.share_fires.get()
     }
 
-    /// When the current anomaly episode began, if one is open.
-    #[must_use]
-    pub fn episode_start(&self) -> Option<u64> {
-        self.episode_start
-    }
-
     /// Exports the standard detector families into `snap`, labelled
     /// with `detector="<name>"`.
     pub fn export(&self, snap: &mut Snapshot, detector: &str) {

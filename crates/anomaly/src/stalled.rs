@@ -83,7 +83,7 @@ impl StalledFlowDetector {
     /// equivalence proptest in this module pins down. `n == 0` is a
     /// plain [`Self::tick`]. This is the entry point for epoch-driven
     /// callers that learn per-interval activity from merged reports.
-    pub fn observe_activity_n(&mut self, at: u64, n: u64) -> Option<Alert> {
+    pub(crate) fn observe_activity_n(&mut self, at: u64, n: u64) -> Option<Alert> {
         let alert = self.roll_to(at);
         self.window
             .accumulate(i64::try_from(n).unwrap_or(i64::MAX));
@@ -147,7 +147,7 @@ impl StalledFlowDetector {
 
 /// The ensemble's `stalled` engine. Signal binding: per-interval
 /// merged packet count as the activity measure, fed as one bulk record
-/// at the interval end via [`StalledFlowDetector::observe_activity_n`].
+/// at the interval end via `StalledFlowDetector::observe_activity_n`.
 /// The window therefore closes interval `e`'s value when interval
 /// `e+1` reports — a one-interval judgement lag inherited from the
 /// timestamp-driven design. A report that spans several intervals

@@ -27,7 +27,7 @@
 //! The detector is the ensemble's `synflood` engine: its
 //! [`Detector::update`] forwards the context's span-averaged SYN
 //! estimate and cumulative kind composition to
-//! [`SynFloodDetector::observe_interval`], and the alert stream it
+//! `SynFloodDetector::observe_interval`, and the alert stream it
 //! keeps (`alerts`, `detected_at`, `metrics`) is the replay outcome's.
 
 use crate::alerts::Alert;
@@ -98,7 +98,7 @@ impl SynFloodDetector {
     /// the interval, and the merged cumulative kind distribution.
     /// Returns the alerts raised by this interval (at most one per
     /// check).
-    pub fn observe_interval(
+    pub(crate) fn observe_interval(
         &mut self,
         at: u64,
         syn_in_interval: i64,
@@ -160,7 +160,7 @@ impl SynFloodDetector {
 
     /// The tracked SYN-per-interval statistics (for reports).
     #[must_use]
-    pub fn rate_stats(&self) -> &stat4_core::running::RunningStats {
+    pub(crate) fn rate_stats(&self) -> &stat4_core::running::RunningStats {
         self.syn_rate.stats()
     }
 }

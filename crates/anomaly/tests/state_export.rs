@@ -222,7 +222,6 @@ fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
         resumed.import_state(&through_text(&state)).unwrap();
         resumed_drill.import_state(&through_text(&ladder)).unwrap();
         assert_eq!(resumed.export_state(), state, "split {split}");
-        assert_eq!(resumed.weight_overrides(), live.weight_overrides());
 
         for i in &signals[split..] {
             let (a, b) = (live.observe(&i.ctx()), resumed.observe(&i.ctx()));

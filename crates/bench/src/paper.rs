@@ -257,15 +257,15 @@ pub fn validation() {
 
 /// The Sec. 4 test bench: a source replaying `schedule` into a switch
 /// running `app`, a sink on the switch's port 1, and the controller
-/// `controller` builds from the app's handles and the switch's id,
-/// `ctrl_delay` away. The switch pushes its digests to that controller
-/// (a poller ignores them). Returns the simulation, not yet run, and
+/// `controller` builds from the app's handles, a copy of its pipeline
+/// and the switch's id, `ctrl_delay` away. The switch pushes its
+/// digests to that controller (a poller ignores them). Returns the simulation, not yet run, and
 /// the switch's and the controller's ids.
 fn spike_bench(
     app: CaseStudyApp,
     schedule: Schedule,
     ctrl_delay: u64,
-    controller: impl FnOnce(CaseStudyHandles, NodeId) -> Box<dyn Node>,
+    controller: impl FnOnce(CaseStudyHandles, p4sim::Pipeline, NodeId) -> Box<dyn Node>,
 ) -> (Simulation, NodeId, NodeId) {
     let handles = app.handles();
     let mut sim = Simulation::new();
@@ -273,8 +273,8 @@ fn spike_bench(
         schedule,
     )))));
     let sink = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
-    let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline)));
-    let controller = sim.add_node(controller(handles, switch));
+    let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline.clone())));
+    let controller = sim.add_node(controller(handles, app.pipeline, switch));
     sim.node_as_mut::<P4SwitchNode>(switch)
         .expect("switch")
         .controller = Some(controller);
@@ -285,13 +285,13 @@ fn spike_bench(
 }
 
 /// The push controller: drills down over 36 destinations in six /24s.
-fn drilldown(handles: CaseStudyHandles, switch: NodeId) -> Box<dyn Node> {
+fn drilldown(handles: CaseStudyHandles, shadow: p4sim::Pipeline, switch: NodeId) -> Box<dyn Node> {
     let topology = DrilldownTopology {
         net: 10,
         subnets: 6,
         hosts_per_subnet: 6,
     };
-    Box::new(DrilldownController::new(handles, switch, topology))
+    Box::new(DrilldownController::new(handles, shadow, switch, topology))
 }
 
 struct CaseStudyRun {
@@ -589,7 +589,7 @@ fn arch_run(pull: Option<u64>) -> ArchRun {
         |at: Option<u64>| at.map_or(f64::NAN, |at| (at - truth.spike_start) as f64 / 1e6);
     let per_sec = |messages: u64| messages as f64 / (duration as f64 / 1e9);
     if let Some(period) = pull {
-        let (mut sim, _, poller) = spike_bench(arch_app(), schedule, ARCH_CTRL_DELAY, |h, s| {
+        let (mut sim, _, poller) = spike_bench(arch_app(), schedule, ARCH_CTRL_DELAY, |h, _, s| {
             Box::new(PollingController::new(h, s, period))
         });
         sim.run_until(duration);

@@ -8,17 +8,17 @@ use crate::splitmix64;
 /// independent coin flips.
 pub mod domains {
     /// Control-message drop decisions (ordinal = message sequence).
-    pub const CTRL_DROP: u64 = 0x01;
+    pub(crate) const CTRL_DROP: u64 = 0x01;
     /// Control-message duplication decisions.
-    pub const CTRL_DUP: u64 = 0x02;
+    pub(crate) const CTRL_DUP: u64 = 0x02;
     /// Control-message extra-delay magnitudes.
-    pub const CTRL_DELAY: u64 = 0x03;
+    pub(crate) const CTRL_DELAY: u64 = 0x03;
     /// Replay epoch-report drop decisions (ordinal = epoch).
-    pub const REPORT_DROP: u64 = 0x04;
+    pub(crate) const REPORT_DROP: u64 = 0x04;
     /// Checkpoint-write corruption-mode decisions (ordinal = write).
-    pub const CKPT_CORRUPT: u64 = 0x05;
+    pub(crate) const CKPT_CORRUPT: u64 = 0x05;
     /// Reconfigure-transaction redelivery decisions (ordinal = swap).
-    pub const RECONFIG_STORM: u64 = 0x06;
+    pub(crate) const RECONFIG_STORM: u64 = 0x06;
 }
 
 /// How a scheduled checkpoint corruption mangles the bytes on disk.

@@ -38,7 +38,7 @@ pub mod switch;
 
 pub use control::{ControlMsg, RecordingController};
 pub use host::{SinkHost, TrafficGen, TrafficSource};
-pub use node::{Emission, Node, NodeCtx, NodeId};
+pub use node::{Node, NodeCtx, NodeId};
 pub use sim::{FaultStats, Simulation};
 pub use switch::P4SwitchNode;
 

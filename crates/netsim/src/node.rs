@@ -10,7 +10,7 @@ pub type NodeId = usize;
 /// What a node asks the simulator to do, collected during a callback
 /// and resolved (links, delays) by the driver afterwards.
 #[derive(Debug, Clone)]
-pub enum Emission {
+pub(crate) enum Emission {
     /// Transmit a frame out of a local port; arrives at the link peer
     /// after the link delay.
     SendFrame {
@@ -59,7 +59,7 @@ impl NodeCtx {
     }
 
     /// Transmit `frame` out of `port`.
-    pub fn send_frame(&mut self, port: usize, frame: Bytes) {
+    pub(crate) fn send_frame(&mut self, port: usize, frame: Bytes) {
         self.emissions.push(Emission::SendFrame { port, frame });
     }
 
@@ -79,7 +79,7 @@ impl NodeCtx {
 
     /// Send a control message with additional latency (e.g. modelling
     /// a slow bulk register read at the sender).
-    pub fn send_control_delayed(&mut self, dst: NodeId, msg: ControlMsg, extra_delay: SimTime) {
+    pub(crate) fn send_control_delayed(&mut self, dst: NodeId, msg: ControlMsg, extra_delay: SimTime) {
         self.emissions.push(Emission::SendControl {
             dst,
             msg,

@@ -146,7 +146,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if either endpoint is already connected.
-    pub fn connect_with_bandwidth(
+    pub(crate) fn connect_with_bandwidth(
         &mut self,
         a: NodeId,
         pa: usize,
@@ -208,17 +208,6 @@ impl Simulation {
         self.seq += 1;
         self.queue.push(Reverse((at, id)));
         self.payloads.insert(id, kind);
-    }
-
-    /// Schedules a frame arrival directly (used by tests and traffic
-    /// injection).
-    pub fn inject_frame(&mut self, at: SimTime, node: NodeId, port: usize, frame: Bytes) {
-        self.push(at, EventKind::Frame { node, port, frame });
-    }
-
-    /// Schedules a timer for a node.
-    pub fn inject_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        self.push(at, EventKind::Timer { node, token });
     }
 
     /// Schedules a control message delivery.
@@ -366,6 +355,20 @@ impl Simulation {
     /// Runs until the event queue is exhausted.
     pub fn run(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
+    }
+}
+
+// Test-only event injection.
+#[cfg(test)]
+impl Simulation {
+    /// Schedules a frame arrival directly.
+    pub(crate) fn inject_frame(&mut self, at: SimTime, node: NodeId, port: usize, frame: Bytes) {
+        self.push(at, EventKind::Frame { node, port, frame });
+    }
+
+    /// Schedules a timer for a node.
+    pub(crate) fn inject_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
+        self.push(at, EventKind::Timer { node, token });
     }
 }
 
@@ -588,5 +591,199 @@ mod tests {
         // Bounced out of port 7 which goes nowhere: no infinite loop,
         // one delivery total.
         assert_eq!(fa.load(Ordering::SeqCst), 1);
+    }
+}
+
+// Event-ordering edge cases for the discrete-event core: simultaneous
+// events (same timestamp, several kinds, several nodes) and zero-delay
+// links, where correctness depends entirely on the queue's
+// (time, insertion-sequence) tie-break.
+#[cfg(test)]
+mod event_order {
+    use bytes::Bytes;
+    use crate::{ControlMsg, Node, NodeCtx, NodeId, SimTime, Simulation};
+    use std::sync::Arc;
+
+    /// Records every callback as (time, tag) in a shared log.
+    struct Recorder {
+        tag: &'static str,
+        log: Arc<parking_lot::Mutex<Vec<(SimTime, String)>>>,
+        /// Frames to bounce back out of the arrival port before going
+        /// quiet (guards zero-delay tests against infinite cascades).
+        bounces: u32,
+    }
+
+    impl Node for Recorder {
+        fn on_frame(&mut self, ctx: &mut NodeCtx, port: usize, frame: Bytes) {
+            self.log
+                .lock()
+                .push((ctx.now, format!("{}:frame:{port}", self.tag)));
+            if self.bounces > 0 {
+                self.bounces -= 1;
+                ctx.send_frame(port, frame);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx, token: u64) {
+            self.log
+                .lock()
+                .push((ctx.now, format!("{}:timer:{token}", self.tag)));
+        }
+        fn on_control(&mut self, ctx: &mut NodeCtx, from: NodeId, _msg: ControlMsg) {
+            self.log
+                .lock()
+                .push((ctx.now, format!("{}:ctrl:{from}", self.tag)));
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    type Log = Arc<parking_lot::Mutex<Vec<(SimTime, String)>>>;
+
+    fn recorder(tag: &'static str, log: &Log, bounces: u32) -> Box<Recorder> {
+        Box::new(Recorder {
+            tag,
+            log: log.clone(),
+            bounces,
+        })
+    }
+
+    #[test]
+    fn simultaneous_mixed_kinds_fire_in_insertion_order() {
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let a = sim.add_node(recorder("a", &log, 0));
+        let b = sim.add_node(recorder("b", &log, 0));
+        sim.connect_control(a, b, 0);
+
+        // All at t = 50, interleaved across nodes and kinds.
+        sim.inject_timer(50, b, 9);
+        sim.inject_frame(50, a, 3, Bytes::from_static(b"x"));
+        sim.inject_control(50, a, b, ControlMsg::Tick);
+        sim.inject_frame(50, b, 1, Bytes::from_static(b"y"));
+        sim.inject_timer(50, a, 7);
+        sim.run();
+
+        let got: Vec<String> = log.lock().iter().map(|(_, s)| s.clone()).collect();
+        assert_eq!(
+            got,
+            vec!["b:timer:9", "a:frame:3", "a:ctrl:1", "b:frame:1", "a:timer:7"],
+            "same-timestamp events must replay in injection order"
+        );
+        assert!(log.lock().iter().all(|(t, _)| *t == 50));
+    }
+
+    #[test]
+    fn zero_delay_link_cascades_without_time_advance() {
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let a = sim.add_node(recorder("a", &log, 2));
+        let b = sim.add_node(recorder("b", &log, 2));
+        sim.connect(a, 0, b, 0, 0); // zero propagation delay
+
+        sim.inject_frame(100, a, 0, Bytes::from_static(b"p"));
+        let n = sim.run();
+
+        // a(bounce) -> b(bounce) -> a(bounce) -> b(bounce) -> a(quiet):
+        // five deliveries, all at t = 100, alternating endpoints.
+        let got: Vec<String> = log.lock().iter().map(|(_, s)| s.clone()).collect();
+        assert_eq!(
+            got,
+            vec!["a:frame:0", "b:frame:0", "a:frame:0", "b:frame:0", "a:frame:0"]
+        );
+        assert!(
+            log.lock().iter().all(|(t, _)| *t == 100),
+            "zero-delay hops must not advance the clock"
+        );
+        assert_eq!(sim.now(), 100);
+        assert_eq!(n, 5, "cascade terminates once both bouncers go quiet");
+    }
+
+    #[test]
+    fn zero_delay_cascade_interleaves_with_pending_same_time_events() {
+        // A zero-delay bounce generated *while processing* t = 100 must run
+        // after events that were already queued for t = 100 (later
+        // insertion sequence), not jump the queue.
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let a = sim.add_node(recorder("a", &log, 1));
+        let b = sim.add_node(recorder("b", &log, 0));
+        sim.connect(a, 0, b, 0, 0);
+
+        sim.inject_frame(100, a, 0, Bytes::from_static(b"p")); // bounces to b
+        sim.inject_timer(100, a, 42); // queued before the bounce exists
+        sim.run();
+
+        let got: Vec<String> = log.lock().iter().map(|(_, s)| s.clone()).collect();
+        assert_eq!(
+            got,
+            vec!["a:frame:0", "a:timer:42", "b:frame:0"],
+            "a bounce scheduled during t=100 runs after pre-queued t=100 events"
+        );
+    }
+
+    #[test]
+    fn zero_delay_and_delayed_events_order_by_time_first() {
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let a = sim.add_node(recorder("a", &log, 0));
+        let b = sim.add_node(recorder("b", &log, 0));
+        sim.connect(a, 0, b, 0, 0);
+
+        sim.inject_timer(200, a, 1); // later time, injected first
+        sim.inject_frame(100, b, 0, Bytes::from_static(b"z"));
+        sim.run();
+
+        let got: Vec<(SimTime, String)> = log.lock().clone();
+        assert_eq!(got[0], (100, "b:frame:0".to_string()));
+        assert_eq!(got[1], (200, "a:timer:1".to_string()));
+    }
+
+    #[test]
+    fn zero_delay_control_channel_delivers_same_timestamp() {
+        struct Starter {
+            dst: NodeId,
+        }
+        impl Node for Starter {
+            fn on_frame(&mut self, _: &mut NodeCtx, _: usize, _: Bytes) {}
+            fn on_start(&mut self, ctx: &mut NodeCtx) {
+                ctx.send_control(self.dst, ControlMsg::Tick);
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let r = sim.add_node(recorder("r", &log, 0));
+        let s = sim.add_node(Box::new(Starter { dst: r }));
+        sim.connect_control(s, r, 0);
+        sim.run();
+        assert_eq!(log.lock().as_slice(), &[(0, "r:ctrl:1".to_string())]);
+    }
+
+    #[test]
+    fn run_until_boundary_is_inclusive_and_resumable() {
+        // Horizon semantics around simultaneous events: everything at
+        // exactly `until` runs; nothing later does, and a later run()
+        // picks up the remainder without reordering.
+        let log: Log = Arc::default();
+        let mut sim = Simulation::new();
+        let a = sim.add_node(recorder("a", &log, 0));
+        sim.inject_timer(100, a, 1);
+        sim.inject_timer(100, a, 2);
+        sim.inject_timer(101, a, 3);
+        sim.run_until(100);
+        let mid: Vec<String> = log.lock().iter().map(|(_, s)| s.clone()).collect();
+        assert_eq!(mid, vec!["a:timer:1", "a:timer:2"]);
+        sim.run();
+        let all: Vec<String> = log.lock().iter().map(|(_, s)| s.clone()).collect();
+        assert_eq!(all, vec!["a:timer:1", "a:timer:2", "a:timer:3"]);
     }
 }

@@ -207,7 +207,7 @@ pub enum Primitive {
 impl Primitive {
     /// The field this primitive writes, if any.
     #[must_use]
-    pub fn dst_field(&self) -> Option<FieldId> {
+    pub(crate) fn dst_field(&self) -> Option<FieldId> {
         match self {
             Primitive::Set { dst, .. }
             | Primitive::Add { dst, .. }
@@ -256,7 +256,7 @@ impl Primitive {
 
     /// The fields this primitive reads.
     #[must_use]
-    pub fn src_fields(&self) -> Vec<FieldId> {
+    pub(crate) fn src_fields(&self) -> Vec<FieldId> {
         let field = |o: &Operand| match o {
             Operand::Field(f) => Some(*f),
             _ => None,
@@ -266,7 +266,7 @@ impl Primitive {
 
     /// The register this primitive accesses, with `true` for writes.
     #[must_use]
-    pub fn register_access(&self) -> Option<(usize, bool)> {
+    pub(crate) fn register_access(&self) -> Option<(usize, bool)> {
         match self {
             Primitive::RegRead { register, .. } => Some((*register, false)),
             Primitive::RegWrite { register, .. } => Some((*register, true)),
@@ -276,7 +276,7 @@ impl Primitive {
 
     /// Highest action-data slot referenced, if any.
     #[must_use]
-    pub fn max_data_slot(&self) -> Option<usize> {
+    pub(crate) fn max_data_slot(&self) -> Option<usize> {
         let slot = |o: &Operand| match o {
             Operand::Data(n) => Some(*n),
             _ => None,
@@ -494,7 +494,7 @@ impl ActionDef {
     /// Number of action-data slots entries invoking this action must
     /// provide.
     #[must_use]
-    pub fn data_slots_required(&self) -> usize {
+    pub(crate) fn data_slots_required(&self) -> usize {
         self.primitives
             .iter()
             .filter_map(Primitive::max_data_slot)

@@ -199,7 +199,7 @@ impl Diagnostic {
 
     /// Attaches the producing primitive chain.
     #[must_use]
-    pub fn with_chain(mut self, chain: Vec<String>) -> Self {
+    pub(crate) fn with_chain(mut self, chain: Vec<String>) -> Self {
         self.chain = chain;
         self
     }

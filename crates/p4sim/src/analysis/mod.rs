@@ -24,18 +24,18 @@
 //! The `stat4-lint` binary in the `stat4-p4` crate drives this module
 //! over every built-in program.
 
-pub mod diag;
+pub(crate) mod diag;
 pub mod range;
 pub mod stages;
 pub mod symbolic;
 pub mod tdg;
 
 pub use diag::{Diagnostic, LintCode, Severity};
-pub use range::{analyze_ranges, Interval, RangeSummary};
+pub use range::{Interval, RangeSummary};
 pub use stages::{allocate, StageAllocation, StageUse};
 pub use symbolic::{
-    check_agreement, check_equivalence, check_merge_soundness, enumerate_paths, replay_divergence,
-    run_witness, vet_rebind, Counterexample, EquivReport, InputDomain, MergeCounterexample,
+    check_agreement, check_equivalence, check_merge_soundness, vet_rebind,
+    Counterexample, EquivReport, InputDomain, MergeCounterexample,
     MergeReport, RebindReport, SymbolicOptions, Witness,
 };
 pub use tdg::{DepKind, NodeKind, TableDepGraph, TdgEdge, TdgNode};
@@ -239,7 +239,7 @@ pub fn verify_against(p: &Pipeline, target: &TargetModel) -> VerifyReport {
 
     let tdg = TableDepGraph::build(p);
     let allocation = allocate(p, &tdg, target, &mut diags);
-    let range = analyze_ranges(p, &mut diags);
+    let range = range::analyze_ranges(p, &mut diags);
 
     let worst_steps = crate::resources::worst_packet_steps(p, target);
     if worst_steps > target.step_budget {

@@ -91,7 +91,7 @@ impl Interval {
 
     /// Smallest interval containing both.
     #[must_use]
-    pub fn hull(self, other: Self) -> Self {
+    pub(crate) fn hull(self, other: Self) -> Self {
         Self {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -700,7 +700,7 @@ impl Domain for Abstract<'_, '_> {
 
 /// Runs the range analysis, appending findings to `diags`.
 #[must_use]
-pub fn analyze_ranges(p: &Pipeline, diags: &mut Vec<Diagnostic>) -> RangeSummary {
+pub(crate) fn analyze_ranges(p: &Pipeline, diags: &mut Vec<Diagnostic>) -> RangeSummary {
     let mut a = Analyzer {
         p,
         diags: Vec::new(),

@@ -241,7 +241,7 @@ impl ToJson for Witness {
 
 /// Builds the PHV a witness describes.
 #[must_use]
-pub fn phv_from_witness(w: &Witness) -> Phv {
+pub(crate) fn phv_from_witness(w: &Witness) -> Phv {
     let mut phv = Phv::new();
     for &(f, v) in &w.fields {
         phv.set(f, v);
@@ -253,7 +253,7 @@ pub fn phv_from_witness(w: &Witness) -> Phv {
 /// name; extra cells are ignored, and values are masked to the
 /// register's declared width).
 #[must_use]
-pub fn apply_witness(p: &Pipeline, w: &Witness) -> Pipeline {
+pub(crate) fn apply_witness(p: &Pipeline, w: &Witness) -> Pipeline {
     let mut q = p.clone();
     for (name, cells) in &w.registers {
         if let Some(reg) = q.registers.iter_mut().find(|r| &r.name == name) {
@@ -310,19 +310,6 @@ impl InputDomain {
             fields,
             register_limit: None,
         }
-    }
-
-    /// Caps one field's witness values (inserting the field if the
-    /// inference missed it).
-    #[must_use]
-    pub fn with_field_max(mut self, f: FieldId, max: u64) -> Self {
-        if let Some(e) = self.fields.iter_mut().find(|(g, _)| *g == f) {
-            e.1 = max;
-        } else {
-            self.fields.push((f, max));
-            self.fields.sort_unstable_by_key(|&(g, _)| g);
-        }
-        self
     }
 
     /// Caps every field's witness values at `max`.
@@ -1129,7 +1116,7 @@ pub struct Observed {
 ///
 /// Propagates interpreter faults ([`P4Error::RegisterOutOfBounds`],
 /// [`P4Error::StepBudgetExhausted`], …).
-pub fn run_witness(p: &Pipeline, w: &Witness) -> Result<Observed, P4Error> {
+pub(crate) fn run_witness(p: &Pipeline, w: &Witness) -> Result<Observed, P4Error> {
     let mut q = apply_witness(p, w);
     let mut phv = phv_from_witness(w);
     let out = q.process_phv(&mut phv)?;
@@ -1178,13 +1165,6 @@ fn divergence_detail(
             None
         }
     }
-}
-
-/// Replays `w` through both builds and describes the first observable
-/// difference, if any — how a reported counterexample is reproduced.
-#[must_use]
-pub fn replay_divergence(a: &Pipeline, b: &Pipeline, w: &Witness) -> Option<String> {
-    divergence_detail(&run_witness(a, w), &run_witness(b, w))
 }
 
 // ---------------------------------------------------------------------
@@ -1942,15 +1922,6 @@ pub fn check_agreement(p: &Pipeline, w: &Witness) -> Result<(), String> {
     Ok(())
 }
 
-/// Enumerates `p`'s paths and reports `(path count, truncated)` — the
-/// cheap introspection entry point used by tooling.
-#[must_use]
-pub fn enumerate_paths(p: &Pipeline, opts: &SymbolicOptions) -> (usize, bool) {
-    let mut ex = Exec::new(p, None, opts.path_budget);
-    let states = ex.run();
-    (states.len(), ex.truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2092,7 +2063,8 @@ mod tests {
         assert!(!report.equivalent());
         let ce = report.counterexample.as_ref().unwrap();
         // The counterexample must reproduce through the interpreter.
-        let detail = replay_divergence(&exact, &truncating, &ce.witness);
+        let w = &ce.witness;
+        let detail = divergence_detail(&run_witness(&exact, w), &run_witness(&truncating, w));
         assert!(detail.is_some(), "counterexample failed to reproduce");
         assert!(report
             .diagnostics
@@ -2103,8 +2075,7 @@ mod tests {
     #[test]
     fn bounded_domain_restores_equivalence() {
         let (exact, truncating) = truncating_pair();
-        let domain = InputDomain::infer(&[&exact, &truncating])
-            .with_field_max(fields::PKT_LEN, 0xff);
+        let domain = InputDomain::infer(&[&exact, &truncating]).with_all_fields_max(0xff);
         let opts = SymbolicOptions {
             domain: Some(domain),
             ..SymbolicOptions::default()
@@ -2135,9 +2106,9 @@ mod tests {
             samples: 4,
             ..SymbolicOptions::default()
         };
-        let (paths, truncated) = enumerate_paths(&p, &opts);
-        assert!(truncated);
-        assert!(paths <= 3);
+        let mut ex = Exec::new(&p, None, opts.path_budget);
+        assert!(ex.run().len() <= 3);
+        assert!(ex.truncated);
         let report = check_equivalence(&p, &p, &opts);
         assert!(report
             .diagnostics
@@ -2327,9 +2298,9 @@ mod tests {
         ]));
         let p = b.build(TargetModel::bmv2()).unwrap();
         check_agreement(&p, &witness(vec![])).unwrap();
-        let (paths, truncated) = enumerate_paths(&p, &SymbolicOptions::default());
-        assert!(!truncated);
-        assert!(paths >= 2);
+        let mut ex = Exec::new(&p, None, SymbolicOptions::default().path_budget);
+        assert!(ex.run().len() >= 2);
+        assert!(!ex.truncated);
     }
 
     #[test]

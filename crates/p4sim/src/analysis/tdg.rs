@@ -4,8 +4,8 @@
 //! unit (a match-action table application or a direct action
 //! application), and one edge per reason two units cannot share a
 //! stage. Dependencies are derived from the action IR via
-//! [`Primitive::dst_field`], [`Primitive::src_fields`] and
-//! [`Primitive::register_access`] — the same helpers the resource
+//! `Primitive::dst_field`, `Primitive::src_fields` and
+//! `Primitive::register_access` — the same helpers the resource
 //! analyser uses, so the two stay in sync by construction.
 //!
 //! Edge kinds, strongest first:
@@ -28,10 +28,6 @@
 //!   executes sequentially, so the allocator keeps anti-dependent units
 //!   in distinct stages too — which is exactly what makes within-stage
 //!   reordering behaviour-preserving (see the equivalence proptest).
-//!
-//! [`Primitive::dst_field`]: crate::action::Primitive::dst_field
-//! [`Primitive::src_fields`]: crate::action::Primitive::src_fields
-//! [`Primitive::register_access`]: crate::action::Primitive::register_access
 
 use crate::action::Operand;
 use crate::control::{Cond, Control};
@@ -496,7 +492,7 @@ impl TableDepGraph {
     }
 
     /// Edges pointing into `node`.
-    pub fn preds(&self, node: usize) -> impl Iterator<Item = &TdgEdge> {
+    pub(crate) fn preds(&self, node: usize) -> impl Iterator<Item = &TdgEdge> {
         self.edges.iter().filter(move |e| e.to == node)
     }
 }

@@ -45,7 +45,7 @@ impl Cond {
 
     /// Evaluates with already-resolved operand values.
     #[must_use]
-    pub fn eval(&self, a: u64, b: u64) -> bool {
+    pub(crate) fn eval(&self, a: u64, b: u64) -> bool {
         self.op.eval(a, b)
     }
 }
@@ -144,7 +144,7 @@ impl Control {
 
     /// All directly applied action ids anywhere in the tree.
     #[must_use]
-    pub fn direct_actions(&self) -> Vec<usize> {
+    pub(crate) fn direct_actions(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.visit(&mut |c| {
             if let Control::ApplyAction(a) = c {
@@ -197,7 +197,7 @@ impl Control {
     /// True if some root-to-leaf execution path applies the same table
     /// twice (illegal in P4).
     #[must_use]
-    pub fn has_repeated_table_on_path(&self) -> bool {
+    pub(crate) fn has_repeated_table_on_path(&self) -> bool {
         fn walk(c: &Control, seen: &mut Vec<usize>) -> bool {
             match c {
                 Control::ApplyTable(t) => {

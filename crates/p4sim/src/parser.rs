@@ -91,6 +91,7 @@ pub fn parse_frame(frame: &[u8], ingress_port: u64, timestamp_ns: u64) -> Phv {
 mod tests {
     use super::*;
     use packet::builder::PacketBuilder;
+    use proptest::prelude::*;
     use packet::TcpFlags;
     use std::net::Ipv4Addr;
 
@@ -165,5 +166,42 @@ mod tests {
         let phv = parse_frame(&buf, 0, 0);
         assert_eq!(phv.get(fields::IPV4_VALID), 1);
         assert_eq!(phv.get(fields::TCP_VALID), 0);
+    }
+
+    proptest! {
+        /// Builder → parser round trip: every header field the builder set
+        /// comes back out of the PHV.
+        #[test]
+        fn parser_roundtrips_builder(
+            src in any::<u32>(),
+            dst in any::<u32>(),
+            sport in 1u16..65535,
+            dport in 1u16..65535,
+            udp in any::<bool>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let s = Ipv4Addr::from(src);
+            let d = Ipv4Addr::from(dst);
+            let frame = if udp {
+                PacketBuilder::udp(s, d, sport, dport).payload(&payload).build()
+            } else {
+                PacketBuilder::tcp_syn(s, d, sport, dport).payload(&payload).build()
+            };
+            let phv = parse_frame(&frame, 3, 1234);
+            prop_assert_eq!(phv.get(fields::IPV4_VALID), 1);
+            prop_assert_eq!(phv.get(fields::IPV4_SRC), u64::from(src));
+            prop_assert_eq!(phv.get(fields::IPV4_DST), u64::from(dst));
+            prop_assert_eq!(phv.get(fields::PKT_LEN), frame.len() as u64);
+            if udp {
+                prop_assert_eq!(phv.get(fields::UDP_VALID), 1);
+                prop_assert_eq!(phv.get(fields::UDP_SPORT), u64::from(sport));
+                prop_assert_eq!(phv.get(fields::UDP_DPORT), u64::from(dport));
+            } else {
+                prop_assert_eq!(phv.get(fields::TCP_VALID), 1);
+                prop_assert_eq!(phv.get(fields::TCP_SPORT), u64::from(sport));
+                prop_assert_eq!(phv.get(fields::TCP_DPORT), u64::from(dport));
+                prop_assert_eq!(phv.get(fields::TCP_IS_SYN), 1);
+            }
+        }
     }
 }

@@ -23,40 +23,40 @@ pub mod fields {
     pub const TIMESTAMP_NS: FieldId = FieldId(2);
 
     /// Ethernet destination MAC (lower 48 bits).
-    pub const ETH_DST: FieldId = FieldId(3);
+    pub(crate) const ETH_DST: FieldId = FieldId(3);
     /// Ethernet source MAC (lower 48 bits).
-    pub const ETH_SRC: FieldId = FieldId(4);
+    pub(crate) const ETH_SRC: FieldId = FieldId(4);
     /// EtherType.
-    pub const ETH_TYPE: FieldId = FieldId(5);
+    pub(crate) const ETH_TYPE: FieldId = FieldId(5);
 
     /// 1 if an IPv4 header was parsed.
     pub const IPV4_VALID: FieldId = FieldId(6);
     /// IPv4 source address.
-    pub const IPV4_SRC: FieldId = FieldId(7);
+    pub(crate) const IPV4_SRC: FieldId = FieldId(7);
     /// IPv4 destination address.
     pub const IPV4_DST: FieldId = FieldId(8);
     /// IPv4 protocol number.
-    pub const IPV4_PROTO: FieldId = FieldId(9);
+    pub(crate) const IPV4_PROTO: FieldId = FieldId(9);
     /// IPv4 TTL.
-    pub const IPV4_TTL: FieldId = FieldId(10);
+    pub(crate) const IPV4_TTL: FieldId = FieldId(10);
     /// IPv4 total length.
-    pub const IPV4_LEN: FieldId = FieldId(11);
+    pub(crate) const IPV4_LEN: FieldId = FieldId(11);
 
     /// 1 if a TCP header was parsed.
     pub const TCP_VALID: FieldId = FieldId(12);
     /// TCP source port.
-    pub const TCP_SPORT: FieldId = FieldId(13);
+    pub(crate) const TCP_SPORT: FieldId = FieldId(13);
     /// TCP destination port.
-    pub const TCP_DPORT: FieldId = FieldId(14);
+    pub(crate) const TCP_DPORT: FieldId = FieldId(14);
     /// TCP flags byte.
-    pub const TCP_FLAGS: FieldId = FieldId(15);
+    pub(crate) const TCP_FLAGS: FieldId = FieldId(15);
     /// 1 if the segment is a pure SYN (SYN set, ACK clear).
     pub const TCP_IS_SYN: FieldId = FieldId(16);
 
     /// 1 if a UDP header was parsed.
-    pub const UDP_VALID: FieldId = FieldId(17);
+    pub(crate) const UDP_VALID: FieldId = FieldId(17);
     /// UDP source port.
-    pub const UDP_SPORT: FieldId = FieldId(18);
+    pub(crate) const UDP_SPORT: FieldId = FieldId(18);
     /// UDP destination port.
     pub const UDP_DPORT: FieldId = FieldId(19);
 
@@ -66,13 +66,13 @@ pub mod fields {
 
     /// Egress port chosen by the pipeline (metadata; `DROP_PORT` =
     /// dropped).
-    pub const EGRESS_PORT: FieldId = FieldId(21);
+    pub(crate) const EGRESS_PORT: FieldId = FieldId(21);
 
     /// First scratch metadata slot; `M0..M23` are `FieldId(22..46)`.
     pub const M0: FieldId = FieldId(22);
 
     /// Number of scratch slots.
-    pub const SCRATCH_COUNT: u16 = 24;
+    pub(crate) const SCRATCH_COUNT: u16 = 24;
 
     /// The `i`-th scratch metadata slot (`i < SCRATCH_COUNT`).
     ///
@@ -90,7 +90,7 @@ pub mod fields {
 }
 
 /// Sentinel egress value meaning "dropped".
-pub const DROP_PORT: u64 = u64::MAX;
+pub(crate) const DROP_PORT: u64 = u64::MAX;
 
 /// A packet's header vector: one 64-bit slot per field.
 #[derive(Debug, Clone, PartialEq, Eq)]

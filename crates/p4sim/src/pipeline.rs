@@ -37,7 +37,7 @@ impl RegMerge {
     /// Folds one source cell into a destination cell under this policy
     /// (`mask` is the register's width mask). `None` keeps `dst`.
     #[must_use]
-    pub fn combine(self, dst: u64, src: u64, mask: u64) -> u64 {
+    pub(crate) fn combine(self, dst: u64, src: u64, mask: u64) -> u64 {
         match self {
             RegMerge::Sum => dst.wrapping_add(src) & mask,
             RegMerge::SatSum => dst.saturating_add(src).min(mask),
@@ -311,12 +311,6 @@ impl Pipeline {
             packets_base,
             packets_cur: self.packets_processed,
         }
-    }
-
-    /// Drops pending journal entries and re-bases, without building the
-    /// delta — what a coordinator does right after a full merge.
-    pub fn discard_register_delta(&mut self) {
-        self.take_register_delta();
     }
 
     /// Read-only table access.
@@ -721,7 +715,7 @@ mod tests {
         restored.restore_state(&live.export_state()).unwrap();
         let mut merged = build();
         crate::replay::merge_registers(&mut merged, &restored).unwrap();
-        merged.discard_register_delta();
+        merged.take_register_delta();
         for p in [&mut restored, &mut merged] {
             write(p, 0, 9);
             write(p, 70, 11);

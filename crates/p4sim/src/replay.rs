@@ -61,7 +61,7 @@ pub struct PipelineDelta {
 impl PipelineDelta {
     /// Distinct cells carried by this delta.
     #[must_use]
-    pub fn touched_cells(&self) -> usize {
+    pub(crate) fn touched_cells(&self) -> usize {
         self.regs.iter().map(|r| r.cells.len()).sum()
     }
 
@@ -95,6 +95,8 @@ impl PipelineDelta {
 /// [`P4Error::Invalid`] for a register id outside `dst`'s file;
 /// [`P4Error::RegisterOutOfBounds`] for a cell index outside the
 /// register.
+// Kept `pub` with no outside caller yet: the P4-backed replay shard
+// (ROADMAP item 4) applies its barrier deltas with it.
 pub fn apply_register_delta(dst: &mut Pipeline, delta: &PipelineDelta) -> P4Result<()> {
     for rd in &delta.regs {
         let nregs = dst.registers.len();
@@ -144,6 +146,8 @@ pub fn apply_register_delta(dst: &mut Pipeline, delta: &PipelineDelta) -> P4Resu
 /// [`P4Error::Invalid`] if the two pipelines' register files differ in
 /// shape (count, name, width, size or merge policy) — merging register
 /// files of different programs is always a bug.
+// Kept `pub` with no outside caller yet: the P4-backed replay shard
+// (ROADMAP item 4) merges its register files with it.
 pub fn merge_registers(dst: &mut Pipeline, src: &Pipeline) -> P4Result<()> {
     if dst.registers.len() != src.registers.len() {
         return Err(P4Error::Invalid {
@@ -334,7 +338,7 @@ mod tests {
         run(&mut pipes, &trace);
         let mut acc = merged(&pipes);
         for p in &mut pipes {
-            p.discard_register_delta();
+            p.take_register_delta();
         }
 
         for _ in 0..3 {
@@ -359,7 +363,7 @@ mod tests {
         for (ts, f) in &trace {
             p.process_frame(f, 0, *ts).unwrap();
         }
-        p.discard_register_delta();
+        p.take_register_delta();
         let d = p.take_register_delta();
         assert_eq!(d.touched_cells(), 0);
         assert_eq!(d.packets_base, d.packets_cur);

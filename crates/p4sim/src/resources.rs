@@ -83,7 +83,7 @@ pub struct ResourceReport {
 impl ResourceReport {
     /// Total memory footprint in bytes.
     #[must_use]
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         self.register_bytes + self.table_bytes
     }
 

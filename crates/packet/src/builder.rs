@@ -73,14 +73,6 @@ impl PacketBuilder {
         Self::tcp(src, dst, sport, dport, TcpFlags::syn())
     }
 
-    /// Overrides the MAC addresses.
-    #[must_use]
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> Self {
-        self.src_mac = src;
-        self.dst_mac = dst;
-        self
-    }
-
     /// Overrides the TTL.
     #[must_use]
     pub fn ttl(mut self, ttl: u8) -> Self {
@@ -215,14 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_macs_and_ttl() {
-        let buf = PacketBuilder::udp(S, D, 1, 2)
-            .macs(MacAddr::from_id(9), MacAddr::BROADCAST)
-            .ttl(3)
-            .build();
+    fn custom_ttl() {
+        let buf = PacketBuilder::udp(S, D, 1, 2).ttl(3).build();
         let eth = EthernetFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(eth.src(), MacAddr::from_id(9));
-        assert_eq!(eth.dst(), MacAddr::BROADCAST);
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
         assert_eq!(ip.ttl(), 3);
     }

@@ -8,22 +8,14 @@ use std::fmt;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
     /// A deterministic locally-administered unicast address derived from
     /// an integer id — handy for simulated hosts.
     #[must_use]
-    pub fn from_id(id: u32) -> Self {
+    pub(crate) fn from_id(id: u32) -> Self {
         let b = id.to_be_bytes();
         // 0x02 = locally administered, unicast.
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// True for broadcast/multicast (group bit set).
-    #[must_use]
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 }
 
@@ -70,7 +62,7 @@ impl From<EtherType> for u16 {
 }
 
 /// Byte length of the Ethernet II header.
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// A view over a byte buffer interpreted as an Ethernet II frame.
 #[derive(Debug, Clone, Copy)]
@@ -131,24 +123,19 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     /// Sets the destination MAC.
-    pub fn set_dst(&mut self, mac: MacAddr) {
+    pub(crate) fn set_dst(&mut self, mac: MacAddr) {
         self.buffer.as_mut()[0..6].copy_from_slice(&mac.0);
     }
 
     /// Sets the source MAC.
-    pub fn set_src(&mut self, mac: MacAddr) {
+    pub(crate) fn set_src(&mut self, mac: MacAddr) {
         self.buffer.as_mut()[6..12].copy_from_slice(&mac.0);
     }
 
     /// Sets the EtherType.
-    pub fn set_ethertype(&mut self, ty: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, ty: EtherType) {
         let v: u16 = ty.into();
         self.buffer.as_mut()[12..14].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Mutable access to the payload bytes.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
     }
 }
 
@@ -159,10 +146,10 @@ mod tests {
     fn sample() -> Vec<u8> {
         let mut buf = vec![0u8; HEADER_LEN + 4];
         let mut f = EthernetFrame::new_checked(&mut buf[..]).unwrap();
-        f.set_dst(MacAddr::BROADCAST);
+        f.set_dst(MacAddr([0xff; 6]));
         f.set_src(MacAddr::from_id(7));
         f.set_ethertype(EtherType::Ipv4);
-        f.payload_mut().copy_from_slice(&[1, 2, 3, 4]);
+        buf[HEADER_LEN..].copy_from_slice(&[1, 2, 3, 4]);
         buf
     }
 
@@ -170,7 +157,7 @@ mod tests {
     fn roundtrip_fields() {
         let buf = sample();
         let f = EthernetFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(f.dst(), MacAddr::BROADCAST);
+        assert_eq!(f.dst(), MacAddr([0xff; 6]));
         assert_eq!(f.src(), MacAddr::from_id(7));
         assert_eq!(f.ethertype(), EtherType::Ipv4);
         assert_eq!(f.payload(), &[1, 2, 3, 4]);
@@ -196,8 +183,6 @@ mod tests {
 
     #[test]
     fn mac_properties() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::from_id(1).is_multicast());
         assert_eq!(MacAddr::from_id(1).to_string(), "02:00:00:00:00:01");
         assert_ne!(MacAddr::from_id(1), MacAddr::from_id(2));
     }

@@ -39,7 +39,7 @@ impl From<IpProtocol> for u8 {
 }
 
 /// Minimum (option-less) IPv4 header length in bytes.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// A view over a byte buffer interpreted as an IPv4 packet (options are
 /// accepted but not interpreted).
@@ -86,7 +86,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 
     /// Header length in bytes (IHL × 4).
     #[must_use]
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         usize::from(self.b()[0] & 0x0f) * 4
     }
 
@@ -109,6 +109,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// Header checksum field.
+    // Kept `pub` beside `verify_checksum`: tests/malformed.rs reads both on arbitrary bytes.
     #[must_use]
     pub fn header_checksum(&self) -> u16 {
         u16::from_be_bytes([self.b()[10], self.b()[11]])
@@ -129,6 +130,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// True if the header checksum verifies.
+    // Kept `pub`: how a caller checks a parsed header; tests/malformed.rs runs it on any bytes.
     #[must_use]
     pub fn verify_checksum(&self) -> bool {
         checksum::verify(&self.b()[..self.header_len()])
@@ -153,7 +155,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Initialises version/IHL for an option-less header and the given
     /// total length. Callers then set the remaining fields and call
-    /// [`Self::fill_checksum`].
+    /// `Self::fill_checksum`.
     pub fn init(&mut self, total_len: u16) {
         let b = self.buffer.as_mut();
         b[0] = 0x45;
@@ -165,39 +167,32 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     }
 
     /// Sets the TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
+    pub(crate) fn set_ttl(&mut self, ttl: u8) {
         self.buffer.as_mut()[8] = ttl;
     }
 
     /// Sets the payload protocol.
-    pub fn set_protocol(&mut self, p: IpProtocol) {
+    pub(crate) fn set_protocol(&mut self, p: IpProtocol) {
         self.buffer.as_mut()[9] = p.into();
     }
 
     /// Sets the source address.
-    pub fn set_src(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_src(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[12..16].copy_from_slice(&a.octets());
     }
 
     /// Sets the destination address.
-    pub fn set_dst(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_dst(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[16..20].copy_from_slice(&a.octets());
     }
 
     /// Computes and writes the header checksum.
-    pub fn fill_checksum(&mut self) {
+    pub(crate) fn fill_checksum(&mut self) {
         let hl = self.header_len();
         let b = self.buffer.as_mut();
         b[10..12].fill(0);
         let c = checksum::checksum(&b[..hl]);
         b[10..12].copy_from_slice(&c.to_be_bytes());
-    }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let hl = self.header_len();
-        let tl = self.total_len();
-        &mut self.buffer.as_mut()[hl..tl]
     }
 }
 
@@ -215,8 +210,8 @@ mod tests {
         p.set_protocol(IpProtocol::Udp);
         p.set_src(Ipv4Addr::new(10, 0, 1, 1));
         p.set_dst(Ipv4Addr::new(10, 0, 5, 6));
-        p.payload_mut().copy_from_slice(payload);
-        p.fill_checksum();
+        buf[HEADER_LEN..].copy_from_slice(payload);
+        Ipv4Packet::new_checked(&mut buf[..]).unwrap().fill_checksum();
         buf
     }
 

@@ -15,7 +15,7 @@
 //! ## Example
 //!
 //! ```
-//! use packet::{EthernetFrame, EtherType, Ipv4Packet, IpProtocol, MacAddr, TcpSegment};
+//! use packet::{EthernetFrame, EtherType, Ipv4Packet, IpProtocol, TcpSegment};
 //! use packet::builder::PacketBuilder;
 //! use std::net::Ipv4Addr;
 //!
@@ -34,7 +34,6 @@
 //! assert!(ip.verify_checksum());
 //! let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
 //! assert!(tcp.syn() && !tcp.ack());
-//! # let _ = MacAddr::BROADCAST;
 //! ```
 
 pub mod builder;

@@ -4,7 +4,7 @@ use crate::{checksum, ParseError};
 use std::net::Ipv4Addr;
 
 /// UDP header length in bytes.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// A view over a byte buffer interpreted as a UDP datagram.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +57,7 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
 
     /// Datagram length from the header (header + payload).
     #[must_use]
-    pub fn len_field(&self) -> usize {
+    pub(crate) fn len_field(&self) -> usize {
         usize::from(u16::from_be_bytes([self.b()[4], self.b()[5]]))
     }
 
@@ -69,6 +69,7 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
 
     /// Verifies the checksum (a zero field means "not computed", which
     /// RFC 768 permits; that verifies trivially).
+    // Kept `pub`: the oracle tests/checksum_edge.rs checks builder checksums with.
     #[must_use]
     pub fn verify_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         let b = &self.b()[..self.len_field()];
@@ -84,7 +85,7 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
     /// Sets source/destination ports.
-    pub fn set_ports(&mut self, src: u16, dst: u16) {
+    pub(crate) fn set_ports(&mut self, src: u16, dst: u16) {
         let b = self.buffer.as_mut();
         b[0..2].copy_from_slice(&src.to_be_bytes());
         b[2..4].copy_from_slice(&dst.to_be_bytes());
@@ -92,7 +93,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
 
     /// Computes and writes the checksum for the pseudo-header, mapping
     /// an all-zero result to 0xffff per RFC 768.
-    pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
+    pub(crate) fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         let len_field = {
             let b = self.buffer.as_ref();
             usize::from(u16::from_be_bytes([b[4], b[5]]))
@@ -110,7 +111,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
     }
 
     /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn payload_mut(&mut self) -> &mut [u8] {
         let len = {
             let b = self.buffer.as_ref();
             usize::from(u16::from_be_bytes([b[4], b[5]]))

@@ -26,7 +26,7 @@
 //! ordinal first and returns the first checkpoint whose magic, version
 //! and checksum all validate, reporting every rejected file — a torn
 //! or rotted newest checkpoint falls back to its predecessor instead
-//! of wedging recovery. [`load_latest_with`] adds a caller's own check
+//! of wedging recovery. `load_latest_with` adds a caller's own check
 //! to that rule, which is how resume also falls back past a file whose
 //! bytes are intact but whose state no detector could have exported,
 //! or no shard could have held at a drain point.
@@ -76,13 +76,13 @@ use telemetry::json::{field, obj, At, FromJson, Lexer, ToJson};
 use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
-pub const MAGIC: &str = "stat4-replay-ckpt";
+pub(crate) const MAGIC: &str = "stat4-replay-ckpt";
 /// Current checkpoint format version; parsers reject anything else.
 /// Version 1 stored the log of every interval the detectors had seen
 /// and replayed it on resume; version 2 stores the detectors' state;
 /// version 3 stores a shard's length distribution as counts alone, with
 /// no walked marker and no total beside them.
-pub const VERSION: u64 = 3;
+pub(crate) const VERSION: u64 = 3;
 
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
@@ -529,7 +529,7 @@ pub fn write_checkpoint(
 /// # Errors
 ///
 /// Any I/O failure, labelled with the path it hit.
-pub fn write_serialized(
+pub(crate) fn write_serialized(
     dir: &Path,
     ordinal: u64,
     document: String,
@@ -602,7 +602,7 @@ pub fn load_latest(dir: &Path) -> Result<(Checkpoint, Vec<String>), String> {
 /// # Errors
 ///
 /// When the directory is unreadable or no checkpoint in it validates.
-pub fn load_latest_with<T>(
+pub(crate) fn load_latest_with<T>(
     dir: &Path,
     mut accept: impl FnMut(&Checkpoint) -> Result<T, String>,
 ) -> Result<(Checkpoint, T, Vec<String>), String> {

@@ -42,7 +42,10 @@
 //! an equivalent recompiled program that commits, then a poisoned
 //! (behaviourally different) program that the shadow-model verifier
 //! rejects. `--lifecycle-out PATH` writes the lifecycle event report
-//! as JSON for `stat4-trace explain`.
+//! as JSON for `stat4-trace explain`. Flags that would do nothing are
+//! refused with exit 2: `--checkpoint-every 0`, `--checkpoint-dir`
+//! with neither `--checkpoint-every` nor `--resume`, and (after the
+//! run) a `--kill-at-epoch` or `--swap-demo` ordinal it never reached.
 //!
 //! Zero is rejected for `--shards` and `--interval-ms` with a specific
 //! message: a zero interval would spin the epoch cutter on one
@@ -170,6 +173,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--checkpoint-every" => {
                 let v = flag_value("--checkpoint-every")?;
                 opts.checkpoint_every = parse_num("--checkpoint-every", &v)?;
+                if opts.checkpoint_every == 0 {
+                    return Err(String::from(
+                        "--checkpoint-every 0 would never write a checkpoint; \
+                         leave the flag out for that, or give at least 1",
+                    ));
+                }
             }
             "--kill-at-epoch" => {
                 let v = flag_value("--kill-at-epoch")?;
@@ -240,6 +249,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.checkpoint_every > 0 && opts.checkpoint_dir.is_none() {
         return Err(String::from(
             "--checkpoint-every needs --checkpoint-dir to have somewhere to write",
+        ));
+    }
+    if opts.checkpoint_dir.is_some() && opts.checkpoint_every == 0 && !opts.resume {
+        return Err(String::from(
+            "--checkpoint-dir needs --checkpoint-every N to write there or --resume to read there",
         ));
     }
     Ok(opts)
@@ -650,6 +664,25 @@ fn main() {
             out.provenance.len(),
         );
     }
+
+    // A kill or swap aimed past the run's last drain point did nothing:
+    // refuse it, as a fault aimed at a shard the run lacks is refused.
+    let killed = lifecycle.events.iter().any(|e| e.kind == "killed");
+    let swapped = lifecycle.swaps_committed + lifecycle.swaps_rejected + lifecycle.swap_errors > 0;
+    let missed = [
+        ("--kill-at-epoch", opts.kill_at_epoch.filter(|_| !killed)),
+        ("--swap-demo", opts.swap_demo.filter(|_| !swapped)),
+    ];
+    let mut any_missed = false;
+    for (flag, at) in missed {
+        if let Some(at) = at {
+            eprintln!("replay: {flag} {at} was never reached: the run has {} epoch(s)", out.epochs);
+            any_missed = true;
+        }
+    }
+    if any_missed {
+        std::process::exit(2);
+    }
 }
 
 #[cfg(test)]
@@ -817,6 +850,21 @@ mod tests {
         let err = parse(&["--checkpoint-every", "2"]).unwrap_err();
         assert!(
             err.contains("--checkpoint-every needs --checkpoint-dir"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_every_zero_rejected() {
+        let err = parse(&["--checkpoint-dir", "ckpts", "--checkpoint-every", "0"]).unwrap_err();
+        assert!(err.contains("--checkpoint-every 0 would never write"), "got: {err}");
+    }
+
+    #[test]
+    fn checkpoint_dir_without_every_or_resume_rejected() {
+        let err = parse(&["--checkpoint-dir", "ckpts"]).unwrap_err();
+        assert!(
+            err.contains("--checkpoint-dir needs --checkpoint-every N"),
             "got: {err}"
         );
     }

@@ -60,7 +60,7 @@ impl ShardMetrics {
     /// Ingest throughput in packets per second of *busy* time (0.0
     /// before any timed work).
     #[must_use]
-    pub fn ingest_pps(&self) -> f64 {
+    pub(crate) fn ingest_pps(&self) -> f64 {
         let ns = self.ingest_ns.get();
         if ns == 0 {
             return 0.0;

@@ -388,3 +388,32 @@ fn resume_rejects_mismatched_inputs() {
     assert!(err.contains("shard"), "topology mismatch is named: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A kill or swap ordinal past the run's last drain point does
+/// nothing; the binary names it with the run's epoch count and exits 2
+/// instead of 0. One reached beside it changes nothing.
+#[test]
+fn unreached_kill_or_swap_exits_2() {
+    let replay = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_replay"))
+            .args(["synflood", "1"])
+            .args(args)
+            .output()
+            .expect("replay binary runs")
+    };
+    for (flag, reached) in [
+        ("--kill-at-epoch", "lifecycle: killed at epoch 5"),
+        ("--swap-demo", "lifecycle: swap committed at epoch 5"),
+    ] {
+        let out = replay(&[flag, "99999"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} 99999");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} 99999 was never reached: the run has 90 epoch(s)")),
+            "got: {err}"
+        );
+        let out = replay(&[flag, "5"]);
+        assert_eq!(out.status.code(), Some(0), "{flag} 5");
+        assert!(String::from_utf8_lossy(&out.stdout).contains(reached));
+    }
+}

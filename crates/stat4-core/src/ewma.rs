@@ -87,19 +87,6 @@ impl Ewma {
         self.shift
     }
 
-    /// Integer deviation check: is `x` further than `multiple` times
-    /// the current average from the current average? A cheap relative
-    /// band used when a full σ is overkill
-    /// (`|x − avg| > avg >> band_shift`).
-    #[must_use]
-    pub fn deviates(&self, x: i64, band_shift: u32) -> bool {
-        if !self.seeded {
-            return false;
-        }
-        let avg = self.value();
-        (x - avg).abs() > (avg >> band_shift.min(63)).abs()
-    }
-
     /// Reloads the accumulator exported by [`Self::raw`] and
     /// [`Self::is_seeded`], keeping the configured shift.
     pub fn restore(&mut self, acc: i64, seeded: bool) {
@@ -173,18 +160,6 @@ mod tests {
             e.update(-100);
         }
         assert_eq!(e.value(), -100);
-    }
-
-    #[test]
-    fn deviation_band() {
-        let mut e = Ewma::new(3);
-        e.update(1000);
-        for _ in 0..50 {
-            e.update(1000);
-        }
-        assert!(!e.deviates(1100, 3), "within 12.5%");
-        assert!(e.deviates(1200, 3), "beyond 12.5%");
-        assert!(e.deviates(800, 3), "low side too");
     }
 
     #[test]

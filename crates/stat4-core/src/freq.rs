@@ -19,7 +19,6 @@
 use crate::delta::{DeltaMergeable, DirtyJournal, FreqDelta};
 use crate::error::{Stat4Error, Stat4Result};
 use crate::isqrt::approx_isqrt;
-use crate::running::RunningStats;
 
 /// A bounded-domain frequency distribution with O(1) updates of
 /// `N`, `Xsum` and `Xsumsq`.
@@ -131,12 +130,6 @@ impl FrequencyDist {
         self.max
     }
 
-    /// Number of cells in the domain.
-    #[must_use]
-    pub fn domain_size(&self) -> usize {
-        self.counts.len()
-    }
-
     #[inline]
     fn index(&self, value: i64) -> Option<usize> {
         if value < self.min || value > self.max {
@@ -178,38 +171,6 @@ impl FrequencyDist {
         Ok(())
     }
 
-    /// Removes one previously recorded occurrence of `value` (the inverse
-    /// of [`Self::observe`]), used by decaying/windowed monitors.
-    ///
-    /// # Errors
-    ///
-    /// [`Stat4Error::ValueOutOfDomain`] if outside the domain;
-    /// [`Stat4Error::Overflow`] if the count is already zero.
-    pub fn forget(&mut self, value: i64) -> Stat4Result<()> {
-        let idx = self.index(value).ok_or(Stat4Error::ValueOutOfDomain {
-            value,
-            min: self.min,
-            max: self.max,
-        })?;
-        let f = self.counts[idx];
-        if f == 0 {
-            return Err(Stat4Error::Overflow {
-                op: "forget on zero count",
-            });
-        }
-        self.journal.mark(idx, f);
-        // Xsumsq -= f² − (f−1)² = 2f − 1. Saturating like `observe`:
-        // once any accumulator has pinned at its ceiling the moments are
-        // no longer exact, so the inverse update must not trap either.
-        self.sumsq = self.sumsq.saturating_sub(2 * u128::from(f) - 1);
-        self.total = self.total.saturating_sub(1);
-        self.counts[idx] = f - 1;
-        if f == 1 {
-            self.n_distinct -= 1;
-        }
-        Ok(())
-    }
-
     /// Current frequency of `value` (zero if out of domain).
     #[must_use]
     pub fn frequency(&self, value: i64) -> u64 {
@@ -245,50 +206,16 @@ impl FrequencyDist {
     }
 
     /// `σ(NX)` via the shift-approximated square root (clamped to the
-    /// 64-bit register width like [`RunningStats::sd_nx`]).
+    /// 64-bit register width like [`crate::RunningStats::sd_nx`]).
     #[must_use]
     pub fn sd_nx(&self) -> u64 {
         approx_isqrt(u64::try_from(self.variance_nx()).unwrap_or(u64::MAX))
-    }
-
-    /// Integer-only check: is the frequency of `value` an upper outlier
-    /// among the observed frequencies (`N·f > Xsum + k·σ(NX)`)?
-    ///
-    /// This is how a SYN-flood monitor asks "is the SYN count abnormally
-    /// high relative to the other packet types".
-    #[must_use]
-    pub fn is_frequency_outlier(&self, value: i64, k: u32) -> bool {
-        let f = self.frequency(value);
-        let nf = u128::from(self.n_distinct) * u128::from(f);
-        let bound = u128::from(self.total) + u128::from(k) * u128::from(self.sd_nx());
-        nf > bound
-    }
-
-    /// Iterates `(value, frequency)` for every non-zero cell.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (self.min + i as i64, c))
     }
 
     /// Snapshot of the per-cell counters, index 0 = `min_value()`.
     #[must_use]
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Materialises the frequency multiset `{f_i : f_i > 0}` as a
-    /// [`RunningStats`] — used to cross-check the incremental moments
-    /// against the batch formulas in tests.
-    #[must_use]
-    pub fn to_running_stats(&self) -> RunningStats {
-        let mut s = RunningStats::new();
-        for (_, f) in self.iter_nonzero() {
-            s.push(f as i64);
-        }
-        s
     }
 
     /// Clears all counters and moments (and re-bases the dirty journal:
@@ -399,7 +326,7 @@ mod tests {
         assert_eq!(d.xsum(), 0);
         assert_eq!(d.xsumsq(), 0);
         assert_eq!(d.variance_nx(), 0);
-        assert_eq!(d.domain_size(), 511);
+        assert_eq!(d.counts().len(), 511);
     }
 
     #[test]
@@ -444,52 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn forget_inverts_observe() {
-        let mut d = FrequencyDist::new(0, 10).unwrap();
-        for v in [1, 2, 2, 3, 3, 3] {
-            d.observe(v).unwrap();
-        }
-        let snapshot = d.clone();
-        d.observe(5).unwrap();
-        d.forget(5).unwrap();
-        assert_eq!(d, snapshot);
-    }
-
-    #[test]
-    fn forget_zero_count_errors() {
-        let mut d = FrequencyDist::new(0, 10).unwrap();
-        assert!(matches!(d.forget(4), Err(Stat4Error::Overflow { .. })));
-    }
-
-    #[test]
-    fn syn_flood_style_outlier() {
-        // Packet-type frequency distribution over 16 types (type 1 =
-        // SYN). Note the outlier value inflates the distribution's own
-        // variance, so with N distinct values the maximum achievable
-        // z-score is (N-1)/sqrt(N); a k = 2 check needs N >= 6 types to
-        // be able to fire at all.
-        let mut d = FrequencyDist::new(0, 15).unwrap();
-        for v in 0..16 {
-            for _ in 0..100 {
-                d.observe(v).unwrap();
-            }
-        }
-        assert!(!d.is_frequency_outlier(1, 2));
-        for _ in 0..20_000 {
-            d.observe(1).unwrap();
-        }
-        assert!(d.is_frequency_outlier(1, 2));
-        assert!(!d.is_frequency_outlier(2, 2));
-    }
-
-    #[test]
-    fn iter_nonzero_and_counts() {
+    fn counts_by_cell() {
         let mut d = FrequencyDist::new(-2, 2).unwrap();
         d.observe(-2).unwrap();
         d.observe(2).unwrap();
         d.observe(2).unwrap();
-        let items: Vec<_> = d.iter_nonzero().collect();
-        assert_eq!(items, vec![(-2, 1), (2, 2)]);
         assert_eq!(d.counts(), &[1, 0, 0, 0, 2]);
     }
 
@@ -513,16 +399,6 @@ mod tests {
         d.observe(1).unwrap();
         assert_eq!(d.xsum(), u64::MAX);
         assert_eq!(d.frequency(1), 2, "the cell itself is still exact");
-    }
-
-    /// `forget` on a saturated state must not trap on the moment
-    /// subtraction either.
-    #[test]
-    fn forget_on_saturated_state_does_not_trap() {
-        let mut d = FrequencyDist::from_raw_counts(0, vec![u64::MAX]).unwrap();
-        d.forget(0).unwrap();
-        assert_eq!(d.frequency(0), u64::MAX - 1);
-        assert_eq!(d.n_distinct(), 1);
     }
 
     #[test]
@@ -555,31 +431,14 @@ mod tests {
             for v in &values {
                 d.observe(*v).unwrap();
             }
-            let batch = d.to_running_stats();
+            let mut batch = crate::RunningStats::new();
+            for &f in d.counts().iter().filter(|&&f| f != 0) {
+                batch.push(f as i64);
+            }
             prop_assert_eq!(d.n_distinct(), batch.n());
             prop_assert_eq!(d.xsum() as i64, batch.xsum());
             prop_assert_eq!(d.xsumsq(), batch.xsumsq() as u128);
             prop_assert_eq!(d.variance_nx(), batch.variance_nx());
-        }
-
-        /// observe/forget round-trips restore the exact state.
-        #[test]
-        fn observe_forget_roundtrip(
-            base in proptest::collection::vec(0i64..=20, 0..100),
-            extra in proptest::collection::vec(0i64..=20, 1..50),
-        ) {
-            let mut d = FrequencyDist::new(0, 20).unwrap();
-            for v in &base {
-                d.observe(*v).unwrap();
-            }
-            let snapshot = d.clone();
-            for v in &extra {
-                d.observe(*v).unwrap();
-            }
-            for v in extra.iter().rev() {
-                d.forget(*v).unwrap();
-            }
-            prop_assert_eq!(d, snapshot);
         }
 
         /// Xsum always equals the number of observations and n_distinct
@@ -591,7 +450,7 @@ mod tests {
                 d.observe(*v).unwrap();
             }
             prop_assert_eq!(d.xsum(), values.len() as u64);
-            prop_assert!(d.n_distinct() as usize <= d.domain_size());
+            prop_assert!(d.n_distinct() as usize <= d.counts().len());
         }
     }
 }

@@ -196,12 +196,6 @@ impl HyperLogLog {
         self.precision
     }
 
-    /// Number of registers.
-    #[must_use]
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Observes one key: the data-plane path. Hash, take the top
     /// `precision` bits as the register index, count the leading zeros
     /// of the rest, keep the max — all P4-expressible.
@@ -235,12 +229,6 @@ impl HyperLogLog {
         } else {
             (self.harmonic_q32, self.zeros)
         }
-    }
-
-    /// Registers still at zero (drives the linear-counting regime).
-    #[must_use]
-    pub fn zero_registers(&self) -> u64 {
-        self.sums().1
     }
 
     /// Raw register file (oldest-fashioned debugging aid and the
@@ -339,16 +327,16 @@ mod tests {
 
     /// The float reference estimator over the same register file.
     fn float_estimate(h: &HyperLogLog) -> f64 {
-        let m = h.register_count() as f64;
+        let m = h.registers().len() as f64;
         let sum: f64 = h.registers().iter().map(|r| 2f64.powi(-i32::from(*r))).sum();
-        let alpha = match h.register_count() {
+        let alpha = match h.registers().len() {
             16 => 0.673,
             32 => 0.697,
             64 => 0.709,
             _ => 0.7213 / (1.0 + 1.079 / m),
         };
         let raw = alpha * m * m / sum;
-        let zeros = h.zero_registers() as f64;
+        let zeros = h.sums().1 as f64;
         if zeros > 0.0 && raw <= 2.5 * m {
             m * (m / zeros).ln()
         } else {
@@ -415,7 +403,7 @@ mod tests {
                 }
                 let (harmonic, zeros) = full_scan(&h);
                 prop_assert_eq!(h.estimate(), estimate_from_sums(1 << p, harmonic, zeros));
-                prop_assert_eq!(h.zero_registers(), zeros);
+                prop_assert_eq!(h.sums().1, zeros);
                 if !h.sums_stale {
                     prop_assert_eq!((h.harmonic_q32, h.zeros), (harmonic, zeros));
                 }
@@ -427,7 +415,7 @@ mod tests {
     fn precision_bounds_enforced() {
         assert!(HyperLogLog::new(3).is_err());
         assert!(HyperLogLog::new(17).is_err());
-        assert_eq!(HyperLogLog::new(10).unwrap().register_count(), 1024);
+        assert_eq!(HyperLogLog::new(10).unwrap().registers().len(), 1024);
     }
 
     #[test]
@@ -502,7 +490,7 @@ mod tests {
         }
         h.reset();
         assert_eq!(h.estimate(), 0);
-        assert_eq!(h.zero_registers(), 256);
+        assert_eq!(h.sums().1, 256);
     }
 
     proptest! {

@@ -87,7 +87,7 @@ pub use percentile::{MarkerRaw, PercentileTracker, Quantile, QuantileCounts};
 pub use running::RunningStats;
 pub use scale::Scale;
 pub use sketch::CountMinSketch;
-pub use square::{approx_square, approx_square_u64};
+pub use square::approx_square;
 pub use window::WindowedDist;
 
 /// Deterministic RNG for this crate's tests (kept here so test modules

@@ -41,6 +41,8 @@ pub fn stddev(values: &[i64]) -> f64 {
 
 /// Exact `σ²(NX) = N·Xsumsq − Xsum²` in big integers — the quantity the
 /// switch's registers must hold bit-for-bit.
+// Kept `pub` with no outside caller yet: `repro flips` (ROADMAP item
+// 2a) measures the native trackers' variance against it.
 #[must_use]
 pub fn variance_nx_exact(values: &[i64]) -> u128 {
     let n = values.len() as i128;

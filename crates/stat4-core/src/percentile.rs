@@ -79,7 +79,7 @@ impl Quantile {
     /// # Errors
     ///
     /// [`Stat4Error::InvalidQuantile`] if either weight is zero.
-    pub fn from_weights(low_weight: u32, high_weight: u32) -> Stat4Result<Self> {
+    pub(crate) fn from_weights(low_weight: u32, high_weight: u32) -> Stat4Result<Self> {
         if low_weight == 0 || high_weight == 0 {
             return Err(Stat4Error::InvalidQuantile {
                 low_weight,
@@ -412,16 +412,6 @@ impl PercentileSet {
         (self.min, self.max)
     }
 
-    /// Verifies the register invariant `low + f(pos) + high == total` for
-    /// every marker; used by tests and debug assertions.
-    #[must_use]
-    pub fn masses_consistent(&self) -> bool {
-        self.markers.iter().all(|m| match m.pos {
-            None => self.total == 0,
-            Some(p) => m.low + self.counts[p] + m.high == self.total,
-        })
-    }
-
     /// Clears all counters and markers.
     pub fn reset(&mut self) {
         self.counts.fill(0);
@@ -707,6 +697,19 @@ impl PercentileTracker {
             return Ok(());
         };
         Err(Stat4Error::InvalidState { what })
+    }
+}
+
+// The invariant oracle this crate's tests assert.
+#[cfg(test)]
+impl PercentileSet {
+    /// Verifies the register invariant `low + f(pos) + high == total` for
+    /// every marker.
+    fn masses_consistent(&self) -> bool {
+        self.markers.iter().all(|m| match m.pos {
+            None => self.total == 0,
+            Some(p) => m.low + self.counts[p] + m.high == self.total,
+        })
     }
 }
 

@@ -225,7 +225,7 @@ impl RunningStats {
 
     /// Lower-tail test with a margin: `N·x < Xsum − k·σ(NX) − margin`.
     #[must_use]
-    pub fn is_lower_outlier_with_margin(&self, x: i64, k: u32, margin: u64) -> bool {
+    pub(crate) fn is_lower_outlier_with_margin(&self, x: i64, k: u32, margin: u64) -> bool {
         let nx = (self.n as i128) * (x as i128);
         let bound = (self.sum as i128)
             - (k as i128) * (self.sd_nx() as i128)
@@ -248,21 +248,6 @@ impl RunningStats {
         let nx = (self.n as i128) * (x as i128);
         let bound = (self.sum as i128) - (k as i128) * (self.sd_nx() as i128);
         nx < bound
-    }
-
-    /// Two-sided test: either tail at `k` standard deviations.
-    #[must_use]
-    pub fn is_outlier(&self, x: i64, k: u32) -> bool {
-        self.is_upper_outlier(x, k) || self.is_lower_outlier(x, k)
-    }
-
-    /// Checks whether the mean rate matches a target `t`, within `k`
-    /// standard deviations — the paper's "check that the average traffic
-    /// rate matches a value T" example, as `|Xsum − N·T| ≤ k·σ(NX)`.
-    #[must_use]
-    pub fn mean_matches(&self, t: i64, k: u32) -> bool {
-        let diff = ((self.sum as i128) - (self.n as i128) * (t as i128)).unsigned_abs();
-        diff <= (k as u128) * (self.sd_nx() as u128)
     }
 
     /// Resets to the empty state, as a switch does when the controller
@@ -416,19 +401,6 @@ mod tests {
         assert!(!s.is_upper_outlier(101, 2));
         assert!(s.is_lower_outlier(10, 2));
         assert!(!s.is_lower_outlier(99, 2));
-        assert!(s.is_outlier(200, 2));
-        assert!(s.is_outlier(10, 2));
-        assert!(!s.is_outlier(100, 2));
-    }
-
-    #[test]
-    fn mean_matches_target() {
-        let mut s = RunningStats::new();
-        for x in [99, 101, 100, 100, 98, 102] {
-            s.push(x);
-        }
-        assert!(s.mean_matches(100, 2));
-        assert!(!s.mean_matches(140, 2));
     }
 
     #[test]

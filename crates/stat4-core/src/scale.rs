@@ -56,42 +56,11 @@ impl Scale {
         })
     }
 
-    /// Controller-side helper: the smallest power-of-two scale that maps
-    /// `typical` raw units to at most `target` scaled units.
-    ///
-    /// E.g. `for_typical(10_000_000_000, 10)` tracks ~10 Gb intervals in
-    /// ~1 Gb units.
-    #[must_use]
-    pub fn for_typical(typical: i64, target: i64, max_scaled: i64) -> Self {
-        let mut shift = 0u32;
-        let target = target.max(1);
-        while shift < 62 && (typical >> shift) > target {
-            shift += 1;
-        }
-        Self {
-            baseline: 0,
-            shift,
-            max_scaled,
-        }
-    }
-
     /// Applies the quantisation: shift-and-clamp, never negative.
     #[must_use]
     pub fn apply(&self, raw: i64) -> i64 {
         let shifted = raw.saturating_sub(self.baseline) >> self.shift;
         shifted.clamp(0, self.max_scaled)
-    }
-
-    /// Inverse of the quantisation midpoint, for reporting: the raw value
-    /// a scaled bucket's centre represents. Saturates at the `i64` range
-    /// instead of overflowing the widening shift (`shift` may be up to
-    /// 62, so `scaled << shift` does not fit `i64` for large buckets).
-    #[must_use]
-    pub fn unapply(&self, scaled: i64) -> i64 {
-        let raw = (i128::from(scaled) << self.shift)
-            + i128::from(1i64 << self.shift >> 1)
-            + i128::from(self.baseline);
-        i64::try_from(raw).unwrap_or(if raw < 0 { i64::MIN } else { i64::MAX })
     }
 
     /// Worst-case absolute quantisation error in raw units.
@@ -123,9 +92,9 @@ mod tests {
 
     #[test]
     fn gigabit_example() {
-        // ~10 Gb per interval tracked in ~0.5 GB buckets: shift chosen so
-        // a typical 10e9 lands at <= 15.
-        let s = Scale::for_typical(10_000_000_000, 15, 127);
+        // ~10 Gb per interval tracked in 2^30-byte buckets: a typical
+        // 10e9 lands at <= 15.
+        let s = Scale::new(0, 30, 127).unwrap();
         let scaled = s.apply(10_000_000_000);
         assert!(scaled > 0 && scaled <= 15, "scaled = {scaled}");
         // A 4x spike stays in-domain and distinguishable.
@@ -139,29 +108,6 @@ mod tests {
         assert_eq!(s.apply(1000), 0);
         assert_eq!(s.apply(1050), 50);
         assert_eq!(s.apply(900), 0, "below baseline clamps to 0");
-    }
-
-    #[test]
-    fn unapply_roundtrip_within_error() {
-        let s = Scale::new(0, 10, 1 << 20).unwrap();
-        for raw in [0i64, 1023, 1024, 5000, 123_456] {
-            let rt = s.unapply(s.apply(raw));
-            assert!(
-                (rt - raw).abs() <= s.quantisation_error(),
-                "raw = {raw} rt = {rt}"
-            );
-        }
-    }
-
-    /// `unapply` of a large bucket at a large shift must saturate, not
-    /// overflow the `i64` shift (a debug-mode panic before the widening).
-    #[test]
-    fn unapply_saturates_instead_of_overflowing() {
-        let s = Scale::new(0, 62, i64::MAX).unwrap();
-        assert_eq!(s.unapply(i64::MAX >> 1), i64::MAX);
-        assert_eq!(s.unapply(i64::MIN >> 1), i64::MIN);
-        let t = Scale::new(i64::MAX, 1, i64::MAX).unwrap();
-        assert_eq!(t.unapply(i64::MAX), i64::MAX);
     }
 
     proptest! {
@@ -179,15 +125,6 @@ mod tests {
             let s = Scale::new(0, shift, max).unwrap();
             let out = s.apply(raw);
             prop_assert!((0..=max).contains(&out));
-        }
-
-        /// Round-trip error bounded by the quantisation step (when not
-        /// clamped).
-        #[test]
-        fn roundtrip_error_bounded(raw in 0i64..1_000_000_000, shift in 0u32..20) {
-            let s = Scale::new(0, shift, i64::MAX >> 2).unwrap();
-            let rt = s.unapply(s.apply(raw));
-            prop_assert!((rt - raw).abs() <= s.quantisation_error());
         }
     }
 }

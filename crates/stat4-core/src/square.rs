@@ -73,13 +73,6 @@ pub fn approx_square_refined(x: u64) -> u128 {
     (1u128 << (2 * e)) + ((m as u128) << (e + 1)) + approx_square(m)
 }
 
-/// Saturating `u64` variant of [`approx_square`] for register-width-bound
-/// pipelines; values whose square exceeds `u64::MAX` clamp.
-#[must_use]
-pub fn approx_square_u64(x: u64) -> u64 {
-    u64::try_from(approx_square(x)).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,12 +105,6 @@ mod tests {
         assert_eq!(approx_square(7), 40);
         // refined(7): 40 + approx_square(3) = 48.
         assert_eq!(approx_square_refined(7), 48);
-    }
-
-    #[test]
-    fn saturating_u64_clamps() {
-        assert_eq!(approx_square_u64(u64::MAX), u64::MAX);
-        assert_eq!(approx_square_u64(3), 8);
     }
 
     /// The widening shifts stay inside `u128` even at the top of the

@@ -45,7 +45,7 @@ pub fn bind_prefix_h(
 
 /// [`bind_prefix_h`] for a still-local app.
 #[must_use]
-pub fn bind_prefix(
+pub(crate) fn bind_prefix(
     app: &CaseStudyApp,
     prefix: Ipv4Addr,
     len: u8,
@@ -53,21 +53,6 @@ pub fn bind_prefix(
     group: u64,
 ) -> RuntimeRequest {
     bind_prefix_h(&app.handles(), prefix, len, slot, group)
-}
-
-/// Builds the request removing a binding.
-#[must_use]
-pub fn unbind_prefix_h(h: &CaseStudyHandles, prefix: Ipv4Addr, len: u8) -> RuntimeRequest {
-    RuntimeRequest::DeleteEntry {
-        table: h.drill_table,
-        key: prefix_key(prefix, len),
-    }
-}
-
-/// [`unbind_prefix_h`] for a still-local app.
-#[must_use]
-pub fn unbind_prefix(app: &CaseStudyApp, prefix: Ipv4Addr, len: u8) -> RuntimeRequest {
-    unbind_prefix_h(&app.handles(), prefix, len)
 }
 
 /// Builds the requests that wipe the drill-down distribution's state so
@@ -92,12 +77,6 @@ pub fn reset_distribution_h(h: &CaseStudyHandles) -> Vec<RuntimeRequest> {
     ]
 }
 
-/// [`reset_distribution_h`] for a still-local app.
-#[must_use]
-pub fn reset_distribution(app: &CaseStudyApp) -> Vec<RuntimeRequest> {
-    reset_distribution_h(&app.handles())
-}
-
 /// Builds the request clearing every binding entry.
 #[must_use]
 pub fn clear_bindings_h(h: &CaseStudyHandles) -> RuntimeRequest {
@@ -106,27 +85,18 @@ pub fn clear_bindings_h(h: &CaseStudyHandles) -> RuntimeRequest {
     }
 }
 
-/// [`clear_bindings_h`] for a still-local app.
-#[must_use]
-pub fn clear_bindings(app: &CaseStudyApp) -> RuntimeRequest {
-    clear_bindings_h(&app.handles())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::casestudy::CaseStudyParams;
 
     #[test]
-    fn bind_and_unbind_roundtrip() {
+    fn bind_adds_an_entry() {
         let mut app = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
         let p = Ipv4Addr::new(10, 0, 5, 0);
         let req = bind_prefix(&app, p, 24, 0, 5);
         assert!(app.pipeline.runtime(&req).is_ok());
         assert_eq!(app.pipeline.tables()[app.drill_table].entries().len(), 1);
-        let del = unbind_prefix(&app, p, 24);
-        assert!(app.pipeline.runtime(&del).is_ok());
-        assert!(app.pipeline.tables()[app.drill_table].entries().is_empty());
     }
 
     #[test]
@@ -137,7 +107,7 @@ mod tests {
             index: 7,
             value: 9,
         });
-        for req in reset_distribution(&app) {
+        for req in reset_distribution_h(&app.handles()) {
             assert!(app.pipeline.runtime(&req).is_ok());
         }
         assert_eq!(app.pipeline.registers()[app.counters_reg].cells[7], 0);
@@ -150,7 +120,7 @@ mod tests {
             let req = bind_prefix(&app, Ipv4Addr::new(10, 0, g, 0), 24, 0, u64::from(g));
             app.pipeline.runtime(&req);
         }
-        app.pipeline.runtime(&clear_bindings(&app));
+        app.pipeline.runtime(&clear_bindings_h(&app.handles()));
         assert!(app.pipeline.tables()[app.drill_table].entries().is_empty());
     }
 }

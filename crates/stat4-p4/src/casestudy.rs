@@ -113,19 +113,19 @@ impl Default for CaseStudyParams {
 /// Indices into the `rate_state` register.
 mod rate_state {
     /// Currently open interval id (0 = uninitialised).
-    pub const CUR_INTERVAL: u64 = 0;
+    pub(crate) const CUR_INTERVAL: u64 = 0;
     /// Packets seen in the open interval.
-    pub const CUR_COUNT: u64 = 1;
+    pub(crate) const CUR_COUNT: u64 = 1;
     /// Next window slot to overwrite.
-    pub const WIDX: u64 = 2;
+    pub(crate) const WIDX: u64 = 2;
     /// `N` over the stored window.
     pub const N: u64 = 3;
     /// `Xsum` over the stored window.
-    pub const XSUM: u64 = 4;
+    pub(crate) const XSUM: u64 = 4;
     /// `Xsumsq` over the stored window.
-    pub const XSUMSQ: u64 = 5;
+    pub(crate) const XSUMSQ: u64 = 5;
     /// Cells in the register.
-    pub const SIZE: usize = 6;
+    pub(crate) const SIZE: usize = 6;
 }
 
 /// Copyable identifiers of the case-study program's tables and

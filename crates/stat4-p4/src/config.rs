@@ -31,7 +31,7 @@ impl Default for Stat4Config {
 impl Stat4Config {
     /// Total value-counter cells (`counter_num × counter_size`).
     #[must_use]
-    pub fn total_cells(&self) -> usize {
+    pub(crate) fn total_cells(&self) -> usize {
         self.counter_num * self.counter_size
     }
 

@@ -24,7 +24,7 @@ pub const DIGEST_ECHO: u16 = 1;
 
 /// Offset added to payload integers so `[-255, 255]` maps onto cell
 /// indices `[0, 510]`.
-pub const VALUE_OFFSET: u64 = 255;
+pub(crate) const VALUE_OFFSET: u64 = 255;
 
 /// How the program computes `N·Xsumsq` and `Xsum²`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

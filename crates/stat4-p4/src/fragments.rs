@@ -23,7 +23,7 @@ use p4sim::program::ProgramBuilder;
 /// (valid for `src != 0`; the zero case needs the branch in
 /// [`isqrt_fragment`]). Clobbers `SQRT_E`, `SQRT_M`, `SQRT_T`, `TMP`.
 #[must_use]
-pub fn isqrt_primitives(src: FieldId, dst: FieldId) -> Vec<Primitive> {
+pub(crate) fn isqrt_primitives(src: FieldId, dst: FieldId) -> Vec<Primitive> {
     use scratch::{SQRT_E, SQRT_M, SQRT_T, TMP};
     vec![
         // e = msb(src)
@@ -207,7 +207,7 @@ pub fn isqrt_fragment_const_shifts(b: &mut ProgramBuilder, src: FieldId, dst: Fi
 
 /// Target-adaptive square root: dynamic shifts where the target allows
 /// them, otherwise the constant-shift branch tree.
-pub fn isqrt_fragment_for(
+pub(crate) fn isqrt_fragment_for(
     b: &mut ProgramBuilder,
     target: &p4sim::TargetModel,
     src: FieldId,
@@ -223,7 +223,7 @@ pub fn isqrt_fragment_for(
 /// Straight-line shift-approximated squaring (valid for `src != 0`;
 /// see [`approx_square_fragment`]). Clobbers `SQRT_E`, `SQRT_M`, `TMP`.
 #[must_use]
-pub fn approx_square_primitives(src: FieldId, dst: FieldId) -> Vec<Primitive> {
+pub(crate) fn approx_square_primitives(src: FieldId, dst: FieldId) -> Vec<Primitive> {
     use scratch::{SQRT_E, SQRT_M, TMP};
     vec![
         Primitive::Msb {
@@ -278,7 +278,7 @@ pub fn approx_square_primitives(src: FieldId, dst: FieldId) -> Vec<Primitive> {
 
 /// Adds the approximate-squaring actions and returns the control
 /// subtree computing `dst ≈ src²` without any multiplication.
-pub fn approx_square_fragment(b: &mut ProgramBuilder, src: FieldId, dst: FieldId) -> Control {
+pub(crate) fn approx_square_fragment(b: &mut ProgramBuilder, src: FieldId, dst: FieldId) -> Control {
     let zero = b.add_action(ActionDef::new(
         "sq_zero",
         vec![Primitive::Set {
@@ -347,7 +347,7 @@ pub fn mul_unrolled_primitives(a: FieldId, b: FieldId, dst: FieldId, bits: u32) 
 /// `VAR = N·Xsumsq − Xsum²` (runtime multiplication — bmv2 targets).
 /// Reads `N`, `XSUM`, `XSUMSQ`; clobbers `TMP`, `MUL_B`.
 #[must_use]
-pub fn variance_nx_primitives() -> Vec<Primitive> {
+pub(crate) fn variance_nx_primitives() -> Vec<Primitive> {
     use scratch::{MUL_B, N, TMP, VAR, XSUM, XSUMSQ};
     vec![
         Primitive::Mul {
@@ -376,7 +376,7 @@ pub fn variance_nx_primitives() -> Vec<Primitive> {
 /// Leaves the *updated* `N`, `XSUM`, `XSUMSQ` and the *old* count
 /// `F_OLD` in scratch for downstream checks.
 #[must_use]
-pub fn freq_update_primitives(
+pub(crate) fn freq_update_primitives(
     counters_reg: usize,
     n_reg: usize,
     xsum_reg: usize,
@@ -478,74 +478,6 @@ pub fn freq_update_primitives(
     ]
 }
 
-/// One *value-distribution* observation (paper Sec. 2's non-frequency
-/// path): a new value of interest `xk` (in `VALUE_IDX`) joins the
-/// distribution at slot `Data(1)`: `N += 1`, `Xsum += xk`,
-/// `Xsumsq += xk²` (runtime multiply — bmv2; pair with
-/// [`approx_square_fragment`] or [`mul_unrolled_primitives`] on
-/// hardware). Leaves the updated moments in scratch like
-/// [`freq_update_primitives`] does.
-#[must_use]
-pub fn value_update_primitives(
-    n_reg: usize,
-    xsum_reg: usize,
-    xsumsq_reg: usize,
-) -> Vec<Primitive> {
-    use scratch::{N, TMP, VALUE_IDX, XSUM, XSUMSQ};
-    vec![
-        Primitive::RegRead {
-            dst: N,
-            register: n_reg,
-            index: Operand::Data(1),
-        },
-        Primitive::Add {
-            dst: N,
-            a: Operand::Field(N),
-            b: Operand::Const(1),
-        },
-        Primitive::RegWrite {
-            register: n_reg,
-            index: Operand::Data(1),
-            src: Operand::Field(N),
-        },
-        Primitive::RegRead {
-            dst: XSUM,
-            register: xsum_reg,
-            index: Operand::Data(1),
-        },
-        Primitive::Add {
-            dst: XSUM,
-            a: Operand::Field(XSUM),
-            b: Operand::Field(VALUE_IDX),
-        },
-        Primitive::RegWrite {
-            register: xsum_reg,
-            index: Operand::Data(1),
-            src: Operand::Field(XSUM),
-        },
-        Primitive::RegRead {
-            dst: XSUMSQ,
-            register: xsumsq_reg,
-            index: Operand::Data(1),
-        },
-        Primitive::Mul {
-            dst: TMP,
-            a: Operand::Field(VALUE_IDX),
-            b: Operand::Field(VALUE_IDX),
-        },
-        Primitive::Add {
-            dst: XSUMSQ,
-            a: Operand::Field(XSUMSQ),
-            b: Operand::Field(TMP),
-        },
-        Primitive::RegWrite {
-            register: xsumsq_reg,
-            index: Operand::Data(1),
-            src: Operand::Field(XSUMSQ),
-        },
-    ]
-}
-
 /// Fixed-point EWMA update in the pipeline (`α = 2^−shift`): one read,
 /// one constant shift, one subtract, one add, one write — see
 /// [`stat4_core::ewma::Ewma`] for the numeric design (the accumulator
@@ -553,7 +485,7 @@ pub fn value_update_primitives(
 /// Valid for non-negative samples (rates/counts); a zero accumulator is
 /// treated as "unseeded" by [`ewma_fragment`]'s branch.
 #[must_use]
-pub fn ewma_update_primitives(
+pub(crate) fn ewma_update_primitives(
     acc_reg: usize,
     slot: u64,
     x: FieldId,
@@ -599,7 +531,7 @@ pub fn ewma_update_primitives(
 /// accumulator at the first non-zero sample (RFC 6298 style), then
 /// performs the shift-based update per packet. `out` receives the
 /// current average.
-pub fn ewma_fragment(
+pub(crate) fn ewma_fragment(
     b: &mut ProgramBuilder,
     acc_reg: usize,
     slot: u64,
@@ -651,7 +583,7 @@ pub fn ewma_fragment(
 
 /// Control fragment: computes `VAR` (exact) and `SD` from the scratch
 /// moments — the lazy σ evaluation point.
-pub fn variance_sd_fragment(b: &mut ProgramBuilder) -> Control {
+pub(crate) fn variance_sd_fragment(b: &mut ProgramBuilder) -> Control {
     use scratch::{SD, VAR};
     let var_action = b.add_action(ActionDef::new("variance_nx", variance_nx_primitives()));
     let sqrt = isqrt_fragment(b, VAR, SD);
@@ -822,44 +754,6 @@ mod tests {
                 p.registers()[counters].cells[v as usize],
                 oracle.frequency(v)
             );
-        }
-    }
-
-    /// The value-distribution fragment tracks RunningStats exactly.
-    #[test]
-    fn value_update_tracks_running_stats() {
-        use stat4_core::running::RunningStats;
-        let mut b = ProgramBuilder::new();
-        let n_reg = b.add_register("n", 64, 2);
-        let xsum_reg = b.add_register("xsum", 64, 2);
-        let xsumsq_reg = b.add_register("xsumsq", 64, 2);
-        let mut prims = vec![Primitive::Set {
-            dst: scratch::VALUE_IDX,
-            src: Operand::Field(fields::PAYLOAD_VALUE),
-        }];
-        prims.extend(value_update_primitives(n_reg, xsum_reg, xsumsq_reg));
-        let upd = b.add_action(ActionDef::new("value_update", prims));
-        let t = b.add_table(p4sim::TableDef {
-            name: "bind".into(),
-            keys: vec![],
-            max_entries: 1,
-            allowed_actions: vec![upd],
-            default_action: Some((upd, vec![0, 1])), // base unused, slot 1
-        });
-        b.set_control(Control::ApplyTable(t));
-        let mut p = b.build(TargetModel::bmv2()).unwrap();
-
-        let mut oracle = RunningStats::new();
-        for v in [5i64, 122, 9, 9, 0, 77, 31] {
-            let mut phv = Phv::new();
-            phv.set(fields::PAYLOAD_VALUE, v as u64);
-            p.process_phv(&mut phv).unwrap();
-            oracle.push(v);
-            assert_eq!(p.registers()[n_reg].cells[1], oracle.n());
-            assert_eq!(p.registers()[xsum_reg].cells[1] as i64, oracle.xsum());
-            assert_eq!(p.registers()[xsumsq_reg].cells[1] as i64, oracle.xsumsq());
-            // Slot 0 untouched.
-            assert_eq!(p.registers()[n_reg].cells[0], 0);
         }
     }
 

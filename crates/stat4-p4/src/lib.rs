@@ -40,11 +40,11 @@ pub mod echo;
 pub mod fragments;
 pub mod lint;
 pub mod median;
-pub mod sketch_app;
+pub(crate) mod sketch_app;
 pub mod scratch;
 
 pub use casestudy::{CaseStudyApp, CaseStudyHandles, CaseStudyParams, DIGEST_IMBALANCE, DIGEST_SPIKE};
 pub use config::Stat4Config;
 pub use echo::{EchoApp, DIGEST_ECHO};
-pub use median::{MedianApp, MedianAppParams, DIGEST_MEDIAN};
+pub use median::{MedianApp, MedianAppParams};
 pub use sketch_app::{SketchApp, SketchAppParams, DIGEST_HEAVY};

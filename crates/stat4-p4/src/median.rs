@@ -24,22 +24,22 @@ use p4sim::{P4Result, Pipeline, RegMerge, TargetModel};
 
 /// Digest id reporting `(marker_value, low, high, total_seen)` per
 /// packet (for validation; real deployments would read the registers).
-pub const DIGEST_MEDIAN: u16 = 4;
+pub(crate) const DIGEST_MEDIAN: u16 = 4;
 
 /// Indices into the tracker's bookkeeping register.
 mod state {
     /// Marker cell index.
-    pub const POS: u64 = 0;
+    pub(crate) const POS: u64 = 0;
     /// Mass strictly below the marker.
-    pub const LOW: u64 = 1;
+    pub(crate) const LOW: u64 = 1;
     /// Mass strictly above the marker.
-    pub const HIGH: u64 = 2;
+    pub(crate) const HIGH: u64 = 2;
     /// 0 until the first observation seeds the marker.
-    pub const SEEDED: u64 = 3;
+    pub(crate) const SEEDED: u64 = 3;
     /// Total observations (for the digest).
-    pub const TOTAL: u64 = 4;
+    pub(crate) const TOTAL: u64 = 4;
     /// Register size.
-    pub const SIZE: usize = 5;
+    pub(crate) const SIZE: usize = 5;
 }
 
 /// Configuration of the in-pipeline tracker.

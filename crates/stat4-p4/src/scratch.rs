@@ -9,51 +9,51 @@ use p4sim::phv::fields;
 use p4sim::FieldId;
 
 /// Extracted value of interest (already offset into the cell domain).
-pub const VALUE_IDX: FieldId = fields::scratch(0);
+pub(crate) const VALUE_IDX: FieldId = fields::scratch(0);
 /// Absolute cell address within the big counter register.
-pub const ADDR: FieldId = fields::scratch(1);
+pub(crate) const ADDR: FieldId = fields::scratch(1);
 /// Old counter value `f` read from the cell.
-pub const F_OLD: FieldId = fields::scratch(2);
+pub(crate) const F_OLD: FieldId = fields::scratch(2);
 /// General temporary.
-pub const TMP: FieldId = fields::scratch(3);
+pub(crate) const TMP: FieldId = fields::scratch(3);
 /// `1` when the cell was previously zero (first observation).
-pub const IS_NEW: FieldId = fields::scratch(4);
+pub(crate) const IS_NEW: FieldId = fields::scratch(4);
 /// Updated `N`.
 pub const N: FieldId = fields::scratch(5);
 /// Updated `Xsum`.
-pub const XSUM: FieldId = fields::scratch(6);
+pub(crate) const XSUM: FieldId = fields::scratch(6);
 /// Updated `Xsumsq`.
-pub const XSUMSQ: FieldId = fields::scratch(7);
+pub(crate) const XSUMSQ: FieldId = fields::scratch(7);
 /// Variance of `NX`.
-pub const VAR: FieldId = fields::scratch(8);
+pub(crate) const VAR: FieldId = fields::scratch(8);
 /// MSB position during the square-root fragment.
-pub const SQRT_E: FieldId = fields::scratch(9);
+pub(crate) const SQRT_E: FieldId = fields::scratch(9);
 /// Mantissa temporaries during the square-root fragment.
-pub const SQRT_M: FieldId = fields::scratch(10);
+pub(crate) const SQRT_M: FieldId = fields::scratch(10);
 /// More square-root temporaries.
-pub const SQRT_T: FieldId = fields::scratch(11);
+pub(crate) const SQRT_T: FieldId = fields::scratch(11);
 /// Standard deviation result.
 pub const SD: FieldId = fields::scratch(12);
 /// Left operand / scratch for the multiply-free product fragment.
-pub const MUL_A: FieldId = fields::scratch(13);
+pub(crate) const MUL_A: FieldId = fields::scratch(13);
 /// Right operand / scratch for the multiply-free product fragment.
-pub const MUL_B: FieldId = fields::scratch(14);
+pub(crate) const MUL_B: FieldId = fields::scratch(14);
 /// Spare scratch (interval logic in the case study).
-pub const AUX: FieldId = fields::scratch(15);
+pub(crate) const AUX: FieldId = fields::scratch(15);
 /// 1 when the drill-down binding table matched this packet.
-pub const DRILL_HIT: FieldId = fields::scratch(16);
+pub(crate) const DRILL_HIT: FieldId = fields::scratch(16);
 /// Current interval id (`timestamp >> interval_log2`).
-pub const IVL: FieldId = fields::scratch(17);
+pub(crate) const IVL: FieldId = fields::scratch(17);
 /// Packet count of the interval being closed.
-pub const CNT: FieldId = fields::scratch(18);
+pub(crate) const CNT: FieldId = fields::scratch(18);
 /// Evicted window value during an interval close.
-pub const OLD: FieldId = fields::scratch(19);
+pub(crate) const OLD: FieldId = fields::scratch(19);
 /// Window write index during an interval close.
-pub const WIDX: FieldId = fields::scratch(20);
+pub(crate) const WIDX: FieldId = fields::scratch(20);
 /// Alert-suppression temporary (last-alert interval id).
-pub const SUPPRESS: FieldId = fields::scratch(21);
+pub(crate) const SUPPRESS: FieldId = fields::scratch(21);
 /// 1 when the rate binding table matched this packet.
-pub const RATE_HIT: FieldId = fields::scratch(22);
+pub(crate) const RATE_HIT: FieldId = fields::scratch(22);
 
 #[cfg(test)]
 mod tests {

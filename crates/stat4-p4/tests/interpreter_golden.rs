@@ -25,7 +25,7 @@ use p4sim::{
     parse_frame, ActionDef, Cond, Control, Entry, MatchKind, MatchValue, Operand, P4Error, Phv,
     Pipeline, Primitive, RuntimeRequest, TableDef, TargetModel,
 };
-use stat4_p4::binding::bind_prefix;
+use stat4_p4::binding::bind_prefix_h;
 use stat4_p4::lint::builtin_pipelines;
 use stat4_p4::{CaseStudyApp, CaseStudyParams};
 use std::fmt::Write as _;
@@ -135,8 +135,9 @@ fn render_trace_run(out: &mut String, name: &str, mut p: Pipeline, trace: &Sched
 /// copy has an empty drill table and only ever misses there).
 fn drill_bound_case_study() -> Pipeline {
     let mut app = CaseStudyApp::build(CaseStudyParams::default()).expect("case study builds");
+    let handles = app.handles();
     for subnet in 0..6u8 {
-        let req = bind_prefix(&app, Ipv4Addr::new(10, 0, subnet, 0), 24, 0, u64::from(subnet));
+        let req = bind_prefix_h(&handles, Ipv4Addr::new(10, 0, subnet, 0), 24, 0, u64::from(subnet));
         let resp = app.pipeline.runtime(&req);
         assert!(resp.is_ok(), "{resp:?}");
     }

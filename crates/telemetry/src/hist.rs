@@ -20,7 +20,7 @@ use stat4_core::{Mergeable, Stat4Error, Stat4Result};
 
 /// Default mantissa bits: 8 sub-buckets per power of two, ≤ 12.5%
 /// relative bucket width.
-pub const DEFAULT_MANTISSA_BITS: u32 = 3;
+pub(crate) const DEFAULT_MANTISSA_BITS: u32 = 3;
 
 /// A fixed-size log-linear histogram over `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,14 +112,14 @@ impl LogLinearHistogram {
 
     /// Inclusive value range `[lo, hi]` of bucket `idx`.
     #[must_use]
-    pub fn bucket_range(&self, idx: usize) -> (u64, u64) {
+    pub(crate) fn bucket_range(&self, idx: usize) -> (u64, u64) {
         let lo = log_linear_lower_bound(idx, self.mantissa_bits);
         let hi = log_linear_lower_bound(idx + 1, self.mantissa_bits);
         (lo, hi.saturating_sub(u64::from(hi != u64::MAX)))
     }
 
     /// Non-empty buckets as `(index, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -304,6 +304,145 @@ mod tests {
             let at = At::Key(&root, "h");
             let err = LogLinearHistogram::from_json(&Json::parse(&bad).unwrap(), at).unwrap_err();
             assert!(err.starts_with("$.h"), "{err}");
+        }
+    }
+}
+
+// Log-linear histogram conformance: bucket boundaries are the isqrt
+// MSB decomposition, quantiles are within one bucket width of exact,
+// and the `Mergeable` fold is bit-identical to single-shard
+// recording.
+#[cfg(test)]
+mod conformance {
+    use proptest::prelude::*;
+    use stat4_core::isqrt::{log_linear_bucket, log_linear_lower_bound, msb_decompose};
+    use stat4_core::Mergeable;
+    use crate::LogLinearHistogram;
+
+    /// Bucket boundaries match the MSB exponent/mantissa decomposition the
+    /// approximate isqrt halves: every bucket's lower bound re-materialises
+    /// the (exponent ‖ mantissa) bit string, and values sharing a
+    /// decomposition share a bucket.
+    #[test]
+    fn bucket_boundaries_match_isqrt_decomposition() {
+        for m in [0u32, 2, 3, 6] {
+            let h = LogLinearHistogram::new(m);
+            for y in (0u64..4096).chain([1 << 20, u64::MAX / 3, u64::MAX]) {
+                let b = log_linear_bucket(y, m);
+                let (lo, hi) = h.bucket_range(b);
+                assert!(lo <= y && y <= hi, "m={m} y={y} outside [{lo},{hi}]");
+                if y >= (1u64 << m) {
+                    // Above the linear region the lower bound has the same
+                    // decomposition as y: same exponent class, same top
+                    // mantissa bits.
+                    let (e_y, f_y) = msb_decompose(y, m);
+                    let (e_lo, f_lo) = msb_decompose(lo, m);
+                    assert_eq!((e_y, f_y), (e_lo, f_lo), "m={m} y={y} lo={lo}");
+                    // And the bucket index is literally that bit string.
+                    let expect = (((u64::from(e_y) - u64::from(m) + 1) << m) + f_y) as usize;
+                    assert_eq!(b, expect, "m={m} y={y}");
+                } else {
+                    assert_eq!((lo, hi), (y, y), "linear region is exact");
+                }
+            }
+        }
+    }
+
+    /// The histogram records into exactly the bucket the decomposition
+    /// names — observed via nonzero_buckets.
+    #[test]
+    fn record_lands_in_decomposition_bucket() {
+        let m = 3;
+        let mut h = LogLinearHistogram::new(m);
+        let values = [0u64, 1, 7, 8, 106, 1000, 123_456_789];
+        for &v in &values {
+            h.record(v);
+        }
+        let got: Vec<usize> = h.nonzero_buckets().map(|(i, _)| i).collect();
+        let mut expect: Vec<usize> = values.iter().map(|&v| log_linear_bucket(v, m)).collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(got, expect);
+    }
+
+    fn exact_nearest_rank(sorted: &[u64], p: u32) -> u64 {
+        let rank = ((sorted.len() as u64) * u64::from(p)).div_ceil(100).max(1) as usize;
+        sorted[rank.min(sorted.len()) - 1]
+    }
+
+    proptest! {
+        /// Quantile estimates land in the same bucket as the exact sample
+        /// quantile — i.e. within one bucket width (2^-m relative error).
+        #[test]
+        fn quantile_within_one_bucket(
+            samples in proptest::collection::vec(any::<u64>(), 1..400),
+            m in 1u32..7,
+            p in 1u32..=100,
+        ) {
+            let mut h = LogLinearHistogram::new(m);
+            for &s in &samples {
+                h.record(s);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let exact = exact_nearest_rank(&sorted, p);
+            let est = h.quantile(p).expect("non-empty");
+            let exact_bucket = log_linear_bucket(exact, m);
+            let lo = log_linear_lower_bound(exact_bucket, m);
+            let hi = log_linear_lower_bound(exact_bucket + 1, m);
+            prop_assert!(
+                est >= lo && (est < hi || hi == u64::MAX),
+                "estimate {est} outside exact quantile's bucket [{lo},{hi}) (exact {exact}, p {p}, m {m})"
+            );
+        }
+
+        /// Merging per-shard histograms equals single-shard recording of
+        /// the full stream, bit for bit — the same conformance property the
+        /// Stat4 trackers satisfy at epoch barriers.
+        #[test]
+        fn merge_equals_single_shard(
+            tagged in proptest::collection::vec((any::<u64>(), 0usize..4), 0..400),
+            m in 0u32..7,
+        ) {
+            let mut single = LogLinearHistogram::new(m);
+            let mut shards: Vec<LogLinearHistogram> =
+                (0..4).map(|_| LogLinearHistogram::new(m)).collect();
+            for &(v, s) in &tagged {
+                single.record(v);
+                shards[s].record(v);
+            }
+            // Fold in both directions: merge must be order-free.
+            let mut fwd = shards[0].clone();
+            for s in &shards[1..] {
+                fwd.merge_from(s).unwrap();
+            }
+            let mut rev = shards[3].clone();
+            for s in shards[..3].iter().rev() {
+                rev.merge_from(s).unwrap();
+            }
+            prop_assert_eq!(&fwd, &single);
+            prop_assert_eq!(&rev, &single);
+        }
+
+        /// count/sum/min/max survive any merge partition.
+        #[test]
+        fn merged_moments_exact(
+            tagged in proptest::collection::vec((any::<u64>(), 0usize..3), 1..200),
+        ) {
+            let mut shards: Vec<LogLinearHistogram> =
+                (0..3).map(|_| LogLinearHistogram::default()).collect();
+            for &(v, s) in &tagged {
+                shards[s].record(v);
+            }
+            let mut merged = LogLinearHistogram::default();
+            for s in &shards {
+                merged.merge_from(s).unwrap();
+            }
+            let values: Vec<u64> = tagged.iter().map(|&(v, _)| v).collect();
+            prop_assert_eq!(merged.count(), values.len() as u64);
+            prop_assert_eq!(merged.sum(), values.iter().map(|&v| u128::from(v)).sum::<u128>());
+            prop_assert_eq!(merged.min(), values.iter().min().copied());
+            prop_assert_eq!(merged.max(), values.iter().max().copied());
         }
     }
 }

@@ -82,7 +82,7 @@ impl Json {
 
     /// The value as `i64` ([`Json::Int`] only).
     #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             _ => None,
@@ -156,7 +156,7 @@ impl Json {
 
 /// A pull lexer over one document, the one place its grammar, messages
 /// and nesting guard are written. [`Self::value`] reads a token; in a
-/// container, [`Self::next_key`] and [`Self::next_item`] read up to the
+/// container, [`Self::next_key`] and `Self::next_item` read up to the
 /// next entry or past the end. A value spans [`Self::pos`] before it to
 /// `pos()` after it.
 pub struct Lexer<'a> {
@@ -247,7 +247,7 @@ impl<'a> Lexer<'a> {
 
     /// Whether the open array's next item is due; `false` past its `]`.
     #[inline]
-    pub fn next_item(&mut self) -> Result<bool, String> {
+    pub(crate) fn next_item(&mut self) -> Result<bool, String> {
         self.more(b']')
     }
 

@@ -17,7 +17,7 @@
 //! - **Tracer** ([`trace`]) — a bounded buffer of begin/end/instant
 //!   events for epoch lifecycle (split → ingest → barrier → merge →
 //!   detect), cheap enough to leave on.
-//! - **Exposition** ([`expo`]) — renders a [`Snapshot`] in Prometheus
+//! - **Exposition** (`expo`) — renders a [`Snapshot`] in Prometheus
 //!   text format; [`render_json`] writes it as a JSON document through
 //!   [`json`], the one codec every document is written and read with;
 //!   [`check`] validates Prometheus output (used by CI against the real
@@ -44,7 +44,7 @@
 
 
 pub mod check;
-pub mod expo;
+pub(crate) mod expo;
 pub mod hist;
 pub mod json;
 pub mod metrics;

@@ -3,7 +3,7 @@
 //!
 //! A [`Snapshot`] is what crosses the boundary between the
 //! instrumented layers and the renderers: layers build one from their
-//! (plain or shared) metric values, [`crate::expo`] turns it into
+//! (plain or shared) metric values, `crate::expo` turns it into
 //! Prometheus text and [`render_json`] into JSON, without knowing where
 //! the numbers came from. The JSON form of each type is its
 //! [`ToJson`] impl below it.
@@ -187,7 +187,7 @@ pub fn render_json(snap: &Snapshot) -> String {
 
 /// True iff `name` is a legal Prometheus metric name.
 #[must_use]
-pub fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     let Some(first) = chars.next() else {
         return false;

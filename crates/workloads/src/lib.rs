@@ -19,12 +19,12 @@ pub mod bimodal;
 pub mod cardinality;
 pub mod echo;
 pub mod mix;
-pub mod portscan;
+pub(crate) mod portscan;
 pub mod seasonal;
 pub mod shard;
 pub mod spike;
 pub mod synflood;
-pub mod zipf;
+pub(crate) mod zipf;
 
 pub use bimodal::{BimodalValues, Mode};
 pub use cardinality::CardinalitySpikeWorkload;

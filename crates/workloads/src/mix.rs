@@ -27,7 +27,7 @@ pub enum PacketKind {
 impl PacketKind {
     /// All kinds, in a stable order (also the frequency-distribution
     /// cell assignment used by examples and benches).
-    pub const ALL: [PacketKind; 4] = [
+    pub(crate) const ALL: [PacketKind; 4] = [
         PacketKind::TcpData,
         PacketKind::TcpSyn,
         PacketKind::Udp,

@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 /// Connections started per interval, cycling. Mean 19, max 22; the
 /// ±3 wiggle keeps the rate band's σ honest (≈2.2) without letting a
 /// +`scan_syns` shift reach `mean + 2σ + mean/8 ≈ 26`.
-pub const CONN_PATTERN: [u64; 4] = [16, 20, 18, 22];
+pub(crate) const CONN_PATTERN: [u64; 4] = [16, 20, 18, 22];
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]

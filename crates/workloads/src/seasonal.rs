@@ -54,7 +54,7 @@ impl Default for SeasonalDriftWorkload {
 impl SeasonalDriftWorkload {
     /// The fixed client pool.
     #[must_use]
-    pub fn clients(&self) -> Vec<Ipv4Addr> {
+    pub(crate) fn clients(&self) -> Vec<Ipv4Addr> {
         (1..=self.sources)
             .map(|h| Ipv4Addr::new(172, 16, 0, h))
             .collect()
@@ -69,7 +69,7 @@ impl SeasonalDriftWorkload {
 
     /// Packets scheduled for the interval starting at `t`.
     #[must_use]
-    pub fn rate_at(&self, t: u64) -> u64 {
+    pub(crate) fn rate_at(&self, t: u64) -> u64 {
         let idx = t / self.interval_ns;
         let pos = idx % self.season_len;
         let mut high = pos < self.season_len / 2;

@@ -48,9 +48,10 @@ fn run_case(seed: u64, ctrl_delay: u64) -> Outcome {
         schedule,
     )))));
     let sink = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
-    let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline)));
+    let switch = sim.add_node(Box::new(P4SwitchNode::new(app.pipeline.clone())));
     let controller = sim.add_node(Box::new(DrilldownController::new(
         handles,
+        app.pipeline,
         switch,
         DrilldownTopology {
             net: 10,
