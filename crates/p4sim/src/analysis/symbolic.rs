@@ -1913,7 +1913,7 @@ pub fn check_agreement(p: &Pipeline, w: &Witness) -> Result<(), String> {
             s.recirculations, out.recirculations
         ));
     }
-    if s.tables_applied != out.tables_applied {
+    if s.tables_applied[..] != out.tables_applied[..] {
         return Err(format!(
             "applied-table trace differs: {:?} vs {:?}",
             s.tables_applied, out.tables_applied

@@ -2,7 +2,7 @@
 //! packet against register state.
 
 use crate::action::{exec_primitive, hash, msb, ActionDef, Alu, Domain, Operand};
-use crate::control::Control;
+use crate::control::{Cond, Control};
 use crate::error::{P4Error, P4Result};
 use crate::parser::parse_frame;
 use crate::phv::{fields, FieldId, Phv};
@@ -121,7 +121,57 @@ pub struct PacketOutcome {
     /// Interpreter steps consumed (primitives + table lookups).
     pub steps: u64,
     /// `(table_id, hit)` for every table applied, in order.
-    pub tables_applied: Vec<(usize, bool)>,
+    pub tables_applied: TableTrace,
+}
+
+/// The `(table_id, hit)` pairs one packet applied, in order. The first
+/// four live inline and only a longer trace spills to the heap, so a
+/// packet that applies few tables allocates nothing for it. Reads and
+/// compares as the slice `[(usize, bool)]`.
+#[derive(Clone, Default, Eq)]
+pub struct TableTrace {
+    inline: [(usize, bool); 4],
+    len: usize,
+    /// The whole trace once it outgrew `inline`, else empty.
+    spill: Vec<(usize, bool)>,
+}
+
+impl TableTrace {
+    fn push(&mut self, pair: (usize, bool)) {
+        if self.len < self.inline.len() {
+            self.inline[self.len] = pair;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(pair);
+        }
+    }
+}
+
+impl std::ops::Deref for TableTrace {
+    type Target = [(usize, bool)];
+
+    fn deref(&self) -> &Self::Target {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl PartialEq for TableTrace {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for TableTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// A snapshot of a pipeline's mutable state — every register cell plus
@@ -177,7 +227,10 @@ pub struct Pipeline {
     pub(crate) registers: Vec<Register>,
     pub(crate) actions: Vec<ActionDef>,
     pub(crate) tables: Vec<Table>,
-    pub(crate) control: Control,
+    control: Control,
+    /// `control` lowered once, by `from_parts`, to the flat steps a
+    /// packet runs; both fields are private so they stay in step.
+    tape: Vec<Step>,
     pub(crate) packets_processed: u64,
     /// `packets_processed` at the last [`Self::take_register_delta`].
     pub(crate) taken_packets: u64,
@@ -191,12 +244,15 @@ impl Pipeline {
         tables: Vec<Table>,
         control: Control,
     ) -> Self {
+        let mut tape = Vec::new();
+        lower(&control, &mut tape);
         Self {
             target,
             registers,
             actions,
             tables,
             control,
+            tape,
             packets_processed: 0,
             taken_packets: 0,
         }
@@ -361,7 +417,7 @@ impl Pipeline {
             tables: &self.tables,
             registers: &mut self.registers,
         };
-        exec.exec_control(&self.control, phv, &mut outcome)?;
+        exec.run(&self.tape, phv, &mut outcome)?;
         while outcome.recirculate_requested {
             outcome.recirculate_requested = false;
             if outcome.recirculations >= self.target.max_recirculations {
@@ -370,7 +426,7 @@ impl Pipeline {
                 break;
             }
             outcome.recirculations += 1;
-            exec.exec_control(&self.control, phv, &mut outcome)?;
+            exec.run(&self.tape, phv, &mut outcome)?;
         }
         if phv.dropped() {
             outcome.dropped = true;
@@ -384,8 +440,46 @@ impl Pipeline {
     }
 }
 
+/// One step of a lowered control. A pass runs the tape from step 0
+/// and ends past its last step or at an `Exit`.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Table(usize),
+    Action(usize),
+    /// Charges one step, then falls through on `cond`, else jumps.
+    Branch { cond: Cond, else_pc: usize },
+    Jump(usize),
+    Exit,
+    Recirculate,
+}
+
+/// Appends `c` to `tape`, in the order a packet meets its nodes.
+fn lower(c: &Control, tape: &mut Vec<Step>) {
+    match c {
+        Control::Nop => {}
+        Control::Seq(children) => children.iter().for_each(|child| lower(child, tape)),
+        Control::ApplyTable(tid) => tape.push(Step::Table(*tid)),
+        Control::ApplyAction(aid) => tape.push(Step::Action(*aid)),
+        Control::If { cond, then_branch, else_branch } => {
+            let branch = tape.len();
+            tape.push(Step::Exit); // a placeholder, patched once `else_pc` is known
+            lower(then_branch, tape);
+            let mut else_pc = tape.len();
+            if let Some(e) = else_branch {
+                tape.push(Step::Exit); // the then-branch's jump past the else-branch
+                else_pc += 1;
+                lower(e, tape);
+                tape[else_pc - 1] = Step::Jump(tape.len());
+            }
+            tape[branch] = Step::Branch { cond: *cond, else_pc };
+        }
+        Control::Exit => tape.push(Step::Exit),
+        Control::Recirculate => tape.push(Step::Recirculate),
+    }
+}
+
 /// One packet's view of a [`Pipeline`]. The program is immutable after
-/// `build`, so a packet borrows it — control tree, actions, matched
+/// `build`, so a packet borrows it — control tape, actions, matched
 /// entries and their action data are all used in place, never copied —
 /// and only the register file is `&mut`.
 struct Exec<'a> {
@@ -396,65 +490,41 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    fn exec_control(
-        &mut self,
-        c: &Control,
-        phv: &mut Phv,
-        outcome: &mut PacketOutcome,
-    ) -> P4Result<bool> {
-        // Returns false when an Exit was hit.
-        match c {
-            Control::Nop => Ok(true),
-            Control::Seq(children) => {
-                for child in children {
-                    if !self.exec_control(child, phv, outcome)? {
-                        return Ok(false);
+    /// Runs one pass of `tape`.
+    fn run(&mut self, tape: &[Step], phv: &mut Phv, outcome: &mut PacketOutcome) -> P4Result<()> {
+        let mut pc = 0;
+        while let Some(step) = tape.get(pc) {
+            pc += 1;
+            match *step {
+                Step::Table(tid) => {
+                    self.target.charge(&mut outcome.steps, 1)?;
+                    let table = self.tables.get(tid).ok_or(P4Error::UnknownId { kind: "table", id: tid })?;
+                    let hit = table.lookup(phv);
+                    outcome.tables_applied.push((tid, hit.is_some()));
+                    let invocation = match hit {
+                        Some(e) => Some((e.action, e.action_data.as_slice())),
+                        None => table.def.default_action.as_ref().map(|(a, d)| (*a, d.as_slice())),
+                    };
+                    if let Some((aid, data)) = invocation {
+                        self.exec_action(aid, data, phv, outcome)?;
                     }
                 }
-                Ok(true)
-            }
-            Control::ApplyTable(tid) => {
-                self.target.charge(&mut outcome.steps, 1)?;
-                let table = self.tables.get(*tid).ok_or(P4Error::UnknownId {
-                    kind: "table",
-                    id: *tid,
-                })?;
-                let hit = table.lookup(phv);
-                outcome.tables_applied.push((*tid, hit.is_some()));
-                let invocation = match hit {
-                    Some(e) => Some((e.action, e.action_data.as_slice())),
-                    None => table.def.default_action.as_ref().map(|(a, d)| (*a, d.as_slice())),
-                };
-                if let Some((aid, data)) = invocation {
-                    self.exec_action(aid, data, phv, outcome)?;
+                Step::Action(aid) => self.exec_action(aid, &[], phv, outcome)?,
+                Step::Branch { cond, else_pc } => {
+                    self.target.charge(&mut outcome.steps, 1)?;
+                    if !cond.eval(cond_operand(&cond.a, phv)?, cond_operand(&cond.b, phv)?) {
+                        pc = else_pc;
+                    }
                 }
-                Ok(true)
-            }
-            Control::ApplyAction(aid) => {
-                self.exec_action(*aid, &[], phv, outcome)?;
-                Ok(true)
-            }
-            Control::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.target.charge(&mut outcome.steps, 1)?;
-                if cond.eval(cond_operand(&cond.a, phv)?, cond_operand(&cond.b, phv)?) {
-                    self.exec_control(then_branch, phv, outcome)
-                } else if let Some(e) = else_branch {
-                    self.exec_control(e, phv, outcome)
-                } else {
-                    Ok(true)
+                Step::Jump(to) => pc = to,
+                Step::Exit => break,
+                Step::Recirculate => {
+                    self.target.charge(&mut outcome.steps, 1)?;
+                    outcome.recirculate_requested = true;
                 }
-            }
-            Control::Exit => Ok(false),
-            Control::Recirculate => {
-                self.target.charge(&mut outcome.steps, 1)?;
-                outcome.recirculate_requested = true;
-                Ok(true)
             }
         }
+        Ok(())
     }
 
     fn exec_action(
@@ -574,7 +644,7 @@ fn cond_operand(o: &Operand, phv: &Phv) -> P4Result<u64> {
 mod tests {
     use super::*;
     use crate::action::Primitive;
-    use crate::control::{CmpOp, Cond};
+    use crate::control::CmpOp;
     use crate::program::ProgramBuilder;
     use crate::runtime::RuntimeRequest;
     use crate::table::{Entry, MatchKind, MatchValue, TableDef};
@@ -657,7 +727,7 @@ mod tests {
         let out = p.process_phv(&mut phv).unwrap();
         assert_eq!(out.egress, Some(1));
         assert!(!out.dropped);
-        assert_eq!(out.tables_applied, vec![(0, true)]);
+        assert_eq!(out.tables_applied[..], [(0, true)]);
         assert_eq!(p.registers()[0].cells[3], 100);
 
         let mut phv = phv_to(0x0a0f_ffff, 60);
@@ -731,7 +801,7 @@ mod tests {
         let mut phv = phv_to(0x0b00_0001, 100);
         let out = p.process_phv(&mut phv).unwrap();
         assert_eq!(out.egress, Some(1));
-        assert_eq!(out.tables_applied, vec![(0, false)]);
+        assert_eq!(out.tables_applied[..], [(0, false)]);
         assert_eq!(p.registers()[0].cells[3], 0, "no counting on miss");
     }
 

@@ -149,7 +149,8 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// [`P4Error::KeyShapeMismatch`] or [`P4Error::TableFull`]. The
+    /// [`P4Error::KeyShapeMismatch`], [`P4Error::Invalid`] for an LPM
+    /// prefix longer than its key, or [`P4Error::TableFull`]. The
     /// caller (the pipeline runtime) additionally validates action ids
     /// and action-data arity.
     pub fn insert(&mut self, table_id: usize, entry: Entry) -> P4Result<()> {
@@ -159,6 +160,15 @@ impl Table {
                 expected: self.def.keys.len(),
                 provided: entry.key.len(),
             });
+        }
+        for (mv, (_, kind)) in entry.key.iter().zip(&self.def.keys) {
+            if let (MatchValue::Lpm { prefix_len, .. }, MatchKind::Lpm { width }) = (mv, kind) {
+                if prefix_len > width {
+                    let name = &self.def.name;
+                    let what = format!("table {table_id} ({name}): /{prefix_len} prefix on a {width}-bit LPM key");
+                    return Err(P4Error::Invalid { what });
+                }
+            }
         }
         if self.entries.len() >= self.def.max_entries {
             return Err(P4Error::TableFull { table: table_id });
@@ -444,6 +454,25 @@ mod tests {
             ),
             Err(P4Error::TableFull { table: 5 })
         ));
+    }
+
+    /// A /40 on a 32-bit key would match as a /32 yet rank as a /40,
+    /// above every real /32 whatever its priority: it is refused.
+    #[test]
+    fn lpm_prefix_longer_than_key_refused() {
+        let mut t = lpm_table();
+        let entry = |prefix_len| Entry {
+            key: vec![MatchValue::Lpm { value: ip(10, 0, 0, 0), prefix_len }],
+            priority: 0,
+            action: 1,
+            action_data: vec![],
+        };
+        match t.insert(7, entry(40)) {
+            Err(P4Error::Invalid { what }) => assert!(what.contains("table 7 (routes)"), "{what}"),
+            other => panic!("a /40 on a 32-bit key: {other:?}"),
+        }
+        assert!(t.entries().is_empty());
+        t.insert(7, entry(32)).unwrap();
     }
 
     #[test]

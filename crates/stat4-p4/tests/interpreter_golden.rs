@@ -99,7 +99,7 @@ fn render_trace_run(out: &mut String, name: &str, mut p: Pipeline, trace: &Sched
         recirculations += u64::from(o.recirculations);
         forwarded += u64::from(o.egress.is_some());
         dropped += u64::from(o.dropped);
-        for (_, hit) in &o.tables_applied {
+        for (_, hit) in &o.tables_applied[..] {
             if *hit {
                 hits += 1;
             } else {

@@ -8,9 +8,15 @@
 //! executor, so the executor itself must be bit-faithful to the
 //! interpreter — same outcome, same final PHV, same register state,
 //! same digests, same recirculation count, same applied-table trace.
+//! One hand-built program joins the built-ins, for the control shapes
+//! none of them has.
 
+use p4sim::control::CmpOp;
 use p4sim::phv::{fields, FieldId};
-use p4sim::{check_agreement, Pipeline, Witness};
+use p4sim::{
+    check_agreement, ActionDef, Cond, Control, Entry, MatchKind, MatchValue, Operand, Pipeline,
+    Primitive, ProgramBuilder, RuntimeRequest, RuntimeResponse, TableDef, TargetModel, Witness,
+};
 use proptest::prelude::*;
 use stat4_p4::lint::builtin_pipelines;
 
@@ -59,11 +65,108 @@ fn random_witness(p: &Pipeline, seed: u64) -> Witness {
     }
 }
 
+/// The control shapes no built-in program has: an `If` with an else
+/// nested in a then-branch, an `Exit` inside a branch followed by a
+/// table, a `Recirculate` in an else-branch and an empty `Seq`. A
+/// packet that recirculates applies both tables on every pass, so its
+/// applied-table trace outgrows the outcome's inline slots.
+fn control_shapes() -> Pipeline {
+    let mut b = ProgramBuilder::new();
+    let acc = b.add_register("acc", 32, 4);
+    let fwd = b.add_action(ActionDef::new("fwd", vec![Primitive::Forward { port: Operand::Const(2) }]));
+    let count = b.add_action(ActionDef::new(
+        "count",
+        vec![
+            Primitive::RegRead { dst: fields::scratch(1), register: acc, index: Operand::Data(0) },
+            Primitive::Add {
+                dst: fields::scratch(1),
+                a: Operand::Field(fields::scratch(1)),
+                b: Operand::Field(fields::PKT_LEN),
+            },
+            Primitive::RegWrite {
+                register: acc,
+                index: Operand::Data(0),
+                src: Operand::Field(fields::scratch(1)),
+            },
+        ],
+    ));
+    let report = b.add_action(ActionDef::new(
+        "report",
+        vec![Primitive::Digest {
+            id: 9,
+            values: vec![Operand::Field(fields::IPV4_DST), Operand::Field(fields::M0)],
+        }],
+    ));
+    let mark = b.add_action(ActionDef::new(
+        "mark",
+        vec![Primitive::Set { dst: fields::scratch(2), src: Operand::Const(7) }],
+    ));
+    let bump = b.add_action(ActionDef::new(
+        "bump",
+        vec![Primitive::Add { dst: fields::M0, a: Operand::Field(fields::M0), b: Operand::Const(1) }],
+    ));
+    let by_dst = b.add_table(TableDef {
+        name: "by_dst".into(),
+        keys: vec![(fields::IPV4_DST, MatchKind::Lpm { width: 32 })],
+        max_entries: 4,
+        allowed_actions: vec![count, fwd],
+        default_action: Some((fwd, vec![])),
+    });
+    let by_valid = b.add_table(TableDef {
+        name: "by_valid".into(),
+        keys: vec![(fields::IPV4_VALID, MatchKind::Exact)],
+        max_entries: 1,
+        allowed_actions: vec![mark],
+        default_action: None,
+    });
+    let cond = |f, op, v| Cond::new(Operand::Field(f), op, Operand::Const(v));
+    b.set_control(Control::Seq(vec![
+        Control::If {
+            cond: cond(fields::TCP_VALID, CmpOp::Ne, 0),
+            then_branch: Box::new(Control::Seq(vec![
+                Control::If {
+                    cond: cond(fields::PKT_LEN, CmpOp::Lt, 256),
+                    then_branch: Box::new(Control::ApplyTable(by_dst)),
+                    else_branch: Some(Box::new(Control::ApplyAction(report))),
+                },
+                Control::If {
+                    cond: cond(fields::UDP_DPORT, CmpOp::Eq, 0),
+                    then_branch: Box::new(Control::Exit),
+                    else_branch: None,
+                },
+                Control::ApplyTable(by_valid),
+            ])),
+            else_branch: None,
+        },
+        Control::If {
+            cond: cond(fields::M0, CmpOp::Ge, 3),
+            then_branch: Box::new(Control::Seq(vec![])),
+            else_branch: Some(Box::new(Control::Seq(vec![
+                Control::ApplyAction(bump),
+                Control::Recirculate,
+            ]))),
+        },
+    ]));
+    let mut p = b.build(TargetModel::bmv2()).expect("the control-shapes program builds");
+    let lpm = |prefix_len, slot| Entry {
+        key: vec![MatchValue::Lpm { value: 0x0a00_0000, prefix_len }],
+        priority: 0,
+        action: count,
+        action_data: vec![slot],
+    };
+    let exact = Entry { key: vec![MatchValue::Exact(1)], priority: 0, action: mark, action_data: vec![] };
+    for (table, entry) in [(by_dst, lpm(8, 1)), (by_dst, lpm(24, 3)), (by_valid, exact)] {
+        assert_eq!(p.runtime(&RuntimeRequest::InsertEntry { table, entry }), RuntimeResponse::Ok);
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn symbolic_agrees_with_concrete_on_every_builtin(seed in any::<u64>()) {
-        for (name, p) in builtin_pipelines() {
+        let programs = builtin_pipelines().into_iter().chain([("control shapes", control_shapes())]);
+        for (name, p) in programs {
             for k in 0..4u64 {
                 let w = random_witness(&p, seed ^ k.wrapping_mul(0x0123_4567_89AB_CDEF));
                 if let Err(e) = check_agreement(&p, &w) {
