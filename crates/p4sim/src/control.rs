@@ -42,17 +42,12 @@ impl Cond {
     pub fn new(a: Operand, op: CmpOp, b: Operand) -> Self {
         Self { a, op, b }
     }
-
-    /// Evaluates with already-resolved operand values.
-    #[must_use]
-    pub(crate) fn eval(&self, a: u64, b: u64) -> bool {
-        self.op.eval(a, b)
-    }
 }
 
 impl CmpOp {
     /// `a op b`, unsigned.
     #[must_use]
+    #[inline]
     pub(crate) fn eval(self, a: u64, b: u64) -> bool {
         match self {
             CmpOp::Eq => a == b,
@@ -249,15 +244,14 @@ mod tests {
 
     #[test]
     fn cond_eval_all_ops() {
-        let mk = |op| Cond::new(Operand::Const(0), op, Operand::Const(0));
-        assert!(mk(CmpOp::Eq).eval(3, 3));
-        assert!(!mk(CmpOp::Eq).eval(3, 4));
-        assert!(mk(CmpOp::Ne).eval(3, 4));
-        assert!(mk(CmpOp::Lt).eval(3, 4));
-        assert!(!mk(CmpOp::Lt).eval(4, 4));
-        assert!(mk(CmpOp::Le).eval(4, 4));
-        assert!(mk(CmpOp::Gt).eval(5, 4));
-        assert!(mk(CmpOp::Ge).eval(4, 4));
+        assert!(CmpOp::Eq.eval(3, 3));
+        assert!(!CmpOp::Eq.eval(3, 4));
+        assert!(CmpOp::Ne.eval(3, 4));
+        assert!(CmpOp::Lt.eval(3, 4));
+        assert!(!CmpOp::Lt.eval(4, 4));
+        assert!(CmpOp::Le.eval(4, 4));
+        assert!(CmpOp::Gt.eval(5, 4));
+        assert!(CmpOp::Ge.eval(4, 4));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The pipeline interpreter: executes a validated program packet by
 //! packet against register state.
 
-use crate::action::{exec_primitive, hash, msb, ActionDef, Alu, Domain, Operand};
-use crate::control::{Cond, Control};
+use crate::action::{exec_primitive, hash, msb, ActionDef, Alu, Domain, Operand, Primitive};
+use crate::control::{CmpOp, Cond, Control};
 use crate::error::{P4Error, P4Result};
 use crate::parser::parse_frame;
-use crate::phv::{fields, FieldId, Phv};
+use crate::phv::{fields, FieldId, Phv, DROP_PORT};
 use crate::table::Table;
 use crate::target::TargetModel;
 use stat4_core::delta::DirtyJournal;
@@ -93,6 +93,14 @@ impl Register {
     pub(crate) fn write_cell(&mut self, i: usize, v: u64) {
         self.journal.mark(i, self.cells[i]);
         self.cells[i] = v & self.mask();
+    }
+
+    /// `index` as a cell of this register (register `id`), or the
+    /// out-of-bounds fault.
+    pub(crate) fn cell(&self, id: usize, index: u64) -> P4Result<usize> {
+        let size = self.cells.len() as u64;
+        let fault = P4Error::RegisterOutOfBounds { register: id, index, size };
+        (index < size).then_some(index as usize).ok_or(fault)
     }
 }
 
@@ -228,9 +236,11 @@ pub struct Pipeline {
     pub(crate) actions: Vec<ActionDef>,
     pub(crate) tables: Vec<Table>,
     control: Control,
-    /// `control` lowered once, by `from_parts`, to the flat steps a
-    /// packet runs; both fields are private so they stay in step.
+    /// The program lowered once, by `from_parts`, to the flat steps a
+    /// packet runs: the control, then a body per action, which starts at
+    /// `bodies[aid]`. All three fields are private so they stay in step.
     tape: Vec<Step>,
+    bodies: Vec<usize>,
     pub(crate) packets_processed: u64,
     /// `packets_processed` at the last [`Self::take_register_delta`].
     pub(crate) taken_packets: u64,
@@ -244,8 +254,7 @@ impl Pipeline {
         tables: Vec<Table>,
         control: Control,
     ) -> Self {
-        let mut tape = Vec::new();
-        lower(&control, &mut tape);
+        let (tape, bodies) = Lowering::program(&target, &registers, &actions, &control);
         Self {
             target,
             registers,
@@ -253,6 +262,7 @@ impl Pipeline {
             tables,
             control,
             tape,
+            bodies,
             packets_processed: 0,
             taken_packets: 0,
         }
@@ -409,24 +419,26 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates interpreter errors.
+    #[inline]
     pub fn process_phv(&mut self, phv: &mut Phv) -> P4Result<PacketOutcome> {
         let mut outcome = PacketOutcome::default();
         let mut exec = Exec {
             target: &self.target,
             actions: &self.actions,
             tables: &self.tables,
+            tape: &self.tape,
+            bodies: &self.bodies,
             registers: &mut self.registers,
         };
-        exec.run(&self.tape, phv, &mut outcome)?;
-        while outcome.recirculate_requested {
-            outcome.recirculate_requested = false;
-            if outcome.recirculations >= self.target.max_recirculations {
-                // Bounded like hardware: the packet proceeds without the
-                // extra pass rather than looping forever.
+        loop {
+            exec.run(phv, &mut outcome)?;
+            // Bounded like hardware: past `max_recirculations` the packet
+            // proceeds without the extra pass rather than looping forever.
+            let again = std::mem::take(&mut outcome.recirculate_requested);
+            if !again || outcome.recirculations >= self.target.max_recirculations {
                 break;
             }
             outcome.recirculations += 1;
-            exec.run(&self.tape, phv, &mut outcome)?;
         }
         if phv.dropped() {
             outcome.dropped = true;
@@ -440,129 +452,402 @@ impl Pipeline {
     }
 }
 
-/// One step of a lowered control. A pass runs the tape from step 0
-/// and ends past its last step or at an `Exit`.
+/// One step of the lowered program: the control, ended by an `Exit`, then
+/// a body per action, ended by a `Ret`. A direct action is inlined into
+/// the control; a table runs the body of the action it invokes.
+///
+/// A primitive is one step with its operand kinds resolved: `FF` reads
+/// two fields, `FC` a field and a constant, `CF` a constant and a field,
+/// and `C`, `F` and `D` read a constant, a field and an action-data
+/// slot. A branch charges one step and falls through when its
+/// comparison holds, else jumps to its last field.
 #[derive(Debug, Clone, Copy)]
 enum Step {
+    /// Charges one step, looks the table up and runs the body of the
+    /// action its hit entry (or default action) names, with that data.
     Table(usize),
-    Action(usize),
-    /// Charges one step, then falls through on `cond`, else jumps.
-    Branch { cond: Cond, else_pc: usize },
     Jump(usize),
     Exit,
     Recirculate,
+    /// Charges action `aid`'s whole cost. Were that to overrun the step
+    /// budget, the action runs primitive by primitive instead, to fail
+    /// exactly where charging each primitive fails.
+    Charge { cost: u64, aid: usize },
+    /// Ends an action body: back to the step after its `Table`.
+    Ret,
+    /// Primitive `prim` of action `aid`, of a shape run by `exec_primitive`.
+    Prim { aid: usize, prim: usize },
+    EqFF(FieldId, FieldId, usize), EqFC(FieldId, u64, usize),
+    NeFF(FieldId, FieldId, usize), NeFC(FieldId, u64, usize),
+    LtFF(FieldId, FieldId, usize), LtFC(FieldId, u64, usize),
+    LeFF(FieldId, FieldId, usize), LeFC(FieldId, u64, usize),
+    GtFF(FieldId, FieldId, usize), GtFC(FieldId, u64, usize),
+    GeFF(FieldId, FieldId, usize), GeFC(FieldId, u64, usize),
+    AddFF(FieldId, FieldId, FieldId), AddFC(FieldId, FieldId, u64),
+    SubFF(FieldId, FieldId, FieldId), SubFC(FieldId, FieldId, u64),
+    AndFF(FieldId, FieldId, FieldId), AndFC(FieldId, FieldId, u64),
+    OrFF(FieldId, FieldId, FieldId), OrFC(FieldId, FieldId, u64),
+    XorFF(FieldId, FieldId, FieldId), XorFC(FieldId, FieldId, u64),
+    ShlFF(FieldId, FieldId, FieldId), ShlFC(FieldId, FieldId, u64),
+    ShrFF(FieldId, FieldId, FieldId), ShrFC(FieldId, FieldId, u64),
+    MulFF(FieldId, FieldId, FieldId), MulFC(FieldId, FieldId, u64),
+    MinFF(FieldId, FieldId, FieldId), MinFC(FieldId, FieldId, u64),
+    MaxFF(FieldId, FieldId, FieldId), MaxFC(FieldId, FieldId, u64),
+    SubCF(FieldId, u64, FieldId), ShlCF(FieldId, u64, FieldId), ShrCF(FieldId, u64, FieldId),
+    SetC(FieldId, u64),
+    SetF(FieldId, FieldId),
+    SetD { dst: FieldId, slot: usize },
+    Not(FieldId, FieldId),
+    Msb(FieldId, FieldId),
+    Hash { dst: FieldId, f: FieldId, salt: u64, w: u32 },
+    /// An access to register `r` at a constant index `i`, checked at
+    /// build, at the index in field `f`, or at the one in data slot `slot`.
+    RegReadC { dst: FieldId, r: usize, i: usize },
+    RegWriteCF { r: usize, i: usize, src: FieldId },
+    RegWriteCC { r: usize, i: usize, c: u64 },
+    RegReadF { dst: FieldId, r: usize, f: FieldId },
+    RegWriteFF { r: usize, f: FieldId, src: FieldId },
+    RegWriteFC { r: usize, f: FieldId, c: u64 },
+    RegReadD { dst: FieldId, r: usize, slot: usize },
+    RegWriteDF { r: usize, slot: usize, src: FieldId },
 }
 
-/// Appends `c` to `tape`, in the order a packet meets its nodes.
-fn lower(c: &Control, tape: &mut Vec<Step>) {
-    match c {
-        Control::Nop => {}
-        Control::Seq(children) => children.iter().for_each(|child| lower(child, tape)),
-        Control::ApplyTable(tid) => tape.push(Step::Table(*tid)),
-        Control::ApplyAction(aid) => tape.push(Step::Action(*aid)),
-        Control::If { cond, then_branch, else_branch } => {
-            let branch = tape.len();
-            tape.push(Step::Exit); // a placeholder, patched once `else_pc` is known
-            lower(then_branch, tape);
-            let mut else_pc = tape.len();
-            if let Some(e) = else_branch {
-                tape.push(Step::Exit); // the then-branch's jump past the else-branch
-                else_pc += 1;
-                lower(e, tape);
-                tape[else_pc - 1] = Step::Jump(tape.len());
+/// Lowers a validated program to its tape.
+struct Lowering<'a> {
+    target: &'a TargetModel,
+    registers: &'a [Register],
+    actions: &'a [ActionDef],
+    tape: Vec<Step>,
+}
+
+impl<'a> Lowering<'a> {
+    /// The tape, and where each action's body starts on it.
+    fn program(target: &'a TargetModel, regs: &'a [Register], actions: &'a [ActionDef], control: &Control)
+        -> (Vec<Step>, Vec<usize>) {
+        let mut lowering = Lowering { target, registers: regs, actions, tape: Vec::new() };
+        lowering.control(control);
+        lowering.tape.push(Step::Exit);
+        let bodies = (0..lowering.actions.len())
+            .map(|aid| {
+                let start = lowering.tape.len();
+                lowering.action(aid);
+                lowering.tape.push(Step::Ret);
+                start
+            })
+            .collect();
+        (lowering.tape, bodies)
+    }
+
+    /// Appends `c`, in the order a packet meets its nodes.
+    fn control(&mut self, c: &Control) {
+        match c {
+            Control::Nop => {}
+            Control::Seq(children) => children.iter().for_each(|child| self.control(child)),
+            Control::ApplyTable(tid) => self.tape.push(Step::Table(*tid)),
+            Control::ApplyAction(aid) => self.action(*aid),
+            Control::If { cond, then_branch, else_branch } => {
+                let branch = self.tape.len();
+                self.tape.push(Step::Exit); // a placeholder, patched once `else_pc` is known
+                self.control(then_branch);
+                let mut else_pc = self.tape.len();
+                if let Some(e) = else_branch {
+                    self.tape.push(Step::Exit); // the then-branch's jump past the else-branch
+                    else_pc += 1;
+                    self.control(e);
+                    self.tape[else_pc - 1] = Step::Jump(self.tape.len());
+                }
+                self.tape[branch] = branch_step(cond, else_pc);
             }
-            tape[branch] = Step::Branch { cond: *cond, else_pc };
+            Control::Exit => self.tape.push(Step::Exit),
+            Control::Recirculate => self.tape.push(Step::Recirculate),
         }
-        Control::Exit => tape.push(Step::Exit),
-        Control::Recirculate => tape.push(Step::Recirculate),
+    }
+
+    /// Appends action `aid`: a `Charge` of its whole cost, then a step
+    /// per primitive.
+    fn action(&mut self, aid: usize) {
+        let primitives = &self.actions[aid].primitives;
+        let cost = primitives.iter().map(|p| p.cost(self.target)).sum();
+        if cost > 0 {
+            self.tape.push(Step::Charge { cost, aid });
+        }
+        for (prim, p) in primitives.iter().enumerate() {
+            let step = self.primitive(p).unwrap_or(Step::Prim { aid, prim });
+            self.tape.push(step);
+        }
+    }
+
+    /// `p` as one step, or `None` for a shape left to `exec_primitive`:
+    /// a `Digest`, action data outside a `Set` or a register index, and
+    /// a constant register index out of range. An operation on
+    /// constants only is folded.
+    fn primitive(&self, p: &Primitive) -> Option<Step> {
+        use Operand::{Const as C, Data as D, Field as F};
+        use Primitive as P;
+        let cell = |r: usize, i: u64| self.registers[r].cell(r, i).ok();
+        Some(match *p {
+            P::Set { dst, src: C(c) } => Step::SetC(dst, c),
+            P::Set { dst, src: F(f) } => Step::SetF(dst, f),
+            P::Set { dst, src: D(slot) } => Step::SetD { dst, slot },
+            P::Forward { port } => return self.primitive(&P::Set { dst: fields::EGRESS_PORT, src: port }),
+            P::Drop => Step::SetC(fields::EGRESS_PORT, DROP_PORT),
+            P::Add { dst, a, b } => return alu_step(Alu::Add, dst, a, b),
+            P::Sub { dst, a, b } => return alu_step(Alu::Sub, dst, a, b),
+            P::And { dst, a, b } => return alu_step(Alu::And, dst, a, b),
+            P::Or { dst, a, b } => return alu_step(Alu::Or, dst, a, b),
+            P::Xor { dst, a, b } => return alu_step(Alu::Xor, dst, a, b),
+            P::Shl { dst, src, amount } => return alu_step(Alu::Shl, dst, src, amount),
+            P::Shr { dst, src, amount } => return alu_step(Alu::Shr, dst, src, amount),
+            P::Mul { dst, a, b } => return alu_step(Alu::Mul, dst, a, b),
+            P::Min { dst, a, b } => return alu_step(Alu::Min, dst, a, b),
+            P::Max { dst, a, b } => return alu_step(Alu::Max, dst, a, b),
+            P::Not { dst, src: F(f) } => Step::Not(dst, f),
+            P::Msb { dst, src: F(f) } => Step::Msb(dst, f),
+            P::Hash { dst, src: F(f), salt, width_log2: w } => Step::Hash { dst, f, salt, w },
+            P::Not { dst, src: C(c) } => Step::SetC(dst, !c),
+            P::Msb { dst, src: C(c) } => Step::SetC(dst, msb(c)),
+            P::Hash { dst, src: C(c), salt, width_log2: w } => Step::SetC(dst, hash(c, salt, w)),
+            P::RegRead { dst, register: r, index } => match index {
+                C(i) => Step::RegReadC { dst, r, i: cell(r, i)? },
+                F(f) => Step::RegReadF { dst, r, f },
+                D(slot) => Step::RegReadD { dst, r, slot },
+            },
+            P::RegWrite { register: r, index, src } => match (index, src) {
+                (C(i), F(src)) => Step::RegWriteCF { r, i: cell(r, i)?, src },
+                (C(i), C(c)) => Step::RegWriteCC { r, i: cell(r, i)?, c },
+                (F(f), F(src)) => Step::RegWriteFF { r, f, src },
+                (F(f), C(c)) => Step::RegWriteFC { r, f, c },
+                (D(slot), F(src)) => Step::RegWriteDF { r, slot, src },
+                _ => return None,
+            },
+            _ => return None,
+        })
+    }
+}
+
+/// `dst = a op b` as a step, unless it reads action data. A constant
+/// left operand of a commutative op moves to the right, and an op on
+/// two constants is folded.
+fn alu_step(op: Alu, dst: FieldId, a: Operand, b: Operand) -> Option<Step> {
+    type Ff = fn(FieldId, FieldId, FieldId) -> Step;
+    type Fc = fn(FieldId, FieldId, u64) -> Step;
+    type Cf = fn(FieldId, u64, FieldId) -> Step;
+    let (ff, fc, cf): (Ff, Fc, Option<Cf>) = match op {
+        Alu::Add => (Step::AddFF, Step::AddFC, None),
+        Alu::Sub => (Step::SubFF, Step::SubFC, Some(Step::SubCF)),
+        Alu::And => (Step::AndFF, Step::AndFC, None),
+        Alu::Or => (Step::OrFF, Step::OrFC, None),
+        Alu::Xor => (Step::XorFF, Step::XorFC, None),
+        Alu::Shl => (Step::ShlFF, Step::ShlFC, Some(Step::ShlCF)),
+        Alu::Shr => (Step::ShrFF, Step::ShrFC, Some(Step::ShrCF)),
+        Alu::Mul => (Step::MulFF, Step::MulFC, None),
+        Alu::Min => (Step::MinFF, Step::MinFC, None),
+        Alu::Max => (Step::MaxFF, Step::MaxFC, None),
+    };
+    Some(match (a, b, cf) {
+        (Operand::Field(a), Operand::Field(b), _) => ff(dst, a, b),
+        (Operand::Field(f), Operand::Const(c), _)
+        | (Operand::Const(c), Operand::Field(f), None) => fc(dst, f, c),
+        (Operand::Const(c), Operand::Field(f), Some(cf)) => cf(dst, c, f),
+        (Operand::Const(a), Operand::Const(b), _) => Step::SetC(dst, op.apply(a, b)),
+        _ => return None,
+    })
+}
+
+/// The branch on `cond` that jumps to `else_pc` when it fails. A
+/// constant on the left is mirrored to the right; a constant condition
+/// compares a field with itself, with `==` to hold and `!=` to fail.
+fn branch_step(cond: &Cond, else_pc: usize) -> Step {
+    type Ff = fn(FieldId, FieldId, usize) -> Step;
+    type Fc = fn(FieldId, u64, usize) -> Step;
+    let shapes = |op| -> (Ff, Fc) {
+        match op {
+            CmpOp::Eq => (Step::EqFF, Step::EqFC),
+            CmpOp::Ne => (Step::NeFF, Step::NeFC),
+            CmpOp::Lt => (Step::LtFF, Step::LtFC),
+            CmpOp::Le => (Step::LeFF, Step::LeFC),
+            CmpOp::Gt => (Step::GtFF, Step::GtFC),
+            CmpOp::Ge => (Step::GeFF, Step::GeFC),
+        }
+    };
+    match (cond.a, cond.b) {
+        (Operand::Field(a), Operand::Field(b)) => shapes(cond.op).0(a, b, else_pc),
+        (Operand::Field(f), Operand::Const(c)) => shapes(cond.op).1(f, c, else_pc),
+        (Operand::Const(c), Operand::Field(f)) => shapes(cond.op.mirror()).1(f, c, else_pc),
+        (Operand::Const(a), Operand::Const(b)) => {
+            let op = if cond.op.eval(a, b) { CmpOp::Eq } else { CmpOp::Ne };
+            shapes(op).0(fields::INGRESS_PORT, fields::INGRESS_PORT, else_pc)
+        }
+        _ => unreachable!("`ProgramBuilder::build` refuses a condition that reads action data"),
     }
 }
 
 /// One packet's view of a [`Pipeline`]. The program is immutable after
-/// `build`, so a packet borrows it — control tape, actions, matched
-/// entries and their action data are all used in place, never copied —
-/// and only the register file is `&mut`.
+/// `build`, so a packet borrows it — tape, actions, matched entries and
+/// their action data are all used in place, never copied — and only the
+/// register file is `&mut`.
 struct Exec<'a> {
     target: &'a TargetModel,
     actions: &'a [ActionDef],
     tables: &'a [Table],
+    tape: &'a [Step],
+    bodies: &'a [usize],
     registers: &'a mut Vec<Register>,
 }
 
-impl Exec<'_> {
-    /// Runs one pass of `tape`.
-    fn run(&mut self, tape: &[Step], phv: &mut Phv, outcome: &mut PacketOutcome) -> P4Result<()> {
+impl<'a> Exec<'a> {
+    /// Runs one pass of the tape.
+    #[inline]
+    fn run(&mut self, phv: &mut Phv, outcome: &mut PacketOutcome) -> P4Result<()> {
+        let (target, tables) = (self.target, self.tables);
+        let mut steps = outcome.steps;
         let mut pc = 0;
-        while let Some(step) = tape.get(pc) {
+        // Where `Ret` goes back to, and the running body's action and data.
+        let (mut ret, mut act, mut data): (usize, usize, &'a [u64]) = (0, 0, &[]);
+        macro_rules! branch {
+            ($op:ident, $a:expr, $b:expr, $else_pc:expr) => {{
+                target.charge(&mut steps, 1)?;
+                if !CmpOp::$op.eval($a, $b) {
+                    pc = $else_pc;
+                }
+            }};
+        }
+        loop {
+            let step = self.tape[pc];
             pc += 1;
-            match *step {
+            match step {
                 Step::Table(tid) => {
-                    self.target.charge(&mut outcome.steps, 1)?;
-                    let table = self.tables.get(tid).ok_or(P4Error::UnknownId { kind: "table", id: tid })?;
+                    target.charge(&mut steps, 1)?;
+                    let table = tables.get(tid).ok_or(P4Error::UnknownId { kind: "table", id: tid })?;
                     let hit = table.lookup(phv);
                     outcome.tables_applied.push((tid, hit.is_some()));
                     let invocation = match hit {
                         Some(e) => Some((e.action, e.action_data.as_slice())),
                         None => table.def.default_action.as_ref().map(|(a, d)| (*a, d.as_slice())),
                     };
-                    if let Some((aid, data)) = invocation {
-                        self.exec_action(aid, data, phv, outcome)?;
-                    }
-                }
-                Step::Action(aid) => self.exec_action(aid, &[], phv, outcome)?,
-                Step::Branch { cond, else_pc } => {
-                    self.target.charge(&mut outcome.steps, 1)?;
-                    if !cond.eval(cond_operand(&cond.a, phv)?, cond_operand(&cond.b, phv)?) {
-                        pc = else_pc;
+                    if let Some((a, d)) = invocation {
+                        (ret, act, data) = (pc, a, d);
+                        pc = *self.bodies.get(a).ok_or(P4Error::UnknownId { kind: "action", id: a })?;
                     }
                 }
                 Step::Jump(to) => pc = to,
                 Step::Exit => break,
                 Step::Recirculate => {
-                    self.target.charge(&mut outcome.steps, 1)?;
+                    target.charge(&mut steps, 1)?;
                     outcome.recirculate_requested = true;
                 }
+                Step::Charge { cost, aid } => {
+                    if steps + cost > target.step_budget {
+                        return Err(self.overrun(aid, data, steps, phv));
+                    }
+                    steps += cost;
+                }
+                Step::Ret => pc = ret,
+                Step::Prim { aid, prim } => {
+                    let digests = &mut outcome.digests;
+                    let mut d = Concrete { aid, data, phv, registers: self.registers, digests };
+                    exec_primitive(&mut d, &self.actions[aid].primitives[prim])?;
+                }
+                Step::EqFF(a, b, to) => branch!(Eq, phv.get(a), phv.get(b), to),
+                Step::NeFF(a, b, to) => branch!(Ne, phv.get(a), phv.get(b), to),
+                Step::LtFF(a, b, to) => branch!(Lt, phv.get(a), phv.get(b), to),
+                Step::LeFF(a, b, to) => branch!(Le, phv.get(a), phv.get(b), to),
+                Step::GtFF(a, b, to) => branch!(Gt, phv.get(a), phv.get(b), to),
+                Step::GeFF(a, b, to) => branch!(Ge, phv.get(a), phv.get(b), to),
+                Step::EqFC(f, c, to) => branch!(Eq, phv.get(f), c, to),
+                Step::NeFC(f, c, to) => branch!(Ne, phv.get(f), c, to),
+                Step::LtFC(f, c, to) => branch!(Lt, phv.get(f), c, to),
+                Step::LeFC(f, c, to) => branch!(Le, phv.get(f), c, to),
+                Step::GtFC(f, c, to) => branch!(Gt, phv.get(f), c, to),
+                Step::GeFC(f, c, to) => branch!(Ge, phv.get(f), c, to),
+                Step::AddFF(d, a, b) => phv.set(d, Alu::Add.apply(phv.get(a), phv.get(b))),
+                Step::SubFF(d, a, b) => phv.set(d, Alu::Sub.apply(phv.get(a), phv.get(b))),
+                Step::AndFF(d, a, b) => phv.set(d, Alu::And.apply(phv.get(a), phv.get(b))),
+                Step::OrFF(d, a, b) => phv.set(d, Alu::Or.apply(phv.get(a), phv.get(b))),
+                Step::XorFF(d, a, b) => phv.set(d, Alu::Xor.apply(phv.get(a), phv.get(b))),
+                Step::ShlFF(d, a, b) => phv.set(d, Alu::Shl.apply(phv.get(a), phv.get(b))),
+                Step::ShrFF(d, a, b) => phv.set(d, Alu::Shr.apply(phv.get(a), phv.get(b))),
+                Step::MulFF(d, a, b) => phv.set(d, Alu::Mul.apply(phv.get(a), phv.get(b))),
+                Step::MinFF(d, a, b) => phv.set(d, Alu::Min.apply(phv.get(a), phv.get(b))),
+                Step::MaxFF(d, a, b) => phv.set(d, Alu::Max.apply(phv.get(a), phv.get(b))),
+                Step::AddFC(d, f, c) => phv.set(d, Alu::Add.apply(phv.get(f), c)),
+                Step::SubFC(d, f, c) => phv.set(d, Alu::Sub.apply(phv.get(f), c)),
+                Step::AndFC(d, f, c) => phv.set(d, Alu::And.apply(phv.get(f), c)),
+                Step::OrFC(d, f, c) => phv.set(d, Alu::Or.apply(phv.get(f), c)),
+                Step::XorFC(d, f, c) => phv.set(d, Alu::Xor.apply(phv.get(f), c)),
+                Step::ShlFC(d, f, c) => phv.set(d, Alu::Shl.apply(phv.get(f), c)),
+                Step::ShrFC(d, f, c) => phv.set(d, Alu::Shr.apply(phv.get(f), c)),
+                Step::MulFC(d, f, c) => phv.set(d, Alu::Mul.apply(phv.get(f), c)),
+                Step::MinFC(d, f, c) => phv.set(d, Alu::Min.apply(phv.get(f), c)),
+                Step::MaxFC(d, f, c) => phv.set(d, Alu::Max.apply(phv.get(f), c)),
+                Step::SubCF(d, c, f) => phv.set(d, Alu::Sub.apply(c, phv.get(f))),
+                Step::ShlCF(d, c, f) => phv.set(d, Alu::Shl.apply(c, phv.get(f))),
+                Step::ShrCF(d, c, f) => phv.set(d, Alu::Shr.apply(c, phv.get(f))),
+                Step::SetC(d, c) => phv.set(d, c),
+                Step::SetF(d, f) => phv.set(d, phv.get(f)),
+                Step::SetD { dst, slot } => phv.set(dst, datum(data, slot, act)?),
+                Step::Not(d, f) => phv.set(d, !phv.get(f)),
+                Step::Msb(d, f) => phv.set(d, msb(phv.get(f))),
+                Step::Hash { dst, f, salt, w } => phv.set(dst, hash(phv.get(f), salt, w)),
+                Step::RegReadC { dst, r, i } => phv.set(dst, self.registers[r].cells[i]),
+                Step::RegWriteCF { r, i, src } => self.registers[r].write_cell(i, phv.get(src)),
+                Step::RegWriteCC { r, i, c } => self.registers[r].write_cell(i, c),
+                Step::RegReadF { dst, r, f } => phv.set(dst, self.read(r, phv.get(f))?),
+                Step::RegWriteFF { r, f, src } => self.write(r, phv.get(f), phv.get(src))?,
+                Step::RegWriteFC { r, f, c } => self.write(r, phv.get(f), c)?,
+                Step::RegReadD { dst, r, slot } => phv.set(dst, self.read(r, datum(data, slot, act)?)?),
+                Step::RegWriteDF { r, slot, src } => self.write(r, datum(data, slot, act)?, phv.get(src))?,
             }
         }
+        outcome.steps = steps;
         Ok(())
     }
 
-    fn exec_action(
-        &mut self,
-        aid: usize,
-        data: &[u64],
-        phv: &mut Phv,
-        outcome: &mut PacketOutcome,
-    ) -> P4Result<()> {
-        let action = self.actions.get(aid).ok_or(P4Error::UnknownId {
-            kind: "action",
-            id: aid,
-        })?;
-        let mut d = Concrete {
-            aid,
-            data,
-            phv,
-            registers: self.registers,
-            digests: &mut outcome.digests,
-        };
-        for p in &action.primitives {
-            self.target.charge(&mut outcome.steps, p.cost(self.target))?;
-            exec_primitive(&mut d, p)?;
-        }
+    /// Cell `index` of register `r`, or the out-of-bounds fault.
+    fn read(&self, r: usize, index: u64) -> P4Result<u64> {
+        let reg = &self.registers[r];
+        Ok(reg.cells[reg.cell(r, index)?])
+    }
+
+    /// Writes cell `index` of register `r`, or fails out of bounds.
+    fn write(&mut self, r: usize, index: u64, v: u64) -> P4Result<()> {
+        let reg = &mut self.registers[r];
+        reg.write_cell(reg.cell(r, index)?, v);
         Ok(())
+    }
+
+    /// Runs action `aid` as a `Charge` that overruns the budget does:
+    /// primitive by primitive from `steps`, each charged before it runs.
+    /// That always fails — where the budget runs out, or at an earlier
+    /// fault — and the cells written before the failing primitive stay
+    /// written.
+    #[cold]
+    fn overrun(&mut self, aid: usize, data: &[u64], mut steps: u64, phv: &mut Phv) -> P4Error {
+        // The packet fails, so no digest it emits is delivered.
+        let digests = &mut Vec::new();
+        let mut d = Concrete { aid, data, phv, registers: self.registers, digests };
+        for p in &self.actions[aid].primitives {
+            let charged = self.target.charge(&mut steps, p.cost(self.target));
+            if let Err(e) = charged.and_then(|()| exec_primitive(&mut d, p)) {
+                return e;
+            }
+        }
+        P4Error::StepBudgetExhausted { budget: self.target.step_budget }
     }
 }
 
-/// The interpreter's domain: one action invocation on one packet, over
-/// `u64`.
+/// Slot `slot` of action `aid`'s data, or the fault for a missing one.
+fn datum(data: &[u64], slot: usize, aid: usize) -> P4Result<u64> {
+    data.get(slot).copied().ok_or(P4Error::ActionDataOutOfBounds { action: aid, slot })
+}
+
+/// The interpreter's domain for the primitives `exec_primitive` runs:
+/// one action invocation on one packet, over `u64`.
 struct Concrete<'a> {
     /// The running action, named in the error for a missing data slot.
     aid: usize,
     data: &'a [u64],
     phv: &'a mut Phv,
-    /// A thin pointer, not a slice: with `exec_primitive` inlined into
-    /// `exec_action`, a slice's extra register spills the target to the
-    /// stack, and the step charge reloads it for every primitive.
     registers: &'a mut Vec<Register>,
     digests: &'a mut Vec<DigestRecord>,
 }
@@ -574,10 +859,7 @@ impl Domain for Concrete<'_> {
         match o {
             Operand::Const(v) => Ok(*v),
             Operand::Field(f) => Ok(self.phv.get(*f)),
-            Operand::Data(n) => self.data.get(*n).copied().ok_or(P4Error::ActionDataOutOfBounds {
-                action: self.aid,
-                slot: *n,
-            }),
+            Operand::Data(n) => datum(self.data, *n, self.aid),
         }
     }
 
@@ -606,15 +888,7 @@ impl Domain for Concrete<'_> {
             kind: "register",
             id: register,
         })?;
-        if (index as usize) < reg.cells.len() {
-            Ok(index)
-        } else {
-            Err(P4Error::RegisterOutOfBounds {
-                register,
-                index,
-                size: reg.cells.len() as u64,
-            })
-        }
+        reg.cell(register, index).map(|_| index)
     }
 
     fn reg_read(&mut self, dst: FieldId, register: usize, index: u64) {
@@ -627,16 +901,6 @@ impl Domain for Concrete<'_> {
 
     fn digest(&mut self, id: u16, values: Vec<u64>) {
         self.digests.push(DigestRecord { id, values });
-    }
-}
-
-/// A branch-condition operand. No action is running, so there is no
-/// action data to read: `ProgramBuilder::build` rejects such programs.
-fn cond_operand(o: &Operand, phv: &Phv) -> P4Result<u64> {
-    match o {
-        Operand::Const(v) => Ok(*v),
-        Operand::Field(f) => Ok(phv.get(*f)),
-        Operand::Data(_) => Err(P4Error::Invalid { what: "condition reads action data".into() }),
     }
 }
 
@@ -980,4 +1244,62 @@ mod tests {
         assert_eq!(phv.get(M2_TEST), 0);
     }
 
+    /// An action is charged once, whole, yet fails where charging it
+    /// primitive by primitive would: at every budget below a packet's
+    /// exact charge the packet fails with `StepBudgetExhausted`, with the
+    /// cells of the writes charged within the budget written and no
+    /// other; at the exact charge it passes.
+    #[test]
+    fn budget_edge_of_the_once_per_action_charge() {
+        let msb_cost = u64::from(TargetModel::bmv2().msb_cost);
+        let build = |step_budget| {
+            let mut b = ProgramBuilder::new();
+            let r = b.add_register("r", 64, 4);
+            let write = |i, src| Primitive::RegWrite { register: r, index: Operand::Const(i), src };
+            let act = b.add_action(ActionDef::new(
+                "act",
+                vec![
+                    write(0, Operand::Const(10)),
+                    Primitive::Msb { dst: M1_TEST, src: Operand::Field(fields::PKT_LEN) },
+                    write(1, Operand::Field(M1_TEST)),
+                    Primitive::Set { dst: M2_TEST, src: Operand::Data(0) },
+                    write(2, Operand::Field(M2_TEST)),
+                ],
+            ));
+            let tail = b.add_action(ActionDef::new("tail", vec![write(3, Operand::Const(1))]));
+            let t = b.add_table(TableDef {
+                name: "t".into(),
+                keys: vec![(fields::PKT_LEN, MatchKind::Exact)],
+                max_entries: 1,
+                allowed_actions: vec![act],
+                default_action: Some((act, vec![7])),
+            });
+            let nonzero = Cond::new(Operand::Field(fields::PKT_LEN), CmpOp::Ne, Operand::Const(0));
+            b.set_control(Control::Seq(vec![
+                Control::If {
+                    cond: nonzero,
+                    then_branch: Box::new(Control::ApplyTable(t)),
+                    else_branch: None,
+                },
+                Control::ApplyAction(tail),
+            ]));
+            b.build(TargetModel { step_budget, ..TargetModel::bmv2() }).unwrap()
+        };
+        // Branch 1 and table 1, then `act`'s primitives and `tail`'s: the
+        // steps charged by the time each write has run.
+        let exact = 7 + msb_cost;
+        let charged_by = [3, 4 + msb_cost, 6 + msb_cost, exact];
+        let values = [10, 6, 7, 1]; // msb(100) = 6
+        for budget in 0..=exact {
+            let mut p = build(budget);
+            let mut phv = phv_to(0, 100);
+            match p.process_phv(&mut phv) {
+                Ok(out) => assert_eq!((budget, out.steps), (exact, exact)),
+                Err(e) => assert!(budget < exact && e == P4Error::StepBudgetExhausted { budget }, "{e}"),
+            }
+            let want: Vec<u64> =
+                (0..4).map(|i| if budget >= charged_by[i] { values[i] } else { 0 }).collect();
+            assert_eq!(p.registers()[0].cells, want, "budget {budget}");
+        }
+    }
 }

@@ -11,7 +11,7 @@ use crate::action::{ActionDef, Operand};
 use crate::control::Control;
 use crate::error::{P4Error, P4Result};
 use crate::pipeline::{Pipeline, RegMerge, Register};
-use crate::table::{Table, TableDef};
+use crate::table::{MatchKind, Table, TableDef};
 use crate::target::TargetModel;
 
 /// Incrementally assembles a pipeline program.
@@ -87,7 +87,8 @@ impl ProgramBuilder {
     ///   cannot execute;
     /// - [`P4Error::Invalid`] for structural problems (repeated table on
     ///   a path, default action data arity, action data read by a
-    ///   direct action or a branch condition).
+    ///   direct action or a branch condition, an LPM key wider than 64
+    ///   bits).
     pub fn build(self, target: TargetModel) -> P4Result<Pipeline> {
         // --- reference checks ---------------------------------------
         for a in &self.actions {
@@ -125,6 +126,13 @@ impl ProgramBuilder {
             }
         }
         for (tid, t) in self.tables.iter().enumerate() {
+            // A PHV field holds 64 bits: a wider prefix would shift past it.
+            for (_, kind) in &t.keys {
+                if let MatchKind::Lpm { width: width @ 65.. } = kind {
+                    let what = format!("table {tid} ({}): a {width}-bit LPM key exceeds 64 bits", t.name);
+                    return Err(P4Error::Invalid { what });
+                }
+            }
             for &a in &t.allowed_actions {
                 if a >= self.actions.len() {
                     return Err(P4Error::UnknownId {
@@ -200,7 +208,6 @@ mod tests {
     use crate::action::Primitive;
     use crate::control::{CmpOp, Cond};
     use crate::phv::fields;
-    use crate::table::MatchKind;
 
     fn mul_action(a: Operand, b: Operand) -> ActionDef {
         ActionDef::new(
@@ -382,5 +389,32 @@ mod tests {
             b.build(TargetModel::bmv2()),
             Err(P4Error::Invalid { .. })
         ));
+    }
+
+    /// An LPM key wider than the 64-bit field it matches is refused by
+    /// name and width; a 64-bit one builds.
+    #[test]
+    fn lpm_key_wider_than_64_bits_refused() {
+        let build = |width| {
+            let mut b = ProgramBuilder::new();
+            let t = b.add_table(TableDef {
+                name: "routes".into(),
+                keys: vec![(fields::IPV4_DST, MatchKind::Lpm { width })],
+                max_entries: 1,
+                allowed_actions: Vec::new(),
+                default_action: None,
+            });
+            b.set_control(Control::ApplyTable(t));
+            b.build(TargetModel::bmv2())
+        };
+        match build(100) {
+            Err(P4Error::Invalid { what }) => {
+                let named = what.contains("table 0 (routes)");
+                assert!(named && what.contains("100-bit LPM key exceeds 64 bits"), "{what}");
+            }
+            other => panic!("expected a 100-bit LPM key to be refused, got {other:?}"),
+        }
+        assert!(build(65).is_err());
+        assert!(build(64).is_ok());
     }
 }

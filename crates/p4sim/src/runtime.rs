@@ -169,15 +169,7 @@ impl Pipeline {
                     kind: "register",
                     id: *register,
                 })?;
-                let cell =
-                    r.cells
-                        .get(*index as usize)
-                        .ok_or(P4Error::RegisterOutOfBounds {
-                            register: *register,
-                            index: *index,
-                            size: r.cells.len() as u64,
-                        })?;
-                Ok(RuntimeResponse::Value(*cell))
+                Ok(RuntimeResponse::Value(r.cells[r.cell(*register, *index)?]))
             }
             RuntimeRequest::ReadRegisterRange {
                 register,
@@ -205,23 +197,11 @@ impl Pipeline {
                 index,
                 value,
             } => {
-                let size = self
-                    .registers
-                    .get(*register)
-                    .ok_or(P4Error::UnknownId {
-                        kind: "register",
-                        id: *register,
-                    })?
-                    .cells
-                    .len() as u64;
-                if *index >= size {
-                    return Err(P4Error::RegisterOutOfBounds {
-                        register: *register,
-                        index: *index,
-                        size,
-                    });
-                }
-                self.registers[*register].write_cell(*index as usize, *value);
+                let r = self.registers.get_mut(*register).ok_or(P4Error::UnknownId {
+                    kind: "register",
+                    id: *register,
+                })?;
+                r.write_cell(r.cell(*register, *index)?, *value);
                 Ok(RuntimeResponse::Ok)
             }
             RuntimeRequest::ResetRegister { register } => {

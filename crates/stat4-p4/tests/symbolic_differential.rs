@@ -8,8 +8,9 @@
 //! executor, so the executor itself must be bit-faithful to the
 //! interpreter — same outcome, same final PHV, same register state,
 //! same digests, same recirculation count, same applied-table trace.
-//! One hand-built program joins the built-ins, for the control shapes
-//! none of them has.
+//! Two hand-built programs join the built-ins: one for the control
+//! shapes none of them has, one for every operand shape the interpreter
+//! lowers a primitive or a branch to.
 
 use p4sim::control::CmpOp;
 use p4sim::phv::{fields, FieldId};
@@ -161,11 +162,137 @@ fn control_shapes() -> Pipeline {
     p
 }
 
+/// A primitive of every operand shape the interpreter lowers, each
+/// writing a field of its own so that a wrong value shows in the final
+/// PHV: each ALU op on field/field, field/constant and constant/field
+/// operands, `Not`, `Msb`, `Hash`, `Set` from a constant, a field and
+/// action data (from a hit entry and from a default action), `Digest`,
+/// an out-of-layout field, and register reads and writes with constant,
+/// field and action-data indices, in range and out of range. The
+/// constant/field and constant-only forms run first, and a digest
+/// carries their values out before their fields are reused. The
+/// branches guarding the rest have a constant on the left or on both
+/// sides; the accesses that can fault come last.
+fn operand_shapes() -> Pipeline {
+    use Operand::{Const as C, Data as D, Field as F};
+    type Bin = fn(FieldId, Operand, Operand) -> Primitive;
+    let (a, b, valid) = (fields::IPV4_DST, fields::PKT_LEN, fields::IPV4_VALID);
+    let beyond = FieldId(u16::try_from(fields::FIELD_COUNT).unwrap() + 7);
+    // The scratch slots, then header slots no primitive here reads.
+    let mut dsts = (0..24).map(fields::scratch).chain([3, 4, 5, 7, 9, 10, 11, 13, 14, 15].map(FieldId));
+    let mut dst = || dsts.next().expect("a field per destination");
+    let mut pb = ProgramBuilder::new();
+    let cells = pb.add_register("cells", 32, 8);
+    let amount = dst();
+    let ops: [(Bin, FieldId, u64); 10] = [
+        (|dst, a, b| Primitive::Add { dst, a, b }, b, 0x1234),
+        (|dst, a, b| Primitive::Sub { dst, a, b }, b, 77),
+        (|dst, a, b| Primitive::And { dst, a, b }, b, 0xF0F0),
+        (|dst, a, b| Primitive::Or { dst, a, b }, b, 0x0F00),
+        (|dst, a, b| Primitive::Xor { dst, a, b }, b, 0xFFFF),
+        (|dst, src, amount| Primitive::Shl { dst, src, amount }, amount, 3),
+        (|dst, src, amount| Primitive::Shr { dst, src, amount }, amount, 5),
+        (|dst, a, b| Primitive::Mul { dst, a, b }, b, 0x9E37_79B9),
+        (|dst, a, b| Primitive::Min { dst, a, b }, b, 0x0a00_8000),
+        (|dst, a, b| Primitive::Max { dst, a, b }, b, 0x0a00_8000),
+    ];
+    // Past `amount`, the slots the constant forms write before `alu` reuses them.
+    let early: Vec<FieldId> = (1..15).map(fields::scratch).collect();
+    let mut consts = vec![Primitive::And { dst: amount, a: F(b), b: C(63) }];
+    consts.extend(ops.iter().zip(&early).map(|((op, rhs, c), &d)| op(d, C(*c), F(*rhs))));
+    consts.extend([
+        Primitive::Sub { dst: early[10], a: C(5), b: C(9) },
+        Primitive::Not { dst: early[11], src: C(0x0F) },
+        Primitive::Msb { dst: early[12], src: C(0x1234) },
+        Primitive::Hash { dst: early[13], src: C(77), salt: 0x9E37_79B9_7F4A_7C15, width_log2: 12 },
+        Primitive::Digest { id: 6, values: early.iter().map(|&f| F(f)).collect() },
+    ]);
+    let consts = pb.add_action(ActionDef::new("consts", consts));
+    let mut alu = Vec::new();
+    for (op, rhs, c) in ops {
+        alu.push(op(dst(), F(a), F(rhs)));
+        alu.push(op(dst(), F(a), C(c)));
+    }
+    alu.extend([
+        Primitive::Not { dst: dst(), src: F(a) },
+        Primitive::Msb { dst: dst(), src: F(a) },
+        Primitive::Hash { dst: dst(), src: F(a), salt: 0x9E37_79B9_7F4A_7C15, width_log2: 12 },
+        Primitive::Set { dst: dst(), src: C(0x00C0_FFEE) },
+        Primitive::Set { dst: dst(), src: F(b) },
+        Primitive::Set { dst: dst(), src: F(beyond) },
+        Primitive::Set { dst: beyond, src: F(a) },
+        Primitive::Digest { id: 5, values: vec![F(beyond), F(a), C(3)] },
+    ]);
+    let alu = pb.add_action(ActionDef::new("alu", alu));
+    let from_data = pb.add_action(ActionDef::new(
+        "from_data",
+        vec![
+            Primitive::Set { dst: dst(), src: D(0) },
+            Primitive::Forward { port: D(1) },
+            Primitive::RegWrite { register: cells, index: D(1), src: F(a) },
+            Primitive::RegRead { dst: dst(), register: cells, index: D(1) },
+            Primitive::RegWrite { register: cells, index: C(5), src: D(0) },
+        ],
+    ));
+    let regs_const = pb.add_action(ActionDef::new(
+        "regs_const",
+        vec![
+            Primitive::RegRead { dst: dst(), register: cells, index: C(2) },
+            Primitive::RegWrite { register: cells, index: C(3), src: F(a) },
+            Primitive::RegWrite { register: cells, index: C(4), src: C(0x1_2345_6789) },
+        ],
+    ));
+    let regs_field = pb.add_action(ActionDef::new(
+        "regs_field",
+        vec![
+            Primitive::RegWrite { register: cells, index: F(valid), src: C(9) },
+            Primitive::RegRead { dst: dst(), register: cells, index: F(b) },
+            Primitive::RegWrite { register: cells, index: F(a), src: F(b) },
+        ],
+    ));
+    let read_past = pb.add_action(ActionDef::new(
+        "read_past",
+        vec![Primitive::RegRead { dst: dst(), register: cells, index: C(8) }],
+    ));
+    let write_past = pb.add_action(ActionDef::new(
+        "write_past",
+        vec![Primitive::RegWrite { register: cells, index: C(9), src: C(1) }],
+    ));
+    let bind = pb.add_table(TableDef {
+        name: "bind".into(),
+        keys: vec![(valid, MatchKind::Exact)],
+        max_entries: 1,
+        allowed_actions: vec![from_data],
+        default_action: Some((from_data, vec![0xCD, 4])),
+    });
+    let guarded = |a, op, b, action| Control::If {
+        cond: Cond::new(a, op, b),
+        then_branch: Box::new(Control::ApplyAction(action)),
+        else_branch: None,
+    };
+    pb.set_control(Control::Seq(vec![
+        Control::ApplyAction(consts),
+        Control::ApplyAction(alu),
+        Control::ApplyTable(bind),
+        guarded(C(1), CmpOp::Lt, C(2), regs_const),
+        guarded(C(1), CmpOp::Eq, F(fields::TCP_VALID), regs_field),
+        guarded(F(valid), CmpOp::Eq, C(1), read_past),
+        guarded(C(2), CmpOp::Gt, F(b), write_past),
+    ]));
+    let mut p = pb.build(TargetModel::bmv2()).expect("the operand-shapes program builds");
+    let key = vec![MatchValue::Exact(1)];
+    let entry = Entry { key, priority: 0, action: from_data, action_data: vec![0xAB, 3] };
+    let insert = RuntimeRequest::InsertEntry { table: bind, entry };
+    assert_eq!(p.runtime(&insert), RuntimeResponse::Ok);
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn symbolic_agrees_with_concrete_on_every_builtin(seed in any::<u64>()) {
-        let programs = builtin_pipelines().into_iter().chain([("control shapes", control_shapes())]);
+        let hand_built = [("control shapes", control_shapes()), ("operand shapes", operand_shapes())];
+        let programs = builtin_pipelines().into_iter().chain(hand_built);
         for (name, p) in programs {
             for k in 0..4u64 {
                 let w = random_witness(&p, seed ^ k.wrapping_mul(0x0123_4567_89AB_CDEF));
