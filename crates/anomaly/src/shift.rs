@@ -22,7 +22,7 @@ use crate::state::{restore_window, window_json};
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
 use std::any::Any;
-use telemetry::json::{field, field_with, from_sparse_u64, obj, sparse_u64, At, Json, ToJson};
+use telemetry::json::{field, field_with, from_sparse, obj, sparse, At, Json, ToJson};
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +176,7 @@ impl Detector for PercentileShiftDetector {
         let set = self.tracker.as_set();
         let m = set.export_markers()[0];
         obj(vec![
-            ("cells", sparse_u64(set.counts())),
+            ("cells", sparse(set.counts())),
             ("total", set.total().to_json()),
             ("marker_pos", m.pos.to_json()),
             ("marker_low", m.low.to_json()),
@@ -194,7 +194,7 @@ impl Detector for PercentileShiftDetector {
     fn import_state(&mut self, state: &Json) -> Result<(), String> {
         let at = At::Root("median_shift");
         let cells = self.tracker.as_set().counts().len();
-        let counts = field_with(state, "cells", at, |c, at| from_sparse_u64(c, at, cells))?;
+        let counts = field_with(state, "cells", at, |c, at| from_sparse(c, at, cells))?;
         let q = self.cfg.quantile;
         let marker = MarkerRaw {
             low_weight: q.low_weight(),

@@ -31,6 +31,20 @@
 //! bytes are intact but whose state no detector could have exported,
 //! or no shard could have held at a drain point.
 //!
+//! **A shard is its geometry, then its live cells.** A shard's four
+//! register files (`kinds_counts`, `sk_cells`, `pc_counts`,
+//! `hll_registers`) are sized for the worst case, and at a drain point
+//! almost every cell is zero. A version-4 file writes each as its
+//! non-zero cells, `[index, count]` pairs in increasing index order
+//! (`telemetry::json::Sparse`, the form of a histogram's buckets).
+//! [`ShardStateRaw`] stays dense in memory. The reader takes each
+//! file's length from a fresh shard's geometry, which is this crate's
+//! constants, and never from the document: the geometry members are
+//! written first and each must hold its one value, so a file of
+//! another geometry is refused by name before any register file is
+//! allocated, and no file makes the reader allocate more than a fresh
+//! shard's register files.
+//!
 //! **The payload is [`Checkpoint`]'s field list.** [`Checkpoint`] and
 //! [`ShardStateRaw`] get both halves of their codec from one
 //! `json_struct!` line beside the struct, and every type inside them
@@ -61,7 +75,10 @@
 //! renderer to reproduce what a writer wrote.
 
 use crate::provenance::AlertProvenanceRecord;
-use crate::{build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState};
+use crate::{
+    build_ensemble, IncidentKind, ReplayConfig, ShardIncident, ShardState, KIND_CELLS, MAX_LEN,
+    SK_ROWS, SK_WIDTH_LOG2, SRC_HLL_PRECISION,
+};
 use anomaly::{Ensemble, ScoreDrilldown};
 use faultinject::{CkptCorruption, FaultSchedule};
 use p4sim::PipelineState;
@@ -72,7 +89,7 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::{field, obj, At, FromJson, Lexer, ToJson};
+use telemetry::json::{field, obj, At, Fixed, FromJson, Lexer, Sparse, ToJson};
 use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
@@ -81,8 +98,9 @@ pub(crate) const MAGIC: &str = "stat4-replay-ckpt";
 /// Version 1 stored the log of every interval the detectors had seen
 /// and replayed it on resume; version 2 stores the detectors' state;
 /// version 3 stores a shard's length distribution as counts alone, with
-/// no walked marker and no total beside them.
-pub(crate) const VERSION: u64 = 3;
+/// no walked marker and no total beside them; version 4 stores each
+/// shard register file as its non-zero cells.
+pub(crate) const VERSION: u64 = 4;
 
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
@@ -140,21 +158,24 @@ pub struct ShardStateRaw {
     pub len_sum_in_interval: i64,
 }
 
+// The constants are the ones `ShardState::new` builds with. The
+// geometry goes first, so that it is checked before any register file
+// is allocated.
 json_struct!(ShardStateRaw {
-    kinds_min,
-    kinds_counts,
+    kinds_min: Fixed(0),
+    sk_rows: Fixed(SK_ROWS),
+    sk_width_log2: Fixed(SK_WIDTH_LOG2),
+    pc_min: Fixed(0),
+    pc_max: Fixed(MAX_LEN),
+    hll_precision: Fixed(SRC_HLL_PRECISION),
+    kinds_counts: Sparse(KIND_CELLS as usize),
     len_n,
     len_xsum,
     len_xsumsq,
-    sk_rows,
-    sk_width_log2,
-    sk_cells,
+    sk_cells: Sparse(SK_ROWS << SK_WIDTH_LOG2),
     sk_total,
-    pc_min,
-    pc_max,
-    pc_counts,
-    hll_precision,
-    hll_registers,
+    pc_counts: Sparse(MAX_LEN as usize + 1),
+    hll_registers: Sparse(1 << SRC_HLL_PRECISION),
     packets,
     syn_in_interval,
     packets_in_interval,
@@ -473,6 +494,7 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
     }
     if version < VERSION {
         let why = match version {
+            3 => "was written before shards stored their non-zero cells alone",
             2 => "was written before shards kept length counts alone",
             _ => "was written before detector-state checkpoints",
         };
@@ -816,7 +838,7 @@ mod tests {
     fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
-            r#"{{"magic":"stat4-replay-ckpt","version":3,"checksum":"{sum:016x}","payload":{body}}}"#
+            r#"{{"magic":"stat4-replay-ckpt","version":4,"checksum":"{sum:016x}","payload":{body}}}"#
         )
     }
 
@@ -846,7 +868,7 @@ mod tests {
         let good = sample_checkpoint().to_json();
         assert_eq!(framed(&good), serialize(&sample_checkpoint()));
         type Tamper = fn(&mut Json);
-        let cases: [(&[&str], Tamper, &str); 9] = [
+        let cases: [(&[&str], Tamper, &str); 13] = [
             (
                 &["shards", "1"],
                 |m| match m {
@@ -856,9 +878,24 @@ mod tests {
                 "$.payload.shards[1].pc_counts: missing",
             ),
             (
-                &["shards", "1", "pc_counts", "5"],
+                &["shards", "1", "pc_counts", "5", "1"],
                 |v| *v = Json::Int(-1),
                 "$.payload.shards[1].pc_counts[5]: not a non-negative integer",
+            ),
+            (
+                &["shards", "1", "pc_counts", "5"],
+                |v| *v = Json::Int(65),
+                "$.payload.shards[1].pc_counts[5]: not an [index, count] pair",
+            ),
+            (
+                &["shards", "1", "pc_counts", "5", "0"],
+                |v| *v = Json::Int(2048),
+                "$.payload.shards[1].pc_counts[5]: index 2048 is outside its 2048 cells",
+            ),
+            (
+                &["shards", "1", "sk_cells", "1", "0"],
+                |v| *v = Json::Int(0),
+                "$.payload.shards[1].sk_cells[1]: index 0 does not increase on index 0",
             ),
             (
                 &["shards", "1", "len_xsum"],
@@ -871,9 +908,14 @@ mod tests {
                 "$.payload.shards[1].sk_width_log2: overflows u32",
             ),
             (
-                &["shards", "1", "hll_registers", "3"],
+                &["shards", "1", "sk_width_log2"],
+                |v| *v = Json::Int(27),
+                "$.payload.shards[1].sk_width_log2: 27 is not the 12 this build reads",
+            ),
+            (
+                &["shards", "1", "hll_registers", "0", "1"],
                 |v| *v = Json::Int(256),
-                "$.payload.shards[1].hll_registers[3]: overflows u8",
+                "$.payload.shards[1].hll_registers[0]: overflows u8",
             ),
             (
                 &["alive", "0"],
@@ -948,6 +990,7 @@ mod tests {
             (0, "before detector-state checkpoints"),
             (1, "before detector-state checkpoints"),
             (2, "before shards kept length counts alone"),
+            (3, "before shards stored their non-zero cells alone"),
         ] {
             let err = parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap_err();
             assert!(err.contains(lacks) && err.contains("re-run"), "version {old}: {err}");
@@ -1034,29 +1077,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_version_2_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
-        let dir = std::env::temp_dir().join(format!("stat4-ckpt-v2-{}", std::process::id()));
+    /// A file an older build left behind, newest under a valid
+    /// checksum: its version is refused before any member is read, with
+    /// what it lacks, and the loader falls back to its predecessor.
+    fn an_old_version_falls_back(version: u64, lacks: &str) {
+        let dir = std::env::temp_dir().join(format!("stat4-ckpt-v{version}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let good = sample_checkpoint();
         write_checkpoint(&dir, &good, &FaultSchedule::none()).unwrap();
-        // #4: a file a version-2 build left behind, under a valid
-        // checksum. The version is refused before any member is read.
         let mut newer = good.clone();
         newer.checkpoint_ordinal = 4;
-        let v2 = serialize(&newer).replacen(&format!("\"version\":{VERSION}"), "\"version\":2", 1);
-        std::fs::write(dir.join(file_name(4)), v2).unwrap();
+        let old = serialize(&newer).replacen(&format!("\"version\":{VERSION}"), &format!("\"version\":{version}"), 1);
+        std::fs::write(dir.join(file_name(4)), old).unwrap();
 
         let (loaded, rejected) = load_latest(&dir).expect("fallback to #3");
         assert_eq!(loaded, good);
         let [refusal] = rejected.as_slice() else { panic!("{rejected:?}") };
         assert!(
             refusal.contains("ckpt-000004")
-                && refusal.contains("checkpoint version 2 was written before shards kept length counts alone")
+                && refusal.contains(&format!("checkpoint version {version} {lacks}"))
                 && refusal.contains("re-run"),
             "{refusal}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
+        an_old_version_falls_back(2, "was written before shards kept length counts alone");
+    }
+
+    #[test]
+    fn a_version_3_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
+        an_old_version_falls_back(3, "was written before shards stored their non-zero cells alone");
     }
 
     #[test]

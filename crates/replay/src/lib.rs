@@ -131,6 +131,11 @@ const _: () = {
 /// Largest frame length tracked by the length percentile domain.
 pub(crate) const MAX_LEN: i64 = 2047;
 
+/// Rows of a shard's destination sketch.
+pub(crate) const SK_ROWS: usize = 4;
+/// Width of each sketch row as a power of two (4 096 counters).
+pub(crate) const SK_WIDTH_LOG2: u32 = 12;
+
 /// Precision of the per-shard distinct-source HyperLogLog (1024
 /// registers, ≈ 3.3% standard error — 1 KiB of register SRAM per
 /// pipe, the in-switch budget the paper's scale implies).
@@ -365,7 +370,7 @@ impl ShardState {
         Self {
             kinds: FrequencyDist::new(0, KIND_CELLS - 1).expect("valid kind domain"),
             len_stats: RunningStats::new(),
-            dst_sketch: CountMinSketch::new(4, 12),
+            dst_sketch: CountMinSketch::new(SK_ROWS, SK_WIDTH_LOG2),
             len_median: QuantileCounts::new(0, MAX_LEN, &[Quantile::median()])
                 .expect("valid length domain"),
             src_hll: HyperLogLog::new(SRC_HLL_PRECISION).expect("valid HLL precision"),

@@ -1,27 +1,32 @@
 //! What `ckpt::serialize` and `ckpt::parse` allocate: the buffer and
 //! the values, not a node per cell.
 //!
-//! A checkpoint is streamed into one `String`. Serializing the newest
-//! checkpoint of a short killed run on two shards (38 928 cells,
-//! 83 139 bytes) makes 20 allocations: the header, the 11 doublings
-//! that take the buffer from its 53 bytes to 106 kB, the checksum's
-//! sixteen digits, and 7 for the one `ShardIncident`, whose
-//! hand-written `to_json` is written through the tree it builds (four
-//! keys, the kind, two lists). On four shards there are twice the cells
-//! in 161 585 bytes and the count is 21: one more doubling. While
-//! `serialize` built the `Json` tree and rendered it, the same two
-//! calls made 446 and 517: a `String` per key and a list per array,
-//! the lists 32 bytes a cell.
+//! A checkpoint is streamed into one `String`, each shard register
+//! file as its non-zero cells. Serializing the newest checkpoint of a
+//! short killed run on two shards (38 928 cells in memory, 5 747 bytes
+//! on disk) makes 16 allocations: the header, the 7 doublings that
+//! take the buffer from its 53 bytes to 6.8 kB, the checksum's sixteen
+//! digits, and 7 for the one `ShardIncident`, whose hand-written
+//! `to_json` is written through the tree it builds (four keys, the
+//! kind, two lists). On four shards there are twice the cells in 6 502
+//! bytes and the count is 16 again. While every cell was written, the
+//! files were 83 139 and 161 585 bytes and the counts 20 and 21, the
+//! buffer doubling to 106 kB and 212 kB; while `serialize` built the
+//! `Json` tree and rendered it, the same two calls made 446 and 517: a
+//! `String` per key and a list per array, the lists 32 bytes a cell.
 //!
 //! What `ckpt::parse` allocates: the values, not a tree. The same two
 //! documents are read in one pass over their tokens, into the vectors
-//! and strings of the `Checkpoint` (each vector grown by doubling) and
-//! the `ensemble` and `drill` members, which are trees by type: 468
-//! allocations and 331 658 bytes asked for on two shards, 534 and
-//! 628 746 on four (470 and 538 while each shard also held a walked
-//! length marker, a list of its own). While `parse` built the whole document's tree
-//! first, it made 907 and 1 051 allocations for 1 613 097 and
-//! 3 161 713 bytes, a 32-byte node per cell.
+//! and strings of the `Checkpoint` (each register file allocated once,
+//! at the length a fresh shard's geometry gives it; every other vector
+//! grown by doubling) and the `ensemble` and `drill` members, which are
+//! trees by type: 410 allocations and 331 658 bytes asked for on two
+//! shards, 418 and 628 746 on four (468 and 534 while every register
+//! file was written whole and grew by doubling as it was read; 470 and
+//! 538 while each shard also held a walked length marker, a list of its
+//! own). While `parse` built the whole document's tree first, it made
+//! 907 and 1 051 allocations for 1 613 097 and 3 161 713 bytes, a
+//! 32-byte node per cell.
 //!
 //! The counting allocator is `counting/mod.rs`, shared with
 //! `pool_allocs.rs`.
@@ -75,7 +80,7 @@ fn newest_checkpoint(shards: usize) -> Checkpoint {
     newest
 }
 
-/// The code reads 20 on two shards (module doc); a tree reads in the
+/// The code reads 16 on two shards (module doc); a tree reads in the
 /// hundreds, a temporary per cell in the tens of thousands.
 const TWO_SHARD_CEILING: u64 = 24;
 

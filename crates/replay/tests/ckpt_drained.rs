@@ -7,11 +7,19 @@
 //! fallback naming what is wrong, and the run resumed from its
 //! predecessor is the uninterrupted run. So is a shard state that is
 //! not even consistent in itself.
+//!
+//! A geometry is refused where the file is read: the reader sizes each
+//! register file by a fresh shard's geometry, holds the file's geometry
+//! members to it, and refuses a cell at or past the end of its file.
+//! The rest is refused where the state is restored.
 
-use std::path::Path;
+mod reseal;
+
+use std::path::{Path, PathBuf};
 
 use faultinject::FaultSchedule;
-use replay::ckpt::{self, ShardStateRaw};
+use reseal::with_first_pair;
+use replay::ckpt::{self, Checkpoint, ShardStateRaw};
 use replay::{
     render_outcome_json, resume_from_checkpoint, run_replay, run_replay_lifecycle, LifecyclePlan,
     ReplayConfig,
@@ -46,12 +54,12 @@ fn resume_plan(dir: &Path) -> LifecyclePlan {
 }
 
 /// What to damage in shard 0 of a checkpoint, and the reason the
-/// fallback must give.
+/// fallback must give for it.
 type Case = (&'static str, fn(&mut ShardStateRaw), &'static str);
 
 #[test]
 fn a_shard_no_drain_point_holds_is_refused_at_restore() {
-    let cases: [Case; 8] = [
+    let cases: [Case; 4] = [
         (
             "a negative SYN count",
             |r| r.syn_in_interval = -1_000_000,
@@ -72,18 +80,24 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
             |r| r.hll_registers[17] = 3,
             "source HLL register 17 is set",
         ),
-        (
-            "kinds one cell wider",
-            |r| r.kinds_counts.push(0),
-            "different frequency domains",
-        ),
+    ];
+    each_falls_back("drained", &cases, Some(true));
+}
+
+/// A geometry other than a fresh shard's is refused by name as the
+/// file is read, before the register file it sizes is allocated. What
+/// the raw state says with an array of another length, the file says
+/// with a cell at or past the end of its register file.
+#[test]
+fn a_shard_of_another_geometry_is_refused_by_name_where_it_is_read() {
+    let cases: [Case; 5] = [
         (
             "another sketch row count",
             |r| {
                 r.sk_rows -= 1;
                 r.sk_cells.truncate(r.sk_rows << r.sk_width_log2);
             },
-            "different sketch geometries",
+            "$.payload.shards[0].sk_rows: 3 is not the 4 this build reads",
         ),
         (
             "a shorter percentile domain",
@@ -91,7 +105,7 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
                 r.pc_max -= 1;
                 assert_eq!(r.pc_counts.pop(), Some(0), "no frame is that long");
             },
-            "different percentile domains",
+            "$.payload.shards[0].pc_max: 2046 is not the 2047 this build reads",
         ),
         (
             "another HLL precision",
@@ -99,10 +113,35 @@ fn a_shard_no_drain_point_holds_is_refused_at_restore() {
                 r.hll_precision += 1;
                 r.hll_registers = vec![0; 1 << r.hll_precision];
             },
-            "different hyperloglog precisions",
+            "$.payload.shards[0].hll_precision: 11 is not the 10 this build reads",
+        ),
+        (
+            "nine sketch rows",
+            |r| {
+                r.sk_rows = 9;
+                r.sk_cells.resize(9 << r.sk_width_log2, 0);
+            },
+            "$.payload.shards[0].sk_rows: 9 is not the 4 this build reads",
+        ),
+        (
+            "a kind domain ending past i64::MAX",
+            |r| r.kinds_min = i64::MAX,
+            "$.payload.shards[0].kinds_min: 9223372036854775807 is not the 0 this build reads",
         ),
     ];
-    each_falls_back("drained", &cases, true);
+    each_falls_back("geometry", &cases, None);
+
+    let run = KilledRun::new("past-the-end");
+    let written = ckpt::serialize(&run.intact);
+    for (what, member, len) in [
+        ("kinds one cell wider", "kinds_counts", 8),
+        ("a sketch cell past the last row", "sk_cells", 16_384),
+        ("a length count past the domain", "pc_counts", 2_048),
+        ("a distinct-source register past the file", "hll_registers", 1_024),
+    ] {
+        let reason = format!("$.payload.shards[0].{member}[0]: index {len} is outside its {len} cells");
+        run.falls_back(what, &with_first_pair(&written, member, &format!("[{len},1]")), &reason);
+    }
 }
 
 /// A shard's total is the sum of its length counts; counts that sum past
@@ -118,34 +157,20 @@ fn length_counts_that_sum_past_u64_max_are_refused_at_restore() {
         },
         "length counts: inconsistent raw state: counts sum past u64::MAX",
     )];
-    each_falls_back("overflow", &cases, false);
+    each_falls_back("overflow", &cases, Some(false));
 }
 
 /// A shard feeds every frame to every tracker. A sketch row that does
-/// not sum to the sketch's total, a geometry no sketch has, a kind
-/// domain that ends past `i64::MAX`, or trackers that disagree on what
+/// not sum to the sketch's total, or trackers that disagree on what
 /// the shard saw are no shard's state, and each is refused where it is
 /// read: none panics the resume, and none is taken.
 #[test]
 fn a_shard_whose_trackers_disagree_is_refused_at_restore() {
     let row_sums = "destination sketch: inconsistent raw state: a row does not sum to the total";
-    let cases: [Case; 7] = [
-        (
-            "nine sketch rows",
-            |r| {
-                r.sk_rows = 9;
-                r.sk_cells.resize(9 << r.sk_width_log2, 0);
-            },
-            "destination sketch: inconsistent raw state: rows out of range",
-        ),
+    let cases: [Case; 5] = [
         ("a sketch total of u64::MAX", |r| r.sk_total = u64::MAX, row_sums),
         ("a sketch total 1000 high", |r| r.sk_total += 1000, row_sums),
         ("a sketch total of 0", |r| r.sk_total = 0, row_sums),
-        (
-            "a kind domain ending past i64::MAX",
-            |r| r.kinds_min = i64::MAX,
-            "kind distribution: invalid domain",
-        ),
         (
             "no length moments",
             |r| r.len_n = 0,
@@ -157,56 +182,77 @@ fn a_shard_whose_trackers_disagree_is_refused_at_restore() {
             "are not those of the length counts",
         ),
     ];
-    each_falls_back("disagree", &cases, false);
+    each_falls_back("disagree", &cases, Some(false));
 }
 
 /// Seals each tampered copy of checkpoint #1 of a killed run in its
-/// place and resumes: the resume falls back to #0, names `reason` for
-/// shard 0, and finishes as the uninterrupted run. `restores` is
+/// place and resumes, as [`KilledRun::falls_back`] does. `restores` is
 /// whether the tampered raw state is consistent in itself, so that it
-/// is the drain-point check that refuses it.
-fn each_falls_back(tag: &str, cases: &[Case], restores: bool) {
-    let s = small_flood();
-    let full = run_replay(&s, &cfg());
-    assert!(
-        full.detected_at.is_some(),
-        "the uninterrupted run detects the flood"
-    );
-    let full = render_outcome_json(&full);
-
-    // Checkpoints #0 (resumes at epoch ordinal 2) and #1 (at 4).
-    let dir = std::env::temp_dir().join(format!("replay-drained-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let none = FaultSchedule::none();
-    let killed = LifecyclePlan {
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 2,
-        kill_at_epoch: Some(5),
-        ..LifecyclePlan::none()
-    };
-    let (_, report) = run_replay_lifecycle(&s, &cfg(), &none, &killed);
-    assert_eq!(report.checkpoints_written, 2);
-    let newest = dir.join(ckpt::file_name(1));
-    let intact = ckpt::parse(&std::fs::read_to_string(&newest).unwrap()).unwrap();
-
-    // Untampered, #1 is taken as it is.
-    let (resumed, report) = resume_from_checkpoint(&s, &cfg(), &resume_plan(&dir)).unwrap();
-    assert_eq!(report.resumed_from, Some(1));
-    assert!(report
-        .events
-        .iter()
-        .all(|e| e.kind != "checkpoint_fallback"));
-    assert_eq!(render_outcome_json(&resumed), full);
-
+/// is the drain-point check that refuses it (`None`: the file is
+/// refused as it is read, whatever the raw state would make of it).
+fn each_falls_back(tag: &str, cases: &[Case], restores: Option<bool>) {
+    let run = KilledRun::new(tag);
     for (what, tamper, reason) in cases {
-        let mut c = intact.clone();
+        let mut c = run.intact.clone();
         let shard = c.shards[0].as_mut().expect("shard 0 is alive");
         tamper(shard);
-        assert_eq!(shard.restore().is_ok(), restores, "{what}: {:?}", shard.restore().err());
+        if let Some(restores) = restores {
+            assert_eq!(shard.restore().is_ok(), restores, "{what}: {:?}", shard.restore().err());
+        }
         // Sealed as a run seals it: the checksum is valid.
-        ckpt::write_checkpoint(&dir, &c, &none).unwrap();
+        run.falls_back(what, &ckpt::serialize(&c), reason);
+    }
+}
 
-        let (resumed, report) = resume_from_checkpoint(&s, &cfg(), &resume_plan(&dir))
+/// A run killed after checkpoints #0 (resumes at epoch ordinal 2) and
+/// #1 (at 4), and the uninterrupted run's snapshot.
+struct KilledRun {
+    schedule: Schedule,
+    full: String,
+    dir: PathBuf,
+    intact: Checkpoint,
+}
+
+impl KilledRun {
+    fn new(tag: &str) -> Self {
+        let schedule = small_flood();
+        let full = run_replay(&schedule, &cfg());
+        assert!(
+            full.detected_at.is_some(),
+            "the uninterrupted run detects the flood"
+        );
+        let full = render_outcome_json(&full);
+
+        let dir = std::env::temp_dir().join(format!("replay-drained-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let killed = LifecyclePlan {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 2,
+            kill_at_epoch: Some(5),
+            ..LifecyclePlan::none()
+        };
+        let (_, report) = run_replay_lifecycle(&schedule, &cfg(), &FaultSchedule::none(), &killed);
+        assert_eq!(report.checkpoints_written, 2);
+        let newest = dir.join(ckpt::file_name(1));
+        let intact = ckpt::parse(&std::fs::read_to_string(newest).unwrap()).unwrap();
+
+        // Untampered, #1 is taken as it is.
+        let (resumed, report) = resume_from_checkpoint(&schedule, &cfg(), &resume_plan(&dir)).unwrap();
+        assert_eq!(report.resumed_from, Some(1));
+        assert!(report
+            .events
+            .iter()
+            .all(|e| e.kind != "checkpoint_fallback"));
+        assert_eq!(render_outcome_json(&resumed), full);
+        Self { schedule, full, dir, intact }
+    }
+
+    /// Writes `document` as #1 and resumes: the resume falls back to
+    /// #0, names `reason` for shard 0 of #1, and finishes as the
+    /// uninterrupted run.
+    fn falls_back(&self, what: &str, document: &str, reason: &str) {
+        std::fs::write(self.dir.join(ckpt::file_name(1)), document).unwrap();
+        let (resumed, report) = resume_from_checkpoint(&self.schedule, &cfg(), &resume_plan(&self.dir))
             .unwrap_or_else(|e| panic!("{what}: resume failed instead of falling back: {e}"));
         assert_eq!(report.resumed_from, Some(0), "{what}");
         let fallback = report
@@ -214,14 +260,20 @@ fn each_falls_back(tag: &str, cases: &[Case], restores: bool) {
             .iter()
             .find(|e| e.kind == "checkpoint_fallback")
             .unwrap_or_else(|| panic!("{what}: no checkpoint_fallback in {:?}", report.events));
+        // Shard 0 is named: by the restore, or in the path of what the
+        // read refused.
+        let shard_0 = fallback.detail.contains("shard 0: ") || fallback.detail.contains(".shards[0].");
         assert!(
-            fallback.detail.contains("ckpt-000001")
-                && fallback.detail.contains("shard 0: ")
-                && fallback.detail.contains(reason),
+            fallback.detail.contains("ckpt-000001") && shard_0 && fallback.detail.contains(reason),
             "{what}: {}",
             fallback.detail
         );
-        assert_eq!(render_outcome_json(&resumed), full, "{what}");
+        assert_eq!(render_outcome_json(&resumed), self.full, "{what}");
     }
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+impl Drop for KilledRun {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
 }

@@ -3,20 +3,37 @@
 //! panics, a document that is accepted is the document that was
 //! written, and a file whose checksum is right but whose detector
 //! state no detector could have exported is a counted fallback on
-//! resume, not a crash and not a silently different run.
+//! resume, not a crash and not a silently different run. A shard's
+//! register files are written as their non-zero cells, so what they
+//! cost to read is bounded by a fresh shard's geometry, never by what
+//! the file claims.
+
+mod counting;
+mod reseal;
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use proptest::prelude::*;
 
+use counting::count;
+use reseal::with_first_pair;
 use faultinject::FaultSchedule;
-use replay::ckpt::{self, Checkpoint};
+use replay::ckpt::{self, Checkpoint, ShardStateRaw};
 use replay::{
     render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan, ReplayConfig,
+    ShardState,
 };
+use telemetry::json::At;
 use telemetry::Json;
 use workloads::{Schedule, SynFloodWorkload};
+
+/// The counting allocator is the process's: the tests take turns, so
+/// nothing else allocates while one counts.
+fn turn() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const CHAOS: &str = "shard_crash=1@3,ctrl_loss=0.30";
 const SEED: u64 = 7;
@@ -108,6 +125,7 @@ fn digest(bytes: &[u8]) -> bool {
 
 #[test]
 fn the_written_document_is_accepted() {
+    let _turn = turn();
     assert!(digest(real_checkpoint().0.as_bytes()));
 }
 
@@ -116,6 +134,7 @@ fn the_written_document_is_accepted() {
 /// byte between: a torn write is rejected wherever it tears.
 #[test]
 fn no_prefix_of_a_checkpoint_is_accepted() {
+    let _turn = turn();
     let text = real_checkpoint().0.as_bytes();
     let dense = 1024.min(text.len() / 2);
     let cuts = (0..dense)
@@ -134,6 +153,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
         at in 0usize..1_000_000,
     ) {
+        let _turn = turn();
         prop_assert!(!digest(&bytes));
         // The same garbage over a window of the real document.
         let mut doc = real_checkpoint().0.clone().into_bytes();
@@ -146,6 +166,7 @@ proptest! {
 
     #[test]
     fn a_single_flipped_bit_is_never_absorbed(at in 0usize..1_000_000, bit in 0u32..8) {
+        let _turn = turn();
         let mut doc = real_checkpoint().0.clone().into_bytes();
         let at = at % doc.len();
         doc[at] ^= 1 << bit;
@@ -154,6 +175,65 @@ proptest! {
         let accepted = digest(&doc);
         let payload_from = real_checkpoint().0.find("\"payload\":").unwrap() + "\"payload\":".len();
         prop_assert!(!(accepted && at >= payload_from && at < doc.len() - 1));
+    }
+}
+
+/// A shard whose geometry is not a fresh shard's is refused by the
+/// name of the member that differs, and before the register file that
+/// member sizes is allocated: a few hundred bytes claiming 2^27-cell
+/// sketch rows cost the reader about 2 kB (the refusal, and the tree
+/// `read` builds to name it), less than a fresh shard's register files
+/// and nothing like the 8 GiB the claim is worth.
+#[test]
+fn another_geometry_is_refused_by_name_before_its_register_files_are_allocated() {
+    let _turn = turn();
+    let fresh = ShardStateRaw::of(&ShardState::new(&cfg()));
+    let register_bytes = 8 * (fresh.kinds_counts.len() + fresh.sk_cells.len() + fresh.pc_counts.len())
+        + fresh.hll_registers.len();
+    let written = telemetry::json::write(&fresh);
+    assert!(written.len() < 400, "a fresh shard is {} bytes", written.len());
+    assert_eq!(telemetry::json::read::<ShardStateRaw>(&written, At::Root("shard")), Ok(fresh));
+    for (member, from, to, fresh_value) in [
+        ("sk_width_log2", "12", "27", "12"),
+        ("sk_rows", "4", "1048576", "4"),
+        ("hll_precision", "10", "30", "10"),
+        ("pc_max", "2047", "9223372036854775807", "2047"),
+        ("kinds_min", "0", "-9223372036854775808", "0"),
+    ] {
+        let doc = written.replacen(&format!("\"{member}\":{from},"), &format!("\"{member}\":{to},"), 1);
+        assert_ne!(doc, written, "{member}: the tamper must hit");
+        let (read, _, bytes) = count(|| telemetry::json::read::<ShardStateRaw>(&doc, At::Root("shard")));
+        assert_eq!(read.unwrap_err(), format!("shard.{member}: {to} is not the {fresh_value} this build reads"));
+        assert!(
+            bytes < register_bytes as u64,
+            "{member}: reading {} bytes asked for {bytes} bytes; a fresh shard's register files are {register_bytes}",
+            doc.len()
+        );
+    }
+}
+
+/// Under a valid checksum, a cell at or past the end of its register
+/// file, a count its cell cannot hold, or an index written twice is
+/// refused with the path of the pair that holds it.
+#[test]
+fn a_cell_outside_its_register_file_or_its_width_is_refused_with_its_path() {
+    let _turn = turn();
+    let text = &real_checkpoint().0;
+    let sk = text.find("\"sk_cells\":[[").expect("shard 0 counted destinations") + "\"sk_cells\":[".len();
+    let first_sk = &text[sk..=sk + text[sk..].find(']').unwrap()];
+    for (member, pair, why) in [
+        ("kinds_counts", "[8,1]", "index 8 is outside its 8 cells"),
+        ("sk_cells", "[16384,1]", "index 16384 is outside its 16384 cells"),
+        ("sk_cells", "[18446744073709551615,1]", "index 18446744073709551615 is outside its 16384 cells"),
+        ("pc_counts", "[2048,1]", "index 2048 is outside its 2048 cells"),
+        ("hll_registers", "[1024,1]", "index 1024 is outside its 1024 cells"),
+        ("hll_registers", "[5,256]", "overflows u8"),
+        ("sk_cells", first_sk, "does not increase on index"),
+    ] {
+        let doc = with_first_pair(text, member, pair);
+        let err = ckpt::parse(&doc).unwrap_err();
+        assert!(err.starts_with(&format!("$.payload.shards[0].{member}[")) && err.contains(why), "{pair}: {err}");
+        assert!(!digest(doc.as_bytes()));
     }
 }
 
@@ -176,6 +256,7 @@ fn at<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
 /// still finishes byte-identical to the uninterrupted run.
 #[test]
 fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
+    let _turn = turn();
     /// What to damage, and the reason the fallback must give when it
     /// is the coordinator that refuses (`None`: `rebuild_detection`
     /// refuses, and its error is the reason).

@@ -1,5 +1,6 @@
 //! The counting allocator of the allocation-budget tests
-//! (`pool_allocs.rs`, `pool_bytes.rs`, `ckpt_allocs.rs`), as in
+//! (`pool_allocs.rs`, `pool_bytes.rs`, `ckpt_allocs.rs`,
+//! `ckpt_untrusted.rs`), as in
 //! `crates/stat4-p4/tests/alloc_budget.rs`. It has to be the test
 //! binary's global allocator, so it lives with the integration tests
 //! and each of those files, whose tests run one at a time, includes it.

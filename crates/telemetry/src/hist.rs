@@ -14,7 +14,7 @@
 //! barriers via [`Mergeable`]: cellwise count addition, which is
 //! bit-identical to single-shard recording for any traffic partition.
 
-use crate::json::{field, field_with, from_sparse_u64, obj, sparse_u64, At, FromJson, Json, ToJson};
+use crate::json::{field, field_with, from_sparse, obj, sparse, At, FromJson, Json, ToJson};
 use stat4_core::isqrt::{log_linear_bucket, log_linear_bucket_count, log_linear_lower_bound};
 use stat4_core::{Mergeable, Stat4Error, Stat4Result};
 
@@ -156,7 +156,7 @@ impl LogLinearHistogram {
 impl ToJson for LogLinearHistogram {
     fn to_json(&self) -> Json {
         obj(vec![
-            ("buckets", sparse_u64(&self.buckets)),
+            ("buckets", sparse(&self.buckets)),
             ("count", self.count.to_json()),
             ("sum", self.sum.to_string().to_json()),
             ("min", self.min().to_json()),
@@ -173,7 +173,7 @@ impl ToJson for LogLinearHistogram {
 impl FromJson for LogLinearHistogram {
     fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
         let mut h = Self::default();
-        h.buckets = field_with(v, "buckets", at, |b, at| from_sparse_u64(b, at, h.buckets.len()))?;
+        h.buckets = field_with(v, "buckets", at, |b, at| from_sparse(b, at, h.buckets.len()))?;
         let total: u128 = h.buckets.iter().map(|&c| u128::from(c)).sum();
         h.count = field(v, "count", at)?;
         if total != u128::from(h.count) {

@@ -438,9 +438,9 @@ pub fn render(v: &Json) -> String {
 }
 
 /// Appends the decimal form of `u`, byte-identical to `format!("{u}")`.
-/// One digit is decided on the spot: that is every `0` of a register
-/// array, which is nearly all of a checkpoint. Only that much is
-/// inlined into an array's loop; the rest is a call.
+/// One digit is decided on the spot: that is every `0` of a detector's
+/// ring and most small counters. Only that much is inlined into an
+/// array's loop; the rest is a call.
 #[inline]
 fn write_uint(out: &mut String, u: u64) {
     if u < 10 {
@@ -699,8 +699,10 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// list: an object with one member per listed field, named after it,
 /// in the order listed, read back by name. Every field must be listed
 /// (the reader builds `Self` from the list) and must itself have the
-/// pair. The one list gives the tree, the text ([`ToJson::write_json`],
-/// each field streamed behind its key) and the reader.
+/// pair, or be listed as `field: form` with a [`Form`] for its type
+/// that writes and reads it instead ([`Sparse`], [`Fixed`]). The one
+/// list gives the tree, the text ([`ToJson::write_json`], each field
+/// streamed behind its key) and the reader.
 ///
 /// `json_struct!(@write Ty { .. })` gives the writer alone, for a
 /// report that is emitted and never read back; its fields need only
@@ -708,10 +710,12 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// document.
 #[macro_export]
 macro_rules! json_struct {
-    (@read $ty:ty { $($field:ident),+ }) => {
+    (@read $ty:ty { $($field:ident $(: $form:expr)?),+ $(,)? }) => {
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
-                Ok(Self { $($field: $crate::json::field(v, stringify!($field), at)?),+ })
+                Ok(Self { $($field: $crate::json::field_with(v, stringify!($field), at, |v, at| {
+                    $crate::json_struct!(@from v, at $(, $form)?)
+                })?),+ })
             }
             fn read_json(lx: &mut $crate::json::Lexer<'_>, at: $crate::json::At<'_>) -> Result<Self, String> {
                 use $crate::json::At;
@@ -722,7 +726,8 @@ macro_rules! json_struct {
                 while let Some(key) = lx.next_key()? {
                     match &*key {
                         $(stringify!($field) if $field.is_none() => {
-                            $field = Some($crate::json::FromJson::read_json(lx, At::Key(&at, stringify!($field)))?);
+                            let at = At::Key(&at, stringify!($field));
+                            $field = Some($crate::json_struct!(@read_one lx, at $(, $form)?)?);
                         })+
                         _ => drop(lx.tree()?),
                     }
@@ -731,29 +736,38 @@ macro_rules! json_struct {
             }
         }
     };
-    (@write $ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
+    (@write $ty:ty { $first:ident $(: $first_form:expr)? $(, $field:ident $(: $form:expr)?)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::json::obj(vec![
-                    (stringify!($first), $crate::json::ToJson::to_json(&self.$first)),
-                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),*
+                    (stringify!($first), $crate::json_struct!(@to &self.$first $(, $first_form)?)),
+                    $((stringify!($field), $crate::json_struct!(@to &self.$field $(, $form)?))),*
                 ])
             }
             fn write_json(&self, out: &mut String) {
                 // A field name is an identifier: nothing in it to escape.
                 out.push_str(concat!("{\"", stringify!($first), "\":"));
-                $crate::json::ToJson::write_json(&self.$first, out);
+                $crate::json_struct!(@write_one out, &self.$first $(, $first_form)?);
                 $(
                     out.push_str(concat!(",\"", stringify!($field), "\":"));
-                    $crate::json::ToJson::write_json(&self.$field, out);
+                    $crate::json_struct!(@write_one out, &self.$field $(, $form)?);
                 )*
                 out.push('}');
             }
         }
     };
-    ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
-        $crate::json_struct!(@write $ty { $first $(, $field)* });
-        $crate::json_struct!(@read $ty { $first $(, $field)* });
+    // One field, through its type's own impl or through its form.
+    (@from $v:ident, $at:ident) => { $crate::json::FromJson::from_json($v, $at) };
+    (@from $v:ident, $at:ident, $form:expr) => { $crate::json::Form::read_tree(&$form, $v, $at) };
+    (@read_one $lx:ident, $at:ident) => { $crate::json::FromJson::read_json($lx, $at) };
+    (@read_one $lx:ident, $at:ident, $form:expr) => { $crate::json::Form::read_json(&$form, $lx, $at) };
+    (@to $v:expr) => { $crate::json::ToJson::to_json($v) };
+    (@to $v:expr, $form:expr) => { $crate::json::Form::to_json(&$form, $v) };
+    (@write_one $out:ident, $v:expr) => { $crate::json::ToJson::write_json($v, $out) };
+    (@write_one $out:ident, $v:expr, $form:expr) => { $crate::json::Form::write_json(&$form, $v, $out) };
+    ($ty:ty { $first:ident $(: $first_form:expr)? $(, $field:ident $(: $form:expr)?)* $(,)? }) => {
+        $crate::json_struct!(@write $ty { $first $(: $first_form)? $(, $field $(: $form)?)* });
+        $crate::json_struct!(@read $ty { $first $(: $first_form)? $(, $field $(: $form)?)* });
     };
 }
 
@@ -1014,35 +1028,171 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
-/// A mostly-zero counter array as `[index, count]` pairs, zeros left
-/// out; [`from_sparse_u64`] reads it back.
-#[must_use]
-pub fn sparse_u64(cells: &[u64]) -> Json {
-    let live = cells.iter().enumerate().filter(|(_, &c)| c > 0);
-    Json::Arr(live.map(|(i, &c)| Json::Arr(vec![i.to_json(), c.to_json()])).collect())
+// ---- fields whose form is not their type's own -------------------------
+
+/// A field's JSON form where it is not its type's own. A
+/// [`crate::json_struct!`] field listed as `name: form` is written and
+/// read through `form`, which carries what the reader must know before
+/// it reads: a register file's length, the one value a member may hold.
+/// The four methods are [`ToJson`]'s and [`FromJson`]'s (`read_tree`
+/// is `from_json`), under the same rules: the text is the rendered
+/// tree, and the token reader accepts what the tree reader does, to the
+/// same value.
+pub trait Form<T> {
+    /// `v` as a tree.
+    fn to_json(&self, v: &T) -> Json;
+    /// `v`'s text, appended to `out`.
+    fn write_json(&self, v: &T, out: &mut String);
+    /// Reads the tree `v`, which sits at `at`.
+    ///
+    /// # Errors
+    ///
+    /// `at` and what is wrong there.
+    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<T, String>;
+    /// Reads the value `lx` is at.
+    ///
+    /// # Errors
+    ///
+    /// As [`Form::read_tree`], though another problem may be named first.
+    fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<T, String>;
 }
 
-/// [`sparse_u64`]'s form back as the dense array of `len` cells it
-/// came from.
+/// The one value a member may hold: a geometry the reader sizes its
+/// arrays by, and does not take from the document.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed<T>(pub T);
+
+impl<T> Form<T> for Fixed<T>
+where
+    T: ToJson + FromJson + PartialEq + std::fmt::Display,
+{
+    fn to_json(&self, v: &T) -> Json {
+        v.to_json()
+    }
+
+    fn write_json(&self, v: &T, out: &mut String) {
+        v.write_json(out);
+    }
+
+    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<T, String> {
+        T::from_json(v, at).and_then(|got| fixed(&self.0, got, at))
+    }
+
+    fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<T, String> {
+        T::read_json(lx, at).and_then(|got| fixed(&self.0, got, at))
+    }
+}
+
+fn fixed<T: PartialEq + std::fmt::Display>(want: &T, got: T, at: At<'_>) -> Result<T, String> {
+    if got == *want {
+        Ok(got)
+    } else {
+        Err(at.err(format_args!("{got} is not the {want} this build reads")))
+    }
+}
+
+/// A mostly-zero register file of `.0` cells as `[index, count]` pairs
+/// in increasing index order, zeros left out: a histogram's buckets, a
+/// tracker's cells, a checkpointed shard's register files. The reader
+/// allocates the `.0` cells it was built with and no more, whatever
+/// the document says.
+#[derive(Debug, Clone, Copy)]
+pub struct Sparse(pub usize);
+
+/// The tree [`Sparse`] writes for `cells`.
+#[must_use]
+pub fn sparse<T: ToJson + Default + PartialEq>(cells: &[T]) -> Json {
+    let zero = T::default();
+    let live = cells.iter().enumerate().filter(|(_, c)| **c != zero);
+    Json::Arr(live.map(|(i, c)| Json::Arr(vec![i.to_json(), c.to_json()])).collect())
+}
+
+/// [`sparse`]'s form back as the dense array of `len` cells it came
+/// from.
 ///
 /// # Errors
 ///
-/// Not an array of `[index, count]` pairs, or an index at or past
-/// `len`.
-pub fn from_sparse_u64(v: &Json, at: At<'_>, len: usize) -> Result<Vec<u64>, String> {
-    let mut cells = vec![0u64; len];
+/// Not an array of `[index, count]` pairs, a count its cell cannot
+/// hold, an index that does not increase, or one at or past `len`.
+pub fn from_sparse<T>(v: &Json, at: At<'_>, len: usize) -> Result<Vec<T>, String>
+where
+    T: FromJson + Default + Clone,
+{
     let pairs = v.as_arr().ok_or_else(|| at.err("not an array"))?;
+    let mut cells = vec![T::default(); len];
+    let mut next = 0;
     for (n, pair) in pairs.iter().enumerate() {
         let at = At::Idx(&at, n);
         let [i, c] = pair.as_arr().unwrap_or(&[]) else {
             return Err(at.err("not an [index, count] pair"));
         };
-        let (i, c) = (usize::from_json(i, at)?, u64::from_json(c, at)?);
-        *cells
-            .get_mut(i)
-            .ok_or_else(|| at.err(format_args!("index {i} is outside its {len} cells")))? = c;
+        place(&mut cells, &mut next, usize::from_json(i, at)?, T::from_json(c, at)?, at)?;
     }
     Ok(cells)
+}
+
+/// Puts the pair `[i, c]` into `cells`: `i` must be at least `next`
+/// (one past the index before it) and inside the file.
+fn place<T>(cells: &mut [T], next: &mut usize, i: usize, c: T, at: At<'_>) -> Result<(), String> {
+    if i < *next {
+        return Err(at.err(format_args!("index {i} does not increase on index {}", *next - 1)));
+    }
+    let len = cells.len();
+    *cells.get_mut(i).ok_or_else(|| at.err(format_args!("index {i} is outside its {len} cells")))? = c;
+    *next = i + 1;
+    Ok(())
+}
+
+impl<T> Form<Vec<T>> for Sparse
+where
+    T: ToJson + FromJson + Default + PartialEq + Clone,
+{
+    fn to_json(&self, v: &Vec<T>) -> Json {
+        sparse(v)
+    }
+
+    fn write_json(&self, v: &Vec<T>, out: &mut String) {
+        let zero = T::default();
+        let mut open = "[";
+        out.push('[');
+        for (i, c) in v.iter().enumerate().filter(|(_, c)| **c != zero) {
+            out.push_str(std::mem::replace(&mut open, ",["));
+            write_uint(out, i as u64);
+            out.push(',');
+            c.write_json(out);
+            out.push(']');
+        }
+        out.push(']');
+    }
+
+    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<Vec<T>, String> {
+        from_sparse(v, at, self.0)
+    }
+
+    fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<Vec<T>, String> {
+        let Json::Arr(_) = lx.value()? else { return Err(at.err("not an array")) };
+        let mut cells = vec![T::default(); self.0];
+        let (mut n, mut next) = (0, 0);
+        while lx.next_item()? {
+            let at = At::Idx(&at, n);
+            let not_a_pair = || at.err("not an [index, count] pair");
+            let Json::Arr(_) = lx.value()? else { return Err(not_a_pair()) };
+            if !lx.next_item()? {
+                return Err(not_a_pair());
+            }
+            let i = usize::read_json(lx, at)?;
+            if !lx.next_item()? {
+                return Err(not_a_pair());
+            }
+            let c = T::read_json(lx, at)?;
+            if lx.next_item()? {
+                return Err(not_a_pair());
+            }
+            place(&mut cells, &mut next, i, c, at)?;
+            n += 1;
+        }
+        Ok(cells)
+    }
 }
 
 #[cfg(test)]
@@ -1341,12 +1491,64 @@ mod tests {
     #[test]
     fn sparse_cells_round_trip_and_are_bounded_by_their_length() {
         let cells = [0u64, 3, 0, 0, 9];
-        let v = sparse_u64(&cells);
+        let v = sparse(&cells);
         assert_eq!(render(&v), "[[1,3],[4,9]]");
-        assert_eq!(from_sparse_u64(&v, ROOT, 5).unwrap(), cells);
-        assert_eq!(from_sparse_u64(&v, ROOT, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
+        assert_eq!(from_sparse(&v, ROOT, 5), Ok(cells.to_vec()));
+        assert_eq!(from_sparse::<u64>(&v, ROOT, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
         let bad = Json::parse("[[1,3],[4]]").unwrap();
-        assert_eq!(from_sparse_u64(&bad, ROOT, 5).unwrap_err(), "$[1]: not an [index, count] pair");
+        assert_eq!(from_sparse::<u64>(&bad, ROOT, 5).unwrap_err(), "$[1]: not an [index, count] pair");
+    }
+
+    /// Each index once, in increasing order: a repeated index is not a
+    /// second value for its cell, and an out-of-order one is refused,
+    /// on both readers.
+    #[test]
+    fn a_sparse_index_that_does_not_increase_is_refused() {
+        for (doc, want) in [
+            ("[[3,1],[3,5]]", "$[1]: index 3 does not increase on index 3"),
+            ("[[4,1],[2,5]]", "$[1]: index 2 does not increase on index 4"),
+            ("[[0,1],[1,1],[1,1]]", "$[2]: index 1 does not increase on index 1"),
+        ] {
+            let tree = Json::parse(doc).unwrap();
+            assert_eq!(from_sparse::<u64>(&tree, ROOT, 8).unwrap_err(), want, "{doc}");
+            assert!(Form::<Vec<u64>>::read_json(&Sparse(8), &mut Lexer::new(doc), ROOT).is_err(), "{doc}");
+        }
+        assert_eq!(from_sparse(&Json::parse("[[0,1],[7,2]]").unwrap(), ROOT, 8), Ok(vec![1u64, 0, 0, 0, 0, 0, 0, 2]));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Registers {
+        width: u32,
+        cells: Vec<u64>,
+        flags: Vec<u8>,
+    }
+    json_struct!(Registers { width: Fixed(4), cells: Sparse(4), flags: Sparse(3) });
+
+    /// A struct with formed fields: the text is the tree, the token
+    /// reader accepts what the tree reader does, and each form refuses
+    /// what it must, with its path.
+    #[test]
+    fn formed_fields_stream_as_their_tree_and_read_back() {
+        let r = Registers { width: 4, cells: vec![0, 7, 0, 1 << 40], flags: vec![0, 0, 0] };
+        let good = r#"{"width":4,"cells":[[1,7],[3,1099511627776]],"flags":[]}"#;
+        streams_as(&r, good);
+        assert_eq!(read::<Registers>(good, ROOT), Ok(r));
+        for bad in damaged(good) {
+            reads_as_tree::<Registers>(&bad);
+        }
+        for (doc, want) in [
+            (r#"{"width":5,"cells":[],"flags":[]}"#, "$.width: 5 is not the 4 this build reads"),
+            (r#"{"width":4,"cells":[[4,1]],"flags":[]}"#, "$.cells[0]: index 4 is outside its 4 cells"),
+            (r#"{"width":4,"cells":[],"flags":[[2,256]]}"#, "$.flags[0]: overflows u8"),
+            (r#"{"width":4,"cells":[[0,1,2]],"flags":[]}"#, "$.cells[0]: not an [index, count] pair"),
+            (r#"{"width":4,"cells":[[0]],"flags":[]}"#, "$.cells[0]: not an [index, count] pair"),
+            (r#"{"width":4,"cells":[5],"flags":[]}"#, "$.cells[0]: not an [index, count] pair"),
+            (r#"{"width":4,"cells":{},"flags":[]}"#, "$.cells: not an array"),
+            (r#"{"width":4,"flags":[]}"#, "$.cells: missing"),
+        ] {
+            assert_eq!(read::<Registers>(doc, ROOT).unwrap_err(), want, "{doc}");
+            reads_as_tree::<Registers>(doc);
+        }
     }
 
     /// The streamed read held to the tree's: [`read`] gives the `Ok`
