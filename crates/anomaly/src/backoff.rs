@@ -12,6 +12,8 @@
 //!   run a pure function of its seed, like all fault decisions in this
 //!   workspace.
 
+use stat4_core::splitmix64;
+
 /// First-retry delay in nanoseconds (10 ms): comfortably more than one
 /// control-channel round trip.
 const BASE_NS: u64 = 10_000_000;
@@ -21,16 +23,6 @@ const MAX_SHIFT: u32 = 6;
 /// Jitter amplitude as a right-shift of the un-jittered delay: attempt
 /// `k` adds `uniform[0, delay >> JITTER_SHIFT]`, up to 25%.
 const JITTER_SHIFT: u32 = 2;
-
-/// SplitMix64 finalizer (the workspace-standard mixer), inlined so this
-/// crate keeps its dependency set unchanged.
-#[must_use]
-const fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Delay before re-send number `attempt` (0-based), jitter included;
 /// runs with equal `seed`s retry at equal times.

@@ -723,7 +723,7 @@ mod tests {
         };
         let (schedule, truth) = workload.generate();
         let app = CaseStudyApp::build(params).unwrap();
-        let handles = app.handles();
+        let handles = app.handles;
         let shadow = app.pipeline.clone();
 
         let mut sim = Simulation::new();
@@ -794,7 +794,7 @@ mod tests {
     fn static_gate_rejects_poisoned_rebind() {
         let params = CaseStudyParams::default();
         let app = CaseStudyApp::build(params).unwrap();
-        let handles = app.handles();
+        let handles = app.handles;
         let mut ctl = DrilldownController::new(
             handles,
             app.pipeline,
@@ -870,7 +870,7 @@ mod tests {
         };
         let (schedule, _) = workload.generate();
         let app = CaseStudyApp::build(params).unwrap();
-        let handles = app.handles();
+        let handles = app.handles;
         let mut sim = Simulation::new();
         let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(
             schedule,
@@ -924,7 +924,7 @@ mod tests {
         };
         let (schedule, truth) = workload.generate();
         let app = CaseStudyApp::build(params).unwrap();
-        let handles = app.handles();
+        let handles = app.handles;
 
         let mut sim = Simulation::new();
         sim.set_fault_schedule(
@@ -983,7 +983,7 @@ mod tests {
         // The "switch" swallows every request: no response ever comes.
         let switch = sim.add_node(Box::new(SinkHost::new(Arc::new(AtomicU64::new(0)))));
         let controller = sim.add_node(Box::new(DrilldownController::new(
-            app.handles(),
+            app.handles,
             app.pipeline,
             switch,
             DrilldownTopology {
@@ -1046,7 +1046,7 @@ mod tests {
             }
             .generate();
             let app = CaseStudyApp::build(params).unwrap();
-            let handles = app.handles();
+            let handles = app.handles;
             let mut sim = Simulation::new();
             sim.set_fault_schedule(
                 faultinject::FaultSchedule::parse("ctrl_loss=0.2,ctrl_delay_ns=200us", seed)

@@ -217,7 +217,7 @@ mod tests {
         };
         let (schedule, truth) = workload.generate();
         let app = CaseStudyApp::build(params).expect("builds");
-        let handles = app.handles();
+        let handles = app.handles;
 
         let mut sim = Simulation::new();
         let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(

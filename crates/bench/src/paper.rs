@@ -267,7 +267,7 @@ fn spike_bench(
     ctrl_delay: u64,
     controller: impl FnOnce(CaseStudyHandles, p4sim::Pipeline, NodeId) -> Box<dyn Node>,
 ) -> (Simulation, NodeId, NodeId) {
-    let handles = app.handles();
+    let handles = app.handles;
     let mut sim = Simulation::new();
     let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(
         schedule,

@@ -286,8 +286,8 @@ impl Primitive {
 
     /// Sequential steps this primitive costs on `target`: `Msb` is the
     /// paper's if-cascade and costs `msb_cost`, everything else one.
-    /// The interpreter charges it, the symbolic executor charges it,
-    /// and the resource analysis builds its chains from it.
+    /// The interpreter charges it, and the resource analysis builds its
+    /// chains and the builder's worst-case step bound from it.
     #[must_use]
     #[inline]
     pub fn cost(&self, target: &TargetModel) -> u64 {

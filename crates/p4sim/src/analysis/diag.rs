@@ -16,8 +16,9 @@
 //!   register touched twice on one packet path of a single-access
 //!   target, arithmetic that *provably* truncates or overflows.
 //! - [`Severity::Warning`] — the program runs but a worst-case bound is
-//!   violated (e.g. the worst-case path exceeds the target's step
-//!   budget). `--deny warnings` promotes these to failures.
+//!   violated (e.g. the worst-case path exceeds the step budget of a
+//!   target it is vetted against; on the target it was built for, that
+//!   is a build refusal). `--deny warnings` promotes these to failures.
 //! - [`Severity::Info`] — the analysis could not *prove* a bound
 //!   (action data installed by the controller at runtime, a possible
 //!   but not certain wrap). Recorded and countable, never fatal.
@@ -78,7 +79,9 @@ pub enum LintCode {
     /// register width (emitted as info with the primitive chain).
     WidthUnproven,
     /// `S4L007` — the steps the interpreter charges a packet on the
-    /// worst-case path exceed the target's per-packet step budget.
+    /// worst-case path exceed the per-packet step budget of the target
+    /// the program is vetted against (on its own target, `build`
+    /// refuses such a program).
     StepBudget,
     /// `S4L008` — a register index can (or provably does) fall outside
     /// the register's cell range.

@@ -378,16 +378,15 @@ fn boundary_values(max: u64) -> Vec<u64> {
     out
 }
 
-/// A tiny deterministic PRNG (splitmix64) — no external dependency.
+/// A tiny deterministic PRNG: a SplitMix64 stream over
+/// [`stat4_core::splitmix64`].
 struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = self.0;
+        self.0 = z.wrapping_add(stat4_core::SPLITMIX64_GAMMA);
+        stat4_core::splitmix64(z)
     }
 
     fn below(&mut self, max_inclusive: u64) -> u64 {
@@ -476,7 +475,6 @@ struct SymState {
     conds: Vec<PathCond>,
     digests: Vec<(u16, Vec<E>)>,
     tables_applied: Vec<(usize, bool)>,
-    steps: u64,
     recirculations: u32,
     recirc_requested: bool,
     pass_done: bool,
@@ -493,7 +491,6 @@ impl SymState {
             conds: Vec::new(),
             digests: Vec::new(),
             tables_applied: Vec::new(),
-            steps: 0,
             recirculations: 0,
             recirc_requested: false,
             pass_done: false,
@@ -650,10 +647,7 @@ impl<'a> Exec<'a> {
                 .into_iter()
                 .map(|mut s| {
                     if s.live() {
-                        match self.p.target().charge(&mut s.steps, 1) {
-                            Ok(()) => s.recirc_requested = true,
-                            Err(e) => s.err = Some(e),
-                        }
+                        s.recirc_requested = true;
                     }
                     s
                 })
@@ -670,11 +664,6 @@ impl<'a> Exec<'a> {
                 let mut out = Vec::new();
                 for mut s in states {
                     if !s.live() {
-                        out.push(s);
-                        continue;
-                    }
-                    if let Err(e) = self.p.target().charge(&mut s.steps, 1) {
-                        s.err = Some(e);
                         out.push(s);
                         continue;
                     }
@@ -762,10 +751,6 @@ impl<'a> Exec<'a> {
 
     fn apply_table(&mut self, mut s: SymState, tid: usize) -> Vec<SymState> {
         if !s.live() {
-            return vec![s];
-        }
-        if let Err(e) = self.p.target().charge(&mut s.steps, 1) {
-            s.err = Some(e);
             return vec![s];
         }
         let Some(table) = self.p.tables().get(tid) else {
@@ -885,10 +870,7 @@ impl<'a> Exec<'a> {
             return s;
         };
         for prim in &action.primitives {
-            let run = p.target().charge(&mut s.steps, prim.cost(p.target())).and_then(|()| {
-                exec_primitive(&mut Sym { ex: self, s: &mut s, aid, data }, prim)
-            });
-            if let Err(e) = run {
+            if let Err(e) = exec_primitive(&mut Sym { ex: self, s: &mut s, aid, data }, prim) {
                 s.err = Some(e);
                 return s;
             }
@@ -1114,8 +1096,9 @@ pub struct Observed {
 ///
 /// # Errors
 ///
-/// Propagates interpreter faults ([`P4Error::RegisterOutOfBounds`],
-/// [`P4Error::StepBudgetExhausted`], …).
+/// Propagates the faults [`Pipeline::process_phv`] can return
+/// ([`P4Error::RegisterOutOfBounds`], …); never a step budget, which
+/// `ProgramBuilder::build` settled.
 pub(crate) fn run_witness(p: &Pipeline, w: &Witness) -> Result<Observed, P4Error> {
     let mut q = apply_witness(p, w);
     let mut phv = phv_from_witness(w);

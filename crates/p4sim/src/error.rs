@@ -28,10 +28,13 @@ pub enum P4Error {
         /// Register array size.
         size: u64,
     },
-    /// The per-packet step budget was exhausted (would indicate a loop
-    /// or an unreasonably deep program).
-    StepBudgetExhausted {
-        /// The configured budget.
+    /// The program's most expensive path charges a packet more steps
+    /// than the target's per-packet budget, so `ProgramBuilder::build`
+    /// refuses it (no packet is ever cut off part way).
+    StepBudget {
+        /// Steps a packet is charged on the worst path.
+        worst: u64,
+        /// The target's budget.
         budget: u64,
     },
     /// A table entry's key shape does not match the table definition.
@@ -85,8 +88,8 @@ impl fmt::Display for P4Error {
                 f,
                 "register {register}: index {index} out of bounds (size {size})"
             ),
-            P4Error::StepBudgetExhausted { budget } => {
-                write!(f, "per-packet step budget {budget} exhausted")
+            P4Error::StepBudget { worst, budget } => {
+                write!(f, "the worst-case path charges {worst} steps, past the per-packet budget of {budget}")
             }
             P4Error::KeyShapeMismatch {
                 table,

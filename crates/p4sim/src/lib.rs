@@ -13,7 +13,8 @@
 //!   the paper does.
 //! - **No loops.** Control flow ([`control::Control`]) is a tree of
 //!   table applications and branches; every packet traverses it once,
-//!   and the interpreter additionally enforces a hard per-packet step
+//!   so its work is bounded before it runs, and the builder refuses a
+//!   program whose worst path overruns the target's per-packet step
 //!   budget.
 //! - **Runtime multiplication and variable-distance shifts are
 //!   target-gated** ([`target::TargetModel`]): the bmv2 preset allows

@@ -402,7 +402,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates interpreter errors ([`P4Error::RegisterOutOfBounds`],
-    /// [`P4Error::StepBudgetExhausted`], …).
+    /// [`P4Error::ActionDataOutOfBounds`], …).
     pub fn process_frame(
         &mut self,
         frame: &[u8],
@@ -418,12 +418,15 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates interpreter errors.
+    /// The faults a packet can cause: a register index read from a field
+    /// or action data out of bounds ([`P4Error::RegisterOutOfBounds`]), a
+    /// missing action-data slot ([`P4Error::ActionDataOutOfBounds`]) or
+    /// an unknown id. Never a step budget: `ProgramBuilder::build`
+    /// refuses a program whose worst path could overrun it.
     #[inline]
     pub fn process_phv(&mut self, phv: &mut Phv) -> P4Result<PacketOutcome> {
         let mut outcome = PacketOutcome::default();
         let mut exec = Exec {
-            target: &self.target,
             actions: &self.actions,
             tables: &self.tables,
             tape: &self.tape,
@@ -469,10 +472,8 @@ enum Step {
     Jump(usize),
     Exit,
     Recirculate,
-    /// Charges action `aid`'s whole cost. Were that to overrun the step
-    /// budget, the action runs primitive by primitive instead, to fail
-    /// exactly where charging each primitive fails.
-    Charge { cost: u64, aid: usize },
+    /// Charges an action's whole cost, once, before its primitives run.
+    Charge(u64),
     /// Ends an action body: back to the step after its `Table`.
     Ret,
     /// Primitive `prim` of action `aid`, of a shape run by `exec_primitive`.
@@ -569,7 +570,7 @@ impl<'a> Lowering<'a> {
         let primitives = &self.actions[aid].primitives;
         let cost = primitives.iter().map(|p| p.cost(self.target)).sum();
         if cost > 0 {
-            self.tape.push(Step::Charge { cost, aid });
+            self.tape.push(Step::Charge(cost));
         }
         for (prim, p) in primitives.iter().enumerate() {
             let step = self.primitive(p).unwrap_or(Step::Prim { aid, prim });
@@ -687,7 +688,6 @@ fn branch_step(cond: &Cond, else_pc: usize) -> Step {
 /// their action data are all used in place, never copied — and only the
 /// register file is `&mut`.
 struct Exec<'a> {
-    target: &'a TargetModel,
     actions: &'a [ActionDef],
     tables: &'a [Table],
     tape: &'a [Step],
@@ -699,14 +699,14 @@ impl<'a> Exec<'a> {
     /// Runs one pass of the tape.
     #[inline]
     fn run(&mut self, phv: &mut Phv, outcome: &mut PacketOutcome) -> P4Result<()> {
-        let (target, tables) = (self.target, self.tables);
+        let tables = self.tables;
         let mut steps = outcome.steps;
         let mut pc = 0;
         // Where `Ret` goes back to, and the running body's action and data.
         let (mut ret, mut act, mut data): (usize, usize, &'a [u64]) = (0, 0, &[]);
         macro_rules! branch {
             ($op:ident, $a:expr, $b:expr, $else_pc:expr) => {{
-                target.charge(&mut steps, 1)?;
+                steps += 1;
                 if !CmpOp::$op.eval($a, $b) {
                     pc = $else_pc;
                 }
@@ -717,7 +717,7 @@ impl<'a> Exec<'a> {
             pc += 1;
             match step {
                 Step::Table(tid) => {
-                    target.charge(&mut steps, 1)?;
+                    steps += 1;
                     let table = tables.get(tid).ok_or(P4Error::UnknownId { kind: "table", id: tid })?;
                     let hit = table.lookup(phv);
                     outcome.tables_applied.push((tid, hit.is_some()));
@@ -733,15 +733,10 @@ impl<'a> Exec<'a> {
                 Step::Jump(to) => pc = to,
                 Step::Exit => break,
                 Step::Recirculate => {
-                    target.charge(&mut steps, 1)?;
+                    steps += 1;
                     outcome.recirculate_requested = true;
                 }
-                Step::Charge { cost, aid } => {
-                    if steps + cost > target.step_budget {
-                        return Err(self.overrun(aid, data, steps, phv));
-                    }
-                    steps += cost;
-                }
+                Step::Charge(cost) => steps += cost,
                 Step::Ret => pc = ret,
                 Step::Prim { aid, prim } => {
                     let digests = &mut outcome.digests;
@@ -814,25 +809,6 @@ impl<'a> Exec<'a> {
         let reg = &mut self.registers[r];
         reg.write_cell(reg.cell(r, index)?, v);
         Ok(())
-    }
-
-    /// Runs action `aid` as a `Charge` that overruns the budget does:
-    /// primitive by primitive from `steps`, each charged before it runs.
-    /// That always fails — where the budget runs out, or at an earlier
-    /// fault — and the cells written before the failing primitive stay
-    /// written.
-    #[cold]
-    fn overrun(&mut self, aid: usize, data: &[u64], mut steps: u64, phv: &mut Phv) -> P4Error {
-        // The packet fails, so no digest it emits is delivered.
-        let digests = &mut Vec::new();
-        let mut d = Concrete { aid, data, phv, registers: self.registers, digests };
-        for p in &self.actions[aid].primitives {
-            let charged = self.target.charge(&mut steps, p.cost(self.target));
-            if let Err(e) = charged.and_then(|()| exec_primitive(&mut d, p)) {
-                return e;
-            }
-        }
-        P4Error::StepBudgetExhausted { budget: self.target.step_budget }
     }
 }
 
@@ -1244,11 +1220,10 @@ mod tests {
         assert_eq!(phv.get(M2_TEST), 0);
     }
 
-    /// An action is charged once, whole, yet fails where charging it
-    /// primitive by primitive would: at every budget below a packet's
-    /// exact charge the packet fails with `StepBudgetExhausted`, with the
-    /// cells of the writes charged within the budget written and no
-    /// other; at the exact charge it passes.
+    /// A packet's charge never passes the budget its program was built
+    /// for: below the worst path's 14 steps `build` refuses the program,
+    /// naming both figures, and at 14 the packet on that path runs whole,
+    /// charged exactly 14, with all four writes landed.
     #[test]
     fn budget_edge_of_the_once_per_action_charge() {
         let msb_cost = u64::from(TargetModel::bmv2().msb_cost);
@@ -1283,23 +1258,17 @@ mod tests {
                 },
                 Control::ApplyAction(tail),
             ]));
-            b.build(TargetModel { step_budget, ..TargetModel::bmv2() }).unwrap()
+            b.build(TargetModel { step_budget, ..TargetModel::bmv2() })
         };
-        // Branch 1 and table 1, then `act`'s primitives and `tail`'s: the
-        // steps charged by the time each write has run.
-        let exact = 7 + msb_cost;
-        let charged_by = [3, 4 + msb_cost, 6 + msb_cost, exact];
-        let values = [10, 6, 7, 1]; // msb(100) = 6
-        for budget in 0..=exact {
-            let mut p = build(budget);
-            let mut phv = phv_to(0, 100);
-            match p.process_phv(&mut phv) {
-                Ok(out) => assert_eq!((budget, out.steps), (exact, exact)),
-                Err(e) => assert!(budget < exact && e == P4Error::StepBudgetExhausted { budget }, "{e}"),
-            }
-            let want: Vec<u64> =
-                (0..4).map(|i| if budget >= charged_by[i] { values[i] } else { 0 }).collect();
-            assert_eq!(p.registers()[0].cells, want, "budget {budget}");
+        // Branch 1 and table 1, then `act`'s primitives and `tail`'s.
+        let worst = 7 + msb_cost;
+        assert_eq!(worst, 14);
+        for budget in 0..worst {
+            assert_eq!(build(budget).unwrap_err(), P4Error::StepBudget { worst, budget });
         }
+        let mut p = build(worst).unwrap();
+        let out = p.process_phv(&mut phv_to(0, 100)).unwrap();
+        assert_eq!(out.steps, worst);
+        assert_eq!(p.registers()[0].cells, [10, 6, 7, 1], "msb(100) = 6");
     }
 }

@@ -88,7 +88,9 @@ impl ProgramBuilder {
     /// - [`P4Error::Invalid`] for structural problems (repeated table on
     ///   a path, default action data arity, action data read by a
     ///   direct action or a branch condition, an LPM key wider than 64
-    ///   bits).
+    ///   bits);
+    /// - [`P4Error::StepBudget`] when the most expensive path charges a
+    ///   packet more steps than `target.step_budget`.
     pub fn build(self, target: TargetModel) -> P4Result<Pipeline> {
         // --- reference checks ---------------------------------------
         for a in &self.actions {
@@ -192,13 +194,24 @@ impl ProgramBuilder {
             }
         }
 
-        Ok(Pipeline::from_parts(
+        let p = Pipeline::from_parts(
             target,
             self.registers,
             self.actions,
             self.tables.into_iter().map(Table::new).collect(),
             self.control,
-        ))
+        );
+        // P4 has no loops, so a packet's work is bounded before it runs:
+        // a program that could overrun the budget is refused here, and
+        // no packet path ever checks it.
+        let worst = crate::resources::worst_packet_steps(&p, &target);
+        if worst > target.step_budget {
+            return Err(P4Error::StepBudget {
+                worst,
+                budget: target.step_budget,
+            });
+        }
+        Ok(p)
     }
 }
 

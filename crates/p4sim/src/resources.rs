@@ -212,7 +212,8 @@ pub(crate) fn worst_path_steps(p: &Pipeline, target: &TargetModel) -> u64 {
 /// every primitive at its [`Primitive::cost`](crate::action::Primitive::cost),
 /// one per table apply, branch and recirculation, and every pass again
 /// when the program recirculates. This sum, not the dependency chain,
-/// is what a target's `step_budget` bounds.
+/// is what a target's `step_budget` bounds: `ProgramBuilder::build`
+/// refuses a program past it, so no packet can be charged more.
 pub(crate) fn worst_packet_steps(p: &Pipeline, target: &TargetModel) -> u64 {
     let pass = worst_path(p, p.control(), 1, &|a| {
         a.primitives.iter().map(|q| q.cost(target)).sum()
@@ -572,5 +573,136 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("memory"));
         assert!(s.contains("fits target"));
+    }
+
+    /// Programs that together meet every term of `worst_path`: a table
+    /// whose actions differ in cost, with a cheaper default action; an
+    /// `If` with an `else` nested in a then-branch; an `Exit` inside a
+    /// branch; an `Msb`; a recirculation; and a straight line, which
+    /// every packet runs whole.
+    fn bound_programs(target: TargetModel) -> [(&'static str, Pipeline); 3] {
+        use crate::runtime::RuntimeRequest;
+        use crate::table::{Entry, MatchValue};
+        let set = |i| Primitive::Set { dst: fields::scratch(i), src: Operand::Const(1) };
+        let msb = || Primitive::Msb { dst: fields::M0, src: Operand::Field(fields::PKT_LEN) };
+        let cmp = |f, op, c| Cond::new(Operand::Field(f), op, Operand::Const(c));
+
+        let mut b = ProgramBuilder::new();
+        let cheap = b.add_action(ActionDef::new("cheap", vec![set(1)]));
+        let dear = b.add_action(ActionDef::new("dear", vec![msb(), set(2), set(3)]));
+        let miss = b.add_action(ActionDef::new("miss", vec![set(4), set(5)]));
+        let wide = b.add_action(ActionDef::new("wide", vec![msb(), set(6)]));
+        let tail = b.add_action(ActionDef::new("tail", vec![set(7)]));
+        let t = b.add_table(TableDef {
+            name: "t".into(),
+            keys: vec![(fields::PAYLOAD_VALUE, MatchKind::Exact)],
+            max_entries: 4,
+            allowed_actions: vec![cheap, dear],
+            default_action: Some((miss, vec![])),
+        });
+        b.set_control(Control::Seq(vec![
+            Control::If {
+                cond: cmp(fields::PKT_LEN, CmpOp::Ge, 64),
+                then_branch: Box::new(Control::Seq(vec![
+                    Control::ApplyTable(t),
+                    Control::If {
+                        cond: cmp(fields::INGRESS_PORT, CmpOp::Eq, 1),
+                        then_branch: Box::new(Control::ApplyAction(wide)),
+                        else_branch: Some(Box::new(Control::ApplyAction(cheap))),
+                    },
+                ])),
+                else_branch: Some(Box::new(Control::Seq(vec![
+                    Control::If {
+                        cond: cmp(fields::INGRESS_PORT, CmpOp::Eq, 0),
+                        then_branch: Box::new(Control::Exit),
+                        else_branch: None,
+                    },
+                    Control::ApplyAction(dear),
+                ]))),
+            },
+            Control::ApplyAction(tail),
+        ]));
+        let mut branchy = b.build(target).unwrap();
+        for (key, action) in [(1, cheap), (2, dear), (3, dear)] {
+            let entry = Entry { key: vec![MatchValue::Exact(key)], priority: 0, action, action_data: vec![] };
+            assert!(branchy.runtime(&RuntimeRequest::InsertEntry { table: t, entry }).is_ok());
+        }
+
+        // Passes until a counter reaches the packet's timestamp, or the
+        // target's recirculation limit does.
+        let mut b = ProgramBuilder::new();
+        let depth = fields::scratch(0);
+        let bump = b.add_action(ActionDef::new(
+            "bump",
+            vec![Primitive::Add { dst: depth, a: Operand::Field(depth), b: Operand::Const(1) }],
+        ));
+        b.set_control(Control::Seq(vec![
+            Control::ApplyAction(bump),
+            Control::If {
+                cond: Cond::new(Operand::Field(depth), CmpOp::Lt, Operand::Field(fields::TIMESTAMP_NS)),
+                then_branch: Box::new(Control::Recirculate),
+                else_branch: None,
+            },
+        ]));
+        let recirculating = b.build(target).unwrap();
+
+        let mut b = ProgramBuilder::new();
+        let only = b.add_action(ActionDef::new("only", vec![set(1), msb()]));
+        let s = b.add_table(TableDef {
+            name: "s".into(),
+            keys: vec![(fields::PAYLOAD_VALUE, MatchKind::Exact)],
+            max_entries: 1,
+            allowed_actions: vec![only],
+            default_action: Some((only, vec![])),
+        });
+        let last = b.add_action(ActionDef::new("last", vec![msb(), set(2)]));
+        b.set_control(Control::Seq(vec![Control::ApplyTable(s), Control::ApplyAction(last)]));
+        let straight = b.build(target).unwrap();
+
+        [("branchy", branchy), ("recirculating", recirculating), ("straight", straight)]
+    }
+
+    /// A packet as `(PKT_LEN, INGRESS_PORT, PAYLOAD_VALUE, TIMESTAMP_NS)`.
+    fn packet_phv((len, port, key, depth): (u64, u64, u64, u64)) -> Phv {
+        let mut phv = Phv::new();
+        phv.set(fields::PKT_LEN, len);
+        phv.set(fields::INGRESS_PORT, port);
+        phv.set(fields::PAYLOAD_VALUE, key);
+        phv.set(fields::TIMESTAMP_NS, depth);
+        phv
+    }
+
+    /// The packet that takes every program's most expensive path: long,
+    /// on port 1, hitting `dear`, and deeper than any recirculation limit.
+    const WORST_PACKET: (u64, u64, u64, u64) = (100, 1, 2, 23);
+
+    use crate::phv::Phv;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `worst_packet_steps` is what `build` holds a program to, so it
+        /// must bound every packet's charge on both targets; a straight
+        /// line, and the worst path of the others, reach it exactly.
+        #[test]
+        fn packet_steps_never_pass_the_worst_path_bound(
+            packets in proptest::collection::vec((0u64..128, 0u64..3, 0u64..5, 0u64..24), 1..48),
+        ) {
+            for target in [TargetModel::bmv2(), TargetModel::tofino_like()] {
+                for (name, mut p) in bound_programs(target) {
+                    let bound = worst_packet_steps(&p, &target);
+                    for &packet in &packets {
+                        let steps = p.process_phv(&mut packet_phv(packet)).unwrap().steps;
+                        prop_assert!(steps <= bound, "{} on {}: {:?} ran {} > {}", name, target.name, packet, steps, bound);
+                        if name == "straight" {
+                            prop_assert_eq!(steps, bound);
+                        }
+                    }
+                    let worst = p.process_phv(&mut packet_phv(WORST_PACKET)).unwrap().steps;
+                    prop_assert_eq!(worst, bound, "{} on {}", name, target.name);
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,6 @@
 //! forces the same design decisions the paper describes.
 
 use crate::action::{Operand, Primitive};
-use crate::error::{P4Error, P4Result};
 
 /// Capabilities and costs of a deployment target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,8 @@ pub struct TargetModel {
     /// Pipeline stages available (the paper cites >10 for commercial
     /// targets).
     pub max_stages: u32,
-    /// Hard per-packet interpreter step budget (loop backstop).
+    /// Per-packet step budget: `ProgramBuilder::build` refuses a program
+    /// whose most expensive path charges a packet more steps.
     pub step_budget: u64,
     /// Maximum times one packet may re-enter the pipeline
     /// (`Control::Recirculate`). Each pass costs a full pipeline
@@ -130,19 +130,6 @@ impl TargetRule {
 }
 
 impl TargetModel {
-    /// Adds `cost` to a packet's step count, failing once the count
-    /// passes `step_budget`. The interpreter and the symbolic executor
-    /// both charge through here.
-    pub(crate) fn charge(&self, steps: &mut u64, cost: u64) -> P4Result<()> {
-        *steps += cost;
-        if *steps > self.step_budget {
-            return Err(P4Error::StepBudgetExhausted {
-                budget: self.step_budget,
-            });
-        }
-        Ok(())
-    }
-
     /// The rule `p` breaks on this target, if any.
     pub(crate) fn forbids(&self, p: &Primitive) -> Option<TargetRule> {
         let runtime = |o: &Operand| !matches!(o, Operand::Const(_));

@@ -192,8 +192,9 @@ fn provable_truncation_is_s4l005_everywhere() {
     );
 }
 
-/// Exceeding the step budget is a warning: the program still runs, the
-/// worst-case bound is just violated. `--deny warnings` promotes it.
+/// Exceeding the step budget of a target the program is vetted against
+/// is a warning: the worst-case bound is violated there. `--deny
+/// warnings` promotes it.
 #[test]
 fn step_budget_is_s4l007_warning() {
     let mut b = ProgramBuilder::new();
@@ -228,32 +229,36 @@ fn step_budget_is_s4l007_warning() {
 
 /// The step budget bounds the steps the interpreter charges, not the
 /// dependency chain. Twenty independent `Set`s form a chain one step
-/// long but cost twenty steps, and a budget of ten refuses every packet:
-/// `S4L007` must say so, while the chain stays the resource figure.
+/// long but cost twenty steps: vetted against a budget of ten, `S4L007`
+/// must say so, while the chain stays the resource figure; built for
+/// that target, the program is refused.
 #[test]
 fn independent_steps_past_the_budget_are_s4l007() {
-    let mut b = ProgramBuilder::new();
-    let sets = (0..20u16)
-        .map(|i| Primitive::Set {
-            dst: fields::scratch(i),
-            src: Operand::Const(1),
-        })
-        .collect();
-    let a = b.add_action(ActionDef::new("fill", sets));
-    b.set_control(Control::ApplyAction(a));
+    let program = || {
+        let mut b = ProgramBuilder::new();
+        let sets = (0..20u16)
+            .map(|i| Primitive::Set {
+                dst: fields::scratch(i),
+                src: Operand::Const(1),
+            })
+            .collect();
+        let a = b.add_action(ActionDef::new("fill", sets));
+        b.set_control(Control::ApplyAction(a));
+        b
+    };
     let target = TargetModel {
         step_budget: 10,
         ..TargetModel::bmv2()
     };
-    let mut p = b.build(target).unwrap();
+    let p = program().build(TargetModel::bmv2()).unwrap();
 
-    let err = p.process_phv(&mut Phv::new()).expect_err("20 steps exceed a budget of 10");
-    assert!(matches!(err, p4sim::P4Error::StepBudgetExhausted { budget: 10 }));
-
-    let report = verify(&p);
+    let report = verify_against(&p, &target);
     assert_eq!(report.worst_chain_steps, 1, "the chain is unchanged");
     assert!(has(&report, LintCode::StepBudget, Severity::Warning), "{report}");
     assert!(!report.passes(true));
+
+    let err = program().build(target).expect_err("20 steps exceed a budget of 10");
+    assert_eq!(err, p4sim::P4Error::StepBudget { worst: 20, budget: 10 });
 }
 
 /// An index that provably misses the register is an error; the hash

@@ -73,16 +73,6 @@ impl PartialEq for HyperLogLog {
 
 impl Eq for HyperLogLog {}
 
-/// SplitMix64 finalizer: a full-avalanche 64-bit mix so that raw keys
-/// (IPv4 addresses, flow hashes) spread uniformly over registers.
-#[must_use]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// ln(2) in Q16.
 const LN2_Q16: u64 = 45_426;
 
@@ -204,7 +194,7 @@ impl HyperLogLog {
     // back out of line as soon as that crate had a second caller.
     #[inline(always)]
     pub fn observe(&mut self, key: u64) {
-        let h = mix64(key);
+        let h = crate::splitmix64(key);
         let idx = (h >> (64 - self.precision)) as usize;
         // Rank of the remaining 64−p bits: leading zeros + 1, with the
         // all-zero suffix pinned to its maximum rank.

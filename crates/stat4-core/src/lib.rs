@@ -90,6 +90,23 @@ pub use sketch::CountMinSketch;
 pub use square::approx_square;
 pub use window::WindowedDist;
 
+/// The SplitMix64 increment, the odd 64-bit golden ratio: a SplitMix64
+/// stream adds it to its state before every draw.
+pub const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 finalizer: a full-avalanche 64-bit mix of `z` plus
+/// [`SPLITMIX64_GAMMA`]. The HLL spreads raw keys over its registers
+/// with it, the drill-down backoff draws its jitter from it, and the
+/// symbolic verifier's witness corpus is a SplitMix64 stream.
+#[must_use]
+#[inline]
+pub const fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Deterministic RNG for this crate's tests (kept here so test modules
 /// don't each redeclare the seeding dance).
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! app's drill-down table; the `anomaly` crate's controller sends them
 //! over the (latency-modelled) control channel.
 
-use crate::casestudy::{CaseStudyApp, CaseStudyHandles};
+use crate::casestudy::CaseStudyHandles;
 use p4sim::table::{Entry, MatchValue};
 use p4sim::RuntimeRequest;
 use std::net::Ipv4Addr;
@@ -43,18 +43,6 @@ pub fn bind_prefix_h(
     }
 }
 
-/// [`bind_prefix_h`] for a still-local app.
-#[must_use]
-pub(crate) fn bind_prefix(
-    app: &CaseStudyApp,
-    prefix: Ipv4Addr,
-    len: u8,
-    slot: usize,
-    group: u64,
-) -> RuntimeRequest {
-    bind_prefix_h(&app.handles(), prefix, len, slot, group)
-}
-
 /// Builds the requests that wipe the drill-down distribution's state so
 /// a re-bound table starts from a clean slate (the controller sends
 /// these together with the new bindings).
@@ -88,39 +76,39 @@ pub fn clear_bindings_h(h: &CaseStudyHandles) -> RuntimeRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::casestudy::CaseStudyParams;
+    use crate::casestudy::{CaseStudyApp, CaseStudyParams};
 
     #[test]
     fn bind_adds_an_entry() {
         let mut app = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
         let p = Ipv4Addr::new(10, 0, 5, 0);
-        let req = bind_prefix(&app, p, 24, 0, 5);
+        let req = bind_prefix_h(&app.handles, p, 24, 0, 5);
         assert!(app.pipeline.runtime(&req).is_ok());
-        assert_eq!(app.pipeline.tables()[app.drill_table].entries().len(), 1);
+        assert_eq!(app.pipeline.tables()[app.handles.drill_table].entries().len(), 1);
     }
 
     #[test]
     fn reset_distribution_zeroes_registers() {
         let mut app = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
         app.pipeline.runtime(&RuntimeRequest::WriteRegister {
-            register: app.counters_reg,
+            register: app.handles.counters_reg,
             index: 7,
             value: 9,
         });
-        for req in reset_distribution_h(&app.handles()) {
+        for req in reset_distribution_h(&app.handles) {
             assert!(app.pipeline.runtime(&req).is_ok());
         }
-        assert_eq!(app.pipeline.registers()[app.counters_reg].cells[7], 0);
+        assert_eq!(app.pipeline.registers()[app.handles.counters_reg].cells[7], 0);
     }
 
     #[test]
     fn clear_bindings_empties_table() {
         let mut app = CaseStudyApp::build(CaseStudyParams::default()).unwrap();
         for g in 0..3 {
-            let req = bind_prefix(&app, Ipv4Addr::new(10, 0, g, 0), 24, 0, u64::from(g));
+            let req = bind_prefix_h(&app.handles, Ipv4Addr::new(10, 0, g, 0), 24, 0, u64::from(g));
             app.pipeline.runtime(&req);
         }
-        app.pipeline.runtime(&clear_bindings_h(&app.handles()));
-        assert!(app.pipeline.tables()[app.drill_table].entries().is_empty());
+        app.pipeline.runtime(&clear_bindings_h(&app.handles));
+        assert!(app.pipeline.tables()[app.handles.drill_table].entries().is_empty());
     }
 }

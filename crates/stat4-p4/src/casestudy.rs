@@ -24,7 +24,7 @@
 //! (`2^interval_log2` ns) so "divide by interval" is a shift.
 
 use crate::config::Stat4Config;
-use crate::fragments::{freq_update_primitives, isqrt_fragment, variance_nx_primitives};
+use crate::fragments::{freq_update_primitives, variance_sd_fragment};
 use crate::scratch;
 use p4sim::action::{ActionDef, Operand, Primitive};
 use p4sim::control::{CmpOp, Cond, Control};
@@ -128,6 +128,40 @@ mod rate_state {
     pub(crate) const SIZE: usize = 6;
 }
 
+/// The outlier bound both checks compare against, into `MUL_B`:
+/// `k·σ + Xsum + max(Xsum >> margin_shift, min_margin)`, the relative
+/// margin with a floor. Reads `SD` and `XSUM`; clobbers `SQRT_T`.
+fn outlier_bound_primitives(params: &CaseStudyParams) -> Vec<Primitive> {
+    use scratch::{MUL_B, SD, SQRT_T, XSUM};
+    vec![
+        Primitive::Mul {
+            dst: MUL_B,
+            a: Operand::Field(SD),
+            b: Operand::Const(params.k_sigma),
+        },
+        Primitive::Add {
+            dst: MUL_B,
+            a: Operand::Field(MUL_B),
+            b: Operand::Field(XSUM),
+        },
+        Primitive::Shr {
+            dst: SQRT_T,
+            src: Operand::Field(XSUM),
+            amount: Operand::Const(u64::from(params.margin_shift)),
+        },
+        Primitive::Max {
+            dst: SQRT_T,
+            a: Operand::Field(SQRT_T),
+            b: Operand::Const(params.min_margin),
+        },
+        Primitive::Add {
+            dst: MUL_B,
+            a: Operand::Field(MUL_B),
+            b: Operand::Field(SQRT_T),
+        },
+    ]
+}
+
 /// Copyable identifiers of the case-study program's tables and
 /// registers — what a controller needs to drive the app after the
 /// pipeline itself has been moved into a switch node.
@@ -166,30 +200,9 @@ pub struct CaseStudyHandles {
 pub struct CaseStudyApp {
     /// The runnable pipeline.
     pub pipeline: Pipeline,
-    /// Parameters it was built with.
-    pub params: CaseStudyParams,
-    /// Rate binding table id.
-    pub rate_table: usize,
-    /// Drill-down binding table id (the controller edits this).
-    pub drill_table: usize,
-    /// Action id binding entries must use.
-    pub track_group_action: usize,
-    /// Window register id.
-    pub win_reg: usize,
-    /// Rate bookkeeping register id (see the `rate_state` indices).
-    pub rate_state_reg: usize,
-    /// Group-frequency counters register id.
-    pub counters_reg: usize,
-    /// Per-slot `N` register id for the group distribution.
-    pub n_reg: usize,
-    /// Per-slot `Xsum` register id.
-    pub xsum_reg: usize,
-    /// Per-slot `Xsumsq` register id.
-    pub xsumsq_reg: usize,
-    /// Imbalance alert-suppression register id.
-    pub suppress_reg: usize,
-    /// Binding-generation register id.
-    pub generation_reg: usize,
+    /// Its tables' and registers' ids, and the parameters it was built
+    /// with (they survive moving `pipeline` into a switch node).
+    pub handles: CaseStudyHandles,
 }
 
 impl CaseStudyApp {
@@ -342,49 +355,15 @@ impl CaseStudyApp {
         ));
 
         // σ over the *stored* distribution (before the new value joins).
-        let var_sd_rate = {
-            let var = b.add_action(ActionDef::new("rate_variance", variance_nx_primitives()));
-            let sqrt = isqrt_fragment(&mut b, scratch::VAR, scratch::SD);
-            Control::Seq(vec![Control::ApplyAction(var), sqrt])
-        };
+        let var_sd_rate = variance_sd_fragment(&mut b, "rate_variance");
 
-        let spike_prep = b.add_action(ActionDef::new(
-            "spike_prep",
-            vec![
-                Primitive::Mul {
-                    dst: MUL_A,
-                    a: Operand::Field(N),
-                    b: Operand::Field(CNT),
-                },
-                Primitive::Mul {
-                    dst: MUL_B,
-                    a: Operand::Field(scratch::SD),
-                    b: Operand::Const(params.k_sigma),
-                },
-                Primitive::Add {
-                    dst: MUL_B,
-                    a: Operand::Field(MUL_B),
-                    b: Operand::Field(XSUM),
-                },
-                // Relative margin with a floor:
-                // + max(Xsum >> margin_shift, min_margin).
-                Primitive::Shr {
-                    dst: scratch::SQRT_T,
-                    src: Operand::Field(XSUM),
-                    amount: Operand::Const(u64::from(params.margin_shift)),
-                },
-                Primitive::Max {
-                    dst: scratch::SQRT_T,
-                    a: Operand::Field(scratch::SQRT_T),
-                    b: Operand::Const(params.min_margin),
-                },
-                Primitive::Add {
-                    dst: MUL_B,
-                    a: Operand::Field(MUL_B),
-                    b: Operand::Field(scratch::SQRT_T),
-                },
-            ],
-        ));
+        let mut spike_prims = vec![Primitive::Mul {
+            dst: MUL_A,
+            a: Operand::Field(N),
+            b: Operand::Field(CNT),
+        }];
+        spike_prims.extend(outlier_bound_primitives(&params));
+        let spike_prep = b.add_action(ActionDef::new("spike_prep", spike_prims));
 
         let spike_digest = b.add_action(ActionDef::new(
             "spike_digest",
@@ -572,65 +551,35 @@ impl CaseStudyApp {
         });
 
         // ---- 4. imbalance check after a drill hit ---------------------
-        let var_sd_groups = {
-            let var = b.add_action(ActionDef::new("group_variance", variance_nx_primitives()));
-            let sqrt = isqrt_fragment(&mut b, scratch::VAR, scratch::SD);
-            Control::Seq(vec![Control::ApplyAction(var), sqrt])
-        };
+        let var_sd_groups = variance_sd_fragment(&mut b, "group_variance");
 
-        let imb_prep = b.add_action(ActionDef::new(
-            "imbalance_prep",
-            vec![
-                // f_new = f_old + 1
-                Primitive::Add {
-                    dst: TMP,
-                    a: Operand::Field(F_OLD),
-                    b: Operand::Const(1),
-                },
-                Primitive::Mul {
-                    dst: MUL_A,
-                    a: Operand::Field(N),
-                    b: Operand::Field(TMP),
-                },
-                Primitive::Mul {
-                    dst: MUL_B,
-                    a: Operand::Field(scratch::SD),
-                    b: Operand::Const(params.k_sigma),
-                },
-                Primitive::Add {
-                    dst: MUL_B,
-                    a: Operand::Field(MUL_B),
-                    b: Operand::Field(XSUM),
-                },
-                // Relative margin with a floor:
-                // + max(Xsum >> margin_shift, min_margin).
-                Primitive::Shr {
-                    dst: scratch::SQRT_T,
-                    src: Operand::Field(XSUM),
-                    amount: Operand::Const(u64::from(params.margin_shift)),
-                },
-                Primitive::Max {
-                    dst: scratch::SQRT_T,
-                    a: Operand::Field(scratch::SQRT_T),
-                    b: Operand::Const(params.min_margin),
-                },
-                Primitive::Add {
-                    dst: MUL_B,
-                    a: Operand::Field(MUL_B),
-                    b: Operand::Field(scratch::SQRT_T),
-                },
-                Primitive::RegRead {
-                    dst: SUPPRESS,
-                    register: suppress_reg,
-                    index: Operand::Const(0),
-                },
-                Primitive::RegRead {
-                    dst: scratch::SQRT_M,
-                    register: generation_reg,
-                    index: Operand::Const(0),
-                },
-            ],
-        ));
+        let mut imb_prims = vec![
+            // f_new = f_old + 1
+            Primitive::Add {
+                dst: TMP,
+                a: Operand::Field(F_OLD),
+                b: Operand::Const(1),
+            },
+            Primitive::Mul {
+                dst: MUL_A,
+                a: Operand::Field(N),
+                b: Operand::Field(TMP),
+            },
+        ];
+        imb_prims.extend(outlier_bound_primitives(&params));
+        imb_prims.extend([
+            Primitive::RegRead {
+                dst: SUPPRESS,
+                register: suppress_reg,
+                index: Operand::Const(0),
+            },
+            Primitive::RegRead {
+                dst: scratch::SQRT_M,
+                register: generation_reg,
+                index: Operand::Const(0),
+            },
+        ]);
+        let imb_prep = b.add_action(ActionDef::new("imbalance_prep", imb_prims));
 
         let imb_digest = b.add_action(ActionDef::new(
             "imbalance_digest",
@@ -734,8 +683,7 @@ impl CaseStudyApp {
         if let p4sim::RuntimeResponse::Error(e) = resp {
             return Err(p4sim::P4Error::Invalid { what: e });
         }
-        Ok(Self {
-            pipeline,
+        let handles = CaseStudyHandles {
             params,
             rate_table,
             drill_table,
@@ -748,27 +696,8 @@ impl CaseStudyApp {
             xsumsq_reg,
             suppress_reg,
             generation_reg,
-        })
-    }
-
-    /// Extracts the copyable handles (ids survive moving `pipeline`
-    /// into a switch node).
-    #[must_use]
-    pub fn handles(&self) -> CaseStudyHandles {
-        CaseStudyHandles {
-            params: self.params,
-            rate_table: self.rate_table,
-            drill_table: self.drill_table,
-            track_group_action: self.track_group_action,
-            win_reg: self.win_reg,
-            rate_state_reg: self.rate_state_reg,
-            counters_reg: self.counters_reg,
-            n_reg: self.n_reg,
-            xsum_reg: self.xsum_reg,
-            xsumsq_reg: self.xsumsq_reg,
-            suppress_reg: self.suppress_reg,
-            generation_reg: self.generation_reg,
-        }
+        };
+        Ok(Self { pipeline, handles })
     }
 }
 
@@ -804,7 +733,7 @@ mod tests {
         n: u64,
         rate: u64,
     ) -> Vec<p4sim::pipeline::DigestRecord> {
-        let ivl_len = 1u64 << app.params.interval_log2;
+        let ivl_len = 1u64 << app.handles.params.interval_log2;
         let mut alerts = Vec::new();
         for i in 0..n {
             for p in 0..rate {
@@ -832,7 +761,7 @@ mod tests {
         let mut app = CaseStudyApp::build(params_small()).unwrap();
         // Warm-up: 20 intervals at ~20 pkts. Use slightly varying rates
         // so sigma is non-zero.
-        let ivl_len = 1u64 << app.params.interval_log2;
+        let ivl_len = 1u64 << app.handles.params.interval_log2;
         for i in 0..20u64 {
             let rate = 20 + (i % 3); // 20, 21, 22
             for p in 0..rate {
@@ -865,8 +794,7 @@ mod tests {
         // Bind six /24s to groups 0..6, as the controller would after a
         // spike alert.
         for g in 0..6u32 {
-            let req = binding::bind_prefix(
-                &app,
+            let req = binding::bind_prefix_h(&app.handles,
                 Ipv4Addr::new(10, 0, g as u8, 0),
                 24,
                 0,
@@ -875,7 +803,7 @@ mod tests {
             assert!(app.pipeline.runtime(&req).is_ok());
         }
         // Balanced traffic across the six /24s: no imbalance alert.
-        let ivl_len = 1u64 << app.params.interval_log2;
+        let ivl_len = 1u64 << app.handles.params.interval_log2;
         let mut ts = ivl_len;
         let mut imbalance = Vec::new();
         for round in 0..40u32 {
@@ -906,8 +834,7 @@ mod tests {
         // at least 6 groups to be able to fire at all; we use 8.
         let mut app = CaseStudyApp::build(params_small()).unwrap();
         for g in 0..8u32 {
-            let req = binding::bind_prefix(
-                &app,
+            let req = binding::bind_prefix_h(&app.handles,
                 Ipv4Addr::new(10, 0, g as u8, 0),
                 24,
                 0,
@@ -915,7 +842,7 @@ mod tests {
             );
             app.pipeline.runtime(&req);
         }
-        let ivl_len = 1u64 << app.params.interval_log2;
+        let ivl_len = 1u64 << app.handles.params.interval_log2;
         // Balanced background then a flood, all inside ONE interval.
         let mut ts = ivl_len;
         for round in 0..30u32 {
@@ -948,8 +875,7 @@ mod tests {
             })
             .unwrap();
             for g in 0..8u32 {
-                let req = crate::binding::bind_prefix(
-                    &app,
+                let req = crate::binding::bind_prefix_h(&app.handles,
                     std::net::Ipv4Addr::new(10, 0, g as u8, 0),
                     24,
                     0,
@@ -958,7 +884,7 @@ mod tests {
                 app.pipeline.runtime(&req);
             }
             // Balanced background, then a flood at group 2.
-            let mut ts = 1u64 << app.params.interval_log2;
+            let mut ts = 1u64 << app.handles.params.interval_log2;
             for round in 0..30u32 {
                 for g in 0..8u32 {
                     packet(&mut app, ts + u64::from(round * 8 + g), 0x0a00_0001 | (g << 8));
@@ -1000,7 +926,7 @@ mod tests {
     fn window_stats_match_core_windowed_dist() {
         use stat4_core::window::WindowedDist;
         let mut app = CaseStudyApp::build(params_small()).unwrap();
-        let ivl_len = 1u64 << app.params.interval_log2;
+        let ivl_len = 1u64 << app.handles.params.interval_log2;
         let mut oracle = WindowedDist::new(16).unwrap();
         // 25 intervals with deterministic varying rates (wraps the ring).
         let rates: Vec<u64> = (0..25).map(|i| 10 + (i * 7) % 13).collect();
@@ -1019,15 +945,15 @@ mod tests {
         }
         let regs = app.pipeline.registers();
         assert_eq!(
-            regs[app.rate_state_reg].cells[rate_state::N as usize],
+            regs[app.handles.rate_state_reg].cells[rate_state::N as usize],
             oracle.stats().n()
         );
         assert_eq!(
-            regs[app.rate_state_reg].cells[rate_state::XSUM as usize] as i64,
+            regs[app.handles.rate_state_reg].cells[rate_state::XSUM as usize] as i64,
             oracle.stats().xsum()
         );
         assert_eq!(
-            regs[app.rate_state_reg].cells[rate_state::XSUMSQ as usize] as i64,
+            regs[app.handles.rate_state_reg].cells[rate_state::XSUMSQ as usize] as i64,
             oracle.stats().xsumsq()
         );
     }

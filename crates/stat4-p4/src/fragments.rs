@@ -582,10 +582,11 @@ pub(crate) fn ewma_fragment(
 }
 
 /// Control fragment: computes `VAR` (exact) and `SD` from the scratch
-/// moments — the lazy σ evaluation point.
-pub(crate) fn variance_sd_fragment(b: &mut ProgramBuilder) -> Control {
+/// moments — the lazy σ evaluation point. The variance action is named
+/// `name`.
+pub(crate) fn variance_sd_fragment(b: &mut ProgramBuilder, name: &str) -> Control {
     use scratch::{SD, VAR};
-    let var_action = b.add_action(ActionDef::new("variance_nx", variance_nx_primitives()));
+    let var_action = b.add_action(ActionDef::new(name, variance_nx_primitives()));
     let sqrt = isqrt_fragment(b, VAR, SD);
     Control::Seq(vec![Control::ApplyAction(var_action), sqrt])
 }
@@ -811,7 +812,7 @@ mod tests {
             allowed_actions: vec![upd],
             default_action: Some((upd, vec![0, 0])),
         });
-        let var_sd = variance_sd_fragment(&mut b);
+        let var_sd = variance_sd_fragment(&mut b, "variance_nx");
         b.set_control(Control::Seq(vec![Control::ApplyTable(t), var_sd]));
         let mut p = b.build(TargetModel::bmv2()).unwrap();
 

@@ -91,7 +91,9 @@ pub fn builtin_pipelines() -> Vec<(&'static str, Pipeline)> {
     });
     out.push(("fragment: approx-square (bmv2)", square));
 
-    let var_sd = fragment_pipeline(TargetModel::bmv2(), fragments::variance_sd_fragment);
+    let var_sd = fragment_pipeline(TargetModel::bmv2(), |b| {
+        fragments::variance_sd_fragment(b, "variance_nx")
+    });
     out.push(("fragment: variance+sd (bmv2)", var_sd));
 
     let ewma = fragment_pipeline(TargetModel::bmv2(), |b| {
@@ -327,7 +329,7 @@ pub fn merge_suite() -> Vec<MergeEntry> {
     // registers are actually written on some path (the table ships
     // empty; an unexercised register would pass vacuously).
     let mut case = CaseStudyApp::build(CaseStudyParams::default()).expect("case study builds");
-    let bind = crate::binding::bind_prefix(&case, std::net::Ipv4Addr::new(10, 0, 0, 0), 24, 0, 0);
+    let bind = crate::binding::bind_prefix_h(&case.handles, std::net::Ipv4Addr::new(10, 0, 0, 0), 24, 0, 0);
     assert!(case.pipeline.runtime(&bind).is_ok(), "drill binding installs");
     push("casestudy (bmv2)", &case.pipeline);
 

@@ -7,9 +7,10 @@
 //! runs through every built-in program, and two error cases run through
 //! hand-built ones, and everything observable — steps, the
 //! ordered digests, the applied-table trace, `export_state()`, and for
-//! the error cases the exact `P4Error` plus the register cells at the
-//! moment it was returned — is rendered as text and compared with
-//! `tests/golden/interpreter.golden`.
+//! the error cases the exact `P4Error` plus, for a packet fault, the
+//! register cells at the moment it was returned (a step budget is
+//! refused at build, before any packet) — is rendered as text and
+//! compared with `tests/golden/interpreter.golden`.
 //!
 //! The golden file was recorded at the commit *before* the interpreter
 //! stopped copying the program per packet (PR 14), so it is the old
@@ -135,7 +136,7 @@ fn render_trace_run(out: &mut String, name: &str, mut p: Pipeline, trace: &Sched
 /// copy has an empty drill table and only ever misses there).
 fn drill_bound_case_study() -> Pipeline {
     let mut app = CaseStudyApp::build(CaseStudyParams::default()).expect("case study builds");
-    let handles = app.handles();
+    let handles = app.handles;
     for subnet in 0..6u8 {
         let req = bind_prefix_h(&handles, Ipv4Addr::new(10, 0, subnet, 0), 24, 0, u64::from(subnet));
         let resp = app.pipeline.runtime(&req);
@@ -144,8 +145,9 @@ fn drill_bound_case_study() -> Pipeline {
     app.pipeline
 }
 
-/// A packet that runs out of step budget halfway down an action: the
-/// error, and the writes that landed before it.
+/// A program whose one path would run out of step budget halfway down
+/// an action: `build` refuses it, so no packet starts and none is cut
+/// off part way.
 fn render_step_budget_case(out: &mut String) {
     let mut b = ProgramBuilder::new();
     let r = b.add_register("r", 64, 4);
@@ -176,14 +178,10 @@ fn render_step_budget_case(out: &mut String) {
         step_budget: 3,
         ..TargetModel::bmv2()
     };
-    let mut p = b.build(target).expect("step-budget program builds");
-    let mut phv = Phv::new();
-    phv.set(fields::PKT_LEN, 64);
-    let err = p.process_phv(&mut phv).expect_err("budget of 3 cannot cover 6 steps");
-    assert!(matches!(err, P4Error::StepBudgetExhausted { budget: 3 }));
+    let err = b.build(target).expect_err("budget of 3 cannot cover 6 steps");
+    assert_eq!(err, P4Error::StepBudget { worst: 6, budget: 3 });
     writeln!(out, "case step_budget_mid_action").unwrap();
     writeln!(out, "error {err:?}").unwrap();
-    render_state(out, &p);
     out.push('\n');
 }
 

@@ -46,7 +46,7 @@ fn main() {
     );
 
     let app = CaseStudyApp::build(params).expect("app builds");
-    let handles = app.handles();
+    let handles = app.handles;
     let mut sim = Simulation::new();
     let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(
         schedule,

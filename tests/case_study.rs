@@ -42,7 +42,7 @@ fn run_case(seed: u64, ctrl_delay: u64) -> Outcome {
     };
     let (schedule, truth) = workload.generate();
     let app = CaseStudyApp::build(params).expect("builds");
-    let handles = app.handles();
+    let handles = app.handles;
     let mut sim = Simulation::new();
     let source = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(
         schedule,
