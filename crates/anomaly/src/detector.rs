@@ -890,7 +890,5 @@ mod tests {
         let mut snap = Snapshot::new();
         ens.export(&mut snap);
         assert_eq!(snap.counter_sum("anomaly_detector_fires_total"), 1);
-        let text = telemetry::render_prometheus(&snap);
-        telemetry::check_prometheus(&text).expect("valid exposition");
     }
 }

@@ -842,8 +842,6 @@ mod tests {
         let mut snap = telemetry::Snapshot::new();
         ctl.stats.export(&mut snap);
         assert_eq!(snap.counter_sum("drilldown_rebind_rejected_total"), 1);
-        let text = telemetry::render_prometheus(&snap);
-        telemetry::check_prometheus(&text).expect("valid exposition");
 
         // The gate does not wedge: the next sound rebind still passes.
         let again = binding::bind_prefix_h(&handles, Ipv4Addr::new(10, 0, 2, 0), 24, 0, 2);

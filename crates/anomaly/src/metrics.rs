@@ -203,7 +203,5 @@ mod tests {
         m.export(&mut snap, "epoch_synflood");
         assert_eq!(snap.counter_sum("anomaly_detector_fires_total"), 1);
         assert!(snap.find("anomaly_detection_delay_ns").is_some());
-        let text = telemetry::render_prometheus(&snap);
-        telemetry::check_prometheus(&text).expect("valid exposition");
     }
 }

@@ -6,13 +6,12 @@
 //! replay [synflood|mix] [shards] [interval_ms]
 //!        [--shards N] [--interval-ms M]
 //!        [--faults SPEC] [--seed N]
-//!        [--metrics-out PATH] [--metrics-format prom|json]
-//!        [--trace-out PATH] [--snapshot-out PATH]
+//!        [--metrics-out PATH] [--trace-out PATH] [--snapshot-out PATH]
 //! ```
 //!
 //! Flags win over the positional forms. `--metrics-out` writes the
-//! telemetry snapshot to PATH — JSON by default, Prometheus text
-//! exposition with `--metrics-format prom`. `--trace-out` writes the
+//! telemetry snapshot to PATH as one JSON document
+//! (`telemetry::render_json`). `--trace-out` writes the
 //! merged epoch lifecycle trace (coordinator plus every shard) in
 //! Chrome trace-event format — open it in `about:tracing`/Perfetto or
 //! feed it to `stat4-trace`. `--snapshot-out` writes the deterministic
@@ -71,8 +70,7 @@ const USAGE: &str = "usage: replay [synflood|mix|seasonal|scan|cardinality] [sha
      \x20             [--faults SPEC|@FILE] [--seed N]\n\
      \x20             [--checkpoint-dir DIR] [--checkpoint-every N]\n\
      \x20             [--kill-at-epoch K] [--resume] [--swap-demo E]\n\
-     \x20             [--lifecycle-out PATH]\n\
-     \x20             [--metrics-out PATH] [--metrics-format prom|json]\n\
+     \x20             [--lifecycle-out PATH] [--metrics-out PATH]\n\
      \x20             [--trace-out PATH] [--snapshot-out PATH]";
 
 /// The most shards a run accepts. A shard is one worker thread and
@@ -104,7 +102,6 @@ struct Options {
     swap_demo: Option<u64>,
     lifecycle_out: Option<String>,
     metrics_out: Option<String>,
-    metrics_format: MetricsFormat,
     trace_out: Option<String>,
     snapshot_out: Option<String>,
 }
@@ -124,17 +121,10 @@ impl Default for Options {
             swap_demo: None,
             lifecycle_out: None,
             metrics_out: None,
-            metrics_format: MetricsFormat::Json,
             trace_out: None,
             snapshot_out: None,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Json,
-    Prom,
 }
 
 /// Parses the argument list, or explains what is wrong with it. Pure
@@ -191,15 +181,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--lifecycle-out" => opts.lifecycle_out = Some(flag_value("--lifecycle-out")?),
             "--metrics-out" => opts.metrics_out = Some(flag_value("--metrics-out")?),
-            "--metrics-format" => {
-                opts.metrics_format = match flag_value("--metrics-format")?.as_str() {
-                    "json" => MetricsFormat::Json,
-                    "prom" => MetricsFormat::Prom,
-                    other => {
-                        return Err(format!("unknown metrics format {other:?} (want prom|json)"))
-                    }
-                };
-            }
             "--trace-out" => opts.trace_out = Some(flag_value("--trace-out")?),
             "--snapshot-out" => opts.snapshot_out = Some(flag_value("--snapshot-out")?),
             "--help" | "-h" => return Err(String::new()),
@@ -635,11 +616,7 @@ fn main() {
 
     if let Some(path) = &opts.metrics_out {
         let snap = out.telemetry.snapshot();
-        let rendered = match opts.metrics_format {
-            MetricsFormat::Json => telemetry::render_json(&snap),
-            MetricsFormat::Prom => telemetry::render_prometheus(&snap),
-        };
-        write_or_die(path, &rendered, "metrics");
+        write_or_die(path, &telemetry::render_json(&snap), "metrics");
         println!(
             "metrics: {} families / {} samples written to {path}",
             snap.metrics.len(),
@@ -709,8 +686,7 @@ mod tests {
 
         let opts = parse(&[
             "--shards", "8", "--interval-ms", "20", "--faults", "shard_crash=1@3", "--seed", "9",
-            "--metrics-out", "m.json", "--metrics-format", "prom", "--trace-out", "t.json",
-            "--snapshot-out", "run.json",
+            "--metrics-out", "m.json", "--trace-out", "t.json", "--snapshot-out", "run.json",
         ])
         .unwrap();
         assert_eq!(opts.shards, 8);
@@ -718,7 +694,6 @@ mod tests {
         assert_eq!(opts.faults.as_deref(), Some("shard_crash=1@3"));
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(opts.metrics_format, MetricsFormat::Prom);
         assert_eq!(opts.trace_out.as_deref(), Some("t.json"));
         assert_eq!(opts.snapshot_out.as_deref(), Some("run.json"));
     }
@@ -805,9 +780,6 @@ mod tests {
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("unknown flag"));
-        assert!(parse(&["--metrics-format", "xml"])
-            .unwrap_err()
-            .contains("unknown metrics format"));
         assert!(parse(&["a", "1", "2", "3"])
             .unwrap_err()
             .contains("too many positionals"));

@@ -12,8 +12,8 @@
 //! [`ReplayTelemetry::snapshot`] renders everything — per-shard
 //! series (labelled `shard="<i>"`), engine-level epoch/merge timings,
 //! the epoch tracer's bookkeeping, and the central detector's fire /
-//! detection-delay metrics — into one [`telemetry::Snapshot`] ready
-//! for Prometheus or JSON exposition.
+//! detection-delay metrics — into one [`telemetry::Snapshot`], which
+//! `--metrics-out` writes as JSON.
 
 use anomaly::DetectorMetrics;
 use stat4_core::{Mergeable, Stat4Result};
@@ -462,6 +462,20 @@ impl ReplayTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::SampleValue;
+
+    /// Samples recorded across every series of the histogram family `name`.
+    fn histogram_count(snap: &Snapshot, name: &str) -> u64 {
+        let family = snap.find(name).unwrap_or_else(|| panic!("{name} missing"));
+        family
+            .samples
+            .iter()
+            .map(|s| match &s.value {
+                SampleValue::Histogram(h) => h.count,
+                other => panic!("{name} holds {other:?}"),
+            })
+            .sum()
+    }
 
     #[test]
     fn merged_shard_is_the_sum() {
@@ -487,8 +501,6 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter_sum("replay_shard_packets_total"), 12);
         assert_eq!(snap.counter_sum("replay_packets_total"), 12);
-        let text = telemetry::render_prometheus(&snap);
-        telemetry::check_prometheus(&text).expect("valid exposition");
     }
 
     #[test]
@@ -506,9 +518,7 @@ mod tests {
         assert_eq!(snap.counter_sum("replay_packets_lost_total"), 120);
         assert_eq!(snap.counter_sum("replay_packets_rerouted_total"), 45);
         assert_eq!(snap.counter_sum("replay_reports_dropped_total"), 2);
-        let text = telemetry::render_prometheus(&snap);
-        assert!(text.contains("replay_recover_ns"));
-        telemetry::check_prometheus(&text).expect("valid exposition");
+        assert_eq!(histogram_count(&snap, "replay_recover_ns"), 1);
     }
 
     #[test]
@@ -519,12 +529,18 @@ mod tests {
         m.fired(anomaly::metrics::Check::Rate, 130);
         t.engines.push((String::from("cusum"), m));
         let snap = t.snapshot();
-        let text = telemetry::render_prometheus(&snap);
-        assert!(
-            text.contains("detector=\"cusum\""),
-            "per-engine fire counter missing: {text}"
+        let fires = snap.find("anomaly_detector_fires_total").expect("fires family");
+        let cusum: Vec<&SampleValue> = fires
+            .samples
+            .iter()
+            .filter(|s| s.labels.iter().any(|(k, v)| k == "detector" && v == "cusum"))
+            .map(|s| &s.value)
+            .collect();
+        assert_eq!(
+            cusum,
+            [&SampleValue::Counter(1), &SampleValue::Counter(0)],
+            "per-engine fire counters (rate, share) missing: {fires:?}"
         );
-        telemetry::check_prometheus(&text).expect("valid exposition");
     }
 
     #[test]
@@ -556,12 +572,9 @@ mod tests {
         assert_eq!(snap.counter_sum("replay_trace_events_total"), 2);
         assert_eq!(snap.counter_sum("replay_trace_dropped_total"), 1);
         assert_eq!(snap.counter_sum("replay_shard_trace_dropped_total"), 1);
-        let text = telemetry::render_prometheus(&snap);
-        assert!(
-            text.contains("replay_shard_trace_dropped_total{shard=\"1\"}"),
-            "per-shard dropped counter missing: {text}"
-        );
-        telemetry::check_prometheus(&text).expect("valid exposition");
+        let per_shard = &snap.find("replay_shard_trace_dropped_total").expect("family").samples;
+        assert_eq!(per_shard[1].labels, [(String::from("shard"), String::from("1"))]);
+        assert_eq!(per_shard[1].value, SampleValue::Counter(1), "per-shard dropped counter");
     }
 
     #[test]
@@ -577,11 +590,9 @@ mod tests {
         assert_eq!(snap.counter_sum("replay_checkpoints_written_total"), 2);
         assert_eq!(snap.counter_sum("replay_swaps_committed_total"), 1);
         assert_eq!(snap.counter_sum("replay_swaps_rejected_total"), 3);
-        let text = telemetry::render_prometheus(&snap);
         for family in ["replay_ckpt_write_ns", "replay_ckpt_serialize_ns", "replay_ckpt_bytes"] {
-            assert!(text.contains(&format!("{family}_count 1")), "{family} missing: {text}");
+            assert_eq!(histogram_count(&snap, family), 1, "{family}");
         }
-        telemetry::check_prometheus(&text).expect("valid exposition");
     }
 
     #[test]
@@ -597,14 +608,8 @@ mod tests {
         t.shards[1].queue_wait_ns.record(700);
         t.partition_ns.record(12_000);
         let snap = t.snapshot();
-        let text = telemetry::render_prometheus(&snap);
-        for name in [
-            "replay_shard_queue_wait_ns",
-            "replay_partition_ns",
-        ] {
-            assert!(text.contains(name), "{name} missing from exposition");
-        }
-        telemetry::check_prometheus(&text).expect("valid exposition");
+        assert_eq!(histogram_count(&snap, "replay_shard_queue_wait_ns"), 2);
+        assert_eq!(histogram_count(&snap, "replay_partition_ns"), 1);
         // The merged set folds the queue histogram too.
         assert_eq!(t.merged_shard().queue_wait_ns.count(), 2);
     }

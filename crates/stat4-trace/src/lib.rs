@@ -51,10 +51,12 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 }
 
 /// Q16 fixed-point value rendered as a decimal with three places.
+/// Widened to `u128`: a snapshot is read from a file, and any `i64`
+/// in it must render, not overflow.
 #[must_use]
 pub(crate) fn fmt_q16(v: i64) -> String {
     let sign = if v < 0 { "-" } else { "" };
-    let abs = v.unsigned_abs();
+    let abs = u128::from(v.unsigned_abs());
     let scaled = (abs * 1000 + (1 << 15)) >> 16;
     format!("{sign}{}.{:03}", scaled / 1000, scaled % 1000)
 }
@@ -148,11 +150,13 @@ pub(crate) fn flame_rows(doc: &TraceDoc) -> Vec<FlameRow> {
                 if let Some((name, start, child_ns)) = stack.pop() {
                     let total = ev.ts.saturating_sub(start);
                     let entry = agg.entry((ev.tid, name)).or_insert((0, 0, 0));
+                    // Saturating: the timestamps are read from a file,
+                    // and a span nested in one of its own name counts twice.
                     entry.0 += 1;
-                    entry.1 += total;
-                    entry.2 += total.saturating_sub(child_ns);
+                    entry.1 = entry.1.saturating_add(total);
+                    entry.2 = entry.2.saturating_add(total.saturating_sub(child_ns));
                     if let Some(parent) = stack.last_mut() {
-                        parent.2 += total;
+                        parent.2 = parent.2.saturating_add(total);
                     }
                 }
             }
@@ -410,6 +414,9 @@ mod tests {
         assert_eq!(fmt_q16(3 << 15), "1.500");
         assert_eq!(fmt_q16(-(1 << 15)), "-0.500");
         assert_eq!(fmt_q16(0), "0.000");
+        assert_eq!(fmt_q16(1 << 62), "70368744177664.000");
+        assert_eq!(fmt_q16(i64::MAX), "140737488355328.000");
+        assert_eq!(fmt_q16(i64::MIN), "-140737488355328.000");
     }
 
     #[test]
@@ -435,6 +442,24 @@ mod tests {
         assert_eq!((ingest.calls, ingest.total_ns, ingest.self_ns), (1, 100, 50));
         let barrier = rows.iter().find(|r| r.name == "barrier").unwrap();
         assert_eq!((barrier.calls, barrier.total_ns, barrier.self_ns), (1, 50, 50));
+    }
+
+    #[test]
+    fn flame_saturates_on_spans_as_long_as_the_clock() {
+        // Valid for `check_trace` (monotone, properly nested), but the
+        // two `a` spans together last longer than a u64 can count.
+        let doc = TraceDoc {
+            events: vec![
+                rec("a", "B", 0, 0, 0),
+                rec("a", "B", 0, 0, 0),
+                rec("a", "E", u64::MAX, 0, 0),
+                rec("a", "E", u64::MAX, 0, 0),
+            ],
+            dropped: 0,
+        };
+        let rows = flame_rows(&doc);
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].calls, rows[0].total_ns, rows[0].self_ns), (2, u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -607,12 +632,13 @@ mod inspect {
 
         // The same two quantities as one-sample-per-checkpoint histograms.
         let snap = out.telemetry.snapshot();
-        let text = telemetry::render_prometheus(&snap);
         for family in ["replay_ckpt_serialize_ns", "replay_ckpt_bytes", "replay_ckpt_write_ns"] {
-            assert!(
-                text.contains(&format!("{family}_count {}", report.checkpoints_written)),
-                "{family}: one sample per checkpoint"
-            );
+            let samples = &snap.find(family).expect("family exported").samples;
+            assert_eq!(samples.len(), 1, "{family}");
+            let telemetry::SampleValue::Histogram(h) = &samples[0].value else {
+                panic!("{family} holds {:?}", samples[0].value);
+            };
+            assert_eq!(h.count, report.checkpoints_written, "{family}: one sample per checkpoint");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

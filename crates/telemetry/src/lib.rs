@@ -17,11 +17,13 @@
 //! - **Tracer** ([`trace`]) — a bounded buffer of begin/end/instant
 //!   events for epoch lifecycle (split → ingest → barrier → merge →
 //!   detect), cheap enough to leave on.
-//! - **Exposition** (`expo`) — renders a [`Snapshot`] in Prometheus
-//!   text format; [`render_json`] writes it as a JSON document through
-//!   [`json`], the one codec every document is written and read with;
-//!   [`check`] validates Prometheus output (used by CI against the real
-//!   replay binary).
+//! - **Snapshot** ([`snapshot`]) — a [`Snapshot`] of metric
+//!   families, which refuses a bad name, a kind clash or a repeated
+//!   series when it is built; [`render_json`] writes it as one JSON
+//!   document through [`json`], the one codec every document is
+//!   written and read with. [`check`] validates the merged trace
+//!   document (used by `stat4-trace` and by CI against the real replay
+//!   binary).
 //!
 //! ## Histogram bucketing = the paper's Figure 2 decomposition
 //!
@@ -36,7 +38,7 @@
 //!
 //! ## Naming scheme
 //!
-//! Metric names follow Prometheus conventions:
+//! Metric names match `[a-zA-Z_:][a-zA-Z0-9_:]*` and read
 //! `<layer>_<what>_<unit>[_total]`, e.g. `replay_shard_packets_total`,
 //! `replay_epoch_ns`, `replay_recover_ns`. Per-shard series carry a
 //! `shard="<i>"` label.
@@ -44,17 +46,13 @@
 
 
 pub mod check;
-pub(crate) mod expo;
 pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod snapshot;
 pub mod trace;
 
-pub use check::{
-    check_prometheus, check_trace, parse_trace, PromSummary, TraceDoc, TraceRecord, TraceSummary,
-};
-pub use expo::render_prometheus;
+pub use check::{check_trace, parse_trace, TraceDoc, TraceRecord, TraceSummary};
 pub use hist::LogLinearHistogram;
 pub use json::Json;
 pub use metrics::Counter;

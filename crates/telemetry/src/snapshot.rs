@@ -2,17 +2,22 @@
 //! metric families.
 //!
 //! A [`Snapshot`] is what crosses the boundary between the
-//! instrumented layers and the renderers: layers build one from their
-//! (plain or shared) metric values, `crate::expo` turns it into
-//! Prometheus text and [`render_json`] into JSON, without knowing where
-//! the numbers came from. The JSON form of each type is its
-//! [`ToJson`] impl below it.
+//! instrumented layers and the run's artifacts: layers build one from
+//! their metric values and [`render_json`] writes it as one JSON
+//! document, without knowing where the numbers came from. The JSON
+//! form of each type is its [`ToJson`] impl below it.
+//!
+//! A snapshot is valid by construction. Its push methods panic on an
+//! illegal name, a kind clash or a repeated (name, labels) series;
+//! counters are `u64`; a histogram's buckets come from a
+//! [`LogLinearHistogram`], so `le` ascends and the cumulative counts
+//! never fall or pass `count`.
 
 use crate::hist::LogLinearHistogram;
 use crate::json::{self, obj_of, write_obj, Json, ToJson};
 use crate::json_struct;
 
-/// Prometheus-style metric kind.
+/// Metric kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotone event count.
@@ -24,7 +29,7 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// The Prometheus `# TYPE` keyword.
+    /// The kind's name, as the JSON document writes it.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -35,7 +40,7 @@ impl MetricKind {
     }
 }
 
-/// Written as its `# TYPE` keyword.
+/// Written as its name.
 impl ToJson for MetricKind {
     fn to_json(&self) -> Json {
         self.as_str().to_json()
@@ -156,7 +161,7 @@ impl ToJson for Sample {
 /// A named metric family with its samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metric {
-    /// Prometheus-legal name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
+    /// Metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
     pub name: String,
     /// One-line help text.
     pub help: String,
@@ -185,7 +190,7 @@ pub fn render_json(snap: &Snapshot) -> String {
     json::write(snap)
 }
 
-/// True iff `name` is a legal Prometheus metric name.
+/// True iff `name` is a legal metric name, `[a-zA-Z_:][a-zA-Z0-9_:]*`.
 #[must_use]
 pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
@@ -194,6 +199,14 @@ pub(crate) fn valid_metric_name(name: &str) -> bool {
     };
     let head_ok = first.is_ascii_alphabetic() || first == '_' || first == ':';
     head_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
+/// True iff `held` and `labels` are the same set of pairs: one series.
+fn same_labels(held: &[(String, String)], labels: &[(&str, &str)]) -> bool {
+    held.len() == labels.len()
+        && labels
+            .iter()
+            .all(|&(k, v)| held.iter().any(|(hk, hv)| hk == k && hv == v))
 }
 
 fn to_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -228,36 +241,52 @@ impl Snapshot {
         self.metrics.last_mut().expect("just pushed")
     }
 
+    /// Appends one sample to its family, refusing a second series with
+    /// the same labels.
+    fn push(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        value: SampleValue,
+    ) {
+        let family = self.family(name, help, kind);
+        assert!(
+            !family.samples.iter().any(|s| same_labels(&s.labels, labels)),
+            "metric {name} pushed twice with labels {labels:?}"
+        );
+        family.samples.push(Sample {
+            labels: to_labels(labels),
+            value,
+        });
+    }
+
     /// Appends a counter sample, creating the family on first use.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid name or a kind clash with an existing
-    /// family of the same name (programmer errors).
+    /// Panics on an invalid name, a kind clash with an existing family
+    /// of the same name, or a second sample of the family with the
+    /// same labels in any order (programmer errors).
     pub fn push_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.family(name, help, MetricKind::Counter).samples.push(Sample {
-            labels: to_labels(labels),
-            value: SampleValue::Counter(value),
-        });
+        self.push(name, help, MetricKind::Counter, labels, SampleValue::Counter(value));
     }
 
     /// Appends a gauge sample, creating the family on first use.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid name or kind clash.
+    /// Panics on an invalid name, a kind clash or a repeated series.
     pub fn push_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: i64) {
-        self.family(name, help, MetricKind::Gauge).samples.push(Sample {
-            labels: to_labels(labels),
-            value: SampleValue::Gauge(value),
-        });
+        self.push(name, help, MetricKind::Gauge, labels, SampleValue::Gauge(value));
     }
 
     /// Appends a histogram sample, creating the family on first use.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid name or kind clash.
+    /// Panics on an invalid name, a kind clash or a repeated series.
     pub fn push_histogram(
         &mut self,
         name: &str,
@@ -265,10 +294,7 @@ impl Snapshot {
         labels: &[(&str, &str)],
         hist: &LogLinearHistogram,
     ) {
-        self.family(name, help, MetricKind::Histogram).samples.push(Sample {
-            labels: to_labels(labels),
-            value: SampleValue::Histogram(hist.into()),
-        });
+        self.push(name, help, MetricKind::Histogram, labels, SampleValue::Histogram(hist.into()));
     }
 
     /// The family named `name`, if present.
@@ -351,6 +377,15 @@ pub(crate) mod tests {
         let mut s = Snapshot::new();
         s.push_counter("m", "", &[], 1);
         s.push_gauge("m", "", &[], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pushed twice with labels")]
+    fn repeated_series_panics() {
+        let mut s = Snapshot::new();
+        s.push_counter("m", "", &[("shard", "0"), ("stage", "ingest")], 1);
+        s.push_counter("m", "", &[("shard", "1"), ("stage", "ingest")], 1);
+        s.push_counter("m", "", &[("stage", "ingest"), ("shard", "0")], 2);
     }
 
     #[test]
