@@ -230,16 +230,24 @@ mod tests {
 
     #[test]
     fn garbage_frames_counted_not_fatal() {
-        // A pipeline whose action always reads OOB: process errors.
+        // A pipeline whose action always reads OOB: process errors. The
+        // index comes from a field, as `build` refuses a constant past
+        // the register.
         let mut b = ProgramBuilder::new();
         let r = b.add_register("r", 64, 1);
         let bad = b.add_action(ActionDef::new(
             "bad",
-            vec![Primitive::RegRead {
-                dst: fields::M0,
-                register: r,
-                index: Operand::Const(10),
-            }],
+            vec![
+                Primitive::Set {
+                    dst: fields::M0,
+                    src: Operand::Const(10),
+                },
+                Primitive::RegRead {
+                    dst: fields::M0,
+                    register: r,
+                    index: Operand::Field(fields::M0),
+                },
+            ],
         ));
         b.set_control(Control::ApplyAction(bad));
         let pipeline = b.build(TargetModel::bmv2()).unwrap();

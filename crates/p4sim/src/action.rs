@@ -16,10 +16,13 @@
 //! as one primitive so the interpreter is fast, but it costs
 //! `TargetModel::msb_cost` sequential steps ([`Primitive::cost`]).
 //!
-//! What each primitive *means* is written once, in `exec_primitive`,
-//! over a value domain: the interpreter runs it on `u64`, the symbolic
-//! executor on expressions and the range analysis on intervals, so the
-//! three cannot disagree about an operation, only about a domain.
+//! What each primitive *means* to the analyses is written once, in
+//! `exec_primitive`, over a value domain: the symbolic executor runs it
+//! on expressions and the range analysis on intervals, so the two cannot
+//! disagree about an operation, only about a domain. The interpreter's
+//! meaning is the tape `Pipeline` lowers each primitive to, held to
+//! `exec_primitive` by the differential property in
+//! `stat4-p4/tests/symbolic_differential.rs`.
 
 use crate::error::P4Result;
 use crate::phv::{fields, FieldId, DROP_PORT};
@@ -356,10 +359,9 @@ pub(crate) fn hash(key: u64, salt: u64, width_log2: u32) -> u64 {
 }
 
 /// A value domain the primitives execute over. [`exec_primitive`] says
-/// what each primitive means in these terms, once; the interpreter
-/// instantiates it at `u64`, the symbolic executor at its expression
-/// DAG and the range analysis at intervals. Each method that produces
-/// a value writes it to `dst`.
+/// what each primitive means in these terms, once; the symbolic executor
+/// instantiates it at its expression DAG and the range analysis at
+/// intervals. Each method that produces a value writes it to `dst`.
 pub(crate) trait Domain {
     /// One value of the domain.
     type V;
@@ -387,14 +389,12 @@ pub(crate) trait Domain {
     fn digest(&mut self, id: u16, values: Vec<Self::V>);
 }
 
-/// Executes one primitive over `d`: the one place a primitive's meaning
-/// is written. Operands are evaluated left to right. A register access
-/// evaluates and bounds-checks its index first, so a `RegWrite` to a
-/// bad index fails before its value is read.
-#[inline]
+/// Executes one primitive over `d`: the one place the analyses read a
+/// primitive's meaning from, and the one the interpreter's tape is held
+/// to. Operands are evaluated left to right. A register access evaluates
+/// and bounds-checks its index first, so a `RegWrite` to a bad index
+/// fails before its value is read.
 pub(crate) fn exec_primitive<D: Domain>(d: &mut D, p: &Primitive) -> P4Result<()> {
-    // Inlined so that each arm's `op` is a constant.
-    #[inline(always)]
     fn alu<D: Domain>(d: &mut D, op: Alu, dst: FieldId, a: &Operand, b: &Operand) -> P4Result<()> {
         let a = d.operand(a)?;
         let b = d.operand(b)?;

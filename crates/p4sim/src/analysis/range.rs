@@ -929,11 +929,17 @@ mod tests {
             let r = b.add_register("tiny", 64, 2);
             let a = b.add_action(ActionDef::new(
                 "oob",
-                vec![Primitive::RegWrite {
-                    register: r,
-                    index: Operand::Const(5),
-                    src: Operand::Const(0),
-                }],
+                vec![
+                    Primitive::Set {
+                        dst: fields::M0,
+                        src: Operand::Const(5),
+                    },
+                    Primitive::RegWrite {
+                        register: r,
+                        index: Operand::Field(fields::M0),
+                        src: Operand::Const(0),
+                    },
+                ],
             ));
             b.set_control(Control::ApplyAction(a));
         });

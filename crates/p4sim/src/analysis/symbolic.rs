@@ -7,9 +7,9 @@
 //! control tree over a bounded 64-bit bit-vector expression domain.
 //! Every PHV field starts as an opaque `SymExpr::Input`, every
 //! register cell as an opaque `SymExpr::RegInit`, and each primitive
-//! builds expressions through the same `action::exec_primitive` the
-//! interpreter runs; constants fold through the interpreter's own
-//! `Alu::apply`, `msb` and `hash`.
+//! builds expressions through `action::exec_primitive`, which the range
+//! analysis runs too and the interpreter's tape is held to; constants
+//! fold through the interpreter's own `Alu::apply`, `msb` and `hash`.
 //!
 //! Three checks consume the executor:
 //!

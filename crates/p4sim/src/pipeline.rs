@@ -1,7 +1,7 @@
 //! The pipeline interpreter: executes a validated program packet by
 //! packet against register state.
 
-use crate::action::{exec_primitive, hash, msb, ActionDef, Alu, Domain, Operand, Primitive};
+use crate::action::{hash, msb, ActionDef, Alu, Operand, Primitive};
 use crate::control::{CmpOp, Cond, Control};
 use crate::error::{P4Error, P4Result};
 use crate::parser::parse_frame;
@@ -9,6 +9,7 @@ use crate::phv::{fields, FieldId, Phv, DROP_PORT};
 use crate::table::Table;
 use crate::target::TargetModel;
 use stat4_core::delta::DirtyJournal;
+use std::sync::Arc;
 use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
 
 /// How one register's per-shard state folds into a whole-switch view
@@ -238,9 +239,12 @@ pub struct Pipeline {
     control: Control,
     /// The program lowered once, by `from_parts`, to the flat steps a
     /// packet runs: the control, then a body per action, which starts at
-    /// `bodies[aid]`. All three fields are private so they stay in step.
+    /// `bodies[aid]`. A step of a rare shape reads its operands from
+    /// `args`, which clones share, as nothing writes it after
+    /// `from_parts`. All four fields are private so they stay in step.
     tape: Vec<Step>,
     bodies: Vec<usize>,
+    args: Arc<[Operand]>,
     pub(crate) packets_processed: u64,
     /// `packets_processed` at the last [`Self::take_register_delta`].
     pub(crate) taken_packets: u64,
@@ -254,7 +258,7 @@ impl Pipeline {
         tables: Vec<Table>,
         control: Control,
     ) -> Self {
-        let (tape, bodies) = Lowering::program(&target, &registers, &actions, &control);
+        let (tape, bodies, args) = Lowering::program(&target, &actions, &control);
         Self {
             target,
             registers,
@@ -263,6 +267,7 @@ impl Pipeline {
             control,
             tape,
             bodies,
+            args: args.into(),
             packets_processed: 0,
             taken_packets: 0,
         }
@@ -427,10 +432,10 @@ impl Pipeline {
     pub fn process_phv(&mut self, phv: &mut Phv) -> P4Result<PacketOutcome> {
         let mut outcome = PacketOutcome::default();
         let mut exec = Exec {
-            actions: &self.actions,
             tables: &self.tables,
             tape: &self.tape,
             bodies: &self.bodies,
+            args: &self.args,
             registers: &mut self.registers,
         };
         loop {
@@ -459,11 +464,13 @@ impl Pipeline {
 /// a body per action, ended by a `Ret`. A direct action is inlined into
 /// the control; a table runs the body of the action it invokes.
 ///
-/// A primitive is one step with its operand kinds resolved: `FF` reads
-/// two fields, `FC` a field and a constant, `CF` a constant and a field,
-/// and `C`, `F` and `D` read a constant, a field and an action-data
-/// slot. A branch charges one step and falls through when its
-/// comparison holds, else jumps to its last field.
+/// The tape is the interpreter's meaning of each primitive, held to the
+/// analyses' `exec_primitive` by the differential property. A primitive
+/// is one step with its operand kinds resolved: `FF` reads two fields,
+/// `FC` a field and a constant, `CF` a constant and a field, and `C`, `F`
+/// and `D` read a constant, a field and an action-data slot; the rarer
+/// shapes read theirs from `args`. A branch charges one step and falls
+/// through when its comparison holds, else jumps to its last field.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// Charges one step, looks the table up and runs the body of the
@@ -476,8 +483,6 @@ enum Step {
     Charge(u64),
     /// Ends an action body: back to the step after its `Table`.
     Ret,
-    /// Primitive `prim` of action `aid`, of a shape run by `exec_primitive`.
-    Prim { aid: usize, prim: usize },
     EqFF(FieldId, FieldId, usize), EqFC(FieldId, u64, usize),
     NeFF(FieldId, FieldId, usize), NeFC(FieldId, u64, usize),
     LtFF(FieldId, FieldId, usize), LtFC(FieldId, u64, usize),
@@ -498,11 +503,10 @@ enum Step {
     SetC(FieldId, u64),
     SetF(FieldId, FieldId),
     SetD { dst: FieldId, slot: usize },
-    Not(FieldId, FieldId),
     Msb(FieldId, FieldId),
     Hash { dst: FieldId, f: FieldId, salt: u64, w: u32 },
-    /// An access to register `r` at a constant index `i`, checked at
-    /// build, at the index in field `f`, or at the one in data slot `slot`.
+    /// An access to register `r` at a constant index `i`, in range by
+    /// `build`, at the index in field `f`, or at the one in data slot `slot`.
     RegReadC { dst: FieldId, r: usize, i: usize },
     RegWriteCF { r: usize, i: usize, src: FieldId },
     RegWriteCC { r: usize, i: usize, c: u64 },
@@ -511,24 +515,38 @@ enum Step {
     RegWriteFC { r: usize, f: FieldId, c: u64 },
     RegReadD { dst: FieldId, r: usize, slot: usize },
     RegWriteDF { r: usize, slot: usize, src: FieldId },
+    /// A write the other register steps do not shape, of the value
+    /// `args[at + 1]` at the index `args[at]`.
+    RegWriteD { r: usize, at: usize },
+    /// Emits digest `id` carrying the values of `args[at..at + len]`.
+    Digest { id: u16, at: usize, len: usize },
+    /// `dst = a op b` with an operand from action data, `a` and `b`
+    /// being `args[at]` and `args[at + 1]`.
+    AluD { op: Alu, dst: FieldId, at: usize },
+    MsbD { dst: FieldId, slot: usize },
+    HashD { dst: FieldId, slot: usize, salt: u64, w: u32 },
 }
+
+// Every shape is a step of its own, and none makes the common tape wider.
+const _: () = assert!(std::mem::size_of::<Step>() == 32);
 
 /// Lowers a validated program to its tape.
 struct Lowering<'a> {
     target: &'a TargetModel,
-    registers: &'a [Register],
     actions: &'a [ActionDef],
     tape: Vec<Step>,
+    args: Vec<Operand>,
 }
 
 impl<'a> Lowering<'a> {
-    /// The tape, and where each action's body starts on it.
-    fn program(target: &'a TargetModel, regs: &'a [Register], actions: &'a [ActionDef], control: &Control)
-        -> (Vec<Step>, Vec<usize>) {
-        let mut lowering = Lowering { target, registers: regs, actions, tape: Vec::new() };
+    /// The tape, where each action's body starts on it, and the operands
+    /// its steps read from `args`.
+    fn program(target: &'a TargetModel, actions: &'a [ActionDef], control: &Control)
+        -> (Vec<Step>, Vec<usize>, Vec<Operand>) {
+        let mut lowering = Lowering { target, actions, tape: Vec::new(), args: Vec::new() };
         lowering.control(control);
         lowering.tape.push(Step::Exit);
-        let bodies = (0..lowering.actions.len())
+        let bodies = (0..actions.len())
             .map(|aid| {
                 let start = lowering.tape.len();
                 lowering.action(aid);
@@ -536,7 +554,7 @@ impl<'a> Lowering<'a> {
                 start
             })
             .collect();
-        (lowering.tape, bodies)
+        (lowering.tape, bodies, lowering.args)
     }
 
     /// Appends `c`, in the order a packet meets its nodes.
@@ -572,87 +590,92 @@ impl<'a> Lowering<'a> {
         if cost > 0 {
             self.tape.push(Step::Charge(cost));
         }
-        for (prim, p) in primitives.iter().enumerate() {
-            let step = self.primitive(p).unwrap_or(Step::Prim { aid, prim });
+        for p in primitives {
+            let step = self.primitive(p);
             self.tape.push(step);
         }
     }
 
-    /// `p` as one step, or `None` for a shape left to `exec_primitive`:
-    /// a `Digest`, action data outside a `Set` or a register index, and
-    /// a constant register index out of range. An operation on
-    /// constants only is folded.
-    fn primitive(&self, p: &Primitive) -> Option<Step> {
+    /// `p` as one step. `Not` is `Xor` with all ones, an operation on
+    /// constants only is folded, and a constant register index is in
+    /// range: `ProgramBuilder::build` refuses one that is not.
+    fn primitive(&mut self, p: &Primitive) -> Step {
         use Operand::{Const as C, Data as D, Field as F};
         use Primitive as P;
-        let cell = |r: usize, i: u64| self.registers[r].cell(r, i).ok();
-        Some(match *p {
+        match *p {
             P::Set { dst, src: C(c) } => Step::SetC(dst, c),
             P::Set { dst, src: F(f) } => Step::SetF(dst, f),
             P::Set { dst, src: D(slot) } => Step::SetD { dst, slot },
-            P::Forward { port } => return self.primitive(&P::Set { dst: fields::EGRESS_PORT, src: port }),
+            P::Forward { port } => self.primitive(&P::Set { dst: fields::EGRESS_PORT, src: port }),
             P::Drop => Step::SetC(fields::EGRESS_PORT, DROP_PORT),
-            P::Add { dst, a, b } => return alu_step(Alu::Add, dst, a, b),
-            P::Sub { dst, a, b } => return alu_step(Alu::Sub, dst, a, b),
-            P::And { dst, a, b } => return alu_step(Alu::And, dst, a, b),
-            P::Or { dst, a, b } => return alu_step(Alu::Or, dst, a, b),
-            P::Xor { dst, a, b } => return alu_step(Alu::Xor, dst, a, b),
-            P::Shl { dst, src, amount } => return alu_step(Alu::Shl, dst, src, amount),
-            P::Shr { dst, src, amount } => return alu_step(Alu::Shr, dst, src, amount),
-            P::Mul { dst, a, b } => return alu_step(Alu::Mul, dst, a, b),
-            P::Min { dst, a, b } => return alu_step(Alu::Min, dst, a, b),
-            P::Max { dst, a, b } => return alu_step(Alu::Max, dst, a, b),
-            P::Not { dst, src: F(f) } => Step::Not(dst, f),
+            P::Add { dst, a, b } => self.alu(Alu::Add, dst, a, b),
+            P::Sub { dst, a, b } => self.alu(Alu::Sub, dst, a, b),
+            P::And { dst, a, b } => self.alu(Alu::And, dst, a, b),
+            P::Or { dst, a, b } => self.alu(Alu::Or, dst, a, b),
+            P::Xor { dst, a, b } => self.alu(Alu::Xor, dst, a, b),
+            P::Shl { dst, src, amount } => self.alu(Alu::Shl, dst, src, amount),
+            P::Shr { dst, src, amount } => self.alu(Alu::Shr, dst, src, amount),
+            P::Mul { dst, a, b } => self.alu(Alu::Mul, dst, a, b),
+            P::Min { dst, a, b } => self.alu(Alu::Min, dst, a, b),
+            P::Max { dst, a, b } => self.alu(Alu::Max, dst, a, b),
+            P::Not { dst, src } => self.alu(Alu::Xor, dst, src, C(u64::MAX)),
             P::Msb { dst, src: F(f) } => Step::Msb(dst, f),
             P::Hash { dst, src: F(f), salt, width_log2: w } => Step::Hash { dst, f, salt, w },
-            P::Not { dst, src: C(c) } => Step::SetC(dst, !c),
             P::Msb { dst, src: C(c) } => Step::SetC(dst, msb(c)),
             P::Hash { dst, src: C(c), salt, width_log2: w } => Step::SetC(dst, hash(c, salt, w)),
+            P::Msb { dst, src: D(slot) } => Step::MsbD { dst, slot },
+            P::Hash { dst, src: D(slot), salt, width_log2: w } => Step::HashD { dst, slot, salt, w },
             P::RegRead { dst, register: r, index } => match index {
-                C(i) => Step::RegReadC { dst, r, i: cell(r, i)? },
+                C(i) => Step::RegReadC { dst, r, i: i as usize },
                 F(f) => Step::RegReadF { dst, r, f },
                 D(slot) => Step::RegReadD { dst, r, slot },
             },
             P::RegWrite { register: r, index, src } => match (index, src) {
-                (C(i), F(src)) => Step::RegWriteCF { r, i: cell(r, i)?, src },
-                (C(i), C(c)) => Step::RegWriteCC { r, i: cell(r, i)?, c },
+                (C(i), F(src)) => Step::RegWriteCF { r, i: i as usize, src },
+                (C(i), C(c)) => Step::RegWriteCC { r, i: i as usize, c },
                 (F(f), F(src)) => Step::RegWriteFF { r, f, src },
                 (F(f), C(c)) => Step::RegWriteFC { r, f, c },
                 (D(slot), F(src)) => Step::RegWriteDF { r, slot, src },
-                _ => return None,
+                (index, src) => Step::RegWriteD { r, at: self.pool(&[index, src]) },
             },
-            _ => return None,
-        })
+            P::Digest { id, ref values } => Step::Digest { id, at: self.pool(values), len: values.len() },
+        }
     }
-}
 
-/// `dst = a op b` as a step, unless it reads action data. A constant
-/// left operand of a commutative op moves to the right, and an op on
-/// two constants is folded.
-fn alu_step(op: Alu, dst: FieldId, a: Operand, b: Operand) -> Option<Step> {
-    type Ff = fn(FieldId, FieldId, FieldId) -> Step;
-    type Fc = fn(FieldId, FieldId, u64) -> Step;
-    type Cf = fn(FieldId, u64, FieldId) -> Step;
-    let (ff, fc, cf): (Ff, Fc, Option<Cf>) = match op {
-        Alu::Add => (Step::AddFF, Step::AddFC, None),
-        Alu::Sub => (Step::SubFF, Step::SubFC, Some(Step::SubCF)),
-        Alu::And => (Step::AndFF, Step::AndFC, None),
-        Alu::Or => (Step::OrFF, Step::OrFC, None),
-        Alu::Xor => (Step::XorFF, Step::XorFC, None),
-        Alu::Shl => (Step::ShlFF, Step::ShlFC, Some(Step::ShlCF)),
-        Alu::Shr => (Step::ShrFF, Step::ShrFC, Some(Step::ShrCF)),
-        Alu::Mul => (Step::MulFF, Step::MulFC, None),
-        Alu::Min => (Step::MinFF, Step::MinFC, None),
-        Alu::Max => (Step::MaxFF, Step::MaxFC, None),
-    };
-    Some(match (a, b, cf) {
-        (Operand::Field(a), Operand::Field(b), _) => ff(dst, a, b),
-        (Operand::Field(f), Operand::Const(c), _)
-        | (Operand::Const(c), Operand::Field(f), None) => fc(dst, f, c),
-        (Operand::Const(c), Operand::Field(f), Some(cf)) => cf(dst, c, f),
-        (Operand::Const(a), Operand::Const(b), _) => Step::SetC(dst, op.apply(a, b)),
-        _ => return None,
-    })
+    /// `dst = a op b` as a step. A constant left operand of a commutative
+    /// op moves to the right, an op on two constants is folded, and one
+    /// that reads action data is an `AluD`.
+    fn alu(&mut self, op: Alu, dst: FieldId, a: Operand, b: Operand) -> Step {
+        type Ff = fn(FieldId, FieldId, FieldId) -> Step;
+        type Fc = fn(FieldId, FieldId, u64) -> Step;
+        type Cf = fn(FieldId, u64, FieldId) -> Step;
+        let (ff, fc, cf): (Ff, Fc, Option<Cf>) = match op {
+            Alu::Add => (Step::AddFF, Step::AddFC, None),
+            Alu::Sub => (Step::SubFF, Step::SubFC, Some(Step::SubCF)),
+            Alu::And => (Step::AndFF, Step::AndFC, None),
+            Alu::Or => (Step::OrFF, Step::OrFC, None),
+            Alu::Xor => (Step::XorFF, Step::XorFC, None),
+            Alu::Shl => (Step::ShlFF, Step::ShlFC, Some(Step::ShlCF)),
+            Alu::Shr => (Step::ShrFF, Step::ShrFC, Some(Step::ShrCF)),
+            Alu::Mul => (Step::MulFF, Step::MulFC, None),
+            Alu::Min => (Step::MinFF, Step::MinFC, None),
+            Alu::Max => (Step::MaxFF, Step::MaxFC, None),
+        };
+        match (a, b, cf) {
+            (Operand::Field(a), Operand::Field(b), _) => ff(dst, a, b),
+            (Operand::Field(f), Operand::Const(c), _)
+            | (Operand::Const(c), Operand::Field(f), None) => fc(dst, f, c),
+            (Operand::Const(c), Operand::Field(f), Some(cf)) => cf(dst, c, f),
+            (Operand::Const(a), Operand::Const(b), _) => Step::SetC(dst, op.apply(a, b)),
+            _ => Step::AluD { op, dst, at: self.pool(&[a, b]) },
+        }
+    }
+
+    /// Appends `operands` to `args`, and where they start there.
+    fn pool(&mut self, operands: &[Operand]) -> usize {
+        self.args.extend_from_slice(operands);
+        self.args.len() - operands.len()
+    }
 }
 
 /// The branch on `cond` that jumps to `else_pc` when it fails. A
@@ -684,14 +707,14 @@ fn branch_step(cond: &Cond, else_pc: usize) -> Step {
 }
 
 /// One packet's view of a [`Pipeline`]. The program is immutable after
-/// `build`, so a packet borrows it — tape, actions, matched entries and
+/// `build`, so a packet borrows it — tape, operands, matched entries and
 /// their action data are all used in place, never copied — and only the
 /// register file is `&mut`.
 struct Exec<'a> {
-    actions: &'a [ActionDef],
     tables: &'a [Table],
     tape: &'a [Step],
     bodies: &'a [usize],
+    args: &'a [Operand],
     registers: &'a mut Vec<Register>,
 }
 
@@ -738,11 +761,6 @@ impl<'a> Exec<'a> {
                 }
                 Step::Charge(cost) => steps += cost,
                 Step::Ret => pc = ret,
-                Step::Prim { aid, prim } => {
-                    let digests = &mut outcome.digests;
-                    let mut d = Concrete { aid, data, phv, registers: self.registers, digests };
-                    exec_primitive(&mut d, &self.actions[aid].primitives[prim])?;
-                }
                 Step::EqFF(a, b, to) => branch!(Eq, phv.get(a), phv.get(b), to),
                 Step::NeFF(a, b, to) => branch!(Ne, phv.get(a), phv.get(b), to),
                 Step::LtFF(a, b, to) => branch!(Lt, phv.get(a), phv.get(b), to),
@@ -781,7 +799,6 @@ impl<'a> Exec<'a> {
                 Step::SetC(d, c) => phv.set(d, c),
                 Step::SetF(d, f) => phv.set(d, phv.get(f)),
                 Step::SetD { dst, slot } => phv.set(dst, datum(data, slot, act)?),
-                Step::Not(d, f) => phv.set(d, !phv.get(f)),
                 Step::Msb(d, f) => phv.set(d, msb(phv.get(f))),
                 Step::Hash { dst, f, salt, w } => phv.set(dst, hash(phv.get(f), salt, w)),
                 Step::RegReadC { dst, r, i } => phv.set(dst, self.registers[r].cells[i]),
@@ -792,6 +809,23 @@ impl<'a> Exec<'a> {
                 Step::RegWriteFC { r, f, c } => self.write(r, phv.get(f), c)?,
                 Step::RegReadD { dst, r, slot } => phv.set(dst, self.read(r, datum(data, slot, act)?)?),
                 Step::RegWriteDF { r, slot, src } => self.write(r, datum(data, slot, act)?, phv.get(src))?,
+                Step::RegWriteD { r, at } => {
+                    // The index is checked before the value is read.
+                    let index = operand(self.args[at], phv, data, act)?;
+                    let reg = &mut self.registers[r];
+                    let i = reg.cell(r, index)?;
+                    reg.write_cell(i, operand(self.args[at + 1], phv, data, act)?);
+                }
+                Step::Digest { id, at, len } => {
+                    digest(id, &self.args[at..at + len], phv, data, act, &mut outcome.digests)?;
+                }
+                Step::AluD { op, dst, at } => {
+                    let a = operand(self.args[at], phv, data, act)?;
+                    let b = operand(self.args[at + 1], phv, data, act)?;
+                    phv.set(dst, op.apply(a, b));
+                }
+                Step::MsbD { dst, slot } => phv.set(dst, msb(datum(data, slot, act)?)),
+                Step::HashD { dst, slot, salt, w } => phv.set(dst, hash(datum(data, slot, act)?, salt, w)),
             }
         }
         outcome.steps = steps;
@@ -817,66 +851,26 @@ fn datum(data: &[u64], slot: usize, aid: usize) -> P4Result<u64> {
     data.get(slot).copied().ok_or(P4Error::ActionDataOutOfBounds { action: aid, slot })
 }
 
-/// The interpreter's domain for the primitives `exec_primitive` runs:
-/// one action invocation on one packet, over `u64`.
-struct Concrete<'a> {
-    /// The running action, named in the error for a missing data slot.
-    aid: usize,
-    data: &'a [u64],
-    phv: &'a mut Phv,
-    registers: &'a mut Vec<Register>,
-    digests: &'a mut Vec<DigestRecord>,
+/// Emits digest `id` carrying the values of `operands`. Out of line, as
+/// its allocation and loop would take registers from every arm of the
+/// loop.
+#[inline(never)]
+fn digest(id: u16, operands: &[Operand], phv: &Phv, data: &[u64], aid: usize, to: &mut Vec<DigestRecord>)
+    -> P4Result<()> {
+    let mut values = Vec::with_capacity(operands.len());
+    for &o in operands {
+        values.push(operand(o, phv, data, aid)?);
+    }
+    to.push(DigestRecord { id, values });
+    Ok(())
 }
 
-impl Domain for Concrete<'_> {
-    type V = u64;
-
-    fn operand(&mut self, o: &Operand) -> P4Result<u64> {
-        match o {
-            Operand::Const(v) => Ok(*v),
-            Operand::Field(f) => Ok(self.phv.get(*f)),
-            Operand::Data(n) => datum(self.data, *n, self.aid),
-        }
-    }
-
-    fn alu(&mut self, op: Alu, dst: FieldId, a: u64, b: u64) {
-        self.phv.set(dst, op.apply(a, b));
-    }
-
-    fn not(&mut self, dst: FieldId, v: u64) {
-        self.phv.set(dst, !v);
-    }
-
-    fn msb(&mut self, dst: FieldId, v: u64) {
-        self.phv.set(dst, msb(v));
-    }
-
-    fn hash(&mut self, dst: FieldId, key: u64, salt: u64, width_log2: u32) {
-        self.phv.set(dst, hash(key, salt, width_log2));
-    }
-
-    fn set(&mut self, dst: FieldId, v: u64) {
-        self.phv.set(dst, v);
-    }
-
-    fn reg_index(&mut self, register: usize, index: u64) -> P4Result<u64> {
-        let reg = self.registers.get(register).ok_or(P4Error::UnknownId {
-            kind: "register",
-            id: register,
-        })?;
-        reg.cell(register, index).map(|_| index)
-    }
-
-    fn reg_read(&mut self, dst: FieldId, register: usize, index: u64) {
-        self.phv.set(dst, self.registers[register].cells[index as usize]);
-    }
-
-    fn reg_write(&mut self, register: usize, index: u64, v: u64) {
-        self.registers[register].write_cell(index as usize, v);
-    }
-
-    fn digest(&mut self, id: u16, values: Vec<u64>) {
-        self.digests.push(DigestRecord { id, values });
+/// The value of `o` in a body of action `aid` run with `data`.
+fn operand(o: Operand, phv: &Phv, data: &[u64], aid: usize) -> P4Result<u64> {
+    match o {
+        Operand::Const(c) => Ok(c),
+        Operand::Field(f) => Ok(phv.get(f)),
+        Operand::Data(slot) => datum(data, slot, aid),
     }
 }
 
@@ -1139,16 +1133,54 @@ mod tests {
             }],
         ));
         b.set_control(Control::ApplyAction(w));
-        let mut p = b.build(TargetModel::bmv2()).unwrap();
-        let mut phv = Phv::new();
         assert!(matches!(
-            p.process_phv(&mut phv),
+            b.build(TargetModel::bmv2()),
             Err(P4Error::RegisterOutOfBounds {
                 index: 5,
                 size: 2,
                 ..
             })
         ));
+    }
+
+    /// A write of action data faults where `exec_primitive` does: a bad
+    /// index before the value's slot is read, a missing slot after the
+    /// writes before it landed, each naming the running action.
+    #[test]
+    fn data_write_faults_in_operand_order() {
+        let mut b = ProgramBuilder::new();
+        let reg = b.add_register("r", 64, 4);
+        let write = |index, src| Primitive::RegWrite { register: reg, index, src };
+        let noop = b.add_action(ActionDef::new("noop", vec![]));
+        let w = b.add_action(ActionDef::new(
+            "w",
+            vec![
+                write(Operand::Const(0), Operand::Data(0)),
+                write(Operand::Field(fields::PKT_LEN), Operand::Data(1)),
+            ],
+        ));
+        let t = b.add_table(TableDef {
+            name: "t".into(),
+            keys: vec![(fields::IPV4_DST, MatchKind::Exact)],
+            max_entries: 1,
+            allowed_actions: vec![noop, w],
+            default_action: Some((noop, vec![])),
+        });
+        b.set_control(Control::ApplyTable(t));
+        let mut p = b.build(TargetModel::bmv2()).unwrap();
+        // One slot short, which only a table written past the runtime's
+        // arity check can hold.
+        let entry = Entry { key: vec![MatchValue::Exact(1)], priority: 0, action: w, action_data: vec![7] };
+        p.tables[t].insert(t, entry).unwrap();
+        assert_eq!(
+            p.process_phv(&mut phv_to(1, 9)),
+            Err(P4Error::RegisterOutOfBounds { register: reg, index: 9, size: 4 })
+        );
+        assert_eq!(
+            p.process_phv(&mut phv_to(1, 2)),
+            Err(P4Error::ActionDataOutOfBounds { action: w, slot: 1 })
+        );
+        assert_eq!(p.registers()[0].cells, [7, 0, 0, 0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bite: a program using runtime multiplication builds fine for bmv2 and
 //! is rejected for the Tofino-like target.
 
-use crate::action::{ActionDef, Operand};
+use crate::action::{ActionDef, Operand, Primitive};
 use crate::control::Control;
 use crate::error::{P4Error, P4Result};
 use crate::pipeline::{Pipeline, RegMerge, Register};
@@ -83,6 +83,8 @@ impl ProgramBuilder {
     ///
     /// - [`P4Error::UnknownId`] for dangling register/action/table
     ///   references;
+    /// - [`P4Error::RegisterOutOfBounds`] for a constant register index
+    ///   past its register;
     /// - [`P4Error::UnsupportedOnTarget`] for primitives the target
     ///   cannot execute;
     /// - [`P4Error::Invalid`] for structural problems (repeated table on
@@ -95,12 +97,14 @@ impl ProgramBuilder {
         // --- reference checks ---------------------------------------
         for a in &self.actions {
             for p in &a.primitives {
-                if let Some((reg, _)) = p.register_access() {
-                    if reg >= self.registers.len() {
-                        return Err(P4Error::UnknownId {
-                            kind: "register",
-                            id: reg,
-                        });
+                if let Some((id, _)) = p.register_access() {
+                    let reg = self.registers.get(id).ok_or(P4Error::UnknownId { kind: "register", id })?;
+                    // A constant index out of range would fault every
+                    // packet that runs the action.
+                    if let Primitive::RegRead { index: Operand::Const(i), .. }
+                    | Primitive::RegWrite { index: Operand::Const(i), .. } = *p
+                    {
+                        reg.cell(id, i)?;
                     }
                 }
                 if let Some(rule) = target.forbids(p) {
@@ -218,7 +222,6 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Primitive;
     use crate::control::{CmpOp, Cond};
     use crate::phv::fields;
 

@@ -269,11 +269,17 @@ fn index_out_of_range_is_s4l008() {
     let r = b.add_register("cells", 64, 4);
     let a = b.add_action(ActionDef::new(
         "oob",
-        vec![Primitive::RegWrite {
-            register: r,
-            index: Operand::Const(9),
-            src: Operand::Const(1),
-        }],
+        vec![
+            Primitive::Set {
+                dst: fields::M0,
+                src: Operand::Const(9),
+            },
+            Primitive::RegWrite {
+                register: r,
+                index: Operand::Field(fields::M0),
+                src: Operand::Const(1),
+            },
+        ],
     ));
     b.set_control(Control::ApplyAction(a));
     let p = b.build(TargetModel::bmv2()).unwrap();

@@ -166,20 +166,24 @@ fn control_shapes() -> Pipeline {
 /// writing a field of its own so that a wrong value shows in the final
 /// PHV: each ALU op on field/field, field/constant and constant/field
 /// operands, `Not`, `Msb`, `Hash`, `Set` from a constant, a field and
-/// action data (from a hit entry and from a default action), `Digest`,
-/// an out-of-layout field, and register reads and writes with constant,
-/// field and action-data indices, in range and out of range. The
-/// constant/field and constant-only forms run first, and a digest
-/// carries their values out before their fields are reused. The
-/// branches guarding the rest have a constant on the left or on both
-/// sides; the accesses that can fault come last.
+/// action data, `Digest`, an out-of-layout field, and register reads and
+/// writes with constant, field and action-data indices, in range and out
+/// of range. The constant/field and constant-only forms run first, and a
+/// digest carries their values out before their fields are reused. The
+/// action-data forms run from a hit entry and from a default action:
+/// each ALU op with data on the left and on the right, `Not`, `Msb` and
+/// `Hash` of data, and writes of data at a constant, a field and a data
+/// index. Their ALU results share one field, so each leaves in a digest
+/// that mixes it with a constant and a datum before the next overwrites
+/// it. The branches guarding the rest have a constant on the left or on
+/// both sides; the accesses that can fault come last.
 fn operand_shapes() -> Pipeline {
     use Operand::{Const as C, Data as D, Field as F};
     type Bin = fn(FieldId, Operand, Operand) -> Primitive;
     let (a, b, valid) = (fields::IPV4_DST, fields::PKT_LEN, fields::IPV4_VALID);
     let beyond = FieldId(u16::try_from(fields::FIELD_COUNT).unwrap() + 7);
     // The scratch slots, then header slots no primitive here reads.
-    let mut dsts = (0..24).map(fields::scratch).chain([3, 4, 5, 7, 9, 10, 11, 13, 14, 15].map(FieldId));
+    let mut dsts = (0..24).map(fields::scratch).chain([3, 4, 5, 7, 9, 10, 11, 13, 14, 15, 16, 17].map(FieldId));
     let mut dst = || dsts.next().expect("a field per destination");
     let mut pb = ProgramBuilder::new();
     let cells = pb.add_register("cells", 32, 8);
@@ -224,16 +228,33 @@ fn operand_shapes() -> Pipeline {
         Primitive::Digest { id: 5, values: vec![F(beyond), F(a), C(3)] },
     ]);
     let alu = pb.add_action(ActionDef::new("alu", alu));
-    let from_data = pb.add_action(ActionDef::new(
-        "from_data",
-        vec![
-            Primitive::Set { dst: dst(), src: D(0) },
-            Primitive::Forward { port: D(1) },
-            Primitive::RegWrite { register: cells, index: D(1), src: F(a) },
-            Primitive::RegRead { dst: dst(), register: cells, index: D(1) },
-            Primitive::RegWrite { register: cells, index: C(5), src: D(0) },
-        ],
-    ));
+    let (t, idx) = (dst(), dst());
+    let mut data_alu = Vec::new();
+    for (op, rhs, _) in ops {
+        data_alu.extend([op(t, D(0), F(rhs)), op(t, F(a), D(1))]);
+    }
+    data_alu.extend([
+        Primitive::Sub { dst: t, a: D(1), b: D(0) },
+        Primitive::Sub { dst: t, a: C(5), b: D(0) },
+        Primitive::Shl { dst: t, src: D(0), amount: C(3) },
+        Primitive::Not { dst: t, src: D(0) },
+        Primitive::Msb { dst: t, src: D(0) },
+        Primitive::Hash { dst: t, src: D(0), salt: 0x9E37_79B9_7F4A_7C15, width_log2: 12 },
+    ]);
+    let carried = |(p, i)| [p, Primitive::Digest { id: 7, values: vec![C(i), F(t), D(1)] }];
+    let mut from_data = vec![
+        Primitive::Set { dst: dst(), src: D(0) },
+        Primitive::Forward { port: D(1) },
+        Primitive::RegWrite { register: cells, index: D(1), src: F(a) },
+        Primitive::RegRead { dst: dst(), register: cells, index: D(1) },
+        Primitive::RegWrite { register: cells, index: C(5), src: D(0) },
+        Primitive::And { dst: idx, a: F(a), b: C(7) },
+        Primitive::RegWrite { register: cells, index: F(idx), src: D(1) },
+        Primitive::RegWrite { register: cells, index: D(2), src: D(0) },
+        Primitive::RegWrite { register: cells, index: D(1), src: C(0x5A5A) },
+    ];
+    from_data.extend(data_alu.into_iter().zip(0..).flat_map(carried));
+    let from_data = pb.add_action(ActionDef::new("from_data", from_data));
     let regs_const = pb.add_action(ActionDef::new(
         "regs_const",
         vec![
@@ -250,20 +271,29 @@ fn operand_shapes() -> Pipeline {
             Primitive::RegWrite { register: cells, index: F(a), src: F(b) },
         ],
     ));
+    // `build` refuses a constant index past the register, so these take
+    // theirs from a field set to one.
+    let past = dst();
     let read_past = pb.add_action(ActionDef::new(
         "read_past",
-        vec![Primitive::RegRead { dst: dst(), register: cells, index: C(8) }],
+        vec![
+            Primitive::Set { dst: past, src: C(8) },
+            Primitive::RegRead { dst: dst(), register: cells, index: F(past) },
+        ],
     ));
     let write_past = pb.add_action(ActionDef::new(
         "write_past",
-        vec![Primitive::RegWrite { register: cells, index: C(9), src: C(1) }],
+        vec![
+            Primitive::Set { dst: past, src: C(9) },
+            Primitive::RegWrite { register: cells, index: F(past), src: C(1) },
+        ],
     ));
     let bind = pb.add_table(TableDef {
         name: "bind".into(),
         keys: vec![(valid, MatchKind::Exact)],
         max_entries: 1,
         allowed_actions: vec![from_data],
-        default_action: Some((from_data, vec![0xCD, 4])),
+        default_action: Some((from_data, vec![0xCD, 4, 1])),
     });
     let guarded = |a, op, b, action| Control::If {
         cond: Cond::new(a, op, b),
@@ -281,7 +311,7 @@ fn operand_shapes() -> Pipeline {
     ]));
     let mut p = pb.build(TargetModel::bmv2()).expect("the operand-shapes program builds");
     let key = vec![MatchValue::Exact(1)];
-    let entry = Entry { key, priority: 0, action: from_data, action_data: vec![0xAB, 3] };
+    let entry = Entry { key, priority: 0, action: from_data, action_data: vec![0xAB, 3, 6] };
     let insert = RuntimeRequest::InsertEntry { table: bind, entry };
     assert_eq!(p.runtime(&insert), RuntimeResponse::Ok);
     p
