@@ -95,6 +95,18 @@ impl PacketBuilder {
     /// length (the builder is for test/workload frames, not jumbograms).
     #[must_use]
     pub fn build(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.build_into(&mut buf);
+        buf
+    }
+
+    /// Appends the assembled frame to `out`, leaving what `out` held
+    /// before it untouched: many frames can be built into one buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_into(&self, out: &mut Vec<u8>) {
         let l4_header = match self.l4 {
             L4::Raw(_) => 0,
             L4::Tcp { .. } => tcp::HEADER_LEN,
@@ -103,7 +115,9 @@ impl PacketBuilder {
         let ip_total = ipv4::HEADER_LEN + l4_header + self.payload.len();
         assert!(ip_total <= 65535, "packet too large");
         let total = ethernet::HEADER_LEN + ip_total;
-        let mut buf = vec![0u8; total];
+        let base = out.len();
+        out.resize(base + total, 0);
+        let buf = &mut out[base..];
 
         let mut eth = EthernetFrame::new_checked(&mut buf[..]).expect("sized buffer");
         eth.set_src(self.src_mac);
@@ -153,7 +167,6 @@ impl PacketBuilder {
                 u.fill_checksum(self.src_ip, self.dst_ip);
             }
         }
-        buf
     }
 
     /// Assembles into [`Bytes`] for cheap cloning across simulator nodes.
@@ -219,5 +232,16 @@ mod tests {
         let b1 = PacketBuilder::udp(S, D, 5, 6).payload(b"x").build();
         let b2 = PacketBuilder::udp(S, D, 5, 6).payload(b"x").build_bytes();
         assert_eq!(&b1[..], &b2[..]);
+    }
+
+    #[test]
+    fn build_into_appends() {
+        let syn = PacketBuilder::tcp_syn(S, D, 44123, 80);
+        let udp = PacketBuilder::udp(S, D, 5, 6).payload(b"query");
+        let mut out = b"prefix".to_vec();
+        syn.build_into(&mut out);
+        udp.build_into(&mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(out[6..], [syn.build(), udp.build()].concat()[..]);
     }
 }

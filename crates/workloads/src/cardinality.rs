@@ -9,6 +9,7 @@
 //! blind. The only moving statistic is the number of distinct
 //! senders, which roughly doubles: HyperLogLog territory.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use rand::Rng;
@@ -61,7 +62,7 @@ impl CardinalitySpikeWorkload {
         let server = Ipv4Addr::new(10, 0, 3, 1);
         let spike_from = (self.spike_start / self.interval_ns) * self.interval_ns;
         let gap = self.interval_ns / self.rate.max(1);
-        let mut schedule = Vec::new();
+        let mut trace = Trace::default();
         let mut t = 0u64;
         while t < self.duration {
             for k in 0..self.rate {
@@ -75,16 +76,14 @@ impl CardinalitySpikeWorkload {
                 } else {
                     pool[(k % pool.len() as u64) as usize]
                 };
-                schedule.push((
+                trace.push(
                     t + k * gap,
-                    PacketBuilder::udp(src, server, 7777, 9000)
-                        .payload(b"steady-payload--")
-                        .build_bytes(),
-                ));
+                    &PacketBuilder::udp(src, server, 7777, 9000).payload(b"steady-payload--"),
+                );
             }
             t += self.interval_ns;
         }
-        crate::sorted(schedule)
+        trace.finish()
     }
 }
 

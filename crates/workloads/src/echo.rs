@@ -4,6 +4,7 @@
 //! between −255 and 255", paced at a fixed gap. The values are exposed
 //! so the host-side oracle can replay them.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use rand::Rng;
@@ -35,19 +36,17 @@ impl EchoWorkload {
     #[must_use]
     pub fn generate(&self) -> (Schedule, Vec<i64>) {
         let mut r = rng(self.seed);
-        let mut schedule = Vec::with_capacity(self.packets);
+        let mut trace = Trace::default();
         let mut values = Vec::with_capacity(self.packets);
         let src = Ipv4Addr::new(192, 0, 2, 1);
         let dst = Ipv4Addr::new(10, 0, 0, 1);
         for i in 0..self.packets {
             let v: i64 = r.random_range(-255..=255);
             values.push(v);
-            let frame = PacketBuilder::ipv4(src, dst, 0xfd)
-                .payload(&(v as u64).to_be_bytes())
-                .build_bytes();
-            schedule.push((i as u64 * self.gap_ns, frame));
+            let frame = PacketBuilder::ipv4(src, dst, 0xfd).payload(&(v as u64).to_be_bytes());
+            trace.push(i as u64 * self.gap_ns, &frame);
         }
-        (schedule, values)
+        (trace.finish(), values)
     }
 }
 

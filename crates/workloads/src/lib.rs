@@ -14,6 +14,13 @@
 //! `TraceGen`) and exposes its ground truth (when the
 //! spike starts, which destination is attacked, …) so experiments can
 //! grade detections.
+//!
+//! A schedule's frames are one buffer: each generator builds its
+//! frames back to back into one arena, and every entry's frame is a
+//! slice of it. Entries are in time order, frames sent at the same time
+//! in the order the generator drew them. A clone of the schedule, or of
+//! a frame, shares that buffer; the buffer is freed with the last
+//! frame that holds it.
 
 pub mod bimodal;
 pub mod cardinality;
@@ -24,6 +31,7 @@ pub mod seasonal;
 pub mod shard;
 pub mod spike;
 pub mod synflood;
+mod trace;
 pub(crate) mod zipf;
 
 pub use bimodal::{BimodalValues, Mode};
@@ -49,12 +57,8 @@ pub fn rng(seed: u64) -> StdRng {
 /// A time-sorted frame schedule.
 pub type Schedule = Vec<(u64, bytes::Bytes)>;
 
-/// Asserts (debug) and returns the schedule sorted by time.
-#[must_use]
-pub fn sorted(mut schedule: Schedule) -> Schedule {
-    schedule.sort_by_key(|(t, _)| *t);
-    schedule
-}
+// An entry is a time and a window into the shared buffer: 32 bytes.
+const _: () = assert!(std::mem::size_of::<(u64, bytes::Bytes)>() == 32);
 
 #[cfg(test)]
 mod tests {
@@ -70,16 +74,5 @@ mod tests {
         }
         let mut c = rng(8);
         assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn sorted_sorts() {
-        let s = sorted(vec![
-            (5, bytes::Bytes::new()),
-            (1, bytes::Bytes::new()),
-            (3, bytes::Bytes::new()),
-        ]);
-        let times: Vec<u64> = s.iter().map(|(t, _)| *t).collect();
-        assert_eq!(times, vec![1, 3, 5]);
     }
 }

@@ -5,6 +5,7 @@
 //! mid-stream — the drift that would invalidate an in-switch ML model,
 //! which the paper cites as a monitoring use case.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use packet::TcpFlags;
@@ -90,7 +91,7 @@ impl PacketMixWorkload {
         let mut r = rng(self.seed);
         let src = Ipv4Addr::new(192, 0, 2, 50);
         let dst = Ipv4Addr::new(10, 0, 2, 2);
-        let mut schedule = Vec::with_capacity(self.packets);
+        let mut trace = Trace::default();
         let mut kinds = Vec::with_capacity(self.packets);
         for i in 0..self.packets {
             let t = i as u64 * self.gap_ns;
@@ -104,19 +105,15 @@ impl PacketMixWorkload {
             let sport: u16 = r.random_range(10_000..60_000);
             let frame = match kind {
                 PacketKind::TcpData => {
-                    PacketBuilder::tcp(src, dst, sport, 80, TcpFlags::ack())
-                        .payload(b"data")
-                        .build_bytes()
+                    PacketBuilder::tcp(src, dst, sport, 80, TcpFlags::ack()).payload(b"data")
                 }
-                PacketKind::TcpSyn => PacketBuilder::tcp_syn(src, dst, sport, 80).build_bytes(),
-                PacketKind::Udp => PacketBuilder::udp(src, dst, sport, 53).build_bytes(),
-                PacketKind::Quic => PacketBuilder::udp(src, dst, sport, 443)
-                    .payload(b"quic")
-                    .build_bytes(),
+                PacketKind::TcpSyn => PacketBuilder::tcp_syn(src, dst, sport, 80),
+                PacketKind::Udp => PacketBuilder::udp(src, dst, sport, 53),
+                PacketKind::Quic => PacketBuilder::udp(src, dst, sport, 443).payload(b"quic"),
             };
-            schedule.push((t, frame));
+            trace.push(t, &frame);
         }
-        (schedule, kinds)
+        (trace.finish(), kinds)
     }
 }
 

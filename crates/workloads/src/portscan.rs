@@ -10,6 +10,7 @@
 //! change-point statistic (CUSUM) integrates the small persistent
 //! excess into an alarm.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use packet::TcpFlags;
@@ -72,7 +73,7 @@ impl LowSlowScanWorkload {
         let mut r = rng(self.seed);
         let servers = self.servers();
         let victim = servers[r.random_range(0..servers.len())];
-        let mut schedule = Vec::new();
+        let mut trace = Trace::default();
         let scan_from = (self.scan_start / self.interval_ns) * self.interval_ns;
         let mut scanned_port = 1u16;
         let mut t = 0u64;
@@ -87,45 +88,39 @@ impl LowSlowScanWorkload {
                 let sport: u16 = r.random_range(10_000..60_000);
                 // SYN, four data segments, FIN — all inside this slot,
                 // so every packet of the session lands in `interval`.
-                schedule.push((
-                    base,
-                    PacketBuilder::tcp_syn(client, server, sport, 80).build_bytes(),
-                ));
+                trace.push(base, &PacketBuilder::tcp_syn(client, server, sport, 80));
                 for k in 1..=4u64 {
-                    schedule.push((
+                    trace.push(
                         base + k * slot / 8,
-                        PacketBuilder::tcp(client, server, sport, 80, TcpFlags::ack())
-                            .payload(b"GET /")
-                            .build_bytes(),
-                    ));
+                        &PacketBuilder::tcp(client, server, sport, 80, TcpFlags::ack())
+                            .payload(b"GET /"),
+                    );
                 }
-                schedule.push((
+                trace.push(
                     base + 5 * slot / 8,
-                    PacketBuilder::tcp(
+                    &PacketBuilder::tcp(
                         client,
                         server,
                         sport,
                         80,
                         TcpFlags(TcpFlags::FIN | TcpFlags::ACK),
-                    )
-                    .build_bytes(),
-                ));
+                    ),
+                );
             }
             if t >= scan_from {
                 let gap = self.interval_ns / self.scan_syns.max(1);
                 for k in 0..self.scan_syns {
-                    schedule.push((
+                    trace.push(
                         t + k * gap + 500,
-                        PacketBuilder::tcp_syn(self.scanner(), victim, 40_000, scanned_port)
-                            .build_bytes(),
-                    ));
+                        &PacketBuilder::tcp_syn(self.scanner(), victim, 40_000, scanned_port),
+                    );
                     scanned_port = scanned_port.wrapping_add(1).max(1);
                 }
             }
             t += self.interval_ns;
             interval += 1;
         }
-        (crate::sorted(schedule), victim)
+        (trace.finish(), victim)
     }
 }
 

@@ -10,6 +10,7 @@
 //! forecaster, which knows *which phase* each interval is in, sees a
 //! full-swing residual.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use rand::Rng;
@@ -89,7 +90,7 @@ impl SeasonalDriftWorkload {
         let mut r = rng(self.seed);
         let clients = self.clients();
         let server = Ipv4Addr::new(10, 0, 2, 1);
-        let mut schedule = Vec::new();
+        let mut trace = Trace::default();
         let mut t = 0u64;
         let mut turn = 0usize;
         while t < self.duration {
@@ -101,16 +102,14 @@ impl SeasonalDriftWorkload {
                 // Jitter stays inside this packet's slot, so the
                 // per-interval count is exact.
                 let at = t + k * gap + r.random_range(0..gap / 2 + 1);
-                schedule.push((
+                trace.push(
                     at,
-                    PacketBuilder::udp(src, server, 5353, 53)
-                        .payload(b"seasonal-query--")
-                        .build_bytes(),
-                ));
+                    &PacketBuilder::udp(src, server, 5353, 53).payload(b"seasonal-query--"),
+                );
             }
             t += self.interval_ns;
         }
-        crate::sorted(schedule)
+        trace.finish()
     }
 }
 

@@ -3,6 +3,7 @@
 //! /8, then a volumetric spike to one randomly selected destination
 //! after a randomized time.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use rand::Rng;
@@ -79,16 +80,14 @@ impl SpikeWorkload {
         let src = Ipv4Addr::new(198, 51, 100, 7);
 
         let gap = 1_000_000_000 / self.background_pps.max(1);
-        let mut schedule = Vec::new();
+        let mut trace = Trace::default();
         let mut t = 0u64;
         while t < self.duration {
             // Background packet to a uniformly chosen destination, with
             // +-25% jitter on the gap so interval counts have variance.
             let d = dests[r.random_range(0..dests.len())];
-            let frame = PacketBuilder::udp(src, d, r.random_range(1024..65000), 80)
-                .payload(b"bg")
-                .build_bytes();
-            schedule.push((t, frame));
+            let frame = PacketBuilder::udp(src, d, r.random_range(1024..65000), 80).payload(b"bg");
+            trace.push(t, &frame);
             let jitter = r.random_range(0..=gap / 2);
             t += gap / 2 + 1 + jitter;
         }
@@ -96,14 +95,13 @@ impl SpikeWorkload {
         let spike_gap = (gap / self.spike_multiplier.max(1)).max(1);
         let mut t = spike_start;
         while t < self.duration {
-            let frame = PacketBuilder::udp(src, victim, r.random_range(1024..65000), 80)
-                .payload(b"atk")
-                .build_bytes();
-            schedule.push((t, frame));
+            let frame =
+                PacketBuilder::udp(src, victim, r.random_range(1024..65000), 80).payload(b"atk");
+            trace.push(t, &frame);
             t += spike_gap;
         }
         (
-            crate::sorted(schedule),
+            trace.finish(),
             SpikeGroundTruth {
                 spike_start,
                 spike_dest: victim,

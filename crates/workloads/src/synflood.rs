@@ -3,6 +3,7 @@
 //! Background: well-behaved TCP sessions (SYN, a burst of data, FIN).
 //! Attack: a storm of bare SYNs from spoofed sources to one victim.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use packet::TcpFlags;
@@ -54,7 +55,7 @@ impl SynFloodWorkload {
         let mut r = rng(self.seed);
         let servers = self.servers();
         let victim = servers[r.random_range(0..servers.len())];
-        let mut schedule = Vec::new();
+        let mut trace = Trace::default();
 
         // Legitimate connections: SYN, SYN-ACK is server-side (not on
         // this link), then data and FIN from the client.
@@ -65,25 +66,26 @@ impl SynFloodWorkload {
             let client = Ipv4Addr::new(192, 0, 2, r.random_range(1..=254));
             let sport: u16 = r.random_range(10_000..60_000);
             let mut ct = t;
-            schedule.push((
-                ct,
-                PacketBuilder::tcp_syn(client, server, sport, 80).build_bytes(),
-            ));
+            trace.push(ct, &PacketBuilder::tcp_syn(client, server, sport, 80));
             for _ in 0..4 {
                 ct += r.random_range(50_000u64..200_000);
-                schedule.push((
+                trace.push(
                     ct,
-                    PacketBuilder::tcp(client, server, sport, 80, TcpFlags::ack())
-                        .payload(b"GET /")
-                        .build_bytes(),
-                ));
+                    &PacketBuilder::tcp(client, server, sport, 80, TcpFlags::ack())
+                        .payload(b"GET /"),
+                );
             }
             ct += r.random_range(50_000u64..200_000);
-            schedule.push((
+            trace.push(
                 ct,
-                PacketBuilder::tcp(client, server, sport, 80, TcpFlags(TcpFlags::FIN | TcpFlags::ACK))
-                    .build_bytes(),
-            ));
+                &PacketBuilder::tcp(
+                    client,
+                    server,
+                    sport,
+                    80,
+                    TcpFlags(TcpFlags::FIN | TcpFlags::ACK),
+                ),
+            );
             t += conn_gap + r.random_range(0..=conn_gap / 4);
         }
 
@@ -97,14 +99,13 @@ impl SynFloodWorkload {
                 r.random_range(0..=255),
                 r.random_range(1..=254),
             );
-            schedule.push((
+            trace.push(
                 t,
-                PacketBuilder::tcp_syn(spoofed, victim, r.random_range(1024..65000), 80)
-                    .build_bytes(),
-            ));
+                &PacketBuilder::tcp_syn(spoofed, victim, r.random_range(1024..65000), 80),
+            );
             t += flood_gap;
         }
-        (crate::sorted(schedule), victim)
+        (trace.finish(), victim)
     }
 }
 

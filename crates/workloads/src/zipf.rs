@@ -5,6 +5,7 @@
 //! where mean ± k·σ checks behave differently than on normal data. This
 //! workload feeds the ablation experiments on non-normal distributions.
 
+use crate::trace::Trace;
 use crate::{rng, Schedule};
 use packet::builder::PacketBuilder;
 use rand::Rng;
@@ -66,17 +67,15 @@ impl ZipfPrefixWorkload {
         let cdf = self.cdf();
         let src = Ipv4Addr::new(198, 51, 100, 9);
         let mut counts = vec![0u64; usize::from(self.prefixes)];
-        let mut schedule = Vec::with_capacity(self.packets);
+        let mut trace = Trace::default();
         for i in 0..self.packets {
             let u: f64 = r.random();
             let k = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
             counts[k] += 1;
-            let frame = PacketBuilder::udp(src, self.prefix_host(k as u16), 4000, 80)
-                .payload(b"z")
-                .build_bytes();
-            schedule.push((i as u64 * self.gap_ns, frame));
+            let frame = PacketBuilder::udp(src, self.prefix_host(k as u16), 4000, 80).payload(b"z");
+            trace.push(i as u64 * self.gap_ns, &frame);
         }
-        (schedule, counts)
+        (trace.finish(), counts)
     }
 }
 
