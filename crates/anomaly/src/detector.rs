@@ -31,7 +31,7 @@
 use crate::metrics::{Check, DetectorMetrics};
 use stat4_core::{FrequencyDist, RunningStats};
 use std::any::Any;
-use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
+use telemetry::json::{need, read_obj, write_obj, At, FromJson, Lexer, Raw, ToJson};
 use telemetry::{json_struct, Snapshot};
 
 /// One in Q16 fixed point — the firing threshold for scores.
@@ -217,17 +217,18 @@ pub trait Detector {
     /// a verdict (seeding/calibration), a result afterwards.
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult>;
 
-    /// Everything [`Self::update`] reads or writes between intervals,
-    /// as JSON: a few integers, a ring, a Q16 or two. The engine owns
-    /// this form; a checkpoint stores it without looking inside. What
-    /// the constructor fixed (window capacity, season length, shifts)
-    /// is not written.
-    fn export_state(&self) -> Json;
+    /// Appends everything [`Self::update`] reads or writes between
+    /// intervals to `out`, as one JSON value: a few integers, a ring, a
+    /// Q16 or two, best given as a `json_struct!` state struct. The
+    /// engine owns this form; a checkpoint stores its text without
+    /// looking inside. What the constructor fixed (window capacity,
+    /// season length, shifts) is not written.
+    fn export_state(&self, out: &mut String);
 
-    /// Loads state written by [`Self::export_state`] into an engine
-    /// built from the same configuration, after which the two engines
-    /// answer every future `update` identically. The state may come
-    /// from disk, so it is checked, not trusted.
+    /// Reads state written by [`Self::export_state`] from the value `lx`
+    /// is at into an engine built from the same configuration, after
+    /// which the two engines answer every future `update` identically.
+    /// The state may come from disk, so it is checked, not trusted.
     ///
     /// # Errors
     ///
@@ -235,7 +236,7 @@ pub trait Detector {
     /// an engine of this configuration (a ring of another length, a
     /// phase outside the season, a negative count). The engine is then
     /// part-loaded and must be discarded.
-    fn import_state(&mut self, state: &Json) -> Result<(), String>;
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String>;
 
     /// Typed access for callers that need an engine's extra state
     /// (e.g. the SYN-flood detector's alert stream).
@@ -331,28 +332,41 @@ pub enum TriggerCause {
 
 /// Tagged by `kind`; the other members are the variant's.
 impl ToJson for TriggerCause {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            TriggerCause::EnginesFired(names) => obj(vec![
-                ("kind", "engines_fired".to_json()),
-                ("engines", names.to_json()),
-            ]),
-            TriggerCause::CombinedScore { combined_q16, threshold_q16 } => obj(vec![
-                ("kind", "combined_score".to_json()),
-                ("combined_q16", combined_q16.to_json()),
-                ("threshold_q16", threshold_q16.to_json()),
-            ]),
+            TriggerCause::EnginesFired(names) => {
+                write_obj(out, [("kind", &"engines_fired" as &dyn ToJson), ("engines", names)]);
+            }
+            TriggerCause::CombinedScore { combined_q16, threshold_q16 } => write_obj(
+                out,
+                [
+                    ("kind", &"combined_score" as &dyn ToJson),
+                    ("combined_q16", combined_q16),
+                    ("threshold_q16", threshold_q16),
+                ],
+            ),
         }
     }
 }
 
 impl FromJson for TriggerCause {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        match field::<String>(v, "kind", at)?.as_str() {
-            "engines_fired" => Ok(TriggerCause::EnginesFired(field(v, "engines", at)?)),
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let (mut kind, mut engines, mut combined_q16, mut threshold_q16) = (None, None, None, None);
+        read_obj(lx, at, |key, lx, at| {
+            match key {
+                "kind" if kind.is_none() => kind = Some(String::read_json(lx, at)?),
+                "engines" if engines.is_none() => engines = Some(Vec::<String>::read_json(lx, at)?),
+                "combined_q16" if combined_q16.is_none() => combined_q16 = Some(i64::read_json(lx, at)?),
+                "threshold_q16" if threshold_q16.is_none() => threshold_q16 = Some(i64::read_json(lx, at)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        match need(kind, at, "kind")?.as_str() {
+            "engines_fired" => Ok(TriggerCause::EnginesFired(need(engines, at, "engines")?)),
             "combined_score" => Ok(TriggerCause::CombinedScore {
-                combined_q16: field(v, "combined_q16", at)?,
-                threshold_q16: field(v, "threshold_q16", at)?,
+                combined_q16: need(combined_q16, at, "combined_q16")?,
+                threshold_q16: need(threshold_q16, at, "threshold_q16")?,
             }),
             other => Err(at.err(format_args!("unknown cause kind {other:?}"))),
         }
@@ -457,6 +471,29 @@ pub struct EngineSummary {
     /// First fire time (ns), if any.
     pub first_fired_at: Option<u64>,
 }
+
+/// One engine's entry in [`Ensemble::export_state`]: its name, its own
+/// state (kept as text until the engine it names is found), metrics,
+/// fire count, first fire and weight override.
+struct EngineEntry {
+    name: String,
+    state: Raw,
+    metrics: DetectorMetrics,
+    fires: u64,
+    first_fired: Option<u64>,
+    weight_override: Option<i64>,
+}
+
+json_struct!(EngineEntry { name, state, metrics, fires, first_fired, weight_override });
+
+/// [`Ensemble::export_state`]'s form: the engines in report order, then
+/// the fired log.
+struct EnsembleState {
+    engines: Vec<EngineEntry>,
+    fired_log: Vec<FiredSnap>,
+}
+
+json_struct!(EnsembleState { engines, fired_log });
 
 /// Drives a set of engines over the interval stream and combines their
 /// scores.
@@ -611,33 +648,28 @@ impl Ensemble {
         }
     }
 
-    /// The whole ensemble as JSON: per engine its
+    /// Appends the whole ensemble to `out` as JSON: per engine its
     /// [`Detector::export_state`], metrics, fire count, first fire and
     /// weight override, then the fired log. Only the fired log grows
     /// over a run, and it grows with alerts, not with intervals.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
-        let engines = self.engines.iter().enumerate().map(|(i, e)| {
-            obj(vec![
-                ("name", e.name().to_json()),
-                ("state", e.export_state()),
-                ("metrics", self.metrics[i].to_json()),
-                ("fires", self.fires[i].to_json()),
-                ("first_fired", self.first_fired[i].to_json()),
-                ("weight_override", self.weight_overrides[i].to_json()),
-            ])
+    pub fn export_state(&self, out: &mut String) {
+        let engines = self.engines.iter().enumerate().map(|(i, e)| EngineEntry {
+            name: e.name().to_string(),
+            state: Raw::of(|out| e.export_state(out)),
+            metrics: self.metrics[i].clone(),
+            fires: self.fires[i],
+            first_fired: self.first_fired[i],
+            weight_override: self.weight_overrides[i],
         });
-        let fired_log: Vec<FiredSnap> = self.fired_log.iter().map(FiredSnap::from).collect();
-        obj(vec![
-            ("engines", Json::Arr(engines.collect())),
-            ("fired_log", fired_log.to_json()),
-        ])
+        let fired_log = self.fired_log.iter().map(FiredSnap::from).collect();
+        EnsembleState { engines: engines.collect(), fired_log }.write_json(out);
     }
 
-    /// Loads [`Self::export_state`]'s form into an ensemble built from
-    /// the same configuration (same engines, same order), after which
-    /// both answer every future [`Self::observe`] identically and
-    /// report identical summaries, metrics and fired logs.
+    /// Reads [`Self::export_state`]'s form from the value `lx` is at
+    /// into an ensemble built from the same configuration (same
+    /// engines, same order), after which both answer every future
+    /// [`Self::observe`] identically and report identical summaries,
+    /// metrics and fired logs.
     ///
     /// # Errors
     ///
@@ -645,49 +677,37 @@ impl Ensemble {
     /// a negative weight override, a fired-log entry naming neither,
     /// or whatever an engine's own [`Detector::import_state`] rejects.
     /// The ensemble is then part-loaded and must be discarded.
-    pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    pub fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let root = At::Root("ensemble");
-        let entries = field_with(state, "engines", root, |v, at| {
-            v.as_arr().ok_or_else(|| at.err("not an array"))
-        })?;
+        let EnsembleState { engines: entries, fired_log } = EnsembleState::read_json(lx, root)?;
         let names = self.names();
-        for (i, entry) in entries.iter().enumerate() {
-            let name: String = field(entry, "name", At::Idx(&At::Key(&root, "engines"), i))?;
-            if !names.contains(&name.as_str()) {
-                return Err(root.err(format_args!("unknown engine {name:?}")));
-            }
+        if let Some(e) = entries.iter().find(|e| !names.contains(&e.name.as_str())) {
+            return Err(root.err(format_args!("unknown engine {:?}", e.name)));
         }
         for (i, engine) in self.engines.iter_mut().enumerate() {
             let name = engine.name();
             let entry = entries
                 .get(i)
-                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .filter(|e| e.name == name)
                 .ok_or_else(|| root.err(format_args!("engine {name:?} is missing at position {i}")))?;
-            let at = At::Key(&root, name);
-            field_with(entry, "state", at, |s, _| engine.import_state(s))?;
-            self.metrics[i] = field(entry, "metrics", at)?;
-            self.fires[i] = field(entry, "fires", at)?;
-            self.first_fired[i] = field(entry, "first_fired", at)?;
-            self.weight_overrides[i] = field(entry, "weight_override", at)?;
-            if self.weight_overrides[i].is_some_and(|w| w < 0) {
-                return Err(at.err("negative weight override"));
+            engine.import_state(&mut entry.state.lexer())?;
+            if entry.weight_override.is_some_and(|w| w < 0) {
+                return Err(At::Key(&root, name).err("negative weight override"));
             }
+            self.metrics[i] = entry.metrics.clone();
+            (self.fires[i], self.first_fired[i]) = (entry.fires, entry.first_fired);
+            self.weight_overrides[i] = entry.weight_override;
         }
         if entries.len() != names.len() {
-            return Err(root.err(format_args!(
-                "state holds {} engine(s), the ensemble runs {}",
-                entries.len(),
-                names.len()
-            )));
+            let held = entries.len();
+            return Err(root.err(format_args!("state holds {held} engine(s), the ensemble runs {}", names.len())));
         }
-        self.fired_log = field_with(state, "fired_log", root, |log, at| {
-            let entries = Vec::<FiredSnap>::from_json(log, at)?;
-            let result = |(i, f): (usize, &FiredSnap)| {
-                f.to_result(&names)
-                    .ok_or_else(|| At::Idx(&at, i).err(format_args!("unknown engine {:?}", f.engine)))
-            };
-            entries.iter().enumerate().map(result).collect()
-        })?;
+        let at = At::Key(&root, "fired_log");
+        let result = |(i, f): (usize, &FiredSnap)| {
+            f.to_result(&names)
+                .ok_or_else(|| At::Idx(&at, i).err(format_args!("unknown engine {:?}", f.engine)))
+        };
+        self.fired_log = fired_log.iter().enumerate().map(result).collect::<Result<_, _>>()?;
         Ok(())
     }
 
@@ -753,11 +773,11 @@ mod tests {
                 fired: !gated && self.score >= Q16,
             })
         }
-        fn export_state(&self) -> Json {
-            self.seen.to_json()
+        fn export_state(&self, out: &mut String) {
+            self.seen.write_json(out);
         }
-        fn import_state(&mut self, state: &Json) -> Result<(), String> {
-            self.seen = state.as_u64().ok_or("seen is not a count")?;
+        fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
+            self.seen = u64::read_json(lx, At::Root("seen"))?;
             Ok(())
         }
         fn as_any(&self) -> &dyn Any {

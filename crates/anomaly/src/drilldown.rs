@@ -55,7 +55,7 @@ use p4sim::pipeline::DigestRecord;
 use stat4_p4::binding;
 use stat4_p4::{CaseStudyHandles, DIGEST_IMBALANCE, DIGEST_SPIKE};
 use std::net::Ipv4Addr;
-use telemetry::json::{field, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
 
 /// Where the controller is in the drill-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -653,31 +653,30 @@ impl ScoreDrilldown {
         })
     }
 
-    /// The ladder's position: phase, binding generation, quiet streak.
-    #[must_use]
-    pub fn export_state(&self) -> Json {
-        obj(vec![
-            ("phase", self.phase.name().to_json()),
-            ("generation", self.generation.to_json()),
-            ("quiet", self.quiet.to_json()),
-        ])
+    /// Appends the ladder's position to `out`: phase, binding
+    /// generation, quiet streak.
+    pub fn export_state(&self, out: &mut String) {
+        LadderState {
+            phase: self.phase.name().to_string(),
+            generation: self.generation,
+            quiet: self.quiet,
+        }
+        .write_json(out);
     }
 
-    /// Loads [`Self::export_state`]'s form into a ladder built from
-    /// the same trigger config.
+    /// Reads [`Self::export_state`]'s form from the value `lx` is at
+    /// into a ladder built from the same trigger config.
     ///
     /// # Errors
     ///
     /// A missing or mistyped member, an unknown phase name, or a quiet
     /// streak the reset rule would already have cleared; `self` is
     /// left untouched.
-    pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    pub fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("drilldown");
-        let name: String = field(state, "phase", at)?;
-        let phase = ScorePhase::named(&name)
-            .ok_or_else(|| at.err(format_args!("unknown phase {name:?}")))?;
-        let generation = field(state, "generation", at)?;
-        let quiet: u32 = field(state, "quiet", at)?;
+        let LadderState { phase, generation, quiet } = LadderState::read_json(lx, at)?;
+        let phase = ScorePhase::named(&phase)
+            .ok_or_else(|| at.err(format_args!("unknown phase {phase:?}")))?;
         if quiet >= self.config.reset_after_quiet.max(1) {
             return Err(at.err("\"quiet\" is not below the reset threshold"));
         }
@@ -687,6 +686,15 @@ impl ScoreDrilldown {
         Ok(())
     }
 }
+
+/// [`ScoreDrilldown::export_state`]'s form.
+struct LadderState {
+    phase: String,
+    generation: u64,
+    quiet: u32,
+}
+
+telemetry::json_struct!(LadderState { phase, generation, quiet });
 
 #[cfg(test)]
 mod tests {
@@ -1117,11 +1125,11 @@ mod tests {
                 fired: self.score >= Q16,
             })
         }
-        fn export_state(&self) -> Json {
-            Json::Null
+        fn export_state(&self, out: &mut String) {
+            out.push_str("null");
         }
-        fn import_state(&mut self, _: &Json) -> Result<(), String> {
-            Ok(())
+        fn import_state(&mut self, lx: &mut telemetry::json::Lexer<'_>) -> Result<(), String> {
+            lx.skip()
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self

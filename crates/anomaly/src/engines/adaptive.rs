@@ -15,7 +15,8 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use stat4_core::Ewma;
 use std::any::Any;
-use telemetry::json::{field, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// Level EWMA smoothing (`α = 2^-LEVEL_SHIFT`).
 const LEVEL_SHIFT: u32 = 3;
@@ -62,6 +63,17 @@ impl Default for AdaptiveEngine {
     }
 }
 
+/// Both averages' raw accumulators and seeding, and the intervals seen.
+struct AdaptiveState {
+    level_acc: i64,
+    level_seeded: bool,
+    dev_acc: i64,
+    dev_seeded: bool,
+    seen: u64,
+}
+
+json_struct!(AdaptiveState { level_acc, level_seeded, dev_acc, dev_seeded, seen });
+
 impl Detector for AdaptiveEngine {
     fn name(&self) -> &'static str {
         "adaptive"
@@ -98,23 +110,22 @@ impl Detector for AdaptiveEngine {
         })
     }
 
-    fn export_state(&self) -> Json {
-        obj(vec![
-            ("level_acc", self.level.raw().to_json()),
-            ("level_seeded", self.level.is_seeded().to_json()),
-            ("dev_acc", self.dev.raw().to_json()),
-            ("dev_seeded", self.dev.is_seeded().to_json()),
-            ("seen", self.seen.to_json()),
-        ])
+    fn export_state(&self, out: &mut String) {
+        AdaptiveState {
+            level_acc: self.level.raw(),
+            level_seeded: self.level.is_seeded(),
+            dev_acc: self.dev.raw(),
+            dev_seeded: self.dev.is_seeded(),
+            seen: self.seen,
+        }
+        .write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let at = At::Root("adaptive");
-        self.level
-            .restore(field(state, "level_acc", at)?, field(state, "level_seeded", at)?);
-        self.dev
-            .restore(field(state, "dev_acc", at)?, field(state, "dev_seeded", at)?);
-        self.seen = field(state, "seen", at)?;
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
+        let s = AdaptiveState::read_json(lx, At::Root("adaptive"))?;
+        self.level.restore(s.level_acc, s.level_seeded);
+        self.dev.restore(s.dev_acc, s.dev_seeded);
+        self.seen = s.seen;
         Ok(())
     }
 

@@ -9,10 +9,10 @@
 //! `N·x > Xsum + k·σ(NX) + margin` check with a different x.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::WindowedDist;
 use std::any::Any;
-use telemetry::json::{At, Json};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
 
 /// Window capacity in intervals.
 const WINDOW: usize = 64;
@@ -89,12 +89,13 @@ impl Detector for CardinalityEngine {
         })
     }
 
-    fn export_state(&self) -> Json {
-        window_json(&self.window)
+    fn export_state(&self, out: &mut String) {
+        WindowState::of(&self.window).write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        restore_window(&mut self.window, state, At::Root("cardinality"))
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
+        let at = At::Root("cardinality");
+        WindowState::read_json(lx, at)?.restore(&mut self.window, at)
     }
 
     fn as_any(&self) -> &dyn Any {

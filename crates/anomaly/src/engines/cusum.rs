@@ -13,10 +13,11 @@
 //! the engine returns `None` — it has no opinion.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::{CusumDetector, WindowedDist};
 use std::any::Any;
-use telemetry::json::{field, field_with, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// Delivered intervals used to calibrate target/slack/threshold.
 const WARMUP_INTERVALS: usize = 32;
@@ -49,6 +50,25 @@ impl CusumEngine {
         self.inner.as_ref()
     }
 }
+
+/// The frozen calibration and the running sum.
+struct Calibrated {
+    target: i64,
+    slack: i64,
+    threshold: i64,
+    statistic: i64,
+    alarms: u64,
+}
+
+json_struct!(Calibrated { target, slack, threshold, statistic, alarms });
+
+/// The baseline window, and the calibration once warm.
+struct CusumState {
+    baseline: WindowState,
+    calibrated: Option<Calibrated>,
+}
+
+json_struct!(CusumState { baseline, calibrated });
 
 impl Default for CusumEngine {
     fn default() -> Self {
@@ -94,40 +114,32 @@ impl Detector for CusumEngine {
         })
     }
 
-    fn export_state(&self) -> Json {
-        let calibrated = self.inner.as_ref().map_or(Json::Null, |c| {
-            obj(vec![
-                ("target", c.target.to_json()),
-                ("slack", c.slack.to_json()),
-                ("threshold", c.threshold.to_json()),
-                ("statistic", c.statistic().to_json()),
-                ("alarms", c.alarms.to_json()),
-            ])
+    fn export_state(&self, out: &mut String) {
+        let calibrated = self.inner.as_ref().map(|c| Calibrated {
+            target: c.target,
+            slack: c.slack,
+            threshold: c.threshold,
+            statistic: c.statistic(),
+            alarms: c.alarms,
         });
-        obj(vec![
-            ("baseline", window_json(&self.baseline)),
-            ("calibrated", calibrated),
-        ])
+        CusumState { baseline: WindowState::of(&self.baseline), calibrated }.write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("cusum");
-        field_with(state, "baseline", at, |w, at| restore_window(&mut self.baseline, w, at))?;
-        self.inner = field_with(state, "calibrated", at, |c, at| {
-            if c.is_null() {
-                return Ok(None);
+        let CusumState { baseline, calibrated } = CusumState::read_json(lx, at)?;
+        baseline.restore(&mut self.baseline, At::Key(&at, "baseline"))?;
+        self.inner = match calibrated {
+            None => None,
+            Some(c) => {
+                let mut inner = CusumDetector::new(c.target, c.slack, c.threshold);
+                inner
+                    .restore_statistic(c.statistic)
+                    .map_err(|e| At::Key(&at, "calibrated").err(e))?;
+                inner.alarms = c.alarms;
+                Some(inner)
             }
-            let mut inner = CusumDetector::new(
-                field(c, "target", at)?,
-                field(c, "slack", at)?,
-                field(c, "threshold", at)?,
-            );
-            inner
-                .restore_statistic(field(c, "statistic", at)?)
-                .map_err(|e| at.err(e))?;
-            inner.alarms = field(c, "alarms", at)?;
-            Ok(Some(inner))
-        })?;
+        };
         Ok(())
     }
 

@@ -13,7 +13,8 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use stat4_core::HoltWinters;
 use std::any::Any;
-use telemetry::json::{field, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// Intervals per season (must divide the workload's period for a clean
 /// fit, but any value ≥ 2 is legal).
@@ -70,6 +71,20 @@ impl Default for HoltWintersEngine {
     }
 }
 
+/// The model's level, trend, seasonal factors, seed buffer and phase,
+/// the residual band and the intervals observed.
+struct HoltWintersState {
+    level_q16: i64,
+    trend_q16: i64,
+    season_q16: Vec<i64>,
+    seed: Vec<i64>,
+    phase: usize,
+    dev_q16: i64,
+    observed: u64,
+}
+
+json_struct!(HoltWintersState { level_q16, trend_q16, season_q16, seed, phase, dev_q16, observed });
+
 impl Detector for HoltWintersEngine {
     fn name(&self) -> &'static str {
         "holtwinters"
@@ -101,31 +116,27 @@ impl Detector for HoltWintersEngine {
         })
     }
 
-    fn export_state(&self) -> Json {
-        obj(vec![
-            ("level_q16", self.model.level_q16().to_json()),
-            ("trend_q16", self.model.trend_q16().to_json()),
-            ("season_q16", self.model.seasons_q16().to_json()),
-            ("seed", self.model.seed_values().to_json()),
-            ("phase", self.model.phase().to_json()),
-            ("dev_q16", self.dev_q16.to_json()),
-            ("observed", self.observed.to_json()),
-        ])
+    fn export_state(&self, out: &mut String) {
+        HoltWintersState {
+            level_q16: self.model.level_q16(),
+            trend_q16: self.model.trend_q16(),
+            season_q16: self.model.seasons_q16().to_vec(),
+            seed: self.model.seed_values().to_vec(),
+            phase: self.model.phase(),
+            dev_q16: self.dev_q16,
+            observed: self.observed,
+        }
+        .write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("holtwinters");
+        let s = HoltWintersState::read_json(lx, at)?;
         self.model
-            .restore(
-                field(state, "level_q16", at)?,
-                field(state, "trend_q16", at)?,
-                field(state, "season_q16", at)?,
-                field(state, "seed", at)?,
-                field(state, "phase", at)?,
-            )
+            .restore(s.level_q16, s.trend_q16, s.season_q16, s.seed, s.phase)
             .map_err(|e| at.err(e))?;
-        self.dev_q16 = field(state, "dev_q16", at)?;
-        self.observed = field(state, "observed", at)?;
+        self.dev_q16 = s.dev_q16;
+        self.observed = s.observed;
         Ok(())
     }
 

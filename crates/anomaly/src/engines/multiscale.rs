@@ -10,10 +10,11 @@
 //! lower tail belongs to the stalled engine.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::WindowedDist;
 use std::any::Any;
-use telemetry::json::{field, field_with, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// The tumbling-window scales, in intervals.
 pub(crate) const SCALES: [u32; 3] = [1, 4, 16];
@@ -37,6 +38,16 @@ struct ScaleState {
     count: u32,
     window: WindowedDist,
 }
+
+/// One scale's open tumbling sum, its fill, and its window; the scale
+/// itself is the engine's constant and is not written.
+struct ScaleSnap {
+    acc: i64,
+    count: u32,
+    window: WindowState,
+}
+
+json_struct!(ScaleSnap { acc, count, window });
 
 /// Tumbling-window spike bands at `SCALES`.
 #[derive(Debug)]
@@ -120,40 +131,30 @@ impl Detector for MultiScaleEngine {
         })
     }
 
-    fn export_state(&self) -> Json {
-        Json::Arr(
-            self.scales
-                .iter()
-                .map(|s| {
-                    obj(vec![
-                        ("acc", s.acc.to_json()),
-                        ("count", s.count.to_json()),
-                        ("window", window_json(&s.window)),
-                    ])
-                })
-                .collect(),
-        )
+    fn export_state(&self, out: &mut String) {
+        let snap = |s: &ScaleState| ScaleSnap { acc: s.acc, count: s.count, window: WindowState::of(&s.window) };
+        self.scales.iter().map(snap).collect::<Vec<_>>().write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
-        let scales = state.as_arr().unwrap_or(&[]);
-        if scales.len() != self.scales.len() {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
+        let snaps = Vec::<ScaleSnap>::read_json(lx, At::Root("multiscale"))?;
+        if snaps.len() != self.scales.len() {
             return Err(format!(
                 "multiscale: state holds {} scale(s), the engine runs {}",
-                scales.len(),
+                snaps.len(),
                 self.scales.len()
             ));
         }
-        for (s, v) in self.scales.iter_mut().zip(scales) {
+        for (s, snap) in self.scales.iter_mut().zip(snaps) {
             let name = format!("multiscale.scale{}", s.scale);
             let at = At::Root(&name);
-            s.acc = field(v, "acc", at)?;
             // A tumbling sum closes when `count` reaches `scale`.
-            s.count = field(v, "count", at)?;
-            if s.count >= s.scale {
+            if snap.count >= s.scale {
                 return Err(at.err("\"count\" is not below the scale"));
             }
-            field_with(v, "window", at, |w, at| restore_window(&mut s.window, w, at))?;
+            s.acc = snap.acc;
+            s.count = snap.count;
+            snap.window.restore(&mut s.window, At::Key(&at, "window"))?;
         }
         Ok(())
     }

@@ -148,7 +148,7 @@ impl Mergeable for DetectorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::json::{At, FromJson, Json, ToJson};
+    use telemetry::json::{read, write, At};
 
     #[test]
     fn one_delay_sample_per_episode() {
@@ -183,14 +183,14 @@ mod tests {
         m.fired(Check::Rate, 300);
         m.signal(400, false);
         m.signal(500, true); // open, not yet alerted
-        let back = DetectorMetrics::from_json(&m.to_json(), At::Root("$")).unwrap();
+        let back = read::<DetectorMetrics>(&write(&m), At::Root("$")).unwrap();
         assert_eq!(back, m);
         let mut a = m.clone();
         let mut b = back;
         a.fired(Check::Share, 700);
         b.fired(Check::Share, 700);
         assert_eq!(a, b, "the open episode's delay sample lands identically");
-        let err = DetectorMetrics::from_json(&Json::Null, At::Root("$.metrics")).unwrap_err();
+        let err = read::<DetectorMetrics>("null", At::Root("$.metrics")).unwrap_err();
         assert!(err.starts_with("$.metrics"), "{err}");
     }
 

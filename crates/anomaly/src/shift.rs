@@ -18,11 +18,12 @@
 
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
 use std::any::Any;
-use telemetry::json::{field, field_with, from_sparse, obj, sparse, At, Json, ToJson};
+use telemetry::json::{At, Form, FromJson, Lexer, Raw, Sparse, ToJson};
+use telemetry::json_struct;
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -151,6 +152,31 @@ impl PercentileShiftDetector {
     }
 }
 
+/// The tracker (populated cells as `[index, count]` pairs, kept as
+/// text until the reader knows how many cells the configured domain
+/// has; the marker's walk position verbatim), the movement window, the
+/// open interval's tallies, and the alerts. `last_moves` always equals
+/// the marker's move count and is not written.
+struct ShiftState {
+    cells: Raw,
+    total: u64,
+    marker_pos: Option<usize>,
+    marker_low: u64,
+    marker_high: u64,
+    marker_moves: u64,
+    moves_window: WindowState,
+    moves_in_interval: u64,
+    pkts_in_interval: u64,
+    current_interval: Option<u64>,
+    alerts: Vec<Alert>,
+    detected_at: Option<u64>,
+}
+
+json_struct!(ShiftState {
+    cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
+    moves_in_interval, pkts_in_interval, current_interval, alerts, detected_at
+});
+
 /// The ensemble's `median_shift` engine. Signal binding: the exact
 /// merged median frame length, fed once per interval, so a shift in
 /// the length distribution sends the marker walking after the
@@ -168,53 +194,50 @@ impl Detector for PercentileShiftDetector {
         Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.median_len))
     }
 
-    /// The tracker (populated cells as `[index, count]` pairs,
-    /// the marker's walk position verbatim), the movement window, the
-    /// open interval's tallies, and the alerts. `last_moves` always
-    /// equals the marker's move count and is not written.
-    fn export_state(&self) -> Json {
+    fn export_state(&self, out: &mut String) {
         let set = self.tracker.as_set();
         let m = set.export_markers()[0];
-        obj(vec![
-            ("cells", sparse(set.counts())),
-            ("total", set.total().to_json()),
-            ("marker_pos", m.pos.to_json()),
-            ("marker_low", m.low.to_json()),
-            ("marker_high", m.high.to_json()),
-            ("marker_moves", m.moves.to_json()),
-            ("moves_window", window_json(&self.moves_window)),
-            ("moves_in_interval", self.moves_in_interval.to_json()),
-            ("pkts_in_interval", self.pkts_in_interval.to_json()),
-            ("current_interval", self.current_interval.to_json()),
-            ("alerts", self.alerts.to_json()),
-            ("detected_at", self.detected_at.to_json()),
-        ])
+        let counts = set.counts().to_vec();
+        ShiftState {
+            cells: Raw::of(|out| Sparse(counts.len()).write_json(&counts, out)),
+            total: set.total(),
+            marker_pos: m.pos,
+            marker_low: m.low,
+            marker_high: m.high,
+            marker_moves: m.moves,
+            moves_window: WindowState::of(&self.moves_window),
+            moves_in_interval: self.moves_in_interval,
+            pkts_in_interval: self.pkts_in_interval,
+            current_interval: self.current_interval,
+            alerts: self.alerts.clone(),
+            detected_at: self.detected_at,
+        }
+        .write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("median_shift");
-        let cells = self.tracker.as_set().counts().len();
-        let counts = field_with(state, "cells", at, |c, at| from_sparse(c, at, cells))?;
+        let s = ShiftState::read_json(lx, at)?;
+        let cells = Sparse(self.tracker.as_set().counts().len());
+        let counts = cells.read_json(&mut s.cells.lexer(), At::Key(&at, "cells"))?;
         let q = self.cfg.quantile;
         let marker = MarkerRaw {
             low_weight: q.low_weight(),
             high_weight: q.high_weight(),
-            pos: field(state, "marker_pos", at)?,
-            low: field(state, "marker_low", at)?,
-            high: field(state, "marker_high", at)?,
-            moves: field(state, "marker_moves", at)?,
+            pos: s.marker_pos,
+            low: s.marker_low,
+            high: s.marker_high,
+            moves: s.marker_moves,
         };
-        self.tracker
-            .restore(counts, field(state, "total", at)?, marker)
-            .map_err(|e| at.err(e))?;
-        field_with(state, "moves_window", at, |w, at| restore_window(&mut self.moves_window, w, at))?;
+        self.tracker.restore(counts, s.total, marker).map_err(|e| at.err(e))?;
+        s.moves_window.restore(&mut self.moves_window, At::Key(&at, "moves_window"))?;
         // `observe` keeps this equal to the marker's own count.
         self.last_moves = marker.moves;
-        self.moves_in_interval = field(state, "moves_in_interval", at)?;
-        self.pkts_in_interval = field(state, "pkts_in_interval", at)?;
-        self.current_interval = field(state, "current_interval", at)?;
-        self.alerts = field(state, "alerts", at)?;
-        self.detected_at = field(state, "detected_at", at)?;
+        self.moves_in_interval = s.moves_in_interval;
+        self.pkts_in_interval = s.pkts_in_interval;
+        self.current_interval = s.current_interval;
+        self.alerts = s.alerts;
+        self.detected_at = s.detected_at;
         Ok(())
     }
 

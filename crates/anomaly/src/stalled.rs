@@ -9,10 +9,11 @@
 
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::window::WindowedDist;
 use std::any::Any;
-use telemetry::json::{field, field_with, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// Configuration.
 #[derive(Debug, Clone, Copy)]
@@ -145,6 +146,16 @@ impl StalledFlowDetector {
     }
 }
 
+/// The activity window, the interval it is in, and the alerts.
+struct StalledState {
+    window: WindowState,
+    current_interval: Option<u64>,
+    alerts: Vec<Alert>,
+    detected_at: Option<u64>,
+}
+
+json_struct!(StalledState { window, current_interval, alerts, detected_at });
+
 /// The ensemble's `stalled` engine. Signal binding: per-interval
 /// merged packet count as the activity measure, fed as one bulk record
 /// at the interval end via `StalledFlowDetector::observe_activity_n`.
@@ -171,22 +182,23 @@ impl Detector for StalledFlowDetector {
         Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.packets))
     }
 
-    /// The activity window, the interval it is in, and the alerts.
-    fn export_state(&self) -> Json {
-        obj(vec![
-            ("window", window_json(&self.window)),
-            ("current_interval", self.current_interval.to_json()),
-            ("alerts", self.alerts.to_json()),
-            ("detected_at", self.detected_at.to_json()),
-        ])
+    fn export_state(&self, out: &mut String) {
+        StalledState {
+            window: WindowState::of(&self.window),
+            current_interval: self.current_interval,
+            alerts: self.alerts.clone(),
+            detected_at: self.detected_at,
+        }
+        .write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("stalled");
-        field_with(state, "window", at, |w, at| restore_window(&mut self.window, w, at))?;
-        self.current_interval = field(state, "current_interval", at)?;
-        self.alerts = field(state, "alerts", at)?;
-        self.detected_at = field(state, "detected_at", at)?;
+        let s = StalledState::read_json(lx, at)?;
+        s.window.restore(&mut self.window, At::Key(&at, "window"))?;
+        self.current_interval = s.current_interval;
+        self.alerts = s.alerts;
+        self.detected_at = s.detected_at;
         Ok(())
     }
 

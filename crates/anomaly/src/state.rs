@@ -1,43 +1,53 @@
 //! JSON forms of the state several detectors share (history windows,
-//! alert lists), so each engine's
+//! alert lists). Each engine's
 //! [`Detector::export_state`](crate::detector::Detector::export_state)
-//! is a list of members and its `import_state` the same list read
-//! back through [`telemetry::json::field`]. Every reader takes the
-//! [`At`] of the value it is handed and puts it in front of what it
-//! rejects.
+//! writes a `json_struct!` state struct built from the engine, and its
+//! `import_state` reads the same struct from the lexer and checks it
+//! into the engine. Every reader takes the [`At`] of the value it is
+//! handed and puts it in front of what it rejects.
 
 use crate::alerts::Alert;
 use stat4_core::{RunningStats, WindowedDist};
-use telemetry::json::{field, obj, At, FromJson, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// A history window: the ring in slot order, where the next value
 /// lands, how many slots are live, the open interval's accumulator and
 /// the three moments verbatim.
-pub(crate) fn window_json(w: &WindowedDist) -> Json {
-    obj(vec![
-        ("ring", w.ring().to_json()),
-        ("head", w.head().to_json()),
-        ("filled", w.len().to_json()),
-        ("current", w.current().to_json()),
-        ("n", w.stats().n().to_json()),
-        ("xsum", w.stats().xsum().to_json()),
-        ("xsumsq", w.stats().xsumsq().to_json()),
-    ])
+#[derive(Debug)]
+pub(crate) struct WindowState {
+    ring: Vec<i64>,
+    head: usize,
+    filled: usize,
+    current: i64,
+    n: u64,
+    xsum: i64,
+    xsumsq: i64,
 }
 
-/// Reloads `w` (built from the engine's config, which fixes the
-/// capacity) from [`window_json`]'s form.
-pub(crate) fn restore_window(w: &mut WindowedDist, v: &Json, at: At<'_>) -> Result<(), String> {
-    let stats =
-        RunningStats::from_raw(field(v, "n", at)?, field(v, "xsum", at)?, field(v, "xsumsq", at)?);
-    w.restore(
-        field(v, "ring", at)?,
-        field(v, "head", at)?,
-        field(v, "filled", at)?,
-        stats,
-        field(v, "current", at)?,
-    )
-    .map_err(|e| at.err(e))
+json_struct!(WindowState { ring, head, filled, current, n, xsum, xsumsq });
+
+impl WindowState {
+    /// The state of `w`.
+    pub(crate) fn of(w: &WindowedDist) -> Self {
+        Self {
+            ring: w.ring().to_vec(),
+            head: w.head(),
+            filled: w.len(),
+            current: w.current(),
+            n: w.stats().n(),
+            xsum: w.stats().xsum(),
+            xsumsq: w.stats().xsumsq(),
+        }
+    }
+
+    /// Reloads `w` (built from the engine's config, which fixes the
+    /// capacity), which sits at `at`.
+    pub(crate) fn restore(self, w: &mut WindowedDist, at: At<'_>) -> Result<(), String> {
+        let stats = RunningStats::from_raw(self.n, self.xsum, self.xsumsq);
+        w.restore(self.ring, self.head, self.filled, stats, self.current)
+            .map_err(|e| at.err(e))
+    }
 }
 
 /// An alert flattened to `(kind, at, value)` with an owned tag: the
@@ -53,7 +63,7 @@ pub struct AlertSnap {
     pub value: i64,
 }
 
-telemetry::json_struct!(AlertSnap { kind, at, value });
+json_struct!(AlertSnap { kind, at, value });
 
 impl From<&Alert> for AlertSnap {
     fn from(a: &Alert) -> Self {
@@ -63,14 +73,14 @@ impl From<&Alert> for AlertSnap {
 }
 
 impl ToJson for Alert {
-    fn to_json(&self) -> Json {
-        AlertSnap::from(self).to_json()
+    fn write_json(&self, out: &mut String) {
+        AlertSnap::from(self).write_json(out);
     }
 }
 
 impl FromJson for Alert {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        let AlertSnap { kind, at: when, value } = AlertSnap::from_json(v, at)?;
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let AlertSnap { kind, at: when, value } = AlertSnap::read_json(lx, at)?;
         Alert::unflatten(&kind, when, value)
             .ok_or_else(|| at.err(format_args!("not a {kind:?} alert this build knows")))
     }

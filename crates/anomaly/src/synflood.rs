@@ -33,11 +33,12 @@
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::metrics::{Check, DetectorMetrics};
-use crate::state::{restore_window, window_json};
+use crate::state::WindowState;
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
 use std::any::Any;
-use telemetry::json::{field, field_with, obj, At, Json, ToJson};
+use telemetry::json::{At, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// Configuration of the detector.
 #[derive(Debug, Clone, Copy)]
@@ -171,6 +172,16 @@ impl Default for SynFloodDetector {
     }
 }
 
+/// The rate window, the alert stream so far, and the metrics.
+struct SynFloodState {
+    syn_rate: WindowState,
+    alerts: Vec<Alert>,
+    detected_at: Option<u64>,
+    metrics: DetectorMetrics,
+}
+
+json_struct!(SynFloodState { syn_rate, alerts, detected_at, metrics });
+
 impl Detector for SynFloodDetector {
     fn name(&self) -> &'static str {
         "synflood"
@@ -183,22 +194,23 @@ impl Detector for SynFloodDetector {
         Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.syns))
     }
 
-    /// The rate window, the alert stream so far, and the metrics.
-    fn export_state(&self) -> Json {
-        obj(vec![
-            ("syn_rate", window_json(&self.syn_rate)),
-            ("alerts", self.alerts.to_json()),
-            ("detected_at", self.detected_at.to_json()),
-            ("metrics", self.metrics.to_json()),
-        ])
+    fn export_state(&self, out: &mut String) {
+        SynFloodState {
+            syn_rate: WindowState::of(&self.syn_rate),
+            alerts: self.alerts.clone(),
+            detected_at: self.detected_at,
+            metrics: self.metrics.clone(),
+        }
+        .write_json(out);
     }
 
-    fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("synflood");
-        field_with(state, "syn_rate", at, |w, at| restore_window(&mut self.syn_rate, w, at))?;
-        self.alerts = field(state, "alerts", at)?;
-        self.detected_at = field(state, "detected_at", at)?;
-        self.metrics = field(state, "metrics", at)?;
+        let s = SynFloodState::read_json(lx, at)?;
+        s.syn_rate.restore(&mut self.syn_rate, At::Key(&at, "syn_rate"))?;
+        self.alerts = s.alerts;
+        self.detected_at = s.detected_at;
+        self.metrics = s.metrics;
         Ok(())
     }
 

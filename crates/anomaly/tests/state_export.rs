@@ -2,7 +2,9 @@
 //! drilldown ladder) loaded from another's exported state answers
 //! every later interval identically — results, fired log, summaries,
 //! metrics. And it is checked input: state no engine of that
-//! configuration could have exported is refused, never absorbed.
+//! configuration could have exported is refused, never absorbed. The
+//! state is compared as the text it is written as, and read back from
+//! that text, as it comes back from a file.
 
 use anomaly::shift::ShiftConfig;
 use anomaly::stalled::StalledFlowConfig;
@@ -13,7 +15,7 @@ use anomaly::{
     StalledFlowDetector, SynFloodDetector, Q16,
 };
 use stat4_core::{FrequencyDist, RunningStats};
-use telemetry::json::render;
+use telemetry::json::{render, Lexer};
 use telemetry::Json;
 
 const INTERVAL_NS: u64 = 10_000_000;
@@ -134,9 +136,23 @@ fn engines() -> Vec<Box<dyn Detector>> {
     ]
 }
 
-/// The state as it comes back from a file: rendered and parsed.
-fn through_text(state: &Json) -> Json {
-    Json::parse(&render(state)).expect("own rendering parses")
+/// What `export` appends to an empty buffer: a state's text.
+fn text(export: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    export(&mut out);
+    out
+}
+
+/// An engine's exported state.
+fn state(e: &dyn Detector) -> String {
+    text(|out| e.export_state(out))
+}
+
+/// `state` read into `e`, all of it.
+fn import(state: &str, read: impl FnOnce(&mut Lexer<'_>) -> Result<(), String>) -> Result<(), String> {
+    let mut lx = Lexer::new(state);
+    read(&mut lx)?;
+    lx.finish()
 }
 
 #[test]
@@ -150,12 +166,11 @@ fn every_engine_resumes_exactly_from_its_exported_state() {
             for i in &signals[..split] {
                 live.update(&i.ctx());
             }
-            let state = live.export_state();
+            let exported = state(live.as_ref());
             let mut resumed = engines().remove(slot);
-            resumed
-                .import_state(&through_text(&state))
+            import(&exported, |lx| resumed.import_state(lx))
                 .unwrap_or_else(|e| panic!("{name} at {split}: {e}"));
-            assert_eq!(resumed.export_state(), state, "{name} at {split}");
+            assert_eq!(state(resumed.as_ref()), exported, "{name} at {split}");
             let mut fired = 0;
             for i in &signals[split..] {
                 let (a, b) = (live.update(&i.ctx()), resumed.update(&i.ctx()));
@@ -163,8 +178,8 @@ fn every_engine_resumes_exactly_from_its_exported_state() {
                 fired += usize::from(a.is_some_and(|r| r.fired));
             }
             assert_eq!(
-                resumed.export_state(),
-                live.export_state(),
+                state(resumed.as_ref()),
+                state(live.as_ref()),
                 "{name} at {split}"
             );
             assert!(
@@ -184,11 +199,11 @@ fn engine_state_does_not_grow_with_quiet_intervals() {
         let mut early = 0;
         for (fed, i) in quiet.iter().enumerate() {
             if fed == 600 {
-                early = render(&e.export_state()).len();
+                early = state(e.as_ref()).len();
             }
             e.update(&i.ctx());
         }
-        let late = render(&e.export_state()).len();
+        let late = state(e.as_ref()).len();
         assert!(
             late * 10 < early * 11,
             "{} state went {early} -> {late} bytes over {} quiet intervals",
@@ -216,12 +231,13 @@ fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
             let verdict = live.observe(&i.ctx());
             live_drill.observe(&verdict);
         }
-        let (state, ladder) = (live.export_state(), live_drill.export_state());
+        let exported = text(|out| live.export_state(out));
+        let ladder = text(|out| live_drill.export_state(out));
 
         let (mut resumed, mut resumed_drill) = ensemble();
-        resumed.import_state(&through_text(&state)).unwrap();
-        resumed_drill.import_state(&through_text(&ladder)).unwrap();
-        assert_eq!(resumed.export_state(), state, "split {split}");
+        import(&exported, |lx| resumed.import_state(lx)).unwrap();
+        import(&ladder, |lx| resumed_drill.import_state(lx)).unwrap();
+        assert_eq!(text(|out| resumed.export_state(out)), exported, "split {split}");
 
         for i in &signals[split..] {
             let (a, b) = (live.observe(&i.ctx()), resumed.observe(&i.ctx()));
@@ -248,8 +264,11 @@ fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
         };
         assert_eq!(alerts(&resumed), alerts(&live));
         assert!(!alerts(&live).is_empty());
-        assert_eq!(resumed.export_state(), live.export_state());
-        assert_eq!(resumed_drill.export_state(), live_drill.export_state());
+        assert_eq!(text(|out| resumed.export_state(out)), text(|out| live.export_state(out)));
+        assert_eq!(
+            text(|out| resumed_drill.export_state(out)),
+            text(|out| live_drill.export_state(out))
+        );
     }
 }
 
@@ -270,11 +289,10 @@ fn state_no_engine_could_have_exported_is_refused() {
     for i in &signals {
         live.observe(&i.ctx());
     }
-    let good = live.export_state();
-    ensemble()
-        .0
-        .import_state(&good)
-        .expect("the untampered state imports");
+    let written = text(|out| live.export_state(out));
+    let mut ens = ensemble().0;
+    import(&written, |lx| ens.import_state(lx)).expect("the untampered state imports");
+    let good = Json::parse(&written).unwrap();
 
     type Tamper = fn(&mut Json);
     let cases: [(&str, Tamper, &str); 9] = [
@@ -336,18 +354,19 @@ fn state_no_engine_could_have_exported_is_refused() {
         let mut bad = good.clone();
         tamper(&mut bad);
         assert_ne!(bad, good, "{what}: the tamper must hit");
-        let err = ensemble().0.import_state(&bad).expect_err(what);
+        let mut ens = ensemble().0;
+        let err = import(&render(&bad), |lx| ens.import_state(lx)).expect_err(what);
         assert!(err.contains(expect), "{what}: {err}");
     }
 
     let mut ladder = ScoreDrilldown::new(EnsembleConfig::default().trigger);
-    let mut bad = ladder.export_state();
+    let good = Json::parse(&text(|out| ladder.export_state(out))).unwrap();
+    let mut bad = good.clone();
     *at(&mut bad, &["phase"]) = Json::Str("rack".into());
-    assert!(ladder
-        .import_state(&bad)
+    assert!(import(&render(&bad), |lx| ladder.import_state(lx))
         .unwrap_err()
         .contains("unknown phase"));
-    let mut bad = ladder.export_state();
+    let mut bad = good;
     *at(&mut bad, &["quiet"]) = Json::Int(1_000);
-    assert!(ladder.import_state(&bad).unwrap_err().contains("quiet"));
+    assert!(import(&render(&bad), |lx| ladder.import_state(lx)).unwrap_err().contains("quiet"));
 }

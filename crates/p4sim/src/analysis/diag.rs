@@ -24,7 +24,7 @@
 //!   but not certain wrap). Recorded and countable, never fatal.
 
 use std::fmt;
-use telemetry::json::{Json, ToJson};
+use telemetry::json::ToJson;
 use telemetry::json_struct;
 
 /// How serious a finding is (see the module docs for the policy).
@@ -50,8 +50,8 @@ impl fmt::Display for Severity {
 
 /// Written as its name: `"info"`, `"warning"` or `"error"`.
 impl ToJson for Severity {
-    fn to_json(&self) -> Json {
-        self.to_string().to_json()
+    fn write_json(&self, out: &mut String) {
+        self.to_string().write_json(out);
     }
 }
 
@@ -158,8 +158,8 @@ impl fmt::Display for LintCode {
 
 /// Written as its stable code string.
 impl ToJson for LintCode {
-    fn to_json(&self) -> Json {
-        self.code().to_json()
+    fn write_json(&self, out: &mut String) {
+        self.code().write_json(out);
     }
 }
 

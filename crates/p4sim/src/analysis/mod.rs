@@ -45,7 +45,7 @@ pub use telemetry::json;
 
 use crate::pipeline::Pipeline;
 use crate::target::{TargetModel, TargetRule};
-use json::{obj, Json, ToJson};
+use json::{write_obj, ToJson};
 use std::fmt;
 
 /// Everything the verifier found out about one program/target pair.
@@ -106,21 +106,24 @@ impl VerifyReport {
 /// Graph sizes under short names, the allocation's depth and fit, and
 /// the finding counts beside the findings.
 impl ToJson for VerifyReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("target", self.target.to_json()),
-            ("nodes", self.node_count.to_json()),
-            ("edges", self.edge_count.to_json()),
-            ("depth", self.allocation.depth.to_json()),
-            ("fits", self.allocation.fits.to_json()),
-            ("errors", self.errors().to_json()),
-            ("warnings", self.warnings().to_json()),
-            ("infos", self.infos().to_json()),
-            ("worst_chain_steps", self.worst_chain_steps.to_json()),
-            ("step_budget", self.step_budget.to_json()),
-            ("range", self.range.to_json()),
-            ("diagnostics", self.diagnostics.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        write_obj(
+            out,
+            [
+                ("target", &self.target as &dyn ToJson),
+                ("nodes", &self.node_count),
+                ("edges", &self.edge_count),
+                ("depth", &self.allocation.depth),
+                ("fits", &self.allocation.fits),
+                ("errors", &self.errors()),
+                ("warnings", &self.warnings()),
+                ("infos", &self.infos()),
+                ("worst_chain_steps", &self.worst_chain_steps),
+                ("step_budget", &self.step_budget),
+                ("range", &self.range),
+                ("diagnostics", &self.diagnostics),
+            ],
+        );
     }
 }
 

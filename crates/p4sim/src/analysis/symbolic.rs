@@ -47,13 +47,13 @@ use crate::analysis::verify_against;
 use crate::control::{CmpOp, Control};
 use crate::error::{P4Error, P4Result};
 use crate::phv::{fields, FieldId, Phv};
-use crate::pipeline::{register_json, DigestRecord, Pipeline};
+use crate::pipeline::{DigestRecord, Named, Pipeline};
 use crate::runtime::{RuntimeRequest, RuntimeResponse};
 use crate::table::MatchValue;
 use std::collections::{HashMap, HashSet};
 use std::mem::discriminant;
 use std::rc::Rc;
-use telemetry::json::{self, obj, Json, ToJson};
+use telemetry::json::{self, ToJson};
 use telemetry::json_struct;
 
 // ---------------------------------------------------------------------
@@ -229,13 +229,10 @@ impl Witness {
 
 /// `{"fields":[[field, value], …],"registers":[{"name","cells"}, …]}`.
 impl ToJson for Witness {
-    fn to_json(&self) -> Json {
-        let field =
-            |&(f, v): &(FieldId, u64)| Json::Arr(vec![u64::from(f.0).to_json(), v.to_json()]);
-        obj(vec![
-            ("fields", Json::Arr(self.fields.iter().map(field).collect())),
-            ("registers", Json::Arr(self.registers.iter().map(register_json).collect())),
-        ])
+    fn write_json(&self, out: &mut String) {
+        let fields: Vec<[u64; 2]> = self.fields.iter().map(|&(f, v)| [u64::from(f.0), v]).collect();
+        let registers: Vec<Named<'_>> = self.registers.iter().map(Named).collect();
+        json::write_obj(out, [("fields", &fields as &dyn ToJson), ("registers", &registers)]);
     }
 }
 
@@ -1245,16 +1242,19 @@ impl EquivReport {
 
 /// The fields with the verdict, `equivalent`, before the counterexample.
 impl ToJson for EquivReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("paths_a", self.paths_a.to_json()),
-            ("paths_b", self.paths_b.to_json()),
-            ("truncated", self.truncated.to_json()),
-            ("witnesses", self.witnesses.to_json()),
-            ("equivalent", self.equivalent().to_json()),
-            ("counterexample", self.counterexample.to_json()),
-            ("diagnostics", self.diagnostics.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        json::write_obj(
+            out,
+            [
+                ("paths_a", &self.paths_a as &dyn ToJson),
+                ("paths_b", &self.paths_b),
+                ("truncated", &self.truncated),
+                ("witnesses", &self.witnesses),
+                ("equivalent", &self.equivalent()),
+                ("counterexample", &self.counterexample),
+                ("diagnostics", &self.diagnostics),
+            ],
+        );
     }
 }
 
@@ -1657,14 +1657,17 @@ impl RebindReport {
 /// The fields with the verdict, `passes`; the vetted pipeline is left
 /// out.
 impl ToJson for RebindReport {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("paths", self.paths.to_json()),
-            ("truncated", self.truncated.to_json()),
-            ("witnesses", self.witnesses.to_json()),
-            ("passes", self.passes().to_json()),
-            ("diagnostics", self.diagnostics.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        json::write_obj(
+            out,
+            [
+                ("paths", &self.paths as &dyn ToJson),
+                ("truncated", &self.truncated),
+                ("witnesses", &self.witnesses),
+                ("passes", &self.passes()),
+                ("diagnostics", &self.diagnostics),
+            ],
+        );
     }
 }
 

@@ -10,7 +10,8 @@ use crate::table::Table;
 use crate::target::TargetModel;
 use stat4_core::delta::DirtyJournal;
 use std::sync::Arc;
-use telemetry::json::{field, field_with, obj, At, FromJson, Json, ToJson};
+use telemetry::json::{write_obj, At, Form, FromJson, Lexer, ToJson};
+use telemetry::json_struct;
 
 /// How one register's per-shard state folds into a whole-switch view
 /// during sharded replay (`crate::replay::merge_registers`), and the
@@ -197,35 +198,38 @@ pub struct PipelineState {
     pub packets_processed: u64,
 }
 
-/// A named register's cells as a `{"name", "cells"}` object, which a
-/// pair has no field names for: how a checkpoint and a witness list
-/// register contents.
-pub(crate) fn register_json((name, cells): &(String, Vec<u64>)) -> Json {
-    obj(vec![("name", name.to_json()), ("cells", cells.to_json())])
+json_struct!(PipelineState { registers: NamedCells, packets_processed });
+
+/// A list of named registers' cells, each as a `{"name", "cells"}`
+/// object, which a pair has no field names for: how a checkpoint and a
+/// witness list register contents.
+struct NamedCells;
+
+/// One register as [`NamedCells`] reads it.
+struct RegisterCells {
+    name: String,
+    cells: Vec<u64>,
 }
 
-/// A register is written as a `{"name", "cells"}` object, which a pair
-/// has no field names for, so both halves are spelled out.
-impl ToJson for PipelineState {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("registers", Json::Arr(self.registers.iter().map(register_json).collect())),
-            ("packets_processed", self.packets_processed.to_json()),
-        ])
+json_struct!(RegisterCells { name, cells });
+
+/// One register as [`NamedCells`] writes it.
+pub(crate) struct Named<'a>(pub(crate) &'a (String, Vec<u64>));
+
+impl ToJson for Named<'_> {
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, [("name", &self.0 .0 as &dyn ToJson), ("cells", &self.0 .1)]);
     }
 }
 
-impl FromJson for PipelineState {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        let registers = field_with(v, "registers", at, |list, at| {
-            let list = list.as_arr().ok_or_else(|| at.err("not an array"))?;
-            let register = |(i, r)| {
-                let at = At::Idx(&at, i);
-                Ok((field(r, "name", at)?, field(r, "cells", at)?))
-            };
-            list.iter().enumerate().map(register).collect::<Result<_, String>>()
-        })?;
-        Ok(Self { registers, packets_processed: field(v, "packets_processed", at)? })
+impl Form<Vec<(String, Vec<u64>)>> for NamedCells {
+    fn write_json(&self, v: &Vec<(String, Vec<u64>)>, out: &mut String) {
+        v.iter().map(Named).collect::<Vec<_>>().write_json(out);
+    }
+
+    fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<Vec<(String, Vec<u64>)>, String> {
+        let registers = Vec::<RegisterCells>::read_json(lx, at)?;
+        Ok(registers.into_iter().map(|r| (r.name, r.cells)).collect())
     }
 }
 

@@ -53,10 +53,10 @@
 //! `PipelineState` in `p4sim`), so [`serialize`] and [`parse`] here are the
 //! header, the checksum and one call each. A checkpoint does not know
 //! what is inside an engine: [`anomaly::Ensemble::export_state`] and
-//! [`anomaly::ScoreDrilldown::export_state`] hand over JSON values
-//! written with the same pair, the payload carries them as the
-//! `ensemble` and `drill` members, and
-//! [`Checkpoint::rebuild_detection`] hands them back to fresh
+//! [`anomaly::ScoreDrilldown::export_state`] write their state as text,
+//! the payload carries each as one checked JSON value (a
+//! `telemetry::json::Raw`) in the `ensemble` and `drill` members, and
+//! [`Checkpoint::rebuild_detection`] lexes that text into fresh
 //! instances built from the run's config. The cost of a checkpoint is
 //! therefore the size of the state, not the length of the run: every
 //! member is bounded by configuration except `provenance`, the
@@ -65,14 +65,16 @@
 //! which grows with shards lost.
 //!
 //! **The checksum covers the payload bytes as written, where they are
-//! written, and neither side builds a tree** (bar the `ensemble` and
-//! `drill` members, trees by type). [`serialize`] fills one buffer in
-//! one pass: the header with a placeholder for the checksum, the
-//! payload streamed behind it by `ToJson::write_json`, then the hash of
-//! its span over the placeholder. [`parse`] reads the payload from the
-//! lexer's tokens (`FromJson::read_json`) and hashes the span the lexer
-//! reports before it trusts a field. A reader never trusts its own
-//! renderer to reproduce what a writer wrote.
+//! written, and neither side builds a tree.** [`serialize`] fills one
+//! buffer in one pass: the header with a placeholder for the checksum,
+//! the payload streamed behind it by `ToJson::write_json`, then the
+//! hash of its span over the placeholder. [`parse`] reads a file in
+//! [`serialize`]'s member order in one pass, the payload from the
+//! lexer's tokens (`FromJson::read_json`), and hashes the span the
+//! lexer reports before it trusts a field; any other file it checks in
+//! the order of its verdicts: syntax (the whole document, building
+//! nothing), magic, version, checksum, then fields. A reader never
+//! trusts its own renderer to reproduce what a writer wrote.
 
 use crate::provenance::AlertProvenanceRecord;
 use crate::{
@@ -89,7 +91,7 @@ use stat4_core::running::RunningStats;
 use stat4_core::sketch::CountMinSketch;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use telemetry::json::{field, obj, At, Fixed, FromJson, Lexer, Sparse, ToJson};
+use telemetry::json::{self, read_obj, At, Fixed, FromJson, Lexer, Raw, Sparse, ToJson};
 use telemetry::{json_struct, Json};
 
 /// First bytes of every checkpoint document.
@@ -336,11 +338,11 @@ pub struct Checkpoint {
     pub shards: Vec<Option<ShardStateRaw>>,
     /// Every quarantine incident so far, in occurrence order.
     pub incidents: Vec<ShardIncident>,
-    /// [`Ensemble::export_state`] at the drain point: engine states,
-    /// metrics, fire counts, weight overrides, the fired log.
-    pub ensemble: Json,
-    /// [`ScoreDrilldown::export_state`] at the drain point.
-    pub drill: Json,
+    /// [`Ensemble::export_state`]'s text at the drain point: engine
+    /// states, metrics, fire counts, weight overrides, the fired log.
+    pub ensemble: Raw,
+    /// [`ScoreDrilldown::export_state`]'s text at the drain point.
+    pub drill: Raw,
     /// Alert provenance records, restored verbatim.
     pub provenance: Vec<AlertProvenanceRecord>,
     /// Reconfiguration generation at the checkpoint.
@@ -392,9 +394,9 @@ impl Checkpoint {
     /// detector built from `cfg` could have exported.
     pub fn rebuild_detection(&self, cfg: &ReplayConfig) -> Result<(Ensemble, ScoreDrilldown), String> {
         let mut ensemble = build_ensemble(cfg);
-        ensemble.import_state(&self.ensemble)?;
+        ensemble.import_state(&mut self.ensemble.lexer())?;
         let mut drill = ScoreDrilldown::new(cfg.ensemble.trigger);
-        drill.import_state(&self.drill)?;
+        drill.import_state(&mut self.drill.lexer())?;
         Ok((ensemble, drill))
     }
 }
@@ -402,30 +404,34 @@ impl Checkpoint {
 /// An incident as a checkpoint holds it (a snapshot holds
 /// [`crate::provenance::IncidentRef`]s): `kind` is the variant's tag,
 /// `msg` its message (empty for a crash).
+struct IncidentForm {
+    shard: usize,
+    epoch: u64,
+    kind: String,
+    msg: String,
+}
+
+json_struct!(IncidentForm { shard, epoch, kind, msg });
+
 impl ToJson for ShardIncident {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         let (kind, msg) = match &self.kind {
-            IncidentKind::Crashed => ("crashed", ""),
-            IncidentKind::Panicked(m) => ("panicked", m.as_str()),
+            IncidentKind::Crashed => ("crashed", String::new()),
+            IncidentKind::Panicked(m) => ("panicked", m.clone()),
         };
-        obj(vec![
-            ("shard", self.shard.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("kind", kind.to_json()),
-            ("msg", msg.to_json()),
-        ])
+        IncidentForm { shard: self.shard, epoch: self.epoch, kind: kind.to_string(), msg }.write_json(out);
     }
 }
 
 impl FromJson for ShardIncident {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        let msg = field(v, "msg", at)?;
-        let kind = match field::<String>(v, "kind", at)?.as_str() {
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let IncidentForm { shard, epoch, kind, msg } = IncidentForm::read_json(lx, at)?;
+        let kind = match kind.as_str() {
             "crashed" => IncidentKind::Crashed,
             "panicked" => IncidentKind::Panicked(msg),
             other => return Err(at.err(format_args!("unknown incident kind {other:?}"))),
         };
-        Ok(Self { shard: field(v, "shard", at)?, epoch: field(v, "epoch", at)?, kind })
+        Ok(Self { shard, epoch, kind })
     }
 }
 
@@ -451,8 +457,8 @@ pub fn serialize(c: &Checkpoint) -> String {
 
 /// Parses a checkpoint document, validating magic, version and the
 /// payload bytes' checksum before any field is trusted. A file as
-/// [`serialize`] writes it is read in one pass; any other as a tree,
-/// which orders the verdicts: syntax, magic, version, checksum, fields.
+/// [`serialize`] writes it is read in one pass; any other is checked in
+/// the order of the verdicts: syntax, magic, version, checksum, fields.
 ///
 /// # Errors
 ///
@@ -462,31 +468,28 @@ pub fn serialize(c: &Checkpoint) -> String {
 pub fn parse(text: &str) -> Result<Checkpoint, String> {
     let root = At::Root("$");
     let at = At::Key(&root, "payload");
-    // The members in `serialize`'s order; the payload hashed where it was read.
-    let sealed = || {
-        let mut lx = Lexer::new(text);
-        let Ok(Json::Obj(_)) = lx.value() else { return None };
-        let mut member = |key: &str| match lx.next_key() {
-            Ok(Some(k)) if k == key => lx.value().ok(),
-            _ => None,
-        };
-        let head = [member("magic")?, member("version")?, member("checksum")?];
-        let [Json::Str(magic), version, Json::Str(want)] = head else { return None };
-        (magic == MAGIC && version == VERSION.to_json() && lx.next_key().ok()?? == "payload").then_some(())?;
-        let from = lx.pos();
-        let c = Checkpoint::read_json(&mut lx, at).ok()?;
-        let sum = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
-        (sum == want && lx.next_key() == Ok(None) && lx.finish().is_ok()).then_some(c)
-    };
-    if let Some(c) = sealed() {
+    if let Some(c) = sealed(text, at) {
         return Ok(c);
     }
-    let doc = Json::parse(text)?;
-    let magic: String = field(&doc, "magic", root)?;
+    json::check(text)?;
+    // The first member of each header name, as its text.
+    const HEAD: [&str; 4] = ["magic", "version", "checksum", "payload"];
+    let mut head = [None; 4];
+    read_obj(&mut Lexer::new(text), root, |key, lx, _| {
+        let Some(i) = HEAD.iter().position(|k| *k == key).filter(|&i| head[i].is_none()) else {
+            return Ok(false);
+        };
+        let from = lx.pos();
+        lx.skip()?;
+        head[i] = Some(&text[from..lx.pos()]);
+        Ok(true)
+    })?;
+    let member = |i: usize| json::need(head[i], root, HEAD[i]);
+    let magic: String = json::read(member(0)?, At::Key(&root, HEAD[0]))?;
     if magic != MAGIC {
         return Err(format!("not a checkpoint: magic {magic:?}"));
     }
-    let version: u64 = field(&doc, "version", root)?;
+    let version: u64 = json::read(member(1)?, At::Key(&root, HEAD[1]))?;
     if version > VERSION {
         return Err(format!(
             "checkpoint version {version} is newer than supported {VERSION}"
@@ -500,23 +503,33 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
         };
         return Err(format!("checkpoint version {version} {why}; re-run from the start"));
     }
-    let want: String = field(&doc, "checksum", root)?;
-    let payload = doc.get("payload").ok_or_else(|| at.err("missing"))?;
-    // The first `payload` member's bytes, where the lexer finds them.
-    let mut lx = Lexer::new(text);
-    lx.value()?;
-    while lx.next_key()?.is_some_and(|key| key != "payload") {
-        drop(lx.tree()?);
-    }
-    let from = lx.pos();
-    drop(lx.tree()?);
-    let got = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
+    let want: String = json::read(member(2)?, At::Key(&root, HEAD[2]))?;
+    let payload = member(3)?;
+    let got = format!("{:016x}", fnv1a64(payload.as_bytes()));
     if got != want {
         return Err(format!(
             "checksum mismatch: payload hashes to {got}, header says {want}"
         ));
     }
-    Checkpoint::from_json(payload, at)
+    json::read(payload, at)
+}
+
+/// A file in [`serialize`]'s member order, read in one pass with the
+/// payload hashed where it was read; `None` for any other.
+fn sealed(text: &str, at: At<'_>) -> Option<Checkpoint> {
+    let mut lx = Lexer::new(text);
+    let Ok(Json::Obj(_)) = lx.value() else { return None };
+    let mut member = |key: &str| match lx.next_key() {
+        Ok(Some(k)) if k == key => lx.value().ok(),
+        _ => None,
+    };
+    let head = [member("magic")?, member("version")?, member("checksum")?];
+    let [Json::Str(magic), Json::Int(version), Json::Str(want)] = head else { return None };
+    (magic == MAGIC && version == VERSION as i64 && lx.next_key().ok()?? == "payload").then_some(())?;
+    let from = lx.pos();
+    let c = Checkpoint::read_json(&mut lx, at).ok()?;
+    let sum = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
+    (sum == want && lx.next_key() == Ok(None) && lx.finish().is_ok()).then_some(c)
 }
 
 // ---- disk -----------------------------------------------------------
@@ -672,7 +685,12 @@ mod tests {
     use super::*;
     use anomaly::{Alert, TriggerCause};
     use std::fmt::Debug;
-    use telemetry::json::render;
+    use telemetry::json::{read, render, write};
+
+    /// The value `text` as a checkpoint member holds it.
+    fn raw(text: &str) -> Raw {
+        read(text, At::Root("raw")).unwrap()
+    }
 
     fn sample_state() -> ShardState {
         let cfg = ReplayConfig::default();
@@ -737,8 +755,8 @@ mod tests {
                 epoch: 4,
                 kind: IncidentKind::Panicked(String::from("injected fault")),
             }],
-            ensemble: sample_ensemble().export_state(),
-            drill: ScoreDrilldown::new(ReplayConfig::default().ensemble.trigger).export_state(),
+            ensemble: Raw::of(|out| sample_ensemble().export_state(out)),
+            drill: Raw::of(|out| ScoreDrilldown::new(ReplayConfig::default().ensemble.trigger).export_state(out)),
             provenance: crate::snapshot::tests::sample_snapshot().provenance,
             generation: 2,
             swaps_committed: 2,
@@ -758,16 +776,14 @@ mod tests {
     }
 
     /// What every codec owes: the value comes back equal from its own
-    /// rendering, and renders to the same bytes again.
+    /// text, which is canonical JSON (the tree parsed from it renders
+    /// back to it), and writes the same bytes again.
     fn round_trips<T: ToJson + FromJson + PartialEq + Debug>(x: &T) {
-        let text = render(&x.to_json());
-        let mut streamed = String::new();
-        x.write_json(&mut streamed);
-        assert_eq!(streamed, text, "write_json and the rendered tree are the same bytes");
-        let tree = Json::parse(&text).expect("own rendering parses");
-        let back = T::from_json(&tree, At::Root("$")).expect("own form reads back");
+        let text = write(x);
+        assert_eq!(render(&Json::parse(&text).expect("own text parses")), text, "canonical");
+        let back = read::<T>(&text, At::Root("$")).expect("own form reads back");
         assert_eq!(&back, x);
-        assert_eq!(render(&back.to_json()), text, "re-render is byte-identical");
+        assert_eq!(write(&back), text, "re-written byte-identical");
     }
 
     /// One sample of every type that has the pair, from the three
@@ -789,6 +805,8 @@ mod tests {
         round_trips(&ensemble.metrics[0]);
         round_trips(&ensemble.metrics[0].detection_delay);
         round_trips(&ensemble.metrics[0].rate_fires);
+        round_trips(&c.ensemble);
+        round_trips(&c.drill);
 
         let snap = crate::snapshot::tests::sample_snapshot();
         round_trips(&snap);
@@ -828,6 +846,11 @@ mod tests {
         })
     }
 
+    /// The sample checkpoint's payload as a tree, to tamper with.
+    fn sample_tree() -> Json {
+        Json::parse(&write(&sample_checkpoint())).unwrap()
+    }
+
     /// A tampered payload under a header that is right for it, spelled
     /// here on its own so the header's form is pinned too.
     fn framed(payload: &Json) -> String {
@@ -845,10 +868,10 @@ mod tests {
     #[test]
     fn a_deep_member_under_a_good_checksum_is_refused_by_the_nesting_guard() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
-        let unknown = render(&sample_checkpoint().to_json()).replacen('{', &format!("{{\"zzz\":{deep},"), 1);
+        let unknown = write(&sample_checkpoint()).replacen('{', &format!("{{\"zzz\":{deep},"), 1);
         let mut c = sample_checkpoint();
-        c.ensemble = Json::Null;
-        let ensemble = render(&c.to_json()).replacen("\"ensemble\":null", &format!("\"ensemble\":{deep}"), 1);
+        c.ensemble = raw("null");
+        let ensemble = write(&c).replacen("\"ensemble\":null", &format!("\"ensemble\":{deep}"), 1);
         for body in [unknown, ensemble] {
             assert!(body.contains(&deep));
             let err = parse(&sealed(&body)).unwrap_err();
@@ -858,14 +881,14 @@ mod tests {
         // the file, so 254 brackets around a value are the most it takes.
         for (brackets, taken) in [(254, true), (255, false)] {
             let nested = "[".repeat(brackets) + "0" + &"]".repeat(brackets);
-            let body = render(&sample_checkpoint().to_json()).replacen('{', &format!("{{\"zzz\":{nested},"), 1);
+            let body = write(&sample_checkpoint()).replacen('{', &format!("{{\"zzz\":{nested},"), 1);
             assert_eq!(parse(&sealed(&body)).is_ok(), taken, "{brackets} brackets");
         }
     }
 
     #[test]
     fn a_refused_payload_names_the_full_path_and_the_reason() {
-        let good = sample_checkpoint().to_json();
+        let good = sample_tree();
         assert_eq!(framed(&good), serialize(&sample_checkpoint()));
         type Tamper = fn(&mut Json);
         let cases: [(&[&str], Tamper, &str); 13] = [
@@ -950,7 +973,7 @@ mod tests {
     fn a_checkpoint_that_still_carries_cfg_batch_loads() {
         // Files written before the batch knob was deleted have one
         // member more; version 2 still reads them, to the same value.
-        let mut payload = sample_checkpoint().to_json();
+        let mut payload = sample_tree();
         let Json::Obj(members) = &mut payload else {
             unreachable!("a checkpoint renders as an object")
         };
@@ -1015,13 +1038,54 @@ mod tests {
         let cfg = ReplayConfig::default();
         let c = sample_checkpoint();
         let (ensemble, drill) = c.rebuild_detection(&cfg).expect("own export imports");
-        assert_eq!(ensemble.export_state(), c.ensemble);
-        assert_eq!(drill.export_state(), c.drill);
+        assert_eq!(Raw::of(|out| ensemble.export_state(out)), c.ensemble);
+        assert_eq!(Raw::of(|out| drill.export_state(out)), c.drill);
         assert_eq!(ensemble.summaries(), sample_ensemble().summaries());
 
         let mut bad = c.clone();
-        bad.drill = Json::Null;
+        bad.drill = raw("null");
         assert!(bad.rebuild_detection(&cfg).unwrap_err().contains("drilldown"));
+    }
+
+    /// A file in another member order takes the path that checks its
+    /// verdicts one by one, with no tree: syntax, magic, version,
+    /// checksum, then fields.
+    #[test]
+    fn verdicts_come_in_order_off_the_one_pass() {
+        let c = sample_checkpoint();
+        let body = write(&c);
+        let sum = fnv1a64(body.as_bytes());
+        let header = |magic: &str, version: u64, sum: u64| {
+            format!(r#""magic":"{magic}","version":{version},"checksum":"{sum:016x}""#)
+        };
+        // The header written after the payload reads to the same value.
+        let after = format!(r#"{{"payload":{body},{}}}"#, header(MAGIC, VERSION, sum));
+        assert_eq!(parse(&after), Ok(c.clone()));
+        // A version-3 header over a payload no reader takes: the version.
+        let unreadable = r#"{"next_ordinal":"seven"}"#;
+        let old = format!(r#"{{{},"payload":{unreadable}}}"#, header(MAGIC, 3, fnv1a64(unreadable.as_bytes())));
+        let err = parse(&old).unwrap_err();
+        assert!(err.starts_with("checkpoint version 3 was written before"), "{err}");
+        // A torn payload under an intact header, in either order.
+        let torn = body.replacen("\"packets\":400", "\"packets\":4", 1);
+        assert_ne!(torn, body);
+        for doc in [
+            format!(r#"{{{},"payload":{torn}}}"#, header(MAGIC, VERSION, sum)),
+            format!(r#"{{"payload":{torn},{}}}"#, header(MAGIC, VERSION, sum)),
+        ] {
+            assert!(parse(&doc).unwrap_err().starts_with("checksum mismatch"), "{doc}");
+        }
+        // A wrong magic comes before a version this build does not read.
+        let other = format!(r#"{{{},"payload":{body}}}"#, header("other", 999, sum));
+        assert_eq!(parse(&other).unwrap_err(), "not a checkpoint: magic \"other\"");
+        // Syntax comes before everything, wherever it breaks.
+        let broken = format!("{other} x");
+        assert_eq!(parse(&broken), Err(Json::parse(&broken).unwrap_err()));
+        // The fields come last, with their path.
+        let fields = body.replacen("\"packets\":400", "\"packets\":-1", 1);
+        let sealed = format!(r#"{{"payload":{fields},{}}}"#, header(MAGIC, VERSION, fnv1a64(fields.as_bytes())));
+        assert_eq!(parse(&sealed).unwrap_err(), "$.payload.packets: not a non-negative integer");
+        assert_eq!(parse("{}").unwrap_err(), "$.magic: missing");
     }
 
     #[test]
@@ -1056,7 +1120,7 @@ mod tests {
         // #4: intact, but the caller's own check refuses it.
         let mut refused = good.clone();
         refused.checkpoint_ordinal = 4;
-        refused.drill = Json::Null;
+        refused.drill = raw("null");
         write_checkpoint(&dir, &refused, &faults).unwrap();
         // #5: a file a version-1 build left behind.
         let v1 = serialize(&good).replace(&format!("\"version\":{VERSION}"), "\"version\":1");
@@ -1071,7 +1135,7 @@ mod tests {
         let (loaded, (ensemble, _), rejected) =
             load_latest_with(&dir, |c| c.rebuild_detection(&cfg)).expect("fallback to #3");
         assert_eq!(loaded, good);
-        assert_eq!(ensemble.export_state(), good.ensemble);
+        assert_eq!(Raw::of(|out| ensemble.export_state(out)), good.ensemble);
         assert_eq!(rejected.len(), 2);
         assert!(rejected[1].contains("ckpt-000004") && rejected[1].contains("drilldown"), "{rejected:?}");
         let _ = std::fs::remove_dir_all(&dir);

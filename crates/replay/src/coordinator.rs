@@ -25,6 +25,7 @@ use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::ops::Range;
 use std::time::Instant;
+use telemetry::json::Raw;
 use workloads::Schedule;
 
 #[inline]
@@ -241,8 +242,8 @@ impl EpochCoordinator {
                 .map(|s| s.as_ref().map(ShardStateRaw::of))
                 .collect(),
             incidents: self.incidents.clone(),
-            ensemble: self.ensemble.export_state(),
-            drill: self.drill.export_state(),
+            ensemble: Raw::of(|out| self.ensemble.export_state(out)),
+            drill: Raw::of(|out| self.drill.export_state(out)),
             provenance: self.provenance.clone(),
             generation: 0,
             swaps_committed: 0,
@@ -505,7 +506,6 @@ mod tests {
     use anomaly::synflood::KIND_SYN;
     use anomaly::{DetectionResult, Detector, SignalValues};
     use std::sync::{Arc, Mutex};
-    use telemetry::Json;
 
     /// An engine that writes down what it is shown and has no opinion.
     struct Probe(Arc<Mutex<Vec<SignalValues>>>);
@@ -518,11 +518,11 @@ mod tests {
             self.0.lock().unwrap().push(SignalValues::capture(ctx));
             None
         }
-        fn export_state(&self) -> Json {
-            Json::Null
+        fn export_state(&self, out: &mut String) {
+            out.push_str("null");
         }
-        fn import_state(&mut self, _: &Json) -> Result<(), String> {
-            Ok(())
+        fn import_state(&mut self, lx: &mut telemetry::json::Lexer<'_>) -> Result<(), String> {
+            lx.skip()
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self

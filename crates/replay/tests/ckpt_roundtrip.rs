@@ -3,8 +3,10 @@
 //! byte-identically. The serialized form IS the canonical form; any
 //! drift between writer and parser shows up here as a one-byte diff.
 //!
-//! And the streamed read of every type inside a checkpoint is held to
-//! the tree read, on what `write_json` writes and on that damaged.
+//! And the one-pass read of every type inside a checkpoint takes what
+//! `write_json` writes back to the same value, and takes that damaged
+//! cleanly: no panic, no value from text that is not JSON, the syntax
+//! error named first.
 
 use proptest::prelude::*;
 
@@ -15,7 +17,7 @@ use replay::{
     run_replay_lifecycle, AlertProvenanceRecord, LifecyclePlan, ReplayConfig, ShardIncident,
 };
 use std::fmt::Debug;
-use telemetry::json::{read, render, At, FromJson, Lexer, ToJson};
+use telemetry::json::{read, render, write, At, FromJson, Raw, ToJson};
 use telemetry::Json;
 use workloads::{Schedule, SynFloodWorkload};
 
@@ -83,50 +85,51 @@ proptest! {
 
 const ROOT: At<'static> = At::Root("$");
 
-/// The streamed read held to the tree's: `read` gives the `Ok` value or
-/// the error `T::from_json(&Json::parse(s)?)` gives, and the one pass
-/// alone, with no tree to fall back on, accepts what the tree accepts,
-/// to the same value.
-fn reads_as_tree<T: FromJson + PartialEq + Debug>(s: &str) {
-    let tree = Json::parse(s).and_then(|v| T::from_json(&v, ROOT));
-    assert_eq!(read::<T>(s, ROOT), tree, "{s:?}");
-    let mut lx = Lexer::new(s);
-    let pass = T::read_json(&mut lx, ROOT).and_then(|v| lx.finish().map(|()| v));
-    assert_eq!(pass.ok(), tree.ok(), "the one pass over {s:?}");
+/// What `read` owes any text: an answer and no panic; an `Ok` only for
+/// a document `Json::parse` takes, holding a value that writes back to
+/// text that reads to the same value; and, for a document that is not
+/// JSON, the parser's own syntax error.
+fn reads_cleanly<T: ToJson + FromJson + PartialEq + Debug>(s: &str) -> Option<T> {
+    let got = read::<T>(s, ROOT);
+    match (&got, Json::parse(s)) {
+        (Ok(v), Ok(_)) => assert_eq!(read::<T>(&write(v), ROOT).as_ref(), Ok(v), "{s:?}"),
+        (Ok(v), Err(e)) => panic!("{s:?} read as {v:?}, but it is not JSON: {e}"),
+        (Err(e), Err(syntax)) => assert_eq!(e, &syntax, "{s:?}"),
+        (Err(_), Ok(_)) => {}
+    }
+    got.ok()
 }
 
 /// `x` as `write_json` writes it, which must read back equal; then that
 /// text cut and with one bit flipped at every `step`th byte (and at
 /// each of the first and last 64), and with its members rotated.
 fn holds_for<T: ToJson + FromJson + PartialEq + Debug>(x: &T, step: usize) {
-    let mut good = String::new();
-    x.write_json(&mut good);
-    assert_eq!(read::<T>(&good, ROOT).as_ref(), Ok(x));
-    reads_as_tree::<T>(&good);
+    let good = write(x);
+    assert_eq!(reads_cleanly::<T>(&good).as_ref(), Some(x));
     let n = good.len();
     let at = (0..n.min(64))
         .chain((64..n).step_by(step))
         .chain(n.saturating_sub(64)..n);
     for i in at {
         if let Some(cut) = good.get(..i) {
-            reads_as_tree::<T>(cut);
+            reads_cleanly::<T>(cut);
         }
         let mut bytes = good.clone().into_bytes();
         bytes[i] ^= 1 << (i % 8);
         if let Ok(flipped) = String::from_utf8(bytes) {
-            reads_as_tree::<T>(&flipped);
+            reads_cleanly::<T>(&flipped);
         }
     }
     if let Json::Obj(mut members) = Json::parse(&good).unwrap() {
         for _ in 0..members.len() {
             members.rotate_left(1);
-            reads_as_tree::<T>(&render(&Json::Obj(members.clone())));
+            reads_cleanly::<T>(&render(&Json::Obj(members.clone())));
         }
     }
 }
 
 #[test]
-fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
+fn the_one_pass_read_of_every_checkpoint_type_takes_damage_cleanly() {
     let cfg = ReplayConfig {
         shards: 2,
         ..ReplayConfig::default()
@@ -173,18 +176,21 @@ fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
     // The first of two members wins, whatever the second holds; an
     // unknown member, a stray `cfg_batch` among them, is checked and
     // left.
-    let good = render(&c.to_json());
+    let good = write(&c);
     let tail = &good[1..];
-    for head in [
-        r#"{"packets":1,"#,
-        r#"{"packets":"x","#,
-        r#"{"cfg_batch":256,"#,
-        r#"{"zzz":{"a":[1,{"b":null}],"c":"\u00e9"},"#,
-        r#"{"shards":[],"#,
-        r#"{"ensemble":[1,2],"#,
-        r#"{"zzz":[1,"#,
+    let packets_one = Checkpoint { packets: 1, ..c.clone() };
+    let no_shards = Checkpoint { shards: Vec::new(), ..c.clone() };
+    let ensemble = Checkpoint { ensemble: read::<Raw>("[1,2]", ROOT).unwrap(), ..c.clone() };
+    for (head, want) in [
+        (r#"{"packets":1,"#, Some(&packets_one)),
+        (r#"{"packets":"x","#, None),
+        (r#"{"cfg_batch":256,"#, Some(&c)),
+        (r#"{"zzz":{"a":[1,{"b":null}],"c":"\u00e9"},"#, Some(&c)),
+        (r#"{"shards":[],"#, Some(&no_shards)),
+        (r#"{"ensemble":[1,2],"#, Some(&ensemble)),
+        (r#"{"zzz":[1,"#, None),
     ] {
-        reads_as_tree::<Checkpoint>(&format!("{head}{tail}"));
+        assert_eq!(reads_cleanly::<Checkpoint>(&format!("{head}{tail}")).as_ref(), want, "{head}");
     }
     for (from, to) in [
         ("\"cfg_shards\":2,", "\"cfg_shards\":2,\"cfg_batch\":256,"),
@@ -192,14 +198,11 @@ fn the_streamed_read_of_every_checkpoint_type_is_the_tree_read() {
     ] {
         let variant = good.replacen(from, to, 1);
         assert_ne!(variant, good, "{from} must hit");
-        assert_eq!(read::<Checkpoint>(&variant, ROOT).as_ref(), Ok(&c));
-        reads_as_tree::<Checkpoint>(&variant);
+        assert_eq!(reads_cleanly::<Checkpoint>(&variant).as_ref(), Some(&c));
     }
-    reads_as_tree::<ShardStateRaw>(&render(&shard.to_json()).replacen(
-        '{',
-        r#"{"hll_registers":[256],"#,
-        1,
-    ));
-    reads_as_tree::<ShardIncident>(r#"{"shard":0,"epoch":3,"kind":"crashed","msg":"","kind":7}"#);
-    reads_as_tree::<Vec<AlertProvenanceRecord>>("[]");
+    let shard_text = write(shard).replacen('{', r#"{"hll_registers":[256],"#, 1);
+    assert_eq!(reads_cleanly::<ShardStateRaw>(&shard_text), None);
+    let twice = r#"{"shard":0,"epoch":3,"kind":"crashed","msg":"","kind":7}"#;
+    assert!(reads_cleanly::<ShardIncident>(twice).is_some());
+    assert_eq!(reads_cleanly::<Vec<AlertProvenanceRecord>>("[]"), Some(Vec::new()));
 }

@@ -24,7 +24,7 @@ use replay::{
     render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan, ReplayConfig,
     ShardState,
 };
-use telemetry::json::At;
+use telemetry::json::{At, Raw};
 use telemetry::Json;
 use workloads::{Schedule, SynFloodWorkload};
 
@@ -181,9 +181,9 @@ proptest! {
 /// A shard whose geometry is not a fresh shard's is refused by the
 /// name of the member that differs, and before the register file that
 /// member sizes is allocated: a few hundred bytes claiming 2^27-cell
-/// sketch rows cost the reader about 2 kB (the refusal, and the tree
-/// `read` builds to name it), less than a fresh shard's register files
-/// and nothing like the 8 GiB the claim is worth.
+/// sketch rows cost the reader 64–128 bytes (the refusal; about 2 kB
+/// while `read` built a tree to name it), less than a fresh shard's
+/// register files and nothing like the 8 GiB the claim is worth.
 #[test]
 fn another_geometry_is_refused_by_name_before_its_register_files_are_allocated() {
     let _turn = turn();
@@ -247,6 +247,13 @@ fn at<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
     })
 }
 
+/// `raw`, a checkpoint's detection state, with `edit` made to its tree.
+fn tampered(raw: &mut Raw, edit: impl FnOnce(&mut Json)) {
+    let mut tree = Json::parse(&telemetry::json::write(raw)).unwrap();
+    edit(&mut tree);
+    *raw = telemetry::json::read(&telemetry::json::render(&tree), At::Root("ensemble")).unwrap();
+}
+
 /// The semantic half: the bytes are intact (`serialize` seals the
 /// tampered checkpoint with a correct checksum), the state is not.
 /// Either `rebuild_detection` refuses it (no detector could have
@@ -264,37 +271,37 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
     let cases: [Case; 12] = [
         (
             "wrong ring length",
-            |c| match at(&mut c.ensemble, &["engines", "0", "state", "syn_rate", "ring"]) {
+            |c| tampered(&mut c.ensemble, |s| match at(s, &["engines", "0", "state", "syn_rate", "ring"]) {
                 Json::Arr(ring) => {
                     ring.pop();
                 }
                 _ => unreachable!(),
-            },
+            }),
             None,
         ),
         (
             "season phase >= season_len",
-            |c| *at(&mut c.ensemble, &["engines", "4", "state", "phase"]) = Json::Int(16),
+            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "4", "state", "phase"]) = Json::Int(16)),
             None,
         ),
         (
             "negative count",
-            |c| *at(&mut c.ensemble, &["engines", "6", "state", "1", "count"]) = Json::Int(-2),
+            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "6", "state", "1", "count"]) = Json::Int(-2)),
             None,
         ),
         (
             "unknown engine name",
-            |c| *at(&mut c.ensemble, &["engines", "7", "name"]) = Json::Str("entropy".into()),
+            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "7", "name"]) = Json::Str("entropy".into())),
             None,
         ),
         (
             "missing engine",
-            |c| match at(&mut c.ensemble, &["engines"]) {
+            |c| tampered(&mut c.ensemble, |s| match at(s, &["engines"]) {
                 Json::Arr(engines) => {
                     engines.remove(2);
                 }
                 _ => unreachable!(),
-            },
+            }),
             None,
         ),
         // The coordinator's own fields. Each of these panicked the

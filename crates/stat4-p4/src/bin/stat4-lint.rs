@@ -26,7 +26,7 @@
 
 use std::process::ExitCode;
 
-use p4sim::analysis::json::{self, obj, Json, ToJson};
+use p4sim::analysis::json::{self, Member, ToJson};
 use p4sim::Severity;
 use stat4_p4::lint::{builtin_suite, equiv_suite, merge_suite};
 
@@ -93,6 +93,24 @@ fn print_diags(diags: &[p4sim::Diagnostic], verbose: bool) {
     }
 }
 
+/// One entry of the `--json` document: a program's (or an equivalence
+/// pair's, with the divergence it expects) name, verdict and report.
+struct Verdict<'a> {
+    name: &'a str,
+    expect_divergence: Option<bool>,
+    pass: bool,
+    report: &'a dyn ToJson,
+}
+
+impl ToJson for Verdict<'_> {
+    fn write_json(&self, out: &mut String) {
+        let expect = self.expect_divergence.as_ref().map(|e| ("expect_divergence", e as &dyn ToJson));
+        let name: Member<'_> = ("name", &self.name);
+        let rest: [Member<'_>; 2] = [("pass", &self.pass), ("report", self.report)];
+        json::write_obj(out, std::iter::once(name).chain(expect).chain(rest));
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -111,27 +129,27 @@ fn main() -> ExitCode {
         + merge.iter().flatten().filter(|e| !e.report.passes(deny)).count();
 
     if opts.json {
-        let entry = |name: &str, pass: bool, report: Json| {
-            obj(vec![("name", name.to_json()), ("pass", pass.to_json()), ("report", report)])
-        };
-        let programs = suite.iter().map(|e| entry(e.name, e.report.passes(deny), e.report.to_json()));
-        let mut doc = vec![("programs", Json::Arr(programs.collect()))];
+        let verdict = |name, expect_divergence, pass, report| Verdict { name, expect_divergence, pass, report };
+        let programs: Vec<_> =
+            suite.iter().map(|e| verdict(e.name, None, e.report.passes(deny), &e.report as &dyn ToJson)).collect();
+        let equiv: Option<Vec<_>> = equiv.as_ref().map(|eq| {
+            eq.iter()
+                .map(|e| verdict(e.name, Some(e.expect_divergence), e.passes(deny), &e.report as &dyn ToJson))
+                .collect()
+        });
+        let merge: Option<Vec<_>> = merge.as_ref().map(|ms| {
+            ms.iter().map(|e| verdict(e.name, None, e.report.passes(deny), &e.report as &dyn ToJson)).collect()
+        });
+        let mut doc: Vec<Member<'_>> = vec![("programs", &programs)];
         if let Some(eq) = &equiv {
-            let entries = eq.iter().map(|e| {
-                obj(vec![
-                    ("name", e.name.to_json()),
-                    ("expect_divergence", e.expect_divergence.to_json()),
-                    ("pass", e.passes(deny).to_json()),
-                    ("report", e.report.to_json()),
-                ])
-            });
-            doc.push(("equiv", Json::Arr(entries.collect())));
+            doc.push(("equiv", eq));
         }
         if let Some(ms) = &merge {
-            let entries = ms.iter().map(|e| entry(e.name, e.report.passes(deny), e.report.to_json()));
-            doc.push(("merge", Json::Arr(entries.collect())));
+            doc.push(("merge", ms));
         }
-        println!("{}", json::render(&obj(doc)));
+        let mut out = String::new();
+        json::write_obj(&mut out, doc);
+        println!("{out}");
     } else {
         for e in &suite {
             let verdict = if e.report.passes(deny) { "ok" } else { "FAIL" };

@@ -14,7 +14,8 @@
 //! barriers via [`Mergeable`]: cellwise count addition, which is
 //! bit-identical to single-shard recording for any traffic partition.
 
-use crate::json::{field, field_with, from_sparse, obj, sparse, At, FromJson, Json, ToJson};
+use crate::json::{At, FromJson, Lexer, Sparse, ToJson};
+use crate::json_struct;
 use stat4_core::isqrt::{log_linear_bucket, log_linear_bucket_count, log_linear_lower_bound};
 use stat4_core::{Mergeable, Stat4Error, Stat4Result};
 
@@ -153,48 +154,54 @@ impl LogLinearHistogram {
 
 /// The full recorded state: non-empty buckets as `[index, count]`
 /// pairs plus the four scalars (the `u128` sum as a decimal string).
+struct HistState {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: String,
+    min: Option<u64>,
+    max: Option<u64>,
+}
+
+// The document does not carry a resolution: every histogram whose
+// state is stored is built by `default()`.
+json_struct!(HistState { buckets: Sparse(log_linear_bucket_count(DEFAULT_MANTISSA_BITS)), count, sum, min, max });
+
 impl ToJson for LogLinearHistogram {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("buckets", sparse(&self.buckets)),
-            ("count", self.count.to_json()),
-            ("sum", self.sum.to_string().to_json()),
-            ("min", self.min().to_json()),
-            ("max", self.max().to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        let (buckets, count, sum) = (self.buckets.clone(), self.count, self.sum.to_string());
+        HistState { buckets, count, sum, min: self.min(), max: self.max() }.write_json(out);
     }
 }
 
 /// Reads the state back exactly, into a histogram of the default
-/// resolution (the document does not carry one, and every histogram
-/// whose state is stored is built by `default()`). Refused: a bucket
-/// index outside the histogram, bucket counts that do not add up to
-/// `count`, extrema that contradict it.
+/// resolution. Refused: a bucket index outside the histogram, bucket
+/// counts that do not add up to `count`, extrema that contradict it.
 impl FromJson for LogLinearHistogram {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        let mut h = Self::default();
-        h.buckets = field_with(v, "buckets", at, |b, at| from_sparse(b, at, h.buckets.len()))?;
-        let total: u128 = h.buckets.iter().map(|&c| u128::from(c)).sum();
-        h.count = field(v, "count", at)?;
-        if total != u128::from(h.count) {
-            return Err(at.err(format_args!("buckets hold {total} samples, \"count\" says {}", h.count)));
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        let HistState { buckets, count, sum, min, max } = HistState::read_json(lx, at)?;
+        let total: u128 = buckets.iter().map(|&c| u128::from(c)).sum();
+        if total != u128::from(count) {
+            return Err(at.err(format_args!("buckets hold {total} samples, \"count\" says {count}")));
         }
-        h.sum = field_with(v, "sum", at, |s, at| {
-            let digits = s.as_str().and_then(|s| s.parse::<u128>().ok());
-            digits.ok_or_else(|| at.err("not a decimal integer in a string"))
-        })?;
-        let (min, max): (Option<u64>, Option<u64>) = (field(v, "min", at)?, field(v, "max", at)?);
+        let sum = sum
+            .parse::<u128>()
+            .map_err(|_| At::Key(&at, "sum").err("not a decimal integer in a string"))?;
         let extrema_fit = match (min, max) {
-            (None, None) => h.count == 0,
-            (Some(lo), Some(hi)) => h.count > 0 && lo <= hi,
+            (None, None) => count == 0,
+            (Some(lo), Some(hi)) => count > 0 && lo <= hi,
             _ => false,
         };
         if !extrema_fit {
-            return Err(at.err(format_args!("\"min\"/\"max\" contradict a count of {}", h.count)));
+            return Err(at.err(format_args!("\"min\"/\"max\" contradict a count of {count}")));
         }
-        h.min = min.unwrap_or(u64::MAX);
-        h.max = max.unwrap_or(0);
-        Ok(h)
+        Ok(Self {
+            mantissa_bits: DEFAULT_MANTISSA_BITS,
+            buckets,
+            count,
+            sum,
+            min: min.unwrap_or(u64::MAX),
+            max: max.unwrap_or(0),
+        })
     }
 }
 
@@ -280,19 +287,18 @@ mod tests {
 
     #[test]
     fn state_round_trips_exactly_and_rejects_inconsistency() {
+        use crate::json::{read, write};
         let root = At::Root("$");
         let mut h = LogLinearHistogram::default();
-        let empty = h.to_json();
-        assert_eq!(LogLinearHistogram::from_json(&empty, root).unwrap(), h);
+        assert_eq!(read::<LogLinearHistogram>(&write(&h), root).unwrap(), h);
         for v in [0u64, 7, 7, 10_000_000, u64::MAX / 3, u64::MAX - 1] {
             h.record(v);
         }
-        let state = h.to_json();
-        let back = LogLinearHistogram::from_json(&state, root).unwrap();
+        let text = write(&h);
+        let back = read::<LogLinearHistogram>(&text, root).unwrap();
         assert_eq!(back, h);
-        assert_eq!(back.to_json(), state);
+        assert_eq!(write(&back), text);
 
-        let text = crate::json::render(&state);
         for (from, to) in [
             ("\"count\":6", "\"count\":7"),
             ("[0,1]", "[9999,1]"),
@@ -302,7 +308,7 @@ mod tests {
             let bad = text.replace(from, to);
             assert_ne!(bad, text, "{from} must hit");
             let at = At::Key(&root, "h");
-            let err = LogLinearHistogram::from_json(&Json::parse(&bad).unwrap(), at).unwrap_err();
+            let err = read::<LogLinearHistogram>(&bad, at).unwrap_err();
             assert!(err.starts_with("$.h"), "{err}");
         }
     }

@@ -3,27 +3,29 @@
 //!
 //! The workspace builds offline and the vendored `serde` stub carries
 //! no serialisation machinery. What stands in for it is a trait pair,
-//! [`ToJson`] and [`FromJson`], with impls for the integers, `bool`,
-//! `String`, `Option`, `Vec` and [`Json`] itself, and [`crate::json_struct!`],
-//! which writes both impls for a struct from one list of its fields
-//! (or only the writer, for a report nothing reads back). An impl
-//! lives beside the type it is for (`anomaly`, `p4sim`, `replay`,
-//! the metric and trace types here); only where the JSON form is not
-//! the field list (a tagged enum, a list of pairs, a computed or
-//! renamed member) is it written out, with [`obj`] and [`field`], or,
-//! where the text is written with no tree, with one member list that
-//! `obj_of` and `write_obj` take. [`write()`] and [`read()`] turn a
-//! whole document to and from text.
+//! [`ToJson`], which appends a value's text to a `String`, and
+//! [`FromJson`], which reads a value from a [`Lexer`]'s tokens, with
+//! impls for the integers, `bool`, `String`, `Option`, `Vec` and
+//! [`Raw`], and [`crate::json_struct!`], which writes both impls for a
+//! struct from one list of its fields (or only the writer, for a
+//! report nothing reads back). An impl lives beside the type it is for
+//! (`anomaly`, `p4sim`, `replay`, the metric and trace types here);
+//! only where the JSON form is not the field list (a tagged enum, a
+//! list of pairs, a computed or renamed member) is it written out,
+//! with [`write_obj`] and [`read_obj`]. [`write()`] and [`read()`]
+//! turn a whole document to and from text. A typed value is never a
+//! tree on either side: each format is written once per direction.
 //! This module is the only code that writes JSON punctuation. A
 //! reader carries its position as an [`At`], so an error names the
 //! full path of what it refused.
 //!
 //! Underneath is enough of RFC 8259 to round-trip the documents the
 //! suite emits (trace files, run snapshots, checkpoints, metric
-//! exports): a [`Lexer`] pulls a document's tokens, [`Json::parse`]
-//! builds a tree from them and [`render`] writes one. A typed value
-//! needs no tree: [`ToJson::write_json`] writes the bytes [`render`]
-//! would, and [`read`] reads it from the tokens.
+//! exports): a [`Lexer`] pulls a document's tokens, and its one
+//! grammar serves the typed readers, [`Lexer::skip`] (a value checked
+//! and passed over) and [`Json::parse`], which builds a tree for the
+//! documents that have no schema (a trace file, the benchmark's
+//! results) and is the reference the typed readers are tested against.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
 //! as [`Json::Int`] (past `i64::MAX`, as [`Json::UInt`]), so `u64`/`i64`
@@ -145,12 +147,6 @@ impl Json {
             Json::Obj(members) => Some(members),
             _ => None,
         }
-    }
-
-    /// Is this `null`?
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 }
 
@@ -295,8 +291,23 @@ impl<'a> Lexer<'a> {
         hit
     }
 
+    /// The next value checked and passed over, with no tree built: the
+    /// grammar, messages and nesting guard of [`Json::parse`].
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.value()? {
+            Json::Obj(_) => while self.next_key()?.is_some() {
+                self.skip()?;
+            },
+            Json::Arr(_) => while self.next_item()? {
+                self.skip()?;
+            },
+            _ => {}
+        }
+        Ok(())
+    }
+
     /// The next value as a tree: what [`Json::parse`] builds.
-    pub fn tree(&mut self) -> Result<Json, String> {
+    fn tree(&mut self) -> Result<Json, String> {
         let mut v = self.value()?;
         match &mut v {
             Json::Obj(members) => while let Some(key) = self.next_key()? {
@@ -427,9 +438,8 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Writes the tree `v` out as compact JSON. A typed value does not
-/// need the tree: [`ToJson::write_json`] writes the same bytes from
-/// the value itself.
+/// Writes the tree `v` out as compact JSON, in the bytes a typed
+/// value's [`ToJson::write_json`] gives for the same value.
 #[must_use]
 pub fn render(v: &Json) -> String {
     let mut out = String::new();
@@ -543,54 +553,51 @@ fn write_value(out: &mut String, v: &Json) {
 
 // ---- the codec: one struct's JSON form is its field list ---------------
 
-/// A value that has a JSON form, as a tree and as text.
+/// A value that has a JSON form.
 pub trait ToJson {
-    /// The value as a tree; [`render`] writes it out.
-    fn to_json(&self) -> Json;
-
-    /// Appends the value's JSON text to `out`: the bytes
-    /// `render(&self.to_json())` would give, which is what the default
-    /// does. A hand-written impl is therefore right without this
-    /// method. Override it where the tree is the cost and not the
-    /// point, by writing the text straight from the value: the leaf
-    /// impls below and [`crate::json_struct!`] do, so a struct of such
-    /// fields (a 39 000-cell checkpoint) is written in one pass with no
-    /// node built per cell. An override must keep the two forms
-    /// byte-identical; `replay`'s `every_codec_round_trips` checks
-    /// every type it visits.
-    fn write_json(&self, out: &mut String) {
-        write_value(out, &self.to_json());
-    }
+    /// Appends the value's JSON text to `out`, compact, in the bytes
+    /// [`render`] gives for the same value: the leaf impls below and
+    /// [`crate::json_struct!`] write straight from the value, so a
+    /// struct of such fields (a 39 000-cell checkpoint) is written in
+    /// one pass with no node built per cell.
+    fn write_json(&self, out: &mut String);
 }
 
 /// A value that can be read back from its JSON form. The document may
 /// come from disk, so every impl checks what it is handed.
 pub trait FromJson: Sized {
-    /// Reads `v`, which sits at `at` in its document.
+    /// Reads the value `lx` is at, which sits at `at` in its document.
     ///
     /// # Errors
     ///
-    /// `at` and what is wrong there: `$.payload.shards[1].pc_counts[5]:
-    /// not a non-negative integer`.
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String>;
-
-    /// Reads the value `lx` is at as [`Self::from_json`] reads its tree,
-    /// which the default builds. The leaf impls and [`crate::json_struct!`]
-    /// read the tokens instead. An override accepts what the tree reader
-    /// does, to the same value, but may name another problem first.
-    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
-        Self::from_json(&lx.tree()?, at)
-    }
+    /// The lexer's syntax error, or `at` and what is wrong there:
+    /// `$.payload.shards[1].pc_counts[5]: not a non-negative integer`.
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String>;
 }
 
-/// Reads the document `text` as a `T` in one pass over its tokens. A
-/// refused one is read again as a tree, for the error (syntax first)
-/// that `T::from_json(&Json::parse(text)?, at)` gives.
+/// Reads the document `text` as a `T` in one pass over its tokens.
+/// Syntax is named first: a document the reader refuses is scanned once
+/// more, with no tree, and a syntax error anywhere in it is the error.
+///
+/// # Errors
+///
+/// The first syntax error in `text`, else what `T`'s reader refused.
 pub fn read<T: FromJson>(text: &str, at: At<'_>) -> Result<T, String> {
     let mut lx = Lexer::new(text);
     T::read_json(&mut lx, at)
         .and_then(|v| lx.finish().map(|()| v))
-        .or_else(|_| T::from_json(&Json::parse(text)?, at))
+        .map_err(|refused| check(text).err().unwrap_or(refused))
+}
+
+/// Checks that `text` is one JSON document, building nothing.
+///
+/// # Errors
+///
+/// What [`Json::parse`] gives for it.
+pub fn check(text: &str) -> Result<(), String> {
+    let mut lx = Lexer::new(text);
+    lx.skip()?;
+    lx.finish()
 }
 
 /// The document `v` as text: [`read`]'s mirror, and how every document
@@ -635,27 +642,13 @@ impl std::fmt::Display for At<'_> {
     }
 }
 
-/// An object from `(key, value)` pairs, in the order given.
-#[must_use]
-pub fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 /// One member of an object whose value is not written yet.
-pub(crate) type Member<'a> = (&'a str, &'a dyn ToJson);
+pub type Member<'a> = (&'a str, &'a dyn ToJson);
 
-/// An object from [`Member`]s, in the order given: the tree of the
-/// text [`write_obj`] writes from the same members.
-#[must_use]
-pub(crate) fn obj_of<'a>(members: impl IntoIterator<Item = Member<'a>>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v.to_json())).collect())
-}
-
-/// Appends the object [`obj_of`] builds from `members`, with no tree:
-/// each value is written by its own [`ToJson::write_json`]. An impl
-/// whose form is not its field list gives one member list to both, so
-/// its tree and its text cannot disagree.
-pub(crate) fn write_obj<'a>(out: &mut String, members: impl IntoIterator<Item = Member<'a>>) {
+/// Appends an object of `members`, in the order given, each value
+/// written by its own [`ToJson::write_json`]: the writer of an impl
+/// whose form is not its field list.
+pub fn write_obj<'a>(out: &mut String, members: impl IntoIterator<Item = Member<'a>>) {
     out.push('{');
     for (i, (k, v)) in members.into_iter().enumerate() {
         if i > 0 {
@@ -668,31 +661,38 @@ pub(crate) fn write_obj<'a>(out: &mut String, members: impl IntoIterator<Item = 
     out.push('}');
 }
 
-/// Member `key` of the object `v` (which sits at `at`), handed with
-/// its own path to `read`. Every member is read through here, so a
-/// missing one is reported one way.
+/// Reads the object `lx` is at member by member: `take` is handed each
+/// key, the lexer at its value and the value's path, reads the value of
+/// a member it keeps and says whether it did; any other member is
+/// checked and passed over. The reader of [`crate::json_struct!`] and of
+/// every impl whose form is not its field list; each keeps the first
+/// member of a name, as [`Json::get`] finds it, and passes over a later
+/// one.
 ///
 /// # Errors
 ///
-/// The member is missing (or `v` is not an object), or `read` refuses
-/// it.
-pub fn field_with<'a, T>(
-    v: &'a Json,
-    key: &str,
+/// The value is not an object, a syntax error, or what `take` refused.
+pub fn read_obj<'a>(
+    lx: &mut Lexer<'a>,
     at: At<'_>,
-    read: impl FnOnce(&'a Json, At<'_>) -> Result<T, String>,
-) -> Result<T, String> {
-    let at = At::Key(&at, key);
-    read(v.get(key).ok_or_else(|| at.err("missing"))?, at)
+    mut take: impl FnMut(&str, &mut Lexer<'a>, At<'_>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let Json::Obj(_) = lx.value()? else { return Err(at.err("not an object")) };
+    while let Some(key) = lx.next_key()? {
+        if !take(&key, lx, At::Key(&at, &key))? {
+            lx.skip()?;
+        }
+    }
+    Ok(())
 }
 
-/// Member `key` of the object `v` as a `T`.
+/// Member `key` of the object at `at`, if [`read_obj`] found it.
 ///
 /// # Errors
 ///
-/// As [`field_with`] reading through [`FromJson::from_json`].
-pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> {
-    field_with(v, key, at, T::from_json)
+/// `at.key: missing`.
+pub fn need<T>(v: Option<T>, at: At<'_>, key: &str) -> Result<T, String> {
+    v.ok_or_else(|| At::Key(&at, key).err("missing"))
 }
 
 /// Both halves of the codec for a struct whose JSON form is its field
@@ -700,9 +700,7 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 /// in the order listed, read back by name. Every field must be listed
 /// (the reader builds `Self` from the list) and must itself have the
 /// pair, or be listed as `field: form` with a [`Form`] for its type
-/// that writes and reads it instead ([`Sparse`], [`Fixed`]). The one
-/// list gives the tree, the text ([`ToJson::write_json`], each field
-/// streamed behind its key) and the reader.
+/// that writes and reads it instead ([`Sparse`], [`Fixed`]).
 ///
 /// `json_struct!(@write Ty { .. })` gives the writer alone, for a
 /// report that is emitted and never read back; its fields need only
@@ -712,38 +710,23 @@ pub fn field<T: FromJson>(v: &Json, key: &str, at: At<'_>) -> Result<T, String> 
 macro_rules! json_struct {
     (@read $ty:ty { $($field:ident $(: $form:expr)?),+ $(,)? }) => {
         impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::Json, at: $crate::json::At<'_>) -> Result<Self, String> {
-                Ok(Self { $($field: $crate::json::field_with(v, stringify!($field), at, |v, at| {
-                    $crate::json_struct!(@from v, at $(, $form)?)
-                })?),+ })
-            }
             fn read_json(lx: &mut $crate::json::Lexer<'_>, at: $crate::json::At<'_>) -> Result<Self, String> {
-                use $crate::json::At;
-                // The first member of each name is read, as `field` finds
-                // it in the tree; any other member is only checked.
-                let $crate::Json::Obj(_) = lx.value()? else { return Err(at.err("not an object")) };
                 $(let mut $field = None;)+
-                while let Some(key) = lx.next_key()? {
-                    match &*key {
+                $crate::json::read_obj(lx, at, |key, lx, at| {
+                    match key {
                         $(stringify!($field) if $field.is_none() => {
-                            let at = At::Key(&at, stringify!($field));
                             $field = Some($crate::json_struct!(@read_one lx, at $(, $form)?)?);
                         })+
-                        _ => drop(lx.tree()?),
+                        _ => return Ok(false),
                     }
-                }
-                Ok(Self { $($field: $field.ok_or_else(|| At::Key(&at, stringify!($field)).err("missing"))?),+ })
+                    Ok(true)
+                })?;
+                Ok(Self { $($field: $crate::json::need($field, at, stringify!($field))?),+ })
             }
         }
     };
     (@write $ty:ty { $first:ident $(: $first_form:expr)? $(, $field:ident $(: $form:expr)?)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::json::obj(vec![
-                    (stringify!($first), $crate::json_struct!(@to &self.$first $(, $first_form)?)),
-                    $((stringify!($field), $crate::json_struct!(@to &self.$field $(, $form)?))),*
-                ])
-            }
             fn write_json(&self, out: &mut String) {
                 // A field name is an identifier: nothing in it to escape.
                 out.push_str(concat!("{\"", stringify!($first), "\":"));
@@ -757,12 +740,8 @@ macro_rules! json_struct {
         }
     };
     // One field, through its type's own impl or through its form.
-    (@from $v:ident, $at:ident) => { $crate::json::FromJson::from_json($v, $at) };
-    (@from $v:ident, $at:ident, $form:expr) => { $crate::json::Form::read_tree(&$form, $v, $at) };
     (@read_one $lx:ident, $at:ident) => { $crate::json::FromJson::read_json($lx, $at) };
     (@read_one $lx:ident, $at:ident, $form:expr) => { $crate::json::Form::read_json(&$form, $lx, $at) };
-    (@to $v:expr) => { $crate::json::ToJson::to_json($v) };
-    (@to $v:expr, $form:expr) => { $crate::json::Form::to_json(&$form, $v) };
     (@write_one $out:ident, $v:expr) => { $crate::json::ToJson::write_json($v, $out) };
     (@write_one $out:ident, $v:expr, $form:expr) => { $crate::json::Form::write_json(&$form, $v, $out) };
     ($ty:ty { $first:ident $(: $first_form:expr)? $(, $field:ident $(: $form:expr)?)* $(,)? }) => {
@@ -775,15 +754,9 @@ macro_rules! json_struct {
 // the hint each of a checkpoint's ~40 000 cells would cost a call
 // across the crate boundary from the array loop that is.
 
+/// Exact over the whole range: the one place it is decided how a `u64`
+/// is written, as bare digits on both sides of `i64::MAX`.
 impl ToJson for u64 {
-    /// Exact over the whole range: the one place it is decided how a
-    /// `u64` is written. Up to `i64::MAX` it is the `Int` it always
-    /// was; above, a `UInt`, which renders as the same bare digits.
-    #[inline]
-    fn to_json(&self) -> Json {
-        i64::try_from(*self).map_or_else(|_| Json::UInt(*self), Json::Int)
-    }
-
     #[inline]
     fn write_json(&self, out: &mut String) {
         write_uint(out, *self);
@@ -792,13 +765,11 @@ impl ToJson for u64 {
 
 impl FromJson for u64 {
     #[inline]
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        v.as_u64().ok_or_else(|| at.err("not a non-negative integer"))
-    }
-
-    #[inline]
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
-        lx.digits().map_or_else(|| Self::from_json(&lx.value()?, at), Ok)
+        if let Some(v) = lx.digits() {
+            return Ok(v);
+        }
+        lx.value()?.as_u64().ok_or_else(|| at.err("not a non-negative integer"))
     }
 }
 
@@ -808,21 +779,12 @@ macro_rules! json_unsigned {
     ($($ty:ty),+) => {$(
         impl ToJson for $ty {
             #[inline]
-            fn to_json(&self) -> Json {
-                // Lossless: no supported `usize` is wider than 64 bits.
-                (*self as u64).to_json()
-            }
-            #[inline]
             fn write_json(&self, out: &mut String) {
+                // Lossless: no supported `usize` is wider than 64 bits.
                 write_uint(out, *self as u64);
             }
         }
         impl FromJson for $ty {
-            #[inline]
-            fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-                <$ty>::try_from(u64::from_json(v, at)?)
-                    .map_err(|_| at.err(concat!("overflows ", stringify!($ty))))
-            }
             #[inline]
             fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
                 <$ty>::try_from(u64::read_json(lx, at)?)
@@ -835,11 +797,6 @@ json_unsigned!(u8, u32, usize);
 
 impl ToJson for i64 {
     #[inline]
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
-    }
-
-    #[inline]
     fn write_json(&self, out: &mut String) {
         write_int(out, *self);
     }
@@ -847,71 +804,47 @@ impl ToJson for i64 {
 
 impl FromJson for i64 {
     #[inline]
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        v.as_i64().ok_or_else(|| at.err("not an integer"))
-    }
-
-    #[inline]
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
         // At most 18 digits: the `u64` is an `i64` too.
-        lx.digits().map_or_else(|| Self::from_json(&lx.value()?, at), |v| Ok(v as i64))
+        if let Some(v) = lx.digits() {
+            return Ok(v as i64);
+        }
+        lx.value()?.as_i64().ok_or_else(|| at.err("not an integer"))
     }
 }
 
-/// A histogram's sum. The text keeps every digit; a tree holds a value
-/// past `u64::MAX` only as the nearest `f64`, so there alone the two
-/// forms differ.
+/// A histogram's sum, every digit kept.
 impl ToJson for u128 {
-    fn to_json(&self) -> Json {
-        u64::try_from(*self).map_or(Json::Float(*self as f64), |u| u.to_json())
-    }
-
     fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl FromJson for bool {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        v.as_bool().ok_or_else(|| at.err("not a boolean"))
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        lx.value()?.as_bool().ok_or_else(|| at.err("not a boolean"))
     }
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut String) {
         write_json_string(out, self);
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        self.as_str().to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.as_str().write_json(out);
     }
 }
 
 impl FromJson for String {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        Ok(v.as_str().ok_or_else(|| at.err("not a string"))?.to_string())
-    }
-
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
         let Json::Str(s) = lx.value()? else { return Err(at.err("not a string")) };
         Ok(s)
@@ -920,44 +853,13 @@ impl FromJson for String {
 
 /// A borrowed value writes what it points at (a `&'static str` name).
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
 }
 
-/// A subtree carried as it is (a detector's exported state inside a
-/// checkpoint, which does not look inside).
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-
-    /// The tree it already is, written without the clone.
-    fn write_json(&self, out: &mut String) {
-        write_value(out, self);
-    }
-}
-
-impl FromJson for Json {
-    fn from_json(v: &Json, _: At<'_>) -> Result<Self, String> {
-        Ok(v.clone())
-    }
-
-    fn read_json(lx: &mut Lexer<'_>, _: At<'_>) -> Result<Self, String> {
-        lx.tree()
-    }
-}
-
 /// `None` is `null`.
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
-    }
-
     fn write_json(&self, out: &mut String) {
         match self {
             Some(x) => x.write_json(out),
@@ -967,23 +869,12 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        if v.is_null() {
-            return Ok(None);
-        }
-        T::from_json(v, at).map(Some)
-    }
-
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
         if lx.null() { Ok(None) } else { T::read_json(lx, at).map(Some) }
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('[');
         for (i, x) in self.iter().enumerate() {
@@ -996,28 +887,19 @@ impl<T: ToJson> ToJson for [T] {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        self.as_slice().to_json()
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
+}
 
+impl<T: ToJson> ToJson for Vec<T> {
     fn write_json(&self, out: &mut String) {
         self.as_slice().write_json(out);
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        let items = v.as_arr().ok_or_else(|| at.err("not an array"))?;
-        // A plain loop into a vector of the known length: collecting
-        // `Result`s grows by doubling and costs a call per item.
-        let mut out = Vec::with_capacity(items.len());
-        for (i, x) in items.iter().enumerate() {
-            out.push(T::from_json(x, At::Idx(&at, i))?);
-        }
-        Ok(out)
-    }
-
     fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
         let Json::Arr(_) = lx.value()? else { return Err(at.err("not an array")) };
         let mut out = Vec::new();
@@ -1028,32 +910,58 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+/// One JSON value kept as its text: a member whose reader is not known
+/// where it is read (a detector's exported state inside a checkpoint,
+/// which does not look inside), lexed again by what knows it. Read, it
+/// is checked whole, so its text is always one value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Raw(String);
+
+impl Raw {
+    /// The value `write` appends, which must be one JSON value.
+    #[must_use]
+    pub fn of(write: impl FnOnce(&mut String)) -> Self {
+        let mut text = String::new();
+        write(&mut text);
+        Self(text)
+    }
+
+    /// A lexer at the value.
+    #[must_use]
+    pub fn lexer(&self) -> Lexer<'_> {
+        Lexer::new(&self.0)
+    }
+}
+
+impl ToJson for Raw {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+}
+
+impl FromJson for Raw {
+    fn read_json(lx: &mut Lexer<'_>, _: At<'_>) -> Result<Self, String> {
+        let from = lx.pos;
+        lx.skip()?;
+        Ok(Self(lx.text[from..lx.pos].to_string()))
+    }
+}
+
 // ---- fields whose form is not their type's own -------------------------
 
 /// A field's JSON form where it is not its type's own. A
 /// [`crate::json_struct!`] field listed as `name: form` is written and
 /// read through `form`, which carries what the reader must know before
 /// it reads: a register file's length, the one value a member may hold.
-/// The four methods are [`ToJson`]'s and [`FromJson`]'s (`read_tree`
-/// is `from_json`), under the same rules: the text is the rendered
-/// tree, and the token reader accepts what the tree reader does, to the
-/// same value.
+/// The two methods are [`ToJson`]'s and [`FromJson`]'s.
 pub trait Form<T> {
-    /// `v` as a tree.
-    fn to_json(&self, v: &T) -> Json;
     /// `v`'s text, appended to `out`.
     fn write_json(&self, v: &T, out: &mut String);
-    /// Reads the tree `v`, which sits at `at`.
+    /// Reads the value `lx` is at, which sits at `at`.
     ///
     /// # Errors
     ///
     /// `at` and what is wrong there.
-    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<T, String>;
-    /// Reads the value `lx` is at.
-    ///
-    /// # Errors
-    ///
-    /// As [`Form::read_tree`], though another problem may be named first.
     fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<T, String>;
 }
 
@@ -1066,28 +974,17 @@ impl<T> Form<T> for Fixed<T>
 where
     T: ToJson + FromJson + PartialEq + std::fmt::Display,
 {
-    fn to_json(&self, v: &T) -> Json {
-        v.to_json()
-    }
-
     fn write_json(&self, v: &T, out: &mut String) {
         v.write_json(out);
     }
 
-    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<T, String> {
-        T::from_json(v, at).and_then(|got| fixed(&self.0, got, at))
-    }
-
     fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<T, String> {
-        T::read_json(lx, at).and_then(|got| fixed(&self.0, got, at))
-    }
-}
-
-fn fixed<T: PartialEq + std::fmt::Display>(want: &T, got: T, at: At<'_>) -> Result<T, String> {
-    if got == *want {
-        Ok(got)
-    } else {
-        Err(at.err(format_args!("{got} is not the {want} this build reads")))
+        let got = T::read_json(lx, at)?;
+        if got == self.0 {
+            Ok(got)
+        } else {
+            Err(at.err(format_args!("{got} is not the {} this build reads", self.0)))
+        }
     }
 }
 
@@ -1098,38 +995,6 @@ fn fixed<T: PartialEq + std::fmt::Display>(want: &T, got: T, at: At<'_>) -> Resu
 /// the document says.
 #[derive(Debug, Clone, Copy)]
 pub struct Sparse(pub usize);
-
-/// The tree [`Sparse`] writes for `cells`.
-#[must_use]
-pub fn sparse<T: ToJson + Default + PartialEq>(cells: &[T]) -> Json {
-    let zero = T::default();
-    let live = cells.iter().enumerate().filter(|(_, c)| **c != zero);
-    Json::Arr(live.map(|(i, c)| Json::Arr(vec![i.to_json(), c.to_json()])).collect())
-}
-
-/// [`sparse`]'s form back as the dense array of `len` cells it came
-/// from.
-///
-/// # Errors
-///
-/// Not an array of `[index, count]` pairs, a count its cell cannot
-/// hold, an index that does not increase, or one at or past `len`.
-pub fn from_sparse<T>(v: &Json, at: At<'_>, len: usize) -> Result<Vec<T>, String>
-where
-    T: FromJson + Default + Clone,
-{
-    let pairs = v.as_arr().ok_or_else(|| at.err("not an array"))?;
-    let mut cells = vec![T::default(); len];
-    let mut next = 0;
-    for (n, pair) in pairs.iter().enumerate() {
-        let at = At::Idx(&at, n);
-        let [i, c] = pair.as_arr().unwrap_or(&[]) else {
-            return Err(at.err("not an [index, count] pair"));
-        };
-        place(&mut cells, &mut next, usize::from_json(i, at)?, T::from_json(c, at)?, at)?;
-    }
-    Ok(cells)
-}
 
 /// Puts the pair `[i, c]` into `cells`: `i` must be at least `next`
 /// (one past the index before it) and inside the file.
@@ -1147,10 +1012,6 @@ impl<T> Form<Vec<T>> for Sparse
 where
     T: ToJson + FromJson + Default + PartialEq + Clone,
 {
-    fn to_json(&self, v: &Vec<T>) -> Json {
-        sparse(v)
-    }
-
     fn write_json(&self, v: &Vec<T>, out: &mut String) {
         let zero = T::default();
         let mut open = "[";
@@ -1163,10 +1024,6 @@ where
             out.push(']');
         }
         out.push(']');
-    }
-
-    fn read_tree(&self, v: &Json, at: At<'_>) -> Result<Vec<T>, String> {
-        from_sparse(v, at, self.0)
     }
 
     fn read_json(&self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<Vec<T>, String> {
@@ -1255,7 +1112,7 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_str(), Some("z"));
         let arr = v.get("b").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_i64(), Some(1));
-        assert!(arr[1].get("x").unwrap().is_null());
+        assert_eq!(arr[1].get("x"), Some(&Json::Null));
     }
 
     #[test]
@@ -1288,6 +1145,7 @@ mod tests {
             (r#""\ud800\ue000""#, "\u{fffd}\u{e000}"),
         ] {
             assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
+            assert_eq!(read::<String>(text, ROOT).as_deref(), Ok(want), "{text}");
         }
     }
 
@@ -1319,6 +1177,8 @@ mod tests {
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.contains("byte"), "{bad:?} -> {err}");
+            // The check that builds nothing draws the same line.
+            assert_eq!(check(bad), Err(err), "{bad:?}");
         }
     }
 
@@ -1327,6 +1187,7 @@ mod tests {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
+        assert_eq!(check(&deep), Err(err));
     }
 
     #[test]
@@ -1354,6 +1215,7 @@ mod tests {
         }
         for i in sweep {
             assert_eq!(render(&Json::Int(i)), format!("{i}"));
+            assert_eq!(write(&i), format!("{i}"));
         }
     }
 
@@ -1383,19 +1245,20 @@ mod tests {
     #[test]
     fn a_struct_is_written_in_listed_order_and_read_back_by_name() {
         let p = Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true };
-        let text = render(&p.to_json());
+        let text = write(&p);
         assert_eq!(text, r#"{"n":7,"small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#);
-        assert_eq!(Probe::from_json(&Json::parse(&text).unwrap(), ROOT).unwrap(), p);
+        assert_eq!(read::<Probe>(&text, ROOT).unwrap(), p);
         let shuffled = r#"{"on":true,"list":[-1,2],"extra":0,"maybe":null,"name":"x","small":9,"n":7}"#;
-        assert_eq!(Probe::from_json(&Json::parse(shuffled).unwrap(), ROOT).unwrap(), p);
+        assert_eq!(read::<Probe>(shuffled, ROOT).unwrap(), p);
     }
 
-    /// `write_json` against the rendered tree, and what both must read.
+    /// `write_json` appends `want`, which is canonical JSON: the tree
+    /// parsed from it renders back to it.
     fn streams_as<T: ToJson + ?Sized>(x: &T, want: &str) {
         let mut out = String::from("<");
         x.write_json(&mut out);
         assert_eq!(out, format!("<{want}"), "appended behind what was there");
-        assert_eq!(render(&x.to_json()), want);
+        assert_eq!(render(&Json::parse(want).unwrap()), want);
     }
 
     #[derive(Debug, PartialEq)]
@@ -1405,19 +1268,18 @@ mod tests {
     json_struct!(Lone { only });
 
     #[test]
-    fn write_json_is_the_rendered_tree_at_the_leaf_edges() {
+    fn write_json_is_canonical_at_the_leaf_edges() {
         streams_as(&0u64, "0");
         streams_as(&9u64, "9");
         streams_as(&10u64, "10");
         streams_as(&(i64::MAX as u64), "9223372036854775807");
         streams_as(&u64::MAX, "18446744073709551615");
-        assert_eq!(u64::MAX.to_json(), Json::UInt(u64::MAX));
         streams_as(&usize::MAX, &usize::MAX.to_string());
         streams_as(&u32::MAX, "4294967295");
         streams_as(&u8::MAX, "255");
         streams_as(&1108u128, "1108");
         streams_as(&u128::from(u64::MAX), "18446744073709551615");
-        // Past `u64::MAX` only the text is exact.
+        // Past `u64::MAX` too, every digit.
         assert_eq!(write(&(u128::from(u64::MAX) + 1)), "18446744073709551616");
         streams_as(&"borrowed", r#""borrowed""#);
         streams_as(&0i64, "0");
@@ -1440,9 +1302,6 @@ mod tests {
         streams_as(&Lone { only: Some(3) }, r#"{"only":3}"#);
         let p = Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true };
         streams_as(&p, r#"{"n":7,"small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#);
-        // A tree writes itself, floats and nesting included.
-        let tree = Json::parse(r#"{"k":[1,-2,3.5,"s",null,true,{"n":{}},18446744073709551615]}"#).unwrap();
-        streams_as(&tree, &render(&tree));
     }
 
     #[test]
@@ -1462,46 +1321,58 @@ mod tests {
         ] {
             let bad = good.replace(from, to);
             assert_ne!(bad, good, "{from} must hit");
-            assert_eq!(Probe::from_json(&Json::parse(&bad).unwrap(), at).unwrap_err(), want);
+            assert_eq!(read::<Probe>(&bad, at).unwrap_err(), want);
         }
-        assert_eq!(u32::from_json(&Json::Int(1 << 32), ROOT).unwrap_err(), "$: overflows u32");
-        assert_eq!(Probe::from_json(&Json::Null, ROOT).unwrap_err(), "$.n: missing");
+        assert_eq!(read::<u32>("4294967296", ROOT).unwrap_err(), "$: overflows u32");
+        assert_eq!(read::<Probe>("null", ROOT).unwrap_err(), "$: not an object");
+        assert_eq!(read::<Probe>("{}", ROOT).unwrap_err(), "$.n: missing");
+    }
+
+    /// A document the reader refuses for a type error early and that is
+    /// broken later is refused for the syntax, as a tree reader would.
+    #[test]
+    fn syntax_is_named_before_what_the_reader_refuses() {
+        let doc = r#"{"n":"seven","small":9,"#;
+        assert_eq!(read::<Probe>(doc, ROOT), Err(Json::parse(doc).unwrap_err()));
+        assert_eq!(read::<Probe>(r#"{"n":"seven"}"#, ROOT).unwrap_err(), "$.n: not a non-negative integer");
     }
 
     #[test]
     fn a_u64_round_trips_exactly_or_is_refused() {
         let edge = i64::MAX as u64;
         for v in [0, 7, edge, edge + 1, u64::MAX - 3, u64::MAX] {
-            let text = render(&v.to_json());
-            assert_eq!(u64::from_json(&Json::parse(&text).unwrap(), ROOT), Ok(v), "{text}");
+            let text = write(&v);
+            assert_eq!(read::<u64>(&text, ROOT), Ok(v), "{text}");
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(v), "{text}");
         }
-        // Bare digits on both sides of `i64::MAX`, one tree form each.
-        assert_eq!(edge.to_json(), Json::Int(i64::MAX));
-        assert_eq!(render(&edge.to_json()), "9223372036854775807");
+        // Bare digits on both sides of `i64::MAX`.
+        assert_eq!(write(&edge), "9223372036854775807");
         assert_eq!(Json::parse("9223372036854775808").unwrap(), Json::UInt(edge + 1));
-        assert_eq!(render(&u64::MAX.to_json()), "18446744073709551615");
+        assert_eq!(write(&u64::MAX), "18446744073709551615");
         // Past `u64::MAX` a token is a float, which no integer reads.
         for refused in ["18446744073709551616", "-1", "7.0", "\"7\"", "null"] {
-            let v = Json::parse(refused).unwrap();
-            assert!(u64::from_json(&v, ROOT).is_err(), "{refused}");
+            assert!(read::<u64>(refused, ROOT).is_err(), "{refused}");
         }
-        assert!(i64::from_json(&u64::MAX.to_json(), ROOT).is_err());
+        assert!(read::<i64>(&write(&u64::MAX), ROOT).is_err());
+    }
+
+    fn read_sparse(doc: &str, len: usize) -> Result<Vec<u64>, String> {
+        Sparse(len).read_json(&mut Lexer::new(doc), ROOT)
     }
 
     #[test]
     fn sparse_cells_round_trip_and_are_bounded_by_their_length() {
-        let cells = [0u64, 3, 0, 0, 9];
-        let v = sparse(&cells);
-        assert_eq!(render(&v), "[[1,3],[4,9]]");
-        assert_eq!(from_sparse(&v, ROOT, 5), Ok(cells.to_vec()));
-        assert_eq!(from_sparse::<u64>(&v, ROOT, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
-        let bad = Json::parse("[[1,3],[4]]").unwrap();
-        assert_eq!(from_sparse::<u64>(&bad, ROOT, 5).unwrap_err(), "$[1]: not an [index, count] pair");
+        let cells = vec![0u64, 3, 0, 0, 9];
+        let mut text = String::new();
+        Sparse(5).write_json(&cells, &mut text);
+        assert_eq!(text, "[[1,3],[4,9]]");
+        assert_eq!(read_sparse(&text, 5), Ok(cells));
+        assert_eq!(read_sparse(&text, 4).unwrap_err(), "$[1]: index 4 is outside its 4 cells");
+        assert_eq!(read_sparse("[[1,3],[4]]", 5).unwrap_err(), "$[1]: not an [index, count] pair");
     }
 
     /// Each index once, in increasing order: a repeated index is not a
-    /// second value for its cell, and an out-of-order one is refused,
-    /// on both readers.
+    /// second value for its cell, and an out-of-order one is refused.
     #[test]
     fn a_sparse_index_that_does_not_increase_is_refused() {
         for (doc, want) in [
@@ -1509,11 +1380,9 @@ mod tests {
             ("[[4,1],[2,5]]", "$[1]: index 2 does not increase on index 4"),
             ("[[0,1],[1,1],[1,1]]", "$[2]: index 1 does not increase on index 1"),
         ] {
-            let tree = Json::parse(doc).unwrap();
-            assert_eq!(from_sparse::<u64>(&tree, ROOT, 8).unwrap_err(), want, "{doc}");
-            assert!(Form::<Vec<u64>>::read_json(&Sparse(8), &mut Lexer::new(doc), ROOT).is_err(), "{doc}");
+            assert_eq!(read_sparse(doc, 8).unwrap_err(), want, "{doc}");
         }
-        assert_eq!(from_sparse(&Json::parse("[[0,1],[7,2]]").unwrap(), ROOT, 8), Ok(vec![1u64, 0, 0, 0, 0, 0, 0, 2]));
+        assert_eq!(read_sparse("[[0,1],[7,2]]", 8), Ok(vec![1u64, 0, 0, 0, 0, 0, 0, 2]));
     }
 
     #[derive(Debug, PartialEq)]
@@ -1524,17 +1393,16 @@ mod tests {
     }
     json_struct!(Registers { width: Fixed(4), cells: Sparse(4), flags: Sparse(3) });
 
-    /// A struct with formed fields: the text is the tree, the token
-    /// reader accepts what the tree reader does, and each form refuses
-    /// what it must, with its path.
+    /// A struct with formed fields: written in its form, read back, and
+    /// each form refuses what it must, with its path.
     #[test]
-    fn formed_fields_stream_as_their_tree_and_read_back() {
+    fn formed_fields_are_written_and_read_back() {
         let r = Registers { width: 4, cells: vec![0, 7, 0, 1 << 40], flags: vec![0, 0, 0] };
         let good = r#"{"width":4,"cells":[[1,7],[3,1099511627776]],"flags":[]}"#;
         streams_as(&r, good);
         assert_eq!(read::<Registers>(good, ROOT), Ok(r));
         for bad in damaged(good) {
-            reads_as_tree::<Registers>(&bad);
+            reads_cleanly::<Registers>(&bad);
         }
         for (doc, want) in [
             (r#"{"width":5,"cells":[],"flags":[]}"#, "$.width: 5 is not the 4 this build reads"),
@@ -1547,20 +1415,23 @@ mod tests {
             (r#"{"width":4,"flags":[]}"#, "$.cells: missing"),
         ] {
             assert_eq!(read::<Registers>(doc, ROOT).unwrap_err(), want, "{doc}");
-            reads_as_tree::<Registers>(doc);
+            reads_cleanly::<Registers>(doc);
         }
     }
 
-    /// The streamed read held to the tree's: [`read`] gives the `Ok`
-    /// value or the error `T::from_json(&Json::parse(s)?)` gives, and
-    /// the one pass alone, with no tree to fall back on, accepts what
-    /// the tree accepts, to the same value.
-    fn reads_as_tree<T: FromJson + PartialEq + std::fmt::Debug>(s: &str) {
-        let tree = Json::parse(s).and_then(|v| T::from_json(&v, ROOT));
-        assert_eq!(read::<T>(s, ROOT), tree, "{s:?}");
-        let mut lx = Lexer::new(s);
-        let pass = T::read_json(&mut lx, ROOT).and_then(|v| lx.finish().map(|()| v));
-        assert_eq!(pass.ok(), tree.ok(), "the one pass over {s:?}");
+    /// What [`read`] owes any text: an answer and no panic; an `Ok` only
+    /// for a document [`Json::parse`] takes, holding a value that writes
+    /// back to text that reads to the same value; and, for a document
+    /// that is not JSON, the parser's own syntax error.
+    fn reads_cleanly<T: FromJson + ToJson + PartialEq + std::fmt::Debug>(s: &str) -> Option<T> {
+        let got = read::<T>(s, ROOT);
+        match (&got, Json::parse(s)) {
+            (Ok(v), Ok(_)) => assert_eq!(read::<T>(&write(v), ROOT).as_ref(), Ok(v), "{s:?}"),
+            (Ok(v), Err(e)) => panic!("{s:?} read as {v:?}, but it is not JSON: {e}"),
+            (Err(e), Err(syntax)) => assert_eq!(e, &syntax, "{s:?}"),
+            (Err(_), Ok(_)) => {}
+        }
+        got.ok()
     }
 
     /// `good` cut at every character, with every bit flipped that
@@ -1582,7 +1453,7 @@ mod tests {
     }
 
     #[test]
-    fn the_streamed_read_is_the_tree_read() {
+    fn the_streamed_read_takes_damage_cleanly() {
         let probes = [
             Probe { n: 7, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true },
             Probe {
@@ -1596,51 +1467,87 @@ mod tests {
             Probe { n: 1 << 63, small: 255, name: String::new(), maybe: Some(0), list: Vec::new(), on: true },
         ];
         for p in &probes {
-            let mut good = String::new();
-            p.write_json(&mut good);
+            let good = write(p);
             // The round trip: what `write_json` writes reads back equal.
-            assert_eq!(read::<Probe>(&good, ROOT).as_ref(), Ok(p));
-            reads_as_tree::<Probe>(&good);
+            assert_eq!(reads_cleanly::<Probe>(&good).as_ref(), Some(p));
             for bad in damaged(&good) {
-                reads_as_tree::<Probe>(&bad);
+                reads_cleanly::<Probe>(&bad);
             }
         }
         // The first of two members wins, whatever the second holds;
         // unknown members, a stray `cfg_batch` among them, are checked
         // and left.
         let rest = r#""small":9,"name":"x","maybe":null,"list":[-1,2],"on":true}"#;
-        for head in [
-            r#"{"n":1,"n":2,"#,
-            r#"{"n":1,"n":"two","#,
-            r#"{"n":"one","n":2,"#,
-            r#"{"n":1,"n":[1,"#,
-            r#"{"n":1,"maybe":4,"maybe":{},"#,
-            r#"{"extra":{"deep":[1,{"x":null}],"s":"A"},"n":1,"#,
-            r#"{"cfg_batch":256,"n":1,"#,
-            r#"{"n":1,"cfg_batch":1e400,"#,
-            r#"{"n":1,"maybe":{},"#,
-            r#"{"#,
-            r#" { "n" : 1 , "#,
+        let p = |n| Probe { n, small: 9, name: "x".into(), maybe: None, list: vec![-1, 2], on: true };
+        for (head, want) in [
+            (r#"{"n":1,"n":2,"#, Some(p(1))),
+            (r#"{"n":1,"n":"two","#, Some(p(1))),
+            (r#"{"n":"one","n":2,"#, None),
+            (r#"{"n":1,"n":[1,"#, None),
+            (r#"{"n":1,"maybe":4,"maybe":{},"#, Some(Probe { maybe: Some(4), ..p(1) })),
+            (r#"{"extra":{"deep":[1,{"x":null}],"s":"A"},"n":1,"#, Some(p(1))),
+            (r#"{"cfg_batch":256,"n":1,"#, Some(p(1))),
+            (r#"{"n":1,"cfg_batch":1e400,"#, None),
+            (r#"{"n":1,"maybe":{},"#, None),
+            (r#"{"#, None),
+            (r#" { "n" : 1 , "#, Some(p(1))),
         ] {
-            reads_as_tree::<Probe>(&format!("{head}{rest}"));
+            assert_eq!(reads_cleanly::<Probe>(&format!("{head}{rest}")), want, "{head}");
         }
         for s in ["", "null", "[]", "{}", "7", r#"{"n":7}"#, r#"{"n":7,}"#, "{\"n\":7} x"] {
-            reads_as_tree::<Probe>(s);
+            assert_eq!(reads_cleanly::<Probe>(s), None, "{s:?}");
         }
-        // The leaves on their own, at and past each line they draw.
-        for s in [
+    }
+
+    /// The leaves on their own, at and past each line they draw: each
+    /// reader gives what the grammar's tree and its accessor give.
+    #[test]
+    fn the_leaf_readers_follow_the_grammar() {
+        let tokens = [
             "[1,null,3]", "[]", "[ 1 , 2 ]", "[1,", "[1,]", "[,1]", "[null]", "[-1]", "[-0]", "[007]",
             "[999999999999999999]", "[1000000000000000000]", "[18446744073709551615]",
             "[18446744073709551616]", "[256]", "[1.5]", "[1e2]", "[1-2]", "[\"1\"]", "[true]", "[{}]",
             "[[]]", "[nul]", "[nullx]", "{\"a\":1}",
-        ] {
-            reads_as_tree::<Vec<Option<u64>>>(s);
-            reads_as_tree::<Vec<i64>>(s);
-            reads_as_tree::<Vec<u8>>(s);
-            reads_as_tree::<Vec<String>>(s);
-            reads_as_tree::<Option<Vec<bool>>>(s);
-            reads_as_tree::<Json>(s);
+        ];
+        assert_eq!(tokens.len(), 25);
+        /// The tree of `s`, its items each taken by `leaf`.
+        fn items<T>(s: &str, leaf: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+            Json::parse(s).ok()?.as_arr()?.iter().map(leaf).collect()
         }
+        for s in tokens {
+            assert_eq!(reads_cleanly::<Vec<u64>>(s), items(s, Json::as_u64), "{s}");
+            assert_eq!(reads_cleanly::<Vec<i64>>(s), items(s, Json::as_i64), "{s}");
+            let byte = |v: &Json| v.as_u64().and_then(|u| u8::try_from(u).ok());
+            assert_eq!(reads_cleanly::<Vec<u8>>(s), items(s, byte), "{s}");
+            let string = |v: &Json| v.as_str().map(String::from);
+            assert_eq!(reads_cleanly::<Vec<String>>(s), items(s, string), "{s}");
+            let maybe = |v: &Json| if *v == Json::Null { Some(None) } else { v.as_u64().map(Some) };
+            assert_eq!(reads_cleanly::<Vec<Option<u64>>>(s), items(s, maybe), "{s}");
+            let bools = match Json::parse(s) {
+                Ok(Json::Null) => Some(None),
+                _ => items(s, Json::as_bool).map(Some),
+            };
+            assert_eq!(reads_cleanly::<Option<Vec<bool>>>(s), bools, "{s}");
+        }
+        assert_eq!(reads_cleanly::<Option<Vec<bool>>>("null"), Some(None));
+        assert_eq!(reads_cleanly::<Option<Vec<bool>>>("[true,false]"), Some(Some(vec![true, false])));
+    }
+
+    #[test]
+    fn a_raw_value_is_its_text_checked_whole() {
+        let doc = r#"{"k":[1,{"x":"y"}, 2.5e0],"z":null}"#;
+        let raw = read::<Raw>(doc, ROOT).unwrap();
+        assert_eq!(write(&raw), doc, "the text as it lies, spaces and all");
+        let mut lx = raw.lexer();
+        lx.skip().unwrap();
+        lx.finish().unwrap();
+        // A member's span, not a byte more.
+        let held = read::<Vec<Raw>>(r#"[ {"a":1} , "s" ,7]"#, ROOT).unwrap();
+        assert_eq!(held.iter().map(write).collect::<Vec<_>>(), [r#"{"a":1}"#, r#""s""#, "7"]);
+        for bad in [r#"{"k":[1,}"#, "[1]]", "\"", "1e400"] {
+            assert_eq!(read::<Raw>(bad, ROOT), Err(Json::parse(bad).unwrap_err()), "{bad}");
+        }
+        assert_eq!(write(&Raw::of(|out| 7u64.write_json(out))), "7");
     }
 
     #[test]
@@ -1651,5 +1558,13 @@ mod tests {
         assert!(err.contains("nesting deeper than 256"), "{err}");
         let mut lx = Lexer::new(&text);
         assert!(Probe::read_json(&mut lx, ROOT).unwrap_err().contains("nesting"));
+        // At the guard's edge: the guard counts the containers open
+        // around a value, the struct's own object among them.
+        for (brackets, taken) in [(255, true), (256, false)] {
+            let nested = "[".repeat(brackets) + "0" + &"]".repeat(brackets);
+            let text = format!(r#"{{"extra":{nested},"n":7,"small":9,"name":"x","maybe":null,"list":[],"on":true}}"#);
+            assert_eq!(read::<Probe>(&text, ROOT).is_ok(), taken, "{brackets} brackets");
+            assert_eq!(Json::parse(&text).is_ok(), taken, "{brackets} brackets");
+        }
     }
 }

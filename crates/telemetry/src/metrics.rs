@@ -5,7 +5,7 @@
 //! and whose cross-shard reduction is the same [`Mergeable`] fold the
 //! Stat4 trackers use at epoch barriers.
 
-use crate::json::{At, FromJson, Json, ToJson};
+use crate::json::{At, FromJson, Lexer, ToJson};
 use stat4_core::{Mergeable, Stat4Result};
 
 /// A monotonically increasing event count.
@@ -40,14 +40,14 @@ impl Counter {
 
 /// A counter's JSON form is its count.
 impl ToJson for Counter {
-    fn to_json(&self) -> Json {
-        self.value.to_json()
+    fn write_json(&self, out: &mut String) {
+        self.value.write_json(out);
     }
 }
 
 impl FromJson for Counter {
-    fn from_json(v: &Json, at: At<'_>) -> Result<Self, String> {
-        u64::from_json(v, at).map(|value| Self { value })
+    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
+        u64::read_json(lx, at).map(|value| Self { value })
     }
 }
 

@@ -14,7 +14,7 @@
 //! never fall or pass `count`.
 
 use crate::hist::LogLinearHistogram;
-use crate::json::{self, obj_of, write_obj, Json, ToJson};
+use crate::json::{self, write_obj, ToJson};
 use crate::json_struct;
 
 /// Metric kind.
@@ -42,10 +42,6 @@ impl MetricKind {
 
 /// Written as its name.
 impl ToJson for MetricKind {
-    fn to_json(&self) -> Json {
-        self.as_str().to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.as_str().write_json(out);
     }
@@ -104,24 +100,14 @@ pub enum SampleValue {
     Histogram(HistogramSnapshot),
 }
 
-impl SampleValue {
-    fn reading(&self) -> &dyn ToJson {
-        match self {
-            SampleValue::Counter(v) => v,
-            SampleValue::Gauge(v) => v,
-            SampleValue::Histogram(h) => h,
-        }
-    }
-}
-
 /// Written as the reading alone: the family's kind says which.
 impl ToJson for SampleValue {
-    fn to_json(&self) -> Json {
-        self.reading().to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
-        self.reading().write_json(out);
+        match self {
+            SampleValue::Counter(v) => v.write_json(out),
+            SampleValue::Gauge(v) => v.write_json(out),
+            SampleValue::Histogram(h) => h.write_json(out),
+        }
     }
 }
 
@@ -138,10 +124,6 @@ pub struct Sample {
 struct Labels<'a>(&'a [(String, String)]);
 
 impl ToJson for Labels<'_> {
-    fn to_json(&self) -> Json {
-        obj_of(self.0.iter().map(|(k, v)| (k.as_str(), v as &dyn ToJson)))
-    }
-
     fn write_json(&self, out: &mut String) {
         write_obj(out, self.0.iter().map(|(k, v)| (k.as_str(), v as &dyn ToJson)));
     }
@@ -149,10 +131,6 @@ impl ToJson for Labels<'_> {
 
 /// `{"labels":{…},"value":…}`.
 impl ToJson for Sample {
-    fn to_json(&self) -> Json {
-        obj_of([("labels", &Labels(&self.labels) as &dyn ToJson), ("value", &self.value)])
-    }
-
     fn write_json(&self, out: &mut String) {
         write_obj(out, [("labels", &Labels(&self.labels) as &dyn ToJson), ("value", &self.value)]);
     }
@@ -355,8 +333,8 @@ pub(crate) mod tests {
             r#"{"le":111,"cumulative":3},{"le":1023,"cumulative":4}]}}]}]}"#
         );
         assert_eq!(render_json(&snap), want);
-        // The tree the streamed text skips is the same document.
-        assert_eq!(json::render(&snap.to_json()), want);
+        // Canonical JSON: the tree parsed from it renders back to it.
+        assert_eq!(json::render(&json::Json::parse(want).unwrap()), want);
     }
 
     #[test]

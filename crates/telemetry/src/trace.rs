@@ -20,7 +20,7 @@
 //! traced — that's what the histograms are for; traces capture the
 //! epoch-granularity control flow.
 
-use crate::json::{self, obj_of, write_obj, Json, Member, ToJson};
+use crate::json::{self, write_obj, Member, ToJson};
 use std::time::Instant;
 
 /// Thread id used for the coordinator's own tracer. Shard tracers use
@@ -53,10 +53,6 @@ impl TracePhase {
 
 /// Written as its [`TracePhase::code`].
 impl ToJson for TracePhase {
-    fn to_json(&self) -> Json {
-        self.code().to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.code().write_json(out);
     }
@@ -77,28 +73,19 @@ pub struct TraceEvent {
     pub tid: u32,
 }
 
-impl TraceEvent {
-    /// The Chrome-trace event object: `ph` is the phase code, `ts` is
-    /// in ns, and every event has the one `pid` 0.
-    fn members(&self) -> [Member<'_>; 6] {
-        [
+/// The Chrome-trace event object: `ph` is the phase code, `ts` is in
+/// ns, and every event has the one `pid` 0.
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        let members: [Member<'_>; 6] = [
             ("name", &self.name),
             ("ph", &self.phase),
             ("ts", &self.at_ns),
             ("pid", &0u8),
             ("tid", &self.tid),
             ("epoch", &self.epoch),
-        ]
-    }
-}
-
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        obj_of(self.members())
-    }
-
-    fn write_json(&self, out: &mut String) {
-        write_obj(out, self.members());
+        ];
+        write_obj(out, members);
     }
 }
 
@@ -273,19 +260,13 @@ impl MergedTrace {
     pub fn to_chrome_json(&self) -> String {
         json::write(self)
     }
-
-    fn members(&self) -> [Member<'_>; 3] {
-        [("traceEvents", &self.events), ("dropped", &self.dropped), ("threads", &self.threads)]
-    }
 }
 
 impl ToJson for MergedTrace {
-    fn to_json(&self) -> Json {
-        obj_of(self.members())
-    }
-
     fn write_json(&self, out: &mut String) {
-        write_obj(out, self.members());
+        let members: [Member<'_>; 3] =
+            [("traceEvents", &self.events), ("dropped", &self.dropped), ("threads", &self.threads)];
+        write_obj(out, members);
     }
 }
 
@@ -403,8 +384,8 @@ mod tests {
             r#""dropped":3,"threads":2}"#
         );
         assert_eq!(merged.to_chrome_json(), want);
-        // The tree the streamed text skips is the same document.
-        assert_eq!(json::render(&merged.to_json()), want);
+        // Canonical JSON: the tree parsed from it renders back to it.
+        assert_eq!(json::render(&json::Json::parse(want).unwrap()), want);
     }
 
     #[test]
