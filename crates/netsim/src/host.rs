@@ -149,10 +149,10 @@ mod tests {
     #[test]
     fn trace_source_paces_frames() {
         let frames = vec![
-            (100, Bytes::from_static(b"a")),
-            (250, Bytes::from_static(b"b")),
-            (250, Bytes::from_static(b"c")),
-            (900, Bytes::from_static(b"d")),
+            (100, Bytes::copy_from_slice(b"a")),
+            (250, Bytes::copy_from_slice(b"b")),
+            (250, Bytes::copy_from_slice(b"c")),
+            (900, Bytes::copy_from_slice(b"d")),
         ];
         let mut sim = Simulation::new();
         let src = sim.add_node(Box::new(TrafficSource::new(Box::new(TraceGen::new(

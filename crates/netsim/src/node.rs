@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn ctx_collects_emissions() {
         let mut ctx = NodeCtx::new(5, 2);
-        ctx.send_frame(1, Bytes::from_static(b"x"));
+        ctx.send_frame(1, Bytes::copy_from_slice(b"x"));
         ctx.set_timer(100, 7);
         ctx.send_control(3, ControlMsg::Tick);
         assert_eq!(ctx.emissions.len(), 3);

@@ -428,7 +428,7 @@ mod tests {
         let a = sim.add_node(a);
         let b_id = sim.add_node(b);
         sim.connect(a, 0, b_id, 0, 100);
-        sim.inject_frame(0, a, 0, Bytes::from_static(b"ping"));
+        sim.inject_frame(0, a, 0, Bytes::copy_from_slice(b"ping"));
         sim.run();
         // a bounces its first three arrivals and stops at four; b sees
         // three arrivals and bounces them all.
@@ -500,7 +500,7 @@ mod tests {
         let (b, _, _) = bouncer();
         let b = sim.add_node(b);
         sim.connect(a, 0, b, 0, 1000);
-        sim.inject_frame(0, a, 0, Bytes::from_static(b"x"));
+        sim.inject_frame(0, a, 0, Bytes::copy_from_slice(b"x"));
         sim.run_until(500);
         assert_eq!(fa.load(Ordering::SeqCst), 1, "only the first arrival");
         sim.run();
@@ -586,7 +586,7 @@ mod tests {
         let (a, fa, _) = bouncer();
         let mut sim = Simulation::new();
         let a = sim.add_node(a);
-        sim.inject_frame(0, a, 7, Bytes::from_static(b"x"));
+        sim.inject_frame(0, a, 7, Bytes::copy_from_slice(b"x"));
         sim.run();
         // Bounced out of port 7 which goes nowhere: no infinite loop,
         // one delivery total.
@@ -661,9 +661,9 @@ mod event_order {
 
         // All at t = 50, interleaved across nodes and kinds.
         sim.inject_timer(50, b, 9);
-        sim.inject_frame(50, a, 3, Bytes::from_static(b"x"));
+        sim.inject_frame(50, a, 3, Bytes::copy_from_slice(b"x"));
         sim.inject_control(50, a, b, ControlMsg::Tick);
-        sim.inject_frame(50, b, 1, Bytes::from_static(b"y"));
+        sim.inject_frame(50, b, 1, Bytes::copy_from_slice(b"y"));
         sim.inject_timer(50, a, 7);
         sim.run();
 
@@ -684,7 +684,7 @@ mod event_order {
         let b = sim.add_node(recorder("b", &log, 2));
         sim.connect(a, 0, b, 0, 0); // zero propagation delay
 
-        sim.inject_frame(100, a, 0, Bytes::from_static(b"p"));
+        sim.inject_frame(100, a, 0, Bytes::copy_from_slice(b"p"));
         let n = sim.run();
 
         // a(bounce) -> b(bounce) -> a(bounce) -> b(bounce) -> a(quiet):
@@ -713,7 +713,7 @@ mod event_order {
         let b = sim.add_node(recorder("b", &log, 0));
         sim.connect(a, 0, b, 0, 0);
 
-        sim.inject_frame(100, a, 0, Bytes::from_static(b"p")); // bounces to b
+        sim.inject_frame(100, a, 0, Bytes::copy_from_slice(b"p")); // bounces to b
         sim.inject_timer(100, a, 42); // queued before the bounce exists
         sim.run();
 
@@ -734,7 +734,7 @@ mod event_order {
         sim.connect(a, 0, b, 0, 0);
 
         sim.inject_timer(200, a, 1); // later time, injected first
-        sim.inject_frame(100, b, 0, Bytes::from_static(b"z"));
+        sim.inject_frame(100, b, 0, Bytes::copy_from_slice(b"z"));
         sim.run();
 
         let got: Vec<(SimTime, String)> = log.lock().clone();

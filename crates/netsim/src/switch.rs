@@ -253,7 +253,7 @@ mod tests {
         let pipeline = b.build(TargetModel::bmv2()).unwrap();
         let mut sim = Simulation::new();
         let sw = sim.add_node(Box::new(P4SwitchNode::new(pipeline)));
-        sim.inject_frame(0, sw, 0, Bytes::from_static(b"junk"));
+        sim.inject_frame(0, sw, 0, Bytes::copy_from_slice(b"junk"));
         sim.run();
         assert_eq!(sim.frames_delivered, 1);
         let node = sim.node_as::<P4SwitchNode>(sw).unwrap();

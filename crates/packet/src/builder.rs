@@ -8,16 +8,17 @@ use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// Fluent builder assembling an Ethernet + IPv4 (+ TCP/UDP) frame with
-/// correct lengths and checksums.
+/// correct lengths and checksums. It borrows its payload, so describing
+/// a frame allocates nothing.
 #[derive(Debug, Clone)]
-pub struct PacketBuilder {
+pub struct PacketBuilder<'p> {
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     ttl: u8,
     l4: L4,
-    payload: Vec<u8>,
+    payload: &'p [u8],
 }
 
 #[derive(Debug, Clone)]
@@ -27,7 +28,7 @@ enum L4 {
     Udp { src: u16, dst: u16 },
 }
 
-impl PacketBuilder {
+impl<'p> PacketBuilder<'p> {
     /// Starts a raw-IPv4 builder with protocol number `proto`.
     #[must_use]
     pub fn ipv4(src: Ipv4Addr, dst: Ipv4Addr, proto: u8) -> Self {
@@ -38,7 +39,7 @@ impl PacketBuilder {
             dst_ip: dst,
             ttl: 64,
             l4: L4::Raw(proto),
-            payload: Vec::new(),
+            payload: &[],
         }
     }
 
@@ -82,8 +83,8 @@ impl PacketBuilder {
 
     /// Sets the L4 payload (or L3 payload for raw builders).
     #[must_use]
-    pub fn payload(mut self, bytes: &[u8]) -> Self {
-        self.payload = bytes.to_vec();
+    pub fn payload(mut self, bytes: &'p [u8]) -> Self {
+        self.payload = bytes;
         self
     }
 
@@ -144,7 +145,7 @@ impl PacketBuilder {
         let l4_off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
         match self.l4 {
             L4::Raw(_) => {
-                buf[l4_off..].copy_from_slice(&self.payload);
+                buf[l4_off..].copy_from_slice(self.payload);
             }
             L4::Tcp { src, dst, flags } => {
                 let seg = &mut buf[l4_off..];
@@ -153,7 +154,7 @@ impl PacketBuilder {
                 t.init();
                 t.set_ports(src, dst);
                 t.set_flags(flags);
-                seg[tcp::HEADER_LEN..].copy_from_slice(&self.payload);
+                seg[tcp::HEADER_LEN..].copy_from_slice(self.payload);
                 let mut t = TcpSegment::new_checked(&mut *seg).expect("initialised header");
                 t.fill_checksum(self.src_ip, self.dst_ip);
             }
@@ -163,7 +164,7 @@ impl PacketBuilder {
                 seg[4..6].copy_from_slice(&len.to_be_bytes());
                 let mut u = UdpDatagram::new_checked(&mut *seg).expect("initialised header");
                 u.set_ports(src, dst);
-                u.payload_mut().copy_from_slice(&self.payload);
+                u.payload_mut().copy_from_slice(self.payload);
                 u.fill_checksum(self.src_ip, self.dst_ip);
             }
         }

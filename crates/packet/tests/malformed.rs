@@ -19,6 +19,7 @@ const DST: Ipv4Addr = Ipv4Addr::new(10, 9, 8, 7);
 /// each layer that parses. Returns how many layers parsed, so callers
 /// can assert on well-formed inputs too.
 fn exercise(bytes: &[u8]) -> usize {
+    let _ = packet::frame_len(bytes);
     let Ok(eth) = EthernetFrame::new_checked(bytes) else {
         return 0;
     };
@@ -104,6 +105,8 @@ proptest! {
         let cut = usize::from(cut) % (frame.len() + 1);
         let depth = exercise(&frame[..cut]);
         prop_assert!(depth <= full);
+        let whole = cut == frame.len();
+        prop_assert_eq!(packet::frame_len(&frame[..cut]), whole.then_some(frame.len()));
     }
 
     /// A bogus IHL nibble (too small, or pointing past the buffer)

@@ -43,7 +43,8 @@ impl EchoWorkload {
         for i in 0..self.packets {
             let v: i64 = r.random_range(-255..=255);
             values.push(v);
-            let frame = PacketBuilder::ipv4(src, dst, 0xfd).payload(&(v as u64).to_be_bytes());
+            let payload = (v as u64).to_be_bytes();
+            let frame = PacketBuilder::ipv4(src, dst, 0xfd).payload(&payload);
             trace.push(i as u64 * self.gap_ns, &frame);
         }
         (trace.finish(), values)

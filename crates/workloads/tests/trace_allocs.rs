@@ -3,32 +3,35 @@
 //! Every generator appends its frames to one buffer and hands out
 //! slices of it, so a schedule of any length allocates a bounded
 //! number of times: the buffer and the entry list growing by doubling.
-//! The test generates the SYN-flood workload at two flood rates over
+//! One test generates the SYN-flood workload at two flood rates over
 //! the same background and divides the extra allocations by the extra
-//! frames. While each frame was its own `Vec`, copied into its own
-//! shared buffer, this read 2.0.
+//! frames; while each frame was its own `Vec`, copied into its own
+//! shared buffer, this read 2.0. The other counts a whole generation,
+//! background included, against those growth steps alone; while the
+//! frame builder copied its payload into a `Vec` of its own, it read
+//! 3 599 at 50 000 SYN/s, one for every background data segment.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use workloads::SynFloodWorkload;
 
-/// Allocations (a `realloc` counts as one) made while `COUNTING` is set.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Allocations (a `realloc` counts as one) this thread made while
+    /// it was counting, or `None`: tests run side by side, and each
+    /// counts only its own.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 struct Counting;
 
 fn record() {
-    // `Relaxed`: the count is read on the thread that made it.
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
+    ALLOCS.with(|n| n.set(n.get().map(|n| n + 1)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters are atomics
-// in statics, so touching them neither allocates nor re-enters the
-// allocator.
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised thread-local with no destructor, so touching it
+// neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record();
@@ -65,24 +68,49 @@ const PER_FRAME_CEILING: f64 = 0.01;
 
 const MS: u64 = 1_000_000;
 
+/// `(frames, frame bytes, allocations)` of one SYN-flood generation;
+/// the background is the same at every flood rate, because it is drawn
+/// first.
+fn generate(flood_pps: u64) -> (usize, usize, u64) {
+    let w = SynFloodWorkload {
+        background_cps: 2_000,
+        flood_pps,
+        flood_start: 100 * MS,
+        duration: 500 * MS,
+        seed: 5,
+        ..SynFloodWorkload::default()
+    };
+    ALLOCS.with(|n| n.set(Some(0)));
+    let (schedule, _) = w.generate();
+    let allocs = ALLOCS.with(|n| n.take()).expect("counting");
+    let bytes = schedule.iter().map(|(_, frame)| frame.len()).sum();
+    (schedule.len(), bytes, allocs)
+}
+
+/// How many times a `Vec` grown by doubling from empty to `n` elements
+/// may allocate: once per power of two, with room for a small first
+/// capacity.
+fn growth_steps(n: usize) -> u64 {
+    u64::from(usize::BITS - n.leading_zeros())
+}
+
+#[test]
+fn a_generation_allocates_only_its_growth_steps() {
+    let (frames, bytes, allocs) = generate(50_000);
+    // The frame buffer and the entry list grow by doubling; the server
+    // list and the stable sort's scratch are a few more.
+    let ceiling = growth_steps(bytes) + growth_steps(frames) + 8;
+    assert!(
+        allocs <= ceiling,
+        "{allocs} allocations for {frames} frames of {bytes} bytes; the ceiling is {ceiling}"
+    );
+}
+
 #[test]
 fn an_extra_frame_allocates_nothing() {
-    // `(frames, allocations)` of one generation; the background is the
-    // same at every flood rate, because it is drawn first.
-    let run = |flood_pps: u64| {
-        let w = SynFloodWorkload {
-            background_cps: 2_000,
-            flood_pps,
-            flood_start: 100 * MS,
-            duration: 500 * MS,
-            seed: 5,
-            ..SynFloodWorkload::default()
-        };
-        let before = ALLOCS.load(Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        let (schedule, _) = w.generate();
-        COUNTING.store(false, Ordering::Relaxed);
-        (schedule.len(), ALLOCS.load(Ordering::Relaxed) - before)
+    let run = |flood_pps| {
+        let (frames, _, allocs) = generate(flood_pps);
+        (frames, allocs)
     };
     let (low, high) = (run(50_000), run(150_000));
     assert!(
