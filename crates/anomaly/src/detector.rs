@@ -32,7 +32,7 @@ use crate::metrics::{Check, DetectorMetrics};
 use stat4_core::{FrequencyDist, RunningStats};
 use std::any::Any;
 use telemetry::json::{need, read_obj, write_obj, At, FromJson, Lexer, Raw, ToJson};
-use telemetry::{json_struct, Snapshot};
+use telemetry::{json_struct, Json, Snapshot};
 
 /// One in Q16 fixed point — the firing threshold for scores.
 pub const Q16: i64 = 1 << 16;
@@ -473,8 +473,9 @@ pub struct EngineSummary {
 }
 
 /// One engine's entry in [`Ensemble::export_state`]: its name, its own
-/// state (kept as text until the engine it names is found), metrics,
-/// fire count, first fire and weight override.
+/// state, metrics, fire count, first fire and weight override. The name
+/// comes first, so a reader knows the engine before it reaches the
+/// state ([`Ensemble::import_state`] reads the entry member by member).
 struct EngineEntry {
     name: String,
     state: Raw,
@@ -484,7 +485,7 @@ struct EngineEntry {
     weight_override: Option<i64>,
 }
 
-json_struct!(EngineEntry { name, state, metrics, fires, first_fired, weight_override });
+json_struct!(@write EngineEntry { name, state, metrics, fires, first_fired, weight_override });
 
 /// [`Ensemble::export_state`]'s form: the engines in report order, then
 /// the fired log.
@@ -493,7 +494,7 @@ struct EnsembleState {
     fired_log: Vec<FiredSnap>,
 }
 
-json_struct!(EnsembleState { engines, fired_log });
+json_struct!(@write EnsembleState { engines, fired_log });
 
 /// Drives a set of engines over the interval stream and combines their
 /// scores.
@@ -669,45 +670,108 @@ impl Ensemble {
     /// into an ensemble built from the same configuration (same
     /// engines, same order), after which both answer every future
     /// [`Self::observe`] identically and report identical summaries,
-    /// metrics and fired logs.
+    /// metrics and fired logs. An entry is read in one pass: when its
+    /// `name` comes before its `state`, as [`Self::export_state`] writes
+    /// it, the state is lexed straight into the engine it names; in any
+    /// other order it is kept as text until the name is known.
     ///
     /// # Errors
     ///
-    /// An engine the state lacks, an engine this ensemble does not run,
-    /// a negative weight override, a fired-log entry naming neither,
-    /// or whatever an engine's own [`Detector::import_state`] rejects.
-    /// The ensemble is then part-loaded and must be discarded.
+    /// In document order: an engine this ensemble does not run, an
+    /// engine the state lacks, whatever an engine's own
+    /// [`Detector::import_state`] rejects, a negative weight override,
+    /// more engines than the ensemble runs (whatever they are named),
+    /// or a fired-log entry naming none of them. The ensemble is then part-loaded and must be
+    /// discarded.
     pub fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let root = At::Root("ensemble");
-        let EnsembleState { engines: entries, fired_log } = EnsembleState::read_json(lx, root)?;
-        let names = self.names();
-        if let Some(e) = entries.iter().find(|e| !names.contains(&e.name.as_str())) {
-            return Err(root.err(format_args!("unknown engine {:?}", e.name)));
-        }
-        for (i, engine) in self.engines.iter_mut().enumerate() {
-            let name = engine.name();
-            let entry = entries
-                .get(i)
-                .filter(|e| e.name == name)
-                .ok_or_else(|| root.err(format_args!("engine {name:?} is missing at position {i}")))?;
-            engine.import_state(&mut entry.state.lexer())?;
-            if entry.weight_override.is_some_and(|w| w < 0) {
-                return Err(At::Key(&root, name).err("negative weight override"));
+        let (mut engines, mut fired_log) = (None, None);
+        read_obj(lx, root, |key, lx, at| {
+            match key {
+                "engines" if engines.is_none() => engines = Some(self.import_engines(lx, at)?),
+                "fired_log" if fired_log.is_none() => fired_log = Some(Vec::<FiredSnap>::read_json(lx, at)?),
+                _ => return Ok(false),
             }
-            self.metrics[i] = entry.metrics.clone();
-            (self.fires[i], self.first_fired[i]) = (entry.fires, entry.first_fired);
-            self.weight_overrides[i] = entry.weight_override;
-        }
-        if entries.len() != names.len() {
-            let held = entries.len();
-            return Err(root.err(format_args!("state holds {held} engine(s), the ensemble runs {}", names.len())));
-        }
+            Ok(true)
+        })?;
+        need(engines, root, "engines")?;
+        let names = self.names();
         let at = At::Key(&root, "fired_log");
         let result = |(i, f): (usize, &FiredSnap)| {
             f.to_result(&names)
                 .ok_or_else(|| At::Idx(&at, i).err(format_args!("unknown engine {:?}", f.engine)))
         };
+        let fired_log = need(fired_log, root, "fired_log")?;
         self.fired_log = fired_log.iter().enumerate().map(result).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    /// Reads the `engines` array at `at` into the engines, entry `i`
+    /// into engine `i`. An entry past the last engine is only counted.
+    fn import_engines(&mut self, lx: &mut Lexer<'_>, at: At<'_>) -> Result<(), String> {
+        let root = At::Root("ensemble");
+        let names = self.names();
+        let Json::Arr(_) = lx.value()? else { return Err(at.err("not an array")) };
+        let mut held = 0;
+        while lx.next_item()? {
+            let i = held;
+            held += 1;
+            if i >= names.len() {
+                lx.skip()?;
+                continue;
+            }
+            let at = At::Idx(&at, i);
+            // `Some(None)`: the state went straight into the engine.
+            let mut state: Option<Option<Raw>> = None;
+            let (mut name, mut metrics, mut fires, mut first_fired, mut weight_override) = (None, None, None, None, None);
+            read_obj(lx, at, |key, lx, at| {
+                match key {
+                    "name" if name.is_none() => {
+                        let n = String::read_json(lx, at)?;
+                        if n != names[i] {
+                            let why = if names.contains(&n.as_str()) {
+                                format!("engine {:?} is missing at position {i}", names[i])
+                            } else {
+                                format!("unknown engine {n:?}")
+                            };
+                            return Err(root.err(why));
+                        }
+                        name = Some(n);
+                    }
+                    "state" if state.is_none() && name.is_some() => {
+                        self.engines[i].import_state(lx)?;
+                        state = Some(None);
+                    }
+                    "state" if state.is_none() => state = Some(Some(Raw::read_json(lx, at)?)),
+                    "metrics" if metrics.is_none() => metrics = Some(DetectorMetrics::read_json(lx, at)?),
+                    "fires" if fires.is_none() => fires = Some(u64::read_json(lx, at)?),
+                    "first_fired" if first_fired.is_none() => first_fired = Some(Option::read_json(lx, at)?),
+                    "weight_override" if weight_override.is_none() => {
+                        weight_override = Some(Option::<i64>::read_json(lx, at)?);
+                    }
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            need(name, at, "name")?;
+            if let Some(text) = need(state, at, "state")? {
+                self.engines[i].import_state(&mut text.lexer())?;
+            }
+            self.metrics[i] = need(metrics, at, "metrics")?;
+            self.fires[i] = need(fires, at, "fires")?;
+            self.first_fired[i] = need(first_fired, at, "first_fired")?;
+            let weight_override = need(weight_override, at, "weight_override")?;
+            if weight_override.is_some_and(|w| w < 0) {
+                return Err(At::Key(&root, names[i]).err("negative weight override"));
+            }
+            self.weight_overrides[i] = weight_override;
+        }
+        if let Some(name) = names.get(held) {
+            return Err(root.err(format_args!("engine {name:?} is missing at position {held}")));
+        }
+        if held != names.len() {
+            return Err(root.err(format_args!("state holds {held} engine(s), the ensemble runs {}", names.len())));
+        }
         Ok(())
     }
 

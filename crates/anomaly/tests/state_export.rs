@@ -370,3 +370,34 @@ fn state_no_engine_could_have_exported_is_refused() {
     *at(&mut bad, &["quiet"]) = Json::Int(1_000);
     assert!(import(&render(&bad), |lx| ladder.import_state(lx)).unwrap_err().contains("quiet"));
 }
+
+/// An entry is read in one pass whatever its member order: with `name`
+/// first (as written) its state goes straight into the engine, with
+/// `name` last it waits as text. Both import to the same ensemble, and
+/// a tamper behind the name is refused either way.
+#[test]
+fn an_engine_entry_imports_in_any_member_order() {
+    let (mut live, _) = ensemble();
+    for i in &stream(5, 80, true) {
+        live.observe(&i.ctx());
+    }
+    let written = text(|out| live.export_state(out));
+    let mut name_last = Json::parse(&written).unwrap();
+    let Json::Arr(entries) = at(&mut name_last, &["engines"]) else { unreachable!() };
+    for entry in entries {
+        let Json::Obj(members) = entry else { unreachable!() };
+        members.rotate_left(1);
+        assert_eq!(members.last().map(|(k, _)| k.as_str()), Some("name"));
+    }
+    let mut ens = ensemble().0;
+    import(&render(&name_last), |lx| ens.import_state(lx)).expect("name last imports");
+    assert_eq!(text(|out| ens.export_state(out)), written);
+
+    for doc in [Json::parse(&written).unwrap(), name_last] {
+        let mut bad = doc;
+        *at(&mut bad, &["engines", "4", "state", "phase"]) = Json::Int(16);
+        let mut ens = ensemble().0;
+        let err = import(&render(&bad), |lx| ens.import_state(lx)).unwrap_err();
+        assert!(err.contains("phase"), "{err}");
+    }
+}

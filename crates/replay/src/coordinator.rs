@@ -3,7 +3,7 @@
 //! The paper's controller does one thing per interval: read the merged
 //! registers, judge them, drill down. [`EpochCoordinator`] is that
 //! step and the state it needs between intervals. An executor (the
-//! worker pool in [`mod@crate::pool`], the spawn-per-epoch loop in
+//! worker pool in [`mod@crate::pool`], the serial loop in
 //! [`crate::reference`]) owns routing and threads and nothing else: it
 //! asks for the epoch's fault plan ([`EpochCoordinator::open_epoch`]),
 //! gets the frames ingested however it likes, and hands the epoch back
@@ -19,13 +19,14 @@ use crate::ckpt::{Checkpoint, ShardStateRaw};
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
     build_ensemble, median_len_signal, merge_surviving, EnsembleReport, IncidentKind, ReplayConfig,
-    ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardState,
+    ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardMetrics, ShardState,
 };
 use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::ops::Range;
 use std::time::Instant;
 use telemetry::json::Raw;
+use telemetry::Tracer;
 use workloads::Schedule;
 
 #[inline]
@@ -33,7 +34,8 @@ pub(crate) fn elapsed_ns(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What a scheduled fault does on the shard's own thread. It fires
+/// What a scheduled fault does on the thread that ingests the shard
+/// (a pool worker, or the reference engine's caller). It fires
 /// before any ingest (and before the shard's span opens), so a
 /// quarantined state is always a clean epoch boundary.
 pub(crate) fn fire_on_worker(fault: Option<ShardFaultKind>, shard: usize, epoch_idx: u64) {
@@ -46,6 +48,46 @@ pub(crate) fn fire_on_worker(fault: Option<ShardFaultKind>, shard: usize, epoch_
         }
         _ => {}
     }
+}
+
+/// What one shard's epoch came to, on whichever thread ingested it.
+pub(crate) struct Ingested {
+    pub(crate) frames: u64,
+    pub(crate) busy_ns: u64,
+    /// `None` where nothing was queued: an inline epoch of the pool, and
+    /// every epoch of the reference.
+    pub(crate) queue_wait_ns: Option<u64>,
+}
+
+/// One shard's share of one epoch, on whichever thread holds the state:
+/// a pool worker for a dispatched epoch, the pool's coordinator for an
+/// inline one, the caller of the reference engine for every one. Every
+/// frame goes through [`ShardState::ingest`]. Returns the busy time,
+/// which is also the `ingest` span on the shard's `tracer`.
+pub(crate) fn ingest_epoch(
+    state: &mut ShardState,
+    frames: &[&bytes::Bytes],
+    tracer: &mut Tracer,
+    epoch_idx: u64,
+) -> u64 {
+    tracer.begin("ingest", epoch_idx);
+    let busy = Instant::now();
+    for frame in frames {
+        state.ingest(frame);
+    }
+    let busy_ns = elapsed_ns(busy);
+    tracer.end("ingest", epoch_idx);
+    busy_ns
+}
+
+/// Folds one shard's epoch into its metric set.
+pub(crate) fn record_ingest(m: &mut ShardMetrics, r: &Ingested, epoch_wall: u64) {
+    m.packets.add(r.frames);
+    m.ingest_ns.add(r.busy_ns);
+    if let Some(waited) = r.queue_wait_ns {
+        m.queue_wait_ns.record(waited);
+    }
+    m.barrier_wait_ns.record(epoch_wall.saturating_sub(r.busy_ns));
 }
 
 /// One epoch between its fault plan and its barrier.

@@ -32,10 +32,11 @@
 //!   ingest, a short epoch it ingests on the coordinator's own thread,
 //!   and the frame lists are the run's either way.
 //!   [`mod@reference`] is the other: the same routing step with nothing
-//!   overlapped and a `std::thread::scope` worker set per interval, kept as the
-//!   baseline the pool is tested bit-identical against
-//!   (`tests/pool.rs`). The drain point between epochs (checkpoints,
-//!   kill, hot swaps) is [`lifecycle`]'s.
+//!   overlapped, then every surviving shard ingested on the caller's
+//!   thread in shard order (a shard's panic contained by
+//!   `catch_unwind`), kept as the baseline the pool is tested
+//!   bit-identical against (`tests/pool.rs`). The drain point between
+//!   epochs (checkpoints, kill, hot swaps) is [`lifecycle`]'s.
 //! - **Epochs** — time is cut into detector intervals; each epoch,
 //!   every surviving shard's slice of the interval is ingested frame
 //!   by frame, then everything joins at the coordinator's barrier.
@@ -796,7 +797,7 @@ pub(crate) fn merge_surviving(
 ///
 /// This runs on the persistent worker pool (`pool`);
 /// [`reference::run_replay_with_faults`] is the same coordinator under
-/// the spawn-per-epoch executor, the conformance baseline — outcomes
+/// the serial executor, the conformance baseline — outcomes
 /// (merged state, alerts, health, telemetry counter sums) are
 /// bit-identical between the two.
 ///

@@ -4,10 +4,12 @@
 //! ingests them; what the epoch then *means* (merge, report-loss carry,
 //! detection, quarantine bookkeeping) is the
 //! [`EpochCoordinator`]'s, shared with the [`reference`](crate::reference)
-//! executor. That one spawns and joins a `std::thread::scope` worker
-//! set every detector interval and routes the interval's frames
-//! between barriers, with nothing else running. This one removes both
-//! costs while delivering the same frames to the same shards:
+//! executor. That one routes each detector interval's frames between
+//! barriers, with nothing else running, and ingests every shard's slice
+//! on its caller's thread, one shard after another. This one runs
+//! threads because a long epoch's slices are worth ingesting at once,
+//! and overlaps routing with that ingest, while delivering the same
+//! frames to the same shards:
 //!
 //! - **Workers spawn once per run.** One OS thread per shard lives for
 //!   the whole replay inside a single `std::thread::scope`, fed
@@ -21,7 +23,8 @@
 //!   clones. A small epoch (at most [`INLINE_MAX_FRAMES`] frames, no
 //!   fault to fire on a worker) is not worth the two wake-ups per shard
 //!   that costs, so the coordinator ingests it itself, shard by shard,
-//!   into the states where they are parked. Both run [`ingest_epoch`];
+//!   into the states where they are parked. Both run `ingest_epoch`,
+//!   as the reference does for every epoch;
 //!   the choice is made per epoch from the epoch's length, and
 //!   `ReplayTelemetry::epochs_inline` counts how often it fell this
 //!   way. Merging happens on the coordinator thread either way.
@@ -63,11 +66,11 @@
 //! and `tests/pool_teardown.rs` hold the pool to outcomes bit-identical
 //! to the reference's on both paths and to leak-free teardown.
 
-use crate::coordinator::{elapsed_ns, fire_on_worker, EpochCoordinator};
-use crate::lifecycle::{LifecycleReport, RunLifecycle};
-use crate::{
-    panic_message, route_epoch, IncidentKind, ReplayOutcome, ShardMetrics, ShardState,
+use crate::coordinator::{
+    elapsed_ns, fire_on_worker, ingest_epoch, record_ingest, EpochCoordinator, Ingested,
 };
+use crate::lifecycle::{LifecycleReport, RunLifecycle};
+use crate::{panic_message, route_epoch, IncidentKind, ReplayOutcome, ShardState};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
@@ -155,39 +158,11 @@ struct Reply<'a> {
     tracer: Tracer,
 }
 
-/// What one shard's epoch came to, on either path.
-struct Ingested {
-    frames: u64,
-    busy_ns: u64,
-    /// `None` for an inline epoch: nothing was queued.
-    queue_wait_ns: Option<u64>,
-}
-
-/// One shard's share of one epoch, on whichever thread holds the state:
-/// a worker for a dispatched epoch, the coordinator for an inline one.
-/// Every frame goes through [`ShardState::ingest`], the call the
-/// reference engine makes too. Returns the busy time, which is also the
-/// `ingest` span on the shard's `tracer`.
-fn ingest_epoch(
-    state: &mut ShardState,
-    frames: &[&bytes::Bytes],
-    tracer: &mut Tracer,
-    epoch_idx: u64,
-) -> u64 {
-    tracer.begin("ingest", epoch_idx);
-    let busy = Instant::now();
-    for frame in frames {
-        state.ingest(frame);
-    }
-    let busy_ns = elapsed_ns(busy);
-    tracer.end("ingest", epoch_idx);
-    busy_ns
-}
-
 /// The persistent per-shard worker: block on the queue, run one epoch,
 /// reply, repeat until the coordinator drops its end. An injected
 /// panic fires before any ingest (same clean-epoch-boundary guarantee
-/// as the reference engine) and unwinds through this loop, dropping
+/// as the reference engine, where `catch_unwind` stops it on the
+/// caller's thread) and unwinds through this loop, dropping
 /// both channel ends — the reply-channel disconnect is how the
 /// supervisor notices.
 fn worker_loop<'a>(shard: usize, rx: &Receiver<EpochWork<'a>>, tx: &SyncSender<Reply<'a>>) {
@@ -218,16 +193,6 @@ fn worker_loop<'a>(shard: usize, rx: &Receiver<EpochWork<'a>>, tx: &SyncSender<R
             return;
         }
     }
-}
-
-/// Folds one shard's epoch into its metric set.
-fn record_ingest(m: &mut ShardMetrics, r: &Ingested, epoch_wall: u64) {
-    m.packets.add(r.frames);
-    m.ingest_ns.add(r.busy_ns);
-    if let Some(waited) = r.queue_wait_ns {
-        m.queue_wait_ns.record(waited);
-    }
-    m.barrier_wait_ns.record(epoch_wall.saturating_sub(r.busy_ns));
 }
 
 /// Runs `coord` over the rest of `schedule` on the persistent worker

@@ -1,7 +1,7 @@
 //! Worker-pool conformance: the persistent-pool engine behind
 //! [`replay::run_replay_with_faults`] must be a bit-identical drop-in
-//! for the per-epoch thread-scope engine it replaced, which is kept as
-//! [`replay::reference`] exactly for this comparison.
+//! for the serial engine, [`replay::reference`], which is kept exactly
+//! for this comparison.
 //!
 //! "Bit-identical" is literal: merged tracker state compares with
 //! `==`, alert sequences and quarantine incidents (including captured
@@ -406,27 +406,37 @@ fn a_resumed_run_is_still_one_routing_sample_per_epoch() {
     assert_eq!(t.partition_ns.count(), t.epochs.get());
 }
 
-/// The point of the pool: on a many-epoch workload, not paying the
-/// per-interval spawn/join tax makes the 4-shard pool faster than the
-/// 4-shard scope-respawn engine. Gated on core count (the comparison
-/// is meaningless on a starved machine) and run best-of-3 per engine
-/// to shrug off scheduler noise.
+/// What the pool's threads are for: an epoch longer than the inline
+/// bound is handed to the workers, which ingest their slices at once,
+/// while the reference ingests every shard's slice on one thread, one
+/// after the other. So on a flood of ≈10 000 frames per 10 ms epoch a
+/// 4-shard pool must beat the serial reference. Gated on core count
+/// (four workers need four cores to run at once) and run best-of-3 per
+/// engine to shrug off scheduler noise.
 #[test]
-fn pool_beats_reference_on_four_shards() {
+fn pool_beats_serial_reference_on_dispatched_epochs() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cores < 4 {
         eprintln!("skipping pool-vs-reference throughput check: {cores} cores");
         return;
     }
-    // Many epochs amplify the reference engine's per-interval
-    // spawn/join overhead: 1 ms detector intervals over a 400 ms trace
-    // is ~400 epochs, i.e. ~1600 thread spawns for 4 shards.
-    let mut cfg = ReplayConfig {
+    let (s, _) = SynFloodWorkload {
+        background_cps: 500,
+        flood_pps: 1_000_000,
+        flood_start: 0,
+        duration: 300_000_000,
+        seed: 11,
+        ..SynFloodWorkload::default()
+    }
+    .generate();
+    let cfg = ReplayConfig {
         shards: 4,
         ..ReplayConfig::default()
     };
-    cfg.detector.interval_ns = 1_000_000;
-    let s = small_flood();
+    let pool = run_replay(&s, &cfg);
+    // Every epoch but the trace's trailing frame is handed off.
+    assert!(pool.epochs > 30, "{} epochs", pool.epochs);
+    assert!(pool.telemetry.epochs_inline.get() <= 1, "every full epoch is dispatched");
 
     let best = |run: &dyn Fn() -> std::time::Duration| {
         (0..3).map(|_| run()).min().expect("three timed runs")
@@ -435,7 +445,7 @@ fn pool_beats_reference_on_four_shards() {
     let ref_best = best(&|| reference::run_replay(&s, &cfg).elapsed);
     assert!(
         pool_best < ref_best,
-        "4-shard pool ({pool_best:?}) must beat the scope-respawn engine ({ref_best:?})"
+        "4-shard pool ({pool_best:?}) must beat the serial reference ({ref_best:?})"
     );
 }
 

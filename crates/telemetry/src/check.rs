@@ -8,7 +8,7 @@
 //! only need its records. (A metrics [`crate::Snapshot`] needs no
 //! checker: its push methods refuse what would make it invalid.)
 
-use crate::json::Json;
+use crate::json::{self, read_obj, At, Json, Lexer};
 use std::collections::HashMap;
 
 /// One event from a parsed trace document. Field types are owned so
@@ -49,8 +49,8 @@ pub struct TraceSummary {
     pub dropped: u64,
 }
 
-fn event_u64(ev: &Json, key: &str, idx: usize, errors: &mut Vec<String>) -> Option<u64> {
-    match ev.get(key) {
+fn event_u64(v: Option<&Json>, key: &str, idx: usize, errors: &mut Vec<String>) -> Option<u64> {
+    match v {
         Some(v) => match v.as_u64() {
             Some(n) => Some(n),
             None => {
@@ -65,15 +65,13 @@ fn event_u64(ev: &Json, key: &str, idx: usize, errors: &mut Vec<String>) -> Opti
     }
 }
 
-fn event_str(ev: &Json, key: &str, idx: usize, errors: &mut Vec<String>) -> Option<String> {
-    match ev.get(key) {
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s.to_string()),
-            None => {
-                errors.push(format!("event {idx}: {key} is not a string"));
-                None
-            }
-        },
+fn event_str(v: Option<Json>, key: &str, idx: usize, errors: &mut Vec<String>) -> Option<String> {
+    match v {
+        Some(Json::Str(s)) => Some(s),
+        Some(_) => {
+            errors.push(format!("event {idx}: {key} is not a string"));
+            None
+        }
         None => {
             errors.push(format!("event {idx}: missing {key}"));
             None
@@ -81,23 +79,101 @@ fn event_str(ev: &Json, key: &str, idx: usize, errors: &mut Vec<String>) -> Opti
     }
 }
 
+/// The value `lx` is at, checked whole: a scalar as it reads, a
+/// container as its empty opening, which no event member may be.
+fn scalar(lx: &mut Lexer<'_>) -> Result<Json, String> {
+    let v = lx.value()?;
+    lx.rest(&v)?;
+    Ok(v)
+}
+
+/// The `traceEvents` value `lx` is at: its events in document order,
+/// each event's problems appended to `errors` in the order of its
+/// members below; `None` if it is not an array. Fails only on syntax.
+fn read_events(lx: &mut Lexer<'_>, errors: &mut Vec<String>) -> Result<Option<Vec<TraceRecord>>, String> {
+    let open = lx.value()?;
+    if !matches!(open, Json::Arr(_)) {
+        lx.rest(&open)?;
+        return Ok(None);
+    }
+    let mut events = Vec::new();
+    for idx in 0.. {
+        if !lx.next_item()? {
+            break;
+        }
+        let open = lx.value()?;
+        if !matches!(open, Json::Obj(_)) {
+            lx.rest(&open)?;
+            errors.push(format!("event {idx}: not an object"));
+            continue;
+        }
+        // Each member's first value, as `Json::get` finds it.
+        let [mut name, mut phase, mut ts, mut tid, mut epoch] = [None, None, None, None, None];
+        while let Some(key) = lx.next_key()? {
+            let slot = match &*key {
+                "name" => &mut name,
+                "ph" => &mut phase,
+                "ts" => &mut ts,
+                "tid" => &mut tid,
+                "epoch" => &mut epoch,
+                _ => {
+                    lx.skip()?;
+                    continue;
+                }
+            };
+            let v = scalar(lx)?;
+            slot.get_or_insert(v);
+        }
+        let name = event_str(name, "name", idx, errors);
+        let phase = event_str(phase, "ph", idx, errors);
+        let ts = event_u64(ts.as_ref(), "ts", idx, errors);
+        let tid = event_u64(tid.as_ref(), "tid", idx, errors);
+        let epoch = event_u64(epoch.as_ref(), "epoch", idx, errors);
+        if let (Some(name), Some(phase), Some(ts), Some(tid), Some(epoch)) = (name, phase, ts, tid, epoch) {
+            events.push(TraceRecord { name, phase, ts, tid, epoch });
+        }
+    }
+    Ok(Some(events))
+}
+
 /// Parses a trace document without enforcing ordering/nesting
 /// invariants (that is [`check_trace`]'s job). Inspectors that only
-/// need the records use this directly.
+/// need the records use this directly. The document is read in one
+/// pass over its tokens, building no tree; a document that pass
+/// refuses is checked whole first, so a syntax error anywhere in it is
+/// the one error named.
 ///
 /// # Errors
 ///
 /// Returns every structural problem as a human-readable message.
 pub fn parse_trace(text: &str) -> Result<TraceDoc, Vec<String>> {
-    let doc = Json::parse(text).map_err(|e| vec![format!("document: {e}")])?;
-    let mut errors = Vec::new();
-    let Some(events_json) = doc.get("traceEvents") else {
+    let mut lx = Lexer::new(text);
+    let (mut events, mut dropped) = (None, None);
+    let mut event_errors = Vec::new();
+    let pass = read_obj(&mut lx, At::Root("document"), |key, lx, _| {
+        match key {
+            "traceEvents" if events.is_none() => events = Some(read_events(lx, &mut event_errors)?),
+            "dropped" if dropped.is_none() => dropped = Some(scalar(lx)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    if pass.and_then(|()| lx.finish()).is_err() {
+        // A syntax error, or a document that is not an object and so
+        // has no `traceEvents`.
+        return Err(vec![match json::check(text) {
+            Err(e) => format!("document: {e}"),
+            Ok(()) => "document: missing traceEvents".into(),
+        }]);
+    }
+    let Some(events) = events else {
         return Err(vec!["document: missing traceEvents".into()]);
     };
-    let Some(items) = events_json.as_arr() else {
+    let Some(events) = events else {
         return Err(vec!["document: traceEvents is not an array".into()]);
     };
-    let dropped = match doc.get("dropped") {
+    let mut errors = Vec::new();
+    let dropped = match dropped {
         Some(v) => v.as_u64().unwrap_or_else(|| {
             errors.push("document: dropped is not a non-negative integer".into());
             0
@@ -107,29 +183,7 @@ pub fn parse_trace(text: &str) -> Result<TraceDoc, Vec<String>> {
             0
         }
     };
-    let mut events = Vec::with_capacity(items.len());
-    for (idx, ev) in items.iter().enumerate() {
-        if ev.as_obj().is_none() {
-            errors.push(format!("event {idx}: not an object"));
-            continue;
-        }
-        let name = event_str(ev, "name", idx, &mut errors);
-        let phase = event_str(ev, "ph", idx, &mut errors);
-        let ts = event_u64(ev, "ts", idx, &mut errors);
-        let tid = event_u64(ev, "tid", idx, &mut errors);
-        let epoch = event_u64(ev, "epoch", idx, &mut errors);
-        if let (Some(name), Some(phase), Some(ts), Some(tid), Some(epoch)) =
-            (name, phase, ts, tid, epoch)
-        {
-            events.push(TraceRecord {
-                name,
-                phase,
-                ts,
-                tid,
-                epoch,
-            });
-        }
-    }
+    errors.append(&mut event_errors);
     if errors.is_empty() {
         Ok(TraceDoc { events, dropped })
     } else {
@@ -293,5 +347,89 @@ mod tests {
         let events = ev("a", "X", 0, 0, 0);
         let errs = check_trace(&trace_doc(&events, 0)).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("unknown phase")), "{errs:?}");
+    }
+
+    /// How a trace read as a tree: the reader [`parse_trace`] used
+    /// before it streamed, kept as the oracle for its messages.
+    fn parse_trace_by_tree(text: &str) -> Result<TraceDoc, Vec<String>> {
+        let doc = Json::parse(text).map_err(|e| vec![format!("document: {e}")])?;
+        let mut errors = Vec::new();
+        let Some(events_json) = doc.get("traceEvents") else {
+            return Err(vec!["document: missing traceEvents".into()]);
+        };
+        let Some(items) = events_json.as_arr() else {
+            return Err(vec!["document: traceEvents is not an array".into()]);
+        };
+        let dropped = match doc.get("dropped") {
+            Some(v) => v.as_u64().unwrap_or_else(|| {
+                errors.push("document: dropped is not a non-negative integer".into());
+                0
+            }),
+            None => {
+                errors.push("document: missing dropped counter".into());
+                0
+            }
+        };
+        let mut events = Vec::new();
+        for (idx, ev) in items.iter().enumerate() {
+            if ev.as_obj().is_none() {
+                errors.push(format!("event {idx}: not an object"));
+                continue;
+            }
+            let name = event_str(ev.get("name").cloned(), "name", idx, &mut errors);
+            let phase = event_str(ev.get("ph").cloned(), "ph", idx, &mut errors);
+            let ts = event_u64(ev.get("ts"), "ts", idx, &mut errors);
+            let tid = event_u64(ev.get("tid"), "tid", idx, &mut errors);
+            let epoch = event_u64(ev.get("epoch"), "epoch", idx, &mut errors);
+            if let (Some(name), Some(phase), Some(ts), Some(tid), Some(epoch)) = (name, phase, ts, tid, epoch) {
+                events.push(TraceRecord { name, phase, ts, tid, epoch });
+            }
+        }
+        if errors.is_empty() {
+            Ok(TraceDoc { events, dropped })
+        } else {
+            Err(errors)
+        }
+    }
+
+    /// The streaming reader gives what the tree gave, messages and their
+    /// order included, on every cut and every single-bit flip of a
+    /// trace, and on documents shaped to hit each branch: members out of
+    /// order or twice, values of every wrong type, containers where a
+    /// scalar belongs, a syntax error behind a structural one.
+    #[test]
+    fn the_streaming_reader_reads_as_the_tree_did() {
+        let events = [ev("ingest", "B", 0, 4_294_967_295, 0), ev("x\\y", "E", 7, 1, 18_446_744_073_709_551_615)];
+        let doc = trace_doc(&events.join(","), 3);
+        let shaped = [
+            r#"[]"#,
+            r#"7"#,
+            r#"{"dropped":1}"#,
+            r#"{"traceEvents":{"a":[1]},"dropped":0}"#,
+            r#"{"traceEvents":"no","dropped":0}"#,
+            r#"{"dropped":-1,"traceEvents":[5,[],{"name":1,"ph":{"k":[]},"ts":-3,"tid":1.5,"epoch":"0"}]}"#,
+            r#"{"traceEvents":[{"ts":1}],"dropped":{}}"#,
+            r#"{"traceEvents":[{"name":"a","name":2,"ph":"i","ts":1,"tid":0,"epoch":0,"ts":"x"}],"dropped":0,"dropped":"x"}"#,
+            r#"{"traceEvents":[],"traceEvents":5,"dropped":0}"#,
+            r#"{"traceEvents":5,"traceEvents":[],"dropped":0}"#,
+            r#"{"traceEvents":[{"extra":[{"deep":[1,2]}],"name":"a","ph":"i","ts":1,"tid":0,"epoch":0}],"dropped":0}"#,
+            r#"{"traceEvents":7,"dropped":0,"x":[1,}"#,
+            r#"[1,2"#,
+            r#"{"traceEvents":[],"dropped":0} {}"#,
+        ];
+        let mut texts: Vec<String> = shaped.iter().map(|s| (*s).to_string()).collect();
+        let bytes = doc.as_bytes();
+        for at in 0..bytes.len() {
+            texts.extend(std::str::from_utf8(&bytes[..at]).ok().map(str::to_string));
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 1 << bit;
+                texts.extend(String::from_utf8(flipped).ok());
+            }
+        }
+        assert!(texts.len() > 1_000, "{} texts", texts.len());
+        for text in &texts {
+            assert_eq!(parse_trace(text), parse_trace_by_tree(text), "{text}");
+        }
     }
 }

@@ -23,9 +23,11 @@
 //! suite emits (trace files, run snapshots, checkpoints, metric
 //! exports): a [`Lexer`] pulls a document's tokens, and its one
 //! grammar serves the typed readers, [`Lexer::skip`] (a value checked
-//! and passed over) and [`Json::parse`], which builds a tree for the
-//! documents that have no schema (a trace file, the benchmark's
-//! results) and is the reference the typed readers are tested against.
+//! and passed over), the trace reader `check::parse_trace` (which
+//! gathers every problem of a document rather than stopping at the
+//! first) and [`Json::parse`], which builds a tree for the one document
+//! that has no schema (the benchmark's results) and is the reference
+//! the typed readers are tested against.
 //!
 //! Numbers keep their integer identity: a token without `.`/`e` parses
 //! as [`Json::Int`] (past `i64::MAX`, as [`Json::UInt`]), so `u64`/`i64`
@@ -152,7 +154,7 @@ impl Json {
 
 /// A pull lexer over one document, the one place its grammar, messages
 /// and nesting guard are written. [`Self::value`] reads a token; in a
-/// container, [`Self::next_key`] and `Self::next_item` read up to the
+/// container, [`Self::next_key`] and [`Self::next_item`] read up to the
 /// next entry or past the end. A value spans [`Self::pos`] before it to
 /// `pos()` after it.
 pub struct Lexer<'a> {
@@ -243,7 +245,7 @@ impl<'a> Lexer<'a> {
 
     /// Whether the open array's next item is due; `false` past its `]`.
     #[inline]
-    pub(crate) fn next_item(&mut self) -> Result<bool, String> {
+    pub fn next_item(&mut self) -> Result<bool, String> {
         self.more(b']')
     }
 
@@ -294,7 +296,15 @@ impl<'a> Lexer<'a> {
     /// The next value checked and passed over, with no tree built: the
     /// grammar, messages and nesting guard of [`Json::parse`].
     pub fn skip(&mut self) -> Result<(), String> {
-        match self.value()? {
+        let open = self.value()?;
+        self.rest(&open)
+    }
+
+    /// Passes over what is left of the value whose token [`Self::value`]
+    /// just gave: a container's entries, each checked; nothing after a
+    /// scalar.
+    pub fn rest(&mut self, open: &Json) -> Result<(), String> {
+        match open {
             Json::Obj(_) => while self.next_key()?.is_some() {
                 self.skip()?;
             },
