@@ -144,65 +144,6 @@ impl DetectionResult {
     }
 }
 
-/// A fired [`DetectionResult`] with an owned engine name: the one JSON
-/// form of a fired-log entry, in run snapshots and in
-/// [`Ensemble::export_state`] alike. `fired` is not a member: only
-/// fired results are logged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FiredSnap {
-    /// Engine that fired.
-    pub engine: String,
-    /// Interval end (ns).
-    pub at: u64,
-    /// Interval ordinal.
-    pub epoch: u64,
-    /// Q16 score.
-    pub score: i64,
-    /// Ensemble weight, Q16.
-    pub weight: i64,
-    /// Confidence, Q16.
-    pub confidence: i64,
-    /// Expected signal value.
-    pub expected: i64,
-    /// Observed signal value.
-    pub observed: i64,
-}
-
-json_struct!(FiredSnap { engine, at, epoch, score, weight, confidence, expected, observed });
-
-impl From<&DetectionResult> for FiredSnap {
-    fn from(r: &DetectionResult) -> Self {
-        Self {
-            engine: r.engine.to_string(),
-            at: r.at,
-            epoch: r.epoch,
-            score: r.score,
-            weight: r.weight,
-            confidence: r.confidence,
-            expected: r.expected,
-            observed: r.observed,
-        }
-    }
-}
-
-impl FiredSnap {
-    /// The result this entry was taken from, its engine name borrowed
-    /// from `names`; `None` when the entry names none of them.
-    fn to_result(&self, names: &[&'static str]) -> Option<DetectionResult> {
-        Some(DetectionResult {
-            engine: names.iter().copied().find(|n| *n == self.engine)?,
-            at: self.at,
-            epoch: self.epoch,
-            score: self.score,
-            weight: self.weight,
-            confidence: self.confidence,
-            expected: self.expected,
-            observed: self.observed,
-            fired: true,
-        })
-    }
-}
-
 /// A pluggable anomaly detection engine over merged interval state.
 pub trait Detector {
     /// Stable engine name (telemetry label, report key).
@@ -473,28 +414,29 @@ pub struct EngineSummary {
 }
 
 /// One engine's entry in [`Ensemble::export_state`]: its name, its own
-/// state, metrics, fire count, first fire and weight override. The name
+/// state, metrics, fire count, first fire and weight override, each
+/// borrowed from the ensemble and written where it lies. The name
 /// comes first, so a reader knows the engine before it reaches the
 /// state ([`Ensemble::import_state`] reads the entry member by member).
-struct EngineEntry {
-    name: String,
-    state: Raw,
-    metrics: DetectorMetrics,
+struct EngineEntry<'a> {
+    name: &'static str,
+    state: StateOf<'a>,
+    metrics: &'a DetectorMetrics,
     fires: u64,
     first_fired: Option<u64>,
     weight_override: Option<i64>,
 }
 
-json_struct!(@write EngineEntry { name, state, metrics, fires, first_fired, weight_override });
+json_struct!(@write EngineEntry<'_> { name, state, metrics, fires, first_fired, weight_override });
 
-/// [`Ensemble::export_state`]'s form: the engines in report order, then
-/// the fired log.
-struct EnsembleState {
-    engines: Vec<EngineEntry>,
-    fired_log: Vec<FiredSnap>,
+/// An engine's [`Detector::export_state`], written in place.
+struct StateOf<'a>(&'a dyn Detector);
+
+impl ToJson for StateOf<'_> {
+    fn write_json(&self, out: &mut String) {
+        self.0.export_state(out);
+    }
 }
-
-json_struct!(@write EnsembleState { engines, fired_log });
 
 /// Drives a set of engines over the interval stream and combines their
 /// scores.
@@ -512,7 +454,9 @@ pub struct Ensemble {
     /// replay lifecycle's vetted hot-swap path.
     weight_overrides: Vec<Option<i64>>,
     /// Every fired result, in interval order then engine order — the
-    /// determinism regression surface.
+    /// determinism regression surface. Held in memory only: a
+    /// checkpoint keeps it as provenance, and [`Self::log_fired`]
+    /// rebuilds it from there.
     pub fired_log: Vec<DetectionResult>,
 }
 
@@ -520,7 +464,7 @@ impl std::fmt::Debug for Ensemble {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ensemble")
             .field("engines", &self.names())
-            .field("fired_log", &self.fired_log.len())
+            .field("fired", &self.fired_log.len())
             .finish()
     }
 }
@@ -649,60 +593,85 @@ impl Ensemble {
         }
     }
 
-    /// Appends the whole ensemble to `out` as JSON: per engine its
-    /// [`Detector::export_state`], metrics, fire count, first fire and
-    /// weight override, then the fired log. Only the fired log grows
-    /// over a run, and it grows with alerts, not with intervals.
+    /// Appends the whole ensemble to `out` as JSON, `{"engines":[..]}`
+    /// in report order: per engine its [`Detector::export_state`],
+    /// metrics, fire count, first fire and weight override. The fired
+    /// log is not written: every fired result is in the provenance of
+    /// the trigger it pulled, and [`Self::log_fired`] reads it back
+    /// from there.
     pub fn export_state(&self, out: &mut String) {
         let engines = self.engines.iter().enumerate().map(|(i, e)| EngineEntry {
-            name: e.name().to_string(),
-            state: Raw::of(|out| e.export_state(out)),
-            metrics: self.metrics[i].clone(),
+            name: e.name(),
+            state: StateOf(e.as_ref()),
+            metrics: &self.metrics[i],
             fires: self.fires[i],
             first_fired: self.first_fired[i],
             weight_override: self.weight_overrides[i],
         });
-        let fired_log = self.fired_log.iter().map(FiredSnap::from).collect();
-        EnsembleState { engines: engines.collect(), fired_log }.write_json(out);
+        write_obj(out, [("engines", &engines.collect::<Vec<_>>() as &dyn ToJson)]);
     }
 
     /// Reads [`Self::export_state`]'s form from the value `lx` is at
     /// into an ensemble built from the same configuration (same
     /// engines, same order), after which both answer every future
-    /// [`Self::observe`] identically and report identical summaries,
-    /// metrics and fired logs. An entry is read in one pass: when its
-    /// `name` comes before its `state`, as [`Self::export_state`] writes
-    /// it, the state is lexed straight into the engine it names; in any
-    /// other order it is kept as text until the name is known.
+    /// [`Self::observe`] identically and report identical summaries and
+    /// metrics; the fired log stays as it was, for [`Self::log_fired`]
+    /// to refill from the run's provenance. An entry is read in one
+    /// pass: when its `name` comes before its `state`, as
+    /// [`Self::export_state`] writes it, the state is lexed straight
+    /// into the engine it names; in any other order it is kept as text
+    /// until the name is known.
     ///
     /// # Errors
     ///
     /// In document order: an engine this ensemble does not run, an
     /// engine the state lacks, whatever an engine's own
     /// [`Detector::import_state`] rejects, a negative weight override,
-    /// more engines than the ensemble runs (whatever they are named),
-    /// or a fired-log entry naming none of them. The ensemble is then part-loaded and must be
-    /// discarded.
+    /// or more engines than the ensemble runs (whatever they are
+    /// named). The ensemble is then part-loaded and must be discarded.
     pub fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let root = At::Root("ensemble");
-        let (mut engines, mut fired_log) = (None, None);
+        let mut engines = None;
         read_obj(lx, root, |key, lx, at| {
-            match key {
-                "engines" if engines.is_none() => engines = Some(self.import_engines(lx, at)?),
-                "fired_log" if fired_log.is_none() => fired_log = Some(Vec::<FiredSnap>::read_json(lx, at)?),
-                _ => return Ok(false),
+            if key != "engines" || engines.is_some() {
+                return Ok(false);
             }
+            engines = Some(self.import_engines(lx, at)?);
             Ok(true)
         })?;
-        need(engines, root, "engines")?;
-        let names = self.names();
-        let at = At::Key(&root, "fired_log");
-        let result = |(i, f): (usize, &FiredSnap)| {
-            f.to_result(&names)
-                .ok_or_else(|| At::Idx(&at, i).err(format_args!("unknown engine {:?}", f.engine)))
-        };
-        let fired_log = need(fired_log, root, "fired_log")?;
-        self.fired_log = fired_log.iter().enumerate().map(result).collect::<Result<_, _>>()?;
+        need(engines, root, "engines")
+    }
+
+    /// Appends to the fired log each result that fired at the trigger
+    /// `p` records, in engine order, as [`Self::observe`] logged it:
+    /// the provenance of a trigger holds every engine's result with its
+    /// `fired` flag, and every fired result pulls the trigger. Fed a
+    /// run's provenance record by record, it rebuilds the run's fired
+    /// log.
+    ///
+    /// # Errors
+    ///
+    /// A fired engine this ensemble does not run, named at its path
+    /// under `at`, where `p` lies. The log is then part-filled.
+    pub fn log_fired(&mut self, p: &AlertProvenance, at: At<'_>) -> Result<(), String> {
+        let engines = At::Key(&at, "engines");
+        for (j, e) in p.engines.iter().enumerate().filter(|(_, e)| e.fired) {
+            let Some(engine) = self.engines.iter().map(|d| d.name()).find(|n| *n == e.engine) else {
+                let at = At::Key(&At::Idx(&engines, j), "engine");
+                return Err(at.err(format_args!("unknown engine {:?}", e.engine)));
+            };
+            self.fired_log.push(DetectionResult {
+                engine,
+                at: p.at,
+                epoch: p.epoch,
+                score: e.score,
+                weight: e.weight,
+                confidence: e.confidence,
+                expected: e.expected,
+                observed: e.observed,
+                fired: true,
+            });
+        }
         Ok(())
     }
 

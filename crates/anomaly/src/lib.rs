@@ -46,7 +46,7 @@ pub mod synflood;
 pub use alerts::Alert;
 pub use detector::{
     AlertProvenance, DetectionResult, Detector, EngineAtFire, EngineSummary, Ensemble,
-    EnsembleVerdict, FiredSnap, SignalContext, SignalValues, TriggerCause, Q16,
+    EnsembleVerdict, SignalContext, SignalValues, TriggerCause, Q16,
 };
 pub use engines::{
     AdaptiveEngine, CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine,

@@ -67,8 +67,6 @@ pub struct PercentileShiftDetector {
     /// Packets observed in the still-open interval.
     pkts_in_interval: u64,
     current_interval: Option<u64>,
-    /// Alerts raised.
-    pub alerts: Vec<Alert>,
     /// First alert time.
     pub detected_at: Option<u64>,
 }
@@ -89,7 +87,6 @@ impl PercentileShiftDetector {
             moves_in_interval: 0,
             pkts_in_interval: 0,
             current_interval: None,
-            alerts: Vec::new(),
             detected_at: None,
             cfg,
         }
@@ -130,7 +127,6 @@ impl PercentileShiftDetector {
                             .unwrap_or(0),
                     };
                     self.detected_at.get_or_insert(at);
-                    self.alerts.push(alert.clone());
                     raised = Some(alert);
                 }
             }
@@ -155,8 +151,8 @@ impl PercentileShiftDetector {
 /// The tracker (populated cells as `[index, count]` pairs, kept as
 /// text until the reader knows how many cells the configured domain
 /// has; the marker's walk position verbatim), the movement window, the
-/// open interval's tallies, and the alerts. `last_moves` always equals
-/// the marker's move count and is not written.
+/// open interval's tallies, and the first alert's time. `last_moves`
+/// always equals the marker's move count and is not written.
 struct ShiftState {
     cells: Raw,
     total: u64,
@@ -168,13 +164,12 @@ struct ShiftState {
     moves_in_interval: u64,
     pkts_in_interval: u64,
     current_interval: Option<u64>,
-    alerts: Vec<Alert>,
     detected_at: Option<u64>,
 }
 
 json_struct!(ShiftState {
     cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
-    moves_in_interval, pkts_in_interval, current_interval, alerts, detected_at
+    moves_in_interval, pkts_in_interval, current_interval, detected_at
 });
 
 /// The ensemble's `median_shift` engine. Signal binding: the exact
@@ -209,7 +204,6 @@ impl Detector for PercentileShiftDetector {
             moves_in_interval: self.moves_in_interval,
             pkts_in_interval: self.pkts_in_interval,
             current_interval: self.current_interval,
-            alerts: self.alerts.clone(),
             detected_at: self.detected_at,
         }
         .write_json(out);
@@ -236,7 +230,6 @@ impl Detector for PercentileShiftDetector {
         self.moves_in_interval = s.moves_in_interval;
         self.pkts_in_interval = s.pkts_in_interval;
         self.current_interval = s.current_interval;
-        self.alerts = s.alerts;
         self.detected_at = s.detected_at;
         Ok(())
     }
@@ -269,11 +262,13 @@ mod tests {
         let mut det = PercentileShiftDetector::new(cfg());
         let mut t = 0u64;
         // Healthy: values ~ uniform(90..110), ~100 per interval.
+        let mut raised = Vec::new();
         for _ in 0..3_000 {
-            det.observe(t, rng.random_range(90..110));
+            raised.extend(det.observe(t, rng.random_range(90..110)));
             t += 10_000;
         }
-        assert!(det.detected_at.is_none(), "stable phase clean: {:?}", det.alerts);
+        assert!(raised.is_empty(), "stable phase clean: {raised:?}");
+        assert!(det.detected_at.is_none());
         let shift_at = t;
         // Regression: values ~ uniform(150..170). Enough samples that
         // the combined median genuinely crosses into the new cluster
@@ -307,15 +302,17 @@ mod tests {
         let mut rng = workloads::rng(9);
         let mut det = PercentileShiftDetector::new(cfg());
         let mut t = 0u64;
+        let mut raised = Vec::new();
         for _ in 0..2_000 {
-            det.observe(t, rng.random_range(90..110));
+            raised.extend(det.observe(t, rng.random_range(90..110)));
             t += 10_000;
         }
         // 5x the packet rate, same value distribution.
         for _ in 0..5_000 {
-            det.observe(t, rng.random_range(90..110));
+            raised.extend(det.observe(t, rng.random_range(90..110)));
             t += 2_000;
         }
-        assert!(det.detected_at.is_none(), "alerts: {:?}", det.alerts);
+        assert!(raised.is_empty(), "alerts: {raised:?}");
+        assert!(det.detected_at.is_none());
     }
 }

@@ -45,8 +45,6 @@ pub struct StalledFlowDetector {
     cfg: StalledFlowConfig,
     window: WindowedDist,
     current_interval: Option<u64>,
-    /// Alerts raised.
-    pub alerts: Vec<Alert>,
     /// First alert time.
     pub detected_at: Option<u64>,
 }
@@ -62,7 +60,6 @@ impl StalledFlowDetector {
         Self {
             window: WindowedDist::new(cfg.window).expect("non-empty window"),
             current_interval: None,
-            alerts: Vec::new(),
             detected_at: None,
             cfg,
         }
@@ -129,10 +126,7 @@ impl StalledFlowDetector {
                     interval_value: closed,
                 };
                 self.detected_at.get_or_insert(at);
-                self.alerts.push(alert.clone());
-                if first_alert.is_none() {
-                    first_alert = Some(alert);
-                }
+                first_alert.get_or_insert(alert);
             }
         }
         self.current_interval = Some(ivl);
@@ -146,15 +140,15 @@ impl StalledFlowDetector {
     }
 }
 
-/// The activity window, the interval it is in, and the alerts.
+/// The activity window, the interval it is in, and the first alert's
+/// time.
 struct StalledState {
     window: WindowState,
     current_interval: Option<u64>,
-    alerts: Vec<Alert>,
     detected_at: Option<u64>,
 }
 
-json_struct!(StalledState { window, current_interval, alerts, detected_at });
+json_struct!(StalledState { window, current_interval, detected_at });
 
 /// The ensemble's `stalled` engine. Signal binding: per-interval
 /// merged packet count as the activity measure, fed as one bulk record
@@ -170,13 +164,13 @@ impl Detector for StalledFlowDetector {
     }
 
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
-        let before = self.alerts.len();
         let n = u64::try_from(ctx.packets.max(0)).unwrap_or(0);
         let spanned = u64::try_from(ctx.spanned).unwrap_or(1).max(1);
+        let mut fired = false;
         for back in (0..spanned).rev() {
-            self.observe_activity_n(ctx.at.saturating_sub(back * self.cfg.interval_ns), n);
+            let at = ctx.at.saturating_sub(back * self.cfg.interval_ns);
+            fired |= self.observe_activity_n(at, n).is_some();
         }
-        let fired = self.alerts.len() > before;
         let stats = self.stats();
         let expected = stats.xsum() / (stats.n().max(1) as i64);
         Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.packets))
@@ -186,7 +180,6 @@ impl Detector for StalledFlowDetector {
         StalledState {
             window: WindowState::of(&self.window),
             current_interval: self.current_interval,
-            alerts: self.alerts.clone(),
             detected_at: self.detected_at,
         }
         .write_json(out);
@@ -197,7 +190,6 @@ impl Detector for StalledFlowDetector {
         let s = StalledState::read_json(lx, at)?;
         s.window.restore(&mut self.window, At::Key(&at, "window"))?;
         self.current_interval = s.current_interval;
-        self.alerts = s.alerts;
         self.detected_at = s.detected_at;
         Ok(())
     }
@@ -236,27 +228,27 @@ mod tests {
         assert!(det.detected_at.is_none(), "healthy phase clean");
         // Failure: silence. A tick 3 intervals later must close the
         // quiet intervals and alert.
-        let alert = det.tick(33 * 1_000_000);
-        assert!(alert.is_some(), "collapse detected");
-        match det.alerts[0] {
+        match det.tick(33 * 1_000_000).expect("collapse detected") {
             Alert::ActivityDrop { interval_value, .. } => {
                 assert!(interval_value < 10, "quiet interval: {interval_value}");
             }
-            ref other => panic!("unexpected {other:?}"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn gradual_decline_within_band_is_quiet() {
         let mut det = StalledFlowDetector::new(cfg());
+        let mut raised = Vec::new();
         for i in 0..40u64 {
             // 50 ± small wiggle, no collapse.
             let per = 50 + (i % 3) - 1;
             for j in 0..per {
-                det.observe_activity(i * 1_000_000 + j * 10_000);
+                raised.extend(det.observe_activity(i * 1_000_000 + j * 10_000));
             }
         }
-        assert!(det.detected_at.is_none(), "alerts: {:?}", det.alerts);
+        assert!(raised.is_empty(), "alerts: {raised:?}");
+        assert!(det.detected_at.is_none());
     }
 
     mod bulk_equivalence {
@@ -265,8 +257,8 @@ mod tests {
 
         proptest! {
             /// `observe_activity_n(at, n)` ≡ `n × observe_activity(at)`:
-            /// identical alert streams and identical window stats on
-            /// arbitrary (time, count) sequences.
+            /// the same alert at every step, and identical window stats,
+            /// on arbitrary (time, count) sequences.
             #[test]
             fn bulk_activity_equals_repeated_single(
                 steps in proptest::collection::vec((0u64..40, 0u64..80), 1..60),
@@ -276,14 +268,14 @@ mod tests {
                 let mut t = 0u64;
                 for &(advance, n) in &steps {
                     t += advance * 250_000;
+                    let mut raised = None;
                     for _ in 0..n {
-                        single.observe_activity(t);
+                        raised = raised.or(single.observe_activity(t));
                     }
                     if n == 0 {
-                        single.tick(t);
+                        raised = single.tick(t);
                     }
-                    bulk.observe_activity_n(t, n);
-                    prop_assert_eq!(&single.alerts, &bulk.alerts);
+                    prop_assert_eq!(raised, bulk.observe_activity_n(t, n));
                     prop_assert_eq!(single.detected_at, bulk.detected_at);
                     prop_assert_eq!(single.stats(), bulk.stats());
                 }
@@ -323,9 +315,9 @@ mod tests {
     /// spanning report's average stands in for the interval it covers.
     #[test]
     fn skipped_report_is_not_a_quiet_interval() {
-        assert!(run_reports(None).alerts.is_empty());
+        assert!(run_reports(None).detected_at.is_none());
         let det = run_reports(Some(20));
-        assert!(det.alerts.is_empty(), "alerts: {:?}", det.alerts);
+        assert!(det.detected_at.is_none(), "alerted at {:?}", det.detected_at);
         assert_eq!(det.stats().n(), 32, "every interval closed, the skipped one too");
         assert!(det.stats().xsum() >= 32 * 38, "none of them at zero");
     }

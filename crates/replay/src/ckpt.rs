@@ -59,10 +59,10 @@
 //! [`Checkpoint::rebuild_detection`] lexes that text into fresh
 //! instances built from the run's config. The cost of a checkpoint is
 //! therefore the size of the state, not the length of the run: every
-//! member is bounded by configuration except `provenance`, the
-//! ensemble's `fired_log` and the Table 1 detectors' `alerts`, which
-//! are the run's output and grow with alerts raised, and `incidents`,
-//! which grows with shards lost.
+//! member is bounded by configuration except `provenance`, the run's
+//! output (each fired result once; resume rebuilds the fired log from
+//! it), which grows with alerts raised, and `incidents`, which grows
+//! with shards lost.
 //!
 //! **The checksum covers the payload bytes as written, where they are
 //! written, and neither side builds a tree.** [`serialize`] fills one
@@ -101,9 +101,8 @@ pub(crate) const MAGIC: &str = "stat4-replay-ckpt";
 /// and replayed it on resume; version 2 stores the detectors' state;
 /// version 3 stores a shard's length distribution as counts alone, with
 /// no walked marker and no total beside them; version 4 stores each
-/// shard register file as its non-zero cells.
-pub(crate) const VERSION: u64 = 4;
-
+/// shard register file as its non-zero cells; version 5 writes no fired log.
+pub(crate) const VERSION: u64 = 5;
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -339,7 +338,7 @@ pub struct Checkpoint {
     /// Every quarantine incident so far, in occurrence order.
     pub incidents: Vec<ShardIncident>,
     /// [`Ensemble::export_state`]'s text at the drain point: engine
-    /// states, metrics, fire counts, weight overrides, the fired log.
+    /// states, metrics, fire counts, weight overrides.
     pub ensemble: Raw,
     /// [`ScoreDrilldown::export_state`]'s text at the drain point.
     pub drill: Raw,
@@ -383,18 +382,21 @@ json_struct!(Checkpoint {
 });
 
 impl Checkpoint {
-    /// Rebuilds the detection ensemble and the drilldown ladder: fresh
-    /// instances from `cfg`, loaded with the exported state. Constant
-    /// in run length.
+    /// Rebuilds the detection ensemble and the drilldown ladder from `cfg`
+    /// and the exported state, the fired log from [`Self::provenance`].
     ///
     /// # Errors
     ///
-    /// What [`Ensemble::import_state`] or
+    /// What [`Ensemble::import_state`], [`Ensemble::log_fired`] or
     /// [`ScoreDrilldown::import_state`] rejects: state that no
     /// detector built from `cfg` could have exported.
     pub fn rebuild_detection(&self, cfg: &ReplayConfig) -> Result<(Ensemble, ScoreDrilldown), String> {
         let mut ensemble = build_ensemble(cfg);
         ensemble.import_state(&mut self.ensemble.lexer())?;
+        let records = At::Key(&At::Key(&At::Root("$"), "payload"), "provenance");
+        for (i, record) in self.provenance.iter().enumerate() {
+            ensemble.log_fired(&record.provenance, At::Key(&At::Idx(&records, i), "provenance"))?;
+        }
         let mut drill = ScoreDrilldown::new(cfg.ensemble.trigger);
         drill.import_state(&mut self.drill.lexer())?;
         Ok((ensemble, drill))
@@ -497,6 +499,7 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
     }
     if version < VERSION {
         let why = match version {
+            4 => "was written before the fired log was read from provenance",
             3 => "was written before shards stored their non-zero cells alone",
             2 => "was written before shards kept length counts alone",
             _ => "was written before detector-state checkpoints",
@@ -683,7 +686,7 @@ pub(crate) fn load_latest_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomaly::{Alert, TriggerCause};
+    use anomaly::{Alert, DetectionResult, EngineAtFire, TriggerCause};
     use std::fmt::Debug;
     use telemetry::json::{read, render, write};
 
@@ -815,7 +818,6 @@ mod tests {
         round_trips(&snap.health.incidents[0]);
         round_trips(&snap.ensemble);
         round_trips(&snap.ensemble.engines[0]);
-        round_trips(&snap.ensemble.fired[0]);
         round_trips(&snap.merged);
         let record = &snap.provenance[0];
         round_trips(record);
@@ -861,7 +863,7 @@ mod tests {
     fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
-            r#"{{"magic":"stat4-replay-ckpt","version":4,"checksum":"{sum:016x}","payload":{body}}}"#
+            r#"{{"magic":"stat4-replay-ckpt","version":5,"checksum":"{sum:016x}","payload":{body}}}"#
         )
     }
 
@@ -1014,6 +1016,7 @@ mod tests {
             (1, "before detector-state checkpoints"),
             (2, "before shards kept length counts alone"),
             (3, "before shards stored their non-zero cells alone"),
+            (4, "before the fired log was read from provenance"),
         ] {
             let err = parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap_err();
             assert!(err.contains(lacks) && err.contains("re-run"), "version {old}: {err}");
@@ -1036,15 +1039,39 @@ mod tests {
     #[test]
     fn rebuild_imports_the_exported_detection_state() {
         let cfg = ReplayConfig::default();
-        let c = sample_checkpoint();
+        let mut c = sample_checkpoint();
+        // A quiet engine beside the one that fired: only the fired
+        // result goes into the log.
+        let engines = &mut c.provenance[0].provenance.engines;
+        let quiet = EngineAtFire { engine: String::from("cusum"), fired: false, ..engines[0].clone() };
+        engines.insert(0, quiet);
         let (ensemble, drill) = c.rebuild_detection(&cfg).expect("own export imports");
         assert_eq!(Raw::of(|out| ensemble.export_state(out)), c.ensemble);
         assert_eq!(Raw::of(|out| drill.export_state(out)), c.drill);
         assert_eq!(ensemble.summaries(), sample_ensemble().summaries());
+        let (p, fired) = (&c.provenance[0].provenance, &c.provenance[0].provenance.engines[1]);
+        let logged = DetectionResult {
+            engine: "synflood",
+            at: p.at,
+            epoch: p.epoch,
+            score: fired.score,
+            weight: fired.weight,
+            confidence: fired.confidence,
+            expected: fired.expected,
+            observed: fired.observed,
+            fired: true,
+        };
+        assert_eq!(ensemble.fired_log, [logged]);
 
         let mut bad = c.clone();
         bad.drill = raw("null");
         assert!(bad.rebuild_detection(&cfg).unwrap_err().contains("drilldown"));
+        let mut bad = c.clone();
+        bad.provenance[0].provenance.engines[1].engine = String::from("entropy");
+        assert_eq!(
+            bad.rebuild_detection(&cfg).unwrap_err(),
+            "$.payload.provenance[0].provenance.engines[1].engine: unknown engine \"entropy\""
+        );
     }
 
     /// A file in another member order takes the path that checks its

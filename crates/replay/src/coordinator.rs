@@ -508,11 +508,6 @@ impl EpochCoordinator {
             .into_iter()
             .map(|(n, m)| (n.to_string(), m))
             .collect();
-        let ensemble = EnsembleReport {
-            engines: self.ensemble.summaries(),
-            fired: self.ensemble.fired_log.clone(),
-        };
-
         let merged = merge_surviving(&self.states, &self.alive, &self.cfg);
         let health = ReplayHealth {
             shards_configured: self.cfg.shards,
@@ -534,7 +529,10 @@ impl EpochCoordinator {
             epochs: self.epochs,
             elapsed,
             health,
-            ensemble,
+            ensemble: EnsembleReport {
+                engines: self.ensemble.summaries(),
+                fired: self.ensemble.fired_log,
+            },
             provenance: self.provenance,
             telemetry,
         }

@@ -258,7 +258,7 @@ pub struct EnsembleReport {
     /// Per-engine fire counts and first-fire times, in report order.
     pub engines: Vec<EngineSummary>,
     /// Every fired [`DetectionResult`], in interval order then engine
-    /// order — the byte-identical determinism regression surface.
+    /// order; a snapshot holds each in [`ReplayOutcome::provenance`].
     pub fired: Vec<DetectionResult>,
 }
 

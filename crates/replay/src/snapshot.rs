@@ -6,8 +6,8 @@
 //! summary); wall-clock fields are deliberately absent, so two
 //! snapshots of bit-identical runs compare equal. Each struct here has
 //! its JSON form declared once, as the `json_struct!` line under it;
-//! the alert, fired-result and provenance forms come with their types
-//! from `anomaly` and [`crate::provenance`]. [`render_outcome_json`]
+//! the alert and provenance forms come with their types from `anomaly`
+//! and [`crate::provenance`]. [`render_outcome_json`]
 //! writes the snapshot; [`parse_outcome_json`] reads it back
 //! field-for-field — the golden round-trip `tests/provenance.rs`
 //! pins. `stat4-trace explain` consumes these files.
@@ -15,7 +15,7 @@
 use crate::provenance::{AlertProvenanceRecord, IncidentRef};
 use crate::ReplayOutcome;
 use anomaly::synflood::KIND_SYN;
-pub use anomaly::{AlertSnap, FiredSnap};
+pub use anomaly::AlertSnap;
 use telemetry::json::{self, read, At};
 use telemetry::json_struct;
 
@@ -64,16 +64,14 @@ pub struct EngineSnap {
 
 json_struct!(EngineSnap { name, fires, first_fired_at });
 
-/// The ensemble report: per-engine summaries plus the fired log.
+/// The ensemble report's per-engine summaries; fired results are in provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EnsembleSnap {
     /// Per-engine fire counts, in report order.
     pub engines: Vec<EngineSnap>,
-    /// Every fired result, in interval order then engine order.
-    pub fired: Vec<FiredSnap>,
 }
 
-json_struct!(EnsembleSnap { engines, fired });
+json_struct!(EnsembleSnap { engines });
 
 /// Scalar summary of the final merged [`crate::ShardState`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -153,7 +151,6 @@ impl RunSnapshot {
                         first_fired_at: e.first_fired_at,
                     })
                     .collect(),
-                fired: out.ensemble.fired.iter().map(FiredSnap::from).collect(),
             },
             provenance: out.provenance.clone(),
             merged: MergedSnap {
@@ -276,16 +273,6 @@ pub(crate) mod tests {
                     name: String::from("synflood"),
                     fires: 3,
                     first_fired_at: Some(2_000_000),
-                }],
-                fired: vec![FiredSnap {
-                    engine: String::from("synflood"),
-                    at: 2_000_000,
-                    epoch: 1,
-                    score: 131_072,
-                    weight: 65_536,
-                    confidence: 65_536,
-                    expected: 100,
-                    observed: 450,
                 }],
             },
             provenance: vec![record],

@@ -1,9 +1,11 @@
 //! State that must survive a crash is bounded in size: over a
 //! 10 000-epoch run checkpointed every 1 000 epochs, what a checkpoint
-//! holds apart from the run's output (alert provenance, the fired
-//! log) stops growing once the windows are full — counter digits,
-//! nothing else. Version 1 stored every interval the detectors had
-//! seen; its ninth file was several times its second.
+//! holds apart from the run's output (alert provenance, which also
+//! holds every fired result) stops growing once the windows are full —
+//! counter digits, nothing else. Version 1 stored every interval the
+//! detectors had seen; its ninth file was several times its second.
+//! Versions before 5 also wrote the fired log and two detectors' alert
+//! lists, which grew with the output and had to be subtracted here.
 
 use faultinject::FaultSchedule;
 use replay::ckpt;
@@ -12,15 +14,14 @@ use telemetry::json::render;
 use telemetry::Json;
 use workloads::SeasonalDriftWorkload;
 
-/// Rendered size of a checkpoint file's payload without the members
-/// that are the run's output, plus the size of those members.
+/// Rendered size of a checkpoint file's payload without the member
+/// that is the run's output, plus the size of that member.
 fn state_and_output_bytes(path: &std::path::Path) -> (usize, usize) {
     let text = std::fs::read_to_string(path).unwrap();
     ckpt::parse(&text).expect("a written checkpoint parses");
     let doc = Json::parse(&text).unwrap();
     let payload = doc.get("payload").unwrap();
-    let output = render(payload.get("provenance").unwrap()).len()
-        + render(payload.get("ensemble").unwrap().get("fired_log").unwrap()).len();
+    let output = render(payload.get("provenance").unwrap()).len();
     (render(payload).len() - output, output)
 }
 

@@ -21,8 +21,8 @@ use faultinject::FaultSchedule;
 use reseal::with_first_pair;
 use replay::ckpt::{self, Checkpoint, ShardStateRaw};
 use replay::{
-    render_outcome_json, resume_from_checkpoint, run_replay, run_replay_lifecycle, LifecyclePlan,
-    ReplayConfig,
+    render_outcome_json, resume_from_checkpoint, run_replay, run_replay_lifecycle, EnsembleReport,
+    LifecyclePlan, ReplayConfig,
 };
 use workloads::{Schedule, SynFloodWorkload};
 
@@ -205,10 +205,12 @@ fn each_falls_back(tag: &str, cases: &[Case], restores: Option<bool>) {
 }
 
 /// A run killed after checkpoints #0 (resumes at epoch ordinal 2) and
-/// #1 (at 4), and the uninterrupted run's snapshot.
+/// #1 (at 4), and the uninterrupted run's snapshot and ensemble report
+/// (the snapshot holds no fired log; the report does).
 struct KilledRun {
     schedule: Schedule,
     full: String,
+    ensemble: EnsembleReport,
     dir: PathBuf,
     intact: Checkpoint,
 }
@@ -221,6 +223,7 @@ impl KilledRun {
             full.detected_at.is_some(),
             "the uninterrupted run detects the flood"
         );
+        let ensemble = full.ensemble.clone();
         let full = render_outcome_json(&full);
 
         let dir = std::env::temp_dir().join(format!("replay-drained-{tag}-{}", std::process::id()));
@@ -244,7 +247,8 @@ impl KilledRun {
             .iter()
             .all(|e| e.kind != "checkpoint_fallback"));
         assert_eq!(render_outcome_json(&resumed), full);
-        Self { schedule, full, dir, intact }
+        assert_eq!(resumed.ensemble, ensemble);
+        Self { schedule, full, ensemble, dir, intact }
     }
 
     /// Writes `document` as #1 and resumes: the resume falls back to
@@ -269,6 +273,7 @@ impl KilledRun {
             fallback.detail
         );
         assert_eq!(render_outcome_json(&resumed), self.full, "{what}");
+        assert_eq!(resumed.ensemble, self.ensemble, "{what}");
     }
 }
 

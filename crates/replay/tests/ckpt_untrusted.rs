@@ -353,7 +353,7 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
     let s = flood();
     let faults = FaultSchedule::parse(CHAOS, SEED).unwrap();
     let (full, _) = run_replay_lifecycle(&s, &cfg(), &faults, &LifecyclePlan::none());
-    let full = render_outcome_json(&full);
+    let snapshot = render_outcome_json(&full);
 
     for (i, (what, tamper, coordinator_says)) in cases.into_iter().enumerate() {
         let dir = fresh_dir(&format!("semantic-{i}"));
@@ -389,7 +389,54 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
             "{what}: {}",
             fallback.detail
         );
-        assert_eq!(render_outcome_json(&resumed), full, "{what}");
+        assert_eq!(render_outcome_json(&resumed), snapshot, "{what}");
+        assert_eq!(resumed.ensemble, full.ensemble, "{what}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A checkpoint holds the fired log as the provenance of the triggers
+/// the fired results pulled. A fired result that names an engine the
+/// ensemble does not run is refused by `rebuild_detection` with its
+/// path, and a resume that finds it newest falls back to its
+/// predecessor without a panic and finishes as the uninterrupted run.
+#[test]
+fn a_fired_result_from_an_engine_not_in_the_ensemble_is_a_counted_fallback() {
+    let _turn = turn();
+    let s = flood();
+    let faults = FaultSchedule::parse(CHAOS, SEED).unwrap();
+    let (full, _) = run_replay_lifecycle(&s, &cfg(), &faults, &LifecyclePlan::none());
+
+    let dir = fresh_dir("fired-entropy");
+    killed_run(&dir, 31); // checkpoints #0..#14; #14 resumes at epoch 30
+    let newest = dir.join(ckpt::file_name(14));
+    let mut c = ckpt::parse(&std::fs::read_to_string(&newest).unwrap()).unwrap();
+    let fired = c.provenance.iter().enumerate().find_map(|(i, r)| {
+        r.provenance.engines.iter().position(|e| e.fired).map(|j| (i, j))
+    });
+    let (i, j) = fired.expect("an engine fired before the checkpoint");
+    c.provenance[i].provenance.engines[j].engine = String::from("entropy");
+    let err = c.rebuild_detection(&cfg()).map(|_| ()).unwrap_err();
+    assert_eq!(
+        err,
+        format!("$.payload.provenance[{i}].provenance.engines[{j}].engine: unknown engine \"entropy\"")
+    );
+    std::fs::write(&newest, ckpt::serialize(&c)).unwrap();
+
+    let (resumed, report) = resume_from_checkpoint(&s, &cfg(), &plan(&dir, None))
+        .unwrap_or_else(|e| panic!("resume failed instead of falling back: {e}"));
+    assert_eq!(report.resumed_from, Some(13));
+    let fallback = report
+        .events
+        .iter()
+        .find(|e| e.kind == "checkpoint_fallback")
+        .unwrap_or_else(|| panic!("no checkpoint_fallback in {:?}", report.events));
+    assert!(
+        fallback.detail.contains("ckpt-000014") && fallback.detail.contains(&err),
+        "{}",
+        fallback.detail
+    );
+    assert_eq!(render_outcome_json(&resumed), render_outcome_json(&full));
+    assert_eq!(resumed.ensemble, full.ensemble);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,13 +2,16 @@
 //! newest checkpoint is byte-identical to the uninterrupted run; a
 //! rejected hot-swap leaves the running configuration untouched; a
 //! torn checkpoint write is detected by the checksum and recovery
-//! falls back to the previous checkpoint.
+//! falls back to the previous checkpoint. The snapshot does not hold
+//! the ensemble's fired log, so each resume also compares the
+//! in-memory ensemble report, whose fired log the resumed run rebuilt
+//! from the checkpoint's provenance.
 
 use std::path::PathBuf;
 
 use faultinject::FaultSchedule;
 use replay::{
-    render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan,
+    ckpt, render_outcome_json, resume_from_checkpoint, run_replay_lifecycle, LifecyclePlan,
     ReplayConfig, SwapRequest,
 };
 use stat4_p4::{CaseStudyApp, CaseStudyParams};
@@ -103,6 +106,7 @@ fn kill_and_resume_is_byte_identical_across_shard_counts() {
             render_outcome_json(&full),
             "{shards} shard(s), seed {seed}: resumed snapshot differs from the uninterrupted run"
         );
+        assert_eq!(resumed.ensemble, full.ensemble, "{shards} shard(s), seed {seed}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -153,6 +157,12 @@ fn kill_and_resume_is_byte_identical_on_either_side_of_the_inline_bound() {
             "kill at {kill_at}: which side of the burst the kill fell on"
         );
 
+        // Killed in the burst, the run resumes with a fired log to
+        // rebuild from the checkpoint's provenance.
+        let (newest, _) = ckpt::load_latest(&dir).expect("the killed run left checkpoints");
+        let engines = newest.provenance.iter().flat_map(|r| &r.provenance.engines);
+        assert_eq!(engines.filter(|e| e.fired).count() > 0, !in_quiet_stretch, "kill at {kill_at}");
+
         let resume_plan = LifecyclePlan {
             checkpoint_dir: Some(dir.clone()),
             ..LifecyclePlan::none()
@@ -173,6 +183,7 @@ fn kill_and_resume_is_byte_identical_on_either_side_of_the_inline_bound() {
             render_outcome_json(&full),
             "kill at {kill_at}: resumed snapshot differs from the uninterrupted run"
         );
+        assert_eq!(resumed.ensemble, full.ensemble, "kill at {kill_at}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -346,6 +357,7 @@ fn torn_checkpoint_write_falls_back_and_still_resumes_identically() {
         report.events
     );
     assert_eq!(render_outcome_json(&resumed), render_outcome_json(&full));
+    assert_eq!(resumed.ensemble, full.ensemble);
     std::fs::remove_dir_all(&dir).ok();
 }
 
