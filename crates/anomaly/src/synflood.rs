@@ -172,7 +172,8 @@ impl Default for SynFloodDetector {
     }
 }
 
-/// The rate window, the alert stream so far, and the metrics.
+/// The rate window, the alert stream so far, and the metrics, as
+/// [`Detector::import_state`] reads them.
 struct SynFloodState {
     syn_rate: WindowState,
     alerts: Vec<Alert>,
@@ -180,7 +181,19 @@ struct SynFloodState {
     metrics: DetectorMetrics,
 }
 
-json_struct!(SynFloodState { syn_rate, alerts, detected_at, metrics });
+json_struct!(@read SynFloodState { syn_rate, alerts, detected_at, metrics });
+
+/// The same members as [`Detector::export_state`] writes them: the
+/// alert list and the metrics borrowed from the detector and written
+/// where they lie, not cloned for the write.
+struct SynFloodStateOf<'a> {
+    syn_rate: WindowState,
+    alerts: &'a [Alert],
+    detected_at: Option<u64>,
+    metrics: &'a DetectorMetrics,
+}
+
+json_struct!(@write SynFloodStateOf<'_> { syn_rate, alerts, detected_at, metrics });
 
 impl Detector for SynFloodDetector {
     fn name(&self) -> &'static str {
@@ -195,11 +208,11 @@ impl Detector for SynFloodDetector {
     }
 
     fn export_state(&self, out: &mut String) {
-        SynFloodState {
+        SynFloodStateOf {
             syn_rate: WindowState::of(&self.syn_rate),
-            alerts: self.alerts.clone(),
+            alerts: &self.alerts,
             detected_at: self.detected_at,
-            metrics: self.metrics.clone(),
+            metrics: &self.metrics,
         }
         .write_json(out);
     }

@@ -118,6 +118,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A checksum as a document holds it, sixteen lower-case hex digits,
+/// written into an array and not a `String`: [`serialize`] writes them
+/// over the placeholder in its one buffer, [`parse`] compares them.
+fn hex_digits(sum: u64) -> [u8; 16] {
+    let mut digits = [0; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = b"0123456789abcdef"[((sum >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    digits
+}
+
 /// Raw serialized form of one shard's full tracker set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStateRaw {
@@ -451,8 +462,9 @@ pub fn serialize(c: &Checkpoint) -> String {
     out.push_str("0000000000000000\",\"payload\":");
     let payload_at = out.len();
     c.write_json(&mut out);
-    let sum = fnv1a64(&out.as_bytes()[payload_at..]);
-    out.replace_range(sum_at..sum_at + 16, &format!("{sum:016x}"));
+    let digits = hex_digits(fnv1a64(&out.as_bytes()[payload_at..]));
+    let digits = std::str::from_utf8(&digits).expect("hex digits are ASCII");
+    out.replace_range(sum_at..sum_at + 16, digits);
     out.push('}');
     out
 }
@@ -508,8 +520,9 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
     }
     let want: String = json::read(member(2)?, At::Key(&root, HEAD[2]))?;
     let payload = member(3)?;
-    let got = format!("{:016x}", fnv1a64(payload.as_bytes()));
-    if got != want {
+    let got = hex_digits(fnv1a64(payload.as_bytes()));
+    if got != want.as_bytes() {
+        let got = String::from_utf8_lossy(&got);
         return Err(format!(
             "checksum mismatch: payload hashes to {got}, header says {want}"
         ));
@@ -531,8 +544,8 @@ fn sealed(text: &str, at: At<'_>) -> Option<Checkpoint> {
     (magic == MAGIC && version == VERSION as i64 && lx.next_key().ok()?? == "payload").then_some(())?;
     let from = lx.pos();
     let c = Checkpoint::read_json(&mut lx, at).ok()?;
-    let sum = format!("{:016x}", fnv1a64(&text.as_bytes()[from..lx.pos()]));
-    (sum == want && lx.next_key() == Ok(None) && lx.finish().is_ok()).then_some(c)
+    let sum = hex_digits(fnv1a64(&text.as_bytes()[from..lx.pos()]));
+    (sum == want.as_bytes() && lx.next_key() == Ok(None) && lx.finish().is_ok()).then_some(c)
 }
 
 // ---- disk -----------------------------------------------------------
@@ -767,6 +780,14 @@ mod tests {
                 registers: vec![(String::from("rate_window"), vec![1, 2, 3])],
                 packets_processed: 77,
             }),
+        }
+    }
+
+    /// The digits are `{:016x}`'s, a leading zero included.
+    #[test]
+    fn hex_digits_are_the_padded_lower_case_hex() {
+        for sum in [0, 1, 0x0abc_def0_1234_5678, 0xfedc_ba98_7654_3210, u64::MAX] {
+            assert_eq!(hex_digits(sum), format!("{sum:016x}").as_bytes(), "{sum}");
         }
     }
 

@@ -18,8 +18,9 @@ use crate::barrier::BarrierMerger;
 use crate::ckpt::{Checkpoint, ShardStateRaw};
 use crate::provenance::{AlertProvenanceRecord, LineageSources};
 use crate::{
-    build_ensemble, median_len_signal, merge_surviving, EnsembleReport, IncidentKind, ReplayConfig,
-    ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardMetrics, ShardState,
+    build_ensemble, median_len_signal, merge_surviving, EnsembleReport, EpochFrames, IncidentKind,
+    ReplayConfig, ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardMetrics,
+    ShardState,
 };
 use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
 use faultinject::{FaultSchedule, ShardFaultKind};
@@ -62,18 +63,29 @@ pub(crate) struct Ingested {
 /// One shard's share of one epoch, on whichever thread holds the state:
 /// a pool worker for a dispatched epoch, the pool's coordinator for an
 /// inline one, the caller of the reference engine for every one. Every
-/// frame goes through [`ShardState::ingest`]. Returns the busy time,
-/// which is also the `ingest` span on the shard's `tracer`.
+/// frame goes through [`ShardState::ingest`], straight from the
+/// schedule on one shard and from the shard's routed list on more.
+/// Returns the busy time, which is also the `ingest` span on the
+/// shard's `tracer`.
 pub(crate) fn ingest_epoch(
     state: &mut ShardState,
-    frames: &[&bytes::Bytes],
+    frames: &EpochFrames<'_>,
     tracer: &mut Tracer,
     epoch_idx: u64,
 ) -> u64 {
     tracer.begin("ingest", epoch_idx);
     let busy = Instant::now();
-    for frame in frames {
-        state.ingest(frame);
+    match frames {
+        EpochFrames::Epoch(epoch) => {
+            for (_, frame) in *epoch {
+                state.ingest(frame);
+            }
+        }
+        EpochFrames::Routed(list) => {
+            for frame in list {
+                state.ingest(frame);
+            }
+        }
     }
     let busy_ns = elapsed_ns(busy);
     tracer.end("ingest", epoch_idx);
@@ -299,16 +311,28 @@ impl EpochCoordinator {
 
     /// Cuts a time-sorted schedule into epochs, one detector interval
     /// each: `(epoch index, frame range)` for every contiguous run of
-    /// `t / interval`.
+    /// `t / interval`, with no range for an interval no frame falls in.
+    /// One division per epoch, at its first frame: the epoch then runs
+    /// while `t` is below its end, `(epoch + 1) · interval`, and to the
+    /// end of the schedule when that end is past `u64::MAX`. A linear
+    /// scan, not a binary search: the frames are read in order anyway,
+    /// and an epoch of ≈120 frames would probe a dozen far-apart cache
+    /// lines of a long schedule.
     pub(crate) fn epoch_ranges(&self, schedule: &Schedule) -> Vec<(u64, Range<usize>)> {
         let interval = self.interval();
         let mut ranges = Vec::new();
         let mut i = 0;
-        while i < schedule.len() {
-            let epoch_idx = schedule[i].0 / interval;
-            let mut j = i;
-            while j < schedule.len() && schedule[j].0 / interval == epoch_idx {
-                j += 1;
+        while let Some(&(t, _)) = schedule.get(i) {
+            let epoch_idx = t / interval;
+            let end = epoch_idx.checked_add(1).and_then(|e| e.checked_mul(interval));
+            let mut j = i + 1;
+            match end {
+                Some(end) => {
+                    while j < schedule.len() && schedule[j].0 < end {
+                        j += 1;
+                    }
+                }
+                None => j = schedule.len(),
             }
             ranges.push((epoch_idx, i..j));
             i = j;
@@ -618,6 +642,77 @@ mod tests {
             c.carried_epochs,
             &c.carried_from,
         )
+    }
+
+    /// A schedule of empty frames at `times`, and a coordinator whose
+    /// interval is `interval`.
+    fn cut(times: &[u64], interval: u64) -> Vec<(u64, Range<usize>)> {
+        let mut cfg = two_shards();
+        cfg.detector.interval_ns = interval;
+        let schedule: Schedule = times.iter().map(|&t| (t, bytes::Bytes::default())).collect();
+        EpochCoordinator::fresh(&cfg).epoch_ranges(&schedule)
+    }
+
+    /// What [`EpochCoordinator::epoch_ranges`] computes with one
+    /// division per epoch, by its definition: the contiguous runs of
+    /// `t / interval`, a division per frame.
+    fn cut_by_division(times: &[u64], interval: u64) -> Vec<(u64, Range<usize>)> {
+        let mut ranges: Vec<(u64, Range<usize>)> = Vec::new();
+        for (j, t) in times.iter().enumerate() {
+            match ranges.last_mut() {
+                Some((e, r)) if *e == t / interval => r.end = j + 1,
+                _ => ranges.push((t / interval, j..j + 1)),
+            }
+        }
+        ranges
+    }
+
+    #[test]
+    fn a_frame_at_a_multiple_of_the_interval_opens_that_epoch() {
+        let i = INTERVAL;
+        let times = [0, i - 1, i, 3 * i, 3 * i + 5, 4 * i - 1, 4 * i, 4 * i];
+        let want = [(0, 0..2), (1, 2..3), (3, 3..6), (4, 6..8)];
+        assert_eq!(cut(&times, i), want, "epoch 2 has no frame and no range");
+        assert_eq!(cut_by_division(&times, i), want);
+        assert_eq!(cut(&[], i), []);
+    }
+
+    /// An epoch whose end is past `u64::MAX` runs to the end of the
+    /// schedule: a frame at `u64::MAX` neither overflows the end nor
+    /// stops the scan.
+    #[test]
+    fn a_frame_at_u64_max_closes_the_last_range() {
+        let max = u64::MAX;
+        for (times, interval) in [
+            (&[max - 1, max][..], INTERVAL),
+            (&[max - 1, max, max][..], 1),
+            (&[0, (1 << 63) - 1, 1 << 63, max][..], 1 << 63),
+            (&[max][..], max),
+            (&[0, max - 1, max][..], max),
+        ] {
+            let ctx = format!("{times:?} / {interval}");
+            assert_eq!(cut(times, interval), cut_by_division(times, interval), "{ctx}");
+        }
+        assert_eq!(cut(&[max - 1, max, max], 1), [(max - 1, 0..1), (max, 1..3)]);
+    }
+
+    /// On a generated trace, at intervals from one nanosecond to more
+    /// than the trace, the ranges are the per-frame definition's.
+    #[test]
+    fn epoch_ranges_are_the_runs_of_t_over_interval() {
+        let (s, _) = workloads::SynFloodWorkload {
+            background_cps: 500,
+            flood_pps: 20_000,
+            flood_start: 150_000_000,
+            duration: 400_000_000,
+            seed: 11,
+            ..workloads::SynFloodWorkload::default()
+        }
+        .generate();
+        let times: Vec<u64> = s.iter().map(|(t, _)| *t).collect();
+        for interval in [1, 999, 1_000_000, INTERVAL, 33_333_333, 1 << 40] {
+            assert_eq!(cut(&times, interval), cut_by_division(&times, interval), "{interval}");
+        }
     }
 
     #[test]

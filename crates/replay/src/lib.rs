@@ -27,10 +27,11 @@
 //!   the worker pool (the private `pool` module): one OS thread per shard,
 //!   spawned **once per run** and fed through bounded per-shard
 //!   channels; for an epoch long enough to pay for the hand-off it
-//!   moves the shard's state plus the interval's frame list to the
+//!   moves the shard's state plus the interval's frames to the
 //!   worker and hashes and routes the *next* interval while the workers
 //!   ingest, a short epoch it ingests on the coordinator's own thread,
-//!   and the frame lists are the run's either way.
+//!   and the frame lists are the run's either way. On one shard there
+//!   is no list: the shard ingests the interval's slice of the schedule.
 //!   [`mod@reference`] is the other: the same routing step with nothing
 //!   overlapped, then every surviving shard ingested on the caller's
 //!   thread in shard order (a shard's panic contained by
@@ -385,7 +386,9 @@ impl ShardState {
 
     /// Ingests one frame: one header parse, then
     /// [`Self::ingest_meta`]. Both replay engines feed a shard by this
-    /// call and no other.
+    /// call and no other, inlined with [`Self::ingest_meta`] into the
+    /// loop that runs it.
+    #[inline]
     pub fn ingest(&mut self, frame: &[u8]) {
         self.ingest_meta(&parse_frame(frame));
     }
@@ -397,6 +400,13 @@ impl ShardState {
     /// (asserted at compile time) and its length in `0..=MAX_LEN`, so
     /// the two `observe` errors dropped here can only be a hand-built
     /// meta's, whose kind or length then goes uncounted.
+    ///
+    /// Inlined into its callers, as [`Self::ingest`] is: each of the
+    /// executors' two ingest loops (the epoch's slice on one shard, a
+    /// routed list on more) runs it once per frame, and a call per frame
+    /// would spill the meta and the kernel's registers around every one.
+    /// With two loops to go into, plain `#[inline]` left it out of line.
+    #[inline(always)]
     pub fn ingest_meta(&mut self, m: &FrameMeta) {
         let _ = self.kinds.observe(m.kind);
         self.len_stats.push(m.len);
@@ -677,33 +687,84 @@ pub(crate) fn route_target(alive: &[bool], home: usize) -> Option<usize> {
         .find(|&s| alive[s])
 }
 
-/// The routing step of both executors: hashes each of an epoch's
-/// `frames` to its home shard ([`workloads::shard::shard_of`], which
-/// reads nothing on one shard) and pushes it onto the list of that
-/// home's [`route_target`] under `alive`, or nowhere if every shard is
-/// dead. Whatever `lists` held is discarded. Returns how many frames
-/// went to a survivor of their home.
+/// One shard's frames of one epoch, as [`route_epoch`] leaves them for
+/// `ingest_epoch`. On one shard routing is the identity, so the shard
+/// is handed the epoch's own slice of the schedule and nothing is
+/// pushed or walked before it is ingested; on more, each shard gets the
+/// list its frames were pushed onto. Either way the frames are borrows
+/// into the schedule, in schedule order, never copies.
+#[derive(Clone)]
+pub(crate) enum EpochFrames<'a> {
+    /// The whole epoch, on a run's only shard; empty once it is dead
+    /// (and before anything is routed).
+    Epoch(&'a [(u64, bytes::Bytes)]),
+    /// The frames routed to this shard, one of two or more.
+    Routed(Vec<&'a bytes::Bytes>),
+}
+
+impl Default for EpochFrames<'_> {
+    fn default() -> Self {
+        Self::Epoch(&[])
+    }
+}
+
+impl EpochFrames<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::Epoch(frames) => frames.len(),
+            Self::Routed(list) => list.len(),
+        }
+    }
+
+    /// Empties it; a list keeps its buffer for the next epoch.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            Self::Epoch(frames) => *frames = &[],
+            Self::Routed(list) => list.clear(),
+        }
+    }
+}
+
+/// The routing step of both executors: hands each of an epoch's
+/// `frames` to the [`route_target`] of its home shard under `alive`, or
+/// to nowhere if every shard is dead, and returns how many went to a
+/// survivor of their home. Whatever `lists` held is discarded.
 ///
-/// `targets` is scratch the caller may keep between epochs: the alive
-/// map is resolved once per home here, not once per frame, so a frame
-/// whose home is dead costs an index and not a ring search.
+/// On one shard every frame's home is shard 0
+/// ([`workloads::shard::shard_of`]`(_, 1) == 0`), so the only list is
+/// the epoch itself, or nothing once that shard is dead: no frame is
+/// read, hashed or pushed. On more, each frame is hashed and pushed
+/// onto its target's list; `targets` is scratch the caller may keep
+/// between epochs: the alive map is resolved once per home here, not
+/// once per frame, so a frame whose home is dead costs an index and
+/// not a ring search.
 pub(crate) fn route_epoch<'a>(
     frames: &'a [(u64, bytes::Bytes)],
     alive: &[bool],
     targets: &mut Vec<Option<usize>>,
-    lists: &mut [Vec<&'a bytes::Bytes>],
+    lists: &mut [EpochFrames<'a>],
 ) -> u64 {
+    if let [only] = lists {
+        *only = EpochFrames::Epoch(if alive[0] { frames } else { &[] });
+        return 0;
+    }
     targets.clear();
     targets.extend((0..alive.len()).map(|home| route_target(alive, home)));
     for list in lists.iter_mut() {
-        list.clear();
+        match list {
+            EpochFrames::Routed(list) => list.clear(),
+            EpochFrames::Epoch(_) => *list = EpochFrames::Routed(Vec::new()),
+        }
     }
     let mut rerouted = 0;
     for (_, frame) in frames {
         let home = workloads::shard::shard_of(frame, alive.len());
         if let Some(t) = targets[home] {
             rerouted += u64::from(t != home);
-            lists[t].push(frame);
+            match &mut lists[t] {
+                EpochFrames::Routed(list) => list.push(frame),
+                EpochFrames::Epoch(_) => unreachable!("every shard's list was made a list above"),
+            }
         }
     }
     rerouted
@@ -940,35 +1001,54 @@ mod tests {
     }
 
     /// [`route_target`] per frame is the definition of routing;
-    /// [`route_epoch`] resolves it once per home instead. For every
-    /// alive map of one to five shards, all dead included, the table
-    /// is `route_target` home by home and every frame lies where the
-    /// per-frame definition puts it, in input order.
+    /// [`route_epoch`] resolves it once per home instead, and on one
+    /// shard hands over the epoch whole. For every alive map of one to
+    /// five shards, all dead included, every frame lies where the
+    /// per-frame definition puts it, in input order, and on two or more
+    /// the table is `route_target` home by home.
     #[test]
     fn route_epoch_is_route_target_for_every_alive_map() {
         let frames = &small_flood()[..512];
+        let listed = |l: &EpochFrames<'_>| -> Vec<*const bytes::Bytes> {
+            match l {
+                EpochFrames::Epoch(epoch) => epoch.iter().map(|(_, f)| f as *const _).collect(),
+                EpochFrames::Routed(list) => list.iter().map(|f| *f as *const _).collect(),
+            }
+        };
         for shards in 1..=5usize {
             for map in 0..1u32 << shards {
                 let alive: Vec<bool> = (0..shards).map(|s| (map >> s) & 1 == 1).collect();
-                // Stale on purpose: what the buffers held is discarded.
+                // Stale on purpose: what the buffers held is discarded,
+                // whichever kind they were.
                 let mut targets = vec![Some(usize::MAX); 7];
-                let mut lists = vec![vec![&frames[0].1]; shards];
+                let mut lists: Vec<_> = (0..shards)
+                    .map(|s| match s % 2 {
+                        0 => EpochFrames::Routed(vec![&frames[0].1]),
+                        _ => EpochFrames::Epoch(&frames[3..9]),
+                    })
+                    .collect();
                 let rerouted = route_epoch(frames, &alive, &mut targets, &mut lists);
 
                 let by_definition: Vec<_> =
                     (0..shards).map(|home| route_target(&alive, home)).collect();
-                assert_eq!(targets, by_definition, "{alive:?}");
+                if shards > 1 {
+                    assert_eq!(targets, by_definition, "{alive:?}");
+                }
                 let mut expect = vec![Vec::new(); shards];
                 let mut expect_rerouted = 0;
                 for (_, f) in frames {
                     let home = workloads::shard::shard_of(f, shards);
                     if let Some(t) = route_target(&alive, home) {
                         expect_rerouted += u64::from(t != home);
-                        expect[t].push(f);
+                        expect[t].push(f as *const bytes::Bytes);
                     }
                 }
-                assert_eq!(lists, expect, "{alive:?}");
+                let got: Vec<_> = lists.iter().map(listed).collect();
+                assert_eq!(got, expect, "{alive:?}");
                 assert_eq!(rerouted, expect_rerouted, "{alive:?}");
+                if shards == 1 {
+                    assert!(matches!(lists[0], EpochFrames::Epoch(_)), "one shard builds no list");
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 //!   never holds more than one epoch and a send never blocks.
 //! - **A hand-off has to pay for itself.** A large epoch is a message:
 //!   the pool *moves* each shard's [`ShardState`] out of its
-//!   coordinator slot, with its frame list, to the worker and puts it
+//!   coordinator slot, with its frames, to the worker and puts it
 //!   back from the reply — pointer handoffs through the channel, zero
 //!   clones. A small epoch (at most [`INLINE_MAX_FRAMES`] frames, no
 //!   fault to fire on a worker) is not worth the two wake-ups per shard
@@ -28,32 +28,35 @@
 //!   the choice is made per epoch from the epoch's length, and
 //!   `ReplayTelemetry::epochs_inline` counts how often it fell this
 //!   way. Merging happens on the coordinator thread either way.
-//! - **A frame is hashed when it is routed.** There is no pass over
-//!   the trace before the first epoch and no table of home shards:
-//!   [`route_epoch`], the routing step the reference calls too, hashes
-//!   each frame of one epoch and pushes it onto its shard's list, and
-//!   on one shard [`workloads::shard::shard_of`] answers without
-//!   reading the frame. Interval *k+1* is routed while the workers
-//!   ingest a dispatched interval *k*; the hash is then the
+//! - **A frame is hashed when it is routed, and on one shard it is not
+//!   routed.** There is no pass over the trace before the first epoch
+//!   and no table of home shards: [`route_epoch`], the routing step the
+//!   reference calls too, hashes each frame of one epoch and pushes it
+//!   onto its shard's list. On one shard every frame's home is shard 0,
+//!   so the only shard is handed the epoch's own slice of the schedule
+//!   ([`EpochFrames::Epoch`]) and ingests it from there: no frame is
+//!   hashed, pushed or walked twice, as in the paper's one pipe.
+//!   Interval *k+1* is routed while the workers ingest a dispatched
+//!   interval *k*; on two or more shards the hash is then the
 //!   coordinator's serial share of a frame (≈14 ns against the
 //!   workers' ≈45 ns ÷ shards, DESIGN.md §5g).
 //! - **Routing is speculative but exact.** Interval *k+1* is routed
 //!   against the alive map *predicted* after *k*: the current map
 //!   minus shards with an injected panic scheduled at *k*. Injected
 //!   faults are deterministic, so the prediction only misses when a
-//!   worker dies on its own. Then the speculative lists are discarded
-//!   and that one epoch is hashed and routed again under the actual
-//!   map (as the first epoch of a run or a resume is, which nothing
-//!   routed ahead), so every frame still lands where the reference
-//!   puts it.
-//! - **Nothing is allocated per epoch.** Each shard has two frame
-//!   lists for the whole run, this epoch's and the next one's, which
-//!   trade places at every epoch; a dispatched list comes home
-//!   (cleared) in the reply. The reply slots, the predicted alive
-//!   map and the per-home target table are reused the same way.
+//!   worker dies on its own. Then the speculative routing is discarded
+//!   and that one epoch is routed again under the actual map (as the
+//!   first epoch of a run or a resume is, which nothing routed ahead),
+//!   so every frame still lands where the reference puts it.
+//! - **Nothing is allocated per epoch.** On two or more shards each
+//!   shard has two frame lists for the whole run, this epoch's and the
+//!   next one's, which trade places at every epoch; a dispatched list
+//!   comes home (cleared) in the reply. One shard has no list at all,
+//!   only the epoch's slice. The reply slots, the predicted alive map
+//!   and the per-home target table are reused the same way.
 //!   `tests/pool_allocs.rs` holds the pool to that, and
 //!   `tests/pool_bytes.rs` to holding nothing per frame of the trace
-//!   beyond those lists.
+//!   beyond those lists, and one shard to building none.
 //!
 //! Supervision, seen from here: a shard the coordinator's fault plan
 //! crashed is not ingested (its state stays parked in its slot); an
@@ -70,7 +73,7 @@ use crate::coordinator::{
     elapsed_ns, fire_on_worker, ingest_epoch, record_ingest, EpochCoordinator, Ingested,
 };
 use crate::lifecycle::{LifecycleReport, RunLifecycle};
-use crate::{panic_message, route_epoch, IncidentKind, ReplayOutcome, ShardState};
+use crate::{panic_message, route_epoch, EpochFrames, IncidentKind, ReplayOutcome, ShardState};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
@@ -94,7 +97,9 @@ use workloads::Schedule;
 /// serial cost of an inline epoch is at most 256 × 45 ns ≈ 12 µs
 /// whatever the shard count: less
 /// than two hand-offs on the cheapest machine measured, and an epoch
-/// hands off once per shard. The bound is on the epoch and not on a
+/// hands off once per shard. Routing is paid either way (a hash and a
+/// push per frame on two or more shards, nothing on one) and so does
+/// not enter the choice. The bound is on the epoch and not on a
 /// shard's slice for that reason, and because the epoch's length is
 /// known before routing.
 ///
@@ -107,13 +112,14 @@ use workloads::Schedule;
 /// nothing in the benchmark decides it (ROADMAP item 1).
 const INLINE_MAX_FRAMES: usize = 256;
 
-/// One epoch's work order for a shard: its state, its routed frame
-/// slice, and any fault scheduled to fire on the worker.
+/// One epoch's work order for a shard: its state, its frames (the
+/// epoch itself on one shard, its routed list on more), and any fault
+/// scheduled to fire on the worker.
 struct EpochWork<'a> {
     epoch_idx: u64,
     fault: Option<ShardFaultKind>,
     state: ShardState,
-    frames: Vec<&'a bytes::Bytes>,
+    frames: EpochFrames<'a>,
     /// Dispatch timestamp, for the queue-wait histogram.
     sent_at: Instant,
     /// The shard's span recorder, handed off with the state — threads
@@ -121,11 +127,11 @@ struct EpochWork<'a> {
     tracer: Tracer,
 }
 
-/// The routing of the epoch about to run: one frame list per shard,
-/// filled for interval k+1 while k is in flight and valid only if
+/// The routing of the epoch about to run: each shard's frames, routed
+/// for interval k+1 while k is in flight and valid only if
 /// `assumed_alive` still matches reality when k+1 starts.
 struct RoutedEpoch<'a> {
-    work: Vec<Vec<&'a bytes::Bytes>>,
+    work: Vec<EpochFrames<'a>>,
     rerouted: u64,
     /// All the time spent routing this epoch, a discarded speculative
     /// pass included: the epoch's `partition_ns` sample once it runs.
@@ -137,8 +143,8 @@ struct RoutedEpoch<'a> {
 }
 
 impl<'a> RoutedEpoch<'a> {
-    /// Routes `frames` into the per-shard lists under `assumed_alive`.
-    /// Whatever the lists held is discarded, reroute count included: a
+    /// Routes `frames` to the shards under `assumed_alive`. Whatever
+    /// the lists held is discarded, reroute count included: a
     /// speculative route that is not used must not leak into health
     /// accounting. Its time is kept, because it was spent on this epoch.
     fn route(&mut self, frames: &'a [(u64, bytes::Bytes)]) {
@@ -148,12 +154,12 @@ impl<'a> RoutedEpoch<'a> {
     }
 }
 
-/// Worker → coordinator reply: the state and (cleared) frame buffer
-/// come home, plus the numbers [`record_ingest`] folds into the
-/// shard's metrics.
+/// Worker → coordinator reply: the state and (cleared) frames come
+/// home, a routed list with its buffer, plus the numbers
+/// [`record_ingest`] folds into the shard's metrics.
 struct Reply<'a> {
     state: ShardState,
-    frames: Vec<&'a bytes::Bytes>,
+    frames: EpochFrames<'a>,
     ingested: Ingested,
     tracer: Tracer,
 }
@@ -227,11 +233,11 @@ pub(crate) fn run(
             }
 
             // Everything below lives for the run and is reused every
-            // epoch: this epoch's frame lists and the next one's, and
-            // the per-shard results.
-            let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); shards];
+            // epoch: this epoch's frames and the next one's (lists on
+            // two or more shards), and the per-shard results.
+            let mut work: Vec<EpochFrames<'_>> = vec![EpochFrames::default(); shards];
             let mut next = RoutedEpoch {
-                work: vec![Vec::new(); shards],
+                work: vec![EpochFrames::default(); shards],
                 rerouted: 0,
                 route_ns: 0,
                 assumed_alive: Vec::with_capacity(shards),
@@ -245,12 +251,12 @@ pub(crate) fn run(
                     break;
                 }
 
-                // (A) This epoch's routing: the speculative lists if
-                // their predicted alive map held, else a fresh pass.
-                // The epoch is taken here, so here is where its routing
+                // (A) This epoch's routing: the speculative one if its
+                // predicted alive map held, else a fresh pass. The
+                // epoch is taken here, so here is where its routing
                 // time becomes a sample: one per epoch that runs, none
                 // for a route the run is killed before using. Either
-                // way the lists of the epoch before, all home and
+                // way the frames of the epoch before, all home and
                 // empty, become the next epoch's.
                 if next.assumed_alive != coord.alive {
                     next.assumed_alive.clone_from(&coord.alive);
@@ -264,10 +270,10 @@ pub(crate) fn run(
                 let mut open = coord.open_epoch(epoch_idx, range.len(), next.rerouted, faults);
 
                 // (C) Ingest. A short epoch with nothing to fire on a
-                // worker stays here: each surviving shard's list goes
+                // worker stays here: each surviving shard's frames go
                 // into its parked state, in shard order. Any other is
                 // dispatched to every surviving worker: the state, the
-                // frame list and the shard's span recorder move through
+                // frames and the shard's span recorder move through
                 // the bounded queue, and an empty recorder keeps the
                 // slot meanwhile (and for good, if the worker dies with
                 // the real one). A crashed shard's slice is dropped.
@@ -315,8 +321,9 @@ pub(crate) fn run(
                     }
                 }
 
-                // (D) Pipelined routing: hash and route interval k+1
-                // while the workers ingest interval k, against the
+                // (D) Pipelined routing: route interval k+1 (hashing
+                // its frames on two or more shards) while the workers
+                // ingest interval k, against the
                 // alive map predicted after k (current minus injected
                 // panics at k: deterministic, so only organic failures
                 // miss).

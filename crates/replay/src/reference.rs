@@ -8,8 +8,10 @@
 //! interval's frames under the alive map as it stands, with nothing
 //! else running (the pool's own routing step, `route_epoch`: no
 //! speculation, no overlap with ingest), then ingests each surviving
-//! shard's list on the calling thread, in shard order, into the state
-//! where it sits, through the function the pool's workers run. A shard
+//! shard's frames on the calling thread, in shard order, into the state
+//! where it sits, through the function the pool's workers run. On one
+//! shard that routing is the identity, as it is for the pool: the shard
+//! ingests the epoch's slice of the schedule, and no list is built. A shard
 //! that panics is contained by `catch_unwind`, not by a thread: its
 //! payload quarantines it as a failed join would, and its state stays
 //! where it was, dead. The pool must deliver the same frames to the
@@ -20,7 +22,9 @@
 use crate::coordinator::{
     elapsed_ns, fire_on_worker, ingest_epoch, record_ingest, EpochCoordinator, Ingested,
 };
-use crate::{panic_message, route_epoch, IncidentKind, ReplayConfig, ReplayOutcome};
+use crate::{
+    panic_message, route_epoch, EpochFrames, IncidentKind, ReplayConfig, ReplayOutcome,
+};
 use faultinject::FaultSchedule;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -51,19 +55,21 @@ pub fn run_replay_with_faults(
 ) -> ReplayOutcome {
     let mut coord = EpochCoordinator::fresh(cfg);
     let started = Instant::now();
-    // For the whole run: the per-shard frame lists, `route_epoch`'s
-    // per-home targets, and what each ingested shard's epoch came to.
-    let mut work: Vec<Vec<&bytes::Bytes>> = vec![Vec::new(); cfg.shards];
+    // For the whole run: the per-shard frames (on one shard, the epoch
+    // itself), `route_epoch`'s per-home targets, and what each ingested
+    // shard's epoch came to.
+    let mut work: Vec<EpochFrames<'_>> = vec![EpochFrames::default(); cfg.shards];
     let mut targets = Vec::with_capacity(cfg.shards);
     let mut ingested: Vec<(usize, Ingested)> = Vec::with_capacity(cfg.shards);
 
     for (epoch_idx, range) in coord.epoch_ranges(schedule) {
         let epoch_frames = &schedule[range];
 
-        // Deterministic flow-affine split of this epoch's frames.
-        // Frames whose home shard was quarantined in an earlier epoch
-        // reroute to the next survivor in ring order (the controller's
-        // repartitioning); with no survivors at all they are lost.
+        // Deterministic flow-affine split of this epoch's frames (on
+        // one shard, the epoch whole). Frames whose home shard was
+        // quarantined in an earlier epoch reroute to the next survivor
+        // in ring order (the controller's repartitioning); with no
+        // survivors at all they are lost.
         let rerouted = route_epoch(epoch_frames, &coord.alive, &mut targets, &mut work);
         let mut open = coord.open_epoch(epoch_idx, epoch_frames.len(), rerouted, faults);
 

@@ -131,7 +131,7 @@ fn a_shard_of_another_geometry_is_refused_by_name_where_it_is_read() {
     ];
     each_falls_back("geometry", &cases, None);
 
-    let run = KilledRun::new("past-the-end");
+    let run = KilledRun::new("past-the-end", BEFORE_THE_FLOOD);
     let written = ckpt::serialize(&run.intact);
     for (what, member, len) in [
         ("kinds one cell wider", "kinds_counts", 8),
@@ -185,13 +185,37 @@ fn a_shard_whose_trackers_disagree_is_refused_at_restore() {
     each_falls_back("disagree", &cases, Some(false));
 }
 
+/// A checkpoint taken after the first alert holds fired results, each
+/// in the provenance of the trigger it pulled, and a resume reads them
+/// back into the ensemble's fired log: the resumed run's ensemble
+/// report, fired log included, is the uninterrupted run's. A shard that
+/// no drain point holds is refused there as before the flood, and the
+/// resume falls back to #0, from before the first alert.
+#[test]
+fn a_resume_after_the_first_alert_refills_the_fired_log() {
+    let run = KilledRun::new("after-alert", AFTER_THE_FIRST_ALERT);
+    let first = run.ensemble.fired.first().expect("the flood fires an engine").epoch;
+    let fired_in = |c: &Checkpoint| -> usize {
+        let engines = c.provenance.iter().flat_map(|r| &r.provenance.engines);
+        engines.filter(|e| e.fired).count()
+    };
+    assert!(first < 20, "first alert at epoch {first}, not before checkpoint #1 at 20");
+    assert!(fired_in(&run.intact) > 0, "checkpoint #1 holds fired results");
+    let before = run.ensemble.fired.iter().filter(|f| f.epoch < 20).count();
+    assert_eq!(fired_in(&run.intact), before, "every fire before #1 is in its provenance, once");
+
+    let mut c = run.intact.clone();
+    c.shards[0].as_mut().expect("shard 0 is alive").packets_in_interval = 7;
+    run.falls_back("frames in the open interval", &ckpt::serialize(&c), "packets_in_interval is 7");
+}
+
 /// Seals each tampered copy of checkpoint #1 of a killed run in its
 /// place and resumes, as [`KilledRun::falls_back`] does. `restores` is
 /// whether the tampered raw state is consistent in itself, so that it
 /// is the drain-point check that refuses it (`None`: the file is
 /// refused as it is read, whatever the raw state would make of it).
 fn each_falls_back(tag: &str, cases: &[Case], restores: Option<bool>) {
-    let run = KilledRun::new(tag);
+    let run = KilledRun::new(tag, BEFORE_THE_FLOOD);
     for (what, tamper, reason) in cases {
         let mut c = run.intact.clone();
         let shard = c.shards[0].as_mut().expect("shard 0 is alive");
@@ -204,9 +228,22 @@ fn each_falls_back(tag: &str, cases: &[Case], restores: Option<bool>) {
     }
 }
 
-/// A run killed after checkpoints #0 (resumes at epoch ordinal 2) and
-/// #1 (at 4), and the uninterrupted run's snapshot and ensemble report
-/// (the snapshot holds no fired log; the report does).
+/// When a run is checkpointed and killed, as `(checkpoint_every,
+/// kill_at_epoch)`: two checkpoints each time, #0 resuming at epoch
+/// ordinal `every` and #1 at `2 · every`.
+type Kill = (u64, u64);
+
+/// Checkpoints at 2 and 4, killed at 5: long before the flood, which
+/// starts at epoch 15.
+const BEFORE_THE_FLOOD: Kill = (2, 5);
+
+/// Checkpoints at 10 and 20, killed at 21: #0 before the first alert,
+/// #1 after it.
+const AFTER_THE_FIRST_ALERT: Kill = (10, 21);
+
+/// A run killed after checkpoints #0 and #1 ([`Kill`]), and the
+/// uninterrupted run's snapshot and ensemble report (the snapshot
+/// holds no fired log; the report does).
 struct KilledRun {
     schedule: Schedule,
     full: String,
@@ -216,7 +253,7 @@ struct KilledRun {
 }
 
 impl KilledRun {
-    fn new(tag: &str) -> Self {
+    fn new(tag: &str, (every, kill_at): Kill) -> Self {
         let schedule = small_flood();
         let full = run_replay(&schedule, &cfg());
         assert!(
@@ -230,8 +267,8 @@ impl KilledRun {
         std::fs::remove_dir_all(&dir).ok();
         let killed = LifecyclePlan {
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 2,
-            kill_at_epoch: Some(5),
+            checkpoint_every: every,
+            kill_at_epoch: Some(kill_at),
             ..LifecyclePlan::none()
         };
         let (_, report) = run_replay_lifecycle(&schedule, &cfg(), &FaultSchedule::none(), &killed);

@@ -19,8 +19,8 @@
 
 use faultinject::FaultSchedule;
 use replay::{
-    reference, resume_from_checkpoint, run_replay, run_replay_lifecycle, run_replay_with_faults,
-    IncidentKind, LifecyclePlan, ReplayConfig, ReplayOutcome, ShardIncident,
+    reference, render_outcome_json, resume_from_checkpoint, run_replay, run_replay_lifecycle,
+    run_replay_with_faults, IncidentKind, LifecyclePlan, ReplayConfig, ReplayOutcome, ShardIncident,
 };
 use workloads::{Schedule, SynFloodWorkload};
 
@@ -301,6 +301,115 @@ fn pool_matches_reference_under_chaos_seeds() {
             assert_outcomes_identical(&pool, &refr, &format!("spec {spec:?} seed {seed}"));
         }
     }
+}
+
+/// One shard is the paper's one pipe. There routing is the identity and
+/// both executors hand the shard the epoch's slice of the schedule, so
+/// a comparison of the two cannot see a fault in that shared step:
+/// each run here is also held to what one shard must come to on its
+/// own. The schedule has inline and dispatched epochs; the panic and the
+/// stall are dispatched whatever the epoch's length.
+#[test]
+fn one_shard_matches_reference_under_faults() {
+    let s = straddling_flood();
+    let frames = s.len() as u64;
+    let cfg = ReplayConfig {
+        shards: 1,
+        ..ReplayConfig::default()
+    };
+    let run = |spec: &str, seed: u64| {
+        let faults = FaultSchedule::parse(spec, seed).unwrap();
+        let pool = run_replay_with_faults(&s, &cfg, &faults);
+        let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+        let ctx = format!("one shard, spec {spec:?} seed {seed}");
+        assert_outcomes_identical(&pool, &refr, &ctx);
+        assert_eq!(pool.packets, frames, "{ctx}: every frame is offered");
+        assert_eq!(pool.health.packets_rerouted, 0, "{ctx}: nowhere to reroute to");
+        let samples = pool.telemetry.partition_ns.count();
+        assert_eq!(samples, pool.epochs, "{ctx}: one routing sample per epoch");
+        pool
+    };
+
+    // A crash or a panic ends the only shard, its history with it:
+    // every frame of the trace is lost.
+    for (spec, epoch, kind) in [
+        ("shard_crash=0@3", 3, IncidentKind::Crashed),
+        (
+            "shard_panic=0@4",
+            4,
+            IncidentKind::Panicked(String::from("injected fault: shard 0 panicked at epoch 4")),
+        ),
+    ] {
+        let dead = run(spec, 0);
+        assert_eq!(dead.health.incidents, [ShardIncident { shard: 0, epoch, kind }], "{spec}");
+        assert_eq!(dead.health.shards_alive, 0, "{spec}");
+        assert_eq!(dead.health.packets_lost, frames, "{spec}");
+        assert_eq!(dead.merged.packets, 0, "{spec}");
+        let before = s.iter().filter(|(t, _)| t / cfg.detector.interval_ns < epoch).count();
+        assert_eq!(
+            dead.telemetry.shards[0].packets.get(),
+            before as u64,
+            "{spec}: the shard ingested the epochs before its end, and no frame after"
+        );
+    }
+
+    // A stall and lost reports lose no frame.
+    let stalled = run("shard_stall=0@2:1000000", 0);
+    assert_eq!(stalled.merged.packets, frames);
+    assert_eq!(stalled.telemetry.shards[0].queue_wait_ns.count(), pool_dispatches(&stalled));
+    for seed in [0u64, 42, 1234] {
+        let lossy = run("ctrl_loss=0.30", seed);
+        assert!(lossy.health.reports_dropped > 0, "seed {seed}: the loss rate dropped some report");
+        assert_eq!(lossy.merged.packets, frames, "seed {seed}");
+        assert_eq!(lossy.health.packets_lost, 0, "seed {seed}");
+    }
+}
+
+/// Epochs the pool handed to its workers.
+fn pool_dispatches(out: &ReplayOutcome) -> u64 {
+    out.epochs - out.telemetry.epochs_inline.get()
+}
+
+/// A one-shard run killed mid-burst and resumed from its newest
+/// checkpoint is the uninterrupted run, and the reference's, with one
+/// routing sample per epoch the resumed run ran.
+#[test]
+fn one_shard_resumes_as_the_uninterrupted_run() {
+    let s = straddling_flood();
+    let cfg = ReplayConfig {
+        shards: 1,
+        ..ReplayConfig::default()
+    };
+    let spec = "ctrl_loss=0.30";
+    let faults = FaultSchedule::parse(spec, 42).unwrap();
+    let dir = std::env::temp_dir().join(format!("replay-pool-one-shard-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 4,
+        kill_at_epoch: Some(21),
+        faults_spec: String::from(spec),
+        ..LifecyclePlan::none()
+    };
+    let (_, killed) = run_replay_lifecycle(&s, &cfg, &faults, &plan);
+    assert!(killed.checkpoints_written >= 5, "{} checkpoints", killed.checkpoints_written);
+    let plan = LifecyclePlan {
+        checkpoint_dir: Some(dir.clone()),
+        ..LifecyclePlan::none()
+    };
+    let (resumed, report) = resume_from_checkpoint(&s, &cfg, &plan).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.resumed_from, Some(killed.checkpoints_written - 1));
+
+    let full = run_replay_with_faults(&s, &cfg, &faults);
+    let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
+    assert_outcomes_identical(&full, &refr, "one shard, uninterrupted");
+    assert_eq!(render_outcome_json(&resumed), render_outcome_json(&full));
+    assert_eq!(resumed.ensemble, full.ensemble, "the fired log included");
+    assert_eq!(resumed.merged.packets, s.len() as u64);
+    let t = &resumed.telemetry;
+    assert!(t.epochs.get() > 1 && t.epochs.get() < resumed.epochs);
+    assert_eq!(t.partition_ns.count(), t.epochs.get());
 }
 
 #[test]
