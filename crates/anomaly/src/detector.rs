@@ -1,4 +1,4 @@
-//! The pluggable `Detector` trait and ensemble combiner.
+//! The pluggable `Detector` trait and the ensemble that drives it.
 //!
 //! The paper's thesis is that *simple statistics suffice*: each
 //! detector in this crate is one statistical check over per-interval
@@ -9,11 +9,12 @@
 //! - [`SignalContext`] is the per-interval view of the merged shard
 //!   state — the controller-side aggregates every engine reads.
 //! - [`Detector::update`] consumes one context and returns a
-//!   [`DetectionResult`] carrying a Q16 score/weight/confidence.
-//! - [`Ensemble`] drives all engines, combines scores into one Q16
-//!   verdict (a weighted mean — the one division lives at the
-//!   controller, like every division in this repo), and keeps
-//!   per-engine fire counters and detection-delay histograms.
+//!   [`DetectionResult`] carrying a Q16 score and confidence and the
+//!   engine's gated verdict.
+//! - [`Ensemble`] drives all engines, collects the interval's results
+//!   into one [`EnsembleVerdict`], and keeps per-engine fire counters
+//!   and detection-delay histograms. There is no combiner: a verdict is
+//!   an engine's fire, one integer statistic past its own bound.
 //!
 //! ## Score convention
 //!
@@ -37,7 +38,7 @@ use telemetry::{json_struct, Json, Snapshot};
 /// One in Q16 fixed point — the firing threshold for scores.
 pub const Q16: i64 = 1 << 16;
 
-/// Scores saturate at 16 in Q16 so weighted sums cannot overflow.
+/// Scores saturate at 16 in Q16.
 pub(crate) const SCORE_CAP: i64 = 16 * Q16;
 
 /// `num/den` in Q16, clamped to `[0, SCORE_CAP]`; `den ≤ 0` maps to
@@ -107,8 +108,6 @@ pub struct DetectionResult {
     pub epoch: u64,
     /// Instantaneous verdict in Q16 (`≥ Q16` = past threshold).
     pub score: i64,
-    /// Engine weight in Q16 for the ensemble combiner.
-    pub weight: i64,
     /// `confidence_q16` of the score.
     pub confidence: i64,
     /// What the engine expected for its signal (raw units).
@@ -122,7 +121,7 @@ pub struct DetectionResult {
 impl DetectionResult {
     /// The verdict of a check that is a boolean, not a margin (the
     /// three Table 1 detectors): a saturated score on fire, zero
-    /// otherwise, at the trait's default weight.
+    /// otherwise.
     pub(crate) fn saturated(
         engine: &'static str,
         ctx: &SignalContext<'_>,
@@ -135,7 +134,6 @@ impl DetectionResult {
             at: ctx.at,
             epoch: ctx.epoch,
             score: if fired { 2 * Q16 } else { 0 },
-            weight: Q16,
             confidence: if fired { Q16 } else { 0 },
             expected,
             observed,
@@ -148,11 +146,6 @@ impl DetectionResult {
 pub trait Detector {
     /// Stable engine name (telemetry label, report key).
     fn name(&self) -> &'static str;
-
-    /// Ensemble weight in Q16 (default: 1.0).
-    fn weight_q16(&self) -> i64 {
-        Q16
-    }
 
     /// Consumes one interval; `None` while the engine cannot yet form
     /// a verdict (seeding/calibration), a result afterwards.
@@ -239,79 +232,18 @@ impl SignalValues {
     }
 }
 
-/// The combined verdict for one interval.
+/// Every engine's verdict for one interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleVerdict {
     /// Interval end (ns).
     pub at: u64,
     /// Interval ordinal.
     pub epoch: u64,
-    /// Weighted mean score over all reporting engines, Q16.
-    pub combined_q16: i64,
     /// Results from engines that fired this interval.
     pub fired: Vec<DetectionResult>,
     /// Every reporting engine's result this interval (fired or not),
     /// in report order — the provenance record's raw material.
     pub results: Vec<DetectionResult>,
-}
-
-/// Why a drilldown (or any alert-consumer) acted on a verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TriggerCause {
-    /// One or more engines' gated verdicts fired; names in report
-    /// order.
-    EnginesFired(Vec<String>),
-    /// No single engine fired, but the ensemble's combined weighted
-    /// score crossed the trigger threshold.
-    CombinedScore {
-        /// The combined weighted mean at trigger time, Q16.
-        combined_q16: i64,
-        /// The configured trigger threshold, Q16.
-        threshold_q16: i64,
-    },
-}
-
-/// Tagged by `kind`; the other members are the variant's.
-impl ToJson for TriggerCause {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            TriggerCause::EnginesFired(names) => {
-                write_obj(out, [("kind", &"engines_fired" as &dyn ToJson), ("engines", names)]);
-            }
-            TriggerCause::CombinedScore { combined_q16, threshold_q16 } => write_obj(
-                out,
-                [
-                    ("kind", &"combined_score" as &dyn ToJson),
-                    ("combined_q16", combined_q16),
-                    ("threshold_q16", threshold_q16),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for TriggerCause {
-    fn read_json(lx: &mut Lexer<'_>, at: At<'_>) -> Result<Self, String> {
-        let (mut kind, mut engines, mut combined_q16, mut threshold_q16) = (None, None, None, None);
-        read_obj(lx, at, |key, lx, at| {
-            match key {
-                "kind" if kind.is_none() => kind = Some(String::read_json(lx, at)?),
-                "engines" if engines.is_none() => engines = Some(Vec::<String>::read_json(lx, at)?),
-                "combined_q16" if combined_q16.is_none() => combined_q16 = Some(i64::read_json(lx, at)?),
-                "threshold_q16" if threshold_q16.is_none() => threshold_q16 = Some(i64::read_json(lx, at)?),
-                _ => return Ok(false),
-            }
-            Ok(true)
-        })?;
-        match need(kind, at, "kind")?.as_str() {
-            "engines_fired" => Ok(TriggerCause::EnginesFired(need(engines, at, "engines")?)),
-            "combined_score" => Ok(TriggerCause::CombinedScore {
-                combined_q16: need(combined_q16, at, "combined_q16")?,
-                threshold_q16: need(threshold_q16, at, "threshold_q16")?,
-            }),
-            other => Err(at.err(format_args!("unknown cause kind {other:?}"))),
-        }
-    }
 }
 
 /// One engine's state at the moment an alert fired, with owned
@@ -327,8 +259,6 @@ pub struct EngineAtFire {
     pub threshold_q16: i64,
     /// `confidence_q16` of the score.
     pub confidence: i64,
-    /// Ensemble weight, Q16.
-    pub weight: i64,
     /// Expected signal value (raw units).
     pub expected: i64,
     /// Observed signal value (raw units).
@@ -342,7 +272,6 @@ json_struct!(EngineAtFire {
     score,
     threshold_q16,
     confidence,
-    weight,
     expected,
     observed,
     fired
@@ -357,7 +286,6 @@ impl EngineAtFire {
             score: r.score,
             threshold_q16: Q16,
             confidence: r.confidence,
-            weight: r.weight,
             expected: r.expected,
             observed: r.observed,
             fired: r.fired,
@@ -366,8 +294,8 @@ impl EngineAtFire {
 }
 
 /// The full statistical provenance of one alert: the signals every
-/// engine read, each engine's score against its threshold at fire
-/// time, the combined score, and what pulled the trigger.
+/// engine read and each engine's score against its threshold at fire
+/// time. The engines whose `fired` is set pulled the trigger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertProvenance {
     /// Interval end (ns).
@@ -376,28 +304,22 @@ pub struct AlertProvenance {
     pub epoch: u64,
     /// The merged per-interval signals the engines consumed.
     pub signals: SignalValues,
-    /// Weighted mean score at fire time, Q16.
-    pub combined_q16: i64,
     /// Every reporting engine's state at fire time.
     pub engines: Vec<EngineAtFire>,
-    /// What pulled the trigger.
-    pub cause: TriggerCause,
 }
 
-json_struct!(AlertProvenance { at, epoch, signals, combined_q16, engines, cause });
+json_struct!(AlertProvenance { at, epoch, signals, engines });
 
 impl AlertProvenance {
-    /// Assembles provenance from the interval's signals, the verdict
-    /// that tripped, and the trigger cause.
+    /// Assembles provenance from the interval's signals and the verdict
+    /// that tripped.
     #[must_use]
-    pub fn assemble(signals: SignalValues, verdict: &EnsembleVerdict, cause: TriggerCause) -> Self {
+    pub fn assemble(signals: SignalValues, verdict: &EnsembleVerdict) -> Self {
         Self {
             at: verdict.at,
             epoch: verdict.epoch,
             signals,
-            combined_q16: verdict.combined_q16,
             engines: verdict.results.iter().map(EngineAtFire::of).collect(),
-            cause,
         }
     }
 }
@@ -414,20 +336,19 @@ pub struct EngineSummary {
 }
 
 /// One engine's entry in [`Ensemble::export_state`]: its name, its own
-/// state, metrics, fire count, first fire and weight override, each
-/// borrowed from the ensemble and written where it lies. The name
-/// comes first, so a reader knows the engine before it reaches the
-/// state ([`Ensemble::import_state`] reads the entry member by member).
+/// state, metrics, fire count and first fire, each borrowed from the
+/// ensemble and written where it lies. The name comes first, so a
+/// reader knows the engine before it reaches the state
+/// ([`Ensemble::import_state`] reads the entry member by member).
 struct EngineEntry<'a> {
     name: &'static str,
     state: StateOf<'a>,
     metrics: &'a DetectorMetrics,
     fires: u64,
     first_fired: Option<u64>,
-    weight_override: Option<i64>,
 }
 
-json_struct!(@write EngineEntry<'_> { name, state, metrics, fires, first_fired, weight_override });
+json_struct!(@write EngineEntry<'_> { name, state, metrics, fires, first_fired });
 
 /// An engine's [`Detector::export_state`], written in place.
 struct StateOf<'a>(&'a dyn Detector);
@@ -438,8 +359,8 @@ impl ToJson for StateOf<'_> {
     }
 }
 
-/// Drives a set of engines over the interval stream and combines their
-/// scores.
+/// Drives a set of engines over the interval stream and collects their
+/// verdicts.
 pub struct Ensemble {
     engines: Vec<Box<dyn Detector>>,
     /// Per-engine fire counters and detection-delay histograms,
@@ -447,12 +368,6 @@ pub struct Ensemble {
     pub metrics: Vec<DetectorMetrics>,
     first_fired: Vec<Option<u64>>,
     fires: Vec<u64>,
-    /// Per-engine combining-weight overrides, parallel to the engine
-    /// list. `None` leaves the engine's own reported weight in force;
-    /// `Some(w)` replaces it in the combined score and in every logged
-    /// result from the interval the override lands on. Installed by the
-    /// replay lifecycle's vetted hot-swap path.
-    weight_overrides: Vec<Option<i64>>,
     /// Every fired result, in interval order then engine order — the
     /// determinism regression surface. Held in memory only: a
     /// checkpoint keeps it as provenance, and [`Self::log_fired`]
@@ -479,62 +394,8 @@ impl Ensemble {
             metrics: (0..n).map(|_| DetectorMetrics::new()).collect(),
             first_fired: vec![None; n],
             fires: vec![0; n],
-            weight_overrides: vec![None; n],
             fired_log: Vec::new(),
         }
-    }
-
-    /// Which engine slot each override in `overrides` would land in.
-    ///
-    /// # Errors
-    ///
-    /// The first override that names an engine this ensemble does not
-    /// run, or carries a negative weight (which could zero or invert
-    /// the combined-score denominator).
-    pub fn check_weight_overrides(
-        &self,
-        overrides: &[(String, Option<i64>)],
-    ) -> Result<Vec<usize>, String> {
-        overrides
-            .iter()
-            .map(|(name, weight)| {
-                if let Some(w) = weight.filter(|w| *w < 0) {
-                    return Err(format!("weight override for {name:?} is negative ({w})"));
-                }
-                self.engines
-                    .iter()
-                    .position(|e| e.name() == name)
-                    .ok_or_else(|| format!("weight override names unknown engine {name:?}"))
-            })
-            .collect()
-    }
-
-    /// Overrides the combining weights of the named engines for every
-    /// subsequent interval (`None` restores an engine's own weight),
-    /// all of them or — on the first one
-    /// [`Self::check_weight_overrides`] refuses — none.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::check_weight_overrides`]; nothing was changed.
-    pub fn set_weight_overrides(
-        &mut self,
-        overrides: &[(String, Option<i64>)],
-    ) -> Result<(), String> {
-        let slots = self.check_weight_overrides(overrides)?;
-        for (slot, (_, weight)) in slots.into_iter().zip(overrides) {
-            self.weight_overrides[slot] = *weight;
-        }
-        Ok(())
-    }
-
-    /// [`Self::set_weight_overrides`] for one engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::check_weight_overrides`]; nothing was changed.
-    pub fn set_weight_override(&mut self, name: &str, weight: Option<i64>) -> Result<(), String> {
-        self.set_weight_overrides(&[(name.to_string(), weight)])
     }
 
     /// Engine names in report order.
@@ -552,22 +413,15 @@ impl Ensemble {
             .and_then(|e| e.as_any().downcast_ref::<T>())
     }
 
-    /// Feeds one interval to every engine and combines the results.
+    /// Feeds one interval to every engine and collects the results.
     pub fn observe(&mut self, ctx: &SignalContext<'_>) -> EnsembleVerdict {
         let mut fired = Vec::new();
         // Sized once: at most one result per engine.
         let mut results = Vec::with_capacity(self.engines.len());
-        let mut weighted: i128 = 0;
-        let mut weights: i128 = 0;
         for (i, engine) in self.engines.iter_mut().enumerate() {
-            let Some(mut result) = engine.update(ctx) else {
+            let Some(result) = engine.update(ctx) else {
                 continue;
             };
-            if let Some(w) = self.weight_overrides[i] {
-                result.weight = w;
-            }
-            weighted += (result.score as i128) * (result.weight as i128);
-            weights += result.weight as i128;
             // Episode clock: raw (ungated) anomaly = score past Q16.
             self.metrics[i].signal(ctx.at, result.score >= Q16);
             if result.fired {
@@ -579,15 +433,9 @@ impl Ensemble {
             results.push(result);
         }
         self.fired_log.extend(fired.iter().copied());
-        let combined_q16 = if weights == 0 {
-            0
-        } else {
-            (weighted / weights) as i64
-        };
         EnsembleVerdict {
             at: ctx.at,
             epoch: ctx.epoch,
-            combined_q16,
             fired,
             results,
         }
@@ -595,10 +443,9 @@ impl Ensemble {
 
     /// Appends the whole ensemble to `out` as JSON, `{"engines":[..]}`
     /// in report order: per engine its [`Detector::export_state`],
-    /// metrics, fire count, first fire and weight override. The fired
-    /// log is not written: every fired result is in the provenance of
-    /// the trigger it pulled, and [`Self::log_fired`] reads it back
-    /// from there.
+    /// metrics, fire count and first fire. The fired log is not
+    /// written: every fired result is in the provenance of the trigger
+    /// it pulled, and [`Self::log_fired`] reads it back from there.
     pub fn export_state(&self, out: &mut String) {
         let engines = self.engines.iter().enumerate().map(|(i, e)| EngineEntry {
             name: e.name(),
@@ -606,7 +453,6 @@ impl Ensemble {
             metrics: &self.metrics[i],
             fires: self.fires[i],
             first_fired: self.first_fired[i],
-            weight_override: self.weight_overrides[i],
         });
         write_obj(out, [("engines", &engines.collect::<Vec<_>>() as &dyn ToJson)]);
     }
@@ -626,9 +472,9 @@ impl Ensemble {
     ///
     /// In document order: an engine this ensemble does not run, an
     /// engine the state lacks, whatever an engine's own
-    /// [`Detector::import_state`] rejects, a negative weight override,
-    /// or more engines than the ensemble runs (whatever they are
-    /// named). The ensemble is then part-loaded and must be discarded.
+    /// [`Detector::import_state`] rejects, or more engines than the
+    /// ensemble runs (whatever they are named). The ensemble is then
+    /// part-loaded and must be discarded.
     pub fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let root = At::Root("ensemble");
         let mut engines = None;
@@ -665,7 +511,6 @@ impl Ensemble {
                 at: p.at,
                 epoch: p.epoch,
                 score: e.score,
-                weight: e.weight,
                 confidence: e.confidence,
                 expected: e.expected,
                 observed: e.observed,
@@ -692,7 +537,7 @@ impl Ensemble {
             let at = At::Idx(&at, i);
             // `Some(None)`: the state went straight into the engine.
             let mut state: Option<Option<Raw>> = None;
-            let (mut name, mut metrics, mut fires, mut first_fired, mut weight_override) = (None, None, None, None, None);
+            let (mut name, mut metrics, mut fires, mut first_fired) = (None, None, None, None);
             read_obj(lx, at, |key, lx, at| {
                 match key {
                     "name" if name.is_none() => {
@@ -715,9 +560,6 @@ impl Ensemble {
                     "metrics" if metrics.is_none() => metrics = Some(DetectorMetrics::read_json(lx, at)?),
                     "fires" if fires.is_none() => fires = Some(u64::read_json(lx, at)?),
                     "first_fired" if first_fired.is_none() => first_fired = Some(Option::read_json(lx, at)?),
-                    "weight_override" if weight_override.is_none() => {
-                        weight_override = Some(Option::<i64>::read_json(lx, at)?);
-                    }
                     _ => return Ok(false),
                 }
                 Ok(true)
@@ -729,11 +571,6 @@ impl Ensemble {
             self.metrics[i] = need(metrics, at, "metrics")?;
             self.fires[i] = need(fires, at, "fires")?;
             self.first_fired[i] = need(first_fired, at, "first_fired")?;
-            let weight_override = need(weight_override, at, "weight_override")?;
-            if weight_override.is_some_and(|w| w < 0) {
-                return Err(At::Key(&root, names[i]).err("negative weight override"));
-            }
-            self.weight_overrides[i] = weight_override;
         }
         if let Some(name) = names.get(held) {
             return Err(root.err(format_args!("engine {name:?} is missing at position {held}")));
@@ -799,7 +636,6 @@ mod tests {
                 at: ctx.at,
                 epoch: ctx.epoch,
                 score: self.score,
-                weight: Q16,
                 confidence: confidence_q16(self.score),
                 expected: 0,
                 observed: 0,
@@ -835,34 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_overrides_steer_the_combined_score() {
-        let kinds = FrequencyDist::new(0, 3).unwrap();
-        let stats = RunningStats::new();
-        let mut e = Ensemble::new(vec![
-            Box::new(FixedEngine { name: "hot", score: 2 * Q16, warmup: 0, seen: 0 }),
-            Box::new(FixedEngine { name: "cold", score: 0, warmup: 0, seen: 0 }),
-        ]);
-        let even = e.observe(&ctx_at(10, &kinds, &stats)).combined_q16;
-        assert_eq!(even, Q16, "equal weights average to Q16");
-
-        e.set_weight_override("cold", Some(0)).unwrap();
-        let skewed = e.observe(&ctx_at(20, &kinds, &stats)).combined_q16;
-        assert_eq!(skewed, 2 * Q16, "silenced engine no longer dilutes");
-        assert_eq!(e.weight_overrides, vec![None, Some(0)]);
-
-        e.set_weight_override("cold", None).unwrap();
-        let restored = e.observe(&ctx_at(30, &kinds, &stats)).combined_q16;
-        assert_eq!(restored, Q16);
-
-        assert!(e.set_weight_override("missing", Some(1)).unwrap_err().contains("unknown engine"));
-        assert!(e.set_weight_override("cold", Some(-1)).unwrap_err().contains("negative"));
-        // A batch with one bad entry changes nothing, good entries included.
-        let batch = [("hot".to_string(), Some(7)), ("missing".to_string(), None)];
-        assert!(e.set_weight_overrides(&batch).is_err());
-        assert_eq!(e.weight_overrides, vec![None, None]);
-    }
-
-    #[test]
     fn ratio_q16_clamps() {
         assert_eq!(ratio_q16(0, 10), 0);
         assert_eq!(ratio_q16(-5, 10), 0);
@@ -880,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn combined_score_is_weighted_mean() {
+    fn a_verdict_is_the_engines_fires() {
         let kinds = FrequencyDist::new(0, 7).unwrap();
         let stats = RunningStats::new();
         let mut ens = Ensemble::new(vec![
@@ -888,7 +696,7 @@ mod tests {
             Box::new(FixedEngine { name: "b", score: 0, warmup: 0, seen: 0 }),
         ]);
         let v = ens.observe(&ctx_at(10, &kinds, &stats));
-        assert_eq!(v.combined_q16, Q16, "mean of 2.0 and 0.0");
+        assert_eq!(v.results.len(), 2, "every reporting engine is in the verdict");
         assert_eq!(v.fired.len(), 1);
         assert_eq!(v.fired[0].engine, "a");
     }

@@ -48,7 +48,6 @@
 
 use crate::alerts::Alert;
 use crate::backoff;
-use crate::detector::TriggerCause;
 use netsim::control::ControlMsg;
 use netsim::node::{Node, NodeCtx, NodeId};
 use p4sim::pipeline::DigestRecord;
@@ -473,22 +472,11 @@ impl Node for DrilldownController {
     }
 }
 
-/// Trigger policy for ensemble-driven drilldown.
-///
-/// Historically the drilldown only reacted to per-engine gated
-/// `fired` verdicts. That misses coordinated sub-threshold episodes:
-/// several engines at, say, 0.9 of their thresholds is collectively a
-/// stronger signal than one engine barely past its own. This config
-/// closes that gap — the ensemble's combined weighted score (see
-/// [`crate::detector::EnsembleVerdict::combined_q16`]) triggers the
-/// drilldown too, once it crosses `combined_threshold_q16`.
+/// The ladder policy of ensemble-driven drilldown: when it resets and
+/// how many bindings each rebind installs. What triggers it is fixed:
+/// any engine's gated fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnsembleTriggerConfig {
-    /// Combined-score trigger threshold, Q16. The default of 0.75
-    /// sits below any single engine's firing point (1.0) but well
-    /// above quiet-traffic combined scores (engines near zero pull
-    /// the weighted mean down hard).
-    pub combined_threshold_q16: i64,
     /// Quiet intervals (no trigger) before the ladder resets to the
     /// prefix phase.
     pub reset_after_quiet: u32,
@@ -501,7 +489,6 @@ pub struct EnsembleTriggerConfig {
 impl Default for EnsembleTriggerConfig {
     fn default() -> Self {
         Self {
-            combined_threshold_q16: (3 * crate::detector::Q16) / 4,
             reset_after_quiet: 8,
             subnet_binds: 16,
             host_binds: 16,
@@ -512,7 +499,8 @@ impl Default for EnsembleTriggerConfig {
 /// One drilldown rebind, recorded as alert provenance. Mirrors the
 /// acked batch transactions [`DrilldownController`] sends over the
 /// control channel, as a deterministic structural record (what was
-/// rebound, when, why) rather than the wire messages themselves.
+/// rebound, when) rather than the wire messages themselves. Why is in
+/// the provenance record that holds it: the engines that fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebindTransaction {
     /// Binding generation the transaction installs.
@@ -527,21 +515,9 @@ pub struct RebindTransaction {
     pub to_phase: String,
     /// Binding-table entries installed.
     pub binds: u32,
-    /// What pulled the trigger.
-    pub cause: TriggerCause,
 }
 
-telemetry::json_struct!(RebindTransaction { generation, epoch, at, from_phase, to_phase, binds, cause });
-
-/// What one triggering verdict did to the drilldown ladder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrillOutcome {
-    /// Why the trigger pulled.
-    pub cause: TriggerCause,
-    /// Rebind transactions the trigger caused (empty once the ladder
-    /// is already at host granularity).
-    pub transactions: Vec<RebindTransaction>,
-}
+telemetry::json_struct!(RebindTransaction { generation, epoch, at, from_phase, to_phase, binds });
 
 /// Ladder position for [`ScoreDrilldown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -594,35 +570,22 @@ impl ScoreDrilldown {
         }
     }
 
-    /// `Some(cause)` when the verdict should pull the trigger: any
-    /// engine's gated fire wins, else the combined weighted score
-    /// crossing the configured threshold.
-    fn decide(&self, v: &crate::detector::EnsembleVerdict) -> Option<TriggerCause> {
-        if !v.fired.is_empty() {
-            return Some(TriggerCause::EnginesFired(
-                v.fired.iter().map(|r| r.engine.to_string()).collect(),
-            ));
-        }
-        if v.combined_q16 >= self.config.combined_threshold_q16 {
-            return Some(TriggerCause::CombinedScore {
-                combined_q16: v.combined_q16,
-                threshold_q16: self.config.combined_threshold_q16,
-            });
-        }
-        None
-    }
-
-    /// Feeds one interval verdict. Returns the trigger cause and any
-    /// rebind transaction it produced; `None` on quiet intervals.
-    pub fn observe(&mut self, v: &crate::detector::EnsembleVerdict) -> Option<DrillOutcome> {
-        let Some(cause) = self.decide(v) else {
+    /// Feeds one interval verdict. An interval where some engine fired
+    /// pulls the trigger: the result is the rebind transaction it
+    /// produced (none once the ladder is at host granularity). `None`
+    /// on quiet intervals.
+    pub fn observe(
+        &mut self,
+        v: &crate::detector::EnsembleVerdict,
+    ) -> Option<Vec<RebindTransaction>> {
+        if v.fired.is_empty() {
             self.quiet += 1;
             if self.quiet >= self.config.reset_after_quiet {
                 self.phase = ScorePhase::Prefix;
                 self.quiet = 0;
             }
             return None;
-        };
+        }
         self.quiet = 0;
         let (next, binds) = match self.phase {
             ScorePhase::Prefix => (ScorePhase::Subnets, self.config.subnet_binds),
@@ -630,10 +593,7 @@ impl ScoreDrilldown {
             ScorePhase::Hosts => {
                 // Already at host granularity: the alert is attributed
                 // to the standing bindings, no rebind needed.
-                return Some(DrillOutcome {
-                    cause,
-                    transactions: Vec::new(),
-                });
+                return Some(Vec::new());
             }
         };
         self.generation += 1;
@@ -644,13 +604,9 @@ impl ScoreDrilldown {
             from_phase: self.phase.name().to_string(),
             to_phase: next.name().to_string(),
             binds,
-            cause: cause.clone(),
         };
         self.phase = next;
-        Some(DrillOutcome {
-            cause,
-            transactions: vec![tx],
-        })
+        Some(vec![tx])
     }
 
     /// Appends the ladder's position to `out`: phase, binding
@@ -1118,7 +1074,6 @@ mod tests {
                 at: ctx.at,
                 epoch: ctx.epoch,
                 score: self.score,
-                weight: Q16,
                 confidence: confidence_q16(self.score),
                 expected: 100,
                 observed: 90,
@@ -1156,12 +1111,11 @@ mod tests {
         }
     }
 
-    /// Regression for the ROADMAP item-1 follow-on: three engines each
-    /// simmering at 0.9 of threshold never fire individually, but the
-    /// combined weighted score (0.9·Q16 ≥ 0.75·Q16) now pulls the
-    /// drilldown trigger — the episode is no longer invisible.
+    /// Three engines each simmering at 0.9 of threshold never fire,
+    /// and a verdict nobody fired pulls no trigger: the ladder acts on
+    /// an engine's fire alone.
     #[test]
-    fn sub_threshold_multi_engine_episode_triggers_drilldown() {
+    fn sub_threshold_scores_pull_no_trigger() {
         let kinds = FrequencyDist::new(0, 7).unwrap();
         let stats = RunningStats::new();
         let score = (9 * Q16) / 10;
@@ -1173,29 +1127,12 @@ mod tests {
         let mut drill = ScoreDrilldown::new(EnsembleTriggerConfig::default());
         let v = ens.observe(&quiet_ctx(10, &kinds, &stats));
         assert!(v.fired.is_empty(), "no single engine may fire");
-        assert_eq!(v.combined_q16, score);
-        let outcome = drill
-            .observe(&v)
-            .expect("combined sub-threshold scores must trigger");
-        match &outcome.cause {
-            TriggerCause::CombinedScore {
-                combined_q16,
-                threshold_q16,
-            } => {
-                assert_eq!(*combined_q16, score);
-                assert_eq!(*threshold_q16, (3 * Q16) / 4);
-            }
-            other => panic!("expected CombinedScore cause, got {other:?}"),
-        }
-        assert_eq!(outcome.transactions.len(), 1);
-        let tx = &outcome.transactions[0];
-        assert_eq!((tx.from_phase.as_str(), tx.to_phase.as_str()), ("prefix", "subnets"));
-        assert_eq!(tx.generation, 1);
+        assert!(drill.observe(&v).is_none());
     }
 
-    /// A gated engine fire always wins over the combined score as the
-    /// recorded cause, and the ladder climbs one phase per trigger
-    /// until hosts, then attributes without rebinding.
+    /// A gated engine fire pulls the trigger, and the ladder climbs one
+    /// phase per trigger until hosts, then attributes without
+    /// rebinding.
     #[test]
     fn fired_engines_drive_the_ladder_to_hosts() {
         let kinds = FrequencyDist::new(0, 7).unwrap();
@@ -1208,12 +1145,7 @@ mod tests {
         let mut txs = Vec::new();
         for at in [10u64, 20, 30] {
             let v = ens.observe(&quiet_ctx(at, &kinds, &stats));
-            let outcome = drill.observe(&v).expect("fired engine must trigger");
-            assert_eq!(
-                outcome.cause,
-                TriggerCause::EnginesFired(vec!["hot".to_string()])
-            );
-            txs.extend(outcome.transactions);
+            txs.extend(drill.observe(&v).expect("fired engine must trigger"));
         }
         let phases: Vec<_> = txs
             .iter()
@@ -1245,11 +1177,11 @@ mod tests {
             e.observe(&quiet_ctx(at, &kinds, &stats))
         };
         let first = drill.observe(&fire(10)).unwrap();
-        assert_eq!(first.transactions[0].to_phase, "subnets");
+        assert_eq!(first[0].to_phase, "subnets");
         assert!(drill.observe(&calm(20)).is_none());
         assert!(drill.observe(&calm(30)).is_none());
         // Reset happened: the next trigger starts from the prefix again.
         let again = drill.observe(&fire(40)).unwrap();
-        assert_eq!(again.transactions[0].from_phase, "prefix");
+        assert_eq!(again[0].from_phase, "prefix");
     }
 }

@@ -9,7 +9,7 @@
 //! `N·x > Xsum + k·σ(NX) + margin` check with a different x.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::WindowState;
+use crate::state::{WindowState, WindowStateOf};
 use stat4_core::WindowedDist;
 use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
@@ -81,7 +81,6 @@ impl Detector for CardinalityEngine {
             at: ctx.at,
             epoch: ctx.epoch,
             score,
-            weight: self.weight_q16(),
             confidence: confidence_q16(score),
             expected,
             observed: x,
@@ -90,7 +89,7 @@ impl Detector for CardinalityEngine {
     }
 
     fn export_state(&self, out: &mut String) {
-        WindowState::of(&self.window).write_json(out);
+        WindowStateOf::of(&self.window).write_json(out);
     }
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {

@@ -13,7 +13,7 @@
 //! the engine returns `None` — it has no opinion.
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
-use crate::state::WindowState;
+use crate::state::{WindowState, WindowStateOf};
 use stat4_core::{CusumDetector, WindowedDist};
 use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
@@ -62,13 +62,15 @@ struct Calibrated {
 
 json_struct!(Calibrated { target, slack, threshold, statistic, alarms });
 
-/// The baseline window, and the calibration once warm.
-struct CusumState {
-    baseline: WindowState,
+/// The baseline window, and the calibration once warm; `W` is the
+/// window's state as written or as read.
+struct CusumState<W> {
+    baseline: W,
     calibrated: Option<Calibrated>,
 }
 
-json_struct!(CusumState { baseline, calibrated });
+json_struct!(@write CusumState<WindowStateOf<'_>> { baseline, calibrated });
+json_struct!(@read CusumState<WindowState> { baseline, calibrated });
 
 impl Default for CusumEngine {
     fn default() -> Self {
@@ -106,7 +108,6 @@ impl Detector for CusumEngine {
             at: ctx.at,
             epoch: ctx.epoch,
             score,
-            weight: self.weight_q16(),
             confidence: confidence_q16(score),
             expected: target,
             observed: x,
@@ -122,12 +123,16 @@ impl Detector for CusumEngine {
             statistic: c.statistic(),
             alarms: c.alarms,
         });
-        CusumState { baseline: WindowState::of(&self.baseline), calibrated }.write_json(out);
+        CusumState {
+            baseline: WindowStateOf::of(&self.baseline),
+            calibrated,
+        }
+        .write_json(out);
     }
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("cusum");
-        let CusumState { baseline, calibrated } = CusumState::read_json(lx, at)?;
+        let CusumState { baseline, calibrated } = CusumState::<WindowState>::read_json(lx, at)?;
         baseline.restore(&mut self.baseline, At::Key(&at, "baseline"))?;
         self.inner = match calibrated {
             None => None,

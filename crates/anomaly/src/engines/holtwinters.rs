@@ -108,7 +108,6 @@ impl Detector for HoltWintersEngine {
             at: ctx.at,
             epoch: ctx.epoch,
             score,
-            weight: self.weight_q16(),
             confidence: confidence_q16(score),
             expected: forecast.forecast_q16 >> 16,
             observed: x,

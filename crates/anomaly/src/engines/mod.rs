@@ -6,7 +6,7 @@
 //! [`crate::stalled::StalledFlowDetector`],
 //! [`crate::shift::PercentileShiftDetector`]; the
 //! behavior-preservation suite pins their alert streams bit-for-bit);
-//! the five in this module each cover a signal those cannot see.
+//! the three in this module each cover a signal those cannot see.
 //!
 //! | engine        | signal                    | catches                      |
 //! |---------------|---------------------------|------------------------------|
@@ -16,27 +16,26 @@
 //! | `cusum`       | SYNs/interval (cumulative)| low-and-slow scans           |
 //! | `holtwinters` | packets/interval (seasonal)| phase drift in periodic load |
 //! | `cardinality` | distinct sources/interval | spoofed-source sweeps        |
-//! | `multiscale`  | packets at scales 1/4/16  | slow swells under the band   |
-//! | `adaptive`    | mean frame length (EWMA)  | size regime changes          |
 //!
 //! Like a Stat4 program's, each engine's tuning is fixed: constants
 //! beside the code that reads them, not configuration.
+//!
+//! Nothing combines the engines' scores: a verdict is one engine's fire.
+//! So an engine stays only while some run needs it, a run whose first
+//! verdict or drill-down outcome changes when the engine is left out
+//! (`replay`'s leave-one-out test holds each engine to its witness run).
 
-pub mod adaptive;
 pub mod cardinality;
 pub mod cusum;
 pub mod holtwinters;
-pub mod multiscale;
 
-pub use adaptive::AdaptiveEngine;
 pub use cardinality::CardinalityEngine;
 pub use cusum::CusumEngine;
 pub use holtwinters::HoltWintersEngine;
-pub use multiscale::MultiScaleEngine;
 
 /// Configuration of the ensemble around the engines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EnsembleConfig {
-    /// Drilldown trigger policy (per-engine fires + combined score).
+    /// Drilldown ladder policy.
     pub trigger: crate::drilldown::EnsembleTriggerConfig,
 }

@@ -24,8 +24,9 @@
 //!
 //! Detection is organised as a pluggable ensemble: every engine
 //! implements [`detector::Detector`] over a shared per-interval
-//! [`detector::SignalContext`], and [`detector::Ensemble`] combines
-//! their Q16 scores. [`synflood`], [`stalled`] and [`shift`] are
+//! [`detector::SignalContext`], and [`detector::Ensemble`] collects
+//! their verdicts. Nothing combines their scores: a verdict is one
+//! engine's fire. [`synflood`], [`stalled`] and [`shift`] are
 //! engines themselves; see [`engines`] for the catalogue.
 #![forbid(unsafe_code)]
 
@@ -46,16 +47,13 @@ pub mod synflood;
 pub use alerts::Alert;
 pub use detector::{
     AlertProvenance, DetectionResult, Detector, EngineAtFire, EngineSummary, Ensemble,
-    EnsembleVerdict, SignalContext, SignalValues, TriggerCause, Q16,
+    EnsembleVerdict, SignalContext, SignalValues, Q16,
 };
-pub use engines::{
-    AdaptiveEngine, CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine,
-    MultiScaleEngine,
-};
+pub use engines::{CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine};
 pub use metrics::{Check, DetectorMetrics};
 pub use classify::DriftMonitor;
 pub use drilldown::{
-    DrillOutcome, DrilldownController, DrilldownPhase, DrilldownReport, DrilldownStats,
+    DrilldownController, DrilldownPhase, DrilldownReport, DrilldownStats,
     EnsembleTriggerConfig, RebindTransaction, ScoreDrilldown,
 };
 pub use polling::PollingController;

@@ -18,7 +18,7 @@
 
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
-use crate::state::WindowState;
+use crate::state::{WindowState, WindowStateOf};
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
 use std::any::Any;
@@ -152,22 +152,27 @@ impl PercentileShiftDetector {
 /// text until the reader knows how many cells the configured domain
 /// has; the marker's walk position verbatim), the movement window, the
 /// open interval's tallies, and the first alert's time. `last_moves`
-/// always equals the marker's move count and is not written.
-struct ShiftState {
+/// always equals the marker's move count and is not written. `W` is the
+/// movement window's state as written or as read.
+struct ShiftState<W> {
     cells: Raw,
     total: u64,
     marker_pos: Option<usize>,
     marker_low: u64,
     marker_high: u64,
     marker_moves: u64,
-    moves_window: WindowState,
+    moves_window: W,
     moves_in_interval: u64,
     pkts_in_interval: u64,
     current_interval: Option<u64>,
     detected_at: Option<u64>,
 }
 
-json_struct!(ShiftState {
+json_struct!(@write ShiftState<WindowStateOf<'_>> {
+    cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
+    moves_in_interval, pkts_in_interval, current_interval, detected_at
+});
+json_struct!(@read ShiftState<WindowState> {
     cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
     moves_in_interval, pkts_in_interval, current_interval, detected_at
 });
@@ -200,7 +205,7 @@ impl Detector for PercentileShiftDetector {
             marker_low: m.low,
             marker_high: m.high,
             marker_moves: m.moves,
-            moves_window: WindowState::of(&self.moves_window),
+            moves_window: WindowStateOf::of(&self.moves_window),
             moves_in_interval: self.moves_in_interval,
             pkts_in_interval: self.pkts_in_interval,
             current_interval: self.current_interval,
@@ -211,7 +216,7 @@ impl Detector for PercentileShiftDetector {
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("median_shift");
-        let s = ShiftState::read_json(lx, at)?;
+        let s = ShiftState::<WindowState>::read_json(lx, at)?;
         let cells = Sparse(self.tracker.as_set().counts().len());
         let counts = cells.read_json(&mut s.cells.lexer(), At::Key(&at, "cells"))?;
         let q = self.cfg.quantile;

@@ -9,7 +9,7 @@
 
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
-use crate::state::WindowState;
+use crate::state::{WindowState, WindowStateOf};
 use stat4_core::window::WindowedDist;
 use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
@@ -141,14 +141,15 @@ impl StalledFlowDetector {
 }
 
 /// The activity window, the interval it is in, and the first alert's
-/// time.
-struct StalledState {
-    window: WindowState,
+/// time; `W` is the window's state as written or as read.
+struct StalledState<W> {
+    window: W,
     current_interval: Option<u64>,
     detected_at: Option<u64>,
 }
 
-json_struct!(StalledState { window, current_interval, detected_at });
+json_struct!(@write StalledState<WindowStateOf<'_>> { window, current_interval, detected_at });
+json_struct!(@read StalledState<WindowState> { window, current_interval, detected_at });
 
 /// The ensemble's `stalled` engine. Signal binding: per-interval
 /// merged packet count as the activity measure, fed as one bulk record
@@ -178,7 +179,7 @@ impl Detector for StalledFlowDetector {
 
     fn export_state(&self, out: &mut String) {
         StalledState {
-            window: WindowState::of(&self.window),
+            window: WindowStateOf::of(&self.window),
             current_interval: self.current_interval,
             detected_at: self.detected_at,
         }
@@ -187,7 +188,7 @@ impl Detector for StalledFlowDetector {
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("stalled");
-        let s = StalledState::read_json(lx, at)?;
+        let s = StalledState::<WindowState>::read_json(lx, at)?;
         s.window.restore(&mut self.window, At::Key(&at, "window"))?;
         self.current_interval = s.current_interval;
         self.detected_at = s.detected_at;

@@ -13,10 +13,11 @@ use telemetry::json_struct;
 
 /// A history window: the ring in slot order, where the next value
 /// lands, how many slots are live, the open interval's accumulator and
-/// the three moments verbatim.
+/// the three moments verbatim. Read as an owned ring; written as a
+/// [`WindowStateOf`], which borrows the ring from the window.
 #[derive(Debug)]
-pub(crate) struct WindowState {
-    ring: Vec<i64>,
+pub(crate) struct WindowState<R = Vec<i64>> {
+    ring: R,
     head: usize,
     filled: usize,
     current: i64,
@@ -25,13 +26,17 @@ pub(crate) struct WindowState {
     xsumsq: i64,
 }
 
-json_struct!(WindowState { ring, head, filled, current, n, xsum, xsumsq });
+/// A window's state as written: the ring is the window's own slots.
+pub(crate) type WindowStateOf<'a> = WindowState<&'a [i64]>;
 
-impl WindowState {
-    /// The state of `w`.
-    pub(crate) fn of(w: &WindowedDist) -> Self {
+json_struct!(@read WindowState { ring, head, filled, current, n, xsum, xsumsq });
+json_struct!(@write WindowStateOf<'_> { ring, head, filled, current, n, xsum, xsumsq });
+
+impl<'a> WindowStateOf<'a> {
+    /// The state of `w`, borrowing its ring.
+    pub(crate) fn of(w: &'a WindowedDist) -> Self {
         Self {
-            ring: w.ring().to_vec(),
+            ring: w.ring(),
             head: w.head(),
             filled: w.len(),
             current: w.current(),
@@ -40,7 +45,9 @@ impl WindowState {
             xsumsq: w.stats().xsumsq(),
         }
     }
+}
 
+impl WindowState {
     /// Reloads `w` (built from the engine's config, which fixes the
     /// capacity), which sits at `at`.
     pub(crate) fn restore(self, w: &mut WindowedDist, at: At<'_>) -> Result<(), String> {

@@ -33,7 +33,7 @@
 use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::metrics::{Check, DetectorMetrics};
-use crate::state::WindowState;
+use crate::state::{WindowState, WindowStateOf};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
 use std::any::Any;
@@ -184,10 +184,10 @@ struct SynFloodState {
 json_struct!(@read SynFloodState { syn_rate, alerts, detected_at, metrics });
 
 /// The same members as [`Detector::export_state`] writes them: the
-/// alert list and the metrics borrowed from the detector and written
-/// where they lie, not cloned for the write.
+/// rate window's ring, the alert list and the metrics borrowed from the
+/// detector and written where they lie, not cloned for the write.
 struct SynFloodStateOf<'a> {
-    syn_rate: WindowState,
+    syn_rate: WindowStateOf<'a>,
     alerts: &'a [Alert],
     detected_at: Option<u64>,
     metrics: &'a DetectorMetrics,
@@ -209,7 +209,7 @@ impl Detector for SynFloodDetector {
 
     fn export_state(&self, out: &mut String) {
         SynFloodStateOf {
-            syn_rate: WindowState::of(&self.syn_rate),
+            syn_rate: WindowStateOf::of(&self.syn_rate),
             alerts: &self.alerts,
             detected_at: self.detected_at,
             metrics: &self.metrics,

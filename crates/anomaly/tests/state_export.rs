@@ -11,9 +11,9 @@ use anomaly::shift::ShiftConfig;
 use anomaly::stalled::StalledFlowConfig;
 use anomaly::synflood::KIND_SYN;
 use anomaly::{
-    AdaptiveEngine, AlertProvenance, CardinalityEngine, CusumEngine, Detector, Ensemble,
-    EnsembleConfig, HoltWintersEngine, MultiScaleEngine, PercentileShiftDetector, ScoreDrilldown,
-    SignalContext, SignalValues, StalledFlowDetector, SynFloodDetector, Q16,
+    AlertProvenance, CardinalityEngine, CusumEngine, Detector, Ensemble, EnsembleConfig,
+    HoltWintersEngine, PercentileShiftDetector, ScoreDrilldown, SignalContext, SignalValues,
+    StalledFlowDetector, SynFloodDetector,
 };
 use stat4_core::{FrequencyDist, RunningStats};
 use telemetry::json::{render, At, Lexer};
@@ -116,7 +116,7 @@ fn stream(seed: u64, intervals: u64, episodes: bool) -> Vec<Interval> {
         .collect()
 }
 
-/// The eight engines as `replay::build_ensemble` configures them.
+/// The six engines as `replay::build_ensemble` configures them.
 fn engines() -> Vec<Box<dyn Detector>> {
     vec![
         Box::new(SynFloodDetector::new()),
@@ -132,8 +132,6 @@ fn engines() -> Vec<Box<dyn Detector>> {
         Box::new(CusumEngine::new()),
         Box::new(HoltWintersEngine::new()),
         Box::new(CardinalityEngine::new()),
-        Box::new(MultiScaleEngine::new()),
-        Box::new(AdaptiveEngine::new()),
     ]
 }
 
@@ -222,20 +220,18 @@ fn ensemble() -> (Ensemble, ScoreDrilldown) {
 }
 
 #[test]
-fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
+fn ensemble_and_ladder_resume_exactly() {
     let signals = stream(11, 340, true);
     for split in [0usize, 40, 125, 232] {
         let (mut live, mut live_drill) = ensemble();
-        live.set_weight_override("cusum", Some(Q16 / 2)).unwrap();
-        live.set_weight_override("adaptive", Some(0)).unwrap();
         // The provenance of every trigger, as the replay coordinator
         // records it at the detect site.
         let mut provenance = Vec::new();
         for i in &signals[..split] {
             let verdict = live.observe(&i.ctx());
-            if let Some(outcome) = live_drill.observe(&verdict) {
+            if live_drill.observe(&verdict).is_some() {
                 let signals = SignalValues::capture(&i.ctx());
-                provenance.push(AlertProvenance::assemble(signals, &verdict, outcome.cause));
+                provenance.push(AlertProvenance::assemble(signals, &verdict));
             }
         }
         let exported = text(|out| live.export_state(out));
@@ -261,10 +257,6 @@ fn ensemble_and_ladder_resume_exactly_with_a_committed_override() {
             );
         }
         assert_eq!(resumed.fired_log, live.fired_log, "split {split}");
-        assert!(live
-            .fired_log
-            .iter()
-            .any(|r| r.engine == "cusum" && r.weight == Q16 / 2));
         assert_eq!(resumed.summaries(), live.summaries());
         assert_eq!(resumed.metrics_by_name(), live.metrics_by_name());
         let alerts = |e: &Ensemble| {
@@ -306,7 +298,7 @@ fn state_no_engine_could_have_exported_is_refused() {
     let good = Json::parse(&written).unwrap();
 
     type Tamper = fn(&mut Json);
-    let cases: [(&str, Tamper, &str); 8] = [
+    let cases: [(&str, Tamper, &str); 7] = [
         (
             "ring of another length",
             |s| match at(s, &["engines", "5", "state", "ring"]) {
@@ -339,21 +331,16 @@ fn state_no_engine_could_have_exported_is_refused() {
             "missing engine",
             |s| match at(s, &["engines"]) {
                 Json::Arr(engines) => {
-                    engines.remove(6);
+                    engines.remove(4);
                 }
                 _ => unreachable!(),
             },
-            "\"multiscale\" is missing",
+            "\"holtwinters\" is missing",
         ),
         (
             "median masses that do not add up",
             |s| *at(s, &["engines", "2", "state", "total"]) = Json::Int(3),
             "add up",
-        ),
-        (
-            "negative weight override",
-            |s| *at(s, &["engines", "1", "weight_override"]) = Json::Int(-1),
-            "negative weight override",
         ),
     ];
     for (what, tamper, expect) in cases {

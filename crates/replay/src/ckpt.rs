@@ -101,8 +101,9 @@ pub(crate) const MAGIC: &str = "stat4-replay-ckpt";
 /// and replayed it on resume; version 2 stores the detectors' state;
 /// version 3 stores a shard's length distribution as counts alone, with
 /// no walked marker and no total beside them; version 4 stores each
-/// shard register file as its non-zero cells; version 5 writes no fired log.
-pub(crate) const VERSION: u64 = 5;
+/// shard register file as its non-zero cells; version 5 writes no fired log;
+/// version 6 writes no combined score, trigger cause or engine weight.
+pub(crate) const VERSION: u64 = 6;
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -349,7 +350,7 @@ pub struct Checkpoint {
     /// Every quarantine incident so far, in occurrence order.
     pub incidents: Vec<ShardIncident>,
     /// [`Ensemble::export_state`]'s text at the drain point: engine
-    /// states, metrics, fire counts, weight overrides.
+    /// states, metrics, fire counts, first fires.
     pub ensemble: Raw,
     /// [`ScoreDrilldown::export_state`]'s text at the drain point.
     pub drill: Raw,
@@ -511,6 +512,7 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
     }
     if version < VERSION {
         let why = match version {
+            5 => "was written before the ensemble dropped its combined score and weights",
             4 => "was written before the fired log was read from provenance",
             3 => "was written before shards stored their non-zero cells alone",
             2 => "was written before shards kept length counts alone",
@@ -699,7 +701,7 @@ pub(crate) fn load_latest_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomaly::{Alert, DetectionResult, EngineAtFire, TriggerCause};
+    use anomaly::{Alert, DetectionResult, EngineAtFire};
     use std::fmt::Debug;
     use telemetry::json::{read, render, write};
 
@@ -720,12 +722,10 @@ mod tests {
         s
     }
 
-    /// An ensemble a few intervals into a run, with a committed weight
-    /// override.
+    /// An ensemble a few intervals into a run.
     fn sample_ensemble() -> Ensemble {
         let cfg = ReplayConfig::default();
         let mut ensemble = build_ensemble(&cfg);
-        ensemble.set_weight_override("cusum", Some(0)).unwrap();
         let s = sample_state();
         for epoch in 0..3u64 {
             ensemble.observe(&anomaly::SignalContext {
@@ -845,11 +845,8 @@ mod tests {
         round_trips(&record.provenance);
         round_trips(&record.provenance.signals);
         round_trips(&record.provenance.engines[0]);
-        round_trips(&record.provenance.cause);
         round_trips(&record.lineage);
         round_trips(&record.drilldown[0]);
-        round_trips(&record.drilldown[0].cause);
-        round_trips(&TriggerCause::EnginesFired(Vec::new()));
         round_trips(&Alert::Pinpointed { at: 3, dest: std::net::Ipv4Addr::new(10, 0, 1, 2) });
 
         let report = crate::lifecycle::tests::sample_report();
@@ -884,7 +881,7 @@ mod tests {
     fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
-            r#"{{"magic":"stat4-replay-ckpt","version":5,"checksum":"{sum:016x}","payload":{body}}}"#
+            r#"{{"magic":"stat4-replay-ckpt","version":6,"checksum":"{sum:016x}","payload":{body}}}"#
         )
     }
 
@@ -979,9 +976,9 @@ mod tests {
                 "$.payload.pipeline.registers[0].cells[1]: not a non-negative integer",
             ),
             (
-                &["provenance", "0", "drilldown", "0", "cause", "kind"],
-                |v| *v = Json::Str("whim".into()),
-                "$.payload.provenance[0].drilldown[0].cause: unknown cause kind \"whim\"",
+                &["provenance", "0", "drilldown", "0", "binds"],
+                |v| *v = Json::Int(-1),
+                "$.payload.provenance[0].drilldown[0].binds: not a non-negative integer",
             ),
         ];
         for (path, tamper, want) in cases {
@@ -1076,7 +1073,6 @@ mod tests {
             at: p.at,
             epoch: p.epoch,
             score: fired.score,
-            weight: fired.weight,
             confidence: fired.confidence,
             expected: fired.expected,
             observed: fired.observed,
@@ -1222,6 +1218,11 @@ mod tests {
     #[test]
     fn a_version_3_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
         an_old_version_falls_back(3, "was written before shards stored their non-zero cells alone");
+    }
+
+    #[test]
+    fn a_version_5_checkpoint_is_refused_with_its_reason_and_the_loader_falls_back() {
+        an_old_version_falls_back(5, "was written before the ensemble dropped its combined score and weights");
     }
 
     #[test]

@@ -449,8 +449,8 @@ impl EpochCoordinator {
                 len_stats: &merged.len_stats,
             };
             let verdict = self.ensemble.observe(&ctx);
-            if let Some(outcome) = self.drill.observe(&verdict) {
-                if !outcome.transactions.is_empty() {
+            if let Some(transactions) = self.drill.observe(&verdict) {
+                if !transactions.is_empty() {
                     t.trace.instant("rebind", epoch_idx);
                 }
                 let delivered = (0..self.cfg.shards).filter(|&s| self.alive[s]).collect();
@@ -458,7 +458,7 @@ impl EpochCoordinator {
                     self.provenance.len() as u64,
                     &ctx,
                     &verdict,
-                    outcome,
+                    transactions,
                     LineageSources {
                         delivered_shards: delivered,
                         carried_from: &self.carried_from,

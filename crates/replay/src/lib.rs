@@ -90,9 +90,9 @@ use anomaly::shift::ShiftConfig;
 use anomaly::stalled::StalledFlowConfig;
 use anomaly::synflood::{SynFloodConfig, KIND_SYN};
 use anomaly::{
-    AdaptiveEngine, Alert, CardinalityEngine, CusumEngine, DetectionResult, EngineSummary,
-    Ensemble, EnsembleConfig, HoltWintersEngine, MultiScaleEngine, PercentileShiftDetector,
-    StalledFlowDetector, SynFloodDetector,
+    Alert, CardinalityEngine, CusumEngine, DetectionResult, Detector, EngineSummary, Ensemble,
+    EnsembleConfig, HoltWintersEngine, PercentileShiftDetector, StalledFlowDetector,
+    SynFloodDetector,
 };
 use coordinator::EpochCoordinator;
 use faultinject::FaultSchedule;
@@ -226,15 +226,22 @@ impl Default for ReplayConfig {
 
 /// Builds the detection ensemble a replay run drives on merged
 /// interval state: the three Table 1 detectors (SYN flood, stalled
-/// flows, median shift) plus the five `anomaly::engines`, in report
-/// order.
+/// flows, median shift) plus the three `anomaly::engines`, in report
+/// order. Each earns its place: leaving any one out changes the first
+/// verdict or the drill-down outcome of some run (the leave-one-out
+/// test in `reference`).
 ///
 /// [`ReplayOutcome::alerts`] / `detected_at` are the
 /// [`anomaly::SynFloodDetector`]'s own alert stream.
 #[must_use]
 pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
+    Ensemble::new(ensemble_engines(cfg))
+}
+
+/// The engines [`build_ensemble`] runs, in report order.
+pub(crate) fn ensemble_engines(cfg: &ReplayConfig) -> Vec<Box<dyn Detector>> {
     let interval_ns = cfg.detector.interval_ns;
-    Ensemble::new(vec![
+    vec![
         Box::new(SynFloodDetector::new()),
         Box::new(StalledFlowDetector::new(StalledFlowConfig {
             interval_ns,
@@ -248,9 +255,7 @@ pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
         Box::new(CusumEngine::new()),
         Box::new(HoltWintersEngine::new()),
         Box::new(CardinalityEngine::new()),
-        Box::new(MultiScaleEngine::new()),
-        Box::new(AdaptiveEngine::new()),
-    ])
+    ]
 }
 
 /// Shard-count-invariant ensemble results of one replay run.

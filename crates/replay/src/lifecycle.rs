@@ -9,18 +9,17 @@
 //! shadow program, checkpoint ordinals, the report.
 //!
 //! - **Hot swaps** ([`SwapRequest`]) — replace the compiled data-plane
-//!   program, rewrite binding tables, and/or override ensemble engine
-//!   weights, atomically. Every component is vetted *before* anything
-//!   mutates: the proposed program must be symbolically equivalent to
-//!   the running shadow model ([`p4sim::check_equivalence`]), binding
-//!   rewrites must pass the rebind verifier ([`p4sim::vet_rebind`]),
-//!   and weight overrides must name real engines with sane values. One
-//!   failure rejects the whole request; the old configuration is
-//!   untouched (verified down to the generation counter by
-//!   `tests/lifecycle.rs`). A stale `expected_generation` — e.g. a
-//!   duplicate delivery injected by the `reconfig_storm` fault domain —
-//!   is rejected the same way, which makes commits idempotent under
-//!   control-channel duplication.
+//!   program and/or rewrite binding tables, atomically. Every component
+//!   is vetted *before* anything mutates: the proposed program must be
+//!   symbolically equivalent to the running shadow model
+//!   ([`p4sim::check_equivalence`]), and binding rewrites must pass the
+//!   rebind verifier ([`p4sim::vet_rebind`]). One failure rejects the
+//!   whole request; the old configuration is untouched (verified down
+//!   to the generation counter by `tests/lifecycle.rs`). A vetted
+//!   request commits by moving the vetted model in, which cannot fail.
+//!   A stale `expected_generation` — e.g. a duplicate delivery injected
+//!   by the `reconfig_storm` fault domain — is rejected the same way,
+//!   which makes commits idempotent under control-channel duplication.
 //! - **Checkpoints** — at a configurable epoch cadence the coordinator
 //!   writes a [`crate::ckpt::Checkpoint`]; see that module for the
 //!   crash-consistency discipline.
@@ -37,7 +36,6 @@
 
 use crate::ckpt::{self, Checkpoint};
 use crate::coordinator::{elapsed_ns, EpochCoordinator};
-use anomaly::Ensemble;
 use faultinject::FaultSchedule;
 use p4sim::{check_equivalence, vet_rebind, Pipeline, RuntimeRequest, SymbolicOptions};
 use std::ops::ControlFlow;
@@ -49,9 +47,8 @@ use workloads::Schedule;
 
 // ---- swaps ----------------------------------------------------------
 
-/// A drain-point reconfiguration request: any combination of a new
-/// compiled program, binding-table rewrites, and ensemble weight
-/// overrides, applied atomically or not at all.
+/// A drain-point reconfiguration request: a new compiled program,
+/// binding-table rewrites, or both, applied atomically or not at all.
 #[derive(Debug, Clone)]
 pub struct SwapRequest {
     /// Epoch ordinal (index into the run's interval sequence) at whose
@@ -66,9 +63,6 @@ pub struct SwapRequest {
     pub program: Option<Pipeline>,
     /// Binding-table rewrites, vetted as one transaction.
     pub bindings: Vec<RuntimeRequest>,
-    /// Ensemble weight overrides: `(engine name, Q16 weight)`; `None`
-    /// restores the engine's own weight.
-    pub weights: Vec<(String, Option<i64>)>,
 }
 
 /// The vetted effect of an accepted swap, computed without mutating
@@ -86,13 +80,12 @@ pub(crate) struct VettedSwap {
 /// # Errors
 ///
 /// The rejection reason: stale generation, a non-equivalent program
-/// (with the first counterexample noted), a binding transaction the
-/// rebind verifier refused, or an unknown/negative weight override.
+/// (with the first counterexample noted), or a binding transaction the
+/// rebind verifier refused.
 pub(crate) fn vet_swap(
     req: &SwapRequest,
     generation: u64,
     shadow: Option<&Pipeline>,
-    ensemble: &Ensemble,
 ) -> Result<VettedSwap, String> {
     if req.expected_generation != generation {
         return Err(format!(
@@ -100,7 +93,6 @@ pub(crate) fn vet_swap(
             req.expected_generation, generation
         ));
     }
-    ensemble.check_weight_overrides(&req.weights)?;
     let opts = SymbolicOptions::reduced();
     let mut parts: Vec<String> = Vec::new();
     let mut next: Option<Pipeline> = None;
@@ -147,9 +139,6 @@ pub(crate) fn vet_swap(
             req.bindings.len()
         ));
         next = Some(vetted);
-    }
-    if !req.weights.is_empty() {
-        parts.push(format!("{} weight override(s)", req.weights.len()));
     }
     if parts.is_empty() {
         parts.push(String::from("no-op reconfiguration"));
@@ -384,21 +373,8 @@ impl<'p> RunLifecycle<'p> {
         faults: &FaultSchedule,
     ) {
         let generation = self.report.generation;
-        match vet_swap(req, generation, self.shadow.as_ref(), &coord.ensemble) {
+        match vet_swap(req, generation, self.shadow.as_ref()) {
             Ok(vetted) => {
-                // `vet_swap` ran the same check, so a refusal here
-                // means vetting and commit disagree. Nothing has
-                // changed yet (the overrides are all-or-nothing and go
-                // first): say so loudly, commit nothing.
-                if let Err(e) = coord.ensemble.set_weight_overrides(&req.weights) {
-                    self.report.swap_errors += 1;
-                    self.report.push(
-                        k64,
-                        "swap_error",
-                        format!("vetted swap could not be applied, not committed: {e}"),
-                    );
-                    return;
-                }
                 if let Some(next) = vetted.shadow {
                     self.shadow = Some(next);
                 }
@@ -416,9 +392,7 @@ impl<'p> RunLifecycle<'p> {
                 // generation is now stale, so the duplicate vets to
                 // rejection: commits are idempotent.
                 if faults.duplicate_reconfig(self.swaps_committed) {
-                    if let Err(e) =
-                        vet_swap(req, generation + 1, self.shadow.as_ref(), &coord.ensemble)
-                    {
+                    if let Err(e) = vet_swap(req, generation + 1, self.shadow.as_ref()) {
                         coord.telemetry.swaps_rejected.inc();
                         self.report.swaps_rejected += 1;
                         self.report.push(k64, "stale_swap_rejected", e);
@@ -449,7 +423,7 @@ pub struct LifecycleEvent {
     pub epoch: u64,
     /// Stable machine tag: `checkpoint_written`, `checkpoint_error`,
     /// `checkpoint_fallback`, `killed`, `swap_committed`,
-    /// `swap_rejected`, `stale_swap_rejected`, `swap_error`, `resumed`.
+    /// `swap_rejected`, `stale_swap_rejected`, `resumed`.
     pub kind: String,
     /// Human-readable specifics.
     pub detail: String,
@@ -475,10 +449,6 @@ pub struct LifecycleReport {
     /// Swap requests rejected this run (vet failures + stale
     /// duplicates).
     pub swaps_rejected: u64,
-    /// Swap requests that passed vetting and then could not be
-    /// applied — vetting and commit disagree, which is a bug in one of
-    /// them; the request was not committed.
-    pub swap_errors: u64,
     /// Checkpoint ordinal this run resumed from, if it did.
     pub resumed_from: Option<u64>,
 }
@@ -489,7 +459,6 @@ json_struct!(LifecycleReport {
     checkpoints_written,
     swaps_committed,
     swaps_rejected,
-    swap_errors,
     resumed_from
 });
 
@@ -524,7 +493,6 @@ pub(crate) mod tests {
             checkpoints_written: 3,
             swaps_committed: 1,
             swaps_rejected: 2,
-            swap_errors: 1,
             resumed_from: Some(1),
             ..LifecycleReport::default()
         };

@@ -333,14 +333,12 @@ fn swap_demo_requests(at_epoch: u64) -> (p4sim::Pipeline, Vec<SwapRequest>) {
             expected_generation: 0,
             program: Some(equivalent.pipeline),
             bindings: Vec::new(),
-            weights: Vec::new(),
         },
         SwapRequest {
             at_epoch,
             expected_generation: 1,
             program: Some(poisoned.pipeline),
             bindings: Vec::new(),
-            weights: Vec::new(),
         },
     ];
     (base.pipeline, swaps)
@@ -365,9 +363,6 @@ fn print_lifecycle(report: &LifecycleReport) {
             }
             "checkpoint_error" => {
                 println!("lifecycle: checkpoint error at epoch {}: {}", ev.epoch, ev.detail)
-            }
-            "swap_error" => {
-                println!("lifecycle: SWAP ERROR at epoch {}: {}", ev.epoch, ev.detail)
             }
             _ => {}
         }
@@ -568,12 +563,19 @@ fn main() {
     // so a flood of alerts doesn't drown the summary.
     const PROVENANCE_SHOWN: usize = 5;
     for rec in out.provenance.iter().take(PROVENANCE_SHOWN) {
+        let fired: Vec<&str> = rec
+            .provenance
+            .engines
+            .iter()
+            .filter(|e| e.fired)
+            .map(|e| e.engine.as_str())
+            .collect();
         println!(
-            "provenance: alert {} at epoch {} — cause {:?}, {} shard(s) delivered, \
+            "provenance: alert {} at epoch {} — fired {}, {} shard(s) delivered, \
              {} carried epoch(s), {} rebind tx(s)",
             rec.id,
             rec.lineage.epoch,
-            rec.provenance.cause,
+            fired.join("+"),
             rec.lineage.delivered_shards.len(),
             rec.lineage.carried_epochs.len(),
             rec.drilldown.len(),
@@ -645,7 +647,7 @@ fn main() {
     // A kill or swap aimed past the run's last drain point did nothing:
     // refuse it, as a fault aimed at a shard the run lacks is refused.
     let killed = lifecycle.events.iter().any(|e| e.kind == "killed");
-    let swapped = lifecycle.swaps_committed + lifecycle.swaps_rejected + lifecycle.swap_errors > 0;
+    let swapped = lifecycle.swaps_committed + lifecycle.swaps_rejected > 0;
     let missed = [
         ("--kill-at-epoch", opts.kill_at_epoch.filter(|_| !killed)),
         ("--swap-demo", opts.swap_demo.filter(|_| !swapped)),

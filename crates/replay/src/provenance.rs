@@ -1,8 +1,8 @@
 //! Alert provenance: the full causal record behind each drilldown
 //! trigger a replay run fired.
 //!
-//! When the ensemble (or its combined weighted score) pulls the
-//! drilldown trigger at an epoch barrier, the engines capture one
+//! When an engine's fire pulls the drilldown trigger at an epoch
+//! barrier, the engines capture one
 //! [`AlertProvenanceRecord`]: the merged signals every engine read,
 //! each engine's score against its threshold at fire time
 //! ([`anomaly::AlertProvenance`]), the epoch's *lineage* — which shard
@@ -17,8 +17,7 @@
 //! beside it, and a run snapshot and a checkpoint carry the same one.
 
 use crate::{IncidentKind, ShardIncident};
-use anomaly::{AlertProvenance, DrillOutcome, EnsembleVerdict, RebindTransaction, SignalContext,
-    SignalValues};
+use anomaly::{AlertProvenance, EnsembleVerdict, RebindTransaction, SignalContext, SignalValues};
 use telemetry::json_struct;
 
 /// A quarantine event referenced from an alert's lineage, with the
@@ -103,7 +102,8 @@ pub struct LineageSources<'a> {
 pub struct AlertProvenanceRecord {
     /// Ordinal of the record within the run (stable alert id).
     pub id: u64,
-    /// Per-engine scores, signals and trigger cause at fire time.
+    /// Per-engine scores and signals at fire time; the engines marked
+    /// `fired` pulled the trigger.
     pub provenance: AlertProvenance,
     /// How the firing report was assembled.
     pub lineage: EpochLineage,
@@ -115,24 +115,21 @@ pub struct AlertProvenanceRecord {
 json_struct!(AlertProvenanceRecord { id, provenance, lineage, drilldown });
 
 impl AlertProvenanceRecord {
-    /// Captures one record at the detect site. Both replay engines
-    /// call this with identical inputs, which is what keeps provenance
-    /// on the bit-identity surface.
+    /// Captures one record at the detect site, with the rebind
+    /// `transactions` the trigger caused. Both replay engines call this
+    /// with identical inputs, which is what keeps provenance on the
+    /// bit-identity surface.
     #[must_use]
     pub fn capture(
         id: u64,
         ctx: &SignalContext<'_>,
         verdict: &EnsembleVerdict,
-        outcome: DrillOutcome,
+        transactions: Vec<RebindTransaction>,
         sources: LineageSources<'_>,
     ) -> Self {
-        let DrillOutcome {
-            cause,
-            transactions,
-        } = outcome;
         Self {
             id,
-            provenance: AlertProvenance::assemble(SignalValues::capture(ctx), verdict, cause),
+            provenance: AlertProvenance::assemble(SignalValues::capture(ctx), verdict),
             lineage: EpochLineage {
                 epoch: verdict.epoch,
                 delivered_shards: sources.delivered_shards,

@@ -53,14 +53,24 @@ pub fn run_replay_with_faults(
     cfg: &ReplayConfig,
     faults: &FaultSchedule,
 ) -> ReplayOutcome {
-    let mut coord = EpochCoordinator::fresh(cfg);
+    drive(EpochCoordinator::fresh(cfg), schedule, faults)
+}
+
+/// Runs `schedule` through `coord` to the end: the reference engine's
+/// loop, whatever ensemble `coord` judges with.
+fn drive(
+    mut coord: EpochCoordinator,
+    schedule: &Schedule,
+    faults: &FaultSchedule,
+) -> ReplayOutcome {
+    let shards = coord.cfg.shards;
     let started = Instant::now();
     // For the whole run: the per-shard frames (on one shard, the epoch
     // itself), `route_epoch`'s per-home targets, and what each ingested
     // shard's epoch came to.
-    let mut work: Vec<EpochFrames<'_>> = vec![EpochFrames::default(); cfg.shards];
-    let mut targets = Vec::with_capacity(cfg.shards);
-    let mut ingested: Vec<(usize, Ingested)> = Vec::with_capacity(cfg.shards);
+    let mut work: Vec<EpochFrames<'_>> = vec![EpochFrames::default(); shards];
+    let mut targets = Vec::with_capacity(shards);
+    let mut ingested: Vec<(usize, Ingested)> = Vec::with_capacity(shards);
 
     for (epoch_idx, range) in coord.epoch_ranges(schedule) {
         let epoch_frames = &schedule[range];
@@ -111,10 +121,14 @@ pub fn run_replay_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{render_outcome_json, ShardIncident};
+    use crate::{build_ensemble, ensemble_engines, render_outcome_json, ShardIncident};
+    use anomaly::Ensemble;
     use std::sync::{Arc, Mutex};
     use std::thread::{self, ThreadId};
-    use workloads::SynFloodWorkload;
+    use workloads::{
+        CardinalitySpikeWorkload, LowSlowScanWorkload, PacketMixWorkload, SeasonalDriftWorkload,
+        SynFloodWorkload,
+    };
 
     /// The threads each injected panic fired on, in order, while `run`
     /// runs. Those panics are kept off stderr; any other goes to the
@@ -173,6 +187,165 @@ mod tests {
             assert_eq!(on.len(), panicked.len(), "{spec}");
             assert!(!on.contains(&thread::current().id()), "{spec}: the pool's fire on its workers");
             assert_eq!(render_outcome_json(&refr), render_outcome_json(&pool), "{spec}");
+        }
+    }
+
+    /// The `replay` binary's workload of that name.
+    fn cli_workload(name: &str) -> Schedule {
+        match name {
+            "synflood" => {
+                SynFloodWorkload {
+                    background_cps: 500,
+                    flood_pps: 50_000,
+                    flood_start: 400_000_000,
+                    duration: 900_000_000,
+                    seed: 4,
+                    ..SynFloodWorkload::default()
+                }
+                .generate()
+                .0
+            }
+            "mix" => {
+                PacketMixWorkload {
+                    packets: 100_000,
+                    ..PacketMixWorkload::default()
+                }
+                .generate()
+                .0
+            }
+            "seasonal" => SeasonalDriftWorkload::default().generate(),
+            "scan" => LowSlowScanWorkload::default().generate().0,
+            "cardinality" => CardinalitySpikeWorkload::default().generate(),
+            other => panic!("no workload {other:?}"),
+        }
+    }
+
+    /// A run that needs `engine`: leaving it out moves the first
+    /// verdict from `first` to `first_without`, or loses the rebind
+    /// `lost_rebind` from the drill-down.
+    struct Witness {
+        engine: &'static str,
+        workload: &'static str,
+        shards: usize,
+        faults: &'static str,
+        fault_seed: u64,
+        first: Option<u64>,
+        first_without: Option<u64>,
+        lost_rebind: Option<(u64, &'static str, &'static str)>,
+    }
+
+    /// What a run decided: the first verdict's epoch and every rebind
+    /// as `(epoch, from, to)`.
+    type Decided = (Option<u64>, Vec<(u64, String, String)>);
+
+    fn decided(out: &ReplayOutcome) -> Decided {
+        let first = out.provenance.first().map(|r| r.provenance.epoch);
+        let rebinds = out.provenance.iter().flat_map(|r| &r.drilldown);
+        (
+            first,
+            rebinds
+                .map(|t| (t.epoch, t.from_phase.clone(), t.to_phase.clone()))
+                .collect(),
+        )
+    }
+
+    /// Every engine `build_ensemble` runs decides something no other
+    /// engine does: on its witness run, leaving it out changes the
+    /// first verdict or the drill-down. An engine without a witness
+    /// fails here. The SYN-flood detector is exempt: its alert stream
+    /// is `ReplayOutcome::alerts`, which `tests/preservation.rs` pins.
+    #[test]
+    fn every_engine_changes_a_verdict_when_left_out() {
+        let witnesses = [
+            Witness {
+                engine: "stalled",
+                workload: "mix",
+                shards: 4,
+                faults: "shard_crash=0@10,ctrl_loss=0.1",
+                fault_seed: 1,
+                first: Some(11),
+                first_without: Some(62),
+                lost_rebind: None,
+            },
+            Witness {
+                engine: "median_shift",
+                workload: "synflood",
+                shards: 4,
+                faults: "ctrl_loss=0.5",
+                fault_seed: 3,
+                first: Some(42),
+                first_without: Some(42),
+                lost_rebind: Some((86, "prefix", "subnets")),
+            },
+            Witness {
+                engine: "cusum",
+                workload: "scan",
+                shards: 2,
+                faults: "",
+                fault_seed: 0,
+                first: Some(58),
+                first_without: None,
+                lost_rebind: None,
+            },
+            Witness {
+                engine: "holtwinters",
+                workload: "seasonal",
+                shards: 2,
+                faults: "",
+                fault_seed: 0,
+                first: Some(64),
+                first_without: None,
+                lost_rebind: None,
+            },
+            Witness {
+                engine: "cardinality",
+                workload: "cardinality",
+                shards: 2,
+                faults: "",
+                fault_seed: 0,
+                first: Some(40),
+                first_without: None,
+                lost_rebind: None,
+            },
+        ];
+        for engine in build_ensemble(&ReplayConfig::default()).names() {
+            if engine == "synflood" {
+                continue;
+            }
+            let w = witnesses
+                .iter()
+                .find(|w| w.engine == engine)
+                .unwrap_or_else(|| panic!("engine {engine:?} has no witness run"));
+            let cfg = ReplayConfig {
+                shards: w.shards,
+                ..ReplayConfig::default()
+            };
+            let schedule = cli_workload(w.workload);
+            let faults = FaultSchedule::parse(w.faults, w.fault_seed).unwrap();
+            let with = decided(&drive(EpochCoordinator::fresh(&cfg), &schedule, &faults));
+            let mut coord = EpochCoordinator::fresh(&cfg);
+            let rest = ensemble_engines(&cfg)
+                .into_iter()
+                .filter(|e| e.name() != engine);
+            coord.ensemble = Ensemble::new(rest.collect());
+            let without = decided(&drive(coord, &schedule, &faults));
+
+            assert_ne!(with, without, "{engine}: leaving it out changes nothing");
+            assert_eq!(
+                (with.0, without.0),
+                (w.first, w.first_without),
+                "{engine}: first verdict"
+            );
+            let mut kept = with.1.clone();
+            if let Some((epoch, from, to)) = w.lost_rebind {
+                let lost = (epoch, from.to_string(), to.to_string());
+                let at = kept.iter().position(|t| *t == lost);
+                kept.remove(at.unwrap_or_else(|| panic!("{engine}: no rebind {lost:?}")));
+                assert_eq!(
+                    without.1, kept,
+                    "{engine}: the drill-down loses {lost:?} alone"
+                );
+            }
         }
     }
 }

@@ -184,7 +184,7 @@ pub fn parse_outcome_json(text: &str) -> Result<RunSnapshot, String> {
 pub(crate) mod tests {
     use super::*;
     use crate::provenance::EpochLineage;
-    use anomaly::{AlertProvenance, EngineAtFire, RebindTransaction, SignalValues, TriggerCause};
+    use anomaly::{AlertProvenance, EngineAtFire, RebindTransaction, SignalValues};
 
     /// One of everything a snapshot can hold; `ckpt`'s generic
     /// round-trip test takes it apart type by type.
@@ -200,25 +200,21 @@ pub(crate) mod tests {
             distinct_sources: 37,
             median_len: 60,
         };
-        let cause = TriggerCause::EnginesFired(vec![String::from("synflood")]);
         let record = AlertProvenanceRecord {
             id: 0,
             provenance: AlertProvenance {
                 at: 2_000_000,
                 epoch: 1,
                 signals,
-                combined_q16: 80_000,
                 engines: vec![EngineAtFire {
                     engine: String::from("synflood"),
                     score: 131_072,
                     threshold_q16: 65_536,
                     confidence: 65_536,
-                    weight: 65_536,
                     expected: 100,
                     observed: 450,
                     fired: true,
                 }],
-                cause: cause.clone(),
             },
             lineage: EpochLineage {
                 epoch: 1,
@@ -239,10 +235,6 @@ pub(crate) mod tests {
                 from_phase: String::from("prefix"),
                 to_phase: String::from("subnets"),
                 binds: 16,
-                cause: TriggerCause::CombinedScore {
-                    combined_q16: 50_000,
-                    threshold_q16: 49_152,
-                },
             }],
         };
         RunSnapshot {
@@ -300,9 +292,9 @@ pub(crate) mod tests {
     fn parse_reports_the_offending_path() {
         let snap = sample_snapshot();
         let text = json::write(&snap);
-        let broken = text.replace("\"combined_q16\":80000", "\"combined_q17\":80000");
+        let broken = text.replace("\"rerouted_frames\":17", "\"rerouted_framez\":17");
         let err = parse_outcome_json(&broken).expect_err("missing field must fail");
-        assert!(err.contains("combined_q16"), "unhelpful error: {err}");
+        assert!(err.contains("rerouted_frames"), "unhelpful error: {err}");
         assert!(err.contains("$.provenance[0]"), "no path in error: {err}");
     }
 

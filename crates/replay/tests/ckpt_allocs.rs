@@ -3,12 +3,13 @@
 //!
 //! A checkpoint is streamed into one `String`, each shard register
 //! file as its non-zero cells. Serializing the newest checkpoint of a
-//! short killed run on two shards (38 928 cells in memory, 5 708 bytes
-//! on disk) makes 9 allocations: the header, the 7 doublings that take
-//! the buffer from its 53 bytes to 6.8 kB, and the one
+//! short killed run on two shards (38 928 cells in memory, 4 509 bytes
+//! on disk; 5 708 while the ensemble held eight engines, weights and a
+//! combined score) makes 9 allocations: the header, the 7 doublings
+//! that take the buffer from its 53 bytes to 6.8 kB, and the one
 //! `ShardIncident`'s kind tag (16 while that incident was written
 //! through a tree it built). On four shards there are twice the cells
-//! in 6 463 bytes and the count is 9 again. The checksum's sixteen
+//! in 5 264 bytes (6 463) and the count is 9 again. The checksum's sixteen
 //! digits are written over their placeholder in that buffer; while
 //! `format!` wrote them into a `String` of their own, the counts were
 //! 10 and 11, the one more on four shards because that checksum begins
@@ -25,8 +26,10 @@
 //! and strings of the `Checkpoint` (each register file allocated once,
 //! at the length a fresh shard's geometry gives it; every other vector
 //! grown by doubling) and the text of the `ensemble` and `drill`
-//! members: 36 allocations and 302 270 bytes asked for on two shards,
-//! 44 and 599 358 on four, whatever the checksum's first digit (37 and
+//! members: 32 allocations and 301 051 bytes asked for on two shards,
+//! 40 and 598 139 on four, whatever the checksum's first digit (36 and
+//! 302 270, 44 and 599 358 while the ensemble held eight engines and
+//! provenance a combined score, a trigger cause and engine weights; 37 and
 //! 302 286, 46 and 599 374 while the checksum read was compared with
 //! one `format!` wrote, padded on four shards; 37 and 302 325, 45 and
 //! 599 413 while the ensemble's text held
@@ -123,7 +126,7 @@ fn serialize_allocates_for_the_buffer_and_nothing_per_cell() {
 #[test]
 fn parse_allocates_for_the_values_and_no_node_per_cell() {
     let _turn = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (shards, want_allocs, want_bytes) in [(2, 36, 302_270), (4, 44, 599_358)] {
+    for (shards, want_allocs, want_bytes) in [(2, 32, 301_051), (4, 40, 598_139)] {
         let doc = ckpt::serialize(&newest_checkpoint(shards));
         let (parsed, allocs, bytes) = count(|| ckpt::parse(&doc));
         assert_eq!(ckpt::serialize(&parsed.expect("own serialization parses")), doc);
@@ -133,9 +136,10 @@ fn parse_allocates_for_the_values_and_no_node_per_cell() {
 }
 
 /// What `Checkpoint::rebuild_detection` allocates: the detectors it
-/// builds (35 allocations, 58 216 bytes, on two shards) and the values
-/// it reads into them. On the newest two-shard checkpoint that is 109
-/// allocations for 114 103 bytes; 110 for 114 279 while the ensemble's
+/// builds (26 allocations, 48 552 bytes, on two shards) and the values
+/// it reads into them. On the newest two-shard checkpoint that is 78
+/// allocations for 95 283 bytes; 109 for 114 103 while the ensemble ran
+/// eight engines with weight overrides; 110 for 114 279 while the ensemble's
 /// text held the fired log and the stalled and shift detectors' alert
 /// lists. While the ensemble's reader copied each engine's state out of
 /// its entry as text and lexed that again, it was 128 for 149 721.
@@ -150,6 +154,6 @@ fn rebuild_reads_each_engine_state_where_it_lies() {
     let (rebuilt, allocs, bytes) = count(|| c.rebuild_detection(&cfg));
     let (ensemble, _) = rebuilt.expect("own export imports");
     assert_eq!(Raw::of(|out| ensemble.export_state(out)), c.ensemble);
-    assert!(allocs <= 109, "{allocs} allocations; the copying reader made 128");
-    assert!(bytes <= 114_103, "{bytes} bytes; the copying reader asked for 149 721");
+    assert!(allocs <= 78, "{allocs} allocations; the copying reader made 128");
+    assert!(bytes <= 95_283, "{bytes} bytes; the copying reader asked for 149 721");
 }

@@ -140,7 +140,8 @@ fn the_one_pass_read_of_every_checkpoint_type_takes_damage_cleanly() {
     let plan = LifecyclePlan {
         checkpoint_dir: Some(dir.clone()),
         checkpoint_every: 2,
-        kill_at_epoch: Some(21),
+        // The last drain point: the first alert is at epoch 22.
+        kill_at_epoch: Some(24),
         faults_spec: String::from(spec),
         ..LifecyclePlan::none()
     };
@@ -150,7 +151,7 @@ fn the_one_pass_read_of_every_checkpoint_type_takes_damage_cleanly() {
         &FaultSchedule::parse(spec, 3).unwrap(),
         &plan,
     );
-    assert_eq!(report.checkpoints_written, 10);
+    assert_eq!(report.checkpoints_written, 12);
     let (c, _) = ckpt::load_latest(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert!(

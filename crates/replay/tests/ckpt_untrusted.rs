@@ -286,12 +286,12 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
         ),
         (
             "negative count",
-            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "6", "state", "1", "count"]) = Json::Int(-2)),
+            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "1", "state", "window", "filled"]) = Json::Int(-2)),
             None,
         ),
         (
             "unknown engine name",
-            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "7", "name"]) = Json::Str("entropy".into())),
+            |c| tampered(&mut c.ensemble, |s| *at(s, &["engines", "5", "name"]) = Json::Str("entropy".into())),
             None,
         ),
         (

@@ -20,7 +20,8 @@
 //! CI smoke: it fails if any workload is caught by zero engines or by
 //! more than one.
 
-use replay::{run_replay, EnsembleReport, ReplayConfig, ReplayOutcome};
+use faultinject::FaultSchedule;
+use replay::{run_replay, run_replay_with_faults, EnsembleReport, ReplayConfig, ReplayOutcome};
 use workloads::{
     CardinalitySpikeWorkload, LowSlowScanWorkload, Schedule, SeasonalDriftWorkload,
 };
@@ -193,4 +194,39 @@ fn synflood_still_caught_by_the_lifted_engine() {
     let syn = out.ensemble.engine("synflood").expect("synflood row");
     assert!(syn.fires > 0, "the lifted engine must still catch floods");
     assert_eq!(syn.first_fired_at, out.detected_at);
+}
+
+/// A verdict is an engine's fire: under report loss, seasonal load on
+/// four shards raises no alert before the phase drift at epoch 64 (an
+/// average score over every engine once pulled the trigger at epochs
+/// 24-42), and every provenance record names an engine that fired.
+/// The first verdict at 56 is Holt-Winters under report loss.
+#[test]
+fn seasonal_chaos_alerts_only_on_an_engine_fire() {
+    let schedule = SeasonalDriftWorkload::default().generate();
+    let cfg = ReplayConfig {
+        shards: 4,
+        ..ReplayConfig::default()
+    };
+    let runs = [
+        ("shard_crash=1@3,ctrl_loss=0.30", 3, Some(75)),
+        ("ctrl_loss=0.5", 1, Some(104)),
+        ("ctrl_loss=0.5", 3, None),
+        ("shard_crash=0@10,ctrl_loss=0.1", 1, Some(69)),
+        ("shard_crash=0@10,ctrl_loss=0.1", 2, Some(56)),
+        ("shard_crash=0@10,ctrl_loss=0.1", 3, Some(56)),
+    ];
+    for (spec, seed, first) in runs {
+        let faults = FaultSchedule::parse(spec, seed).unwrap();
+        let out = run_replay_with_faults(&schedule, &cfg, &faults);
+        let verdicts: Vec<u64> = out.provenance.iter().map(|r| r.provenance.epoch).collect();
+        assert_eq!(verdicts.first().copied(), first, "{spec} seed {seed}: first verdict");
+        for r in &out.provenance {
+            assert!(
+                r.provenance.engines.iter().any(|e| e.fired),
+                "{spec} seed {seed}: the record at epoch {} names no fired engine",
+                r.provenance.epoch
+            );
+        }
+    }
 }

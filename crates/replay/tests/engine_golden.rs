@@ -240,7 +240,6 @@ fn documents_match_recorded_bytes() {
         checkpoints_written: 3,
         swaps_committed: 2,
         swaps_rejected: 1,
-        swap_errors: 1,
         resumed_from: Some(1),
         ..LifecycleReport::default()
     };

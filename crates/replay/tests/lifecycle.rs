@@ -213,7 +213,6 @@ fn rejected_swap_leaves_outcome_and_generation_untouched() {
             expected_generation: 0,
             program: Some(poisoned.pipeline),
             bindings: Vec::new(),
-            weights: Vec::new(),
         }],
         faults_spec: String::from(CHAOS),
         ..LifecyclePlan::none()
@@ -260,7 +259,6 @@ fn accepted_swap_bumps_generation_without_changing_the_outcome() {
             expected_generation: 0,
             program: Some(recompile.pipeline),
             bindings: Vec::new(),
-            weights: Vec::new(),
         }],
         ..LifecyclePlan::none()
     };
@@ -294,7 +292,6 @@ fn storm_redelivered_swap_is_rejected_as_stale() {
             expected_generation: 0,
             program: Some(recompile.pipeline),
             bindings: Vec::new(),
-            weights: Vec::new(),
         }],
         faults_spec: String::from(spec),
         ..LifecyclePlan::none()

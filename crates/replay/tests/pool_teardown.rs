@@ -135,7 +135,6 @@ fn faulted_pool_runs_tear_down_without_leaking_workers() {
             expected_generation: 1,
             program: None,
             bindings: Vec::new(),
-            weights: Vec::new(),
         }],
         faults_spec: String::from(spec),
         ..LifecyclePlan::none()

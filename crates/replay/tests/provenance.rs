@@ -37,9 +37,9 @@ fn flood_alert_carries_its_provenance() {
     );
     for (i, rec) in out.provenance.iter().enumerate() {
         assert_eq!(rec.id, i as u64, "ids are dense and ordered");
-        // The record quotes a real ensemble verdict: some engine fired
-        // or the combined score crossed, and the quoted engine rows
-        // include at least one that actually fired.
+        // The record quotes a real ensemble verdict: the quoted engine
+        // rows include at least one that fired, which pulled the
+        // trigger.
         assert!(
             rec.provenance.engines.iter().any(|e| e.fired),
             "record {i} cites no firing engine: {rec:?}"

@@ -75,23 +75,10 @@ impl Ewma {
         self.acc
     }
 
-    /// True once at least one sample was seen.
-    #[must_use]
-    pub fn is_seeded(&self) -> bool {
-        self.seeded
-    }
-
     /// The configured shift.
     #[must_use]
     pub fn shift(&self) -> u32 {
         self.shift
-    }
-
-    /// Reloads the accumulator exported by [`Self::raw`] and
-    /// [`Self::is_seeded`], keeping the configured shift.
-    pub fn restore(&mut self, acc: i64, seeded: bool) {
-        self.acc = acc;
-        self.seeded = seeded;
     }
 
     /// Resets to the unseeded state.
@@ -109,10 +96,10 @@ mod tests {
     #[test]
     fn seeds_at_first_sample() {
         let mut e = Ewma::new(3);
-        assert!(!e.is_seeded());
+        assert!(!e.seeded);
         assert_eq!(e.value(), 0);
         e.update(100);
-        assert!(e.is_seeded());
+        assert!(e.seeded);
         assert_eq!(e.value(), 100, "no warm-up bias");
     }
 
@@ -167,7 +154,7 @@ mod tests {
         let mut e = Ewma::new(3);
         e.update(5);
         e.reset();
-        assert!(!e.is_seeded());
+        assert!(!e.seeded);
         assert_eq!(e.value(), 0);
     }
 
@@ -213,19 +200,5 @@ mod tests {
             let diff = (e.value() as f64 - f).abs();
             prop_assert!(diff <= 2.0, "fixed {} float {f}", e.value());
         }
-    }
-
-    #[test]
-    fn restored_accumulator_continues_the_same_average() {
-        let mut live = Ewma::new(3);
-        for x in [100, 140, 90] {
-            live.update(x);
-        }
-        let mut back = Ewma::new(3);
-        back.restore(live.raw(), live.is_seeded());
-        assert_eq!(back, live);
-        back.update(77);
-        live.update(77);
-        assert_eq!(back, live);
     }
 }

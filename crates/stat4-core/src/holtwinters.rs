@@ -90,7 +90,7 @@ impl HoltWinters {
 
     /// True once one full season has seeded the model.
     #[must_use]
-    pub fn is_seeded(&self) -> bool {
+    pub(crate) fn is_seeded(&self) -> bool {
         self.seed_buf.len() >= self.season_len
     }
 

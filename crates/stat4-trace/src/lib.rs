@@ -23,9 +23,6 @@ use std::fmt::Write as _;
 use replay::{LifecycleReport, RunSnapshot};
 use telemetry::{TraceDoc, COORDINATOR_TID};
 
-/// Q16 fixed-point unit — matches the anomaly crate's scale.
-const Q16: i64 = 1 << 16;
-
 /// Human name for a recording thread id.
 #[must_use]
 pub(crate) fn thread_name(tid: u64) -> String {
@@ -235,24 +232,18 @@ pub fn explain(snap: &RunSnapshot, id: u64) -> Result<String, String> {
         p.epoch,
         fmt_ns(p.at)
     );
-    let _ = writeln!(out, "cause: {}", describe_cause(&p.cause));
-    let _ = writeln!(
-        out,
-        "combined ensemble score: {} (Q16 {}, trigger unit {Q16})",
-        fmt_q16(p.combined_q16),
-        p.combined_q16
-    );
+    let fired: Vec<&str> = p.engines.iter().filter(|e| e.fired).map(|e| e.engine.as_str()).collect();
+    let _ = writeln!(out, "cause: engine(s) fired: {}", fired.join(", "));
     let _ = writeln!(out, "engines at fire time:");
     for e in &p.engines {
         let verdict = if e.fired { "FIRED" } else { "quiet" };
         let _ = writeln!(
             out,
-            "  {:>12}  {verdict:<5} score {} vs threshold {}  (confidence {}, weight {}, expected {}, observed {})",
+            "  {:>12}  {verdict:<5} score {} vs threshold {}  (confidence {}, expected {}, observed {})",
             e.engine,
             fmt_q16(e.score),
             fmt_q16(e.threshold_q16),
             fmt_q16(e.confidence),
-            fmt_q16(e.weight),
             e.expected,
             e.observed,
         );
@@ -309,13 +300,12 @@ pub fn explain(snap: &RunSnapshot, id: u64) -> Result<String, String> {
         for t in &rec.drilldown {
             let _ = writeln!(
                 out,
-                "  gen {} at {}: {} -> {} ({} bind(s), cause {})",
+                "  gen {} at {}: {} -> {} ({} bind(s))",
                 t.generation,
                 fmt_ns(t.at),
                 t.from_phase,
                 t.to_phase,
                 t.binds,
-                describe_cause(&t.cause),
             );
         }
     }
@@ -342,7 +332,6 @@ pub fn lifecycle_story(report: &LifecycleReport) -> String {
             "swap_committed" => format!("swap committed ({})", ev.detail),
             "swap_rejected" => format!("swap REJECTED: {}", ev.detail),
             "stale_swap_rejected" => format!("stale swap rejected: {}", ev.detail),
-            "swap_error" => format!("swap ERROR: {}", ev.detail),
             other => format!("{other}: {}", ev.detail),
         };
         let _ = writeln!(out, "  epoch {:>4}  {line}", ev.epoch);
@@ -359,30 +348,7 @@ pub fn lifecycle_story(report: &LifecycleReport) -> String {
             None => String::new(),
         },
     );
-    if report.swap_errors > 0 {
-        let _ = writeln!(
-            out,
-            "  {} vetted swap(s) could NOT be applied: vetting and commit disagree",
-            report.swap_errors
-        );
-    }
     out
-}
-
-fn describe_cause(c: &anomaly::TriggerCause) -> String {
-    match c {
-        anomaly::TriggerCause::EnginesFired(names) => {
-            format!("engine(s) fired: {}", names.join(", "))
-        }
-        anomaly::TriggerCause::CombinedScore {
-            combined_q16,
-            threshold_q16,
-        } => format!(
-            "combined score {} crossed threshold {}",
-            fmt_q16(*combined_q16),
-            fmt_q16(*threshold_q16)
-        ),
-    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! interval, the second at `low_rate`. Anomaly: from `drift_start`
 //! (season-aligned) the halves swap. Mean, variance, packet sizes,
 //! kinds and source set are all exactly preserved — per-interval
-//! bands, multi-scale sums (the period divides every scale), CUSUM,
-//! cardinality and length engines see nothing. Only a seasonal
+//! bands, CUSUM, cardinality and length engines see nothing. Only a seasonal
 //! forecaster, which knows *which phase* each interval is in, sees a
 //! full-swing residual.
 
