@@ -26,12 +26,10 @@
 //! without firing, which is exactly the gap the detection-delay
 //! histogram measures. The three Table 1 detectors (SYN flood, shift,
 //! stalled) report a saturated score (`2·Q16` on fire, `0` otherwise)
-//! because their checks are booleans, not margins — their alert
-//! streams are the behavioral contract.
+//! because their checks are booleans, not margins.
 
-use crate::metrics::{Check, DetectorMetrics};
+use crate::metrics::DetectorMetrics;
 use stat4_core::{FrequencyDist, RunningStats};
-use std::any::Any;
 use telemetry::json::{need, read_obj, write_obj, At, FromJson, Lexer, Raw, ToJson};
 use telemetry::{json_struct, Json, Snapshot};
 
@@ -171,10 +169,6 @@ pub trait Detector {
     /// phase outside the season, a negative count). The engine is then
     /// part-loaded and must be discarded.
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String>;
-
-    /// Typed access for callers that need an engine's extra state
-    /// (e.g. the SYN-flood detector's alert stream).
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// An owned snapshot of the scalar fields of a [`SignalContext`] —
@@ -336,19 +330,18 @@ pub struct EngineSummary {
 }
 
 /// One engine's entry in [`Ensemble::export_state`]: its name, its own
-/// state, metrics, fire count and first fire, each borrowed from the
-/// ensemble and written where it lies. The name comes first, so a
-/// reader knows the engine before it reaches the state
-/// ([`Ensemble::import_state`] reads the entry member by member).
+/// state, metrics (its fire count among them) and first fire, each
+/// borrowed from the ensemble and written where it lies. The name
+/// comes first, so a reader knows the engine before it reaches the
+/// state ([`Ensemble::import_state`] reads the entry member by member).
 struct EngineEntry<'a> {
     name: &'static str,
     state: StateOf<'a>,
     metrics: &'a DetectorMetrics,
-    fires: u64,
     first_fired: Option<u64>,
 }
 
-json_struct!(@write EngineEntry<'_> { name, state, metrics, fires, first_fired });
+json_struct!(@write EngineEntry<'_> { name, state, metrics, first_fired });
 
 /// An engine's [`Detector::export_state`], written in place.
 struct StateOf<'a>(&'a dyn Detector);
@@ -367,7 +360,6 @@ pub struct Ensemble {
     /// parallel to the engine list.
     pub metrics: Vec<DetectorMetrics>,
     first_fired: Vec<Option<u64>>,
-    fires: Vec<u64>,
     /// Every fired result, in interval order then engine order — the
     /// determinism regression surface. Held in memory only: a
     /// checkpoint keeps it as provenance, and [`Self::log_fired`]
@@ -393,7 +385,6 @@ impl Ensemble {
             engines,
             metrics: (0..n).map(|_| DetectorMetrics::new()).collect(),
             first_fired: vec![None; n],
-            fires: vec![0; n],
             fired_log: Vec::new(),
         }
     }
@@ -402,15 +393,6 @@ impl Ensemble {
     #[must_use]
     pub fn names(&self) -> Vec<&'static str> {
         self.engines.iter().map(|e| e.name()).collect()
-    }
-
-    /// Typed access to an engine by name.
-    #[must_use]
-    pub fn engine<T: 'static>(&self, name: &str) -> Option<&T> {
-        self.engines
-            .iter()
-            .find(|e| e.name() == name)
-            .and_then(|e| e.as_any().downcast_ref::<T>())
     }
 
     /// Feeds one interval to every engine and collects the results.
@@ -425,8 +407,7 @@ impl Ensemble {
             // Episode clock: raw (ungated) anomaly = score past Q16.
             self.metrics[i].signal(ctx.at, result.score >= Q16);
             if result.fired {
-                self.metrics[i].fired(Check::Rate, ctx.at);
-                self.fires[i] += 1;
+                self.metrics[i].fired(ctx.at);
                 self.first_fired[i].get_or_insert(ctx.at);
                 fired.push(result);
             }
@@ -443,15 +424,14 @@ impl Ensemble {
 
     /// Appends the whole ensemble to `out` as JSON, `{"engines":[..]}`
     /// in report order: per engine its [`Detector::export_state`],
-    /// metrics, fire count and first fire. The fired log is not
-    /// written: every fired result is in the provenance of the trigger
-    /// it pulled, and [`Self::log_fired`] reads it back from there.
+    /// metrics and first fire. The fired log is not written: every
+    /// fired result is in the provenance of the trigger it pulled, and
+    /// [`Self::log_fired`] reads it back from there.
     pub fn export_state(&self, out: &mut String) {
         let engines = self.engines.iter().enumerate().map(|(i, e)| EngineEntry {
             name: e.name(),
             state: StateOf(e.as_ref()),
             metrics: &self.metrics[i],
-            fires: self.fires[i],
             first_fired: self.first_fired[i],
         });
         write_obj(out, [("engines", &engines.collect::<Vec<_>>() as &dyn ToJson)]);
@@ -537,7 +517,7 @@ impl Ensemble {
             let at = At::Idx(&at, i);
             // `Some(None)`: the state went straight into the engine.
             let mut state: Option<Option<Raw>> = None;
-            let (mut name, mut metrics, mut fires, mut first_fired) = (None, None, None, None);
+            let (mut name, mut metrics, mut first_fired) = (None, None, None);
             read_obj(lx, at, |key, lx, at| {
                 match key {
                     "name" if name.is_none() => {
@@ -558,7 +538,6 @@ impl Ensemble {
                     }
                     "state" if state.is_none() => state = Some(Some(Raw::read_json(lx, at)?)),
                     "metrics" if metrics.is_none() => metrics = Some(DetectorMetrics::read_json(lx, at)?),
-                    "fires" if fires.is_none() => fires = Some(u64::read_json(lx, at)?),
                     "first_fired" if first_fired.is_none() => first_fired = Some(Option::read_json(lx, at)?),
                     _ => return Ok(false),
                 }
@@ -569,7 +548,6 @@ impl Ensemble {
                 self.engines[i].import_state(&mut text.lexer())?;
             }
             self.metrics[i] = need(metrics, at, "metrics")?;
-            self.fires[i] = need(fires, at, "fires")?;
             self.first_fired[i] = need(first_fired, at, "first_fired")?;
         }
         if let Some(name) = names.get(held) {
@@ -589,7 +567,7 @@ impl Ensemble {
             .enumerate()
             .map(|(i, e)| EngineSummary {
                 name: e.name(),
-                fires: self.fires[i],
+                fires: self.metrics[i].fires.get(),
                 first_fired_at: self.first_fired[i],
             })
             .collect()
@@ -648,9 +626,6 @@ mod tests {
         fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
             self.seen = u64::read_json(lx, At::Root("seen"))?;
             Ok(())
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 
@@ -719,22 +694,6 @@ mod tests {
         assert_eq!(ens.summaries()[0].fires, 1);
         assert_eq!(ens.summaries()[0].first_fired_at, Some(40));
         assert_eq!(ens.metrics[0].detection_delay.max(), Some(30));
-    }
-
-    #[test]
-    fn typed_engine_access() {
-        let mut ens = Ensemble::new(vec![Box::new(FixedEngine {
-            name: "a",
-            score: 0,
-            warmup: 0,
-            seen: 0,
-        })]);
-        let kinds = FrequencyDist::new(0, 7).unwrap();
-        let stats = RunningStats::new();
-        ens.observe(&ctx_at(10, &kinds, &stats));
-        let e: &FixedEngine = ens.engine("a").expect("typed access");
-        assert_eq!(e.seen, 1);
-        assert!(ens.engine::<FixedEngine>("missing").is_none());
     }
 
     #[test]

@@ -1086,9 +1086,6 @@ mod tests {
         fn import_state(&mut self, lx: &mut telemetry::json::Lexer<'_>) -> Result<(), String> {
             lx.skip()
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 
     fn quiet_ctx<'a>(

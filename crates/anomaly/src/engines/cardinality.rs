@@ -11,7 +11,6 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use crate::state::{WindowState, WindowStateOf};
 use stat4_core::WindowedDist;
-use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
 
 /// Window capacity in intervals.
@@ -95,9 +94,5 @@ impl Detector for CardinalityEngine {
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("cardinality");
         WindowState::read_json(lx, at)?.restore(&mut self.window, at)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

@@ -15,7 +15,6 @@
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use crate::state::{WindowState, WindowStateOf};
 use stat4_core::{CusumDetector, WindowedDist};
-use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
 use telemetry::json_struct;
 
@@ -146,9 +145,5 @@ impl Detector for CusumEngine {
             }
         };
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

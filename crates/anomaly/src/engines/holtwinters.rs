@@ -12,7 +12,6 @@
 
 use crate::detector::{confidence_q16, ratio_q16, DetectionResult, Detector, SignalContext};
 use stat4_core::HoltWinters;
-use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
 use telemetry::json_struct;
 
@@ -137,9 +136,5 @@ impl Detector for HoltWintersEngine {
         self.dev_q16 = s.dev_q16;
         self.observed = s.observed;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

@@ -5,7 +5,8 @@
 //! ([`crate::synflood::SynFloodDetector`],
 //! [`crate::stalled::StalledFlowDetector`],
 //! [`crate::shift::PercentileShiftDetector`]; the
-//! behavior-preservation suite pins their alert streams bit-for-bit);
+//! behavior-preservation suite pins the SYN-flood detector's fires
+//! bit-for-bit);
 //! the three in this module each cover a signal those cannot see.
 //!
 //! | engine        | signal                    | catches                      |

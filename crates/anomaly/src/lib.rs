@@ -50,7 +50,7 @@ pub use detector::{
     EnsembleVerdict, SignalContext, SignalValues, Q16,
 };
 pub use engines::{CardinalityEngine, CusumEngine, EnsembleConfig, HoltWintersEngine};
-pub use metrics::{Check, DetectorMetrics};
+pub use metrics::DetectorMetrics;
 pub use classify::DriftMonitor;
 pub use drilldown::{
     DrilldownController, DrilldownPhase, DrilldownReport, DrilldownStats,
@@ -59,5 +59,4 @@ pub use drilldown::{
 pub use polling::PollingController;
 pub use shift::PercentileShiftDetector;
 pub use stalled::StalledFlowDetector;
-pub use state::AlertSnap;
 pub use synflood::SynFloodDetector;

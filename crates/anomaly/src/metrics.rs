@@ -1,4 +1,4 @@
-//! Per-detector telemetry: fire counters and detection-delay tracking.
+//! Per-detector telemetry: a fire counter and detection-delay tracking.
 //!
 //! Every detector knows two timestamps the operator cares about: when
 //! the underlying signal *first looked anomalous* (the raw Stat4 check
@@ -11,27 +11,15 @@
 //! An *episode* starts at the first anomalous observation after a
 //! quiet one and ends when the signal goes quiet again; at most one
 //! delay sample is recorded per episode (the first alert). Fires are
-//! counted per check (`rate` / `share`) every time.
+//! counted every time.
 
-use stat4_core::{Mergeable, Stat4Result};
 use telemetry::{Counter, LogLinearHistogram, Snapshot};
 
-/// Which Stat4 check raised an alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Check {
-    /// Per-interval rate spike (windowed mean + k·σ).
-    Rate,
-    /// Composition share outlier (`n·f > Xsum + k·σ(NX) + margin·n`).
-    Share,
-}
-
-/// Fire counters and detection-delay histogram for one detector.
+/// Fire counter and detection-delay histogram for one detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorMetrics {
-    /// Rate-check alerts raised.
-    pub rate_fires: Counter,
-    /// Share-check alerts raised.
-    pub share_fires: Counter,
+    /// Alerts raised.
+    pub fires: Counter,
     /// Delay from the first anomalous epoch of an episode to its first
     /// alert, in the same time unit the detector observes (ns here).
     pub detection_delay: LogLinearHistogram,
@@ -39,13 +27,12 @@ pub struct DetectorMetrics {
     episode_alerted: bool,
 }
 
-// Counters, the delay histogram and the open episode: the part of a
+// The counter, the delay histogram and the open episode: the part of a
 // detector's state that is bookkeeping rather than statistics,
 // checkpointed with it so a resumed run's telemetry equals an
 // uninterrupted run's.
 telemetry::json_struct!(DetectorMetrics {
-    rate_fires,
-    share_fires,
+    fires,
     detection_delay,
     episode_start,
     episode_alerted
@@ -62,8 +49,7 @@ impl DetectorMetrics {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            rate_fires: Counter::new(),
-            share_fires: Counter::new(),
+            fires: Counter::new(),
             detection_delay: LogLinearHistogram::default(),
             episode_start: None,
             episode_alerted: false,
@@ -85,14 +71,10 @@ impl DetectorMetrics {
         }
     }
 
-    /// Records an alert from `check` at time `at`; the first alert of
-    /// an episode contributes `at − episode_start` to the delay
-    /// histogram.
-    pub fn fired(&mut self, check: Check, at: u64) {
-        match check {
-            Check::Rate => self.rate_fires.inc(),
-            Check::Share => self.share_fires.inc(),
-        }
+    /// Records an alert at time `at`; the first alert of an episode
+    /// contributes `at − episode_start` to the delay histogram.
+    pub fn fired(&mut self, at: u64) {
+        self.fires.inc();
         if let Some(start) = self.episode_start {
             if !self.episode_alerted {
                 self.detection_delay.record(at.saturating_sub(start));
@@ -101,26 +83,14 @@ impl DetectorMetrics {
         }
     }
 
-    /// Total alerts across checks.
-    #[must_use]
-    pub fn fires(&self) -> u64 {
-        self.rate_fires.get() + self.share_fires.get()
-    }
-
     /// Exports the standard detector families into `snap`, labelled
     /// with `detector="<name>"`.
     pub fn export(&self, snap: &mut Snapshot, detector: &str) {
         snap.push_counter(
             "anomaly_detector_fires_total",
-            "alerts raised, by detector and check",
-            &[("detector", detector), ("check", "rate")],
-            self.rate_fires.get(),
-        );
-        snap.push_counter(
-            "anomaly_detector_fires_total",
-            "alerts raised, by detector and check",
-            &[("detector", detector), ("check", "share")],
-            self.share_fires.get(),
+            "alerts raised, by detector",
+            &[("detector", detector)],
+            self.fires.get(),
         );
         snap.push_histogram(
             "anomaly_detection_delay_ns",
@@ -128,20 +98,6 @@ impl DetectorMetrics {
             &[("detector", detector)],
             &self.detection_delay,
         );
-    }
-}
-
-impl Mergeable for DetectorMetrics {
-    /// Counters and delay histograms add; episode state (an open
-    /// episode is a *path* through one detector's timeline) resets —
-    /// merged metrics are a report, not a live detector.
-    fn merge_from(&mut self, other: &Self) -> Stat4Result<()> {
-        self.rate_fires.merge_from(&other.rate_fires)?;
-        self.share_fires.merge_from(&other.share_fires)?;
-        self.detection_delay.merge_from(&other.detection_delay)?;
-        self.episode_start = None;
-        self.episode_alerted = false;
-        Ok(())
     }
 }
 
@@ -155,15 +111,15 @@ mod tests {
         let mut m = DetectorMetrics::new();
         m.signal(100, true); // episode opens
         m.signal(200, true);
-        m.fired(Check::Rate, 300); // delay 200
-        m.fired(Check::Share, 300); // same episode: counted, no new delay
-        assert_eq!(m.fires(), 2);
+        m.fired(300); // delay 200
+        m.fired(300); // same episode: counted, no new delay
+        assert_eq!(m.fires.get(), 2);
         assert_eq!(m.detection_delay.count(), 1);
         assert_eq!(m.detection_delay.max(), Some(200));
 
         m.signal(400, false); // episode closes
         m.signal(500, true); // new episode
-        m.fired(Check::Rate, 500); // delay 0
+        m.fired(500); // delay 0
         assert_eq!(m.detection_delay.count(), 2);
         assert_eq!(m.detection_delay.min(), Some(0));
     }
@@ -171,8 +127,8 @@ mod tests {
     #[test]
     fn fire_without_episode_counts_but_records_no_delay() {
         let mut m = DetectorMetrics::new();
-        m.fired(Check::Rate, 10);
-        assert_eq!(m.rate_fires.get(), 1);
+        m.fired(10);
+        assert_eq!(m.fires.get(), 1);
         assert!(m.detection_delay.is_empty());
     }
 
@@ -180,15 +136,15 @@ mod tests {
     fn state_round_trips_mid_episode() {
         let mut m = DetectorMetrics::new();
         m.signal(100, true);
-        m.fired(Check::Rate, 300);
+        m.fired(300);
         m.signal(400, false);
         m.signal(500, true); // open, not yet alerted
         let back = read::<DetectorMetrics>(&write(&m), At::Root("$")).unwrap();
         assert_eq!(back, m);
         let mut a = m.clone();
         let mut b = back;
-        a.fired(Check::Share, 700);
-        b.fired(Check::Share, 700);
+        a.fired(700);
+        b.fired(700);
         assert_eq!(a, b, "the open episode's delay sample lands identically");
         let err = read::<DetectorMetrics>("null", At::Root("$.metrics")).unwrap_err();
         assert!(err.starts_with("$.metrics"), "{err}");
@@ -198,9 +154,9 @@ mod tests {
     fn export_shape() {
         let mut m = DetectorMetrics::new();
         m.signal(0, true);
-        m.fired(Check::Rate, 50);
+        m.fired(50);
         let mut snap = Snapshot::new();
-        m.export(&mut snap, "epoch_synflood");
+        m.export(&mut snap, "synflood");
         assert_eq!(snap.counter_sum("anomaly_detector_fires_total"), 1);
         assert!(snap.find("anomaly_detection_delay_ns").is_some());
     }

@@ -21,8 +21,7 @@ use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::state::{WindowState, WindowStateOf};
 use stat4_core::percentile::{MarkerRaw, PercentileTracker, Quantile};
 use stat4_core::window::WindowedDist;
-use std::any::Any;
-use telemetry::json::{At, Form, FromJson, Lexer, Raw, Sparse, ToJson};
+use telemetry::json::{need, read_obj, write_obj, At, Form, FromJson, Lexer, Sparse, ToJson};
 use telemetry::json_struct;
 
 /// Configuration.
@@ -67,8 +66,6 @@ pub struct PercentileShiftDetector {
     /// Packets observed in the still-open interval.
     pkts_in_interval: u64,
     current_interval: Option<u64>,
-    /// First alert time.
-    pub detected_at: Option<u64>,
 }
 
 impl PercentileShiftDetector {
@@ -87,7 +84,6 @@ impl PercentileShiftDetector {
             moves_in_interval: 0,
             pkts_in_interval: 0,
             current_interval: None,
-            detected_at: None,
             cfg,
         }
     }
@@ -120,14 +116,12 @@ impl PercentileShiftDetector {
                 self.moves_window.close_interval();
                 self.current_interval = Some(ivl);
                 if shift {
-                    let alert = Alert::CompositionDrift {
+                    raised = Some(Alert::CompositionDrift {
                         at,
                         // Report the marker's landing cell as the "kind".
                         kind: usize::try_from(self.tracker.estimate().unwrap_or(0))
                             .unwrap_or(0),
-                    };
-                    self.detected_at.get_or_insert(at);
-                    raised = Some(alert);
+                    });
                 }
             }
             _ => {}
@@ -148,14 +142,32 @@ impl PercentileShiftDetector {
     }
 }
 
-/// The tracker (populated cells as `[index, count]` pairs, kept as
-/// text until the reader knows how many cells the configured domain
-/// has; the marker's walk position verbatim), the movement window, the
-/// open interval's tallies, and the first alert's time. `last_moves`
-/// always equals the marker's move count and is not written. `W` is the
-/// movement window's state as written or as read.
-struct ShiftState<W> {
-    cells: Raw,
+/// The tracker's populated cells, as [`Sparse`] writes them, borrowed
+/// from the tracker.
+struct CellsOf<'a>(&'a [u64]);
+
+impl ToJson for CellsOf<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        let populated = self.0.iter().enumerate().filter(|(_, c)| **c != 0);
+        for (n, (i, &c)) in populated.enumerate() {
+            if n > 0 {
+                out.push(',');
+            }
+            [i as u64, c].write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Everything but the tracker's cells: their total, the marker's walk
+/// position verbatim, the movement window and the open interval's
+/// tallies. `last_moves` always equals the marker's move count and is
+/// not written. `W` is the movement window's state as written or as
+/// read. The detector's state is `{"cells": .., "walk": ..}`: the cells
+/// are read where they lie, into as many as the configured domain has,
+/// so they are not a member of this struct.
+struct Walk<W> {
     total: u64,
     marker_pos: Option<usize>,
     marker_low: u64,
@@ -165,16 +177,15 @@ struct ShiftState<W> {
     moves_in_interval: u64,
     pkts_in_interval: u64,
     current_interval: Option<u64>,
-    detected_at: Option<u64>,
 }
 
-json_struct!(@write ShiftState<WindowStateOf<'_>> {
-    cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
-    moves_in_interval, pkts_in_interval, current_interval, detected_at
+json_struct!(@write Walk<WindowStateOf<'_>> {
+    total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
+    moves_in_interval, pkts_in_interval, current_interval
 });
-json_struct!(@read ShiftState<WindowState> {
-    cells, total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
-    moves_in_interval, pkts_in_interval, current_interval, detected_at
+json_struct!(@read Walk<WindowState> {
+    total, marker_pos, marker_low, marker_high, marker_moves, moves_window,
+    moves_in_interval, pkts_in_interval, current_interval
 });
 
 /// The ensemble's `median_shift` engine. Signal binding: the exact
@@ -197,9 +208,7 @@ impl Detector for PercentileShiftDetector {
     fn export_state(&self, out: &mut String) {
         let set = self.tracker.as_set();
         let m = set.export_markers()[0];
-        let counts = set.counts().to_vec();
-        ShiftState {
-            cells: Raw::of(|out| Sparse(counts.len()).write_json(&counts, out)),
+        let walk = Walk {
             total: set.total(),
             marker_pos: m.pos,
             marker_low: m.low,
@@ -209,16 +218,23 @@ impl Detector for PercentileShiftDetector {
             moves_in_interval: self.moves_in_interval,
             pkts_in_interval: self.pkts_in_interval,
             current_interval: self.current_interval,
-            detected_at: self.detected_at,
-        }
-        .write_json(out);
+        };
+        write_obj(out, [("cells", &CellsOf(set.counts()) as &dyn ToJson), ("walk", &walk)]);
     }
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("median_shift");
-        let s = ShiftState::<WindowState>::read_json(lx, at)?;
         let cells = Sparse(self.tracker.as_set().counts().len());
-        let counts = cells.read_json(&mut s.cells.lexer(), At::Key(&at, "cells"))?;
+        let (mut counts, mut walk) = (None, None);
+        read_obj(lx, at, |key, lx, at| {
+            match key {
+                "cells" if counts.is_none() => counts = Some(cells.read_json(lx, at)?),
+                "walk" if walk.is_none() => walk = Some(Walk::<WindowState>::read_json(lx, at)?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        let (counts, s) = (need(counts, at, "cells")?, need(walk, at, "walk")?);
         let q = self.cfg.quantile;
         let marker = MarkerRaw {
             low_weight: q.low_weight(),
@@ -229,18 +245,14 @@ impl Detector for PercentileShiftDetector {
             moves: s.marker_moves,
         };
         self.tracker.restore(counts, s.total, marker).map_err(|e| at.err(e))?;
-        s.moves_window.restore(&mut self.moves_window, At::Key(&at, "moves_window"))?;
+        let walk_at = At::Key(&at, "walk");
+        s.moves_window.restore(&mut self.moves_window, At::Key(&walk_at, "moves_window"))?;
         // `observe` keeps this equal to the marker's own count.
         self.last_moves = marker.moves;
         self.moves_in_interval = s.moves_in_interval;
         self.pkts_in_interval = s.pkts_in_interval;
         self.current_interval = s.current_interval;
-        self.detected_at = s.detected_at;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -273,17 +285,16 @@ mod tests {
             t += 10_000;
         }
         assert!(raised.is_empty(), "stable phase clean: {raised:?}");
-        assert!(det.detected_at.is_none());
         let shift_at = t;
         // Regression: values ~ uniform(150..170). Enough samples that
         // the combined median genuinely crosses into the new cluster
         // (the old 3000 samples anchor it until the new ones outnumber
         // them).
         for _ in 0..5_000 {
-            det.observe(t, rng.random_range(150..170));
+            raised.extend(det.observe(t, rng.random_range(150..170)));
             t += 10_000;
         }
-        let at = det.detected_at.expect("shift detected");
+        let at = raised.first().expect("shift detected").at();
         assert!(at >= shift_at);
         // The marker cannot outrun the data: it stays anchored near the
         // old median until the new cluster's mass outweighs the 3000
@@ -318,6 +329,5 @@ mod tests {
             t += 2_000;
         }
         assert!(raised.is_empty(), "alerts: {raised:?}");
-        assert!(det.detected_at.is_none());
     }
 }

@@ -11,7 +11,6 @@ use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
 use crate::state::{WindowState, WindowStateOf};
 use stat4_core::window::WindowedDist;
-use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
 use telemetry::json_struct;
 
@@ -45,8 +44,6 @@ pub struct StalledFlowDetector {
     cfg: StalledFlowConfig,
     window: WindowedDist,
     current_interval: Option<u64>,
-    /// First alert time.
-    pub detected_at: Option<u64>,
 }
 
 impl StalledFlowDetector {
@@ -60,7 +57,6 @@ impl StalledFlowDetector {
         Self {
             window: WindowedDist::new(cfg.window).expect("non-empty window"),
             current_interval: None,
-            detected_at: None,
             cfg,
         }
     }
@@ -121,12 +117,10 @@ impl StalledFlowDetector {
             );
             self.window.close_interval();
             if quiet {
-                let alert = Alert::ActivityDrop {
+                first_alert.get_or_insert(Alert::ActivityDrop {
                     at,
                     interval_value: closed,
-                };
-                self.detected_at.get_or_insert(at);
-                first_alert.get_or_insert(alert);
+                });
             }
         }
         self.current_interval = Some(ivl);
@@ -140,16 +134,15 @@ impl StalledFlowDetector {
     }
 }
 
-/// The activity window, the interval it is in, and the first alert's
-/// time; `W` is the window's state as written or as read.
+/// The activity window and the interval it is in; `W` is the window's
+/// state as written or as read.
 struct StalledState<W> {
     window: W,
     current_interval: Option<u64>,
-    detected_at: Option<u64>,
 }
 
-json_struct!(@write StalledState<WindowStateOf<'_>> { window, current_interval, detected_at });
-json_struct!(@read StalledState<WindowState> { window, current_interval, detected_at });
+json_struct!(@write StalledState<WindowStateOf<'_>> { window, current_interval });
+json_struct!(@read StalledState<WindowState> { window, current_interval });
 
 /// The ensemble's `stalled` engine. Signal binding: per-interval
 /// merged packet count as the activity measure, fed as one bulk record
@@ -181,7 +174,6 @@ impl Detector for StalledFlowDetector {
         StalledState {
             window: WindowStateOf::of(&self.window),
             current_interval: self.current_interval,
-            detected_at: self.detected_at,
         }
         .write_json(out);
     }
@@ -191,12 +183,7 @@ impl Detector for StalledFlowDetector {
         let s = StalledState::<WindowState>::read_json(lx, at)?;
         s.window.restore(&mut self.window, At::Key(&at, "window"))?;
         self.current_interval = s.current_interval;
-        self.detected_at = s.detected_at;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -220,13 +207,14 @@ mod tests {
         let mut det = StalledFlowDetector::new(cfg());
         // ~50 activity units per 1 ms interval for 30 intervals, with
         // deterministic variation.
+        let mut raised = Vec::new();
         for i in 0..30u64 {
             let per = 48 + (i % 5);
             for j in 0..per {
-                det.observe_activity(i * 1_000_000 + j * 10_000);
+                raised.extend(det.observe_activity(i * 1_000_000 + j * 10_000));
             }
         }
-        assert!(det.detected_at.is_none(), "healthy phase clean");
+        assert!(raised.is_empty(), "healthy phase clean: {raised:?}");
         // Failure: silence. A tick 3 intervals later must close the
         // quiet intervals and alert.
         match det.tick(33 * 1_000_000).expect("collapse detected") {
@@ -249,7 +237,6 @@ mod tests {
             }
         }
         assert!(raised.is_empty(), "alerts: {raised:?}");
-        assert!(det.detected_at.is_none());
     }
 
     mod bulk_equivalence {
@@ -277,7 +264,6 @@ mod tests {
                         raised = single.tick(t);
                     }
                     prop_assert_eq!(raised, bulk.observe_activity_n(t, n));
-                    prop_assert_eq!(single.detected_at, bulk.detected_at);
                     prop_assert_eq!(single.stats(), bulk.stats());
                 }
             }
@@ -286,16 +272,18 @@ mod tests {
 
     /// The ensemble's path: one report per interval carrying 38–42
     /// packets, except that `skipped`'s report is lost and the next one
-    /// spans both intervals with their average.
-    fn run_reports(skipped: Option<u64>) -> StalledFlowDetector {
+    /// spans both intervals with their average. Returns the detector
+    /// and the epochs whose report fired it.
+    fn run_reports(skipped: Option<u64>) -> (StalledFlowDetector, Vec<u64>) {
         let (kinds, len_stats) = (
             stat4_core::FrequencyDist::new(0, 7).unwrap(),
             stat4_core::RunningStats::new(),
         );
         let mut det = StalledFlowDetector::new(cfg());
+        let mut fired = Vec::new();
         for epoch in (0..40u64).filter(|e| Some(*e) != skipped) {
             let spanned = if epoch > 0 && Some(epoch - 1) == skipped { 2 } else { 1 };
-            det.update(&SignalContext {
+            let result = det.update(&SignalContext {
                 at: (epoch + 1) * 1_000_000,
                 epoch,
                 interval_ns: 1_000_000,
@@ -308,17 +296,20 @@ mod tests {
                 kinds: &kinds,
                 len_stats: &len_stats,
             });
+            if result.is_some_and(|r| r.fired) {
+                fired.push(epoch);
+            }
         }
-        det
+        (det, fired)
     }
 
     /// A dropped report is not an interval of zero activity: the
     /// spanning report's average stands in for the interval it covers.
     #[test]
     fn skipped_report_is_not_a_quiet_interval() {
-        assert!(run_reports(None).detected_at.is_none());
-        let det = run_reports(Some(20));
-        assert!(det.detected_at.is_none(), "alerted at {:?}", det.detected_at);
+        assert_eq!(run_reports(None).1, []);
+        let (det, fired) = run_reports(Some(20));
+        assert!(fired.is_empty(), "alerted at epochs {fired:?}");
         assert_eq!(det.stats().n(), 32, "every interval closed, the skipped one too");
         assert!(det.stats().xsum() >= 32 * 38, "none of them at zero");
     }
@@ -329,10 +320,9 @@ mod tests {
         // Two busy intervals then silence: window too shallow to judge.
         for i in 0..2u64 {
             for j in 0..50 {
-                det.observe_activity(i * 1_000_000 + j * 10_000);
+                assert!(det.observe_activity(i * 1_000_000 + j * 10_000).is_none());
             }
         }
         assert!(det.tick(6 * 1_000_000).is_none());
-        assert!(det.detected_at.is_none());
     }
 }

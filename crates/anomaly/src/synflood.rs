@@ -27,18 +27,15 @@
 //! The detector is the ensemble's `synflood` engine: its
 //! [`Detector::update`] forwards the context's span-averaged SYN
 //! estimate and cumulative kind composition to
-//! `SynFloodDetector::observe_interval`, and the alert stream it
-//! keeps (`alerts`, `detected_at`, `metrics`) is the replay outcome's.
+//! `SynFloodDetector::observe_interval`. It keeps the statistics its
+//! checks read and no record of what they decided: the ensemble's
+//! fired log and provenance are the run's alerts.
 
-use crate::alerts::Alert;
 use crate::detector::{DetectionResult, Detector, SignalContext};
-use crate::metrics::{Check, DetectorMetrics};
 use crate::state::{WindowState, WindowStateOf};
 use stat4_core::freq::FrequencyDist;
 use stat4_core::window::WindowedDist;
-use std::any::Any;
 use telemetry::json::{At, FromJson, Lexer, ToJson};
-use telemetry::json_struct;
 
 /// Configuration of the detector.
 #[derive(Debug, Clone, Copy)]
@@ -73,14 +70,6 @@ pub const KIND_SYN: i64 = 1;
 #[derive(Debug)]
 pub struct SynFloodDetector {
     syn_rate: WindowedDist,
-    /// Alerts raised so far, in interval order.
-    pub alerts: Vec<Alert>,
-    /// Set once the first alert fires (detection time).
-    pub detected_at: Option<u64>,
-    /// Fire counts and detection-delay histogram. Pure bookkeeping: the
-    /// alert sequence is unchanged by telemetry, so the conformance
-    /// guarantees are untouched.
-    pub metrics: DetectorMetrics,
 }
 
 impl SynFloodDetector {
@@ -89,25 +78,17 @@ impl SynFloodDetector {
     pub fn new() -> Self {
         Self {
             syn_rate: WindowedDist::new(WINDOW).expect("non-empty window"),
-            alerts: Vec::new(),
-            detected_at: None,
-            metrics: DetectorMetrics::new(),
         }
     }
 
-    /// Feeds one closed interval: its end time, the merged SYN count of
-    /// the interval, and the merged cumulative kind distribution.
-    /// Returns the alerts raised by this interval (at most one per
-    /// check).
+    /// Feeds one closed interval: the merged SYN count of the interval
+    /// and the merged cumulative kind distribution. Returns whether
+    /// either check fired.
     pub(crate) fn observe_interval(
         &mut self,
-        at: u64,
         syn_in_interval: i64,
         kind_freq: &FrequencyDist,
-    ) -> Vec<Alert> {
-        let mut raised = Vec::new();
-
-        // --- rate check ----------------------------------------------
+    ) -> bool {
         self.syn_rate.accumulate(syn_in_interval);
         let spike = self.syn_rate.is_spike_margined(
             syn_in_interval,
@@ -116,34 +97,8 @@ impl SynFloodDetector {
             3, // +12.5% of the mean
             4,
         );
-        let share = Self::share_outlier(kind_freq);
-        // Raw (warm-up-ungated) signal drives the detection-delay
-        // episode clock: "first anomalous epoch" per the case study.
-        let raw_anomalous = self.syn_rate.is_spike_margined(syn_in_interval, K, 1, 3, 4) || share;
-        self.metrics.signal(at, raw_anomalous);
         self.syn_rate.close_interval();
-        if spike {
-            self.metrics.fired(Check::Rate, at);
-            raised.push(Alert::SynFlood {
-                at,
-                syn_count: syn_in_interval as u64,
-            });
-        }
-
-        // --- share check ---------------------------------------------
-        if share {
-            self.metrics.fired(Check::Share, at);
-            raised.push(Alert::SynFlood {
-                at,
-                syn_count: kind_freq.frequency(KIND_SYN),
-            });
-        }
-
-        if !raised.is_empty() {
-            self.detected_at.get_or_insert(at);
-            self.alerts.extend(raised.iter().cloned());
-        }
-        raised
+        spike || Self::share_outlier(kind_freq)
     }
 
     fn share_outlier(kind_freq: &FrequencyDist) -> bool {
@@ -172,63 +127,26 @@ impl Default for SynFloodDetector {
     }
 }
 
-/// The rate window, the alert stream so far, and the metrics, as
-/// [`Detector::import_state`] reads them.
-struct SynFloodState {
-    syn_rate: WindowState,
-    alerts: Vec<Alert>,
-    detected_at: Option<u64>,
-    metrics: DetectorMetrics,
-}
-
-json_struct!(@read SynFloodState { syn_rate, alerts, detected_at, metrics });
-
-/// The same members as [`Detector::export_state`] writes them: the
-/// rate window's ring, the alert list and the metrics borrowed from the
-/// detector and written where they lie, not cloned for the write.
-struct SynFloodStateOf<'a> {
-    syn_rate: WindowStateOf<'a>,
-    alerts: &'a [Alert],
-    detected_at: Option<u64>,
-    metrics: &'a DetectorMetrics,
-}
-
-json_struct!(@write SynFloodStateOf<'_> { syn_rate, alerts, detected_at, metrics });
-
+/// The state is the rate window alone.
 impl Detector for SynFloodDetector {
     fn name(&self) -> &'static str {
         "synflood"
     }
 
     fn update(&mut self, ctx: &SignalContext<'_>) -> Option<DetectionResult> {
-        let fired = !self.observe_interval(ctx.at, ctx.syns, ctx.kinds).is_empty();
+        let fired = self.observe_interval(ctx.syns, ctx.kinds);
         let stats = self.rate_stats();
         let expected = stats.xsum() / (stats.n().max(1) as i64);
         Some(DetectionResult::saturated(self.name(), ctx, fired, expected, ctx.syns))
     }
 
     fn export_state(&self, out: &mut String) {
-        SynFloodStateOf {
-            syn_rate: WindowStateOf::of(&self.syn_rate),
-            alerts: &self.alerts,
-            detected_at: self.detected_at,
-            metrics: &self.metrics,
-        }
-        .write_json(out);
+        WindowStateOf::of(&self.syn_rate).write_json(out);
     }
 
     fn import_state(&mut self, lx: &mut Lexer<'_>) -> Result<(), String> {
         let at = At::Root("synflood");
-        let s = SynFloodState::read_json(lx, at)?;
-        s.syn_rate.restore(&mut self.syn_rate, At::Key(&at, "syn_rate"))?;
-        self.alerts = s.alerts;
-        self.detected_at = s.detected_at;
-        self.metrics = s.metrics;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+        WindowState::read_json(lx, at)?.restore(&mut self.syn_rate, at)
     }
 }
 
@@ -253,17 +171,21 @@ mod tests {
 
     /// Replays a schedule through the detector exactly as the
     /// replay engine does: aggregate per interval, observe at each
-    /// interval close.
-    fn run_epoch(schedule: &workloads::Schedule, cfg: SynFloodConfig) -> SynFloodDetector {
+    /// interval close. Returns the end time of every interval that
+    /// fired.
+    fn run_epoch(schedule: &workloads::Schedule, cfg: SynFloodConfig) -> Vec<u64> {
         let mut det = SynFloodDetector::new();
         let mut kinds = FrequencyDist::new(0, KINDS - 1).unwrap();
         let mut cur: Option<u64> = None;
         let mut syns: i64 = 0;
+        let mut fired = Vec::new();
         for (t, frame) in schedule {
             let ivl = t / cfg.interval_ns;
             if let Some(c) = cur {
                 if c != ivl {
-                    det.observe_interval((c + 1) * cfg.interval_ns, syns, &kinds);
+                    if det.observe_interval(syns, &kinds) {
+                        fired.push((c + 1) * cfg.interval_ns);
+                    }
                     syns = 0;
                     cur = Some(ivl);
                 }
@@ -276,7 +198,7 @@ mod tests {
                 syns += 1;
             }
         }
-        det
+        fired
     }
 
     #[test]
@@ -290,8 +212,8 @@ mod tests {
             ..SynFloodWorkload::default()
         };
         let (schedule, _victim) = w.generate();
-        let det = run_epoch(&schedule, SynFloodConfig::default());
-        let at = det.detected_at.expect("flood must be detected");
+        let fired = run_epoch(&schedule, SynFloodConfig::default());
+        let at = *fired.first().expect("flood must be detected");
         assert!(
             at >= w.flood_start,
             "no false positive before the flood: {at}"
@@ -314,14 +236,14 @@ mod tests {
             ..SynFloodWorkload::default()
         };
         let (schedule, _) = w.generate();
-        let det = run_epoch(&schedule, SynFloodConfig::default());
-        assert!(det.detected_at.is_none(), "alerts: {:?}", det.alerts);
+        let fired = run_epoch(&schedule, SynFloodConfig::default());
+        assert!(fired.is_empty(), "fired at {fired:?}");
     }
 
     #[test]
     fn identical_aggregates_identical_alerts() {
         // The conformance property in miniature: two detectors fed the
-        // same per-interval aggregates raise the same alerts.
+        // same per-interval aggregates fire in the same intervals.
         let w = SynFloodWorkload {
             background_cps: 500,
             flood_pps: 50_000,
@@ -333,60 +255,16 @@ mod tests {
         let (schedule, _) = w.generate();
         let a = run_epoch(&schedule, SynFloodConfig::default());
         let b = run_epoch(&schedule, SynFloodConfig::default());
-        assert_eq!(a.alerts, b.alerts);
-        assert_eq!(a.detected_at, b.detected_at);
-    }
-
-    #[test]
-    fn metrics_track_fires_and_delay() {
-        let w = SynFloodWorkload {
-            background_cps: 500,
-            flood_pps: 50_000,
-            flood_start: 400_000_000,
-            duration: 900_000_000,
-            seed: 4,
-            ..SynFloodWorkload::default()
-        };
-        let (schedule, _) = w.generate();
-        let det = run_epoch(&schedule, SynFloodConfig::default());
-        assert_eq!(
-            det.metrics.fires(),
-            det.alerts.len() as u64,
-            "every alert is counted by exactly one check"
-        );
-        assert!(det.metrics.fires() > 0);
-        // The flood episode produced at least one delay sample, and the
-        // delay cannot precede the raw signal.
-        assert!(det.metrics.detection_delay.count() >= 1);
-        assert!(
-            det.metrics.detection_delay.max().unwrap() <= 200_000_000,
-            "delay {:?} implausibly long",
-            det.metrics.detection_delay.max()
-        );
-    }
-
-    #[test]
-    fn quiet_traffic_no_fires() {
-        let w = SynFloodWorkload {
-            background_cps: 500,
-            flood_pps: 50_000,
-            flood_start: 2_000_000_000,
-            duration: 900_000_000,
-            seed: 4,
-            ..SynFloodWorkload::default()
-        };
-        let (schedule, _) = w.generate();
-        let det = run_epoch(&schedule, SynFloodConfig::default());
-        assert_eq!(det.metrics.fires(), 0);
-        assert!(det.metrics.detection_delay.is_empty());
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn rate_stats_populated() {
         let mut det = SynFloodDetector::new();
         let kinds = FrequencyDist::new(0, 7).unwrap();
-        for i in 0..20u64 {
-            det.observe_interval(i * 10_000_000, 5, &kinds);
+        for _ in 0..20 {
+            det.observe_interval(5, &kinds);
         }
         assert!(det.rate_stats().n() > 0);
     }

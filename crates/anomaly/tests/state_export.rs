@@ -259,14 +259,7 @@ fn ensemble_and_ladder_resume_exactly() {
         assert_eq!(resumed.fired_log, live.fired_log, "split {split}");
         assert_eq!(resumed.summaries(), live.summaries());
         assert_eq!(resumed.metrics_by_name(), live.metrics_by_name());
-        let alerts = |e: &Ensemble| {
-            e.engine::<SynFloodDetector>("synflood")
-                .unwrap()
-                .alerts
-                .clone()
-        };
-        assert_eq!(alerts(&resumed), alerts(&live));
-        assert!(!alerts(&live).is_empty());
+        assert!(live.fired_log.iter().any(|r| r.engine == "synflood"));
         assert_eq!(text(|out| resumed.export_state(out)), text(|out| live.export_state(out)));
         assert_eq!(
             text(|out| resumed_drill.export_state(out)),
@@ -298,7 +291,7 @@ fn state_no_engine_could_have_exported_is_refused() {
     let good = Json::parse(&written).unwrap();
 
     type Tamper = fn(&mut Json);
-    let cases: [(&str, Tamper, &str); 7] = [
+    let cases: [(&str, Tamper, &str); 8] = [
         (
             "ring of another length",
             |s| match at(s, &["engines", "5", "state", "ring"]) {
@@ -339,8 +332,16 @@ fn state_no_engine_could_have_exported_is_refused() {
         ),
         (
             "median masses that do not add up",
-            |s| *at(s, &["engines", "2", "state", "total"]) = Json::Int(3),
+            |s| *at(s, &["engines", "2", "state", "walk", "total"]) = Json::Int(3),
             "add up",
+        ),
+        (
+            "median cell outside the length domain",
+            |s| match at(s, &["engines", "2", "state", "cells"]) {
+                Json::Arr(cells) => cells.push(Json::Arr(vec![Json::Int(2048), Json::Int(1)])),
+                _ => unreachable!(),
+            },
+            "index 2048 is outside its 2048 cells",
         ),
     ];
     for (what, tamper, expect) in cases {

@@ -102,8 +102,9 @@ pub(crate) const MAGIC: &str = "stat4-replay-ckpt";
 /// version 3 stores a shard's length distribution as counts alone, with
 /// no walked marker and no total beside them; version 4 stores each
 /// shard register file as its non-zero cells; version 5 writes no fired log;
-/// version 6 writes no combined score, trigger cause or engine weight.
-pub(crate) const VERSION: u64 = 6;
+/// version 6 writes no combined score, trigger cause or engine weight;
+/// version 7 writes no detector's own record of its alerts.
+pub(crate) const VERSION: u64 = 7;
 
 /// FNV-1a 64 — the checksum guarding a checkpoint payload. Chosen for
 /// the same reason the fault injector uses SplitMix64: dependency-free,
@@ -512,6 +513,7 @@ pub fn parse(text: &str) -> Result<Checkpoint, String> {
     }
     if version < VERSION {
         let why = match version {
+            6 => "was written before the detectors left the record of their alerts to the ensemble",
             5 => "was written before the ensemble dropped its combined score and weights",
             4 => "was written before the fired log was read from provenance",
             3 => "was written before shards stored their non-zero cells alone",
@@ -701,7 +703,7 @@ pub(crate) fn load_latest_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomaly::{Alert, DetectionResult, EngineAtFire};
+    use anomaly::{DetectionResult, EngineAtFire};
     use std::fmt::Debug;
     use telemetry::json::{read, render, write};
 
@@ -828,13 +830,12 @@ mod tests {
         let ensemble = sample_ensemble();
         round_trips(&ensemble.metrics[0]);
         round_trips(&ensemble.metrics[0].detection_delay);
-        round_trips(&ensemble.metrics[0].rate_fires);
+        round_trips(&ensemble.metrics[0].fires);
         round_trips(&c.ensemble);
         round_trips(&c.drill);
 
         let snap = crate::snapshot::tests::sample_snapshot();
         round_trips(&snap);
-        round_trips(&snap.alerts[0]);
         round_trips(&snap.health);
         round_trips(&snap.health.incidents[0]);
         round_trips(&snap.ensemble);
@@ -847,7 +848,6 @@ mod tests {
         round_trips(&record.provenance.engines[0]);
         round_trips(&record.lineage);
         round_trips(&record.drilldown[0]);
-        round_trips(&Alert::Pinpointed { at: 3, dest: std::net::Ipv4Addr::new(10, 0, 1, 2) });
 
         let report = crate::lifecycle::tests::sample_report();
         round_trips(&report);
@@ -881,7 +881,7 @@ mod tests {
     fn sealed(body: &str) -> String {
         let sum = fnv1a64(body.as_bytes());
         format!(
-            r#"{{"magic":"stat4-replay-ckpt","version":6,"checksum":"{sum:016x}","payload":{body}}}"#
+            r#"{{"magic":"stat4-replay-ckpt","version":7,"checksum":"{sum:016x}","payload":{body}}}"#
         )
     }
 
@@ -1035,6 +1035,8 @@ mod tests {
             (2, "before shards kept length counts alone"),
             (3, "before shards stored their non-zero cells alone"),
             (4, "before the fired log was read from provenance"),
+            (5, "before the ensemble dropped its combined score"),
+            (6, "before the detectors left the record of their alerts to the ensemble"),
         ] {
             let err = parse(&text.replace(&current, &format!("\"version\":{old}"))).unwrap_err();
             assert!(err.contains(lacks) && err.contains("re-run"), "version {old}: {err}");

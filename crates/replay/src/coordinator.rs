@@ -22,7 +22,7 @@ use crate::{
     ReplayConfig, ReplayHealth, ReplayOutcome, ReplayTelemetry, ShardIncident, ShardMetrics,
     ShardState,
 };
-use anomaly::{Ensemble, ScoreDrilldown, SignalContext, SynFloodDetector};
+use anomaly::{Ensemble, ScoreDrilldown, SignalContext};
 use faultinject::{FaultSchedule, ShardFaultKind};
 use std::ops::Range;
 use std::time::Instant;
@@ -518,14 +518,6 @@ impl EpochCoordinator {
         let elapsed = started.elapsed();
         let mut telemetry = self.telemetry;
         telemetry.elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let syn = self
-            .ensemble
-            .engine::<SynFloodDetector>("synflood")
-            .expect("ensemble always carries the SYN-flood detector");
-        let alerts = syn.alerts.clone();
-        let detected_at = syn.detected_at;
-        telemetry.alerts.add(alerts.len() as u64);
-        telemetry.detector = syn.metrics.clone();
         telemetry.engines = self
             .ensemble
             .metrics_by_name()
@@ -547,8 +539,6 @@ impl EpochCoordinator {
         telemetry.packets_rerouted.add(health.packets_rerouted);
         ReplayOutcome {
             merged,
-            alerts,
-            detected_at,
             packets: self.packets,
             epochs: self.epochs,
             elapsed,
@@ -587,9 +577,6 @@ mod tests {
         }
         fn import_state(&mut self, lx: &mut telemetry::json::Lexer<'_>) -> Result<(), String> {
             lx.skip()
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
 

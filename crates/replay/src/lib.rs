@@ -48,7 +48,7 @@
 //!   and the quantile is read exactly; the marker walk is the paper's
 //!   per-packet tracker, and no shard walks one: the median handed to
 //!   the detectors is read off the merged counts once per epoch.
-//! - **Detection** — [`anomaly::SynFloodDetector`] runs only on
+//! - **Detection** — the ensemble ([`build_ensemble`]) runs only on
 //!   merged aggregates, so its verdicts are shard-count invariant *by
 //!   construction*: a 1-shard and an 8-shard replay hand it
 //!   bit-identical inputs.
@@ -64,8 +64,8 @@
 //!
 //! The conformance suite (`tests/conformance.rs`) asserts exactly that:
 //! for the `synflood` and `mix` workloads, 2/4/8-shard runs produce the
-//! same merged statistics and the same alert sequence as the
-//! single-shard run. The chaos suite (`tests/chaos.rs`) adds the
+//! same merged statistics and the same verdicts as the single-shard
+//! run. The chaos suite (`tests/chaos.rs`) adds the
 //! degraded-mode guarantees: under a schedule with a shard crash and
 //! 30% report loss the flood is still detected, and reruns of one seed
 //! are byte-identical.
@@ -90,7 +90,7 @@ use anomaly::shift::ShiftConfig;
 use anomaly::stalled::StalledFlowConfig;
 use anomaly::synflood::{SynFloodConfig, KIND_SYN};
 use anomaly::{
-    Alert, CardinalityEngine, CusumEngine, DetectionResult, Detector, EngineSummary, Ensemble,
+    CardinalityEngine, CusumEngine, DetectionResult, Detector, EngineSummary, Ensemble,
     EnsembleConfig, HoltWintersEngine, PercentileShiftDetector, StalledFlowDetector,
     SynFloodDetector,
 };
@@ -230,9 +230,6 @@ impl Default for ReplayConfig {
 /// order. Each earns its place: leaving any one out changes the first
 /// verdict or the drill-down outcome of some run (the leave-one-out
 /// test in `reference`).
-///
-/// [`ReplayOutcome::alerts`] / `detected_at` are the
-/// [`anomaly::SynFloodDetector`]'s own alert stream.
 #[must_use]
 pub fn build_ensemble(cfg: &ReplayConfig) -> Ensemble {
     Ensemble::new(ensemble_engines(cfg))
@@ -625,10 +622,6 @@ impl ReplayHealth {
 pub struct ReplayOutcome {
     /// The merged global state after the last epoch.
     pub merged: ShardState,
-    /// Alerts raised by the central detector, in interval order.
-    pub alerts: Vec<Alert>,
-    /// First alert time, if any.
-    pub detected_at: Option<u64>,
     /// Frames replayed.
     pub packets: u64,
     /// Closed epochs (detector intervals).
@@ -666,7 +659,7 @@ impl ReplayOutcome {
 }
 
 /// Replays a time-sorted schedule through `cfg.shards` worker threads
-/// and returns the merged state plus the central detector's alerts.
+/// and returns the merged state plus the ensemble's verdicts.
 ///
 /// Equivalent to [`run_replay_with_faults`] with an empty
 /// [`FaultSchedule`] — no faults, full coverage.
@@ -1118,7 +1111,8 @@ mod tests {
                 ..ReplayConfig::default()
             },
         );
-        let at = out.detected_at.expect("flood must be detected");
+        let syn = out.ensemble.engine("synflood").expect("synflood engine");
+        let at = syn.first_fired_at.expect("flood must be detected");
         assert!(at >= 150_000_000, "no false positive: {at}");
     }
 
@@ -1129,8 +1123,6 @@ mod tests {
         let cfg = ReplayConfig::default();
         let out = ReplayOutcome {
             merged: ShardState::new(&cfg),
-            alerts: Vec::new(),
-            detected_at: None,
             packets: 0,
             epochs: 0,
             elapsed: std::time::Duration::ZERO,
@@ -1176,7 +1168,6 @@ mod tests {
             "per-shard SYN counters fold to the merged kind frequency"
         );
         assert_eq!(out.telemetry.epochs.get(), out.epochs);
-        assert_eq!(out.telemetry.alerts.get(), out.alerts.len() as u64);
         assert_eq!(out.telemetry.epoch_ns.count(), out.epochs);
         // Every shard saw at least one barrier.
         for m in &out.telemetry.shards {

@@ -1,6 +1,7 @@
 //! Replay-engine driver: replays a synthetic workload through the
-//! sharded engine and prints the merged statistics, alerts, and
-//! throughput. Optionally exports the run's full telemetry snapshot.
+//! sharded engine and prints the merged statistics, each ensemble
+//! engine's fires, and throughput. Optionally exports the run's full
+//! telemetry snapshot.
 //!
 //! ```text
 //! replay [synflood|mix] [shards] [interval_ms]
@@ -15,7 +16,7 @@
 //! merged epoch lifecycle trace (coordinator plus every shard) in
 //! Chrome trace-event format — open it in `about:tracing`/Perfetto or
 //! feed it to `stat4-trace`. `--snapshot-out` writes the deterministic
-//! run snapshot (alerts, health, ensemble report, alert provenance) as
+//! run snapshot (health, ensemble report, alert provenance) as
 //! JSON for `stat4-trace explain`.
 //!
 //! `--faults` runs the replay under a seeded fault schedule (see
@@ -540,14 +541,6 @@ fn main() {
         out.merged.len_median.estimate(0),
         out.merged.kinds.n_distinct(),
     );
-    match out.detected_at {
-        Some(at) => println!(
-            "alerts: {} (first at {:.1} ms)",
-            out.alerts.len(),
-            at as f64 / 1e6
-        ),
-        None => println!("alerts: none"),
-    }
     for e in &out.ensemble.engines {
         match e.first_fired_at {
             Some(at) => println!(
@@ -638,8 +631,7 @@ fn main() {
     if let Some(path) = &opts.snapshot_out {
         write_or_die(path, &render_outcome_json(&out), "run snapshot");
         println!(
-            "snapshot: {} alert(s), {} provenance record(s) written to {path}",
-            out.alerts.len(),
+            "snapshot: {} provenance record(s) written to {path}",
             out.provenance.len(),
         );
     }

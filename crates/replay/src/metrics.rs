@@ -11,7 +11,7 @@
 //!
 //! [`ReplayTelemetry::snapshot`] renders everything — per-shard
 //! series (labelled `shard="<i>"`), engine-level epoch/merge timings,
-//! the epoch tracer's bookkeeping, and the central detector's fire /
+//! the epoch tracer's bookkeeping, and each ensemble engine's fire /
 //! detection-delay metrics — into one [`telemetry::Snapshot`], which
 //! `--metrics-out` writes as JSON.
 
@@ -94,8 +94,6 @@ pub struct ReplayTelemetry {
     /// because they were too short to pay for a hand-off to the
     /// workers; the rest were dispatched. Zero on the reference engine.
     pub epochs_inline: Counter,
-    /// Alerts the central detector raised.
-    pub alerts: Counter,
     /// Wall time of each epoch (dispatch → merged, detected verdict),
     /// ns. A real clock measurement: every sample is bounded by the
     /// run's `elapsed_ns`.
@@ -103,9 +101,6 @@ pub struct ReplayTelemetry {
     /// Time folding shard state into the merged view per epoch
     /// (rebuild fold or sparse delta application), ns.
     pub merge_ns: LogLinearHistogram,
-    /// The central detector's fire counts and detection-delay
-    /// histogram (copied out after the run).
-    pub detector: DetectorMetrics,
     /// Per-engine ensemble metrics (fire counts and detection-delay
     /// histograms), one entry per ensemble engine, copied out after
     /// the run in engine order.
@@ -189,10 +184,8 @@ impl ReplayTelemetry {
             shards: (0..shards).map(|_| ShardMetrics::new()).collect(),
             epochs: Counter::new(),
             epochs_inline: Counter::new(),
-            alerts: Counter::new(),
             epoch_ns: LogLinearHistogram::default(),
             merge_ns: LogLinearHistogram::default(),
-            detector: DetectorMetrics::new(),
             engines: Vec::new(),
             faults_injected: Counter::new(),
             shards_quarantined: Counter::new(),
@@ -311,12 +304,6 @@ impl ReplayTelemetry {
             "closed intervals the pool's coordinator ingested without a hand-off",
             &[],
             self.epochs_inline.get(),
-        );
-        snap.push_counter(
-            "replay_alerts_total",
-            "alerts raised by the central detector",
-            &[],
-            self.alerts.get(),
         );
         snap.push_histogram(
             "replay_epoch_ns",
@@ -451,7 +438,6 @@ impl ReplayTelemetry {
             &[],
             merged_trace.dropped,
         );
-        self.detector.export(&mut snap, "epoch_synflood");
         for (name, m) in &self.engines {
             m.export(&mut snap, name);
         }
@@ -526,7 +512,7 @@ mod tests {
         let mut t = ReplayTelemetry::new(1);
         let mut m = DetectorMetrics::new();
         m.signal(100, true);
-        m.fired(anomaly::metrics::Check::Rate, 130);
+        m.fired(130);
         t.engines.push((String::from("cusum"), m));
         let snap = t.snapshot();
         let fires = snap.find("anomaly_detector_fires_total").expect("fires family");
@@ -536,11 +522,7 @@ mod tests {
             .filter(|s| s.labels.iter().any(|(k, v)| k == "detector" && v == "cusum"))
             .map(|s| &s.value)
             .collect();
-        assert_eq!(
-            cusum,
-            [&SampleValue::Counter(1), &SampleValue::Counter(0)],
-            "per-engine fire counters (rate, share) missing: {fires:?}"
-        );
+        assert_eq!(cusum, [&SampleValue::Counter(1)], "per-engine fire counter missing: {fires:?}");
     }
 
     #[test]

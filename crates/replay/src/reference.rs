@@ -220,23 +220,31 @@ mod tests {
         }
     }
 
-    /// A run that needs `engine`: leaving it out moves the first
-    /// verdict from `first` to `first_without`, or loses the rebind
-    /// `lost_rebind` from the drill-down.
+    /// A drill-down rebind: `(epoch, from phase, to phase)`.
+    type Rebind = (u64, &'static str, &'static str);
+
+    /// A run that needs `engine`: what the run decides with every
+    /// engine, and what it decides with `engine` left out (the first
+    /// verdict's epoch and every rebind).
     struct Witness {
         engine: &'static str,
         workload: &'static str,
         shards: usize,
         faults: &'static str,
         fault_seed: u64,
-        first: Option<u64>,
-        first_without: Option<u64>,
-        lost_rebind: Option<(u64, &'static str, &'static str)>,
+        with: (Option<u64>, &'static [Rebind]),
+        without: (Option<u64>, &'static [Rebind]),
     }
 
     /// What a run decided: the first verdict's epoch and every rebind
     /// as `(epoch, from, to)`.
     type Decided = (Option<u64>, Vec<(u64, String, String)>);
+
+    /// A witness's half as a [`Decided`].
+    fn owned((first, rebinds): (Option<u64>, &[Rebind])) -> Decided {
+        let rebinds = rebinds.iter().map(|&(e, from, to)| (e, from.to_string(), to.to_string()));
+        (first, rebinds.collect())
+    }
 
     fn decided(out: &ReplayOutcome) -> Decided {
         let first = out.provenance.first().map(|r| r.provenance.epoch);
@@ -252,20 +260,33 @@ mod tests {
     /// Every engine `build_ensemble` runs decides something no other
     /// engine does: on its witness run, leaving it out changes the
     /// first verdict or the drill-down. An engine without a witness
-    /// fails here. The SYN-flood detector is exempt: its alert stream
-    /// is `ReplayOutcome::alerts`, which `tests/preservation.rs` pins.
+    /// fails here.
     #[test]
     fn every_engine_changes_a_verdict_when_left_out() {
+        const PREFIX: &str = "prefix";
+        const SUBNETS: &str = "subnets";
+        const HOSTS: &str = "hosts";
         let witnesses = [
+            // The scan starts at epoch 50; without the detector the
+            // drill-down starts two epochs later and narrows eight
+            // later.
+            Witness {
+                engine: "synflood",
+                workload: "scan",
+                shards: 4,
+                faults: "shard_crash=1@3,ctrl_loss=0.30",
+                fault_seed: 2,
+                with: (Some(51), &[(51, PREFIX, SUBNETS), (53, SUBNETS, HOSTS)]),
+                without: (Some(53), &[(53, PREFIX, SUBNETS), (61, SUBNETS, HOSTS)]),
+            },
             Witness {
                 engine: "stalled",
                 workload: "mix",
                 shards: 4,
                 faults: "shard_crash=0@10,ctrl_loss=0.1",
                 fault_seed: 1,
-                first: Some(11),
-                first_without: Some(62),
-                lost_rebind: None,
+                with: (Some(11), &[(11, PREFIX, SUBNETS), (62, PREFIX, SUBNETS)]),
+                without: (Some(62), &[(62, PREFIX, SUBNETS)]),
             },
             Witness {
                 engine: "median_shift",
@@ -273,9 +294,11 @@ mod tests {
                 shards: 4,
                 faults: "ctrl_loss=0.5",
                 fault_seed: 3,
-                first: Some(42),
-                first_without: Some(42),
-                lost_rebind: Some((86, "prefix", "subnets")),
+                with: (
+                    Some(42),
+                    &[(42, PREFIX, SUBNETS), (46, SUBNETS, HOSTS), (86, PREFIX, SUBNETS)],
+                ),
+                without: (Some(42), &[(42, PREFIX, SUBNETS), (46, SUBNETS, HOSTS)]),
             },
             Witness {
                 engine: "cusum",
@@ -283,9 +306,11 @@ mod tests {
                 shards: 2,
                 faults: "",
                 fault_seed: 0,
-                first: Some(58),
-                first_without: None,
-                lost_rebind: None,
+                with: (
+                    Some(58),
+                    &[(58, PREFIX, SUBNETS), (67, PREFIX, SUBNETS), (75, SUBNETS, HOSTS)],
+                ),
+                without: (None, &[]),
             },
             Witness {
                 engine: "holtwinters",
@@ -293,9 +318,8 @@ mod tests {
                 shards: 2,
                 faults: "",
                 fault_seed: 0,
-                first: Some(64),
-                first_without: None,
-                lost_rebind: None,
+                with: (Some(64), &[(64, PREFIX, SUBNETS), (65, SUBNETS, HOSTS)]),
+                without: (None, &[]),
             },
             Witness {
                 engine: "cardinality",
@@ -303,15 +327,11 @@ mod tests {
                 shards: 2,
                 faults: "",
                 fault_seed: 0,
-                first: Some(40),
-                first_without: None,
-                lost_rebind: None,
+                with: (Some(40), &[(40, PREFIX, SUBNETS), (41, SUBNETS, HOSTS)]),
+                without: (None, &[]),
             },
         ];
         for engine in build_ensemble(&ReplayConfig::default()).names() {
-            if engine == "synflood" {
-                continue;
-            }
             let w = witnesses
                 .iter()
                 .find(|w| w.engine == engine)
@@ -331,21 +351,7 @@ mod tests {
             let without = decided(&drive(coord, &schedule, &faults));
 
             assert_ne!(with, without, "{engine}: leaving it out changes nothing");
-            assert_eq!(
-                (with.0, without.0),
-                (w.first, w.first_without),
-                "{engine}: first verdict"
-            );
-            let mut kept = with.1.clone();
-            if let Some((epoch, from, to)) = w.lost_rebind {
-                let lost = (epoch, from.to_string(), to.to_string());
-                let at = kept.iter().position(|t| *t == lost);
-                kept.remove(at.unwrap_or_else(|| panic!("{engine}: no rebind {lost:?}")));
-                assert_eq!(
-                    without.1, kept,
-                    "{engine}: the drill-down loses {lost:?} alone"
-                );
-            }
+            assert_eq!((with, without), (owned(w.with), owned(w.without)), "{engine}");
         }
     }
 }

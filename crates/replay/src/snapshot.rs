@@ -2,12 +2,12 @@
 //! through `telemetry::json`'s [`ToJson`](telemetry::json::ToJson)/[`FromJson`](telemetry::json::FromJson) pair.
 //!
 //! [`RunSnapshot`] mirrors every deterministic field of an outcome
-//! (alerts, health, ensemble report, alert provenance, merged-state
-//! summary); wall-clock fields are deliberately absent, so two
-//! snapshots of bit-identical runs compare equal. Each struct here has
-//! its JSON form declared once, as the `json_struct!` line under it;
-//! the alert and provenance forms come with their types from `anomaly`
-//! and [`crate::provenance`]. [`render_outcome_json`]
+//! (health, ensemble report, alert provenance, merged-state summary);
+//! wall-clock fields are deliberately absent, so two snapshots of
+//! bit-identical runs compare equal. Each struct here has its JSON
+//! form declared once, as the `json_struct!` line under it; the
+//! provenance forms come with their types from `anomaly` and
+//! [`crate::provenance`]. [`render_outcome_json`]
 //! writes the snapshot; [`parse_outcome_json`] reads it back
 //! field-for-field — the golden round-trip `tests/provenance.rs`
 //! pins. `stat4-trace explain` consumes these files.
@@ -15,7 +15,6 @@
 use crate::provenance::{AlertProvenanceRecord, IncidentRef};
 use crate::ReplayOutcome;
 use anomaly::synflood::KIND_SYN;
-pub use anomaly::AlertSnap;
 use telemetry::json::{self, read, At};
 use telemetry::json_struct;
 
@@ -96,10 +95,6 @@ pub struct RunSnapshot {
     pub packets: u64,
     /// Closed epochs.
     pub epochs: u64,
-    /// First alert time, if any.
-    pub detected_at: Option<u64>,
-    /// Central-detector alerts, in interval order.
-    pub alerts: Vec<AlertSnap>,
     /// Degraded-mode summary.
     pub health: HealthSnap,
     /// Ensemble report.
@@ -113,8 +108,6 @@ pub struct RunSnapshot {
 json_struct!(RunSnapshot {
     packets,
     epochs,
-    detected_at,
-    alerts,
     health,
     ensemble,
     provenance,
@@ -128,8 +121,6 @@ impl RunSnapshot {
         Self {
             packets: out.packets,
             epochs: out.epochs,
-            detected_at: out.detected_at,
-            alerts: out.alerts.iter().map(AlertSnap::from).collect(),
             health: HealthSnap {
                 shards_configured: out.health.shards_configured,
                 shards_alive: out.health.shards_alive,
@@ -240,12 +231,6 @@ pub(crate) mod tests {
         RunSnapshot {
             packets: 1234,
             epochs: 9,
-            detected_at: Some(2_000_000),
-            alerts: vec![AlertSnap {
-                kind: String::from("syn_flood"),
-                at: 2_000_000,
-                value: 450,
-            }],
             health: HealthSnap {
                 shards_configured: 4,
                 shards_alive: 3,
@@ -278,12 +263,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn none_detected_at_round_trips_as_null() {
+    fn no_first_fire_round_trips_as_null() {
         let mut snap = sample_snapshot();
-        snap.detected_at = None;
         snap.ensemble.engines[0].first_fired_at = None;
         let text = json::write(&snap);
-        assert!(text.contains("\"detected_at\":null"));
+        assert!(text.contains("\"first_fired_at\":null"));
         let parsed = parse_outcome_json(&text).expect("parses");
         assert_eq!(parsed, snap);
     }

@@ -6,8 +6,8 @@
 //!   extra intervals, with no false positive before onset, and the
 //!   outcome reports degraded coverage.
 //! - Two runs of the same `(spec, seed)` pair are byte-identical —
-//!   merged state, alerts, health, and the deterministic telemetry
-//!   counters all compare equal.
+//!   merged state, ensemble results, health, and the deterministic
+//!   telemetry counters all compare equal.
 //! - An empty fault schedule leaves the engine bit-identical to
 //!   [`replay::run_replay`].
 //! - A panicking shard thread is caught and quarantined, never
@@ -15,8 +15,13 @@
 //!   `expect("shard thread panicked")`).
 
 use faultinject::FaultSchedule;
-use replay::{run_replay, run_replay_with_faults, IncidentKind, ReplayConfig};
+use replay::{run_replay, run_replay_with_faults, IncidentKind, ReplayConfig, ReplayOutcome};
 use workloads::{Schedule, SynFloodWorkload};
+
+/// When the SYN-flood detector first fired, if it did.
+fn syn_first(out: &ReplayOutcome) -> Option<u64> {
+    out.ensemble.engine("synflood").and_then(|e| e.first_fired_at)
+}
 
 fn small_flood() -> Schedule {
     let (s, _) = SynFloodWorkload {
@@ -48,11 +53,11 @@ fn canned_chaos_still_detects_within_bounded_extra_intervals() {
     let cfg = four_shards();
     let interval = cfg.detector.interval_ns;
     let clean = run_replay(&s, &cfg);
-    let clean_at = clean.detected_at.expect("clean run detects the flood");
+    let clean_at = syn_first(&clean).expect("clean run detects the flood");
 
     let faults = FaultSchedule::parse(CANNED, 42).unwrap();
     let out = run_replay_with_faults(&s, &cfg, &faults);
-    let at = out.detected_at.expect("flood detected despite the chaos");
+    let at = syn_first(&out).expect("flood detected despite the chaos");
     assert!(at >= 150_000_000, "no false positive before onset: {at}");
     assert!(
         at <= clean_at + 5 * interval,
@@ -90,8 +95,7 @@ fn same_seed_chaos_reruns_are_bit_identical() {
     let a = run_replay_with_faults(&s, &cfg, &faults);
     let b = run_replay_with_faults(&s, &cfg, &faults);
     assert_eq!(a.merged, b.merged);
-    assert_eq!(a.alerts, b.alerts);
-    assert_eq!(a.detected_at, b.detected_at);
+    assert_eq!(a.ensemble, b.ensemble);
     assert_eq!(a.health, b.health);
     assert_eq!(a.packets, b.packets);
     assert_eq!(a.epochs, b.epochs);
@@ -133,7 +137,7 @@ fn different_seed_perturbs_the_run_differently() {
 fn report_loss_does_not_read_as_a_stall() {
     let s = small_flood();
     let cfg = four_shards();
-    let stalled_fires = |out: &replay::ReplayOutcome| out.ensemble.engine("stalled").unwrap().fires;
+    let stalled_fires = |out: &ReplayOutcome| out.ensemble.engine("stalled").unwrap().fires;
     let clean = run_replay(&s, &cfg);
     let faults = FaultSchedule::parse("ctrl_loss=0.10", 42).unwrap();
     let lossy = run_replay_with_faults(&s, &cfg, &faults);
@@ -153,8 +157,7 @@ fn empty_fault_schedule_matches_unfaulted_run() {
     let plain = run_replay(&s, &cfg);
     let faulted = run_replay_with_faults(&s, &cfg, &FaultSchedule::none());
     assert_eq!(plain.merged, faulted.merged);
-    assert_eq!(plain.alerts, faulted.alerts);
-    assert_eq!(plain.detected_at, faulted.detected_at);
+    assert_eq!(plain.ensemble, faulted.ensemble);
     assert_eq!(plain.health, faulted.health);
     assert!(!faulted.health.degraded());
     assert_eq!(faulted.telemetry.faults_injected.get(), 0);
@@ -183,7 +186,7 @@ fn injected_panic_is_caught_and_quarantined() {
     }
     assert!(h.packets_lost > 0);
     // Detection still works: the flood traffic reroutes to survivors.
-    assert!(out.detected_at.is_some());
+    assert!(syn_first(&out).is_some());
 }
 
 #[test]
@@ -195,7 +198,7 @@ fn stall_changes_timing_but_not_outcome() {
     let faults = FaultSchedule::parse("shard_stall=1@2:2000000", 0).unwrap();
     let out = run_replay_with_faults(&s, &cfg, &faults);
     assert_eq!(out.merged, clean.merged);
-    assert_eq!(out.alerts, clean.alerts);
+    assert_eq!(out.ensemble, clean.ensemble);
     assert!(out.health.incidents.is_empty());
     assert!(!out.health.degraded());
     assert_eq!(out.telemetry.faults_injected.get(), 1);
@@ -217,5 +220,5 @@ fn losing_every_shard_still_completes() {
     // discarded and no shard remains to take later traffic.
     assert_eq!(h.packets_lost, h.packets_offered);
     assert_eq!(out.merged.packets, 0);
-    assert!(out.detected_at.is_none(), "no data, no detection");
+    assert_eq!(syn_first(&out), None, "no data, no detection");
 }

@@ -3,13 +3,15 @@
 //!
 //! A checkpoint is streamed into one `String`, each shard register
 //! file as its non-zero cells. Serializing the newest checkpoint of a
-//! short killed run on two shards (38 928 cells in memory, 4 509 bytes
-//! on disk; 5 708 while the ensemble held eight engines, weights and a
-//! combined score) makes 9 allocations: the header, the 7 doublings
-//! that take the buffer from its 53 bytes to 6.8 kB, and the one
-//! `ShardIncident`'s kind tag (16 while that incident was written
-//! through a tree it built). On four shards there are twice the cells
-//! in 5 264 bytes (6 463) and the count is 9 again. The checksum's sixteen
+//! short killed run on two shards (38 928 cells in memory, 4 087 bytes
+//! on disk; 4 509 while the detectors wrote their own alert records
+//! and each engine's fire count twice, 5 708 while the ensemble held
+//! eight engines, weights and a combined score) makes 8 allocations:
+//! the header, the doublings that grow the buffer to hold the document,
+//! and the one `ShardIncident`'s kind tag (9 at 4 509 bytes; 16 while
+//! that incident was written through a tree it built). On four shards
+//! there are twice the cells in 4 842 bytes (5 264, 6 463) and the
+//! count is 9 (9, 9). The checksum's sixteen
 //! digits are written over their placeholder in that buffer; while
 //! `format!` wrote them into a `String` of their own, the counts were
 //! 10 and 11, the one more on four shards because that checksum begins
@@ -26,8 +28,10 @@
 //! and strings of the `Checkpoint` (each register file allocated once,
 //! at the length a fresh shard's geometry gives it; every other vector
 //! grown by doubling) and the text of the `ensemble` and `drill`
-//! members: 32 allocations and 301 051 bytes asked for on two shards,
-//! 40 and 598 139 on four, whatever the checksum's first digit (36 and
+//! members: 31 allocations and 300 628 bytes asked for on two shards,
+//! 39 and 597 716 on four, whatever the checksum's first digit (32 and
+//! 301 051, 40 and 598 139 while the detectors' own alert records and
+//! a second copy of each fire count were written; 36 and
 //! 302 270, 44 and 599 358 while the ensemble held eight engines and
 //! provenance a combined score, a trigger cause and engine weights; 37 and
 //! 302 286, 46 and 599 374 while the checksum read was compared with
@@ -95,7 +99,7 @@ fn newest_checkpoint(shards: usize) -> Checkpoint {
 }
 
 /// Allocations of `serialize` on two shards and on four (module doc).
-const SERIALIZE_ALLOCS: [u64; 2] = [9, 9];
+const SERIALIZE_ALLOCS: [u64; 2] = [8, 9];
 
 #[test]
 fn serialize_allocates_for_the_buffer_and_nothing_per_cell() {
@@ -126,7 +130,7 @@ fn serialize_allocates_for_the_buffer_and_nothing_per_cell() {
 #[test]
 fn parse_allocates_for_the_values_and_no_node_per_cell() {
     let _turn = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (shards, want_allocs, want_bytes) in [(2, 32, 301_051), (4, 40, 598_139)] {
+    for (shards, want_allocs, want_bytes) in [(2, 31, 300_628), (4, 39, 597_716)] {
         let doc = ckpt::serialize(&newest_checkpoint(shards));
         let (parsed, allocs, bytes) = count(|| ckpt::parse(&doc));
         assert_eq!(ckpt::serialize(&parsed.expect("own serialization parses")), doc);
@@ -136,9 +140,10 @@ fn parse_allocates_for_the_values_and_no_node_per_cell() {
 }
 
 /// What `Checkpoint::rebuild_detection` allocates: the detectors it
-/// builds (26 allocations, 48 552 bytes, on two shards) and the values
-/// it reads into them. On the newest two-shard checkpoint that is 78
-/// allocations for 95 283 bytes; 109 for 114 103 while the ensemble ran
+/// builds and the values it reads into them. On the newest two-shard
+/// checkpoint that is 73 allocations for 86 986 bytes; 78 for 95 283
+/// while the detectors kept their own alert records; 109
+/// for 114 103 while the ensemble ran
 /// eight engines with weight overrides; 110 for 114 279 while the ensemble's
 /// text held the fired log and the stalled and shift detectors' alert
 /// lists. While the ensemble's reader copied each engine's state out of
@@ -154,6 +159,6 @@ fn rebuild_reads_each_engine_state_where_it_lies() {
     let (rebuilt, allocs, bytes) = count(|| c.rebuild_detection(&cfg));
     let (ensemble, _) = rebuilt.expect("own export imports");
     assert_eq!(Raw::of(|out| ensemble.export_state(out)), c.ensemble);
-    assert!(allocs <= 78, "{allocs} allocations; the copying reader made 128");
-    assert!(bytes <= 95_283, "{bytes} bytes; the copying reader asked for 149 721");
+    assert!(allocs <= 73, "{allocs} allocations; the copying reader made 128");
+    assert!(bytes <= 86_986, "{bytes} bytes; the copying reader asked for 149 721");
 }

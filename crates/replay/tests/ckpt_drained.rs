@@ -257,7 +257,7 @@ impl KilledRun {
         let schedule = small_flood();
         let full = run_replay(&schedule, &cfg());
         assert!(
-            full.detected_at.is_some(),
+            full.ensemble.engine("synflood").is_some_and(|e| e.first_fired_at.is_some()),
             "the uninterrupted run detects the flood"
         );
         let ensemble = full.ensemble.clone();

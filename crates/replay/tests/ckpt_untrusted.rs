@@ -271,7 +271,7 @@ fn checksum_valid_but_impossible_state_is_a_counted_fallback() {
     let cases: [Case; 12] = [
         (
             "wrong ring length",
-            |c| tampered(&mut c.ensemble, |s| match at(s, &["engines", "0", "state", "syn_rate", "ring"]) {
+            |c| tampered(&mut c.ensemble, |s| match at(s, &["engines", "0", "state", "ring"]) {
                 Json::Arr(ring) => {
                     ring.pop();
                 }

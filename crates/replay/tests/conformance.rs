@@ -1,7 +1,7 @@
 //! Cross-shard conformance suite (ISSUE acceptance criterion): for the
 //! `synflood` and `mix` workloads, sharded replay at 2/4/8 shards must
-//! produce the *same merged statistics* and the *same alert sequence*
-//! as the single-shard run — bit for bit, not approximately.
+//! produce the *same merged statistics* and the *same verdicts* as the
+//! single-shard run — bit for bit, not approximately.
 //!
 //! Why this holds (and what the tests pin down):
 //!
@@ -13,8 +13,8 @@
 //!   walk is the paper's per-packet tracker, and no shard walks one. The
 //!   median read off partition-invariant counts is itself invariant —
 //!   every shard count yields the same estimate.
-//! - The central detector consumes only merged aggregates, so identical
-//!   aggregates force identical alerts.
+//! - The ensemble consumes only merged aggregates, so identical
+//!   aggregates force identical verdicts.
 
 use anomaly::synflood::SynFloodConfig;
 use replay::{run_replay, ReplayConfig, ReplayOutcome};
@@ -42,6 +42,11 @@ fn mix_schedule() -> Schedule {
     s
 }
 
+/// When the SYN-flood detector first fired, if it did.
+fn syn_first(out: &ReplayOutcome) -> Option<u64> {
+    out.ensemble.engine("synflood").and_then(|e| e.first_fired_at)
+}
+
 fn run(schedule: &Schedule, shards: usize) -> ReplayOutcome {
     run_replay(
         schedule,
@@ -66,10 +71,9 @@ fn assert_conformant(schedule: &Schedule, label: &str) {
             "{label}: merged state at {shards} shards differs from 1 shard"
         );
         assert_eq!(
-            out.alerts, reference.alerts,
-            "{label}: alert sequence at {shards} shards differs from 1 shard"
+            out.ensemble, reference.ensemble,
+            "{label}: verdicts at {shards} shards differ from 1 shard"
         );
-        assert_eq!(out.detected_at, reference.detected_at, "{label}: {shards}");
         assert_eq!(out.packets, reference.packets, "{label}: {shards}");
         assert_eq!(out.epochs, reference.epochs, "{label}: {shards}");
     }
@@ -86,8 +90,7 @@ fn synflood_flood_is_detected_at_every_shard_count() {
     let s = synflood_schedule();
     for shards in [1usize, 2, 4, 8] {
         let out = run(&s, shards);
-        let at = out
-            .detected_at
+        let at = syn_first(&out)
             .unwrap_or_else(|| panic!("{shards} shards: flood must be detected"));
         assert!(at >= 300_000_000, "{shards} shards: false positive at {at}");
         assert!(
@@ -109,11 +112,8 @@ fn mix_stable_composition_stays_quiet() {
     let s = mix_schedule();
     for shards in [1usize, 4, 8] {
         let out = run(&s, shards);
-        assert!(
-            out.detected_at.is_none(),
-            "{shards} shards: spurious alerts {:?}",
-            out.alerts
-        );
+        let fired = &out.ensemble.fired;
+        assert_eq!(syn_first(&out), None, "{shards} shards: spurious fires {fired:?}");
     }
 }
 
@@ -152,6 +152,6 @@ fn interval_length_does_not_break_conformance() {
         let a = run_replay(&s, &cfg1);
         let b = run_replay(&s, &cfg8);
         assert_eq!(a.merged, b.merged, "interval {interval_ns}");
-        assert_eq!(a.alerts, b.alerts, "interval {interval_ns}");
+        assert_eq!(a.ensemble, b.ensemble, "interval {interval_ns}");
     }
 }

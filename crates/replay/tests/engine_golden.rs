@@ -97,12 +97,11 @@ fn assert_recorded_bytes(name: &str, got: &str) {
 fn render_run(out: &mut String, engine: &str, label: &str, o: &ReplayOutcome) {
     writeln!(
         out,
-        "{engine} {label}: snapshot {:016x} packets {} epochs {} alerts {} provenance {} \
+        "{engine} {label}: snapshot {:016x} packets {} epochs {} provenance {} \
          alive {} lost {} rerouted {} dropped_reports {}",
         fnv1a64(render_outcome_json(o).as_bytes()),
         o.packets,
         o.epochs,
-        o.alerts.len(),
         o.provenance.len(),
         o.health.shards_alive,
         o.health.packets_lost,

@@ -62,7 +62,6 @@ fn a_run_exports_every_family_with_its_series() {
         [
             "anomaly_detection_delay_ns",
             "anomaly_detector_fires_total",
-            "replay_alerts_total",
             "replay_checkpoints_written_total",
             "replay_ckpt_bytes",
             "replay_ckpt_serialize_ns",
@@ -120,32 +119,19 @@ fn inline_epoch_counter_is_exported() {
 #[test]
 fn detector_metrics_flow_through_to_the_snapshot() {
     let out = run(2);
-    assert!(out.detected_at.is_some(), "flood must be detected");
     let snap = out.telemetry.snapshot();
-    // The fires family now carries one series per ensemble engine;
-    // the central SYN-flood detector's own series must still equal
-    // the alert list exactly.
+    // The fires family carries one series per ensemble engine, each
+    // equal to that engine's fire count in the ensemble report.
     let fires = snap
         .find("anomaly_detector_fires_total")
         .expect("fires family exported");
-    let synflood_fires: u64 = fires
-        .samples
-        .iter()
-        .filter(|s| {
-            s.labels
-                .iter()
-                .any(|(k, v)| k == "detector" && v == "epoch_synflood")
-        })
-        .map(|s| match s.value {
-            SampleValue::Counter(c) => c,
-            _ => 0,
-        })
-        .sum();
-    assert_eq!(
-        synflood_fires,
-        out.alerts.len() as u64,
-        "every alert is attributed to exactly one check"
-    );
+    assert_eq!(fires.samples.len(), out.ensemble.engines.len());
+    for (sample, engine) in fires.samples.iter().zip(&out.ensemble.engines) {
+        assert_eq!(sample.labels, [(String::from("detector"), engine.name.to_string())]);
+        assert_eq!(sample.value, SampleValue::Counter(engine.fires), "{}", engine.name);
+    }
+    let synflood = out.ensemble.engine("synflood").expect("synflood engine");
+    assert!(synflood.fires > 0, "flood must be detected");
     let delay = snap
         .find("anomaly_detection_delay_ns")
         .expect("delay histogram exported");
@@ -169,7 +155,7 @@ fn telemetry_does_not_depend_on_shard_count_for_totals() {
         b.telemetry.merged_shard().syn_packets.get()
     );
     assert_eq!(a.telemetry.epochs.get(), b.telemetry.epochs.get());
-    assert_eq!(a.telemetry.alerts.get(), b.telemetry.alerts.get());
+    assert_eq!(a.telemetry.engines, b.telemetry.engines);
 }
 
 #[test]

@@ -56,8 +56,6 @@ fn straddling_flood() -> Schedule {
 /// Asserts everything deterministic about two outcomes is equal.
 fn assert_outcomes_identical(pool: &ReplayOutcome, refr: &ReplayOutcome, ctx: &str) {
     assert_eq!(pool.merged, refr.merged, "{ctx}: merged state");
-    assert_eq!(pool.alerts, refr.alerts, "{ctx}: alerts");
-    assert_eq!(pool.detected_at, refr.detected_at, "{ctx}: detection time");
     assert_eq!(pool.packets, refr.packets, "{ctx}: packets");
     assert_eq!(pool.epochs, refr.epochs, "{ctx}: epochs");
     assert_eq!(pool.health, refr.health, "{ctx}: health (incidents included)");
@@ -93,7 +91,6 @@ fn assert_outcomes_identical(pool: &ReplayOutcome, refr: &ReplayOutcome, ctx: &s
     }
     for (name, p, r) in [
         ("epochs", pool.telemetry.epochs.get(), refr.telemetry.epochs.get()),
-        ("alerts", pool.telemetry.alerts.get(), refr.telemetry.alerts.get()),
         (
             "faults_injected",
             pool.telemetry.faults_injected.get(),
@@ -122,6 +119,7 @@ fn assert_outcomes_identical(pool: &ReplayOutcome, refr: &ReplayOutcome, ctx: &s
     ] {
         assert_eq!(p, r, "{ctx}: telemetry counter {name}");
     }
+    assert_eq!(pool.telemetry.engines, refr.telemetry.engines, "{ctx}: per-engine metrics");
 }
 
 #[test]

@@ -94,7 +94,7 @@ fn faulted_pool_runs_tear_down_without_leaking_workers() {
     for i in 0..10 {
         let again = run_replay_with_faults(&s, &cfg, &faults);
         assert_eq!(again.merged, first.merged, "rerun {i}: merged state");
-        assert_eq!(again.alerts, first.alerts, "rerun {i}: alerts");
+        assert_eq!(again.ensemble, first.ensemble, "rerun {i}: verdicts");
         assert_eq!(again.health, first.health, "rerun {i}: health");
     }
     assert!(
@@ -108,8 +108,7 @@ fn faulted_pool_runs_tear_down_without_leaking_workers() {
     // against the reference path survives teardown-under-fault).
     let refr = reference::run_replay_with_faults(&s, &cfg, &faults);
     assert_eq!(first.merged, refr.merged);
-    assert_eq!(first.alerts, refr.alerts);
-    assert_eq!(first.detected_at, refr.detected_at);
+    assert_eq!(first.ensemble, refr.ensemble);
     assert_eq!(first.health, refr.health);
 
     // Drain-swap-resume under the same active chaos: checkpoint every
@@ -163,8 +162,7 @@ fn faulted_pool_runs_tear_down_without_leaking_workers() {
         thread_count()
     );
     assert_eq!(resumed.merged, refr.merged);
-    assert_eq!(resumed.alerts, refr.alerts);
-    assert_eq!(resumed.detected_at, refr.detected_at);
+    assert_eq!(resumed.ensemble, refr.ensemble);
     assert_eq!(resumed.health, refr.health);
     std::fs::remove_dir_all(&dir).ok();
 }

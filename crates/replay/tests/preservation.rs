@@ -5,9 +5,10 @@
 //! into the replay loop) on fixed workloads; the ensemble must
 //! reproduce them bit for bit — same alert timestamps, same SYN
 //! counts, same first-detection time — under the pool engine, the
-//! reference engine, and a chaos schedule with report loss.
+//! reference engine, and a chaos schedule with report loss. The
+//! ensemble is the only record of the detector's fires: its fired log
+//! holds each one's time and observed SYN count.
 
-use anomaly::Alert;
 use faultinject::FaultSchedule;
 use replay::{reference, run_replay, run_replay_with_faults, ReplayConfig, ReplayOutcome};
 use workloads::{Schedule, SynFloodWorkload};
@@ -71,23 +72,14 @@ const CONF_1SHARD: Golden = (
 
 fn assert_matches_golden(out: &ReplayOutcome, golden: Golden, ctx: &str) {
     let (detected_at, alerts) = golden;
-    assert_eq!(
-        out.detected_at,
-        Some(detected_at),
-        "{ctx}: first-detection time drifted from the pre-refactor engine"
-    );
     let got: Vec<(u64, u64)> = out
-        .alerts
+        .ensemble
+        .fired
         .iter()
-        .map(|a| match a {
-            Alert::SynFlood { at, syn_count, .. } => (*at, *syn_count),
-            other => panic!("{ctx}: unexpected alert kind {other:?}"),
-        })
+        .filter(|r| r.engine == "synflood")
+        .map(|r| (r.at, r.observed as u64))
         .collect();
     assert_eq!(got, alerts, "{ctx}: alert stream drifted");
-    // The trait-lifted engine must agree with the legacy alert list it
-    // now produces: the ensemble's synflood summary is the same data
-    // through the new path.
     let syn = out
         .ensemble
         .engine("synflood")
@@ -96,7 +88,7 @@ fn assert_matches_golden(out: &ReplayOutcome, golden: Golden, ctx: &str) {
     assert_eq!(
         syn.first_fired_at,
         Some(detected_at),
-        "{ctx}: synflood first fire"
+        "{ctx}: first-detection time drifted from the pre-refactor engine"
     );
 }
 

@@ -52,10 +52,9 @@ proptest! {
             prop_assert_eq!(&out.merged.dst_sketch, &direct.dst_sketch);
             prop_assert_eq!(out.merged.packets, direct.packets);
             // Whole merged state (incl. canonical percentile markers)
-            // and alerts: invariant across shard counts.
+            // and verdicts: invariant across shard counts.
             prop_assert_eq!(&out.merged, &reference.merged);
-            prop_assert_eq!(&out.alerts, &reference.alerts);
-            prop_assert_eq!(out.detected_at, reference.detected_at);
+            prop_assert_eq!(&out.ensemble, &reference.ensemble);
         }
     }
 
@@ -87,7 +86,7 @@ proptest! {
             prop_assert_eq!(&out.merged.kinds, &direct.kinds);
             prop_assert_eq!(&out.merged.dst_sketch, &direct.dst_sketch);
             prop_assert_eq!(&out.merged, &reference.merged);
-            prop_assert_eq!(&out.alerts, &reference.alerts);
+            prop_assert_eq!(&out.ensemble, &reference.ensemble);
         }
     }
 }

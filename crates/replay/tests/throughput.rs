@@ -40,7 +40,7 @@ fn eight_shards_scale_or_skip() {
 
     // Scaling must never cost correctness.
     assert_eq!(single.merged, sharded.merged);
-    assert_eq!(single.alerts, sharded.alerts);
+    assert_eq!(single.ensemble, sharded.ensemble);
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cores < 8 {

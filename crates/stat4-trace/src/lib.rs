@@ -207,7 +207,9 @@ pub fn flame(doc: &TraceDoc) -> String {
     out
 }
 
-/// Renders the provenance story of alert `id` from a run snapshot.
+/// Renders the provenance story of alert `id` from a run snapshot:
+/// every engine's result at the alert, and each engine of the run that
+/// reported none there named as abstaining.
 ///
 /// # Errors
 ///
@@ -247,6 +249,13 @@ pub fn explain(snap: &RunSnapshot, id: u64) -> Result<String, String> {
             e.expected,
             e.observed,
         );
+    }
+    // An engine of the run with no result here reported none this
+    // interval (it was still warming up).
+    for e in &snap.ensemble.engines {
+        if !p.engines.iter().any(|r| r.engine == e.name) {
+            let _ = writeln!(out, "  {:>12}  abstained: no result this interval", e.name);
+        }
     }
     let s = &p.signals;
     let _ = writeln!(
@@ -563,6 +572,39 @@ mod inspect {
             story.contains("no shards quarantined"),
             "clean run has no incidents: {story}"
         );
+    }
+
+    /// Alert 0 of CI's chaos run (`replay synflood 4 --faults
+    /// shard_crash=1@3,ctrl_loss=0.30 --seed 42`) fires at epoch 40,
+    /// before `cusum` has its baseline: the record holds five engines'
+    /// results, and the explanation names the sixth as abstaining.
+    #[test]
+    fn explain_names_the_engines_that_abstained() {
+        let (s, _) = SynFloodWorkload {
+            background_cps: 500,
+            flood_pps: 50_000,
+            flood_start: 400_000_000,
+            duration: 900_000_000,
+            seed: 4,
+            ..SynFloodWorkload::default()
+        }
+        .generate();
+        let cfg = ReplayConfig {
+            shards: 4,
+            ..ReplayConfig::default()
+        };
+        let faults =
+            FaultSchedule::parse("shard_crash=1@3,ctrl_loss=0.30", 42).expect("valid chaos spec");
+        let out = run_replay_with_faults(&s, &cfg, &faults);
+        let snap = parse_outcome_json(&render_outcome_json(&out)).expect("snapshot parses");
+        assert_eq!(snap.provenance[0].provenance.epoch, 40);
+        let story = explain(&snap, 0).expect("alert 0 explains");
+        let abstained: Vec<&str> = story
+            .lines()
+            .filter(|l| l.ends_with("abstained: no result this interval"))
+            .collect();
+        assert_eq!(abstained.len(), 1, "{story}");
+        assert_eq!(abstained[0].split_whitespace().next(), Some("cusum"), "{story}");
     }
 
     /// The lifecycle view answers "what did each checkpoint cost" from the

@@ -13,7 +13,8 @@
 //! prints a one-line summary. `timeline` and `flame` render the same
 //! document for humans. `explain` reads a `--snapshot-out` run
 //! snapshot and tells the full story of one alert: the engines that
-//! fired, their scores against their thresholds, the signal values,
+//! fired, their scores against their thresholds, the engines that
+//! abstained, the signal values,
 //! the epoch's lineage, and any drilldown rebind transactions — and
 //! with an optional `--lifecycle-out` report appended, the run's
 //! checkpoint/swap/recovery history around it. `lifecycle` renders

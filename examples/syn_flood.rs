@@ -40,14 +40,22 @@ fn main() {
             );
         }
     }
-    match outcome.detected_at {
+    let synflood = outcome.ensemble.engine("synflood").expect("the SYN-flood engine reports");
+    match synflood.first_fired_at {
         Some(at) => {
-            println!("ALERT at t = {:.3}s: {:?}", at as f64 / 1e9, outcome.alerts[0]);
+            let first = outcome.ensemble.fired.iter().find(|r| r.engine == "synflood");
+            let first = first.expect("the first fire is in the fired log");
+            println!(
+                "ALERT at t = {:.3}s: {} SYNs in the interval, {} expected",
+                at as f64 / 1e9,
+                first.observed,
+                first.expected
+            );
             assert!(at >= workload.flood_start, "no false positives");
             let lag_ms = (at - workload.flood_start) as f64 / 1e6;
             println!(
-                "flood detected {lag_ms:.1} ms after onset ({} alerts in total)",
-                outcome.alerts.len()
+                "flood detected {lag_ms:.1} ms after onset ({} SYN-flood fires in total)",
+                synflood.fires
             );
         }
         None => {
